@@ -9,7 +9,7 @@ use sj_joins::grid::{grid_join, GridConfig};
 use sj_joins::nested_loop::nested_loop_join;
 use sj_joins::sort_merge::zorder_overlap_join;
 use sj_joins::tree_join::tree_join;
-use sj_joins::{JoinIndex, StoredRelation, TreeRelation};
+use sj_joins::{JoinIndex, Parallelism, StoredRelation, TraceSink, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 use sj_zorder::ZGrid;
 use std::hint::black_box;
@@ -46,7 +46,14 @@ fn bench_join_strategies(c: &mut Criterion) {
             let mut p = pool();
             let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
             let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
-            b.iter(|| black_box(nested_loop_join(&mut p, &r, &s, theta).pairs.len()));
+            b.iter(|| {
+                black_box(
+                    nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
+                        .unwrap()
+                        .pairs
+                        .len(),
+                )
+            });
         });
 
         group.bench_with_input(BenchmarkId::new("II_tree_join", n), &n, |b, _| {
@@ -67,7 +74,21 @@ fn bench_join_strategies(c: &mut Criterion) {
                 300,
                 Layout::Clustered,
             );
-            b.iter(|| black_box(tree_join(&mut p, &tr, &ts, theta).pairs.len()));
+            b.iter(|| {
+                black_box(
+                    tree_join(
+                        &mut p,
+                        &tr,
+                        &ts,
+                        theta,
+                        Parallelism::sequential(),
+                        &mut TraceSink::Null,
+                    )
+                    .unwrap()
+                    .pairs
+                    .len(),
+                )
+            });
         });
 
         group.bench_with_input(BenchmarkId::new("III_join_index_query", n), &n, |b, _| {
@@ -75,7 +96,14 @@ fn bench_join_strategies(c: &mut Criterion) {
             let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
             let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
             let (idx, _) = JoinIndex::build(&mut p, &r, &s, theta, 100);
-            b.iter(|| black_box(idx.join(&mut p, &r, &s).pairs.len()));
+            b.iter(|| {
+                black_box(
+                    idx.join(&mut p, &r, &s, &mut TraceSink::Null)
+                        .unwrap()
+                        .pairs
+                        .len(),
+                )
+            });
         });
 
         group.bench_with_input(BenchmarkId::new("zorder_sort_merge", n), &n, |b, _| {
@@ -85,7 +113,8 @@ fn bench_join_strategies(c: &mut Criterion) {
             let grid = ZGrid::new(Rect::from_bounds(0.0, 0.0, WORLD, WORLD), 7);
             b.iter(|| {
                 black_box(
-                    zorder_overlap_join(&mut p, &r, &s, &grid, theta)
+                    zorder_overlap_join(&mut p, &r, &s, &grid, theta, &mut TraceSink::Null)
+                        .unwrap()
                         .pairs
                         .len(),
                 )
@@ -101,7 +130,14 @@ fn bench_join_strategies(c: &mut Criterion) {
                 nx: 32,
                 ny: 32,
             };
-            b.iter(|| black_box(grid_join(&mut p, &r, &s, cfg, theta).pairs.len()));
+            b.iter(|| {
+                black_box(
+                    grid_join(&mut p, &r, &s, cfg, theta, &mut TraceSink::Null)
+                        .unwrap()
+                        .pairs
+                        .len(),
+                )
+            });
         });
     }
     group.finish();

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sj_gentree::rtree::{RTree, RTreeConfig, SplitStrategy};
-use sj_gentree::select::select;
+use sj_gentree::select::select_flat;
 use sj_geom::{Geometry, Point, Rect, ThetaOp};
 use std::hint::black_box;
 
@@ -66,8 +66,9 @@ fn bench_select(c: &mut Criterion) {
         let probe = Geometry::Point(Point::new(side / 2.0, side / 2.0));
         group.bench_with_input(BenchmarkId::new("within_distance", n), &rt, |b, rt| {
             b.iter(|| {
-                black_box(select(
+                black_box(select_flat(
                     rt.tree(),
+                    None,
                     &probe,
                     ThetaOp::WithinDistance(25.0),
                     |_| {},

@@ -1,11 +1,10 @@
 //! Selection-strategy wall-clock: exhaustive scan (I) vs Algorithm SELECT
-//! over the R-tree (II) vs the z-value index, plus kNN search.
+//! over the R-tree (II) vs the z-value index.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sj_core::workload::{generate, GeometryKind, Placement, WorkloadSpec};
-use sj_gentree::knn::nearest_k;
 use sj_gentree::rtree::{RTree, RTreeConfig};
-use sj_geom::{Geometry, Point, Rect, ThetaOp};
+use sj_geom::{Geometry, Rect, ThetaOp};
 use sj_joins::nested_loop::exhaustive_select;
 use sj_joins::tree_join::{tree_select, TraversalOrder};
 use sj_joins::{StoredRelation, TreeRelation, ZIndex};
@@ -38,6 +37,7 @@ fn bench_select_strategies(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     exhaustive_select(&mut p, &rel, &window, theta)
+                        .unwrap()
                         .matches
                         .len(),
                 )
@@ -57,6 +57,7 @@ fn bench_select_strategies(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     tree_select(&mut p, &tr, &window, theta, TraversalOrder::BreadthFirst)
+                        .unwrap()
                         .matches
                         .len(),
                 )
@@ -72,33 +73,15 @@ fn bench_select_strategies(c: &mut Criterion) {
                 ZGrid::new(Rect::from_bounds(0.0, 0.0, WORLD, WORLD), 8),
                 100,
             );
-            b.iter(|| black_box(idx.select(&mut p, &rel, &window, theta).matches.len()));
-        });
-    }
-    group.finish();
-}
-
-fn bench_knn(c: &mut Criterion) {
-    let mut group = c.benchmark_group("knn");
-    for &n in &[10_000usize, 100_000] {
-        let tuples = generate(
-            &WorkloadSpec {
-                count: n,
-                world: Rect::from_bounds(0.0, 0.0, WORLD, WORLD),
-                kind: GeometryKind::Point,
-                placement: Placement::Uniform,
-                max_extent: 0.0,
-                seed: 5,
-            },
-            0,
-        );
-        let rt = RTree::bulk_load(RTreeConfig::with_fanout(10), tuples);
-        for &k in &[1usize, 10, 100] {
-            group.bench_with_input(BenchmarkId::new(format!("k{k}"), n), &rt, |b, rt| {
-                let q = Point::new(497.0, 503.0);
-                b.iter(|| black_box(nearest_k(rt.tree(), &q, k, |_| {}).0.len()));
+            b.iter(|| {
+                black_box(
+                    idx.select(&mut p, &rel, &window, theta)
+                        .unwrap()
+                        .matches
+                        .len(),
+                )
             });
-        }
+        });
     }
     group.finish();
 }
@@ -116,6 +99,6 @@ fn fast_config() -> Criterion {
 criterion_group!(
     name = benches;
     config = fast_config();
-    targets = bench_select_strategies, bench_knn
+    targets = bench_select_strategies
 );
 criterion_main!(benches);

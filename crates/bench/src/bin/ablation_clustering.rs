@@ -60,7 +60,8 @@ fn main() {
         for order in [TraversalOrder::BreadthFirst, TraversalOrder::DepthFirst] {
             pool.clear();
             pool.reset_stats();
-            let run = tree_select(&mut pool, &rel, &probe, theta, order);
+            let run = tree_select(&mut pool, &rel, &probe, theta, order)
+                .expect("in-memory disk cannot fault");
             reads.push((run.stats.physical_reads, run.matches.len()));
         }
         assert_eq!(

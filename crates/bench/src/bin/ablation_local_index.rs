@@ -13,7 +13,7 @@ use sj_core::workload::{generate, GeometryKind, Placement, WorkloadSpec};
 use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_geom::{Geometry, Point, Rect, ThetaOp};
 use sj_joins::local_index::LocalJoinIndex;
-use sj_joins::TreeRelation;
+use sj_joins::{TraceSink, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
 fn main() {
@@ -69,7 +69,9 @@ fn main() {
         };
         // Rebuild for the query so the extra tuple does not pollute it.
         let (idx, _) = LocalJoinIndex::build(&mut pool, &r, &s, theta, level, 100);
-        let run = idx.join(&mut pool);
+        let run = idx
+            .join(&mut pool, &mut TraceSink::Null)
+            .expect("in-memory disk cannot fault");
         match &reference {
             Some(want) => assert_eq!(&run.pairs, want, "level {level} result differs"),
             None => reference = Some(run.pairs.clone()),

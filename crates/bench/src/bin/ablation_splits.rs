@@ -8,7 +8,7 @@
 
 use sj_core::workload::{generate, GeometryKind, Placement, WorkloadSpec};
 use sj_gentree::rtree::{RTree, RTreeConfig, SplitStrategy};
-use sj_gentree::select::select;
+use sj_gentree::select::select_flat;
 use sj_geom::{Geometry, Point, Rect, ThetaOp};
 
 fn main() {
@@ -64,7 +64,7 @@ fn main() {
         }
         let (mut visits, mut filters) = (0u64, 0u64);
         for probe in &probes {
-            let out = select(tree, probe, ThetaOp::WithinDistance(20.0), |_| {});
+            let out = select_flat(tree, None, probe, ThetaOp::WithinDistance(20.0), |_| {});
             visits += out.stats.nodes_visited;
             filters += out.stats.filter_evals;
         }

@@ -9,7 +9,7 @@
 use sj_geom::{Geometry, Rect, ThetaOp};
 use sj_joins::nested_loop::nested_loop_join;
 use sj_joins::sort_merge::naive_zvalue_sort_merge;
-use sj_joins::StoredRelation;
+use sj_joins::{StoredRelation, TraceSink};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 use sj_zorder::{interleave, ZGrid};
 
@@ -64,7 +64,8 @@ fn main() {
         100,
         &mut pool,
     );
-    let complete = nested_loop_join(&mut pool, &r, &s, ThetaOp::Adjacent);
+    let complete = nested_loop_join(&mut pool, &r, &s, ThetaOp::Adjacent, &mut TraceSink::Null)
+        .expect("in-memory disk cannot fault");
     for window in [1usize, 2, 4, 1000] {
         let naive = naive_zvalue_sort_merge(&mut pool, &r, &s, &grid, ThetaOp::Adjacent, window);
         println!(

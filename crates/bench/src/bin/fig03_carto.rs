@@ -5,7 +5,7 @@
 //! Run: `cargo run --release -p sj-bench --bin fig03_carto`
 
 use sj_gentree::carto::{generate_carto, CartoParams};
-use sj_gentree::select::select;
+use sj_gentree::select::select_flat;
 use sj_geom::{Geometry, Point, ThetaOp};
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
     // The defining feature vs. an R-tree: interior nodes can qualify for
     // query answers.
     let probe = Geometry::Point(Point::new(30.0, 70.0));
-    let out = select(&map, &probe, ThetaOp::Overlaps, |_| {});
+    let out = select_flat(&map, None, &probe, ThetaOp::Overlaps, |_| {});
     println!("\nobjects containing the point (30, 70): {:?}", out.matches);
     println!("(note: the map itself, a country, and a state all qualify —");
     println!(" the SELECT algorithm reports interior application objects too)");

@@ -7,88 +7,6 @@
 
 use sj_costmodel::series::Series;
 use sj_costmodel::ModelParams;
-use sj_obs::TraceSink;
-
-/// The shared command-line surface of every bench binary, replacing the
-/// per-bin hand-rolled loops over `std::env::args()`.
-///
-/// Conventions (identical across bins):
-/// - `--smoke` — shrink the workload to a few dozen tuples and skip
-///   (re)writing committed `BENCH_*.json` artifacts unless `--out` is
-///   passed explicitly, so `scripts/ci.sh` can execute every bin as a
-///   cheap runtime regression test.
-/// - `--trace <path>` — open a JSONL [`TraceSink`] there and record
-///   structured spans for the measured runs.
-/// - any `--name <value>` pair — bin-specific knobs, read with
-///   [`BenchArgs::value_of`] / [`BenchArgs::usize_of`].
-#[derive(Debug, Clone)]
-pub struct BenchArgs {
-    argv: Vec<String>,
-}
-
-impl BenchArgs {
-    /// Parses the process arguments (exclusive of `argv[0]`).
-    pub fn parse() -> Self {
-        BenchArgs {
-            argv: std::env::args().skip(1).collect(),
-        }
-    }
-
-    /// Builds from an explicit vector (tests).
-    pub fn from_vec(argv: Vec<String>) -> Self {
-        BenchArgs { argv }
-    }
-
-    /// True when the bare flag (e.g. `--smoke`) is present.
-    pub fn has_flag(&self, name: &str) -> bool {
-        self.argv.iter().any(|a| a == name)
-    }
-
-    /// The value following `--name`, when present.
-    pub fn value_of(&self, name: &str) -> Option<&str> {
-        self.argv
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.argv.get(i + 1))
-            .map(String::as_str)
-    }
-
-    /// The value of `--name` parsed as `usize`, or `default` when the
-    /// flag is absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the flag is present but its value does not parse —
-    /// a user error worth failing loudly on.
-    pub fn usize_of(&self, name: &str, default: usize) -> usize {
-        match self.value_of(name) {
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| panic!("{name} expects an integer, got {v:?}")),
-            None => default,
-        }
-    }
-
-    /// True when the binary was invoked with `--smoke` (CI mode).
-    pub fn smoke(&self) -> bool {
-        self.has_flag("--smoke")
-    }
-
-    /// The argument of `--trace <path>`, when given.
-    pub fn trace(&self) -> Option<&str> {
-        self.value_of("--trace")
-    }
-
-    /// Opens the JSONL trace sink named by `--trace`, or
-    /// [`TraceSink::Null`] (which compiles instrumentation down to
-    /// nothing) when untraced.
-    pub fn trace_sink(&self) -> TraceSink {
-        match self.trace() {
-            Some(path) => TraceSink::file(path).expect("open --trace file"),
-            None => TraceSink::Null,
-        }
-    }
-}
 
 /// Prints the standard parameter header used by all figure binaries.
 pub fn print_params(params: &ModelParams) {
@@ -129,53 +47,6 @@ pub fn print_series_csv(series: &[Series]) {
         }
         println!();
     }
-}
-
-/// Cores available to this process — recorded in every bench artifact
-/// so a committed series can be judged against the machine shape that
-/// produced it.
-pub fn cpu_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Serializes figure series as a JSON document (hand-rolled — the
-/// harness has no serde dependency) and writes it to `path`:
-///
-/// ```json
-/// {"cpu_cores": N, "series": [{"label": "...", "points": [[x, y], ...]}, ...]}
-/// ```
-///
-/// Non-finite samples are emitted as `null` to keep the document valid.
-pub fn write_bench_json(path: &str, series: &[Series]) -> std::io::Result<()> {
-    fn num(v: f64) -> String {
-        if v.is_finite() {
-            // `{:?}` keeps a decimal point/exponent, so the value reads
-            // back as a float.
-            format!("{v:?}")
-        } else {
-            "null".to_string()
-        }
-    }
-    let mut out = format!("{{\n  \"cpu_cores\": {},\n  \"series\": [\n", cpu_cores());
-    for (i, s) in series.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"points\": [",
-            s.label.escape_default()
-        ));
-        for (j, &(x, y)) in s.points.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("[{}, {}]", num(x), num(y)));
-        }
-        out.push_str("]}");
-        if i + 1 < series.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out)
 }
 
 /// Renders a compact ASCII log-log chart of the series (y = cost,
@@ -279,73 +150,6 @@ mod tests {
     use super::*;
     use sj_costmodel::series::{join_figure, log_grid};
     use sj_costmodel::Distribution;
-
-    #[test]
-    fn bench_args_parse_flags_and_values() {
-        let args = BenchArgs::from_vec(
-            ["--smoke", "--trace", "/tmp/t.jsonl", "--requests", "500"]
-                .into_iter()
-                .map(String::from)
-                .collect(),
-        );
-        assert!(args.smoke());
-        assert_eq!(args.trace(), Some("/tmp/t.jsonl"));
-        assert_eq!(args.usize_of("--requests", 10_000), 500);
-        assert_eq!(args.usize_of("--workers", 4), 4);
-        assert_eq!(args.value_of("--out"), None);
-        assert!(!args.has_flag("--out"));
-
-        let empty = BenchArgs::from_vec(Vec::new());
-        assert!(!empty.smoke());
-        assert_eq!(empty.trace(), None);
-        assert!(matches!(empty.trace_sink(), sj_obs::TraceSink::Null));
-    }
-
-    #[test]
-    #[should_panic(expected = "--requests expects an integer")]
-    fn bench_args_reject_malformed_numbers() {
-        let args = BenchArgs::from_vec(
-            ["--requests", "many"]
-                .into_iter()
-                .map(String::from)
-                .collect(),
-        );
-        let _ = args.usize_of("--requests", 1);
-    }
-
-    #[test]
-    fn write_bench_json_emits_valid_document() {
-        let series = vec![
-            Series {
-                label: "wall_ms",
-                points: vec![(1.0, 120.5), (2.0, 64.25)],
-            },
-            Series {
-                label: "speedup",
-                points: vec![(1.0, 1.0), (2.0, f64::NAN)],
-            },
-        ];
-        let path = std::env::temp_dir().join("sj_bench_json_test.json");
-        let path = path.to_str().unwrap();
-        write_bench_json(path, &series).unwrap();
-        let doc = std::fs::read_to_string(path).unwrap();
-        std::fs::remove_file(path).ok();
-        assert!(doc.contains("\"label\": \"wall_ms\""));
-        assert!(doc.contains("[1.0, 120.5]"));
-        assert!(doc.contains("[2.0, null]"), "NaN must become null: {doc}");
-        assert!(
-            doc.contains(&format!("\"cpu_cores\": {}", cpu_cores())),
-            "machine shape must be recorded: {doc}"
-        );
-        // Balanced braces/brackets — a cheap structural validity check.
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                doc.matches(open).count(),
-                doc.matches(close).count(),
-                "unbalanced {open}{close} in {doc}"
-            );
-        }
-    }
 
     #[test]
     fn ascii_chart_renders_all_series() {

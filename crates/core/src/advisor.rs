@@ -642,9 +642,16 @@ mod tests {
         let theta = ThetaOp::WithinDistance(0.6);
         let est = estimate_selectivity(&mut pool, &r, &s, theta, 20_000, 7);
         // Ground truth by exhaustive counting.
-        let matches = sj_joins::nested_loop::nested_loop_join(&mut pool, &r, &s, theta)
-            .pairs
-            .len() as f64;
+        let matches = sj_joins::nested_loop::nested_loop_join(
+            &mut pool,
+            &r,
+            &s,
+            theta,
+            &mut sj_joins::TraceSink::Null,
+        )
+        .unwrap()
+        .pairs
+        .len() as f64;
         let truth = matches / (2500.0 * 2500.0);
         assert!(
             (est - truth).abs() < 0.5 * truth,

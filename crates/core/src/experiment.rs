@@ -114,7 +114,7 @@ pub fn validate_select(k: usize, n: usize, radius: f64, seed: u64) -> Validation
     let theta = ThetaOp::WithinDistance(radius);
 
     // Dry traversal to observe per-level Θ-match counts (the empirical π̂·kⁱ).
-    let outcome = gt_select::select(&tree, &o, theta, |_| {});
+    let outcome = gt_select::select_flat(&tree, None, &o, theta, |_| {});
     let visited = &outcome.stats.visited_per_level;
 
     let mut report = ValidationReport {
@@ -145,7 +145,8 @@ pub fn validate_select(k: usize, n: usize, radius: f64, seed: u64) -> Validation
     let flat = StoredRelation::build(&mut pool, &items, RECORD_SIZE, Layout::Clustered);
     pool.clear();
     pool.reset_stats();
-    let exh = sj_joins::nested_loop::exhaustive_select(&mut pool, &flat, &o, theta);
+    let exh = sj_joins::nested_loop::exhaustive_select(&mut pool, &flat, &o, theta)
+        .expect("fresh in-memory pool cannot fault");
     report.push(
         "I: page reads (⌈N/m⌉)",
         pages,
@@ -174,7 +175,8 @@ pub fn validate_select(k: usize, n: usize, radius: f64, seed: u64) -> Validation
     );
     pool.clear();
     pool.reset_stats();
-    let run_a = tree_select(&mut pool, &tr, &o, theta, TraversalOrder::BreadthFirst);
+    let run_a = tree_select(&mut pool, &tr, &o, theta, TraversalOrder::BreadthFirst)
+        .expect("fresh in-memory pool cannot fault");
     report.push(
         "IIa: page reads (Σ Yao per level)",
         predicted_iia,
@@ -200,7 +202,8 @@ pub fn validate_select(k: usize, n: usize, radius: f64, seed: u64) -> Validation
     let tr = TreeRelation::new(&mut pool, tree.clone(), RECORD_SIZE, Layout::Clustered);
     pool.clear();
     pool.reset_stats();
-    let run_b = tree_select(&mut pool, &tr, &o, theta, TraversalOrder::BreadthFirst);
+    let run_b = tree_select(&mut pool, &tr, &o, theta, TraversalOrder::BreadthFirst)
+        .expect("fresh in-memory pool cannot fault");
     report.push(
         "IIb: page reads (clustered Yao)",
         predicted_iib,
@@ -253,9 +256,11 @@ pub fn validate_join(k: usize, n: usize, radius: f64, seed: u64) -> ValidationRe
             .enumerate()
             .flat_map(|(d, nodes)| nodes.into_iter().map(move |nd| (nd, d)))
             .collect();
-        gt_join::join(
+        gt_join::join_flat(
             &tree_r,
+            None,
             &tree_s,
+            None,
             theta,
             |nd| {
                 seen_r[depth_r[&nd]].insert(nd);

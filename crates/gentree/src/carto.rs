@@ -137,7 +137,7 @@ pub fn grid_split(region: &Rect, parts: usize) -> Vec<Rect> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::select;
+    use crate::select::select_flat;
     use sj_geom::ThetaOp;
 
     #[test]
@@ -202,7 +202,7 @@ mod tests {
         // A probe point overlaps the map, exactly one country, one state,
         // and possibly some cities.
         let probe = Geometry::Point(Point::new(123.0, 456.0));
-        let out = select(&t, &probe, ThetaOp::Overlaps, |_| {});
+        let out = select_flat(&t, None, &probe, ThetaOp::Overlaps, |_| {});
         // Map + country + state at least; cities only if coincident.
         assert!(out.matches.len() >= 3, "got {:?}", out.matches);
         assert!(out.matches.contains(&0)); // the map itself

@@ -8,12 +8,12 @@
 //! and `b` against the strict descendants of `a` — and seeds
 //! `QualPairs[j+1]` with the Θ-qualifying combinations of direct children.
 //!
-//! [`join`] is the level-synchronized formulation, with one deviation
+//! [`join_flat`] is the level-synchronized formulation, with one deviation
 //! from the paper's letter: for bounded-filter operators the child cross
 //! product `qual_a × qual_b` is seeded through a forward-scan plane
 //! sweep over the child MBRs ([`sj_geom::sweep`]) instead of a double
 //! loop, which prunes filter-failing pairs before they are ever visited
-//! (see [`seed_child_pairs`]). [`join_depth_first`] is an equivalent
+//! (see [`seed_child_pairs`]). [`join_depth_first_flat`] is an equivalent
 //! depth-first reformulation that avoids the redundant Θ-evaluations of
 //! the embedded SELECT passes. All variants return the same match set —
 //! a property-tested invariant.
@@ -21,8 +21,8 @@
 //! ## Batched child filtering
 //!
 //! Every traversal needs the Θ-filter verdict of each child of a node
-//! against a fixed probe MBR. The `_flat` variants accept optional
-//! [`FlatChildren`] snapshots and route those verdict computations
+//! against a fixed probe MBR. Every traversal accepts optional
+//! [`FlatChildren`] snapshots and routes those verdict computations
 //! through the branch-free SoA mask kernels ([`sj_geom::soa`]) via
 //! [`expand_children`] — one mask call per chunk instead of a scalar
 //! filter per child. Verdicts are precomputed at parent-expansion time
@@ -139,21 +139,13 @@ fn select_subtree(
 /// re-touches subtrees across SELECT passes, which is precisely why its
 /// I/O model uses memory-resident passes; executors charge I/O per visit
 /// through their buffer pool, which absorbs re-visits that hit the cache).
-pub fn join(
-    tree_r: &GenTree,
-    tree_s: &GenTree,
-    theta: ThetaOp,
-    on_visit_r: impl FnMut(NodeId),
-    on_visit_s: impl FnMut(NodeId),
-) -> JoinOutcome {
-    join_flat(tree_r, None, tree_s, None, theta, on_visit_r, on_visit_s)
-}
-
-/// [`join`] probing child MBRs through optional [`FlatChildren`]
-/// snapshots of either tree. Produces byte-identical pairs, visit
-/// sequences, and [`TraversalStats`] for any combination of `None`/
-/// `Some` — the snapshots only change *how* child filter verdicts are
-/// computed, never which ones or when they are charged.
+///
+/// Child MBRs are probed through optional [`FlatChildren`] snapshots of
+/// either tree. Pairs, visit sequences, and [`TraversalStats`] are
+/// byte-identical for any combination of `None`/`Some` — the snapshots
+/// only change *how* child filter verdicts are computed, never which
+/// ones or when they are charged; `None` is the scalar reference the
+/// property suites compare against.
 pub fn join_flat(
     tree_r: &GenTree,
     flat_r: Option<&FlatChildren>,
@@ -317,23 +309,12 @@ fn seed_child_pairs(
 }
 
 /// Depth-first reformulation of Algorithm JOIN producing the identical
-/// match set with fewer redundant Θ-evaluations.
+/// match set with fewer redundant Θ-evaluations; see [`join_flat`] for
+/// the `FlatChildren` equivalence contract.
 ///
 /// `process(a, b)` is responsible for exactly the pair set
 /// `subtree(a) × subtree(b)`, decomposed without overlap into
 /// `{(a, b)}` ∪ `{a} × (subtree(b) ∖ {b})` ∪ `(subtree(a) ∖ {a}) × subtree(b)`.
-pub fn join_depth_first(
-    tree_r: &GenTree,
-    tree_s: &GenTree,
-    theta: ThetaOp,
-    on_visit_r: impl FnMut(NodeId),
-    on_visit_s: impl FnMut(NodeId),
-) -> JoinOutcome {
-    join_depth_first_flat(tree_r, None, tree_s, None, theta, on_visit_r, on_visit_s)
-}
-
-/// [`join_depth_first`] with optional [`FlatChildren`] snapshots; see
-/// [`join_flat`] for the equivalence contract.
 pub fn join_depth_first_flat(
     tree_r: &GenTree,
     flat_r: Option<&FlatChildren>,
@@ -367,25 +348,7 @@ pub fn join_depth_first_flat(
 /// pair can run on its own thread. `depth` is only used for the per-level
 /// visit histogram in [`TraversalStats`].
 #[allow(clippy::too_many_arguments)]
-pub fn join_pair(
-    tree_r: &GenTree,
-    tree_s: &GenTree,
-    a: NodeId,
-    b: NodeId,
-    depth: usize,
-    theta: ThetaOp,
-    on_visit_r: impl FnMut(NodeId),
-    on_visit_s: impl FnMut(NodeId),
-) -> JoinOutcome {
-    join_pair_flat(
-        tree_r, None, tree_s, None, a, b, depth, theta, on_visit_r, on_visit_s,
-    )
-}
-
-/// [`join_pair`] with optional [`FlatChildren`] snapshots; see
-/// [`join_flat`] for the equivalence contract.
-#[allow(clippy::too_many_arguments)]
-pub fn join_pair_flat(
+fn join_pair_flat(
     tree_r: &GenTree,
     flat_r: Option<&FlatChildren>,
     tree_s: &GenTree,
@@ -559,19 +522,8 @@ fn capture_first_join<E>(
     }
 }
 
-/// [`join`] with fallible visitors: the first visitor error (from either
-/// side) aborts the outcome — fail-stop, never a partial pair set.
-pub fn try_join<E>(
-    tree_r: &GenTree,
-    tree_s: &GenTree,
-    theta: ThetaOp,
-    on_visit_r: impl FnMut(NodeId) -> Result<(), E>,
-    on_visit_s: impl FnMut(NodeId) -> Result<(), E>,
-) -> Result<JoinOutcome, E> {
-    try_join_flat(tree_r, None, tree_s, None, theta, on_visit_r, on_visit_s)
-}
-
-/// [`join_flat`] with fallible visitors; see [`try_join`].
+/// [`join_flat`] with fallible visitors: the first visitor error (from
+/// either side) aborts the outcome — fail-stop, never a partial pair set.
 pub fn try_join_flat<E>(
     tree_r: &GenTree,
     flat_r: Option<&FlatChildren>,
@@ -586,24 +538,9 @@ pub fn try_join_flat<E>(
     })
 }
 
-/// [`join_pair`] with fallible visitors; see [`try_join`].
-#[allow(clippy::too_many_arguments)]
-pub fn try_join_pair<E>(
-    tree_r: &GenTree,
-    tree_s: &GenTree,
-    a: NodeId,
-    b: NodeId,
-    depth: usize,
-    theta: ThetaOp,
-    on_visit_r: impl FnMut(NodeId) -> Result<(), E>,
-    on_visit_s: impl FnMut(NodeId) -> Result<(), E>,
-) -> Result<JoinOutcome, E> {
-    try_join_pair_flat(
-        tree_r, None, tree_s, None, a, b, depth, theta, on_visit_r, on_visit_s,
-    )
-}
-
-/// [`join_pair_flat`] with fallible visitors; see [`try_join`].
+/// Depth-first JOIN restricted to one qualifying pair, with fallible
+/// visitors (see [`try_join_flat`]): produces exactly the matches of
+/// `subtree(a) × subtree(b)`. The unit of work of the parallel tree join.
 #[allow(clippy::too_many_arguments)]
 pub fn try_join_pair_flat<E>(
     tree_r: &GenTree,
@@ -693,8 +630,9 @@ mod tests {
             ThetaOp::Overlaps,
         ] {
             let reference = sorted(join_exhaustive(&tr, &ts, theta).pairs);
-            let level_sync = sorted(join(&tr, &ts, theta, |_| {}, |_| {}).pairs);
-            let depth_first = sorted(join_depth_first(&tr, &ts, theta, |_| {}, |_| {}).pairs);
+            let level_sync = sorted(join_flat(&tr, None, &ts, None, theta, |_| {}, |_| {}).pairs);
+            let depth_first =
+                sorted(join_depth_first_flat(&tr, None, &ts, None, theta, |_| {}, |_| {}).pairs);
             assert_eq!(
                 level_sync, reference,
                 "level-sync vs reference for {theta:?}"
@@ -714,7 +652,15 @@ mod tests {
             .collect();
         let tr = point_tree(&pts, world, 3);
         let ts = point_tree(&pts, world, 3);
-        let out = join(&tr, &ts, ThetaOp::WithinDistance(100.0), |_| {}, |_| {});
+        let out = join_flat(
+            &tr,
+            None,
+            &ts,
+            None,
+            ThetaOp::WithinDistance(100.0),
+            |_| {},
+            |_| {},
+        );
         let mut pairs = out.pairs.clone();
         let before = pairs.len();
         pairs.sort_unstable();
@@ -751,10 +697,12 @@ mod tests {
             2,
         );
 
-        let got = sorted(join(&tr, &ts, ThetaOp::Overlaps, |_| {}, |_| {}).pairs);
+        let got = sorted(join_flat(&tr, None, &ts, None, ThetaOp::Overlaps, |_| {}, |_| {}).pairs);
         // state (id 1) overlaps probe 10; city (id 2) coincides with probe 10.
         assert_eq!(got, vec![(1, 10), (2, 10)]);
-        let dfs = sorted(join_depth_first(&tr, &ts, ThetaOp::Overlaps, |_| {}, |_| {}).pairs);
+        let dfs = sorted(
+            join_depth_first_flat(&tr, None, &ts, None, ThetaOp::Overlaps, |_| {}, |_| {}).pairs,
+        );
         assert_eq!(dfs, got);
     }
 
@@ -784,11 +732,11 @@ mod tests {
         let reference = sorted(join_exhaustive(&tr, &ts, theta).pairs);
         assert_eq!(reference.len(), 4);
         assert_eq!(
-            sorted(join(&tr, &ts, theta, |_| {}, |_| {}).pairs),
+            sorted(join_flat(&tr, None, &ts, None, theta, |_| {}, |_| {}).pairs),
             reference
         );
         assert_eq!(
-            sorted(join_depth_first(&tr, &ts, theta, |_| {}, |_| {}).pairs),
+            sorted(join_depth_first_flat(&tr, None, &ts, None, theta, |_| {}, |_| {}).pairs),
             reference
         );
     }
@@ -807,9 +755,9 @@ mod tests {
             }),
         );
         let ts = point_tree(&[(9, 3.0, 3.0)], world, 1);
-        let inc = join(&tr, &ts, ThetaOp::Includes, |_| {}, |_| {}).pairs;
+        let inc = join_flat(&tr, None, &ts, None, ThetaOp::Includes, |_| {}, |_| {}).pairs;
         assert_eq!(inc, vec![(1, 9)]);
-        let cont = join(&tr, &ts, ThetaOp::ContainedIn, |_| {}, |_| {}).pairs;
+        let cont = join_flat(&tr, None, &ts, None, ThetaOp::ContainedIn, |_| {}, |_| {}).pairs;
         assert!(cont.is_empty());
     }
 
@@ -830,8 +778,8 @@ mod tests {
             ThetaOp::Overlaps,
         ] {
             for out in [
-                join(&tr, &ts, theta, |_| {}, |_| {}),
-                join_depth_first(&tr, &ts, theta, |_| {}, |_| {}),
+                join_flat(&tr, None, &ts, None, theta, |_| {}, |_| {}),
+                join_depth_first_flat(&tr, None, &ts, None, theta, |_| {}, |_| {}),
             ] {
                 assert_eq!(
                     out.stats.evals_per_level.iter().sum::<u64>(),
@@ -860,7 +808,7 @@ mod tests {
         let tr = point_tree(&r_pts, world, 8);
         let ts = point_tree(&s_pts, world, 8);
         let theta = ThetaOp::WithinDistance(2.0);
-        let tree_join = join(&tr, &ts, theta, |_| {}, |_| {});
+        let tree_join = join_flat(&tr, None, &ts, None, theta, |_| {}, |_| {});
         let reference = join_exhaustive(&tr, &ts, theta);
         assert_eq!(sorted(tree_join.pairs), sorted(reference.pairs));
         assert!(
@@ -900,7 +848,15 @@ mod tests {
             ThetaOp::DirectionOf(sj_geom::Direction::East),
         ] {
             let mut sv = (Vec::new(), Vec::new());
-            let scalar = join(tr, ts, theta, |n| sv.0.push(n), |n| sv.1.push(n));
+            let scalar = join_flat(
+                tr,
+                None,
+                ts,
+                None,
+                theta,
+                |n| sv.0.push(n),
+                |n| sv.1.push(n),
+            );
             let mut fv = (Vec::new(), Vec::new());
             let flat = join_flat(
                 tr,
@@ -916,7 +872,15 @@ mod tests {
             assert_eq!(fv, sv, "level-sync visit sequences {theta:?}");
 
             let mut sv = (Vec::new(), Vec::new());
-            let scalar = join_depth_first(tr, ts, theta, |n| sv.0.push(n), |n| sv.1.push(n));
+            let scalar = join_depth_first_flat(
+                tr,
+                None,
+                ts,
+                None,
+                theta,
+                |n| sv.0.push(n),
+                |n| sv.1.push(n),
+            );
             let mut fv = (Vec::new(), Vec::new());
             let flat = join_depth_first_flat(
                 tr,

@@ -18,9 +18,9 @@
 //! On top of the shared arena representation ([`tree::GenTree`]) this crate
 //! implements the paper's two algorithms with exact work accounting:
 //!
-//! * [`select::select`] — Algorithm SELECT (§3.2): breadth-first θ-selection
+//! * [`select::select_flat`] — Algorithm SELECT (§3.2): breadth-first θ-selection
 //!   driven by the Θ-filter (plus a depth-first variant),
-//! * [`join::join`] — Algorithm JOIN (§3.3): the level-synchronized
+//! * [`join::join_flat`] — Algorithm JOIN (§3.3): the level-synchronized
 //!   `QualPairs` traversal with its two embedded SELECT passes.
 //!
 //! ## Example: R-tree-backed spatial selection
@@ -28,7 +28,7 @@
 //! ```
 //! use sj_geom::{Geometry, Point, Rect, ThetaOp};
 //! use sj_gentree::rtree::{RTree, RTreeConfig};
-//! use sj_gentree::select::select;
+//! use sj_gentree::select::select_flat;
 //!
 //! let mut rt = RTree::new(RTreeConfig::default());
 //! for i in 0..100u64 {
@@ -37,7 +37,7 @@
 //!     rt.insert(i, Geometry::Rect(Rect::from_bounds(x, y, x + 5.0, y + 5.0)));
 //! }
 //! let probe = Geometry::Point(Point::new(22.0, 42.0));
-//! let out = select(rt.tree(), &probe, ThetaOp::WithinDistance(3.0), |_| {});
+//! let out = select_flat(rt.tree(), None, &probe, ThetaOp::WithinDistance(3.0), |_| {});
 //! assert_eq!(out.matches, vec![42]);
 //! ```
 
@@ -45,18 +45,13 @@ pub mod balanced;
 pub mod carto;
 pub mod flat;
 pub mod join;
-pub mod knn;
 pub mod rtree;
 pub mod select;
 pub mod stats;
 pub mod tree;
 
 pub use flat::{expand_children, FlatChildren};
-pub use join::{
-    join, join_depth_first, join_depth_first_flat, join_flat, join_pair, join_pair_flat,
-    JoinOutcome,
-};
-pub use knn::{nearest_k, Neighbor};
-pub use select::{select, select_dfs, select_dfs_flat, select_flat, SelectOutcome};
+pub use join::{join_depth_first_flat, join_flat, JoinOutcome};
+pub use select::{select_dfs_flat, select_flat, SelectOutcome};
 pub use stats::TraversalStats;
 pub use tree::{Entry, GenTree, NodeId};

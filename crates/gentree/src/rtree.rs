@@ -672,7 +672,7 @@ fn str_pack<T>(items: &mut Vec<(Rect, T)>, cap: usize, min: usize) -> Vec<Vec<(R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::{select, select_exhaustive};
+    use crate::select::{select_exhaustive, select_flat};
     use sj_geom::{Point, ThetaOp};
 
     fn pt(x: f64, y: f64) -> Geometry {
@@ -694,7 +694,13 @@ mod tests {
         }
         assert_eq!(rt.len(), 25);
         let probe = pt(20.0, 20.0);
-        let out = select(rt.tree(), &probe, ThetaOp::WithinDistance(0.5), |_| {});
+        let out = select_flat(
+            rt.tree(),
+            None,
+            &probe,
+            ThetaOp::WithinDistance(0.5),
+            |_| {},
+        );
         assert_eq!(out.matches, vec![12]);
     }
 
@@ -730,7 +736,7 @@ mod tests {
         }
         for probe in [pt(0.0, 0.0), pt(35.0, 35.0), pt(63.0, 0.0)] {
             for theta in [ThetaOp::WithinDistance(10.0), ThetaOp::Overlaps] {
-                let mut a = select(rt.tree(), &probe, theta, |_| {}).matches;
+                let mut a = select_flat(rt.tree(), None, &probe, theta, |_| {}).matches;
                 let mut b = select_exhaustive(rt.tree(), &probe, theta).matches;
                 a.sort_unstable();
                 b.sort_unstable();
@@ -769,7 +775,13 @@ mod tests {
         }
         rt.remove(12);
         let probe = pt(20.0, 20.0);
-        let out = select(rt.tree(), &probe, ThetaOp::WithinDistance(0.5), |_| {});
+        let out = select_flat(
+            rt.tree(),
+            None,
+            &probe,
+            ThetaOp::WithinDistance(0.5),
+            |_| {},
+        );
         assert!(out.matches.is_empty());
         assert_eq!(rt.get(12), None);
         assert!(rt.get(13).is_some());
@@ -786,7 +798,14 @@ mod tests {
         assert_eq!(rt.tree().height(), 3);
         // Search correctness.
         let probe = pt(40.0, 40.0);
-        let mut got = select(rt.tree(), &probe, ThetaOp::WithinDistance(4.0), |_| {}).matches;
+        let mut got = select_flat(
+            rt.tree(),
+            None,
+            &probe,
+            ThetaOp::WithinDistance(4.0),
+            |_| {},
+        )
+        .matches;
         got.sort_unstable();
         let mut want = select_exhaustive(rt.tree(), &probe, ThetaOp::WithinDistance(4.0)).matches;
         want.sort_unstable();
@@ -827,7 +846,7 @@ mod tests {
             rt.check_invariants();
         }
         let probe = Geometry::Rect(Rect::from_bounds(15.0, 15.0, 25.0, 25.0));
-        let mut got = select(rt.tree(), &probe, ThetaOp::Overlaps, |_| {}).matches;
+        let mut got = select_flat(rt.tree(), None, &probe, ThetaOp::Overlaps, |_| {}).matches;
         got.sort_unstable();
         let mut want = select_exhaustive(rt.tree(), &probe, ThetaOp::Overlaps).matches;
         want.sort_unstable();
@@ -884,7 +903,14 @@ mod tests {
         }
         // Search equivalence.
         let probe = pt(16.0, 16.0);
-        let mut got = select(rt.tree(), &probe, ThetaOp::WithinDistance(6.0), |_| {}).matches;
+        let mut got = select_flat(
+            rt.tree(),
+            None,
+            &probe,
+            ThetaOp::WithinDistance(6.0),
+            |_| {},
+        )
+        .matches;
         got.sort_unstable();
         let mut want = select_exhaustive(rt.tree(), &probe, ThetaOp::WithinDistance(6.0)).matches;
         want.sort_unstable();

@@ -28,22 +28,14 @@ pub struct SelectOutcome {
 ///
 /// `on_visit` is invoked once per visited node *in visit order*; executors
 /// use it to charge page I/O against the storage layer.
-pub fn select(
-    tree: &GenTree,
-    o: &Geometry,
-    theta: ThetaOp,
-    on_visit: impl FnMut(NodeId),
-) -> SelectOutcome {
-    select_flat(tree, None, o, theta, on_visit)
-}
-
-/// [`select`] with an optional [`FlatChildren`] view: when one is
-/// supplied (and the operator has a compiled mask filter), each node
-/// expansion Θ-filters the whole fanout through the batched SoA mask
-/// kernel instead of per-child scalar tests. Visit order, match set,
-/// and every work counter are identical to [`select`] — the Θ-verdict
-/// of a node is merely *computed* at parent-expansion time and still
-/// *charged* when the node is visited.
+///
+/// With a [`FlatChildren`] view (and an operator that has a compiled
+/// mask filter), each node expansion Θ-filters the whole fanout through
+/// the batched SoA mask kernel; with `None` it runs the per-child scalar
+/// tests — the reference the property suites compare against. Visit
+/// order, match set, and every work counter are identical either way —
+/// the Θ-verdict of a node is merely *computed* at parent-expansion time
+/// and still *charged* when the node is visited.
 pub fn select_flat(
     tree: &GenTree,
     flat: Option<&FlatChildren>,
@@ -93,18 +85,8 @@ pub fn select_flat(
 /// Depth-first variant of SELECT (mentioned in §3.2: "a depth-first search
 /// algorithm would also have been possible"; which is faster depends on the
 /// physical clustering of the tree). Returns the same match set as
-/// [`select`], in depth-first order.
-pub fn select_dfs(
-    tree: &GenTree,
-    o: &Geometry,
-    theta: ThetaOp,
-    on_visit: impl FnMut(NodeId),
-) -> SelectOutcome {
-    select_dfs_flat(tree, None, o, theta, on_visit)
-}
-
-/// [`select_dfs`] with an optional [`FlatChildren`] view; the batched
-/// analogue of [`select_flat`] with identical order/counter semantics.
+/// [`select_flat`], in depth-first order, with the same `flat`
+/// semantics.
 pub fn select_dfs_flat(
     tree: &GenTree,
     flat: Option<&FlatChildren>,
@@ -166,28 +148,8 @@ fn capture_first<E>(
     }
 }
 
-/// [`select`] with a fallible visitor: the first visitor error aborts the
-/// outcome (the traversal's I/O charging stops immediately).
-pub fn try_select<E>(
-    tree: &GenTree,
-    o: &Geometry,
-    theta: ThetaOp,
-    on_visit: impl FnMut(NodeId) -> Result<(), E>,
-) -> Result<SelectOutcome, E> {
-    capture_first(on_visit, |visit| select(tree, o, theta, visit))
-}
-
-/// [`select_dfs`] with a fallible visitor; see [`try_select`].
-pub fn try_select_dfs<E>(
-    tree: &GenTree,
-    o: &Geometry,
-    theta: ThetaOp,
-    on_visit: impl FnMut(NodeId) -> Result<(), E>,
-) -> Result<SelectOutcome, E> {
-    capture_first(on_visit, |visit| select_dfs(tree, o, theta, visit))
-}
-
-/// [`select_flat`] with a fallible visitor; see [`try_select`].
+/// [`select_flat`] with a fallible visitor: the first visitor error
+/// aborts the outcome (the traversal's I/O charging stops immediately).
 pub fn try_select_flat<E>(
     tree: &GenTree,
     flat: Option<&FlatChildren>,
@@ -198,7 +160,7 @@ pub fn try_select_flat<E>(
     capture_first(on_visit, |visit| select_flat(tree, flat, o, theta, visit))
 }
 
-/// [`select_dfs_flat`] with a fallible visitor; see [`try_select`].
+/// [`select_dfs_flat`] with a fallible visitor; see [`try_select_flat`].
 pub fn try_select_dfs_flat<E>(
     tree: &GenTree,
     flat: Option<&FlatChildren>,
@@ -260,7 +222,7 @@ mod tests {
     fn select_finds_points_within_distance() {
         let t = lattice_tree();
         let o = Geometry::Point(Point::new(0.0, 0.0));
-        let out = select(&t, &o, ThetaOp::WithinDistance(10.5), |_| {});
+        let out = select_flat(&t, None, &o, ThetaOp::WithinDistance(10.5), |_| {});
         let mut got = out.matches.clone();
         got.sort_unstable();
         // Points within 10.5 of the origin: (0,0), (0,10), (10,0).
@@ -278,8 +240,8 @@ mod tests {
                 ThetaOp::Overlaps,
                 ThetaOp::DirectionOf(sj_geom::Direction::NorthWest),
             ] {
-                let mut bfs = select(&t, &o, theta, |_| {}).matches;
-                let mut dfs = select_dfs(&t, &o, theta, |_| {}).matches;
+                let mut bfs = select_flat(&t, None, &o, theta, |_| {}).matches;
+                let mut dfs = select_dfs_flat(&t, None, &o, theta, |_| {}).matches;
                 let mut exh = select_exhaustive(&t, &o, theta).matches;
                 bfs.sort_unstable();
                 dfs.sort_unstable();
@@ -296,7 +258,7 @@ mod tests {
         // A selector far to the left touches only the first column's
         // directory subtree.
         let o = Geometry::Point(Point::new(0.0, 0.0));
-        let out = select(&t, &o, ThetaOp::WithinDistance(2.0), |_| {});
+        let out = select_flat(&t, None, &o, ThetaOp::WithinDistance(2.0), |_| {});
         // Visits: root + 3 directories + only the 3 nodes of column 0.
         assert_eq!(out.stats.nodes_visited, 7);
         assert_eq!(out.matches, vec![0]);
@@ -328,7 +290,7 @@ mod tests {
             }),
         );
         let o = Geometry::Point(Point::new(5.0, 5.0));
-        let mut got = select(&t, &o, ThetaOp::Overlaps, |_| {}).matches;
+        let mut got = select_flat(&t, None, &o, ThetaOp::Overlaps, |_| {}).matches;
         got.sort_unstable();
         assert_eq!(got, vec![100, 200]);
     }
@@ -338,7 +300,9 @@ mod tests {
         let t = lattice_tree();
         let o = Geometry::Point(Point::new(0.0, 0.0));
         let mut visited = Vec::new();
-        let out = select(&t, &o, ThetaOp::WithinDistance(2.0), |id| visited.push(id));
+        let out = select_flat(&t, None, &o, ThetaOp::WithinDistance(2.0), |id| {
+            visited.push(id)
+        });
         assert_eq!(visited.len() as u64, out.stats.nodes_visited);
         assert_eq!(visited[0], t.root());
     }
@@ -372,7 +336,7 @@ mod tests {
                     // be identical — not just the match *set*.
                     let mut visits_scalar = Vec::new();
                     let mut visits_flat = Vec::new();
-                    let want = select(t, &o, theta, |id| visits_scalar.push(id));
+                    let want = select_flat(t, None, &o, theta, |id| visits_scalar.push(id));
                     let got = select_flat(t, Some(&flat), &o, theta, |id| visits_flat.push(id));
                     assert_eq!(got.matches, want.matches, "{theta:?}");
                     assert_eq!(got.stats, want.stats, "{theta:?}");
@@ -380,7 +344,7 @@ mod tests {
 
                     let mut dfs_visits_scalar = Vec::new();
                     let mut dfs_visits_flat = Vec::new();
-                    let want = select_dfs(t, &o, theta, |id| dfs_visits_scalar.push(id));
+                    let want = select_dfs_flat(t, None, &o, theta, |id| dfs_visits_scalar.push(id));
                     let got =
                         select_dfs_flat(t, Some(&flat), &o, theta, |id| dfs_visits_flat.push(id));
                     assert_eq!(got.matches, want.matches, "dfs {theta:?}");
@@ -395,7 +359,7 @@ mod tests {
     fn level_accounting_matches_tree_shape() {
         let t = lattice_tree();
         let o = Geometry::Point(Point::new(10.0, 10.0));
-        let out = select(&t, &o, ThetaOp::WithinDistance(1000.0), |_| {});
+        let out = select_flat(&t, None, &o, ThetaOp::WithinDistance(1000.0), |_| {});
         // Everything qualifies: 1 root + 3 directories + 9 leaves.
         assert_eq!(out.stats.visited_per_level, vec![1, 3, 9]);
     }

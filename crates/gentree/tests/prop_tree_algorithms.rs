@@ -4,9 +4,9 @@
 //! structural invariants.
 
 use proptest::prelude::*;
-use sj_gentree::join::{join, join_depth_first, join_depth_first_flat, join_exhaustive, join_flat};
+use sj_gentree::join::{join_depth_first_flat, join_exhaustive, join_flat};
 use sj_gentree::rtree::{RTree, RTreeConfig, SplitStrategy};
-use sj_gentree::select::{select, select_dfs, select_dfs_flat, select_exhaustive, select_flat};
+use sj_gentree::select::{select_dfs_flat, select_exhaustive, select_flat};
 use sj_gentree::FlatChildren;
 use sj_geom::{Direction, Geometry, Point, Rect, ThetaOp};
 
@@ -71,8 +71,8 @@ proptest! {
             rt.insert(i as u64, g);
         }
         rt.check_invariants();
-        let bfs = sorted_ids(select(rt.tree(), &probe, theta, |_| {}).matches);
-        let dfs = sorted_ids(select_dfs(rt.tree(), &probe, theta, |_| {}).matches);
+        let bfs = sorted_ids(select_flat(rt.tree(), None, &probe, theta, |_| {}).matches);
+        let dfs = sorted_ids(select_dfs_flat(rt.tree(), None, &probe, theta, |_| {}).matches);
         let reference = sorted_ids(select_exhaustive(rt.tree(), &probe, theta).matches);
         prop_assert_eq!(&bfs, &reference, "BFS SELECT diverges for {:?}", theta);
         prop_assert_eq!(&dfs, &reference, "DFS SELECT diverges for {:?}", theta);
@@ -95,8 +95,8 @@ proptest! {
             ts.insert(1000 + i as u64, g);
         }
         let reference = sorted_pairs(join_exhaustive(tr.tree(), ts.tree(), theta).pairs);
-        let sync = sorted_pairs(join(tr.tree(), ts.tree(), theta, |_| {}, |_| {}).pairs);
-        let dfs = sorted_pairs(join_depth_first(tr.tree(), ts.tree(), theta, |_| {}, |_| {}).pairs);
+        let sync = sorted_pairs(join_flat(tr.tree(), None, ts.tree(), None, theta, |_| {}, |_| {}).pairs);
+        let dfs = sorted_pairs(join_depth_first_flat(tr.tree(), None, ts.tree(), None, theta, |_| {}, |_| {}).pairs);
         prop_assert_eq!(&sync, &reference, "level-sync JOIN diverges for {:?}", theta);
         prop_assert_eq!(&dfs, &reference, "depth-first JOIN diverges for {:?}", theta);
     }
@@ -141,8 +141,8 @@ proptest! {
             incr.insert(id, g);
         }
         let theta = ThetaOp::WithinDistance(15.0);
-        let a = sorted_ids(select(bulk.tree(), &probe, theta, |_| {}).matches);
-        let b = sorted_ids(select(incr.tree(), &probe, theta, |_| {}).matches);
+        let a = sorted_ids(select_flat(bulk.tree(), None, &probe, theta, |_| {}).matches);
+        let b = sorted_ids(select_flat(incr.tree(), None, &probe, theta, |_| {}).matches);
         prop_assert_eq!(a, b);
     }
 
@@ -173,21 +173,21 @@ proptest! {
         let fs = FlatChildren::build(ts.tree());
 
         let (mut va, mut vb) = (Vec::new(), Vec::new());
-        let a = select(tr.tree(), &probe, theta, |n| va.push(n));
+        let a = select_flat(tr.tree(), None, &probe, theta, |n| va.push(n));
         let b = select_flat(tr.tree(), Some(&fr), &probe, theta, |n| vb.push(n));
         prop_assert_eq!(&b.matches, &a.matches, "BFS SELECT matches {:?}", theta);
         prop_assert_eq!(&b.stats, &a.stats, "BFS SELECT stats {:?}", theta);
         prop_assert_eq!(&vb, &va, "BFS SELECT visit order {:?}", theta);
 
         let (mut va, mut vb) = (Vec::new(), Vec::new());
-        let a = select_dfs(tr.tree(), &probe, theta, |n| va.push(n));
+        let a = select_dfs_flat(tr.tree(), None, &probe, theta, |n| va.push(n));
         let b = select_dfs_flat(tr.tree(), Some(&fr), &probe, theta, |n| vb.push(n));
         prop_assert_eq!(&b.matches, &a.matches, "DFS SELECT matches {:?}", theta);
         prop_assert_eq!(&b.stats, &a.stats, "DFS SELECT stats {:?}", theta);
         prop_assert_eq!(&vb, &va, "DFS SELECT visit order {:?}", theta);
 
         let (mut ra, mut sa, mut rb, mut sb) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        let a = join(tr.tree(), ts.tree(), theta, |n| ra.push(n), |n| sa.push(n));
+        let a = join_flat(tr.tree(), None, ts.tree(), None, theta, |n| ra.push(n), |n| sa.push(n));
         let b = join_flat(
             tr.tree(), Some(&fr), ts.tree(), Some(&fs), theta,
             |n| rb.push(n), |n| sb.push(n),
@@ -197,7 +197,7 @@ proptest! {
         prop_assert_eq!((&rb, &sb), (&ra, &sa), "level-sync JOIN visits {:?}", theta);
 
         let (mut ra, mut sa, mut rb, mut sb) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        let a = join_depth_first(tr.tree(), ts.tree(), theta, |n| ra.push(n), |n| sa.push(n));
+        let a = join_depth_first_flat(tr.tree(), None, ts.tree(), None, theta, |n| ra.push(n), |n| sa.push(n));
         let b = join_depth_first_flat(
             tr.tree(), Some(&fr), ts.tree(), Some(&fs), theta,
             |n| rb.push(n), |n| sb.push(n),
@@ -222,7 +222,7 @@ proptest! {
         for (i, g) in geoms_s.into_iter().enumerate() {
             ts.insert(i as u64, g);
         }
-        let pairs = join(tr.tree(), ts.tree(), theta, |_| {}, |_| {}).pairs;
+        let pairs = join_flat(tr.tree(), None, ts.tree(), None, theta, |_| {}, |_| {}).pairs;
         let mut dedup = pairs.clone();
         dedup.sort_unstable();
         dedup.dedup();

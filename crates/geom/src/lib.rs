@@ -59,9 +59,7 @@ pub use qgeom::{margin_eval, MarginVerdict, QGeometry, QKind};
 pub use rect::Rect;
 pub use segment::Segment;
 pub use soa::{RectChunks, FULL_MASK, LANES};
-pub use sweep::{
-    sweep_candidates, sweep_candidates_scalar, sweep_candidates_with, Kernel, SweepItem, BATCH_MIN,
-};
+pub use sweep::{sweep_candidates, sweep_candidates_with, Kernel, SweepItem, BATCH_MIN};
 pub use theta::{Direction, MaskFilter, ThetaOp};
 
 /// Tolerance used by predicates that compare floating point coordinates for

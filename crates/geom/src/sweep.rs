@@ -128,18 +128,6 @@ pub fn sweep_candidates(
     sweep_candidates_with(left, right, theta, kernel, emit)
 }
 
-/// [`sweep_candidates`] pinned to the scalar reference kernel,
-/// regardless of input size. Used as the baseline in kernel A/B
-/// benchmarks and equivalence tests.
-pub fn sweep_candidates_scalar(
-    left: &mut [SweepItem],
-    right: &mut [SweepItem],
-    theta: ThetaOp,
-    emit: &mut impl FnMut(u32, u32),
-) -> u64 {
-    sweep_candidates_with(left, right, theta, Kernel::Scalar, emit)
-}
-
 /// [`sweep_candidates`] with an explicit kernel choice (no size
 /// heuristic). `Kernel::Batched` engages the mask kernel whenever the
 /// operator has a [`ThetaOp::mask_filter`] form, even for tiny inputs —

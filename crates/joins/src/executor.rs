@@ -18,10 +18,11 @@
 //! returned [`JoinRun`]; it is the paper's precomputation, not the
 //! query.
 //!
-//! The free functions (`nested_loop_join`, `sweep_join`, …) remain the
-//! low-level entry points; every executor here is a thin stateful shim
-//! over them, so both surfaces stay exactly equivalent (property-tested
-//! in `tests/prop_phase_trace.rs`).
+//! The free functions (`nested_loop_join`, `sweep_join`, …) and index
+//! methods are the implementations the executors call: each strategy has
+//! exactly one — fallible and traced — and every executor here is a thin
+//! stateful shim handing it the request's θ, parallelism and trace sink.
+//! [`JoinExecutor::execute`] is the single infallible convenience.
 
 use std::cell::RefCell;
 
@@ -30,16 +31,17 @@ use sj_obs::TraceSink;
 use sj_storage::{BufferPool, StorageError};
 use sj_zorder::ZGrid;
 
-use crate::grid::{try_grid_join_traced, GridConfig};
+use crate::grid::{grid_join, GridConfig};
 use crate::join_index::JoinIndex;
 use crate::local_index::LocalJoinIndex;
-use crate::nested_loop::try_nested_loop_join_traced;
+use crate::nested_loop::nested_loop_join;
 use crate::paged_tree::TreeRelation;
-use crate::parallel::{try_parallel_tree_join_traced, try_partition_join_traced, Parallelism};
+use crate::parallel::{partition_join, Parallelism};
 use crate::relation::StoredRelation;
-use crate::sort_merge::{supported_by_zorder, try_zorder_overlap_join_traced};
+use crate::sort_merge::{supported_by_zorder, zorder_overlap_join};
 use crate::stats::JoinRun;
-use crate::sweep::try_sweep_join_traced;
+use crate::sweep::sweep_join;
+use crate::tree_join::tree_join;
 use crate::zindex::ZIndex;
 
 /// Default B⁺-tree order for lazily built indices (the model's `z`).
@@ -136,7 +138,7 @@ pub trait JoinExecutor {
     /// never faults, so this behaves exactly like the historical API.
     fn execute(&mut self, req: &JoinRequest, pool: &mut BufferPool) -> JoinRun {
         self.try_execute(req, pool)
-            .unwrap_or_else(|e| panic!("join execution failed: {e}"))
+            .unwrap_or_else(|e| panic!("join execution failed: {e}")) // PANIC-OK: the documented infallible convenience
     }
 }
 
@@ -369,7 +371,7 @@ impl JoinExecutor for NestedLoopExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        try_nested_loop_join_traced(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
+        nested_loop_join(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
     }
 }
 
@@ -388,7 +390,7 @@ impl JoinExecutor for SweepExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        try_sweep_join_traced(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
+        sweep_join(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
     }
 }
 
@@ -407,10 +409,7 @@ impl JoinExecutor for TreeExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        // Falls back to the sequential Algorithm JOIN when
-        // `req.parallelism` is one thread, so the request's parallelism
-        // knob covers strategy II uniformly.
-        try_parallel_tree_join_traced(
+        tree_join(
             pool,
             self.r,
             self.s,
@@ -446,8 +445,8 @@ impl JoinExecutor for JoinIndexExec<'_> {
                 JoinIndex::try_build(pool, self.r, self.s, req.theta, DEFAULT_Z)?;
             self.cache = Some((req.theta, idx));
         }
-        let (_, idx) = self.cache.as_ref().expect("cache was just populated");
-        idx.try_join_traced(pool, self.r, self.s, &mut req.trace.borrow_mut())
+        let (_, idx) = self.cache.as_ref().expect("cache was just populated"); // PANIC-OK: invariant
+        idx.join(pool, self.r, self.s, &mut req.trace.borrow_mut())
     }
 }
 
@@ -479,8 +478,8 @@ impl JoinExecutor for LocalIndexExec<'_> {
             )?;
             self.cache = Some((req.theta, idx));
         }
-        let (_, idx) = self.cache.as_ref().expect("cache was just populated");
-        idx.try_join_traced(pool, &mut req.trace.borrow_mut())
+        let (_, idx) = self.cache.as_ref().expect("cache was just populated"); // PANIC-OK: invariant
+        idx.join(pool, &mut req.trace.borrow_mut())
     }
 }
 
@@ -500,7 +499,7 @@ impl JoinExecutor for ZOrderMergeExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        try_zorder_overlap_join_traced(
+        zorder_overlap_join(
             pool,
             self.r,
             self.s,
@@ -533,8 +532,8 @@ impl JoinExecutor for ZIndexExec<'_> {
         if self.cache.is_none() {
             self.cache = Some(ZIndex::try_build(pool, self.r, self.grid, DEFAULT_Z)?);
         }
-        let idx = self.cache.as_ref().expect("cache was just populated");
-        idx.try_join_traced(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
+        let idx = self.cache.as_ref().expect("cache was just populated"); // PANIC-OK: invariant
+        idx.join(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
     }
 }
 
@@ -554,7 +553,7 @@ impl JoinExecutor for GridExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        try_grid_join_traced(
+        grid_join(
             pool,
             self.r,
             self.s,
@@ -580,7 +579,7 @@ impl JoinExecutor for PartitionExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        try_partition_join_traced(
+        partition_join(
             pool,
             self.r,
             self.s,
@@ -617,7 +616,7 @@ impl<'a> AutoExec<'a> {
         Ok(Strategy::ALL
             .into_iter()
             .find(|s| s.supports(theta) && s.executor(&self.ops).is_some())
-            .expect("a universal strategy exists for the available operands"))
+            .expect("a universal strategy exists for the available operands")) // PANIC-OK: invariant
     }
 }
 
@@ -643,14 +642,14 @@ impl JoinExecutor for AutoExec<'_> {
         if !self.cache.iter().any(|(s, _)| *s == chosen) {
             let exec = chosen
                 .executor(&self.ops)
-                .expect("resolve() verified operand availability");
+                .expect("resolve() verified operand availability"); // PANIC-OK: invariant
             self.cache.push((chosen, exec));
         }
         let (_, exec) = self
             .cache
             .iter_mut()
             .find(|(s, _)| *s == chosen)
-            .expect("cache entry was just ensured");
+            .expect("cache entry was just ensured"); // PANIC-OK: invariant
         exec.try_execute(req, pool)
     }
 }

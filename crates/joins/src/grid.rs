@@ -36,8 +36,7 @@ impl GridConfig {
     /// dropped: a silent drop is benign when the world genuinely bounds
     /// the data, but becomes a wrong answer the moment this executor
     /// serves one shard of a larger federation whose world estimate is
-    /// stale. Callers that care can count strays via
-    /// [`GridConfig::outside_world`].
+    /// stale. Strays are counted in the `grid/outside_world` span.
     fn cell_span(&self, mbr: &Rect) -> (u32, u32, u32, u32) {
         let w = self.world.width() / self.nx as f64;
         let h = self.world.height() / self.ny as f64;
@@ -58,29 +57,9 @@ impl GridConfig {
 
     /// True when any part of `mbr` lies outside the world rectangle —
     /// the object still participates in the join (clamped to border
-    /// cells) but is reported in [`OutsideWorld`].
+    /// cells) but is counted in the `grid/outside_world` span.
     fn outside_world(&self, mbr: &Rect) -> bool {
         !(self.world.contains_point(&mbr.lo) && self.world.contains_point(&mbr.hi))
-    }
-}
-
-/// Count of objects whose MBR extends beyond the configured world rect,
-/// per relation side. Such objects are clamped to border cells rather
-/// than dropped, so join results stay exact; a non-zero count tells the
-/// caller (e.g. the shard router) that its world estimate is stale and
-/// should be re-derived from the relations' true MBR union.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OutsideWorld {
-    /// Out-of-world objects in `R`.
-    pub r: u64,
-    /// Out-of-world objects in `S`.
-    pub s: u64,
-}
-
-impl OutsideWorld {
-    /// Total stray objects across both sides.
-    pub fn total(&self) -> u64 {
-        self.r + self.s
     }
 }
 
@@ -99,40 +78,24 @@ fn filter_slack(theta: ThetaOp) -> Option<f64> {
 
 /// Grid-partitioned join `R ⋈_θ S`.
 ///
+/// The scans plus cell bucketing are the `partition` phase, cell-probing
+/// the `filter` phase (cell co-residency needs no per-pair comparisons,
+/// so it carries only wall-clock time), exact θ-tests the `refine`
+/// phase. Objects whose MBR extends beyond the configured world are
+/// clamped to border cells rather than dropped, so the result stays
+/// exact; when there are any, a `grid/outside_world` span reports the
+/// per-side counts — a non-zero count tells the caller its world
+/// estimate is stale and should be re-derived from the relations' true
+/// MBR union.
+///
+/// Fail-stop: the first storage fault aborts the run with a typed error.
+///
 /// # Panics
 ///
 /// Panics for directional θ-operators, whose qualifying region is a
-/// half-plane and cannot be localized to grid cells.
+/// half-plane and cannot be localized to grid cells — an unsupported
+/// operator is a logic error, not a storage fault.
 pub fn grid_join(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    config: GridConfig,
-    theta: ThetaOp,
-) -> JoinRun {
-    grid_join_traced(pool, r, s, config, theta, &mut TraceSink::Null)
-}
-
-/// [`grid_join`] with phase instrumentation: the scans plus cell
-/// bucketing are the `partition` phase, cell-probing the `filter` phase
-/// (cell co-residency needs no per-pair comparisons, so it carries only
-/// wall-clock time), exact θ-tests the `refine` phase.
-pub fn grid_join_traced(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    config: GridConfig,
-    theta: ThetaOp,
-    trace: &mut TraceSink,
-) -> JoinRun {
-    try_grid_join_traced(pool, r, s, config, theta, trace)
-        .unwrap_or_else(|e| panic!("grid join failed: {e}"))
-}
-
-/// Fail-stop [`grid_join_traced`]: the first storage fault aborts the
-/// run with a typed error. Still panics on directional θ-operators —
-/// an unsupported operator is a logic error, not a storage fault.
-pub fn try_grid_join_traced(
     pool: &mut BufferPool,
     r: &StoredRelation,
     s: &StoredRelation,
@@ -140,30 +103,14 @@ pub fn try_grid_join_traced(
     theta: ThetaOp,
     trace: &mut TraceSink,
 ) -> Result<JoinRun, StorageError> {
-    try_grid_join_counted(pool, r, s, config, theta, trace).map(|(run, _)| run)
-}
-
-/// [`try_grid_join_traced`] that also reports how many objects had to be
-/// clamped into the world (see [`OutsideWorld`]). When the count is
-/// non-zero a `grid/outside_world` span is emitted with per-side
-/// counters so the stray objects are visible in traces, not just to
-/// callers of this typed API.
-pub fn try_grid_join_counted(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    config: GridConfig,
-    theta: ThetaOp,
-    trace: &mut TraceSink,
-) -> Result<(JoinRun, OutsideWorld), StorageError> {
-    let slack = filter_slack(theta).unwrap_or_else(|| {
-        panic!("grid join cannot support {theta:?}: its filter region is unbounded")
-    });
+    let Some(slack) = filter_slack(theta) else {
+        panic!("grid join cannot support {theta:?}: unbounded filter region"); // PANIC-OK: see # Panics
+    };
     let mut timer = PhaseTimer::for_sink(trace);
     timer.enter(Phase::Partition);
     let window = pool.stats();
     let mut run = JoinRun::default();
-    let mut outside = OutsideWorld::default();
+    let (mut r_outside, mut s_outside) = (0u64, 0u64);
     let mut partition = ExecStats {
         passes: 1,
         ..Default::default()
@@ -178,7 +125,7 @@ pub fn try_grid_join_counted(
     for (idx, (_, g)) in s_rows.iter().enumerate() {
         let mbr = g.mbr();
         if config.outside_world(&mbr) {
-            outside.s += 1;
+            s_outside += 1;
         }
         let (x0, y0, x1, y1) = config.cell_span(&mbr);
         for cy in y0..=y1 {
@@ -199,7 +146,7 @@ pub fn try_grid_join_counted(
     for (r_idx, (_, g)) in r_rows.iter().enumerate() {
         let mbr = g.mbr();
         if config.outside_world(&mbr) {
-            outside.r += 1;
+            r_outside += 1;
         }
         let (x0, y0, x1, y1) = config.cell_span(&mbr.expand(slack));
         for cy in y0..=y1 {
@@ -226,14 +173,14 @@ pub fn try_grid_join_counted(
     timer.stop();
     run.phases.record(Phase::Refine, refine);
     run.seal("grid", &timer, trace);
-    if outside.total() > 0 {
+    if r_outside + s_outside > 0 {
         trace.emit(
             "grid/outside_world",
             0,
-            &[("r_outside", outside.r), ("s_outside", outside.s)],
+            &[("r_outside", r_outside), ("s_outside", s_outside)],
         );
     }
-    Ok((run, outside))
+    Ok(run)
 }
 
 #[cfg(test)]
@@ -280,9 +227,13 @@ mod tests {
             ThetaOp::WithinDistance(0.1),
             ThetaOp::Overlaps,
         ] {
-            let mut got = grid_join(&mut p, &r, &s, cfg(), theta).pairs;
+            let mut got = grid_join(&mut p, &r, &s, cfg(), theta, &mut TraceSink::Null)
+                .unwrap()
+                .pairs;
             got.sort_unstable();
-            let mut want = nested_loop_join(&mut p, &r, &s, theta).pairs;
+            let mut want = nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
+                .unwrap()
+                .pairs;
             want.sort_unstable();
             assert_eq!(got, want, "{theta:?}");
         }
@@ -315,7 +266,15 @@ mod tests {
             300,
             Layout::Clustered,
         );
-        let run = grid_join(&mut p, &r, &s, cfg(), ThetaOp::Overlaps);
+        let run = grid_join(
+            &mut p,
+            &r,
+            &s,
+            cfg(),
+            ThetaOp::Overlaps,
+            &mut TraceSink::Null,
+        )
+        .unwrap();
         assert_eq!(run.pairs, vec![(0, 100)]);
         // Each candidate pair is θ-tested exactly once despite sharing
         // several cells.
@@ -328,8 +287,8 @@ mod tests {
         let r = points_rel(&mut p, 8, 12.0, 0);
         let s = points_rel(&mut p, 8, 12.0, 1000);
         let theta = ThetaOp::WithinDistance(1.0);
-        let g = grid_join(&mut p, &r, &s, cfg(), theta);
-        let nl = nested_loop_join(&mut p, &r, &s, theta);
+        let g = grid_join(&mut p, &r, &s, cfg(), theta, &mut TraceSink::Null).unwrap();
+        let nl = nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap();
         assert!(
             g.stats.theta_evals * 4 < nl.stats.theta_evals,
             "grid should prune most pairs: {} vs {}",
@@ -350,7 +309,9 @@ mod tests {
             &s,
             cfg(),
             ThetaOp::DirectionOf(sj_geom::Direction::NorthWest),
-        );
+            &mut TraceSink::Null,
+        )
+        .unwrap();
     }
 
     /// Regression (sharding bugfix sweep): objects outside the
@@ -358,7 +319,7 @@ mod tests {
     /// world truly bounds the data, a wrong answer once the world is a
     /// stale estimate. They are now clamped to border cells, the join
     /// stays exact against nested loop, and the strays are reported in
-    /// the typed [`OutsideWorld`] count.
+    /// the `grid/outside_world` span.
     #[test]
     fn objects_outside_world_are_clamped_not_dropped() {
         let mut p = pool();
@@ -391,19 +352,29 @@ mod tests {
             Layout::Clustered,
         );
         for theta in [ThetaOp::Overlaps, ThetaOp::WithinDistance(10.0)] {
-            let (run, outside) =
-                try_grid_join_counted(&mut p, &r, &s, cfg(), theta, &mut TraceSink::Null).unwrap();
+            let mut sink = TraceSink::vec();
+            let run = grid_join(&mut p, &r, &s, cfg(), theta, &mut sink).unwrap();
             let mut got = run.pairs;
             got.sort_unstable();
-            let mut want = nested_loop_join(&mut p, &r, &s, theta).pairs;
+            let mut want = nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
+                .unwrap()
+                .pairs;
             want.sort_unstable();
             assert_eq!(got, want, "{theta:?}");
             assert!(
                 got.contains(&(0, 100)),
                 "out-of-world overlap must be found ({theta:?})"
             );
-            assert_eq!(outside, OutsideWorld { r: 1, s: 2 }, "{theta:?}");
-            assert_eq!(outside.total(), 3);
+            let strays = sink
+                .events()
+                .iter()
+                .find(|e| e.span == "grid/outside_world")
+                .expect("strays must be traced");
+            assert_eq!(
+                strays.counters,
+                vec![("r_outside", 1), ("s_outside", 2)],
+                "{theta:?}"
+            );
         }
     }
 
@@ -413,15 +384,8 @@ mod tests {
         let mut p = pool();
         let r = points_rel(&mut p, 4, 10.0, 0);
         let s = points_rel(&mut p, 4, 10.0, 1000);
-        let (_, outside) = try_grid_join_counted(
-            &mut p,
-            &r,
-            &s,
-            cfg(),
-            ThetaOp::Overlaps,
-            &mut TraceSink::Null,
-        )
-        .unwrap();
-        assert_eq!(outside, OutsideWorld::default());
+        let mut sink = TraceSink::vec();
+        grid_join(&mut p, &r, &s, cfg(), ThetaOp::Overlaps, &mut sink).unwrap();
+        assert!(sink.events().iter().all(|e| e.span != "grid/outside_world"));
     }
 }

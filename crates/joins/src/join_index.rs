@@ -38,7 +38,7 @@ impl JoinIndex {
         z: usize,
     ) -> (Self, ExecStats) {
         Self::try_build(pool, r, s, theta, z)
-            .unwrap_or_else(|e| panic!("join index build failed: {e}"))
+            .unwrap_or_else(|e| panic!("join index build failed: {e}")) // PANIC-OK: infallible build convenience
     }
 
     /// Fail-stop [`JoinIndex::build`]: the first storage fault during the
@@ -92,26 +92,12 @@ impl JoinIndex {
 
     /// Computes the full join from the index: read the index (leaf chain)
     /// and fetch every matching tuple pair through the pool.
-    pub fn join(&self, pool: &mut BufferPool, r: &StoredRelation, s: &StoredRelation) -> JoinRun {
-        self.join_traced(pool, r, s, &mut TraceSink::Null)
-    }
-
-    /// [`join`](JoinIndex::join) with phase instrumentation: index node
-    /// accesses are the `index-probe` phase, tuple fetches the `refine`
-    /// phase (strategy III does zero comparison work at query time).
-    pub fn join_traced(
-        &self,
-        pool: &mut BufferPool,
-        r: &StoredRelation,
-        s: &StoredRelation,
-        trace: &mut TraceSink,
-    ) -> JoinRun {
-        self.try_join_traced(pool, r, s, trace)
-            .unwrap_or_else(|e| panic!("join index join failed: {e}"))
-    }
-
-    /// Fail-stop [`join_traced`](JoinIndex::join_traced).
-    pub fn try_join_traced(
+    ///
+    /// Index node accesses are the `index-probe` phase, tuple fetches the
+    /// `refine` phase (strategy III does zero comparison work at query
+    /// time). Fail-stop: the first storage fault aborts the run with a
+    /// typed error.
+    pub fn join(
         &self,
         pool: &mut BufferPool,
         r: &StoredRelation,
@@ -235,9 +221,14 @@ mod tests {
         let (idx, build_stats) = JoinIndex::build(&mut p, &r, &s, theta, 16);
         assert_eq!(build_stats.theta_evals, 36 * 36);
 
-        let mut got = idx.join(&mut p, &r, &s).pairs;
+        let mut got = idx
+            .join(&mut p, &r, &s, &mut TraceSink::Null)
+            .unwrap()
+            .pairs;
         got.sort_unstable();
-        let mut want = nested_loop_join(&mut p, &r, &s, theta).pairs;
+        let mut want = nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
+            .unwrap()
+            .pairs;
         want.sort_unstable();
         assert_eq!(got, want);
     }
@@ -248,7 +239,7 @@ mod tests {
         let r = grid_rel(&mut p, 5, 10.0, 0);
         let s = grid_rel(&mut p, 5, 10.0, 500);
         let (idx, _) = JoinIndex::build(&mut p, &r, &s, ThetaOp::WithinDistance(10.5), 16);
-        let run = idx.join(&mut p, &r, &s);
+        let run = idx.join(&mut p, &r, &s, &mut TraceSink::Null).unwrap();
         assert_eq!(
             run.stats.theta_evals, 0,
             "strategy III does no θ work at query time"
@@ -263,7 +254,10 @@ mod tests {
         let s = grid_rel(&mut p, 5, 10.0, 500);
         let theta = ThetaOp::WithinDistance(10.5);
         let (idx, _) = JoinIndex::build(&mut p, &r, &s, theta, 8);
-        let all = idx.join(&mut p, &r, &s).pairs;
+        let all = idx
+            .join(&mut p, &r, &s, &mut TraceSink::Null)
+            .unwrap()
+            .pairs;
         for probe in [0u64, 12, 24] {
             let mut got = idx.select_for_r(&mut p, probe, &s).matches;
             got.sort_unstable();
@@ -318,7 +312,7 @@ mod tests {
         let (idx, build) = JoinIndex::build(&mut p, &r, &s, ThetaOp::WithinDistance(0.5), 16);
         p.clear();
         p.reset_stats();
-        let query = idx.join(&mut p, &r, &s);
+        let query = idx.join(&mut p, &r, &s, &mut TraceSink::Null).unwrap();
         assert_eq!(build.theta_evals, 36 * 36);
         assert_eq!(query.stats.theta_evals, 0);
         let data_pages = (r.page_count() + s.page_count()) as u64;

@@ -14,7 +14,7 @@
 //! | §5's *local join indices* (future work, implemented) | [`local_index`] |
 //! | grid-file join (Rotem's index-supported baseline) | [`grid`] |
 //! | z-value B⁺-tree index (UB-tree style, §2.2) | [`zindex`] |
-//! | PBSM-style partition-parallel filter-and-refine | [`parallel::partition_join`] (plus [`parallel::parallel_tree_join`] for strategy II) |
+//! | PBSM-style partition-parallel filter-and-refine | [`parallel::partition_join`] (strategy II parallelizes inside [`tree_join::tree_join`]) |
 //! | forward-scan plane-sweep filter (sequential) | [`sweep::sweep_join`] |
 //!
 //! Every executor is validated (unit + property tests) to return exactly
@@ -22,33 +22,31 @@
 //!
 //! ## The unified executor API
 //!
-//! All nine strategies are also reachable through one surface: build a
+//! All nine strategies are reachable through one surface: build a
 //! [`JoinRequest`] (θ, parallelism, optional trace sink), pick a
 //! [`Strategy`], and run [`JoinExecutor::execute`] over
-//! [`JoinOperands`]. This is what the experiment harness and benchmark
-//! bins dispatch through; the free functions below remain as thin
-//! low-level entry points.
+//! [`JoinOperands`]. This is what the experiment harness, the serving
+//! layer and the benchmark dispatch through.
 //!
-//! ## Call conventions
+//! ## One function per strategy
 //!
-//! Every join entry point follows one convention: **the [`BufferPool`]
-//! is the first argument (or the first after `&self`), operands follow
-//! in `R`-before-`S` order, θ comes after the operands.** Index-backed
-//! joins take the pool too, even when the index can answer from its own
-//! structures (e.g. [`LocalJoinIndex::join`]) — all I/O accounting flows
-//! through one pool argument at one position:
+//! Underneath, each strategy is exactly one public function (or index
+//! method) of one shape:
 //!
-//! | Entry point | Shape |
-//! |---|---|
-//! | free functions | `join(pool, r, s, theta)` |
-//! | [`JoinIndex::join`] | `join(&self, pool, r, s)` (θ fixed at build) |
-//! | [`LocalJoinIndex::join`] | `join(&self, pool)` (operands and θ fixed at build) |
-//! | [`ZIndex::join`] | `join(&self, pool, r, s, theta)` |
-//! | [`JoinExecutor::execute`] | `execute(&mut self, req, pool)` |
+//! ```text
+//! join(pool, operands…, theta, [par], trace: &mut TraceSink) -> Result<JoinRun, StorageError>
+//! ```
 //!
-//! Every entry point also has a `*_traced` twin taking a trailing
-//! `&mut TraceSink` ([`sj_obs`]) that emits per-phase spans; the
-//! untraced form is a forwarding wrapper passing [`TraceSink::Null`].
+//! **The [`BufferPool`] is the first argument (or the first after
+//! `&self`), operands follow in `R`-before-`S` order, θ comes after the
+//! operands, the [`TraceSink`] is last.** Index-backed joins take the
+//! pool too, even when the index can answer from its own structures
+//! (e.g. [`LocalJoinIndex::join`]) — all I/O accounting flows through
+//! one pool argument at one position — and drop the operands or θ their
+//! build already fixed. Every run is fail-stop (the first storage fault
+//! is a typed error, never a partial result) and traced: callers that do
+//! not trace pass `&mut TraceSink::Null`, which never reads a clock.
+//! [`JoinExecutor::execute`] is the single infallible convenience.
 //!
 //! [`Layout`]: sj_storage::Layout
 //! [`BufferPool`]: sj_storage::BufferPool
@@ -72,9 +70,9 @@ pub mod zindex;
 pub use executor::{JoinExecutor, JoinOperands, JoinRequest, Strategy};
 pub use join_index::JoinIndex;
 pub use local_index::LocalJoinIndex;
-pub use mutation::{ApplyMode, Mutation, MutationOutcome, Side, TouchedRegions, WriteBatch};
+pub use mutation::{Mutation, MutationOutcome, Side, TouchedRegions, WriteBatch};
 pub use paged_tree::{ClusterOrder, CodecMode, PagedTree, TreeRelation};
-pub use parallel::{parallel_tree_join, partition_join, tiles_per_axis, Parallelism, TileGrid};
+pub use parallel::{partition_join, tiles_per_axis, Parallelism, TileGrid};
 pub use refine::MarginRefiner;
 pub use relation::StoredRelation;
 pub use sj_obs::{Phase, PhaseTimer, TraceEvent, TraceSink};

@@ -87,7 +87,7 @@ impl LocalJoinIndex {
         z: usize,
     ) -> (Self, ExecStats) {
         Self::try_build(pool, r, s, theta, level, z)
-            .unwrap_or_else(|e| panic!("local join index build failed: {e}"))
+            .unwrap_or_else(|e| panic!("local join index build failed: {e}")) // PANIC-OK: infallible build convenience
     }
 
     /// Fail-stop [`LocalJoinIndex::build`]: the first faulted node touch
@@ -194,29 +194,16 @@ impl LocalJoinIndex {
     /// The full join: unions all local indices, charging one simulated
     /// page read per B⁺-tree node visited.
     ///
-    /// The pool parameter exists for call-surface consistency with every
-    /// other executor (and any future spill of local indices to heap
-    /// pages); the union itself reads only index nodes, so the pool
-    /// window normally contributes nothing.
-    pub fn join(&self, pool: &mut BufferPool) -> JoinRun {
-        self.join_traced(pool, &mut TraceSink::Null)
-    }
-
-    /// Fail-stop [`join_traced`](LocalJoinIndex::join_traced). The union
-    /// reads only in-memory index nodes, so it cannot fault today; the
-    /// fallible signature keeps the executor surface uniform (and covers
-    /// any future spill of local indices to heap pages).
-    pub fn try_join_traced(
+    /// The whole union is `index-probe` work. It reads only in-memory
+    /// index nodes, so the pool window normally contributes nothing and
+    /// the run cannot fault today; the pool parameter and the fallible
+    /// signature keep the executor surface uniform (and cover any future
+    /// spill of local indices to heap pages).
+    pub fn join(
         &self,
         pool: &mut BufferPool,
         trace: &mut TraceSink,
     ) -> Result<JoinRun, StorageError> {
-        Ok(self.join_traced(pool, trace))
-    }
-
-    /// [`join`](LocalJoinIndex::join) with phase instrumentation: the
-    /// whole union is `index-probe` work.
-    pub fn join_traced(&self, pool: &mut BufferPool, trace: &mut TraceSink) -> JoinRun {
         let mut timer = PhaseTimer::for_sink(trace);
         timer.enter(Phase::IndexProbe);
         let window = pool.stats();
@@ -238,7 +225,7 @@ impl LocalJoinIndex {
         timer.stop();
         run.phases.record(Phase::IndexProbe, probe);
         run.seal("local_index", &timer, trace);
-        run
+        Ok(run)
     }
 
     /// Maintenance for inserting `(id, geom)` into `R`: the new entry is
@@ -261,12 +248,12 @@ impl LocalJoinIndex {
             .min_by(|&a, &b| {
                 let ea = r_tree.mbr(a).enlargement(&mbr);
                 let eb = r_tree.mbr(b).enlargement(&mbr);
-                ea.partial_cmp(&eb).expect("finite areas")
+                ea.partial_cmp(&eb).expect("finite areas") // PANIC-OK: invariant
             })
-            .expect("at least the root anchor exists");
+            .expect("at least the root anchor exists"); // PANIC-OK: invariant
         self.r_entries
             .get_mut(&anchor)
-            .expect("anchor registered at build")
+            .expect("anchor registered at build") // PANIC-OK: invariant
             .push((id, geom.clone()));
 
         let anchor_mbr = r_tree.mbr(anchor).union(&mbr);
@@ -336,13 +323,15 @@ mod tests {
 
         let flat_r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
         let flat_s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
-        let mut reference = nested_loop_join(&mut p, &flat_r, &flat_s, theta).pairs;
+        let mut reference = nested_loop_join(&mut p, &flat_r, &flat_s, theta, &mut TraceSink::Null)
+            .unwrap()
+            .pairs;
         reference.sort_unstable();
         assert_eq!(reference.len(), 64);
 
         for level in 0..=3 {
             let (idx, _) = LocalJoinIndex::build(&mut p, &r, &s, theta, level, 16);
-            let got = idx.join(&mut p).pairs;
+            let got = idx.join(&mut p, &mut TraceSink::Null).unwrap().pairs;
             assert_eq!(got, reference, "level {level}");
         }
     }
@@ -400,7 +389,7 @@ mod tests {
             local_maint.theta_evals
         );
         // And the resulting join includes the new match.
-        let joined = local.join(&mut p).pairs;
+        let joined = local.join(&mut p, &mut TraceSink::Null).unwrap().pairs;
         assert!(joined.contains(&(9999, 1044)));
     }
 
@@ -416,7 +405,7 @@ mod tests {
 
         let new_geom = Geometry::Point(Point::new(20.5, 30.5)); // on top of an S point
         idx.maintain_insert_r(&r.tree, &s.tree, 777, &new_geom);
-        let mut incremental = idx.join(&mut p).pairs;
+        let mut incremental = idx.join(&mut p, &mut TraceSink::Null).unwrap().pairs;
         incremental.sort_unstable();
 
         // Rebuild from scratch with the extra R tuple.
@@ -424,7 +413,7 @@ mod tests {
         r_all.push((777, new_geom));
         let r2 = tree_rel(&mut p, r_all.clone());
         let (fresh, _) = LocalJoinIndex::build(&mut p, &r2, &s, theta, 1, 16);
-        let mut rebuilt = fresh.join(&mut p).pairs;
+        let mut rebuilt = fresh.join(&mut p, &mut TraceSink::Null).unwrap().pairs;
         rebuilt.sort_unstable();
         assert_eq!(incremental, rebuilt);
         assert!(incremental.iter().any(|&(a, _)| a == 777));
@@ -465,9 +454,11 @@ mod tests {
         let theta = ThetaOp::Overlaps;
         let flat_r = StoredRelation::build(&mut p, &mk(0.0, 0), 300, Layout::Clustered);
         let flat_s = StoredRelation::build(&mut p, &mk(5.0, 1000), 300, Layout::Clustered);
-        let mut want = nested_loop_join(&mut p, &flat_r, &flat_s, theta).pairs;
+        let mut want = nested_loop_join(&mut p, &flat_r, &flat_s, theta, &mut TraceSink::Null)
+            .unwrap()
+            .pairs;
         want.sort_unstable();
         let (idx, _) = LocalJoinIndex::build(&mut p, &r, &s, theta, 1, 16);
-        assert_eq!(idx.join(&mut p).pairs, want);
+        assert_eq!(idx.join(&mut p, &mut TraceSink::Null).unwrap().pairs, want);
     }
 }

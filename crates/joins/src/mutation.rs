@@ -273,18 +273,6 @@ impl MutationOutcome {
     }
 }
 
-/// How the service applies a committed batch to the data snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ApplyMode {
-    /// Touch only the pages the batch dirties: incremental relation
-    /// edits plus incremental R-tree insert/delete with condensation.
-    #[default]
-    Incremental,
-    /// The pre-redesign behavior (full scan + bulk rebuild of both
-    /// trees, blanket cache purge) — kept as the bench baseline.
-    Rebuild,
-}
-
 /// Union MBR of the tuples a committed batch touched, per side — the
 /// fine-grained cache-invalidation footprint.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

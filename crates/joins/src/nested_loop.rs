@@ -14,31 +14,11 @@ use crate::stats::{ExecStats, JoinRun, SelectRun};
 
 /// Block nested-loop join `R ⋈_θ S`. The chunk size is
 /// `(pool capacity − 10) · m` tuples, mirroring `m · (M − 10)` in `D_I`.
+///
+/// Chunk loads are the `partition` phase, the S-scan with its θ-tests
+/// the `refine` phase. Fail-stop: the first storage fault aborts the run
+/// with a typed error.
 pub fn nested_loop_join(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    theta: ThetaOp,
-) -> JoinRun {
-    nested_loop_join_traced(pool, r, s, theta, &mut TraceSink::Null)
-}
-
-/// [`nested_loop_join`] with phase instrumentation: chunk loads are the
-/// `partition` phase, the S-scan with its θ-tests the `refine` phase.
-pub fn nested_loop_join_traced(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    theta: ThetaOp,
-    trace: &mut TraceSink,
-) -> JoinRun {
-    try_nested_loop_join_traced(pool, r, s, theta, trace)
-        .unwrap_or_else(|e| panic!("nested loop join failed: {e}"))
-}
-
-/// Fail-stop [`nested_loop_join_traced`]: the first storage fault aborts
-/// the run with a typed error instead of panicking.
-pub fn try_nested_loop_join_traced(
     pool: &mut BufferPool,
     r: &StoredRelation,
     s: &StoredRelation,
@@ -93,17 +73,6 @@ pub fn exhaustive_select(
     r: &StoredRelation,
     o: &Geometry,
     theta: ThetaOp,
-) -> SelectRun {
-    try_exhaustive_select(pool, r, o, theta)
-        .unwrap_or_else(|e| panic!("exhaustive select failed: {e}"))
-}
-
-/// Fail-stop [`exhaustive_select`].
-pub fn try_exhaustive_select(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    o: &Geometry,
-    theta: ThetaOp,
 ) -> Result<SelectRun, StorageError> {
     let before = pool.stats();
     let mut run = SelectRun::default();
@@ -145,7 +114,14 @@ mod tests {
         let mut p = pool(32);
         let r = grid_rel(&mut p, 5, 10.0, 0);
         let s = grid_rel(&mut p, 5, 10.0, 100);
-        let run = nested_loop_join(&mut p, &r, &s, ThetaOp::WithinDistance(0.1));
+        let run = nested_loop_join(
+            &mut p,
+            &r,
+            &s,
+            ThetaOp::WithinDistance(0.1),
+            &mut TraceSink::Null,
+        )
+        .unwrap();
         assert_eq!(run.pairs.len(), 25);
         assert_eq!(run.stats.theta_evals, 25 * 25);
         for (a, b) in run.pairs {
@@ -160,7 +136,14 @@ mod tests {
         let s = grid_rel(&mut p, 5, 10.0, 100);
         p.clear();
         p.reset_stats();
-        let run = nested_loop_join(&mut p, &r, &s, ThetaOp::WithinDistance(0.1));
+        let run = nested_loop_join(
+            &mut p,
+            &r,
+            &s,
+            ThetaOp::WithinDistance(0.1),
+            &mut TraceSink::Null,
+        )
+        .unwrap();
         assert_eq!(run.stats.passes, 1);
         // One cold scan of each relation: 5 + 5 pages.
         assert_eq!(run.stats.physical_reads, 10);
@@ -176,7 +159,14 @@ mod tests {
         let s = grid_rel(&mut p, 8, 10.0, 100);
         p.clear();
         p.reset_stats();
-        let run = nested_loop_join(&mut p, &r, &s, ThetaOp::WithinDistance(0.1));
+        let run = nested_loop_join(
+            &mut p,
+            &r,
+            &s,
+            ThetaOp::WithinDistance(0.1),
+            &mut TraceSink::Null,
+        )
+        .unwrap();
         assert_eq!(run.stats.passes, 7);
         // Model: (passes + 1)·⌈N/m⌉ = 8·13 = 104 reads; the pool can shave
         // a little via residual caching but must stay in that regime.
@@ -196,7 +186,7 @@ mod tests {
         p.clear();
         p.reset_stats();
         let o = Geometry::Point(Point::new(20.0, 20.0));
-        let run = exhaustive_select(&mut p, &r, &o, ThetaOp::WithinDistance(10.5));
+        let run = exhaustive_select(&mut p, &r, &o, ThetaOp::WithinDistance(10.5)).unwrap();
         let mut got = run.matches.clone();
         got.sort_unstable();
         assert_eq!(got, vec![7, 11, 12, 13, 17]);
@@ -209,11 +199,17 @@ mod tests {
         let mut p = pool(16);
         let empty = StoredRelation::build(&mut p, &[], 300, Layout::Clustered);
         let r = grid_rel(&mut p, 3, 1.0, 0);
-        assert!(nested_loop_join(&mut p, &empty, &r, ThetaOp::Overlaps)
-            .pairs
-            .is_empty());
-        assert!(nested_loop_join(&mut p, &r, &empty, ThetaOp::Overlaps)
-            .pairs
-            .is_empty());
+        assert!(
+            nested_loop_join(&mut p, &empty, &r, ThetaOp::Overlaps, &mut TraceSink::Null)
+                .unwrap()
+                .pairs
+                .is_empty()
+        );
+        assert!(
+            nested_loop_join(&mut p, &r, &empty, ThetaOp::Overlaps, &mut TraceSink::Null)
+                .unwrap()
+                .pairs
+                .is_empty()
+        );
     }
 }

@@ -166,10 +166,10 @@ impl PagedTree {
     /// Charges the I/O of visiting `node` (a record read through the
     /// pool) and returns the stored bytes' decoded content.
     pub fn touch(&self, pool: &mut BufferPool, node: NodeId) -> (u64, Geometry) {
-        // PANIC-OK: records written by build/evolve are well-formed; the
-        // fallible twin is `try_touch`.
+        // Records written by build/evolve are well-formed; the fallible
+        // twin is `try_touch`.
         self.try_touch(pool, node)
-            .expect("stored tree node is well-formed")
+            .expect("stored tree node is well-formed") // PANIC-OK: invariant
     }
 
     /// Pages occupied by the stored tree.
@@ -340,8 +340,10 @@ impl TreeRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::Parallelism;
     use sj_gentree::balanced::build_balanced;
     use sj_geom::{Point, Rect};
+    use sj_obs::TraceSink;
     use sj_storage::{Disk, DiskConfig};
 
     fn pool() -> BufferPool {
@@ -526,10 +528,26 @@ mod tests {
         let theta = ThetaOp::WithinDistance(1.0);
         p.clear();
         p.reset_stats();
-        let exact = tree_join(&mut p, &re, &se, theta);
+        let exact = tree_join(
+            &mut p,
+            &re,
+            &se,
+            theta,
+            Parallelism::sequential(),
+            &mut TraceSink::Null,
+        )
+        .unwrap();
         p.clear();
         p.reset_stats();
-        let quant = tree_join(&mut p, &rq, &sq, theta);
+        let quant = tree_join(
+            &mut p,
+            &rq,
+            &sq,
+            theta,
+            Parallelism::sequential(),
+            &mut TraceSink::Null,
+        )
+        .unwrap();
         let (mut a, mut b) = (exact.pairs.clone(), quant.pairs.clone());
         a.sort_unstable();
         b.sort_unstable();

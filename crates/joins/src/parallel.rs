@@ -8,9 +8,10 @@
 //! containing the lower-left corner of the intersection of its (expanded)
 //! MBRs. The per-tile Θ-filter is a forward-scan plane sweep
 //! ([`sj_geom::sweep`]) rather than an all-pairs loop, so tile filter
-//! cost is `O(n log n + k)` in the tile size. [`parallel_tree_join`]
-//! parallelizes Algorithm JOIN by splitting at the top-level subtrees of
-//! the R generalization tree.
+//! cost is `O(n log n + k)` in the tile size. [`split_tree_join`] is the
+//! worker fan-out of [`tree_join`](crate::tree_join::tree_join):
+//! Algorithm JOIN split at the top-level subtrees of the R
+//! generalization tree.
 //!
 //! Cost-model accounting under concurrency:
 //!
@@ -31,7 +32,8 @@
 use std::thread;
 use std::time::Instant;
 
-use sj_geom::sweep::{sweep_candidates, sweep_candidates_with, Kernel, SweepItem};
+use sj_gentree::NodeId;
+use sj_geom::sweep::{sweep_candidates, SweepItem};
 use sj_geom::{Bounded, Geometry, Point, Rect, ThetaOp};
 use sj_obs::{Phase, PhaseTimer, TraceSink};
 use sj_storage::{BufferPool, StorageError};
@@ -40,7 +42,6 @@ use crate::paged_tree::TreeRelation;
 use crate::refine::MarginRefiner;
 use crate::relation::StoredRelation;
 use crate::stats::{ExecStats, JoinRun};
-use crate::tree_join::try_tree_join_traced;
 
 /// Degree of parallelism for the executors in this module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,74 +236,34 @@ struct TileOut {
 /// [`nested_loop_join`](crate::nested_loop::nested_loop_join) (as a set;
 /// pair order follows tile order) for every `theta`, at any thread
 /// count. See the module docs for the accounting guarantees.
+///
+/// The MBR scans and tile decomposition are the `partition` phase; the
+/// fanned-out Θ-filter sweeps are the `filter` phase; exact θ-tests plus
+/// lazy geometry fetches (worker-shard I/O included) are the `refine`
+/// phase. When the sink is live, each tile additionally emits a
+/// `partition_join/tile:<t>` span and each worker a
+/// `partition_join/worker:<w>` span, in deterministic tile/worker order
+/// regardless of the thread count.
+///
+/// Fail-stop: the first storage fault — on the coordinator or any
+/// worker shard — aborts the run with a typed error. Workers stop at
+/// their first fault; the coordinator merges worker results in
+/// deterministic chunk order and reports the first chunk's error, so the
+/// surfaced error does not depend on thread scheduling.
 pub fn partition_join(
     pool: &mut BufferPool,
     r: &StoredRelation,
     s: &StoredRelation,
     theta: ThetaOp,
     par: Parallelism,
-) -> JoinRun {
-    partition_join_traced(pool, r, s, theta, par, &mut TraceSink::Null)
-}
-
-/// [`partition_join`] with phase instrumentation. The MBR scans and tile
-/// decomposition are the `partition` phase; the fanned-out Θ-filter
-/// sweeps are the `filter` phase; exact θ-tests plus lazy geometry
-/// fetches (worker-shard I/O included) are the `refine` phase. When the
-/// sink is live, each tile additionally emits a
-/// `partition_join/tile:<t>` span and each worker a
-/// `partition_join/worker:<w>` span, in deterministic tile/worker order
-/// regardless of the thread count.
-pub fn partition_join_traced(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    theta: ThetaOp,
-    par: Parallelism,
     trace: &mut TraceSink,
-) -> JoinRun {
-    try_partition_join_traced(pool, r, s, theta, par, trace)
-        .unwrap_or_else(|e| panic!("partition join failed: {e}"))
-}
-
-/// Fail-stop [`partition_join_traced`]: the first storage fault — on the
-/// coordinator or any worker shard — aborts the run with a typed error.
-/// Workers stop at their first fault; the coordinator merges worker
-/// results in deterministic chunk order and reports the first chunk's
-/// error, so the surfaced error does not depend on thread scheduling.
-pub fn try_partition_join_traced(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    theta: ThetaOp,
-    par: Parallelism,
-    trace: &mut TraceSink,
-) -> Result<JoinRun, StorageError> {
-    try_partition_join_with(pool, r, s, theta, par, trace, None)
-}
-
-/// [`try_partition_join_traced`] with an explicit per-tile sweep kernel:
-/// `Some(kernel)` forces every tile's forward scan onto that kernel,
-/// `None` lets each tile auto-pick by its list sizes (the default).
-/// Match sets and counters are identical for every choice — the knob
-/// exists for A/B measurement (`simd_scaling`).
-#[allow(clippy::too_many_arguments)]
-pub fn try_partition_join_with(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    theta: ThetaOp,
-    par: Parallelism,
-    trace: &mut TraceSink,
-    kernel: Option<Kernel>,
 ) -> Result<JoinRun, StorageError> {
     match theta.filter_radius() {
-        Some(eps) => pbsm_join(pool, r, s, theta, par, eps, trace, kernel),
+        Some(eps) => pbsm_join(pool, r, s, theta, par, eps, trace),
         None => chunked_nested_loop(pool, r, s, theta, par, trace),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn pbsm_join(
     pool: &mut BufferPool,
     r: &StoredRelation,
@@ -311,7 +272,6 @@ fn pbsm_join(
     par: Parallelism,
     eps: f64,
     trace: &mut TraceSink,
-    kernel: Option<Kernel>,
 ) -> Result<JoinRun, StorageError> {
     let mut timer = PhaseTimer::for_sink(trace);
     let timed = trace.is_enabled();
@@ -354,7 +314,7 @@ fn pbsm_join(
         .chain(s_mbrs.iter())
         .map(|(_, m)| *m)
         .reduce(|a, b| a.union(&b))
-        .expect("non-empty inputs");
+        .expect("non-empty inputs"); // PANIC-OK: both sides checked above
     let axis = tiles_per_axis(r_mbrs.len() + s_mbrs.len());
     let grid = TileGrid::new(world, axis, axis);
 
@@ -403,7 +363,6 @@ fn pbsm_join(
                     &s_tiles[t],
                     pool,
                     timed,
-                    kernel,
                 )
             })
             .collect::<Result<_, _>>()?
@@ -438,7 +397,6 @@ fn pbsm_join(
                                 &s_tiles[t],
                                 &mut shard,
                                 timed,
-                                kernel,
                             ) {
                                 Ok(o) => outs.push(o),
                                 Err(e) => {
@@ -453,7 +411,7 @@ fn pbsm_join(
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("partition worker panicked"))
+                .map(|h| h.join().expect("partition worker panicked")) // PANIC-OK: propagates a worker panic
                 .collect::<Vec<_>>()
         });
         // Worker merge happens on the coordinator in spawn (= chunk)
@@ -528,9 +486,9 @@ fn pbsm_join(
 /// Filter + refine for one tile. The Θ-filter runs as a forward-scan
 /// plane sweep ([`sweep_candidates`]) over the tile's MBR lists instead
 /// of an all-pairs loop, so `filter_evals` counts sweep comparisons —
-/// still a pure function of the tile contents, hence thread-invariant.
-/// `kernel` forces the scan onto one kernel; `None` auto-picks by tile
-/// size (batched SoA masks once both lists clear the chunk threshold).
+/// still a pure function of the tile contents, hence thread-invariant
+/// (the kernel is auto-picked by tile size: batched SoA masks once both
+/// lists clear the chunk threshold).
 /// Geometries are fetched through `pool` only when a candidate survives
 /// the Θ-filter *and* the reference-point rule, and are cached per tile
 /// so each tuple is read at most once per tile it participates in.
@@ -548,7 +506,6 @@ fn process_tile(
     s_list: &[u32],
     pool: &mut BufferPool,
     timed: bool,
-    kernel: Option<Kernel>,
 ) -> Result<TileOut, StorageError> {
     let t0 = timed.then(Instant::now);
     let mut out = TileOut::default();
@@ -609,10 +566,7 @@ fn process_tile(
             Err(e) => first_err = Some(e),
         }
     };
-    let comparisons = match kernel {
-        Some(k) => sweep_candidates_with(&mut sweep_r, &mut sweep_s, theta, k, &mut emit),
-        None => sweep_candidates(&mut sweep_r, &mut sweep_s, theta, &mut emit),
-    };
+    let comparisons = sweep_candidates(&mut sweep_r, &mut sweep_s, theta, &mut emit);
     if let Some(e) = first_err {
         return Err(e);
     }
@@ -642,7 +596,7 @@ fn chunked_nested_loop(
     trace: &mut TraceSink,
 ) -> Result<JoinRun, StorageError> {
     if par.threads <= 1 {
-        return crate::nested_loop::try_nested_loop_join_traced(pool, r, s, theta, trace);
+        return crate::nested_loop::nested_loop_join(pool, r, s, theta, trace);
     }
     let mut timer = PhaseTimer::for_sink(trace);
     let timed = trace.is_enabled();
@@ -702,7 +656,7 @@ fn chunked_nested_loop(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("nested-loop worker panicked"))
+            .map(|h| h.join().expect("nested-loop worker panicked")) // PANIC-OK: propagates a worker panic
             .collect::<Vec<_>>()
     });
     // Coordinator-side merge in worker order: the first chunk's error
@@ -746,66 +700,24 @@ fn chunked_nested_loop(
     Ok(run)
 }
 
-/// Parallel Algorithm JOIN over two stored generalization trees: the
-/// independent subproblems `subtree(aᵢ) × subtree(root_S)` — one per
-/// top-level subtree `aᵢ` of R — run on worker threads via
-/// [`sj_gentree::join::join_pair`], each charging record-touch I/O to its
-/// own pool shard.
-///
-/// Returns exactly the match set of [`tree_join`] (as a set). Falls back
-/// to the sequential [`tree_join`] byte-for-byte when `threads == 1`,
-/// when either root carries an application object (degenerate
-/// single-object trees), or when R's root has fewer than two subtrees to
-/// split.
-pub fn parallel_tree_join(
+/// The worker fan-out of [`tree_join`](crate::tree_join::tree_join):
+/// the independent subproblems `subtree(aᵢ) × subtree(root_S)` — one per
+/// top-level subtree `aᵢ ∈ top` of R — run on `par.threads` worker
+/// threads via [`sj_gentree::join::try_join_pair_flat`], each charging
+/// record-touch I/O to its own pool shard, with the same deterministic
+/// first-chunk-wins merge as [`partition_join`]. The caller has checked
+/// that neither root carries an application object, so only the filter
+/// gate remains for the root pair itself.
+pub(crate) fn split_tree_join(
     pool: &mut BufferPool,
     r: &TreeRelation,
     s: &TreeRelation,
     theta: ThetaOp,
     par: Parallelism,
-) -> JoinRun {
-    parallel_tree_join_traced(pool, r, s, theta, par, &mut TraceSink::Null)
-}
-
-/// [`parallel_tree_join`] with phase instrumentation: node touches (all
-/// worker-shard I/O included) are the `index-probe` phase, MBR filter
-/// gates the `filter` phase, exact θ-tests the `refine` phase. When the
-/// sink is live, each worker additionally emits a
-/// `parallel_tree_join/worker:<w>` span in deterministic chunk order.
-pub fn parallel_tree_join_traced(
-    pool: &mut BufferPool,
-    r: &TreeRelation,
-    s: &TreeRelation,
-    theta: ThetaOp,
-    par: Parallelism,
-    trace: &mut TraceSink,
-) -> JoinRun {
-    try_parallel_tree_join_traced(pool, r, s, theta, par, trace)
-        .unwrap_or_else(|e| panic!("parallel tree join failed: {e}"))
-}
-
-/// Fail-stop [`parallel_tree_join_traced`]: the first faulted node touch
-/// — on the coordinator or any worker shard — aborts the run with a
-/// typed error, with the same deterministic first-chunk-wins merge as
-/// [`try_partition_join_traced`].
-pub fn try_parallel_tree_join_traced(
-    pool: &mut BufferPool,
-    r: &TreeRelation,
-    s: &TreeRelation,
-    theta: ThetaOp,
-    par: Parallelism,
+    top: &[NodeId],
     trace: &mut TraceSink,
 ) -> Result<JoinRun, StorageError> {
     let (root_r, root_s) = (r.tree.root(), s.tree.root());
-    let top: Vec<_> = r.tree.children(root_r).to_vec();
-    if par.threads <= 1
-        || r.tree.entry(root_r).is_some()
-        || s.tree.entry(root_s).is_some()
-        || top.len() < 2
-    {
-        return try_tree_join_traced(pool, r, s, theta, trace);
-    }
-
     let mut timer = PhaseTimer::for_sink(trace);
     let timed = trace.is_enabled();
     timer.enter(Phase::IndexProbe);
@@ -818,9 +730,7 @@ pub fn try_parallel_tree_join_traced(
     let mut filter = ExecStats::default();
     let mut refine = ExecStats::default();
 
-    // The root pair itself is handled on the calling thread (it has no
-    // application objects by the check above, so only the filter gate
-    // remains).
+    // The root pair itself is handled on the calling thread.
     r.paged.try_touch_io(pool, root_r)?;
     s.paged.try_touch_io(pool, root_s)?;
     filter.filter_evals += 1;
@@ -887,7 +797,7 @@ pub fn try_parallel_tree_join_traced(
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("tree-join worker panicked"))
+                .map(|h| h.join().expect("tree-join worker panicked")) // PANIC-OK: propagates a worker panic
                 .collect::<Vec<_>>()
         });
         // Coordinator-side merge in spawn (= chunk) order keeps the
@@ -987,10 +897,23 @@ mod tests {
             },
             ThetaOp::DirectionOf(Direction::NorthWest),
         ] {
-            let want = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
+            let want = sorted(
+                nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
+                    .unwrap()
+                    .pairs,
+            );
             for threads in [1, 2, 3, 8] {
                 let got = sorted(
-                    partition_join(&mut p, &r, &s, theta, Parallelism::with_threads(threads)).pairs,
+                    partition_join(
+                        &mut p,
+                        &r,
+                        &s,
+                        theta,
+                        Parallelism::with_threads(threads),
+                        &mut TraceSink::Null,
+                    )
+                    .unwrap()
+                    .pairs,
                 );
                 assert_eq!(got, want, "theta {theta:?} with {threads} threads");
             }
@@ -1003,9 +926,25 @@ mod tests {
         let r = mixed_rel(&mut p, 150, 0, 3);
         let s = mixed_rel(&mut p, 150, 5_000, 11);
         let theta = ThetaOp::WithinDistance(15.0);
-        let seq = partition_join(&mut p, &r, &s, theta, Parallelism::sequential());
+        let seq = partition_join(
+            &mut p,
+            &r,
+            &s,
+            theta,
+            Parallelism::sequential(),
+            &mut TraceSink::Null,
+        )
+        .unwrap();
         for threads in [2, 4, 8] {
-            let par = partition_join(&mut p, &r, &s, theta, Parallelism::with_threads(threads));
+            let par = partition_join(
+                &mut p,
+                &r,
+                &s,
+                theta,
+                Parallelism::with_threads(threads),
+                &mut TraceSink::Null,
+            )
+            .unwrap();
             assert_eq!(
                 par.stats.comparisons(),
                 seq.stats.comparisons(),
@@ -1047,9 +986,21 @@ mod tests {
         let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
         let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
         let theta = ThetaOp::Overlaps;
-        let want = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
+        let want = sorted(
+            nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
+                .unwrap()
+                .pairs,
+        );
         for threads in [1, 4] {
-            let run = partition_join(&mut p, &r, &s, theta, Parallelism::with_threads(threads));
+            let run = partition_join(
+                &mut p,
+                &r,
+                &s,
+                theta,
+                Parallelism::with_threads(threads),
+                &mut TraceSink::Null,
+            )
+            .unwrap();
             let mut got = run.pairs.clone();
             let n_raw = got.len();
             got.sort_unstable();
@@ -1066,12 +1017,28 @@ mod tests {
         let r = mixed_rel(&mut p, 10, 0, 1);
         for threads in [1, 4] {
             let par = Parallelism::with_threads(threads);
-            assert!(partition_join(&mut p, &empty, &r, ThetaOp::Overlaps, par)
-                .pairs
-                .is_empty());
-            assert!(partition_join(&mut p, &r, &empty, ThetaOp::Overlaps, par)
-                .pairs
-                .is_empty());
+            assert!(partition_join(
+                &mut p,
+                &empty,
+                &r,
+                ThetaOp::Overlaps,
+                par,
+                &mut TraceSink::Null
+            )
+            .unwrap()
+            .pairs
+            .is_empty());
+            assert!(partition_join(
+                &mut p,
+                &r,
+                &empty,
+                ThetaOp::Overlaps,
+                par,
+                &mut TraceSink::Null
+            )
+            .unwrap()
+            .pairs
+            .is_empty());
         }
     }
 
@@ -1094,11 +1061,30 @@ mod tests {
         let r = grid_tree(&mut p, 7, 10.0, 0);
         let s = grid_tree(&mut p, 7, 10.0, 1_000);
         for theta in [ThetaOp::WithinDistance(10.5), ThetaOp::Overlaps] {
-            let want = sorted(tree_join(&mut p, &r, &s, theta).pairs);
+            let want = sorted(
+                tree_join(
+                    &mut p,
+                    &r,
+                    &s,
+                    theta,
+                    Parallelism::sequential(),
+                    &mut TraceSink::Null,
+                )
+                .unwrap()
+                .pairs,
+            );
             for threads in [1, 2, 4] {
                 let got = sorted(
-                    parallel_tree_join(&mut p, &r, &s, theta, Parallelism::with_threads(threads))
-                        .pairs,
+                    tree_join(
+                        &mut p,
+                        &r,
+                        &s,
+                        theta,
+                        Parallelism::with_threads(threads),
+                        &mut TraceSink::Null,
+                    )
+                    .unwrap()
+                    .pairs,
                 );
                 assert_eq!(got, want, "theta {theta:?} with {threads} threads");
             }
@@ -1112,13 +1098,15 @@ mod tests {
         let s = grid_tree(&mut p, 6, 10.0, 1_000);
         p.clear();
         p.reset_stats();
-        let run = parallel_tree_join(
+        let run = tree_join(
             &mut p,
             &r,
             &s,
             ThetaOp::WithinDistance(10.5),
             Parallelism::with_threads(4),
-        );
+            &mut TraceSink::Null,
+        )
+        .unwrap();
         assert!(!run.pairs.is_empty());
         assert!(run.stats.physical_reads > 0);
         assert!(run.stats.theta_evals > 0);
@@ -1257,9 +1245,21 @@ mod tests {
         let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
         let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
         for theta in [ThetaOp::Overlaps, ThetaOp::WithinDistance(5.0)] {
-            let want = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
+            let want = sorted(
+                nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
+                    .unwrap()
+                    .pairs,
+            );
             for threads in [1, 2, 4] {
-                let run = partition_join(&mut p, &r, &s, theta, Parallelism::with_threads(threads));
+                let run = partition_join(
+                    &mut p,
+                    &r,
+                    &s,
+                    theta,
+                    Parallelism::with_threads(threads),
+                    &mut TraceSink::Null,
+                )
+                .unwrap();
                 let mut got = run.pairs.clone();
                 let n_raw = got.len();
                 got.sort_unstable();

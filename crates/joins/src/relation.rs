@@ -154,7 +154,7 @@ impl StoredRelation {
         pool: &mut BufferPool,
         i: usize,
     ) -> Result<(u64, QGeometry), StorageError> {
-        let quant = self.quant.as_ref().expect("relation has no sidecar");
+        let quant = self.quant.as_ref().expect("relation has no sidecar"); // PANIC-OK: caller checks is_compressed
         let slot = self.slots[i];
         let bytes = pool.try_read_record(quant, quant.rid(slot))?;
         codec::try_decode_qrecord(&bytes).map_err(|_| corrupt(quant, slot))
@@ -218,7 +218,7 @@ impl StoredRelation {
         let &i = self
             .pos_of
             .get(&id)
-            .unwrap_or_else(|| panic!("unknown tuple id {id}"));
+            .unwrap_or_else(|| panic!("unknown tuple id {id}")); // PANIC-OK: caller bug, ids come from this relation
         self.try_read_at(pool, i)
     }
 
@@ -231,7 +231,7 @@ impl StoredRelation {
         let &i = self
             .pos_of
             .get(&id)
-            .unwrap_or_else(|| panic!("unknown tuple id {id}"));
+            .unwrap_or_else(|| panic!("unknown tuple id {id}")); // PANIC-OK: caller bug, ids come from this relation
         self.read_at(pool, i)
     }
 
@@ -343,7 +343,7 @@ impl StoredRelation {
         let &pos = self
             .pos_of
             .get(&id)
-            .unwrap_or_else(|| panic!("unknown tuple id {id}"));
+            .unwrap_or_else(|| panic!("unknown tuple id {id}")); // PANIC-OK: caller bug, ids come from this relation
         let rid = self.file.rid(self.slots[pos]);
         pool.try_update(rid.page, |p| p.remove(rid.slot))?;
         self.pos_of.remove(&id);
@@ -374,7 +374,7 @@ impl StoredRelation {
         let &pos = self
             .pos_of
             .get(&id)
-            .unwrap_or_else(|| panic!("unknown tuple id {id}"));
+            .unwrap_or_else(|| panic!("unknown tuple id {id}")); // PANIC-OK: caller bug, ids come from this relation
         let record = codec::encode_record(id, g, self.file.record_size());
         let rid = self.file.rid(self.slots[pos]);
         pool.try_update(rid.page, |p| p.update(rid.slot, record))?;

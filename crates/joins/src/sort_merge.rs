@@ -37,41 +37,17 @@ pub fn supported_by_zorder(theta: ThetaOp) -> bool {
 
 /// Orenstein's sort-merge overlap join over z-element decompositions.
 ///
+/// The scans, z-decomposition, and sort are the `partition` phase; the
+/// merge sweep (whose duplicate reports land in `passes`) the `filter`
+/// phase; exact θ-tests on deduplicated candidates the `refine` phase.
+/// Fail-stop: the first storage fault aborts the run with a typed error.
+///
 /// # Panics
 ///
 /// Panics if `theta` is not [`supported_by_zorder`] — the whole point of
-/// §2.2 is that this strategy exists *only* for overlap-family operators.
+/// §2.2 is that this strategy exists *only* for overlap-family operators;
+/// an unsupported operator is a logic error, not a storage fault.
 pub fn zorder_overlap_join(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    grid: &ZGrid,
-    theta: ThetaOp,
-) -> JoinRun {
-    zorder_overlap_join_traced(pool, r, s, grid, theta, &mut TraceSink::Null)
-}
-
-/// [`zorder_overlap_join`] with phase instrumentation: the scans,
-/// z-decomposition, and sort are the `partition` phase; the merge sweep
-/// (whose duplicate reports land in `passes`) the `filter` phase; exact
-/// θ-tests on deduplicated candidates the `refine` phase.
-pub fn zorder_overlap_join_traced(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    grid: &ZGrid,
-    theta: ThetaOp,
-    trace: &mut TraceSink,
-) -> JoinRun {
-    try_zorder_overlap_join_traced(pool, r, s, grid, theta, trace)
-        .unwrap_or_else(|e| panic!("z-order merge join failed: {e}"))
-}
-
-/// Fail-stop [`zorder_overlap_join_traced`]: the first storage fault
-/// aborts the run with a typed error. Still panics on non-overlap
-/// operators — an unsupported operator is a logic error, not a storage
-/// fault.
-pub fn try_zorder_overlap_join_traced(
     pool: &mut BufferPool,
     r: &StoredRelation,
     s: &StoredRelation,
@@ -295,9 +271,20 @@ mod tests {
             100,
         );
         let grid = world_grid();
-        let mut got = zorder_overlap_join(&mut p, &r, &s, &grid, ThetaOp::Overlaps).pairs;
+        let mut got = zorder_overlap_join(
+            &mut p,
+            &r,
+            &s,
+            &grid,
+            ThetaOp::Overlaps,
+            &mut TraceSink::Null,
+        )
+        .unwrap()
+        .pairs;
         got.sort_unstable();
-        let mut want = nested_loop_join(&mut p, &r, &s, ThetaOp::Overlaps).pairs;
+        let mut want = nested_loop_join(&mut p, &r, &s, ThetaOp::Overlaps, &mut TraceSink::Null)
+            .unwrap()
+            .pairs;
         want.sort_unstable();
         assert_eq!(got, want);
     }
@@ -309,7 +296,15 @@ mod tests {
         let r = rect_rel(&mut p, &[(0.0, 0.0, 33.0, 33.0)], 0);
         let s = rect_rel(&mut p, &[(10.0, 10.0, 40.0, 40.0)], 100);
         let grid = world_grid();
-        let run = zorder_overlap_join(&mut p, &r, &s, &grid, ThetaOp::Overlaps);
+        let run = zorder_overlap_join(
+            &mut p,
+            &r,
+            &s,
+            &grid,
+            ThetaOp::Overlaps,
+            &mut TraceSink::Null,
+        )
+        .unwrap();
         assert_eq!(run.pairs, vec![(0, 100)]);
         // The raw merge reported the overlap many times (once per shared
         // z-element pairing), exactly as the paper warns.
@@ -331,9 +326,25 @@ mod tests {
             100,
         );
         let grid = world_grid();
-        let inc = zorder_overlap_join(&mut p, &r, &s, &grid, ThetaOp::Includes);
+        let inc = zorder_overlap_join(
+            &mut p,
+            &r,
+            &s,
+            &grid,
+            ThetaOp::Includes,
+            &mut TraceSink::Null,
+        )
+        .unwrap();
         assert_eq!(inc.pairs, vec![(0, 100)]);
-        let cont = zorder_overlap_join(&mut p, &r, &s, &grid, ThetaOp::ContainedIn);
+        let cont = zorder_overlap_join(
+            &mut p,
+            &r,
+            &s,
+            &grid,
+            ThetaOp::ContainedIn,
+            &mut TraceSink::Null,
+        )
+        .unwrap();
         assert!(cont.pairs.is_empty());
     }
 
@@ -344,7 +355,15 @@ mod tests {
         let r = rect_rel(&mut p, &[(0.0, 0.0, 1.0, 1.0)], 0);
         let s = rect_rel(&mut p, &[(2.0, 2.0, 3.0, 3.0)], 100);
         let grid = world_grid();
-        let _ = zorder_overlap_join(&mut p, &r, &s, &grid, ThetaOp::WithinDistance(5.0));
+        let _ = zorder_overlap_join(
+            &mut p,
+            &r,
+            &s,
+            &grid,
+            ThetaOp::WithinDistance(5.0),
+            &mut TraceSink::Null,
+        )
+        .unwrap();
     }
 
     #[test]
@@ -369,7 +388,9 @@ mod tests {
             100,
         );
         let theta = ThetaOp::Adjacent;
-        let complete = nested_loop_join(&mut p, &r, &s, theta).pairs;
+        let complete = nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
+            .unwrap()
+            .pairs;
         let naive = naive_zvalue_sort_merge(&mut p, &r, &s, &grid, theta, 1).pairs;
         assert!(
             naive.len() < complete.len(),
@@ -386,7 +407,9 @@ mod tests {
         let r = rect_rel(&mut p, &[(3.0, 0.0, 4.0, 1.0), (3.0, 3.0, 4.0, 4.0)], 0);
         let s = rect_rel(&mut p, &[(4.0, 0.0, 5.0, 1.0), (4.0, 3.0, 5.0, 4.0)], 100);
         let theta = ThetaOp::Adjacent;
-        let mut complete = nested_loop_join(&mut p, &r, &s, theta).pairs;
+        let mut complete = nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
+            .unwrap()
+            .pairs;
         complete.sort_unstable();
         let mut windowed = naive_zvalue_sort_merge(&mut p, &r, &s, &grid, theta, 1000).pairs;
         windowed.sort_unstable();

@@ -12,12 +12,12 @@
 //! have unbounded Θ-filter regions ([`ThetaOp::filter_radius`] is
 //! `None`) and fall back to the nested loop.
 
-use sj_geom::sweep::{sweep_candidates_with, Kernel, SweepItem};
-use sj_geom::{Bounded, Rect, ThetaOp, BATCH_MIN};
+use sj_geom::sweep::{sweep_candidates, SweepItem};
+use sj_geom::{Bounded, Rect, ThetaOp};
 use sj_obs::{Phase, PhaseTimer, TraceSink};
 use sj_storage::{BufferPool, StorageError};
 
-use crate::nested_loop::try_nested_loop_join_traced;
+use crate::nested_loop::nested_loop_join;
 use crate::refine::MarginRefiner;
 use crate::relation::StoredRelation;
 use crate::stats::{ExecStats, JoinRun};
@@ -28,68 +28,27 @@ use crate::stats::{ExecStats, JoinRun};
 /// x-intervals were examined), `theta_evals` exact refinements — the
 /// same units as the quadratic executors, so comparison counts are
 /// directly comparable.
+///
+/// MBR-extraction scans are the `partition` phase, forward-scan
+/// comparisons the `filter` phase, exact θ-tests plus their lazy
+/// geometry fetches the `refine` phase. (Filter and refine interleave
+/// during the sweep; the sweep's wall clock is charged to `filter`, its
+/// counters split exactly.)
+///
+/// Fail-stop: the first storage fault aborts the run with a typed error.
+/// A fault during the interleaved refine phase stops further fetches and
+/// discards the whole outcome (never a partial match set).
 pub fn sweep_join(
     pool: &mut BufferPool,
     r: &StoredRelation,
     s: &StoredRelation,
     theta: ThetaOp,
-) -> JoinRun {
-    sweep_join_traced(pool, r, s, theta, &mut TraceSink::Null)
-}
-
-/// [`sweep_join`] with phase instrumentation: MBR-extraction scans are
-/// the `partition` phase, forward-scan comparisons the `filter` phase,
-/// exact θ-tests plus their lazy geometry fetches the `refine` phase.
-/// (Filter and refine interleave during the sweep; the sweep's wall
-/// clock is charged to `filter`, its counters split exactly.)
-pub fn sweep_join_traced(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    theta: ThetaOp,
     trace: &mut TraceSink,
-) -> JoinRun {
-    try_sweep_join_traced(pool, r, s, theta, trace)
-        .unwrap_or_else(|e| panic!("sweep join failed: {e}"))
-}
-
-/// Fail-stop [`sweep_join_traced`]: the first storage fault aborts the
-/// run with a typed error. A fault during the interleaved refine phase
-/// stops further fetches and discards the whole outcome (never a partial
-/// match set).
-pub fn try_sweep_join_traced(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    theta: ThetaOp,
-    trace: &mut TraceSink,
-) -> Result<JoinRun, StorageError> {
-    // Auto-pick the forward-scan kernel the way sweep_candidates does:
-    // batched SoA scans once both sides clear the chunk threshold.
-    let kernel = if r.len().min(s.len()) < BATCH_MIN {
-        Kernel::Scalar
-    } else {
-        Kernel::Batched
-    };
-    try_sweep_join_with(pool, r, s, theta, trace, kernel)
-}
-
-/// [`try_sweep_join_traced`] with an explicit forward-scan kernel
-/// ([`Kernel::Scalar`] pins the per-pair scalar scan, [`Kernel::Batched`]
-/// the SoA mask scan). Identical match sets and counters either way —
-/// the knob exists for A/B measurement (`simd_scaling`).
-pub fn try_sweep_join_with(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    theta: ThetaOp,
-    trace: &mut TraceSink,
-    kernel: Kernel,
 ) -> Result<JoinRun, StorageError> {
     let Some(eps) = theta.filter_radius() else {
         // Unbounded (directional) filter region: no sweep interval
         // covers it; serve the operator with strategy I.
-        return try_nested_loop_join_traced(pool, r, s, theta, trace);
+        return nested_loop_join(pool, r, s, theta, trace);
     };
     let mut timer = PhaseTimer::for_sink(trace);
     let mut run = JoinRun::default();
@@ -136,17 +95,16 @@ pub fn try_sweep_join_with(
     // no further geometry fetches are attempted and the outcome is
     // discarded below.
     let mut first_err: Option<StorageError> = None;
-    let comparisons =
-        sweep_candidates_with(&mut sweep_r, &mut sweep_s, theta, kernel, &mut |i, j| {
-            if first_err.is_some() {
-                return;
-            }
-            match refiner.refine(pool, &theta, i, j, &mut refine) {
-                Ok(true) => run.pairs.push((r_mbrs[i as usize].0, s_mbrs[j as usize].0)),
-                Ok(false) => {}
-                Err(e) => first_err = Some(e),
-            }
-        });
+    let comparisons = sweep_candidates(&mut sweep_r, &mut sweep_s, theta, &mut |i, j| {
+        if first_err.is_some() {
+            return;
+        }
+        match refiner.refine(pool, &theta, i, j, &mut refine) {
+            Ok(true) => run.pairs.push((r_mbrs[i as usize].0, s_mbrs[j as usize].0)),
+            Ok(false) => {}
+            Err(e) => first_err = Some(e),
+        }
+    });
     refine.add_io(pool.stats().since(&window));
     // The decode-on-demand span: on compressed runs, how many refinement
     // decisions needed the exact record vs. the margin test alone. Exact
@@ -183,7 +141,6 @@ pub fn try_sweep_join_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nested_loop::nested_loop_join;
     use sj_geom::{Direction, Geometry, Point};
     use sj_storage::{Disk, DiskConfig, Layout};
 
@@ -234,8 +191,16 @@ mod tests {
             },
             ThetaOp::DirectionOf(Direction::SouthEast),
         ] {
-            let want = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
-            let got = sorted(sweep_join(&mut p, &r, &s, theta).pairs);
+            let want = sorted(
+                nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
+                    .unwrap()
+                    .pairs,
+            );
+            let got = sorted(
+                sweep_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
+                    .unwrap()
+                    .pairs,
+            );
             assert_eq!(got, want, "theta {theta:?}");
         }
     }
@@ -246,8 +211,8 @@ mod tests {
         let r = mixed_rel(&mut p, 200, 0, 5);
         let s = mixed_rel(&mut p, 200, 10_000, 77);
         let theta = ThetaOp::Overlaps;
-        let nl = nested_loop_join(&mut p, &r, &s, theta);
-        let sw = sweep_join(&mut p, &r, &s, theta);
+        let nl = nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap();
+        let sw = sweep_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap();
         assert_eq!(sorted(nl.pairs), sorted(sw.pairs));
         assert!(
             sw.stats.comparisons() < nl.stats.comparisons() / 4,
@@ -275,7 +240,14 @@ mod tests {
             .collect();
         let r = StoredRelation::build(&mut p, &left, 300, Layout::Clustered);
         let s = StoredRelation::build(&mut p, &right, 300, Layout::Clustered);
-        let run = sweep_join(&mut p, &r, &s, ThetaOp::WithinDistance(5.0));
+        let run = sweep_join(
+            &mut p,
+            &r,
+            &s,
+            ThetaOp::WithinDistance(5.0),
+            &mut TraceSink::Null,
+        )
+        .unwrap();
         assert!(run.pairs.is_empty());
         assert_eq!(run.stats.theta_evals, 0);
     }
@@ -285,11 +257,17 @@ mod tests {
         let mut p = pool(16);
         let empty = StoredRelation::build(&mut p, &[], 300, Layout::Clustered);
         let r = mixed_rel(&mut p, 10, 0, 1);
-        assert!(sweep_join(&mut p, &empty, &r, ThetaOp::Overlaps)
-            .pairs
-            .is_empty());
-        assert!(sweep_join(&mut p, &r, &empty, ThetaOp::Overlaps)
-            .pairs
-            .is_empty());
+        assert!(
+            sweep_join(&mut p, &empty, &r, ThetaOp::Overlaps, &mut TraceSink::Null)
+                .unwrap()
+                .pairs
+                .is_empty()
+        );
+        assert!(
+            sweep_join(&mut p, &r, &empty, ThetaOp::Overlaps, &mut TraceSink::Null)
+                .unwrap()
+                .pairs
+                .is_empty()
+        );
     }
 }

@@ -5,11 +5,12 @@
 //! [`Layout`]: sj_storage::Layout
 
 use sj_gentree::{join, select};
-use sj_geom::{Geometry, Kernel, ThetaOp};
+use sj_geom::{Geometry, ThetaOp};
 use sj_obs::{Phase, PhaseTimer, TraceSink};
 use sj_storage::{BufferPool, StorageError};
 
 use crate::paged_tree::TreeRelation;
+use crate::parallel::{split_tree_join, Parallelism};
 use crate::stats::{ExecStats, JoinRun, SelectRun};
 
 /// Traversal order for the stored SELECT executor.
@@ -22,20 +23,9 @@ pub enum TraversalOrder {
 }
 
 /// Algorithm SELECT over a stored tree, charging one record read per node
-/// visit.
+/// visit. Fail-stop: the first faulted node touch aborts the run with a
+/// typed error (no partial match set).
 pub fn tree_select(
-    pool: &mut BufferPool,
-    r: &TreeRelation,
-    o: &Geometry,
-    theta: ThetaOp,
-    order: TraversalOrder,
-) -> SelectRun {
-    try_tree_select(pool, r, o, theta, order).unwrap_or_else(|e| panic!("tree select failed: {e}"))
-}
-
-/// Fail-stop [`tree_select`]: the first faulted node touch aborts the
-/// run with a typed error (no partial match set).
-pub fn try_tree_select(
     pool: &mut BufferPool,
     r: &TreeRelation,
     o: &Geometry,
@@ -72,71 +62,56 @@ pub fn try_tree_select(
 /// Algorithm JOIN over two stored trees, charging record reads per node
 /// visit on both sides. Re-visits that hit the buffer pool are free, which
 /// is exactly the role the paper's memory-pass argument plays in `D_II`.
+///
+/// With `par.threads > 1` the independent subproblems
+/// `subtree(aᵢ) × subtree(root_S)` — one per top-level subtree `aᵢ` of R
+/// — run on worker threads, each charging record-touch I/O to its own
+/// pool shard, and return exactly the sequential match set (as a set).
+/// The run stays on the calling thread, byte-for-byte the level-
+/// synchronized Algorithm JOIN, when `par` is one thread, when either
+/// root carries an application object (degenerate single-object trees),
+/// or when R's root has fewer than two subtrees to split.
+///
+/// Node touches (the stored tree's record I/O, all worker shards
+/// included) are the `index-probe` phase, Θ-filter work the `filter`
+/// phase, θ-evaluations the `refine` phase. With an observing sink the
+/// sequential run emits one `tree_join/level:<depth>` span per tree
+/// level (the traversal's per-level visit and comparison histograms),
+/// the parallel run one `parallel_tree_join/worker:<w>` span per worker
+/// in deterministic chunk order.
+///
+/// Fail-stop: the first faulted node touch — on the coordinator or any
+/// worker shard — aborts the run with a typed error; worker results
+/// merge in chunk order, so the surfaced error does not depend on
+/// thread scheduling.
 pub fn tree_join(
     pool: &mut BufferPool,
     r: &TreeRelation,
     s: &TreeRelation,
     theta: ThetaOp,
-) -> JoinRun {
-    tree_join_traced(pool, r, s, theta, &mut TraceSink::Null)
-}
-
-/// [`tree_join`] with phase instrumentation: node touches (the stored
-/// tree's record I/O) are the `index-probe` phase, Θ-filter work the
-/// `filter` phase, θ-evaluations the `refine` phase. With an observing
-/// sink, one `tree_join/level:<depth>` span per tree level reports the
-/// traversal's per-level visit and comparison histograms.
-pub fn tree_join_traced(
-    pool: &mut BufferPool,
-    r: &TreeRelation,
-    s: &TreeRelation,
-    theta: ThetaOp,
-    trace: &mut TraceSink,
-) -> JoinRun {
-    try_tree_join_traced(pool, r, s, theta, trace)
-        .unwrap_or_else(|e| panic!("tree join failed: {e}"))
-}
-
-/// Fail-stop [`tree_join_traced`]: the first faulted node touch on
-/// either side aborts the run with a typed error.
-pub fn try_tree_join_traced(
-    pool: &mut BufferPool,
-    r: &TreeRelation,
-    s: &TreeRelation,
-    theta: ThetaOp,
+    par: Parallelism,
     trace: &mut TraceSink,
 ) -> Result<JoinRun, StorageError> {
-    try_tree_join_with(pool, r, s, theta, trace, Kernel::Batched)
-}
+    let top = r.tree.children(r.tree.root());
+    if par.threads > 1
+        && r.tree.entry(r.tree.root()).is_none()
+        && s.tree.entry(s.tree.root()).is_none()
+        && top.len() >= 2
+    {
+        return split_tree_join(pool, r, s, theta, par, top, trace);
+    }
 
-/// [`try_tree_join_traced`] with an explicit filter kernel: `Batched`
-/// probes both trees' flattened child-MBR snapshots through the SoA mask
-/// kernels, `Scalar` pins the per-child scalar filter loop. Both produce
-/// byte-identical pairs and counters — the knob exists for A/B
-/// measurement (`simd_scaling`).
-pub fn try_tree_join_with(
-    pool: &mut BufferPool,
-    r: &TreeRelation,
-    s: &TreeRelation,
-    theta: ThetaOp,
-    trace: &mut TraceSink,
-    kernel: Kernel,
-) -> Result<JoinRun, StorageError> {
     let mut timer = PhaseTimer::for_sink(trace);
     timer.enter(Phase::IndexProbe);
     let window = pool.stats();
-    let (flat_r, flat_s) = match kernel {
-        Kernel::Batched => (Some(&r.flat), Some(&s.flat)),
-        Kernel::Scalar => (None, None),
-    };
     // Both visitor callbacks need the pool; a local RefCell arbitrates the
     // (strictly alternating, single-threaded) accesses.
     let pool_cell = std::cell::RefCell::new(&mut *pool);
     let outcome = join::try_join_flat(
         &r.tree,
-        flat_r,
+        Some(&r.flat),
         &s.tree,
-        flat_s,
+        Some(&s.flat),
         theta,
         |node| {
             r.paged
@@ -229,8 +204,12 @@ mod tests {
         let r = grid_tree(&mut p, 8, 10.0, 0, Layout::Clustered);
         let o = Geometry::Point(Point::new(35.0, 35.0));
         let theta = ThetaOp::WithinDistance(12.0);
-        let mut bfs = tree_select(&mut p, &r, &o, theta, TraversalOrder::BreadthFirst).matches;
-        let mut dfs = tree_select(&mut p, &r, &o, theta, TraversalOrder::DepthFirst).matches;
+        let mut bfs = tree_select(&mut p, &r, &o, theta, TraversalOrder::BreadthFirst)
+            .unwrap()
+            .matches;
+        let mut dfs = tree_select(&mut p, &r, &o, theta, TraversalOrder::DepthFirst)
+            .unwrap()
+            .matches;
         bfs.sort_unstable();
         dfs.sort_unstable();
         assert_eq!(bfs, dfs);
@@ -250,10 +229,10 @@ mod tests {
 
         pc.clear();
         pc.reset_stats();
-        let run_c = tree_select(&mut pc, &rc, &o, theta, TraversalOrder::BreadthFirst);
+        let run_c = tree_select(&mut pc, &rc, &o, theta, TraversalOrder::BreadthFirst).unwrap();
         pu.clear();
         pu.reset_stats();
-        let run_u = tree_select(&mut pu, &ru, &o, theta, TraversalOrder::BreadthFirst);
+        let run_u = tree_select(&mut pu, &ru, &o, theta, TraversalOrder::BreadthFirst).unwrap();
 
         assert_eq!(
             {
@@ -283,7 +262,15 @@ mod tests {
         let theta = ThetaOp::WithinDistance(10.5);
         p.clear();
         p.reset_stats();
-        let run = tree_join(&mut p, &r, &s, theta);
+        let run = tree_join(
+            &mut p,
+            &r,
+            &s,
+            theta,
+            Parallelism::sequential(),
+            &mut TraceSink::Null,
+        )
+        .unwrap();
         let mut got = run.pairs.clone();
         got.sort_unstable();
         let mut want = sj_gentree::join::join_exhaustive(&r.tree, &s.tree, theta).pairs;

@@ -34,7 +34,8 @@ impl ZIndex {
     /// Builds the index by scanning `rel` once and decomposing every
     /// object's MBR on `grid`.
     pub fn build(pool: &mut BufferPool, rel: &StoredRelation, grid: ZGrid, z: usize) -> Self {
-        Self::try_build(pool, rel, grid, z).unwrap_or_else(|e| panic!("z-index build failed: {e}"))
+        let built = Self::try_build(pool, rel, grid, z);
+        built.unwrap_or_else(|e| panic!("z-index build failed: {e}")) // PANIC-OK: infallible build convenience
     }
 
     /// Fail-stop [`ZIndex::build`]: the first storage fault during the
@@ -130,25 +131,14 @@ impl ZIndex {
 
     /// Window selection with exact refinement: all tuples of `rel` whose
     /// geometry satisfies `o θ tuple`, for overlap-family operators whose
-    /// Θ-filter is MBR overlap.
+    /// Θ-filter is MBR overlap. Fail-stop: the first storage fault aborts
+    /// the run with a typed error.
     ///
     /// # Panics
     ///
     /// Panics for non-overlap-family operators (use the generalization
     /// tree for those).
     pub fn select(
-        &self,
-        pool: &mut BufferPool,
-        rel: &StoredRelation,
-        o: &Geometry,
-        theta: ThetaOp,
-    ) -> SelectRun {
-        self.try_select(pool, rel, o, theta)
-            .unwrap_or_else(|e| panic!("z-index select failed: {e}"))
-    }
-
-    /// Fail-stop [`ZIndex::select`]; same operator-support panic.
-    pub fn try_select(
         &self,
         pool: &mut BufferPool,
         rel: &StoredRelation,
@@ -177,34 +167,16 @@ impl ZIndex {
     /// Index-supported join (§2.1's "scan the other relation and use the
     /// index to find matching tuples"): scans `s`, probing this index
     /// (built on `r`) per tuple.
+    ///
+    /// The S-scan is the `partition` phase, B⁺-tree node accesses the
+    /// `index-probe` phase, candidate fetches plus θ-tests the `refine`
+    /// phase. Fail-stop: the first storage fault aborts the run with a
+    /// typed error.
+    ///
+    /// # Panics
+    ///
+    /// Panics for non-overlap-family operators, like [`ZIndex::select`].
     pub fn join(
-        &self,
-        pool: &mut BufferPool,
-        r: &StoredRelation,
-        s: &StoredRelation,
-        theta: ThetaOp,
-    ) -> JoinRun {
-        self.join_traced(pool, r, s, theta, &mut TraceSink::Null)
-    }
-
-    /// [`join`](ZIndex::join) with phase instrumentation: the S-scan is
-    /// the `partition` phase, B⁺-tree node accesses the `index-probe`
-    /// phase, candidate fetches plus θ-tests the `refine` phase.
-    pub fn join_traced(
-        &self,
-        pool: &mut BufferPool,
-        r: &StoredRelation,
-        s: &StoredRelation,
-        theta: ThetaOp,
-        trace: &mut TraceSink,
-    ) -> JoinRun {
-        self.try_join_traced(pool, r, s, theta, trace)
-            .unwrap_or_else(|e| panic!("z-index join failed: {e}"))
-    }
-
-    /// Fail-stop [`join_traced`](ZIndex::join_traced); same operator-
-    /// support panic.
-    pub fn try_join_traced(
         &self,
         pool: &mut BufferPool,
         r: &StoredRelation,
@@ -308,9 +280,14 @@ mod tests {
             (63.0, 63.0, 64.0, 64.0),
         ] {
             let o = Geometry::Rect(Rect::from_bounds(x0, y0, x1, y1));
-            let mut got = idx.select(&mut p, &rel, &o, ThetaOp::Overlaps).matches;
+            let mut got = idx
+                .select(&mut p, &rel, &o, ThetaOp::Overlaps)
+                .unwrap()
+                .matches;
             got.sort_unstable();
-            let mut want = exhaustive_select(&mut p, &rel, &o, ThetaOp::Overlaps).matches;
+            let mut want = exhaustive_select(&mut p, &rel, &o, ThetaOp::Overlaps)
+                .unwrap()
+                .matches;
             want.sort_unstable();
             assert_eq!(got, want, "window ({x0},{y0})-({x1},{y1})");
         }
@@ -323,8 +300,13 @@ mod tests {
         let s = mixed_rel(&mut p, 1000, 3.0);
         let idx = ZIndex::build(&mut p, &r, ZGrid::new(world(), 5), 16);
         for theta in [ThetaOp::Overlaps, ThetaOp::Includes, ThetaOp::ContainedIn] {
-            let got = idx.join(&mut p, &r, &s, theta).pairs;
-            let mut want = nested_loop_join(&mut p, &r, &s, theta).pairs;
+            let got = idx
+                .join(&mut p, &r, &s, theta, &mut TraceSink::Null)
+                .unwrap()
+                .pairs;
+            let mut want = nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
+                .unwrap()
+                .pairs;
             want.sort_unstable();
             assert_eq!(got, want, "{theta:?}");
         }
@@ -342,7 +324,7 @@ mod tests {
         let idx = ZIndex::build(&mut p, &rel, ZGrid::new(world(), 5), 16);
         assert!(idx.len() > 1, "big rect spans many z-elements");
         let o = Geometry::Rect(Rect::from_bounds(30.0, 30.0, 31.0, 31.0));
-        let run = idx.select(&mut p, &rel, &o, ThetaOp::Overlaps);
+        let run = idx.select(&mut p, &rel, &o, ThetaOp::Overlaps).unwrap();
         assert_eq!(run.matches, vec![7]);
         assert_eq!(run.stats.theta_evals, 1, "candidates must be deduplicated");
     }
@@ -355,6 +337,7 @@ mod tests {
         let o = Geometry::Rect(Rect::from_bounds(100.0, 100.0, 110.0, 110.0));
         assert!(idx
             .select(&mut p, &rel, &o, ThetaOp::Overlaps)
+            .unwrap()
             .matches
             .is_empty());
     }
@@ -365,7 +348,7 @@ mod tests {
         let rel = mixed_rel(&mut p, 0, 0.0);
         let idx = ZIndex::build(&mut p, &rel, ZGrid::new(world(), 5), 16);
         let o = Geometry::Rect(Rect::from_bounds(0.0, 0.0, 9.0, 9.0));
-        let run = idx.select(&mut p, &rel, &o, ThetaOp::Overlaps);
+        let run = idx.select(&mut p, &rel, &o, ThetaOp::Overlaps).unwrap();
         assert!(
             run.stats.theta_evals < rel.len() as u64 / 2,
             "z-index should prune: {} of {}",
@@ -381,6 +364,8 @@ mod tests {
         let rel = mixed_rel(&mut p, 0, 0.0);
         let idx = ZIndex::build(&mut p, &rel, ZGrid::new(world(), 5), 16);
         let o = Geometry::Point(Point::new(1.0, 1.0));
-        let _ = idx.select(&mut p, &rel, &o, ThetaOp::WithinDistance(3.0));
+        let _ = idx
+            .select(&mut p, &rel, &o, ThetaOp::WithinDistance(3.0))
+            .unwrap();
     }
 }

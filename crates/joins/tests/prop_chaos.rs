@@ -167,13 +167,14 @@ fn select_paths_are_fail_stop_too() {
         theta,
         sj_joins::tree_join::TraversalOrder::BreadthFirst,
     )
+    .unwrap()
     .matches;
     want.sort_unstable();
 
     for seed in 0u64..10 {
         pool.set_fault_injector(Some(FaultInjector::new(FaultConfig::uniform(seed, 0.05))));
         pool.clear();
-        match sj_joins::tree_join::try_tree_select(
+        match sj_joins::tree_join::tree_select(
             &mut pool,
             &w.r_tree,
             &probe,

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use sj_geom::{Geometry, Rect, ThetaOp};
 use sj_joins::nested_loop::nested_loop_join;
 use sj_joins::parallel::{partition_join, Parallelism};
-use sj_joins::StoredRelation;
+use sj_joins::{StoredRelation, TraceSink};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
 const WORLD: f64 = 128.0;
@@ -70,11 +70,11 @@ proptest! {
         let mut p = pool();
         let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
         let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
-        let reference = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
+        let reference = sorted(nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap().pairs);
 
-        let seq = partition_join(&mut p, &r, &s, theta, Parallelism::sequential());
+        let seq = partition_join(&mut p, &r, &s, theta, Parallelism::sequential(), &mut TraceSink::Null).unwrap();
         for threads in THREADS {
-            let run = partition_join(&mut p, &r, &s, theta, Parallelism::with_threads(threads));
+            let run = partition_join(&mut p, &r, &s, theta, Parallelism::with_threads(threads), &mut TraceSink::Null).unwrap();
             // No duplicates: the reference-point rule must refine each
             // candidate pair in exactly one tile.
             let raw_len = run.pairs.len();

@@ -2,9 +2,7 @@
 //! layer:
 //!
 //! 1. Every [`Strategy`] reachable through [`JoinExecutor::execute`]
-//!    returns exactly the legacy entry point's match set (and, for the
-//!    free-function strategies, its exact [`ExecStats`]) — the executors
-//!    are thin wrappers, not reimplementations.
+//!    returns exactly the nested-loop reference match set.
 //! 2. Per-phase [`PhaseStats`] deltas sum *exactly* to the run's
 //!    [`ExecStats`] totals, on every strategy × every θ-operator it
 //!    supports (the `seal` invariant).
@@ -19,9 +17,6 @@ use proptest::Strategy as _;
 use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_geom::{Direction, Geometry, Point, Rect, ThetaOp};
 use sj_joins::nested_loop::nested_loop_join;
-use sj_joins::parallel::{partition_join, Parallelism};
-use sj_joins::sweep::sweep_join;
-use sj_joins::tree_join::tree_join;
 use sj_joins::{JoinOperands, JoinRequest, StoredRelation, Strategy, TraceSink, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
@@ -98,7 +93,7 @@ proptest! {
 
         p.clear();
         p.reset_stats();
-        let reference = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
+        let reference = sorted(nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap().pairs);
 
         for strat in Strategy::ALL {
             if !strat.supports(theta) {
@@ -118,9 +113,7 @@ proptest! {
                 "phase sums diverge for {} under {:?}", strat.name(), theta
             );
 
-            // Property 1: same match set as the legacy surface (the
-            // nested-loop reference, which the legacy entry points are
-            // already property-tested against).
+            // Property 1: same match set as the nested-loop reference.
             prop_assert_eq!(
                 sorted(run.pairs.clone()), reference.clone(),
                 "{} diverges from reference for {:?}", strat.name(), theta
@@ -149,56 +142,6 @@ proptest! {
                     "unnamed counter in span {}", ev.span
                 );
             }
-        }
-    }
-
-    /// The free-function strategies' executors reproduce not just the
-    /// match set but the *exact* `ExecStats` of their legacy twins.
-    #[test]
-    fn free_function_executors_preserve_exact_stats(
-        r_tuples in arb_tuples(0),
-        s_tuples in arb_tuples(10_000),
-        theta_pick in 0usize..8,
-    ) {
-        let theta = ALL_THETAS[theta_pick];
-        let world = Rect::from_bounds(0.0, 0.0, WORLD, WORLD);
-        let mut p = pool();
-        let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
-        let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
-        let tr = TreeRelation::new(
-            &mut p,
-            RTree::bulk_load(RTreeConfig::with_fanout(5), r_tuples.clone()).tree().clone(),
-            300,
-            Layout::Clustered,
-        );
-        let ts = TreeRelation::new(
-            &mut p,
-            RTree::bulk_load(RTreeConfig::with_fanout(4), s_tuples.clone()).tree().clone(),
-            300,
-            Layout::Clustered,
-        );
-        let ops = JoinOperands::flat(&r, &s, world).with_trees(&tr, &ts);
-
-        type Legacy<'a> = Box<dyn FnMut(&mut BufferPool) -> sj_joins::JoinRun + 'a>;
-        let legacy_pairs: Vec<(Strategy, Legacy)> = vec![
-            (Strategy::NestedLoop, Box::new(|p: &mut BufferPool| nested_loop_join(p, &r, &s, theta))),
-            (Strategy::Sweep, Box::new(|p: &mut BufferPool| sweep_join(p, &r, &s, theta))),
-            (Strategy::Tree, Box::new(|p: &mut BufferPool| tree_join(p, &tr, &ts, theta))),
-            (Strategy::Partition, Box::new(|p: &mut BufferPool| {
-                partition_join(p, &r, &s, theta, Parallelism::sequential())
-            })),
-        ];
-        for (strat, mut legacy) in legacy_pairs {
-            p.clear();
-            p.reset_stats();
-            let want = legacy(&mut p);
-
-            let mut exec = strat.executor(&ops).expect("operands present");
-            p.clear();
-            p.reset_stats();
-            let got = exec.execute(&JoinRequest::new(theta), &mut p);
-            prop_assert_eq!(&got.pairs, &want.pairs, "{} pairs diverge", strat.name());
-            prop_assert_eq!(got.stats, want.stats, "{} stats diverge", strat.name());
         }
     }
 }

@@ -25,7 +25,7 @@ use sj_joins::nested_loop::nested_loop_join;
 use sj_joins::parallel::{partition_join, Parallelism};
 use sj_joins::sweep::sweep_join;
 use sj_joins::tree_join::tree_join;
-use sj_joins::{JoinOperands, JoinRequest, StoredRelation, Strategy, TreeRelation};
+use sj_joins::{JoinOperands, JoinRequest, StoredRelation, Strategy, TraceSink, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
 const WORLD: f64 = 128.0;
@@ -210,14 +210,14 @@ proptest! {
 
         p.clear();
         p.reset_stats();
-        let reference = sorted(nested_loop_join(&mut p, &re, &se, theta).pairs);
+        let reference = sorted(nested_loop_join(&mut p, &re, &se, theta, &mut TraceSink::Null).unwrap().pairs);
 
         // Sweep: exact vs compressed, byte-identical with the margin
         // ledger balancing the full θ-charge.
         p.clear();
-        let exact = sweep_join(&mut p, &re, &se, theta);
+        let exact = sweep_join(&mut p, &re, &se, theta, &mut TraceSink::Null).unwrap();
         p.clear();
-        let comp = sweep_join(&mut p, &rc, &sc, theta);
+        let comp = sweep_join(&mut p, &rc, &sc, theta, &mut TraceSink::Null).unwrap();
         prop_assert_eq!(&exact.pairs, &comp.pairs, "sweep diverges under {:?}", theta);
         prop_assert_eq!(sorted(comp.pairs.clone()), reference.clone());
         prop_assert_eq!(exact.stats.theta_evals, comp.stats.theta_evals);
@@ -237,9 +237,9 @@ proptest! {
         // θ-charge, decode work never exceeding the charge.
         for threads in [1usize, 2, 3] {
             p.clear();
-            let pe = partition_join(&mut p, &re, &se, theta, Parallelism::with_threads(threads));
+            let pe = partition_join(&mut p, &re, &se, theta, Parallelism::with_threads(threads), &mut TraceSink::Null).unwrap();
             p.clear();
-            let pc = partition_join(&mut p, &rc, &sc, theta, Parallelism::with_threads(threads));
+            let pc = partition_join(&mut p, &rc, &sc, theta, Parallelism::with_threads(threads), &mut TraceSink::Null).unwrap();
             prop_assert_eq!(
                 &pe.pairs, &pc.pairs,
                 "partition({threads}) diverges under {:?}", theta
@@ -252,9 +252,9 @@ proptest! {
         // in-memory generalization tree, so the record codec may only
         // shrink I/O — never perturb matches or the θ-charge.
         p.clear();
-        let je = tree_join(&mut p, &te_r, &te_s, theta);
+        let je = tree_join(&mut p, &te_r, &te_s, theta, Parallelism::sequential(), &mut TraceSink::Null).unwrap();
         p.clear();
-        let jc = tree_join(&mut p, &tc_r, &tc_s, theta);
+        let jc = tree_join(&mut p, &tc_r, &tc_s, theta, Parallelism::sequential(), &mut TraceSink::Null).unwrap();
         prop_assert_eq!(&je.pairs, &jc.pairs, "tree join diverges under {:?}", theta);
         prop_assert_eq!(je.stats.theta_evals, jc.stats.theta_evals);
 

@@ -9,7 +9,7 @@ use sj_joins::grid::{grid_join, GridConfig};
 use sj_joins::nested_loop::nested_loop_join;
 use sj_joins::sort_merge::zorder_overlap_join;
 use sj_joins::tree_join::tree_join;
-use sj_joins::{JoinIndex, StoredRelation, TreeRelation};
+use sj_joins::{JoinIndex, Parallelism, StoredRelation, TraceSink, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 use sj_zorder::ZGrid;
 
@@ -67,7 +67,7 @@ proptest! {
             Layout::Unclustered { seed: layout_seed },
         );
 
-        let reference = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
+        let reference = sorted(nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap().pairs);
 
         // Strategy II (both layouts) over bulk-loaded R-trees.
         for layout in [Layout::Clustered, Layout::Unclustered { seed: layout_seed }] {
@@ -83,23 +83,23 @@ proptest! {
                 300,
                 layout,
             );
-            let got = sorted(tree_join(&mut p, &tr, &ts, theta).pairs);
+            let got = sorted(tree_join(&mut p, &tr, &ts, theta, Parallelism::sequential(), &mut TraceSink::Null).unwrap().pairs);
             prop_assert_eq!(&got, &reference, "tree join ({:?}) diverges for {:?}", layout, theta);
         }
 
         // Strategy III.
         let (idx, _) = JoinIndex::build(&mut p, &r, &s, theta, 8);
-        let got = sorted(idx.join(&mut p, &r, &s).pairs);
+        let got = sorted(idx.join(&mut p, &r, &s, &mut TraceSink::Null).unwrap().pairs);
         prop_assert_eq!(&got, &reference, "join index diverges for {:?}", theta);
 
         // Z-order sort-merge and z-value index, where applicable.
         if sj_joins::sort_merge::supported_by_zorder(theta) {
             let grid = ZGrid::new(Rect::from_bounds(0.0, 0.0, WORLD, WORLD), 5);
-            let got = sorted(zorder_overlap_join(&mut p, &r, &s, &grid, theta).pairs);
+            let got = sorted(zorder_overlap_join(&mut p, &r, &s, &grid, theta, &mut TraceSink::Null).unwrap().pairs);
             prop_assert_eq!(&got, &reference, "z-order sort-merge diverges for {:?}", theta);
 
             let idx = sj_joins::ZIndex::build(&mut p, &r, grid, 16);
-            let got = sorted(idx.join(&mut p, &r, &s, theta).pairs);
+            let got = sorted(idx.join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap().pairs);
             prop_assert_eq!(&got, &reference, "z-index join diverges for {:?}", theta);
         }
 
@@ -118,7 +118,7 @@ proptest! {
                 Layout::Clustered,
             );
             let (idx, _) = sj_joins::LocalJoinIndex::build(&mut p, &tr, &ts, theta, level, 16);
-            let got = idx.join(&mut p).pairs;
+            let got = idx.join(&mut p, &mut TraceSink::Null).unwrap().pairs;
             prop_assert_eq!(&got, &reference, "local join index (L={}) diverges for {:?}", level, theta);
         }
 
@@ -128,7 +128,7 @@ proptest! {
             nx: 8,
             ny: 8,
         };
-        let got = sorted(grid_join(&mut p, &r, &s, cfg, theta).pairs);
+        let got = sorted(grid_join(&mut p, &r, &s, cfg, theta, &mut TraceSink::Null).unwrap().pairs);
         prop_assert_eq!(&got, &reference, "grid join diverges for {:?}", theta);
     }
 
@@ -155,8 +155,8 @@ proptest! {
         let r_all = StoredRelation::build(&mut p, &r_all_tuples, 300, Layout::Clustered);
         let (idx_fresh, _) = JoinIndex::build(&mut p, &r_all, &s, theta, 8);
 
-        let a = sorted(idx.join(&mut p, &r_all, &s).pairs);
-        let b = sorted(idx_fresh.join(&mut p, &r_all, &s).pairs);
+        let a = sorted(idx.join(&mut p, &r_all, &s, &mut TraceSink::Null).unwrap().pairs);
+        let b = sorted(idx_fresh.join(&mut p, &r_all, &s, &mut TraceSink::Null).unwrap().pairs);
         prop_assert_eq!(a, b);
     }
 }

@@ -10,14 +10,11 @@
 //!    (`comparisons ≤ |R|·|S|`).
 
 use proptest::prelude::*;
-use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_geom::sweep::{sweep_candidates, sweep_candidates_with, Kernel, SweepItem};
 use sj_geom::{Direction, Geometry, Rect, ThetaOp};
 use sj_joins::nested_loop::nested_loop_join;
-use sj_joins::parallel::try_partition_join_with;
-use sj_joins::sweep::{sweep_join, try_sweep_join_with};
-use sj_joins::tree_join::try_tree_join_with;
-use sj_joins::{Parallelism, StoredRelation, TraceSink, TreeRelation};
+use sj_joins::sweep::sweep_join;
+use sj_joins::{StoredRelation, TraceSink};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
 const WORLD: f64 = 128.0;
@@ -138,9 +135,9 @@ proptest! {
         let mut p = pool();
         let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
         let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
-        let reference = sorted(nested_loop_join(&mut p, &r, &s, theta).pairs);
+        let reference = sorted(nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap().pairs);
 
-        let run = sweep_join(&mut p, &r, &s, theta);
+        let run = sweep_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap();
         let raw_len = run.pairs.len();
         let got = sorted(run.pairs);
         prop_assert_eq!(raw_len, got.len(), "duplicates for {:?}", theta);
@@ -210,94 +207,5 @@ proptest! {
         let scalar = run_kernel(&l, &r, theta, Kernel::Scalar);
         let batched = run_kernel(&l, &r, theta, Kernel::Batched);
         prop_assert_eq!(batched, scalar, "kernels diverge for {:?}", theta);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Pinning an executor's kernel must not change any observable:
-    /// sweep-join, partition-join, and tree-join runs return identical
-    /// match sequences and comparison counters under `Scalar` and
-    /// `Batched` on arbitrary stored relations.
-    #[test]
-    fn executors_are_kernel_invariant(
-        r_tuples in arb_tuples(0),
-        s_tuples in arb_tuples(10_000),
-        theta_pick in 0usize..BOUNDED.len(),
-    ) {
-        let theta = BOUNDED[theta_pick];
-        let mut p = pool();
-        let r = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
-        let s = StoredRelation::build(&mut p, &s_tuples, 300, Layout::Clustered);
-
-        let sweep: Vec<_> = [Kernel::Scalar, Kernel::Batched]
-            .iter()
-            .map(|&k| {
-                try_sweep_join_with(&mut p, &r, &s, theta, &mut TraceSink::Null, k)
-                    .expect("in-memory disk cannot fault")
-            })
-            .collect();
-        prop_assert_eq!(&sweep[0].pairs, &sweep[1].pairs, "sweep join {:?}", theta);
-        prop_assert_eq!(
-            sweep[0].stats.comparisons(),
-            sweep[1].stats.comparisons(),
-            "sweep comparisons {:?}",
-            theta
-        );
-
-        let part: Vec<_> = [Kernel::Scalar, Kernel::Batched]
-            .iter()
-            .map(|&k| {
-                try_partition_join_with(
-                    &mut p,
-                    &r,
-                    &s,
-                    theta,
-                    Parallelism { threads: 1 },
-                    &mut TraceSink::Null,
-                    Some(k),
-                )
-                .expect("in-memory disk cannot fault")
-            })
-            .collect();
-        prop_assert_eq!(&part[0].pairs, &part[1].pairs, "partition join {:?}", theta);
-        prop_assert_eq!(
-            part[0].stats.comparisons(),
-            part[1].stats.comparisons(),
-            "partition comparisons {:?}",
-            theta
-        );
-
-        let tr = TreeRelation::new(
-            &mut p,
-            RTree::bulk_load(RTreeConfig::with_fanout(5), r_tuples.clone())
-                .tree()
-                .clone(),
-            300,
-            Layout::Clustered,
-        );
-        let ts = TreeRelation::new(
-            &mut p,
-            RTree::bulk_load(RTreeConfig::with_fanout(5), s_tuples.clone())
-                .tree()
-                .clone(),
-            300,
-            Layout::Clustered,
-        );
-        let tree: Vec<_> = [Kernel::Scalar, Kernel::Batched]
-            .iter()
-            .map(|&k| {
-                try_tree_join_with(&mut p, &tr, &ts, theta, &mut TraceSink::Null, k)
-                    .expect("in-memory disk cannot fault")
-            })
-            .collect();
-        prop_assert_eq!(&tree[0].pairs, &tree[1].pairs, "tree join {:?}", theta);
-        prop_assert_eq!(
-            tree[0].stats.comparisons(),
-            tree[1].stats.comparisons(),
-            "tree comparisons {:?}",
-            theta
-        );
     }
 }

@@ -5,6 +5,7 @@ use sj_joins::grid::{grid_join, GridConfig};
 use sj_joins::nested_loop::{exhaustive_select, nested_loop_join};
 use sj_joins::sort_merge::zorder_overlap_join;
 use sj_joins::tree_join::{tree_join, tree_select, TraversalOrder};
+use sj_joins::{Parallelism, TraceSink};
 use sj_zorder::ZGrid;
 
 use crate::db::Database;
@@ -69,11 +70,11 @@ impl Database {
         theta: ThetaOp,
         strategy: SelectStrategy,
     ) -> Vec<(u64, Tuple)> {
-        let rowids: Vec<u64> = match strategy {
+        let run = match strategy {
             SelectStrategy::Exhaustive => {
                 let pool = &mut self.pool;
                 let col = &self.tables[table].spatial[column].column;
-                exhaustive_select(pool, col, o, theta).matches
+                exhaustive_select(pool, col, o, theta)
             }
             SelectStrategy::Tree | SelectStrategy::TreeDepthFirst => {
                 self.ensure_index(table, column);
@@ -87,10 +88,12 @@ impl Database {
                     .index
                     .as_ref()
                     .expect("ensure_index builds the index");
-                tree_select(pool, tree_rel, o, theta, order).matches
+                tree_select(pool, tree_rel, o, theta, order)
             }
         };
-        rowids
+        // The database's own pool carries no fault injector.
+        run.unwrap_or_else(|e| panic!("spatial selection failed: {e}"))
+            .matches
             .into_iter()
             .map(|id| (id, self.get(table, id)))
             .collect()
@@ -126,12 +129,13 @@ impl Database {
         theta: ThetaOp,
         strategy: JoinStrategy,
     ) -> Vec<(u64, u64)> {
-        match strategy {
+        let trace = &mut TraceSink::Null;
+        let run = match strategy {
             JoinStrategy::NestedLoop => {
                 let pool = &mut self.pool;
                 let r = &self.tables[r_table].spatial[r_col].column;
                 let s = &self.tables[s_table].spatial[s_col].column;
-                nested_loop_join(pool, r, s, theta).pairs
+                nested_loop_join(pool, r, s, theta, trace)
             }
             JoinStrategy::GenTree => {
                 self.ensure_index(r_table, r_col);
@@ -145,7 +149,14 @@ impl Database {
                     .index
                     .as_ref()
                     .expect("built above");
-                tree_join(pool, r_tree, s_tree, theta).pairs
+                tree_join(
+                    pool,
+                    r_tree,
+                    s_tree,
+                    theta,
+                    Parallelism::sequential(),
+                    trace,
+                )
             }
             JoinStrategy::JoinIndex { name } => {
                 let (idx, ir, ic, is, isc) = self
@@ -159,7 +170,7 @@ impl Database {
                 let pool = &mut self.pool;
                 let r = &self.tables[r_table].spatial[r_col].column;
                 let s = &self.tables[s_table].spatial[s_col].column;
-                idx.join(pool, r, s).pairs
+                idx.join(pool, r, s, trace)
             }
             JoinStrategy::LocalJoinIndex { name } => {
                 let (idx, ir, ic, is, isc) = self
@@ -171,7 +182,7 @@ impl Database {
                     "local join index {name:?} was built for {ir}.{ic} ⋈ {is}.{isc}"
                 );
                 let pool = &mut self.pool;
-                idx.join(pool).pairs
+                idx.join(pool, trace)
             }
             JoinStrategy::ZOrderSortMerge { bits } => {
                 let world = self.data_world(&[(r_table, r_col), (s_table, s_col)]);
@@ -179,16 +190,19 @@ impl Database {
                 let r = &self.tables[r_table].spatial[r_col].column;
                 let s = &self.tables[s_table].spatial[s_col].column;
                 let grid = ZGrid::new(world, bits);
-                zorder_overlap_join(pool, r, s, &grid, theta).pairs
+                zorder_overlap_join(pool, r, s, &grid, theta, trace)
             }
             JoinStrategy::Grid { nx, ny } => {
                 let world = self.data_world(&[(r_table, r_col), (s_table, s_col)]);
                 let pool = &mut self.pool;
                 let r = &self.tables[r_table].spatial[r_col].column;
                 let s = &self.tables[s_table].spatial[s_col].column;
-                grid_join(pool, r, s, GridConfig { world, nx, ny }, theta).pairs
+                grid_join(pool, r, s, GridConfig { world, nx, ny }, theta, trace)
             }
-        }
+        };
+        // The database's own pool carries no fault injector.
+        run.unwrap_or_else(|e| panic!("spatial join failed: {e}"))
+            .pairs
     }
 
     /// The bounding rectangle of all geometries in the given spatial

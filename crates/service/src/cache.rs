@@ -3,12 +3,11 @@
 //! Keys are `(dataset_version, θ-operator, query fingerprint)`. Updates
 //! bump the dataset version, so entries computed against stale data can
 //! never be served again — invalidation is structural, not scanned.
-//! Rebuild-mode commits reclaim stale space wholesale with
-//! [`ResultCache::purge_stale`]; incremental commits are surgical
-//! instead: every entry carries the [`QueryRegion`] its reply depends
-//! on, and [`CacheShards::purge_region`] drops only entries whose
-//! region intersects the commit's touched MBRs, re-stamping the
-//! disjoint survivors to the new version so they keep serving hits.
+//! Commits are surgical about what they drop: every entry carries the
+//! [`QueryRegion`] its reply depends on, and
+//! [`CacheShards::purge_region`] drops only entries whose region
+//! intersects the commit's touched MBRs, re-stamping the disjoint
+//! survivors to the new version so they keep serving hits.
 //!
 //! [`ResultCache`] is the single-shard LRU; [`CacheShards`] splits one
 //! logical cache into `N` independently locked shards routed by the
@@ -218,24 +217,7 @@ impl ResultCache {
         }
     }
 
-    /// Drops every entry whose version is older than `current`, so an
-    /// update reclaims stale space immediately instead of waiting for
-    /// LRU pressure.
-    pub fn purge_stale(&mut self, current: u64) {
-        let stale: Vec<u64> = self
-            .order
-            .iter()
-            .filter(|(_, k)| k.version < current)
-            .map(|(&seq, _)| seq)
-            .collect();
-        for seq in stale {
-            if let Some(key) = self.order.remove(&seq) {
-                self.map.remove(&key);
-            }
-        }
-    }
-
-    /// Empties this shard for an incremental commit: entries whose
+    /// Empties this shard for a commit: entries whose
     /// region intersects `touched` are dropped (their count returned),
     /// the rest come back as survivors for the caller to re-stamp and
     /// rehome at the new version.
@@ -374,17 +356,6 @@ impl CacheShards {
         (purged, retained)
     }
 
-    /// Purges entries older than `current` from every shard (shard by
-    /// shard — readers of other shards keep serving meanwhile).
-    pub fn purge_stale(&self, current: u64) {
-        for shard in &self.shards {
-            shard
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .purge_stale(current);
-        }
-    }
-
     /// `(hits, misses, resident entries)` summed over all shards.
     pub fn stats(&self) -> (u64, u64, usize) {
         let mut totals = (0, 0, 0);
@@ -494,25 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn purge_drops_only_stale_versions() {
-        let mut c = ResultCache::new(8);
-        c.insert(
-            CacheKey::for_request(1, &select_req(1.0)),
-            reply(&[1]),
-            QueryRegion::All,
-        );
-        c.insert(
-            CacheKey::for_request(2, &select_req(1.0)),
-            reply(&[1, 2]),
-            QueryRegion::All,
-        );
-        c.purge_stale(2);
-        assert_eq!(c.len(), 1);
-        assert!(c.get(&CacheKey::for_request(1, &select_req(1.0))).is_none());
-        assert!(c.get(&CacheKey::for_request(2, &select_req(1.0))).is_some());
-    }
-
-    #[test]
     fn zero_capacity_disables_caching() {
         let mut c = ResultCache::new(0);
         let k = CacheKey::for_request(0, &select_req(1.0));
@@ -558,16 +510,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_purge_and_disable_behave_like_the_single_cache() {
-        let shards = CacheShards::new(2, 8);
-        let k1 = CacheKey::for_request(1, &select_req(1.0));
+    fn zero_capacity_shards_disable_caching() {
         let k2 = CacheKey::for_request(2, &select_req(2.0));
-        shards.insert(k1.clone(), k1.fingerprint(), reply(&[1]), QueryRegion::All);
-        shards.insert(k2.clone(), k2.fingerprint(), reply(&[2]), QueryRegion::All);
-        shards.purge_stale(2);
-        assert!(shards.get(&k1, k1.fingerprint()).is_none());
-        assert!(shards.get(&k2, k2.fingerprint()).is_some());
-
         let disabled = CacheShards::new(2, 0);
         assert!(!disabled.is_enabled());
         disabled.insert(k2.clone(), k2.fingerprint(), reply(&[2]), QueryRegion::All);

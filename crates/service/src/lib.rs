@@ -64,5 +64,5 @@ pub use request::{
     CommitReceipt, QueryKind, Rejection, Reply, Request, Response, ServiceResult, Side,
 };
 pub use service::{ServiceConfig, SpatialService};
-pub use sj_joins::{ApplyMode, Mutation, MutationOutcome, TouchedRegions, WriteBatch};
+pub use sj_joins::{Mutation, MutationOutcome, TouchedRegions, WriteBatch};
 pub use snapshot::{SnapshotCell, SnapshotReader};

@@ -287,8 +287,8 @@ pub struct WriteMetrics {
     wal_sync_failures: AtomicU64,
     /// Durable WAL bytes, including frame headers and sync markers.
     wal_bytes: AtomicU64,
-    /// Physical pages written while applying batches (the incremental
-    /// path keeps this O(batch); a rebuild pays O(n)).
+    /// Physical pages written while applying batches (O(batch), not
+    /// O(n): apply is incremental).
     apply_pages_touched: AtomicU64,
     /// Cache entries invalidated because their region intersected a
     /// commit's touched MBRs.

@@ -169,8 +169,8 @@ pub struct CommitReceipt {
     /// (duplicate insert, missing-id delete, oversized geometry) report
     /// typed outcomes here; they do not abort the batch.
     pub outcomes: Vec<MutationOutcome>,
-    /// Physical I/O the apply cost — O(batch) pages on the incremental
-    /// path, O(n) on a rebuild.
+    /// Physical I/O the apply cost — O(batch · tree height) pages,
+    /// independent of relation size.
     pub io: IoStats,
     /// Cache entries dropped because their query region intersected
     /// the batch's touched regions.

@@ -14,10 +14,10 @@
 //! and page I/O during query execution never touch shared frames.
 //!
 //! Writes are typed [`WriteBatch`]es committed by
-//! [`SpatialService::commit`] entirely off the hot path. The default
-//! [`ApplyMode::Incremental`] path forks the current pool (the disk is
-//! page-granular copy-on-write, so the fork shares every untouched
-//! page), applies each mutation to cloned relation/tree handles —
+//! [`SpatialService::commit`] entirely off the hot path. The apply
+//! forks the current pool (the disk is page-granular copy-on-write, so
+//! the fork shares every untouched page), applies each mutation to
+//! cloned relation/tree handles —
 //! touching only the pages the batch dirties — and evolves the paged
 //! generalization trees against the in-memory R-trees
 //! ([`TreeRelation::try_evolve`]). The batch's redo record is appended
@@ -82,8 +82,8 @@ use crate::metrics::{ServiceMetrics, WorkerMetrics, WriteMetrics};
 use crate::request::{
     CommitReceipt, QueryKind, Rejection, Reply, Request, Response, ServiceResult, Side,
 };
-use crate::snapshot::SnapshotCell;
-use sj_joins::{ApplyMode, Mutation, MutationOutcome, TouchedRegions, WriteBatch};
+use crate::snapshot::{SnapshotCell, SnapshotReader};
+use sj_joins::{Mutation, MutationOutcome, TouchedRegions, WriteBatch};
 
 /// Per-record-read retries inside the degraded nested-loop pass. Each
 /// retry of a faulted read re-draws from the deterministic injector
@@ -135,10 +135,6 @@ pub struct ServiceConfig {
     /// deadline sheds and cache hits are answered before any executor
     /// runs, amortizing queue synchronization across the batch.
     pub batch_size: usize,
-    /// How [`SpatialService::commit`] applies a batch to the snapshot:
-    /// incremental page-level maintenance (the default) or the
-    /// pre-redesign full scan-and-rebuild (kept as the bench baseline).
-    pub apply_mode: ApplyMode,
     /// Store geometry as compressed v2 pages: relations carry a
     /// quantized sidecar (margin-governed refinement, decode-on-demand)
     /// and the paged trees use quantized node records. Query results
@@ -176,7 +172,6 @@ impl Default for ServiceConfig {
             fault_seed: 0,
             retry_attempts: 3,
             batch_size: 8,
-            apply_mode: ApplyMode::Incremental,
             compress_geometry: false,
             quant_record_size: 160,
         }
@@ -292,7 +287,12 @@ impl SpatialService {
         let workers = (0..workers)
             .map(|worker| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, worker))
+                // Subscribe before spawning, so every worker holds its
+                // reader by the time `start` returns (a worker thread
+                // that is slow to start never takes the publisher lock
+                // in the middle of later traffic).
+                let reader = shared.snapshot.reader();
+                std::thread::spawn(move || worker_loop(&shared, worker, reader))
             })
             .collect();
         SpatialService { shared, workers }
@@ -354,15 +354,14 @@ impl SpatialService {
     /// serving throughout):
     ///
     /// 1. Append the batch's redo record to the WAL tail.
-    /// 2. Build the next snapshot per [`ServiceConfig::apply_mode`] —
-    ///    incrementally on a copy-on-write fork of the current pool, or
-    ///    by full rebuild. An apply fault rolls the tail back and aborts.
+    /// 2. Build the next snapshot incrementally on a copy-on-write fork
+    ///    of the current pool. An apply fault rolls the tail back and
+    ///    aborts.
     /// 3. Sync the WAL — **the commit point**. A sync fault loses the
     ///    tail, aborts with [`Rejection::Failed`], and publishes
     ///    nothing: the service state is exactly as before the call.
-    /// 4. Publish the snapshot in O(1) and invalidate the cache —
-    ///    fine-grained (region-intersection) for incremental commits, a
-    ///    blanket stale purge for rebuilds.
+    /// 4. Publish the snapshot in O(1) and invalidate the cache entries
+    ///    whose region intersects what the batch touched.
     ///
     /// Per-op results come back in the [`CommitReceipt`]: rejected
     /// operations (duplicate insert, missing-id delete, oversized
@@ -377,7 +376,7 @@ impl SpatialService {
             .unwrap_or_else(PoisonError::into_inner);
         let wal_lsn = wal.append(&batch.encode());
         let current = self.shared.snapshot.load();
-        let applied = match build_next(&self.shared.config, &current, batch) {
+        let applied = match apply_incremental(&self.shared.config, &current, batch) {
             Ok(applied) => applied,
             Err(e) => {
                 wal.rollback_tail();
@@ -397,13 +396,8 @@ impl SpatialService {
         let version = applied.state.version;
         drop(current);
         self.shared.snapshot.publish(Arc::new(applied.state));
-        let (cache_purged, cache_retained) = match self.shared.config.apply_mode {
-            ApplyMode::Incremental => self.shared.cache.purge_region(version, &applied.touched),
-            ApplyMode::Rebuild => {
-                self.shared.cache.purge_stale(version);
-                (0, 0)
-            }
-        };
+        let (cache_purged, cache_retained) =
+            self.shared.cache.purge_region(version, &applied.touched);
         let applied_ops = applied.outcomes.iter().filter(|o| o.applied()).count() as u64;
         let rejected_ops = applied.outcomes.len() as u64 - applied_ops;
         self.shared.write_metrics.record_commit(
@@ -462,16 +456,11 @@ impl SpatialService {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let current = self.shared.snapshot.load();
-        let applied = build_next(&self.shared.config, &current, batch)?;
+        let applied = apply_incremental(&self.shared.config, &current, batch)?;
         let version = applied.state.version;
         drop(current);
         self.shared.snapshot.publish(Arc::new(applied.state));
-        match self.shared.config.apply_mode {
-            ApplyMode::Incremental => {
-                self.shared.cache.purge_region(version, &applied.touched);
-            }
-            ApplyMode::Rebuild => self.shared.cache.purge_stale(version),
-        }
+        self.shared.cache.purge_region(version, &applied.touched);
         Ok(())
     }
 
@@ -685,21 +674,9 @@ struct Applied {
     io: IoStats,
 }
 
-/// Builds the next snapshot from `current` plus `batch`, per the
-/// configured apply mode.
-fn build_next(
-    config: &ServiceConfig,
-    current: &DataState,
-    batch: &WriteBatch,
-) -> Result<Applied, StorageError> {
-    match config.apply_mode {
-        ApplyMode::Incremental => apply_incremental(config, current, batch),
-        ApplyMode::Rebuild => apply_rebuild(config, current, batch),
-    }
-}
-
-/// The incremental apply path: fork the current pool (page-granular
-/// copy-on-write, so untouched pages are shared, not copied), apply
+/// Builds the next snapshot from `current` plus `batch`: fork the
+/// current pool (page-granular copy-on-write, so untouched pages are
+/// shared, not copied), apply
 /// each mutation in batch order to cloned relation handles and
 /// in-memory R-trees, then evolve each touched side's paged tree
 /// in place ([`TreeRelation::try_evolve`]). Total physical I/O is
@@ -776,11 +753,9 @@ fn apply_incremental(
 /// (`StoredRelation::try_delete` shifts positions, never swaps), which
 /// keeps the tuple sequence identical to a sequential rebuild — the
 /// invariant the linearizability property suite leans on.
-/// Shared mutation-size screen for both apply paths: the exact frame
-/// must fit the relation's record size, and — when compressed pages are
-/// on — the v2 frame must fit the quant sidecar. Incremental and
-/// rebuild applies must agree on this bound or replay validation
-/// diverges.
+/// Mutation-size screen: the exact frame must fit the relation's record
+/// size, and — when compressed pages are on — the v2 frame must fit the
+/// quant sidecar.
 fn geometry_too_large(config: &ServiceConfig, value: &Geometry) -> bool {
     codec::encoded_len(value) > config.record_size
         || (config.compress_geometry && codec::encoded_qlen(value) > config.quant_record_size)
@@ -844,101 +819,6 @@ fn apply_one(
     }
 }
 
-/// The pre-redesign apply path, kept as the bench baseline: scan both
-/// relations through a read-only fork, apply the batch to the in-memory
-/// tuple vectors (order-preserving, so it is the semantic oracle for
-/// the incremental path), and rebuild everything on a fresh pool —
-/// O(n) I/O regardless of batch size.
-fn apply_rebuild(
-    config: &ServiceConfig,
-    current: &DataState,
-    batch: &WriteBatch,
-) -> Result<Applied, StorageError> {
-    let mut view = current.pool.fork_view(config.pool_capacity);
-    let mut r_tuples = current.r.try_scan(&mut view)?;
-    let mut s_tuples = current.s.try_scan(&mut view)?;
-    let mut world = current.world;
-    let mut touched = TouchedRegions::default();
-    let mut outcomes = Vec::with_capacity(batch.len());
-    for (side, op) in &batch.ops {
-        let tuples = match side {
-            Side::R => &mut r_tuples,
-            Side::S => &mut s_tuples,
-        };
-        outcomes.push(apply_in_memory(
-            config,
-            tuples,
-            *side,
-            op,
-            &mut touched,
-            &mut world,
-        ));
-    }
-    let mut io = view.stats();
-    let state = build_state(config, &r_tuples, &s_tuples, world, current.version + 1);
-    io.merge(&state.pool.stats());
-    Ok(Applied {
-        state,
-        outcomes,
-        touched,
-        io,
-    })
-}
-
-/// [`apply_one`]'s semantics over a plain tuple vector: same outcomes,
-/// same order discipline (in-place replace, shifting delete, appending
-/// insert).
-fn apply_in_memory(
-    config: &ServiceConfig,
-    tuples: &mut Vec<(u64, Geometry)>,
-    side: Side,
-    op: &Mutation,
-    touched: &mut TouchedRegions,
-    world: &mut Rect,
-) -> MutationOutcome {
-    let position = |tuples: &[(u64, Geometry)], id: u64| tuples.iter().position(|(t, _)| *t == id);
-    match op {
-        Mutation::Insert { id, value } => {
-            if position(tuples, *id).is_some() {
-                return MutationOutcome::DuplicateId;
-            }
-            if geometry_too_large(config, value) {
-                return MutationOutcome::TooLarge;
-            }
-            touched.touch_geometry(side, value);
-            *world = world.union(&value.mbr());
-            tuples.push((*id, value.clone()));
-            MutationOutcome::Inserted
-        }
-        Mutation::Delete { id } => {
-            let Some(pos) = position(tuples, *id) else {
-                return MutationOutcome::MissingId;
-            };
-            touched.touch_geometry(side, &tuples[pos].1);
-            tuples.remove(pos);
-            MutationOutcome::Deleted
-        }
-        Mutation::Upsert { id, value } => {
-            if geometry_too_large(config, value) {
-                return MutationOutcome::TooLarge;
-            }
-            touched.touch_geometry(side, value);
-            *world = world.union(&value.mbr());
-            match position(tuples, *id) {
-                Some(pos) => {
-                    touched.touch_geometry(side, &tuples[pos].1);
-                    tuples[pos] = (*id, value.clone());
-                    MutationOutcome::Upserted { replaced: true }
-                }
-                None => {
-                    tuples.push((*id, value.clone()));
-                    MutationOutcome::Upserted { replaced: false }
-                }
-            }
-        }
-    }
-}
-
 /// The worker main loop: drain a batch from the own shard (stealing
 /// when idle), pin one snapshot for the whole batch, answer its
 /// deadline sheds and cache hits first (phase 1), then compute the
@@ -946,9 +826,8 @@ fn apply_in_memory(
 /// boundary — a crashed request answers `WorkerPanicked` and the worker
 /// moves on instead of dying (which would shrink the pool forever and
 /// poison whatever lock it held).
-fn worker_loop(shared: &Shared, worker: usize) {
+fn worker_loop(shared: &Shared, worker: usize, mut reader: SnapshotReader<DataState>) {
     let metrics = Arc::clone(&shared.worker_metrics[worker]);
-    let mut reader = shared.snapshot.reader();
     let batch_max = shared.config.batch_size.max(1);
     while let Some(batch) = shared.queue.pop_batch(worker, batch_max) {
         metrics.record_batch();
@@ -1839,17 +1718,15 @@ mod tests {
     #[test]
     fn incremental_apply_costs_pages_proportional_to_the_batch() {
         // The pre-redesign bug: every update scanned and rewrote BOTH
-        // relations and trees — O(n) pages for a 1-tuple write. The
-        // incremental path must touch O(batch) pages instead. Same
-        // batch, both modes, measured via the receipt's IoStats.
-        let cost = |mode: ApplyMode| {
+        // relations and trees — O(n) pages for a 1-tuple write. Apply
+        // must touch O(batch · tree height) pages instead: the same
+        // two-op batch against 4× the data may cost at most 2× the
+        // pages, measured via the receipt's IoStats.
+        let cost = |n: usize, step: f64| {
             let svc = SpatialService::start(
-                ServiceConfig {
-                    apply_mode: mode,
-                    ..ServiceConfig::default()
-                },
-                &grid_tuples(15, 4.0, 0),
-                &grid_tuples(15, 4.0, 5000),
+                ServiceConfig::default(),
+                &grid_tuples(n, step, 0),
+                &grid_tuples(n, step, 5000),
                 world(),
             );
             let batch = WriteBatch::new()
@@ -1862,12 +1739,13 @@ mod tests {
             );
             receipt.io.physical_reads + receipt.io.physical_writes
         };
-        let incremental = cost(ApplyMode::Incremental);
-        let rebuild = cost(ApplyMode::Rebuild);
+        let small = cost(15, 4.0);
+        let large = cost(30, 2.0);
+        assert!(small > 0, "a commit that changes state touches pages");
         assert!(
-            incremental * 4 < rebuild,
-            "incremental apply must touch far fewer pages than a rebuild \
-             (incremental {incremental}, rebuild {rebuild})"
+            large <= 2 * small,
+            "apply cost must follow the batch, not the data: \
+             {small} pages at 225 tuples per side, {large} at 900"
         );
     }
 
@@ -2065,8 +1943,7 @@ mod tests {
         }
 
         // Mutations keep the compressed snapshot consistent, and an
-        // oversized v2 frame is screened as TooLarge — identically on
-        // both apply modes (the rebuild path replays the same guard).
+        // oversized v2 frame is screened as TooLarge.
         let fat = Geometry::Polygon(sj_geom::Polygon::regular(Point::new(30.0, 30.0), 4.0, 16));
         let receipt = svc
             .commit(

@@ -3,7 +3,7 @@
 //! The serving hot path must never block on the dataset: under the old
 //! `RwLock<DataState>` design every request — even a result-cache hit —
 //! serialized on one lock word, and worker scaling went *negative*
-//! (BENCH_service.json, pre-PR-6). The replacement is an epoch-stamped
+//! (the pre-PR-6 service-scaling run). The replacement is an epoch-stamped
 //! publish/subscribe cell:
 //!
 //! - [`SnapshotCell`] owns the *current* `Arc<T>` behind a publisher

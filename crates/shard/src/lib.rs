@@ -7,7 +7,7 @@
 //! relations into tile shards, stands up one
 //! [`SpatialService`](sj_service::SpatialService) per shard owning only
 //! its tile's slice of the data, fans SELECT/JOIN requests out
-//! scatter-gather style over a [`Transport`], and merges the shard
+//! scatter-gather style, and merges the shard
 //! replies into a result that is *byte-identical* to what a single
 //! whole-data service returns (property-tested across all eight
 //! θ-operators, shard counts, and interleaved mutations).
@@ -61,8 +61,6 @@
 
 pub mod plan;
 pub mod router;
-pub mod transport;
 
 pub use plan::{ShardPlan, ShardPlanConfig};
 pub use router::{RouterReceipt, RouterResponse, RouterResult, ShardConfig, ShardRouter};
-pub use transport::{LocalTransport, Transport};

@@ -86,7 +86,7 @@ impl ShardPlan {
         leaves.sort_by(|a, b| {
             (a.lo.y, a.lo.x, a.hi.y, a.hi.x)
                 .partial_cmp(&(b.lo.y, b.lo.x, b.hi.y, b.hi.x))
-                .expect("finite leaf bounds")
+                .expect("finite leaf bounds") // PANIC-OK: leaves subdivide a finite world
         });
         ShardPlan {
             world,

@@ -4,12 +4,12 @@
 //! owns the [`ShardPlan`], an authority copy of both relations' id →
 //! geometry maps (for mutation routing), one
 //! [`AdaptiveAdvisor`](sj_core::advisor::AdaptiveAdvisor) per shard,
-//! and a [`Transport`] over the shard services.
+//! and the in-process shard services themselves.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use sj_core::advisor::AdaptiveAdvisor;
 use sj_geom::{codec, Bounded, Geometry, Rect, ThetaOp};
@@ -22,7 +22,6 @@ use sj_service::{
 use sj_storage::IoStats;
 
 use crate::plan::{ShardPlan, ShardPlanConfig};
-use crate::transport::{LocalTransport, Transport};
 
 /// Router configuration.
 #[derive(Debug, Clone, Copy)]
@@ -116,8 +115,15 @@ pub struct ShardRouter {
     config: ShardConfig,
     halo: f64,
     plan: ShardPlan,
-    transport: Box<dyn Transport>,
-    /// Transport index of the whole-world fallback shard (present when
+    /// One in-process service per plan leaf, in leaf order, then the
+    /// fallback (if any). Submissions are asynchronous — `submit`
+    /// returns a receiver, so a request fans out to every target shard
+    /// *before* the router blocks on any reply — and commits are
+    /// synchronous: the shard's WAL sync has happened by the time
+    /// `commit` returns, which is what makes the router's global
+    /// read-your-writes guarantee compose from per-shard guarantees.
+    services: Vec<SpatialService>,
+    /// Index of the whole-world fallback shard (present when
     /// the plan has more than one leaf; it serves predicates no spatial
     /// partition can localize).
     fallback: Option<usize>,
@@ -142,6 +148,15 @@ fn world_of(r_tuples: &[(u64, Geometry)], s_tuples: &[(u64, Geometry)]) -> Rect 
         });
     }
     world.unwrap_or_else(|| Rect::from_bounds(0.0, 0.0, 1.0, 1.0))
+}
+
+/// Takes a router lock, recovering from poisoning the way `sj-service`
+/// does: a request that panicked while holding the lock must not turn
+/// every later `call`/`commit` into a panic. Each update under these
+/// locks is a single map/advisor operation, so the data a panicking
+/// holder leaves behind is valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn clamp_to(world: &Rect, r: &Rect) -> Rect {
@@ -225,35 +240,15 @@ impl ShardRouter {
         } else {
             None
         };
-        let transport = Box::new(LocalTransport::new(services));
-        Self::with_transport(config, halo, plan, transport, fallback, r_tuples, s_tuples)
-    }
-
-    /// Assembles a router over an externally-built transport (the hook
-    /// a socket transport slots into). `plan.len()` leaves must map to
-    /// transport indices `0..plan.len()`, with `fallback` (if any)
-    /// naming a whole-data endpoint at a further index.
-    pub fn with_transport(
-        config: ShardConfig,
-        halo: f64,
-        plan: ShardPlan,
-        transport: Box<dyn Transport>,
-        fallback: Option<usize>,
-        r_tuples: &[(u64, Geometry)],
-        s_tuples: &[(u64, Geometry)],
-    ) -> Self {
-        assert!(
-            transport.shards() >= plan.len(),
-            "transport must expose every plan leaf"
-        );
-        let advisors = (0..transport.shards())
+        let advisors = services
+            .iter()
             .map(|_| AdaptiveAdvisor::new(config.service.profile))
             .collect();
         ShardRouter {
             config,
             halo,
             plan,
-            transport,
+            services,
             fallback,
             advisors: Mutex::new(advisors),
             r_geoms: Mutex::new(r_tuples.iter().map(|(id, g)| (*id, g.clone())).collect()),
@@ -294,10 +289,10 @@ impl ShardRouter {
     /// Adaptive-advisor observation count for one shard and θ-family
     /// (test/inspection hook).
     pub fn advisor_observations(&self, shard: usize, theta: ThetaOp) -> u64 {
-        self.advisors.lock().expect("advisor lock")[shard].observations(theta)
+        lock(&self.advisors)[shard].observations(theta)
     }
 
-    /// Which transport endpoints a request scatters to.
+    /// Which shard services a request scatters to.
     fn targets(&self, req: &Request) -> Result<Vec<usize>, Rejection> {
         match &req.kind {
             QueryKind::Select { probe, .. } => Ok(match req.theta.filter_radius() {
@@ -347,7 +342,7 @@ impl ShardRouter {
         // feedback loop can attribute the observed cost to a concrete
         // strategy.
         let subs: Vec<(usize, Request)> = {
-            let advisors = self.advisors.lock().expect("advisor lock");
+            let advisors = lock(&self.advisors);
             targets
                 .iter()
                 .map(|&t| {
@@ -367,7 +362,7 @@ impl ShardRouter {
         let mut pending: Vec<(usize, Receiver<ServiceResult>)> = Vec::with_capacity(subs.len());
         let mut first_err = None;
         for (t, sub) in &subs {
-            match self.transport.submit(*t, sub.clone()) {
+            match self.services[*t].submit(sub.clone()) {
                 Ok(rx) => pending.push((*t, rx)),
                 Err(rej) => {
                     first_err.get_or_insert(rej);
@@ -394,7 +389,7 @@ impl ShardRouter {
         // Feed observed execution cost back into the per-shard advisors
         // (cache hits carry no compute signal and are skipped).
         if auto_join {
-            let mut advisors = self.advisors.lock().expect("advisor lock");
+            let mut advisors = lock(&self.advisors);
             for ((t, sub), (_, resp)) in subs.iter().zip(responses.iter()) {
                 if !resp.cached {
                     if let QueryKind::Join { strategy } = sub.kind {
@@ -516,10 +511,9 @@ impl ShardRouter {
     /// across shards turns into upserts at the new owners plus deletes
     /// at the vacated ones.
     pub fn commit(&self, batch: &WriteBatch) -> Result<RouterReceipt, Rejection> {
-        let mut r_geoms = self.r_geoms.lock().expect("authority lock");
-        let mut s_geoms = self.s_geoms.lock().expect("authority lock");
-        let endpoints = self.transport.shards();
-        let mut subs: Vec<WriteBatch> = (0..endpoints).map(|_| WriteBatch::new()).collect();
+        let mut r_geoms = lock(&self.r_geoms);
+        let mut s_geoms = lock(&self.s_geoms);
+        let mut subs: Vec<WriteBatch> = self.services.iter().map(|_| WriteBatch::new()).collect();
         let mut outcomes = Vec::with_capacity(batch.len());
 
         for (side, op) in &batch.ops {
@@ -597,7 +591,7 @@ impl ShardRouter {
             if sub.is_empty() {
                 continue;
             }
-            let receipt = self.transport.commit(t, sub)?;
+            let receipt = self.services[t].commit(sub)?;
             io.merge(&receipt.io);
             cache_purged += receipt.cache_purged;
             cache_retained += receipt.cache_retained;
@@ -625,16 +619,15 @@ impl ShardRouter {
     /// everything). Used by benches and tests to assert zero divergence
     /// between scatter-gather and single-node execution.
     pub fn execute_reference(&self, req: &Request) -> Reply {
-        self.transport
-            .execute_reference(self.fallback.unwrap_or(0), req)
+        self.services[self.fallback.unwrap_or(0)].execute_reference(req)
     }
 
     /// Per-shard metrics merged into one snapshot (histograms merge
     /// bucket-wise; counters sum).
     pub fn metrics(&self) -> ServiceMetrics {
         let mut total = ServiceMetrics::new();
-        for t in 0..self.transport.shards() {
-            total.merge(&self.transport.metrics(t));
+        for service in &self.services {
+            total.merge(&service.metrics());
         }
         total
     }
@@ -649,12 +642,12 @@ impl ShardRouter {
         }
         for t in 0..self.plan.len() {
             let mut shard_sink = TraceSink::vec();
-            self.transport.emit_metrics(t, &mut shard_sink);
+            self.services[t].emit_metrics(&mut shard_sink);
             sink.absorb(&format!("shard:{t}"), shard_sink.events());
         }
         if let Some(fb) = self.fallback {
             let mut shard_sink = TraceSink::vec();
-            self.transport.emit_metrics(fb, &mut shard_sink);
+            self.services[fb].emit_metrics(&mut shard_sink);
             sink.absorb("shard:fallback", shard_sink.events());
         }
         sink.emit(
@@ -967,6 +960,57 @@ mod tests {
         // A Null sink stays silent.
         let mut null = TraceSink::Null;
         router.emit_metrics(&mut null);
+    }
+
+    /// Regression: the router used to take its locks with `expect`, so
+    /// one panic while holding either turned every later `call` and
+    /// `commit` into a panic. Each lock is poisoned from a panicking
+    /// thread; the router must keep answering correctly.
+    #[test]
+    fn poisoned_locks_do_not_take_the_router_down() {
+        let router = router(2);
+        let poison = |hold: &(dyn Fn() + Sync)| {
+            let panicked = std::thread::scope(|scope| scope.spawn(hold).join().is_err());
+            assert!(panicked, "the holder thread must panic");
+        };
+        poison(&|| {
+            let _guard = router.advisors.lock().unwrap();
+            panic!("poison the advisor lock");
+        });
+        poison(&|| {
+            let _guard = router.r_geoms.lock().unwrap();
+            panic!("poison the R authority lock");
+        });
+        poison(&|| {
+            let _guard = router.s_geoms.lock().unwrap();
+            panic!("poison the S authority lock");
+        });
+        assert!(router.advisors.is_poisoned());
+        assert!(router.r_geoms.is_poisoned() && router.s_geoms.is_poisoned());
+
+        // An Auto join reads and then updates the advisors.
+        let theta = ThetaOp::WithinDistance(5.0);
+        let auto = Request::join(Strategy::Auto, theta);
+        let got = router.call(auto.clone()).expect("call survives poisoning");
+        assert_eq!(
+            pairs_of(&got.reply),
+            pairs_of(&router.execute_reference(&auto))
+        );
+        assert!(router.advisor_observations(0, theta) >= 1);
+
+        // A commit walks both authority maps, and reads observe it.
+        let batch = WriteBatch::new()
+            .insert(Side::R, 9_000, Geometry::Point(Point::new(9.0, 9.0)))
+            .insert(Side::S, 9_001, Geometry::Point(Point::new(9.0, 9.0)));
+        let receipt = router.commit(&batch).expect("commit survives poisoning");
+        assert_eq!(
+            receipt.outcomes,
+            vec![MutationOutcome::Inserted, MutationOutcome::Inserted]
+        );
+        let join = Request::join(Strategy::Tree, ThetaOp::Overlaps);
+        let got = router.call(join.clone()).expect("join accepted");
+        assert_eq!(got.reply, router.execute_reference(&join));
+        assert!(pairs_of(&got.reply).contains(&(9_000, 9_001)));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 
 use spatial_joins::core::{Direction, Geometry, Point, ThetaOp};
 use spatial_joins::gentree::carto::{generate_carto, CartoParams};
-use spatial_joins::gentree::join::join;
-use spatial_joins::gentree::select::{select, select_exhaustive};
+use spatial_joins::gentree::join::join_flat;
+use spatial_joins::gentree::select::{select_exhaustive, select_flat};
 
 fn main() {
     // A synthetic map: 9 countries × 6 states × 8 cities.
@@ -30,7 +30,7 @@ fn main() {
     // country, one state, and any coincident cities all qualify; the
     // hierarchical SELECT finds them while visiting a fraction of the tree.
     let probe = Geometry::Point(Point::new(123.0, 456.0));
-    let out = select(&map, &probe, ThetaOp::Overlaps, |_| {});
+    let out = select_flat(&map, None, &probe, ThetaOp::Overlaps, |_| {});
     println!("\nobjects overlapping (123, 456): {:?}", out.matches);
     println!(
         "  visited {} of {} nodes; {} Θ-filter + {} θ evaluations",
@@ -51,10 +51,11 @@ fn main() {
     let levels = map.levels();
     let reference_node = levels[3][levels[3].len() / 2];
     let reference = map.entry(reference_node).expect("city").clone();
-    let nw = select(
+    let nw = select_flat(
         &map,
+        None,
         &reference.geometry,
-        // select() evaluates o θ a, so "a is NW of o" uses the swapped
+        // select_flat() evaluates o θ a, so "a is NW of o" uses the swapped
         // operator: o SE-of a ⇔ a NW-of o.
         ThetaOp::DirectionOf(Direction::SouthEast),
         |_| {},
@@ -89,7 +90,7 @@ fn main() {
             world_side: 900.0,
         },
     );
-    let joined = join(&map, &other, ThetaOp::Overlaps, |_| {}, |_| {});
+    let joined = join_flat(&map, None, &other, None, ThetaOp::Overlaps, |_| {}, |_| {});
     println!(
         "\njoin of the two hierarchies: {} overlapping object pairs",
         joined.pairs.len()

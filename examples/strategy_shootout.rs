@@ -14,7 +14,7 @@ use spatial_joins::joins::grid::{grid_join, GridConfig};
 use spatial_joins::joins::nested_loop::nested_loop_join;
 use spatial_joins::joins::sort_merge::zorder_overlap_join;
 use spatial_joins::joins::tree_join::tree_join;
-use spatial_joins::joins::ExecStats;
+use spatial_joins::joins::{ExecStats, Parallelism, TraceSink};
 
 const WORLD: f64 = 1000.0;
 const MEM_PAGES: usize = 64;
@@ -75,7 +75,8 @@ fn main() {
     let s = StoredRelation::build(&mut p, &s_tuples, RECORD, Layout::Clustered);
     p.clear();
     p.reset_stats();
-    let nl = nested_loop_join(&mut p, &r, &s, theta);
+    let nl = nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
+        .expect("in-memory disk cannot fault");
     row("I   nested loop", nl.pairs.len(), &nl.stats);
     let reference = {
         let mut v = nl.pairs.clone();
@@ -110,7 +111,15 @@ fn main() {
         );
         p.clear();
         p.reset_stats();
-        let run = tree_join(&mut p, &tr, &ts, theta);
+        let run = tree_join(
+            &mut p,
+            &tr,
+            &ts,
+            theta,
+            Parallelism::sequential(),
+            &mut TraceSink::Null,
+        )
+        .expect("in-memory disk cannot fault");
         assert_eq!(sorted(&run.pairs), reference);
         row(label, run.pairs.len(), &run.stats);
     }
@@ -123,7 +132,9 @@ fn main() {
     let (idx, build) = JoinIndex::build(&mut p, &r, &s, theta, 100);
     p.clear();
     p.reset_stats();
-    let run = idx.join(&mut p, &r, &s);
+    let run = idx
+        .join(&mut p, &r, &s, &mut TraceSink::Null)
+        .expect("in-memory disk cannot fault");
     assert_eq!(sorted(&run.pairs), reference);
     row("III join index (query)", run.pairs.len(), &run.stats);
     println!(
@@ -138,7 +149,8 @@ fn main() {
     p.clear();
     p.reset_stats();
     let grid = ZGrid::new(world, 7);
-    let run = zorder_overlap_join(&mut p, &r, &s, &grid, theta);
+    let run = zorder_overlap_join(&mut p, &r, &s, &grid, theta, &mut TraceSink::Null)
+        .expect("in-memory disk cannot fault");
     assert_eq!(sorted(&run.pairs), reference);
     row("    z-order sort-merge", run.pairs.len(), &run.stats);
 
@@ -158,7 +170,9 @@ fn main() {
             ny: 32,
         },
         theta,
-    );
+        &mut TraceSink::Null,
+    )
+    .expect("in-memory disk cannot fault");
     assert_eq!(sorted(&run.pairs), reference);
     row("    grid file", run.pairs.len(), &run.stats);
 

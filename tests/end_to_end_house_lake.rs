@@ -214,6 +214,7 @@ fn polyline_workloads_join_consistently() {
     use spatial_joins::gentree::rtree::{RTree, RTreeConfig};
     use spatial_joins::joins::nested_loop::nested_loop_join;
     use spatial_joins::joins::tree_join::tree_join;
+    use spatial_joins::joins::{Parallelism, TraceSink};
 
     let world = Rect::from_bounds(0.0, 0.0, 500.0, 500.0);
     let roads = generate(
@@ -252,7 +253,9 @@ fn polyline_workloads_join_consistently() {
         spatial_joins::storage::Layout::Clustered,
     );
     let theta = ThetaOp::WithinDistance(3.0);
-    let mut reference = nested_loop_join(&mut pool, &r, &s, theta).pairs;
+    let mut reference = nested_loop_join(&mut pool, &r, &s, theta, &mut TraceSink::Null)
+        .unwrap()
+        .pairs;
     reference.sort_unstable();
     assert!(!reference.is_empty(), "roads should pass near zones");
 
@@ -272,7 +275,16 @@ fn polyline_workloads_join_consistently() {
         300,
         spatial_joins::storage::Layout::Clustered,
     );
-    let mut got = tree_join(&mut pool, &tr, &ts, theta).pairs;
+    let mut got = tree_join(
+        &mut pool,
+        &tr,
+        &ts,
+        theta,
+        Parallelism::sequential(),
+        &mut TraceSink::Null,
+    )
+    .unwrap()
+    .pairs;
     got.sort_unstable();
     assert_eq!(got, reference);
 }

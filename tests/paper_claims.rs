@@ -8,6 +8,7 @@ use spatial_joins::costmodel::{
 };
 use spatial_joins::joins::nested_loop::nested_loop_join;
 use spatial_joins::joins::sort_merge::{naive_zvalue_sort_merge, zorder_overlap_join};
+use spatial_joins::joins::TraceSink;
 use spatial_joins::storage::{BufferPool, Disk, DiskConfig};
 use spatial_joins::zorder::{interleave, ZGrid};
 
@@ -41,7 +42,9 @@ fn section_2_2_sort_merge_misses_adjacent_matches() {
     // R holds cells in the left quadrants, S their right-side neighbours.
     let r = mk(&[(3.0, 0.0), (3.0, 2.0), (3.0, 5.0)], 0, &mut p);
     let s = mk(&[(4.0, 0.0), (4.0, 2.0), (4.0, 5.0)], 100, &mut p);
-    let complete = nested_loop_join(&mut p, &r, &s, ThetaOp::Adjacent).pairs;
+    let complete = nested_loop_join(&mut p, &r, &s, ThetaOp::Adjacent, &mut TraceSink::Null)
+        .unwrap()
+        .pairs;
     assert_eq!(complete.len(), 3, "each pair of row-neighbours is adjacent");
     let naive = naive_zvalue_sort_merge(&mut p, &r, &s, &grid, ThetaOp::Adjacent, 1).pairs;
     assert!(
@@ -81,10 +84,20 @@ fn section_2_2_overlaps_exception_is_complete_with_duplicates() {
         .collect();
     let r = StoredRelation::build(&mut p, &tuples_r, 300, Layout::Clustered);
     let s = StoredRelation::build(&mut p, &tuples_s, 300, Layout::Clustered);
-    let run = zorder_overlap_join(&mut p, &r, &s, &grid, ThetaOp::Overlaps);
+    let run = zorder_overlap_join(
+        &mut p,
+        &r,
+        &s,
+        &grid,
+        ThetaOp::Overlaps,
+        &mut TraceSink::Null,
+    )
+    .unwrap();
     let mut got = run.pairs.clone();
     got.sort_unstable();
-    let mut want = nested_loop_join(&mut p, &r, &s, ThetaOp::Overlaps).pairs;
+    let mut want = nested_loop_join(&mut p, &r, &s, ThetaOp::Overlaps, &mut TraceSink::Null)
+        .unwrap()
+        .pairs;
     want.sort_unstable();
     assert_eq!(got, want, "completeness");
     assert!(
