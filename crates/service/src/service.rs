@@ -178,6 +178,18 @@ impl Default for ServiceConfig {
     }
 }
 
+impl ServiceConfig {
+    /// Mutation-size screen: the exact frame must fit the relation's
+    /// record size, and — when compressed pages are on — the v2 frame
+    /// must fit the quant sidecar. An insert/upsert that fails it
+    /// outcomes as [`MutationOutcome::TooLarge`]; a coordinator routing
+    /// writes to several services calls this same screen.
+    pub fn too_large(&self, value: &Geometry) -> bool {
+        codec::encoded_len(value) > self.record_size
+            || (self.compress_geometry && codec::encoded_qlen(value) > self.quant_record_size)
+    }
+}
+
 /// One immutable, version-tagged dataset snapshot. Workers pin a
 /// snapshot per batch through their [`SnapshotReader`]; updates build
 /// the next one from scratch and publish it atomically.
@@ -753,14 +765,6 @@ fn apply_incremental(
 /// (`StoredRelation::try_delete` shifts positions, never swaps), which
 /// keeps the tuple sequence identical to a sequential rebuild — the
 /// invariant the linearizability property suite leans on.
-/// Mutation-size screen: the exact frame must fit the relation's record
-/// size, and — when compressed pages are on — the v2 frame must fit the
-/// quant sidecar.
-fn geometry_too_large(config: &ServiceConfig, value: &Geometry) -> bool {
-    codec::encoded_len(value) > config.record_size
-        || (config.compress_geometry && codec::encoded_qlen(value) > config.quant_record_size)
-}
-
 #[allow(clippy::too_many_arguments)]
 fn apply_one(
     pool: &mut BufferPool,
@@ -777,7 +781,7 @@ fn apply_one(
             if index.get(*id).is_some() {
                 return Ok(MutationOutcome::DuplicateId);
             }
-            if geometry_too_large(config, value) {
+            if config.too_large(value) {
                 return Ok(MutationOutcome::TooLarge);
             }
             rel.try_insert(pool, *id, value)?;
@@ -796,7 +800,7 @@ fn apply_one(
             Ok(MutationOutcome::Deleted)
         }
         Mutation::Upsert { id, value } => {
-            if geometry_too_large(config, value) {
+            if config.too_large(value) {
                 return Ok(MutationOutcome::TooLarge);
             }
             let replaced = match index.get(*id).map(Bounded::mbr) {

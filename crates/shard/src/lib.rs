@@ -27,10 +27,10 @@
 //! true θ-match (shards run the same exact executors as a single node),
 //! so concatenating the shard outputs, sorting, and deduplicating the
 //! halo-induced multi-assignment duplicates reproduces the single-node
-//! result exactly. Predicates a spatial partition cannot localize
-//! (directional operators, distance bounds beyond the halo) route to a
-//! whole-world fallback shard instead — the same reason `grid_join`
-//! rejects directional θ.
+//! result exactly. Joins a spatial partition cannot localize
+//! (directional operators, distance bounds beyond the halo) are answered
+//! at the router from its authority maps, filter-then-refine over one
+//! flat copy — the same reason `grid_join` rejects directional θ.
 //!
 //! ## Skew
 //!

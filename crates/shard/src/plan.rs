@@ -8,7 +8,7 @@
 //! build time, not by the static `tiles_per_axis` heuristic (which is
 //! size-only and cannot see an all-in-one-corner dataset).
 
-use sj_geom::{Point, Rect};
+use sj_geom::Rect;
 use sj_joins::TileGrid;
 
 /// Geometry of the shard decomposition.
@@ -35,11 +35,24 @@ impl Default for ShardPlanConfig {
     }
 }
 
+/// Clamps a rectangle into `world`, coordinate-wise. Clamping is
+/// monotone, so two intersecting rectangles still intersect after
+/// clamping — the property that keeps out-of-world objects exactly
+/// joinable from the border shards they land in.
+pub fn clamp(world: &Rect, r: &Rect) -> Rect {
+    Rect::from_bounds(
+        r.lo.x.clamp(world.lo.x, world.hi.x),
+        r.lo.y.clamp(world.lo.y, world.hi.y),
+        r.hi.x.clamp(world.lo.x, world.hi.x),
+        r.hi.y.clamp(world.lo.y, world.hi.y),
+    )
+}
+
 /// The leaf rectangles of the shard decomposition. Leaves tile the
 /// world: every world point lies in at least one leaf (closed
-/// rectangles share edges), and [`ShardPlan::clamp`] maps any rectangle
-/// — including out-of-world ones — into the world so that routing and
-/// slice assignment agree about border objects.
+/// rectangles share edges), and [`clamp`] maps any rectangle — including
+/// out-of-world ones — into the world so that routing and slice
+/// assignment agree about border objects.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     world: Rect,
@@ -120,24 +133,11 @@ impl ShardPlan {
         self.leaves.len().saturating_sub(self.base_tiles)
     }
 
-    /// Clamps a rectangle into the world, coordinate-wise. Clamping is
-    /// monotone, so two intersecting rectangles still intersect after
-    /// clamping — the property that keeps out-of-world objects exactly
-    /// joinable from the border shards they land in.
-    pub fn clamp(&self, r: &Rect) -> Rect {
-        Rect::from_bounds(
-            r.lo.x.clamp(self.world.lo.x, self.world.hi.x),
-            r.lo.y.clamp(self.world.lo.y, self.world.hi.y),
-            r.hi.x.clamp(self.world.lo.x, self.world.hi.x),
-            r.hi.y.clamp(self.world.lo.y, self.world.hi.y),
-        )
-    }
-
     /// Shards whose leaf intersects the (clamped) rectangle. Never
     /// empty: every rectangle clamps into the world, which the leaves
     /// cover.
     pub fn shards_overlapping(&self, r: &Rect) -> Vec<usize> {
-        let c = self.clamp(r);
+        let c = clamp(&self.world, r);
         self.leaves
             .iter()
             .enumerate()
@@ -145,22 +145,12 @@ impl ShardPlan {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// The single shard owning a point (first covering leaf in
-    /// canonical order — used for cheap point routing; boundary points
-    /// may lie on several leaves' edges, any of which is correct).
-    pub fn shard_of_point(&self, p: Point) -> usize {
-        let c = self.clamp(&Rect::from_bounds(p.x, p.y, p.x, p.y));
-        self.leaves
-            .iter()
-            .position(|leaf| leaf.intersects(&c))
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sj_geom::Point;
 
     fn world() -> Rect {
         Rect::from_bounds(0.0, 0.0, 100.0, 100.0)
@@ -210,8 +200,8 @@ mod tests {
         let targets = plan.shards_overlapping(&far);
         assert!(!targets.is_empty(), "out-of-world must still route");
         // Clamps to the world's max corner → the top-right leaf.
-        let corner = plan.shard_of_point(Point::new(100.0, 100.0));
-        assert!(targets.contains(&corner));
+        let corner = plan.shards_overlapping(&Rect::from_bounds(100.0, 100.0, 100.0, 100.0));
+        assert_eq!(targets, corner);
     }
 
     /// Satellite regression: a pathological all-in-one-corner dataset.

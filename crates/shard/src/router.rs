@@ -1,18 +1,23 @@
 //! The shard router: scatter-gather coordination with exact merges.
 //!
 //! See the crate docs for the coverage/exactness argument. The router
-//! owns the [`ShardPlan`], an authority copy of both relations' id →
-//! geometry maps (for mutation routing), one
+//! owns the [`ShardPlan`], one authority copy of both relations' id →
+//! geometry maps, one
 //! [`AdaptiveAdvisor`](sj_core::advisor::AdaptiveAdvisor) per shard,
-//! and the in-process shard services themselves.
+//! and the in-process shard services themselves — exactly one per plan
+//! leaf. The authority maps are the only whole-data structure: mutation
+//! routing needs them to know where a tuple lives, and the joins no
+//! tile grid can localise (unbounded Θ-filter region, or a radius
+//! beyond the halo) are answered from them at the router.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use sj_core::advisor::AdaptiveAdvisor;
-use sj_geom::{codec, Bounded, Geometry, Rect, ThetaOp};
+use sj_geom::{sweep_candidates, Bounded, Geometry, Rect, SweepItem, ThetaOp};
 use sj_joins::{Mutation, MutationOutcome, Side, Strategy, WriteBatch};
 use sj_obs::TraceSink;
 use sj_service::{
@@ -21,7 +26,7 @@ use sj_service::{
 };
 use sj_storage::IoStats;
 
-use crate::plan::{ShardPlan, ShardPlanConfig};
+use crate::plan::{clamp, ShardPlan, ShardPlanConfig};
 
 /// Router configuration.
 #[derive(Debug, Clone, Copy)]
@@ -31,8 +36,8 @@ pub struct ShardConfig {
     /// The R-side assignment margin. Joins whose θ filter radius is
     /// ≤ `halo` scatter across shards exactly; larger radii (and
     /// directional operators, whose qualifying region is unbounded)
-    /// route to the whole-world fallback shard. `0.0` means auto:
-    /// 1/16 of the world's larger extent.
+    /// are answered at the router from its authority maps. `0.0` means
+    /// auto: 1/16 of the world's larger extent.
     pub halo: f64,
     /// Quad-split a tile whose assigned tuple count exceeds this.
     pub split_threshold: usize,
@@ -59,15 +64,19 @@ impl Default for ShardConfig {
 pub struct RouterResponse {
     /// The merged reply — byte-identical to the single-node reply for
     /// the same request (for `Auto` joins, the pair set is identical;
-    /// `resolved` reflects the per-shard adaptive choices).
+    /// `resolved` reflects the per-shard adaptive choices, or is the
+    /// requested strategy when the router answered the join itself).
     pub reply: Reply,
-    /// Shards this request was scattered to.
+    /// Shards this request was scattered to (0 for a join answered at
+    /// the router).
     pub shards_queried: usize,
     /// True when every shard reply was served from its result cache.
     pub cached: bool,
-    /// Highest shard dataset version among the replies.
+    /// Highest shard dataset version among the replies; the router's
+    /// own commit count for a join answered at the router.
     pub version: u64,
-    /// Max per-shard queue wait (µs) — the admission critical path.
+    /// Max per-shard queue wait (µs) — the admission critical path. For
+    /// a join answered at the router, the wait for the authority maps.
     pub queue_us: u64,
     /// Max per-shard execution time (µs) — the compute critical path;
     /// the gather is bounded by the slowest shard, not the sum.
@@ -75,7 +84,7 @@ pub struct RouterResponse {
     /// Cross-shard duplicate results removed by the merge (the price of
     /// halo multi-assignment; always 0 for single-shard requests).
     pub duplicates: u64,
-    /// True when any shard served via its degraded fallback path.
+    /// True when any shard served via its degraded nested-loop path.
     pub degraded: bool,
 }
 
@@ -103,74 +112,65 @@ pub struct RouterReceipt {
     pub shard_commits: usize,
 }
 
-impl RouterReceipt {
-    /// True when at least one operation changed state.
-    pub fn changed(&self) -> bool {
-        self.outcomes.iter().any(MutationOutcome::applied)
-    }
-}
-
 /// The scatter-gather coordinator over tile shards.
 pub struct ShardRouter {
     config: ShardConfig,
     halo: f64,
     plan: ShardPlan,
-    /// One in-process service per plan leaf, in leaf order, then the
-    /// fallback (if any). Submissions are asynchronous — `submit`
-    /// returns a receiver, so a request fans out to every target shard
-    /// *before* the router blocks on any reply — and commits are
-    /// synchronous: the shard's WAL sync has happened by the time
-    /// `commit` returns, which is what makes the router's global
-    /// read-your-writes guarantee compose from per-shard guarantees.
+    /// One in-process service per plan leaf, in leaf order.
+    /// Submissions are asynchronous — `submit` returns a receiver, so a
+    /// request fans out to every target shard *before* the router
+    /// blocks on any reply — and commits are synchronous: the shard's
+    /// WAL sync has happened by the time `commit` returns, which is
+    /// what makes the router's global read-your-writes guarantee
+    /// compose from per-shard guarantees.
     services: Vec<SpatialService>,
-    /// Index of the whole-world fallback shard (present when
-    /// the plan has more than one leaf; it serves predicates no spatial
-    /// partition can localize).
-    fallback: Option<usize>,
     advisors: Mutex<Vec<AdaptiveAdvisor>>,
+    /// The authority maps. Lock order is R then S; `commit` holds both
+    /// until its last shard sub-batch has committed, so a join answered
+    /// from them sees a batch entirely or not at all.
     r_geoms: Mutex<HashMap<u64, Geometry>>,
     s_geoms: Mutex<HashMap<u64, Geometry>>,
     commits: AtomicU64,
     queries: AtomicU64,
-    fallback_queries: AtomicU64,
+    router_joins: AtomicU64,
     duplicates_removed: AtomicU64,
+    /// Test hook: runs after each shard sub-batch has committed, with
+    /// the shard's index, while `commit` still holds the map guards.
+    #[cfg(test)]
+    after_shard_commit: Option<Box<dyn Fn(usize) + Send + Sync>>,
 }
 
 /// The union of every tuple MBR on both sides — the router's world.
 /// With no tuples at all, a unit square keeps the plan non-degenerate.
 fn world_of(r_tuples: &[(u64, Geometry)], s_tuples: &[(u64, Geometry)]) -> Rect {
-    let mut world: Option<Rect> = None;
-    for (_, g) in r_tuples.iter().chain(s_tuples.iter()) {
-        let mbr = g.mbr();
-        world = Some(match world {
-            Some(w) => w.union(&mbr),
-            None => mbr,
-        });
-    }
-    world.unwrap_or_else(|| Rect::from_bounds(0.0, 0.0, 1.0, 1.0))
+    let mbrs = r_tuples.iter().chain(s_tuples).map(|(_, g)| g.mbr());
+    mbrs.reduce(|a, b| a.union(&b))
+        .unwrap_or_else(|| Rect::from_bounds(0.0, 0.0, 1.0, 1.0))
 }
 
 /// Takes a router lock, recovering from poisoning the way `sj-service`
 /// does: a request that panicked while holding the lock must not turn
 /// every later `call`/`commit` into a panic. Each update under these
 /// locks is a single map/advisor operation, so the data a panicking
-/// holder leaves behind is valid.
+/// holder leaves behind is valid (a `commit` that panics part-way
+/// leaves the maps ahead of the shards it had not reached).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn clamp_to(world: &Rect, r: &Rect) -> Rect {
-    Rect::from_bounds(
-        r.lo.x.clamp(world.lo.x, world.hi.x),
-        r.lo.y.clamp(world.lo.y, world.hi.y),
-        r.hi.x.clamp(world.lo.x, world.hi.x),
-        r.hi.y.clamp(world.lo.y, world.hi.y),
-    )
+/// The rectangle that decides which shards own a tuple: R-side
+/// assignment is halo-expanded (so cross-tile joins stay local), S-side
+/// is exact.
+fn assignment_rect(side: Side, mbr: &Rect, halo: f64) -> Rect {
+    match side {
+        Side::R => mbr.expand(halo),
+        Side::S => *mbr,
+    }
 }
 
 impl ShardRouter {
-    /// Partitions the relations, starts one service per shard (plus the
-    /// whole-world fallback when there is more than one shard), and
+    /// Partitions the relations, starts one service per shard, and
     /// returns the router. The world is computed as the union of both
     /// relations' MBRs — never a configured guess, so no tuple starts
     /// outside it (out-of-world *inserts* are clamped to border shards
@@ -191,31 +191,30 @@ impl ShardRouter {
             split_threshold: config.split_threshold,
             max_split_depth: config.max_split_depth,
         };
+        // Each tuple's clamped assignment rect, computed once: a leaf
+        // holds the tuple iff it intersects that rect — the same rule
+        // `owners` applies to a routed mutation.
+        let assign = |side: Side, tuples: &[(u64, Geometry)]| -> Vec<Rect> {
+            tuples
+                .iter()
+                .map(|(_, g)| clamp(&world, &assignment_rect(side, &g.mbr(), halo)))
+                .collect()
+        };
+        let (r_rects, s_rects) = (assign(Side::R, r_tuples), assign(Side::S, s_tuples));
         let occupancy = |leaf: &Rect| {
-            let r_n = r_tuples
-                .iter()
-                .filter(|(_, g)| clamp_to(&world, &g.mbr().expand(halo)).intersects(leaf))
-                .count();
-            let s_n = s_tuples
-                .iter()
-                .filter(|(_, g)| clamp_to(&world, &g.mbr()).intersects(leaf))
-                .count();
-            r_n + s_n
+            let held = |rects: &[Rect]| rects.iter().filter(|a| a.intersects(leaf)).count();
+            held(&r_rects) + held(&s_rects)
         };
         let plan = ShardPlan::build(world, &plan_cfg, &occupancy);
 
-        let mut services = Vec::with_capacity(plan.len() + 1);
+        let slice = |tuples: &[(u64, Geometry)], rects: &[Rect], leaf: &Rect| {
+            let held = tuples.iter().zip(rects).filter(|(_, a)| a.intersects(leaf));
+            held.map(|(t, _)| t.clone()).collect::<Vec<_>>()
+        };
+        let mut services = Vec::with_capacity(plan.len());
         for leaf in plan.leaves() {
-            let r_slice: Vec<(u64, Geometry)> = r_tuples
-                .iter()
-                .filter(|(_, g)| clamp_to(&world, &g.mbr().expand(halo)).intersects(leaf))
-                .cloned()
-                .collect();
-            let s_slice: Vec<(u64, Geometry)> = s_tuples
-                .iter()
-                .filter(|(_, g)| clamp_to(&world, &g.mbr()).intersects(leaf))
-                .cloned()
-                .collect();
+            let r_slice = slice(r_tuples, &r_rects, leaf);
+            let s_slice = slice(s_tuples, &s_rects, leaf);
             // The shard's own world covers its leaf plus everything it
             // holds (halo tuples poke past the leaf).
             let shard_world = r_slice
@@ -229,17 +228,6 @@ impl ShardRouter {
                 shard_world,
             ));
         }
-        let fallback = if plan.len() > 1 {
-            services.push(SpatialService::start(
-                config.service,
-                r_tuples,
-                s_tuples,
-                world,
-            ));
-            Some(plan.len())
-        } else {
-            None
-        };
         let advisors = services
             .iter()
             .map(|_| AdaptiveAdvisor::new(config.service.profile))
@@ -249,14 +237,15 @@ impl ShardRouter {
             halo,
             plan,
             services,
-            fallback,
             advisors: Mutex::new(advisors),
             r_geoms: Mutex::new(r_tuples.iter().map(|(id, g)| (*id, g.clone())).collect()),
             s_geoms: Mutex::new(s_tuples.iter().map(|(id, g)| (*id, g.clone())).collect()),
             commits: AtomicU64::new(0),
             queries: AtomicU64::new(0),
-            fallback_queries: AtomicU64::new(0),
+            router_joins: AtomicU64::new(0),
             duplicates_removed: AtomicU64::new(0),
+            #[cfg(test)]
+            after_shard_commit: None,
         }
     }
 
@@ -265,19 +254,9 @@ impl ShardRouter {
         &self.plan
     }
 
-    /// Number of tile shards (excluding the fallback).
-    pub fn shard_count(&self) -> usize {
-        self.plan.len()
-    }
-
     /// The resolved R-side assignment margin.
     pub fn halo(&self) -> f64 {
         self.halo
-    }
-
-    /// Whether a whole-world fallback shard exists.
-    pub fn has_fallback(&self) -> bool {
-        self.fallback.is_some()
     }
 
     /// Router-level commit count (the version space of
@@ -292,45 +271,38 @@ impl ShardRouter {
         lock(&self.advisors)[shard].observations(theta)
     }
 
-    /// Which shard services a request scatters to.
-    fn targets(&self, req: &Request) -> Result<Vec<usize>, Rejection> {
-        match &req.kind {
-            QueryKind::Select { probe, .. } => Ok(match req.theta.filter_radius() {
-                // A matching tuple's MBR intersects the probe MBR
-                // expanded by the filter radius (Θ-filter guarantee),
-                // so only shards overlapping that region can hold
-                // matches.
-                Some(eps) => self.plan.shards_overlapping(&probe.mbr().expand(eps)),
-                // Unbounded predicate: matches can live anywhere, and
-                // every tuple lives in ≥ 1 shard — broadcast is exact.
-                None => (0..self.plan.len()).collect(),
-            }),
-            QueryKind::Join { strategy } => {
-                // Mirror service admission so unsupported operators are
-                // rejected before any scatter.
-                if *strategy != Strategy::Auto && !strategy.supports(req.theta) {
-                    return Err(Rejection::UnsupportedTheta);
-                }
-                match req.theta.filter_radius() {
-                    Some(eps) if eps <= self.halo => Ok((0..self.plan.len()).collect()),
-                    // Radius beyond the halo (or unbounded): the tile
-                    // coverage proof no longer applies; route to the
-                    // whole-world shard — the same reason grid_join
-                    // rejects directional θ.
-                    _ => {
-                        self.fallback_queries.fetch_add(1, Ordering::Relaxed);
-                        Ok(vec![self.fallback.unwrap_or(0)])
-                    }
-                }
-            }
-        }
-    }
-
     /// Scatter a request to its target shards, gather, and merge.
     /// Blocking; the gather is bounded by the slowest targeted shard.
+    /// A join whose Θ-filter region no tile grid can bound is answered
+    /// here instead ([`Self::join_at_router`]).
     pub fn call(&self, req: Request) -> RouterResult {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let targets = self.targets(&req)?;
+        if let QueryKind::Join { strategy } = req.kind {
+            // Mirror service admission so unsupported operators are
+            // rejected before any work.
+            if !strategy.supports(req.theta) {
+                return Err(Rejection::UnsupportedTheta);
+            }
+            // Radius beyond the halo (or unbounded): the tile coverage
+            // proof no longer applies — the same reason grid_join
+            // rejects directional θ.
+            if !req.theta.filter_radius().is_some_and(|e| e <= self.halo) {
+                return Ok(self.join_at_router(strategy, req.theta));
+            }
+        }
+        let targets: Vec<usize> = match (&req.kind, req.theta.filter_radius()) {
+            // A matching tuple's MBR intersects the probe MBR expanded
+            // by the filter radius (Θ-filter guarantee), so only shards
+            // overlapping that region can hold matches.
+            (QueryKind::Select { probe, .. }, Some(eps)) => {
+                self.plan.shards_overlapping(&probe.mbr().expand(eps))
+            }
+            // A select with an unbounded predicate: matches can live
+            // anywhere, and every tuple lives in ≥ 1 shard — broadcast
+            // is exact. A join with ε ≤ halo: every shard joins its
+            // slice (the coverage argument in the crate docs).
+            _ => (0..self.plan.len()).collect(),
+        };
         let auto_join = matches!(
             req.kind,
             QueryKind::Join {
@@ -400,6 +372,60 @@ impl ShardRouter {
         }
 
         Ok(self.merge(&req, &responses))
+    }
+
+    /// Answers a join from the authority maps by the paper's
+    /// filter-then-refine over one flat copy: the plane sweep over
+    /// ε-expanded MBRs when the Θ-filter radius is bounded (so the join
+    /// stays O(n log n + k)), all pairs under the Θ-filter when it is
+    /// not (strategy I, output-optimal there since the result is
+    /// Θ(|R|·|S|)), then the exact θ on the survivors. Every strategy
+    /// yields this pair set on a single node, so `resolved` is the one
+    /// requested.
+    fn join_at_router(&self, strategy: Strategy, theta: ThetaOp) -> RouterResponse {
+        self.router_joins.fetch_add(1, Ordering::Relaxed);
+        let asked = Instant::now();
+        let (r_geoms, s_geoms) = (lock(&self.r_geoms), lock(&self.s_geoms));
+        let queue_us = asked.elapsed().as_micros() as u64;
+        let r: Vec<(&u64, &Geometry)> = r_geoms.iter().collect();
+        let s: Vec<(&u64, &Geometry)> = s_geoms.iter().collect();
+        // One sweep item per tuple: its MBR and, as key, its index.
+        let items = |side: &[(&u64, &Geometry)], eps: f64| -> Vec<SweepItem> {
+            let item = |k: usize| SweepItem::expanded(k as u32, side[k].1.mbr(), eps);
+            (0..side.len()).map(item).collect()
+        };
+        let eps = theta.filter_radius();
+        let (mut left, mut right) = (items(&r, eps.unwrap_or(0.0)), items(&s, 0.0));
+        let mut pairs = Vec::new();
+        let mut refine = |i: u32, j: u32| {
+            let ((r_id, r_geom), (s_id, s_geom)) = (r[i as usize], s[j as usize]);
+            if theta.eval(r_geom, s_geom) {
+                pairs.push((*r_id, *s_id));
+            }
+        };
+        if eps.is_some() {
+            sweep_candidates(&mut left, &mut right, theta, &mut refine);
+        } else {
+            for l in &left {
+                for r in right.iter().filter(|r| theta.filter(&l.mbr, &r.mbr)) {
+                    refine(l.key, r.key);
+                }
+            }
+        }
+        pairs.sort_unstable();
+        RouterResponse {
+            reply: Reply::Join {
+                pairs: Arc::new(pairs),
+                resolved: strategy,
+            },
+            shards_queried: 0,
+            cached: false,
+            version: self.commits.load(Ordering::Relaxed),
+            queue_us,
+            exec_us: asked.elapsed().as_micros() as u64 - queue_us,
+            duplicates: 0,
+            degraded: false,
+        }
     }
 
     /// Concat + sort + dedup merge. Exactness: every shard result is a
@@ -483,104 +509,82 @@ impl ShardRouter {
         }
     }
 
-    /// Which shards own a tuple with this MBR: R-side assignment is
-    /// halo-expanded (so cross-tile joins stay local), S-side is exact.
+    /// Which shards own a tuple with this MBR.
     fn owners(&self, side: Side, mbr: &Rect) -> Vec<usize> {
-        match side {
-            Side::R => self.plan.shards_overlapping(&mbr.expand(self.halo)),
-            Side::S => self.plan.shards_overlapping(mbr),
-        }
-    }
-
-    /// Mirror of the service's record-size admission bound, so the
-    /// router can compute `TooLarge` outcomes without a round-trip.
-    fn too_large(&self, g: &Geometry) -> bool {
-        codec::encoded_len(g) > self.config.service.record_size
-            || (self.config.service.compress_geometry
-                && codec::encoded_qlen(g) > self.config.service.quant_record_size)
+        self.plan
+            .shards_overlapping(&assignment_rect(side, mbr, self.halo))
     }
 
     /// Routes a write batch to the shards owning each touched region
     /// and commits the per-shard sub-batches (each durably, through
-    /// that shard's own WAL). The fallback shard receives the batch
-    /// verbatim. Global read-your-writes holds once this returns: every
-    /// shard a future query can target has published the new snapshot.
+    /// that shard's own WAL). Global read-your-writes holds once this
+    /// returns: every shard a future query can target has published the
+    /// new snapshot.
     ///
     /// Outcomes are computed against the router's authority maps, so
     /// they carry whole-dataset semantics; an upsert that moves a tuple
     /// across shards turns into upserts at the new owners plus deletes
     /// at the vacated ones.
+    ///
+    /// Both map guards are held for the whole call, so commits reach
+    /// every shard in one order and a join answered from the maps sees
+    /// the batch entirely or not at all. A failed shard commit restores
+    /// the maps before the error returns, which makes the batch
+    /// retryable; shards that had already applied their sub-batch stay
+    /// ahead until then (atomicity across shards is ROADMAP item 13).
     pub fn commit(&self, batch: &WriteBatch) -> Result<RouterReceipt, Rejection> {
         let mut r_geoms = lock(&self.r_geoms);
         let mut s_geoms = lock(&self.s_geoms);
         let mut subs: Vec<WriteBatch> = self.services.iter().map(|_| WriteBatch::new()).collect();
         let mut outcomes = Vec::with_capacity(batch.len());
+        // What each touched id held before this batch, in apply order.
+        let mut undo: Vec<(Side, u64, Option<Geometry>)> = Vec::new();
 
         for (side, op) in &batch.ops {
             let geoms = match side {
                 Side::R => &mut *r_geoms,
                 Side::S => &mut *s_geoms,
             };
-            match op {
-                Mutation::Insert { id, value } => {
-                    if geoms.contains_key(id) {
-                        outcomes.push(MutationOutcome::DuplicateId);
-                        continue;
-                    }
-                    if self.too_large(value) {
-                        outcomes.push(MutationOutcome::TooLarge);
-                        continue;
-                    }
-                    for t in self.owners(*side, &value.mbr()) {
-                        subs[t].ops.push((*side, op.clone()));
-                    }
-                    geoms.insert(*id, value.clone());
-                    outcomes.push(MutationOutcome::Inserted);
+            let id = op.id();
+            let new = match op {
+                Mutation::Insert { value, .. } | Mutation::Upsert { value, .. } => Some(value),
+                Mutation::Delete { .. } => None,
+            };
+            let present = geoms.contains_key(&id);
+            let outcome = match op {
+                Mutation::Insert { .. } if present => MutationOutcome::DuplicateId,
+                Mutation::Delete { .. } if !present => MutationOutcome::MissingId,
+                _ if new.is_some_and(|v| self.config.service.too_large(v)) => {
+                    MutationOutcome::TooLarge
                 }
-                Mutation::Delete { id } => {
-                    let Some(old) = geoms.get(id).map(Bounded::mbr) else {
-                        outcomes.push(MutationOutcome::MissingId);
-                        continue;
-                    };
-                    for t in self.owners(*side, &old) {
-                        subs[t].ops.push((*side, op.clone()));
+                Mutation::Insert { .. } => MutationOutcome::Inserted,
+                Mutation::Delete { .. } => MutationOutcome::Deleted,
+                Mutation::Upsert { .. } => MutationOutcome::Upserted { replaced: present },
+            };
+            outcomes.push(outcome);
+            if !outcome.applied() {
+                continue;
+            }
+            // The op goes to the shards owning the new value. Shards the
+            // tuple vacates (every owner, for a delete) must drop their
+            // stale copy or they would keep reporting matches for the
+            // tuple's old position.
+            let new_owners = new.map_or_else(Vec::new, |v| self.owners(*side, &v.mbr()));
+            for &t in &new_owners {
+                subs[t].ops.push((*side, op.clone()));
+            }
+            let old = match new {
+                Some(value) => geoms.insert(id, value.clone()),
+                None => geoms.remove(&id),
+            };
+            if let Some(old) = &old {
+                for t in self.owners(*side, &old.mbr()) {
+                    if !new_owners.contains(&t) {
+                        subs[t].ops.push((*side, Mutation::Delete { id }));
                     }
-                    geoms.remove(id);
-                    outcomes.push(MutationOutcome::Deleted);
-                }
-                Mutation::Upsert { id, value } => {
-                    if self.too_large(value) {
-                        outcomes.push(MutationOutcome::TooLarge);
-                        continue;
-                    }
-                    let old = geoms.get(id).map(Bounded::mbr);
-                    let new_owners = self.owners(*side, &value.mbr());
-                    for &t in &new_owners {
-                        subs[t].ops.push((*side, op.clone()));
-                    }
-                    if let Some(old) = old {
-                        // Vacated shards must drop their stale copy or
-                        // they would keep reporting matches for the
-                        // tuple's old position.
-                        for t in self.owners(*side, &old) {
-                            if !new_owners.contains(&t) {
-                                subs[t].ops.push((*side, Mutation::Delete { id: *id }));
-                            }
-                        }
-                    }
-                    let replaced = geoms.insert(*id, value.clone()).is_some();
-                    outcomes.push(MutationOutcome::Upserted { replaced });
                 }
             }
-        }
-        drop(r_geoms);
-        drop(s_geoms);
-
-        // The fallback holds the full dataset: it applies the original
-        // batch unmodified and independently derives the same outcomes
-        // — a continuous consistency check on the routing logic.
-        if let Some(fb) = self.fallback {
-            subs[fb] = batch.clone();
+            undo.push((*side, id, old));
         }
 
         let mut io = IoStats::default();
@@ -591,16 +595,29 @@ impl ShardRouter {
             if sub.is_empty() {
                 continue;
             }
-            let receipt = self.services[t].commit(sub)?;
+            let receipt = match self.services[t].commit(sub) {
+                Ok(receipt) => receipt,
+                Err(rejection) => {
+                    for (side, id, old) in undo.into_iter().rev() {
+                        let geoms = match side {
+                            Side::R => &mut *r_geoms,
+                            Side::S => &mut *s_geoms,
+                        };
+                        match old {
+                            Some(g) => geoms.insert(id, g),
+                            None => geoms.remove(&id),
+                        };
+                    }
+                    return Err(rejection);
+                }
+            };
             io.merge(&receipt.io);
             cache_purged += receipt.cache_purged;
             cache_retained += receipt.cache_retained;
             shard_commits += 1;
-            if Some(t) == self.fallback {
-                debug_assert_eq!(
-                    receipt.outcomes, outcomes,
-                    "fallback outcomes diverged from router-computed outcomes"
-                );
+            #[cfg(test)]
+            if let Some(hook) = &self.after_shard_commit {
+                hook(t);
             }
         }
         let version = self.commits.fetch_add(1, Ordering::Relaxed) + 1;
@@ -614,14 +631,6 @@ impl ShardRouter {
         })
     }
 
-    /// Fault-free sequential oracle over the full dataset (the fallback
-    /// shard, or shard 0 when the plan has a single leaf — either holds
-    /// everything). Used by benches and tests to assert zero divergence
-    /// between scatter-gather and single-node execution.
-    pub fn execute_reference(&self, req: &Request) -> Reply {
-        self.services[self.fallback.unwrap_or(0)].execute_reference(req)
-    }
-
     /// Per-shard metrics merged into one snapshot (histograms merge
     /// bucket-wise; counters sum).
     pub fn metrics(&self) -> ServiceMetrics {
@@ -633,22 +642,17 @@ impl ShardRouter {
     }
 
     /// Emits every shard's metric spans namespaced as `shard:<i>/…`
-    /// (`shard:fallback/…` for the fallback) plus a `router/summary`
-    /// span with the router's own counters — one merged trace stream
-    /// that still attributes every phase to the shard that ran it.
+    /// plus a `router/summary` span with the router's own counters —
+    /// one merged trace stream that still attributes every phase to the
+    /// shard that ran it.
     pub fn emit_metrics(&self, sink: &mut TraceSink) {
         if !sink.is_enabled() {
             return;
         }
-        for t in 0..self.plan.len() {
+        for (t, service) in self.services.iter().enumerate() {
             let mut shard_sink = TraceSink::vec();
-            self.services[t].emit_metrics(&mut shard_sink);
+            service.emit_metrics(&mut shard_sink);
             sink.absorb(&format!("shard:{t}"), shard_sink.events());
-        }
-        if let Some(fb) = self.fallback {
-            let mut shard_sink = TraceSink::vec();
-            self.services[fb].emit_metrics(&mut shard_sink);
-            sink.absorb("shard:fallback", shard_sink.events());
         }
         sink.emit(
             "router/summary",
@@ -657,9 +661,10 @@ impl ShardRouter {
                 ("shards", self.plan.len() as u64),
                 ("splits", self.plan.splits() as u64),
                 ("queries", self.queries.load(Ordering::Relaxed)),
+                // Joins answered at the router (the key predates that).
                 (
                     "fallback_queries",
-                    self.fallback_queries.load(Ordering::Relaxed),
+                    self.router_joins.load(Ordering::Relaxed),
                 ),
                 (
                     "duplicates_removed",
@@ -675,6 +680,9 @@ impl ShardRouter {
 mod tests {
     use super::*;
     use sj_geom::{Direction, Point, Polygon};
+    use sj_storage::{FaultConfig, FaultInjector, PageId};
+    use std::collections::HashSet;
+    use std::sync::Barrier;
 
     const ALL_THETAS: [ThetaOp; 8] = [
         ThetaOp::WithinCenterDistance(9.0),
@@ -715,12 +723,37 @@ mod tests {
         }
     }
 
-    fn router(shards: usize) -> ShardRouter {
-        ShardRouter::start(
-            config(shards),
-            &grid_tuples(8, 8.0, 0),
-            &grid_tuples(8, 8.0, 500),
+    /// A router over `r`/`s` and the oracle every test compares it
+    /// with: one whole-data [`SpatialService`] on the same tuples and
+    /// service configuration, fed the same commits ([`commit_both`]).
+    fn router_and_oracle(
+        shards: usize,
+        r: &[(u64, Geometry)],
+        s: &[(u64, Geometry)],
+    ) -> (ShardRouter, SpatialService) {
+        let cfg = config(shards);
+        (
+            ShardRouter::start(cfg, r, s),
+            SpatialService::start(cfg.service, r, s, world_of(r, s)),
         )
+    }
+
+    /// The default data: two 8×8 point lattices over [0, 56]².
+    fn router(shards: usize) -> (ShardRouter, SpatialService) {
+        router_and_oracle(shards, &grid_tuples(8, 8.0, 0), &grid_tuples(8, 8.0, 500))
+    }
+
+    /// Commits `batch` to both and checks the router's whole-dataset
+    /// outcomes against the single node's.
+    fn commit_both(
+        router: &ShardRouter,
+        oracle: &SpatialService,
+        batch: &WriteBatch,
+    ) -> RouterReceipt {
+        let receipt = router.commit(batch).expect("router commit accepted");
+        let want = oracle.commit(batch).expect("oracle commit accepted");
+        assert_eq!(receipt.outcomes, want.outcomes, "outcomes for {batch:?}");
+        receipt
     }
 
     fn pairs_of(reply: &Reply) -> Vec<(u64, u64)> {
@@ -730,20 +763,30 @@ mod tests {
         }
     }
 
+    /// Faults the next WAL sync of `service` (sync attempt ids count
+    /// from 0 per injector), as `sj-service`'s own WAL-fault test does.
+    fn fault_next_wal_sync(service: &SpatialService) {
+        service.set_wal_fault_injector(Some(FaultInjector::new(FaultConfig {
+            write_prob: 1.0,
+            target_pages: Some(HashSet::from([PageId(0)])),
+            ..FaultConfig::default()
+        })));
+    }
+
     /// Scatter-gather equals the single-node oracle for every θ-op and
     /// shard count, for both SELECT and JOIN, including the operators
-    /// that must route to the fallback (DirectionOf; distance beyond
-    /// the halo).
+    /// the router answers itself (DirectionOf; distance beyond the
+    /// halo).
     #[test]
     fn scatter_gather_matches_reference_for_all_thetas() {
         for shards in [1, 2, 4] {
-            let router = router(shards);
+            let (router, oracle) = router(shards);
             for theta in ALL_THETAS {
                 let join = Request::join(Strategy::Tree, theta);
                 let got = router.call(join.clone()).expect("join accepted");
                 assert_eq!(
                     got.reply,
-                    router.execute_reference(&join),
+                    oracle.execute_reference(&join),
                     "join {theta:?} diverged at {shards} shards"
                 );
                 for probe in [
@@ -754,7 +797,7 @@ mod tests {
                     let got = router.call(select.clone()).expect("select accepted");
                     assert_eq!(
                         got.reply,
-                        router.execute_reference(&select),
+                        oracle.execute_reference(&select),
                         "select {theta:?} diverged at {shards} shards"
                     );
                 }
@@ -762,31 +805,79 @@ mod tests {
         }
     }
 
+    fn summary_counter(router: &ShardRouter, key: &str) -> u64 {
+        let mut sink = TraceSink::vec();
+        router.emit_metrics(&mut sink);
+        let summary = sink.events().iter().find(|e| e.span == "router/summary");
+        let counters = &summary.expect("router/summary emitted").counters;
+        counters.iter().find(|(k, _)| *k == key).expect("key").1
+    }
+
     #[test]
-    fn bounded_joins_scatter_and_unbounded_route_to_fallback() {
-        let router = router(4);
-        assert!(router.has_fallback());
+    fn bounded_joins_scatter_and_unbounded_are_answered_at_the_router() {
+        let (router, oracle) = router(4);
         let scattered = router
             .call(Request::join(Strategy::Tree, ThetaOp::Overlaps))
             .unwrap();
-        assert_eq!(scattered.shards_queried, router.shard_count());
-        let unbounded = router
-            .call(Request::join(
-                Strategy::Tree,
-                ThetaOp::DirectionOf(Direction::NorthWest),
-            ))
-            .unwrap();
-        assert_eq!(unbounded.shards_queried, 1, "unbounded θ uses the fallback");
-        // Distance beyond the halo cannot rely on tile coverage either.
-        let wide = router
-            .call(Request::join(Strategy::Tree, ThetaOp::WithinDistance(50.0)))
-            .unwrap();
-        assert_eq!(wide.shards_queried, 1);
+        assert_eq!(scattered.shards_queried, router.plan().len());
+        assert_eq!(summary_counter(&router, "fallback_queries"), 0);
+        // An unbounded θ, and a distance beyond the halo: tile coverage
+        // cannot be relied on, so no shard is asked.
+        let unlocalisable = [
+            ThetaOp::DirectionOf(Direction::NorthWest),
+            ThetaOp::WithinDistance(50.0),
+        ];
+        for (n, theta) in unlocalisable.into_iter().enumerate() {
+            let join = Request::join(Strategy::Tree, theta);
+            let got = router.call(join.clone()).unwrap();
+            assert_eq!(got.shards_queried, 0, "{theta:?} uses no shard");
+            assert_eq!(got.reply, oracle.execute_reference(&join), "{theta:?}");
+            assert!(!pairs_of(&got.reply).is_empty(), "{theta:?} must match");
+            assert_eq!(summary_counter(&router, "fallback_queries"), n as u64 + 1);
+        }
+    }
+
+    /// The router path on the batched sweep kernel: both sides hold at
+    /// least `BATCH_MIN` tuples and the radius (9) exceeds the halo
+    /// (8). The rects are 6 wide on an 8-step lattice, so the Θ-filter
+    /// (MBR gap ≤ 9) admits many pairs the exact centre-distance θ
+    /// rejects — filter and refine both do work.
+    #[test]
+    fn wide_radius_join_runs_the_batched_sweep_at_the_router() {
+        let rects = |id0: u64, shift: f64| -> Vec<(u64, Geometry)> {
+            let cell = |i: u64| ((i % 6) as f64 * 8.0 + shift, (i / 6) as f64 * 8.0 + shift);
+            let rect = |(x, y): (f64, f64)| Rect::from_bounds(x, y, x + 6.0, y + 6.0);
+            (0..36)
+                .map(|i| (id0 + i, Geometry::Rect(rect(cell(i)))))
+                .collect()
+        };
+        let (r, s) = (rects(0, 0.0), rects(500, 3.0));
+        assert!(r.len().min(s.len()) >= sj_geom::BATCH_MIN);
+        let (router, oracle) = router_and_oracle(4, &r, &s);
+        let theta = ThetaOp::WithinCenterDistance(9.0);
+        assert!(theta.filter_radius().unwrap() > router.halo());
+        for strategy in [Strategy::NestedLoop, Strategy::Sweep, Strategy::Tree] {
+            let join = Request::join(strategy, theta);
+            let got = router.call(join.clone()).unwrap();
+            assert_eq!(got.shards_queried, 0);
+            assert_eq!(got.reply, oracle.execute_reference(&join), "{strategy:?}");
+        }
+        let candidates = r
+            .iter()
+            .flat_map(|(_, a)| s.iter().map(move |(_, b)| theta.filter(&a.mbr(), &b.mbr())))
+            .filter(|passes| *passes)
+            .count();
+        let join = Request::join(Strategy::Sweep, theta);
+        let matches = pairs_of(&router.call(join).unwrap().reply).len();
+        assert!(
+            0 < matches && matches < candidates,
+            "refinement must reject"
+        );
     }
 
     #[test]
     fn bounded_selects_target_only_overlapping_shards() {
-        let router = router(4);
+        let (router, _) = router(4);
         let near_corner = Request::select(
             Side::R,
             Geometry::Point(Point::new(1.0, 1.0)),
@@ -794,7 +885,7 @@ mod tests {
         );
         let got = router.call(near_corner).unwrap();
         assert!(
-            got.shards_queried < router.shard_count(),
+            got.shards_queried < router.plan().len(),
             "a corner probe with radius 0 must not broadcast"
         );
         let unbounded = Request::select(
@@ -803,7 +894,7 @@ mod tests {
             ThetaOp::DirectionOf(Direction::NorthWest),
         );
         let got = router.call(unbounded).unwrap();
-        assert_eq!(got.shards_queried, router.shard_count());
+        assert_eq!(got.shards_queried, router.plan().len());
     }
 
     /// Commits route to owning shards, reads observe them immediately
@@ -811,17 +902,25 @@ mod tests {
     /// into border shards rather than lost.
     #[test]
     fn commit_routes_writes_and_reads_observe_them() {
-        let router = router(2);
+        let (router, oracle) = router(2);
+        // Two tiles split at x = 28: (33, 17) lies in the right one
+        // only, and (200, 200) clamps to the world's max corner, also in
+        // the right one — one owning tile, one shard commit.
         let batch = WriteBatch::new()
             .insert(Side::S, 9_000, Geometry::Point(Point::new(33.0, 17.0)))
             .insert(Side::S, 9_001, Geometry::Point(Point::new(200.0, 200.0)));
-        let receipt = router.commit(&batch).expect("commit accepted");
+        let receipt = commit_both(&router, &oracle, &batch);
         assert_eq!(
             receipt.outcomes,
             vec![MutationOutcome::Inserted, MutationOutcome::Inserted]
         );
-        assert!(receipt.shard_commits >= 2, "data shard + fallback");
+        assert_eq!(receipt.shard_commits, 1, "only the owning tile commits");
         assert_eq!(receipt.version, 1);
+        // An R tuple whose halo crosses the split is owned by both.
+        let straddling =
+            WriteBatch::new().insert(Side::R, 9_002, Geometry::Point(Point::new(30.0, 10.0)));
+        let receipt = commit_both(&router, &oracle, &straddling);
+        assert_eq!(receipt.shard_commits, 2, "both owning tiles commit");
 
         let in_world = Request::select(
             Side::S,
@@ -829,7 +928,7 @@ mod tests {
             ThetaOp::Overlaps,
         );
         let got = router.call(in_world.clone()).unwrap();
-        assert_eq!(got.reply, router.execute_reference(&in_world));
+        assert_eq!(got.reply, oracle.execute_reference(&in_world));
         match got.reply {
             Reply::Select { matches } => assert!(matches.contains(&9_000)),
             _ => panic!("expected select reply"),
@@ -843,7 +942,7 @@ mod tests {
             ThetaOp::WithinCenterDistance(300.0),
         );
         let got = router.call(near_border.clone()).unwrap();
-        assert_eq!(got.reply, router.execute_reference(&near_border));
+        assert_eq!(got.reply, oracle.execute_reference(&near_border));
         match got.reply {
             Reply::Select { matches } => assert!(matches.contains(&9_001)),
             _ => panic!("expected select reply"),
@@ -855,13 +954,13 @@ mod tests {
     /// keep reporting the old position.
     #[test]
     fn upsert_move_across_shards_deletes_stale_copy() {
-        let router = router(2);
+        let (router, oracle) = router(2);
         let moved = WriteBatch::new().upsert(
             Side::S,
             500, // originally at (0, 0)
             Geometry::Point(Point::new(56.0, 0.0)),
         );
-        let receipt = router.commit(&moved).expect("commit accepted");
+        let receipt = commit_both(&router, &oracle, &moved);
         assert_eq!(
             receipt.outcomes,
             vec![MutationOutcome::Upserted { replaced: true }]
@@ -869,7 +968,7 @@ mod tests {
         for theta in [ThetaOp::Overlaps, ThetaOp::WithinDistance(4.0)] {
             let join = Request::join(Strategy::Tree, theta);
             let got = router.call(join.clone()).unwrap();
-            let want = router.execute_reference(&join);
+            let want = oracle.execute_reference(&join);
             assert_eq!(got.reply, want, "{theta:?} after cross-shard move");
             let pairs = pairs_of(&got.reply);
             assert!(
@@ -886,7 +985,7 @@ mod tests {
     /// Router-computed outcomes carry whole-dataset semantics.
     #[test]
     fn mutation_outcomes_are_global() {
-        let router = router(2);
+        let (router, oracle) = router(2);
         let huge = Geometry::Polygon(
             Polygon::new(
                 (0..64)
@@ -904,7 +1003,7 @@ mod tests {
             .delete(Side::R, 77_777)
             .delete(Side::R, 63)
             .upsert(Side::R, 9_200, Geometry::Point(Point::new(2.0, 2.0)));
-        let receipt = router.commit(&batch).expect("commit accepted");
+        let receipt = commit_both(&router, &oracle, &batch);
         assert_eq!(
             receipt.outcomes,
             vec![
@@ -917,20 +1016,134 @@ mod tests {
         );
     }
 
+    /// A batch touching both tiles and both sides: R 9_000 straddles
+    /// the x = 28 split (halo 8), S 9_001 lies in the right tile, S 531
+    /// (at (24, 24)) is deleted from the left one.
+    fn two_tile_batch() -> WriteBatch {
+        WriteBatch::new()
+            .insert(Side::R, 9_000, Geometry::Point(Point::new(30.0, 10.0)))
+            .insert(Side::S, 9_001, Geometry::Point(Point::new(31.0, 10.0)))
+            .delete(Side::S, 531)
+    }
+
+    /// Regression: `commit` used to update the authority maps, drop
+    /// their guards and then commit the sub-batches with `?`, so one
+    /// failed shard commit left the maps ahead of the shards for good —
+    /// a retry of the same insert answered `DuplicateId` and was never
+    /// routed. The failing shard here is the *last* one, so an earlier
+    /// shard has already applied its sub-batch when the error returns.
+    #[test]
+    fn failed_shard_commit_leaves_the_authority_maps_untouched_and_is_retryable() {
+        let (router, oracle) = router(2);
+        let batch = two_tile_batch();
+        let wide = Request::join(Strategy::Tree, ThetaOp::WithinDistance(50.0));
+        let before = router.call(wide.clone()).unwrap().reply;
+
+        fault_next_wal_sync(&router.services[1]);
+        let err = router.commit(&batch).expect_err("the sync fault aborts");
+        assert!(matches!(err, Rejection::Failed(_)), "got {err:?}");
+        assert_eq!(router.version(), 0, "a failed commit takes no version");
+        assert_eq!(
+            router.call(wide.clone()).unwrap().reply,
+            before,
+            "the authority maps must be as before the failed commit"
+        );
+
+        // The same batch again (the injector targeted one sync only).
+        let receipt = commit_both(&router, &oracle, &batch);
+        assert_eq!(
+            receipt.outcomes,
+            vec![
+                MutationOutcome::Inserted,
+                MutationOutcome::Inserted,
+                MutationOutcome::Deleted
+            ]
+        );
+        for theta in [ThetaOp::WithinDistance(2.0), ThetaOp::WithinDistance(50.0)] {
+            let join = Request::join(Strategy::Tree, theta);
+            let got = router.call(join.clone()).unwrap().reply;
+            assert_eq!(
+                got,
+                oracle.execute_reference(&join),
+                "{theta:?} after retry"
+            );
+            assert!(pairs_of(&got).contains(&(9_000, 9_001)));
+        }
+        let select = Request::select(
+            Side::S,
+            Geometry::Point(Point::new(24.0, 24.0)),
+            ThetaOp::WithinDistance(9.0),
+        );
+        let got = router.call(select.clone()).unwrap().reply;
+        assert_eq!(got, oracle.execute_reference(&select));
+    }
+
+    /// A join answered from the authority maps, issued from a second
+    /// thread while a two-shard commit sits between its shard commits,
+    /// sees that batch entirely (the commit succeeds) or not at all
+    /// (its second shard commit fails) — never the half that is already
+    /// in the maps and on one shard.
+    #[test]
+    fn a_router_join_during_a_multi_shard_commit_sees_the_batch_entirely_or_not_at_all() {
+        let (mut router, oracle) = router(2);
+        let wide = Request::join(Strategy::Tree, ThetaOp::WithinDistance(50.0));
+        // The commit thread parks on this barrier twice after shard 0
+        // has committed: once to say so, once to be released.
+        let mid_commit = Arc::new(Barrier::new(2));
+        let parked = Arc::clone(&mid_commit);
+        router.after_shard_commit = Some(Box::new(move |t| {
+            if t == 0 {
+                parked.wait();
+                parked.wait();
+            }
+        }));
+        let router = &router;
+        let issued = Barrier::new(2);
+        let join_during_commit = |batch: &WriteBatch| {
+            std::thread::scope(|scope| {
+                let commit = scope.spawn(|| router.commit(batch));
+                mid_commit.wait();
+                assert!(
+                    router.r_geoms.try_lock().is_err() && router.s_geoms.try_lock().is_err(),
+                    "commit holds both map guards between shard commits"
+                );
+                let join = scope.spawn(|| {
+                    issued.wait();
+                    router.call(wide.clone()).unwrap().reply
+                });
+                issued.wait();
+                mid_commit.wait();
+                (commit.join().unwrap(), join.join().unwrap())
+            })
+        };
+
+        let before = oracle.execute_reference(&wide);
+        fault_next_wal_sync(&router.services[1]);
+        let (committed, seen) = join_during_commit(&two_tile_batch());
+        assert!(committed.is_err(), "the second shard commit fails");
+        assert_eq!(seen, before, "nothing of a failed batch is visible");
+
+        let (committed, seen) = join_during_commit(&two_tile_batch());
+        assert!(committed.is_ok(), "the retry commits");
+        oracle.commit(&two_tile_batch()).unwrap();
+        assert_eq!(seen, oracle.execute_reference(&wide), "all of it");
+        assert_ne!(seen, before);
+    }
+
     /// `Auto` joins feed per-shard observations back into the advisors
     /// while every reply stays correct (pair-set comparison: the oracle
     /// resolves `Auto` with the static model, shards adaptively).
     #[test]
     fn adaptive_auto_accumulates_observations_and_stays_exact() {
-        let router = router(2);
+        let (router, oracle) = router(2);
         let theta = ThetaOp::WithinDistance(5.0);
         let req = Request::join(Strategy::Auto, theta);
-        let want = pairs_of(&router.execute_reference(&req));
+        let want = pairs_of(&oracle.execute_reference(&req));
         for _ in 0..6 {
             let got = router.call(req.clone()).expect("join accepted");
             assert_eq!(pairs_of(&got.reply), want);
         }
-        for shard in 0..router.shard_count() {
+        for shard in 0..router.plan().len() {
             assert!(
                 router.advisor_observations(shard, theta) >= 4,
                 "shard {shard} advisor must be learning"
@@ -940,13 +1153,13 @@ mod tests {
 
     #[test]
     fn metrics_merge_and_traces_are_namespaced_per_shard() {
-        let router = router(2);
+        let (router, _) = router(2);
         let req = Request::join(Strategy::Tree, ThetaOp::Overlaps);
         router.call(req.clone()).unwrap();
         router.call(req).unwrap();
         let merged = router.metrics();
         assert!(
-            merged.completed >= 2 * router.shard_count() as u64,
+            merged.completed >= 2 * router.plan().len() as u64,
             "merged completions must count every shard sub-request"
         );
 
@@ -955,7 +1168,6 @@ mod tests {
         let spans: Vec<&str> = sink.events().iter().map(|e| e.span.as_str()).collect();
         assert!(spans.iter().any(|s| s.starts_with("shard:0/")));
         assert!(spans.iter().any(|s| s.starts_with("shard:1/")));
-        assert!(spans.iter().any(|s| s.starts_with("shard:fallback/")));
         assert!(spans.contains(&"router/summary"));
         // A Null sink stays silent.
         let mut null = TraceSink::Null;
@@ -968,7 +1180,7 @@ mod tests {
     /// thread; the router must keep answering correctly.
     #[test]
     fn poisoned_locks_do_not_take_the_router_down() {
-        let router = router(2);
+        let (router, oracle) = router(2);
         let poison = |hold: &(dyn Fn() + Sync)| {
             let panicked = std::thread::scope(|scope| scope.spawn(hold).join().is_err());
             assert!(panicked, "the holder thread must panic");
@@ -994,38 +1206,43 @@ mod tests {
         let got = router.call(auto.clone()).expect("call survives poisoning");
         assert_eq!(
             pairs_of(&got.reply),
-            pairs_of(&router.execute_reference(&auto))
+            pairs_of(&oracle.execute_reference(&auto))
         );
         assert!(router.advisor_observations(0, theta) >= 1);
 
-        // A commit walks both authority maps, and reads observe it.
+        // A commit walks both authority maps, and reads observe it —
+        // through the shards and through the maps themselves.
         let batch = WriteBatch::new()
             .insert(Side::R, 9_000, Geometry::Point(Point::new(9.0, 9.0)))
             .insert(Side::S, 9_001, Geometry::Point(Point::new(9.0, 9.0)));
-        let receipt = router.commit(&batch).expect("commit survives poisoning");
+        let receipt = commit_both(&router, &oracle, &batch);
         assert_eq!(
             receipt.outcomes,
             vec![MutationOutcome::Inserted, MutationOutcome::Inserted]
         );
-        let join = Request::join(Strategy::Tree, ThetaOp::Overlaps);
-        let got = router.call(join.clone()).expect("join accepted");
-        assert_eq!(got.reply, router.execute_reference(&join));
-        assert!(pairs_of(&got.reply).contains(&(9_000, 9_001)));
+        for theta in [ThetaOp::Overlaps, ThetaOp::WithinDistance(50.0)] {
+            let join = Request::join(Strategy::Tree, theta);
+            let got = router.call(join.clone()).expect("join accepted");
+            assert_eq!(got.reply, oracle.execute_reference(&join));
+            assert!(pairs_of(&got.reply).contains(&(9_000, 9_001)));
+        }
     }
 
     #[test]
     fn unsupported_strategy_theta_combination_is_rejected_before_scatter() {
-        let router = router(2);
+        let (router, _) = router(2);
         let req = Request::join(Strategy::Grid, ThetaOp::DirectionOf(Direction::NorthWest));
         assert!(matches!(router.call(req), Err(Rejection::UnsupportedTheta)));
     }
 
+    /// One rule for every plan size: a single tile holds everything,
+    /// and the router still answers the directional join itself.
     #[test]
     fn single_shard_plan_has_no_fallback_but_serves_everything() {
-        let router = router(1);
-        assert!(!router.has_fallback());
+        let (router, oracle) = router(1);
         let req = Request::join(Strategy::Tree, ThetaOp::DirectionOf(Direction::South));
         let got = router.call(req.clone()).unwrap();
-        assert_eq!(got.reply, router.execute_reference(&req));
+        assert_eq!(got.shards_queried, 0);
+        assert_eq!(got.reply, oracle.execute_reference(&req));
     }
 }

@@ -106,4 +106,18 @@ if twins=$(printf '%s\n' "$entry_points" | grep -E '_traced|_with|_counted'); th
 fi
 echo "    -> $count public join/select entry points, no twins"
 
+echo "==> residency gate (one service per plan leaf, one authority copy at the router)"
+# Non-test sj-shard code starts services at exactly one call site (the
+# per-leaf loop) and names no fallback: the only whole-data structure at
+# the router is the authority maps. The trace key "fallback_queries" is
+# pinned by the benchmark and is the one allowed mention.
+shard_src=$(for f in crates/shard/src/*.rs; do awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f"; done)
+starts=$(grep -c 'SpatialService::start' <<<"$shard_src" || true)
+stray=$(grep -v '"fallback_queries"' <<<"$shard_src" | grep -c 'fallback' || true)
+if [ "$starts" -ne 1 ] || [ "$stray" -ne 0 ]; then
+    echo "    $starts SpatialService::start call sites (want 1), $stray stray 'fallback' lines (want 0)"
+    exit 1
+fi
+echo "    -> one SpatialService::start call site, no fallback"
+
 echo "CI OK"
