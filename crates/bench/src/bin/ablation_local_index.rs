@@ -61,14 +61,16 @@ fn main() {
     let probe = Geometry::Point(Point::new(512.0, 512.0));
     let mut reference: Option<Vec<(u64, u64)>> = None;
     for level in 0..=r.tree.height() {
-        let (mut idx, build) = LocalJoinIndex::build(&mut pool, &r, &s, theta, level, 100);
+        let (mut idx, build) = LocalJoinIndex::try_build(&mut pool, &r, &s, theta, level, 100)
+            .expect("in-memory disk cannot fault");
         let maint = {
             // Measure one maintenance insertion, then discard its effect by
             // rebuilding below on the next iteration (each level rebuilds).
             idx.maintain_insert_r(&r.tree, &s.tree, 42_4242, &probe)
         };
         // Rebuild for the query so the extra tuple does not pollute it.
-        let (idx, _) = LocalJoinIndex::build(&mut pool, &r, &s, theta, level, 100);
+        let (idx, _) = LocalJoinIndex::try_build(&mut pool, &r, &s, theta, level, 100)
+            .expect("in-memory disk cannot fault");
         let run = idx
             .join(&mut pool, &mut TraceSink::Null)
             .expect("in-memory disk cannot fault");

@@ -67,7 +67,8 @@ fn main() {
     let complete = nested_loop_join(&mut pool, &r, &s, ThetaOp::Adjacent, &mut TraceSink::Null)
         .expect("in-memory disk cannot fault");
     for window in [1usize, 2, 4, 1000] {
-        let naive = naive_zvalue_sort_merge(&mut pool, &r, &s, &grid, ThetaOp::Adjacent, window);
+        let naive = naive_zvalue_sort_merge(&mut pool, &r, &s, &grid, ThetaOp::Adjacent, window)
+            .expect("in-memory disk cannot fault");
         println!(
             "  merge window {window:>4}: {} of {} adjacent pairs found{}",
             naive.pairs.len(),

@@ -74,7 +74,8 @@ fn main() {
     let r = StoredRelation::build(&mut pool, &tuples(0), 300, Layout::Clustered);
     let s = StoredRelation::build(&mut pool, &tuples(100_000), 300, Layout::Clustered);
     let theta = ThetaOp::WithinDistance(1.1);
-    let (mut idx, build) = JoinIndex::build(&mut pool, &r, &s, theta, 100);
+    let (mut idx, build) =
+        JoinIndex::try_build(&mut pool, &r, &s, theta, 100).expect("in-memory disk cannot fault");
     println!(
         "  join-index build: {} θ-evals, {} reads, {} writes; {} entries, height {}",
         build.theta_evals,
@@ -85,12 +86,14 @@ fn main() {
     );
     pool.clear();
     pool.reset_stats();
-    let maint = idx.maintain_insert_r(
-        &mut pool,
-        999_999,
-        &Geometry::Point(Point::new(25.0, 25.0)),
-        &s,
-    );
+    let maint = idx
+        .maintain_insert_r(
+            &mut pool,
+            999_999,
+            &Geometry::Point(Point::new(25.0, 25.0)),
+            &s,
+        )
+        .expect("in-memory disk cannot fault");
     println!(
         "  one insertion with a join index: {} θ-evals (= |S|), {} page reads",
         maint.theta_evals, maint.physical_reads

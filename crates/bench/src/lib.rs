@@ -1,9 +1,10 @@
 //! # sj-bench — reproduction harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus
-//! Criterion micro-benchmarks (see `benches/`). Every figure binary prints
-//! a header with the Table 3 parameters it uses followed by CSV series
-//! that regenerate the figure's data.
+//! One binary per table/figure of the paper (see `src/bin/`). Every
+//! figure binary prints a header with the Table 3 parameters it uses
+//! followed by CSV series that regenerate the figure's data. Wall-clock
+//! probes of the hot kernels live in the end-to-end harness
+//! (`benchmark/src/layers/`), not here.
 
 use sj_costmodel::series::Series;
 use sj_costmodel::ModelParams;

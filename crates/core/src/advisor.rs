@@ -318,22 +318,8 @@ impl AdaptiveAdvisor {
 
 /// Monte-Carlo selectivity estimation: θ-tests `samples` random tuple
 /// pairs and returns the matching fraction — the `p` to feed the model
-/// when only the data is known.
-pub fn estimate_selectivity(
-    pool: &mut BufferPool,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    theta: ThetaOp,
-    samples: usize,
-    seed: u64,
-) -> f64 {
-    try_estimate_selectivity(pool, r, s, theta, samples, seed)
-        .unwrap_or_else(|e| panic!("selectivity estimation failed: {e}"))
-}
-
-/// Fail-stop [`estimate_selectivity`]: the first faulted sample read
-/// aborts the estimate with a typed error (no estimate from a partial
-/// sample).
+/// when only the data is known. The first faulted sample read aborts the
+/// estimate with a typed error (no estimate from a partial sample).
 pub fn try_estimate_selectivity(
     pool: &mut BufferPool,
     r: &StoredRelation,
@@ -640,7 +626,7 @@ mod tests {
         let r = StoredRelation::build(&mut pool, &mk(0.0, 0), 300, Layout::Clustered);
         let s = StoredRelation::build(&mut pool, &mk(0.5, 10_000), 300, Layout::Clustered);
         let theta = ThetaOp::WithinDistance(0.6);
-        let est = estimate_selectivity(&mut pool, &r, &s, theta, 20_000, 7);
+        let est = try_estimate_selectivity(&mut pool, &r, &s, theta, 20_000, 7).unwrap();
         // Ground truth by exhaustive counting.
         let matches = sj_joins::nested_loop::nested_loop_join(
             &mut pool,

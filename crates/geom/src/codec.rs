@@ -135,10 +135,7 @@ pub fn try_decode_record(bytes: &[u8]) -> Result<(u64, Geometry), CodecError> {
             have: bytes.len(),
         });
     }
-    let points = read_points(bytes, HEADER_LEN, count);
-    if points.iter().any(|p| !p.x.is_finite() || !p.y.is_finite()) {
-        return Err(CodecError::InvalidGeometry("non-finite coordinate"));
-    }
+    let points = read_points(bytes, HEADER_LEN, count)?;
     let g = match tag {
         TAG_POINT => {
             if count != 1 {
@@ -163,18 +160,6 @@ pub fn try_decode_record(bytes: &[u8]) -> Result<(u64, Geometry), CodecError> {
     Ok((id, g))
 }
 
-/// Decodes a record produced by [`encode_record`] (padding is ignored).
-///
-/// # Panics
-///
-/// Panics on malformed input. // PANIC-OK: reserved for buffers that never
-/// crossed the storage layer (records encoded and decoded in memory, e.g.
-/// tests and the tuple codec's in-process round-trip). Storage-backed
-/// readers must use [`try_decode_record`].
-pub fn decode_record(bytes: &[u8]) -> (u64, Geometry) {
-    try_decode_record(bytes).expect("well-formed in-memory record")
-}
-
 fn try_header(bytes: &[u8]) -> Result<(u64, u8, usize), CodecError> {
     if bytes.len() < HEADER_LEN {
         return Err(CodecError::Truncated {
@@ -188,15 +173,20 @@ fn try_header(bytes: &[u8]) -> Result<(u64, u8, usize), CodecError> {
     Ok((id, tag, count))
 }
 
-fn read_points(bytes: &[u8], base: usize, count: usize) -> Vec<Point> {
+/// Reads `count` coordinate pairs. Finiteness is checked on the raw
+/// floats because [`Point::new`] panics on NaN/∞.
+fn read_points(bytes: &[u8], base: usize, count: usize) -> Result<Vec<Point>, CodecError> {
     let mut points = Vec::with_capacity(count);
     for i in 0..count {
         let off = base + 16 * i;
         let x = f64::from_le_bytes(bytes[off..off + 8].try_into().expect("sliced"));
         let y = f64::from_le_bytes(bytes[off + 8..off + 16].try_into().expect("sliced"));
+        if !(x.is_finite() && y.is_finite()) {
+            return Err(CodecError::InvalidGeometry("non-finite coordinate"));
+        }
         points.push(Point::new(x, y));
     }
-    points
+    Ok(points)
 }
 
 /// v2 header bytes before the cell array: the common header plus the MBR
@@ -307,7 +297,7 @@ mod tests {
     fn roundtrip(id: u64, g: Geometry) {
         let rec = encode_record(id, &g, 300);
         assert_eq!(rec.len(), 300);
-        let (id2, g2) = decode_record(&rec);
+        let (id2, g2) = try_decode_record(&rec).unwrap();
         assert_eq!(id, id2);
         assert_eq!(g, g2);
     }
@@ -359,7 +349,7 @@ mod tests {
         let g = Geometry::Point(Point::new(9.0, 9.0));
         let small = encode_record(5, &g, encoded_len(&g));
         let large = encode_record(5, &g, 1000);
-        assert_eq!(decode_record(&small), decode_record(&large));
+        assert_eq!(try_decode_record(&small), try_decode_record(&large));
     }
 
     #[test]
@@ -383,6 +373,13 @@ mod tests {
             try_decode_record(&bad),
             Err(CodecError::UnknownTag(0x7f))
         ));
+        // A non-finite coordinate is rejected before a `Point` is built.
+        let mut nan = rec.clone();
+        nan[HEADER_LEN..HEADER_LEN + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        assert_eq!(
+            try_decode_record(&nan),
+            Err(CodecError::InvalidGeometry("non-finite coordinate"))
+        );
         // Collinear "polygon" is invalid.
         let mut line = encode_record(
             1,

@@ -42,7 +42,7 @@ proptest! {
         let tight = codec::encoded_len(&g);
         let record = codec::encode_record(id, &g, tight + extra);
         prop_assert_eq!(record.len(), tight + extra);
-        let (id2, g2) = codec::decode_record(&record);
+        let (id2, g2) = codec::try_decode_record(&record).unwrap();
         prop_assert_eq!(id, id2);
         prop_assert_eq!(g, g2);
     }

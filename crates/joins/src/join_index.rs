@@ -16,7 +16,7 @@ use sj_obs::{Phase, PhaseTimer, TraceSink};
 use sj_storage::{BufferPool, StorageError};
 
 use crate::relation::StoredRelation;
-use crate::stats::{ExecStats, JoinRun, SelectRun};
+use crate::stats::{ExecStats, JoinRun};
 
 /// A persistent, incrementally maintained join index for `R ⋈_θ S`.
 #[derive(Debug)]
@@ -29,20 +29,9 @@ pub struct JoinIndex {
 impl JoinIndex {
     /// Precomputes the join index by θ-testing all pairs. Returns the
     /// index and the (substantial) build cost: a nested-loop pass priced
-    /// in θ-evaluations, data-page reads, and index-page writes.
-    pub fn build(
-        pool: &mut BufferPool,
-        r: &StoredRelation,
-        s: &StoredRelation,
-        theta: ThetaOp,
-        z: usize,
-    ) -> (Self, ExecStats) {
-        Self::try_build(pool, r, s, theta, z)
-            .unwrap_or_else(|e| panic!("join index build failed: {e}")) // PANIC-OK: infallible build convenience
-    }
-
-    /// Fail-stop [`JoinIndex::build`]: the first storage fault during the
-    /// build scans aborts with a typed error (no partially built index).
+    /// in θ-evaluations, data-page reads, and index-page writes. The
+    /// first storage fault during the build scans aborts with a typed
+    /// error (no partially built index).
     pub fn try_build(
         pool: &mut BufferPool,
         r: &StoredRelation,
@@ -133,35 +122,21 @@ impl JoinIndex {
         Ok(run)
     }
 
-    /// Spatial selection via the index: all `s_id` paired with `r_id`
-    /// (a prefix range scan), fetching the matching `S` tuples.
-    pub fn select_for_r(&self, pool: &mut BufferPool, r_id: u64, s: &StoredRelation) -> SelectRun {
-        let before = pool.stats();
-        self.forward.reset_accesses();
-        let mut run = SelectRun::default();
-        for ((_, s_id), ()) in self.forward.range(&(r_id, 0), &(r_id, u64::MAX)) {
-            let _ = s.read_by_id(pool, s_id);
-            run.matches.push(s_id);
-        }
-        run.stats.add_io(pool.stats().since(&before));
-        run.stats.physical_reads += self.forward.accesses();
-        run
-    }
-
     /// Maintenance for an insertion into `R`: the new tuple must be
-    /// θ-checked against every tuple of `S` (`U_III` with `T = |S|`).
+    /// θ-checked against every tuple of `S` (`U_III` with `T = |S|`). A
+    /// storage fault during the scan of `S` leaves the index unchanged.
     pub fn maintain_insert_r(
         &mut self,
         pool: &mut BufferPool,
         r_id: u64,
         r_geom: &Geometry,
         s: &StoredRelation,
-    ) -> ExecStats {
+    ) -> Result<ExecStats, StorageError> {
         let before = pool.stats();
         let mut stats = ExecStats::default();
         self.forward.reset_accesses();
         let mut inserts = 0u64;
-        for (s_id, s_geom) in s.scan(pool) {
+        for (s_id, s_geom) in s.try_scan(pool)? {
             stats.theta_evals += 1;
             if self.theta.eval(r_geom, &s_geom) {
                 self.forward.insert((r_id, s_id), ());
@@ -171,7 +146,7 @@ impl JoinIndex {
         stats.add_io(pool.stats().since(&before));
         // Index-page writes: approximate one write per touched node.
         stats.physical_writes += self.forward.accesses().min(inserts * self.height() as u64);
-        stats
+        Ok(stats)
     }
 
     /// Maintenance for a deletion from `R`: drop all pairs with this id.
@@ -212,13 +187,26 @@ mod tests {
         StoredRelation::build(pool, &tuples, 300, Layout::Clustered)
     }
 
+    /// The `S` ids the index pairs with `r_id`, read through the join.
+    fn partners_of(
+        idx: &JoinIndex,
+        p: &mut BufferPool,
+        r: &StoredRelation,
+        s: &StoredRelation,
+        r_id: u64,
+    ) -> Vec<u64> {
+        let run = idx.join(p, r, s, &mut TraceSink::Null).unwrap();
+        let of_r = run.pairs.iter().filter(|(a, _)| *a == r_id);
+        of_r.map(|(_, b)| *b).collect()
+    }
+
     #[test]
     fn indexed_join_equals_nested_loop() {
         let mut p = pool();
         let r = grid_rel(&mut p, 6, 10.0, 0);
         let s = grid_rel(&mut p, 6, 10.0, 500);
         let theta = ThetaOp::WithinDistance(10.5);
-        let (idx, build_stats) = JoinIndex::build(&mut p, &r, &s, theta, 16);
+        let (idx, build_stats) = JoinIndex::try_build(&mut p, &r, &s, theta, 16).unwrap();
         assert_eq!(build_stats.theta_evals, 36 * 36);
 
         let mut got = idx
@@ -238,7 +226,8 @@ mod tests {
         let mut p = pool();
         let r = grid_rel(&mut p, 5, 10.0, 0);
         let s = grid_rel(&mut p, 5, 10.0, 500);
-        let (idx, _) = JoinIndex::build(&mut p, &r, &s, ThetaOp::WithinDistance(10.5), 16);
+        let (idx, _) =
+            JoinIndex::try_build(&mut p, &r, &s, ThetaOp::WithinDistance(10.5), 16).unwrap();
         let run = idx.join(&mut p, &r, &s, &mut TraceSink::Null).unwrap();
         assert_eq!(
             run.stats.theta_evals, 0,
@@ -248,44 +237,20 @@ mod tests {
     }
 
     #[test]
-    fn select_for_r_matches_filtered_join() {
-        let mut p = pool();
-        let r = grid_rel(&mut p, 5, 10.0, 0);
-        let s = grid_rel(&mut p, 5, 10.0, 500);
-        let theta = ThetaOp::WithinDistance(10.5);
-        let (idx, _) = JoinIndex::build(&mut p, &r, &s, theta, 8);
-        let all = idx
-            .join(&mut p, &r, &s, &mut TraceSink::Null)
-            .unwrap()
-            .pairs;
-        for probe in [0u64, 12, 24] {
-            let mut got = idx.select_for_r(&mut p, probe, &s).matches;
-            got.sort_unstable();
-            let mut want: Vec<u64> = all
-                .iter()
-                .filter(|(a, _)| *a == probe)
-                .map(|(_, b)| *b)
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "probe {probe}");
-        }
-    }
-
-    #[test]
     fn maintenance_insert_updates_index() {
         let mut p = pool();
-        let r = grid_rel(&mut p, 4, 10.0, 0);
+        let mut r = grid_rel(&mut p, 4, 10.0, 0);
         let s = grid_rel(&mut p, 4, 10.0, 500);
         let theta = ThetaOp::WithinDistance(0.5);
-        let (mut idx, _) = JoinIndex::build(&mut p, &r, &s, theta, 8);
+        let (mut idx, _) = JoinIndex::try_build(&mut p, &r, &s, theta, 8).unwrap();
         let before_len = idx.len();
         // A new R tuple exactly on top of S tuple 505 (grid cell (1, 1)).
         let g = Geometry::Point(Point::new(10.0, 10.0));
-        let stats = idx.maintain_insert_r(&mut p, 99, &g, &s);
+        r.try_insert(&mut p, 99, &g).unwrap();
+        let stats = idx.maintain_insert_r(&mut p, 99, &g, &s).unwrap();
         assert_eq!(stats.theta_evals, 16, "must θ-check all of S");
         assert_eq!(idx.len(), before_len + 1);
-        let found = idx.select_for_r(&mut p, 99, &s).matches;
-        assert_eq!(found, vec![505]);
+        assert_eq!(partners_of(&idx, &mut p, &r, &s, 99), vec![505]);
     }
 
     #[test]
@@ -293,12 +258,13 @@ mod tests {
         let mut p = pool();
         let r = grid_rel(&mut p, 4, 10.0, 0);
         let s = grid_rel(&mut p, 4, 10.0, 500);
-        let (mut idx, _) = JoinIndex::build(&mut p, &r, &s, ThetaOp::WithinDistance(10.5), 8);
+        let (mut idx, _) =
+            JoinIndex::try_build(&mut p, &r, &s, ThetaOp::WithinDistance(10.5), 8).unwrap();
         let victim = 5u64;
-        let had = idx.select_for_r(&mut p, victim, &s).matches.len();
+        let had = partners_of(&idx, &mut p, &r, &s, victim).len();
         assert!(had > 0);
         assert_eq!(idx.maintain_delete_r(victim), had);
-        assert!(idx.select_for_r(&mut p, victim, &s).matches.is_empty());
+        assert!(partners_of(&idx, &mut p, &r, &s, victim).is_empty());
     }
 
     #[test]
@@ -309,7 +275,8 @@ mod tests {
         let mut p = pool();
         let r = grid_rel(&mut p, 6, 10.0, 0);
         let s = grid_rel(&mut p, 6, 10.0, 500);
-        let (idx, build) = JoinIndex::build(&mut p, &r, &s, ThetaOp::WithinDistance(0.5), 16);
+        let (idx, build) =
+            JoinIndex::try_build(&mut p, &r, &s, ThetaOp::WithinDistance(0.5), 16).unwrap();
         p.clear();
         p.reset_stats();
         let query = idx.join(&mut p, &r, &s, &mut TraceSink::Null).unwrap();

@@ -48,6 +48,17 @@
 //! not trace pass `&mut TraceSink::Null`, which never reads a clock.
 //! [`JoinExecutor::execute`] is the single infallible convenience.
 //!
+//! ## One shape below the strategies
+//!
+//! Relation reads and scans ([`StoredRelation`]), tree-node visits
+//! ([`PagedTree`]), index builds and maintenance ([`JoinIndex`],
+//! [`LocalJoinIndex`], [`ZIndex`]) and WAL payload decoding
+//! ([`WriteBatch::decode`]) are likewise fallible only and charged
+//! through the pool; there is no panicking twin. The bulk builders
+//! (`StoredRelation::build*`, `TreeRelation::new*`) run on a pool the
+//! caller has just created, before any injector can be armed, and
+//! document their panic.
+//!
 //! [`Layout`]: sj_storage::Layout
 //! [`BufferPool`]: sj_storage::BufferPool
 

@@ -77,22 +77,9 @@ impl LocalJoinIndex {
     /// Builds the local indices: Θ-filters all anchor pairs, then runs a
     /// nested loop *within* each qualifying pair only. The returned stats
     /// carry the Θ- and θ-evaluation counts (contrast with a global
-    /// index's `N²`). Entry records are read through the pool (charged).
-    pub fn build(
-        pool: &mut BufferPool,
-        r: &TreeRelation,
-        s: &TreeRelation,
-        theta: ThetaOp,
-        level: usize,
-        z: usize,
-    ) -> (Self, ExecStats) {
-        Self::try_build(pool, r, s, theta, level, z)
-            .unwrap_or_else(|e| panic!("local join index build failed: {e}")) // PANIC-OK: infallible build convenience
-    }
-
-    /// Fail-stop [`LocalJoinIndex::build`]: the first faulted node touch
-    /// during the build sweeps aborts with a typed error (no partially
-    /// built index).
+    /// index's `N²`). Entry records are read through the pool (charged);
+    /// the first faulted node touch during the build sweeps aborts with a
+    /// typed error (no partially built index).
     pub fn try_build(
         pool: &mut BufferPool,
         r: &TreeRelation,
@@ -330,7 +317,7 @@ mod tests {
         assert_eq!(reference.len(), 64);
 
         for level in 0..=3 {
-            let (idx, _) = LocalJoinIndex::build(&mut p, &r, &s, theta, level, 16);
+            let (idx, _) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, level, 16).unwrap();
             let got = idx.join(&mut p, &mut TraceSink::Null).unwrap().pairs;
             assert_eq!(got, reference, "level {level}");
         }
@@ -342,8 +329,8 @@ mod tests {
         let r = tree_rel(&mut p, grid_tuples(10, 10.0, 0.0, 0));
         let s = tree_rel(&mut p, grid_tuples(10, 10.0, 0.5, 1000));
         let theta = ThetaOp::WithinDistance(1.0);
-        let (_, stats0) = LocalJoinIndex::build(&mut p, &r, &s, theta, 0, 16);
-        let (_, stats2) = LocalJoinIndex::build(&mut p, &r, &s, theta, 2, 16);
+        let (_, stats0) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, 0, 16).unwrap();
+        let (_, stats2) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, 2, 16).unwrap();
         // Level 0 is the full N² nested loop; deeper anchors prune.
         assert_eq!(stats0.theta_evals, 100 * 100);
         assert!(
@@ -374,14 +361,14 @@ mod tests {
             300,
             Layout::Clustered,
         );
-        let (mut global, _) = JoinIndex::build(&mut p, &flat_r, &flat_s, theta, 16);
+        let (mut global, _) = JoinIndex::try_build(&mut p, &flat_r, &flat_s, theta, 16).unwrap();
         // Right on top of S tuple 1044 at (40.5, 40.5).
         let g = Geometry::Point(Point::new(40.6, 40.5));
-        let global_maint = global.maintain_insert_r(&mut p, 9999, &g, &flat_s);
+        let global_maint = global.maintain_insert_r(&mut p, 9999, &g, &flat_s).unwrap();
         assert_eq!(global_maint.theta_evals, 100);
 
         // Local index maintenance only touches Θ-matching subtrees.
-        let (mut local, _) = LocalJoinIndex::build(&mut p, &r, &s, theta, 2, 16);
+        let (mut local, _) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, 2, 16).unwrap();
         let local_maint = local.maintain_insert_r(&r.tree, &s.tree, 9999, &g);
         assert!(
             local_maint.theta_evals < 100,
@@ -401,7 +388,7 @@ mod tests {
         let r = tree_rel(&mut p, r_tuples.clone());
         let s = tree_rel(&mut p, s_tuples.clone());
         let theta = ThetaOp::WithinDistance(1.0);
-        let (mut idx, _) = LocalJoinIndex::build(&mut p, &r, &s, theta, 1, 16);
+        let (mut idx, _) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, 1, 16).unwrap();
 
         let new_geom = Geometry::Point(Point::new(20.5, 30.5)); // on top of an S point
         idx.maintain_insert_r(&r.tree, &s.tree, 777, &new_geom);
@@ -412,7 +399,7 @@ mod tests {
         let mut r_all = r_tuples.clone();
         r_all.push((777, new_geom));
         let r2 = tree_rel(&mut p, r_all.clone());
-        let (fresh, _) = LocalJoinIndex::build(&mut p, &r2, &s, theta, 1, 16);
+        let (fresh, _) = LocalJoinIndex::try_build(&mut p, &r2, &s, theta, 1, 16).unwrap();
         let mut rebuilt = fresh.join(&mut p, &mut TraceSink::Null).unwrap().pairs;
         rebuilt.sort_unstable();
         assert_eq!(incremental, rebuilt);
@@ -425,7 +412,7 @@ mod tests {
         let r = tree_rel(&mut p, grid_tuples(8, 20.0, 0.0, 0));
         let s = tree_rel(&mut p, grid_tuples(8, 20.0, 100.0, 1000)); // far away
         let theta = ThetaOp::WithinDistance(5.0);
-        let (idx, _) = LocalJoinIndex::build(&mut p, &r, &s, theta, 2, 16);
+        let (idx, _) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, 2, 16).unwrap();
         let all_pairs = anchors_at(&r.tree, 2).len() * anchors_at(&s.tree, 2).len();
         assert!(
             idx.partition_count() < all_pairs,
@@ -458,7 +445,7 @@ mod tests {
             .unwrap()
             .pairs;
         want.sort_unstable();
-        let (idx, _) = LocalJoinIndex::build(&mut p, &r, &s, theta, 1, 16);
+        let (idx, _) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, 1, 16).unwrap();
         assert_eq!(idx.join(&mut p, &mut TraceSink::Null).unwrap().pairs, want);
     }
 }

@@ -18,7 +18,7 @@
 //! function of the pre-state and the batch, replaying the log
 //! reproduces them exactly.
 
-use sj_geom::codec::{decode_record, encode_record, encoded_len};
+use sj_geom::codec::{encode_record, encoded_len, try_decode_record, CodecError};
 use sj_geom::{Bounded, Geometry, Rect};
 use sj_storage::StorageError;
 
@@ -235,7 +235,16 @@ fn read_geometry(bytes: &[u8], pos: usize) -> Result<(u64, Geometry, usize), Sto
             offset: pos,
             reason: "truncated geometry record",
         })?;
-    let (id, value) = decode_record(record);
+    // A checksum-valid frame can still hold a geometry the codec rejects
+    // (the checksum covers the bytes, not their meaning).
+    let (id, value) = try_decode_record(record).map_err(|e| StorageError::WalCorrupt {
+        offset: pos + 4,
+        reason: match e {
+            CodecError::Truncated { .. } => "geometry record shorter than its frame",
+            CodecError::UnknownTag(_) => "unknown geometry tag",
+            CodecError::InvalidGeometry(why) => why,
+        },
+    })?;
     Ok((id, value, 4 + len))
 }
 

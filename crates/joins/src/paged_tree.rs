@@ -83,6 +83,12 @@ impl PagedTree {
     /// Like [`PagedTree::build_ordered`] with an explicit record codec.
     /// With [`CodecMode::Quantized`] pass a `record_size` sized for the
     /// v2 frames (see [`PagedTree::quant_record_size`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a node that does not fit `record_size` or a storage
+    /// fault during the load — builders run on a pool the caller has just
+    /// created, before any injector is armed.
     pub fn build_ordered_with(
         pool: &mut BufferPool,
         tree: &GenTree,
@@ -98,7 +104,8 @@ impl PagedTree {
         let max_slot = order.iter().map(|n| n.index()).max().unwrap_or(0);
         let file = HeapFile::bulk_load_with(pool, record_size, order.len(), layout, |i| {
             encode_node(tree, order[i], record_size, mode)
-        });
+        })
+        .unwrap_or_else(|e| panic!("stored tree build failed: {e}")); // PANIC-OK: see # Panics
         let mut record = vec![file.rid(0); max_slot + 1];
         for (i, node) in order.iter().enumerate() {
             record[node.index()] = file.rid(i);
@@ -161,15 +168,6 @@ impl PagedTree {
     pub fn try_touch_io(&self, pool: &mut BufferPool, node: NodeId) -> Result<(), StorageError> {
         pool.try_read_record(&self.file, self.record[node.index()])
             .map(|_| ())
-    }
-
-    /// Charges the I/O of visiting `node` (a record read through the
-    /// pool) and returns the stored bytes' decoded content.
-    pub fn touch(&self, pool: &mut BufferPool, node: NodeId) -> (u64, Geometry) {
-        // Records written by build/evolve are well-formed; the fallible
-        // twin is `try_touch`.
-        self.try_touch(pool, node)
-            .expect("stored tree node is well-formed") // PANIC-OK: invariant
     }
 
     /// Pages occupied by the stored tree.
@@ -277,7 +275,6 @@ impl TreeRelation {
         &self,
         pool: &mut BufferPool,
         next: &GenTree,
-        record_size: usize,
     ) -> Result<TreeRelation, StorageError> {
         use std::collections::HashMap;
         let old_live: HashMap<usize, NodeId> =
@@ -289,8 +286,7 @@ impl TreeRelation {
         let mode = self.paged.mode;
         // Records are fixed-size per file: rewritten and appended frames
         // must match the file's own record size (for a compressed tree
-        // that size was derived from the tree at build, not passed in).
-        let _ = record_size;
+        // that size was derived from the tree at build).
         let record_size = self.paged.file.record_size();
 
         // Clear records of nodes that died.
@@ -356,7 +352,7 @@ mod tests {
         let tree = build_balanced(3, 2, Rect::from_bounds(0.0, 0.0, 9.0, 9.0));
         let pt = PagedTree::build(&mut p, &tree, 300, Layout::Clustered);
         for node in tree.bfs_order() {
-            let (id, g) = pt.touch(&mut p, node);
+            let (id, g) = pt.try_touch(&mut p, node).unwrap();
             let e = tree
                 .entry(node)
                 .expect("balanced trees have entries everywhere");
@@ -373,7 +369,7 @@ mod tests {
         p.clear();
         p.reset_stats();
         for node in tree.bfs_order() {
-            pt.touch(&mut p, node);
+            pt.try_touch(&mut p, node).unwrap();
         }
         // A BFS sweep over a clustered tree touches each page exactly once.
         assert_eq!(p.stats().physical_reads as usize, pt.page_count());
@@ -387,7 +383,7 @@ mod tests {
         p.clear();
         p.reset_stats();
         for node in tree.bfs_order() {
-            pt.touch(&mut p, node);
+            pt.try_touch(&mut p, node).unwrap();
         }
         assert!(
             p.stats().physical_reads as usize > pt.page_count(),
@@ -410,7 +406,7 @@ mod tests {
         p.clear();
         p.reset_stats();
         for node in tree.dfs_order() {
-            pt.touch(&mut p, node);
+            pt.try_touch(&mut p, node).unwrap();
         }
         let dfs_reads = p.stats().physical_reads;
         assert_eq!(
@@ -422,7 +418,7 @@ mod tests {
         p.clear();
         p.reset_stats();
         for node in tree.bfs_order() {
-            pt.touch(&mut p, node);
+            pt.try_touch(&mut p, node).unwrap();
         }
         let bfs_reads = p.stats().physical_reads;
         assert!(
@@ -454,12 +450,12 @@ mod tests {
         rt.check_invariants();
 
         let before = p.stats();
-        let evolved = rel.try_evolve(&mut p, rt.tree(), 300).unwrap();
+        let evolved = rel.try_evolve(&mut p, rt.tree()).unwrap();
         let delta = p.stats().since(&before);
 
         // Every live node of the new tree round-trips through storage.
         for node in rt.tree().iter_live() {
-            let (id, g) = evolved.paged.touch(&mut p, node);
+            let (id, g) = evolved.paged.try_touch(&mut p, node).unwrap();
             match rt.tree().entry(node) {
                 Some(e) => {
                     assert_eq!(id, e.id);
@@ -513,7 +509,7 @@ mod tests {
 
         // Quantized touch: same id, conservative (MBR) content.
         for node in rt.tree().bfs_order() {
-            let (id, g) = rq.paged.touch(&mut p, node);
+            let (id, g) = rq.paged.try_touch(&mut p, node).unwrap();
             match rt.tree().entry(node) {
                 Some(e) => {
                     assert_eq!(id, e.id);
@@ -575,7 +571,7 @@ mod tests {
             }),
         );
         let pt = PagedTree::build(&mut p, &tree, 300, Layout::Clustered);
-        let (id, g) = pt.touch(&mut p, tree.root());
+        let (id, g) = pt.try_touch(&mut p, tree.root()).unwrap();
         assert_eq!(id, u64::MAX);
         assert_eq!(g, Geometry::Rect(Rect::from_bounds(0.0, 0.0, 10.0, 10.0)));
     }

@@ -9,8 +9,6 @@ use sj_geom::codec;
 use sj_geom::{Geometry, QGeometry};
 use sj_storage::{BufferPool, HeapFile, Layout, StorageError};
 
-use crate::stats::ExecStats;
-
 /// Maps a codec failure on bytes that came back from a page onto the
 /// storage-level corruption error for that page.
 fn corrupt(file: &HeapFile, slot: usize) -> StorageError {
@@ -51,8 +49,9 @@ impl StoredRelation {
     ///
     /// # Panics
     ///
-    /// Panics on duplicate ids or geometries that do not fit the record
-    /// size.
+    /// Panics on duplicate ids, geometries that do not fit the record
+    /// size, or a storage fault during the load — builders run on a pool
+    /// the caller has just created, before any injector is armed.
     pub fn build(
         pool: &mut BufferPool,
         tuples: &[(u64, Geometry)],
@@ -67,7 +66,8 @@ impl StoredRelation {
         }
         let file = HeapFile::bulk_load_with(pool, record_size, tuples.len(), layout, |i| {
             codec::encode_record(tuples[i].0, &tuples[i].1, record_size)
-        });
+        })
+        .unwrap_or_else(|e| panic!("relation build failed: {e}")); // PANIC-OK: see # Panics
         let slots = (0..ids.len()).collect();
         StoredRelation {
             file,
@@ -86,8 +86,8 @@ impl StoredRelation {
     ///
     /// # Panics
     ///
-    /// Panics on duplicate ids or geometries that do not fit either
-    /// record size.
+    /// Panics on duplicate ids, geometries that do not fit either
+    /// record size, or a storage fault during the load.
     pub fn build_compressed(
         pool: &mut BufferPool,
         tuples: &[(u64, Geometry)],
@@ -98,7 +98,8 @@ impl StoredRelation {
         let mut rel = Self::build(pool, tuples, record_size, layout);
         let quant = HeapFile::bulk_load_with(pool, quant_record_size, tuples.len(), layout, |i| {
             codec::encode_qrecord(tuples[i].0, &tuples[i].1, quant_record_size)
-        });
+        })
+        .unwrap_or_else(|e| panic!("relation build failed: {e}")); // PANIC-OK: see # Panics
         rel.quant = Some(quant);
         rel
     }
@@ -197,12 +198,6 @@ impl StoredRelation {
         codec::try_decode_record(&bytes).map_err(|_| corrupt(&self.file, slot))
     }
 
-    /// Reads the tuple at logical position `i` through the pool (charged).
-    pub fn read_at(&self, pool: &mut BufferPool, i: usize) -> (u64, Geometry) {
-        self.try_read_at(pool, i)
-            .unwrap_or_else(|e| panic!("relation read failed: {e}")) // PANIC-OK: infallible wrapper
-    }
-
     /// Reads a tuple by id through the pool (charged), or the I/O fault
     /// that prevented it.
     ///
@@ -222,19 +217,6 @@ impl StoredRelation {
         self.try_read_at(pool, i)
     }
 
-    /// Reads a tuple by id through the pool (charged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not in the relation.
-    pub fn read_by_id(&self, pool: &mut BufferPool, id: u64) -> (u64, Geometry) {
-        let &i = self
-            .pos_of
-            .get(&id)
-            .unwrap_or_else(|| panic!("unknown tuple id {id}")); // PANIC-OK: caller bug, ids come from this relation
-        self.read_at(pool, i)
-    }
-
     /// Full sequential scan in **position order**, decoding every tuple,
     /// or the first I/O fault. `slots` is ascending, so the walk is
     /// page-monotone and costs `page_count()` physical reads on a cold
@@ -245,13 +227,6 @@ impl StoredRelation {
             out.push(self.try_read_at(pool, i)?);
         }
         Ok(out)
-    }
-
-    /// Full sequential scan in position order, decoding every tuple.
-    /// Costs `page_count()` physical reads on a cold pool.
-    pub fn scan(&self, pool: &mut BufferPool) -> Vec<(u64, Geometry)> {
-        self.try_scan(pool)
-            .unwrap_or_else(|e| panic!("relation scan failed: {e}")) // PANIC-OK: infallible wrapper
     }
 
     /// Decomposes into raw parts for catalog serialization. The slot
@@ -281,16 +256,6 @@ impl StoredRelation {
             slots,
             pos_of,
         }
-    }
-
-    /// Appends one tuple (used by maintenance-cost experiments).
-    pub fn append(&mut self, pool: &mut BufferPool, id: u64, g: &Geometry) -> ExecStats {
-        let before = pool.stats();
-        self.try_insert(pool, id, g)
-            .unwrap_or_else(|e| panic!("relation append failed: {e}")); // PANIC-OK: infallible wrapper
-        let mut stats = ExecStats::default();
-        stats.add_io(pool.stats().since(&before));
-        stats
     }
 
     /// Appends one tuple at the last position, or the I/O fault that
@@ -427,7 +392,7 @@ mod tests {
         assert_eq!(rel.len(), 17);
         assert_eq!(rel.tuples_per_page(), 5);
         assert_eq!(rel.page_count(), 4);
-        let (id, g) = rel.read_by_id(&mut p, 9);
+        let (id, g) = rel.try_read_by_id(&mut p, 9).unwrap();
         assert_eq!(id, 9);
         assert_eq!(g, Geometry::Point(Point::new(9.0, 18.0)));
     }
@@ -438,7 +403,7 @@ mod tests {
         let rel = StoredRelation::build(&mut p, &tuples(23), 300, Layout::Unclustered { seed: 5 });
         p.clear();
         p.reset_stats();
-        let rows = rel.scan(&mut p);
+        let rows = rel.try_scan(&mut p).unwrap();
         assert_eq!(rows.len(), 23);
         assert_eq!(p.stats().physical_reads as usize, rel.page_count());
         // Every tuple decodes to its original value.
@@ -452,10 +417,11 @@ mod tests {
         let mut p = pool();
         let mut rel = StoredRelation::build(&mut p, &tuples(5), 300, Layout::Clustered);
         let g = Geometry::Rect(Rect::from_bounds(0.0, 0.0, 1.0, 1.0));
-        let stats = rel.append(&mut p, 100, &g);
-        assert!(stats.physical_writes >= 1);
+        let before = p.stats();
+        rel.try_insert(&mut p, 100, &g).unwrap();
+        assert!(p.stats().since(&before).physical_writes >= 1);
         assert_eq!(rel.len(), 6);
-        assert_eq!(rel.read_by_id(&mut p, 100).1, g);
+        assert_eq!(rel.try_read_by_id(&mut p, 100).unwrap().1, g);
     }
 
     #[test]
@@ -468,12 +434,17 @@ mod tests {
         assert_eq!(p.stats().since(&before).physical_writes, 1);
         assert_eq!(rel.len(), 11);
         // Survivors keep their relative order: positions close the gap.
-        let got: Vec<u64> = rel.scan(&mut p).into_iter().map(|(id, _)| id).collect();
+        let got: Vec<u64> = rel
+            .try_scan(&mut p)
+            .unwrap()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
         let want: Vec<u64> = (0..12).filter(|&i| i != 4).collect();
         assert_eq!(got, want);
         // Position-order reads agree with id-directed reads.
-        assert_eq!(rel.read_at(&mut p, 4).0, 5);
-        assert_eq!(rel.read_by_id(&mut p, 11).0, 11);
+        assert_eq!(rel.try_read_at(&mut p, 4).unwrap().0, 5);
+        assert_eq!(rel.try_read_by_id(&mut p, 11).unwrap().0, 11);
     }
 
     #[test]
@@ -483,9 +454,14 @@ mod tests {
         rel.try_delete(&mut p, 2).unwrap();
         let g = Geometry::Point(Point::new(9.0, 9.0));
         rel.try_insert(&mut p, 50, &g).unwrap();
-        let got: Vec<u64> = rel.scan(&mut p).into_iter().map(|(id, _)| id).collect();
+        let got: Vec<u64> = rel
+            .try_scan(&mut p)
+            .unwrap()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
         assert_eq!(got, vec![0, 1, 3, 4, 5, 50]);
-        assert_eq!(rel.read_by_id(&mut p, 50).1, g);
+        assert_eq!(rel.try_read_by_id(&mut p, 50).unwrap().1, g);
     }
 
     #[test]
@@ -497,8 +473,12 @@ mod tests {
         rel.try_replace(&mut p, 3, &g).unwrap();
         assert_eq!(p.stats().since(&before).physical_writes, 1);
         assert_eq!(rel.len(), 7);
-        assert_eq!(rel.read_by_id(&mut p, 3).1, g);
-        assert_eq!(rel.read_at(&mut p, 3).0, 3, "position unchanged");
+        assert_eq!(rel.try_read_by_id(&mut p, 3).unwrap().1, g);
+        assert_eq!(
+            rel.try_read_at(&mut p, 3).unwrap().0,
+            3,
+            "position unchanged"
+        );
     }
 
     #[test]

@@ -180,25 +180,20 @@ pub fn naive_zvalue_sort_merge(
     grid: &ZGrid,
     theta: ThetaOp,
     window: usize,
-) -> JoinRun {
+) -> Result<JoinRun, StorageError> {
     let before = pool.stats();
     let mut run = JoinRun::default();
-    let mut r_rows: Vec<(u64, Geometry, u64)> = r
-        .scan(pool)
-        .into_iter()
-        .map(|(id, g)| {
-            let z = grid.z_of_point(&g.centerpoint());
-            (id, g, z)
-        })
-        .collect();
-    let mut s_rows: Vec<(u64, Geometry, u64)> = s
-        .scan(pool)
-        .into_iter()
-        .map(|(id, g)| {
-            let z = grid.z_of_point(&g.centerpoint());
-            (id, g, z)
-        })
-        .collect();
+    let mut z_tagged = |rel: &StoredRelation| -> Result<Vec<(u64, Geometry, u64)>, StorageError> {
+        let rows = rel.try_scan(pool)?.into_iter();
+        Ok(rows
+            .map(|(id, g)| {
+                let z = grid.z_of_point(&g.centerpoint());
+                (id, g, z)
+            })
+            .collect())
+    };
+    let mut r_rows = z_tagged(r)?;
+    let mut s_rows = z_tagged(s)?;
     r_rows.sort_by_key(|(_, _, z)| *z);
     s_rows.sort_by_key(|(_, _, z)| *z);
 
@@ -216,7 +211,7 @@ pub fn naive_zvalue_sort_merge(
         }
     }
     run.stats.add_io(pool.stats().since(&before));
-    run
+    Ok(run)
 }
 
 #[cfg(test)]
@@ -391,7 +386,9 @@ mod tests {
         let complete = nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
             .unwrap()
             .pairs;
-        let naive = naive_zvalue_sort_merge(&mut p, &r, &s, &grid, theta, 1).pairs;
+        let naive = naive_zvalue_sort_merge(&mut p, &r, &s, &grid, theta, 1)
+            .unwrap()
+            .pairs;
         assert!(
             naive.len() < complete.len(),
             "the naive merge must miss matches: {} vs {}",
@@ -411,7 +408,9 @@ mod tests {
             .unwrap()
             .pairs;
         complete.sort_unstable();
-        let mut windowed = naive_zvalue_sort_merge(&mut p, &r, &s, &grid, theta, 1000).pairs;
+        let mut windowed = naive_zvalue_sort_merge(&mut p, &r, &s, &grid, theta, 1000)
+            .unwrap()
+            .pairs;
         windowed.sort_unstable();
         assert_eq!(
             windowed, complete,

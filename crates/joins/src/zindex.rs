@@ -32,14 +32,8 @@ pub struct ZIndex {
 
 impl ZIndex {
     /// Builds the index by scanning `rel` once and decomposing every
-    /// object's MBR on `grid`.
-    pub fn build(pool: &mut BufferPool, rel: &StoredRelation, grid: ZGrid, z: usize) -> Self {
-        let built = Self::try_build(pool, rel, grid, z);
-        built.unwrap_or_else(|e| panic!("z-index build failed: {e}")) // PANIC-OK: infallible build convenience
-    }
-
-    /// Fail-stop [`ZIndex::build`]: the first storage fault during the
-    /// build scan aborts with a typed error (no partially built index).
+    /// object's MBR on `grid`. The first storage fault during the build
+    /// scan aborts with a typed error (no partially built index).
     pub fn try_build(
         pool: &mut BufferPool,
         rel: &StoredRelation,
@@ -272,7 +266,7 @@ mod tests {
     fn select_equals_exhaustive() {
         let mut p = pool();
         let rel = mixed_rel(&mut p, 0, 0.3);
-        let idx = ZIndex::build(&mut p, &rel, ZGrid::new(world(), 5), 16);
+        let idx = ZIndex::try_build(&mut p, &rel, ZGrid::new(world(), 5), 16).unwrap();
         for (x0, y0, x1, y1) in [
             (0.0, 0.0, 10.0, 10.0),
             (20.0, 20.0, 45.0, 30.0),
@@ -298,7 +292,7 @@ mod tests {
         let mut p = pool();
         let r = mixed_rel(&mut p, 0, 0.0);
         let s = mixed_rel(&mut p, 1000, 3.0);
-        let idx = ZIndex::build(&mut p, &r, ZGrid::new(world(), 5), 16);
+        let idx = ZIndex::try_build(&mut p, &r, ZGrid::new(world(), 5), 16).unwrap();
         for theta in [ThetaOp::Overlaps, ThetaOp::Includes, ThetaOp::ContainedIn] {
             let got = idx
                 .join(&mut p, &r, &s, theta, &mut TraceSink::Null)
@@ -321,7 +315,7 @@ mod tests {
             300,
             Layout::Clustered,
         );
-        let idx = ZIndex::build(&mut p, &rel, ZGrid::new(world(), 5), 16);
+        let idx = ZIndex::try_build(&mut p, &rel, ZGrid::new(world(), 5), 16).unwrap();
         assert!(idx.len() > 1, "big rect spans many z-elements");
         let o = Geometry::Rect(Rect::from_bounds(30.0, 30.0, 31.0, 31.0));
         let run = idx.select(&mut p, &rel, &o, ThetaOp::Overlaps).unwrap();
@@ -333,7 +327,7 @@ mod tests {
     fn probe_outside_world_matches_nothing() {
         let mut p = pool();
         let rel = mixed_rel(&mut p, 0, 0.0);
-        let idx = ZIndex::build(&mut p, &rel, ZGrid::new(world(), 5), 16);
+        let idx = ZIndex::try_build(&mut p, &rel, ZGrid::new(world(), 5), 16).unwrap();
         let o = Geometry::Rect(Rect::from_bounds(100.0, 100.0, 110.0, 110.0));
         assert!(idx
             .select(&mut p, &rel, &o, ThetaOp::Overlaps)
@@ -346,7 +340,7 @@ mod tests {
     fn candidate_set_prunes_vs_full_scan() {
         let mut p = pool();
         let rel = mixed_rel(&mut p, 0, 0.0);
-        let idx = ZIndex::build(&mut p, &rel, ZGrid::new(world(), 5), 16);
+        let idx = ZIndex::try_build(&mut p, &rel, ZGrid::new(world(), 5), 16).unwrap();
         let o = Geometry::Rect(Rect::from_bounds(0.0, 0.0, 9.0, 9.0));
         let run = idx.select(&mut p, &rel, &o, ThetaOp::Overlaps).unwrap();
         assert!(
@@ -362,7 +356,7 @@ mod tests {
     fn distance_operator_rejected() {
         let mut p = pool();
         let rel = mixed_rel(&mut p, 0, 0.0);
-        let idx = ZIndex::build(&mut p, &rel, ZGrid::new(world(), 5), 16);
+        let idx = ZIndex::try_build(&mut p, &rel, ZGrid::new(world(), 5), 16).unwrap();
         let o = Geometry::Point(Point::new(1.0, 1.0));
         let _ = idx
             .select(&mut p, &rel, &o, ThetaOp::WithinDistance(3.0))

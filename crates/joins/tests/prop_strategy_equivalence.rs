@@ -88,7 +88,7 @@ proptest! {
         }
 
         // Strategy III.
-        let (idx, _) = JoinIndex::build(&mut p, &r, &s, theta, 8);
+        let (idx, _) = JoinIndex::try_build(&mut p, &r, &s, theta, 8).unwrap();
         let got = sorted(idx.join(&mut p, &r, &s, &mut TraceSink::Null).unwrap().pairs);
         prop_assert_eq!(&got, &reference, "join index diverges for {:?}", theta);
 
@@ -98,7 +98,7 @@ proptest! {
             let got = sorted(zorder_overlap_join(&mut p, &r, &s, &grid, theta, &mut TraceSink::Null).unwrap().pairs);
             prop_assert_eq!(&got, &reference, "z-order sort-merge diverges for {:?}", theta);
 
-            let idx = sj_joins::ZIndex::build(&mut p, &r, grid, 16);
+            let idx = sj_joins::ZIndex::try_build(&mut p, &r, grid, 16).unwrap();
             let got = sorted(idx.join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap().pairs);
             prop_assert_eq!(&got, &reference, "z-index join diverges for {:?}", theta);
         }
@@ -117,7 +117,7 @@ proptest! {
                 300,
                 Layout::Clustered,
             );
-            let (idx, _) = sj_joins::LocalJoinIndex::build(&mut p, &tr, &ts, theta, level, 16);
+            let (idx, _) = sj_joins::LocalJoinIndex::try_build(&mut p, &tr, &ts, theta, level, 16).unwrap();
             let got = idx.join(&mut p, &mut TraceSink::Null).unwrap().pairs;
             prop_assert_eq!(&got, &reference, "local join index (L={}) diverges for {:?}", level, theta);
         }
@@ -145,15 +145,15 @@ proptest! {
 
         // Incremental: build on R, then insert one more R tuple.
         let r_small = StoredRelation::build(&mut p, &r_tuples, 300, Layout::Clustered);
-        let (mut idx, _) = JoinIndex::build(&mut p, &r_small, &s, theta, 8);
+        let (mut idx, _) = JoinIndex::try_build(&mut p, &r_small, &s, theta, 8).unwrap();
         let new_id = 5_000u64;
-        idx.maintain_insert_r(&mut p, new_id, &extra, &s);
+        idx.maintain_insert_r(&mut p, new_id, &extra, &s).unwrap();
 
         // Rebuild from scratch on R ∪ {new}.
         let mut r_all_tuples = r_tuples.clone();
         r_all_tuples.push((new_id, extra.clone()));
         let r_all = StoredRelation::build(&mut p, &r_all_tuples, 300, Layout::Clustered);
-        let (idx_fresh, _) = JoinIndex::build(&mut p, &r_all, &s, theta, 8);
+        let (idx_fresh, _) = JoinIndex::try_build(&mut p, &r_all, &s, theta, 8).unwrap();
 
         let a = sorted(idx.join(&mut p, &r_all, &s, &mut TraceSink::Null).unwrap().pairs);
         let b = sorted(idx_fresh.join(&mut p, &r_all, &s, &mut TraceSink::Null).unwrap().pairs);

@@ -71,7 +71,10 @@ impl Table {
         if crate::tuple::encoded_tuple_len(row) > t.record_size {
             return MutationOutcome::TooLarge;
         }
-        let slot = t.file.append(pool, encode_tuple(row, t.record_size));
+        let slot = t
+            .file
+            .try_append(pool, encode_tuple(row, t.record_size))
+            .expect("storage fault during row append");
         t.live.insert(id, slot);
         for (col, sc) in &mut t.spatial {
             let idx = t.schema.expect_column(col);
@@ -225,7 +228,8 @@ impl Database {
             !self.tables.contains_key(name),
             "table {name:?} already exists"
         );
-        let file = HeapFile::bulk_load(&mut self.pool, record_size, 0, Layout::Clustered);
+        let file = HeapFile::bulk_load(&mut self.pool, record_size, 0, Layout::Clustered)
+            .expect("storage fault during table creation");
         let mut spatial = HashMap::new();
         for c in schema.columns() {
             if c.ty == crate::value::ValueType::Spatial {
@@ -349,16 +353,6 @@ impl Database {
         outcomes
     }
 
-    /// Bulk insert.
-    pub fn insert_many(&mut self, table: &str, rows: impl IntoIterator<Item = Tuple>) -> usize {
-        let mut n = 0;
-        for row in rows {
-            self.insert(table, row);
-            n += 1;
-        }
-        n
-    }
-
     /// Reads one live row by rowid.
     pub fn get(&mut self, table: &str, rowid: u64) -> Tuple {
         let t = self
@@ -369,7 +363,10 @@ impl Database {
             .live
             .get(&rowid)
             .unwrap_or_else(|| panic!("rowid {rowid} out of range"));
-        let bytes = self.pool.read_record(&t.file, t.file.rid(slot));
+        let bytes = self
+            .pool
+            .try_read_record(&t.file, t.file.rid(slot))
+            .expect("storage fault during row read");
         decode_tuple(&bytes, &t.schema)
     }
 
@@ -383,7 +380,10 @@ impl Database {
         t.live
             .iter()
             .map(|(&id, &slot)| {
-                let bytes = self.pool.read_record(&t.file, t.file.rid(slot));
+                let bytes = self
+                    .pool
+                    .try_read_record(&t.file, t.file.rid(slot))
+                    .expect("storage fault during table scan");
                 (id, decode_tuple(&bytes, &t.schema))
             })
             .collect()
@@ -453,7 +453,10 @@ impl Database {
         let t = self.tables.get_mut(table).expect("checked above");
         let record_size = t.record_size;
         let sc = t.spatial.get_mut(column).expect("checked above");
-        let entries = sc.column.scan(pool);
+        let entries = sc
+            .column
+            .try_scan(pool)
+            .expect("storage fault during index build");
         let rt = RTree::bulk_load(RTreeConfig::with_fanout(sc.index_fanout), entries);
         let tree_rel = TreeRelation::new(pool, rt.tree().clone(), record_size, sc.index_layout);
         sc.index = Some((tree_rel, t.mutation_seq));
@@ -479,7 +482,8 @@ impl Database {
         let pool = &mut self.pool;
         let r = &self.tables[r_table].spatial[r_col].column;
         let s = &self.tables[s_table].spatial[s_col].column;
-        let (idx, stats) = JoinIndex::build(pool, r, s, theta, 100);
+        let (idx, stats) = JoinIndex::try_build(pool, r, s, theta, 100)
+            .expect("storage fault during join index build");
         self.join_indices.insert(
             name.to_string(),
             (
@@ -523,7 +527,8 @@ impl Database {
             .index
             .as_ref()
             .expect("built above");
-        let (idx, stats) = LocalJoinIndex::build(pool, r_tree, s_tree, theta, level, 100);
+        let (idx, stats) = LocalJoinIndex::try_build(pool, r_tree, s_tree, theta, level, 100)
+            .expect("storage fault during local join index build");
         self.local_join_indices.insert(
             name.to_string(),
             (
@@ -548,7 +553,8 @@ impl Database {
             .spatial
             .get(column)
             .unwrap_or_else(|| panic!("no spatial column {column:?} on {table:?}"));
-        sc.column.read_by_id(&mut self.pool, rowid).1
+        let read = sc.column.try_read_by_id(&mut self.pool, rowid);
+        read.expect("storage fault during geometry read").1
     }
 }
 

@@ -168,8 +168,13 @@ mod sj_core_model {
         for _ in 0..samples.max(1) {
             let i = rng.random_range(0..r.len());
             let j = rng.random_range(0..s.len());
-            let (_, rg) = r.read_at(pool, i);
-            let (_, sg) = s.read_at(pool, j);
+            // The database's own pool carries no fault injector.
+            let (_, rg) = r
+                .try_read_at(pool, i)
+                .expect("storage fault during sampling");
+            let (_, sg) = s
+                .try_read_at(pool, j)
+                .expect("storage fault during sampling");
             if theta.eval(&rg, &sg) {
                 hits += 1;
             }

@@ -212,7 +212,9 @@ impl Database {
         for &(table, col) in cols {
             let pool = &mut self.pool;
             let c = &self.tables[table].spatial[col].column;
-            for (_, g) in c.scan(pool) {
+            // The database's own pool carries no fault injector.
+            let rows = c.try_scan(pool);
+            for (_, g) in rows.expect("storage fault during world scan") {
                 let m = g.mbr();
                 acc = Some(match acc {
                     Some(a) => a.union(&m),

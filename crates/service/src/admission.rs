@@ -237,11 +237,6 @@ impl<T> ShardedQueue<T> {
         }
     }
 
-    /// Number of shards (= workers).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Admits `item` to the block-round-robin target shard, falling
     /// over to the other shards when it is full. Sheds (returning the
     /// item) only when every shard refused it.

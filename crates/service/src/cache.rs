@@ -257,16 +257,6 @@ impl ResultCache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// `hits / (hits + misses)`; 0 before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// One logical result cache split into independently locked shards,
@@ -374,17 +364,6 @@ impl CacheShards {
     pub(crate) fn lock_shard_for_test(&self, fingerprint: u64) -> MutexGuard<'_, ResultCache> {
         self.shard(fingerprint)
     }
-
-    /// `hits / (hits + misses)` over all shards; 0 before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let (hits, misses, _) = self.stats();
-        let total = hits + misses;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -461,7 +440,6 @@ mod tests {
         assert!(c.get(&kc).is_some());
         assert_eq!(c.hits(), 3);
         assert_eq!(c.misses(), 1);
-        assert!((c.hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -497,7 +475,6 @@ mod tests {
         }
         let (hits, misses, resident) = shards.stats();
         assert_eq!((hits, misses, resident), (16, 0, 16));
-        assert!((shards.hit_rate() - 1.0).abs() < 1e-12);
         // The keys must actually spread: with 16 distinct fingerprints
         // over 4 shards, no shard can hold all of them.
         let max_shard = shards

@@ -59,52 +59,6 @@ impl ServiceMetrics {
         ServiceMetrics::default()
     }
 
-    /// Records one answered request.
-    pub fn record_completion(&mut self, queue_us: u64, exec_us: u64, cached: bool) {
-        self.latency_us.record(queue_us + exec_us);
-        self.queue_wait_us.record(queue_us);
-        self.exec_us.record(exec_us);
-        self.completed += 1;
-        if cached {
-            self.served_from_cache += 1;
-            self.cache_hit_latency_us.record(queue_us + exec_us);
-        }
-    }
-
-    /// Records one request shed at dequeue for missing its deadline.
-    /// The wasted queue wait is still charged to the wait histogram.
-    pub fn record_shed_deadline(&mut self, queue_us: u64) {
-        self.queue_wait_us.record(queue_us);
-        self.shed_deadline += 1;
-    }
-
-    /// Records the fault-recovery footprint of one completed request:
-    /// how many attempts faulted before success, the backoff spent, and
-    /// whether the degraded fallback answered it.
-    pub fn record_recovery(&mut self, faulted_attempts: u32, backoff_units: u64, degraded: bool) {
-        self.injected_faults += u64::from(faulted_attempts);
-        self.retry_backoff_units += backoff_units;
-        if faulted_attempts > 0 {
-            self.retried += 1;
-        }
-        if degraded {
-            self.degraded += 1;
-        }
-    }
-
-    /// Records one request that exhausted every attempt and failed.
-    pub fn record_failed(&mut self, faulted_attempts: u32, backoff_units: u64, queue_us: u64) {
-        self.injected_faults += u64::from(faulted_attempts);
-        self.retry_backoff_units += backoff_units;
-        self.failed += 1;
-        self.queue_wait_us.record(queue_us);
-    }
-
-    /// Records one contained worker panic.
-    pub fn record_worker_panic(&mut self) {
-        self.worker_panics += 1;
-    }
-
     /// Folds another metrics object in (bucket-wise histogram merge plus
     /// counter sums) — e.g. to aggregate per-worker snapshots.
     pub fn merge(&mut self, other: &ServiceMetrics) {
@@ -409,9 +363,10 @@ mod tests {
 
     #[test]
     fn completion_updates_all_three_histograms() {
-        let mut m = ServiceMetrics::new();
-        m.record_completion(10, 90, false);
-        m.record_completion(5, 0, true);
+        let w = WorkerMetrics::new();
+        w.record_completion(10, 90, false);
+        w.record_completion(5, 0, true);
+        let m = w.snapshot();
         assert_eq!(m.completed, 2);
         assert_eq!(m.served_from_cache, 1);
         assert_eq!(m.latency_us.count(), 2);
@@ -425,8 +380,9 @@ mod tests {
 
     #[test]
     fn deadline_shed_charges_queue_wait_only() {
-        let mut m = ServiceMetrics::new();
-        m.record_shed_deadline(500);
+        let w = WorkerMetrics::new();
+        w.record_shed_deadline(500);
+        let m = w.snapshot();
         assert_eq!(m.shed_deadline, 1);
         assert_eq!(m.completed, 0);
         assert_eq!(m.queue_wait_us.count(), 1);
@@ -436,13 +392,15 @@ mod tests {
 
     #[test]
     fn merge_sums_counters_and_buckets() {
-        let mut a = ServiceMetrics::new();
+        let a = WorkerMetrics::new();
         a.record_completion(1, 2, false);
-        let mut b = ServiceMetrics::new();
+        let b = WorkerMetrics::new();
         b.record_completion(3, 4, true);
         b.record_shed_deadline(9);
-        b.batches += 2;
-        a.merge(&b);
+        b.record_batch();
+        b.record_batch();
+        let mut a = a.snapshot();
+        a.merge(&b.snapshot());
         assert_eq!(a.completed, 2);
         assert_eq!(a.served_from_cache, 1);
         assert_eq!(a.shed_deadline, 1);
@@ -454,20 +412,21 @@ mod tests {
 
     #[test]
     fn fault_counters_record_and_merge() {
-        let mut m = ServiceMetrics::new();
-        m.record_recovery(2, 3, true);
-        m.record_recovery(0, 0, false); // clean first try: not a retry
-        m.record_failed(3, 7, 42);
-        m.record_worker_panic();
+        let w = WorkerMetrics::new();
+        w.record_recovery(2, 3, true);
+        w.record_recovery(0, 0, false); // clean first try: not a retry
+        w.record_failed(3, 7, 42);
+        w.record_worker_panic();
+        let mut m = w.snapshot();
         assert_eq!(m.injected_faults, 5);
         assert_eq!(m.retried, 1);
         assert_eq!(m.degraded, 1);
         assert_eq!(m.failed, 1);
         assert_eq!(m.worker_panics, 1);
         assert_eq!(m.retry_backoff_units, 10);
-        let mut other = ServiceMetrics::new();
+        let other = WorkerMetrics::new();
         other.record_recovery(1, 1, false);
-        m.merge(&other);
+        m.merge(&other.snapshot());
         assert_eq!(m.injected_faults, 6);
         assert_eq!(m.retried, 2);
         assert_eq!(m.retry_backoff_units, 11);
@@ -496,10 +455,10 @@ mod tests {
 
     #[test]
     fn emit_writes_the_trace_vocabulary() {
-        let mut m = ServiceMetrics::new();
-        m.record_completion(10, 20, false);
+        let w = WorkerMetrics::new();
+        w.record_completion(10, 20, false);
         let mut sink = TraceSink::vec();
-        m.emit(&mut sink);
+        w.snapshot().emit(&mut sink);
         let spans: Vec<&str> = sink.events().iter().map(|e| e.span.as_str()).collect();
         assert_eq!(
             spans,
@@ -533,40 +492,30 @@ mod tests {
     #[test]
     fn worker_metrics_snapshot_matches_sequential_recording() {
         let w = WorkerMetrics::new();
-        let mut reference = ServiceMetrics::new();
         w.record_completion(10, 90, false);
-        reference.record_completion(10, 90, false);
         w.record_completion(5, 0, true);
-        reference.record_completion(5, 0, true);
         w.record_shed_deadline(33);
-        reference.record_shed_deadline(33);
         w.record_batch();
-        reference.batches += 1;
         w.record_recovery(2, 3, true);
-        reference.record_recovery(2, 3, true);
         w.record_failed(1, 4, 7);
-        reference.record_failed(1, 4, 7);
         w.record_worker_panic();
-        reference.record_worker_panic();
 
         let snap = w.snapshot();
-        assert_eq!(snap.completed, reference.completed);
-        assert_eq!(snap.served_from_cache, reference.served_from_cache);
-        assert_eq!(snap.shed_deadline, reference.shed_deadline);
-        assert_eq!(snap.batches, reference.batches);
-        assert_eq!(snap.injected_faults, reference.injected_faults);
-        assert_eq!(snap.retried, reference.retried);
-        assert_eq!(snap.degraded, reference.degraded);
-        assert_eq!(snap.failed, reference.failed);
-        assert_eq!(snap.worker_panics, reference.worker_panics);
-        assert_eq!(snap.retry_backoff_units, reference.retry_backoff_units);
-        assert_eq!(snap.latency_us.count(), reference.latency_us.count());
-        assert_eq!(snap.latency_us.sum(), reference.latency_us.sum());
-        assert_eq!(
-            snap.cache_hit_latency_us.max(),
-            reference.cache_hit_latency_us.max()
-        );
-        assert_eq!(snap.queue_wait_us.count(), reference.queue_wait_us.count());
+        assert_eq!(snap.completed, 2);
+        assert_eq!(snap.served_from_cache, 1);
+        assert_eq!(snap.shed_deadline, 1);
+        assert_eq!(snap.batches, 1);
+        assert_eq!(snap.injected_faults, 3);
+        assert_eq!(snap.retried, 1);
+        assert_eq!(snap.degraded, 1);
+        assert_eq!(snap.failed, 1);
+        assert_eq!(snap.worker_panics, 1);
+        assert_eq!(snap.retry_backoff_units, 7);
+        assert_eq!(snap.latency_us.count(), 2);
+        assert_eq!(snap.latency_us.sum(), 105);
+        assert_eq!(snap.cache_hit_latency_us.max(), 5);
+        // Two completions, one shed and one failure each charge a wait.
+        assert_eq!(snap.queue_wait_us.count(), 4);
     }
 
     #[test]

@@ -197,7 +197,7 @@ fn stale_rid_probe_recovers_via_version_bump() {
     // typed error instead of panicking (the bug this PR fixes), and the
     // pool keeps serving valid rids afterwards.
     let mut pool = BufferPool::new(Disk::new(DiskConfig::paper()), 8);
-    let file = HeapFile::bulk_load(&mut pool, 300, 3, Layout::Clustered);
+    let file = HeapFile::bulk_load(&mut pool, 300, 3, Layout::Clustered).unwrap();
     let stale = RecordId {
         page: file.rid(0).page,
         slot: 99,

@@ -156,13 +156,6 @@ impl BufferPool {
         Ok(id)
     }
 
-    /// Allocates a fresh page on the underlying disk and makes it resident
-    /// (no read is charged: newly allocated pages have no prior disk image).
-    pub fn allocate(&mut self) -> PageId {
-        self.try_allocate()
-            .unwrap_or_else(|e| panic!("page allocation failed: {e}")) // PANIC-OK: infallible wrapper
-    }
-
     /// Makes `id` resident, reading it from disk on a miss, and returns
     /// its frame index.
     fn ensure_resident(&mut self, id: PageId) -> Result<usize, StorageError> {
@@ -181,16 +174,6 @@ impl BufferPool {
         self.disk.add_logical_read();
         let idx = self.ensure_resident(id)?;
         Ok(&self.frames[idx].page)
-    }
-
-    /// Fetches a page, charging a physical read only on a miss. The miss
-    /// path clones an `Arc` handle, not page bytes.
-    pub fn fetch(&mut self, id: PageId) -> &Page {
-        self.disk.add_logical_read();
-        let idx = self
-            .ensure_resident(id)
-            .unwrap_or_else(|e| panic!("page fetch failed: {e}")); // PANIC-OK: infallible wrapper
-        &self.frames[idx].page
     }
 
     /// Mutates a page through the pool with write-through semantics. A
@@ -215,14 +198,6 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Mutates a page through the pool with write-through semantics: the
-    /// page is fetched (possibly charging a read), modified, and written
-    /// back (charging a write).
-    pub fn update(&mut self, id: PageId, f: impl FnOnce(&mut Page)) {
-        self.try_update(id, f)
-            .unwrap_or_else(|e| panic!("page update failed: {e}")) // PANIC-OK: infallible wrapper
-    }
-
     /// A private pool shard for one parallel worker: a cold pool of
     /// `capacity` frames over a copy-on-write snapshot of the underlying
     /// disk (see [`Disk::read_view`]). The shard starts with zeroed I/O
@@ -232,16 +207,10 @@ impl BufferPool {
         BufferPool::new(self.disk.read_view(), capacity)
     }
 
-    /// The underlying disk (read-only; e.g. for [`Disk::save`]).
+    /// The underlying disk (read-only; e.g. for [`Disk::save`] — the
+    /// simulator is write-through, so the disk is always current).
     pub fn disk(&self) -> &Disk {
         &self.disk
-    }
-
-    /// Consumes the pool, returning the underlying disk (e.g. to persist
-    /// it with [`Disk::save`]). All cached state is discarded — the
-    /// simulator is write-through, so the disk is always current.
-    pub fn into_disk(self) -> Disk {
-        self.disk
     }
 
     /// Reads one record through the pool. Fails with
@@ -261,17 +230,6 @@ impl BufferPool {
                 page: rid.page,
                 slot: rid.slot,
             })
-    }
-
-    /// Reads one record through the pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the record does not exist (heap files never hand out
-    /// dangling ids).
-    pub fn read_record(&mut self, file: &HeapFile, rid: RecordId) -> Vec<u8> {
-        self.try_read_record(file, rid)
-            .unwrap_or_else(|e| panic!("record read failed: {e}")) // PANIC-OK: infallible wrapper
     }
 
     /// Unlinks frame `idx` from the recency list.
@@ -362,10 +320,10 @@ mod tests {
     #[test]
     fn hit_does_not_touch_disk() {
         let mut p = pool(4);
-        let id = p.allocate();
+        let id = p.try_allocate().unwrap();
         p.reset_stats();
-        p.fetch(id);
-        p.fetch(id);
+        p.try_fetch(id).unwrap();
+        p.try_fetch(id).unwrap();
         let s = p.stats();
         assert_eq!(s.physical_reads, 0);
         assert_eq!(s.logical_reads, 2);
@@ -375,17 +333,17 @@ mod tests {
     #[test]
     fn eviction_causes_reread() {
         let mut p = pool(2);
-        let ids: Vec<_> = (0..3).map(|_| p.allocate()).collect();
+        let ids: Vec<_> = (0..3).map(|_| p.try_allocate().unwrap()).collect();
         p.clear();
         p.reset_stats();
-        p.fetch(ids[0]); // miss
-        p.fetch(ids[1]); // miss
-        p.fetch(ids[2]); // miss, evicts ids[0]
+        p.try_fetch(ids[0]).unwrap(); // miss
+        p.try_fetch(ids[1]).unwrap(); // miss
+        p.try_fetch(ids[2]).unwrap(); // miss, evicts ids[0]
         assert_eq!(p.stats().physical_reads, 3);
         assert_eq!(p.resident(), 2);
         assert!(!p.contains(ids[0]));
         assert_eq!(p.evictions(), 1);
-        p.fetch(ids[0]); // miss again, evicts ids[1]
+        p.try_fetch(ids[0]).unwrap(); // miss again, evicts ids[1]
         assert_eq!(p.stats().physical_reads, 4);
         assert_eq!(p.evictions(), 2);
     }
@@ -393,13 +351,13 @@ mod tests {
     #[test]
     fn counters_export_into_registry() {
         let mut p = pool(2);
-        let ids: Vec<_> = (0..3).map(|_| p.allocate()).collect();
+        let ids: Vec<_> = (0..3).map(|_| p.try_allocate().unwrap()).collect();
         p.clear();
         p.reset_stats();
-        p.fetch(ids[0]); // miss
-        p.fetch(ids[0]); // hit
-        p.fetch(ids[1]); // miss
-        p.fetch(ids[2]); // miss + eviction
+        p.try_fetch(ids[0]).unwrap(); // miss
+        p.try_fetch(ids[0]).unwrap(); // hit
+        p.try_fetch(ids[1]).unwrap(); // miss
+        p.try_fetch(ids[2]).unwrap(); // miss + eviction
         let mut reg = sj_obs::CounterRegistry::new();
         p.export_counters(&mut reg);
         assert_eq!(reg.get("bufferpool.hits"), 1);
@@ -419,31 +377,31 @@ mod tests {
     #[test]
     fn lru_keeps_recently_used_page() {
         let mut p = pool(2);
-        let ids: Vec<_> = (0..3).map(|_| p.allocate()).collect();
+        let ids: Vec<_> = (0..3).map(|_| p.try_allocate().unwrap()).collect();
         p.clear();
         p.reset_stats();
-        p.fetch(ids[0]);
-        p.fetch(ids[1]);
-        p.fetch(ids[0]); // ids[0] is now MRU
-        p.fetch(ids[2]); // evicts LRU = ids[1]
+        p.try_fetch(ids[0]).unwrap();
+        p.try_fetch(ids[1]).unwrap();
+        p.try_fetch(ids[0]).unwrap(); // ids[0] is now MRU
+        p.try_fetch(ids[2]).unwrap(); // evicts LRU = ids[1]
         assert!(p.contains(ids[0]));
         assert!(!p.contains(ids[1]));
         let before = p.stats().physical_reads;
-        p.fetch(ids[0]); // still a hit
+        p.try_fetch(ids[0]).unwrap(); // still a hit
         assert_eq!(p.stats().physical_reads, before);
     }
 
     #[test]
     fn sequential_scan_larger_than_pool_thrashes() {
         let mut p = pool(4);
-        let ids: Vec<_> = (0..8).map(|_| p.allocate()).collect();
+        let ids: Vec<_> = (0..8).map(|_| p.try_allocate().unwrap()).collect();
         p.clear();
         p.reset_stats();
         // Two full sequential scans over 8 pages with a 4-page pool: LRU
         // gives zero reuse (the classic sequential-flooding pattern).
         for _ in 0..2 {
             for &id in &ids {
-                p.fetch(id);
+                p.try_fetch(id).unwrap();
             }
         }
         assert_eq!(p.stats().physical_reads, 16);
@@ -452,16 +410,17 @@ mod tests {
     #[test]
     fn update_is_write_through() {
         let mut p = pool(2);
-        let id = p.allocate();
+        let id = p.try_allocate().unwrap();
         p.reset_stats();
-        p.update(id, |page| {
+        p.try_update(id, |page| {
             page.push(vec![42; 8]);
-        });
+        })
+        .unwrap();
         let s = p.stats();
         assert_eq!(s.physical_writes, 1);
         // The disk image reflects the change even after clearing the pool.
         p.clear();
-        assert_eq!(p.fetch(id).used(), 8);
+        assert_eq!(p.try_fetch(id).unwrap().used(), 8);
     }
 
     #[test]
@@ -473,25 +432,28 @@ mod tests {
     #[test]
     fn fork_view_isolates_stats_and_writes() {
         let mut p = pool(4);
-        let id = p.allocate();
-        p.update(id, |page| {
+        let id = p.try_allocate().unwrap();
+        p.try_update(id, |page| {
             page.push(vec![5; 4]);
-        });
+        })
+        .unwrap();
         p.reset_stats();
 
         let mut shard = p.fork_view(2);
         assert_eq!(shard.stats(), IoStats::default());
-        assert_eq!(shard.fetch(id).used(), 4);
+        assert_eq!(shard.try_fetch(id).unwrap().used(), 4);
         assert_eq!(shard.stats().physical_reads, 1);
         assert_eq!(shard.stats().logical_reads, 1);
 
         // A worker-side update is invisible to the parent pool and disk.
-        shard.update(id, |page| {
-            page.push(vec![6; 2]);
-        });
-        assert_eq!(shard.fetch(id).used(), 6);
+        shard
+            .try_update(id, |page| {
+                page.push(vec![6; 2]);
+            })
+            .unwrap();
+        assert_eq!(shard.try_fetch(id).unwrap().used(), 6);
         p.clear();
-        assert_eq!(p.fetch(id).used(), 4);
+        assert_eq!(p.try_fetch(id).unwrap().used(), 4);
         // Parent counters saw only the parent's own fetch.
         assert_eq!(p.stats().physical_reads, 1);
     }
@@ -500,7 +462,7 @@ mod tests {
     fn dangling_record_is_a_typed_error() {
         use crate::heap::{HeapFile, Layout};
         let mut p = pool(8);
-        let f = HeapFile::bulk_load(&mut p, 300, 3, Layout::Clustered);
+        let f = HeapFile::bulk_load(&mut p, 300, 3, Layout::Clustered).unwrap();
         let rid = RecordId {
             page: f.rid(0).page,
             slot: 99,
@@ -520,8 +482,8 @@ mod tests {
     fn buffer_hits_never_fault() {
         use crate::fault::{FaultConfig, FaultInjector};
         let mut p = pool(4);
-        let id = p.allocate();
-        p.fetch(id); // resident
+        let id = p.try_allocate().unwrap();
+        p.try_fetch(id).unwrap(); // resident
         p.set_fault_injector(Some(FaultInjector::new(FaultConfig::uniform(1, 1.0))));
         // The page is resident: no physical read happens, so no fault.
         assert!(p.try_fetch(id).is_ok());
@@ -537,10 +499,11 @@ mod tests {
     fn failed_update_restores_the_frame() {
         use crate::fault::{FaultConfig, FaultInjector};
         let mut p = pool(4);
-        let id = p.allocate();
-        p.update(id, |page| {
+        let id = p.try_allocate().unwrap();
+        p.try_update(id, |page| {
             page.push(vec![1; 4]);
-        });
+        })
+        .unwrap();
         let cfg = FaultConfig {
             write_prob: 1.0,
             ..FaultConfig::default()
@@ -553,9 +516,9 @@ mod tests {
             .is_err());
         // Neither the resident frame nor the disk saw the mutation.
         p.set_fault_injector(None);
-        assert_eq!(p.fetch(id).used(), 4);
+        assert_eq!(p.try_fetch(id).unwrap().used(), 4);
         p.clear();
-        assert_eq!(p.fetch(id).used(), 4);
+        assert_eq!(p.try_fetch(id).unwrap().used(), 4);
     }
 
     #[test]
@@ -563,15 +526,17 @@ mod tests {
         // A fork taken while the parent has the page resident must not
         // observe subsequent parent mutations (Arc copy-on-write).
         let mut p = pool(4);
-        let id = p.allocate();
-        p.update(id, |page| {
+        let id = p.try_allocate().unwrap();
+        p.try_update(id, |page| {
             page.push(vec![1; 3]);
-        });
+        })
+        .unwrap();
         let mut shard = p.fork_view(2);
-        p.update(id, |page| {
+        p.try_update(id, |page| {
             page.push(vec![2; 5]);
-        });
-        assert_eq!(p.fetch(id).used(), 8);
-        assert_eq!(shard.fetch(id).used(), 3);
+        })
+        .unwrap();
+        assert_eq!(p.try_fetch(id).unwrap().used(), 8);
+        assert_eq!(shard.try_fetch(id).unwrap().used(), 3);
     }
 }

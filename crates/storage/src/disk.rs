@@ -64,7 +64,7 @@ pub struct Disk {
     pages: Vec<Arc<Page>>,
     stats: IoStats,
     /// Optional deterministic fault injector consulted by every physical
-    /// operation's `try_*` path.
+    /// operation.
     injector: Option<FaultInjector>,
     /// Optional cap on the number of pages (testing knob: exercises
     /// [`StorageError::DiskFull`] without allocating 2³² pages).
@@ -86,7 +86,7 @@ impl Disk {
     }
 
     /// Arms (or with `None`, disarms) the fault injector. Without one,
-    /// the fallible paths behave exactly like the panicking originals.
+    /// only an unknown page id or an exhausted disk can fail.
     pub fn set_fault_injector(&mut self, injector: Option<FaultInjector>) {
         self.injector = injector;
     }
@@ -131,18 +131,6 @@ impl Disk {
         Ok(id)
     }
 
-    /// Allocates a fresh empty page.
-    pub fn allocate(&mut self) -> PageId {
-        self.try_allocate()
-            .unwrap_or_else(|e| panic!("page allocation failed: {e}")) // PANIC-OK: infallible wrapper
-    }
-
-    /// Reads a page from disk, charging one physical read.
-    pub fn read(&mut self, id: PageId) -> &Page {
-        self.stats.physical_reads += 1;
-        &self.pages[id.index()]
-    }
-
     /// Reads a page as a shared handle — an O(1) pointer clone, no byte
     /// copy — charging one physical read on success. Fails with
     /// [`StorageError::PageCorrupt`] for an unknown page id, or with an
@@ -160,18 +148,6 @@ impl Disk {
         Ok(page)
     }
 
-    /// Reads a page as a shared handle — an O(1) pointer clone, no byte
-    /// copy — charging one physical read.
-    pub fn read_shared(&mut self, id: PageId) -> Arc<Page> {
-        self.try_read_shared(id)
-            .unwrap_or_else(|e| panic!("page read failed: {e}")) // PANIC-OK: infallible wrapper
-    }
-
-    /// Writes a page image back to disk, charging one physical write.
-    pub fn write(&mut self, id: PageId, page: Page) {
-        self.write_shared(id, Arc::new(page));
-    }
-
     /// Writes an already-shared page image back, charging one physical
     /// write on success. Fails with [`StorageError::PageCorrupt`] for an
     /// unknown page id, or with an injected write fault (the disk image
@@ -186,13 +162,6 @@ impl Disk {
         self.stats.physical_writes += 1;
         self.pages[id.index()] = page;
         Ok(())
-    }
-
-    /// Writes an already-shared page image back, charging one physical
-    /// write (no byte copy).
-    pub fn write_shared(&mut self, id: PageId, page: Arc<Page>) {
-        self.try_write_shared(id, page)
-            .unwrap_or_else(|e| panic!("page write failed: {e}")) // PANIC-OK: infallible wrapper
     }
 
     /// A copy-on-write snapshot of this disk for read-mostly parallel
@@ -238,6 +207,13 @@ impl Disk {
 mod tests {
     use super::*;
 
+    /// Read-modify-write of one page, charging one read and one write.
+    fn push(d: &mut Disk, id: PageId, record: Vec<u8>) {
+        let mut page = (*d.try_read_shared(id).unwrap()).clone();
+        page.push(record);
+        d.try_write_shared(id, Arc::new(page)).unwrap();
+    }
+
     #[test]
     fn paper_config_yields_m_equals_5() {
         // Table 3: v = 300, s = 2000, l = 0.75 → m = ⌊1500/300⌋ = 5.
@@ -272,20 +248,16 @@ mod tests {
     #[test]
     fn read_view_shares_pages_but_not_stats_or_writes() {
         let mut d = Disk::new(DiskConfig::paper());
-        let id = d.allocate();
-        let mut p = d.read(id).clone();
-        p.push(vec![7; 4]);
-        d.write(id, p);
+        let id = d.try_allocate().unwrap();
+        push(&mut d, id, vec![7; 4]);
 
         let mut view = d.read_view();
         assert_eq!(view.stats(), IoStats::default());
-        assert_eq!(view.read(id).used(), 4);
+        assert_eq!(view.try_read_shared(id).unwrap().used(), 4);
         assert_eq!(view.stats().physical_reads, 1);
 
         // Writes to the view are invisible to the original (copy-on-write).
-        let mut q = view.read(id).clone();
-        q.push(vec![9; 6]);
-        view.write(id, q);
+        push(&mut view, id, vec![9; 6]);
         assert_eq!(view.peek(id).used(), 10);
         assert_eq!(d.peek(id).used(), 4);
         // ...and the original's counters never moved.
@@ -296,11 +268,9 @@ mod tests {
     #[test]
     fn read_shared_is_the_same_image() {
         let mut d = Disk::new(DiskConfig::paper());
-        let id = d.allocate();
-        let mut p = d.read(id).clone();
-        p.push(vec![1; 3]);
-        d.write(id, p);
-        let shared = d.read_shared(id);
+        let id = d.try_allocate().unwrap();
+        push(&mut d, id, vec![1; 3]);
+        let shared = d.try_read_shared(id).unwrap();
         assert_eq!(shared.used(), 3);
         assert_eq!(d.stats().physical_reads, 2);
     }
@@ -336,7 +306,7 @@ mod tests {
     fn injected_read_fault_surfaces_and_charges_no_io() {
         use crate::fault::{FaultConfig, FaultInjector, FaultOp};
         let mut d = Disk::new(DiskConfig::paper());
-        let id = d.allocate();
+        let id = d.try_allocate().unwrap();
         let cfg = FaultConfig {
             read_prob: 1.0,
             ..FaultConfig::default()
@@ -359,10 +329,8 @@ mod tests {
     fn failed_write_never_tears_the_page_image() {
         use crate::fault::{FaultConfig, FaultInjector};
         let mut d = Disk::new(DiskConfig::paper());
-        let id = d.allocate();
-        let mut p = d.read(id).clone();
-        p.push(vec![1; 3]);
-        d.write(id, p);
+        let id = d.try_allocate().unwrap();
+        push(&mut d, id, vec![1; 3]);
         let cfg = FaultConfig {
             write_prob: 1.0,
             ..FaultConfig::default()
@@ -377,10 +345,8 @@ mod tests {
     #[test]
     fn read_write_counts() {
         let mut d = Disk::new(DiskConfig::paper());
-        let id = d.allocate();
-        let mut p = d.read(id).clone();
-        p.push(vec![1, 2, 3]);
-        d.write(id, p);
+        let id = d.try_allocate().unwrap();
+        push(&mut d, id, vec![1, 2, 3]);
         assert_eq!(d.stats().physical_reads, 1);
         assert_eq!(d.stats().physical_writes, 1);
         assert_eq!(d.peek(id).used(), 3);

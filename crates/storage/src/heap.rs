@@ -49,17 +49,21 @@ pub struct HeapFile {
 
 impl HeapFile {
     /// Bulk-loads `count` records of `record_size` bytes produced by
-    /// `make_record(i)` (logical order), placing them per `layout`.
+    /// `make_record(i)` (logical order), placing them per `layout`. The
+    /// first allocation or write fault aborts the load (pages allocated so
+    /// far are harmlessly orphaned).
     pub fn bulk_load_with(
         pool: &mut BufferPool,
         record_size: usize,
         count: usize,
         layout: Layout,
         mut make_record: impl FnMut(usize) -> Vec<u8>,
-    ) -> Self {
+    ) -> Result<Self, StorageError> {
         let m = pool.config().records_per_page(record_size);
         let page_count = count.div_ceil(m).max(1);
-        let pages: Vec<PageId> = (0..page_count).map(|_| pool.allocate()).collect();
+        let pages = (0..page_count)
+            .map(|_| pool.try_allocate())
+            .collect::<Result<Vec<PageId>, _>>()?;
 
         // physical_of[i] = physical position of logical record i.
         let mut physical_of: Vec<usize> = (0..count).collect();
@@ -94,18 +98,18 @@ impl HeapFile {
                 "make_record must produce records of exactly {record_size} bytes"
             );
             let mut slot = 0;
-            pool.update(page, |p| {
+            pool.try_update(page, |p| {
                 slot = p.push(record);
-            });
+            })?;
             directory[logical] = RecordId { page, slot };
         }
 
-        HeapFile {
+        Ok(HeapFile {
             pages,
             directory,
             record_size,
             records_per_page: m,
-        }
+        })
     }
 
     /// Bulk-loads zero-filled records (sufficient when only I/O patterns,
@@ -115,7 +119,7 @@ impl HeapFile {
         record_size: usize,
         count: usize,
         layout: Layout,
-    ) -> Self {
+    ) -> Result<Self, StorageError> {
         Self::bulk_load_with(pool, record_size, count, layout, |_| vec![0; record_size])
     }
 
@@ -154,13 +158,6 @@ impl HeapFile {
         Ok(self.directory.len() - 1)
     }
 
-    /// Appends one record at the end of the file, allocating a page if
-    /// needed. Returns the logical index of the new record.
-    pub fn append(&mut self, pool: &mut BufferPool, record: Vec<u8>) -> usize {
-        self.try_append(pool, record)
-            .unwrap_or_else(|e| panic!("heap append failed: {e}")) // PANIC-OK: infallible wrapper
-    }
-
     /// Number of records.
     #[inline]
     pub fn len(&self) -> usize {
@@ -195,11 +192,6 @@ impl HeapFile {
     #[inline]
     pub fn rid(&self, i: usize) -> RecordId {
         self.directory[i]
-    }
-
-    /// Physical addresses of all records in logical order.
-    pub fn record_ids(&self) -> impl Iterator<Item = RecordId> + '_ {
-        self.directory.iter().copied()
     }
 
     /// The file's pages in physical order (used by full scans).
@@ -272,13 +264,6 @@ impl HeapFile {
         }
         Ok(out)
     }
-
-    /// Full sequential scan through the pool, yielding every record. Costs
-    /// `page_count()` physical reads on a cold pool.
-    pub fn scan<'a>(&'a self, pool: &'a mut BufferPool) -> Vec<(usize, Vec<u8>)> {
-        self.try_scan(pool)
-            .unwrap_or_else(|e| panic!("heap scan failed: {e}")) // PANIC-OK: infallible wrapper
-    }
 }
 
 #[cfg(test)]
@@ -294,7 +279,8 @@ mod tests {
     fn clustered_packs_sequentially() {
         let mut p = pool();
         let f =
-            HeapFile::bulk_load_with(&mut p, 300, 12, Layout::Clustered, |i| vec![i as u8; 300]);
+            HeapFile::bulk_load_with(&mut p, 300, 12, Layout::Clustered, |i| vec![i as u8; 300])
+                .unwrap();
         assert_eq!(f.page_count(), 3); // ⌈12/5⌉
         assert_eq!(f.records_per_page(), 5);
         // Logical record i sits on page i/5.
@@ -303,7 +289,7 @@ mod tests {
         }
         // Contents round-trip.
         for i in 0..12 {
-            assert_eq!(p.read_record(&f, f.rid(i))[0], i as u8);
+            assert_eq!(p.try_read_record(&f, f.rid(i)).unwrap()[0], i as u8);
         }
     }
 
@@ -312,11 +298,12 @@ mod tests {
         let mut p = pool();
         let f = HeapFile::bulk_load_with(&mut p, 300, 50, Layout::Unclustered { seed: 7 }, |i| {
             vec![i as u8; 300]
-        });
+        })
+        .unwrap();
         assert_eq!(f.page_count(), 10);
         // Contents still round-trip through the directory.
         for i in 0..50 {
-            assert_eq!(p.read_record(&f, f.rid(i))[0], i as u8);
+            assert_eq!(p.try_read_record(&f, f.rid(i)).unwrap()[0], i as u8);
         }
         // The first 5 logical records should *not* all be on the first page
         // (they would be, if clustered). With seed 7 this is deterministic.
@@ -330,20 +317,20 @@ mod tests {
         // Fetching 10 consecutive logical records: clustered = 2 pages,
         // unclustered ≈ Yao(10, 20, 100) ≈ 8 pages.
         let mut pc = pool();
-        let fc = HeapFile::bulk_load(&mut pc, 300, 100, Layout::Clustered);
+        let fc = HeapFile::bulk_load(&mut pc, 300, 100, Layout::Clustered).unwrap();
         pc.clear();
         pc.reset_stats();
         for i in 0..10 {
-            pc.read_record(&fc, fc.rid(i));
+            pc.try_read_record(&fc, fc.rid(i)).unwrap();
         }
         let clustered_reads = pc.stats().physical_reads;
 
         let mut pu = pool();
-        let fu = HeapFile::bulk_load(&mut pu, 300, 100, Layout::Unclustered { seed: 42 });
+        let fu = HeapFile::bulk_load(&mut pu, 300, 100, Layout::Unclustered { seed: 42 }).unwrap();
         pu.clear();
         pu.reset_stats();
         for i in 0..10 {
-            pu.read_record(&fu, fu.rid(i));
+            pu.try_read_record(&fu, fu.rid(i)).unwrap();
         }
         let unclustered_reads = pu.stats().physical_reads;
 
@@ -357,12 +344,12 @@ mod tests {
     #[test]
     fn append_extends_file() {
         let mut p = pool();
-        let mut f = HeapFile::bulk_load(&mut p, 300, 5, Layout::Clustered);
+        let mut f = HeapFile::bulk_load(&mut p, 300, 5, Layout::Clustered).unwrap();
         assert_eq!(f.page_count(), 1);
-        let idx = f.append(&mut p, vec![9; 300]);
+        let idx = f.try_append(&mut p, vec![9; 300]).unwrap();
         assert_eq!(idx, 5);
         assert_eq!(f.page_count(), 2); // page 0 held exactly m = 5
-        assert_eq!(p.read_record(&f, f.rid(5)), vec![9; 300]);
+        assert_eq!(p.try_read_record(&f, f.rid(5)).unwrap(), vec![9; 300]);
     }
 
     #[test]
@@ -370,10 +357,11 @@ mod tests {
         let mut p = pool();
         let f = HeapFile::bulk_load_with(&mut p, 300, 23, Layout::Unclustered { seed: 3 }, |i| {
             vec![i as u8; 300]
-        });
+        })
+        .unwrap();
         p.clear();
         p.reset_stats();
-        let mut rows = f.scan(&mut p);
+        let mut rows = f.try_scan(&mut p).unwrap();
         assert_eq!(p.stats().physical_reads as usize, f.page_count());
         rows.sort_by_key(|(i, _)| *i);
         assert_eq!(rows.len(), 23);
@@ -403,7 +391,7 @@ mod tests {
     #[test]
     fn append_size_mismatch_is_a_typed_error() {
         let mut p = pool();
-        let mut f = HeapFile::bulk_load(&mut p, 300, 2, Layout::Clustered);
+        let mut f = HeapFile::bulk_load(&mut p, 300, 2, Layout::Clustered).unwrap();
         assert!(matches!(
             f.try_append(&mut p, vec![0; 10]),
             Err(StorageError::Io(_))
@@ -414,7 +402,7 @@ mod tests {
     #[test]
     fn append_surfaces_disk_full_and_leaves_file_consistent() {
         let mut p = pool();
-        let mut f = HeapFile::bulk_load(&mut p, 300, 5, Layout::Clustered);
+        let mut f = HeapFile::bulk_load(&mut p, 300, 5, Layout::Clustered).unwrap();
         assert_eq!(f.page_count(), 1); // full: m = 5
                                        // Freeze the disk at its current size; the next append needs a
                                        // fresh page and must fail typed, not panic.
@@ -431,7 +419,7 @@ mod tests {
     #[test]
     fn empty_bulk_load_is_valid() {
         let mut p = pool();
-        let f = HeapFile::bulk_load(&mut p, 300, 0, Layout::Clustered);
+        let f = HeapFile::bulk_load(&mut p, 300, 0, Layout::Clustered).unwrap();
         assert!(f.is_empty());
         assert_eq!(f.page_count(), 1); // one pre-allocated page for appends
     }

@@ -15,6 +15,11 @@
 //! * [`IoStats`] — the measurement interface every join-strategy executor
 //!   reports through.
 //!
+//! Every paged operation has one shape: fallible (`try_*`, returning
+//! [`StorageError`]) and charged through the pool. There is no panicking
+//! twin — a caller that knows no [`FaultInjector`] is armed unwraps at its
+//! own edge.
+//!
 //! The simulator models a single query stream per pool, which is what lets
 //! the test-suite compare measured I/O counts against the analytic
 //! formulas. For data-parallel executors, [`Disk::read_view`] and
@@ -34,16 +39,17 @@
 //! // (the paper's Table 3 parameters).
 //! let config = DiskConfig { page_size: 2000, utilization: 0.75 };
 //! let mut pool = BufferPool::new(Disk::new(config), 8);
-//! let file = HeapFile::bulk_load(&mut pool, 300, 100, Layout::Clustered);
+//! let file = HeapFile::bulk_load(&mut pool, 300, 100, Layout::Clustered)?;
 //! assert_eq!(file.records_per_page(), 5);
 //! assert_eq!(file.page_count(), 20);
 //!
 //! // Scanning the whole file through a cold pool costs one read per page.
 //! pool.reset_stats();
-//! for rid in file.record_ids() {
-//!     pool.read_record(&file, rid);
+//! for i in 0..file.len() {
+//!     pool.try_read_record(&file, file.rid(i))?;
 //! }
 //! assert_eq!(pool.stats().physical_reads, 20);
+//! # Ok::<(), sj_storage::StorageError>(())
 //! ```
 
 pub mod buffer;

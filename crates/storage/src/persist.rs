@@ -17,6 +17,7 @@
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::disk::{Disk, DiskConfig};
 use crate::page::Page;
@@ -126,8 +127,9 @@ impl Disk {
                     page.remove(slot);
                 }
             }
-            let id = disk.allocate();
-            disk.write(id, page);
+            let id = disk.try_allocate().map_err(io::Error::other)?;
+            disk.try_write_shared(id, Arc::new(page))
+                .map_err(io::Error::other)?;
         }
         disk.reset_stats();
         // Reject trailing garbage.
@@ -168,14 +170,14 @@ mod tests {
                     rec[..8].copy_from_slice(&(i as u64).to_le_bytes());
                     rec
                 },
-            );
-            let disk = pool.into_disk();
-            disk.save(&path).expect("save");
+            )
+            .unwrap();
+            pool.disk().save(&path).expect("save");
         }
         let disk = Disk::load(&path).expect("load");
         let mut pool = BufferPool::new(disk, 64);
         for i in 0..37 {
-            let bytes = pool.read_record(&file, file.rid(i));
+            let bytes = pool.try_read_record(&file, file.rid(i)).unwrap();
             let id = u64::from_le_bytes(bytes[..8].try_into().unwrap());
             assert_eq!(id as usize, i);
         }
@@ -186,12 +188,12 @@ mod tests {
     fn tombstones_survive() {
         let path = temp_path("tombstones");
         let mut disk = Disk::new(DiskConfig::paper());
-        let id = disk.allocate();
-        let mut page = disk.read(id).clone();
+        let id = disk.try_allocate().unwrap();
+        let mut page = (*disk.try_read_shared(id).unwrap()).clone();
         let s0 = page.push(vec![1; 10]);
         let s1 = page.push(vec![2; 10]);
         page.remove(s0);
-        disk.write(id, page);
+        disk.try_write_shared(id, Arc::new(page)).unwrap();
         disk.save(&path).expect("save");
 
         let loaded = Disk::load(&path).expect("load");
@@ -214,10 +216,10 @@ mod tests {
     fn rejects_truncation() {
         let path = temp_path("truncated");
         let mut disk = Disk::new(DiskConfig::paper());
-        let id = disk.allocate();
-        let mut page = disk.read(id).clone();
+        let id = disk.try_allocate().unwrap();
+        let mut page = (*disk.try_read_shared(id).unwrap()).clone();
         page.push(vec![7; 100]);
-        disk.write(id, page);
+        disk.try_write_shared(id, Arc::new(page)).unwrap();
         disk.save(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();

@@ -29,11 +29,12 @@ proptest! {
             let mut rec = vec![0u8; record_size];
             rec[..8].copy_from_slice(&(i as u64).to_le_bytes());
             rec
-        });
+        })
+        .unwrap();
         prop_assert_eq!(f.len(), count);
         // Every record is retrievable and carries its logical index.
         for i in 0..count {
-            let bytes = p.read_record(&f, f.rid(i));
+            let bytes = p.try_read_record(&f, f.rid(i)).unwrap();
             let id = u64::from_le_bytes(bytes[..8].try_into().unwrap());
             prop_assert_eq!(id as usize, i);
         }
@@ -48,10 +49,10 @@ proptest! {
         accesses in prop::collection::vec(0u32..64, 1..300),
     ) {
         let mut p = pool(capacity);
-        let pages: Vec<_> = (0..64).map(|_| p.allocate()).collect();
+        let pages: Vec<_> = (0..64).map(|_| p.try_allocate().unwrap()).collect();
         p.clear();
         for &a in &accesses {
-            p.fetch(pages[a as usize]);
+            p.try_fetch(pages[a as usize]).unwrap();
             prop_assert!(p.resident() <= capacity);
         }
     }
@@ -62,11 +63,11 @@ proptest! {
         accesses in prop::collection::vec(0u32..32, 1..200),
     ) {
         let mut p = pool(capacity);
-        let pages: Vec<_> = (0..32).map(|_| p.allocate()).collect();
+        let pages: Vec<_> = (0..32).map(|_| p.try_allocate().unwrap()).collect();
         p.clear();
         p.reset_stats();
         for &a in &accesses {
-            p.fetch(pages[a as usize]);
+            p.try_fetch(pages[a as usize]).unwrap();
         }
         let s = p.stats();
         // Every request is a logical read; hits + misses = requests.
@@ -85,11 +86,11 @@ proptest! {
     ) {
         // With capacity ≥ working set, physical reads = distinct pages.
         let mut p = pool(32);
-        let pages: Vec<_> = (0..32).map(|_| p.allocate()).collect();
+        let pages: Vec<_> = (0..32).map(|_| p.try_allocate().unwrap()).collect();
         p.clear();
         p.reset_stats();
         for &a in &accesses {
-            p.fetch(pages[a as usize]);
+            p.try_fetch(pages[a as usize]).unwrap();
         }
         let distinct = accesses.iter().collect::<std::collections::HashSet<_>>().len() as u64;
         prop_assert_eq!(p.stats().physical_reads, distinct);

@@ -4,7 +4,9 @@
 //!
 //! Run with: `cargo run --release --example advisor`
 
-use spatial_joins::core::advisor::{estimate_selectivity, recommend, Operation, WorkloadProfile};
+use spatial_joins::core::advisor::{
+    recommend, try_estimate_selectivity, Operation, WorkloadProfile,
+};
 use spatial_joins::core::workload::{generate, GeometryKind, Placement, WorkloadSpec};
 use spatial_joins::core::{
     BufferPool, Disk, DiskConfig, Distribution, Layout, ModelParams, Rect, StoredRelation, ThetaOp,
@@ -31,7 +33,8 @@ fn main() {
     );
     let theta = ThetaOp::WithinDistance(5.0);
 
-    let p_hat = estimate_selectivity(&mut pool, &r, &s, theta, 50_000, 7);
+    let p_hat = try_estimate_selectivity(&mut pool, &r, &s, theta, 50_000, 7)
+        .expect("in-memory disk cannot fault");
     println!("sampled selectivity for θ = within 5 km: p̂ = {p_hat:.2e}");
     println!("(analytically, two uniform points in 1000² match with p = π·25/10⁶ ≈ 7.9e-5)\n");
 

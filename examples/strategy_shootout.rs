@@ -129,7 +129,8 @@ fn main() {
     let mut p = pool();
     let r = StoredRelation::build(&mut p, &r_tuples, RECORD, Layout::Clustered);
     let s = StoredRelation::build(&mut p, &s_tuples, RECORD, Layout::Clustered);
-    let (idx, build) = JoinIndex::build(&mut p, &r, &s, theta, 100);
+    let (idx, build) =
+        JoinIndex::try_build(&mut p, &r, &s, theta, 100).expect("in-memory disk cannot fault");
     p.clear();
     p.reset_stats();
     let run = idx

@@ -46,7 +46,9 @@ fn section_2_2_sort_merge_misses_adjacent_matches() {
         .unwrap()
         .pairs;
     assert_eq!(complete.len(), 3, "each pair of row-neighbours is adjacent");
-    let naive = naive_zvalue_sort_merge(&mut p, &r, &s, &grid, ThetaOp::Adjacent, 1).pairs;
+    let naive = naive_zvalue_sort_merge(&mut p, &r, &s, &grid, ThetaOp::Adjacent, 1)
+        .unwrap()
+        .pairs;
     assert!(
         naive.len() < complete.len(),
         "the naive z-sort-merge must miss matches ({} vs {})",
