@@ -225,8 +225,8 @@ pub struct AdaptiveAdvisor {
 impl AdaptiveAdvisor {
     /// The strategies the feedback loop arbitrates between: the three §4
     /// executor strategies the static model can name, plus the
-    /// partition-parallel executor, which the §4 formulas do not score
-    /// but which shard-local skew often favors.
+    /// partition executor, which the §4 formulas do not score but which
+    /// shard-local skew often favors.
     pub const CANDIDATES: [sj_joins::Strategy; 4] = [
         sj_joins::Strategy::Tree,
         sj_joins::Strategy::JoinIndex,

@@ -13,15 +13,13 @@
 //! product `qual_a × qual_b` is seeded through a forward-scan plane
 //! sweep over the child MBRs ([`sj_geom::sweep`]) instead of a double
 //! loop, which prunes filter-failing pairs before they are ever visited
-//! (see [`seed_child_pairs`]). [`join_depth_first_flat`] is an equivalent
-//! depth-first reformulation that avoids the redundant Θ-evaluations of
-//! the embedded SELECT passes. All variants return the same match set —
-//! a property-tested invariant.
+//! (see [`seed_child_pairs`]). It returns the match set of
+//! [`join_exhaustive`] — a property-tested invariant.
 //!
 //! ## Batched child filtering
 //!
-//! Every traversal needs the Θ-filter verdict of each child of a node
-//! against a fixed probe MBR. Every traversal accepts optional
+//! The traversal needs the Θ-filter verdict of each child of a node
+//! against a fixed probe MBR. It accepts optional
 //! [`FlatChildren`] snapshots and routes those verdict computations
 //! through the branch-free SoA mask kernels ([`sj_geom::soa`]) via
 //! [`expand_children`] — one mask call per chunk instead of a scalar
@@ -308,211 +306,36 @@ fn seed_child_pairs(
     }
 }
 
-/// Depth-first reformulation of Algorithm JOIN producing the identical
-/// match set with fewer redundant Θ-evaluations; see [`join_flat`] for
-/// the `FlatChildren` equivalence contract.
-///
-/// `process(a, b)` is responsible for exactly the pair set
-/// `subtree(a) × subtree(b)`, decomposed without overlap into
-/// `{(a, b)}` ∪ `{a} × (subtree(b) ∖ {b})` ∪ `(subtree(a) ∖ {a}) × subtree(b)`.
-pub fn join_depth_first_flat(
+/// [`join_flat`] with fallible visitors: the first visitor error (from
+/// either side) suppresses all later visitor calls (no further I/O), the
+/// in-memory traversal finishes, and the outcome fails — fail-stop, never
+/// a partial pair set.
+pub fn try_join_flat<E>(
     tree_r: &GenTree,
     flat_r: Option<&FlatChildren>,
     tree_s: &GenTree,
     flat_s: Option<&FlatChildren>,
     theta: ThetaOp,
-    on_visit_r: impl FnMut(NodeId),
-    on_visit_s: impl FnMut(NodeId),
-) -> JoinOutcome {
-    join_pair_flat(
-        tree_r,
-        flat_r,
-        tree_s,
-        flat_s,
-        tree_r.root(),
-        tree_s.root(),
-        0,
-        theta,
-        on_visit_r,
-        on_visit_s,
-    )
-}
-
-/// Depth-first JOIN restricted to one qualifying pair: produces exactly the
-/// matches of `subtree(a) × subtree(b)` (both subtree roots included).
-///
-/// This is the unit of work for parallel tree joins: the root×root problem
-/// decomposes into the independent pairs `(a, b)` for children `a` of
-/// `tree_r.root()` and `b` of `tree_s.root()` (plus the root entries'
-/// cross-products, which the parallel driver handles separately), and each
-/// pair can run on its own thread. `depth` is only used for the per-level
-/// visit histogram in [`TraversalStats`].
-#[allow(clippy::too_many_arguments)]
-fn join_pair_flat(
-    tree_r: &GenTree,
-    flat_r: Option<&FlatChildren>,
-    tree_s: &GenTree,
-    flat_s: Option<&FlatChildren>,
-    a: NodeId,
-    b: NodeId,
-    depth: usize,
-    theta: ThetaOp,
-    mut on_visit_r: impl FnMut(NodeId),
-    mut on_visit_s: impl FnMut(NodeId),
-) -> JoinOutcome {
-    // Explicit work stack of closures would obscure accounting; use a
-    // recursive helper instead (tree heights are far below stack limits).
-    let mf = theta.mask_filter();
-    let mut ctx = Ctx {
-        tree_r,
-        flat_r,
-        tree_s,
-        flat_s,
-        theta,
-        mf,
-        out: JoinOutcome::default(),
-        on_visit_r: &mut on_visit_r,
-        on_visit_s: &mut on_visit_s,
-    };
-    let pass = pair_filter(mf, theta, &tree_r.mbr(a), &tree_s.mbr(b));
-    process(&mut ctx, a, b, depth, pass);
-    ctx.out
-}
-
-struct Ctx<'a> {
-    tree_r: &'a GenTree,
-    flat_r: Option<&'a FlatChildren>,
-    tree_s: &'a GenTree,
-    flat_s: Option<&'a FlatChildren>,
-    theta: ThetaOp,
-    mf: Option<MaskFilter>,
-    out: JoinOutcome,
-    on_visit_r: &'a mut dyn FnMut(NodeId),
-    on_visit_s: &'a mut dyn FnMut(NodeId),
-}
-
-/// `pass` is the precomputed Θ-filter verdict of `(a, b)`, charged here
-/// at visit time (the caller computed it during its own expansion).
-fn process(ctx: &mut Ctx<'_>, a: NodeId, b: NodeId, depth: usize, pass: bool) {
-    (ctx.on_visit_r)(a);
-    (ctx.on_visit_s)(b);
-    ctx.out.stats.visit(depth);
-    ctx.out.stats.filter_evals += 1;
-    ctx.out.stats.eval_at(depth, 1);
-    if !pass {
-        return;
-    }
-    let a_mbr = ctx.tree_r.mbr(a);
-    if let (Some(ea), Some(eb)) = (ctx.tree_r.entry(a), ctx.tree_s.entry(b)) {
-        ctx.out.stats.theta_evals += 1;
-        ctx.out.stats.eval_at(depth, 1);
-        if ctx.theta.eval(&ea.geometry, &eb.geometry) {
-            ctx.out.pairs.push((ea.id, eb.id));
-        }
-    }
-    // {a} × strict descendants of b: probe = a's MBR on the left.
-    if let Some(ea) = ctx.tree_r.entry(a) {
-        let (ea_id, ea_geom) = (ea.id, ea.geometry.clone());
-        let mut kids: Vec<(NodeId, bool)> = Vec::new();
-        expand_children(
-            ctx.tree_s,
-            ctx.flat_s,
-            ctx.mf,
-            ctx.theta,
-            &a_mbr,
-            true,
-            b,
-            &mut |c, v| kids.push((c, v)),
-        );
-        for (b2, v) in kids {
-            fixed_left(ctx, &ea_geom, &a_mbr, ea_id, b2, depth + 1, v);
-        }
-    }
-    // Strict descendants of a × subtree(b): probe = b's MBR on the right.
-    let b_mbr = ctx.tree_s.mbr(b);
-    let mut kids: Vec<(NodeId, bool)> = Vec::new();
-    expand_children(
-        ctx.tree_r,
-        ctx.flat_r,
-        ctx.mf,
-        ctx.theta,
-        &b_mbr,
-        false,
-        a,
-        &mut |c, v| kids.push((c, v)),
-    );
-    for (a2, v) in kids {
-        process(ctx, a2, b, depth + 1, v);
-    }
-}
-
-/// Handles `{fixed a} × subtree(c)` where `a` is an application object
-/// of `R` with geometry `o` and MBR `o_mbr`. `pass` is the precomputed
-/// Θ-filter verdict of `(o_mbr, c)`, charged here at visit time.
-#[allow(clippy::too_many_arguments)]
-fn fixed_left(
-    ctx: &mut Ctx<'_>,
-    o: &Geometry,
-    o_mbr: &Rect,
-    a_id: u64,
-    c: NodeId,
-    depth: usize,
-    pass: bool,
-) {
-    (ctx.on_visit_s)(c);
-    ctx.out.stats.visit(depth);
-    ctx.out.stats.filter_evals += 1;
-    ctx.out.stats.eval_at(depth, 1);
-    if !pass {
-        return;
-    }
-    if let Some(ec) = ctx.tree_s.entry(c) {
-        ctx.out.stats.theta_evals += 1;
-        ctx.out.stats.eval_at(depth, 1);
-        if ctx.theta.eval(o, &ec.geometry) {
-            ctx.out.pairs.push((a_id, ec.id));
-        }
-    }
-    let mut kids: Vec<(NodeId, bool)> = Vec::new();
-    expand_children(
-        ctx.tree_s,
-        ctx.flat_s,
-        ctx.mf,
-        ctx.theta,
-        o_mbr,
-        true,
-        c,
-        &mut |c2, v| kids.push((c2, v)),
-    );
-    for (c2, v) in kids {
-        fixed_left(ctx, o, o_mbr, a_id, c2, depth + 1, v);
-    }
-}
-
-/// Fallible-visitor adapter for the JOIN traversals: capture the first
-/// error from either visitor, suppress all later visitor calls (no
-/// further I/O), finish the in-memory traversal, and fail the outcome.
-fn capture_first_join<E>(
     mut on_visit_r: impl FnMut(NodeId) -> Result<(), E>,
     mut on_visit_s: impl FnMut(NodeId) -> Result<(), E>,
-    run: impl FnOnce(&mut dyn FnMut(NodeId), &mut dyn FnMut(NodeId)) -> JoinOutcome,
 ) -> Result<JoinOutcome, E> {
     let first_err = std::cell::RefCell::new(None::<E>);
-    let out = run(
-        &mut |node| {
+    let out = join_flat(
+        tree_r,
+        flat_r,
+        tree_s,
+        flat_s,
+        theta,
+        |node| {
             let mut slot = first_err.borrow_mut();
             if slot.is_none() {
-                if let Err(e) = on_visit_r(node) {
-                    *slot = Some(e);
-                }
+                *slot = on_visit_r(node).err();
             }
         },
-        &mut |node| {
+        |node| {
             let mut slot = first_err.borrow_mut();
             if slot.is_none() {
-                if let Err(e) = on_visit_s(node) {
-                    *slot = Some(e);
-                }
+                *slot = on_visit_s(node).err();
             }
         },
     );
@@ -520,43 +343,6 @@ fn capture_first_join<E>(
         Some(e) => Err(e),
         None => Ok(out),
     }
-}
-
-/// [`join_flat`] with fallible visitors: the first visitor error (from
-/// either side) aborts the outcome — fail-stop, never a partial pair set.
-pub fn try_join_flat<E>(
-    tree_r: &GenTree,
-    flat_r: Option<&FlatChildren>,
-    tree_s: &GenTree,
-    flat_s: Option<&FlatChildren>,
-    theta: ThetaOp,
-    on_visit_r: impl FnMut(NodeId) -> Result<(), E>,
-    on_visit_s: impl FnMut(NodeId) -> Result<(), E>,
-) -> Result<JoinOutcome, E> {
-    capture_first_join(on_visit_r, on_visit_s, |vr, vs| {
-        join_flat(tree_r, flat_r, tree_s, flat_s, theta, vr, vs)
-    })
-}
-
-/// Depth-first JOIN restricted to one qualifying pair, with fallible
-/// visitors (see [`try_join_flat`]): produces exactly the matches of
-/// `subtree(a) × subtree(b)`. The unit of work of the parallel tree join.
-#[allow(clippy::too_many_arguments)]
-pub fn try_join_pair_flat<E>(
-    tree_r: &GenTree,
-    flat_r: Option<&FlatChildren>,
-    tree_s: &GenTree,
-    flat_s: Option<&FlatChildren>,
-    a: NodeId,
-    b: NodeId,
-    depth: usize,
-    theta: ThetaOp,
-    on_visit_r: impl FnMut(NodeId) -> Result<(), E>,
-    on_visit_s: impl FnMut(NodeId) -> Result<(), E>,
-) -> Result<JoinOutcome, E> {
-    capture_first_join(on_visit_r, on_visit_s, |vr, vs| {
-        join_pair_flat(tree_r, flat_r, tree_s, flat_s, a, b, depth, theta, vr, vs)
-    })
 }
 
 /// Reference nested-loop join over the trees' entries (used by tests and by
@@ -631,15 +417,9 @@ mod tests {
         ] {
             let reference = sorted(join_exhaustive(&tr, &ts, theta).pairs);
             let level_sync = sorted(join_flat(&tr, None, &ts, None, theta, |_| {}, |_| {}).pairs);
-            let depth_first =
-                sorted(join_depth_first_flat(&tr, None, &ts, None, theta, |_| {}, |_| {}).pairs);
             assert_eq!(
                 level_sync, reference,
                 "level-sync vs reference for {theta:?}"
-            );
-            assert_eq!(
-                depth_first, reference,
-                "depth-first vs reference for {theta:?}"
             );
         }
     }
@@ -700,10 +480,6 @@ mod tests {
         let got = sorted(join_flat(&tr, None, &ts, None, ThetaOp::Overlaps, |_| {}, |_| {}).pairs);
         // state (id 1) overlaps probe 10; city (id 2) coincides with probe 10.
         assert_eq!(got, vec![(1, 10), (2, 10)]);
-        let dfs = sorted(
-            join_depth_first_flat(&tr, None, &ts, None, ThetaOp::Overlaps, |_| {}, |_| {}).pairs,
-        );
-        assert_eq!(dfs, got);
     }
 
     #[test]
@@ -733,10 +509,6 @@ mod tests {
         assert_eq!(reference.len(), 4);
         assert_eq!(
             sorted(join_flat(&tr, None, &ts, None, theta, |_| {}, |_| {}).pairs),
-            reference
-        );
-        assert_eq!(
-            sorted(join_depth_first_flat(&tr, None, &ts, None, theta, |_| {}, |_| {}).pairs),
             reference
         );
     }
@@ -777,16 +549,12 @@ mod tests {
             ThetaOp::DirectionOf(sj_geom::Direction::NorthWest),
             ThetaOp::Overlaps,
         ] {
-            for out in [
-                join_flat(&tr, None, &ts, None, theta, |_| {}, |_| {}),
-                join_depth_first_flat(&tr, None, &ts, None, theta, |_| {}, |_| {}),
-            ] {
-                assert_eq!(
-                    out.stats.evals_per_level.iter().sum::<u64>(),
-                    out.stats.comparisons(),
-                    "per-level eval histogram must cover all comparisons ({theta:?})"
-                );
-            }
+            let out = join_flat(&tr, None, &ts, None, theta, |_| {}, |_| {});
+            assert_eq!(
+                out.stats.evals_per_level.iter().sum::<u64>(),
+                out.stats.comparisons(),
+                "per-level eval histogram must cover all comparisons ({theta:?})"
+            );
         }
     }
 
@@ -870,30 +638,6 @@ mod tests {
             assert_eq!(flat.pairs, scalar.pairs, "level-sync pairs {theta:?}");
             assert_eq!(flat.stats, scalar.stats, "level-sync stats {theta:?}");
             assert_eq!(fv, sv, "level-sync visit sequences {theta:?}");
-
-            let mut sv = (Vec::new(), Vec::new());
-            let scalar = join_depth_first_flat(
-                tr,
-                None,
-                ts,
-                None,
-                theta,
-                |n| sv.0.push(n),
-                |n| sv.1.push(n),
-            );
-            let mut fv = (Vec::new(), Vec::new());
-            let flat = join_depth_first_flat(
-                tr,
-                Some(&fr),
-                ts,
-                Some(&fs),
-                theta,
-                |n| fv.0.push(n),
-                |n| fv.1.push(n),
-            );
-            assert_eq!(flat.pairs, scalar.pairs, "depth-first pairs {theta:?}");
-            assert_eq!(flat.stats, scalar.stats, "depth-first stats {theta:?}");
-            assert_eq!(fv, sv, "depth-first visit sequences {theta:?}");
         }
     }
 }

@@ -51,7 +51,7 @@ pub mod stats;
 pub mod tree;
 
 pub use flat::{expand_children, FlatChildren};
-pub use join::{join_depth_first_flat, join_flat, JoinOutcome};
+pub use join::{join_flat, JoinOutcome};
 pub use select::{select_dfs_flat, select_flat, SelectOutcome};
 pub use stats::TraversalStats;
 pub use tree::{Entry, GenTree, NodeId};

@@ -4,7 +4,7 @@
 //! structural invariants.
 
 use proptest::prelude::*;
-use sj_gentree::join::{join_depth_first_flat, join_exhaustive, join_flat};
+use sj_gentree::join::{join_exhaustive, join_flat};
 use sj_gentree::rtree::{RTree, RTreeConfig, SplitStrategy};
 use sj_gentree::select::{select_dfs_flat, select_exhaustive, select_flat};
 use sj_gentree::FlatChildren;
@@ -96,9 +96,7 @@ proptest! {
         }
         let reference = sorted_pairs(join_exhaustive(tr.tree(), ts.tree(), theta).pairs);
         let sync = sorted_pairs(join_flat(tr.tree(), None, ts.tree(), None, theta, |_| {}, |_| {}).pairs);
-        let dfs = sorted_pairs(join_depth_first_flat(tr.tree(), None, ts.tree(), None, theta, |_| {}, |_| {}).pairs);
         prop_assert_eq!(&sync, &reference, "level-sync JOIN diverges for {:?}", theta);
-        prop_assert_eq!(&dfs, &reference, "depth-first JOIN diverges for {:?}", theta);
     }
 
     #[test]
@@ -150,7 +148,7 @@ proptest! {
     /// kernels) is **byte-identical** to the scalar descent on arbitrary
     /// incrementally-built trees (irregular fanouts, ragged chunk runs):
     /// same matches, same counters, same node-visit sequences — for both
-    /// SELECT orders and both JOIN schedules, across every operator kind
+    /// SELECT orders and Algorithm JOIN, across every operator kind
     /// (the directional ones exercise the oriented scalar fallback).
     #[test]
     fn flat_probed_traversals_equal_scalar(
@@ -195,16 +193,6 @@ proptest! {
         prop_assert_eq!(&b.pairs, &a.pairs, "level-sync JOIN pairs {:?}", theta);
         prop_assert_eq!(&b.stats, &a.stats, "level-sync JOIN stats {:?}", theta);
         prop_assert_eq!((&rb, &sb), (&ra, &sa), "level-sync JOIN visits {:?}", theta);
-
-        let (mut ra, mut sa, mut rb, mut sb) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        let a = join_depth_first_flat(tr.tree(), None, ts.tree(), None, theta, |n| ra.push(n), |n| sa.push(n));
-        let b = join_depth_first_flat(
-            tr.tree(), Some(&fr), ts.tree(), Some(&fs), theta,
-            |n| rb.push(n), |n| sb.push(n),
-        );
-        prop_assert_eq!(&b.pairs, &a.pairs, "depth-first JOIN pairs {:?}", theta);
-        prop_assert_eq!(&b.stats, &a.stats, "depth-first JOIN stats {:?}", theta);
-        prop_assert_eq!((&rb, &sb), (&ra, &sa), "depth-first JOIN visits {:?}", theta);
     }
 
     /// JOIN never emits duplicates, for any operator and any data.

@@ -4,7 +4,7 @@
 //! surface instead of nine differently-shaped entry points.
 //!
 //! A [`JoinRequest`] carries everything that parameterizes a run —
-//! θ-operator, degree of parallelism, and an optional trace sink — while
+//! θ-operator and an optional trace sink — while
 //! the operands (stored relations, tree relations, world rectangle) live
 //! in [`JoinOperands`]. [`Strategy::executor`] turns a strategy plus
 //! operands into a boxed executor, or `None` when the operands a
@@ -21,7 +21,7 @@
 //! The free functions (`nested_loop_join`, `sweep_join`, …) and index
 //! methods are the implementations the executors call: each strategy has
 //! exactly one — fallible and traced — and every executor here is a thin
-//! stateful shim handing it the request's θ, parallelism and trace sink.
+//! stateful shim handing it the request's θ and trace sink.
 //! [`JoinExecutor::execute`] is the single infallible convenience.
 
 use std::cell::RefCell;
@@ -36,7 +36,7 @@ use crate::join_index::JoinIndex;
 use crate::local_index::LocalJoinIndex;
 use crate::nested_loop::nested_loop_join;
 use crate::paged_tree::TreeRelation;
-use crate::parallel::{partition_join, Parallelism};
+use crate::partition::partition_join;
 use crate::relation::StoredRelation;
 use crate::sort_merge::{supported_by_zorder, zorder_overlap_join};
 use crate::stats::JoinRun;
@@ -64,28 +64,18 @@ const DEFAULT_GRID_CELLS: u32 = 16;
 pub struct JoinRequest {
     /// The θ-operator to evaluate.
     pub theta: ThetaOp,
-    /// Worker threads for the strategies that parallelize
-    /// ([`Strategy::Partition`], [`Strategy::Tree`]); the rest ignore it.
-    pub parallelism: Parallelism,
     /// Structured-trace destination; [`TraceSink::Null`] (the default)
     /// compiles the instrumentation down to plain counter arithmetic.
     pub trace: RefCell<TraceSink>,
 }
 
 impl JoinRequest {
-    /// A sequential, untraced request for `theta`.
+    /// An untraced request for `theta`.
     pub fn new(theta: ThetaOp) -> Self {
         JoinRequest {
             theta,
-            parallelism: Parallelism::sequential(),
             trace: RefCell::new(TraceSink::Null),
         }
-    }
-
-    /// Sets the degree of parallelism.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
     }
 
     /// Attaches a trace sink.
@@ -161,7 +151,7 @@ pub enum Strategy {
     NestedLoop,
     /// Forward-scan plane-sweep filter with exact refinement.
     Sweep,
-    /// Strategy II: generalization-tree join (parallel when asked).
+    /// Strategy II: generalization-tree join (Algorithm JOIN).
     Tree,
     /// Strategy III: precomputed join index on a B⁺-tree.
     JoinIndex,
@@ -173,7 +163,7 @@ pub enum Strategy {
     ZIndex,
     /// Rotem's grid-file join.
     Grid,
-    /// PBSM-style partition-parallel filter-and-refine.
+    /// PBSM-style grid-partitioned filter-and-refine.
     Partition,
     /// Per-request cost-model dispatch: consult the operands' chooser
     /// ([`JoinOperands::with_chooser`]), fall back to the first
@@ -409,14 +399,7 @@ impl JoinExecutor for TreeExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        tree_join(
-            pool,
-            self.r,
-            self.s,
-            req.theta,
-            req.parallelism,
-            &mut req.trace.borrow_mut(),
-        )
+        tree_join(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
     }
 }
 
@@ -579,14 +562,7 @@ impl JoinExecutor for PartitionExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        partition_join(
-            pool,
-            self.r,
-            self.s,
-            req.theta,
-            req.parallelism,
-            &mut req.trace.borrow_mut(),
-        )
+        partition_join(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
     }
 }
 
@@ -850,9 +826,7 @@ mod tests {
         let s = grid_rel(&mut p, 4, 10.0, 500);
         let world = Rect::from_bounds(0.0, 0.0, 64.0, 64.0);
         let ops = JoinOperands::flat(&r, &s, world);
-        let req = JoinRequest::new(ThetaOp::Overlaps)
-            .with_parallelism(Parallelism::with_threads(2))
-            .with_trace(TraceSink::vec());
+        let req = JoinRequest::new(ThetaOp::Overlaps).with_trace(TraceSink::vec());
         let run = Strategy::Partition
             .executor(&ops)
             .unwrap()

@@ -32,7 +32,7 @@ impl GridConfig {
     /// Cells spanned by `mbr`, after clamping it into the world.
     ///
     /// Out-of-world extents clamp to the border cells (the same
-    /// saturating convention as `parallel::TileGrid`) instead of being
+    /// saturating convention as `partition::TileGrid`) instead of being
     /// dropped: a silent drop is benign when the world genuinely bounds
     /// the data, but becomes a wrong answer the moment this executor
     /// serves one shard of a larger federation whose world estimate is

@@ -14,8 +14,8 @@
 //! | §5's *local join indices* (future work, implemented) | [`local_index`] |
 //! | grid-file join (Rotem's index-supported baseline) | [`grid`] |
 //! | z-value B⁺-tree index (UB-tree style, §2.2) | [`zindex`] |
-//! | PBSM-style partition-parallel filter-and-refine | [`parallel::partition_join`] (strategy II parallelizes inside [`tree_join::tree_join`]) |
-//! | forward-scan plane-sweep filter (sequential) | [`sweep::sweep_join`] |
+//! | PBSM-style grid-partitioned filter-and-refine | [`partition::partition_join`] |
+//! | forward-scan plane-sweep filter | [`sweep::sweep_join`] |
 //!
 //! Every executor is validated (unit + property tests) to return exactly
 //! the same match set as the nested-loop reference.
@@ -23,7 +23,7 @@
 //! ## The unified executor API
 //!
 //! All nine strategies are reachable through one surface: build a
-//! [`JoinRequest`] (θ, parallelism, optional trace sink), pick a
+//! [`JoinRequest`] (θ, optional trace sink), pick a
 //! [`Strategy`], and run [`JoinExecutor::execute`] over
 //! [`JoinOperands`]. This is what the experiment harness, the serving
 //! layer and the benchmark dispatch through.
@@ -34,7 +34,7 @@
 //! method) of one shape:
 //!
 //! ```text
-//! join(pool, operands…, theta, [par], trace: &mut TraceSink) -> Result<JoinRun, StorageError>
+//! join(pool, operands…, theta, trace: &mut TraceSink) -> Result<JoinRun, StorageError>
 //! ```
 //!
 //! **The [`BufferPool`] is the first argument (or the first after
@@ -69,7 +69,7 @@ pub mod local_index;
 pub mod mutation;
 pub mod nested_loop;
 pub mod paged_tree;
-pub mod parallel;
+pub mod partition;
 pub mod refine;
 pub mod relation;
 pub mod sort_merge;
@@ -83,7 +83,7 @@ pub use join_index::JoinIndex;
 pub use local_index::LocalJoinIndex;
 pub use mutation::{Mutation, MutationOutcome, Side, TouchedRegions, WriteBatch};
 pub use paged_tree::{ClusterOrder, CodecMode, PagedTree, TreeRelation};
-pub use parallel::{partition_join, tiles_per_axis, Parallelism, TileGrid};
+pub use partition::{partition_join, tiles_per_axis, TileGrid};
 pub use refine::MarginRefiner;
 pub use relation::StoredRelation;
 pub use sj_obs::{Phase, PhaseTimer, TraceEvent, TraceSink};

@@ -268,7 +268,9 @@ impl TreeRelation {
     /// * new in `next` → appended to the file.
     ///
     /// I/O is O(nodes touched by the batch), not O(n); the in-memory
-    /// diff is O(n) CPU. The flat snapshot is rebuilt (pure memory).
+    /// diff is O(n) CPU. Both trees are walked in arena-slot order
+    /// ([`GenTree::iter_live`]), so the page touch sequence is a function
+    /// of the two trees alone. The flat snapshot is rebuilt (pure memory).
     /// On error the underlying pool may have absorbed partial writes —
     /// callers commit against a forked view and discard it on failure.
     pub fn try_evolve(
@@ -276,11 +278,6 @@ impl TreeRelation {
         pool: &mut BufferPool,
         next: &GenTree,
     ) -> Result<TreeRelation, StorageError> {
-        use std::collections::HashMap;
-        let old_live: HashMap<usize, NodeId> =
-            self.tree.iter_live().map(|n| (n.index(), n)).collect();
-        let new_live: HashMap<usize, NodeId> = next.iter_live().map(|n| (n.index(), n)).collect();
-
         let mut file = self.paged.file.clone();
         let mut record = self.paged.record.clone();
         let mode = self.paged.mode;
@@ -288,40 +285,43 @@ impl TreeRelation {
         // must match the file's own record size (for a compressed tree
         // that size was derived from the tree at build).
         let record_size = self.paged.file.record_size();
-
-        // Clear records of nodes that died.
-        for (slot, _) in old_live.iter().filter(|(s, _)| !new_live.contains_key(s)) {
-            let rid = record[*slot];
-            pool.try_update(rid.page, |p| p.remove(rid.slot))?;
-        }
-
         // Evolution preserves the relation's codec mode record for record.
-        let encode = |tree: &GenTree, node: NodeId| encode_node(tree, node, record_size, mode);
+        let encode = |node: NodeId| encode_node(next, node, record_size, mode);
 
-        for (&slot, &node) in &new_live {
-            match old_live.get(&slot) {
-                Some(&old_node) => {
-                    // Compare logical content against the *old tree* in
-                    // memory — storage was written from it, so they agree.
-                    let unchanged = match (self.tree.entry(old_node), next.entry(node)) {
-                        (Some(a), Some(b)) => a == b,
-                        (None, None) => self.tree.mbr(old_node) == next.mbr(node),
-                        _ => false,
-                    };
-                    if !unchanged {
-                        let rid = record[slot];
-                        let bytes = encode(next, node);
-                        pool.try_update(rid.page, |p| p.update(rid.slot, bytes))?;
-                    }
+        let old: Vec<NodeId> = self.tree.iter_live().collect();
+        let new: Vec<NodeId> = next.iter_live().collect();
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() || j < new.len() {
+            if j == new.len() || (i < old.len() && old[i] < new[j]) {
+                // Died: clear the record.
+                let rid = record[old[i].index()];
+                pool.try_update(rid.page, |p| p.remove(rid.slot))?;
+                i += 1;
+            } else if i == old.len() || new[j] < old[i] {
+                // New: append.
+                let slot = new[j].index();
+                let idx = file.try_append(pool, encode(new[j]))?;
+                if slot >= record.len() {
+                    record.resize(slot + 1, file.rid(0));
                 }
-                None => {
-                    let bytes = encode(next, node);
-                    let idx = file.try_append(pool, bytes)?;
-                    if slot >= record.len() {
-                        record.resize(slot + 1, file.rid(0));
-                    }
-                    record[slot] = file.rid(idx);
+                record[slot] = file.rid(idx);
+                j += 1;
+            } else {
+                // Live in both: compare logical content against the *old
+                // tree* in memory — storage was written from it, so they
+                // agree — and rewrite in place if it changed.
+                let node = new[j];
+                let unchanged = match (self.tree.entry(node), next.entry(node)) {
+                    (Some(a), Some(b)) => a == b,
+                    (None, None) => self.tree.mbr(node) == next.mbr(node),
+                    _ => false,
+                };
+                if !unchanged {
+                    let rid = record[node.index()];
+                    pool.try_update(rid.page, |p| p.update(rid.slot, encode(node)))?;
                 }
+                i += 1;
+                j += 1;
             }
         }
 
@@ -336,7 +336,6 @@ impl TreeRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::Parallelism;
     use sj_gentree::balanced::build_balanced;
     use sj_geom::{Point, Rect};
     use sj_obs::TraceSink;
@@ -477,6 +476,42 @@ mod tests {
         );
     }
 
+    /// The diff walks both trees in arena-slot order, so the sequence of
+    /// page touches — and, on a pool too small to hold them all, every
+    /// I/O counter — is a function of the two trees alone.
+    #[test]
+    fn evolve_io_is_deterministic() {
+        use sj_gentree::rtree::{RTree, RTreeConfig};
+
+        let mut p = pool();
+        let entries: Vec<(u64, Geometry)> = (0..300u64)
+            .map(|i| {
+                let (x, y) = ((i % 20) as f64 * 3.0, (i / 20) as f64 * 3.0);
+                (i, Geometry::Point(Point::new(x, y)))
+            })
+            .collect();
+        let mut rt = RTree::bulk_load(RTreeConfig::with_fanout(6), entries);
+        let rel = TreeRelation::new(&mut p, rt.tree().clone(), 300, Layout::Clustered);
+        for i in 0..40u64 {
+            rt.remove(i * 7);
+            let at = Point::new((i * 13 % 60) as f64 + 0.5, (i * 29 % 45) as f64 + 0.5);
+            rt.insert(1_000 + i, Geometry::Point(at));
+        }
+
+        let runs: Vec<_> = (0..8)
+            .map(|_| {
+                let mut view = p.fork_view(4);
+                rel.try_evolve(&mut view, rt.tree()).unwrap();
+                view.stats()
+            })
+            .collect();
+        assert!(runs[0].physical_writes > 0);
+        assert!(
+            runs.iter().all(|io| *io == runs[0]),
+            "same trees, same pool, different I/O: {runs:?}"
+        );
+    }
+
     #[test]
     fn quantized_tree_shrinks_storage_and_preserves_join_results() {
         use crate::tree_join::tree_join;
@@ -524,26 +559,10 @@ mod tests {
         let theta = ThetaOp::WithinDistance(1.0);
         p.clear();
         p.reset_stats();
-        let exact = tree_join(
-            &mut p,
-            &re,
-            &se,
-            theta,
-            Parallelism::sequential(),
-            &mut TraceSink::Null,
-        )
-        .unwrap();
+        let exact = tree_join(&mut p, &re, &se, theta, &mut TraceSink::Null).unwrap();
         p.clear();
         p.reset_stats();
-        let quant = tree_join(
-            &mut p,
-            &rq,
-            &sq,
-            theta,
-            Parallelism::sequential(),
-            &mut TraceSink::Null,
-        )
-        .unwrap();
+        let quant = tree_join(&mut p, &rq, &sq, theta, &mut TraceSink::Null).unwrap();
         let (mut a, mut b) = (exact.pairs.clone(), quant.pairs.clone());
         a.sort_unstable();
         b.sort_unstable();

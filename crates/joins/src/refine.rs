@@ -21,6 +21,7 @@
 use std::collections::HashMap;
 
 use sj_geom::{margin_eval, Geometry, MarginVerdict, QGeometry, ThetaOp};
+use sj_obs::TraceSink;
 use sj_storage::{BufferPool, StorageError};
 
 use crate::relation::StoredRelation;
@@ -61,8 +62,8 @@ impl<'a> RefineSide<'a> {
     }
 }
 
-/// Refinement engine for one executor run (or one tile of a parallel
-/// run): owns the per-side decoded-geometry caches and the
+/// Refinement engine for one executor run (or one tile of a partition
+/// join): owns the per-side decoded-geometry caches and the
 /// margin-vs-exact dispatch.
 pub struct MarginRefiner<'a> {
     r: RefineSide<'a>,
@@ -82,12 +83,6 @@ impl<'a> MarginRefiner<'a> {
             s: RefineSide::new(s),
             margin,
         }
-    }
-
-    /// True when this refiner consults the margin predicate (both sides
-    /// compressed).
-    pub fn uses_margin(&self) -> bool {
-        self.margin
     }
 
     /// Refines one candidate pair given by logical positions `(ri, si)`:
@@ -125,6 +120,23 @@ impl<'a> MarginRefiner<'a> {
         let rg = self.r.exact_at(pool, ri)?;
         let sg = self.s.exact_at(pool, si)?;
         Ok(theta.eval(rg, sg))
+    }
+}
+
+/// Emits the decode-on-demand span of a compressed run: how many of the
+/// `refine` phase's decisions needed the exact record vs. the margin test
+/// alone. Exact runs keep the margin counters at zero and emit no span.
+pub(crate) fn emit_decode_span(trace: &mut TraceSink, refine: &ExecStats) {
+    if refine.decoded_exact + refine.margin_hits + refine.margin_misses > 0 {
+        trace.emit(
+            "refine/decode",
+            0,
+            &[
+                ("decoded_exact", refine.decoded_exact),
+                ("margin_hits", refine.margin_hits),
+                ("margin_misses", refine.margin_misses),
+            ],
+        );
     }
 }
 
@@ -179,8 +191,6 @@ mod tests {
         ] {
             let mut exact_ref = MarginRefiner::new(&re, &se);
             let mut margin_ref = MarginRefiner::new(&rm, &sm);
-            assert!(!exact_ref.uses_margin());
-            assert!(margin_ref.uses_margin());
             let (mut es, mut ms) = (ExecStats::default(), ExecStats::default());
             for ri in 0..12u32 {
                 for si in 0..12u32 {
@@ -191,7 +201,11 @@ mod tests {
             }
             assert_eq!(es.theta_evals, 144);
             assert_eq!(ms.theta_evals, 144, "same charge on both paths");
-            assert_eq!(es.decoded_exact, 0);
+            assert_eq!(
+                es.margin_hits + es.margin_misses + es.decoded_exact,
+                0,
+                "the exact path never consults the margin predicate"
+            );
             assert_eq!(
                 ms.margin_hits + ms.margin_misses + ms.decoded_exact,
                 144,

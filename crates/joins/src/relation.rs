@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 
 use sj_geom::codec;
-use sj_geom::{Geometry, QGeometry};
+use sj_geom::{Bounded, Geometry, QGeometry, Rect};
 use sj_storage::{BufferPool, HeapFile, Layout, StorageError};
 
 /// Maps a codec failure on bytes that came back from a page onto the
@@ -227,6 +227,19 @@ impl StoredRelation {
             out.push(self.try_read_at(pool, i)?);
         }
         Ok(out)
+    }
+
+    /// The MBR-extraction scan of the filter-and-refine executors: every
+    /// tuple's `(id, MBR)` in position order, or the first I/O fault.
+    /// Geometries are decoded and dropped — refinement re-fetches the
+    /// few it needs.
+    pub fn try_scan_mbrs(&self, pool: &mut BufferPool) -> Result<Vec<(u64, Rect)>, StorageError> {
+        (0..self.len())
+            .map(|i| {
+                let (id, g) = self.try_read_at(pool, i)?;
+                Ok((id, g.mbr()))
+            })
+            .collect()
     }
 
     /// Decomposes into raw parts for catalog serialization. The slot

@@ -84,15 +84,14 @@ impl ExecStats {
     }
 
     /// Folds another counter set into this one (alias for `+=`, usable in
-    /// iterator folds without importing the operator trait). This is how
-    /// parallel executors combine per-worker stats into run totals.
+    /// iterator folds without importing the operator trait).
     pub fn merge(&mut self, other: &ExecStats) {
         *self += *other;
     }
 }
 
-/// Component-wise accumulation, the merge operation for per-worker
-/// counters in parallel executors.
+/// Component-wise accumulation: how per-tile and per-phase counters
+/// combine into run totals.
 impl std::ops::AddAssign for ExecStats {
     fn add_assign(&mut self, rhs: ExecStats) {
         self.physical_reads += rhs.physical_reads;

@@ -13,12 +13,12 @@
 //! `None`) and fall back to the nested loop.
 
 use sj_geom::sweep::{sweep_candidates, SweepItem};
-use sj_geom::{Bounded, Rect, ThetaOp};
+use sj_geom::ThetaOp;
 use sj_obs::{Phase, PhaseTimer, TraceSink};
 use sj_storage::{BufferPool, StorageError};
 
 use crate::nested_loop::nested_loop_join;
-use crate::refine::MarginRefiner;
+use crate::refine::{emit_decode_span, MarginRefiner};
 use crate::relation::StoredRelation;
 use crate::stats::{ExecStats, JoinRun};
 
@@ -60,18 +60,8 @@ pub fn sweep_join(
     // lazily during refinement (the filter/refine I/O split).
     timer.enter(Phase::Partition);
     let window = pool.stats();
-    let r_mbrs: Vec<(u64, Rect)> = (0..r.len())
-        .map(|i| {
-            let (id, g) = r.try_read_at(pool, i)?;
-            Ok((id, g.mbr()))
-        })
-        .collect::<Result<_, StorageError>>()?;
-    let s_mbrs: Vec<(u64, Rect)> = (0..s.len())
-        .map(|j| {
-            let (id, g) = s.try_read_at(pool, j)?;
-            Ok((id, g.mbr()))
-        })
-        .collect::<Result<_, StorageError>>()?;
+    let r_mbrs = r.try_scan_mbrs(pool)?;
+    let s_mbrs = s.try_scan_mbrs(pool)?;
 
     let mut sweep_r: Vec<SweepItem> = r_mbrs
         .iter()
@@ -106,20 +96,7 @@ pub fn sweep_join(
         }
     });
     refine.add_io(pool.stats().since(&window));
-    // The decode-on-demand span: on compressed runs, how many refinement
-    // decisions needed the exact record vs. the margin test alone. Exact
-    // runs keep the margin counters at zero and emit no span.
-    if trace.is_enabled() && refiner.uses_margin() {
-        trace.emit(
-            "refine/decode",
-            0,
-            &[
-                ("decoded_exact", refine.decoded_exact),
-                ("margin_hits", refine.margin_hits),
-                ("margin_misses", refine.margin_misses),
-            ],
-        );
-    }
+    emit_decode_span(trace, &refine);
     timer.stop();
     if let Some(e) = first_err {
         return Err(e);
@@ -141,7 +118,7 @@ pub fn sweep_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sj_geom::{Direction, Geometry, Point};
+    use sj_geom::{Direction, Geometry, Point, Rect};
     use sj_storage::{Disk, DiskConfig, Layout};
 
     fn pool(frames: usize) -> BufferPool {

@@ -10,7 +10,6 @@ use sj_obs::{Phase, PhaseTimer, TraceSink};
 use sj_storage::{BufferPool, StorageError};
 
 use crate::paged_tree::TreeRelation;
-use crate::parallel::{split_tree_join, Parallelism};
 use crate::stats::{ExecStats, JoinRun, SelectRun};
 
 /// Traversal order for the stored SELECT executor.
@@ -62,45 +61,24 @@ pub fn tree_select(
 /// Algorithm JOIN over two stored trees, charging record reads per node
 /// visit on both sides. Re-visits that hit the buffer pool are free, which
 /// is exactly the role the paper's memory-pass argument plays in `D_II`.
+/// The traversal is the level-synchronized Algorithm JOIN of §3.3
+/// ([`join::try_join_flat`]).
 ///
-/// With `par.threads > 1` the independent subproblems
-/// `subtree(aᵢ) × subtree(root_S)` — one per top-level subtree `aᵢ` of R
-/// — run on worker threads, each charging record-touch I/O to its own
-/// pool shard, and return exactly the sequential match set (as a set).
-/// The run stays on the calling thread, byte-for-byte the level-
-/// synchronized Algorithm JOIN, when `par` is one thread, when either
-/// root carries an application object (degenerate single-object trees),
-/// or when R's root has fewer than two subtrees to split.
+/// Node touches (the stored tree's record I/O) are the `index-probe`
+/// phase, Θ-filter work the `filter` phase, θ-evaluations the `refine`
+/// phase. With an observing sink the run emits one
+/// `tree_join/level:<depth>` span per tree level (the traversal's
+/// per-level visit and comparison histograms).
 ///
-/// Node touches (the stored tree's record I/O, all worker shards
-/// included) are the `index-probe` phase, Θ-filter work the `filter`
-/// phase, θ-evaluations the `refine` phase. With an observing sink the
-/// sequential run emits one `tree_join/level:<depth>` span per tree
-/// level (the traversal's per-level visit and comparison histograms),
-/// the parallel run one `parallel_tree_join/worker:<w>` span per worker
-/// in deterministic chunk order.
-///
-/// Fail-stop: the first faulted node touch — on the coordinator or any
-/// worker shard — aborts the run with a typed error; worker results
-/// merge in chunk order, so the surfaced error does not depend on
-/// thread scheduling.
+/// Fail-stop: the first faulted node touch aborts the run with a typed
+/// error.
 pub fn tree_join(
     pool: &mut BufferPool,
     r: &TreeRelation,
     s: &TreeRelation,
     theta: ThetaOp,
-    par: Parallelism,
     trace: &mut TraceSink,
 ) -> Result<JoinRun, StorageError> {
-    let top = r.tree.children(r.tree.root());
-    if par.threads > 1
-        && r.tree.entry(r.tree.root()).is_none()
-        && s.tree.entry(s.tree.root()).is_none()
-        && top.len() >= 2
-    {
-        return split_tree_join(pool, r, s, theta, par, top, trace);
-    }
-
     let mut timer = PhaseTimer::for_sink(trace);
     timer.enter(Phase::IndexProbe);
     let window = pool.stats();
@@ -262,15 +240,7 @@ mod tests {
         let theta = ThetaOp::WithinDistance(10.5);
         p.clear();
         p.reset_stats();
-        let run = tree_join(
-            &mut p,
-            &r,
-            &s,
-            theta,
-            Parallelism::sequential(),
-            &mut TraceSink::Null,
-        )
-        .unwrap();
+        let run = tree_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap();
         let mut got = run.pairs.clone();
         got.sort_unstable();
         let mut want = sj_gentree::join::join_exhaustive(&r.tree, &s.tree, theta).pairs;

@@ -8,7 +8,7 @@
 //!    slivers) where a zero-extent axis must decode exactly.
 //! 2. Joins over compressed relations are **byte-identical** to the
 //!    exact path across all eight θ-operators and the Θ-filtered
-//!    executors (sweep, partition at several thread counts, tree over a
+//!    executors (sweep, partition, tree over a
 //!    quantized [`TreeRelation`]), with `theta_evals` charged
 //!    identically — compression may only move `physical_reads`.
 //! 3. The margin ledger balances: on a compressed sweep every candidate
@@ -22,7 +22,7 @@ use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_geom::codec::{encode_qrecord, encoded_qlen, try_decode_qrecord};
 use sj_geom::{Bounded, Direction, Geometry, Point, Polygon, Polyline, QGeometry, Rect, ThetaOp};
 use sj_joins::nested_loop::nested_loop_join;
-use sj_joins::parallel::{partition_join, Parallelism};
+use sj_joins::partition_join;
 use sj_joins::sweep::sweep_join;
 use sj_joins::tree_join::tree_join;
 use sj_joins::{JoinOperands, JoinRequest, StoredRelation, Strategy, TraceSink, TreeRelation};
@@ -233,28 +233,23 @@ proptest! {
         }
         prop_assert_eq!(exact.stats.decoded_exact, 0, "exact path must not tick margin counters");
 
-        // Partition at several worker counts: identical pairs and
-        // θ-charge, decode work never exceeding the charge.
-        for threads in [1usize, 2, 3] {
-            p.clear();
-            let pe = partition_join(&mut p, &re, &se, theta, Parallelism::with_threads(threads), &mut TraceSink::Null).unwrap();
-            p.clear();
-            let pc = partition_join(&mut p, &rc, &sc, theta, Parallelism::with_threads(threads), &mut TraceSink::Null).unwrap();
-            prop_assert_eq!(
-                &pe.pairs, &pc.pairs,
-                "partition({threads}) diverges under {:?}", theta
-            );
-            prop_assert_eq!(pe.stats.theta_evals, pc.stats.theta_evals);
-            prop_assert!(pc.stats.decoded_exact <= pc.stats.theta_evals);
-        }
+        // Partition: identical pairs and θ-charge, decode work never
+        // exceeding the charge.
+        p.clear();
+        let pe = partition_join(&mut p, &re, &se, theta, &mut TraceSink::Null).unwrap();
+        p.clear();
+        let pc = partition_join(&mut p, &rc, &sc, theta, &mut TraceSink::Null).unwrap();
+        prop_assert_eq!(&pe.pairs, &pc.pairs, "partition diverges under {:?}", theta);
+        prop_assert_eq!(pe.stats.theta_evals, pc.stats.theta_evals);
+        prop_assert!(pc.stats.decoded_exact <= pc.stats.theta_evals);
 
         // Tree join over quantized node pages: θ-evals run on the
         // in-memory generalization tree, so the record codec may only
         // shrink I/O — never perturb matches or the θ-charge.
         p.clear();
-        let je = tree_join(&mut p, &te_r, &te_s, theta, Parallelism::sequential(), &mut TraceSink::Null).unwrap();
+        let je = tree_join(&mut p, &te_r, &te_s, theta, &mut TraceSink::Null).unwrap();
         p.clear();
-        let jc = tree_join(&mut p, &tc_r, &tc_s, theta, Parallelism::sequential(), &mut TraceSink::Null).unwrap();
+        let jc = tree_join(&mut p, &tc_r, &tc_s, theta, &mut TraceSink::Null).unwrap();
         prop_assert_eq!(&je.pairs, &jc.pairs, "tree join diverges under {:?}", theta);
         prop_assert_eq!(je.stats.theta_evals, jc.stats.theta_evals);
 

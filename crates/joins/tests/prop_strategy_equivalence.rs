@@ -9,7 +9,7 @@ use sj_joins::grid::{grid_join, GridConfig};
 use sj_joins::nested_loop::nested_loop_join;
 use sj_joins::sort_merge::zorder_overlap_join;
 use sj_joins::tree_join::tree_join;
-use sj_joins::{JoinIndex, Parallelism, StoredRelation, TraceSink, TreeRelation};
+use sj_joins::{JoinIndex, StoredRelation, TraceSink, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 use sj_zorder::ZGrid;
 
@@ -83,7 +83,7 @@ proptest! {
                 300,
                 layout,
             );
-            let got = sorted(tree_join(&mut p, &tr, &ts, theta, Parallelism::sequential(), &mut TraceSink::Null).unwrap().pairs);
+            let got = sorted(tree_join(&mut p, &tr, &ts, theta, &mut TraceSink::Null).unwrap().pairs);
             prop_assert_eq!(&got, &reference, "tree join ({:?}) diverges for {:?}", layout, theta);
         }
 

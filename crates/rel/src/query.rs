@@ -5,7 +5,7 @@ use sj_joins::grid::{grid_join, GridConfig};
 use sj_joins::nested_loop::{exhaustive_select, nested_loop_join};
 use sj_joins::sort_merge::zorder_overlap_join;
 use sj_joins::tree_join::{tree_join, tree_select, TraversalOrder};
-use sj_joins::{Parallelism, TraceSink};
+use sj_joins::TraceSink;
 use sj_zorder::ZGrid;
 
 use crate::db::Database;
@@ -149,14 +149,7 @@ impl Database {
                     .index
                     .as_ref()
                     .expect("built above");
-                tree_join(
-                    pool,
-                    r_tree,
-                    s_tree,
-                    theta,
-                    Parallelism::sequential(),
-                    trace,
-                )
+                tree_join(pool, r_tree, s_tree, theta, trace)
             }
             JoinStrategy::JoinIndex { name } => {
                 let (idx, ir, ic, is, isc) = self

@@ -16,11 +16,12 @@
 //! Writes are typed [`WriteBatch`]es committed by
 //! [`SpatialService::commit`] entirely off the hot path. The apply
 //! forks the current pool (the disk is page-granular copy-on-write, so
-//! the fork shares every untouched page), applies each mutation to
-//! cloned relation/tree handles —
-//! touching only the pages the batch dirties — and evolves the paged
-//! generalization trees against the in-memory R-trees
-//! ([`TreeRelation::try_evolve`]). The batch's redo record is appended
+//! the fork shares every untouched page), applies each mutation to a
+//! copy of the side (R or S) it names — touching only the pages the
+//! batch dirties; a side no op names is shared with the previous
+//! snapshot — and evolves the paged generalization trees against the
+//! in-memory R-trees ([`TreeRelation::try_evolve`]). The batch's redo
+//! record is appended
 //! to the [`WriteAheadLog`] *before* apply and synced *before* publish:
 //! the sync is the commit point, a sync fault aborts the commit with a
 //! typed error and nothing partial is ever visible. In-flight requests
@@ -69,6 +70,7 @@ use sj_core::advisor::{auto_chooser, Operation, WorkloadProfile};
 use sj_costmodel::{Distribution, ModelParams};
 use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_geom::{codec, Bounded, Geometry, Rect, ThetaOp};
+use sj_joins::tree_join::{tree_select, TraversalOrder};
 use sj_joins::{JoinOperands, JoinRequest, StoredRelation, Strategy, TreeRelation};
 use sj_obs::TraceSink;
 use sj_storage::{
@@ -190,20 +192,29 @@ impl ServiceConfig {
     }
 }
 
+/// One side (R or S) of a snapshot. A commit copies a side only when
+/// the batch names it; an unnamed side's `Arc` is shared with the
+/// previous snapshot.
+#[derive(Clone)]
+struct SideState {
+    rel: StoredRelation,
+    /// Behind its own `Arc` because a commit never mutates it in place:
+    /// [`TreeRelation::try_evolve`] builds the successor from the
+    /// previous snapshot's tree, so copying a side need not copy it.
+    tree: Arc<TreeRelation>,
+    /// In-memory R-tree mirroring the paged tree — the live-id
+    /// authority for mutation outcomes and the structure incremental
+    /// commits evolve the paged tree against.
+    index: RTree,
+}
+
 /// One immutable, version-tagged dataset snapshot. Workers pin a
-/// snapshot per batch through their [`SnapshotReader`]; updates build
-/// the next one from scratch and publish it atomically.
+/// snapshot per batch through their [`SnapshotReader`]; commits build
+/// the next one incrementally and publish it atomically.
 struct DataState {
     pool: BufferPool,
-    r: StoredRelation,
-    s: StoredRelation,
-    r_tree: TreeRelation,
-    s_tree: TreeRelation,
-    /// In-memory R-trees mirroring the paged trees — the live-id
-    /// authority for mutation outcomes and the structure incremental
-    /// commits evolve the paged trees against.
-    r_index: RTree,
-    s_index: RTree,
+    r: Arc<SideState>,
+    s: Arc<SideState>,
     world: Rect,
     version: u64,
 }
@@ -624,16 +635,19 @@ fn build_state(
     };
     let r = build_rel(&mut pool, r_tuples);
     let s = build_rel(&mut pool, s_tuples);
-    let (r_index, r_tree) = build_tree(&mut pool, &r, config);
-    let (s_index, s_tree) = build_tree(&mut pool, &s, config);
+    let mut side = |rel: StoredRelation| {
+        let (index, tree) = build_tree(&mut pool, &rel, config);
+        Arc::new(SideState {
+            rel,
+            tree: Arc::new(tree),
+            index,
+        })
+    };
+    let (r, s) = (side(r), side(s));
     DataState {
         pool,
         r,
         s,
-        r_tree,
-        s_tree,
-        r_index,
-        s_index,
         world,
         version,
     }
@@ -680,63 +694,51 @@ struct Applied {
 
 /// Builds the next snapshot from `current` plus `batch`: fork the
 /// current pool (page-granular copy-on-write, so untouched pages are
-/// shared, not copied), apply
-/// each mutation in batch order to cloned relation handles and
-/// in-memory R-trees, then evolve each touched side's paged tree
-/// in place ([`TreeRelation::try_evolve`]). Total physical I/O is
-/// O(batch · tree height) pages, independent of relation size — the
-/// receipt's `io` proves it per commit.
+/// shared, not copied), apply each mutation in batch order to a copy of
+/// the side it names — relation handle and in-memory R-tree, copied by
+/// the first op that names the side — then evolve each touched side's
+/// paged tree ([`TreeRelation::try_evolve`]). A side no op names is the
+/// previous snapshot's `Arc`. Total physical I/O is O(batch · tree
+/// height) pages, independent of relation size — the receipt's `io`
+/// proves it per commit.
 fn apply_incremental(
     config: &ServiceConfig,
     current: &DataState,
     batch: &WriteBatch,
 ) -> Result<Applied, StorageError> {
     let mut pool = current.pool.fork_view(config.pool_capacity);
-    let mut r = current.r.clone();
-    let mut s = current.s.clone();
-    let mut r_index = current.r_index.clone();
-    let mut s_index = current.s_index.clone();
+    let mut r = Arc::clone(&current.r);
+    let mut s = Arc::clone(&current.s);
     let mut world = current.world;
     let mut touched = TouchedRegions::default();
     let mut outcomes = Vec::with_capacity(batch.len());
     for (side, op) in &batch.ops {
-        let (rel, index) = match side {
-            Side::R => (&mut r, &mut r_index),
-            Side::S => (&mut s, &mut s_index),
-        };
+        let state = Arc::make_mut(match side {
+            Side::R => &mut r,
+            Side::S => &mut s,
+        });
         outcomes.push(apply_one(
             &mut pool,
             config,
-            rel,
-            index,
+            state,
             *side,
             op,
             &mut touched,
             &mut world,
         )?);
     }
-    // Evolve only the sides the batch actually changed; an untouched
-    // side's paged tree is shared with the previous snapshot for free.
-    let r_tree = if touched.r.is_some() {
-        current.r_tree.try_evolve(&mut pool, r_index.tree())?
-    } else {
-        current.r_tree.clone()
-    };
-    let s_tree = if touched.s.is_some() {
-        current.s_tree.try_evolve(&mut pool, s_index.tree())?
-    } else {
-        current.s_tree.clone()
-    };
+    for (state, region) in [(&mut r, touched.r), (&mut s, touched.s)] {
+        if region.is_some() {
+            let state = Arc::make_mut(state);
+            state.tree = Arc::new(state.tree.try_evolve(&mut pool, state.index.tree())?);
+        }
+    }
     let io = pool.stats();
     Ok(Applied {
         state: DataState {
             pool,
             r,
             s,
-            r_tree,
-            s_tree,
-            r_index,
-            s_index,
             world,
             version: current.version + 1,
         },
@@ -753,17 +755,16 @@ fn apply_incremental(
 /// (`StoredRelation::try_delete` shifts positions, never swaps), which
 /// keeps the tuple sequence identical to a sequential rebuild — the
 /// invariant the linearizability property suite leans on.
-#[allow(clippy::too_many_arguments)]
 fn apply_one(
     pool: &mut BufferPool,
     config: &ServiceConfig,
-    rel: &mut StoredRelation,
-    index: &mut RTree,
+    state: &mut SideState,
     side: Side,
     op: &Mutation,
     touched: &mut TouchedRegions,
     world: &mut Rect,
 ) -> Result<MutationOutcome, StorageError> {
+    let SideState { rel, index, .. } = state;
     match op {
         Mutation::Insert { id, value } => {
             if index.get(*id).is_some() {
@@ -1075,19 +1076,11 @@ fn try_compute(
     match &req.kind {
         QueryKind::Select { side, probe } => {
             let tree = match side {
-                Side::R => &state.r_tree,
-                Side::S => &state.s_tree,
+                Side::R => &state.r.tree,
+                Side::S => &state.s.tree,
             };
-            // Batched descent through the relation's flattened child-MBR
-            // snapshot (identical matches and counters to the scalar path).
-            let outcome = sj_gentree::select::try_select_flat(
-                &tree.tree,
-                Some(&tree.flat),
-                probe,
-                req.theta,
-                |node| tree.paged.try_touch_io(&mut shard, node),
-            )?;
-            let mut matches = outcome.matches;
+            let order = TraversalOrder::BreadthFirst;
+            let mut matches = tree_select(&mut shard, tree, probe, req.theta, order)?.matches;
             matches.sort_unstable();
             Ok(Reply::Select {
                 matches: Arc::new(matches),
@@ -1096,13 +1089,13 @@ fn try_compute(
         QueryKind::Join { strategy } => {
             let chooser = auto_chooser(
                 config.profile,
-                &state.r,
-                &state.s,
+                &state.r.rel,
+                &state.s.rel,
                 config.selectivity_samples,
                 config.seed,
             );
-            let ops = JoinOperands::flat(&state.r, &state.s, state.world)
-                .with_trees(&state.r_tree, &state.s_tree)
+            let ops = JoinOperands::flat(&state.r.rel, &state.s.rel, state.world)
+                .with_trees(&state.r.tree, &state.s.tree)
                 .with_chooser(&chooser);
             let mut exec = match strategy.executor(&ops) {
                 Some(exec) => exec,
@@ -1136,8 +1129,8 @@ fn try_degraded_join(
     if let Some(fault_config) = faults {
         shard.set_fault_injector(Some(FaultInjector::new(fault_config)));
     }
-    let r = resilient_scan(&state.r, &mut shard)?;
-    let s = resilient_scan(&state.s, &mut shard)?;
+    let r = resilient_scan(&state.r.rel, &mut shard)?;
+    let s = resilient_scan(&state.s.rel, &mut shard)?;
     let mut pairs = Vec::new();
     for (r_id, r_geom) in &r {
         for (s_id, s_geom) in &s {
@@ -1218,7 +1211,7 @@ mod tests {
         // Reference: exhaustive θ-test over the same tree.
         let state = svc.shared.snapshot.load();
         let mut want =
-            sj_gentree::select::select_exhaustive(&state.r_tree.tree, &probe, theta).matches;
+            sj_gentree::select::select_exhaustive(&state.r.tree.tree, &probe, theta).matches;
         want.sort_unstable();
         assert_eq!(**matches, want);
         assert!(!matches.is_empty(), "probe must hit something");
@@ -1742,6 +1735,28 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_copies_only_the_sides_its_batch_names() {
+        let svc = small_service(ServiceConfig::default());
+        let v0 = svc.shared.snapshot.load();
+        svc.commit(&WriteBatch::new().insert(Side::R, 9000, Geometry::Point(Point::new(1.0, 1.0))))
+            .expect("commit succeeds");
+        let v1 = svc.shared.snapshot.load();
+        assert!(!Arc::ptr_eq(&v0.r, &v1.r), "R was named: new side");
+        assert!(Arc::ptr_eq(&v0.s, &v1.s), "S was not named: shared");
+        assert_eq!(v1.r.tree.tuple_count(), v0.r.tree.tuple_count() + 1);
+
+        let mixed = WriteBatch::new().delete(Side::R, 9000).insert(
+            Side::S,
+            9001,
+            Geometry::Point(Point::new(2.0, 2.0)),
+        );
+        svc.commit(&mixed).expect("commit succeeds");
+        let v2 = svc.shared.snapshot.load();
+        assert!(!Arc::ptr_eq(&v1.r, &v2.r));
+        assert!(!Arc::ptr_eq(&v1.s, &v2.s));
+    }
+
+    #[test]
     fn disjoint_region_writes_retain_cache_entries() {
         let svc = small_service(ServiceConfig::default());
         let near = Request::select(
@@ -1958,8 +1973,8 @@ mod tests {
         let svc = SpatialService::start(config, &r, &s, world());
         {
             let state = svc.shared.snapshot.load();
-            assert!(state.r.is_compressed() && state.s.is_compressed());
-            assert!(state.r_tree.is_compressed());
+            assert!(state.r.rel.is_compressed() && state.s.rel.is_compressed());
+            assert!(state.r.tree.is_compressed());
         }
 
         for theta in [

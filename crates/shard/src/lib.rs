@@ -1,9 +1,9 @@
 //! `sj-shard`: tile-sharded scatter-gather execution.
 //!
 //! ROADMAP item 5, and the distributed reading of the paper's §4
-//! parallel cost discussion: the PBSM tile decomposition that
-//! `sj-joins::parallel` uses for intra-process threading is promoted to
-//! a shard-per-tile architecture. A [`ShardRouter`] partitions both
+//! parallel cost discussion: the PBSM tile decomposition of
+//! `sj_joins::partition` is promoted to a shard-per-tile architecture —
+//! the layer at which this system runs in parallel. A [`ShardRouter`] partitions both
 //! relations into tile shards, stands up one
 //! [`SpatialService`](sj_service::SpatialService) per shard owning only
 //! its tile's slice of the data, fans SELECT/JOIN requests out

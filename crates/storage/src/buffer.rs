@@ -198,11 +198,11 @@ impl BufferPool {
         Ok(())
     }
 
-    /// A private pool shard for one parallel worker: a cold pool of
-    /// `capacity` frames over a copy-on-write snapshot of the underlying
-    /// disk (see [`Disk::read_view`]). The shard starts with zeroed I/O
-    /// counters so a worker's physical and logical reads can be merged
-    /// back into the coordinator's totals after the join.
+    /// A private pool shard (one per service request, one per commit):
+    /// a cold pool of `capacity` frames over a copy-on-write snapshot of
+    /// the underlying disk (see [`Disk::read_view`]). The shard starts
+    /// with zeroed I/O counters, so its reads and writes are accounted
+    /// on their own.
     pub fn fork_view(&self, capacity: usize) -> BufferPool {
         BufferPool::new(self.disk.read_view(), capacity)
     }

@@ -22,13 +22,12 @@
 //!
 //! The simulator models a single query stream per pool, which is what lets
 //! the test-suite compare measured I/O counts against the analytic
-//! formulas. For data-parallel executors, [`Disk::read_view`] and
-//! [`BufferPool::fork_view`] hand each worker thread a private pool shard
-//! over a copy-on-write snapshot of the disk (pages live behind
-//! `Arc`, so a snapshot is O(pages) pointer clones and a fetch never
-//! copies bytes). Worker shards start with zeroed [`IoStats`] and are
-//! merged after the join via `IoStats::merge` / `+=`, keeping the
-//! accounting exact under concurrency.
+//! formulas. For the serving layer's workers and commits,
+//! [`Disk::read_view`] and [`BufferPool::fork_view`] hand out a private
+//! pool shard over a copy-on-write snapshot of the disk (pages live
+//! behind `Arc`, so a snapshot is O(pages) pointer clones and a fetch
+//! never copies bytes). Shards start with zeroed [`IoStats`], which
+//! combine via `IoStats::merge` / `+=`.
 //!
 //! ## Example
 //!

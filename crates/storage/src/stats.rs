@@ -41,8 +41,8 @@ impl IoStats {
     }
 }
 
-/// Component-wise accumulation, the merge operation for per-worker
-/// counters in parallel executors.
+/// Component-wise accumulation, the merge operation for per-shard
+/// counters.
 impl std::ops::AddAssign for IoStats {
     fn add_assign(&mut self, rhs: IoStats) {
         self.physical_reads += rhs.physical_reads;

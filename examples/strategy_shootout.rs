@@ -14,7 +14,7 @@ use spatial_joins::joins::grid::{grid_join, GridConfig};
 use spatial_joins::joins::nested_loop::nested_loop_join;
 use spatial_joins::joins::sort_merge::zorder_overlap_join;
 use spatial_joins::joins::tree_join::tree_join;
-use spatial_joins::joins::{ExecStats, Parallelism, TraceSink};
+use spatial_joins::joins::{ExecStats, TraceSink};
 
 const WORLD: f64 = 1000.0;
 const MEM_PAGES: usize = 64;
@@ -111,15 +111,8 @@ fn main() {
         );
         p.clear();
         p.reset_stats();
-        let run = tree_join(
-            &mut p,
-            &tr,
-            &ts,
-            theta,
-            Parallelism::sequential(),
-            &mut TraceSink::Null,
-        )
-        .expect("in-memory disk cannot fault");
+        let run = tree_join(&mut p, &tr, &ts, theta, &mut TraceSink::Null)
+            .expect("in-memory disk cannot fault");
         assert_eq!(sorted(&run.pairs), reference);
         row(label, run.pairs.len(), &run.stats);
     }

@@ -95,8 +95,8 @@ echo "==> entry-point gate (one public path per join strategy, one per paged ope
 # panicking `pub fn <x>` sibling in the same file.
 entry_points=$(grep -rhE '^\s*pub fn [a-z_]*(join|select)[a-z_]*' crates/joins/src crates/gentree/src)
 count=$(printf '%s\n' "$entry_points" | wc -l)
-if [ "$count" -gt 30 ]; then
-    echo "    $count public join/select entry points (limit 30):"
+if [ "$count" -gt 20 ]; then
+    echo "    $count public join/select entry points (limit 20):"
     echo "$entry_points"
     exit 1
 fi
@@ -112,6 +112,24 @@ if [ -n "$twins" ]; then
     exit 1
 fi
 echo "    -> $count public join/select entry points, no twins"
+
+echo "==> sequential-executor gate (one I/O stream per join strategy)"
+# A join runs on the calling thread against the caller's pool; a second
+# core is spent one layer up, by the router's tile shards. Non-test
+# sj-joins/sj-gentree code may not name std::thread, and the deleted
+# knob and its depth-first pair join may not come back anywhere.
+threaded=$(
+    for f in crates/joins/src/*.rs crates/gentree/src/*.rs; do
+        awk '/^#\[cfg\(test\)\]/ { exit } /thread::/ { print FILENAME ":" FNR ": " $0 }' "$f"
+    done
+    grep -rnE 'Parallelism|_pair_flat|depth_first_flat' crates src examples tests || true
+)
+if [ -n "$threaded" ]; then
+    echo "    in-executor threading is back:"
+    echo "$threaded"
+    exit 1
+fi
+echo "    -> no thread:: in sj-joins/sj-gentree, no Parallelism knob"
 
 echo "==> residency gate (one service per plan leaf, one authority copy at the router)"
 # Non-test sj-shard code starts services at exactly one call site (the

@@ -214,7 +214,7 @@ fn polyline_workloads_join_consistently() {
     use spatial_joins::gentree::rtree::{RTree, RTreeConfig};
     use spatial_joins::joins::nested_loop::nested_loop_join;
     use spatial_joins::joins::tree_join::tree_join;
-    use spatial_joins::joins::{Parallelism, TraceSink};
+    use spatial_joins::joins::TraceSink;
 
     let world = Rect::from_bounds(0.0, 0.0, 500.0, 500.0);
     let roads = generate(
@@ -275,16 +275,9 @@ fn polyline_workloads_join_consistently() {
         300,
         spatial_joins::storage::Layout::Clustered,
     );
-    let mut got = tree_join(
-        &mut pool,
-        &tr,
-        &ts,
-        theta,
-        Parallelism::sequential(),
-        &mut TraceSink::Null,
-    )
-    .unwrap()
-    .pairs;
+    let mut got = tree_join(&mut pool, &tr, &ts, theta, &mut TraceSink::Null)
+        .unwrap()
+        .pairs;
     got.sort_unstable();
     assert_eq!(got, reference);
 }
