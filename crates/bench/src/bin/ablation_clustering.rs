@@ -10,14 +10,14 @@
 
 use sj_gentree::balanced::build_balanced;
 use sj_geom::{Geometry, Point, Rect, ThetaOp};
-use sj_joins::paged_tree::ClusterOrder;
+use sj_joins::paged_tree::{ClusterOrder, CodecMode};
 use sj_joins::tree_join::{tree_select, TraversalOrder};
 use sj_joins::{PagedTree, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
 fn main() {
     let world = Rect::from_bounds(0.0, 0.0, 1024.0, 1024.0);
-    let tree = build_balanced(4, 5, world); // 1365 nodes
+    let tree = std::sync::Arc::new(build_balanced(4, 5, world)); // 1365 nodes
     let theta = ThetaOp::WithinDistance(120.0);
     let probe = Geometry::Point(Point::new(512.0, 512.0));
 
@@ -50,7 +50,7 @@ fn main() {
     ];
     for (label, layout, cluster) in storages {
         let mut pool = BufferPool::new(Disk::new(DiskConfig::paper()), 4);
-        let paged = PagedTree::build_ordered(&mut pool, &tree, 300, layout, cluster);
+        let paged = PagedTree::build(&mut pool, &tree, 300, layout, cluster, CodecMode::Exact);
         let rel = TreeRelation {
             tree: tree.clone(),
             paged,

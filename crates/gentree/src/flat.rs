@@ -12,9 +12,9 @@
 //!
 //! The view is a **snapshot**: it is built from an immutable tree and is
 //! invalidated by any structural mutation (insert, delete, rebalance).
-//! Owners that mutate must rebuild — the executors in `sj-joins` build
-//! it once per loaded [`TreeRelation`](../../sj_joins), whose trees are
-//! frozen after bulk load.
+//! Owners that mutate must rebuild — a [`TreeRelation`](../../sj_joins)
+//! value never changes, and `TreeRelation::try_evolve` builds the view
+//! of the mutated tree anew for the relation it returns.
 //!
 //! Batched probing is only available for operators with a compiled
 //! [`MaskFilter`] form (symmetric bounded filters). Directional
@@ -81,13 +81,6 @@ impl FlatChildren {
             };
         }
         FlatChildren { runs, mbrs, ids }
-    }
-
-    /// Number of children recorded for `node` in this snapshot.
-    pub fn child_count(&self, node: NodeId) -> usize {
-        self.runs
-            .get(node.index())
-            .map_or(0, |run| run.count as usize)
     }
 
     /// Evaluates `filter` between `probe` and every child of `node` with
@@ -205,7 +198,7 @@ mod tests {
                     let mut got = Vec::new();
                     flat.probe_children(node, &probe, m, |c, v| got.push((c, v)));
                     assert_eq!(got, want, "{theta:?} node {node:?}");
-                    assert_eq!(flat.child_count(node), want.len());
+                    assert_eq!(flat.runs[node.index()].count as usize, want.len());
                 }
             }
         }

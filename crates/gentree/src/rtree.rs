@@ -15,6 +15,7 @@
 //! entry reinsertion, and **Sort-Tile-Recursive (STR)** bulk loading.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use sj_geom::{Bounded, Geometry, Rect};
 
@@ -83,7 +84,8 @@ impl RTreeConfig {
 /// An R-tree over [`Geometry`] values keyed by `u64` tuple ids.
 #[derive(Debug, Clone)]
 pub struct RTree {
-    tree: GenTree,
+    /// Copied by the first mutation after [`RTree::shared_tree`] lent it.
+    tree: Arc<GenTree>,
     config: RTreeConfig,
     id_map: HashMap<u64, NodeId>,
     /// Depth of the directory nodes whose children are data entries.
@@ -95,7 +97,7 @@ impl RTree {
     pub fn new(config: RTreeConfig) -> Self {
         config.validate();
         RTree {
-            tree: GenTree::new(Rect::from_bounds(0.0, 0.0, 0.0, 0.0), None),
+            tree: Arc::new(GenTree::new(Rect::from_bounds(0.0, 0.0, 0.0, 0.0), None)),
             config,
             id_map: HashMap::new(),
             leaf_level: 0,
@@ -106,6 +108,21 @@ impl RTree {
     #[inline]
     pub fn tree(&self) -> &GenTree {
         &self.tree
+    }
+
+    /// The tree as a shared handle: what a stored copy of the index holds.
+    pub fn shared_tree(&self) -> &Arc<GenTree> {
+        &self.tree
+    }
+
+    /// Drains the arena slots written since the last call (or since
+    /// `bulk_load`), ascending — see [`GenTree::take_dirty`].
+    pub fn take_dirty(&mut self) -> Vec<NodeId> {
+        self.tree_mut().take_dirty()
+    }
+
+    fn tree_mut(&mut self) -> &mut GenTree {
+        Arc::make_mut(&mut self.tree)
     }
 
     /// Configuration in use.
@@ -143,7 +160,8 @@ impl RTree {
         // I1: ChooseLeaf.
         let leaf = self.choose_leaf(&mbr);
         // I2: add the record.
-        let node = self.tree.add_child(leaf, mbr, Some(Entry { id, geometry }));
+        let entry = Some(Entry { id, geometry });
+        let node = self.tree_mut().add_child(leaf, mbr, entry);
         self.id_map.insert(id, node);
         // I3/I4: AdjustTree with splits as needed.
         self.adjust_upward(leaf);
@@ -158,12 +176,12 @@ impl RTree {
             .tree
             .parent(node)
             .expect("entries always have a parent");
-        self.tree.detach(node);
-        self.tree.release(node);
+        self.tree_mut().detach(node);
+        self.tree_mut().release(node);
         self.condense(parent);
         // D4: shorten the tree while the root has a single directory child.
         while self.leaf_level > 0 && self.tree.children(self.tree.root()).len() == 1 {
-            self.tree.shrink_root();
+            self.tree_mut().shrink_root();
             self.leaf_level -= 1;
         }
         true
@@ -231,8 +249,9 @@ impl RTree {
         }
         let root = tree.root();
         build(&mut tree, &mut id_map, root, root_sub);
+        tree.take_dirty(); // a freshly loaded tree is clean
         let rt = RTree {
-            tree,
+            tree: Arc::new(tree),
             config,
             id_map,
             leaf_level: depth_below - 1,
@@ -290,7 +309,7 @@ impl RTree {
             return;
         }
         let mbr = mbr_of(children.iter().map(|&c| self.tree.mbr(c)));
-        self.tree.set_mbr(node, mbr);
+        self.tree_mut().set_mbr(node, mbr);
     }
 
     /// SplitNode: partition an overflowing node's children into two groups
@@ -305,20 +324,20 @@ impl RTree {
         };
 
         // Ensure `node` has a parent; splitting the root grows the tree.
+        let node_mbr = self.tree.mbr(node);
         let parent = match self.tree.parent(node) {
             Some(p) => p,
             None => {
-                let new_root = self.tree.grow_root(self.tree.mbr(node));
                 self.leaf_level += 1;
-                new_root
+                self.tree_mut().grow_root(node_mbr)
             }
         };
 
-        let sibling = self.tree.add_child(parent, self.tree.mbr(node), None);
+        let tree = self.tree_mut();
+        let sibling = tree.add_child(parent, node_mbr, None);
         for &idx in &gb {
-            let c = children[idx];
-            self.tree.detach(c);
-            self.tree.attach(sibling, c);
+            tree.detach(children[idx]);
+            tree.attach(sibling, children[idx]);
         }
         debug_assert_eq!(self.tree.children(node).len(), ga.len());
         self.recompute_mbr(node);
@@ -336,7 +355,7 @@ impl RTree {
             match parent {
                 Some(p) if underfull => {
                     // Dissolve `node`: collect every entry beneath it.
-                    self.tree.detach(node);
+                    self.tree_mut().detach(node);
                     self.collect_entries(node, &mut orphans);
                     node = p;
                 }
@@ -359,13 +378,13 @@ impl RTree {
     fn collect_entries(&mut self, node: NodeId, out: &mut Vec<Entry>) {
         let children: Vec<NodeId> = self.tree.children(node).to_vec();
         for c in children {
-            self.tree.detach(c);
+            self.tree_mut().detach(c);
             self.collect_entries(c, out);
         }
         if let Some(e) = self.tree.entry(node) {
             out.push(e.clone());
         }
-        self.tree.release(node);
+        self.tree_mut().release(node);
     }
 
     /// Structural self-check: generalization-tree invariants plus R-tree
@@ -938,6 +957,87 @@ mod tests {
         };
         let rstar = rstar_split(&mbrs, 3);
         assert_eq!(overlap(&rstar), 0.0, "R* should find the disjoint split");
+    }
+
+    /// `(entry, mbr)` of every arena slot up to the highest live one
+    /// (`None` for a dead slot) — what a stored copy of the tree holds.
+    fn slot_contents(tree: &GenTree) -> Vec<Option<(Option<Entry>, Rect)>> {
+        let bound = tree.iter_live().map(|n| n.index() + 1).max().unwrap_or(0);
+        (0..bound as u32)
+            .map(NodeId)
+            .map(|n| {
+                tree.is_live(n)
+                    .then(|| (tree.entry(n).cloned(), tree.mbr(n)))
+            })
+            .collect()
+    }
+
+    /// The dirty record is what an incremental consumer is allowed to
+    /// look at instead of the whole tree: after any mutation sequence it
+    /// must name every slot whose liveness, entry or MBR changed — through
+    /// slot recycling, root split and collapse, and condense-and-reinsert.
+    #[test]
+    fn take_dirty_names_every_changed_slot() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let config = RTreeConfig {
+            max_entries: 4,
+            min_entries: 2,
+            split: SplitStrategy::Quadratic,
+        };
+        let mut rt = RTree::bulk_load(config, grid_points(6, 5.0));
+        assert!(rt.take_dirty().is_empty(), "a fresh bulk load is clean");
+        let mut rng = StdRng::seed_from_u64(0xD1127);
+        let mut live: Vec<u64> = (0..36).collect();
+        let mut next_id = 1_000u64;
+        let (mut grew, mut shrank, mut recycled, mut reinserted) = (false, false, false, false);
+        // Shrink to a handful of entries, grow past the start, shrink again.
+        for (rounds, insert_share) in [(30, 1), (60, 9), (40, 2)] {
+            for _ in 0..rounds {
+                let before = slot_contents(rt.tree());
+                let (height, nodes) = (rt.tree().height(), rt.tree().node_count());
+                for _ in 0..rng.random_range(1..4usize) {
+                    if live.is_empty() || rng.random_range(0..10) < insert_share {
+                        let at = pt(rng.random_range(0.0..40.0), rng.random_range(0.0..40.0));
+                        rt.insert(next_id, at);
+                        live.push(next_id);
+                        next_id += 1;
+                    } else {
+                        let id = live.swap_remove(rng.random_range(0..live.len()));
+                        let homes = rt.id_map.clone();
+                        assert!(rt.remove(id));
+                        // Guttman D3: orphans of a dissolved node come back
+                        // as new nodes.
+                        reinserted |= rt.id_map.iter().any(|(id, node)| homes[id] != *node);
+                    }
+                }
+                rt.check_invariants();
+                let after = slot_contents(rt.tree());
+                grew |= rt.tree().height() > height;
+                shrank |= rt.tree().height() < height;
+                recycled |= rt.tree().node_count() > nodes && after.len() <= before.len();
+
+                let dirty = rt.take_dirty();
+                assert!(
+                    dirty.windows(2).all(|w| w[0] < w[1]),
+                    "ascending, no repeats"
+                );
+                for slot in 0..before.len().max(after.len()) {
+                    let held = |slots: &[Option<_>]| slots.get(slot).cloned().flatten();
+                    let changed = held(&before) != held(&after);
+                    assert!(
+                        !changed || dirty.contains(&NodeId(slot as u32)),
+                        "slot {slot} changed but is not in the dirty record"
+                    );
+                }
+                assert!(rt.take_dirty().is_empty(), "a drain empties the record");
+            }
+        }
+        assert!(
+            grew && shrank && recycled && reinserted,
+            "the sequence must cover every case"
+        );
     }
 
     #[test]

@@ -37,11 +37,29 @@ pub(crate) struct Node {
 /// A generalization tree: every node has a bounding rectangle; each
 /// non-root node's rectangle is contained in its parent's rectangle
 /// (the PART-OF invariant, checked by [`GenTree::check_invariants`]).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GenTree {
     nodes: Vec<Node>,
     free: Vec<NodeId>,
     root: NodeId,
+    /// One bit per arena slot written (`node_mut`, `alloc`) since the last
+    /// [`GenTree::take_dirty`]: sorted, duplicate-free, bounded undrained.
+    dirty: Vec<u64>,
+}
+
+impl Clone for GenTree {
+    /// Copies are taken to be mutated (copy-on-write snapshots): leave the
+    /// arena headroom, or the copy's first `alloc` moves every node again.
+    fn clone(&self) -> Self {
+        let mut nodes = Vec::with_capacity(self.nodes.len() + self.nodes.len() / 16 + 64);
+        nodes.extend_from_slice(&self.nodes);
+        GenTree {
+            nodes,
+            free: self.free.clone(),
+            root: self.root,
+            dirty: self.dirty.clone(),
+        }
+    }
 }
 
 impl GenTree {
@@ -58,6 +76,7 @@ impl GenTree {
             }],
             free: Vec::new(),
             root: NodeId(0),
+            dirty: Vec::new(),
         }
     }
 
@@ -179,6 +198,22 @@ impl GenTree {
             .collect()
     }
 
+    /// True if `id` names an allocated, live arena slot.
+    pub fn is_live(&self, id: NodeId) -> bool {
+        self.nodes.get(id.index()).is_some_and(|n| n.live)
+    }
+
+    /// Drains the written slots, ascending: every slot whose liveness,
+    /// entry or MBR changed since the last call, and some that did not.
+    pub fn take_dirty(&mut self) -> Vec<NodeId> {
+        let words = std::mem::take(&mut self.dirty);
+        let written = |slot: &u32| words[*slot as usize / 64] >> (slot % 64) & 1 == 1;
+        (0..words.len() as u32 * 64)
+            .filter(written)
+            .map(NodeId)
+            .collect()
+    }
+
     /// Iterates over all live nodes in arena order (no particular tree
     /// order); useful for whole-tree statistics.
     pub fn iter_live(&self) -> impl Iterator<Item = NodeId> + '_ {
@@ -274,18 +309,27 @@ impl GenTree {
         self.node_mut(old_root).children.clear();
         self.node_mut(child).parent = None;
         self.root = child;
-        self.node_mut(old_root).live = false;
-        self.free.push(old_root);
+        self.release(old_root);
     }
 
     pub(crate) fn alloc(&mut self, node: Node) -> NodeId {
-        if let Some(id) = self.free.pop() {
+        let id = if let Some(id) = self.free.pop() {
             self.nodes[id.index()] = node;
             id
         } else {
             self.nodes.push(node);
             NodeId((self.nodes.len() - 1) as u32)
+        };
+        self.mark_dirty(id);
+        id
+    }
+
+    fn mark_dirty(&mut self, id: NodeId) {
+        let word = id.index() / 64;
+        if word >= self.dirty.len() {
+            self.dirty.resize(word + 1, 0);
         }
+        self.dirty[word] |= 1 << (id.index() % 64);
     }
 
     #[inline]
@@ -297,6 +341,7 @@ impl GenTree {
 
     #[inline]
     pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
+        self.mark_dirty(id);
         let n = &mut self.nodes[id.index()];
         debug_assert!(n.live, "accessing a dead node");
         n
@@ -437,6 +482,23 @@ mod tests {
         let a = t.add_child(t.root(), rect(1.0, 1.0, 2.0, 2.0), Some(entry(7, 1.5, 1.5)));
         t.add_child(t.root(), rect(3.0, 3.0, 4.0, 4.0), None);
         assert_eq!(t.entry_nodes(), vec![a]);
+    }
+
+    /// A tree is cloned to be mutated: the copy's first allocation must
+    /// not move the whole arena a second time.
+    #[test]
+    fn clone_leaves_room_for_the_next_allocation() {
+        let mut t = GenTree::new(rect(0.0, 0.0, 10.0, 10.0), None);
+        for i in 0..200 {
+            t.add_child(t.root(), rect(0.0, 0.0, 1.0, 1.0), Some(entry(i, 0.5, 0.5)));
+        }
+        let mut copy = t.clone();
+        assert!(copy.free.is_empty(), "the next alloc must push");
+        let capacity = copy.nodes.capacity();
+        copy.add_child(copy.root(), rect(1.0, 1.0, 2.0, 2.0), None);
+        assert_eq!(copy.nodes.capacity(), capacity, "no reallocation");
+        assert_eq!(copy.node_count(), t.node_count() + 1);
+        copy.check_invariants();
     }
 
     #[test]

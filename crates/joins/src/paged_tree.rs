@@ -8,8 +8,10 @@
 //! (strategy IIb) or scattered under [`Layout::Unclustered`]
 //! (strategy IIa), and charges a record read per visit.
 
+use std::sync::Arc;
+
 use sj_gentree::{FlatChildren, GenTree, NodeId};
-use sj_geom::{codec, Geometry, QKind};
+use sj_geom::{codec, Geometry};
 use sj_storage::{BufferPool, HeapFile, Layout, RecordId, StorageError};
 
 /// Sentinel id for directory nodes (R-tree interiors), which carry no
@@ -57,39 +59,17 @@ pub struct PagedTree {
 }
 
 impl PagedTree {
-    /// Lays the tree's nodes out on a heap file in breadth-first logical
-    /// order, placed per `layout`.
-    pub fn build(
-        pool: &mut BufferPool,
-        tree: &GenTree,
-        record_size: usize,
-        layout: Layout,
-    ) -> Self {
-        Self::build_ordered(pool, tree, record_size, layout, ClusterOrder::BreadthFirst)
-    }
-
-    /// Like [`PagedTree::build`] with an explicit logical clustering
-    /// order.
-    pub fn build_ordered(
-        pool: &mut BufferPool,
-        tree: &GenTree,
-        record_size: usize,
-        layout: Layout,
-        cluster: ClusterOrder,
-    ) -> Self {
-        Self::build_ordered_with(pool, tree, record_size, layout, cluster, CodecMode::Exact)
-    }
-
-    /// Like [`PagedTree::build_ordered`] with an explicit record codec.
-    /// With [`CodecMode::Quantized`] pass a `record_size` sized for the
-    /// v2 frames (see [`PagedTree::quant_record_size`]).
+    /// Lays the tree's nodes out on a heap file in `cluster` logical
+    /// order, placed per `layout` and encoded per `mode`. With
+    /// [`CodecMode::Quantized`] pass a `record_size` sized for the v2
+    /// frames (see [`PagedTree::quant_record_size`]).
     ///
     /// # Panics
     ///
     /// Panics on a node that does not fit `record_size` or a storage
     /// fault during the load — builders run on a pool the caller has just
     /// created, before any injector is armed.
-    pub fn build_ordered_with(
+    pub fn build(
         pool: &mut BufferPool,
         tree: &GenTree,
         record_size: usize,
@@ -126,39 +106,6 @@ impl PagedTree {
             .max()
             .unwrap_or(codec::QHEADER_LEN)
             .max(codec::QHEADER_LEN)
-    }
-
-    /// Record encoding of this stored tree.
-    pub fn mode(&self) -> CodecMode {
-        self.mode
-    }
-
-    /// Charges the I/O of visiting `node` (a record read through the
-    /// pool) and returns the stored bytes' decoded content, or the I/O
-    /// fault that prevented the visit. A record that fails to decode
-    /// surfaces as [`StorageError::PageCorrupt`]. Under
-    /// [`CodecMode::Quantized`], extended geometries come back as their
-    /// MBR ([`Geometry::Rect`]) — the conservative content of the v2
-    /// frame; exact content lives in the in-memory tree.
-    pub fn try_touch(
-        &self,
-        pool: &mut BufferPool,
-        node: NodeId,
-    ) -> Result<(u64, Geometry), StorageError> {
-        let rid = self.record[node.index()];
-        let bytes = pool.try_read_record(&self.file, rid)?;
-        let corrupt = |_| StorageError::PageCorrupt { page: rid.page };
-        match self.mode {
-            CodecMode::Exact => codec::try_decode_record(&bytes).map_err(corrupt),
-            CodecMode::Quantized => {
-                let (id, q) = codec::try_decode_qrecord(&bytes).map_err(corrupt)?;
-                let g = match q.kind() {
-                    QKind::Point => Geometry::Point(q.rect().lo),
-                    _ => Geometry::Rect(q.rect()),
-                };
-                Ok((id, g))
-            }
-        }
     }
 
     /// Charges the I/O of visiting `node` without decoding the record —
@@ -199,8 +146,8 @@ fn encode_node(tree: &GenTree, node: NodeId, record_size: usize, mode: CodecMode
 #[derive(Debug, Clone)]
 pub struct TreeRelation {
     /// The generalization tree (R-tree, cartographic hierarchy, balanced
-    /// k-ary tree, …).
-    pub tree: GenTree,
+    /// k-ary tree, …), shared with the `RTree` that maintains it, if any.
+    pub tree: Arc<GenTree>,
     /// Its storage mapping.
     pub paged: PagedTree,
     /// Flattened child-MBR snapshot for batched mask probes. Built
@@ -212,8 +159,15 @@ pub struct TreeRelation {
 
 impl TreeRelation {
     /// Stores `tree` with the given record size and layout.
-    pub fn new(pool: &mut BufferPool, tree: GenTree, record_size: usize, layout: Layout) -> Self {
-        let paged = PagedTree::build(pool, &tree, record_size, layout);
+    pub fn new(
+        pool: &mut BufferPool,
+        tree: impl Into<Arc<GenTree>>,
+        record_size: usize,
+        layout: Layout,
+    ) -> Self {
+        let tree = tree.into();
+        let (cluster, mode) = (ClusterOrder::BreadthFirst, CodecMode::Exact);
+        let paged = PagedTree::build(pool, &tree, record_size, layout, cluster, mode);
         let flat = FlatChildren::build(&tree);
         TreeRelation { tree, paged, flat }
     }
@@ -226,57 +180,50 @@ impl TreeRelation {
     /// fewer pages and physical reads per traversal.
     pub fn new_compressed(
         pool: &mut BufferPool,
-        tree: GenTree,
+        tree: impl Into<Arc<GenTree>>,
         min_record_size: usize,
         layout: Layout,
     ) -> Self {
+        let tree = tree.into();
         let record_size = PagedTree::quant_record_size(&tree).max(min_record_size);
-        let paged = PagedTree::build_ordered_with(
-            pool,
-            &tree,
-            record_size,
-            layout,
-            ClusterOrder::BreadthFirst,
-            CodecMode::Quantized,
-        );
+        let (cluster, mode) = (ClusterOrder::BreadthFirst, CodecMode::Quantized);
+        let paged = PagedTree::build(pool, &tree, record_size, layout, cluster, mode);
         let flat = FlatChildren::build(&tree);
         TreeRelation { tree, paged, flat }
     }
 
     /// True when node records are stored as v2 quantized frames.
     pub fn is_compressed(&self) -> bool {
-        self.paged.mode() == CodecMode::Quantized
-    }
-
-    /// Number of application tuples (entry-bearing nodes).
-    pub fn tuple_count(&self) -> usize {
-        self.tree.entry_nodes().len()
+        self.paged.mode == CodecMode::Quantized
     }
 
     /// Produces the storage mapping of `next` — the same tree after a
-    /// batch of incremental inserts/deletes — by *diffing* it against
-    /// this relation's tree and touching only the records that changed,
-    /// instead of rebuilding the file. Arena slots are stable across
-    /// [`RTree`](sj_gentree::RTree) mutations, so the diff is per slot:
+    /// batch of incremental inserts/deletes — from `dirty`, the arena
+    /// slots the batch wrote (`RTree::take_dirty`: ascending, a superset
+    /// of the slots that changed), instead of rebuilding the file or
+    /// walking either tree. Arena slots are stable across R-tree
+    /// mutations, so each dirty slot is one of four cases, told apart
+    /// against this relation's tree (storage was laid out from it):
     ///
     /// * live here, dead in `next` → the record's page slot is cleared
     ///   (one charged write),
     /// * live in both with identical logical content (same entry, or
-    ///   same directory MBR) → untouched (zero I/O),
+    ///   same directory MBR) → written, not changed: zero I/O,
     /// * live in both but changed → rewritten in place (one charged
     ///   write; records are fixed-size, so in-place is always legal),
     /// * new in `next` → appended to the file.
     ///
-    /// I/O is O(nodes touched by the batch), not O(n); the in-memory
-    /// diff is O(n) CPU. Both trees are walked in arena-slot order
-    /// ([`GenTree::iter_live`]), so the page touch sequence is a function
-    /// of the two trees alone. The flat snapshot is rebuilt (pure memory).
+    /// I/O and CPU are O(`dirty`), plus a copy of the record directory
+    /// and a rebuild of the flat snapshot (pure memory); `next` is shared
+    /// with the caller, not copied. Slots are visited in ascending order,
+    /// so the page touch sequence is a function of the two trees alone.
     /// On error the underlying pool may have absorbed partial writes —
     /// callers commit against a forked view and discard it on failure.
     pub fn try_evolve(
         &self,
         pool: &mut BufferPool,
-        next: &GenTree,
+        next: Arc<GenTree>,
+        dirty: &[NodeId],
     ) -> Result<TreeRelation, StorageError> {
         let mut file = self.paged.file.clone();
         let mut record = self.paged.record.clone();
@@ -286,49 +233,44 @@ impl TreeRelation {
         // that size was derived from the tree at build).
         let record_size = self.paged.file.record_size();
         // Evolution preserves the relation's codec mode record for record.
-        let encode = |node: NodeId| encode_node(next, node, record_size, mode);
+        let encode = |node: NodeId| encode_node(&next, node, record_size, mode);
 
-        let old: Vec<NodeId> = self.tree.iter_live().collect();
-        let new: Vec<NodeId> = next.iter_live().collect();
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() || j < new.len() {
-            if j == new.len() || (i < old.len() && old[i] < new[j]) {
+        for &node in dirty {
+            let slot = node.index();
+            match (self.tree.is_live(node), next.is_live(node)) {
                 // Died: clear the record.
-                let rid = record[old[i].index()];
-                pool.try_update(rid.page, |p| p.remove(rid.slot))?;
-                i += 1;
-            } else if i == old.len() || new[j] < old[i] {
+                (true, false) => {
+                    let rid = record[slot];
+                    pool.try_update(rid.page, |p| p.remove(rid.slot))?;
+                }
                 // New: append.
-                let slot = new[j].index();
-                let idx = file.try_append(pool, encode(new[j]))?;
-                if slot >= record.len() {
-                    record.resize(slot + 1, file.rid(0));
+                (false, true) => {
+                    let idx = file.try_append(pool, encode(node))?;
+                    if slot >= record.len() {
+                        record.resize(slot + 1, file.rid(0));
+                    }
+                    record[slot] = file.rid(idx);
                 }
-                record[slot] = file.rid(idx);
-                j += 1;
-            } else {
-                // Live in both: compare logical content against the *old
-                // tree* in memory — storage was written from it, so they
-                // agree — and rewrite in place if it changed.
-                let node = new[j];
-                let unchanged = match (self.tree.entry(node), next.entry(node)) {
-                    (Some(a), Some(b)) => a == b,
-                    (None, None) => self.tree.mbr(node) == next.mbr(node),
-                    _ => false,
-                };
-                if !unchanged {
-                    let rid = record[node.index()];
-                    pool.try_update(rid.page, |p| p.update(rid.slot, encode(node)))?;
+                (true, true) => {
+                    let unchanged = match (self.tree.entry(node), next.entry(node)) {
+                        (Some(a), Some(b)) => a == b,
+                        (None, None) => self.tree.mbr(node) == next.mbr(node),
+                        _ => false,
+                    };
+                    if !unchanged {
+                        let rid = record[slot];
+                        pool.try_update(rid.page, |p| p.update(rid.slot, encode(node)))?;
+                    }
                 }
-                i += 1;
-                j += 1;
+                // Allocated and released inside the batch: never stored.
+                (false, false) => {}
             }
         }
 
         Ok(TreeRelation {
-            tree: next.clone(),
+            flat: FlatChildren::build(&next),
             paged: PagedTree { file, record, mode },
-            flat: FlatChildren::build(next),
+            tree: next,
         })
     }
 }
@@ -337,7 +279,7 @@ impl TreeRelation {
 mod tests {
     use super::*;
     use sj_gentree::balanced::build_balanced;
-    use sj_geom::{Point, Rect};
+    use sj_geom::{Point, QKind, Rect};
     use sj_obs::TraceSink;
     use sj_storage::{Disk, DiskConfig};
 
@@ -345,13 +287,41 @@ mod tests {
         BufferPool::new(Disk::new(DiskConfig::paper()), 64)
     }
 
+    /// Exact records in breadth-first order.
+    fn build(p: &mut BufferPool, tree: &GenTree, layout: Layout) -> PagedTree {
+        let (cluster, mode) = (ClusterOrder::BreadthFirst, CodecMode::Exact);
+        PagedTree::build(p, tree, 300, layout, cluster, mode)
+    }
+
+    /// The round trip of a stored node: a charged record read through
+    /// the pool, decoded. Under [`CodecMode::Quantized`], extended
+    /// geometries come back as their MBR ([`Geometry::Rect`]) — the
+    /// conservative content of the v2 frame; exact content lives in the
+    /// in-memory tree.
+    fn touch(pt: &PagedTree, pool: &mut BufferPool, node: NodeId) -> (u64, Geometry) {
+        let bytes = pool
+            .try_read_record(&pt.file, pt.record[node.index()])
+            .unwrap();
+        match pt.mode {
+            CodecMode::Exact => codec::try_decode_record(&bytes).unwrap(),
+            CodecMode::Quantized => {
+                let (id, q) = codec::try_decode_qrecord(&bytes).unwrap();
+                let g = match q.kind() {
+                    QKind::Point => Geometry::Point(q.rect().lo),
+                    _ => Geometry::Rect(q.rect()),
+                };
+                (id, g)
+            }
+        }
+    }
+
     #[test]
     fn roundtrips_node_contents() {
         let mut p = pool();
         let tree = build_balanced(3, 2, Rect::from_bounds(0.0, 0.0, 9.0, 9.0));
-        let pt = PagedTree::build(&mut p, &tree, 300, Layout::Clustered);
+        let pt = build(&mut p, &tree, Layout::Clustered);
         for node in tree.bfs_order() {
-            let (id, g) = pt.try_touch(&mut p, node).unwrap();
+            let (id, g) = touch(&pt, &mut p, node);
             let e = tree
                 .entry(node)
                 .expect("balanced trees have entries everywhere");
@@ -364,11 +334,11 @@ mod tests {
     fn clustered_bfs_sweep_is_sequential() {
         let mut p = pool();
         let tree = build_balanced(4, 3, Rect::from_bounds(0.0, 0.0, 64.0, 64.0));
-        let pt = PagedTree::build(&mut p, &tree, 300, Layout::Clustered);
+        let pt = build(&mut p, &tree, Layout::Clustered);
         p.clear();
         p.reset_stats();
         for node in tree.bfs_order() {
-            pt.try_touch(&mut p, node).unwrap();
+            touch(&pt, &mut p, node);
         }
         // A BFS sweep over a clustered tree touches each page exactly once.
         assert_eq!(p.stats().physical_reads as usize, pt.page_count());
@@ -378,11 +348,11 @@ mod tests {
     fn unclustered_bfs_sweep_thrashes_with_tiny_pool() {
         let tree = build_balanced(4, 3, Rect::from_bounds(0.0, 0.0, 64.0, 64.0));
         let mut p = BufferPool::new(Disk::new(DiskConfig::paper()), 4);
-        let pt = PagedTree::build(&mut p, &tree, 300, Layout::Unclustered { seed: 11 });
+        let pt = build(&mut p, &tree, Layout::Unclustered { seed: 11 });
         p.clear();
         p.reset_stats();
         for node in tree.bfs_order() {
-            pt.try_touch(&mut p, node).unwrap();
+            touch(&pt, &mut p, node);
         }
         assert!(
             p.stats().physical_reads as usize > pt.page_count(),
@@ -395,17 +365,12 @@ mod tests {
         let tree = build_balanced(4, 4, Rect::from_bounds(0.0, 0.0, 256.0, 256.0));
         // Tiny pool: only matching traversal order stays sequential.
         let mut p = BufferPool::new(Disk::new(DiskConfig::paper()), 2);
-        let pt = PagedTree::build_ordered(
-            &mut p,
-            &tree,
-            300,
-            Layout::Clustered,
-            ClusterOrder::DepthFirst,
-        );
+        let (cluster, mode) = (ClusterOrder::DepthFirst, CodecMode::Exact);
+        let pt = PagedTree::build(&mut p, &tree, 300, Layout::Clustered, cluster, mode);
         p.clear();
         p.reset_stats();
         for node in tree.dfs_order() {
-            pt.try_touch(&mut p, node).unwrap();
+            touch(&pt, &mut p, node);
         }
         let dfs_reads = p.stats().physical_reads;
         assert_eq!(
@@ -417,7 +382,7 @@ mod tests {
         p.clear();
         p.reset_stats();
         for node in tree.bfs_order() {
-            pt.try_touch(&mut p, node).unwrap();
+            touch(&pt, &mut p, node);
         }
         let bfs_reads = p.stats().physical_reads;
         assert!(
@@ -439,7 +404,7 @@ mod tests {
             })
             .collect();
         let mut rt = RTree::bulk_load(RTreeConfig::with_fanout(8), entries);
-        let rel = TreeRelation::new(&mut p, rt.tree().clone(), 300, Layout::Clustered);
+        let rel = TreeRelation::new(&mut p, rt.shared_tree().clone(), 300, Layout::Clustered);
 
         // A small batch of structural mutations.
         rt.insert(500, Geometry::Point(Point::new(1.5, 1.5)));
@@ -449,12 +414,16 @@ mod tests {
         rt.check_invariants();
 
         let before = p.stats();
-        let evolved = rel.try_evolve(&mut p, rt.tree()).unwrap();
+        let dirty = rt.take_dirty();
+        let evolved = rel
+            .try_evolve(&mut p, rt.shared_tree().clone(), &dirty)
+            .unwrap();
         let delta = p.stats().since(&before);
+        assert!(Arc::ptr_eq(&evolved.tree, rt.shared_tree()), "one GenTree");
 
         // Every live node of the new tree round-trips through storage.
         for node in rt.tree().iter_live() {
-            let (id, g) = evolved.paged.try_touch(&mut p, node).unwrap();
+            let (id, g) = touch(&evolved.paged, &mut p, node);
             match rt.tree().entry(node) {
                 Some(e) => {
                     assert_eq!(id, e.id);
@@ -466,7 +435,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(evolved.tuple_count(), 200);
+        assert_eq!(evolved.tree.entry_nodes().len(), 200);
         // The diff touches O(batch · height) records, nowhere near the
         // ~229 writes a fresh build pays.
         assert!(
@@ -476,9 +445,9 @@ mod tests {
         );
     }
 
-    /// The diff walks both trees in arena-slot order, so the sequence of
-    /// page touches — and, on a pool too small to hold them all, every
-    /// I/O counter — is a function of the two trees alone.
+    /// The evolve visits the dirty slots in ascending order, so the
+    /// sequence of page touches — and, on a pool too small to hold them
+    /// all, every I/O counter — is a function of the two trees alone.
     #[test]
     fn evolve_io_is_deterministic() {
         use sj_gentree::rtree::{RTree, RTreeConfig};
@@ -491,17 +460,19 @@ mod tests {
             })
             .collect();
         let mut rt = RTree::bulk_load(RTreeConfig::with_fanout(6), entries);
-        let rel = TreeRelation::new(&mut p, rt.tree().clone(), 300, Layout::Clustered);
+        let rel = TreeRelation::new(&mut p, rt.shared_tree().clone(), 300, Layout::Clustered);
         for i in 0..40u64 {
             rt.remove(i * 7);
             let at = Point::new((i * 13 % 60) as f64 + 0.5, (i * 29 % 45) as f64 + 0.5);
             rt.insert(1_000 + i, Geometry::Point(at));
         }
 
+        let dirty = rt.take_dirty();
         let runs: Vec<_> = (0..8)
             .map(|_| {
                 let mut view = p.fork_view(4);
-                rel.try_evolve(&mut view, rt.tree()).unwrap();
+                rel.try_evolve(&mut view, rt.shared_tree().clone(), &dirty)
+                    .unwrap();
                 view.stats()
             })
             .collect();
@@ -510,6 +481,108 @@ mod tests {
             runs.iter().all(|io| *io == runs[0]),
             "same trees, same pool, different I/O: {runs:?}"
         );
+    }
+
+    /// What a node's stored record must decode to under `mode`.
+    fn stored_content(tree: &GenTree, node: NodeId, mode: CodecMode) -> (u64, Geometry) {
+        match tree.entry(node) {
+            None => (DIRECTORY_ID, Geometry::Rect(tree.mbr(node))),
+            Some(e) => match (&e.geometry, mode) {
+                (Geometry::Point(_), _) | (_, CodecMode::Exact) => (e.id, e.geometry.clone()),
+                (g, CodecMode::Quantized) => (e.id, Geometry::Rect(sj_geom::Bounded::mbr(g))),
+            },
+        }
+    }
+
+    /// Chains of random batches, each evolved from the R-tree's dirty
+    /// slots alone, on exact and quantized trees: storage, flat snapshot
+    /// and charged writes must be what a look at every slot would give.
+    #[test]
+    fn evolve_from_dirty_slots_matches_a_whole_tree_diff() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use sj_gentree::rtree::{RTree, RTreeConfig};
+        use sj_geom::{MaskFilter, Polygon};
+
+        for mode in [CodecMode::Exact, CodecMode::Quantized] {
+            let mut rng = StdRng::seed_from_u64(0xE701);
+            let shape = |rng: &mut StdRng| {
+                let c = Point::new(rng.random_range(0.0..60.0), rng.random_range(0.0..60.0));
+                match rng.random_range(0..3) {
+                    0 => Geometry::Point(c),
+                    _ => Geometry::Polygon(Polygon::regular(c, rng.random_range(0.5..2.0), 6)),
+                }
+            };
+            let mut p = pool();
+            let mut live: Vec<u64> = (0..150).collect();
+            let entries = live.iter().map(|&id| (id, shape(&mut rng))).collect();
+            let mut rt = RTree::bulk_load(RTreeConfig::with_fanout(5), entries);
+            let tree = rt.shared_tree().clone();
+            let mut rel = match mode {
+                CodecMode::Exact => TreeRelation::new(&mut p, tree, 300, Layout::Clustered),
+                CodecMode::Quantized => {
+                    TreeRelation::new_compressed(&mut p, tree, 160, Layout::Clustered)
+                }
+            };
+            let mut next_id = 1_000;
+            for round in 0..12 {
+                for _ in 0..rng.random_range(1..9usize) {
+                    // Rounds alternate between shrinking and growing so
+                    // slots die, are recycled and are appended.
+                    if live.len() > 20 && rng.random_range(0..3) < 1 + round % 2 {
+                        rt.remove(live.swap_remove(rng.random_range(0..live.len())));
+                    } else {
+                        rt.insert(next_id, shape(&mut rng));
+                        live.push(next_id);
+                        next_id += 1;
+                    }
+                }
+                let dirty = rt.take_dirty();
+                let next = rt.shared_tree().clone();
+                // Every slot live in either tree, looked at one by one.
+                let mut slots: Vec<NodeId> = rel.tree.iter_live().chain(next.iter_live()).collect();
+                slots.sort_unstable();
+                slots.dedup();
+                let logical = |t: &GenTree, n| (t.entry(n).cloned(), t.mbr(n));
+                let changed = slots
+                    .iter()
+                    .filter(|&&n| match (rel.tree.is_live(n), next.is_live(n)) {
+                        (true, true) => logical(&rel.tree, n) != logical(&next, n),
+                        (old, new) => old != new,
+                    })
+                    .count();
+
+                let before = p.stats();
+                let evolved = rel.try_evolve(&mut p, next.clone(), &dirty).unwrap();
+                let writes = p.stats().since(&before).physical_writes;
+                assert_eq!(
+                    writes as usize, changed,
+                    "{mode:?} round {round}: charged writes"
+                );
+                assert!(
+                    changed > 0 && dirty.len() < slots.len() / 2,
+                    "a batch, not the tree"
+                );
+
+                let fresh = FlatChildren::build(&next);
+                let probe = Rect::from_bounds(10.0, 10.0, 45.0, 40.0);
+                for node in next.iter_live() {
+                    assert_eq!(
+                        touch(&evolved.paged, &mut p, node),
+                        stored_content(&next, node, mode)
+                    );
+                    let verdicts = |flat: &FlatChildren| {
+                        let mut out = Vec::new();
+                        flat.probe_children(node, &probe, MaskFilter::Overlap, |c, v| {
+                            out.push((c, v))
+                        });
+                        out
+                    };
+                    assert_eq!(verdicts(&evolved.flat), verdicts(&fresh));
+                }
+                rel = evolved;
+            }
+        }
     }
 
     #[test]
@@ -544,7 +617,7 @@ mod tests {
 
         // Quantized touch: same id, conservative (MBR) content.
         for node in rt.tree().bfs_order() {
-            let (id, g) = rq.paged.try_touch(&mut p, node).unwrap();
+            let (id, g) = touch(&rq.paged, &mut p, node);
             match rt.tree().entry(node) {
                 Some(e) => {
                     assert_eq!(id, e.id);
@@ -589,8 +662,8 @@ mod tests {
                 geometry: Geometry::Point(Point::new(1.0, 1.0)),
             }),
         );
-        let pt = PagedTree::build(&mut p, &tree, 300, Layout::Clustered);
-        let (id, g) = pt.try_touch(&mut p, tree.root()).unwrap();
+        let pt = build(&mut p, &tree, Layout::Clustered);
+        let (id, g) = touch(&pt, &mut p, tree.root());
         assert_eq!(id, u64::MAX);
         assert_eq!(g, Geometry::Rect(Rect::from_bounds(0.0, 0.0, 10.0, 10.0)));
     }

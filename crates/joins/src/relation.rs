@@ -19,8 +19,9 @@ fn corrupt(file: &HeapFile, slot: usize) -> StorageError {
 
 /// A relation with one spatial attribute, stored on disk as `v`-byte
 /// records (the model's tuple size). An in-memory directory maps tuple ids
-/// to logical positions; all *data* access goes through the buffer pool
-/// and is charged I/O.
+/// to file slots, and a binary search over the ascending `slots` turns a
+/// slot into its logical position, so no mutation rewrites the directory;
+/// all *data* access goes through the buffer pool and is charged I/O.
 ///
 /// Positions are dense and **order-preserving** under mutation: a delete
 /// closes the position gap without reordering survivors (so a scan of
@@ -40,7 +41,8 @@ pub struct StoredRelation {
     ids: Vec<u64>,
     /// `slots[i]` = file logical index backing position `i` (ascending).
     slots: Vec<usize>,
-    pos_of: HashMap<u64, usize>,
+    /// Tuple id → the file logical index that backs it.
+    slot_of: HashMap<u64, usize>,
 }
 
 impl StoredRelation {
@@ -58,24 +60,12 @@ impl StoredRelation {
         record_size: usize,
         layout: Layout,
     ) -> Self {
-        let ids: Vec<u64> = tuples.iter().map(|(id, _)| *id).collect();
-        let mut pos_of = HashMap::with_capacity(ids.len());
-        for (i, &id) in ids.iter().enumerate() {
-            let prev = pos_of.insert(id, i);
-            assert!(prev.is_none(), "duplicate tuple id {id}");
-        }
         let file = HeapFile::bulk_load_with(pool, record_size, tuples.len(), layout, |i| {
             codec::encode_record(tuples[i].0, &tuples[i].1, record_size)
         })
         .unwrap_or_else(|e| panic!("relation build failed: {e}")); // PANIC-OK: see # Panics
-        let slots = (0..ids.len()).collect();
-        StoredRelation {
-            file,
-            quant: None,
-            ids,
-            slots,
-            pos_of,
-        }
+        let ids = tuples.iter().map(|(id, _)| *id).collect();
+        Self::from_parts(file, ids, (0..tuples.len()).collect())
     }
 
     /// Builds the relation **with a compressed sidecar**: the exact
@@ -210,11 +200,16 @@ impl StoredRelation {
         pool: &mut BufferPool,
         id: u64,
     ) -> Result<(u64, Geometry), StorageError> {
-        let &i = self
-            .pos_of
+        self.try_read_at(pool, self.position(id))
+    }
+
+    /// The logical position of `id`: its file slot, found in the
+    /// ascending `slots`.
+    fn position(&self, id: u64) -> usize {
+        self.slot_of
             .get(&id)
-            .unwrap_or_else(|| panic!("unknown tuple id {id}")); // PANIC-OK: caller bug, ids come from this relation
-        self.try_read_at(pool, i)
+            .and_then(|slot| self.slots.binary_search(slot).ok())
+            .unwrap_or_else(|| panic!("unknown tuple id {id}")) // PANIC-OK: caller bug, ids come from this relation
     }
 
     /// Full sequential scan in **position order**, decoding every tuple,
@@ -250,16 +245,21 @@ impl StoredRelation {
     }
 
     /// Reassembles a relation from a reloaded heap file, its id list,
-    /// and the file slot each position occupies.
+    /// and the file slot each position occupies (ascending, as
+    /// [`StoredRelation::to_parts`] hands them out).
     pub fn from_parts(file: HeapFile, ids: Vec<u64>, slots: Vec<usize>) -> Self {
         assert!(ids.len() == slots.len(), "id list must match the slot list");
         assert!(
             slots.iter().all(|&s| s < file.len()),
             "slot beyond the file directory"
         );
-        let mut pos_of = HashMap::with_capacity(ids.len());
-        for (i, &id) in ids.iter().enumerate() {
-            let prev = pos_of.insert(id, i);
+        assert!(
+            slots.windows(2).all(|w| w[0] < w[1]),
+            "slot list must be ascending"
+        );
+        let mut slot_of = HashMap::with_capacity(ids.len());
+        for (&id, &slot) in ids.iter().zip(&slots) {
+            let prev = slot_of.insert(id, slot);
             assert!(prev.is_none(), "duplicate tuple id {id}");
         }
         StoredRelation {
@@ -267,7 +267,7 @@ impl StoredRelation {
             quant: None,
             ids,
             slots,
-            pos_of,
+            slot_of,
         }
     }
 
@@ -284,10 +284,10 @@ impl StoredRelation {
         id: u64,
         g: &Geometry,
     ) -> Result<(), StorageError> {
-        assert!(!self.pos_of.contains_key(&id), "duplicate tuple id {id}");
+        assert!(!self.slot_of.contains_key(&id), "duplicate tuple id {id}");
         let record = codec::encode_record(id, g, self.file.record_size());
         let slot = self.file.try_append(pool, record)?;
-        self.pos_of.insert(id, self.ids.len());
+        self.slot_of.insert(id, slot);
         self.ids.push(id);
         self.slots.push(slot);
         // Mirror into the sidecar. The logical insert has already
@@ -318,18 +318,12 @@ impl StoredRelation {
     ///
     /// Panics if `id` is not in the relation.
     pub fn try_delete(&mut self, pool: &mut BufferPool, id: u64) -> Result<usize, StorageError> {
-        let &pos = self
-            .pos_of
-            .get(&id)
-            .unwrap_or_else(|| panic!("unknown tuple id {id}")); // PANIC-OK: caller bug, ids come from this relation
+        let pos = self.position(id);
         let rid = self.file.rid(self.slots[pos]);
         pool.try_update(rid.page, |p| p.remove(rid.slot))?;
-        self.pos_of.remove(&id);
+        self.slot_of.remove(&id);
         self.ids.remove(pos);
         self.slots.remove(pos);
-        for (i, &later) in self.ids.iter().enumerate().skip(pos) {
-            self.pos_of.insert(later, i);
-        }
         // The sidecar record at the dead slot is intentionally left in
         // place: `slots` no longer references it, so it is unreachable —
         // exactly like the abandoned main-file index entry above.
@@ -349,10 +343,7 @@ impl StoredRelation {
         id: u64,
         g: &Geometry,
     ) -> Result<(), StorageError> {
-        let &pos = self
-            .pos_of
-            .get(&id)
-            .unwrap_or_else(|| panic!("unknown tuple id {id}")); // PANIC-OK: caller bug, ids come from this relation
+        let pos = self.position(id);
         let record = codec::encode_record(id, g, self.file.record_size());
         let rid = self.file.rid(self.slots[pos]);
         pool.try_update(rid.page, |p| p.update(rid.slot, record))?;
@@ -492,6 +483,56 @@ mod tests {
             3,
             "position unchanged"
         );
+    }
+
+    /// The id → slot directory plus binary search must behave like the
+    /// plainest model there is — a `Vec` of tuples in position order —
+    /// under any interleaving of mutations and reads, and survive a
+    /// catalog round trip once deletes have made positions ≠ slots.
+    #[test]
+    fn interleaved_mutations_match_a_vec_model() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x51075);
+        let mut p = pool();
+        let mut model = tuples(40);
+        let mut rel = StoredRelation::build(&mut p, &model, 300, Layout::Clustered);
+        let mut next_id = 1_000;
+        for step in 0..400 {
+            let g = Geometry::Point(Point::new(step as f64, rng.random_range(0.0..9.0)));
+            let at = (!model.is_empty()).then(|| rng.random_range(0..model.len()));
+            match (rng.random_range(0..4), at) {
+                (0, Some(at)) => {
+                    assert_eq!(rel.try_delete(&mut p, model[at].0).unwrap(), at);
+                    model.remove(at);
+                }
+                (1, Some(at)) => {
+                    rel.try_replace(&mut p, model[at].0, &g).unwrap();
+                    model[at].1 = g;
+                }
+                (2, Some(at)) => {
+                    assert_eq!(rel.try_read_by_id(&mut p, model[at].0).unwrap(), model[at]);
+                    assert_eq!(rel.try_read_at(&mut p, at).unwrap(), model[at]);
+                }
+                _ => {
+                    rel.try_insert(&mut p, next_id, &g).unwrap();
+                    model.push((next_id, g));
+                    next_id += 1;
+                }
+            }
+            if step % 25 == 0 {
+                assert_eq!(rel.try_scan(&mut p).unwrap(), model);
+            }
+        }
+        assert!(rel.slots.iter().enumerate().any(|(pos, &slot)| pos != slot));
+
+        let (file, ids, slots) = rel.to_parts();
+        let reloaded = StoredRelation::from_parts(file.clone(), ids.to_vec(), slots.to_vec());
+        assert_eq!(reloaded.try_scan(&mut p).unwrap(), model);
+        for (id, g) in &model {
+            assert_eq!(&reloaded.try_read_by_id(&mut p, *id).unwrap().1, g);
+        }
     }
 
     #[test]

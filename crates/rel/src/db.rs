@@ -626,7 +626,7 @@ mod tests {
         let t = &db.tables["pts"];
         let (tree_rel, built_at) = t.spatial["loc"].index.as_ref().unwrap();
         assert_eq!(*built_at, 21);
-        assert_eq!(tree_rel.tuple_count(), 21);
+        assert_eq!(tree_rel.tree.entry_nodes().len(), 21);
     }
 
     #[test]
@@ -694,7 +694,7 @@ mod tests {
         db.ensure_index("pts", "loc");
         let (tree_rel, _) = db.tables["pts"].spatial["loc"].index.as_ref().unwrap();
         assert_eq!(
-            tree_rel.tuple_count(),
+            tree_rel.tree.entry_nodes().len(),
             11,
             "a delete-only batch must still trigger the rebuild"
         );

@@ -256,6 +256,9 @@ impl Database {
                 if slots.iter().any(|&s| s >= cfile.len()) {
                     return Err(bad("column slot beyond the file directory"));
                 }
+                if slots.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err(bad("column slots not ascending"));
+                }
                 let mut flag = [0u8; 1];
                 r.read_exact(&mut flag)?;
                 let mut col = StoredRelation::from_parts(cfile, ids, slots);
@@ -472,6 +475,32 @@ mod tests {
         db.save(&prefix).unwrap();
         std::fs::write(with_ext(&prefix, "cat"), b"nonsense").unwrap();
         assert!(Database::open(&prefix).is_err());
+        cleanup(&prefix);
+    }
+
+    /// `StoredRelation` finds positions by binary search over its slot
+    /// list, so a catalog whose column slots are out of order is refused
+    /// as a typed error before any relation is assembled from it.
+    #[test]
+    fn open_rejects_a_catalog_with_unordered_column_slots() {
+        let prefix = temp_prefix("unordered");
+        sample_db().save(&prefix).unwrap();
+        let cat = with_ext(&prefix, "cat");
+        let mut bytes = std::fs::read(&cat).unwrap();
+        // The last `38, 39` run in the file is the tail of table b's
+        // column slot list; swap the two.
+        let run: Vec<u8> = [38u64, 39].iter().flat_map(|v| v.to_le_bytes()).collect();
+        let at = (0..bytes.len() - 16)
+            .rev()
+            .find(|&i| bytes[i..i + 16] == run[..])
+            .expect("slot list in the catalog");
+        bytes[at..at + 8].copy_from_slice(&39u64.to_le_bytes());
+        bytes[at + 8..at + 16].copy_from_slice(&38u64.to_le_bytes());
+        std::fs::write(&cat, bytes).unwrap();
+        let err = Database::open(&prefix)
+            .map(|_| ())
+            .expect_err("unordered slots");
+        assert!(err.to_string().contains("not ascending"), "got {err}");
         cleanup(&prefix);
     }
 

@@ -244,6 +244,14 @@ pub struct WriteMetrics {
     /// Physical pages written while applying batches (O(batch), not
     /// O(n): apply is incremental).
     apply_pages_touched: AtomicU64,
+    /// Tree arena slots the paged-tree evolves examined (the R-trees'
+    /// dirty slots) — the CPU-side sibling of `apply_pages_touched`.
+    apply_nodes_touched: AtomicU64,
+    /// Committed batches' wall-clock, cumulative µs: the whole apply, the
+    /// evolve inside it, and the WAL sync after it.
+    apply_us: AtomicU64,
+    evolve_us: AtomicU64,
+    wal_sync_us: AtomicU64,
     /// Cache entries invalidated because their region intersected a
     /// commit's touched MBRs.
     cache_purged: AtomicU64,
@@ -278,6 +286,14 @@ impl WriteMetrics {
         self.cache_retained.fetch_add(retained, Ordering::Relaxed);
     }
 
+    /// Records one committed batch's slots examined and apply / evolve / sync µs.
+    pub fn record_commit_work(&self, nodes: u64, apply_us: u64, evolve_us: u64, sync_us: u64) {
+        self.apply_nodes_touched.fetch_add(nodes, Ordering::Relaxed);
+        self.apply_us.fetch_add(apply_us, Ordering::Relaxed);
+        self.evolve_us.fetch_add(evolve_us, Ordering::Relaxed);
+        self.wal_sync_us.fetch_add(sync_us, Ordering::Relaxed);
+    }
+
     /// Records one commit aborted at its sync point.
     pub fn record_aborted_commit(&self) {
         self.aborted_commits.fetch_add(1, Ordering::Relaxed);
@@ -298,60 +314,44 @@ impl WriteMetrics {
         self.commits.load(Ordering::Relaxed)
     }
 
+    /// Tree arena slots examined by committed batches' evolves so far.
+    pub fn apply_nodes_touched(&self) -> u64 {
+        self.apply_nodes_touched.load(Ordering::Relaxed)
+    }
+
     /// Commits aborted at the sync point so far.
     pub fn aborted_commits(&self) -> u64 {
         self.aborted_commits.load(Ordering::Relaxed)
     }
 
-    /// `(purged, retained)` cache-invalidation totals.
-    pub fn cache_invalidation(&self) -> (u64, u64) {
-        (
-            self.cache_purged.load(Ordering::Relaxed),
-            self.cache_retained.load(Ordering::Relaxed),
-        )
-    }
-
     /// Emits the `service/wal` and `service/apply` events.
     pub fn emit(&self, sink: &mut TraceSink) {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         sink.emit(
             "service/wal",
             0,
             &[
-                ("commits", self.commits.load(Ordering::Relaxed)),
-                (
-                    "aborted_commits",
-                    self.aborted_commits.load(Ordering::Relaxed),
-                ),
-                ("records", self.wal_records.load(Ordering::Relaxed)),
-                ("syncs", self.wal_syncs.load(Ordering::Relaxed)),
-                (
-                    "sync_failures",
-                    self.wal_sync_failures.load(Ordering::Relaxed),
-                ),
-                ("durable_bytes", self.wal_bytes.load(Ordering::Relaxed)),
+                ("commits", load(&self.commits)),
+                ("aborted_commits", load(&self.aborted_commits)),
+                ("records", load(&self.wal_records)),
+                ("syncs", load(&self.wal_syncs)),
+                ("sync_failures", load(&self.wal_sync_failures)),
+                ("durable_bytes", load(&self.wal_bytes)),
+                ("sync_us", load(&self.wal_sync_us)),
             ],
         );
         sink.emit(
             "service/apply",
             0,
             &[
-                (
-                    "mutations_applied",
-                    self.mutations_applied.load(Ordering::Relaxed),
-                ),
-                (
-                    "mutations_rejected",
-                    self.mutations_rejected.load(Ordering::Relaxed),
-                ),
-                (
-                    "pages_touched",
-                    self.apply_pages_touched.load(Ordering::Relaxed),
-                ),
-                ("cache_purged", self.cache_purged.load(Ordering::Relaxed)),
-                (
-                    "cache_retained",
-                    self.cache_retained.load(Ordering::Relaxed),
-                ),
+                ("mutations_applied", load(&self.mutations_applied)),
+                ("mutations_rejected", load(&self.mutations_rejected)),
+                ("pages_touched", load(&self.apply_pages_touched)),
+                ("cache_purged", load(&self.cache_purged)),
+                ("cache_retained", load(&self.cache_retained)),
+                ("nodes_touched", load(&self.apply_nodes_touched)),
+                ("apply_us", load(&self.apply_us)),
+                ("evolve_us", load(&self.evolve_us)),
             ],
         );
     }
@@ -524,10 +524,13 @@ mod tests {
         w.record_commit(3, 1, 7, 2, 5);
         w.record_commit(1, 0, 2, 0, 6);
         w.record_aborted_commit();
+        w.record_commit_work(40, 900, 300, 5);
+        w.record_commit_work(2, 100, 50, 1);
         w.set_wal_gauges(3, 2, 1, 640);
         assert_eq!(w.commits(), 2);
         assert_eq!(w.aborted_commits(), 1);
-        assert_eq!(w.cache_invalidation(), (2, 11));
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        assert_eq!((load(&w.cache_purged), load(&w.cache_retained)), (2, 11));
 
         let mut sink = TraceSink::vec();
         w.emit(&mut sink);
@@ -541,6 +544,7 @@ mod tests {
             ("syncs", 2),
             ("sync_failures", 1),
             ("durable_bytes", 640),
+            ("sync_us", 6),
         ] {
             assert!(
                 wal.counters.iter().any(|(k, v)| *k == key && *v == want),
@@ -554,6 +558,9 @@ mod tests {
             ("pages_touched", 9),
             ("cache_purged", 2),
             ("cache_retained", 11),
+            ("nodes_touched", 42),
+            ("apply_us", 1000),
+            ("evolve_us", 350),
         ] {
             assert!(
                 apply.counters.iter().any(|(k, v)| *k == key && *v == want),

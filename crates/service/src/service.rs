@@ -19,9 +19,9 @@
 //! the fork shares every untouched page), applies each mutation to a
 //! copy of the side (R or S) it names — touching only the pages the
 //! batch dirties; a side no op names is shared with the previous
-//! snapshot — and evolves the paged generalization trees against the
-//! in-memory R-trees ([`TreeRelation::try_evolve`]). The batch's redo
-//! record is appended
+//! snapshot — and evolves each touched side's paged generalization tree
+//! from the arena slots its in-memory R-tree wrote
+//! ([`TreeRelation::try_evolve`]). The batch's redo record is appended
 //! to the [`WriteAheadLog`] *before* apply and synced *before* publish:
 //! the sync is the commit point, a sync fault aborts the commit with a
 //! typed error and nothing partial is ever visible. In-flight requests
@@ -74,8 +74,7 @@ use sj_joins::tree_join::{tree_select, TraversalOrder};
 use sj_joins::{JoinOperands, JoinRequest, StoredRelation, Strategy, TreeRelation};
 use sj_obs::TraceSink;
 use sj_storage::{
-    BufferPool, Disk, DiskConfig, FaultConfig, FaultInjector, IoStats, Layout, StorageError,
-    WriteAheadLog,
+    BufferPool, Disk, DiskConfig, FaultConfig, FaultInjector, Layout, StorageError, WriteAheadLog,
 };
 
 use crate::admission::ShardedQueue;
@@ -204,7 +203,8 @@ struct SideState {
     tree: Arc<TreeRelation>,
     /// In-memory R-tree mirroring the paged tree — the live-id
     /// authority for mutation outcomes and the structure incremental
-    /// commits evolve the paged tree against.
+    /// commits evolve the paged tree from; its `GenTree` is the one
+    /// `tree` holds.
     index: RTree,
 }
 
@@ -399,6 +399,7 @@ impl SpatialService {
             .unwrap_or_else(PoisonError::into_inner);
         let wal_lsn = wal.append(&batch.encode());
         let current = self.shared.snapshot.load();
+        let apply_started = Instant::now();
         let applied = match apply_incremental(&self.shared.config, &current, batch) {
             Ok(applied) => applied,
             Err(e) => {
@@ -411,12 +412,19 @@ impl SpatialService {
         // The commit point: the redo record must be durable before the
         // snapshot becomes visible. sync() rolls the tail back itself
         // on a fault, so an aborted commit leaves no trace in the log.
+        let sync_started = Instant::now();
         if let Err(e) = wal.sync() {
             self.shared.write_metrics.record_aborted_commit();
             self.record_wal_gauges(&wal);
             return Err(Rejection::Failed(e));
         }
-        let version = applied.state.version;
+        self.shared.write_metrics.record_commit_work(
+            applied.nodes_touched,
+            (sync_started - apply_started).as_micros() as u64,
+            applied.evolve_us,
+            sync_started.elapsed().as_micros() as u64,
+        );
+        let (version, io) = (applied.state.version, applied.state.pool.stats());
         drop(current);
         self.shared.snapshot.publish(Arc::new(applied.state));
         let (cache_purged, cache_retained) =
@@ -426,7 +434,7 @@ impl SpatialService {
         self.shared.write_metrics.record_commit(
             applied_ops,
             rejected_ops,
-            applied.io.physical_writes + applied.io.physical_reads,
+            io.physical_writes + io.physical_reads,
             cache_purged as u64,
             cache_retained as u64,
         );
@@ -435,7 +443,7 @@ impl SpatialService {
             version,
             wal_lsn,
             outcomes: applied.outcomes,
-            io: applied.io,
+            io,
             cache_purged,
             cache_retained,
         })
@@ -635,15 +643,8 @@ fn build_state(
     };
     let r = build_rel(&mut pool, r_tuples);
     let s = build_rel(&mut pool, s_tuples);
-    let mut side = |rel: StoredRelation| {
-        let (index, tree) = build_tree(&mut pool, &rel, config);
-        Arc::new(SideState {
-            rel,
-            tree: Arc::new(tree),
-            index,
-        })
-    };
-    let (r, s) = (side(r), side(s));
+    let r = build_tree(&mut pool, r, config);
+    let s = build_tree(&mut pool, s, config);
     DataState {
         pool,
         r,
@@ -653,34 +654,25 @@ fn build_state(
     }
 }
 
-/// Scans `rel` and bulk-loads a clustered generalization tree over it,
-/// returning both the in-memory R-tree (kept live for incremental
-/// maintenance) and its paged counterpart.
+/// Scans `rel` and bulk-loads a clustered generalization tree over it:
+/// one side of a snapshot, whose in-memory R-tree (kept live for
+/// incremental maintenance) and paged tree share one `GenTree`.
 fn build_tree(
     pool: &mut BufferPool,
-    rel: &StoredRelation,
+    rel: StoredRelation,
     config: &ServiceConfig,
-) -> (RTree, TreeRelation) {
+) -> Arc<SideState> {
     let tuples = rel
         .try_scan(pool)
         .unwrap_or_else(|e| panic!("startup scan failed: {e}")); // PANIC-OK: fresh pool, no injector armed yet
-    let rt = RTree::bulk_load(RTreeConfig::with_fanout(config.fanout), tuples);
-    let paged = if config.compress_geometry {
-        TreeRelation::new_compressed(
-            pool,
-            rt.tree().clone(),
-            config.quant_record_size,
-            Layout::Clustered,
-        )
+    let index = RTree::bulk_load(RTreeConfig::with_fanout(config.fanout), tuples);
+    let tree = Arc::clone(index.shared_tree());
+    let tree = Arc::new(if config.compress_geometry {
+        TreeRelation::new_compressed(pool, tree, config.quant_record_size, Layout::Clustered)
     } else {
-        TreeRelation::new(
-            pool,
-            rt.tree().clone(),
-            config.record_size,
-            Layout::Clustered,
-        )
-    };
-    (rt, paged)
+        TreeRelation::new(pool, tree, config.record_size, Layout::Clustered)
+    });
+    Arc::new(SideState { rel, tree, index })
 }
 
 /// A batch applied to (a fork of) the current snapshot, awaiting the
@@ -689,18 +681,24 @@ struct Applied {
     state: DataState,
     outcomes: Vec<MutationOutcome>,
     touched: TouchedRegions,
-    io: IoStats,
+    /// Arena slots the evolve examined, over the touched sides.
+    nodes_touched: u64,
+    evolve_us: u64,
 }
 
 /// Builds the next snapshot from `current` plus `batch`: fork the
 /// current pool (page-granular copy-on-write, so untouched pages are
 /// shared, not copied), apply each mutation in batch order to a copy of
 /// the side it names — relation handle and in-memory R-tree, copied by
-/// the first op that names the side — then evolve each touched side's
-/// paged tree ([`TreeRelation::try_evolve`]). A side no op names is the
-/// previous snapshot's `Arc`. Total physical I/O is O(batch · tree
-/// height) pages, independent of relation size — the receipt's `io`
-/// proves it per commit.
+/// the first op that names the side, the R-tree's `GenTree` by its first
+/// applied mutation — then evolve each touched side's paged tree from the
+/// slots its R-tree wrote ([`TreeRelation::try_evolve`]), which shares
+/// that `GenTree` with the new paged tree. A side no op names is the
+/// previous snapshot's `Arc`. Physical I/O and slots examined are
+/// O(batch · tree height), independent of relation size — the receipt's
+/// `io` and [`WriteMetrics::apply_nodes_touched`] prove it per commit;
+/// what still grows with *n* is the copy of a touched side's handles
+/// (arena, id maps, record directory, flat snapshot).
 fn apply_incremental(
     config: &ServiceConfig,
     current: &DataState,
@@ -727,13 +725,18 @@ fn apply_incremental(
             &mut world,
         )?);
     }
+    let evolve_started = Instant::now();
+    let mut nodes_touched = 0;
     for (state, region) in [(&mut r, touched.r), (&mut s, touched.s)] {
         if region.is_some() {
             let state = Arc::make_mut(state);
-            state.tree = Arc::new(state.tree.try_evolve(&mut pool, state.index.tree())?);
+            let dirty = state.index.take_dirty();
+            nodes_touched += dirty.len() as u64;
+            let next = Arc::clone(state.index.shared_tree());
+            state.tree = Arc::new(state.tree.try_evolve(&mut pool, next, &dirty)?);
         }
     }
-    let io = pool.stats();
+    let evolve_us = evolve_started.elapsed().as_micros() as u64;
     Ok(Applied {
         state: DataState {
             pool,
@@ -744,7 +747,8 @@ fn apply_incremental(
         },
         outcomes,
         touched,
-        io,
+        nodes_touched,
+        evolve_us,
     })
 }
 
@@ -1734,6 +1738,37 @@ mod tests {
         );
     }
 
+    /// The CPU-side sibling of the page bill above: the slots the evolve
+    /// examines follow the batch too. The same two-op batch against 64×
+    /// the data may examine at most 2× the slots.
+    #[test]
+    fn incremental_apply_examines_slots_proportional_to_the_batch() {
+        let examined = |n: usize, step: f64| {
+            let svc = SpatialService::start(
+                ServiceConfig::default(),
+                &grid_tuples(n, step, 0),
+                &grid_tuples(n, step, 50_000),
+                world(),
+            );
+            let batch = WriteBatch::new()
+                .insert(Side::R, 90_000, Geometry::Point(Point::new(7.0, 7.0)))
+                .delete(Side::S, 50_003);
+            let receipt = svc.commit(&batch).expect("commit succeeds");
+            assert_eq!(
+                receipt.outcomes,
+                vec![MutationOutcome::Inserted, MutationOutcome::Deleted]
+            );
+            svc.write_metrics().apply_nodes_touched()
+        };
+        let (small, medium, large) = (examined(15, 4.0), examined(30, 2.0), examined(120, 0.5));
+        assert!(small > 0, "a commit that changes state examines slots");
+        assert!(
+            medium <= 2 * small && large <= 2 * small,
+            "evolve work must follow the batch, not the data: {small} slots at 225 \
+             tuples per side, {medium} at 900, {large} at 14 400"
+        );
+    }
+
     #[test]
     fn a_commit_copies_only_the_sides_its_batch_names() {
         let svc = small_service(ServiceConfig::default());
@@ -1743,7 +1778,13 @@ mod tests {
         let v1 = svc.shared.snapshot.load();
         assert!(!Arc::ptr_eq(&v0.r, &v1.r), "R was named: new side");
         assert!(Arc::ptr_eq(&v0.s, &v1.s), "S was not named: shared");
-        assert_eq!(v1.r.tree.tuple_count(), v0.r.tree.tuple_count() + 1);
+        let tuples = |side: &SideState| side.tree.tree.entry_nodes().len();
+        assert_eq!(tuples(&v1.r), tuples(&v0.r) + 1);
+        // One `GenTree` per side per snapshot, at start and after a commit.
+        for side in [&v0.r, &v0.s, &v1.r, &v1.s] {
+            assert!(Arc::ptr_eq(side.index.shared_tree(), &side.tree.tree));
+        }
+        assert!(!Arc::ptr_eq(&v0.r.tree.tree, &v1.r.tree.tree));
 
         let mixed = WriteBatch::new().delete(Side::R, 9000).insert(
             Side::S,

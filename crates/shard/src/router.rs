@@ -21,8 +21,8 @@ use sj_geom::{sweep_candidates, Bounded, Geometry, Rect, SweepItem, ThetaOp};
 use sj_joins::{Mutation, MutationOutcome, Side, Strategy, WriteBatch};
 use sj_obs::TraceSink;
 use sj_service::{
-    QueryKind, Rejection, Reply, Request, Response, ServiceConfig, ServiceMetrics, ServiceResult,
-    SpatialService,
+    CommitReceipt, QueryKind, Rejection, Reply, Request, Response, ServiceConfig, ServiceMetrics,
+    ServiceResult, SpatialService,
 };
 use sj_storage::IoStats;
 
@@ -526,12 +526,14 @@ impl ShardRouter {
     /// across shards turns into upserts at the new owners plus deletes
     /// at the vacated ones.
     ///
-    /// Both map guards are held for the whole call, so commits reach
-    /// every shard in one order and a join answered from the maps sees
-    /// the batch entirely or not at all. A failed shard commit restores
-    /// the maps before the error returns, which makes the batch
-    /// retryable; shards that had already applied their sub-batch stay
-    /// ahead until then (atomicity across shards is ROADMAP item 13).
+    /// The non-empty sub-batches commit side by side (shards share
+    /// nothing): the first on the calling thread, each further one on a
+    /// scoped thread. Both map guards are held for the whole call, so two
+    /// commits never interleave at a shard and a join answered from the
+    /// maps sees the batch entirely or not at all. Any failed shard commit
+    /// restores the maps and returns the first rejection in shard order,
+    /// which makes the batch retryable; shards whose sub-batch did commit
+    /// stay ahead until then (atomicity across shards is ROADMAP item 18b).
     pub fn commit(&self, batch: &WriteBatch) -> Result<RouterReceipt, Rejection> {
         let mut r_geoms = lock(&self.r_geoms);
         let mut s_geoms = lock(&self.s_geoms);
@@ -587,47 +589,50 @@ impl ShardRouter {
             undo.push((*side, id, old));
         }
 
-        let mut io = IoStats::default();
-        let mut cache_purged = 0;
-        let mut cache_retained = 0;
-        let mut shard_commits = 0;
-        for (t, sub) in subs.iter().enumerate() {
-            if sub.is_empty() {
-                continue;
-            }
-            let receipt = match self.services[t].commit(sub) {
-                Ok(receipt) => receipt,
-                Err(rejection) => {
-                    for (side, id, old) in undo.into_iter().rev() {
-                        let geoms = match side {
-                            Side::R => &mut *r_geoms,
-                            Side::S => &mut *s_geoms,
-                        };
-                        match old {
-                            Some(g) => geoms.insert(id, g),
-                            None => geoms.remove(&id),
-                        };
-                    }
-                    return Err(rejection);
-                }
-            };
-            io.merge(&receipt.io);
-            cache_purged += receipt.cache_purged;
-            cache_retained += receipt.cache_retained;
-            shard_commits += 1;
+        let commit_shard = |t: usize| {
+            let receipt = self.services[t].commit(&subs[t]);
             #[cfg(test)]
-            if let Some(hook) = &self.after_shard_commit {
+            if let (Ok(_), Some(hook)) = (&receipt, &self.after_shard_commit) {
                 hook(t);
             }
-        }
-        let version = self.commits.fetch_add(1, Ordering::Relaxed) + 1;
+            receipt
+        };
+        let mut named = (0..subs.len()).filter(|&t| !subs[t].is_empty());
+        let first = named.next();
+        let receipts: Vec<Result<CommitReceipt, Rejection>> = std::thread::scope(|scope| {
+            let rest: Vec<_> = named
+                .map(|t| scope.spawn(move || commit_shard(t)))
+                .collect();
+            let joined = rest
+                .into_iter()
+                .map(|handle| handle.join().unwrap_or(Err(Rejection::WorkerPanicked)));
+            first.map(commit_shard).into_iter().chain(joined).collect()
+        });
+        let receipts = match receipts.into_iter().collect::<Result<Vec<_>, _>>() {
+            Ok(receipts) => receipts,
+            Err(rejection) => {
+                for (side, id, old) in undo.into_iter().rev() {
+                    let geoms = match side {
+                        Side::R => &mut *r_geoms,
+                        Side::S => &mut *s_geoms,
+                    };
+                    match old {
+                        Some(g) => geoms.insert(id, g),
+                        None => geoms.remove(&id),
+                    };
+                }
+                return Err(rejection);
+            }
+        };
+        let mut io = IoStats::default();
+        receipts.iter().for_each(|receipt| io.merge(&receipt.io));
         Ok(RouterReceipt {
-            version,
+            version: self.commits.fetch_add(1, Ordering::Relaxed) + 1,
             outcomes,
             io,
-            cache_purged,
-            cache_retained,
-            shard_commits,
+            cache_purged: receipts.iter().map(|receipt| receipt.cache_purged).sum(),
+            cache_retained: receipts.iter().map(|receipt| receipt.cache_retained).sum(),
+            shard_commits: receipts.len(),
         })
     }
 
@@ -1030,16 +1035,23 @@ mod tests {
     /// their guards and then commit the sub-batches with `?`, so one
     /// failed shard commit left the maps ahead of the shards for good —
     /// a retry of the same insert answered `DuplicateId` and was never
-    /// routed. The failing shard here is the *last* one, so an earlier
-    /// shard has already applied its sub-batch when the error returns.
+    /// routed. Sub-batches commit side by side, so whichever named shard
+    /// fails — the first or the last — the other has applied its
+    /// sub-batch when the error returns.
     #[test]
     fn failed_shard_commit_leaves_the_authority_maps_untouched_and_is_retryable() {
+        for failing in [0, 1] {
+            failed_commit_is_undone_and_retryable(failing);
+        }
+    }
+
+    fn failed_commit_is_undone_and_retryable(failing: usize) {
         let (router, oracle) = router(2);
         let batch = two_tile_batch();
         let wide = Request::join(Strategy::Tree, ThetaOp::WithinDistance(50.0));
         let before = router.call(wide.clone()).unwrap().reply;
 
-        fault_next_wal_sync(&router.services[1]);
+        fault_next_wal_sync(&router.services[failing]);
         let err = router.commit(&batch).expect_err("the sync fault aborts");
         assert!(matches!(err, Rejection::Failed(_)), "got {err:?}");
         assert_eq!(router.version(), 0, "a failed commit takes no version");
@@ -1079,10 +1091,11 @@ mod tests {
     }
 
     /// A join answered from the authority maps, issued from a second
-    /// thread while a two-shard commit sits between its shard commits,
-    /// sees that batch entirely (the commit succeeds) or not at all
-    /// (its second shard commit fails) — never the half that is already
-    /// in the maps and on one shard.
+    /// thread while a two-shard commit has one shard committed and still
+    /// holds the guards (the hook parks whichever thread committed shard
+    /// 0), sees that batch entirely (the commit succeeds) or not at all
+    /// (its other shard commit fails) — never the half that is already in
+    /// the maps and on one shard.
     #[test]
     fn a_router_join_during_a_multi_shard_commit_sees_the_batch_entirely_or_not_at_all() {
         let (mut router, oracle) = router(2);
@@ -1128,6 +1141,41 @@ mod tests {
         oracle.commit(&two_tile_batch()).unwrap();
         assert_eq!(seen, oracle.execute_reference(&wide), "all of it");
         assert_ne!(seen, before);
+    }
+
+    /// Sub-batches commit side by side, but a thread is spent only where
+    /// there is a second sub-batch to run beside the first.
+    #[test]
+    fn a_single_shard_batch_commits_on_the_calling_thread() {
+        let (mut router, oracle) = router(2);
+        let committers = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&committers);
+        router.after_shard_commit = Some(Box::new(move |t| {
+            lock(&seen).push((t, std::thread::current().id()));
+        }));
+        let me = std::thread::current().id();
+
+        let left_only =
+            WriteBatch::new().insert(Side::S, 9_100, Geometry::Point(Point::new(2.0, 2.0)));
+        assert_eq!(commit_both(&router, &oracle, &left_only).shard_commits, 1);
+        assert_eq!(*lock(&committers), [(0, me)]);
+
+        lock(&committers).clear();
+        assert_eq!(
+            commit_both(&router, &oracle, &two_tile_batch()).shard_commits,
+            2
+        );
+        let mut both = lock(&committers).clone();
+        both.sort_by_key(|&(t, _)| t);
+        assert_eq!(
+            both[0],
+            (0, me),
+            "the first named shard stays on the caller"
+        );
+        assert!(
+            both[1].0 == 1 && both[1].1 != me,
+            "the second runs beside it"
+        );
     }
 
     /// `Auto` joins feed per-shard observations back into the advisors

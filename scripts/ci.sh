@@ -131,6 +131,23 @@ if [ -n "$threaded" ]; then
 fi
 echo "    -> no thread:: in sj-joins/sj-gentree, no Parallelism knob"
 
+echo "==> batch-bounded commit gate (commit work follows the batch)"
+# A commit's CPU follows what its batch touches: the paged-tree evolve
+# visits the R-tree's dirty slots, never a whole tree (the constructors'
+# bfs_order stays), and a relation delete rewrites no directory.
+walks=$(
+    awk '/^#\[cfg\(test\)\]/ { exit } /iter_live/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/joins/src/paged_tree.rs
+    awk '/^#\[cfg\(test\)\]/ { exit } /\.skip\(pos\)/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/joins/src/relation.rs
+)
+if [ -n "$walks" ]; then
+    echo "    O(n) work is back on the commit path:"
+    echo "$walks"
+    exit 1
+fi
+echo "    -> try_evolve walks no tree, try_delete rewrites no directory"
+
 echo "==> residency gate (one service per plan leaf, one authority copy at the router)"
 # Non-test sj-shard code starts services at exactly one call site (the
 # per-leaf loop) and names no fallback: the only whole-data structure at
