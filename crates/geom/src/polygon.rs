@@ -277,24 +277,23 @@ impl Polygon {
         best
     }
 
+    /// One test per edge pair: adjacent edges share an endpoint, so only a
+    /// proper crossing is bad; the others must not even touch — a proper
+    /// crossing is an intersection, so [`Segment::intersects`] decides those.
     fn is_self_intersecting(&self) -> bool {
-        let edges: Vec<Segment> = self.edges().collect();
-        let n = edges.len();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                // Adjacent edges share an endpoint by construction; only
-                // proper crossings between any pair indicate a bad ring.
-                if edges[i].crosses_properly(&edges[j]) {
-                    return true;
+        let v = &self.vertices;
+        let n = v.len();
+        let edge = |i: usize| Segment::new(v[i], v[if i + 1 == n { 0 } else { i + 1 }]);
+        (0..n).any(|i| {
+            let e = edge(i);
+            ((i + 1)..n).any(|j| {
+                if j == i + 1 || (i == 0 && j == n - 1) {
+                    e.crosses_properly(&edge(j))
+                } else {
+                    e.intersects(&edge(j))
                 }
-                // Non-adjacent edges must not even touch.
-                let adjacent = j == i + 1 || (i == 0 && j == n - 1);
-                if !adjacent && edges[i].intersects(&edges[j]) {
-                    return true;
-                }
-            }
-        }
-        false
+            })
+        })
     }
 }
 
@@ -364,6 +363,81 @@ mod tests {
                 Point::new(3.0, 2.0),
             ]),
             Err(PolygonError::SelfIntersecting)
+        );
+    }
+
+    /// The ring check as it was before it tested each edge pair once:
+    /// both predicates on every pair, over a collected edge list.
+    fn is_self_intersecting_oracle(poly: &Polygon) -> bool {
+        let edges: Vec<Segment> = poly.edges().collect();
+        let n = edges.len();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if edges[i].crosses_properly(&edges[j]) {
+                    return true;
+                }
+                let adjacent = j == i + 1 || (i == 0 && j == n - 1);
+                if !adjacent && edges[i].intersects(&edges[j]) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn ring_check_agrees_with_the_two_predicate_oracle() {
+        // Unvalidated rings, in both orientations.
+        let mut verdicts = [0usize; 2];
+        let mut check = |ring: &[(f64, f64)]| {
+            let mut vertices: Vec<Point> = ring.iter().map(|&(x, y)| Point::new(x, y)).collect();
+            for _ in 0..2 {
+                let mbr = Rect::bounding(vertices.iter().copied()).unwrap();
+                let poly = Polygon {
+                    vertices: vertices.clone(),
+                    mbr,
+                };
+                let want = is_self_intersecting_oracle(&poly);
+                assert_eq!(poly.is_self_intersecting(), want, "{ring:?}");
+                verdicts[usize::from(want)] += 1;
+                vertices.reverse();
+            }
+        };
+        // A square, a bow-tie, a vertex touching a non-adjacent edge, a
+        // collinear spike, a repeated vertex, a doubled-back edge.
+        check(&[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]);
+        check(&[(0.0, 0.0), (4.0, 0.0), (1.0, 2.0), (3.0, 2.0)]);
+        check(&[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (2.0, 0.0), (0.0, 4.0)]);
+        check(&[(0.0, 0.0), (4.0, 0.0), (6.0, 0.0), (4.0, 0.0), (4.0, 4.0)]);
+        check(&[(0.0, 0.0), (4.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]);
+        check(&[(0.0, 0.0), (4.0, 0.0), (2.0, 0.0), (2.0, 3.0)]);
+        // Seeded rings on a 6×6 lattice (touches and collinear runs are
+        // common there) and off it, 3 to 9 vertices.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        for round in 0..4_000 {
+            let n = 3 + next() as usize % 7;
+            let ring: Vec<(f64, f64)> = (0..n)
+                .map(|_| {
+                    let (x, y) = (f64::from(next() % 6), f64::from(next() % 6));
+                    let jitter = f64::from(next() % 1000) / 4000.0;
+                    if round % 2 == 0 {
+                        (x, y)
+                    } else {
+                        (x + jitter, y - jitter)
+                    }
+                })
+                .collect();
+            check(&ring);
+        }
+        assert!(
+            verdicts[0] > 200 && verdicts[1] > 200,
+            "both verdicts exercised: {verdicts:?}"
         );
     }
 

@@ -108,10 +108,11 @@ impl PagedTree {
             .max(codec::QHEADER_LEN)
     }
 
-    /// Charges the I/O of visiting `node` without decoding the record —
-    /// the hot path for the tree executors, whose θ-evaluation runs on
-    /// the in-memory [`GenTree`]; the stored record is only the paper's
-    /// per-node I/O charge.
+    /// Charges the I/O of visiting `node` (a logical read, a physical one
+    /// on a miss, `DanglingRecord` for a cleared slot) without copying or
+    /// decoding the record — the hot path for the tree executors, whose
+    /// θ runs on the in-memory [`GenTree`]; the stored record is only the
+    /// paper's per-node I/O charge.
     pub fn try_touch_io(&self, pool: &mut BufferPool, node: NodeId) -> Result<(), StorageError> {
         pool.try_read_record(&self.file, self.record[node.index()])
             .map(|_| ())
@@ -120,11 +121,6 @@ impl PagedTree {
     /// Pages occupied by the stored tree.
     pub fn page_count(&self) -> usize {
         self.file.page_count()
-    }
-
-    /// Records per page (the model's `m`).
-    pub fn records_per_page(&self) -> usize {
-        self.file.records_per_page()
     }
 }
 
@@ -303,9 +299,9 @@ mod tests {
             .try_read_record(&pt.file, pt.record[node.index()])
             .unwrap();
         match pt.mode {
-            CodecMode::Exact => codec::try_decode_record(&bytes).unwrap(),
+            CodecMode::Exact => codec::try_decode_record(bytes).unwrap(),
             CodecMode::Quantized => {
-                let (id, q) = codec::try_decode_qrecord(&bytes).unwrap();
+                let (id, q) = codec::try_decode_qrecord(bytes).unwrap();
                 let g = match q.kind() {
                     QKind::Point => Geometry::Point(q.rect().lo),
                     _ => Geometry::Rect(q.rect()),

@@ -3,12 +3,12 @@
 //! Every filter-and-refine executor funnels its candidate pairs through
 //! [`MarginRefiner::refine`]. On an uncompressed relation pair this is
 //! exactly the classic path: decode both exact geometries (cached per
-//! side, charged I/O) and evaluate θ. When **both** relations carry a
-//! compressed sidecar ([`StoredRelation::is_compressed`]), the refiner
-//! first reads the quantized records (smaller pages → fewer I/Os, the
-//! paper's per-record `v`-byte term) and consults the three-valued
-//! margin predicate [`sj_geom::margin_eval`]; the exact records are
-//! fetched and evaluated only on [`MarginVerdict::MustDecode`].
+//! side at one integer hash per candidate, charged I/O) and evaluate θ.
+//! When **both** relations carry a compressed sidecar
+//! ([`StoredRelation::is_compressed`]), the refiner first reads the
+//! quantized records (smaller pages → fewer I/Os, the paper's `v`-byte
+//! term) and consults the three-valued [`sj_geom::margin_eval`]; exact
+//! records are fetched and evaluated only on [`MarginVerdict::MustDecode`].
 //!
 //! Counter contract: every candidate pair charges `theta_evals += 1`
 //! (the refinement decision), identically on both paths — so compressed
@@ -18,10 +18,11 @@
 //! `margin_misses`, or `decoded_exact`; the decode fraction of a run is
 //! `decoded_exact / theta_evals`.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use sj_geom::{margin_eval, Geometry, MarginVerdict, QGeometry, ThetaOp};
 use sj_obs::TraceSink;
+use sj_storage::hash::IntHashBuilder;
 use sj_storage::{BufferPool, StorageError};
 
 use crate::relation::StoredRelation;
@@ -32,33 +33,31 @@ use crate::stats::ExecStats;
 /// candidate indices the sweep/partition filters hand over.
 struct RefineSide<'a> {
     rel: &'a StoredRelation,
-    exact: HashMap<u32, Geometry>,
-    quant: HashMap<u32, QGeometry>,
+    exact: HashMap<u32, Geometry, IntHashBuilder>,
+    quant: HashMap<u32, QGeometry, IntHashBuilder>,
 }
 
 impl<'a> RefineSide<'a> {
     fn new(rel: &'a StoredRelation) -> Self {
         RefineSide {
             rel,
-            exact: HashMap::new(),
-            quant: HashMap::new(),
+            exact: HashMap::default(),
+            quant: HashMap::default(),
         }
     }
 
     fn exact_at(&mut self, pool: &mut BufferPool, i: u32) -> Result<&Geometry, StorageError> {
-        if !self.exact.contains_key(&i) {
-            let (_, g) = self.rel.try_read_at(pool, i as usize)?;
-            self.exact.insert(i, g);
-        }
-        Ok(&self.exact[&i])
+        Ok(match self.exact.entry(i) {
+            Entry::Occupied(hit) => hit.into_mut(),
+            Entry::Vacant(miss) => miss.insert(self.rel.try_read_at(pool, i as usize)?.1),
+        })
     }
 
     fn quant_at(&mut self, pool: &mut BufferPool, i: u32) -> Result<&QGeometry, StorageError> {
-        if !self.quant.contains_key(&i) {
-            let (_, q) = self.rel.try_read_quant_at(pool, i as usize)?;
-            self.quant.insert(i, q);
-        }
-        Ok(&self.quant[&i])
+        Ok(match self.quant.entry(i) {
+            Entry::Occupied(hit) => hit.into_mut(),
+            Entry::Vacant(miss) => miss.insert(self.rel.try_read_quant_at(pool, i as usize)?.1),
+        })
     }
 }
 

@@ -148,7 +148,7 @@ impl StoredRelation {
         let quant = self.quant.as_ref().expect("relation has no sidecar"); // PANIC-OK: caller checks is_compressed
         let slot = self.slots[i];
         let bytes = pool.try_read_record(quant, quant.rid(slot))?;
-        codec::try_decode_qrecord(&bytes).map_err(|_| corrupt(quant, slot))
+        codec::try_decode_qrecord(bytes).map_err(|_| corrupt(quant, slot))
     }
 
     /// Number of tuples (the model's `N`).
@@ -171,13 +171,8 @@ impl StoredRelation {
         self.file.records_per_page()
     }
 
-    /// All tuple ids in logical order.
-    pub fn ids(&self) -> &[u64] {
-        &self.ids
-    }
-
-    /// Reads the tuple at logical position `i` through the pool
-    /// (charged), or the I/O fault that prevented it.
+    /// Reads the tuple at logical position `i` through the pool (charged),
+    /// decoding from the frame's own bytes, or the fault that prevented it.
     pub fn try_read_at(
         &self,
         pool: &mut BufferPool,
@@ -185,7 +180,7 @@ impl StoredRelation {
     ) -> Result<(u64, Geometry), StorageError> {
         let slot = self.slots[i];
         let bytes = pool.try_read_record(&self.file, self.file.rid(slot))?;
-        codec::try_decode_record(&bytes).map_err(|_| corrupt(&self.file, slot))
+        codec::try_decode_record(bytes).map_err(|_| corrupt(&self.file, slot))
     }
 
     /// Reads a tuple by id through the pool (charged), or the I/O fault

@@ -35,16 +35,13 @@ pub fn tree_select(
     // Descend through the relation's flattened child-MBR snapshot: one
     // SoA mask call per chunk of siblings instead of per-child scalar
     // filters (identical matches and counters either way).
+    let touch = |node| r.paged.try_touch_io(pool, node);
     let outcome = match order {
         TraversalOrder::BreadthFirst => {
-            select::try_select_flat(&r.tree, Some(&r.flat), o, theta, |node| {
-                r.paged.try_touch_io(pool, node)
-            })?
+            select::try_select_flat(&r.tree, Some(&r.flat), o, theta, touch)?
         }
         TraversalOrder::DepthFirst => {
-            select::try_select_dfs_flat(&r.tree, Some(&r.flat), o, theta, |node| {
-                r.paged.try_touch_io(pool, node)
-            })?
+            select::try_select_dfs_flat(&r.tree, Some(&r.flat), o, theta, touch)?
         }
     };
     let mut run = SelectRun {
@@ -91,16 +88,8 @@ pub fn tree_join(
         &s.tree,
         Some(&s.flat),
         theta,
-        |node| {
-            r.paged
-                .try_touch_io(&mut pool_cell.borrow_mut(), node)
-                .map(|_| ())
-        },
-        |node| {
-            s.paged
-                .try_touch_io(&mut pool_cell.borrow_mut(), node)
-                .map(|_| ())
-        },
+        |node| r.paged.try_touch_io(&mut pool_cell.borrow_mut(), node),
+        |node| s.paged.try_touch_io(&mut pool_cell.borrow_mut(), node),
     )?;
     timer.stop();
     let mut run = JoinRun {

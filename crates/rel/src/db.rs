@@ -367,7 +367,7 @@ impl Database {
             .pool
             .try_read_record(&t.file, t.file.rid(slot))
             .expect("storage fault during row read");
-        decode_tuple(&bytes, &t.schema)
+        decode_tuple(bytes, &t.schema)
     }
 
     /// Full scan of a table's live rows, in rowid order. Deleted rows
@@ -384,7 +384,7 @@ impl Database {
                     .pool
                     .try_read_record(&t.file, t.file.rid(slot))
                     .expect("storage fault during table scan");
-                (id, decode_tuple(&bytes, &t.schema))
+                (id, decode_tuple(bytes, &t.schema))
             })
             .collect()
     }

@@ -10,8 +10,8 @@
 //! the dataset is one atomic epoch compare in the steady state, so
 //! requests never block on — or even observe — other requests. Per
 //! batch, a worker pins one snapshot and executes on a private cold
-//! shard forked from it ([`BufferPool::fork_view`]), so index builds
-//! and page I/O during query execution never touch shared frames.
+//! shard forked from it in O(1) ([`BufferPool::fork_view`]), so index
+//! builds and page I/O during query execution never touch shared frames.
 //!
 //! Writes are typed [`WriteBatch`]es committed by
 //! [`SpatialService::commit`] entirely off the hot path. The apply

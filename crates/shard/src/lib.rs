@@ -25,8 +25,8 @@
 //! clamped assignment rects, so `L`'s shard holds *both* tuples and its
 //! exact shard-local join reports the pair. Every reported pair is a
 //! true θ-match (shards run the same exact executors as a single node),
-//! so concatenating the shard outputs, sorting, and deduplicating the
-//! halo-induced multi-assignment duplicates reproduces the single-node
+//! so merging the shards' sorted outputs and dropping the halo-induced
+//! multi-assignment duplicates on the way reproduces the single-node
 //! result exactly. Joins a spatial partition cannot localize
 //! (directional operators, distance bounds beyond the halo) are answered
 //! at the router from its authority maps, filter-then-refine over one

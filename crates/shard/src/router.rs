@@ -169,6 +169,33 @@ fn assignment_rect(side: Side, mbr: &Rect, halo: f64) -> Rect {
     }
 }
 
+/// Merges the shards' replies — each sorted, as every service reply is —
+/// into their sorted duplicate-free union, in one output sized to their
+/// total, and counts the duplicates dropped. An unsorted reply would be
+/// sorted with the rest, never merged wrongly.
+fn merge_runs<T: Ord + Copy>(mut runs: Vec<&[T]>) -> (Arc<Vec<T>>, u64) {
+    let total: usize = runs.iter().map(|run| run.len()).sum();
+    let mut out: Vec<T> = Vec::with_capacity(total);
+    runs.retain(|run| !run.is_empty());
+    // The least head's run gives all it has up to the others' least head.
+    while let Some(least) = (0..runs.len()).min_by_key(|&i| runs[i][0]) {
+        let run = runs[least];
+        let bound = (0..runs.len()).filter(|&i| i != least).map(|i| runs[i][0]);
+        let upto = bound.min().and_then(|b| run.iter().position(|v| *v > b));
+        let (piece, rest) = run.split_at(upto.unwrap_or(run.len()).max(1));
+        out.extend_from_slice(piece);
+        runs[least] = rest;
+        runs.retain(|run| !run.is_empty());
+    }
+    // Equal values from different runs sit side by side now.
+    if !out.is_sorted() {
+        out.sort();
+    }
+    out.dedup();
+    let duplicates = (total - out.len()) as u64;
+    (Arc::new(out), duplicates)
+}
+
 impl ShardRouter {
     /// Partitions the relations, starts one service per shard, and
     /// returns the router. The world is computed as the union of both
@@ -428,7 +455,7 @@ impl ShardRouter {
         }
     }
 
-    /// Concat + sort + dedup merge. Exactness: every shard result is a
+    /// Sorted-run merge with dedup. Exactness: every shard result is a
     /// true match (shards run exact executors), coverage guarantees
     /// every true match appears in ≥ 1 shard, and duplicates only arise
     /// from halo multi-assignment — so dedup restores the single-node
@@ -447,36 +474,27 @@ impl ShardRouter {
             exec_us = exec_us.max(resp.exec_us);
         }
 
-        let duplicates: u64;
-        let reply = match &req.kind {
+        let (reply, duplicates) = match &req.kind {
             QueryKind::Select { .. } => {
-                let mut matches: Vec<u64> = Vec::new();
+                let mut runs: Vec<&[u64]> = Vec::new();
                 for (_, resp) in responses {
                     if let Reply::Select { matches: m } = &resp.reply {
-                        matches.extend(m.iter().copied());
+                        runs.push(m);
                     }
                 }
-                matches.sort_unstable();
-                let before = matches.len();
-                matches.dedup();
-                duplicates = (before - matches.len()) as u64;
-                Reply::Select {
-                    matches: Arc::new(matches),
-                }
+                let (matches, duplicates) = merge_runs(runs);
+                (Reply::Select { matches }, duplicates)
             }
             QueryKind::Join { strategy } => {
-                let mut pairs: Vec<(u64, u64)> = Vec::new();
+                let mut runs: Vec<&[(u64, u64)]> = Vec::new();
                 let mut resolutions: Vec<Strategy> = Vec::new();
                 for (_, resp) in responses {
                     if let Reply::Join { pairs: p, resolved } = &resp.reply {
-                        pairs.extend(p.iter().copied());
+                        runs.push(p);
                         resolutions.push(*resolved);
                     }
                 }
-                pairs.sort_unstable();
-                let before = pairs.len();
-                pairs.dedup();
-                duplicates = (before - pairs.len()) as u64;
+                let (pairs, duplicates) = merge_runs(runs);
                 // Concrete strategies resolve to themselves on every
                 // shard; Auto reports the shards' unanimous choice, or
                 // stays Auto when the adaptive picks diverged.
@@ -489,10 +507,7 @@ impl ShardRouter {
                 } else {
                     Strategy::Auto
                 };
-                Reply::Join {
-                    pairs: Arc::new(pairs),
-                    resolved,
-                }
+                (Reply::Join { pairs, resolved }, duplicates)
             }
         };
         self.duplicates_removed
@@ -702,6 +717,46 @@ mod tests {
         },
         ThetaOp::Adjacent,
     ];
+
+    /// The one-pass merge is concat + sort + dedup, duplicate count
+    /// included, for any k ≤ 4 sorted replies that share pairs — and
+    /// still is when a reply arrives unsorted.
+    #[test]
+    fn merge_runs_equals_concat_sort_dedup() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x3E26E);
+        for round in 0..600 {
+            let k = rng.random_range(0..=4usize);
+            let mut replies: Vec<Vec<(u64, u64)>> = (0..k)
+                .map(|_| {
+                    let len = rng.random_range(0..40usize);
+                    // A narrow id range, so lists repeat each other.
+                    let mut reply: Vec<(u64, u64)> = (0..len)
+                        .map(|_| (rng.random_range(0..12), rng.random_range(0..6)))
+                        .collect();
+                    reply.sort_unstable();
+                    reply.dedup();
+                    reply
+                })
+                .collect();
+            if round % 10 == 9 {
+                replies.iter_mut().for_each(|reply| reply.reverse());
+            }
+            let mut want = replies.concat();
+            want.sort_unstable();
+            let before = want.len();
+            want.dedup();
+            let runs: Vec<&[(u64, u64)]> = replies.iter().map(Vec::as_slice).collect();
+            let (got, duplicates) = merge_runs(runs);
+            assert_eq!(*got, want, "round {round}: {replies:?}");
+            assert_eq!(duplicates, (before - want.len()) as u64);
+            assert!(got.capacity() <= before, "no buffer beyond the total");
+        }
+        let (ids, duplicates) = merge_runs(vec![&[1u64, 4, 9][..], &[4, 5, 9, 12], &[], &[9]]);
+        assert_eq!((&ids[..], duplicates), (&[1, 4, 5, 9, 12][..], 3));
+    }
 
     fn grid_tuples(n: usize, step: f64, id0: u64) -> Vec<(u64, Geometry)> {
         (0..n * n)

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use crate::disk::{Disk, DiskConfig};
 use crate::error::StorageError;
 use crate::fault::FaultInjector;
+use crate::hash::IntHashBuilder;
 use crate::heap::{HeapFile, RecordId};
 use crate::page::{Page, PageId};
 use crate::stats::IoStats;
@@ -31,7 +32,7 @@ pub struct BufferPool {
     disk: Disk,
     capacity: usize,
     frames: Vec<Frame>,
-    map: HashMap<PageId, usize>,
+    map: HashMap<PageId, usize, IntHashBuilder>,
     /// Most recently used frame (list head), or `NIL` when empty.
     head: usize,
     /// Least recently used frame (list tail), or `NIL` when empty.
@@ -44,11 +45,13 @@ impl BufferPool {
     /// Creates a pool caching up to `capacity` pages (must be ≥ 1).
     pub fn new(disk: Disk, capacity: usize) -> Self {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
+        // Reserved up front; bounded, for a catalog file may name the capacity.
+        let presized = capacity.min(1 << 10);
         BufferPool {
             disk,
             capacity,
-            frames: Vec::new(),
-            map: HashMap::new(),
+            frames: Vec::with_capacity(presized),
+            map: HashMap::with_capacity_and_hasher(presized, IntHashBuilder::default()),
             head: NIL,
             tail: NIL,
             evictions: 0,
@@ -200,9 +203,9 @@ impl BufferPool {
 
     /// A private pool shard (one per service request, one per commit):
     /// a cold pool of `capacity` frames over a copy-on-write snapshot of
-    /// the underlying disk (see [`Disk::read_view`]). The shard starts
-    /// with zeroed I/O counters, so its reads and writes are accounted
-    /// on their own.
+    /// the underlying disk (see [`Disk::read_view`]) — nothing per page.
+    /// The shard starts with zeroed I/O counters, so its reads and
+    /// writes are accounted on their own.
     pub fn fork_view(&self, capacity: usize) -> BufferPool {
         BufferPool::new(self.disk.read_view(), capacity)
     }
@@ -213,23 +216,20 @@ impl BufferPool {
         &self.disk
     }
 
-    /// Reads one record through the pool. Fails with
-    /// [`StorageError::DanglingRecord`] when the record id points at a
-    /// missing or emptied slot (e.g. a stale rid probed after an update),
-    /// or propagates the page fetch's fault.
+    /// Reads one record through the pool, lending its bytes from the
+    /// resident frame. Fails with [`StorageError::DanglingRecord`] when
+    /// the record id points at a missing or emptied slot (e.g. a stale
+    /// rid probed after an update), or propagates the fetch's fault.
     pub fn try_read_record(
         &mut self,
         file: &HeapFile,
         rid: RecordId,
-    ) -> Result<Vec<u8>, StorageError> {
+    ) -> Result<&[u8], StorageError> {
         debug_assert!(file.owns_page(rid.page), "record id from a different file");
-        self.try_fetch(rid.page)?
-            .get(rid.slot)
-            .map(<[u8]>::to_vec)
-            .ok_or(StorageError::DanglingRecord {
-                page: rid.page,
-                slot: rid.slot,
-            })
+        let (page, slot) = (rid.page, rid.slot);
+        self.try_fetch(page)?
+            .get(slot)
+            .ok_or(StorageError::DanglingRecord { page, slot })
     }
 
     /// Unlinks frame `idx` from the recency list.
@@ -270,13 +270,14 @@ impl BufferPool {
     }
 
     fn install(&mut self, id: PageId, page: Arc<Page>) -> usize {
+        let frame = Frame {
+            id,
+            page,
+            prev: NIL,
+            next: NIL,
+        };
         let idx = if self.frames.len() < self.capacity {
-            self.frames.push(Frame {
-                id,
-                page,
-                prev: NIL,
-                next: NIL,
-            });
+            self.frames.push(frame);
             self.frames.len() - 1
         } else {
             // Evict the LRU frame and reuse it.
@@ -285,12 +286,7 @@ impl BufferPool {
             self.evictions += 1;
             self.unlink(victim);
             self.map.remove(&self.frames[victim].id);
-            self.frames[victim] = Frame {
-                id,
-                page,
-                prev: NIL,
-                next: NIL,
-            };
+            self.frames[victim] = frame;
             victim
         };
         self.map.insert(id, idx);
@@ -476,6 +472,53 @@ mod tests {
         );
         // Valid rids still read fine afterwards.
         assert_eq!(p.try_read_record(&f, f.rid(1)).unwrap().len(), 300);
+    }
+
+    /// What lending the bytes must not change: a cleared slot is still
+    /// dangling, a resident page still cannot fault, and a faulted miss
+    /// still leaves the page non-resident, so a retry reads it afresh.
+    #[test]
+    fn lent_record_reads_keep_the_fault_contract() {
+        use crate::fault::{FaultConfig, FaultInjector};
+        use crate::heap::{HeapFile, Layout};
+        let mut p = pool(8);
+        let f = HeapFile::bulk_load_with(&mut p, 300, 7, Layout::Clustered, |i| {
+            vec![i as u8 + 1; 300]
+        })
+        .unwrap();
+        let (live, dead) = (f.rid(1), f.rid(2));
+        p.try_update(dead.page, |page| page.remove(dead.slot))
+            .unwrap();
+        let dangling = StorageError::DanglingRecord {
+            page: dead.page,
+            slot: dead.slot,
+        };
+        assert_eq!(p.try_read_record(&f, dead), Err(dangling));
+        assert_eq!(p.try_read_record(&f, live).unwrap(), &[2u8; 300][..]);
+
+        // Every physical read faults from here on; the page is resident.
+        p.set_fault_injector(Some(FaultInjector::new(FaultConfig::uniform(1, 1.0))));
+        p.reset_stats();
+        assert_eq!(p.try_read_record(&f, live).unwrap()[0], 2);
+        assert_eq!((p.stats().logical_reads, p.stats().physical_reads), (1, 0));
+        // A cold page misses, faults, and is not installed.
+        let cold = f.rid(6);
+        p.clear();
+        for _ in 0..3 {
+            assert!(matches!(
+                p.try_read_record(&f, cold),
+                Err(StorageError::InjectedFault { .. })
+            ));
+            assert!(!p.contains(cold.page));
+        }
+        assert_eq!(
+            p.fault_injector().unwrap().injected(),
+            3,
+            "one draw per retry"
+        );
+        p.set_fault_injector(None);
+        assert_eq!(p.try_read_record(&f, cold).unwrap()[0], 7);
+        assert_eq!(p.stats().physical_reads, 1);
     }
 
     #[test]

@@ -56,12 +56,12 @@ impl DiskConfig {
 /// The simulated disk.
 ///
 /// Pages are stored behind [`Arc`] so that a read costs an O(1) handle
-/// clone rather than a byte copy, and so that [`Disk::read_view`] can hand
-/// out cheap copy-on-write snapshots to parallel workers.
+/// clone rather than a byte copy, and the page table is shared too, so
+/// [`Disk::read_view`] hands out a copy-on-write snapshot in O(1).
 #[derive(Debug)]
 pub struct Disk {
     config: DiskConfig,
-    pages: Vec<Arc<Page>>,
+    pages: Arc<Vec<Arc<Page>>>,
     stats: IoStats,
     /// Optional deterministic fault injector consulted by every physical
     /// operation.
@@ -78,7 +78,7 @@ impl Disk {
         let _ = config.effective_capacity();
         Disk {
             config,
-            pages: Vec::new(),
+            pages: Arc::default(),
             stats: IoStats::default(),
             injector: None,
             page_limit: None,
@@ -126,8 +126,8 @@ impl Disk {
         if let Some(inj) = &mut self.injector {
             inj.check(FaultOp::Alloc, id)?;
         }
-        self.pages
-            .push(Arc::new(Page::new(self.config.effective_capacity())));
+        let page = Arc::new(Page::new(self.config.effective_capacity()));
+        Arc::make_mut(&mut self.pages).push(page);
         Ok(id)
     }
 
@@ -160,22 +160,23 @@ impl Disk {
             inj.check(FaultOp::Write, id)?;
         }
         self.stats.physical_writes += 1;
-        self.pages[id.index()] = page;
+        Arc::make_mut(&mut self.pages)[id.index()] = page;
         Ok(())
     }
 
     /// A copy-on-write snapshot of this disk for read-mostly parallel
-    /// work: the snapshot shares page storage with `self` (O(pages)
-    /// pointer clones, no byte copies) and starts with zeroed counters so
-    /// each worker's I/O is accounted independently. Writes to either
-    /// disk are invisible to the other (`Arc` copy-on-write).
+    /// work: the snapshot shares the page table with `self` (one pointer
+    /// clone, nothing per page) and starts with zeroed counters so each
+    /// worker's I/O is accounted independently. Whichever disk writes or
+    /// allocates first copies the table (O(pages) pointer clones, no byte
+    /// copies), so neither sees the other's changes.
     /// The armed injector is cloned stream-state and all, so a shard's
     /// fault decisions are a deterministic function of its own operation
     /// sequence (each shard owns an independent stream and budget).
     pub fn read_view(&self) -> Disk {
         Disk {
             config: self.config,
-            pages: self.pages.clone(),
+            pages: Arc::clone(&self.pages),
             stats: IoStats::default(),
             injector: self.injector.clone(),
             page_limit: self.page_limit,
@@ -263,6 +264,48 @@ mod tests {
         // ...and the original's counters never moved.
         assert_eq!(d.stats().physical_reads, 1);
         assert_eq!(d.stats().physical_writes, 1);
+    }
+
+    /// A view is one pointer clone of the page table: it stays shared
+    /// until either side allocates or writes, and the side that does
+    /// takes its own copy — the other never sees the change.
+    #[test]
+    fn read_view_shares_the_page_table_until_either_side_writes() {
+        let mut d = Disk::new(DiskConfig::paper());
+        let ids: Vec<PageId> = (0..3).map(|_| d.try_allocate().unwrap()).collect();
+        push(&mut d, ids[0], vec![1; 4]);
+
+        let mut view = d.read_view();
+        let mut nested = view.read_view();
+        assert!(Arc::ptr_eq(&d.pages, &view.pages) && Arc::ptr_eq(&d.pages, &nested.pages));
+        // Reads on any side leave the table shared.
+        view.try_read_shared(ids[0]).unwrap();
+        d.try_read_shared(ids[1]).unwrap();
+        assert!(Arc::ptr_eq(&d.pages, &view.pages));
+
+        // The view writes: it alone leaves the shared table.
+        push(&mut view, ids[0], vec![2; 6]);
+        assert!(!Arc::ptr_eq(&d.pages, &view.pages));
+        assert!(Arc::ptr_eq(&d.pages, &nested.pages));
+        assert_eq!((d.peek(ids[0]).used(), view.peek(ids[0]).used()), (4, 10));
+        // Untouched pages are still the same images, not copies.
+        assert!(Arc::ptr_eq(&d.pages[1], &view.pages[1]));
+
+        // The parent allocates and writes: the nested view keeps the old table.
+        let extra = d.try_allocate().unwrap();
+        push(&mut d, ids[1], vec![3; 8]);
+        assert!(!Arc::ptr_eq(&d.pages, &nested.pages));
+        assert_eq!((d.page_count(), nested.page_count()), (4, 3));
+        assert_eq!(nested.peek(ids[1]).used(), 0);
+        assert_eq!(nested.peek(ids[0]).used(), 4);
+        assert_eq!(
+            nested.try_read_shared(extra).err(),
+            Some(crate::StorageError::PageCorrupt { page: extra })
+        );
+        // A disk nobody shares with writes in place.
+        let before = Arc::as_ptr(&d.pages);
+        push(&mut d, ids[2], vec![4; 2]);
+        assert_eq!(Arc::as_ptr(&d.pages), before);
     }
 
     #[test]

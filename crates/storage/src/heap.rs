@@ -72,8 +72,11 @@ impl HeapFile {
             physical_of.shuffle(&mut rng);
         }
 
-        // Fill pages slot by slot in physical order; remember each record's
-        // slot as assigned.
+        // logical_at[p] = the logical record stored at physical position p.
+        let mut logical_at = vec![0; count];
+        for (logical, &phys) in physical_of.iter().enumerate() {
+            logical_at[phys] = logical;
+        }
         let mut directory = vec![
             RecordId {
                 page: pages[0],
@@ -81,27 +84,22 @@ impl HeapFile {
             };
             count
         ];
-        // Order logical records by their physical position so that pushes
-        // happen sequentially per page.
-        let mut by_physical: Vec<(usize, usize)> = physical_of
-            .iter()
-            .enumerate()
-            .map(|(logical, &phys)| (phys, logical))
-            .collect();
-        by_physical.sort_unstable();
-        for (phys, logical) in by_physical {
-            let page = pages[phys / m];
-            let record = make_record(logical);
-            assert_eq!(
-                record.len(),
-                record_size,
-                "make_record must produce records of exactly {record_size} bytes"
-            );
-            let mut slot = 0;
+        // Fill each page's slots in physical order, then write it through
+        // once: a written frame shares its image with the disk, so every
+        // further write would copy the page first.
+        for (&page, residents) in pages.iter().zip(logical_at.chunks(m)) {
             pool.try_update(page, |p| {
-                slot = p.push(record);
+                for &logical in residents {
+                    let record = make_record(logical);
+                    assert_eq!(
+                        record.len(),
+                        record_size,
+                        "make_record must produce records of exactly {record_size} bytes"
+                    );
+                    let slot = p.push(record);
+                    directory[logical] = RecordId { page, slot };
+                }
             })?;
-            directory[logical] = RecordId { page, slot };
         }
 
         Ok(HeapFile {
@@ -194,11 +192,6 @@ impl HeapFile {
         self.directory[i]
     }
 
-    /// The file's pages in physical order (used by full scans).
-    pub fn pages(&self) -> &[PageId] {
-        &self.pages
-    }
-
     pub(crate) fn owns_page(&self, page: PageId) -> bool {
         self.pages.contains(&page)
     }
@@ -242,28 +235,6 @@ impl HeapFile {
             records_per_page,
         }
     }
-
-    /// Full sequential scan through the pool, yielding every record, or
-    /// the first fault encountered. Costs `page_count()` physical reads
-    /// on a cold pool.
-    pub fn try_scan(&self, pool: &mut BufferPool) -> Result<Vec<(usize, Vec<u8>)>, StorageError> {
-        // Read page by page, then map physical slots back to logical ids.
-        let mut phys_to_logical = std::collections::HashMap::new();
-        for (logical, rid) in self.directory.iter().enumerate() {
-            phys_to_logical.insert(*rid, logical);
-        }
-        let mut out = Vec::with_capacity(self.len());
-        for &page in &self.pages {
-            let p = pool.try_fetch(page)?;
-            let records: Vec<(u16, Vec<u8>)> = p.records().map(|(s, r)| (s, r.to_vec())).collect();
-            for (slot, bytes) in records {
-                if let Some(&logical) = phys_to_logical.get(&RecordId { page, slot }) {
-                    out.push((logical, bytes));
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -285,7 +256,7 @@ mod tests {
         assert_eq!(f.records_per_page(), 5);
         // Logical record i sits on page i/5.
         for i in 0..12 {
-            assert_eq!(f.rid(i).page, f.pages()[i / 5]);
+            assert_eq!(f.rid(i).page, f.pages[i / 5]);
         }
         // Contents round-trip.
         for i in 0..12 {
@@ -307,7 +278,7 @@ mod tests {
         }
         // The first 5 logical records should *not* all be on the first page
         // (they would be, if clustered). With seed 7 this is deterministic.
-        let first_page = f.pages()[0];
+        let first_page = f.pages[0];
         let on_first = (0..5).filter(|&i| f.rid(i).page == first_page).count();
         assert!(on_first < 5, "placement should be scattered");
     }
@@ -352,21 +323,28 @@ mod tests {
         assert_eq!(p.try_read_record(&f, f.rid(5)).unwrap(), vec![9; 300]);
     }
 
+    /// A bulk load fills each page in memory and writes it through once,
+    /// whatever the layout — not once per record.
     #[test]
-    fn scan_returns_all_records_once() {
-        let mut p = pool();
-        let f = HeapFile::bulk_load_with(&mut p, 300, 23, Layout::Unclustered { seed: 3 }, |i| {
-            vec![i as u8; 300]
-        })
-        .unwrap();
-        p.clear();
-        p.reset_stats();
-        let mut rows = f.try_scan(&mut p).unwrap();
-        assert_eq!(p.stats().physical_reads as usize, f.page_count());
-        rows.sort_by_key(|(i, _)| *i);
-        assert_eq!(rows.len(), 23);
-        for (i, bytes) in rows {
-            assert_eq!(bytes[0], i as u8);
+    fn bulk_load_writes_each_page_once() {
+        for layout in [Layout::Clustered, Layout::Unclustered { seed: 3 }] {
+            let mut p = pool();
+            let f =
+                HeapFile::bulk_load_with(&mut p, 300, 23, layout, |i| vec![i as u8; 300]).unwrap();
+            assert_eq!(f.page_count(), 5);
+            assert_eq!(p.stats().physical_writes as usize, f.page_count());
+            assert_eq!(
+                p.stats().physical_reads,
+                0,
+                "fresh pages have no image to read"
+            );
+            // Slots were assigned in physical order within each page.
+            for page in &f.pages {
+                let on_page = (0..23).filter(|&i| f.rid(i).page == *page);
+                let mut slots: Vec<u16> = on_page.map(|i| f.rid(i).slot).collect();
+                slots.sort_unstable();
+                assert!(slots.iter().enumerate().all(|(at, &s)| s as usize == at));
+            }
         }
     }
 

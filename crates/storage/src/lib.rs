@@ -24,10 +24,10 @@
 //! the test-suite compare measured I/O counts against the analytic
 //! formulas. For the serving layer's workers and commits,
 //! [`Disk::read_view`] and [`BufferPool::fork_view`] hand out a private
-//! pool shard over a copy-on-write snapshot of the disk (pages live
-//! behind `Arc`, so a snapshot is O(pages) pointer clones and a fetch
-//! never copies bytes). Shards start with zeroed [`IoStats`], which
-//! combine via `IoStats::merge` / `+=`.
+//! pool shard over a copy-on-write snapshot of the disk (the page table
+//! is shared until a side writes, so a fork is O(1); pages live behind
+//! `Arc` and `try_read_record` lends the frame's bytes, so no read copies
+//! any). Shards start with zeroed [`IoStats`], combined via `merge`/`+=`.
 //!
 //! ## Example
 //!
@@ -55,6 +55,7 @@ pub mod buffer;
 pub mod disk;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod heap;
 pub mod page;
 pub mod persist;

@@ -1,9 +1,10 @@
 //! Property tests for the storage simulator: heap-file contents round-trip
-//! under any layout, I/O accounting is consistent, and the LRU pool obeys
-//! its capacity.
+//! under any layout, I/O accounting is consistent, the LRU pool obeys
+//! its capacity, and forked views are isolated however forks, writes and
+//! allocations interleave.
 
 use proptest::prelude::*;
-use sj_storage::{BufferPool, Disk, DiskConfig, HeapFile, Layout};
+use sj_storage::{BufferPool, Disk, DiskConfig, HeapFile, Layout, PageId};
 
 fn pool(capacity: usize) -> BufferPool {
     BufferPool::new(Disk::new(DiskConfig::paper()), capacity)
@@ -94,5 +95,64 @@ proptest! {
         }
         let distinct = accesses.iter().collect::<std::collections::HashSet<_>>().len() as u64;
         prop_assert_eq!(p.stats().physical_reads, distinct);
+    }
+
+    /// Views share the page table copy-on-write: whatever the order of
+    /// forks (forks of forks included), writes, allocations, reads and
+    /// drops, every pool reads exactly what was written through *it* or
+    /// through an ancestor *before* the fork — one model `Vec` per pool.
+    #[test]
+    fn forked_views_stay_isolated_under_any_interleaving(
+        ops in prop::collection::vec((0u8..6, any::<u16>(), any::<u8>()), 1..160),
+    ) {
+        // A page in the model is the list of records pushed onto it.
+        type Model = Vec<Vec<Vec<u8>>>;
+        let capacity = DiskConfig::paper().effective_capacity();
+        let agrees = |pool: &mut BufferPool, model: &Model, page: usize| {
+            let got: Vec<Vec<u8>> = pool
+                .try_fetch(PageId(page as u32))
+                .unwrap()
+                .records()
+                .map(|(_, r)| r.to_vec())
+                .collect();
+            got == model[page]
+        };
+        let mut pools: Vec<(BufferPool, Model)> = vec![(pool(3), Vec::new())];
+        for (op, pick, tag) in ops {
+            let (at, count) = (pick as usize % pools.len(), pools.len());
+            let (pool, model) = &mut pools[at];
+            let page = (!model.is_empty()).then(|| (pick as usize / 7) % model.len());
+            match (op, page) {
+                (0, _) if count < 6 => {
+                    let fork = (pool.fork_view(2), model.clone());
+                    pools.push(fork);
+                }
+                (1, _) | (_, None) => {
+                    prop_assert_eq!(pool.try_allocate().unwrap().index(), model.len());
+                    model.push(Vec::new());
+                }
+                (2 | 3, Some(page)) => {
+                    let record = vec![tag; 1 + tag as usize % 90];
+                    let used: usize = model[page].iter().map(Vec::len).sum();
+                    if used + record.len() <= capacity {
+                        model[page].push(record.clone());
+                        pool.try_update(PageId(page as u32), |p| {
+                            p.push(record);
+                        })
+                        .unwrap();
+                    }
+                }
+                (4, Some(_)) if count > 1 => {
+                    pools.swap_remove(at);
+                }
+                (_, Some(page)) => prop_assert!(agrees(pool, model, page)),
+            }
+        }
+        for (pool, model) in &mut pools {
+            prop_assert_eq!(pool.disk().page_count(), model.len());
+            for page in 0..model.len() {
+                prop_assert!(agrees(pool, model, page));
+            }
+        }
     }
 }

@@ -148,6 +148,30 @@ if [ -n "$walks" ]; then
 fi
 echo "    -> try_evolve walks no tree, try_delete rewrites no directory"
 
+echo "==> read-path gate (a read copies nothing)"
+# A read pays for what it reads: forking a view clones no page table,
+# a record read lends the frame's bytes, the refiner's caches hash once
+# per candidate, and the router merges the shards' sorted replies
+# instead of re-sorting them.
+copies=$(
+    for f in crates/storage/src/buffer.rs crates/joins/src/paged_tree.rs \
+             crates/joins/src/relation.rs; do
+        awk '/^#\[cfg\(test\)\]/ { exit } /to_vec/ { print FILENAME ":" FNR ": " $0 }' "$f"
+    done
+    awk '/^#\[cfg\(test\)\]/ { exit } /pages\.clone\(\)/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/storage/src/disk.rs
+    awk '/^#\[cfg\(test\)\]/ { exit } /contains_key/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/joins/src/refine.rs
+    awk '/^    fn merge\(/ { scan = 1 } scan && /sort_unstable/ { print FILENAME ":" FNR ": " $0 }
+         scan && /^    }$/ { exit }' crates/shard/src/router.rs
+)
+if [ -n "$copies" ]; then
+    echo "    a copy, a second hash or a re-sort is back on the read path:"
+    echo "$copies"
+    exit 1
+fi
+echo "    -> O(1) fork, lent record bytes, one hash per candidate, merged replies"
+
 echo "==> residency gate (one service per plan leaf, one authority copy at the router)"
 # Non-test sj-shard code starts services at exactly one call site (the
 # per-leaf loop) and names no fallback: the only whole-data structure at
