@@ -176,14 +176,16 @@ impl ResultCache {
         }
     }
 
-    /// Looks `key` up, refreshing its recency on a hit.
+    /// Looks `key` up, refreshing its recency on a hit: the key `order`
+    /// already owns moves to the newest sequence, so a hit copies no key.
     pub fn get(&mut self, key: &CacheKey) -> Option<Reply> {
         match self.map.get_mut(key) {
             Some((seq, reply, _)) => {
                 self.hits += 1;
-                self.order.remove(seq);
+                if let Some(owned) = self.order.remove(seq) {
+                    self.order.insert(self.next_seq, owned);
+                }
                 *seq = self.next_seq;
-                self.order.insert(self.next_seq, key.clone());
                 self.next_seq += 1;
                 Some(reply.clone())
             }
@@ -217,18 +219,21 @@ impl ResultCache {
         }
     }
 
-    /// Empties this shard for a commit: entries whose
-    /// region intersects `touched` are dropped (their count returned),
-    /// the rest come back as survivors for the caller to re-stamp and
-    /// rehome at the new version.
+    /// Empties this shard for the commit publishing `new_version`:
+    /// entries whose region intersects `touched` are dropped (their
+    /// count returned), the rest come back as survivors to re-stamp and
+    /// rehome. So is an entry older than the version being replaced: a
+    /// worker that pinned its snapshot before an earlier commit inserted
+    /// it after that commit's purge, which never tested it.
     fn drain_for_update(
         &mut self,
+        new_version: u64,
         touched: &TouchedRegions,
     ) -> (usize, Vec<(CacheKey, Reply, QueryRegion)>) {
         let mut purged = 0;
         let mut survivors = Vec::new();
         for (key, (_, reply, region)) in self.map.drain() {
-            if region.intersects(touched) {
+            if key.version + 1 < new_version || region.intersects(touched) {
                 purged += 1;
             } else {
                 survivors.push((key, reply, region));
@@ -300,13 +305,12 @@ impl CacheShards {
     }
 
     /// Probes the key's shard. This is the *only* lock the cache-hit
-    /// request path takes; `fingerprint` must be
-    /// [`CacheKey::fingerprint`] of `key`.
-    pub fn get(&self, key: &CacheKey, fingerprint: u64) -> Option<Reply> {
+    /// request path takes; a disabled cache answers before hashing.
+    pub fn get(&self, key: &CacheKey) -> Option<Reply> {
         if !self.enabled {
             return None;
         }
-        self.shard(fingerprint).get(key)
+        self.shard(key.fingerprint()).get(key)
     }
 
     /// Inserts into the key's shard (LRU-evicting within that shard).
@@ -333,7 +337,7 @@ impl CacheShards {
             let (p, s) = shard
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .drain_for_update(touched);
+                .drain_for_update(new_version, touched);
             purged += p;
             survivors.extend(s);
         }
@@ -468,7 +472,7 @@ mod tests {
         }
         for (i, k) in keys.iter().enumerate() {
             assert_eq!(
-                shards.get(k, k.fingerprint()),
+                shards.get(k),
                 Some(reply(&[i as u64])),
                 "key {i} must hit its shard"
             );
@@ -492,7 +496,7 @@ mod tests {
         let disabled = CacheShards::new(2, 0);
         assert!(!disabled.is_enabled());
         disabled.insert(k2.clone(), k2.fingerprint(), reply(&[2]), QueryRegion::All);
-        assert_eq!(disabled.get(&k2, k2.fingerprint()), None);
+        assert_eq!(disabled.get(&k2), None);
         assert_eq!(disabled.stats(), (0, 0, 0));
     }
 
@@ -539,14 +543,29 @@ mod tests {
 
         // The survivor serves hits at the NEW version; old keys miss.
         let far_new = CacheKey::for_request(1, &far);
-        assert_eq!(
-            shards.get(&far_new, far_new.fingerprint()),
-            Some(reply(&[7]))
-        );
+        assert_eq!(shards.get(&far_new), Some(reply(&[7])));
         let far_old = CacheKey::for_request(0, &far);
-        assert!(shards.get(&far_old, far_old.fingerprint()).is_none());
+        assert!(shards.get(&far_old).is_none());
         let near_new = CacheKey::for_request(1, &near);
-        assert!(shards.get(&near_new, near_new.fingerprint()).is_none());
+        assert!(shards.get(&near_new).is_none());
+    }
+
+    #[test]
+    fn region_purge_drops_entries_a_late_worker_inserted_at_an_older_version() {
+        let shards = CacheShards::new(2, 8);
+        let req = select_req(1.0);
+        let mut at_probe = TouchedRegions::default();
+        at_probe.touch(Side::R, &Rect::from_bounds(1.0, 0.0, 1.0, 0.0));
+        assert_eq!(shards.purge_region(1, &at_probe), (0, 0));
+        // A worker that pinned version 0 before that commit finishes now:
+        // its entry was never tested against the commit's regions.
+        let k = CacheKey::for_request(0, &req);
+        let fp = k.fingerprint();
+        shards.insert(k, fp, reply(&[1]), CacheKey::region_for_request(&req));
+        let mut far = TouchedRegions::default();
+        far.touch(Side::R, &Rect::from_bounds(90.0, 0.0, 90.0, 0.0));
+        assert_eq!(shards.purge_region(2, &far), (1, 0));
+        assert!(shards.get(&CacheKey::for_request(2, &req)).is_none());
     }
 
     #[test]

@@ -27,8 +27,8 @@ pub struct ServiceMetrics {
     pub queue_wait_us: Histogram,
     /// Time spent computing (≈0 for cache hits), µs.
     pub exec_us: Histogram,
-    /// End-to-end latency of cache-hit responses only, µs — the
-    /// isolated hit path the scaling bench reports as `cache_hit_p95_us`.
+    /// Queue wait + execution of cache-hit responses only, µs: one
+    /// sample per hit, all 0 — a hit is answered in `submit`, untimed.
     pub cache_hit_latency_us: Histogram,
     /// Requests answered (computed or cache-served).
     pub completed: u64,
@@ -192,6 +192,11 @@ impl WorkerMetrics {
     /// Records one contained worker panic.
     pub fn record_worker_panic(&self) {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Requests this worker shed at dequeue for missing their deadline.
+    pub fn shed_deadline(&self) -> u64 {
+        self.shed_deadline.load(Ordering::Relaxed)
     }
 
     /// A plain mergeable copy of this worker's counters.

@@ -1,6 +1,6 @@
-//! The spatial query service: a shared-nothing worker pool over
-//! buffer-pool shards, fed by the per-worker [`ShardedQueue`],
-//! answering from the fingerprint-sharded [`CacheShards`] when it can.
+//! The spatial query service: the fingerprint-sharded [`CacheShards`]
+//! answering at submission when it can, and a shared-nothing worker pool
+//! over buffer-pool shards, fed by the per-worker [`ShardedQueue`].
 //!
 //! ## Concurrency model — no shared lock on the hot path
 //!
@@ -31,15 +31,17 @@
 //! touched MBRs are dropped ([`CacheShards::purge_region`]); the rest
 //! are re-stamped to the new version and keep serving hits.
 //!
-//! Admission is sharded per worker (round-robin enqueue, full-shard
-//! fallover, batched dequeue, work stealing), the result cache is
-//! sharded by key fingerprint, and metrics are per-worker atomics
-//! merged on export — so a cache-hit request costs exactly one
-//! statistically uncontended shard lock and zero global ones (the
-//! `cache_hits_never_touch_the_publisher_lock` test pins this down).
+//! The result cache is sharded by key fingerprint and probed in
+//! [`SpatialService::submit`], on the caller's thread, at the published
+//! version (one atomic load): a hit is answered there — one
+//! statistically uncontended shard lock, no queue slot, no worker, no
+//! wake-up (the `cache_hits_never_touch_the_publisher_lock` test pins
+//! this down). Only misses are admitted. Admission is sharded per worker
+//! (round-robin enqueue, full-shard fallover, batched dequeue, work
+//! stealing) and metrics are per-thread atomics merged on export.
 //! Workers drain up to [`ServiceConfig::batch_size`] requests per
-//! wakeup and answer the batch's expired deadlines and cache hits
-//! before running any executor.
+//! wakeup and shed the batch's expired deadlines before running any
+//! executor.
 //!
 //! ## Fail-stop fault handling
 //!
@@ -133,8 +135,8 @@ pub struct ServiceConfig {
     /// Compute attempts per request before degradation/failure (min 1).
     pub retry_attempts: u32,
     /// Requests a worker drains per dequeue wakeup (min 1): the batch's
-    /// deadline sheds and cache hits are answered before any executor
-    /// runs, amortizing queue synchronization across the batch.
+    /// deadline sheds are answered before any executor runs, amortizing
+    /// queue synchronization across the batch.
     pub batch_size: usize,
     /// Store geometry as compressed v2 pages: relations carry a
     /// quantized sidecar (margin-governed refinement, decode-on-demand)
@@ -219,42 +221,39 @@ struct DataState {
     version: u64,
 }
 
-/// One queued unit of work.
+/// One queued unit of work: a request whose probe in `submit` missed.
 struct Job {
     req: Request,
+    /// The key `submit` probed; the worker re-stamps it to its snapshot.
+    key: CacheKey,
     submitted: Instant,
     reply_to: Sender<ServiceResult>,
-    /// Test hook: makes the worker panic while holding a cache-shard
-    /// lock, exercising panic containment and poison recovery end to
-    /// end.
-    #[cfg(test)]
-    poison: bool,
 }
 
-impl Job {
-    fn new(req: Request, reply_to: Sender<ServiceResult>) -> Self {
-        Job {
-            req,
-            submitted: Instant::now(),
-            reply_to,
-            #[cfg(test)]
-            poison: false,
+/// What [`SpatialService::submit`] hands back: the answer itself when
+/// the cache held it, or the channel a worker will answer on.
+#[derive(Debug)]
+pub enum Pending {
+    /// Answered in `submit`, on the caller's thread.
+    Ready(Response),
+    /// Admitted; a worker sends the answer.
+    Queued(Receiver<ServiceResult>),
+}
+
+impl Pending {
+    /// Blocks for the answer. A reply channel dropped unanswered means
+    /// the service went away under the request: [`Rejection::Closed`].
+    pub fn wait(self) -> ServiceResult {
+        match self {
+            Pending::Ready(response) => Ok(response),
+            Pending::Queued(rx) => rx.recv().unwrap_or(Err(Rejection::Closed)),
         }
     }
 }
 
-/// A dequeued request that passed its deadline check and missed the
-/// cache: phase 2 of the batch computes it.
-struct Miss {
-    job: Job,
-    key: CacheKey,
-    queue_us: u64,
-}
-
-/// State shared between the handle and the workers. Note what is *not*
-/// here anymore: no dataset `RwLock`, no global cache mutex, no global
-/// metrics mutex — every structure is either immutable, sharded, or
-/// per-worker.
+/// State shared between the handle (whose callers probe the cache in
+/// `submit`) and the workers: every structure is either immutable,
+/// sharded, or per-thread.
 struct Shared {
     config: ServiceConfig,
     /// The current dataset snapshot (epoch-stamped publish/subscribe).
@@ -266,9 +265,16 @@ struct Shared {
     cache: CacheShards,
     /// One lock-free metrics slab per worker, merged on export.
     worker_metrics: Vec<Arc<WorkerMetrics>>,
+    /// The slab `submit` counts its cache hits on, merged with them.
+    submit_metrics: WorkerMetrics,
     /// Write-path counters (commits, WAL activity, apply I/O, cache
     /// invalidation precision).
     write_metrics: WriteMetrics,
+    /// Test hook: the next computed job panics while holding a
+    /// cache-shard lock, exercising panic containment and poison
+    /// recovery end to end.
+    #[cfg(test)]
+    poison: std::sync::atomic::AtomicBool,
 }
 
 /// A running multi-threaded spatial query service. Dropping the handle
@@ -305,7 +311,10 @@ impl SpatialService {
             worker_metrics: (0..workers)
                 .map(|_| Arc::new(WorkerMetrics::new()))
                 .collect(),
+            submit_metrics: WorkerMetrics::new(),
             write_metrics: WriteMetrics::new(),
+            #[cfg(test)]
+            poison: false.into(),
         });
         let workers = (0..workers)
             .map(|worker| {
@@ -321,43 +330,47 @@ impl SpatialService {
         SpatialService { shared, workers }
     }
 
-    /// Submits a request. Returns the response channel, or an immediate
-    /// rejection when the θ-operator is unsupported by the named
-    /// strategy or every admission shard is full.
-    pub fn submit(&self, req: Request) -> Result<Receiver<ServiceResult>, Rejection> {
+    /// Submits a request. The result cache is probed here, on the
+    /// caller's thread, at the published version: a hit is answered at
+    /// once — it does no work for admission or a deadline to bound. A
+    /// miss is admitted for a worker, or rejected when every admission
+    /// shard is full; so is a θ-operator the named strategy cannot run.
+    pub fn submit(&self, req: Request) -> Result<Pending, Rejection> {
         if let QueryKind::Join { strategy } = &req.kind {
             if !strategy.supports(req.theta) {
                 return Err(Rejection::UnsupportedTheta);
             }
         }
-        let (tx, rx) = mpsc::channel();
-        match self.shared.queue.try_push(Job::new(req, tx)) {
-            Ok(()) => Ok(rx),
+        let version = self.version();
+        let key = CacheKey::for_request(version, &req);
+        if let Some(reply) = self.shared.cache.get(&key) {
+            self.shared.submit_metrics.record_completion(0, 0, true);
+            return Ok(Pending::Ready(Response {
+                reply,
+                cached: true,
+                version,
+                queue_us: 0,
+                exec_us: 0,
+                attempts: 0,
+                degraded: false,
+            }));
+        }
+        let (reply_to, rx) = mpsc::channel();
+        let job = Job {
+            req,
+            key,
+            submitted: Instant::now(),
+            reply_to,
+        };
+        match self.shared.queue.try_push(job) {
+            Ok(()) => Ok(Pending::Queued(rx)),
             Err(_) => Err(Rejection::QueueFull),
         }
     }
 
-    /// Test hook: submits a job whose processing panics while holding
-    /// a cache-shard lock — the worst case for lock poisoning.
-    #[cfg(test)]
-    fn submit_poisoned(&self) -> Receiver<ServiceResult> {
-        let (tx, rx) = mpsc::channel();
-        let mut job = Job::new(
-            Request::join(Strategy::NestedLoop, sj_geom::ThetaOp::Overlaps),
-            tx,
-        );
-        job.poison = true;
-        self.shared
-            .queue
-            .try_push(job)
-            .unwrap_or_else(|_| panic!("queue full in test")); // PANIC-OK: cfg(test) hook
-        rx
-    }
-
     /// Submits and blocks for the answer.
     pub fn call(&self, req: Request) -> ServiceResult {
-        let rx = self.submit(req)?;
-        rx.recv().unwrap_or(Err(Rejection::Closed))
+        self.submit(req)?.wait()
     }
 
     /// Executes `req` synchronously on the calling thread — same
@@ -534,9 +547,12 @@ impl SpatialService {
         );
     }
 
-    /// Current dataset version (starts at 0, bumped per update batch).
+    /// Current dataset version (starts at 0, bumped per update batch),
+    /// read without a lock: `commit` and `replay`, the only publishers,
+    /// each publish their predecessor's version plus one, so the cell's
+    /// epoch *is* the published snapshot's version.
     pub fn version(&self) -> u64 {
-        self.shared.snapshot.load().version
+        self.shared.snapshot.epoch()
     }
 
     /// The configuration the service was started with.
@@ -544,10 +560,10 @@ impl SpatialService {
         &self.shared.config
     }
 
-    /// Aggregate latency/outcome metrics: per-worker atomic slabs
-    /// merged at call time.
+    /// Aggregate latency/outcome metrics: the submit-side slab (cache
+    /// hits) and the per-worker slabs, merged at call time.
     pub fn metrics(&self) -> ServiceMetrics {
-        let mut total = ServiceMetrics::new();
+        let mut total = self.shared.submit_metrics.snapshot();
         for worker in &self.shared.worker_metrics {
             total.merge(&worker.snapshot());
         }
@@ -561,9 +577,9 @@ impl SpatialService {
 
     /// `(shed at admission, shed at deadline)` so far.
     pub fn shed_counts(&self) -> (u64, u64) {
-        let full = self.shared.queue.shed_full_count();
-        let deadline = self.metrics().shed_deadline;
-        (full, deadline)
+        let workers = self.shared.worker_metrics.iter();
+        let deadline = workers.map(|w| w.shed_deadline()).sum();
+        (self.shared.queue.shed_full_count(), deadline)
     }
 
     /// Total publisher-lock acquisitions on the snapshot cell so far.
@@ -817,36 +833,36 @@ fn apply_one(
 }
 
 /// The worker main loop: drain a batch from the own shard (stealing
-/// when idle), pin one snapshot for the whole batch, answer its
-/// deadline sheds and cache hits first (phase 1), then compute the
-/// misses (phase 2). Any panic is contained per job at the worker
-/// boundary — a crashed request answers `WorkerPanicked` and the worker
-/// moves on instead of dying (which would shrink the pool forever and
-/// poison whatever lock it held).
+/// when idle), pin one snapshot for the whole batch, shed the jobs that
+/// out-waited their deadline before any executor runs (phase 1), then
+/// compute the rest (phase 2) — every job here already missed the cache
+/// in `submit`. Any panic is contained per job at the worker boundary:
+/// a crashed request answers `WorkerPanicked` and the worker moves on
+/// instead of dying (which would shrink the pool forever and poison
+/// whatever lock it held).
 fn worker_loop(shared: &Shared, worker: usize, mut reader: SnapshotReader<DataState>) {
     let metrics = Arc::clone(&shared.worker_metrics[worker]);
     let batch_max = shared.config.batch_size.max(1);
     while let Some(batch) = shared.queue.pop_batch(worker, batch_max) {
         metrics.record_batch();
         let state = Arc::clone(reader.get(&shared.snapshot));
-        let mut misses = Vec::with_capacity(batch.len());
+        let mut live = Vec::with_capacity(batch.len());
         for job in batch {
-            let reply_to = job.reply_to.clone();
-            match catch_unwind(AssertUnwindSafe(|| {
-                admit_job(shared, &metrics, &state, job)
-            })) {
-                Ok(Some(miss)) => misses.push(miss),
-                Ok(None) => {}
-                Err(_) => {
-                    metrics.record_worker_panic();
-                    let _ = reply_to.send(Err(Rejection::WorkerPanicked));
+            let queue_us = job.submitted.elapsed().as_micros() as u64;
+            match job.req.deadline_us {
+                Some(deadline) if queue_us > deadline => {
+                    metrics.record_shed_deadline(queue_us);
+                    let _ = job
+                        .reply_to
+                        .send(Err(Rejection::DeadlineExceeded { queue_us }));
                 }
+                _ => live.push((job, queue_us)),
             }
         }
-        for miss in misses {
-            let reply_to = miss.job.reply_to.clone();
+        for (job, queue_us) in live {
+            let reply_to = job.reply_to.clone();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                compute_job(shared, &metrics, &state, miss)
+                compute_job(shared, &metrics, &state, job, queue_us)
             }));
             if outcome.is_err() {
                 metrics.record_worker_panic();
@@ -856,53 +872,25 @@ fn worker_loop(shared: &Shared, worker: usize, mut reader: SnapshotReader<DataSt
     }
 }
 
-/// Batch phase 1 for one job: shed it if its deadline expired, answer
-/// it if the cache holds its reply (the lock-free path: snapshot
-/// already pinned, one shard-local cache probe, atomic metrics), or
-/// hand it to phase 2 as a [`Miss`].
-fn admit_job(
+/// Batch phase 2 for one job: compute with the full retry/degradation
+/// ladder against the batch's pinned snapshot, fill the cache, respond,
+/// and record metrics — all shard-local or atomic.
+fn compute_job(
     shared: &Shared,
     metrics: &WorkerMetrics,
     state: &DataState,
     job: Job,
-) -> Option<Miss> {
-    let queue_us = job.submitted.elapsed().as_micros() as u64;
-    if let Some(deadline) = job.req.deadline_us {
-        if queue_us > deadline {
-            metrics.record_shed_deadline(queue_us);
-            let _ = job
-                .reply_to
-                .send(Err(Rejection::DeadlineExceeded { queue_us }));
-            return None;
-        }
-    }
+    queue_us: u64,
+) {
     #[cfg(test)]
-    if job.poison {
+    if shared
+        .poison
+        .swap(false, std::sync::atomic::Ordering::Relaxed)
+    {
         let _shard = shared.cache.lock_shard_for_test(0);
         panic!("poison-pill job: worker dies holding a cache-shard lock"); // PANIC-OK: cfg(test) hook
     }
-    let key = CacheKey::for_request(state.version, &job.req);
-    if let Some(reply) = shared.cache.get(&key, key.fingerprint()) {
-        metrics.record_completion(queue_us, 0, true);
-        let _ = job.reply_to.send(Ok(Response {
-            reply,
-            cached: true,
-            version: state.version,
-            queue_us,
-            exec_us: 0,
-            attempts: 0,
-            degraded: false,
-        }));
-        return None;
-    }
-    Some(Miss { job, key, queue_us })
-}
-
-/// Batch phase 2 for one miss: compute with the full retry/degradation
-/// ladder against the batch's pinned snapshot, fill the cache, respond,
-/// and record metrics — all shard-local or atomic.
-fn compute_job(shared: &Shared, metrics: &WorkerMetrics, state: &DataState, miss: Miss) {
-    let Miss { job, key, queue_us } = miss;
+    let key = job.key.at_version(state.version);
     let fingerprint = key.fingerprint();
     let started = Instant::now();
     let outcome = compute_with_retry(state, &shared.config, &job.req, fingerprint);
@@ -1176,6 +1164,7 @@ mod tests {
     use super::*;
     use sj_geom::{Point, ThetaOp};
     use sj_joins::Strategy;
+    use std::sync::atomic::Ordering;
 
     fn grid_tuples(n: usize, step: f64, id0: u64) -> Vec<(u64, Geometry)> {
         (0..n * n)
@@ -1190,6 +1179,11 @@ mod tests {
 
     fn world() -> Rect {
         Rect::from_bounds(0.0, 0.0, 64.0, 64.0)
+    }
+
+    /// A SELECT with a point probe at `(x, y)`.
+    fn select_at(side: Side, x: f64, y: f64, theta: ThetaOp) -> Request {
+        Request::select(side, Geometry::Point(Point::new(x, y)), theta)
     }
 
     fn small_service(config: ServiceConfig) -> SpatialService {
@@ -1265,15 +1259,15 @@ mod tests {
     #[test]
     fn repeated_queries_hit_the_cache_and_updates_invalidate() {
         let svc = small_service(ServiceConfig::default());
-        let probe = Geometry::Point(Point::new(0.0, 0.0));
-        let theta = ThetaOp::WithinDistance(5.0);
-        let req = Request::select(Side::R, probe, theta);
+        let req = select_at(Side::R, 0.0, 0.0, ThetaOp::WithinDistance(5.0));
 
         let first = svc.call(req.clone()).expect("ok");
         assert!(!first.cached);
         let second = svc.call(req.clone()).expect("ok");
         assert!(second.cached, "identical query must be cache-served");
         assert_eq!(first.reply, second.reply);
+        assert_eq!(second.reply, svc.execute_reference(&req));
+        assert_eq!((second.version, second.queue_us), (svc.version(), 0));
         assert_eq!(svc.cache_stats().0, 1, "one cache hit so far");
 
         // Insert a tuple right at the probe: the cached result's region
@@ -1285,9 +1279,12 @@ mod tests {
         assert_eq!(receipt.outcomes, vec![MutationOutcome::Inserted]);
         assert!(receipt.changed());
         assert!(receipt.cache_purged >= 1, "the stale entry must be purged");
-        let third = svc.call(req).expect("ok");
+        // Read-your-writes through the submit-side probe: the committing
+        // thread's next select sees the receipt's version and data.
+        let third = svc.call(req.clone()).expect("ok");
         assert!(!third.cached, "version bump must invalidate");
-        assert_eq!(third.version, 1);
+        assert!(third.version >= receipt.version);
+        assert_eq!(third.reply, svc.execute_reference(&req));
         let (Reply::Select { matches: before }, Reply::Select { matches: after }) =
             (&second.reply, &third.reply)
         else {
@@ -1299,33 +1296,39 @@ mod tests {
 
     #[test]
     fn cache_hits_never_touch_the_publisher_lock() {
-        // THE tentpole property: once warm, a cache-hit request touches
-        // the pinned snapshot (atomic epoch compare) and one shard-local
-        // cache probe — never the snapshot publisher mutex. The
-        // publisher lock counter must stay exactly flat across a
-        // stretch of hit traffic.
+        // Once warm, a hit is answered in `submit`: one atomic version
+        // load and one shard-local cache probe — never the snapshot
+        // publisher mutex, never the queue, never a worker. The publisher
+        // lock, admission and batch counters must stay exactly flat
+        // across a stretch of hit traffic, `version()` included.
         let svc = small_service(ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
         });
-        let req = Request::select(
-            Side::R,
-            Geometry::Point(Point::new(20.0, 20.0)),
-            ThetaOp::WithinDistance(15.0),
-        );
+        let req = select_at(Side::R, 20.0, 20.0, ThetaOp::WithinDistance(15.0));
         svc.call(req.clone()).expect("warm the cache");
         let baseline = svc.snapshot_lock_count();
+        let (admitted, before) = (svc.shared.queue.admitted_count(), svc.metrics());
         for _ in 0..200 {
             let resp = svc.call(req.clone()).expect("ok");
             assert!(resp.cached, "warm identical query must hit");
+            assert_eq!(resp.version, svc.version());
         }
         assert_eq!(
             svc.snapshot_lock_count(),
             baseline,
             "cache-hit traffic must never acquire the snapshot publisher lock"
         );
+        assert_eq!(
+            svc.shared.queue.admitted_count(),
+            admitted,
+            "hits never enqueue"
+        );
         let m = svc.metrics();
-        assert!(m.served_from_cache >= 200);
+        assert_eq!(m.batches, before.batches, "hits never wake a worker");
+        assert_eq!(m.completed, before.completed + 200);
+        assert_eq!(m.served_from_cache, before.served_from_cache + 200);
+        assert_eq!(svc.cache_stats().0, 200);
         assert_eq!(m.cache_hit_latency_us.count(), m.served_from_cache);
         assert!(m.batches > 0, "every wakeup must account a batch");
     }
@@ -1335,8 +1338,7 @@ mod tests {
         let config = ServiceConfig {
             workers: 1,
             queue_depth: 1,
-            cache_capacity: 0, // every request computes
-            batch_size: 1,     // no batching: the backlog must overflow
+            batch_size: 1, // no batching: the backlog must overflow
             ..ServiceConfig::default()
         };
         let svc = SpatialService::start(
@@ -1345,16 +1347,29 @@ mod tests {
             &grid_tuples(12, 4.0, 5000),
             world(),
         );
+        let warm = select_at(Side::R, 0.0, 0.0, ThetaOp::Overlaps);
+        svc.call(warm.clone()).expect("warm the cache");
         // Submissions land microseconds apart; each nested-loop join
-        // over 144×144 tuples takes far longer, so the depth-1 queue
-        // must overflow.
-        let receivers: Vec<_> = (0..12)
-            .map(|_| svc.submit(Request::join(Strategy::NestedLoop, ThetaOp::Overlaps)))
+        // over 144×144 tuples (distinct θ: every one computes) takes far
+        // longer, so the depth-1 queue must overflow. Whenever it does,
+        // an uncached request is shed — and a cached one still answers:
+        // it needs no queue slot.
+        let pending: Vec<_> = (0..12)
+            .map(|i| {
+                let theta = ThetaOp::WithinDistance(1.0 + f64::from(i) * 0.01);
+                let shed = svc.submit(Request::join(Strategy::NestedLoop, theta));
+                if let Err(rejection) = &shed {
+                    assert_eq!(*rejection, Rejection::QueueFull);
+                    let hit = svc.call(warm.clone()).expect("a hit is never shed");
+                    assert!(hit.cached && hit.queue_us == 0);
+                }
+                shed
+            })
             .collect();
-        let shed = receivers.iter().filter(|r| r.is_err()).count();
+        let shed = pending.iter().filter(|r| r.is_err()).count();
         assert!(shed > 0, "expected queue-full shedding");
-        for rx in receivers.into_iter().flatten() {
-            assert!(rx.recv().expect("worker responds").is_ok());
+        for answer in pending.into_iter().flatten() {
+            assert!(answer.wait().is_ok());
         }
         assert_eq!(svc.shed_counts().0, shed as u64);
     }
@@ -1364,7 +1379,6 @@ mod tests {
         let config = ServiceConfig {
             workers: 1,
             queue_depth: 64,
-            cache_capacity: 0,
             ..ServiceConfig::default()
         };
         let svc = SpatialService::start(
@@ -1373,7 +1387,10 @@ mod tests {
             &grid_tuples(12, 4.0, 5000),
             world(),
         );
-        // Build a backlog of slow joins, then queue deadline-1µs
+        let warm = select_at(Side::S, 0.0, 0.0, ThetaOp::Overlaps);
+        svc.call(warm.clone()).expect("warm the cache");
+        // Build a backlog of slow joins (submitted before the first
+        // completes, so all three compute), then queue deadline-1µs
         // requests behind it: by the time a worker reaches them their
         // budget is long gone.
         let slow: Vec<_> = (0..3)
@@ -1384,23 +1401,20 @@ mod tests {
             .collect();
         let dead: Vec<_> = (0..3)
             .map(|_| {
-                svc.submit(
-                    Request::select(
-                        Side::R,
-                        Geometry::Point(Point::new(0.0, 0.0)),
-                        ThetaOp::Overlaps,
-                    )
-                    .with_deadline_us(1),
-                )
-                .expect("queue has room")
+                svc.submit(select_at(Side::R, 0.0, 0.0, ThetaOp::Overlaps).with_deadline_us(1))
+                    .expect("queue has room")
             })
             .collect();
-        for rx in slow {
-            assert!(rx.recv().expect("worker responds").is_ok());
+        // Behind the same backlog a cached request with no budget at
+        // all is answered: a hit never waits, so it cannot out-wait.
+        let hit = svc.call(warm.with_deadline_us(0)).expect("answered");
+        assert!(hit.cached && hit.queue_us == 0);
+        for answer in slow {
+            assert!(answer.wait().is_ok());
         }
         let mut sheds = 0;
-        for rx in dead {
-            match rx.recv().expect("worker responds") {
+        for answer in dead {
+            match answer.wait() {
                 Err(Rejection::DeadlineExceeded { queue_us }) => {
                     assert!(queue_us > 1);
                     sheds += 1;
@@ -1416,7 +1430,7 @@ mod tests {
 
     #[test]
     fn worker_panic_is_contained_and_the_pool_keeps_serving() {
-        // The poison-pill job panics while holding a cache-shard lock —
+        // The poisoned job panics while holding a cache-shard lock —
         // the worst case: a dead worker AND a poisoned mutex. The
         // single-worker service must contain the panic, answer the
         // poisoned request with `WorkerPanicked`, recover the lock, and
@@ -1425,15 +1439,16 @@ mod tests {
             workers: 1,
             ..ServiceConfig::default()
         });
-        let rx = svc.submit_poisoned();
+        svc.shared.poison.store(true, Ordering::Relaxed);
         assert!(matches!(
-            rx.recv().expect("worker must answer"),
+            svc.call(Request::join(Strategy::NestedLoop, ThetaOp::Overlaps)),
             Err(Rejection::WorkerPanicked)
         ));
         let resp = svc
-            .call(Request::select(
+            .call(select_at(
                 Side::R,
-                Geometry::Point(Point::new(20.0, 20.0)),
+                20.0,
+                20.0,
                 ThetaOp::WithinDistance(15.0),
             ))
             .expect("the worker survived the panic");
@@ -1601,11 +1616,7 @@ mod tests {
     #[test]
     fn metrics_emit_the_service_trace_vocabulary() {
         let svc = small_service(ServiceConfig::default());
-        let req = Request::select(
-            Side::R,
-            Geometry::Point(Point::new(0.0, 0.0)),
-            ThetaOp::Overlaps,
-        );
+        let req = select_at(Side::R, 0.0, 0.0, ThetaOp::Overlaps);
         svc.call(req.clone()).expect("ok");
         svc.call(req).expect("ok");
         let mut sink = TraceSink::vec();
@@ -1677,11 +1688,7 @@ mod tests {
         // Reads observe every applied write: 9000 and the moved 0 are
         // R-matches near the origin, 9001 is an S-match, 501 is gone.
         let r = svc
-            .call(Request::select(
-                Side::R,
-                Geometry::Point(Point::new(2.0, 2.0)),
-                ThetaOp::WithinDistance(2.0),
-            ))
+            .call(select_at(Side::R, 2.0, 2.0, ThetaOp::WithinDistance(2.0)))
             .expect("ok");
         let Reply::Select { matches } = &r.reply else {
             panic!("select reply expected");
@@ -1689,11 +1696,7 @@ mod tests {
         assert!(matches.contains(&9000));
         assert!(matches.contains(&0), "upsert must have moved 0 to (1,1)");
         let s = svc
-            .call(Request::select(
-                Side::S,
-                Geometry::Point(Point::new(0.0, 0.0)),
-                ThetaOp::WithinDistance(10.0),
-            ))
+            .call(select_at(Side::S, 0.0, 0.0, ThetaOp::WithinDistance(10.0)))
             .expect("ok");
         let Reply::Select { matches } = &s.reply else {
             panic!("select reply expected");
@@ -1800,16 +1803,8 @@ mod tests {
     #[test]
     fn disjoint_region_writes_retain_cache_entries() {
         let svc = small_service(ServiceConfig::default());
-        let near = Request::select(
-            Side::R,
-            Geometry::Point(Point::new(0.0, 0.0)),
-            ThetaOp::WithinDistance(5.0),
-        );
-        let far = Request::select(
-            Side::R,
-            Geometry::Point(Point::new(40.0, 40.0)),
-            ThetaOp::WithinDistance(5.0),
-        );
+        let near = select_at(Side::R, 0.0, 0.0, ThetaOp::WithinDistance(5.0));
+        let far = select_at(Side::R, 40.0, 40.0, ThetaOp::WithinDistance(5.0));
         svc.call(near.clone()).expect("warm near");
         let far_reply = svc.call(far.clone()).expect("warm far").reply;
 
@@ -1824,7 +1819,7 @@ mod tests {
         // its reply is still exact.
         let resp = svc.call(far.clone()).expect("ok");
         assert!(resp.cached, "region-disjoint entry must survive the commit");
-        assert_eq!(resp.version, 1);
+        assert_eq!((resp.version, resp.queue_us), (receipt.version, 0));
         assert_eq!(resp.reply, far_reply);
         assert_eq!(resp.reply, svc.execute_reference(&far));
         // The invalidated entry recomputes and now sees the insert.
@@ -1840,11 +1835,7 @@ mod tests {
     fn wal_sync_fault_aborts_the_commit_and_state_is_unchanged() {
         use std::collections::HashSet;
         let svc = small_service(ServiceConfig::default());
-        let probe = Request::select(
-            Side::R,
-            Geometry::Point(Point::new(0.0, 0.0)),
-            ThetaOp::WithinDistance(5.0),
-        );
+        let probe = select_at(Side::R, 0.0, 0.0, ThetaOp::WithinDistance(5.0));
         let before = svc.call(probe.clone()).expect("ok").reply;
 
         // Fault exactly the first sync attempt (attempt ids are 0-based).
@@ -1904,17 +1895,14 @@ mod tests {
         )
         .expect("recovery succeeds");
         assert_eq!(recovered.version(), 2);
+        // The lock-free version is the published snapshot's, committed
+        // or replayed.
+        for service in [&svc, &recovered] {
+            assert_eq!(service.version(), service.shared.snapshot.load().version);
+        }
         for req in [
-            Request::select(
-                Side::R,
-                Geometry::Point(Point::new(0.0, 0.0)),
-                ThetaOp::WithinDistance(35.0),
-            ),
-            Request::select(
-                Side::S,
-                Geometry::Point(Point::new(0.0, 0.0)),
-                ThetaOp::WithinDistance(35.0),
-            ),
+            select_at(Side::R, 0.0, 0.0, ThetaOp::WithinDistance(35.0)),
+            select_at(Side::S, 0.0, 0.0, ThetaOp::WithinDistance(35.0)),
             Request::join(Strategy::Auto, ThetaOp::WithinDistance(3.0)),
         ] {
             assert_eq!(

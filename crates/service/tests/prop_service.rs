@@ -165,15 +165,12 @@ proptest! {
 
         for workers in [1usize, 2, 4] {
             let svc = service(32, workers);
-            let receivers: Vec<_> = requests
+            let pending: Vec<_> = requests
                 .iter()
                 .map(|req| svc.submit(req.clone()).expect("queue_depth covers the batch"))
                 .collect();
-            for (i, rx) in receivers.into_iter().enumerate() {
-                let resp = rx
-                    .recv()
-                    .expect("worker answers")
-                    .expect("no deadline, no shedding");
+            for (i, answer) in pending.into_iter().enumerate() {
+                let resp = answer.wait().expect("no deadline, no shedding");
                 prop_assert_eq!(
                     &resp.reply, &reference[i],
                     "request {} diverged at {} workers", i, workers

@@ -7,8 +7,12 @@
 //! This pins down the tentpole's core correctness claim: publishing a
 //! new snapshot never tears an in-flight request — a request computes
 //! entirely against one version and says which.
+//!
+//! Its sibling does the same with SELECTs from a small hot set, most of
+//! them answered by the cache probe in `submit` while commits purge,
+//! re-stamp and rehome the entries under it.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,6 +22,9 @@ use sj_service::{Rejection, Reply, Request, ServiceConfig, Side, SpatialService,
 
 /// One recorded response: (dataset version, θ-slot, sorted join pairs).
 type Observation = (u64, usize, Vec<(u64, u64)>);
+
+/// One update batch: inserts of `(side, id, geometry)`.
+type Inserts = Vec<(Side, u64, Geometry)>;
 
 fn grid_tuples(n: usize, step: f64, id0: u64) -> Vec<(u64, Geometry)> {
     (0..n * n)
@@ -32,6 +39,37 @@ fn grid_tuples(n: usize, step: f64, id0: u64) -> Vec<(u64, Geometry)> {
 
 fn world() -> Rect {
     Rect::from_bounds(0.0, 0.0, 64.0, 64.0)
+}
+
+fn write_batch(batch: &Inserts) -> WriteBatch {
+    batch.iter().fold(WriteBatch::new(), |wb, (side, id, g)| {
+        wb.insert(*side, *id, g.clone())
+    })
+}
+
+/// A cache-less single-worker service holding exactly `version`'s
+/// tuples, rebuilt sequentially from the update history.
+fn rebuilt(
+    config: ServiceConfig,
+    r0: &[(u64, Geometry)],
+    s0: &[(u64, Geometry)],
+    batches: &[Inserts],
+    version: u64,
+) -> SpatialService {
+    let (mut r, mut s, mut w) = (r0.to_vec(), s0.to_vec(), world());
+    for (side, id, g) in batches.iter().take(version as usize).flatten() {
+        w = w.union(&sj_geom::Bounded::mbr(g));
+        match side {
+            Side::R => r.push((*id, g.clone())),
+            Side::S => s.push((*id, g.clone())),
+        }
+    }
+    let config = ServiceConfig {
+        workers: 1,
+        cache_capacity: 0,
+        ..config
+    };
+    SpatialService::start(config, &r, &s, w)
 }
 
 /// The request stream both the live run and the replay use: a few
@@ -56,7 +94,7 @@ fn concurrent_joins_match_sequential_replay_of_their_reported_version() {
 
     // The update stream: each batch drops one fresh point per side into
     // the middle of the grid, where the θ-distances above will see it.
-    let batches: Vec<Vec<(Side, u64, Geometry)>> = (0..5u64)
+    let batches: Vec<Inserts> = (0..5u64)
         .map(|b| {
             let x = 10.0 + b as f64 * 3.0;
             vec![
@@ -99,10 +137,8 @@ fn concurrent_joins_match_sequential_replay_of_their_reported_version() {
     // Stream the updates while the readers hammer the service.
     for batch in &batches {
         std::thread::sleep(Duration::from_millis(30));
-        let wb = batch.iter().fold(WriteBatch::new(), |wb, (side, id, g)| {
-            wb.insert(*side, *id, g.clone())
-        });
-        svc.commit(&wb).expect("stress commits must succeed");
+        svc.commit(&write_batch(batch))
+            .expect("stress commits must succeed");
     }
     std::thread::sleep(Duration::from_millis(30));
     stop.store(true, Ordering::Relaxed);
@@ -125,25 +161,8 @@ fn concurrent_joins_match_sequential_replay_of_their_reported_version() {
     // Sequential replay: rebuild every observed version from the update
     // history and demand each response equals the fault-free reference
     // of exactly the version it reported.
-    let replay_config = ServiceConfig {
-        workers: 1,
-        cache_capacity: 0,
-        ..config
-    };
     for &version in &observed {
-        let mut r = r0.clone();
-        let mut s = s0.clone();
-        let mut w = world();
-        for batch in batches.iter().take(version as usize) {
-            for (side, id, g) in batch {
-                w = w.union(&sj_geom::Bounded::mbr(g));
-                match side {
-                    Side::R => r.push((*id, g.clone())),
-                    Side::S => s.push((*id, g.clone())),
-                }
-            }
-        }
-        let reference = SpatialService::start(replay_config, &r, &s, w);
+        let reference = rebuilt(config, &r0, &s0, &batches, version);
         for slot in 0..8 {
             let Reply::Join { pairs: want, .. } = reference.execute_reference(&request_for(slot))
             else {
@@ -165,4 +184,131 @@ fn concurrent_joins_match_sequential_replay_of_their_reported_version() {
     // starvation: responses exist from before and after publishes.
     let m = svc.metrics();
     assert_eq!(m.completed, responses.len() as u64);
+}
+
+/// The hot set: SELECTs on R within 5 of a point. The commit stream
+/// alternates between the neighbourhoods of the first two, so their
+/// entries are purged by every other commit; the rest are far from
+/// every write, so each commit drains, re-stamps and rehomes them.
+const HOT: [(f64, f64); 6] = [
+    (10.0, 12.0),
+    (50.0, 50.0),
+    (56.0, 0.0),
+    (0.0, 56.0),
+    (32.0, 32.0),
+    (56.0, 24.0),
+];
+
+fn hot_select(slot: usize) -> Request {
+    let (x, y) = HOT[slot % HOT.len()];
+    Request::select(
+        Side::R,
+        Geometry::Point(Point::new(x, y)),
+        ThetaOp::WithinDistance(5.0),
+    )
+}
+
+#[test]
+fn concurrent_selects_probing_at_submit_match_sequential_replay_while_commits_purge() {
+    let config = ServiceConfig {
+        workers: 4,
+        queue_depth: 256,
+        cache_capacity: 64,
+        ..ServiceConfig::default()
+    };
+    let r0 = grid_tuples(6, 8.0, 0);
+    let s0 = grid_tuples(6, 8.0, 1000);
+    let svc = Arc::new(SpatialService::start(config, &r0, &s0, world()));
+
+    // Even batches write next to HOT[0], odd ones next to HOT[1]; the
+    // S-side insert sits on a far probe and must not disturb an R SELECT.
+    let batches: Vec<Inserts> = (0..8u64)
+        .map(|b| {
+            let (x, y) = HOT[(b % 2) as usize];
+            let near = Point::new(x + (b / 2) as f64, y + 1.0);
+            vec![
+                (Side::R, 5000 + b, Geometry::Point(near)),
+                (Side::S, 6000 + b, Geometry::Point(Point::new(32.0, 32.0))),
+            ]
+        })
+        .collect();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let answered = Arc::new(AtomicU64::new(0));
+    let readers: Vec<_> = (0..4usize)
+        .map(|t| {
+            let (svc, stop, answered) = (svc.clone(), stop.clone(), answered.clone());
+            std::thread::spawn(move || {
+                // (version, slot, cached, matches)
+                let mut seen: Vec<(u64, usize, bool, Vec<u64>)> = Vec::new();
+                let mut slot = t;
+                while !stop.load(Ordering::Relaxed) {
+                    slot = (slot + 1) % HOT.len();
+                    match svc.call(hot_select(slot)) {
+                        Ok(resp) => {
+                            let Reply::Select { matches } = &resp.reply else {
+                                panic!("select reply expected");
+                            };
+                            seen.push((resp.version, slot, resp.cached, matches.to_vec()));
+                            answered.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(Rejection::QueueFull) => continue,
+                        Err(other) => panic!("unexpected rejection {other:?}"),
+                    }
+                }
+                seen
+            })
+        })
+        .collect();
+
+    // Each commit waits for the readers to answer a few hundred more
+    // requests, so every version serves traffic before the next purge.
+    let await_traffic = || {
+        let target = answered.load(Ordering::Relaxed) + 300;
+        while answered.load(Ordering::Relaxed) < target {
+            std::thread::yield_now();
+        }
+    };
+    for batch in &batches {
+        await_traffic();
+        svc.commit(&write_batch(batch))
+            .expect("stress commits must succeed");
+    }
+    await_traffic();
+    stop.store(true, Ordering::Relaxed);
+    let mut responses = Vec::new();
+    for reader in readers {
+        responses.extend(reader.join().expect("reader thread must not panic"));
+    }
+
+    let versions = |cached_only: bool| -> std::collections::BTreeSet<u64> {
+        let kept = responses.iter().filter(|(_, _, c, _)| *c || !cached_only);
+        kept.map(|(v, ..)| *v).collect()
+    };
+    assert!(
+        versions(true).len() >= 2,
+        "hits must be served on several versions, saw {:?} of {:?}",
+        versions(true),
+        versions(false)
+    );
+    for version in versions(false) {
+        assert!(version as usize <= batches.len());
+        let reference = rebuilt(config, &r0, &s0, &batches, version);
+        for slot in 0..HOT.len() {
+            let Reply::Select { matches: want } = reference.execute_reference(&hot_select(slot))
+            else {
+                panic!("select reply expected");
+            };
+            for (_, _, cached, got) in responses
+                .iter()
+                .filter(|(v, sl, ..)| *v == version && *sl == slot)
+            {
+                assert_eq!(
+                    got, &*want,
+                    "slot {slot} at version {version} (cached: {cached}) diverged from replay"
+                );
+            }
+        }
+    }
+    assert_eq!(svc.metrics().completed, responses.len() as u64);
 }

@@ -12,7 +12,6 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -22,7 +21,7 @@ use sj_joins::{Mutation, MutationOutcome, Side, Strategy, WriteBatch};
 use sj_obs::TraceSink;
 use sj_service::{
     CommitReceipt, QueryKind, Rejection, Reply, Request, Response, ServiceConfig, ServiceMetrics,
-    ServiceResult, SpatialService,
+    SpatialService,
 };
 use sj_storage::IoStats;
 
@@ -118,12 +117,12 @@ pub struct ShardRouter {
     halo: f64,
     plan: ShardPlan,
     /// One in-process service per plan leaf, in leaf order.
-    /// Submissions are asynchronous — `submit` returns a receiver, so a
-    /// request fans out to every target shard *before* the router
-    /// blocks on any reply — and commits are synchronous: the shard's
-    /// WAL sync has happened by the time `commit` returns, which is
-    /// what makes the router's global read-your-writes guarantee
-    /// compose from per-shard guarantees.
+    /// Submissions are asynchronous — `submit` returns the answer or a
+    /// handle to wait on, so a request fans out to every target shard
+    /// *before* the router blocks on any reply — and commits are
+    /// synchronous: the shard's WAL sync has happened by the time
+    /// `commit` returns, which is what makes the router's global
+    /// read-your-writes guarantee compose from per-shard guarantees.
     services: Vec<SpatialService>,
     advisors: Mutex<Vec<AdaptiveAdvisor>>,
     /// The authority maps. Lock order is R then S; `commit` holds both
@@ -194,6 +193,15 @@ fn merge_runs<T: Ord + Copy>(mut runs: Vec<&[T]>) -> (Arc<Vec<T>>, u64) {
     out.dedup();
     let duplicates = (total - out.len()) as u64;
     (Arc::new(out), duplicates)
+}
+
+/// One shard's reply *is* the answer (sorted and duplicate-free, as every
+/// service reply is) and is shared, not copied; several are merged.
+fn gather<T: Ord + Copy>(runs: &[&Arc<Vec<T>>]) -> (Arc<Vec<T>>, u64) {
+    match runs {
+        [only] => (Arc::clone(only), 0),
+        _ => merge_runs(runs.iter().map(|run| run.as_slice()).collect()),
+    }
 }
 
 impl ShardRouter {
@@ -292,32 +300,31 @@ impl ShardRouter {
         self.commits.load(Ordering::Relaxed)
     }
 
-    /// Adaptive-advisor observation count for one shard and θ-family
-    /// (test/inspection hook).
-    pub fn advisor_observations(&self, shard: usize, theta: ThetaOp) -> u64 {
-        lock(&self.advisors)[shard].observations(theta)
-    }
-
     /// Scatter a request to its target shards, gather, and merge.
     /// Blocking; the gather is bounded by the slowest targeted shard.
     /// A join whose Θ-filter region no tile grid can bound is answered
     /// here instead ([`Self::join_at_router`]).
     pub fn call(&self, req: Request) -> RouterResult {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        if let QueryKind::Join { strategy } = req.kind {
+        let theta = req.theta;
+        let join = match req.kind {
+            QueryKind::Join { strategy } => Some(strategy),
+            QueryKind::Select { .. } => None,
+        };
+        if let Some(strategy) = join {
             // Mirror service admission so unsupported operators are
             // rejected before any work.
-            if !strategy.supports(req.theta) {
+            if !strategy.supports(theta) {
                 return Err(Rejection::UnsupportedTheta);
             }
             // Radius beyond the halo (or unbounded): the tile coverage
             // proof no longer applies — the same reason grid_join
             // rejects directional θ.
-            if !req.theta.filter_radius().is_some_and(|e| e <= self.halo) {
-                return Ok(self.join_at_router(strategy, req.theta));
+            if !theta.filter_radius().is_some_and(|e| e <= self.halo) {
+                return Ok(self.join_at_router(strategy, theta));
             }
         }
-        let targets: Vec<usize> = match (&req.kind, req.theta.filter_radius()) {
+        let targets: Vec<usize> = match (&req.kind, theta.filter_radius()) {
             // A matching tuple's MBR intersects the probe MBR expanded
             // by the filter radius (Θ-filter guarantee), so only shards
             // overlapping that region can hold matches.
@@ -330,54 +337,42 @@ impl ShardRouter {
             // slice (the coverage argument in the crate docs).
             _ => (0..self.plan.len()).collect(),
         };
-        let auto_join = matches!(
-            req.kind,
-            QueryKind::Join {
-                strategy: Strategy::Auto
-            }
-        );
+        let auto_join = join == Some(Strategy::Auto);
 
         // Rewrite Auto joins to each shard's adaptive choice, so the
         // feedback loop can attribute the observed cost to a concrete
-        // strategy.
-        let subs: Vec<(usize, Request)> = {
+        // strategy. Nothing else takes the advisors' lock.
+        let mut choices = Vec::new();
+        if auto_join {
             let advisors = lock(&self.advisors);
-            targets
-                .iter()
-                .map(|&t| {
-                    let mut sub = req.clone();
-                    if auto_join {
-                        sub.kind = QueryKind::Join {
-                            strategy: advisors[t].choose(req.theta),
-                        };
-                    }
-                    (t, sub)
-                })
-                .collect()
-        };
+            choices.extend(targets.iter().map(|&t| advisors[t].choose(theta)));
+        }
 
-        // Scatter first, gather second: every shard computes in
-        // parallel with the others.
-        let mut pending: Vec<(usize, Receiver<ServiceResult>)> = Vec::with_capacity(subs.len());
+        // Scatter first, gather second: every shard computes in parallel
+        // with the others (one holding the reply in its cache answers
+        // inside `submit`). The last target takes the request itself.
+        let mut pending = Vec::with_capacity(targets.len());
         let mut first_err = None;
-        for (t, sub) in &subs {
-            match self.services[*t].submit(sub.clone()) {
-                Ok(rx) => pending.push((*t, rx)),
+        for (i, mut sub) in std::iter::repeat_n(req, targets.len()).enumerate() {
+            if auto_join {
+                sub.kind = QueryKind::Join {
+                    strategy: choices[i],
+                };
+            }
+            match self.services[targets[i]].submit(sub) {
+                Ok(answer) => pending.push(answer),
                 Err(rej) => {
                     first_err.get_or_insert(rej);
                     break;
                 }
             }
         }
-        let mut responses: Vec<(usize, Response)> = Vec::with_capacity(pending.len());
-        for (t, rx) in pending {
-            match rx.recv() {
-                Ok(Ok(resp)) => responses.push((t, resp)),
-                Ok(Err(rej)) => {
+        let mut responses: Vec<Response> = Vec::with_capacity(pending.len());
+        for answer in pending {
+            match answer.wait() {
+                Ok(resp) => responses.push(resp),
+                Err(rej) => {
                     first_err.get_or_insert(rej);
-                }
-                Err(_) => {
-                    first_err.get_or_insert(Rejection::WorkerPanicked);
                 }
             }
         }
@@ -389,16 +384,14 @@ impl ShardRouter {
         // (cache hits carry no compute signal and are skipped).
         if auto_join {
             let mut advisors = lock(&self.advisors);
-            for ((t, sub), (_, resp)) in subs.iter().zip(responses.iter()) {
+            for ((&t, &strategy), resp) in targets.iter().zip(&choices).zip(&responses) {
                 if !resp.cached {
-                    if let QueryKind::Join { strategy } = sub.kind {
-                        advisors[*t].observe(req.theta, strategy, resp.exec_us.max(1));
-                    }
+                    advisors[t].observe(theta, strategy, resp.exec_us.max(1));
                 }
             }
         }
 
-        Ok(self.merge(&req, &responses))
+        Ok(self.merge(join, &responses))
     }
 
     /// Answers a join from the authority maps by the paper's
@@ -459,14 +452,14 @@ impl ShardRouter {
     /// true match (shards run exact executors), coverage guarantees
     /// every true match appears in ≥ 1 shard, and duplicates only arise
     /// from halo multi-assignment — so dedup restores the single-node
-    /// result precisely.
-    fn merge(&self, req: &Request, responses: &[(usize, Response)]) -> RouterResponse {
+    /// result precisely. `join`: the strategy named, `None` for a select.
+    fn merge(&self, join: Option<Strategy>, responses: &[Response]) -> RouterResponse {
         let mut cached = !responses.is_empty();
         let mut degraded = false;
         let mut version = 0;
         let mut queue_us = 0;
         let mut exec_us = 0;
-        for (_, resp) in responses {
+        for resp in responses {
             cached &= resp.cached;
             degraded |= resp.degraded;
             version = version.max(resp.version);
@@ -474,32 +467,32 @@ impl ShardRouter {
             exec_us = exec_us.max(resp.exec_us);
         }
 
-        let (reply, duplicates) = match &req.kind {
-            QueryKind::Select { .. } => {
-                let mut runs: Vec<&[u64]> = Vec::new();
-                for (_, resp) in responses {
+        let (reply, duplicates) = match join {
+            None => {
+                let mut runs = Vec::new();
+                for resp in responses {
                     if let Reply::Select { matches: m } = &resp.reply {
                         runs.push(m);
                     }
                 }
-                let (matches, duplicates) = merge_runs(runs);
+                let (matches, duplicates) = gather(&runs);
                 (Reply::Select { matches }, duplicates)
             }
-            QueryKind::Join { strategy } => {
-                let mut runs: Vec<&[(u64, u64)]> = Vec::new();
+            Some(strategy) => {
+                let mut runs = Vec::new();
                 let mut resolutions: Vec<Strategy> = Vec::new();
-                for (_, resp) in responses {
+                for resp in responses {
                     if let Reply::Join { pairs: p, resolved } = &resp.reply {
                         runs.push(p);
                         resolutions.push(*resolved);
                     }
                 }
-                let (pairs, duplicates) = merge_runs(runs);
+                let (pairs, duplicates) = gather(&runs);
                 // Concrete strategies resolve to themselves on every
                 // shard; Auto reports the shards' unanimous choice, or
                 // stays Auto when the adaptive picks diverged.
-                let resolved = if *strategy != Strategy::Auto {
-                    *strategy
+                let resolved = if strategy != Strategy::Auto {
+                    strategy
                 } else if !resolutions.is_empty()
                     && resolutions.iter().all(|s| *s == resolutions[0])
                 {
@@ -863,6 +856,11 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Adaptive-advisor observation count for one shard and θ-family.
+    fn advisor_observations(router: &ShardRouter, shard: usize, theta: ThetaOp) -> u64 {
+        lock(&router.advisors)[shard].observations(theta)
     }
 
     fn summary_counter(router: &ShardRouter, key: &str) -> u64 {
@@ -1248,7 +1246,7 @@ mod tests {
         }
         for shard in 0..router.plan().len() {
             assert!(
-                router.advisor_observations(shard, theta) >= 4,
+                advisor_observations(&router, shard, theta) >= 4,
                 "shard {shard} advisor must be learning"
             );
         }
@@ -1311,7 +1309,7 @@ mod tests {
             pairs_of(&got.reply),
             pairs_of(&oracle.execute_reference(&auto))
         );
-        assert!(router.advisor_observations(0, theta) >= 1);
+        assert!(advisor_observations(&router, 0, theta) >= 1);
 
         // A commit walks both authority maps, and reads observe it —
         // through the shards and through the maps themselves.

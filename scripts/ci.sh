@@ -172,6 +172,34 @@ if [ -n "$copies" ]; then
 fi
 echo "    -> O(1) fork, lent record bytes, one hash per candidate, merged replies"
 
+echo "==> hit-path gate (a hit is answered where it arrives)"
+# The serving path probes the result cache at one site: in `submit`, on
+# the caller's thread, above the admission push. Neither `submit` nor
+# `version` takes the publisher mutex (`snapshot.load()`), and the router
+# takes its advisors' lock only inside an `if auto_join {` block, so a
+# routed hit locks nothing but its one cache shard.
+detours=$(
+    awk '/^#\[cfg\(test\)\]/ { exit }
+         /^    pub fn (submit|version)\(/ { fn = $3 }
+         /^    }$/ { fn = "" }
+         /cache\.get\(/ { probes++; if (fn !~ /^submit/ || pushed) print FILENAME ":" FNR ": " $0 }
+         fn ~ /^submit/ && /queue\.try_push/ { pushed = 1 }
+         fn != "" && /snapshot\.load\(\)/ { print FILENAME ":" FNR ": " $0 }
+         END { if (probes != 1) print FILENAME ": " probes + 0 " cache.get( sites, want 1" }' \
+        crates/service/src/service.rs
+    awk '/^#\[cfg\(test\)\]/ { exit }
+         /^        if auto_join \{$/ { guarded = 1 }
+         /^        }$/ { guarded = 0 }
+         /lock\(&self\.advisors\)/ && !guarded { print FILENAME ":" FNR ": " $0 }' \
+        crates/shard/src/router.rs
+)
+if [ -n "$detours" ]; then
+    echo "    a second probe site or a lock is back on the hit path:"
+    echo "$detours"
+    exit 1
+fi
+echo "    -> one probe site, in submit above the push; no publisher or advisor lock on a hit"
+
 echo "==> residency gate (one service per plan leaf, one authority copy at the router)"
 # Non-test sj-shard code starts services at exactly one call site (the
 # per-leaf loop) and names no fallback: the only whole-data structure at

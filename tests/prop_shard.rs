@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use sj_geom::{Bounded, Direction, Geometry, Point, Rect, ThetaOp};
 use sj_joins::Strategy;
 use sj_service::{Reply, Request, ServiceConfig, Side, SpatialService, WriteBatch};
-use sj_shard::{ShardConfig, ShardRouter};
+use sj_shard::{RouterResponse, ShardConfig, ShardRouter};
 
 const ALL_THETAS: [ThetaOp; 8] = [
     ThetaOp::WithinCenterDistance(9.0),
@@ -131,8 +131,13 @@ fn shard_config(shards: usize, split_threshold: usize) -> ShardConfig {
     }
 }
 
-/// One router reply vs. the single-node oracle.
-fn assert_identical(router: &ShardRouter, single: &SpatialService, req: &Request, ctx: &str) {
+/// One router reply vs. the single-node oracle; hands the reply back.
+fn assert_identical(
+    router: &ShardRouter,
+    single: &SpatialService,
+    req: &Request,
+    ctx: &str,
+) -> RouterResponse {
     let got = router
         .call(req.clone())
         .unwrap_or_else(|rej| panic!("{ctx}: router rejected {req:?}: {rej:?}"));
@@ -152,6 +157,7 @@ fn assert_identical(router: &ShardRouter, single: &SpatialService, req: &Request
     } else {
         assert_eq!(got.reply, want, "{ctx}: reply diverged for {req:?}");
     }
+    got
 }
 
 proptest! {
@@ -216,7 +222,9 @@ proptest! {
                             "post-commit",
                         );
                     }
-                    Op::Query(req) => assert_identical(&router, &single, &req, "scripted"),
+                    Op::Query(req) => {
+                        assert_identical(&router, &single, &req, "scripted");
+                    }
                 }
             }
 
@@ -231,16 +239,14 @@ proptest! {
                     );
                 }
                 for side in [Side::R, Side::S] {
-                    assert_identical(
-                        &router,
-                        &single,
-                        &Request::select(
-                            side,
-                            Geometry::Point(Point::new(6.0, 6.0)),
-                            theta,
-                        ),
-                        "sweep select",
-                    );
+                    let select =
+                        Request::select(side, Geometry::Point(Point::new(6.0, 6.0)), theta);
+                    let first = assert_identical(&router, &single, &select, "sweep select");
+                    // Repeated, every target shard answers from its cache
+                    // inside `submit`: nothing queues.
+                    let again = router.call(select).expect("repeat accepted");
+                    prop_assert!(again.cached && again.queue_us == 0, "{:?}", again);
+                    prop_assert_eq!(again.reply, first.reply);
                 }
             }
             single.close();
