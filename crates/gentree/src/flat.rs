@@ -4,17 +4,15 @@
 //! `Vec<NodeId>`; a traversal that Θ-filters the children of a node
 //! loads every child's [`Node`](crate::tree) individually — one pointer
 //! chase and one branchy scalar filter per child. [`FlatChildren`]
-//! rearranges the *child MBRs* of every node into one contiguous
-//! [`RectChunks`] store (chunk-aligned run per parent), so a descent can
-//! evaluate the Θ-filter of a whole fanout with one branch-free mask
-//! call per [`LANES`]-wide chunk and touch only the `NodeId`s that
-//! matter.
+//! rearranges the *child MBRs* of every node into runs of SoA lane
+//! groups ([`RectLanes`] plus the ids, lane for lane), so a descent
+//! evaluates the Θ-filter of a whole fanout with one branch-free mask
+//! call per [`LANES`] children and touches only the `NodeId`s that matter.
 //!
-//! The view is a **snapshot**: it is built from an immutable tree and is
-//! invalidated by any structural mutation (insert, delete, rebalance).
-//! Owners that mutate must rebuild — a [`TreeRelation`](../../sj_joins)
-//! value never changes, and `TreeRelation::try_evolve` builds the view
-//! of the mutated tree anew for the relation it returns.
+//! The view is a **snapshot** of one tree state and shares its chunks
+//! with the view it was cloned from ([`CowVec`]): `TreeRelation::try_evolve`
+//! clones it and [`FlatChildren::patch`]es the clone from the arena slots
+//! the mutation wrote, copying only the chunks that hold a rewritten run.
 //!
 //! Batched probing is only available for operators with a compiled
 //! [`MaskFilter`] form (symmetric bounded filters). Directional
@@ -23,69 +21,105 @@
 //! one call site shared by SELECT and JOIN.
 
 use crate::tree::{GenTree, NodeId};
-use sj_geom::soa::{RectChunks, LANES};
+use sj_geom::soa::{RectLanes, LANES};
 use sj_geom::{MaskFilter, Rect, ThetaOp};
+use sj_storage::CowVec;
 
 /// Where a node's child run lives in the flattened store.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct ChildRun {
-    /// First chunk of the run (runs are chunk-aligned).
-    first_chunk: u32,
-    /// Number of children (the run occupies `ceil(count / LANES)` chunks).
+    /// First lane group of the run.
+    first: u32,
+    /// Number of children (the first `ceil(count / LANES)` groups).
     count: u32,
+    /// Lane groups reserved at `first`: what the run can grow to in place.
+    groups: u32,
+}
+
+/// [`LANES`] children of one parent — what one mask call and its visits
+/// read. Padding lanes fail every mask and are never visited.
+#[derive(Debug, Clone, PartialEq)]
+struct LaneGroup {
+    mbrs: RectLanes,
+    ids: [NodeId; LANES],
 }
 
 /// A flattened snapshot of every node's child MBRs, probed via the SoA
 /// mask kernels instead of per-child pointer chasing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FlatChildren {
     /// Indexed by arena slot (`NodeId::index`); childless and dead slots
     /// hold an empty run.
-    runs: Vec<ChildRun>,
-    /// Child MBRs, one chunk-aligned run per parent, in child order.
-    mbrs: RectChunks,
-    /// Lane-aligned child ids (`ids[chunk * LANES + lane]`); padding
-    /// lanes hold a sentinel that is never visited.
-    ids: Vec<NodeId>,
+    runs: CowVec<ChildRun, 128>,
+    /// One run of lane groups per parent, in child order.
+    groups: CowVec<LaneGroup, 16>,
 }
 
 impl FlatChildren {
     /// Builds the flattened view of `tree`'s current structure in one
     /// pass over the live nodes.
     pub fn build(tree: &GenTree) -> Self {
-        let slots = tree
-            .iter_live()
-            .map(|n| n.index())
-            .max()
-            .map_or(0, |m| m + 1);
-        let mut runs = vec![ChildRun::default(); slots];
-        let mut mbrs = RectChunks::new();
-        let mut ids: Vec<NodeId> = Vec::new();
+        let mut flat = FlatChildren::default();
         for node in tree.iter_live() {
-            let children = tree.children(node);
-            if children.is_empty() {
-                continue;
-            }
-            let first_chunk = mbrs.next_chunk() as u32;
-            for &c in children {
-                mbrs.push(&tree.mbr(c));
-                ids.push(c);
-            }
-            mbrs.align();
-            // Keep ids lane-aligned with the chunk store; the sentinel
-            // is unreachable (visits stop at `count`).
-            ids.resize(mbrs.num_chunks() * LANES, NodeId(u32::MAX));
-            runs[node.index()] = ChildRun {
-                first_chunk,
-                count: children.len() as u32,
-            };
+            flat.rewrite(tree, node);
         }
-        FlatChildren { runs, mbrs, ids }
+        flat
+    }
+
+    /// Brings a view of an earlier state of `tree` up to date from the
+    /// slots written since (`GenTree::take_dirty`: ascending). A written
+    /// node's run is rewritten — in place while its children fit the lane
+    /// groups reserved there, at the end of the store otherwise — and so is
+    /// its parent's, which holds the node's own MBR.
+    pub fn patch(&mut self, tree: &GenTree, dirty: &[NodeId]) {
+        for &node in dirty {
+            self.rewrite(tree, node);
+            let parent = tree.is_live(node).then(|| tree.parent(node)).flatten();
+            if let Some(p) = parent.filter(|p| dirty.binary_search(p).is_err()) {
+                self.rewrite(tree, p);
+            }
+        }
+    }
+
+    fn rewrite(&mut self, tree: &GenTree, node: NodeId) {
+        let children = if tree.is_live(node) {
+            tree.children(node)
+        } else {
+            &[]
+        };
+        while self.runs.len() <= node.index() {
+            self.runs.push(ChildRun::default());
+        }
+        let mut run = self.runs[node.index()];
+        let needed = children.len().div_ceil(LANES) as u32;
+        if needed > run.groups {
+            run.first = self.groups.len() as u32;
+            run.groups = needed;
+        }
+        run.count = children.len() as u32;
+        for (at, members) in (run.first as usize..).zip(children.chunks(LANES)) {
+            let mut group = LaneGroup {
+                mbrs: RectLanes::EMPTY,
+                ids: [NodeId(u32::MAX); LANES],
+            };
+            for (lane, &c) in members.iter().enumerate() {
+                group.mbrs.set(lane, &tree.mbr(c));
+                group.ids[lane] = c;
+            }
+            if at == self.groups.len() {
+                self.groups.push(group);
+            } else if self.groups[at] != group {
+                *self.groups.get_mut(at) = group;
+            }
+        }
+        if self.runs[node.index()] != run {
+            *self.runs.get_mut(node.index()) = run;
+        }
     }
 
     /// Evaluates `filter` between `probe` and every child of `node` with
-    /// one mask call per chunk, invoking `visit(child, passes)` for each
-    /// child **in child order** (the traversal order of the scalar
+    /// one mask call per lane group, invoking `visit(child, passes)` for
+    /// each child **in child order** (the traversal order of the scalar
     /// loops). Both compiled filters are symmetric, so the verdict is
     /// identical for either argument orientation of the scalar filter it
     /// replaces.
@@ -99,18 +133,22 @@ impl FlatChildren {
     ) {
         let run = self.runs[node.index()];
         let mut remaining = run.count as usize;
-        let mut chunk = run.first_chunk as usize;
-        let mut base = chunk * LANES;
+        let mut at = run.first as usize;
         while remaining > 0 {
-            let mask = self.mbrs.filter_mask(probe, filter, chunk);
+            let group = &self.groups[at];
+            let mask = group.mbrs.filter_mask(probe, filter);
             let lanes = remaining.min(LANES);
             for lane in 0..lanes {
-                visit(self.ids[base + lane], mask >> lane & 1 == 1);
+                visit(group.ids[lane], mask >> lane & 1 == 1);
             }
             remaining -= lanes;
-            chunk += 1;
-            base += LANES;
+            at += 1;
         }
+    }
+
+    #[doc(hidden)]
+    pub fn copied_chunks(&self, since: &FlatChildren) -> usize {
+        self.runs.copied_chunks(&since.runs) + self.groups.copied_chunks(&since.groups)
     }
 }
 

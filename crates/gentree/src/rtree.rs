@@ -14,10 +14,10 @@
 //! **quadratic** node splitting, deletion with subtree condensation and
 //! entry reinsertion, and **Sort-Tile-Recursive (STR)** bulk loading.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use sj_geom::{Bounded, Geometry, Rect};
+use sj_storage::IdMap;
 
 use crate::tree::{Entry, GenTree, NodeId};
 
@@ -87,7 +87,7 @@ pub struct RTree {
     /// Copied by the first mutation after [`RTree::shared_tree`] lent it.
     tree: Arc<GenTree>,
     config: RTreeConfig,
-    id_map: HashMap<u64, NodeId>,
+    id_map: IdMap<NodeId>,
     /// Depth of the directory nodes whose children are data entries.
     leaf_level: usize,
 }
@@ -99,7 +99,7 @@ impl RTree {
         RTree {
             tree: Arc::new(GenTree::new(Rect::from_bounds(0.0, 0.0, 0.0, 0.0), None)),
             config,
-            id_map: HashMap::new(),
+            id_map: IdMap::new(),
             leaf_level: 0,
         }
     }
@@ -144,7 +144,7 @@ impl RTree {
     /// Geometry stored under `id`, if present.
     pub fn get(&self, id: u64) -> Option<&Geometry> {
         self.id_map
-            .get(&id)
+            .get(id)
             .map(|&n| &self.tree.entry(n).expect("entry node").geometry)
     }
 
@@ -155,7 +155,7 @@ impl RTree {
     /// Panics if `id` is already present (R-tree keys are unique; use
     /// [`RTree::remove`] first to replace).
     pub fn insert(&mut self, id: u64, geometry: Geometry) {
-        assert!(!self.id_map.contains_key(&id), "duplicate R-tree id {id}");
+        assert!(self.id_map.get(id).is_none(), "duplicate R-tree id {id}");
         let mbr = geometry.mbr();
         // I1: ChooseLeaf.
         let leaf = self.choose_leaf(&mbr);
@@ -169,7 +169,7 @@ impl RTree {
 
     /// Removes `id`, returning true if it was present.
     pub fn remove(&mut self, id: u64) -> bool {
-        let Some(node) = self.id_map.remove(&id) else {
+        let Some(node) = self.id_map.remove(id) else {
             return false;
         };
         let parent = self
@@ -229,31 +229,31 @@ impl RTree {
         // Materialize into a GenTree.
         let (root_mbr, root_sub) = level.pop().expect("non-empty");
         let mut tree = GenTree::new(root_mbr, None);
-        let mut id_map = HashMap::new();
-        fn build(tree: &mut GenTree, id_map: &mut HashMap<u64, NodeId>, parent: NodeId, sub: Sub) {
+        let mut homes = Vec::new();
+        fn build(tree: &mut GenTree, homes: &mut Vec<(u64, NodeId)>, parent: NodeId, sub: Sub) {
             match sub {
                 Sub::Leaf(entries) => {
                     for (mbr, e) in entries {
                         let id = e.id;
                         let n = tree.add_child(parent, mbr, Some(e));
-                        id_map.insert(id, n);
+                        homes.push((id, n));
                     }
                 }
                 Sub::Dir(children) => {
                     for (mbr, s) in children {
                         let n = tree.add_child(parent, mbr, None);
-                        build(tree, id_map, n, s);
+                        build(tree, homes, n, s);
                     }
                 }
             }
         }
         let root = tree.root();
-        build(&mut tree, &mut id_map, root, root_sub);
+        build(&mut tree, &mut homes, root, root_sub);
         tree.take_dirty(); // a freshly loaded tree is clean
         let rt = RTree {
             tree: Arc::new(tree),
             config,
-            id_map,
+            id_map: homes.into_iter().collect(),
             leaf_level: depth_below - 1,
         };
         debug_assert!({
@@ -369,7 +369,7 @@ impl RTree {
             }
         }
         for e in orphans {
-            self.id_map.remove(&e.id);
+            self.id_map.remove(e.id);
             self.insert(e.id, e.geometry);
         }
     }
@@ -395,7 +395,7 @@ impl RTree {
         }
         self.tree.check_invariants();
         let entry_depth = self.leaf_level + 1;
-        for (&id, &n) in &self.id_map {
+        for (id, &n) in self.id_map.iter() {
             assert_eq!(self.tree.entry(n).map(|e| e.id), Some(id), "id map desync");
             assert_eq!(
                 self.tree.depth_of(n),
@@ -1009,7 +1009,10 @@ mod tests {
                         assert!(rt.remove(id));
                         // Guttman D3: orphans of a dissolved node come back
                         // as new nodes.
-                        reinserted |= rt.id_map.iter().any(|(id, node)| homes[id] != *node);
+                        reinserted |= rt
+                            .id_map
+                            .iter()
+                            .any(|(id, node)| homes.get(id) != Some(node));
                     }
                 }
                 rt.check_invariants();

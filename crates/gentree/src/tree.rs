@@ -1,6 +1,7 @@
 //! The arena representation shared by all generalization trees.
 
 use sj_geom::{Bounded, Geometry, Rect};
+use sj_storage::CowVec;
 
 /// Index of a node within a [`GenTree`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,9 +38,12 @@ pub(crate) struct Node {
 /// A generalization tree: every node has a bounding rectangle; each
 /// non-root node's rectangle is contained in its parent's rectangle
 /// (the PART-OF invariant, checked by [`GenTree::check_invariants`]).
-#[derive(Debug)]
+///
+/// The arena is a [`CowVec`]: a clone shares every chunk of nodes and a
+/// mutation copies the chunks it writes.
+#[derive(Debug, Clone)]
 pub struct GenTree {
-    nodes: Vec<Node>,
+    nodes: CowVec<Node, ARENA_CHUNK>,
     free: Vec<NodeId>,
     root: NodeId,
     /// One bit per arena slot written (`node_mut`, `alloc`) since the last
@@ -47,33 +51,22 @@ pub struct GenTree {
     dirty: Vec<u64>,
 }
 
-impl Clone for GenTree {
-    /// Copies are taken to be mutated (copy-on-write snapshots): leave the
-    /// arena headroom, or the copy's first `alloc` moves every node again.
-    fn clone(&self) -> Self {
-        let mut nodes = Vec::with_capacity(self.nodes.len() + self.nodes.len() / 16 + 64);
-        nodes.extend_from_slice(&self.nodes);
-        GenTree {
-            nodes,
-            free: self.free.clone(),
-            root: self.root,
-            dirty: self.dirty.clone(),
-        }
-    }
-}
+/// Arena slots per copy-on-write chunk (measured: DESIGN.md §5i).
+const ARENA_CHUNK: usize = 64;
 
 impl GenTree {
     /// Creates a tree with a root covering `mbr`, optionally carrying an
     /// application entry.
     pub fn new(mbr: Rect, entry: Option<Entry>) -> Self {
+        let root = Node {
+            mbr,
+            entry,
+            parent: None,
+            children: Vec::new(),
+            live: true,
+        };
         GenTree {
-            nodes: vec![Node {
-                mbr,
-                entry,
-                parent: None,
-                children: Vec::new(),
-                live: true,
-            }],
+            nodes: std::iter::once(root).collect(),
             free: Vec::new(),
             root: NodeId(0),
             dirty: Vec::new(),
@@ -207,11 +200,19 @@ impl GenTree {
     /// entry or MBR changed since the last call, and some that did not.
     pub fn take_dirty(&mut self) -> Vec<NodeId> {
         let words = std::mem::take(&mut self.dirty);
-        let written = |slot: &u32| words[*slot as usize / 64] >> (slot % 64) & 1 == 1;
-        (0..words.len() as u32 * 64)
-            .filter(written)
-            .map(NodeId)
-            .collect()
+        let mut slots = Vec::new();
+        for (base, mut word) in (0u32..).step_by(64).zip(words) {
+            while word != 0 {
+                slots.push(NodeId(base + word.trailing_zeros()));
+                word &= word - 1;
+            }
+        }
+        slots
+    }
+
+    #[doc(hidden)]
+    pub fn copied_chunks(&self, since: &GenTree) -> usize {
+        self.nodes.copied_chunks(&since.nodes)
     }
 
     /// Iterates over all live nodes in arena order (no particular tree
@@ -314,7 +315,7 @@ impl GenTree {
 
     pub(crate) fn alloc(&mut self, node: Node) -> NodeId {
         let id = if let Some(id) = self.free.pop() {
-            self.nodes[id.index()] = node;
+            *self.nodes.get_mut(id.index()) = node;
             id
         } else {
             self.nodes.push(node);
@@ -342,7 +343,7 @@ impl GenTree {
     #[inline]
     pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
         self.mark_dirty(id);
-        let n = &mut self.nodes[id.index()];
+        let n = self.nodes.get_mut(id.index());
         debug_assert!(n.live, "accessing a dead node");
         n
     }
@@ -482,23 +483,6 @@ mod tests {
         let a = t.add_child(t.root(), rect(1.0, 1.0, 2.0, 2.0), Some(entry(7, 1.5, 1.5)));
         t.add_child(t.root(), rect(3.0, 3.0, 4.0, 4.0), None);
         assert_eq!(t.entry_nodes(), vec![a]);
-    }
-
-    /// A tree is cloned to be mutated: the copy's first allocation must
-    /// not move the whole arena a second time.
-    #[test]
-    fn clone_leaves_room_for_the_next_allocation() {
-        let mut t = GenTree::new(rect(0.0, 0.0, 10.0, 10.0), None);
-        for i in 0..200 {
-            t.add_child(t.root(), rect(0.0, 0.0, 1.0, 1.0), Some(entry(i, 0.5, 0.5)));
-        }
-        let mut copy = t.clone();
-        assert!(copy.free.is_empty(), "the next alloc must push");
-        let capacity = copy.nodes.capacity();
-        copy.add_child(copy.root(), rect(1.0, 1.0, 2.0, 2.0), None);
-        assert_eq!(copy.nodes.capacity(), capacity, "no reallocation");
-        assert_eq!(copy.node_count(), t.node_count() + 1);
-        copy.check_invariants();
     }
 
     #[test]

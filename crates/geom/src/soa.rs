@@ -55,6 +55,55 @@ pub const LANES: usize = 8;
 /// All-lanes mask: the low [`LANES`] bits set.
 pub const FULL_MASK: u16 = (1u16 << LANES) - 1;
 
+/// One chunk's four coordinate arrays `(lo_x, lo_y, hi_x, hi_y)`: what
+/// every mask kernel reads.
+type LaneRefs<'a> = (
+    &'a [f64; LANES],
+    &'a [f64; LANES],
+    &'a [f64; LANES],
+    &'a [f64; LANES],
+);
+
+/// One free-standing chunk of [`LANES`] MBRs under the padding contract
+/// of the module docs — the unit a store that is not one contiguous
+/// [`RectChunks`] (a tree's child runs, copied chunk by chunk) keeps its
+/// lanes in, probed by the same kernels.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RectLanes {
+    lo_x: [f64; LANES],
+    lo_y: [f64; LANES],
+    hi_x: [f64; LANES],
+    hi_y: [f64; LANES],
+}
+
+impl RectLanes {
+    /// Every lane padding: all masks read `0`.
+    pub const EMPTY: RectLanes = RectLanes {
+        lo_x: [f64::INFINITY; LANES],
+        lo_y: [f64::INFINITY; LANES],
+        hi_x: [f64::NEG_INFINITY; LANES],
+        hi_y: [f64::NEG_INFINITY; LANES],
+    };
+
+    /// Stores `r` in `lane`.
+    pub fn set(&mut self, lane: usize, r: &Rect) {
+        self.lo_x[lane] = r.lo.x;
+        self.lo_y[lane] = r.lo.y;
+        self.hi_x[lane] = r.hi.x;
+        self.hi_y[lane] = r.hi.y;
+    }
+
+    /// [`RectChunks::filter_mask`] over this chunk.
+    #[inline]
+    pub fn filter_mask(&self, probe: &Rect, filter: MaskFilter) -> u16 {
+        filter_lanes(
+            (&self.lo_x, &self.lo_y, &self.hi_x, &self.hi_y),
+            probe,
+            filter,
+        )
+    }
+}
+
 /// MBRs stored as four contiguous coordinate arrays in fixed-width
 /// chunks of [`LANES`], with ±∞ padding lanes (see the module docs).
 #[derive(Debug, Clone, Default)]
@@ -157,7 +206,7 @@ impl RectChunks {
     /// The lane coordinates of `chunk` as four fixed-size arrays
     /// `(lo_x, lo_y, hi_x, hi_y)`.
     #[inline]
-    fn lanes(&self, chunk: usize) -> (&[f64; LANES], &[f64; LANES], &[f64; LANES], &[f64; LANES]) {
+    fn lanes(&self, chunk: usize) -> LaneRefs<'_> {
         let base = chunk * LANES;
         let lx: &[f64; LANES] = self.lo_x[base..base + LANES]
             .try_into()
@@ -182,16 +231,7 @@ impl RectChunks {
     /// result is lane `l` of `chunk`; padding lanes are always `0`.
     #[inline]
     pub fn overlap_mask(&self, probe: &Rect, chunk: usize) -> u16 {
-        let (lx, ly, hx, hy) = self.lanes(chunk);
-        let mut mask = 0u16;
-        for lane in 0..LANES {
-            let hit = (lx[lane] <= probe.hi.x)
-                & (probe.lo.x <= hx[lane])
-                & (ly[lane] <= probe.hi.y)
-                & (probe.lo.y <= hy[lane]);
-            mask |= (hit as u16) << lane;
-        }
-        mask
+        overlap_lanes(self.lanes(chunk), probe)
     }
 
     /// Lanes whose closest-point distance to `probe` is `<= eps` — the
@@ -203,15 +243,7 @@ impl RectChunks {
     /// negative `eps`. Padding lanes are always `0`.
     #[inline]
     pub fn within_mask(&self, probe: &Rect, eps: f64, chunk: usize) -> u16 {
-        let (lx, ly, hx, hy) = self.lanes(chunk);
-        let mut mask = 0u16;
-        for lane in 0..LANES {
-            let dx = (lx[lane] - probe.hi.x).max(probe.lo.x - hx[lane]).max(0.0);
-            let dy = (ly[lane] - probe.hi.y).max(probe.lo.y - hy[lane]).max(0.0);
-            let hit = (dx * dx + dy * dy).sqrt() <= eps;
-            mask |= (hit as u16) << lane;
-        }
-        mask
+        within_lanes(self.lanes(chunk), probe, eps)
     }
 
     /// Lanes with `lo.x <= hi_x` — the forward-scan reach test. Within a
@@ -241,8 +273,6 @@ impl RectChunks {
         mask
     }
 
-    // mask-kernel-end
-
     /// Dispatches to the mask kernel matching a precompiled
     /// [`MaskFilter`]: [`overlap_mask`](RectChunks::overlap_mask) for
     /// [`MaskFilter::Overlap`], [`within_mask`](RectChunks::within_mask)
@@ -250,12 +280,44 @@ impl RectChunks {
     /// `filter.eval(&probe, &lane_l)` (both predicates are symmetric).
     #[inline]
     pub fn filter_mask(&self, probe: &Rect, filter: MaskFilter, chunk: usize) -> u16 {
-        match filter {
-            MaskFilter::Overlap => self.overlap_mask(probe, chunk),
-            MaskFilter::Within(eps) => self.within_mask(probe, eps, chunk),
-        }
+        filter_lanes(self.lanes(chunk), probe, filter)
     }
 }
+
+#[inline]
+fn filter_lanes(lanes: LaneRefs<'_>, probe: &Rect, filter: MaskFilter) -> u16 {
+    match filter {
+        MaskFilter::Overlap => overlap_lanes(lanes, probe),
+        MaskFilter::Within(eps) => within_lanes(lanes, probe, eps),
+    }
+}
+
+#[inline]
+fn overlap_lanes((lx, ly, hx, hy): LaneRefs<'_>, probe: &Rect) -> u16 {
+    let mut mask = 0u16;
+    for lane in 0..LANES {
+        let hit = (lx[lane] <= probe.hi.x)
+            & (probe.lo.x <= hx[lane])
+            & (ly[lane] <= probe.hi.y)
+            & (probe.lo.y <= hy[lane]);
+        mask |= (hit as u16) << lane;
+    }
+    mask
+}
+
+#[inline]
+fn within_lanes((lx, ly, hx, hy): LaneRefs<'_>, probe: &Rect, eps: f64) -> u16 {
+    let mut mask = 0u16;
+    for lane in 0..LANES {
+        let dx = (lx[lane] - probe.hi.x).max(probe.lo.x - hx[lane]).max(0.0);
+        let dy = (ly[lane] - probe.hi.y).max(probe.lo.y - hy[lane]).max(0.0);
+        let hit = (dx * dx + dy * dy).sqrt() <= eps;
+        mask |= (hit as u16) << lane;
+    }
+    mask
+}
+
+// mask-kernel-end
 
 #[cfg(test)]
 mod tests {
@@ -401,6 +463,30 @@ mod tests {
         let m1 = chunks.overlap_mask(&everything, 1);
         assert_eq!(m0, 0b0000_0111, "run A occupies lanes 0..3 of chunk 0");
         assert_eq!(m1, 0b0001_1111, "run B occupies lanes 0..5 of chunk 1");
+    }
+
+    /// A free-standing lane group answers exactly as the same rectangles
+    /// in a `RectChunks` chunk do, padding lanes included.
+    #[test]
+    fn rect_lanes_answer_as_a_rect_chunks_chunk_does() {
+        for n in [0, 1, 5, LANES] {
+            let rects = soup(n, 11);
+            let chunks = RectChunks::from_rects(&rects);
+            let mut lanes = RectLanes::EMPTY;
+            for (lane, r) in rects.iter().enumerate() {
+                lanes.set(lane, r);
+            }
+            for probe in soup(9, 5) {
+                for f in [MaskFilter::Overlap, MaskFilter::Within(4.5)] {
+                    let want = if n == 0 {
+                        0
+                    } else {
+                        chunks.filter_mask(&probe, f, 0)
+                    };
+                    assert_eq!(lanes.filter_mask(&probe, f), want, "n={n} {f:?}");
+                }
+            }
+        }
     }
 
     #[test]

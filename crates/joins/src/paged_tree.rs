@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use sj_gentree::{FlatChildren, GenTree, NodeId};
 use sj_geom::{codec, Geometry};
-use sj_storage::{BufferPool, HeapFile, Layout, RecordId, StorageError};
+use sj_storage::{BufferPool, CowVec, HeapFile, Layout, RecordId, StorageError};
 
 /// Sentinel id for directory nodes (R-tree interiors), which carry no
 /// application tuple but still occupy a stored record.
@@ -54,7 +54,7 @@ pub struct PagedTree {
     file: HeapFile,
     /// `record[n.index()]` = the record that stores node `n`. Indexed by
     /// arena slot; only slots for live nodes are meaningful.
-    record: Vec<RecordId>,
+    record: CowVec<RecordId, 128>,
     mode: CodecMode,
 }
 
@@ -90,6 +90,7 @@ impl PagedTree {
         for (i, node) in order.iter().enumerate() {
             record[node.index()] = file.rid(i);
         }
+        let record = record.into_iter().collect();
         PagedTree { file, record, mode }
     }
 
@@ -121,6 +122,11 @@ impl PagedTree {
     /// Pages occupied by the stored tree.
     pub fn page_count(&self) -> usize {
         self.file.page_count()
+    }
+
+    #[doc(hidden)]
+    pub fn copied_chunks(&self, since: &PagedTree) -> usize {
+        self.record.copied_chunks(&since.record) + self.file.copied_chunks(&since.file)
     }
 }
 
@@ -209,8 +215,8 @@ impl TreeRelation {
     ///   write; records are fixed-size, so in-place is always legal),
     /// * new in `next` → appended to the file.
     ///
-    /// I/O and CPU are O(`dirty`), plus a copy of the record directory
-    /// and a rebuild of the flat snapshot (pure memory); `next` is shared
+    /// I/O and CPU are O(`dirty`): directories and flat snapshot are
+    /// cloned chunk-shared and patched at the dirty slots; `next` is shared
     /// with the caller, not copied. Slots are visited in ascending order,
     /// so the page touch sequence is a function of the two trees alone.
     /// On error the underlying pool may have absorbed partial writes —
@@ -242,10 +248,10 @@ impl TreeRelation {
                 // New: append.
                 (false, true) => {
                     let idx = file.try_append(pool, encode(node))?;
-                    if slot >= record.len() {
-                        record.resize(slot + 1, file.rid(0));
+                    while slot >= record.len() {
+                        record.push(file.rid(0));
                     }
-                    record[slot] = file.rid(idx);
+                    *record.get_mut(slot) = file.rid(idx);
                 }
                 (true, true) => {
                     let unchanged = match (self.tree.entry(node), next.entry(node)) {
@@ -263,8 +269,10 @@ impl TreeRelation {
             }
         }
 
+        let mut flat = self.flat.clone();
+        flat.patch(&next, dirty);
         Ok(TreeRelation {
-            flat: FlatChildren::build(&next),
+            flat,
             paged: PagedTree { file, record, mode },
             tree: next,
         })

@@ -3,11 +3,9 @@
 //! compressed (codec v2) sidecar file whose quantized records the margin
 //! refinement path reads instead of the exact geometry.
 
-use std::collections::HashMap;
-
 use sj_geom::codec;
 use sj_geom::{Bounded, Geometry, QGeometry, Rect};
-use sj_storage::{BufferPool, HeapFile, Layout, StorageError};
+use sj_storage::{BufferPool, HeapFile, IdMap, Layout, StorageError};
 
 /// Maps a codec failure on bytes that came back from a page onto the
 /// storage-level corruption error for that page.
@@ -42,7 +40,7 @@ pub struct StoredRelation {
     /// `slots[i]` = file logical index backing position `i` (ascending).
     slots: Vec<usize>,
     /// Tuple id → the file logical index that backs it.
-    slot_of: HashMap<u64, usize>,
+    slot_of: IdMap<usize>,
 }
 
 impl StoredRelation {
@@ -202,7 +200,7 @@ impl StoredRelation {
     /// ascending `slots`.
     fn position(&self, id: u64) -> usize {
         self.slot_of
-            .get(&id)
+            .get(id)
             .and_then(|slot| self.slots.binary_search(slot).ok())
             .unwrap_or_else(|| panic!("unknown tuple id {id}")) // PANIC-OK: caller bug, ids come from this relation
     }
@@ -252,11 +250,8 @@ impl StoredRelation {
             slots.windows(2).all(|w| w[0] < w[1]),
             "slot list must be ascending"
         );
-        let mut slot_of = HashMap::with_capacity(ids.len());
-        for (&id, &slot) in ids.iter().zip(&slots) {
-            let prev = slot_of.insert(id, slot);
-            assert!(prev.is_none(), "duplicate tuple id {id}");
-        }
+        let slot_of: IdMap<usize> = ids.iter().copied().zip(slots.iter().copied()).collect();
+        assert!(slot_of.len() == ids.len(), "duplicate tuple id");
         StoredRelation {
             file,
             quant: None,
@@ -279,7 +274,7 @@ impl StoredRelation {
         id: u64,
         g: &Geometry,
     ) -> Result<(), StorageError> {
-        assert!(!self.slot_of.contains_key(&id), "duplicate tuple id {id}");
+        assert!(self.slot_of.get(id).is_none(), "duplicate tuple id {id}");
         let record = codec::encode_record(id, g, self.file.record_size());
         let slot = self.file.try_append(pool, record)?;
         self.slot_of.insert(id, slot);
@@ -316,7 +311,7 @@ impl StoredRelation {
         let pos = self.position(id);
         let rid = self.file.rid(self.slots[pos]);
         pool.try_update(rid.page, |p| p.remove(rid.slot))?;
-        self.slot_of.remove(&id);
+        self.slot_of.remove(id);
         self.ids.remove(pos);
         self.slots.remove(pos);
         // The sidecar record at the dead slot is intentionally left in

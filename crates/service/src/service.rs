@@ -712,9 +712,10 @@ struct Applied {
 /// that `GenTree` with the new paged tree. A side no op names is the
 /// previous snapshot's `Arc`. Physical I/O and slots examined are
 /// O(batch · tree height), independent of relation size — the receipt's
-/// `io` and [`WriteMetrics::apply_nodes_touched`] prove it per commit;
-/// what still grows with *n* is the copy of a touched side's handles
-/// (arena, id maps, record directory, flat snapshot).
+/// `io` and [`WriteMetrics::apply_nodes_touched`] prove it per commit —
+/// and so is what is copied: arena, flat view, directories, id maps and
+/// page table are chunk-shared with `current` (`sj_storage::CowVec`);
+/// only `StoredRelation::{ids, slots}` are copied whole.
 fn apply_incremental(
     config: &ServiceConfig,
     current: &DataState,
@@ -1179,6 +1180,14 @@ mod tests {
 
     fn world() -> Rect {
         Rect::from_bounds(0.0, 0.0, 64.0, 64.0)
+    }
+
+    /// Chunks of `now`'s arena, flat view, record directory and heap-file
+    /// directories that are not `Arc::ptr_eq` with `then`'s.
+    fn tree_chunks_copied(now: &TreeRelation, then: &TreeRelation) -> usize {
+        now.tree.copied_chunks(&then.tree)
+            + now.flat.copied_chunks(&then.flat)
+            + now.paged.copied_chunks(&then.paged)
     }
 
     /// A SELECT with a point probe at `(x, y)`.
@@ -1770,6 +1779,148 @@ mod tests {
             "evolve work must follow the batch, not the data: {small} slots at 225 \
              tuples per side, {medium} at 900, {large} at 14 400"
         );
+    }
+
+    /// The sharing sibling: what a commit copies of a touched side's
+    /// arena, flat view, record directory and page table — chunks no
+    /// longer `Arc::ptr_eq` with the previous snapshot's — follows the
+    /// batch too, not the data.
+    #[test]
+    fn incremental_apply_copies_chunks_proportional_to_the_batch() {
+        let copied = |n: usize, step: f64| {
+            let svc = SpatialService::start(
+                ServiceConfig::default(),
+                &grid_tuples(n, step, 0),
+                &grid_tuples(n, step, 50_000),
+                world(),
+            );
+            let before = svc.shared.snapshot.load();
+            let batch = WriteBatch::new()
+                .insert(Side::R, 90_000, Geometry::Point(Point::new(7.0, 7.0)))
+                .delete(Side::S, 50_003);
+            svc.commit(&batch).expect("commit succeeds");
+            let after = svc.shared.snapshot.load();
+            tree_chunks_copied(&after.r.tree, &before.r.tree)
+                + tree_chunks_copied(&after.s.tree, &before.s.tree)
+                + after.pool.disk().copied_chunks(before.pool.disk())
+        };
+        let (small, medium, large) = (copied(15, 4.0), copied(30, 2.0), copied(120, 0.5));
+        assert!(
+            small > 0,
+            "a commit that changes state copies what it writes"
+        );
+        assert!(
+            medium <= 2 * small && large <= 2 * small,
+            "copied chunks must follow the batch, not the data: {small} at 225 \
+             tuples per side, {medium} at 900, {large} at 14 400"
+        );
+    }
+
+    /// The wall-clock sibling: one fixed 16-upsert batch against 64× the
+    /// data may take at most 4× as long (minimum over 15 commits each;
+    /// with whole-copied snapshot state it took 34×).
+    #[test]
+    fn commit_wall_clock_follows_the_batch_not_the_data() {
+        let fastest = |rows: usize| {
+            let r: Vec<_> = (0..rows * 100)
+                .map(|i| {
+                    let at = Point::new((i % 100) as f64 * 0.6, (i / 100) as f64 * 0.3);
+                    (i as u64, Geometry::Point(at))
+                })
+                .collect();
+            let svc = SpatialService::start(
+                ServiceConfig::default(),
+                &r,
+                &grid_tuples(5, 10.0, 50_000),
+                world(),
+            );
+            let stride = r.len() as u64 / 16;
+            (0..15)
+                .map(|round| {
+                    let batch = (0..16u64).fold(WriteBatch::new(), |b, k| {
+                        let at = Point::new(k as f64 * 3.5 + round as f64 * 0.01, 1.0);
+                        b.upsert(Side::R, k * stride, Geometry::Point(at))
+                    });
+                    let started = Instant::now();
+                    svc.commit(&batch).expect("commit succeeds");
+                    started.elapsed()
+                })
+                .min()
+                .expect("fifteen commits")
+        };
+        let (small, large) = (fastest(3), fastest(190));
+        assert!(
+            large <= 4 * small,
+            "commit time must follow the batch, not the data: {small:?} at 300 \
+             R-tuples, {large:?} at 19 000"
+        );
+    }
+
+    /// The isolation sibling: a reader that pinned version *v* shares
+    /// chunks with every later snapshot, and fifty commits later — each
+    /// having copied before it wrote — it still answers a SELECT and all
+    /// three join strategies exactly as a service rebuilt at *v* does.
+    #[test]
+    fn a_pinned_snapshot_is_untouched_by_fifty_later_commits() {
+        let config = ServiceConfig::default();
+        let (mut r, mut s) = (grid_tuples(12, 5.0, 0), grid_tuples(12, 5.0, 5_000));
+        let svc = SpatialService::start(config, &r, &s, world());
+        // *v* is two commits in, so it already shares chunks both ways.
+        for k in 0..2u64 {
+            let at = Geometry::Point(Point::new(11.0 + k as f64, 13.0));
+            let batch = WriteBatch::new()
+                .insert(Side::R, 900 + k, at.clone())
+                .insert(Side::S, 5_900 + k, at.clone());
+            svc.commit(&batch).expect("commit succeeds");
+            r.push((900 + k, at.clone()));
+            s.push((5_900 + k, at));
+        }
+        let pinned = svc.shared.snapshot.load();
+        let theta = ThetaOp::WithinDistance(6.0);
+        let requests = [
+            select_at(Side::R, 30.0, 30.0, theta),
+            select_at(Side::S, 12.0, 12.0, theta),
+            Request::join(Strategy::Sweep, theta),
+            Request::join(Strategy::Partition, theta),
+            Request::join(Strategy::Tree, theta),
+        ];
+        let answers = |state: &DataState| -> Vec<Reply> {
+            let compute = |req| try_compute(state, &config, req, None).expect("no faults armed");
+            requests.iter().map(compute).collect()
+        };
+        let before = answers(&pinned);
+
+        for b in 0..50u64 {
+            let at = |k: u64| {
+                let (x, y) = ((b * 7 + k * 13) % 60, (b * 11 + k * 5) % 60);
+                Geometry::Point(Point::new(x as f64, y as f64))
+            };
+            let mut batch = WriteBatch::new();
+            for (side, id0) in [(Side::R, 0), (Side::S, 5_000)] {
+                for k in 0..4 {
+                    batch = batch.upsert(side, id0 + 50 + (b * 4 + k) % 90, at(k));
+                }
+                batch = batch
+                    .delete(side, id0 + b)
+                    .insert(side, id0 + 500 + b, at(9));
+            }
+            let receipt = svc.commit(&batch).expect("commit succeeds");
+            assert!(receipt.outcomes.iter().all(MutationOutcome::applied));
+        }
+        let head = svc.shared.snapshot.load();
+        assert_eq!(head.version, pinned.version + 50);
+        for (now, then) in [(&head.r, &pinned.r), (&head.s, &pinned.s)] {
+            assert!(
+                tree_chunks_copied(&now.tree, &then.tree) > 0,
+                "the commits wrote"
+            );
+        }
+        assert!(head.pool.disk().copied_chunks(pinned.pool.disk()) > 0);
+
+        assert_eq!(answers(&pinned), before, "the pinned version moved");
+        let rebuilt = SpatialService::start(config, &r, &s, world());
+        assert_eq!(before, answers(&rebuilt.shared.snapshot.load()));
+        assert_ne!(before, answers(&head), "the head did move");
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! Its sibling does the same with SELECTs from a small hot set, most of
 //! them answered by the cache probe in `submit` while commits purge,
 //! re-stamp and rehome the entries under it.
+//!
+//! A third streams fifty commits of upserts, deletes and inserts under a
+//! SELECT and all three join strategies: successive snapshots share their
+//! arena, flat-view, directory and page-table chunks, and every commit
+//! writes — so copies — chunks the snapshot a reader holds still shares.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -311,4 +316,139 @@ fn concurrent_selects_probing_at_submit_match_sequential_replay_while_commits_pu
         }
     }
     assert_eq!(svc.metrics().completed, responses.len() as u64);
+}
+
+/// The third test's request mix: a SELECT on R and one JOIN per strategy.
+fn mixed_request(slot: usize) -> Request {
+    let theta = ThetaOp::WithinDistance(6.0);
+    match slot % 4 {
+        0 => Request::select(Side::R, Geometry::Point(Point::new(30.0, 30.0)), theta),
+        1 => Request::join(Strategy::Sweep, theta),
+        2 => Request::join(Strategy::Partition, theta),
+        _ => Request::join(Strategy::Tree, theta),
+    }
+}
+
+#[test]
+fn readers_of_chunk_shared_snapshots_match_replay_across_fifty_commits() {
+    let config = ServiceConfig {
+        workers: 3,
+        queue_depth: 256,
+        cache_capacity: 0,
+        ..ServiceConfig::default()
+    };
+    let r0 = grid_tuples(12, 5.0, 0);
+    let s0 = grid_tuples(12, 5.0, 1000);
+    let svc = Arc::new(SpatialService::start(config, &r0, &s0, world()));
+
+    // Commit `b` moves four tuples per side across the grid (upserts of
+    // ids the seed holds), deletes one seed tuple per side and inserts one
+    // fresh one: leaves, their ancestors, both directories and the pages
+    // under them are rewritten all over both trees, fifty times.
+    type Op = (Side, u64, Option<Geometry>);
+    let batches: Vec<Vec<Op>> = (0..50u64)
+        .map(|b| {
+            let at = |k: u64| {
+                Point::new(
+                    (b * 7 + k * 13) as f64 % 60.0,
+                    (b * 11 + k * 5) as f64 % 60.0,
+                )
+            };
+            let mut ops: Vec<Op> = Vec::new();
+            for (side, id0) in [(Side::R, 0), (Side::S, 1000)] {
+                for k in 0..4 {
+                    let id = id0 + 50 + (b * 4 + k) % 90;
+                    ops.push((side, id, Some(Geometry::Point(at(k)))));
+                }
+                ops.push((side, id0 + b % 50, None));
+                ops.push((side, id0 + 500 + b, Some(Geometry::Point(at(9)))));
+            }
+            ops
+        })
+        .collect();
+    let write = |ops: &[Op]| {
+        ops.iter()
+            .fold(WriteBatch::new(), |wb, (side, id, g)| match g {
+                Some(g) => wb.upsert(*side, *id, g.clone()),
+                None => wb.delete(*side, *id),
+            })
+    };
+    // The tuples of each version, by sequential replay of the stream.
+    let mut versions = vec![(r0.clone(), s0.clone())];
+    for ops in &batches {
+        let (mut r, mut s) = versions.last().expect("seed version").clone();
+        for (side, id, g) in ops {
+            let rel = if *side == Side::R { &mut r } else { &mut s };
+            rel.retain(|(have, _)| have != id);
+            rel.extend(g.clone().map(|g| (*id, g)));
+        }
+        versions.push((r, s));
+    }
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let answered = Arc::new(AtomicU64::new(0));
+    let readers: Vec<_> = (0..3usize)
+        .map(|t| {
+            let (svc, stop, answered) = (svc.clone(), stop.clone(), answered.clone());
+            std::thread::spawn(move || {
+                let mut seen: Vec<(u64, usize, Reply)> = Vec::new();
+                let mut slot = t;
+                while !stop.load(Ordering::Relaxed) {
+                    slot += 1;
+                    match svc.call(mixed_request(slot)) {
+                        Ok(resp) => {
+                            seen.push((resp.version, slot % 4, resp.reply));
+                            answered.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(Rejection::QueueFull) => continue,
+                        Err(other) => panic!("unexpected rejection {other:?}"),
+                    }
+                }
+                seen
+            })
+        })
+        .collect();
+    // Every version serves a few requests before the next commit lands.
+    let await_traffic = || {
+        let target = answered.load(Ordering::Relaxed) + 6;
+        while answered.load(Ordering::Relaxed) < target {
+            std::thread::yield_now();
+        }
+    };
+    for ops in &batches {
+        await_traffic();
+        svc.commit(&write(ops))
+            .expect("stress commits must succeed");
+    }
+    await_traffic();
+    stop.store(true, Ordering::Relaxed);
+    let mut responses = Vec::new();
+    for reader in readers {
+        responses.extend(reader.join().expect("reader thread must not panic"));
+    }
+
+    let observed: std::collections::BTreeSet<u64> = responses.iter().map(|(v, ..)| *v).collect();
+    assert!(
+        observed.len() >= 10 && observed.contains(&50),
+        "the run must span the commit stream, saw {observed:?}"
+    );
+    for &version in &observed {
+        let (r, s) = &versions[version as usize];
+        let reference = SpatialService::start(
+            ServiceConfig {
+                workers: 1,
+                ..config
+            },
+            r,
+            s,
+            world(),
+        );
+        for (_, slot, got) in responses.iter().filter(|(v, ..)| *v == version) {
+            assert_eq!(
+                got,
+                &reference.execute_reference(&mixed_request(*slot)),
+                "request {slot} at version {version} diverged from sequential replay"
+            );
+        }
+    }
 }

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use crate::cow::CowVec;
 use crate::error::StorageError;
 use crate::fault::{FaultInjector, FaultOp};
 use crate::page::{Page, PageId};
@@ -53,6 +54,11 @@ impl DiskConfig {
     }
 }
 
+/// The page table, in chunks of 64 handles: small enough that a commit's
+/// ≈ 85 scattered page writes re-count a fraction of the table, large
+/// enough that the spine stays cache-resident under reads (DESIGN.md §5i).
+type PageTable = CowVec<Arc<Page>, 64>;
+
 /// The simulated disk.
 ///
 /// Pages are stored behind [`Arc`] so that a read costs an O(1) handle
@@ -61,7 +67,7 @@ impl DiskConfig {
 #[derive(Debug)]
 pub struct Disk {
     config: DiskConfig,
-    pages: Arc<Vec<Arc<Page>>>,
+    pages: Arc<PageTable>,
     stats: IoStats,
     /// Optional deterministic fault injector consulted by every physical
     /// operation.
@@ -160,7 +166,7 @@ impl Disk {
             inj.check(FaultOp::Write, id)?;
         }
         self.stats.physical_writes += 1;
-        Arc::make_mut(&mut self.pages)[id.index()] = page;
+        *Arc::make_mut(&mut self.pages).get_mut(id.index()) = page;
         Ok(())
     }
 
@@ -168,8 +174,9 @@ impl Disk {
     /// work: the snapshot shares the page table with `self` (one pointer
     /// clone, nothing per page) and starts with zeroed counters so each
     /// worker's I/O is accounted independently. Whichever disk writes or
-    /// allocates first copies the table (O(pages) pointer clones, no byte
-    /// copies), so neither sees the other's changes.
+    /// allocates first takes its own spine of the table, and then its own
+    /// copy of each chunk of handles it writes into (no byte copies), so
+    /// neither sees the other's changes.
     /// The armed injector is cloned stream-state and all, so a shard's
     /// fault decisions are a deterministic function of its own operation
     /// sequence (each shard owns an independent stream and budget).
@@ -186,6 +193,12 @@ impl Disk {
     /// Inspects a page without charging I/O (test/debug use).
     pub fn peek(&self, id: PageId) -> &Page {
         &self.pages[id.index()]
+    }
+
+    /// Chunks of the page table this disk no longer shares with `since`.
+    #[doc(hidden)]
+    pub fn copied_chunks(&self, since: &Disk) -> usize {
+        self.pages.copied_chunks(&since.pages)
     }
 
     /// Physical I/O counters.
@@ -290,6 +303,11 @@ mod tests {
         assert_eq!((d.peek(ids[0]).used(), view.peek(ids[0]).used()), (4, 10));
         // Untouched pages are still the same images, not copies.
         assert!(Arc::ptr_eq(&d.pages[1], &view.pages[1]));
+        assert_eq!(
+            view.copied_chunks(&d),
+            1,
+            "one chunk of handles, not the table"
+        );
 
         // The parent allocates and writes: the nested view keeps the old table.
         let extra = d.try_allocate().unwrap();

@@ -13,6 +13,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::buffer::BufferPool;
+use crate::cow::CowVec;
 use crate::error::StorageError;
 use crate::page::PageId;
 
@@ -38,11 +39,13 @@ pub enum Layout {
 }
 
 /// A file of fixed-size records with a logical-to-physical directory.
+/// Both arrays only grow at the end, so a clone shares everything and an
+/// append copies the last chunk: large chunks, short spines.
 #[derive(Debug, Clone)]
 pub struct HeapFile {
-    pages: Vec<PageId>,
+    pages: CowVec<PageId, 256>,
     /// `directory[i]` is the physical address of logical record `i`.
-    directory: Vec<RecordId>,
+    directory: CowVec<RecordId, 256>,
     record_size: usize,
     records_per_page: usize,
 }
@@ -103,8 +106,8 @@ impl HeapFile {
         }
 
         Ok(HeapFile {
-            pages,
-            directory,
+            pages: pages.into_iter().collect(),
+            directory: directory.into_iter().collect(),
             record_size,
             records_per_page: m,
         })
@@ -193,15 +196,15 @@ impl HeapFile {
     }
 
     pub(crate) fn owns_page(&self, page: PageId) -> bool {
-        self.pages.contains(&page)
+        self.pages.iter().any(|&p| p == page)
     }
 
     /// Decomposes the file into raw parts for external serialization:
     /// `(pages, directory, record_size, records_per_page)`.
     pub fn to_parts(&self) -> (Vec<PageId>, Vec<RecordId>, usize, usize) {
         (
-            self.pages.clone(),
-            self.directory.clone(),
+            self.pages.iter().copied().collect(),
+            self.directory.iter().copied().collect(),
             self.record_size,
             self.records_per_page,
         )
@@ -229,11 +232,17 @@ impl HeapFile {
             );
         }
         HeapFile {
-            pages,
-            directory,
+            pages: pages.into_iter().collect(),
+            directory: directory.into_iter().collect(),
             record_size,
             records_per_page,
         }
+    }
+
+    /// Chunks of both arrays this file no longer shares with `since`.
+    #[doc(hidden)]
+    pub fn copied_chunks(&self, since: &HeapFile) -> usize {
+        self.pages.copied_chunks(&since.pages) + self.directory.copied_chunks(&since.directory)
     }
 }
 
@@ -339,7 +348,7 @@ mod tests {
                 "fresh pages have no image to read"
             );
             // Slots were assigned in physical order within each page.
-            for page in &f.pages {
+            for page in f.pages.iter() {
                 let on_page = (0..23).filter(|&i| f.rid(i).page == *page);
                 let mut slots: Vec<u16> = on_page.map(|i| f.rid(i).slot).collect();
                 slots.sort_unstable();
@@ -354,8 +363,8 @@ mod tests {
         // directly to pin the boundary behavior.
         let mut p = pool();
         let mut f = HeapFile {
-            pages: Vec::new(),
-            directory: Vec::new(),
+            pages: CowVec::new(),
+            directory: CowVec::new(),
             record_size: 300,
             records_per_page: 5,
         };

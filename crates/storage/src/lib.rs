@@ -13,7 +13,10 @@
 //!   placement ([`Layout`]), the distinction between the paper's
 //!   strategies IIa and IIb,
 //! * [`IoStats`] — the measurement interface every join-strategy executor
-//!   reports through.
+//!   reports through,
+//! * [`CowVec`] — the copy-on-write chunked vector under the page table,
+//!   the heap-file directories and, in the crates above, every other array
+//!   a snapshot shares with its successor ([`IdMap`]: id directories).
 //!
 //! Every paged operation has one shape: fallible (`try_*`, returning
 //! [`StorageError`]) and charged through the pool. There is no panicking
@@ -25,7 +28,8 @@
 //! formulas. For the serving layer's workers and commits,
 //! [`Disk::read_view`] and [`BufferPool::fork_view`] hand out a private
 //! pool shard over a copy-on-write snapshot of the disk (the page table
-//! is shared until a side writes, so a fork is O(1); pages live behind
+//! is shared until a side writes — and then chunk by chunk — so a fork is
+//! O(1); pages live behind
 //! `Arc` and `try_read_record` lends the frame's bytes, so no read copies
 //! any). Shards start with zeroed [`IoStats`], combined via `merge`/`+=`.
 //!
@@ -52,6 +56,7 @@
 //! ```
 
 pub mod buffer;
+pub mod cow;
 pub mod disk;
 pub mod error;
 pub mod fault;
@@ -63,6 +68,7 @@ pub mod stats;
 pub mod wal;
 
 pub use buffer::BufferPool;
+pub use cow::{CowVec, IdMap};
 pub use disk::{Disk, DiskConfig};
 pub use error::StorageError;
 pub use fault::{FaultConfig, FaultEvent, FaultInjector, FaultOp};

@@ -1,10 +1,10 @@
 //! Property tests for the storage simulator: heap-file contents round-trip
 //! under any layout, I/O accounting is consistent, the LRU pool obeys
-//! its capacity, and forked views are isolated however forks, writes and
-//! allocations interleave.
+//! its capacity, forked views are isolated however forks, writes and
+//! allocations interleave, and `CowVec` reads what a `Vec` model reads.
 
 use proptest::prelude::*;
-use sj_storage::{BufferPool, Disk, DiskConfig, HeapFile, Layout, PageId};
+use sj_storage::{BufferPool, CowVec, Disk, DiskConfig, HeapFile, Layout, PageId};
 
 fn pool(capacity: usize) -> BufferPool {
     BufferPool::new(Disk::new(DiskConfig::paper()), capacity)
@@ -153,6 +153,57 @@ proptest! {
             for page in 0..model.len() {
                 prop_assert!(agrees(pool, model, page));
             }
+        }
+    }
+
+    /// `CowVec` against a `Vec` model, one model per generation: however
+    /// pushes, overwrites, clones (clones of clones included) and drops
+    /// interleave, every generation reads what a plain `Vec` cloned at
+    /// the same moments reads — a clone never sees a later write, a
+    /// writer never loses one — and one overwrite in a fresh clone
+    /// un-shares exactly the one full chunk it lands in.
+    #[test]
+    fn cow_vec_generations_read_what_their_vec_models_read(
+        ops in prop::collection::vec((0u8..7, any::<u16>(), any::<u32>()), 1..240),
+    ) {
+        let mut gens: Vec<(CowVec<u32, 4>, Vec<u32>)> = vec![(CowVec::new(), Vec::new())];
+        for (op, pick, value) in ops {
+            let (at, count) = (pick as usize % gens.len(), gens.len());
+            let (cow, model) = &mut gens[at];
+            let index = (!model.is_empty()).then(|| (pick as usize / 7) % model.len());
+            match (op, index) {
+                (0, _) if count < 6 => {
+                    let clone = (cow.clone(), model.clone());
+                    // The partial chunk is the only private part of a clone.
+                    prop_assert_eq!(clone.0.copied_chunks(cow), usize::from(model.len() % 4 != 0));
+                    gens.push(clone);
+                }
+                (1 | 2, _) | (_, None) => {
+                    cow.push(value);
+                    model.push(value);
+                }
+                (3 | 4, Some(i)) => {
+                    let (before, old) = (cow.clone(), model[i]);
+                    *cow.get_mut(i) = value;
+                    model[i] = value;
+                    let sealed = i < model.len() / 4 * 4;
+                    prop_assert_eq!(
+                        cow.copied_chunks(&before),
+                        usize::from(sealed) + usize::from(model.len() % 4 != 0)
+                    );
+                    prop_assert_eq!((before[i], cow[i]), (old, value));
+                }
+                (5, Some(_)) if count > 1 => {
+                    gens.swap_remove(at);
+                }
+                (_, Some(i)) => prop_assert_eq!(cow[i], model[i]),
+            }
+        }
+        for (cow, model) in &gens {
+            prop_assert_eq!(cow.len(), model.len());
+            prop_assert_eq!(cow.iter().copied().collect::<Vec<_>>(), model.clone());
+            prop_assert_eq!(cow.get(model.len()), None);
+            prop_assert_eq!(cow.last(), model.last());
         }
     }
 }

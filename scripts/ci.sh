@@ -134,19 +134,31 @@ echo "    -> no thread:: in sj-joins/sj-gentree, no Parallelism knob"
 echo "==> batch-bounded commit gate (commit work follows the batch)"
 # A commit's CPU follows what its batch touches: the paged-tree evolve
 # visits the R-tree's dirty slots, never a whole tree (the constructors'
-# bfs_order stays), and a relation delete rewrites no directory.
+# bfs_order stays), and a relation delete rewrites no directory. Its
+# copies follow the batch too: the arena and the page table are chunked
+# copy-on-write (no whole-`Vec` form, no hand-written arena `Clone`), and
+# the evolve patches the flat view instead of rebuilding it.
 walks=$(
     awk '/^#\[cfg\(test\)\]/ { exit } /iter_live/ { print FILENAME ":" FNR ": " $0 }' \
         crates/joins/src/paged_tree.rs
     awk '/^#\[cfg\(test\)\]/ { exit } /\.skip\(pos\)/ { print FILENAME ":" FNR ": " $0 }' \
         crates/joins/src/relation.rs
+    awk '/^#\[cfg\(test\)\]/ { exit }
+         /impl Clone for GenTree|Vec<Node>/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/gentree/src/tree.rs
+    awk '/^    pub fn try_evolve/ { scan = 1 }
+         scan && /FlatChildren::build|iter_live/ { print FILENAME ":" FNR ": " $0 }
+         scan && /^    }$/ { exit }' crates/joins/src/paged_tree.rs
+    awk '/^#\[cfg\(test\)\]/ { exit } /Vec<Arc<Page>>/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/storage/src/disk.rs
 )
 if [ -n "$walks" ]; then
     echo "    O(n) work is back on the commit path:"
     echo "$walks"
     exit 1
 fi
-echo "    -> try_evolve walks no tree, try_delete rewrites no directory"
+echo "    -> try_evolve walks no tree and rebuilds no view, try_delete rewrites no"
+echo "       directory, arena and page table are chunked copy-on-write"
 
 echo "==> read-path gate (a read copies nothing)"
 # A read pays for what it reads: forking a view clones no page table,
