@@ -5,8 +5,8 @@
 //! * [`workload`] — seeded synthetic spatial workload generators: uniform
 //!   and Gaussian-clustered points/rectangles/polygons, plus the paper's
 //!   motivating *house/lake* scenario (§1, query (2)),
-//! * [`advisor`] — the paper's §5 conclusions as an executable strategy
-//!   advisor (cost-model scoring + Monte-Carlo selectivity estimation),
+//! * [`advisor`] — a re-export of [`sj_joins::advisor`], the optimizer,
+//!   which lives beside the strategies it chooses among,
 //! * [`experiment`] — the analytic-vs-measured harness: it runs the real
 //!   executors of `sj-joins` on balanced k-ary trees (the model's S1/S2
 //!   assumptions made concrete) and compares measured page I/O and
@@ -32,7 +32,6 @@
 //! let _ = WorkloadSpec::default();
 //! ```
 
-pub mod advisor;
 pub mod experiment;
 pub mod workload;
 
@@ -40,6 +39,7 @@ pub use sj_btree::BPlusTree;
 pub use sj_costmodel::{Distribution, ModelParams};
 pub use sj_gentree::{GenTree, NodeId};
 pub use sj_geom::{Bounded, Direction, Geometry, Point, Polygon, Polyline, Rect, ThetaOp};
+pub use sj_joins::advisor;
 pub use sj_joins::{ExecStats, JoinIndex, StoredRelation, TreeRelation};
 pub use sj_rel::{Column, Database, JoinStrategy, Schema, Tuple, Value, ValueType};
 pub use sj_storage::{BufferPool, Disk, DiskConfig, HeapFile, IoStats, Layout};

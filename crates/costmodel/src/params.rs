@@ -125,14 +125,25 @@ impl ModelParams {
         }
     }
 
-    /// Sanity checks on parameter ranges; panics on nonsense inputs.
-    pub fn validate(&self) {
-        assert!(self.k >= 2, "fan-out k must be ≥ 2");
-        assert!(self.h <= self.n, "selector height h must be ≤ n");
-        assert!(self.l > 0.0 && self.l <= 1.0, "utilization l in (0,1]");
-        assert!(self.v > 0.0 && self.s >= self.v, "page must fit a tuple");
-        assert!(self.m_mem > 10.0, "model requires M > 10 pages");
-        assert!(self.z >= 1.0 && self.d >= 1.0);
+    /// Whether the parameters are inside the model's domain, or what
+    /// puts them outside. The §4 formulas assert on (or turn into NaN)
+    /// anything this rejects, so check caller-supplied parameters here
+    /// before pricing with them.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let checks = [
+            (self.k >= 2, "fan-out k must be ≥ 2"),
+            (self.h <= self.n, "selector height h must be ≤ n"),
+            (self.n_tuples().is_finite(), "k^n must be a finite N"),
+            (self.l > 0.0 && self.l <= 1.0, "utilization l in (0,1]"),
+            (self.v > 0.0 && self.s >= self.v, "page must fit a tuple"),
+            (self.m() >= 1.0, "a page at utilization l must fit a tuple"),
+            (self.m_mem > 10.0, "model requires M > 10 pages"),
+            (self.z >= 1.0 && self.d >= 1.0, "z and d must be ≥ 1"),
+        ];
+        match checks.iter().find(|(ok, _)| !ok) {
+            Some((_, why)) => Err(why),
+            None => Ok(()),
+        }
     }
 }
 
@@ -143,7 +154,7 @@ mod tests {
     #[test]
     fn paper_derived_variables_match_table_3() {
         let p = ModelParams::paper();
-        p.validate();
+        assert_eq!(p.validate(), Ok(()));
         assert_eq!(p.n_tuples(), 1_111_111.0);
         assert_eq!(p.m(), 5.0);
         assert_eq!(p.d, 4.0);
@@ -174,6 +185,21 @@ mod tests {
             h: 9,
             ..ModelParams::paper()
         };
-        p.validate();
+        p.validate().unwrap();
+    }
+
+    /// The two ways N and m degenerate: 0/0 tuples, zero tuples a page.
+    #[test]
+    fn degenerate_derived_variables_rejected() {
+        let unary = ModelParams {
+            k: 1,
+            ..ModelParams::paper()
+        };
+        assert!(unary.n_tuples().is_nan() && unary.validate().is_err());
+        let oversized = ModelParams {
+            v: 1_800.0,
+            ..ModelParams::paper()
+        };
+        assert!(oversized.m() == 0.0 && oversized.validate().is_err());
     }
 }

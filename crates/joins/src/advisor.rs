@@ -9,13 +9,24 @@
 //! advisor totals `query cost + updates·update cost` from the §4 formulas
 //! and recommends a strategy. A Monte-Carlo selectivity estimator supplies
 //! `p` when only the data is known.
+//!
+//! The workspace's one optimizer: the service's `Auto` ([`auto_chooser`]),
+//! the router's feedback loop ([`AdaptiveAdvisor`]) and `sj-rel`'s planner
+//! all choose through [`choose_join_strategy`] and sample through
+//! [`try_estimate_selectivity`].
+
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::mem::{discriminant, Discriminant};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sj_costmodel::{join, select, update, Distribution, ModelParams};
 use sj_geom::ThetaOp;
-use sj_joins::StoredRelation;
 use sj_storage::{BufferPool, StorageError};
+
+use crate::executor::Strategy;
+use crate::relation::StoredRelation;
 
 /// What the query mix does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +63,20 @@ impl Candidate {
             Candidate::JoinIndex => "III (join index)",
         }
     }
+
+    /// The executor strategy implementing this candidate.
+    ///
+    /// The model scores the paper's four §4 strategies; the executor layer
+    /// has more (sweep, z-order, grid, partition), but those are outside
+    /// the §4 cost formulas, so `Auto` dispatch only ever names these
+    /// three.
+    pub fn strategy(self) -> Strategy {
+        match self {
+            Candidate::NestedLoop => Strategy::NestedLoop,
+            Candidate::TreeUnclustered | Candidate::TreeClustered => Strategy::Tree,
+            Candidate::JoinIndex => Strategy::JoinIndex,
+        }
+    }
 }
 
 /// The workload description the advisor consumes.
@@ -82,90 +107,83 @@ impl Scored {
 }
 
 /// Scores all four strategies for the profile (query and per-insert
-/// update costs, in model units).
-pub fn score(profile: &WorkloadProfile) -> Vec<Scored> {
+/// update costs, in model units), in [`Candidate::ALL`] order. The
+/// profile is caller-supplied (`ServiceConfig::profile`): one outside the
+/// model's domain ([`ModelParams::validate`], a selectivity outside
+/// `[0, 1]`) is unpriced — every cost NaN — rather than handed to
+/// formulas that assert on it.
+pub fn score(profile: &WorkloadProfile) -> [Scored; 4] {
     let p = &profile.params;
     let d = profile.distribution;
     let sel = profile.selectivity;
-    Candidate::ALL
-        .iter()
-        .map(|&candidate| {
-            let query_cost = match (profile.operation, candidate) {
-                (Operation::Selection, Candidate::NestedLoop) => select::c_i(p),
-                (Operation::Selection, Candidate::TreeUnclustered) => select::c_iia(p, d, sel),
-                (Operation::Selection, Candidate::TreeClustered) => select::c_iib(p, d, sel),
-                (Operation::Selection, Candidate::JoinIndex) => select::c_iii(p, d, sel),
-                (Operation::Join, Candidate::NestedLoop) => join::d_i(p),
-                (Operation::Join, Candidate::TreeUnclustered) => join::d_iia(p, d, sel),
-                (Operation::Join, Candidate::TreeClustered) => join::d_iib(p, d, sel),
-                (Operation::Join, Candidate::JoinIndex) => join::d_iii(p, d, sel),
-            };
-            let update_cost = match candidate {
-                Candidate::NestedLoop => update::u_i(p),
-                Candidate::TreeUnclustered => update::u_iia(p),
-                Candidate::TreeClustered => update::u_iib(p),
-                Candidate::JoinIndex => update::u_iii(p),
-            };
-            Scored {
+    let priced = p.validate().is_ok() && (0.0..=1.0).contains(&sel);
+    Candidate::ALL.map(|candidate| {
+        if !priced {
+            return Scored {
                 candidate,
-                query_cost,
-                update_cost,
-            }
-        })
-        .collect()
+                query_cost: f64::NAN,
+                update_cost: f64::NAN,
+            };
+        }
+        let query_cost = match (profile.operation, candidate) {
+            (Operation::Selection, Candidate::NestedLoop) => select::c_i(p),
+            (Operation::Selection, Candidate::TreeUnclustered) => select::c_iia(p, d, sel),
+            (Operation::Selection, Candidate::TreeClustered) => select::c_iib(p, d, sel),
+            (Operation::Selection, Candidate::JoinIndex) => select::c_iii(p, d, sel),
+            (Operation::Join, Candidate::NestedLoop) => join::d_i(p),
+            (Operation::Join, Candidate::TreeUnclustered) => join::d_iia(p, d, sel),
+            (Operation::Join, Candidate::TreeClustered) => join::d_iib(p, d, sel),
+            (Operation::Join, Candidate::JoinIndex) => join::d_iii(p, d, sel),
+        };
+        let update_cost = match candidate {
+            Candidate::NestedLoop => update::u_i(p),
+            Candidate::TreeUnclustered => update::u_iia(p),
+            Candidate::TreeClustered => update::u_iib(p),
+            Candidate::JoinIndex => update::u_iii(p),
+        };
+        Scored {
+            candidate,
+            query_cost,
+            update_cost,
+        }
+    })
 }
 
-/// The cheapest strategy for the profile, with the full scoreboard.
-pub fn recommend(profile: &WorkloadProfile) -> (Candidate, Vec<Scored>) {
-    let scores = score(profile);
-    let best = scores
+/// Ascending cost order with NaN last: a cost the model could not price
+/// (an unpriced profile, `∞ · 0` from an infinite update ratio) demotes
+/// its candidate instead of panicking a worker.
+fn by_cost(a: f64, b: f64) -> Ordering {
+    a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
+}
+
+/// The scoreboard ranked cheapest-first (query cost plus amortized update
+/// cost; ties keep [`Candidate::ALL`] order), with its head: the
+/// strategy the §4 model recommends for the profile.
+pub fn recommend(profile: &WorkloadProfile) -> (Candidate, [Scored; 4]) {
+    let u = profile.updates_per_query;
+    let mut ranked = score(profile);
+    ranked.sort_by(|a, b| by_cost(a.total(u), b.total(u)));
+    (ranked[0].candidate, ranked)
+}
+
+/// Picks the executor [`Strategy`] for a join with operator `theta`
+/// under `profile`: walks [`recommend`]'s ranking cheapest-first and
+/// returns the first candidate whose executor strategy
+/// [`supports`](Strategy::supports) the operator — so `Auto` never
+/// dispatches an inapplicable strategy.
+pub fn choose_join_strategy(profile: &WorkloadProfile, theta: ThetaOp) -> Strategy {
+    let (_, ranked) = recommend(profile);
+    ranked
         .iter()
-        .min_by(|a, b| {
-            a.total(profile.updates_per_query)
-                .partial_cmp(&b.total(profile.updates_per_query))
-                .expect("finite costs")
-        })
-        .expect("non-empty candidate set");
-    (best.candidate, scores)
-}
-
-/// The executor strategy implementing a cost-model candidate.
-///
-/// The model scores the paper's four §4 strategies; the executor layer
-/// has more (sweep, z-order, grid, partition), but those are outside the
-/// §4 cost formulas, so `Auto` dispatch only ever names these three.
-fn candidate_strategy(c: Candidate) -> sj_joins::Strategy {
-    match c {
-        Candidate::NestedLoop => sj_joins::Strategy::NestedLoop,
-        Candidate::TreeUnclustered | Candidate::TreeClustered => sj_joins::Strategy::Tree,
-        Candidate::JoinIndex => sj_joins::Strategy::JoinIndex,
-    }
-}
-
-/// Picks the executor [`Strategy`](sj_joins::Strategy) for a join with
-/// operator `theta` under `profile`: walks the §4 scoreboard
-/// cheapest-first (query cost plus amortized update cost) and returns
-/// the first candidate whose executor strategy
-/// [`supports`](sj_joins::Strategy::supports) the operator — so `Auto`
-/// never dispatches an inapplicable strategy.
-pub fn choose_join_strategy(profile: &WorkloadProfile, theta: ThetaOp) -> sj_joins::Strategy {
-    let mut scores = score(profile);
-    scores.sort_by(|a, b| {
-        a.total(profile.updates_per_query)
-            .partial_cmp(&b.total(profile.updates_per_query))
-            .expect("finite costs")
-    });
-    scores
-        .iter()
-        .map(|s| candidate_strategy(s.candidate))
+        .map(|s| s.candidate.strategy())
         .find(|strategy| strategy.supports(theta))
         // All three mapped strategies handle all eight operators today;
         // the fallback guards against a future restricted candidate.
-        .unwrap_or(sj_joins::Strategy::NestedLoop)
+        .unwrap_or(Strategy::NestedLoop)
 }
 
 /// Builds the closure for
-/// [`JoinOperands::with_chooser`](sj_joins::JoinOperands::with_chooser):
+/// [`JoinOperands::with_chooser`](crate::JoinOperands::with_chooser):
 /// per request it estimates the operator's selectivity by seeded
 /// sampling over `(r, s)` — charged through the pool like any other I/O
 /// — then scores the §4 candidates via [`choose_join_strategy`].
@@ -179,14 +197,14 @@ pub fn auto_chooser<'a>(
     s: &'a StoredRelation,
     samples: usize,
     seed: u64,
-) -> impl Fn(ThetaOp, &mut BufferPool) -> Result<sj_joins::Strategy, StorageError> + 'a {
+) -> impl Fn(ThetaOp, &mut BufferPool) -> Result<Strategy, StorageError> + 'a {
     move |theta, pool| {
         if r.is_empty() || s.is_empty() {
-            // An empty operand makes every join empty, and the sampler
-            // needs tuples to draw — dispatch the universally-applicable
-            // strategy I without estimating. Empty operands are routine
-            // under sharding, where a shard may own no slice of one side.
-            return Ok(sj_joins::Strategy::NestedLoop);
+            // An empty operand makes every join empty — dispatch the
+            // universally-applicable strategy I without estimating or
+            // scoring. Empty operands are routine under sharding, where a
+            // shard may own no slice of one side.
+            return Ok(Strategy::NestedLoop);
         }
         let mut profile = base;
         profile.operation = Operation::Join;
@@ -218,8 +236,11 @@ pub fn auto_chooser<'a>(
 #[derive(Debug, Clone)]
 pub struct AdaptiveAdvisor {
     profile: WorkloadProfile,
-    /// Running (mean cost, observation count) per θ-family × strategy.
-    observed: std::collections::HashMap<(&'static str, sj_joins::Strategy), (f64, u64)>,
+    /// Running (mean cost, observation count) per θ-family × strategy. A
+    /// family is the operator with its parameters ignored: two
+    /// `WithinDistance` bounds exercise the same executor paths, so
+    /// their costs pool.
+    observed: HashMap<(Discriminant<ThetaOp>, Strategy), (f64, u64)>,
 }
 
 impl AdaptiveAdvisor {
@@ -227,11 +248,11 @@ impl AdaptiveAdvisor {
     /// executor strategies the static model can name, plus the
     /// partition executor, which the §4 formulas do not score but which
     /// shard-local skew often favors.
-    pub const CANDIDATES: [sj_joins::Strategy; 4] = [
-        sj_joins::Strategy::Tree,
-        sj_joins::Strategy::JoinIndex,
-        sj_joins::Strategy::Partition,
-        sj_joins::Strategy::NestedLoop,
+    pub const CANDIDATES: [Strategy; 4] = [
+        Strategy::Tree,
+        Strategy::JoinIndex,
+        Strategy::Partition,
+        Strategy::NestedLoop,
     ];
 
     /// A fresh advisor with no observations; `profile` seeds the static
@@ -239,33 +260,17 @@ impl AdaptiveAdvisor {
     pub fn new(profile: WorkloadProfile) -> Self {
         AdaptiveAdvisor {
             profile,
-            observed: std::collections::HashMap::new(),
-        }
-    }
-
-    /// θ-families share observations: two `WithinDistance` requests with
-    /// different bounds exercise the same executor paths, so their costs
-    /// pool. Keyed by the operator family, parameters ignored.
-    fn theta_key(theta: ThetaOp) -> &'static str {
-        match theta {
-            ThetaOp::WithinCenterDistance(_) => "within_center_distance",
-            ThetaOp::WithinDistance(_) => "within_distance",
-            ThetaOp::Overlaps => "overlaps",
-            ThetaOp::Includes => "includes",
-            ThetaOp::ContainedIn => "contained_in",
-            ThetaOp::DirectionOf(_) => "direction_of",
-            ThetaOp::ReachableWithin { .. } => "reachable_within",
-            ThetaOp::Adjacent => "adjacent",
+            observed: HashMap::new(),
         }
     }
 
     /// Record an observed execution cost for `strategy` on `theta`'s
     /// family. `cost_us` is typically the sj-obs phase total (or
     /// `Response::exec_us`) of a completed run.
-    pub fn observe(&mut self, theta: ThetaOp, strategy: sj_joins::Strategy, cost_us: u64) {
+    pub fn observe(&mut self, theta: ThetaOp, strategy: Strategy, cost_us: u64) {
         let entry = self
             .observed
-            .entry((Self::theta_key(theta), strategy))
+            .entry((discriminant(&theta), strategy))
             .or_insert((0.0, 0));
         entry.1 += 1;
         entry.0 += (cost_us as f64 - entry.0) / entry.1 as f64;
@@ -275,18 +280,18 @@ impl AdaptiveAdvisor {
     pub fn observations(&self, theta: ThetaOp) -> u64 {
         Self::CANDIDATES
             .iter()
-            .filter_map(|s| self.observed.get(&(Self::theta_key(theta), *s)))
+            .filter_map(|s| self.observed.get(&(discriminant(&theta), *s)))
             .map(|(_, n)| n)
             .sum()
     }
 
     /// The concrete strategy `Auto` should dispatch for `theta` given
     /// the history so far (see the type docs for the policy). Always
-    /// returns a strategy that [`supports`](sj_joins::Strategy::supports)
+    /// returns a strategy that [`supports`](Strategy::supports)
     /// the operator.
-    pub fn choose(&self, theta: ThetaOp) -> sj_joins::Strategy {
-        let key = Self::theta_key(theta);
-        let supported: Vec<sj_joins::Strategy> = Self::CANDIDATES
+    pub fn choose(&self, theta: ThetaOp) -> Strategy {
+        let key = discriminant(&theta);
+        let supported: Vec<Strategy> = Self::CANDIDATES
             .iter()
             .copied()
             .filter(|s| s.supports(theta))
@@ -310,16 +315,18 @@ impl AdaptiveAdvisor {
             .min_by(|a, b| {
                 let ca = self.observed[&(key, *a)].0;
                 let cb = self.observed[&(key, *b)].0;
-                ca.partial_cmp(&cb).expect("finite observed costs")
+                by_cost(ca, cb)
             })
-            .unwrap_or(sj_joins::Strategy::NestedLoop)
+            .unwrap_or(Strategy::NestedLoop)
     }
 }
 
 /// Monte-Carlo selectivity estimation: θ-tests `samples` random tuple
-/// pairs and returns the matching fraction — the `p` to feed the model
-/// when only the data is known. The first faulted sample read aborts the
-/// estimate with a typed error (no estimate from a partial sample).
+/// pairs (at least one) and returns the matching fraction — the `p` to
+/// feed the model when only the data is known; `0.0` when either operand
+/// is empty, since nothing can match. The first faulted sample read
+/// aborts the estimate with a typed error (no estimate from a partial
+/// sample).
 pub fn try_estimate_selectivity(
     pool: &mut BufferPool,
     r: &StoredRelation,
@@ -328,11 +335,10 @@ pub fn try_estimate_selectivity(
     samples: usize,
     seed: u64,
 ) -> Result<f64, StorageError> {
-    assert!(samples > 0, "need at least one sample");
-    assert!(
-        !r.is_empty() && !s.is_empty(),
-        "cannot sample empty relations"
-    );
+    if r.is_empty() || s.is_empty() {
+        return Ok(0.0);
+    }
+    let samples = samples.max(1);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut hits = 0usize;
     for _ in 0..samples {
@@ -436,17 +442,51 @@ mod tests {
     }
 
     #[test]
+    fn unpriceable_costs_rank_last_instead_of_panicking() {
+        // x86 produces a *negative* NaN for 0/0, which `total_cmp` alone
+        // would rank first.
+        let mut costs = [f64::NAN, 3.0, -f64::NAN, f64::INFINITY, 1.0];
+        costs.sort_by(|a, b| by_cost(*a, *b));
+        assert_eq!(costs[..3], [1.0, 3.0, f64::INFINITY]);
+        assert!(costs[3].is_nan() && costs[4].is_nan());
+
+        // k = 1 makes N 0/0; v > l·s makes m zero.
+        let degenerate = [
+            ModelParams {
+                k: 1,
+                ..ModelParams::paper()
+            },
+            ModelParams {
+                v: 5_000.0,
+                ..ModelParams::paper()
+            },
+        ];
+        for params in degenerate {
+            let p = WorkloadProfile {
+                params,
+                ..profile(Operation::Join, Distribution::Uniform, 1e-6, 0.5)
+            };
+            let (best, ranked) = recommend(&p);
+            assert_eq!(best, ranked[0].candidate);
+            assert!(ranked.iter().all(|s| s.total(0.5).is_nan()));
+            let theta = ThetaOp::DirectionOf(sj_geom::Direction::NorthWest);
+            assert!(choose_join_strategy(&p, theta).supports(theta));
+            assert!(AdaptiveAdvisor::new(p).choose(theta).supports(theta));
+        }
+    }
+
+    #[test]
     fn choose_join_strategy_tracks_the_recommendation() {
         // Static low-selectivity joins → join index; add updates → tree.
         let static_low = profile(Operation::Join, Distribution::Uniform, 1e-11, 0.0);
         assert_eq!(
             choose_join_strategy(&static_low, ThetaOp::Overlaps),
-            sj_joins::Strategy::JoinIndex
+            Strategy::JoinIndex
         );
         let updating = profile(Operation::Join, Distribution::Uniform, 1e-11, 1.0);
         assert_eq!(
             choose_join_strategy(&updating, ThetaOp::Overlaps),
-            sj_joins::Strategy::Tree
+            Strategy::Tree
         );
     }
 
@@ -472,7 +512,7 @@ mod tests {
                     for theta in thetas {
                         let s = choose_join_strategy(&p, theta);
                         assert!(s.supports(theta), "{s:?} cannot run {theta:?}");
-                        assert_ne!(s, sj_joins::Strategy::Auto);
+                        assert_ne!(s, Strategy::Auto);
                     }
                 }
             }
@@ -481,7 +521,7 @@ mod tests {
 
     #[test]
     fn auto_chooser_drives_the_auto_executor() {
-        use sj_joins::{JoinOperands, JoinRequest, Strategy};
+        use crate::{JoinOperands, JoinRequest};
 
         let mut pool = BufferPool::new(Disk::new(DiskConfig::paper()), 128);
         let mk = |id0: u64| -> Vec<(u64, Geometry)> {
@@ -532,7 +572,7 @@ mod tests {
         for (r, s) in [(&empty, &full), (&full, &empty), (&empty, &empty)] {
             let chooser = auto_chooser(base, r, s, 64, 1);
             let got = chooser(ThetaOp::Overlaps, &mut pool).unwrap();
-            assert_eq!(got, sj_joins::Strategy::NestedLoop);
+            assert_eq!(got, Strategy::NestedLoop);
         }
     }
 
@@ -541,13 +581,12 @@ mod tests {
         // Static low-selectivity joins pick the join index; with no
         // observations the adaptive advisor must agree.
         let adv = AdaptiveAdvisor::new(profile(Operation::Join, Distribution::Uniform, 1e-11, 0.0));
-        assert_eq!(adv.choose(ThetaOp::Overlaps), sj_joins::Strategy::JoinIndex);
+        assert_eq!(adv.choose(ThetaOp::Overlaps), Strategy::JoinIndex);
         assert_eq!(adv.observations(ThetaOp::Overlaps), 0);
     }
 
     #[test]
     fn adaptive_advisor_migrates_off_a_mispredicted_strategy() {
-        use sj_joins::Strategy;
         // The model insists on the join index; observations say the tree
         // is 10× cheaper. After the exploration round the advisor must
         // settle on the tree and stay there.
@@ -583,7 +622,6 @@ mod tests {
 
     #[test]
     fn adaptive_advisor_keys_by_theta_family() {
-        use sj_joins::Strategy;
         let p = profile(Operation::Join, Distribution::Uniform, 1e-6, 0.0);
         let mut adv = AdaptiveAdvisor::new(p);
         // Observations under within-distance(5) pool with
@@ -628,12 +666,12 @@ mod tests {
         let theta = ThetaOp::WithinDistance(0.6);
         let est = try_estimate_selectivity(&mut pool, &r, &s, theta, 20_000, 7).unwrap();
         // Ground truth by exhaustive counting.
-        let matches = sj_joins::nested_loop::nested_loop_join(
+        let matches = crate::nested_loop::nested_loop_join(
             &mut pool,
             &r,
             &s,
             theta,
-            &mut sj_joins::TraceSink::Null,
+            &mut crate::TraceSink::Null,
         )
         .unwrap()
         .pairs

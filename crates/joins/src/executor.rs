@@ -136,9 +136,11 @@ pub trait JoinExecutor {
 /// the θ-operator and the pool (for sampling-based selectivity
 /// estimation, charged like any other I/O), name a concrete strategy.
 /// Because estimation performs real page reads, a chooser can itself hit
-/// a storage fault — hence the fallible signature. `sj-core::advisor`
-/// provides the cost-model-backed implementation; the executor layer
-/// only defines the hook so the dependency points upward.
+/// a storage fault — hence the fallible signature.
+/// [`advisor::auto_chooser`](crate::advisor::auto_chooser) is the
+/// cost-model-backed implementation; it stays a hook because it closes
+/// over the operands it samples, and tests substitute fixed, hostile and
+/// faulting choosers of their own.
 pub type StrategyChooser<'a> =
     &'a (dyn Fn(ThetaOp, &mut BufferPool) -> Result<Strategy, StorageError> + 'a);
 
@@ -221,6 +223,15 @@ impl Strategy {
             Strategy::Auto => Strategy::ALL.into_iter().any(|s| s.supports(theta)),
             _ => true,
         }
+    }
+
+    /// Whether the strategy decomposes [`JoinOperands::world`] into grid
+    /// or z-order cells; the others never read it.
+    pub fn partitions_space(self) -> bool {
+        matches!(
+            self,
+            Strategy::ZOrderMerge | Strategy::ZIndex | Strategy::Grid
+        )
     }
 
     /// Builds an executor for this strategy over `ops`, or `None` when
@@ -338,8 +349,9 @@ impl<'a> JoinOperands<'a> {
     }
 
     /// Attaches a per-request strategy chooser, enabling
-    /// [`Strategy::Auto`]. `sj-core::advisor::auto_chooser` builds one
-    /// from the cost model of §6.
+    /// [`Strategy::Auto`].
+    /// [`advisor::auto_chooser`](crate::advisor::auto_chooser) builds one
+    /// from the cost model of §4.
     pub fn with_chooser(mut self, chooser: StrategyChooser<'a>) -> Self {
         self.chooser = Some(chooser);
         self

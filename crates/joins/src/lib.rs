@@ -28,6 +28,12 @@
 //! [`JoinOperands`]. This is what the experiment harness, the serving
 //! layer and the benchmark dispatch through.
 //!
+//! ## The optimizer
+//!
+//! [`advisor`] sits beside the strategies it chooses among: the §4
+//! scoreboard, the one (profile, θ) → [`Strategy`] function, the one
+//! selectivity sampler, and the chooser behind [`Strategy::Auto`].
+//!
 //! ## One function per strategy
 //!
 //! Underneath, each strategy is exactly one public function (or index
@@ -62,6 +68,7 @@
 //! [`Layout`]: sj_storage::Layout
 //! [`BufferPool`]: sj_storage::BufferPool
 
+pub mod advisor;
 pub mod executor;
 pub mod grid;
 pub mod join_index;

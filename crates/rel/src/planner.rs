@@ -1,8 +1,15 @@
 //! Automatic strategy selection — a miniature query optimizer that closes
 //! the loop between the §4 cost model and the executors: sample the data
 //! to estimate the join selectivity, score the strategies, run the winner.
+//! Sampling, scoring and the choice itself are [`sj_joins::advisor`]'s;
+//! this module scales the model to the stored data and runs the pick.
 
+use sj_costmodel::{Distribution, ModelParams};
 use sj_geom::ThetaOp;
+use sj_joins::advisor::{
+    choose_join_strategy, recommend, try_estimate_selectivity, Operation, WorkloadProfile,
+};
+use sj_joins::Strategy;
 
 use crate::db::Database;
 use crate::query::JoinStrategy;
@@ -38,14 +45,16 @@ pub struct Plan {
     pub estimated_selectivity: f64,
     /// The model-unit total cost of the winner (query + amortized update).
     pub estimated_cost: f64,
+    /// The model parameters the plan was scored under.
+    pub params: ModelParams,
 }
 
 impl Database {
     /// Plans and executes a spatial join: estimates the selectivity by
     /// sampling, scores strategies I/IIa/IIb/III with the cost model at a
-    /// [`sj_costmodel::ModelParams`] scaled to the actual relation sizes,
-    /// and runs the winner (creating the join index on first use if
-    /// strategy III wins).
+    /// [`ModelParams`] scaled to the actual relation sizes and index
+    /// fan-out, and runs the winner (creating the join index on first use
+    /// if strategy III wins).
     pub fn spatial_join_auto(
         &mut self,
         r_table: &str,
@@ -55,131 +64,71 @@ impl Database {
         theta: ThetaOp,
         config: PlannerConfig,
     ) -> (Plan, Vec<(u64, u64)>) {
-        use sj_core_model::*;
-
         // 1. Estimate selectivity from the column files.
-        let p_hat = {
-            let pool = &mut self.pool;
-            let r = &self.tables[r_table].spatial[r_col].column;
-            let s = &self.tables[s_table].spatial[s_col].column;
-            estimate(pool, r, s, theta, config.samples, config.seed)
+        let r = &self.tables[r_table].spatial[r_col];
+        let s = &self.tables[s_table].spatial[s_col];
+        let sampled = try_estimate_selectivity(
+            &mut self.pool,
+            &r.column,
+            &s.column,
+            theta,
+            config.samples,
+            config.seed,
+        );
+        // The database's own pool carries no fault injector.
+        let p_hat = sampled.expect("storage fault during sampling");
+
+        // 2. Scale the model to the data: N from the actual relations, the
+        // generalization-tree shape from the columns' index fan-out (the
+        // model has one `k`; the deeper of the two trees sets the height
+        // the synchronized traversal descends).
+        let k = r.index_fanout.min(s.index_fanout);
+        let n_tuples = self.row_count(r_table).max(self.row_count(s_table)).max(2) as f64;
+        let n_height = (n_tuples.ln() / (k as f64).ln()).ceil().max(1.0) as usize;
+        let params = ModelParams {
+            n: n_height,
+            h: n_height,
+            k,
+            t: n_tuples,
+            ..ModelParams::paper()
         };
 
-        // 2. Scale the model to the data: N from the actual relation, the
-        // generalization-tree shape from the default fan-out.
-        let n_tuples = self.row_count(r_table).max(self.row_count(s_table)).max(2) as f64;
-        let k = 10usize;
-        let n_height = (n_tuples.ln() / (k as f64).ln()).ceil().max(1.0) as usize;
-        let mut params = sj_costmodel::ModelParams::paper();
-        params.n = n_height;
-        params.h = n_height;
-        params.t = n_tuples;
-
-        // 3. Score and pick.
-        let profile = sj_core_model::Profile {
+        // 3. Score and pick. A sample that saw no match is not evidence of
+        // an empty join, so the estimate is floored before it is priced.
+        let profile = WorkloadProfile {
             params,
+            distribution: Distribution::Uniform,
             selectivity: p_hat.max(1e-12),
             updates_per_query: config.updates_per_query,
+            operation: Operation::Join,
         };
-        let (candidate, cost) = pick(&profile);
+        let picked = choose_join_strategy(&profile, theta);
+        let (_, ranked) = recommend(&profile);
+        let estimated_cost = ranked
+            .iter()
+            .find(|scored| scored.candidate.strategy() == picked)
+            .map_or(f64::NAN, |scored| scored.total(config.updates_per_query));
 
         // 4. Execute.
-        let strategy = match candidate {
-            Pick::NestedLoop => JoinStrategy::NestedLoop,
-            Pick::Tree => JoinStrategy::GenTree,
-            Pick::JoinIndex => {
-                let name = format!("__auto:{r_table}.{r_col}:{s_table}.{s_col}");
-                if !self.join_indices.contains_key(&name) {
-                    self.create_join_index(&name, r_table, r_col, s_table, s_col, theta);
-                }
-                JoinStrategy::JoinIndex { name }
+        let strategy = if picked == Strategy::JoinIndex {
+            let name = format!("__auto:{r_table}.{r_col}:{s_table}.{s_col}");
+            if !self.join_indices.contains_key(&name) {
+                self.create_join_index(&name, r_table, r_col, s_table, s_col, theta);
             }
+            JoinStrategy::JoinIndex { name }
+        } else {
+            JoinStrategy::Exec(picked)
         };
         let pairs = self.spatial_join_ids(r_table, r_col, s_table, s_col, theta, strategy.clone());
         (
             Plan {
                 strategy,
                 estimated_selectivity: p_hat,
-                estimated_cost: cost,
+                estimated_cost,
+                params,
             },
             pairs,
         )
-    }
-}
-
-/// A thin internal shim around the cost model so `sj-rel` does not depend
-/// on `sj-core` (which depends on `sj-rel`): the scoring logic mirrors
-/// `sj_core::advisor` for the join operation.
-mod sj_core_model {
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
-    use sj_costmodel::{join, update, Distribution, ModelParams};
-    use sj_geom::ThetaOp;
-    use sj_joins::StoredRelation;
-    use sj_storage::BufferPool;
-
-    pub(super) struct Profile {
-        pub params: ModelParams,
-        pub selectivity: f64,
-        pub updates_per_query: f64,
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub(super) enum Pick {
-        NestedLoop,
-        Tree,
-        JoinIndex,
-    }
-
-    pub(super) fn pick(profile: &Profile) -> (Pick, f64) {
-        let p = &profile.params;
-        let d = Distribution::Uniform;
-        let sel = profile.selectivity;
-        let u = profile.updates_per_query;
-        let candidates = [
-            (Pick::NestedLoop, join::d_i(p), update::u_i(p)),
-            (
-                Pick::Tree,
-                join::d_iib(p, d, sel).min(join::d_iia(p, d, sel)),
-                update::u_iib(p),
-            ),
-            (Pick::JoinIndex, join::d_iii(p, d, sel), update::u_iii(p)),
-        ];
-        candidates
-            .into_iter()
-            .map(|(c, q, m)| (c, q + u * m))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"))
-            .expect("non-empty")
-    }
-
-    pub(super) fn estimate(
-        pool: &mut BufferPool,
-        r: &StoredRelation,
-        s: &StoredRelation,
-        theta: ThetaOp,
-        samples: usize,
-        seed: u64,
-    ) -> f64 {
-        if r.is_empty() || s.is_empty() {
-            return 0.0;
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut hits = 0usize;
-        for _ in 0..samples.max(1) {
-            let i = rng.random_range(0..r.len());
-            let j = rng.random_range(0..s.len());
-            // The database's own pool carries no fault injector.
-            let (_, rg) = r
-                .try_read_at(pool, i)
-                .expect("storage fault during sampling");
-            let (_, sg) = s
-                .try_read_at(pool, j)
-                .expect("storage fault during sampling");
-            if theta.eval(&rg, &sg) {
-                hits += 1;
-            }
-        }
-        hits as f64 / samples.max(1) as f64
     }
 }
 
@@ -238,6 +187,34 @@ mod tests {
             "planner should use an index"
         );
         assert!(plan.estimated_cost.is_finite());
+    }
+
+    #[test]
+    fn plan_is_priced_for_the_tree_the_database_built() {
+        let mut db = grid_db(400, 0.4);
+        let theta = ThetaOp::WithinDistance(0.5);
+        let plan = |db: &mut Database| {
+            db.spatial_join_auto("r", "loc", "s", "loc", theta, PlannerConfig::default())
+                .0
+        };
+        // No index declared: the default fan-out, ⌈log₁₀ 400⌉ = 3 levels.
+        let default = ModelParams {
+            k: 10,
+            n: 3,
+            h: 3,
+            t: 400.0,
+            ..ModelParams::paper()
+        };
+        assert_eq!(plan(&mut db).params, default);
+        // A fan-out-4 index on one column: ⌈log₄ 400⌉ = 5 levels.
+        db.create_spatial_index("r", "loc", 4, sj_storage::Layout::Clustered);
+        let narrow = ModelParams {
+            k: 4,
+            n: 5,
+            h: 5,
+            ..default
+        };
+        assert_eq!(plan(&mut db).params, narrow);
     }
 
     #[test]

@@ -1,27 +1,25 @@
 //! Spatial query operators: selection and join with pluggable strategies.
 
 use sj_geom::{Bounded, Geometry, Rect, ThetaOp};
-use sj_joins::grid::{grid_join, GridConfig};
-use sj_joins::nested_loop::{exhaustive_select, nested_loop_join};
-use sj_joins::sort_merge::zorder_overlap_join;
-use sj_joins::tree_join::{tree_join, tree_select, TraversalOrder};
-use sj_joins::TraceSink;
-use sj_zorder::ZGrid;
+use sj_joins::nested_loop::exhaustive_select;
+use sj_joins::tree_join::{tree_select, TraversalOrder};
+use sj_joins::{JoinOperands, JoinRequest, Strategy, TraceSink};
 
 use crate::db::Database;
 use crate::tuple::Tuple;
 
-/// Execution strategy for [`Database::spatial_join`], mirroring §4's
-/// strategy taxonomy.
+/// Execution strategy for [`Database::spatial_join`]: any executor
+/// strategy of `sj-joins`, or one of the two kinds of named, precomputed
+/// index the database itself keeps.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JoinStrategy {
-    /// Strategy I — block nested loop.
-    NestedLoop,
-    /// Strategy II — synchronized generalization-tree traversal over the
-    /// R-tree indices of both columns (built/refreshed on demand; the
-    /// IIa/IIb distinction is the layout given to
-    /// [`Database::create_spatial_index`]).
-    GenTree,
+    /// An [`sj_joins::Strategy`], dispatched through
+    /// [`Strategy::executor`] over the two column files — plus their
+    /// R-tree indices (built/refreshed on demand; the IIa/IIb distinction
+    /// is the layout given to [`Database::create_spatial_index`]) when the
+    /// strategy walks trees, and the data's bounding world when it
+    /// partitions space.
+    Exec(Strategy),
     /// Strategy III — a previously created named join index
     /// (see [`Database::create_join_index`]).
     JoinIndex {
@@ -34,18 +32,14 @@ pub enum JoinStrategy {
         /// Name the index was registered under.
         name: String,
     },
-    /// Orenstein's z-order sort-merge (overlap-family operators only).
-    ZOrderSortMerge {
-        /// Grid resolution: the world is divided into `2^bits × 2^bits`
-        /// cells.
-        bits: u8,
-    },
-    /// Grid-partitioned join (Rotem's grid-file baseline).
-    Grid {
-        /// Cells along each axis.
-        nx: u32,
-        ny: u32,
-    },
+}
+
+#[allow(non_upper_case_globals)] // §4's strategy names, spelled like the variants beside them
+impl JoinStrategy {
+    /// Strategy I — block nested loop.
+    pub const NestedLoop: JoinStrategy = JoinStrategy::Exec(Strategy::NestedLoop);
+    /// Strategy II — synchronized generalization-tree traversal.
+    pub const GenTree: JoinStrategy = JoinStrategy::Exec(Strategy::Tree);
 }
 
 /// Execution strategy for [`Database::spatial_select`].
@@ -129,27 +123,42 @@ impl Database {
         theta: ThetaOp,
         strategy: JoinStrategy,
     ) -> Vec<(u64, u64)> {
-        let trace = &mut TraceSink::Null;
         let run = match strategy {
-            JoinStrategy::NestedLoop => {
+            JoinStrategy::Exec(strategy) => {
+                // Operands on demand, so a join is charged only for what
+                // its strategy reads: the world scan when it partitions
+                // space, the R-tree (re)build when it walks trees.
+                let world = if strategy.partitions_space() {
+                    self.data_world(&[(r_table, r_col), (s_table, s_col)])
+                } else {
+                    Rect::from_bounds(0.0, 0.0, 1.0, 1.0)
+                };
+                let needs_trees = {
+                    let r = &self.tables[r_table].spatial[r_col].column;
+                    let s = &self.tables[s_table].spatial[s_col].column;
+                    strategy
+                        .executor(&JoinOperands::flat(r, s, world))
+                        .is_none()
+                };
+                if needs_trees {
+                    self.ensure_index(r_table, r_col);
+                    self.ensure_index(s_table, s_col);
+                }
                 let pool = &mut self.pool;
-                let r = &self.tables[r_table].spatial[r_col].column;
-                let s = &self.tables[s_table].spatial[s_col].column;
-                nested_loop_join(pool, r, s, theta, trace)
-            }
-            JoinStrategy::GenTree => {
-                self.ensure_index(r_table, r_col);
-                self.ensure_index(s_table, s_col);
-                let pool = &mut self.pool;
-                let (r_tree, _) = self.tables[r_table].spatial[r_col]
-                    .index
-                    .as_ref()
-                    .expect("built above");
-                let (s_tree, _) = self.tables[s_table].spatial[s_col]
-                    .index
-                    .as_ref()
-                    .expect("built above");
-                tree_join(pool, r_tree, s_tree, theta, trace)
+                let r = &self.tables[r_table].spatial[r_col];
+                let s = &self.tables[s_table].spatial[s_col];
+                let mut ops = JoinOperands::flat(&r.column, &s.column, world);
+                if needs_trees {
+                    let (r_tree, _) = r.index.as_ref().expect("built above");
+                    let (s_tree, _) = s.index.as_ref().expect("built above");
+                    ops = ops.with_trees(r_tree, s_tree);
+                }
+                strategy
+                    .executor(&ops)
+                    .unwrap_or_else(|| {
+                        panic!("{strategy:?} needs a chooser: use spatial_join_auto")
+                    })
+                    .try_execute(&JoinRequest::new(theta), pool)
             }
             JoinStrategy::JoinIndex { name } => {
                 let (idx, ir, ic, is, isc) = self
@@ -163,7 +172,7 @@ impl Database {
                 let pool = &mut self.pool;
                 let r = &self.tables[r_table].spatial[r_col].column;
                 let s = &self.tables[s_table].spatial[s_col].column;
-                idx.join(pool, r, s, trace)
+                idx.join(pool, r, s, &mut TraceSink::Null)
             }
             JoinStrategy::LocalJoinIndex { name } => {
                 let (idx, ir, ic, is, isc) = self
@@ -174,23 +183,7 @@ impl Database {
                     ir == r_table && ic == r_col && is == s_table && isc == s_col,
                     "local join index {name:?} was built for {ir}.{ic} ⋈ {is}.{isc}"
                 );
-                let pool = &mut self.pool;
-                idx.join(pool, trace)
-            }
-            JoinStrategy::ZOrderSortMerge { bits } => {
-                let world = self.data_world(&[(r_table, r_col), (s_table, s_col)]);
-                let pool = &mut self.pool;
-                let r = &self.tables[r_table].spatial[r_col].column;
-                let s = &self.tables[s_table].spatial[s_col].column;
-                let grid = ZGrid::new(world, bits);
-                zorder_overlap_join(pool, r, s, &grid, theta, trace)
-            }
-            JoinStrategy::Grid { nx, ny } => {
-                let world = self.data_world(&[(r_table, r_col), (s_table, s_col)]);
-                let pool = &mut self.pool;
-                let r = &self.tables[r_table].spatial[r_col].column;
-                let s = &self.tables[s_table].spatial[s_col].column;
-                grid_join(pool, r, s, GridConfig { world, nx, ny }, theta, trace)
+                idx.join(&mut self.pool, &mut TraceSink::Null)
             }
         };
         // The database's own pool carries no fault injector.
@@ -308,7 +301,7 @@ mod tests {
             "b",
             "loc",
             theta,
-            JoinStrategy::Grid { nx: 8, ny: 8 },
+            JoinStrategy::Exec(Strategy::Grid),
         ));
         assert_eq!(grid, reference);
     }
@@ -330,7 +323,7 @@ mod tests {
             "b",
             "loc",
             ThetaOp::Overlaps,
-            JoinStrategy::ZOrderSortMerge { bits: 5 },
+            JoinStrategy::Exec(Strategy::ZOrderMerge),
         ));
         assert_eq!(z, reference);
     }

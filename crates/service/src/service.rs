@@ -68,10 +68,10 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use sj_core::advisor::{auto_chooser, Operation, WorkloadProfile};
 use sj_costmodel::{Distribution, ModelParams};
 use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_geom::{codec, Bounded, Geometry, Rect, ThetaOp};
+use sj_joins::advisor::{auto_chooser, Operation, WorkloadProfile};
 use sj_joins::tree_join::{tree_select, TraversalOrder};
 use sj_joins::{JoinOperands, JoinRequest, StoredRelation, Strategy, TreeRelation};
 use sj_obs::TraceSink;
@@ -1263,6 +1263,67 @@ mod tests {
             panic!("join reply expected");
         };
         assert!(resolved.supports(theta));
+    }
+
+    /// `selectivity_samples` is "min 1" like `workers`, `batch_size` and
+    /// `retry_attempts`: zero used to trip the sampler's assertion inside
+    /// the worker and turn every `Auto` join into `WorkerPanicked`.
+    #[test]
+    fn zero_selectivity_samples_still_answer_auto() {
+        let svc = small_service(ServiceConfig {
+            selectivity_samples: 0,
+            ..ServiceConfig::default()
+        });
+        let theta = ThetaOp::Overlaps;
+        let auto = Request::join(Strategy::Auto, theta);
+        let resp = svc.call(auto.clone()).expect("one sample is drawn");
+        assert_eq!(resp.reply, svc.execute_reference(&auto));
+        let (Reply::Join { pairs, resolved }, Reply::Join { pairs: want, .. }) = (
+            &resp.reply,
+            svc.execute_reference(&Request::join(Strategy::NestedLoop, theta)),
+        ) else {
+            panic!("join replies expected");
+        };
+        assert_eq!(*pairs, want);
+        assert_ne!(*resolved, Strategy::Auto, "auto must resolve");
+    }
+
+    /// The profile is caller-supplied: `k = 1` makes the model's `N` 0/0,
+    /// so every §4 cost is NaN. Ranking must survive that — the pick still
+    /// supports θ and the join is still exact — for all eight operators.
+    #[test]
+    fn a_profile_the_model_cannot_price_still_resolves_auto() {
+        let mut config = ServiceConfig::default();
+        config.profile.params.k = 1;
+        let svc = small_service(config);
+        for theta in [
+            ThetaOp::WithinCenterDistance(12.0),
+            ThetaOp::WithinDistance(12.0),
+            ThetaOp::Overlaps,
+            ThetaOp::Includes,
+            ThetaOp::ContainedIn,
+            ThetaOp::DirectionOf(sj_geom::Direction::NorthWest),
+            ThetaOp::ReachableWithin {
+                minutes: 6.0,
+                speed: 2.0,
+            },
+            ThetaOp::Adjacent,
+        ] {
+            let resp = svc
+                .call(Request::join(Strategy::Auto, theta))
+                .expect("a NaN cost must not panic the worker");
+            let (Reply::Join { pairs, resolved }, Reply::Join { pairs: want, .. }) = (
+                &resp.reply,
+                svc.execute_reference(&Request::join(Strategy::NestedLoop, theta)),
+            ) else {
+                panic!("join replies expected");
+            };
+            assert_eq!(*pairs, want, "{theta:?}");
+            assert!(
+                *resolved != Strategy::Auto && resolved.supports(theta),
+                "{resolved:?} cannot run {theta:?}"
+            );
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! ## Adaptive `Auto`
 //!
 //! `Strategy::Auto` joins are rewritten per shard: each shard has an
-//! [`AdaptiveAdvisor`](sj_core::advisor::AdaptiveAdvisor) that starts
+//! [`AdaptiveAdvisor`](sj_joins::advisor::AdaptiveAdvisor) that starts
 //! from the §4 static cost model and feeds each shard's observed
 //! execution time (the sj-obs phase total surfaced as
 //! `Response::exec_us`) back into the choice, so repeated requests

@@ -3,7 +3,7 @@
 //! See the crate docs for the coverage/exactness argument. The router
 //! owns the [`ShardPlan`], one authority copy of both relations' id →
 //! geometry maps, one
-//! [`AdaptiveAdvisor`](sj_core::advisor::AdaptiveAdvisor) per shard,
+//! [`AdaptiveAdvisor`](sj_joins::advisor::AdaptiveAdvisor) per shard,
 //! and the in-process shard services themselves — exactly one per plan
 //! leaf. The authority maps are the only whole-data structure: mutation
 //! routing needs them to know where a tuple lives, and the joins no
@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use sj_core::advisor::AdaptiveAdvisor;
 use sj_geom::{sweep_candidates, Bounded, Geometry, Rect, SweepItem, ThetaOp};
+use sj_joins::advisor::AdaptiveAdvisor;
 use sj_joins::{Mutation, MutationOutcome, Side, Strategy, WriteBatch};
 use sj_obs::TraceSink;
 use sj_service::{

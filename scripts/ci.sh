@@ -90,10 +90,13 @@ echo "    -> storage + service + shard + joins non-test code is panic-clean"
 echo "==> entry-point gate (one public path per join strategy, one per paged operation)"
 # Each join/select algorithm in sj-joins and sj-gentree is one public
 # function: fallible, traced, under the short name. The count may not
-# creep back up, and no forwarding-twin suffix may reappear. Below the
-# strategies, no `pub fn try_<x>` in storage/joins/core/geom may have a
-# panicking `pub fn <x>` sibling in the same file.
-entry_points=$(grep -rhE '^\s*pub fn [a-z_]*(join|select)[a-z_]*' crates/joins/src crates/gentree/src)
+# creep back up, and no forwarding-twin suffix may reappear (the
+# optimizer, advisor.rs, chooses among strategies and is not one: its
+# `choose_join_strategy`/`try_estimate_selectivity` are not counted).
+# Below the strategies, no `pub fn try_<x>` in storage/joins/core/geom
+# may have a panicking `pub fn <x>` sibling in the same file.
+entry_points=$(grep -rhE --exclude=advisor.rs '^\s*pub fn [a-z_]*(join|select)[a-z_]*' \
+    crates/joins/src crates/gentree/src)
 count=$(printf '%s\n' "$entry_points" | wc -l)
 if [ "$count" -gt 20 ]; then
     echo "    $count public join/select entry points (limit 20):"
@@ -112,6 +115,36 @@ if [ -n "$twins" ]; then
     exit 1
 fi
 echo "    -> $count public join/select entry points, no twins"
+
+echo "==> one-optimizer gate (one chooser, one sampler, off the service's build graph)"
+# The §4 scoreboard is priced at one call site and selectivity is
+# sampled by one function, both in sj-joins' advisor.rs; sj-rel's
+# planner and the service call them. Nothing a request crosses compiles
+# sj-core or sj-rel.
+nontest_src=$(
+    for f in crates/*/src/*.rs; do
+        case "$f" in crates/costmodel/*) continue ;; esac
+        awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+    done
+)
+scoreboards=$(grep -c 'join::d_i(' <<<"$nontest_src" || true)
+samplers=$(grep -cE 'fn [a-z_]*estimate[a-z_]*' <<<"$nontest_src" || true)
+shims=$(grep -rn 'sj_core_model' crates src tests examples || true)
+if [ "$scoreboards" -ne 1 ] || [ "$samplers" -ne 1 ] || [ -n "$shims" ]; then
+    echo "    $scoreboards join::d_i( call sites (want 1), $samplers estimate fns (want 1)"
+    grep -E 'join::d_i\(|fn [a-z_]*estimate[a-z_]*' <<<"$nontest_src" || true
+    echo "$shims"
+    exit 1
+fi
+for pkg in sj-service sj-shard; do
+    upward=$(cargo tree --offline -p "$pkg" -e normal | grep -E 'sj-(core|rel) ' || true)
+    if [ -n "$upward" ]; then
+        echo "    $pkg builds a crate no request reaches:"
+        echo "$upward"
+        exit 1
+    fi
+done
+echo "    -> one scoreboard, one sampler; sj-service and sj-shard build neither sj-core nor sj-rel"
 
 echo "==> sequential-executor gate (one I/O stream per join strategy)"
 # A join runs on the calling thread against the caller's pool; a second

@@ -4,6 +4,7 @@
 
 use spatial_joins::core::workload::load_house_lake;
 use spatial_joins::core::{Database, Geometry, JoinStrategy, Layout, ThetaOp, Value};
+use spatial_joins::joins::Strategy;
 use spatial_joins::rel::query::SelectStrategy;
 
 fn build_db() -> Database {
@@ -64,7 +65,7 @@ fn all_join_strategies_agree_on_house_lake() {
         "lake",
         "larea",
         theta,
-        JoinStrategy::Grid { nx: 16, ny: 16 },
+        JoinStrategy::Exec(Strategy::Grid),
     ));
     assert_eq!(grid, reference);
 }
