@@ -8,9 +8,9 @@
 
 use sj_geom::{Geometry, Rect, ThetaOp};
 use sj_joins::nested_loop::nested_loop_join;
-use sj_joins::sort_merge::naive_zvalue_sort_merge;
 use sj_joins::{StoredRelation, TraceSink};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
+use sj_zorder::sort_merge::naive_zvalue_sort_merge;
 use sj_zorder::{interleave, ZGrid};
 
 fn main() {

@@ -354,7 +354,7 @@ pub fn validate_join(k: usize, n: usize, radius: f64, seed: u64) -> ValidationRe
         pool.clear();
         pool.reset_stats();
         let run = Strategy::Tree
-            .executor(&JoinOperands::trees(&tr, &ts, world))
+            .executor(&JoinOperands::trees(&tr, &ts))
             .expect("tree operands present")
             .execute(&JoinRequest::new(theta), &mut pool);
         let predicted = predict(&seen_r, clustered) + predict(&seen_s, clustered);
@@ -388,7 +388,7 @@ pub fn validate_join(k: usize, n: usize, radius: f64, seed: u64) -> ValidationRe
         Layout::Clustered,
     );
     let stored = Strategy::Tree
-        .executor(&JoinOperands::trees(&tr, &ts, world))
+        .executor(&JoinOperands::trees(&tr, &ts))
         .expect("tree operands present")
         .execute(&JoinRequest::new(theta), &mut stored_pool);
     report.push(

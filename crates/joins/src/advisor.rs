@@ -12,7 +12,8 @@
 //!
 //! The workspace's one optimizer: the service's `Auto` ([`auto_chooser`]),
 //! the router's feedback loop ([`AdaptiveAdvisor`]) and `sj-rel`'s planner
-//! all choose through [`choose_join_strategy`] and sample through
+//! all choose the head of [`recommend`]'s scoreboard
+//! ([`choose_join_strategy`]) and sample through
 //! [`try_estimate_selectivity`].
 
 use std::cmp::Ordering;
@@ -67,9 +68,8 @@ impl Candidate {
     /// The executor strategy implementing this candidate.
     ///
     /// The model scores the paper's four §4 strategies; the executor layer
-    /// has more (sweep, z-order, grid, partition), but those are outside
-    /// the §4 cost formulas, so `Auto` dispatch only ever names these
-    /// three.
+    /// has two more (sweep, partition), but those are outside the §4 cost
+    /// formulas, so `Auto` dispatch only ever names these three.
     pub fn strategy(self) -> Strategy {
         match self {
             Candidate::NestedLoop => Strategy::NestedLoop,
@@ -166,20 +166,12 @@ pub fn recommend(profile: &WorkloadProfile) -> (Candidate, [Scored; 4]) {
     (ranked[0].candidate, ranked)
 }
 
-/// Picks the executor [`Strategy`] for a join with operator `theta`
-/// under `profile`: walks [`recommend`]'s ranking cheapest-first and
-/// returns the first candidate whose executor strategy
-/// [`supports`](Strategy::supports) the operator — so `Auto` never
-/// dispatches an inapplicable strategy.
-pub fn choose_join_strategy(profile: &WorkloadProfile, theta: ThetaOp) -> Strategy {
-    let (_, ranked) = recommend(profile);
-    ranked
-        .iter()
-        .map(|s| s.candidate.strategy())
-        .find(|strategy| strategy.supports(theta))
-        // All three mapped strategies handle all eight operators today;
-        // the fallback guards against a future restricted candidate.
-        .unwrap_or(Strategy::NestedLoop)
+/// Picks the executor [`Strategy`] for a join under `profile`: the
+/// strategy of [`recommend`]'s head. Every strategy runs all eight
+/// θ-operators, so the operator does not enter the choice except through
+/// the selectivity the profile carries.
+pub fn choose_join_strategy(profile: &WorkloadProfile) -> Strategy {
+    recommend(profile).0.strategy()
 }
 
 /// Builds the closure for
@@ -209,7 +201,7 @@ pub fn auto_chooser<'a>(
         let mut profile = base;
         profile.operation = Operation::Join;
         profile.selectivity = try_estimate_selectivity(pool, r, s, theta, samples, seed)?;
-        Ok(choose_join_strategy(&profile, theta))
+        Ok(choose_join_strategy(&profile))
     }
 }
 
@@ -223,7 +215,7 @@ pub fn auto_chooser<'a>(
 /// proxy) and chooses with a deterministic explore-then-exploit policy:
 ///
 /// 1. the static model's pick runs first (no observations yet);
-/// 2. while any supporting candidate is unobserved, the first unobserved
+/// 2. while any candidate is unobserved, the first unobserved
 ///    one (in [`CANDIDATES`](Self::CANDIDATES) order) runs next;
 /// 3. once every candidate has been observed, the one with the lowest
 ///    mean observed cost wins (ties break in candidate order).
@@ -286,32 +278,24 @@ impl AdaptiveAdvisor {
     }
 
     /// The concrete strategy `Auto` should dispatch for `theta` given
-    /// the history so far (see the type docs for the policy). Always
-    /// returns a strategy that [`supports`](Strategy::supports)
-    /// the operator.
+    /// the history so far (see the type docs for the policy).
     pub fn choose(&self, theta: ThetaOp) -> Strategy {
         let key = discriminant(&theta);
-        let supported: Vec<Strategy> = Self::CANDIDATES
-            .iter()
-            .copied()
-            .filter(|s| s.supports(theta))
-            .collect();
-        let static_pick = choose_join_strategy(&self.profile, theta);
+        let static_pick = choose_join_strategy(&self.profile);
         // Phase 1: trust the model until it has been measured once.
-        if supported.contains(&static_pick) && !self.observed.contains_key(&(key, static_pick)) {
+        if !self.observed.contains_key(&(key, static_pick)) {
             return static_pick;
         }
         // Phase 2: measure the remaining candidates.
-        if let Some(unexplored) = supported
+        if let Some(unexplored) = Self::CANDIDATES
             .iter()
             .find(|s| !self.observed.contains_key(&(key, **s)))
         {
             return *unexplored;
         }
         // Phase 3: exploit the lowest observed mean.
-        supported
-            .iter()
-            .copied()
+        Self::CANDIDATES
+            .into_iter()
             .min_by(|a, b| {
                 let ca = self.observed[&(key, *a)].0;
                 let cb = self.observed[&(key, *b)].0;
@@ -469,9 +453,10 @@ mod tests {
             let (best, ranked) = recommend(&p);
             assert_eq!(best, ranked[0].candidate);
             assert!(ranked.iter().all(|s| s.total(0.5).is_nan()));
+            assert_eq!(choose_join_strategy(&p), best.strategy());
             let theta = ThetaOp::DirectionOf(sj_geom::Direction::NorthWest);
-            assert!(choose_join_strategy(&p, theta).supports(theta));
-            assert!(AdaptiveAdvisor::new(p).choose(theta).supports(theta));
+            let pick = AdaptiveAdvisor::new(p).choose(theta);
+            assert!(AdaptiveAdvisor::CANDIDATES.contains(&pick));
         }
     }
 
@@ -479,19 +464,18 @@ mod tests {
     fn choose_join_strategy_tracks_the_recommendation() {
         // Static low-selectivity joins → join index; add updates → tree.
         let static_low = profile(Operation::Join, Distribution::Uniform, 1e-11, 0.0);
-        assert_eq!(
-            choose_join_strategy(&static_low, ThetaOp::Overlaps),
-            Strategy::JoinIndex
-        );
+        assert_eq!(choose_join_strategy(&static_low), Strategy::JoinIndex);
         let updating = profile(Operation::Join, Distribution::Uniform, 1e-11, 1.0);
-        assert_eq!(
-            choose_join_strategy(&updating, ThetaOp::Overlaps),
-            Strategy::Tree
-        );
+        assert_eq!(choose_join_strategy(&updating), Strategy::Tree);
     }
 
+    /// Whatever the profile, the pick is a concrete strategy, and it runs
+    /// every operator exactly: there is no applicability matrix to walk.
     #[test]
     fn chosen_strategy_always_supports_the_operator() {
+        use crate::{JoinOperands, JoinRequest, TreeRelation};
+        use sj_gentree::rtree::{RTree, RTreeConfig};
+
         let thetas = [
             ThetaOp::WithinCenterDistance(2.0),
             ThetaOp::WithinDistance(2.0),
@@ -505,16 +489,48 @@ mod tests {
             },
             ThetaOp::Adjacent,
         ];
+        let mut picks = Vec::new();
         for d in Distribution::ALL {
             for sel in [1e-11, 1e-6, 1e-2] {
                 for upd in [0.0, 1.0] {
-                    let p = profile(Operation::Join, d, sel, upd);
-                    for theta in thetas {
-                        let s = choose_join_strategy(&p, theta);
-                        assert!(s.supports(theta), "{s:?} cannot run {theta:?}");
-                        assert_ne!(s, Strategy::Auto);
+                    let s = choose_join_strategy(&profile(Operation::Join, d, sel, upd));
+                    assert_ne!(s, Strategy::Auto);
+                    if !picks.contains(&s) {
+                        picks.push(s);
                     }
                 }
+            }
+        }
+
+        let mut pool = BufferPool::new(Disk::new(DiskConfig::paper()), 64);
+        let tuples = |id0: u64, shift: f64| -> Vec<(u64, Geometry)> {
+            let at = |i: u64| Point::new((i % 6) as f64 * 1.5 + shift, (i / 6) as f64 * 1.5);
+            (0..36).map(|i| (id0 + i, Geometry::Point(at(i)))).collect()
+        };
+        let (r_tuples, s_tuples) = (tuples(0, 0.0), tuples(100, 0.5));
+        let r = StoredRelation::build(&mut pool, &r_tuples, 300, Layout::Clustered);
+        let s = StoredRelation::build(&mut pool, &s_tuples, 300, Layout::Clustered);
+        let tree = |pool: &mut BufferPool, tuples: Vec<(u64, Geometry)>| {
+            let rtree = RTree::bulk_load(RTreeConfig::with_fanout(4), tuples);
+            TreeRelation::new(pool, rtree.tree().clone(), 300, Layout::Clustered)
+        };
+        let (tr, ts) = (tree(&mut pool, r_tuples), tree(&mut pool, s_tuples));
+        let world = sj_geom::Rect::from_bounds(0.0, 0.0, 16.0, 16.0);
+        let ops = JoinOperands::flat(&r, &s, world).with_trees(&tr, &ts);
+        for theta in thetas {
+            let req = JoinRequest::new(theta);
+            let mut run = |strategy: Strategy| {
+                let mut pairs = strategy
+                    .executor(&ops)
+                    .unwrap()
+                    .execute(&req, &mut pool)
+                    .pairs;
+                pairs.sort_unstable();
+                pairs
+            };
+            let want = run(Strategy::NestedLoop);
+            for &strategy in &picks {
+                assert_eq!(run(strategy), want, "{strategy:?} under {theta:?}");
             }
         }
     }
@@ -553,9 +569,7 @@ mod tests {
         let mut got = exec.execute(&JoinRequest::new(theta), &mut pool).pairs;
         got.sort_unstable();
         assert_eq!(got, want, "auto dispatch must preserve the join result");
-        let resolved = exec.resolved_strategy();
-        assert_ne!(resolved, Strategy::Auto);
-        assert!(resolved.supports(theta));
+        assert_ne!(exec.resolved_strategy(), Strategy::Auto);
     }
 
     #[test]
@@ -634,16 +648,22 @@ mod tests {
 
     #[test]
     fn adaptive_advisor_respects_operator_support() {
-        // DirectionOf is unsupported by some executors; whatever the
-        // history, the choice must support the operator.
+        // Every candidate runs every operator, so a directional θ — whose
+        // filter region no partitioning bounds — explores all of them
+        // like any other family, and only ever names a candidate.
         let p = profile(Operation::Join, Distribution::Uniform, 1e-2, 0.0);
         let mut adv = AdaptiveAdvisor::new(p);
         let theta = ThetaOp::DirectionOf(sj_geom::Direction::NorthWest);
+        let mut seen = Vec::new();
         for _ in 0..8 {
             let pick = adv.choose(theta);
-            assert!(pick.supports(theta), "{pick:?} cannot run {theta:?}");
+            assert!(AdaptiveAdvisor::CANDIDATES.contains(&pick), "{pick:?}");
+            if !seen.contains(&pick) {
+                seen.push(pick);
+            }
             adv.observe(theta, pick, 500);
         }
+        assert_eq!(seen.len(), AdaptiveAdvisor::CANDIDATES.len());
     }
 
     #[test]

@@ -1,22 +1,21 @@
 //! The unified executor API: one [`JoinExecutor`] trait and one
-//! [`Strategy`] enum covering all nine join strategies, so callers
-//! (experiment harness, benchmark bins, tests) dispatch through a single
-//! surface instead of nine differently-shaped entry points.
+//! [`Strategy`] enum covering the five join strategies a request can
+//! name, so callers (service, experiment harness, tests) dispatch
+//! through a single surface. Each of the five runs all eight
+//! θ-operators; there is no applicability matrix.
 //!
 //! A [`JoinRequest`] carries everything that parameterizes a run —
 //! θ-operator and an optional trace sink — while
-//! the operands (stored relations, tree relations, world rectangle) live
+//! the operands (stored relations, tree relations) live
 //! in [`JoinOperands`]. [`Strategy::executor`] turns a strategy plus
 //! operands into a boxed executor, or `None` when the operands a
-//! strategy needs are absent (tree strategies need [`TreeRelation`]s,
-//! flat strategies need [`StoredRelation`]s).
+//! strategy needs are absent (the tree join needs [`TreeRelation`]s,
+//! the flat strategies need [`StoredRelation`]s).
 //!
-//! Index-backed strategies (join index, local join index, z-value index)
-//! build their index lazily on first [`JoinExecutor::execute`] and cache
-//! it — keyed by θ where the index materializes a θ-join — so repeated
-//! runs measure pure query cost. Build cost is *never* folded into the
-//! returned [`JoinRun`]; it is the paper's precomputation, not the
-//! query.
+//! The join index builds lazily on first [`JoinExecutor::execute`] and
+//! is cached keyed by θ, so repeated runs measure pure query cost. Build
+//! cost is *never* folded into the returned [`JoinRun`]; it is the
+//! paper's precomputation, not the query.
 //!
 //! The free functions (`nested_loop_join`, `sweep_join`, …) and index
 //! methods are the implementations the executors call: each strategy has
@@ -29,29 +28,18 @@ use std::cell::RefCell;
 use sj_geom::{Rect, ThetaOp};
 use sj_obs::TraceSink;
 use sj_storage::{BufferPool, StorageError};
-use sj_zorder::ZGrid;
 
-use crate::grid::{grid_join, GridConfig};
 use crate::join_index::JoinIndex;
-use crate::local_index::LocalJoinIndex;
 use crate::nested_loop::nested_loop_join;
 use crate::paged_tree::TreeRelation;
 use crate::partition::partition_join;
 use crate::relation::StoredRelation;
-use crate::sort_merge::{supported_by_zorder, zorder_overlap_join};
 use crate::stats::JoinRun;
 use crate::sweep::sweep_join;
 use crate::tree_join::tree_join;
-use crate::zindex::ZIndex;
 
-/// Default B⁺-tree order for lazily built indices (the model's `z`).
+/// Default B⁺-tree order for the lazily built join index (the model's `z`).
 const DEFAULT_Z: usize = 16;
-/// Default generalization-tree level for local join indices.
-const DEFAULT_LOCAL_LEVEL: usize = 1;
-/// Default z-order grid resolution (`2^bits` cells per axis).
-const DEFAULT_Z_BITS: u8 = 5;
-/// Default uniform-grid resolution per axis.
-const DEFAULT_GRID_CELLS: u32 = 16;
 
 /// Everything that parameterizes one join run, independent of the
 /// strategy executing it.
@@ -98,13 +86,6 @@ pub trait JoinExecutor {
     /// Which strategy this executor implements.
     fn strategy(&self) -> Strategy;
 
-    /// Whether the strategy can evaluate `theta` at all (some index
-    /// structures only support the overlap family, the grid cannot
-    /// localize directional predicates).
-    fn supports(&self, theta: ThetaOp) -> bool {
-        self.strategy().supports(theta)
-    }
-
     /// The concrete strategy the *last* [`JoinExecutor::execute`] call
     /// dispatched to. Identical to [`JoinExecutor::strategy`] for every
     /// concrete executor; [`Strategy::Auto`] overrides it to report the
@@ -144,9 +125,13 @@ pub trait JoinExecutor {
 pub type StrategyChooser<'a> =
     &'a (dyn Fn(ThetaOp, &mut BufferPool) -> Result<Strategy, StorageError> + 'a);
 
-/// The nine concrete join strategies of this crate as data, plus
+/// The five concrete join strategies a request can name, plus
 /// [`Strategy::Auto`], which resolves to one of them per request via a
-/// cost-model chooser (see [`StrategyChooser`]).
+/// cost-model chooser (see [`StrategyChooser`]). Each runs all eight
+/// θ-operators. The crate's other joins — the grid file, local join
+/// indices — are library functions called directly, as are the z-order
+/// joins in `sj-zorder`: no cost model prices them, so `Auto` could never
+/// choose them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Strategy I: block-nested loop with memory passes.
@@ -157,34 +142,22 @@ pub enum Strategy {
     Tree,
     /// Strategy III: precomputed join index on a B⁺-tree.
     JoinIndex,
-    /// §5's local join indices over tree partitions.
-    LocalIndex,
-    /// Orenstein's z-order sort-merge overlap join.
-    ZOrderMerge,
-    /// Z-value B⁺-tree index probe join.
-    ZIndex,
-    /// Rotem's grid-file join.
-    Grid,
     /// PBSM-style grid-partitioned filter-and-refine.
     Partition,
     /// Per-request cost-model dispatch: consult the operands' chooser
-    /// ([`JoinOperands::with_chooser`]), fall back to the first
-    /// applicable concrete strategy if the choice cannot run the
-    /// request's θ-operator or lacks operands.
+    /// ([`JoinOperands::with_chooser`]), fall back to a concrete
+    /// strategy whose operands are present if the chooser names `Auto`
+    /// or one whose operands are absent.
     Auto,
 }
 
 impl Strategy {
     /// Every strategy, in a stable display order.
-    pub const ALL: [Strategy; 9] = [
+    pub const ALL: [Strategy; 5] = [
         Strategy::NestedLoop,
         Strategy::Sweep,
         Strategy::Tree,
         Strategy::JoinIndex,
-        Strategy::LocalIndex,
-        Strategy::ZOrderMerge,
-        Strategy::ZIndex,
-        Strategy::Grid,
         Strategy::Partition,
     ];
 
@@ -195,10 +168,6 @@ impl Strategy {
             Strategy::Sweep => "sweep",
             Strategy::Tree => "tree",
             Strategy::JoinIndex => "join_index",
-            Strategy::LocalIndex => "local_index",
-            Strategy::ZOrderMerge => "zorder_merge",
-            Strategy::ZIndex => "zindex",
-            Strategy::Grid => "grid",
             Strategy::Partition => "partition",
             Strategy::Auto => "auto",
         }
@@ -210,28 +179,6 @@ impl Strategy {
             return Some(Strategy::Auto);
         }
         Strategy::ALL.into_iter().find(|s| s.name() == name)
-    }
-
-    /// Whether the strategy can evaluate `theta`. Z-order strategies are
-    /// complete only for the overlap family; the grid cannot localize
-    /// directional half-planes. Everything else handles all eight
-    /// operators; `Auto` resolves to a concrete strategy that does.
-    pub fn supports(self, theta: ThetaOp) -> bool {
-        match self {
-            Strategy::ZOrderMerge | Strategy::ZIndex => supported_by_zorder(theta),
-            Strategy::Grid => !matches!(theta, ThetaOp::DirectionOf(_)),
-            Strategy::Auto => Strategy::ALL.into_iter().any(|s| s.supports(theta)),
-            _ => true,
-        }
-    }
-
-    /// Whether the strategy decomposes [`JoinOperands::world`] into grid
-    /// or z-order cells; the others never read it.
-    pub fn partitions_space(self) -> bool {
-        matches!(
-            self,
-            Strategy::ZOrderMerge | Strategy::ZIndex | Strategy::Grid
-        )
     }
 
     /// Builds an executor for this strategy over `ops`, or `None` when
@@ -254,34 +201,6 @@ impl Strategy {
                 let (r, s) = ops.flat?;
                 Some(Box::new(JoinIndexExec { r, s, cache: None }))
             }
-            Strategy::LocalIndex => {
-                let (r, s) = ops.trees?;
-                Some(Box::new(LocalIndexExec { r, s, cache: None }))
-            }
-            Strategy::ZOrderMerge => {
-                let (r, s) = ops.flat?;
-                let grid = ZGrid::new(ops.world, DEFAULT_Z_BITS);
-                Some(Box::new(ZOrderMergeExec { r, s, grid }))
-            }
-            Strategy::ZIndex => {
-                let (r, s) = ops.flat?;
-                let grid = ZGrid::new(ops.world, DEFAULT_Z_BITS);
-                Some(Box::new(ZIndexExec {
-                    r,
-                    s,
-                    grid,
-                    cache: None,
-                }))
-            }
-            Strategy::Grid => {
-                let (r, s) = ops.flat?;
-                let config = GridConfig {
-                    world: ops.world,
-                    nx: DEFAULT_GRID_CELLS,
-                    ny: DEFAULT_GRID_CELLS,
-                };
-                Some(Box::new(GridExec { r, s, config }))
-            }
             Strategy::Partition => {
                 let (r, s) = ops.flat?;
                 Some(Box::new(PartitionExec { r, s }))
@@ -303,18 +222,14 @@ impl Strategy {
 }
 
 /// The data a join runs over: flat stored relations, generalization-tree
-/// relations, or both, plus the world rectangle that space-partitioning
-/// strategies (grid, z-order) decompose.
+/// relations, or both.
 #[derive(Clone, Copy)]
 pub struct JoinOperands<'a> {
     /// `(R, S)` as flat stored relations, for the tuple-at-a-time
     /// strategies.
     pub flat: Option<(&'a StoredRelation, &'a StoredRelation)>,
-    /// `(R, S)` as stored generalization trees, for strategy II and the
-    /// local join indices.
+    /// `(R, S)` as stored generalization trees, for strategy II.
     pub trees: Option<(&'a TreeRelation, &'a TreeRelation)>,
-    /// World rectangle enclosing all data.
-    pub world: Rect,
     /// Cost-model hook for [`Strategy::Auto`]; `None` disables `Auto`
     /// (its [`Strategy::executor`] returns `None`).
     pub chooser: Option<StrategyChooser<'a>>,
@@ -322,27 +237,29 @@ pub struct JoinOperands<'a> {
 
 impl<'a> JoinOperands<'a> {
     /// Operands with flat relations only.
-    pub fn flat(r: &'a StoredRelation, s: &'a StoredRelation, world: Rect) -> Self {
+    ///
+    /// `_world` is ignored: no strategy reads one. It stays only because
+    /// the benchmark harness calls this three-argument form; ROADMAP item
+    /// 25(a) drops it.
+    pub fn flat(r: &'a StoredRelation, s: &'a StoredRelation, _world: Rect) -> Self {
         JoinOperands {
             flat: Some((r, s)),
             trees: None,
-            world,
             chooser: None,
         }
     }
 
     /// Operands with tree relations only.
-    pub fn trees(r: &'a TreeRelation, s: &'a TreeRelation, world: Rect) -> Self {
+    pub fn trees(r: &'a TreeRelation, s: &'a TreeRelation) -> Self {
         JoinOperands {
             flat: None,
             trees: Some((r, s)),
-            world,
             chooser: None,
         }
     }
 
     /// Adds tree relations to flat operands (or vice versa), so one
-    /// operand set can serve all nine strategies.
+    /// operand set can serve all five strategies.
     pub fn with_trees(mut self, r: &'a TreeRelation, s: &'a TreeRelation) -> Self {
         self.trees = Some((r, s));
         self
@@ -445,120 +362,6 @@ impl JoinExecutor for JoinIndexExec<'_> {
     }
 }
 
-struct LocalIndexExec<'a> {
-    r: &'a TreeRelation,
-    s: &'a TreeRelation,
-    cache: Option<(ThetaOp, LocalJoinIndex)>,
-}
-
-impl JoinExecutor for LocalIndexExec<'_> {
-    fn strategy(&self) -> Strategy {
-        Strategy::LocalIndex
-    }
-
-    fn try_execute(
-        &mut self,
-        req: &JoinRequest,
-        pool: &mut BufferPool,
-    ) -> Result<JoinRun, StorageError> {
-        let rebuild = !matches!(&self.cache, Some((t, _)) if *t == req.theta);
-        if rebuild {
-            let (idx, _build_cost) = LocalJoinIndex::try_build(
-                pool,
-                self.r,
-                self.s,
-                req.theta,
-                DEFAULT_LOCAL_LEVEL,
-                DEFAULT_Z,
-            )?;
-            self.cache = Some((req.theta, idx));
-        }
-        let (_, idx) = self.cache.as_ref().expect("cache was just populated"); // PANIC-OK: invariant
-        idx.join(pool, &mut req.trace.borrow_mut())
-    }
-}
-
-struct ZOrderMergeExec<'a> {
-    r: &'a StoredRelation,
-    s: &'a StoredRelation,
-    grid: ZGrid,
-}
-
-impl JoinExecutor for ZOrderMergeExec<'_> {
-    fn strategy(&self) -> Strategy {
-        Strategy::ZOrderMerge
-    }
-
-    fn try_execute(
-        &mut self,
-        req: &JoinRequest,
-        pool: &mut BufferPool,
-    ) -> Result<JoinRun, StorageError> {
-        zorder_overlap_join(
-            pool,
-            self.r,
-            self.s,
-            &self.grid,
-            req.theta,
-            &mut req.trace.borrow_mut(),
-        )
-    }
-}
-
-struct ZIndexExec<'a> {
-    r: &'a StoredRelation,
-    s: &'a StoredRelation,
-    grid: ZGrid,
-    /// The z-value index is θ-independent (it indexes R's geometry), so
-    /// one build serves every supported operator.
-    cache: Option<ZIndex>,
-}
-
-impl JoinExecutor for ZIndexExec<'_> {
-    fn strategy(&self) -> Strategy {
-        Strategy::ZIndex
-    }
-
-    fn try_execute(
-        &mut self,
-        req: &JoinRequest,
-        pool: &mut BufferPool,
-    ) -> Result<JoinRun, StorageError> {
-        if self.cache.is_none() {
-            self.cache = Some(ZIndex::try_build(pool, self.r, self.grid, DEFAULT_Z)?);
-        }
-        let idx = self.cache.as_ref().expect("cache was just populated"); // PANIC-OK: invariant
-        idx.join(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
-    }
-}
-
-struct GridExec<'a> {
-    r: &'a StoredRelation,
-    s: &'a StoredRelation,
-    config: GridConfig,
-}
-
-impl JoinExecutor for GridExec<'_> {
-    fn strategy(&self) -> Strategy {
-        Strategy::Grid
-    }
-
-    fn try_execute(
-        &mut self,
-        req: &JoinRequest,
-        pool: &mut BufferPool,
-    ) -> Result<JoinRun, StorageError> {
-        grid_join(
-            pool,
-            self.r,
-            self.s,
-            self.config,
-            req.theta,
-            &mut req.trace.borrow_mut(),
-        )
-    }
-}
-
 struct PartitionExec<'a> {
     r: &'a StoredRelation,
     s: &'a StoredRelation,
@@ -579,10 +382,10 @@ impl JoinExecutor for PartitionExec<'_> {
 }
 
 /// [`Strategy::Auto`]: asks the operands' chooser for a concrete
-/// strategy per request, guards the answer with [`Strategy::supports`]
-/// and operand availability, and delegates. Concrete executors are
-/// cached per strategy so their lazily built indices survive across
-/// requests that resolve the same way.
+/// strategy per request, guards the answer with operand availability,
+/// and delegates. Concrete executors are cached per strategy so their
+/// lazily built indices survive across requests that resolve the same
+/// way.
 struct AutoExec<'a> {
     ops: JoinOperands<'a>,
     chooser: StrategyChooser<'a>,
@@ -593,18 +396,17 @@ struct AutoExec<'a> {
 impl<'a> AutoExec<'a> {
     fn resolve(&self, theta: ThetaOp, pool: &mut BufferPool) -> Result<Strategy, StorageError> {
         let pick = (self.chooser)(theta, pool)?;
-        if pick != Strategy::Auto && pick.supports(theta) && pick.executor(&self.ops).is_some() {
+        if pick != Strategy::Auto && pick.executor(&self.ops).is_some() {
             return Ok(pick);
         }
-        // The chooser named Auto itself, an inapplicable strategy for
-        // this θ, or one whose operands are absent: fall back to the
-        // first concrete strategy that can run. NestedLoop (flat) and
-        // Tree (trees) support all eight operators, so with operands
-        // present — checked at executor construction — this never fails.
-        Ok(Strategy::ALL
-            .into_iter()
-            .find(|s| s.supports(theta) && s.executor(&self.ops).is_some())
-            .expect("a universal strategy exists for the available operands")) // PANIC-OK: invariant
+        // The chooser named Auto itself, or a strategy whose operands are
+        // absent: fall back to strategy I over flat operands, else to the
+        // tree join — executor construction checked one kind is present.
+        Ok(if self.ops.flat.is_some() {
+            Strategy::NestedLoop
+        } else {
+            Strategy::Tree
+        })
     }
 }
 
@@ -722,15 +524,13 @@ mod tests {
         let r = grid_rel(&mut p, 5, 10.0, 0);
         let s = grid_rel(&mut p, 5, 10.0, 500);
         let world = Rect::from_bounds(0.0, 0.0, 64.0, 64.0);
-        // A hostile chooser that always names Grid, which cannot run
-        // directional predicates — Auto must fall back, not crash or
-        // return garbage.
+        // A hostile chooser that names Auto itself — Auto must fall back
+        // to a concrete strategy, not recurse, crash or return garbage.
         let chooser = |_: ThetaOp, _: &mut BufferPool| -> Result<Strategy, StorageError> {
-            Ok(Strategy::Grid)
+            Ok(Strategy::Auto)
         };
         let ops = JoinOperands::flat(&r, &s, world).with_chooser(&chooser);
         let theta = ThetaOp::DirectionOf(sj_geom::Direction::NorthWest);
-        assert!(Strategy::Auto.supports(theta));
 
         let mut want = Strategy::NestedLoop
             .executor(&JoinOperands::flat(&r, &s, world))
@@ -743,9 +543,7 @@ mod tests {
         let mut got = exec.execute(&JoinRequest::new(theta), &mut p).pairs;
         got.sort_unstable();
         assert_eq!(got, want);
-        let resolved = exec.resolved_strategy();
-        assert_ne!(resolved, Strategy::Grid);
-        assert!(resolved.supports(theta));
+        assert_eq!(exec.resolved_strategy(), Strategy::NestedLoop);
     }
 
     #[test]
@@ -762,10 +560,7 @@ mod tests {
         let mut exec = Strategy::Auto.executor(&ops).unwrap();
         let run = exec.execute(&JoinRequest::new(ThetaOp::Overlaps), &mut p);
         assert!(!run.pairs.is_empty());
-        assert!(matches!(
-            exec.resolved_strategy(),
-            Strategy::NestedLoop | Strategy::Sweep
-        ));
+        assert_eq!(exec.resolved_strategy(), Strategy::NestedLoop);
     }
 
     #[test]
@@ -786,30 +581,19 @@ mod tests {
         want.sort_unstable();
         for strat in Strategy::ALL {
             let Some(mut exec) = strat.executor(&ops) else {
-                assert!(
-                    matches!(strat, Strategy::Tree | Strategy::LocalIndex),
+                assert_eq!(
+                    strat,
+                    Strategy::Tree,
                     "{} should only need flat operands",
                     strat.name()
                 );
                 continue;
             };
             assert_eq!(exec.strategy(), strat);
-            assert!(exec.supports(theta));
             let mut got = exec.execute(&req, &mut p).pairs;
             got.sort_unstable();
             assert_eq!(got, want, "{} diverges", strat.name());
         }
-    }
-
-    #[test]
-    fn unsupported_operators_are_reported() {
-        let theta = ThetaOp::DirectionOf(sj_geom::Direction::NorthWest);
-        assert!(!Strategy::Grid.supports(theta));
-        assert!(!Strategy::ZOrderMerge.supports(theta));
-        assert!(!Strategy::ZIndex.supports(theta));
-        assert!(Strategy::Partition.supports(theta));
-        assert!(!Strategy::ZIndex.supports(ThetaOp::WithinDistance(2.0)));
-        assert!(Strategy::Grid.supports(ThetaOp::WithinDistance(2.0)));
     }
 
     #[test]

@@ -63,19 +63,6 @@ impl GridConfig {
     }
 }
 
-/// The distance by which the Θ-filter of `theta` extends beyond MBR
-/// overlap, or `None` for operators a shared-cell grid cannot support
-/// (directional predicates have unbounded filter regions).
-fn filter_slack(theta: ThetaOp) -> Option<f64> {
-    match theta {
-        ThetaOp::Overlaps | ThetaOp::Includes | ThetaOp::ContainedIn => Some(0.0),
-        ThetaOp::WithinDistance(d) | ThetaOp::WithinCenterDistance(d) => Some(d),
-        ThetaOp::ReachableWithin { minutes, speed } => Some(minutes * speed),
-        ThetaOp::Adjacent => Some(sj_geom::EPSILON),
-        ThetaOp::DirectionOf(_) => None,
-    }
-}
-
 /// Grid-partitioned join `R ⋈_θ S`.
 ///
 /// The scans plus cell bucketing are the `partition` phase, cell-probing
@@ -92,9 +79,10 @@ fn filter_slack(theta: ThetaOp) -> Option<f64> {
 ///
 /// # Panics
 ///
-/// Panics for directional θ-operators, whose qualifying region is a
-/// half-plane and cannot be localized to grid cells — an unsupported
-/// operator is a logic error, not a storage fault.
+/// Panics for directional θ-operators (no [`ThetaOp::filter_radius`]),
+/// whose qualifying region is a half-plane and cannot be localized to
+/// grid cells — an unsupported operator is a logic error, not a storage
+/// fault.
 pub fn grid_join(
     pool: &mut BufferPool,
     r: &StoredRelation,
@@ -103,7 +91,7 @@ pub fn grid_join(
     theta: ThetaOp,
     trace: &mut TraceSink,
 ) -> Result<JoinRun, StorageError> {
-    let Some(slack) = filter_slack(theta) else {
+    let Some(slack) = theta.filter_radius() else {
         panic!("grid join cannot support {theta:?}: unbounded filter region"); // PANIC-OK: see # Panics
     };
     let mut timer = PhaseTimer::for_sink(trace);
@@ -226,6 +214,8 @@ mod tests {
             ThetaOp::WithinDistance(12.5),
             ThetaOp::WithinDistance(0.1),
             ThetaOp::Overlaps,
+            ThetaOp::WithinDistance(-1.0),
+            ThetaOp::WithinCenterDistance(-1.0),
         ] {
             let mut got = grid_join(&mut p, &r, &s, cfg(), theta, &mut TraceSink::Null)
                 .unwrap()
@@ -236,6 +226,14 @@ mod tests {
                 .pairs;
             want.sort_unstable();
             assert_eq!(got, want, "{theta:?}");
+            // A negative bound matches nothing; the cell expansion clamps
+            // to 0 instead of shrinking the probe.
+            if matches!(
+                theta,
+                ThetaOp::WithinDistance(d) | ThetaOp::WithinCenterDistance(d) if d < 0.0
+            ) {
+                assert!(got.is_empty(), "{theta:?}");
+            }
         }
     }
 

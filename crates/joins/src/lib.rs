@@ -1,32 +1,35 @@
 //! # sj-joins — executable spatial-join strategies
 //!
-//! Storage-backed executors for every join-processing strategy the paper
+//! Storage-backed executors for the join-processing strategies the paper
 //! analyzes (§2, §4), all reporting [`ExecStats`] in the cost model's own
 //! units (θ/Θ-evaluations and physical page I/O through an LRU buffer
 //! pool):
 //!
-//! | Paper strategy | Executor |
-//! |---|---|
-//! | I — nested loop (with Valduriez's memory passes) | [`nested_loop`] |
-//! | IIa/IIb — generalization tree, unclustered/clustered | [`tree_join`] over a [`TreeRelation`] with the corresponding [`Layout`] |
-//! | III — join index on a B⁺-tree | [`join_index`] |
-//! | sort-merge for `overlaps` via z-elements (Orenstein) | [`sort_merge`] |
-//! | §5's *local join indices* (future work, implemented) | [`local_index`] |
-//! | grid-file join (Rotem's index-supported baseline) | [`grid`] |
-//! | z-value B⁺-tree index (UB-tree style, §2.2) | [`zindex`] |
-//! | PBSM-style grid-partitioned filter-and-refine | [`partition::partition_join`] |
-//! | forward-scan plane-sweep filter | [`sweep::sweep_join`] |
+//! | Paper strategy | Executor | [`Strategy`] |
+//! |---|---|---|
+//! | I — nested loop (with Valduriez's memory passes) | [`nested_loop`] | `NestedLoop` |
+//! | IIa/IIb — generalization tree, unclustered/clustered | [`tree_join`] over a [`TreeRelation`] with the corresponding [`Layout`] | `Tree` |
+//! | III — join index on a B⁺-tree | [`join_index`] | `JoinIndex` |
+//! | PBSM-style grid-partitioned filter-and-refine | [`partition::partition_join`] | `Partition` |
+//! | forward-scan plane-sweep filter | [`sweep::sweep_join`] | `Sweep` |
+//! | §5's *local join indices* (future work, implemented) | [`local_index`] | — |
+//! | grid-file join (Rotem's index-supported baseline) | [`grid`] | — |
 //!
+//! The z-order joins of §2.2 (Orenstein's sort-merge and the z-value
+//! index) live in `sj-zorder`, beside the curve they decompose on.
 //! Every executor is validated (unit + property tests) to return exactly
 //! the same match set as the nested-loop reference.
 //!
 //! ## The unified executor API
 //!
-//! All nine strategies are reachable through one surface: build a
-//! [`JoinRequest`] (θ, optional trace sink), pick a
+//! The five strategies a request can name are reachable through one
+//! surface: build a [`JoinRequest`] (θ, optional trace sink), pick a
 //! [`Strategy`], and run [`JoinExecutor::execute`] over
 //! [`JoinOperands`]. This is what the experiment harness, the serving
-//! layer and the benchmark dispatch through.
+//! layer and the benchmark dispatch through. Each runs all eight
+//! θ-operators. The grid-file join and local join indices are library
+//! functions only: no cost model prices them, so a request cannot name
+//! them.
 //!
 //! ## The optimizer
 //!
@@ -58,7 +61,7 @@
 //!
 //! Relation reads and scans ([`StoredRelation`]), tree-node visits
 //! ([`PagedTree`]), index builds and maintenance ([`JoinIndex`],
-//! [`LocalJoinIndex`], [`ZIndex`]) and WAL payload decoding
+//! [`LocalJoinIndex`]) and WAL payload decoding
 //! ([`WriteBatch::decode`]) are likewise fallible only and charged
 //! through the pool; there is no panicking twin. The bulk builders
 //! (`StoredRelation::build*`, `TreeRelation::new*`) run on a pool the
@@ -79,11 +82,9 @@ pub mod paged_tree;
 pub mod partition;
 pub mod refine;
 pub mod relation;
-pub mod sort_merge;
 pub mod stats;
 pub mod sweep;
 pub mod tree_join;
-pub mod zindex;
 
 pub use executor::{JoinExecutor, JoinOperands, JoinRequest, Strategy};
 pub use join_index::JoinIndex;
@@ -96,4 +97,3 @@ pub use relation::StoredRelation;
 pub use sj_obs::{Phase, PhaseTimer, TraceEvent, TraceSink};
 pub use stats::{ExecStats, JoinRun, PhaseStats, SelectRun};
 pub use sweep::sweep_join;
-pub use zindex::ZIndex;

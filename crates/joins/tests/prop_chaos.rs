@@ -1,5 +1,7 @@
-//! Chaos property suite: every join strategy, under every θ-operator it
-//! supports, with deterministic fault injection armed, is **fail-stop**:
+//! Chaos property suite: every join strategy, under every θ-operator,
+//! with deterministic fault injection armed, is **fail-stop** — the five
+//! [`Strategy`] executors plus `Auto`, and the library joins called
+//! directly (the grid-file join, local join indices):
 //!
 //! - `Ok(run)` carries *exactly* the fault-free match set — a fault can
 //!   abort a run but can never corrupt one;
@@ -11,7 +13,8 @@
 
 use sj_geom::{Direction, Geometry, Point, Rect, ThetaOp};
 use sj_joins::executor::JoinOperands;
-use sj_joins::{JoinRequest, StoredRelation, Strategy, TreeRelation};
+use sj_joins::grid::{grid_join, GridConfig};
+use sj_joins::{JoinRequest, LocalJoinIndex, StoredRelation, Strategy, TraceSink, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, FaultConfig, FaultInjector, Layout, StorageError};
 
 const THETAS: [ThetaOp; 8] = [
@@ -80,17 +83,55 @@ fn operands(w: &World) -> JoinOperands<'_> {
         .with_chooser(&sweep_chooser)
 }
 
-/// Fault-free reference pairs for `strategy` under `theta`, sorted.
-fn reference(
-    pool: &mut BufferPool,
-    w: &World,
-    strategy: Strategy,
-    theta: ThetaOp,
-) -> Vec<(u64, u64)> {
-    pool.set_fault_injector(None);
-    let ops = operands(w);
-    let mut exec = strategy.executor(&ops).expect("operands cover everything");
-    let mut pairs = exec.execute(&JoinRequest::new(theta), pool).pairs;
+/// A join under test: runs against the pool it is given, sorted pairs
+/// or the first storage fault.
+type Join<'a> = Box<dyn Fn(&mut BufferPool) -> Result<Vec<(u64, u64)>, StorageError> + 'a>;
+
+/// Runs every `(label, join)` fault-free for its reference, then under
+/// injected faults at two rates × three seeds: an `Ok` run must equal the
+/// reference, an `Err` must be typed. Returns `(faulted, survived)`.
+fn assert_fail_stop(pool: &mut BufferPool, joins: &[(String, Join<'_>)]) -> (u64, u64) {
+    let (mut faulted, mut survived) = (0u64, 0u64);
+    // Salt every run's injector seed with the combination index:
+    // strategies that replay the identical page-read sequence would
+    // otherwise share the identical fault stream, collapsing hundreds
+    // of runs into a handful of distinct draws.
+    let mut combo = 0u64;
+    for (label, join) in joins {
+        pool.set_fault_injector(None);
+        let want = join(pool).expect("no injector armed");
+        for rate in [0.02, 0.08] {
+            for seed in [1u64, 2, 3] {
+                combo += 1;
+                pool.set_fault_injector(Some(FaultInjector::new(FaultConfig::uniform(
+                    seed.wrapping_add(combo.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                    rate,
+                ))));
+                // Evict everything so the run performs physical
+                // reads — resident pages never consult the injector.
+                pool.clear();
+                match join(pool) {
+                    Ok(got) => {
+                        survived += 1;
+                        assert_eq!(
+                            got, want,
+                            "{label} at rate {rate} seed {seed}: an Ok run \
+                             must be byte-identical to the fault-free reference"
+                        );
+                    }
+                    Err(e) => {
+                        faulted += 1;
+                        assert!(!e.kind().is_empty(), "errors must be typed, got {e:?}");
+                    }
+                }
+                pool.set_fault_injector(None);
+            }
+        }
+    }
+    (faulted, survived)
+}
+
+fn sorted(mut pairs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     pairs.sort_unstable();
     pairs
 }
@@ -99,55 +140,58 @@ fn reference(
 fn every_strategy_is_fail_stop_under_injected_faults() {
     let mut pool = pool();
     let w = build_world(&mut pool);
-    let strategies: Vec<Strategy> = Strategy::ALL.into_iter().chain([Strategy::Auto]).collect();
-    let mut faulted = 0u64;
-    let mut survived = 0u64;
-    // Salt every run's injector seed with the combination index:
-    // strategies that replay the identical page-read sequence would
-    // otherwise share the identical fault stream, collapsing hundreds
-    // of runs into a handful of distinct draws.
-    let mut combo = 0u64;
+    let mut joins: Vec<(String, Join<'_>)> = Vec::new();
     for theta in THETAS {
-        for &strategy in &strategies {
-            if !strategy.supports(theta) {
-                continue;
-            }
-            let want = reference(&mut pool, &w, strategy, theta);
-            for rate in [0.02, 0.08] {
-                for seed in [1u64, 2, 3] {
-                    combo += 1;
-                    pool.set_fault_injector(Some(FaultInjector::new(FaultConfig::uniform(
-                        seed.wrapping_add(combo.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                        rate,
-                    ))));
-                    // Evict everything so the run performs physical
-                    // reads — resident pages never consult the injector.
-                    pool.clear();
-                    let ops = operands(&w);
-                    let mut exec = strategy.executor(&ops).expect("operands cover everything");
-                    match exec.try_execute(&JoinRequest::new(theta), &mut pool) {
-                        Ok(run) => {
-                            survived += 1;
-                            let mut got = run.pairs;
-                            got.sort_unstable();
-                            assert_eq!(
-                                got,
-                                want,
-                                "{} under {theta:?} at rate {rate} seed {seed}: an Ok run \
-                                 must be byte-identical to the fault-free reference",
-                                strategy.name()
-                            );
-                        }
-                        Err(e) => {
-                            faulted += 1;
-                            assert!(!e.kind().is_empty(), "errors must be typed, got {e:?}");
-                        }
-                    }
-                    pool.set_fault_injector(None);
-                }
-            }
+        for strategy in Strategy::ALL.into_iter().chain([Strategy::Auto]) {
+            let w = &w;
+            let join = move |pool: &mut BufferPool| {
+                let ops = operands(w);
+                let mut exec = strategy.executor(&ops).expect("operands cover everything");
+                let run = exec.try_execute(&JoinRequest::new(theta), pool)?;
+                Ok(sorted(run.pairs))
+            };
+            joins.push((
+                format!("{} under {theta:?}", strategy.name()),
+                Box::new(join),
+            ));
         }
     }
+    let (faulted, survived) = assert_fail_stop(&mut pool, &joins);
+    assert!(faulted > 0, "injection rates must actually abort some runs");
+    assert!(survived > 0, "low rates must let some runs complete");
+}
+
+/// The joins no request can name, through their library functions: the
+/// grid-file join on every θ with a bounded filter region (it panics on
+/// directional θ by contract), local join indices — build and probe — on
+/// all eight.
+#[test]
+fn library_joins_are_fail_stop_under_injected_faults() {
+    let mut pool = pool();
+    let w = build_world(&mut pool);
+    let config = GridConfig {
+        world: w.world,
+        nx: 16,
+        ny: 16,
+    };
+    let mut joins: Vec<(String, Join<'_>)> = Vec::new();
+    for theta in THETAS {
+        let w = &w;
+        if theta.filter_radius().is_some() {
+            let join = move |pool: &mut BufferPool| {
+                let run = grid_join(pool, &w.r, &w.s, config, theta, &mut TraceSink::Null)?;
+                Ok(sorted(run.pairs))
+            };
+            joins.push((format!("grid_join under {theta:?}"), Box::new(join)));
+        }
+        let join = move |pool: &mut BufferPool| {
+            let (idx, _) = LocalJoinIndex::try_build(pool, &w.r_tree, &w.s_tree, theta, 1, 16)?;
+            Ok(sorted(idx.join(pool, &mut TraceSink::Null)?.pairs))
+        };
+        joins.push((format!("local join index under {theta:?}"), Box::new(join)));
+    }
+    assert_eq!(joins.len(), 7 + 8);
+    let (faulted, survived) = assert_fail_stop(&mut pool, &joins);
     assert!(faulted > 0, "injection rates must actually abort some runs");
     assert!(survived > 0, "low rates must let some runs complete");
 }

@@ -4,11 +4,15 @@
 //! 1. Every [`Strategy`] reachable through [`JoinExecutor::execute`]
 //!    returns exactly the nested-loop reference match set.
 //! 2. Per-phase [`PhaseStats`] deltas sum *exactly* to the run's
-//!    [`ExecStats`] totals, on every strategy × every θ-operator it
-//!    supports (the `seal` invariant).
+//!    [`ExecStats`] totals, on every strategy × every θ-operator (the
+//!    `seal` invariant).
 //! 3. A run with [`TraceSink::Null`] and a run with [`TraceSink::Vec`]
 //!    produce identical [`JoinRun`]s — tracing observes, never perturbs —
 //!    and the Vec sink actually captures well-formed span events.
+//!
+//! The library joins no request can name — the grid-file join (every θ
+//! with a bounded filter region) and local join indices — are held to
+//! the same three properties through their functions.
 
 use proptest::prelude::*;
 // `sj_joins::Strategy` shadows the prelude's generator trait; re-import it
@@ -16,8 +20,12 @@ use proptest::prelude::*;
 use proptest::Strategy as _;
 use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_geom::{Direction, Geometry, Point, Rect, ThetaOp};
+use sj_joins::grid::{grid_join, GridConfig};
 use sj_joins::nested_loop::nested_loop_join;
-use sj_joins::{JoinOperands, JoinRequest, StoredRelation, Strategy, TraceSink, TreeRelation};
+use sj_joins::{
+    JoinOperands, JoinRequest, JoinRun, LocalJoinIndex, StoredRelation, Strategy, TraceSink,
+    TreeRelation,
+};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
 const WORLD: f64 = 128.0;
@@ -63,6 +71,72 @@ const ALL_THETAS: [ThetaOp; 8] = [
     ThetaOp::DirectionOf(Direction::NorthWest),
 ];
 
+/// Properties 1–3 for one join: `run` on a cold pool untraced, then
+/// again with a Vec sink.
+fn check_join(
+    p: &mut BufferPool,
+    label: &str,
+    reference: &[(u64, u64)],
+    run: impl Fn(&mut BufferPool, &mut TraceSink) -> JoinRun,
+) -> Result<(), TestCaseError> {
+    // Untraced run.
+    p.clear();
+    p.reset_stats();
+    let untraced = run(p, &mut TraceSink::Null);
+
+    // Property 2: phase deltas sum exactly to run totals.
+    prop_assert_eq!(
+        untraced.phases.total(),
+        untraced.stats,
+        "phase sums diverge for {}",
+        label
+    );
+
+    // Property 1: same match set as the nested-loop reference.
+    prop_assert_eq!(
+        sorted(untraced.pairs.clone()),
+        reference.to_vec(),
+        "{} diverges from reference",
+        label
+    );
+
+    // Property 3: a Vec-traced run is indistinguishable in pairs,
+    // totals, and phase deltas.
+    p.clear();
+    p.reset_stats();
+    let mut sink = TraceSink::vec();
+    let traced = run(p, &mut sink);
+    prop_assert_eq!(
+        &untraced.pairs,
+        &traced.pairs,
+        "{} trace perturbed pairs",
+        label
+    );
+    prop_assert_eq!(
+        untraced.stats,
+        traced.stats,
+        "{} trace perturbed stats",
+        label
+    );
+    prop_assert_eq!(
+        untraced.phases.clone(),
+        traced.phases.clone(),
+        "{} trace perturbed phase deltas",
+        label
+    );
+    let events = sink.events();
+    prop_assert!(!events.is_empty(), "{} emitted no spans", label);
+    for ev in events {
+        prop_assert!(!ev.span.is_empty());
+        prop_assert!(
+            ev.counters.iter().all(|(name, _)| !name.is_empty()),
+            "unnamed counter in span {}",
+            ev.span
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -96,52 +170,27 @@ proptest! {
         let reference = sorted(nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap().pairs);
 
         for strat in Strategy::ALL {
-            if !strat.supports(theta) {
-                continue;
-            }
-            let mut exec = strat.executor(&ops).expect("both operand kinds present");
-            prop_assert_eq!(exec.strategy(), strat);
-
-            // Untraced run.
-            p.clear();
-            p.reset_stats();
-            let run = exec.execute(&JoinRequest::new(theta), &mut p);
-
-            // Property 2: phase deltas sum exactly to run totals.
-            prop_assert_eq!(
-                run.phases.total(), run.stats,
-                "phase sums diverge for {} under {:?}", strat.name(), theta
-            );
-
-            // Property 1: same match set as the nested-loop reference.
-            prop_assert_eq!(
-                sorted(run.pairs.clone()), reference.clone(),
-                "{} diverges from reference for {:?}", strat.name(), theta
-            );
-
-            // Property 3: a Vec-traced run of a fresh executor is
-            // indistinguishable in pairs, totals, and phase deltas.
-            let mut exec2 = strat.executor(&ops).expect("both operand kinds present");
-            p.clear();
-            p.reset_stats();
-            let req = JoinRequest::new(theta).with_trace(TraceSink::vec());
-            let traced = exec2.execute(&req, &mut p);
-            prop_assert_eq!(&run.pairs, &traced.pairs, "{} trace perturbed pairs", strat.name());
-            prop_assert_eq!(run.stats, traced.stats, "{} trace perturbed stats", strat.name());
-            prop_assert_eq!(
-                run.phases.clone(), traced.phases.clone(),
-                "{} trace perturbed phase deltas", strat.name()
-            );
-            let sink = req.take_trace();
-            let events = sink.events();
-            prop_assert!(!events.is_empty(), "{} emitted no spans", strat.name());
-            for ev in events {
-                prop_assert!(!ev.span.is_empty());
-                prop_assert!(
-                    ev.counters.iter().all(|(name, _)| !name.is_empty()),
-                    "unnamed counter in span {}", ev.span
-                );
-            }
+            let label = format!("{} under {theta:?}", strat.name());
+            prop_assert_eq!(strat.executor(&ops).expect("both operand kinds present").strategy(), strat);
+            // A fresh executor per run, so the join index builds each time.
+            check_join(&mut p, &label, &reference, |p, sink| {
+                let mut exec = strat.executor(&ops).expect("both operand kinds present");
+                let req = JoinRequest::new(theta).with_trace(std::mem::take(sink));
+                let run = exec.execute(&req, p);
+                *sink = req.take_trace();
+                run
+            })?;
         }
+
+        if theta.filter_radius().is_some() {
+            let config = GridConfig { world, nx: 8, ny: 8 };
+            check_join(&mut p, &format!("grid_join under {theta:?}"), &reference, |p, sink| {
+                grid_join(p, &r, &s, config, theta, sink).unwrap()
+            })?;
+        }
+        check_join(&mut p, &format!("local join index under {theta:?}"), &reference, |p, sink| {
+            let (idx, _) = LocalJoinIndex::try_build(p, &tr, &ts, theta, 1, 16).unwrap();
+            idx.join(p, sink).unwrap()
+        })?;
     }
 }

@@ -257,9 +257,6 @@ proptest! {
         // runs over compressed operands still sum phase deltas exactly.
         let ops = JoinOperands::flat(&rc, &sc, world).with_trees(&tc_r, &tc_s);
         for strat in [Strategy::Sweep, Strategy::Partition, Strategy::Tree] {
-            if !strat.supports(theta) {
-                continue;
-            }
             let mut exec = strat.executor(&ops).expect("operands present");
             p.clear();
             p.reset_stats();

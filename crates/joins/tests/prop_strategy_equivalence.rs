@@ -1,17 +1,15 @@
-//! The strategy-equivalence matrix: every executable join strategy must
-//! return exactly the nested-loop reference result on arbitrary workloads
-//! (for the θ-operators it supports).
+//! The strategy-equivalence matrix: every join of this crate must return
+//! exactly the nested-loop reference result on arbitrary workloads. The
+//! z-order joins' arm lives with them, in `sj-zorder`'s tests.
 
 use proptest::prelude::*;
 use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_geom::{Geometry, Point, Rect, ThetaOp};
 use sj_joins::grid::{grid_join, GridConfig};
 use sj_joins::nested_loop::nested_loop_join;
-use sj_joins::sort_merge::zorder_overlap_join;
 use sj_joins::tree_join::tree_join;
 use sj_joins::{JoinIndex, StoredRelation, TraceSink, TreeRelation};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
-use sj_zorder::ZGrid;
 
 const WORLD: f64 = 128.0;
 
@@ -91,17 +89,6 @@ proptest! {
         let (idx, _) = JoinIndex::try_build(&mut p, &r, &s, theta, 8).unwrap();
         let got = sorted(idx.join(&mut p, &r, &s, &mut TraceSink::Null).unwrap().pairs);
         prop_assert_eq!(&got, &reference, "join index diverges for {:?}", theta);
-
-        // Z-order sort-merge and z-value index, where applicable.
-        if sj_joins::sort_merge::supported_by_zorder(theta) {
-            let grid = ZGrid::new(Rect::from_bounds(0.0, 0.0, WORLD, WORLD), 5);
-            let got = sorted(zorder_overlap_join(&mut p, &r, &s, &grid, theta, &mut TraceSink::Null).unwrap().pairs);
-            prop_assert_eq!(&got, &reference, "z-order sort-merge diverges for {:?}", theta);
-
-            let idx = sj_joins::ZIndex::try_build(&mut p, &r, grid, 16).unwrap();
-            let got = sorted(idx.join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap().pairs);
-            prop_assert_eq!(&got, &reference, "z-index join diverges for {:?}", theta);
-        }
 
         // Local join indices at two anchor levels.
         for level in [1usize, 2] {

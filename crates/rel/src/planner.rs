@@ -6,9 +6,7 @@
 
 use sj_costmodel::{Distribution, ModelParams};
 use sj_geom::ThetaOp;
-use sj_joins::advisor::{
-    choose_join_strategy, recommend, try_estimate_selectivity, Operation, WorkloadProfile,
-};
+use sj_joins::advisor::{recommend, try_estimate_selectivity, Operation, WorkloadProfile};
 use sj_joins::Strategy;
 
 use crate::db::Database;
@@ -102,12 +100,9 @@ impl Database {
             updates_per_query: config.updates_per_query,
             operation: Operation::Join,
         };
-        let picked = choose_join_strategy(&profile, theta);
-        let (_, ranked) = recommend(&profile);
-        let estimated_cost = ranked
-            .iter()
-            .find(|scored| scored.candidate.strategy() == picked)
-            .map_or(f64::NAN, |scored| scored.total(config.updates_per_query));
+        let (best, ranked) = recommend(&profile);
+        let picked = best.strategy();
+        let estimated_cost = ranked[0].total(config.updates_per_query);
 
         // 4. Execute.
         let strategy = if picked == Strategy::JoinIndex {

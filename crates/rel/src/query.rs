@@ -1,6 +1,6 @@
 //! Spatial query operators: selection and join with pluggable strategies.
 
-use sj_geom::{Bounded, Geometry, Rect, ThetaOp};
+use sj_geom::{Geometry, Rect, ThetaOp};
 use sj_joins::nested_loop::exhaustive_select;
 use sj_joins::tree_join::{tree_select, TraversalOrder};
 use sj_joins::{JoinOperands, JoinRequest, Strategy, TraceSink};
@@ -17,8 +17,7 @@ pub enum JoinStrategy {
     /// [`Strategy::executor`] over the two column files — plus their
     /// R-tree indices (built/refreshed on demand; the IIa/IIb distinction
     /// is the layout given to [`Database::create_spatial_index`]) when the
-    /// strategy walks trees, and the data's bounding world when it
-    /// partitions space.
+    /// strategy walks trees.
     Exec(Strategy),
     /// Strategy III — a previously created named join index
     /// (see [`Database::create_join_index`]).
@@ -126,13 +125,9 @@ impl Database {
         let run = match strategy {
             JoinStrategy::Exec(strategy) => {
                 // Operands on demand, so a join is charged only for what
-                // its strategy reads: the world scan when it partitions
-                // space, the R-tree (re)build when it walks trees.
-                let world = if strategy.partitions_space() {
-                    self.data_world(&[(r_table, r_col), (s_table, s_col)])
-                } else {
-                    Rect::from_bounds(0.0, 0.0, 1.0, 1.0)
-                };
+                // its strategy reads: the R-tree (re)build when it walks
+                // trees. (`JoinOperands::flat` ignores its world.)
+                let world = Rect::from_bounds(0.0, 0.0, 1.0, 1.0);
                 let needs_trees = {
                     let r = &self.tables[r_table].spatial[r_col].column;
                     let s = &self.tables[s_table].spatial[s_col].column;
@@ -189,27 +184,6 @@ impl Database {
         // The database's own pool carries no fault injector.
         run.unwrap_or_else(|e| panic!("spatial join failed: {e}"))
             .pairs
-    }
-
-    /// The bounding rectangle of all geometries in the given spatial
-    /// columns, slightly expanded (grid/z-order strategies need a world).
-    fn data_world(&mut self, cols: &[(&str, &str)]) -> Rect {
-        let mut acc: Option<Rect> = None;
-        for &(table, col) in cols {
-            let pool = &mut self.pool;
-            let c = &self.tables[table].spatial[col].column;
-            // The database's own pool carries no fault injector.
-            let rows = c.try_scan(pool);
-            for (_, g) in rows.expect("storage fault during world scan") {
-                let m = g.mbr();
-                acc = Some(match acc {
-                    Some(a) => a.union(&m),
-                    None => m,
-                });
-            }
-        }
-        acc.map(|r| r.expand(r.margin().max(1.0) * 0.01))
-            .unwrap_or_else(|| Rect::from_bounds(0.0, 0.0, 1.0, 1.0))
     }
 }
 
@@ -295,37 +269,15 @@ mod tests {
             "local build must not exceed N²"
         );
 
-        let grid = sorted(db.spatial_join_ids(
+        let partition = sorted(db.spatial_join_ids(
             "a",
             "loc",
             "b",
             "loc",
             theta,
-            JoinStrategy::Exec(Strategy::Grid),
+            JoinStrategy::Exec(Strategy::Partition),
         ));
-        assert_eq!(grid, reference);
-    }
-
-    #[test]
-    fn zorder_strategy_for_overlaps() {
-        let mut db = setup();
-        let reference = sorted(db.spatial_join_ids(
-            "a",
-            "loc",
-            "b",
-            "loc",
-            ThetaOp::Overlaps,
-            JoinStrategy::NestedLoop,
-        ));
-        let z = sorted(db.spatial_join_ids(
-            "a",
-            "loc",
-            "b",
-            "loc",
-            ThetaOp::Overlaps,
-            JoinStrategy::Exec(Strategy::ZOrderMerge),
-        ));
-        assert_eq!(z, reference);
+        assert_eq!(partition, reference);
     }
 
     #[test]

@@ -138,9 +138,6 @@ pub enum Rejection {
         /// How long it had been queued when shed (µs).
         queue_us: u64,
     },
-    /// The named strategy cannot evaluate the request's θ-operator
-    /// (checked at submission; see [`Strategy::supports`]).
-    UnsupportedTheta,
     /// Storage faulted on every attempt (initial try, retries, and the
     /// degraded fallback where applicable); the last typed error is
     /// attached. Fail-stop: no partial or wrong result is ever returned.

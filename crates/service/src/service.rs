@@ -217,7 +217,6 @@ struct DataState {
     pool: BufferPool,
     r: Arc<SideState>,
     s: Arc<SideState>,
-    world: Rect,
     version: u64,
 }
 
@@ -294,14 +293,18 @@ impl SpatialService {
     /// slice of one (or either) side of the data, in which case joins
     /// and selects simply return empty results and `Auto` dispatch skips
     /// selectivity sampling (the estimator needs tuples to draw).
+    ///
+    /// `_world` is ignored: no strategy reads one. It stays only because
+    /// the benchmark harness calls this four-argument form; ROADMAP item
+    /// 25(a) drops it.
     pub fn start(
         config: ServiceConfig,
         r_tuples: &[(u64, Geometry)],
         s_tuples: &[(u64, Geometry)],
-        world: Rect,
+        _world: Rect,
     ) -> Self {
         let workers = config.workers.max(1);
-        let state = build_state(&config, r_tuples, s_tuples, world, 0);
+        let state = build_state(&config, r_tuples, s_tuples, 0);
         let shared = Arc::new(Shared {
             config,
             snapshot: SnapshotCell::new(Arc::new(state)),
@@ -334,13 +337,8 @@ impl SpatialService {
     /// caller's thread, at the published version: a hit is answered at
     /// once — it does no work for admission or a deadline to bound. A
     /// miss is admitted for a worker, or rejected when every admission
-    /// shard is full; so is a θ-operator the named strategy cannot run.
+    /// shard is full.
     pub fn submit(&self, req: Request) -> Result<Pending, Rejection> {
-        if let QueryKind::Join { strategy } = &req.kind {
-            if !strategy.supports(req.theta) {
-                return Err(Rejection::UnsupportedTheta);
-            }
-        }
         let version = self.version();
         let key = CacheKey::for_request(version, &req);
         if let Some(reply) = self.shared.cache.get(&key) {
@@ -472,7 +470,6 @@ impl SpatialService {
         config: ServiceConfig,
         r_tuples: &[(u64, Geometry)],
         s_tuples: &[(u64, Geometry)],
-        world: Rect,
         image: &[u8],
     ) -> Result<SpatialService, StorageError> {
         let (wal, payloads) = WriteAheadLog::recover(image)?;
@@ -480,7 +477,8 @@ impl SpatialService {
             .iter()
             .map(|p| WriteBatch::decode(p))
             .collect::<Result<Vec<_>, _>>()?;
-        let svc = SpatialService::start(config, r_tuples, s_tuples, world);
+        let ignored_world = Rect::from_bounds(0.0, 0.0, 0.0, 0.0);
+        let svc = SpatialService::start(config, r_tuples, s_tuples, ignored_world);
         *svc.shared
             .wal
             .lock()
@@ -639,7 +637,6 @@ fn build_state(
     config: &ServiceConfig,
     r_tuples: &[(u64, Geometry)],
     s_tuples: &[(u64, Geometry)],
-    world: Rect,
     version: u64,
 ) -> DataState {
     let mut pool = BufferPool::new(Disk::new(DiskConfig::paper()), config.pool_capacity);
@@ -665,7 +662,6 @@ fn build_state(
         pool,
         r,
         s,
-        world,
         version,
     }
 }
@@ -724,7 +720,6 @@ fn apply_incremental(
     let mut pool = current.pool.fork_view(config.pool_capacity);
     let mut r = Arc::clone(&current.r);
     let mut s = Arc::clone(&current.s);
-    let mut world = current.world;
     let mut touched = TouchedRegions::default();
     let mut outcomes = Vec::with_capacity(batch.len());
     for (side, op) in &batch.ops {
@@ -739,7 +734,6 @@ fn apply_incremental(
             *side,
             op,
             &mut touched,
-            &mut world,
         )?);
     }
     let evolve_started = Instant::now();
@@ -759,7 +753,6 @@ fn apply_incremental(
             pool,
             r,
             s,
-            world,
             version: current.version + 1,
         },
         outcomes,
@@ -783,7 +776,6 @@ fn apply_one(
     side: Side,
     op: &Mutation,
     touched: &mut TouchedRegions,
-    world: &mut Rect,
 ) -> Result<MutationOutcome, StorageError> {
     let SideState { rel, index, .. } = state;
     match op {
@@ -797,7 +789,6 @@ fn apply_one(
             rel.try_insert(pool, *id, value)?;
             index.insert(*id, value.clone());
             touched.touch_geometry(side, value);
-            *world = world.union(&value.mbr());
             Ok(MutationOutcome::Inserted)
         }
         Mutation::Delete { id } => {
@@ -827,7 +818,6 @@ fn apply_one(
             };
             index.insert(*id, value.clone());
             touched.touch_geometry(side, value);
-            *world = world.union(&value.mbr());
             Ok(MutationOutcome::Upserted { replaced })
         }
     }
@@ -1087,9 +1077,11 @@ fn try_compute(
                 config.selectivity_samples,
                 config.seed,
             );
-            let ops = JoinOperands::flat(&state.r.rel, &state.s.rel, state.world)
-                .with_trees(&state.r.tree, &state.s.tree)
-                .with_chooser(&chooser);
+            let ops = JoinOperands {
+                flat: Some((&state.r.rel, &state.s.rel)),
+                trees: Some((&state.r.tree, &state.s.tree)),
+                chooser: Some(&chooser),
+            };
             let mut exec = match strategy.executor(&ops) {
                 Some(exec) => exec,
                 // Absent operands are a construction bug, not a storage
@@ -1248,21 +1240,39 @@ mod tests {
         }
     }
 
+    /// Every strategy a request can name runs every operator: no
+    /// combination is rejected, and each answers the nested-loop result.
     #[test]
-    fn unsupported_strategy_theta_pairs_are_rejected_at_submit() {
+    fn every_strategy_answers_every_theta_at_submit() {
         let svc = small_service(ServiceConfig::default());
-        let theta = ThetaOp::DirectionOf(sj_geom::Direction::North);
-        let err = svc
-            .submit(Request::join(Strategy::Grid, theta))
-            .expect_err("grid cannot run directional joins");
-        assert_eq!(err, Rejection::UnsupportedTheta);
-        // Auto with the same θ succeeds by resolving to a capable
-        // strategy.
-        let resp = svc.call(Request::join(Strategy::Auto, theta)).expect("ok");
-        let Reply::Join { resolved, .. } = &resp.reply else {
-            panic!("join reply expected");
-        };
-        assert!(resolved.supports(theta));
+        for theta in [
+            ThetaOp::WithinCenterDistance(12.0),
+            ThetaOp::WithinDistance(12.0),
+            ThetaOp::Overlaps,
+            ThetaOp::Includes,
+            ThetaOp::ContainedIn,
+            ThetaOp::DirectionOf(sj_geom::Direction::North),
+            ThetaOp::ReachableWithin {
+                minutes: 6.0,
+                speed: 2.0,
+            },
+            ThetaOp::Adjacent,
+        ] {
+            let Reply::Join { pairs: want, .. } =
+                svc.execute_reference(&Request::join(Strategy::NestedLoop, theta))
+            else {
+                panic!("join reply expected");
+            };
+            for strategy in Strategy::ALL.into_iter().chain([Strategy::Auto]) {
+                let resp = svc
+                    .call(Request::join(strategy, theta))
+                    .unwrap_or_else(|e| panic!("{strategy:?} × {theta:?} rejected: {e:?}"));
+                let Reply::Join { pairs, .. } = &resp.reply else {
+                    panic!("join reply expected");
+                };
+                assert_eq!(*pairs, want, "{strategy:?} × {theta:?}");
+            }
+        }
     }
 
     /// `selectivity_samples` is "min 1" like `workers`, `batch_size` and
@@ -1289,8 +1299,8 @@ mod tests {
     }
 
     /// The profile is caller-supplied: `k = 1` makes the model's `N` 0/0,
-    /// so every §4 cost is NaN. Ranking must survive that — the pick still
-    /// supports θ and the join is still exact — for all eight operators.
+    /// so every §4 cost is NaN. Ranking must survive that — the pick is
+    /// still concrete and the join still exact — for all eight operators.
     #[test]
     fn a_profile_the_model_cannot_price_still_resolves_auto() {
         let mut config = ServiceConfig::default();
@@ -1319,10 +1329,7 @@ mod tests {
                 panic!("join replies expected");
             };
             assert_eq!(*pairs, want, "{theta:?}");
-            assert!(
-                *resolved != Strategy::Auto && resolved.supports(theta),
-                "{resolved:?} cannot run {theta:?}"
-            );
+            assert_ne!(*resolved, Strategy::Auto, "{theta:?}");
         }
     }
 
@@ -2071,7 +2078,6 @@ mod tests {
             *svc.config(),
             &grid_tuples(5, 10.0, 0),
             &grid_tuples(5, 10.0, 500),
-            world(),
             &svc.wal_image(),
         )
         .expect("image with no synced records recovers");
@@ -2102,7 +2108,6 @@ mod tests {
             *svc.config(),
             &grid_tuples(5, 10.0, 0),
             &grid_tuples(5, 10.0, 500),
-            world(),
             &svc.wal_image(),
         )
         .expect("recovery succeeds");
@@ -2133,7 +2138,6 @@ mod tests {
                 *svc.config(),
                 &grid_tuples(5, 10.0, 0),
                 &grid_tuples(5, 10.0, 500),
-                world(),
                 &image,
             ),
             Err(StorageError::WalCorrupt { .. })
@@ -2177,7 +2181,6 @@ mod tests {
                 ServiceConfig::default(),
                 &grid_tuples(5, 10.0, 0),
                 &grid_tuples(5, 10.0, 500),
-                world(),
                 &wal.durable_image(),
             );
             assert!(
@@ -2224,9 +2227,6 @@ mod tests {
             ThetaOp::ContainedIn,
         ] {
             for strategy in [Strategy::Sweep, Strategy::Partition, Strategy::Tree] {
-                if !strategy.supports(theta) {
-                    continue;
-                }
                 let req = Request::join(strategy, theta);
                 assert_eq!(
                     svc.call(req.clone()).expect("ok").reply,

@@ -130,7 +130,7 @@ fn crash_at_every_fsync_boundary_recovers_the_durable_prefix() {
 
         // Recover from the durable image: the recovered service must be
         // indistinguishable from the sequential reference.
-        let recovered = SpatialService::recover(config(), &r0, &s0, world(), &svc.wal_image())
+        let recovered = SpatialService::recover(config(), &r0, &s0, &svc.wal_image())
             .expect("the durable image is well-formed");
         assert_eq!(recovered.version(), committed, "crash run {fail_at}");
         for req in probes() {
@@ -147,7 +147,7 @@ fn crash_at_every_fsync_boundary_recovers_the_durable_prefix() {
         for pos in (0..image.len()).step_by(image.len() / 16 + 1) {
             let mut bad = image.clone();
             bad[pos] ^= 0x40;
-            match SpatialService::recover(config(), &r0, &s0, world(), &bad) {
+            match SpatialService::recover(config(), &r0, &s0, &bad) {
                 Err(StorageError::WalCorrupt { .. }) => {}
                 Err(other) => panic!("crash run {fail_at}: wrong error kind {other:?}"),
                 Ok(recovered) => {
@@ -183,7 +183,7 @@ fn retry_after_a_failed_sync_commits_cleanly() {
     // batch and lands at version 1 — and recovery sees it exactly once.
     let receipt = svc.commit(&batch).expect("sync attempt 1 is unarmed");
     assert_eq!(receipt.version, 1);
-    let recovered = SpatialService::recover(config(), &r0, &s0, world(), &svc.wal_image())
+    let recovered = SpatialService::recover(config(), &r0, &s0, &svc.wal_image())
         .expect("durable image recovers");
     assert_eq!(recovered.version(), 1);
     let probe = Request::select(

@@ -30,7 +30,7 @@
 //! result exactly. Joins a spatial partition cannot localize
 //! (directional operators, distance bounds beyond the halo) are answered
 //! at the router from its authority maps, filter-then-refine over one
-//! flat copy — the same reason `grid_join` rejects directional θ.
+//! flat copy: no tile can hold every partner of a tuple there.
 //!
 //! ## Skew
 //!

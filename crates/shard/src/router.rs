@@ -250,17 +250,11 @@ impl ShardRouter {
         for leaf in plan.leaves() {
             let r_slice = slice(r_tuples, &r_rects, leaf);
             let s_slice = slice(s_tuples, &s_rects, leaf);
-            // The shard's own world covers its leaf plus everything it
-            // holds (halo tuples poke past the leaf).
-            let shard_world = r_slice
-                .iter()
-                .chain(s_slice.iter())
-                .fold(*leaf, |w, (_, g)| w.union(&g.mbr()));
             services.push(SpatialService::start(
                 config.service,
                 &r_slice,
                 &s_slice,
-                shard_world,
+                *leaf,
             ));
         }
         let advisors = services
@@ -312,14 +306,9 @@ impl ShardRouter {
             QueryKind::Select { .. } => None,
         };
         if let Some(strategy) = join {
-            // Mirror service admission so unsupported operators are
-            // rejected before any work.
-            if !strategy.supports(theta) {
-                return Err(Rejection::UnsupportedTheta);
-            }
-            // Radius beyond the halo (or unbounded): the tile coverage
-            // proof no longer applies — the same reason grid_join
-            // rejects directional θ.
+            // Radius beyond the halo (or unbounded): a tuple's matches
+            // may lie outside every tile that holds it, so the tile
+            // coverage proof no longer applies.
             if !theta.filter_radius().is_some_and(|e| e <= self.halo) {
                 return Ok(self.join_at_router(strategy, theta));
             }
@@ -1329,11 +1318,27 @@ mod tests {
         }
     }
 
+    /// No strategy × θ pair is rejected: every strategy answers a
+    /// directional join (at the router) and an overlap join (by scatter)
+    /// with the oracle's pair set.
     #[test]
-    fn unsupported_strategy_theta_combination_is_rejected_before_scatter() {
-        let (router, _) = router(2);
-        let req = Request::join(Strategy::Grid, ThetaOp::DirectionOf(Direction::NorthWest));
-        assert!(matches!(router.call(req), Err(Rejection::UnsupportedTheta)));
+    fn every_strategy_answers_at_the_router_and_by_scatter() {
+        let (router, oracle) = router(2);
+        for theta in [
+            ThetaOp::DirectionOf(Direction::NorthWest),
+            ThetaOp::Overlaps,
+        ] {
+            for strategy in Strategy::ALL.into_iter().chain([Strategy::Auto]) {
+                let join = Request::join(strategy, theta);
+                let got = router.call(join.clone()).expect("every pair is answered");
+                let want = oracle.execute_reference(&join);
+                assert_eq!(
+                    pairs_of(&got.reply),
+                    pairs_of(&want),
+                    "{strategy:?} × {theta:?}"
+                );
+            }
+        }
     }
 
     /// One rule for every plan size: a single tile holds everything,

@@ -13,13 +13,23 @@
 //!    crate's tests).
 //! 2. **The positive exception** — for θ = `overlaps`, decomposing each
 //!    object into *z-elements* (maximal quadtree blocks, which are
-//!    contiguous z-ranges) allows a sort-merge strategy; the executor lives
-//!    in `sj-joins::sort_merge`, built on [`ZGrid::decompose`].
+//!    contiguous z-ranges) allows a sort-merge strategy:
+//!    [`sort_merge::zorder_overlap_join`], built on [`ZGrid::decompose`],
+//!    and its index form, the z-value B⁺-tree [`ZIndex`].
+//!
+//! Both joins run over `sj-joins`' stored relations and report its
+//! [`JoinRun`](sj_joins::JoinRun), but they are library functions, not
+//! [`sj_joins::Strategy`] variants: they answer only the overlap family
+//! and no cost model prices them. Nothing a service request crosses
+//! builds this crate.
 
 pub mod curve;
 pub mod grid;
 pub mod hilbert;
+pub mod sort_merge;
+pub mod zindex;
 
 pub use curve::{deinterleave, interleave};
 pub use grid::{ZGrid, ZRange};
 pub use hilbert::{hilbert_cell, hilbert_index};
+pub use zindex::ZIndex;

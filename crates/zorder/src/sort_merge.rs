@@ -19,12 +19,11 @@ use std::collections::BTreeSet;
 use std::collections::HashSet;
 
 use sj_geom::{Bounded, Geometry, ThetaOp};
+use sj_joins::{ExecStats, JoinRun, StoredRelation};
 use sj_obs::{Phase, PhaseTimer, TraceSink};
 use sj_storage::{BufferPool, StorageError};
-use sj_zorder::ZGrid;
 
-use crate::relation::StoredRelation;
-use crate::stats::{ExecStats, JoinRun};
+use crate::grid::ZGrid;
 
 /// True if `theta`'s Θ-filter is plain MBR overlap, which makes the
 /// z-element candidate set complete for it.
@@ -217,8 +216,8 @@ pub fn naive_zvalue_sort_merge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nested_loop::nested_loop_join;
     use sj_geom::Rect;
+    use sj_joins::nested_loop::nested_loop_join;
     use sj_storage::{Disk, DiskConfig, Layout};
 
     fn pool() -> BufferPool {

@@ -14,12 +14,11 @@ use std::collections::HashSet;
 
 use sj_btree::BPlusTree;
 use sj_geom::{Bounded, Geometry, Rect, ThetaOp};
+use sj_joins::{ExecStats, JoinRun, SelectRun, StoredRelation};
 use sj_obs::{Phase, PhaseTimer, TraceSink};
 use sj_storage::{BufferPool, StorageError};
-use sj_zorder::ZGrid;
 
-use crate::relation::StoredRelation;
-use crate::stats::{ExecStats, JoinRun, SelectRun};
+use crate::grid::ZGrid;
 
 /// A secondary index mapping z-elements to tuple ids.
 #[derive(Debug)]
@@ -225,8 +224,8 @@ impl ZIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nested_loop::{exhaustive_select, nested_loop_join};
     use sj_geom::Point;
+    use sj_joins::nested_loop::{exhaustive_select, nested_loop_join};
     use sj_storage::{Disk, DiskConfig, Layout};
 
     fn pool() -> BufferPool {

@@ -12,9 +12,9 @@ use spatial_joins::core::{
 use spatial_joins::gentree::rtree::{RTree, RTreeConfig};
 use spatial_joins::joins::grid::{grid_join, GridConfig};
 use spatial_joins::joins::nested_loop::nested_loop_join;
-use spatial_joins::joins::sort_merge::zorder_overlap_join;
 use spatial_joins::joins::tree_join::tree_join;
 use spatial_joins::joins::{ExecStats, TraceSink};
+use spatial_joins::zorder::sort_merge::zorder_overlap_join;
 
 const WORLD: f64 = 1000.0;
 const MEM_PAGES: usize = 64;

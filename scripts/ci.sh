@@ -98,8 +98,8 @@ echo "==> entry-point gate (one public path per join strategy, one per paged ope
 entry_points=$(grep -rhE --exclude=advisor.rs '^\s*pub fn [a-z_]*(join|select)[a-z_]*' \
     crates/joins/src crates/gentree/src)
 count=$(printf '%s\n' "$entry_points" | wc -l)
-if [ "$count" -gt 20 ]; then
-    echo "    $count public join/select entry points (limit 20):"
+if [ "$count" -gt 17 ]; then
+    echo "    $count public join/select entry points (limit 17):"
     echo "$entry_points"
     exit 1
 fi
@@ -120,7 +120,7 @@ echo "==> one-optimizer gate (one chooser, one sampler, off the service's build 
 # The §4 scoreboard is priced at one call site and selectivity is
 # sampled by one function, both in sj-joins' advisor.rs; sj-rel's
 # planner and the service call them. Nothing a request crosses compiles
-# sj-core or sj-rel.
+# sj-core, sj-rel or sj-zorder.
 nontest_src=$(
     for f in crates/*/src/*.rs; do
         case "$f" in crates/costmodel/*) continue ;; esac
@@ -137,14 +137,27 @@ if [ "$scoreboards" -ne 1 ] || [ "$samplers" -ne 1 ] || [ -n "$shims" ]; then
     exit 1
 fi
 for pkg in sj-service sj-shard; do
-    upward=$(cargo tree --offline -p "$pkg" -e normal | grep -E 'sj-(core|rel) ' || true)
+    upward=$(cargo tree --offline -p "$pkg" -e normal | grep -E 'sj-(core|rel|zorder) ' || true)
     if [ -n "$upward" ]; then
         echo "    $pkg builds a crate no request reaches:"
         echo "$upward"
         exit 1
     fi
 done
-echo "    -> one scoreboard, one sampler; sj-service and sj-shard build neither sj-core nor sj-rel"
+echo "    -> one scoreboard, one sampler; sj-service and sj-shard build no sj-core, sj-rel or sj-zorder"
+
+echo "==> five-strategies gate (a request names only what the optimizer can price)"
+# sj_joins::Strategy is the five strategies that run all eight θ plus
+# Auto. The grid-file join, local join indices and the z-order joins are
+# library functions: no variant, no applicability matrix, no rejection.
+unpriced=$(grep -rnE 'Strategy::(Grid|ZOrderMerge|ZIndex|LocalIndex)\b|fn supports|\.supports\(|partitions_space|UnsupportedTheta' \
+    crates src tests examples || true)
+if [ -n "$unpriced" ]; then
+    echo "    an unpriced strategy or the applicability matrix is back:"
+    echo "$unpriced"
+    exit 1
+fi
+echo "    -> five strategies + Auto, no supports(), no UnsupportedTheta"
 
 echo "==> sequential-executor gate (one I/O stream per join strategy)"
 # A join runs on the calling thread against the caller's pool; a second

@@ -6,10 +6,12 @@
 //! * [`geom`] — spatial data types and the θ/Θ operator pairs (Table 1),
 //! * [`storage`] — paged storage simulator with exact I/O accounting,
 //! * [`btree`] — the B+-tree substrate for join indices,
-//! * [`zorder`] — Peano/z-order curves (Figure 1, Orenstein sort-merge),
+//! * [`zorder`] — Peano/z-order curves and the z-order joins of §2.2
+//!   (Figure 1, Orenstein sort-merge, z-value index),
 //! * [`gentree`] — generalization trees and the SELECT/JOIN algorithms (§3),
-//! * [`joins`] — executable join strategies (nested loop, tree join,
-//!   join index, z-order sort-merge, grid file),
+//! * [`joins`] — executable join strategies (nested loop, plane sweep,
+//!   tree join, join index, grid partitioning) plus the grid-file join
+//!   and local join indices,
 //! * [`costmodel`] — the analytical cost model of §4 (Figures 7–13),
 //! * [`rel`] — a minimal extended-relational layer,
 //! * [`core`] — workload generators and the experiment runner,

@@ -59,15 +59,15 @@ fn all_join_strategies_agree_on_house_lake() {
     ));
     assert_eq!(ji, reference);
 
-    let grid = ids(&db.spatial_join(
+    let partition = ids(&db.spatial_join(
         "house",
         "hlocation",
         "lake",
         "larea",
         theta,
-        JoinStrategy::Exec(Strategy::Grid),
+        JoinStrategy::Exec(Strategy::Partition),
     ));
-    assert_eq!(grid, reference);
+    assert_eq!(partition, reference);
 }
 
 #[test]

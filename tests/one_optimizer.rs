@@ -46,7 +46,7 @@ fn picks(
     let planned = match plan.strategy {
         JoinStrategy::Exec(strategy) => strategy,
         JoinStrategy::JoinIndex { .. } => Strategy::JoinIndex,
-        JoinStrategy::LocalJoinIndex { .. } => Strategy::LocalIndex,
+        JoinStrategy::LocalJoinIndex { .. } => unreachable!("the planner never picks one"),
     };
 
     let mut pool = BufferPool::new(Disk::new(DiskConfig::paper()), 256);

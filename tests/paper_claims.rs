@@ -7,9 +7,9 @@ use spatial_joins::costmodel::{
     join as djoin, select as dselect, update, Distribution, ModelParams,
 };
 use spatial_joins::joins::nested_loop::nested_loop_join;
-use spatial_joins::joins::sort_merge::{naive_zvalue_sort_merge, zorder_overlap_join};
 use spatial_joins::joins::TraceSink;
 use spatial_joins::storage::{BufferPool, Disk, DiskConfig};
+use spatial_joins::zorder::sort_merge::{naive_zvalue_sort_merge, zorder_overlap_join};
 use spatial_joins::zorder::{interleave, ZGrid};
 
 fn pool() -> BufferPool {
