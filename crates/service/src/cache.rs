@@ -1,23 +1,19 @@
-//! The versioned LRU result cache — sharded for concurrent serving.
+//! The versioned LRU result cache.
 //!
 //! Keys are `(dataset_version, θ-operator, query fingerprint)`. Updates
 //! bump the dataset version, so entries computed against stale data can
 //! never be served again — invalidation is structural, not scanned.
 //! Commits are surgical about what they drop: every entry carries the
 //! [`QueryRegion`] its reply depends on, and
-//! [`CacheShards::purge_region`] drops only entries whose region
+//! [`ResultCache::purge_region`] drops only entries whose region
 //! intersects the commit's touched MBRs, re-stamping the disjoint
 //! survivors to the new version so they keep serving hits.
 //!
-//! [`ResultCache`] is the single-shard LRU; [`CacheShards`] splits one
-//! logical cache into `N` independently locked shards routed by the
-//! key's stable fingerprint (`fingerprint % N`). Two workers probing
-//! different shards never contend, and with shards ≈ workers a hit
-//! lookup takes a statistically uncontended lock — the only lock the
-//! cache-hit path acquires at all (see `service.rs`).
+//! The service keeps one [`ResultCache`] behind one mutex — the only
+//! lock the cache-hit path takes (see `service.rs`) — and never takes it
+//! when its capacity is 0.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sj_geom::{codec, Bounded, Rect, ThetaOp};
 
@@ -219,28 +215,30 @@ impl ResultCache {
         }
     }
 
-    /// Empties this shard for the commit publishing `new_version`:
-    /// entries whose region intersects `touched` are dropped (their
-    /// count returned), the rest come back as survivors to re-stamp and
-    /// rehome. So is an entry older than the version being replaced: a
-    /// worker that pinned its snapshot before an earlier commit inserted
-    /// it after that commit's purge, which never tested it.
-    fn drain_for_update(
-        &mut self,
-        new_version: u64,
-        touched: &TouchedRegions,
-    ) -> (usize, Vec<(CacheKey, Reply, QueryRegion)>) {
-        let mut purged = 0;
-        let mut survivors = Vec::new();
-        for (key, (_, reply, region)) in self.map.drain() {
-            if key.version + 1 < new_version || region.intersects(touched) {
-                purged += 1;
-            } else {
-                survivors.push((key, reply, region));
-            }
-        }
+    /// Fine-grained invalidation for the commit publishing
+    /// `new_version`: drops every entry whose [`QueryRegion`] intersects
+    /// the commit's `touched` MBRs, and every entry older than the
+    /// version being replaced (a caller that pinned its snapshot before
+    /// an earlier commit inserted it after that commit's purge, which
+    /// never tested it). The rest are re-stamped to `new_version` in
+    /// place, recency kept, so each keeps serving hits. Returns
+    /// `(purged, retained)`; every retained entry is resident.
+    pub fn purge_region(&mut self, new_version: u64, touched: &TouchedRegions) -> (usize, usize) {
+        let before = self.map.len();
         self.order.clear();
-        (purged, survivors)
+        let survivors: Vec<_> = self
+            .map
+            .drain()
+            .filter(|(key, (.., region))| {
+                key.version + 1 >= new_version && !region.intersects(touched)
+            })
+            .collect();
+        for (key, (seq, reply, region)) in survivors {
+            let key = key.at_version(new_version);
+            self.order.insert(seq, key.clone());
+            self.map.insert(key, (seq, reply, region));
+        }
+        (before - self.map.len(), self.map.len())
     }
 
     /// Resident entries.
@@ -261,112 +259,6 @@ impl ResultCache {
     /// Lookups that found nothing.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-}
-
-/// One logical result cache split into independently locked shards,
-/// routed by [`CacheKey::fingerprint`] — the shared-nothing layout of
-/// the serving layer. Capacity is split evenly (rounded up) so total
-/// residency stays ≈ the configured capacity.
-#[derive(Debug)]
-pub struct CacheShards {
-    shards: Vec<Mutex<ResultCache>>,
-    /// Total capacity 0 disables caching entirely (probes and inserts
-    /// both short-circuit without touching any lock).
-    enabled: bool,
-}
-
-impl CacheShards {
-    /// `shards` shards holding at most `capacity` replies in total.
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard = capacity.div_ceil(shards);
-        CacheShards {
-            shards: (0..shards)
-                .map(|_| Mutex::new(ResultCache::new(per_shard)))
-                .collect(),
-            enabled: capacity > 0,
-        }
-    }
-
-    /// True when lookups can ever hit (capacity > 0).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The shard guard for `fingerprint`, poison-recovered: cache state
-    /// is single-step consistent, so a worker panic mid-operation never
-    /// leaves damage worth dying for.
-    fn shard(&self, fingerprint: u64) -> MutexGuard<'_, ResultCache> {
-        let idx = (fingerprint % self.shards.len() as u64) as usize;
-        self.shards[idx]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Probes the key's shard. This is the *only* lock the cache-hit
-    /// request path takes; a disabled cache answers before hashing.
-    pub fn get(&self, key: &CacheKey) -> Option<Reply> {
-        if !self.enabled {
-            return None;
-        }
-        self.shard(key.fingerprint()).get(key)
-    }
-
-    /// Inserts into the key's shard (LRU-evicting within that shard).
-    pub fn insert(&self, key: CacheKey, fingerprint: u64, reply: Reply, region: QueryRegion) {
-        if !self.enabled {
-            return;
-        }
-        self.shard(fingerprint).insert(key, reply, region);
-    }
-
-    /// Fine-grained invalidation for an incremental commit publishing
-    /// `new_version`: drops every entry whose [`QueryRegion`] intersects
-    /// the commit's `touched` MBRs, re-stamps the disjoint survivors to
-    /// `new_version`, and rehomes them through normal fingerprint
-    /// routing (the version is part of the key, so the shard can move).
-    /// Returns `(purged, retained)`.
-    pub fn purge_region(&self, new_version: u64, touched: &TouchedRegions) -> (usize, usize) {
-        if !self.enabled {
-            return (0, 0);
-        }
-        let mut purged = 0;
-        let mut survivors = Vec::new();
-        for shard in &self.shards {
-            let (p, s) = shard
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .drain_for_update(new_version, touched);
-            purged += p;
-            survivors.extend(s);
-        }
-        let retained = survivors.len();
-        for (key, reply, region) in survivors {
-            let key = key.at_version(new_version);
-            let fingerprint = key.fingerprint();
-            self.shard(fingerprint).insert(key, reply, region);
-        }
-        (purged, retained)
-    }
-
-    /// `(hits, misses, resident entries)` summed over all shards.
-    pub fn stats(&self) -> (u64, u64, usize) {
-        let mut totals = (0, 0, 0);
-        for shard in &self.shards {
-            let c = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            totals.0 += c.hits();
-            totals.1 += c.misses();
-            totals.2 += c.len();
-        }
-        totals
-    }
-
-    /// Test hook: takes the lock of `fingerprint`'s shard so a caller
-    /// can panic while holding it, exercising poison recovery.
-    #[cfg(test)]
-    pub(crate) fn lock_shard_for_test(&self, fingerprint: u64) -> MutexGuard<'_, ResultCache> {
-        self.shard(fingerprint)
     }
 }
 
@@ -456,51 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_route_by_fingerprint_and_serve_hits() {
-        let shards = CacheShards::new(4, 64);
-        assert!(shards.is_enabled());
-        let keys: Vec<CacheKey> = (0..16)
-            .map(|i| CacheKey::for_request(0, &select_req(f64::from(i))))
-            .collect();
-        for (i, k) in keys.iter().enumerate() {
-            shards.insert(
-                k.clone(),
-                k.fingerprint(),
-                reply(&[i as u64]),
-                QueryRegion::All,
-            );
-        }
-        for (i, k) in keys.iter().enumerate() {
-            assert_eq!(
-                shards.get(k),
-                Some(reply(&[i as u64])),
-                "key {i} must hit its shard"
-            );
-        }
-        let (hits, misses, resident) = shards.stats();
-        assert_eq!((hits, misses, resident), (16, 0, 16));
-        // The keys must actually spread: with 16 distinct fingerprints
-        // over 4 shards, no shard can hold all of them.
-        let max_shard = shards
-            .shards
-            .iter()
-            .map(|s| s.lock().unwrap().len())
-            .max()
-            .unwrap();
-        assert!(max_shard < 16, "fingerprints must spread across shards");
-    }
-
-    #[test]
-    fn zero_capacity_shards_disable_caching() {
-        let k2 = CacheKey::for_request(2, &select_req(2.0));
-        let disabled = CacheShards::new(2, 0);
-        assert!(!disabled.is_enabled());
-        disabled.insert(k2.clone(), k2.fingerprint(), reply(&[2]), QueryRegion::All);
-        assert_eq!(disabled.get(&k2), None);
-        assert_eq!(disabled.stats(), (0, 0, 0));
-    }
-
-    #[test]
     fn regions_classify_selects_and_joins() {
         // Distance-bounded SELECT: probe MBR expanded by the radius.
         let sel = select_req(3.0); // WithinDistance(1.0) at (3, 0)
@@ -522,69 +369,67 @@ mod tests {
 
     #[test]
     fn region_purge_drops_intersecting_and_restamps_disjoint() {
-        let shards = CacheShards::new(4, 64);
+        let mut cache = ResultCache::new(64);
         // A SELECT around x=1 and a SELECT around x=100, plus a join.
         let near = select_req(1.0);
         let far = select_req(100.0);
         let join = Request::join(Strategy::Auto, ThetaOp::WithinDistance(1.0));
         for req in [&near, &far, &join] {
             let k = CacheKey::for_request(0, req);
-            let fp = k.fingerprint();
-            shards.insert(k, fp, reply(&[7]), CacheKey::region_for_request(req));
+            cache.insert(k, reply(&[7]), CacheKey::region_for_request(req));
         }
-        assert_eq!(shards.stats().2, 3);
+        assert_eq!(cache.len(), 3);
 
         // Write at (2, 0) on side R: intersects `near`'s region
         // (x ∈ [0, 2]), misses `far`'s (x ∈ [99, 101]), kills the join.
         let mut touched = TouchedRegions::default();
         touched.touch(Side::R, &Rect::from_bounds(2.0, 0.0, 2.0, 0.0));
-        let (purged, retained) = shards.purge_region(1, &touched);
+        let (purged, retained) = cache.purge_region(1, &touched);
         assert_eq!((purged, retained), (2, 1));
+        assert_eq!(cache.len(), retained);
 
         // The survivor serves hits at the NEW version; old keys miss.
         let far_new = CacheKey::for_request(1, &far);
-        assert_eq!(shards.get(&far_new), Some(reply(&[7])));
+        assert_eq!(cache.get(&far_new), Some(reply(&[7])));
         let far_old = CacheKey::for_request(0, &far);
-        assert!(shards.get(&far_old).is_none());
+        assert!(cache.get(&far_old).is_none());
         let near_new = CacheKey::for_request(1, &near);
-        assert!(shards.get(&near_new).is_none());
+        assert!(cache.get(&near_new).is_none());
     }
 
     #[test]
     fn region_purge_drops_entries_a_late_worker_inserted_at_an_older_version() {
-        let shards = CacheShards::new(2, 8);
+        let mut cache = ResultCache::new(8);
         let req = select_req(1.0);
         let mut at_probe = TouchedRegions::default();
         at_probe.touch(Side::R, &Rect::from_bounds(1.0, 0.0, 1.0, 0.0));
-        assert_eq!(shards.purge_region(1, &at_probe), (0, 0));
-        // A worker that pinned version 0 before that commit finishes now:
+        assert_eq!(cache.purge_region(1, &at_probe), (0, 0));
+        // A caller that pinned version 0 before that commit finishes now:
         // its entry was never tested against the commit's regions.
         let k = CacheKey::for_request(0, &req);
-        let fp = k.fingerprint();
-        shards.insert(k, fp, reply(&[1]), CacheKey::region_for_request(&req));
+        cache.insert(k, reply(&[1]), CacheKey::region_for_request(&req));
         let mut far = TouchedRegions::default();
         far.touch(Side::R, &Rect::from_bounds(90.0, 0.0, 90.0, 0.0));
-        assert_eq!(shards.purge_region(2, &far), (1, 0));
-        assert!(shards.get(&CacheKey::for_request(2, &req)).is_none());
+        assert_eq!(cache.purge_region(2, &far), (1, 0));
+        assert!(cache.get(&CacheKey::for_request(2, &req)).is_none());
     }
 
     #[test]
     fn region_purge_ignores_the_untouched_side() {
-        let shards = CacheShards::new(2, 8);
+        let mut cache = ResultCache::new(8);
         let req = select_req(1.0); // side R
         let k = CacheKey::for_request(0, &req);
-        let fp = k.fingerprint();
-        shards.insert(k, fp, reply(&[1]), CacheKey::region_for_request(&req));
+        cache.insert(k, reply(&[1]), CacheKey::region_for_request(&req));
 
         // An S-side write exactly on the probe cannot affect an R SELECT.
         let mut touched = TouchedRegions::default();
         touched.touch(Side::S, &Rect::from_bounds(1.0, 0.0, 1.0, 0.0));
-        assert_eq!(shards.purge_region(1, &touched), (0, 1));
+        assert_eq!(cache.purge_region(1, &touched), (0, 1));
 
         // An R-side write there kills it.
         let mut touched = TouchedRegions::default();
         touched.touch(Side::R, &Rect::from_bounds(1.0, 0.0, 1.0, 0.0));
-        assert_eq!(shards.purge_region(2, &touched), (1, 0));
-        assert_eq!(shards.stats().2, 0);
+        assert_eq!(cache.purge_region(2, &touched), (1, 0));
+        assert!(cache.is_empty());
     }
 }

@@ -1,18 +1,19 @@
-//! Per-request latency accounting: log₂-bucketed histograms for
-//! end-to-end latency plus its queue-wait vs execution-time breakdown,
-//! and counters for completions, cache service, and deadline sheds.
+//! Per-request latency accounting: log₂-bucketed histograms for the
+//! time a call spends inside the service and the execution part of it,
+//! and counters for completions, cache service, sheds and fault
+//! recovery.
 //!
 //! Two shapes:
 //!
-//! - [`WorkerMetrics`]: the *recording* side — one per worker, every
-//!   field an atomic ([`AtomicHistogram`] for the latency breakdowns,
-//!   `AtomicU64` for the outcome counters). Recording takes no lock
-//!   anywhere, so the request hot path stays shared-nothing; the
-//!   exporter reads a [`WorkerMetrics::snapshot`] whenever asked.
+//! - [`RequestMetrics`]: the *recording* side — one per service, every
+//!   field an atomic ([`AtomicHistogram`] for the latencies, `AtomicU64`
+//!   for the outcome counters). Recording takes no lock, so concurrent
+//!   callers never serialize on it; the exporter reads a
+//!   [`RequestMetrics::snapshot`] whenever asked.
 //! - [`ServiceMetrics`]: the *reporting* side — a plain mergeable
-//!   aggregate ([`ServiceMetrics::merge`] folds per-worker snapshots
-//!   into service totals), exported through the existing `sj-obs`
-//!   JSONL trace vocabulary via [`ServiceMetrics::emit`].
+//!   aggregate ([`ServiceMetrics::merge`] folds shard snapshots into
+//!   router totals), exported through the existing `sj-obs` JSONL trace
+//!   vocabulary via [`ServiceMetrics::emit`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -21,23 +22,21 @@ use sj_obs::{AtomicHistogram, Histogram, TraceSink};
 /// The service's aggregate latency and outcome metrics.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceMetrics {
-    /// End-to-end latency (queue wait + execution), µs.
+    /// Time from the in-flight slot to the answer (snapshot pin,
+    /// execution, cache fill), µs; 0 for cache hits, which are untimed.
     pub latency_us: Histogram,
-    /// Time spent in the admission queue, µs.
-    pub queue_wait_us: Histogram,
-    /// Time spent computing (≈0 for cache hits), µs.
+    /// Time spent computing (0 for cache hits), µs.
     pub exec_us: Histogram,
-    /// Queue wait + execution of cache-hit responses only, µs: one
-    /// sample per hit, all 0 — a hit is answered in `submit`, untimed.
+    /// Latency of cache-hit responses only, µs: one sample per hit, all
+    /// 0 — a hit is answered at the probe, untimed.
     pub cache_hit_latency_us: Histogram,
     /// Requests answered (computed or cache-served).
     pub completed: u64,
     /// Of `completed`, answered straight from the result cache.
     pub served_from_cache: u64,
-    /// Requests shed at dequeue because their deadline had passed.
-    pub shed_deadline: u64,
-    /// Dequeue wakeups (each drains a batch of ≥ 1 requests).
-    pub batches: u64,
+    /// Misses shed at admission because `queue_depth` misses were
+    /// already computing.
+    pub shed_queue_full: u64,
     /// Compute attempts aborted by an injected (or real) storage fault.
     pub injected_faults: u64,
     /// Requests that completed only after at least one retry.
@@ -47,7 +46,7 @@ pub struct ServiceMetrics {
     /// Requests that exhausted every attempt and were rejected with
     /// `Rejection::Failed`.
     pub failed: u64,
-    /// Worker panics contained at the worker boundary.
+    /// Computations that panicked, contained in `call`.
     pub worker_panics: u64,
     /// Total model-time backoff units spent between retry attempts.
     pub retry_backoff_units: u64,
@@ -60,16 +59,14 @@ impl ServiceMetrics {
     }
 
     /// Folds another metrics object in (bucket-wise histogram merge plus
-    /// counter sums) — e.g. to aggregate per-worker snapshots.
+    /// counter sums) — e.g. to aggregate per-shard snapshots.
     pub fn merge(&mut self, other: &ServiceMetrics) {
         self.latency_us.merge(&other.latency_us);
-        self.queue_wait_us.merge(&other.queue_wait_us);
         self.exec_us.merge(&other.exec_us);
         self.cache_hit_latency_us.merge(&other.cache_hit_latency_us);
         self.completed += other.completed;
         self.served_from_cache += other.served_from_cache;
-        self.shed_deadline += other.shed_deadline;
-        self.batches += other.batches;
+        self.shed_queue_full += other.shed_queue_full;
         self.injected_faults += other.injected_faults;
         self.retried += other.retried;
         self.degraded += other.degraded;
@@ -78,13 +75,12 @@ impl ServiceMetrics {
         self.retry_backoff_units += other.retry_backoff_units;
     }
 
-    /// Emits six JSONL events: one per histogram (count/p50/p95/p99/
+    /// Emits five JSONL events: one per histogram (count/p50/p95/p99/
     /// max/mean as counters), a `service/summary` with the outcome
     /// counters, and a `service/fault` with the fault-recovery counters,
     /// all through the standard trace vocabulary.
     pub fn emit(&self, sink: &mut TraceSink) {
         self.latency_us.emit(sink, "service/latency_us");
-        self.queue_wait_us.emit(sink, "service/queue_wait_us");
         self.exec_us.emit(sink, "service/exec_us");
         self.cache_hit_latency_us.emit(sink, "service/cache_hit_us");
         sink.emit(
@@ -93,8 +89,7 @@ impl ServiceMetrics {
             &[
                 ("completed", self.completed),
                 ("served_from_cache", self.served_from_cache),
-                ("shed_deadline", self.shed_deadline),
-                ("batches", self.batches),
+                ("shed_queue_full", self.shed_queue_full),
             ],
         );
         sink.emit(
@@ -112,22 +107,20 @@ impl ServiceMetrics {
     }
 }
 
-/// One worker's lock-free metrics slab. Recording is `&self` on atomics
+/// The service's lock-free metrics slab. Recording is `&self` on atomics
 /// only — a cache-hit request touches **no mutex** to account itself —
-/// and the exporter folds [`WorkerMetrics::snapshot`]s together with
-/// [`ServiceMetrics::merge`]. Snapshots taken while traffic is flowing
-/// are transiently inconsistent across fields (count vs sum), which is
-/// the standard telemetry trade; quiescent snapshots are exact.
+/// and the exporter reads [`RequestMetrics::snapshot`]s. Snapshots taken
+/// while traffic is flowing are transiently inconsistent across fields
+/// (count vs sum), which is the standard telemetry trade; quiescent
+/// snapshots are exact.
 #[derive(Debug, Default)]
-pub struct WorkerMetrics {
+pub struct RequestMetrics {
     latency_us: AtomicHistogram,
-    queue_wait_us: AtomicHistogram,
     exec_us: AtomicHistogram,
     cache_hit_latency_us: AtomicHistogram,
     completed: AtomicU64,
     served_from_cache: AtomicU64,
-    shed_deadline: AtomicU64,
-    batches: AtomicU64,
+    shed_queue_full: AtomicU64,
     injected_faults: AtomicU64,
     retried: AtomicU64,
     degraded: AtomicU64,
@@ -136,33 +129,26 @@ pub struct WorkerMetrics {
     retry_backoff_units: AtomicU64,
 }
 
-impl WorkerMetrics {
+impl RequestMetrics {
     /// Fresh, all-zero metrics.
     pub fn new() -> Self {
-        WorkerMetrics::default()
+        RequestMetrics::default()
     }
 
     /// Records one answered request (lock-free).
-    pub fn record_completion(&self, queue_us: u64, exec_us: u64, cached: bool) {
-        self.latency_us.record(queue_us + exec_us);
-        self.queue_wait_us.record(queue_us);
+    pub fn record_completion(&self, latency_us: u64, exec_us: u64, cached: bool) {
+        self.latency_us.record(latency_us);
         self.exec_us.record(exec_us);
         self.completed.fetch_add(1, Ordering::Relaxed);
         if cached {
             self.served_from_cache.fetch_add(1, Ordering::Relaxed);
-            self.cache_hit_latency_us.record(queue_us + exec_us);
+            self.cache_hit_latency_us.record(latency_us);
         }
     }
 
-    /// Records one request shed at dequeue for missing its deadline.
-    pub fn record_shed_deadline(&self, queue_us: u64) {
-        self.queue_wait_us.record(queue_us);
-        self.shed_deadline.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one dequeue wakeup that drained `_n ≥ 1` requests.
-    pub fn record_batch(&self) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
+    /// Records one miss shed at admission.
+    pub fn record_shed(&self) {
+        self.shed_queue_full.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records the fault-recovery footprint of one completed request.
@@ -180,36 +166,28 @@ impl WorkerMetrics {
     }
 
     /// Records one request that exhausted every attempt and failed.
-    pub fn record_failed(&self, faulted_attempts: u32, backoff_units: u64, queue_us: u64) {
+    pub fn record_failed(&self, faulted_attempts: u32, backoff_units: u64) {
         self.injected_faults
             .fetch_add(u64::from(faulted_attempts), Ordering::Relaxed);
         self.retry_backoff_units
             .fetch_add(backoff_units, Ordering::Relaxed);
         self.failed.fetch_add(1, Ordering::Relaxed);
-        self.queue_wait_us.record(queue_us);
     }
 
-    /// Records one contained worker panic.
+    /// Records one contained panic.
     pub fn record_worker_panic(&self) {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Requests this worker shed at dequeue for missing their deadline.
-    pub fn shed_deadline(&self) -> u64 {
-        self.shed_deadline.load(Ordering::Relaxed)
-    }
-
-    /// A plain mergeable copy of this worker's counters.
+    /// A plain mergeable copy of the counters.
     pub fn snapshot(&self) -> ServiceMetrics {
         ServiceMetrics {
             latency_us: self.latency_us.snapshot(),
-            queue_wait_us: self.queue_wait_us.snapshot(),
             exec_us: self.exec_us.snapshot(),
             cache_hit_latency_us: self.cache_hit_latency_us.snapshot(),
             completed: self.completed.load(Ordering::Relaxed),
             served_from_cache: self.served_from_cache.load(Ordering::Relaxed),
-            shed_deadline: self.shed_deadline.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
+            shed_queue_full: self.shed_queue_full.load(Ordering::Relaxed),
             injected_faults: self.injected_faults.load(Ordering::Relaxed),
             retried: self.retried.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
@@ -368,59 +346,45 @@ mod tests {
 
     #[test]
     fn completion_updates_all_three_histograms() {
-        let w = WorkerMetrics::new();
-        w.record_completion(10, 90, false);
+        let w = RequestMetrics::new();
+        w.record_completion(100, 90, false);
         w.record_completion(5, 0, true);
         let m = w.snapshot();
         assert_eq!(m.completed, 2);
         assert_eq!(m.served_from_cache, 1);
         assert_eq!(m.latency_us.count(), 2);
         assert_eq!(m.latency_us.max(), 100);
-        assert_eq!(m.queue_wait_us.max(), 10);
         assert_eq!(m.exec_us.max(), 90);
         // Only the cached completion lands in the hit-path histogram.
         assert_eq!(m.cache_hit_latency_us.count(), 1);
         assert_eq!(m.cache_hit_latency_us.max(), 5);
     }
 
-    #[test]
-    fn deadline_shed_charges_queue_wait_only() {
-        let w = WorkerMetrics::new();
-        w.record_shed_deadline(500);
-        let m = w.snapshot();
-        assert_eq!(m.shed_deadline, 1);
-        assert_eq!(m.completed, 0);
-        assert_eq!(m.queue_wait_us.count(), 1);
-        assert_eq!(m.latency_us.count(), 0);
-        assert_eq!(m.exec_us.count(), 0);
-    }
-
+    /// Shard snapshots merge into router totals.
     #[test]
     fn merge_sums_counters_and_buckets() {
-        let a = WorkerMetrics::new();
-        a.record_completion(1, 2, false);
-        let b = WorkerMetrics::new();
-        b.record_completion(3, 4, true);
-        b.record_shed_deadline(9);
-        b.record_batch();
-        b.record_batch();
-        let mut a = a.snapshot();
-        a.merge(&b.snapshot());
-        assert_eq!(a.completed, 2);
-        assert_eq!(a.served_from_cache, 1);
-        assert_eq!(a.shed_deadline, 1);
-        assert_eq!(a.batches, 2);
-        assert_eq!(a.latency_us.count(), 2);
-        assert_eq!(a.queue_wait_us.count(), 3);
-        assert_eq!(a.cache_hit_latency_us.count(), 1);
+        let a = RequestMetrics::new();
+        a.record_completion(11, 10, false);
+        let b = RequestMetrics::new();
+        b.record_completion(0, 0, true);
+        b.record_shed();
+        b.record_shed();
+        let mut total = a.snapshot();
+        total.merge(&b.snapshot());
+        assert_eq!(total.completed, 2);
+        assert_eq!(total.served_from_cache, 1);
+        assert_eq!(total.shed_queue_full, 2);
+        assert_eq!(total.latency_us.count(), 2);
+        assert_eq!(total.exec_us.count(), 2);
+        assert_eq!(total.cache_hit_latency_us.count(), 1);
     }
 
     #[test]
     fn fault_counters_record_and_merge() {
-        let w = WorkerMetrics::new();
+        let w = RequestMetrics::new();
         w.record_recovery(2, 3, true);
         w.record_recovery(0, 0, false); // clean first try: not a retry
-        w.record_failed(3, 7, 42);
+        w.record_failed(3, 7);
         w.record_worker_panic();
         let mut m = w.snapshot();
         assert_eq!(m.injected_faults, 5);
@@ -429,7 +393,7 @@ mod tests {
         assert_eq!(m.failed, 1);
         assert_eq!(m.worker_panics, 1);
         assert_eq!(m.retry_backoff_units, 10);
-        let other = WorkerMetrics::new();
+        let other = RequestMetrics::new();
         other.record_recovery(1, 1, false);
         m.merge(&other.snapshot());
         assert_eq!(m.injected_faults, 6);
@@ -460,8 +424,8 @@ mod tests {
 
     #[test]
     fn emit_writes_the_trace_vocabulary() {
-        let w = WorkerMetrics::new();
-        w.record_completion(10, 20, false);
+        let w = RequestMetrics::new();
+        w.record_completion(25, 20, false);
         let mut sink = TraceSink::vec();
         w.snapshot().emit(&mut sink);
         let spans: Vec<&str> = sink.events().iter().map(|e| e.span.as_str()).collect();
@@ -469,7 +433,6 @@ mod tests {
             spans,
             [
                 "service/latency_us",
-                "service/queue_wait_us",
                 "service/exec_us",
                 "service/cache_hit_us",
                 "service/summary",
@@ -489,27 +452,28 @@ mod tests {
             .find(|e| e.span == "service/summary")
             .expect("summary event");
         assert!(
-            summary.counters.iter().any(|(k, _)| *k == "batches"),
-            "summary must carry the batch counter"
+            summary
+                .counters
+                .iter()
+                .any(|(k, _)| *k == "shed_queue_full"),
+            "summary must carry the shed counter"
         );
     }
 
     #[test]
-    fn worker_metrics_snapshot_matches_sequential_recording() {
-        let w = WorkerMetrics::new();
-        w.record_completion(10, 90, false);
+    fn request_metrics_snapshot_matches_sequential_recording() {
+        let w = RequestMetrics::new();
+        w.record_completion(100, 90, false);
         w.record_completion(5, 0, true);
-        w.record_shed_deadline(33);
-        w.record_batch();
+        w.record_shed();
         w.record_recovery(2, 3, true);
-        w.record_failed(1, 4, 7);
+        w.record_failed(1, 4);
         w.record_worker_panic();
 
         let snap = w.snapshot();
         assert_eq!(snap.completed, 2);
         assert_eq!(snap.served_from_cache, 1);
-        assert_eq!(snap.shed_deadline, 1);
-        assert_eq!(snap.batches, 1);
+        assert_eq!(snap.shed_queue_full, 1);
         assert_eq!(snap.injected_faults, 3);
         assert_eq!(snap.retried, 1);
         assert_eq!(snap.degraded, 1);
@@ -519,8 +483,7 @@ mod tests {
         assert_eq!(snap.latency_us.count(), 2);
         assert_eq!(snap.latency_us.sum(), 105);
         assert_eq!(snap.cache_hit_latency_us.max(), 5);
-        // Two completions, one shed and one failure each charge a wait.
-        assert_eq!(snap.queue_wait_us.count(), 4);
+        assert_eq!(snap.exec_us.sum(), 90);
     }
 
     #[test]
@@ -572,21 +535,5 @@ mod tests {
                 "apply event must carry {key}={want}"
             );
         }
-    }
-
-    #[test]
-    fn worker_snapshots_merge_into_service_totals() {
-        let a = WorkerMetrics::new();
-        let b = WorkerMetrics::new();
-        a.record_completion(1, 10, false);
-        b.record_completion(2, 0, true);
-        b.record_shed_deadline(5);
-        let mut total = a.snapshot();
-        total.merge(&b.snapshot());
-        assert_eq!(total.completed, 2);
-        assert_eq!(total.served_from_cache, 1);
-        assert_eq!(total.shed_deadline, 1);
-        assert_eq!(total.latency_us.count(), 2);
-        assert_eq!(total.queue_wait_us.count(), 3);
     }
 }

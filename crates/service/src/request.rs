@@ -1,6 +1,6 @@
 //! The service's wire types: requests (spatial SELECT or JOIN plus a
-//! θ-operator and optional deadline), replies, rejection reasons, and
-//! the write path's commit receipt.
+//! θ-operator), replies, rejection reasons, and the write path's commit
+//! receipt.
 
 use std::sync::Arc;
 
@@ -38,9 +38,6 @@ pub struct Request {
     pub theta: ThetaOp,
     /// SELECT or JOIN.
     pub kind: QueryKind,
-    /// Total latency budget in microseconds, measured from submission.
-    /// Requests still queued past their budget are shed at dequeue.
-    pub deadline_us: Option<u64>,
 }
 
 impl Request {
@@ -49,7 +46,6 @@ impl Request {
         Request {
             theta,
             kind: QueryKind::Select { side, probe },
-            deadline_us: None,
         }
     }
 
@@ -58,20 +54,13 @@ impl Request {
         Request {
             theta,
             kind: QueryKind::Join { strategy },
-            deadline_us: None,
         }
-    }
-
-    /// Attaches a deadline (µs from submission).
-    pub fn with_deadline_us(mut self, deadline_us: u64) -> Self {
-        self.deadline_us = Some(deadline_us);
-        self
     }
 }
 
 /// A successful computation. Match sets are sorted, so two replies to
 /// the same logical query compare byte-identical regardless of which
-/// strategy or worker produced them; they are `Arc`-shared with the
+/// strategy or caller produced them; they are `Arc`-shared with the
 /// result cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
@@ -114,7 +103,10 @@ pub struct Response {
     pub cached: bool,
     /// Dataset version the reply is valid for.
     pub version: u64,
-    /// Time spent queued before a worker picked the request up (µs).
+    /// Always 0: a request runs on the thread that calls
+    /// [`SpatialService::call`](crate::SpatialService::call), so it never
+    /// waits in a queue. Kept because the benchmark harness reads it;
+    /// ROADMAP item 25(d) drops it.
     pub queue_us: u64,
     /// Time spent computing (µs); ~0 for cache hits.
     pub exec_us: u64,
@@ -131,25 +123,20 @@ pub struct Response {
 /// Why the service refused or abandoned a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rejection {
-    /// Load shed at admission: the bounded queue was full.
+    /// Load shed at admission: a cache miss found
+    /// [`ServiceConfig::queue_depth`](crate::ServiceConfig::queue_depth)
+    /// misses already computing.
     QueueFull,
-    /// Load shed at dequeue: the request out-waited its deadline.
-    DeadlineExceeded {
-        /// How long it had been queued when shed (µs).
-        queue_us: u64,
-    },
     /// Storage faulted on every attempt (initial try, retries, and the
     /// degraded fallback where applicable); the last typed error is
     /// attached. Fail-stop: no partial or wrong result is ever returned.
     Failed(StorageError),
-    /// The worker thread processing the request panicked; the panic was
-    /// contained at the worker boundary and the service keeps running.
+    /// This request's computation panicked; the panic was contained in
+    /// `call` and the service keeps serving.
     WorkerPanicked,
-    /// The service is shutting down.
-    Closed,
 }
 
-/// What a submitted request ultimately yields.
+/// What [`SpatialService::call`](crate::SpatialService::call) yields.
 pub type ServiceResult = Result<Response, Rejection>;
 
 /// What a committed [`WriteBatch`](sj_joins::WriteBatch) yields:

@@ -1,17 +1,16 @@
-//! The spatial query service: the fingerprint-sharded [`CacheShards`]
-//! answering at submission when it can, and a shared-nothing worker pool
-//! over buffer-pool shards, fed by the per-worker [`ShardedQueue`].
+//! The spatial query service: a request runs on the thread that calls
+//! [`SpatialService::call`] — cache probe, in-flight slot, snapshot pin,
+//! execution, metrics — and nothing moves it to another thread.
 //!
 //! ## Concurrency model — no shared lock on the hot path
 //!
 //! The dataset (master [`BufferPool`], stored relations, generalization
 //! trees, version) is an **immutable snapshot** published through a
-//! [`SnapshotCell`]. Each worker holds a [`SnapshotReader`]: touching
-//! the dataset is one atomic epoch compare in the steady state, so
-//! requests never block on — or even observe — other requests. Per
-//! batch, a worker pins one snapshot and executes on a private cold
+//! [`SnapshotCell`]. A cache miss pins the current snapshot once (one
+//! mutex section around one `Arc` clone) and executes on a private cold
 //! shard forked from it in O(1) ([`BufferPool::fork_view`]), so index
-//! builds and page I/O during query execution never touch shared frames.
+//! builds and page I/O during query execution never touch shared frames
+//! and concurrent callers never block on each other.
 //!
 //! Writes are typed [`WriteBatch`]es committed by
 //! [`SpatialService::commit`] entirely off the hot path. The apply
@@ -28,25 +27,20 @@
 //! keep computing against the snapshot they pinned; its `version` tags
 //! their responses and cache entries, and invalidation is fine-grained:
 //! only cache entries whose [`QueryRegion`] intersects the batch's
-//! touched MBRs are dropped ([`CacheShards::purge_region`]); the rest
+//! touched MBRs are dropped ([`ResultCache::purge_region`]); the rest
 //! are re-stamped to the new version and keep serving hits.
 //!
-//! The result cache is sharded by key fingerprint and probed in
-//! [`SpatialService::submit`], on the caller's thread, at the published
-//! version (one atomic load): a hit is answered there — one
-//! statistically uncontended shard lock, no queue slot, no worker, no
-//! wake-up (the `cache_hits_never_touch_the_publisher_lock` test pins
-//! this down). Only misses are admitted. Admission is sharded per worker
-//! (round-robin enqueue, full-shard fallover, batched dequeue, work
-//! stealing) and metrics are per-thread atomics merged on export.
-//! Workers drain up to [`ServiceConfig::batch_size`] requests per
-//! wakeup and shed the batch's expired deadlines before running any
-//! executor.
+//! The result cache is probed first, at the published version (one
+//! atomic load): a hit is answered there — one cache lock, no slot, no
+//! snapshot pin (the `cache_hits_never_touch_the_publisher_lock` test
+//! pins this down) — and is never shed. A miss takes an in-flight slot
+//! bounded by [`ServiceConfig::queue_depth`] or is shed, and metrics are
+//! lock-free atomics.
 //!
 //! ## Fail-stop fault handling
 //!
 //! Storage faults (injected for chaos testing, or real) surface as
-//! typed [`StorageError`]s from every compute path. The worker retries
+//! typed [`StorageError`]s from every compute path. `call` retries
 //! a faulted request up to [`ServiceConfig::retry_attempts`] times with
 //! exponential model-time backoff; each attempt arms its shard with a
 //! fresh deterministic injector stream (seeded from the fault seed,
@@ -57,15 +51,15 @@
 //! per-record-read retries (a faulted read leaves the page non-resident,
 //! so each retry re-draws from the injector stream), which survives
 //! fault rates that would abort any fail-stop whole-attempt strategy.
-//! Worker panics are contained with `catch_unwind`, and every lock in
-//! the crate recovers from poisoning, so one crashed request never
-//! takes the service down. Snapshot pools never carry an injector:
-//! updates and reference computations are always fault-free.
+//! A panicking computation is contained with `catch_unwind` and answers
+//! [`Rejection::WorkerPanicked`]; every lock in the crate recovers from
+//! poisoning, so one crashed request never takes the service down.
+//! Snapshot pools never carry an injector: updates and reference
+//! computations are always fault-free.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use sj_costmodel::{Distribution, ModelParams};
@@ -79,13 +73,12 @@ use sj_storage::{
     BufferPool, Disk, DiskConfig, FaultConfig, FaultInjector, Layout, StorageError, WriteAheadLog,
 };
 
-use crate::admission::ShardedQueue;
-use crate::cache::{CacheKey, CacheShards};
-use crate::metrics::{ServiceMetrics, WorkerMetrics, WriteMetrics};
+use crate::cache::{CacheKey, ResultCache};
+use crate::metrics::{RequestMetrics, ServiceMetrics, WriteMetrics};
 use crate::request::{
     CommitReceipt, QueryKind, Rejection, Reply, Request, Response, ServiceResult, Side,
 };
-use crate::snapshot::{SnapshotCell, SnapshotReader};
+use crate::snapshot::SnapshotCell;
 use sj_joins::{Mutation, MutationOutcome, TouchedRegions, WriteBatch};
 
 /// Per-record-read retries inside the degraded nested-loop pass. Each
@@ -99,17 +92,18 @@ const DEGRADED_READ_RETRIES: u32 = 4;
 /// Tuning knobs for [`SpatialService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Worker threads executing requests (also the number of admission
-    /// queue shards and result cache shards).
+    /// Ignored: a request runs on the thread that calls
+    /// [`SpatialService::call`]. Kept only because the benchmark harness
+    /// sets it; ROADMAP item 25(d) drops it.
     pub workers: usize,
-    /// Total admission depth across all shards; submissions beyond it
-    /// are shed.
+    /// Misses computing at once (min 1); a miss beyond it is shed with
+    /// [`Rejection::QueueFull`]. Cache hits take no slot.
     pub queue_depth: usize,
-    /// Result-cache entries across all shards; 0 disables caching.
+    /// Result-cache entries; 0 disables caching.
     pub cache_capacity: usize,
     /// Frames of the master buffer pool (builds and updates).
     pub pool_capacity: usize,
-    /// Frames of each worker's forked shard.
+    /// Frames of the shard each compute attempt forks.
     pub shard_capacity: usize,
     /// On-disk record size for relations and trees.
     pub record_size: usize,
@@ -123,10 +117,10 @@ pub struct ServiceConfig {
     /// Base workload profile the advisor scores (`operation` and
     /// `selectivity` are overridden per request).
     pub profile: WorkloadProfile,
-    /// Probability that a physical page read on a worker shard faults;
+    /// Probability that a physical page read on a compute shard faults;
     /// 0.0 (the default) disarms injection entirely.
     pub fault_read_prob: f64,
-    /// Probability that a physical page write on a worker shard faults.
+    /// Probability that a physical page write on a compute shard faults.
     pub fault_write_prob: f64,
     /// Base seed of the fault-injection streams. Each attempt derives
     /// its own stream from this seed, the dataset version, the request
@@ -134,10 +128,6 @@ pub struct ServiceConfig {
     pub fault_seed: u64,
     /// Compute attempts per request before degradation/failure (min 1).
     pub retry_attempts: u32,
-    /// Requests a worker drains per dequeue wakeup (min 1): the batch's
-    /// deadline sheds are answered before any executor runs, amortizing
-    /// queue synchronization across the batch.
-    pub batch_size: usize,
     /// Store geometry as compressed v2 pages: relations carry a
     /// quantized sidecar (margin-governed refinement, decode-on-demand)
     /// and the paged trees use quantized node records. Query results
@@ -174,7 +164,6 @@ impl Default for ServiceConfig {
             fault_write_prob: 0.0,
             fault_seed: 0,
             retry_attempts: 3,
-            batch_size: 8,
             compress_geometry: false,
             quant_record_size: 160,
         }
@@ -210,9 +199,9 @@ struct SideState {
     index: RTree,
 }
 
-/// One immutable, version-tagged dataset snapshot. Workers pin a
-/// snapshot per batch through their [`SnapshotReader`]; commits build
-/// the next one incrementally and publish it atomically.
+/// One immutable, version-tagged dataset snapshot. A cache miss pins
+/// the current one; commits build the next one incrementally and
+/// publish it atomically.
 struct DataState {
     pool: BufferPool,
     r: Arc<SideState>,
@@ -220,74 +209,55 @@ struct DataState {
     version: u64,
 }
 
-/// One queued unit of work: a request whose probe in `submit` missed.
-struct Job {
-    req: Request,
-    /// The key `submit` probed; the worker re-stamps it to its snapshot.
-    key: CacheKey,
-    submitted: Instant,
-    reply_to: Sender<ServiceResult>,
-}
+/// One in-flight slot, released on drop — on unwinding too. `Relaxed`
+/// throughout: the count publishes no other data.
+struct Slot<'a>(&'a AtomicUsize);
 
-/// What [`SpatialService::submit`] hands back: the answer itself when
-/// the cache held it, or the channel a worker will answer on.
-#[derive(Debug)]
-pub enum Pending {
-    /// Answered in `submit`, on the caller's thread.
-    Ready(Response),
-    /// Admitted; a worker sends the answer.
-    Queued(Receiver<ServiceResult>),
-}
-
-impl Pending {
-    /// Blocks for the answer. A reply channel dropped unanswered means
-    /// the service went away under the request: [`Rejection::Closed`].
-    pub fn wait(self) -> ServiceResult {
-        match self {
-            Pending::Ready(response) => Ok(response),
-            Pending::Queued(rx) => rx.recv().unwrap_or(Err(Rejection::Closed)),
-        }
+impl<'a> Slot<'a> {
+    /// Takes a slot unless `bound` misses already hold one.
+    fn take(in_flight: &'a AtomicUsize, bound: usize) -> Option<Self> {
+        let admit = |held: usize| (held < bound).then_some(held + 1);
+        let taken = in_flight.fetch_update(Ordering::Relaxed, Ordering::Relaxed, admit);
+        taken.ok().map(|_| Slot(in_flight))
     }
 }
 
-/// State shared between the handle (whose callers probe the cache in
-/// `submit`) and the workers: every structure is either immutable,
-/// sharded, or per-thread.
-struct Shared {
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// A running spatial query service. It owns no thread: every request
+/// runs on the thread that calls [`SpatialService::call`].
+pub struct SpatialService {
     config: ServiceConfig,
     /// The current dataset snapshot (epoch-stamped publish/subscribe).
     snapshot: SnapshotCell<DataState>,
     /// The write-ahead log. Its mutex serializes writers only — never
     /// touched by the request path — and commit order IS log order.
     wal: Mutex<WriteAheadLog>,
-    queue: ShardedQueue<Job>,
-    cache: CacheShards,
-    /// One lock-free metrics slab per worker, merged on export.
-    worker_metrics: Vec<Arc<WorkerMetrics>>,
-    /// The slab `submit` counts its cache hits on, merged with them.
-    submit_metrics: WorkerMetrics,
+    /// The result cache, never locked when `cache_capacity` is 0.
+    cache: Mutex<ResultCache>,
+    /// Misses computing right now, at most `queue_depth`.
+    in_flight: AtomicUsize,
+    metrics: RequestMetrics,
     /// Write-path counters (commits, WAL activity, apply I/O, cache
     /// invalidation precision).
     write_metrics: WriteMetrics,
-    /// Test hook: the next computed job panics while holding a
-    /// cache-shard lock, exercising panic containment and poison
-    /// recovery end to end.
+    /// Test hook: the next computed request panics while holding the
+    /// cache lock, exercising panic containment and poison recovery.
     #[cfg(test)]
     poison: std::sync::atomic::AtomicBool,
-}
-
-/// A running multi-threaded spatial query service. Dropping the handle
-/// closes the admission queue, drains the backlog, and joins the
-/// workers.
-pub struct SpatialService {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    /// Test hook: while a writer holds it, a miss that took its slot
+    /// waits here before computing.
+    #[cfg(test)]
+    park: std::sync::RwLock<()>,
 }
 
 impl SpatialService {
     /// Builds the dataset (stored relations plus clustered
-    /// generalization trees) on a fresh paper-geometry disk and spawns
-    /// the worker pool.
+    /// generalization trees) on a fresh paper-geometry disk.
     ///
     /// Empty relations are allowed: a shard-local instance may own no
     /// slice of one (or either) side of the data, in which case joins
@@ -303,47 +273,35 @@ impl SpatialService {
         s_tuples: &[(u64, Geometry)],
         _world: Rect,
     ) -> Self {
-        let workers = config.workers.max(1);
         let state = build_state(&config, r_tuples, s_tuples, 0);
-        let shared = Arc::new(Shared {
+        SpatialService {
             config,
             snapshot: SnapshotCell::new(Arc::new(state)),
             wal: Mutex::new(WriteAheadLog::new()),
-            queue: ShardedQueue::new(workers, config.queue_depth, config.batch_size.max(1)),
-            cache: CacheShards::new(workers, config.cache_capacity),
-            worker_metrics: (0..workers)
-                .map(|_| Arc::new(WorkerMetrics::new()))
-                .collect(),
-            submit_metrics: WorkerMetrics::new(),
+            cache: Mutex::new(ResultCache::new(config.cache_capacity)),
+            in_flight: AtomicUsize::new(0),
+            metrics: RequestMetrics::new(),
             write_metrics: WriteMetrics::new(),
             #[cfg(test)]
             poison: false.into(),
-        });
-        let workers = (0..workers)
-            .map(|worker| {
-                let shared = Arc::clone(&shared);
-                // Subscribe before spawning, so every worker holds its
-                // reader by the time `start` returns (a worker thread
-                // that is slow to start never takes the publisher lock
-                // in the middle of later traffic).
-                let reader = shared.snapshot.reader();
-                std::thread::spawn(move || worker_loop(&shared, worker, reader))
-            })
-            .collect();
-        SpatialService { shared, workers }
+            #[cfg(test)]
+            park: std::sync::RwLock::new(()),
+        }
     }
 
-    /// Submits a request. The result cache is probed here, on the
-    /// caller's thread, at the published version: a hit is answered at
-    /// once — it does no work for admission or a deadline to bound. A
-    /// miss is admitted for a worker, or rejected when every admission
-    /// shard is full.
-    pub fn submit(&self, req: Request) -> Result<Pending, Rejection> {
+    /// Answers `req` on the calling thread. The result cache is probed
+    /// first, at the published version: a hit is answered at once and
+    /// is never shed. A miss takes an in-flight slot (or is shed with
+    /// [`Rejection::QueueFull`] when `queue_depth` misses hold one),
+    /// pins the current snapshot, and computes with the retry ladder; a
+    /// panic in the computation answers [`Rejection::WorkerPanicked`].
+    /// The reply is cached under the pinned version.
+    pub fn call(&self, req: Request) -> ServiceResult {
         let version = self.version();
         let key = CacheKey::for_request(version, &req);
-        if let Some(reply) = self.shared.cache.get(&key) {
-            self.shared.submit_metrics.record_completion(0, 0, true);
-            return Ok(Pending::Ready(Response {
+        if let Some(reply) = self.cache().and_then(|mut cache| cache.get(&key)) {
+            self.metrics.record_completion(0, 0, true);
+            return Ok(Response {
                 reply,
                 cached: true,
                 version,
@@ -351,41 +309,87 @@ impl SpatialService {
                 exec_us: 0,
                 attempts: 0,
                 degraded: false,
-            }));
+            });
         }
-        let (reply_to, rx) = mpsc::channel();
-        let job = Job {
-            req,
-            key,
-            submitted: Instant::now(),
-            reply_to,
+        let Some(_slot) = Slot::take(&self.in_flight, self.config.queue_depth.max(1)) else {
+            self.metrics.record_shed();
+            return Err(Rejection::QueueFull);
         };
-        match self.shared.queue.try_push(job) {
-            Ok(()) => Ok(Pending::Queued(rx)),
-            Err(_) => Err(Rejection::QueueFull),
+        let arrived = Instant::now();
+        let state = self.snapshot.load();
+        let key = key.at_version(state.version);
+        let fingerprint = key.fingerprint();
+        let started = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            self.test_hooks();
+            compute_with_retry(&state, &self.config, &req, fingerprint)
+        }));
+        let exec_us = started.elapsed().as_micros() as u64;
+        let Ok(outcome) = outcome else {
+            self.metrics.record_worker_panic();
+            return Err(Rejection::WorkerPanicked);
+        };
+        let done = match outcome {
+            Ok(done) => done,
+            Err(failed) => {
+                self.metrics
+                    .record_failed(failed.faulted_attempts, failed.backoff_units);
+                return Err(Rejection::Failed(failed.error));
+            }
+        };
+        if let Some(mut cache) = self.cache() {
+            let region = CacheKey::region_for_request(&req);
+            cache.insert(key, done.reply.clone(), region);
+        }
+        let latency_us = arrived.elapsed().as_micros() as u64;
+        self.metrics.record_completion(latency_us, exec_us, false);
+        self.metrics
+            .record_recovery(done.faulted_attempts, done.backoff_units, done.degraded);
+        Ok(Response {
+            reply: done.reply,
+            cached: false,
+            version: state.version,
+            queue_us: 0,
+            exec_us,
+            attempts: done.attempts,
+            degraded: done.degraded,
+        })
+    }
+
+    /// The result cache, or `None` when caching is off — so a cache-off
+    /// service never locks. Poison-recovered: cache state is single-step
+    /// consistent, so a panic mid-operation leaves nothing worth dying for.
+    fn cache(&self) -> Option<MutexGuard<'_, ResultCache>> {
+        (self.config.cache_capacity > 0)
+            .then(|| self.cache.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// The `cfg(test)` hooks a computing miss passes: wait while `park`
+    /// is write-held, then panic holding the cache lock if `poison` is set.
+    #[cfg(test)]
+    fn test_hooks(&self) {
+        drop(self.park.read());
+        if self.poison.swap(false, Ordering::Relaxed) {
+            let _cache = self.cache.lock();
+            panic!("poison pill: dies holding the cache lock"); // PANIC-OK: cfg(test) hook
         }
     }
 
-    /// Submits and blocks for the answer.
-    pub fn call(&self, req: Request) -> ServiceResult {
-        self.submit(req)?.wait()
-    }
-
-    /// Executes `req` synchronously on the calling thread — same
-    /// computation as the workers but with *no* fault injector armed,
-    /// bypassing queue, cache, and metrics. This is the fault-free
+    /// Executes `req` on the calling thread — same computation as
+    /// [`call`](Self::call) but with *no* fault injector armed, bypassing
+    /// slot, cache, and metrics. This is the fault-free
     /// sequential reference for replay validation: every `Ok` response
     /// a chaos run produces must carry a result identical to this.
     pub fn execute_reference(&self, req: &Request) -> Reply {
-        let state = self.shared.snapshot.load();
-        try_compute(&state, &self.shared.config, req, None)
+        let state = self.snapshot.load();
+        try_compute(&state, &self.config, req, None)
             .unwrap_or_else(|e| panic!("reference compute failed: {e}")) // PANIC-OK: no injector armed
     }
 
     /// Commits a [`WriteBatch`] durably and atomically, off the hot
     /// path. The protocol, under the WAL lock (writers serialize with
-    /// each other only; the queue keeps admitting and workers keep
-    /// serving throughout):
+    /// each other only; `call` keeps serving throughout):
     ///
     /// 1. Append the batch's redo record to the WAL tail.
     /// 2. Build the next snapshot incrementally on a copy-on-write fork
@@ -403,19 +407,15 @@ impl SpatialService {
     /// batch. Readers never block: in-flight requests finish against
     /// the snapshot they pinned.
     pub fn commit(&self, batch: &WriteBatch) -> Result<CommitReceipt, Rejection> {
-        let mut wal = self
-            .shared
-            .wal
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
         let wal_lsn = wal.append(&batch.encode());
-        let current = self.shared.snapshot.load();
+        let current = self.snapshot.load();
         let apply_started = Instant::now();
-        let applied = match apply_incremental(&self.shared.config, &current, batch) {
+        let applied = match apply_incremental(&self.config, &current, batch) {
             Ok(applied) => applied,
             Err(e) => {
                 wal.rollback_tail();
-                self.shared.write_metrics.record_aborted_commit();
+                self.write_metrics.record_aborted_commit();
                 self.record_wal_gauges(&wal);
                 return Err(Rejection::Failed(e));
             }
@@ -425,11 +425,11 @@ impl SpatialService {
         // on a fault, so an aborted commit leaves no trace in the log.
         let sync_started = Instant::now();
         if let Err(e) = wal.sync() {
-            self.shared.write_metrics.record_aborted_commit();
+            self.write_metrics.record_aborted_commit();
             self.record_wal_gauges(&wal);
             return Err(Rejection::Failed(e));
         }
-        self.shared.write_metrics.record_commit_work(
+        self.write_metrics.record_commit_work(
             applied.nodes_touched,
             (sync_started - apply_started).as_micros() as u64,
             applied.evolve_us,
@@ -437,12 +437,11 @@ impl SpatialService {
         );
         let (version, io) = (applied.state.version, applied.state.pool.stats());
         drop(current);
-        self.shared.snapshot.publish(Arc::new(applied.state));
-        let (cache_purged, cache_retained) =
-            self.shared.cache.purge_region(version, &applied.touched);
+        self.snapshot.publish(Arc::new(applied.state));
+        let (cache_purged, cache_retained) = self.purge_cache(version, &applied.touched);
         let applied_ops = applied.outcomes.iter().filter(|o| o.applied()).count() as u64;
         let rejected_ops = applied.outcomes.len() as u64 - applied_ops;
-        self.shared.write_metrics.record_commit(
+        self.write_metrics.record_commit(
             applied_ops,
             rejected_ops,
             io.physical_writes + io.physical_reads,
@@ -479,10 +478,7 @@ impl SpatialService {
             .collect::<Result<Vec<_>, _>>()?;
         let ignored_world = Rect::from_bounds(0.0, 0.0, 0.0, 0.0);
         let svc = SpatialService::start(config, r_tuples, s_tuples, ignored_world);
-        *svc.shared
-            .wal
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = wal;
+        *svc.wal.lock().unwrap_or_else(PoisonError::into_inner) = wal;
         for batch in &batches {
             svc.replay(batch)?;
         }
@@ -492,26 +488,28 @@ impl SpatialService {
     /// Applies an already-durable batch (recovery replay): same apply
     /// and publish as [`commit`](Self::commit), no logging, no sync.
     fn replay(&self, batch: &WriteBatch) -> Result<(), StorageError> {
-        let _wal = self
-            .shared
-            .wal
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let current = self.shared.snapshot.load();
-        let applied = apply_incremental(&self.shared.config, &current, batch)?;
+        let _wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
+        let current = self.snapshot.load();
+        let applied = apply_incremental(&self.config, &current, batch)?;
         let version = applied.state.version;
         drop(current);
-        self.shared.snapshot.publish(Arc::new(applied.state));
-        self.shared.cache.purge_region(version, &applied.touched);
+        self.snapshot.publish(Arc::new(applied.state));
+        self.purge_cache(version, &applied.touched);
         Ok(())
+    }
+
+    /// Drops the cache entries a commit publishing `version` could have
+    /// changed and re-stamps the rest: `(purged, retained)`.
+    fn purge_cache(&self, version: u64, touched: &TouchedRegions) -> (usize, usize) {
+        self.cache()
+            .map_or((0, 0), |mut cache| cache.purge_region(version, touched))
     }
 
     /// The durable WAL image — magic header plus every synced frame,
     /// excluding any unsynced tail. This is the byte string crash
     /// recovery consumes ([`SpatialService::recover`]).
     pub fn wal_image(&self) -> Vec<u8> {
-        self.shared
-            .wal
+        self.wal
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .durable_image()
@@ -522,8 +520,7 @@ impl SpatialService {
     /// is consulted once per sync attempt with `FaultOp::Write` on
     /// `PageId(attempt)`.
     pub fn set_wal_fault_injector(&self, injector: Option<FaultInjector>) {
-        self.shared
-            .wal
+        self.wal
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .set_fault_injector(injector);
@@ -532,12 +529,12 @@ impl SpatialService {
     /// The write path's counters (commits, aborts, WAL gauges, apply
     /// I/O, cache invalidation precision).
     pub fn write_metrics(&self) -> &WriteMetrics {
-        &self.shared.write_metrics
+        &self.write_metrics
     }
 
     /// Mirrors the WAL's own counters into the write metrics gauges.
     fn record_wal_gauges(&self, wal: &WriteAheadLog) {
-        self.shared.write_metrics.set_wal_gauges(
+        self.write_metrics.set_wal_gauges(
             wal.records(),
             wal.syncs(),
             wal.sync_failures(),
@@ -550,45 +547,34 @@ impl SpatialService {
     /// each publish their predecessor's version plus one, so the cell's
     /// epoch *is* the published snapshot's version.
     pub fn version(&self) -> u64 {
-        self.shared.snapshot.epoch()
+        self.snapshot.epoch()
     }
 
     /// The configuration the service was started with.
     pub fn config(&self) -> &ServiceConfig {
-        &self.shared.config
+        &self.config
     }
 
-    /// Aggregate latency/outcome metrics: the submit-side slab (cache
-    /// hits) and the per-worker slabs, merged at call time.
+    /// Aggregate latency/outcome metrics.
     pub fn metrics(&self) -> ServiceMetrics {
-        let mut total = self.shared.submit_metrics.snapshot();
-        for worker in &self.shared.worker_metrics {
-            total.merge(&worker.snapshot());
-        }
-        total
+        self.metrics.snapshot()
     }
 
-    /// `(hits, misses, resident entries)` summed over the cache shards.
+    /// `(hits, misses, resident entries)` of the result cache.
     pub fn cache_stats(&self) -> (u64, u64, usize) {
-        self.shared.cache.stats()
-    }
-
-    /// `(shed at admission, shed at deadline)` so far.
-    pub fn shed_counts(&self) -> (u64, u64) {
-        let workers = self.shared.worker_metrics.iter();
-        let deadline = workers.map(|w| w.shed_deadline()).sum();
-        (self.shared.queue.shed_full_count(), deadline)
+        let cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        (cache.hits(), cache.misses(), cache.len())
     }
 
     /// Total publisher-lock acquisitions on the snapshot cell so far.
     /// Flat across a stretch of traffic at a constant version ⇒ that
     /// stretch never took a lock to reach the dataset.
     pub fn snapshot_lock_count(&self) -> u64 {
-        self.shared.snapshot.publisher_lock_count()
+        self.snapshot.publisher_lock_count()
     }
 
-    /// Emits latency histograms, outcome counters, cache and admission
-    /// statistics as JSONL trace events, plus the snapshot pool's
+    /// Emits latency histograms, outcome counters and cache statistics
+    /// as JSONL trace events, plus the snapshot pool's
     /// counter gauges — the full `sj-obs` vocabulary for one service
     /// run.
     pub fn emit_metrics(&self, sink: &mut TraceSink) {
@@ -599,34 +585,10 @@ impl SpatialService {
             0,
             &[("hits", hits), ("misses", misses), ("resident", len as u64)],
         );
-        sink.emit(
-            "service/admission",
-            0,
-            &[
-                ("admitted", self.shared.queue.admitted_count()),
-                ("shed_queue_full", self.shared.queue.shed_full_count()),
-                ("stolen", self.shared.queue.stolen_count()),
-            ],
-        );
         let mut reg = sj_obs::CounterRegistry::new();
-        self.shared.snapshot.load().pool.export_counters(&mut reg);
+        self.snapshot.load().pool.export_counters(&mut reg);
         sink.emit("service/pool", 0, reg.as_counters());
-        self.shared.write_metrics.emit(sink);
-    }
-
-    /// Stops admitting work; workers drain the backlog and exit. Called
-    /// automatically on drop.
-    pub fn close(&self) {
-        self.shared.queue.close();
-    }
-}
-
-impl Drop for SpatialService {
-    fn drop(&mut self) {
-        self.shared.queue.close();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        self.write_metrics.emit(sink);
     }
 }
 
@@ -819,94 +781,6 @@ fn apply_one(
             index.insert(*id, value.clone());
             touched.touch_geometry(side, value);
             Ok(MutationOutcome::Upserted { replaced })
-        }
-    }
-}
-
-/// The worker main loop: drain a batch from the own shard (stealing
-/// when idle), pin one snapshot for the whole batch, shed the jobs that
-/// out-waited their deadline before any executor runs (phase 1), then
-/// compute the rest (phase 2) — every job here already missed the cache
-/// in `submit`. Any panic is contained per job at the worker boundary:
-/// a crashed request answers `WorkerPanicked` and the worker moves on
-/// instead of dying (which would shrink the pool forever and poison
-/// whatever lock it held).
-fn worker_loop(shared: &Shared, worker: usize, mut reader: SnapshotReader<DataState>) {
-    let metrics = Arc::clone(&shared.worker_metrics[worker]);
-    let batch_max = shared.config.batch_size.max(1);
-    while let Some(batch) = shared.queue.pop_batch(worker, batch_max) {
-        metrics.record_batch();
-        let state = Arc::clone(reader.get(&shared.snapshot));
-        let mut live = Vec::with_capacity(batch.len());
-        for job in batch {
-            let queue_us = job.submitted.elapsed().as_micros() as u64;
-            match job.req.deadline_us {
-                Some(deadline) if queue_us > deadline => {
-                    metrics.record_shed_deadline(queue_us);
-                    let _ = job
-                        .reply_to
-                        .send(Err(Rejection::DeadlineExceeded { queue_us }));
-                }
-                _ => live.push((job, queue_us)),
-            }
-        }
-        for (job, queue_us) in live {
-            let reply_to = job.reply_to.clone();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                compute_job(shared, &metrics, &state, job, queue_us)
-            }));
-            if outcome.is_err() {
-                metrics.record_worker_panic();
-                let _ = reply_to.send(Err(Rejection::WorkerPanicked));
-            }
-        }
-    }
-}
-
-/// Batch phase 2 for one job: compute with the full retry/degradation
-/// ladder against the batch's pinned snapshot, fill the cache, respond,
-/// and record metrics — all shard-local or atomic.
-fn compute_job(
-    shared: &Shared,
-    metrics: &WorkerMetrics,
-    state: &DataState,
-    job: Job,
-    queue_us: u64,
-) {
-    #[cfg(test)]
-    if shared
-        .poison
-        .swap(false, std::sync::atomic::Ordering::Relaxed)
-    {
-        let _shard = shared.cache.lock_shard_for_test(0);
-        panic!("poison-pill job: worker dies holding a cache-shard lock"); // PANIC-OK: cfg(test) hook
-    }
-    let key = job.key.at_version(state.version);
-    let fingerprint = key.fingerprint();
-    let started = Instant::now();
-    let outcome = compute_with_retry(state, &shared.config, &job.req, fingerprint);
-    let exec_us = started.elapsed().as_micros() as u64;
-    match outcome {
-        Ok(done) => {
-            let region = CacheKey::region_for_request(&job.req);
-            shared
-                .cache
-                .insert(key, fingerprint, done.reply.clone(), region);
-            metrics.record_completion(queue_us, exec_us, false);
-            metrics.record_recovery(done.faulted_attempts, done.backoff_units, done.degraded);
-            let _ = job.reply_to.send(Ok(Response {
-                reply: done.reply,
-                cached: false,
-                version: state.version,
-                queue_us,
-                exec_us,
-                attempts: done.attempts,
-                degraded: done.degraded,
-            }));
-        }
-        Err(failed) => {
-            metrics.record_failed(failed.faulted_attempts, failed.backoff_units, queue_us);
-            let _ = job.reply_to.send(Err(Rejection::Failed(failed.error)));
         }
     }
 }
@@ -1208,7 +1082,7 @@ mod tests {
             panic!("select reply expected");
         };
         // Reference: exhaustive θ-test over the same tree.
-        let state = svc.shared.snapshot.load();
+        let state = svc.snapshot.load();
         let mut want =
             sj_gentree::select::select_exhaustive(&state.r.tree.tree, &probe, theta).matches;
         want.sort_unstable();
@@ -1275,9 +1149,9 @@ mod tests {
         }
     }
 
-    /// `selectivity_samples` is "min 1" like `workers`, `batch_size` and
+    /// `selectivity_samples` is "min 1" like `queue_depth` and
     /// `retry_attempts`: zero used to trip the sampler's assertion inside
-    /// the worker and turn every `Auto` join into `WorkerPanicked`.
+    /// the computation and turn every `Auto` join into `WorkerPanicked`.
     #[test]
     fn zero_selectivity_samples_still_answer_auto() {
         let svc = small_service(ServiceConfig {
@@ -1321,7 +1195,7 @@ mod tests {
         ] {
             let resp = svc
                 .call(Request::join(Strategy::Auto, theta))
-                .expect("a NaN cost must not panic the worker");
+                .expect("a NaN cost must not panic the computation");
             let (Reply::Join { pairs, resolved }, Reply::Join { pairs: want, .. }) = (
                 &resp.reply,
                 svc.execute_reference(&Request::join(Strategy::NestedLoop, theta)),
@@ -1356,7 +1230,7 @@ mod tests {
         assert_eq!(receipt.outcomes, vec![MutationOutcome::Inserted]);
         assert!(receipt.changed());
         assert!(receipt.cache_purged >= 1, "the stale entry must be purged");
-        // Read-your-writes through the submit-side probe: the committing
+        // Read-your-writes through the cache probe: the committing
         // thread's next select sees the receipt's version and data.
         let third = svc.call(req.clone()).expect("ok");
         assert!(!third.cached, "version bump must invalidate");
@@ -1373,19 +1247,16 @@ mod tests {
 
     #[test]
     fn cache_hits_never_touch_the_publisher_lock() {
-        // Once warm, a hit is answered in `submit`: one atomic version
-        // load and one shard-local cache probe — never the snapshot
-        // publisher mutex, never the queue, never a worker. The publisher
-        // lock, admission and batch counters must stay exactly flat
-        // across a stretch of hit traffic, `version()` included.
-        let svc = small_service(ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        });
+        // Once warm, a hit is answered at the probe: one atomic version
+        // load and one cache lock — never the snapshot publisher mutex.
+        // The publisher lock count must stay exactly flat across a
+        // stretch of hit traffic, `version()` included, and each miss
+        // takes it exactly once, to pin its snapshot.
+        let svc = small_service(ServiceConfig::default());
         let req = select_at(Side::R, 20.0, 20.0, ThetaOp::WithinDistance(15.0));
         svc.call(req.clone()).expect("warm the cache");
         let baseline = svc.snapshot_lock_count();
-        let (admitted, before) = (svc.shared.queue.admitted_count(), svc.metrics());
+        let before = svc.metrics();
         for _ in 0..200 {
             let resp = svc.call(req.clone()).expect("ok");
             assert!(resp.cached, "warm identical query must hit");
@@ -1396,149 +1267,126 @@ mod tests {
             baseline,
             "cache-hit traffic must never acquire the snapshot publisher lock"
         );
-        assert_eq!(
-            svc.shared.queue.admitted_count(),
-            admitted,
-            "hits never enqueue"
-        );
         let m = svc.metrics();
-        assert_eq!(m.batches, before.batches, "hits never wake a worker");
         assert_eq!(m.completed, before.completed + 200);
         assert_eq!(m.served_from_cache, before.served_from_cache + 200);
         assert_eq!(svc.cache_stats().0, 200);
         assert_eq!(m.cache_hit_latency_us.count(), m.served_from_cache);
-        assert!(m.batches > 0, "every wakeup must account a batch");
+        for k in 1..=5u32 {
+            let miss = select_at(Side::R, f64::from(k), 0.0, ThetaOp::WithinDistance(3.0));
+            assert!(!svc.call(miss).expect("ok").cached);
+            assert_eq!(svc.snapshot_lock_count(), baseline + u64::from(k));
+        }
+    }
+
+    /// Distinct nested-loop joins: every one misses the cache.
+    fn distinct_miss(i: u32) -> Request {
+        let theta = ThetaOp::WithinDistance(1.0 + f64::from(i) * 0.01);
+        Request::join(Strategy::NestedLoop, theta)
     }
 
     #[test]
-    fn full_queue_sheds_at_admission() {
-        let config = ServiceConfig {
-            workers: 1,
-            queue_depth: 1,
-            batch_size: 1, // no batching: the backlog must overflow
-            ..ServiceConfig::default()
-        };
-        let svc = SpatialService::start(
-            config,
-            &grid_tuples(12, 4.0, 0),
-            &grid_tuples(12, 4.0, 5000),
-            world(),
-        );
-        let warm = select_at(Side::R, 0.0, 0.0, ThetaOp::Overlaps);
-        svc.call(warm.clone()).expect("warm the cache");
-        // Submissions land microseconds apart; each nested-loop join
-        // over 144×144 tuples (distinct θ: every one computes) takes far
-        // longer, so the depth-1 queue must overflow. Whenever it does,
-        // an uncached request is shed — and a cached one still answers:
-        // it needs no queue slot.
-        let pending: Vec<_> = (0..12)
-            .map(|i| {
-                let theta = ThetaOp::WithinDistance(1.0 + f64::from(i) * 0.01);
-                let shed = svc.submit(Request::join(Strategy::NestedLoop, theta));
-                if let Err(rejection) = &shed {
-                    assert_eq!(*rejection, Rejection::QueueFull);
-                    let hit = svc.call(warm.clone()).expect("a hit is never shed");
-                    assert!(hit.cached && hit.queue_us == 0);
-                }
-                shed
-            })
-            .collect();
-        let shed = pending.iter().filter(|r| r.is_err()).count();
-        assert!(shed > 0, "expected queue-full shedding");
-        for answer in pending.into_iter().flatten() {
-            assert!(answer.wait().is_ok());
-        }
-        assert_eq!(svc.shed_counts().0, shed as u64);
-    }
-
-    #[test]
-    fn expired_deadlines_shed_at_dequeue() {
-        let config = ServiceConfig {
-            workers: 1,
-            queue_depth: 64,
-            ..ServiceConfig::default()
-        };
-        let svc = SpatialService::start(
-            config,
-            &grid_tuples(12, 4.0, 0),
-            &grid_tuples(12, 4.0, 5000),
-            world(),
-        );
-        let warm = select_at(Side::S, 0.0, 0.0, ThetaOp::Overlaps);
-        svc.call(warm.clone()).expect("warm the cache");
-        // Build a backlog of slow joins (submitted before the first
-        // completes, so all three compute), then queue deadline-1µs
-        // requests behind it: by the time a worker reaches them their
-        // budget is long gone.
-        let slow: Vec<_> = (0..3)
-            .map(|_| {
-                svc.submit(Request::join(Strategy::NestedLoop, ThetaOp::Overlaps))
-                    .expect("queue has room")
-            })
-            .collect();
-        let dead: Vec<_> = (0..3)
-            .map(|_| {
-                svc.submit(select_at(Side::R, 0.0, 0.0, ThetaOp::Overlaps).with_deadline_us(1))
-                    .expect("queue has room")
-            })
-            .collect();
-        // Behind the same backlog a cached request with no budget at
-        // all is answered: a hit never waits, so it cannot out-wait.
-        let hit = svc.call(warm.with_deadline_us(0)).expect("answered");
-        assert!(hit.cached && hit.queue_us == 0);
-        for answer in slow {
-            assert!(answer.wait().is_ok());
-        }
-        let mut sheds = 0;
-        for answer in dead {
-            match answer.wait() {
-                Err(Rejection::DeadlineExceeded { queue_us }) => {
-                    assert!(queue_us > 1);
-                    sheds += 1;
-                }
-                Ok(_) => {}
-                Err(other) => panic!("unexpected rejection {other:?}"),
-            }
-        }
-        assert!(sheds > 0, "expected deadline shedding behind the backlog");
-        assert_eq!(svc.shed_counts().1, sheds as u64);
-        assert_eq!(svc.metrics().shed_deadline, sheds as u64);
-    }
-
-    #[test]
-    fn worker_panic_is_contained_and_the_pool_keeps_serving() {
-        // The poisoned job panics while holding a cache-shard lock —
-        // the worst case: a dead worker AND a poisoned mutex. The
-        // single-worker service must contain the panic, answer the
-        // poisoned request with `WorkerPanicked`, recover the lock, and
-        // keep serving (including through that same cache shard).
+    fn misses_beyond_queue_depth_shed_at_admission() {
         let svc = small_service(ServiceConfig {
-            workers: 1,
+            queue_depth: 2,
             ..ServiceConfig::default()
         });
-        svc.shared.poison.store(true, Ordering::Relaxed);
+        let warm = select_at(Side::R, 0.0, 0.0, ThetaOp::Overlaps);
+        svc.call(warm.clone()).expect("warm the cache");
+        // Park two computing misses, so both slots are held; outcomes are
+        // collected first and checked after the park is lifted.
+        let svc = &svc;
+        let park = svc.park.write().expect("unpoisoned");
+        let (parked, shed, hit) = std::thread::scope(|scope| {
+            let parked: Vec<_> = (0..2)
+                .map(|i| scope.spawn(move || svc.call(distinct_miss(i))))
+                .collect();
+            while svc.in_flight.load(Ordering::Relaxed) < 2 {
+                std::thread::yield_now();
+            }
+            let shed = svc.call(distinct_miss(2));
+            let hit = svc.call(warm.clone());
+            drop(park);
+            let parked: Vec<_> = parked.into_iter().map(|h| h.join()).collect();
+            (parked, shed, hit)
+        });
+        assert_eq!(shed.map(|r| r.cached), Err(Rejection::QueueFull));
+        let hit = hit.expect("a hit is never shed");
+        assert!(hit.cached && hit.queue_us == 0);
+        for answer in parked {
+            assert!(answer.expect("no panic").is_ok(), "parked misses answer");
+        }
+        assert_eq!(svc.in_flight.load(Ordering::Relaxed), 0);
+        assert_eq!(svc.metrics().shed_queue_full, 1);
+        // A panicking computation gives its slot back while unwinding.
+        svc.poison.store(true, Ordering::Relaxed);
+        assert_eq!(
+            svc.call(distinct_miss(3)).map(|r| r.cached),
+            Err(Rejection::WorkerPanicked)
+        );
+        assert_eq!(svc.in_flight.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_panicking_request_is_contained_on_the_callers_thread() {
+        // The poisoned request panics while holding the cache lock — the
+        // worst case: an unwinding computation AND a poisoned mutex. The
+        // service must contain the panic on the caller's thread, answer
+        // the request with `WorkerPanicked`, recover the lock, and keep
+        // serving (through that same cache).
+        let svc = small_service(ServiceConfig::default());
+        svc.poison.store(true, Ordering::Relaxed);
         assert!(matches!(
             svc.call(Request::join(Strategy::NestedLoop, ThetaOp::Overlaps)),
             Err(Rejection::WorkerPanicked)
         ));
+        assert!(svc.cache.is_poisoned());
+        let probe = select_at(Side::R, 20.0, 20.0, ThetaOp::WithinDistance(15.0));
         let resp = svc
-            .call(select_at(
-                Side::R,
-                20.0,
-                20.0,
-                ThetaOp::WithinDistance(15.0),
-            ))
-            .expect("the worker survived the panic");
+            .call(probe.clone())
+            .expect("the service survived the panic");
         assert!(!resp.reply.is_empty());
+        assert!(
+            svc.call(probe).expect("ok").cached,
+            "the cache still serves"
+        );
         let m = svc.metrics();
         assert_eq!(m.worker_panics, 1);
-        assert_eq!(m.completed, 1);
+        assert_eq!(m.completed, 2);
+    }
+
+    /// A commit's receipt counts as retained exactly the entries that
+    /// still hit afterwards: re-stamping a survivor never evicts another.
+    /// Regression: with the cache split into per-worker shards,
+    /// `workers: 2, cache_capacity: 2` gave each shard one slot, and two
+    /// survivors re-homed into one shard by their re-stamped keys: one
+    /// evicted the other while the receipt still counted both.
+    #[test]
+    fn cache_retained_counts_exactly_the_entries_that_still_hit() {
+        let svc = small_service(ServiceConfig {
+            workers: 2,
+            cache_capacity: 2,
+            ..ServiceConfig::default()
+        });
+        let far = [0.0, 10.0].map(|y| select_at(Side::R, 40.0, y, ThetaOp::WithinDistance(2.0)));
+        for req in &far {
+            assert!(!svc.call(req.clone()).expect("ok").cached);
+        }
+        assert_eq!(svc.cache_stats().2, 2, "the cache is full");
+        let batch = WriteBatch::new().insert(Side::R, 9000, Geometry::Point(Point::new(1.0, 1.0)));
+        let receipt = svc.commit(&batch).expect("commit succeeds");
+        assert_eq!((receipt.cache_purged, receipt.cache_retained), (0, 2));
+        assert_eq!(receipt.cache_retained, svc.cache_stats().2);
+        for req in &far {
+            let resp = svc.call(req.clone()).expect("ok");
+            assert!(resp.cached, "every retained entry hits");
+            assert_eq!(resp.version, receipt.version);
+        }
     }
 
     #[test]
     fn injected_faults_retry_to_the_exact_fault_free_result() {
         let config = ServiceConfig {
-            workers: 1,
             cache_capacity: 0,
             fault_read_prob: 0.02,
             fault_seed: 0xFEED,
@@ -1588,7 +1436,6 @@ mod tests {
     fn fault_outcomes_are_deterministic_across_identical_services() {
         let run = || {
             let config = ServiceConfig {
-                workers: 1,
                 cache_capacity: 0,
                 fault_read_prob: 0.03,
                 fault_seed: 0xBEEF,
@@ -1623,7 +1470,6 @@ mod tests {
         // read individually and must rescue requests *exactly*: every
         // degraded reply matches the fault-free reference.
         let config = ServiceConfig {
-            workers: 1,
             cache_capacity: 0,
             fault_read_prob: 0.2,
             fault_seed: 0x5EED,
@@ -1667,7 +1513,6 @@ mod tests {
         // back as a typed `Rejection::Failed` — never a panic, never a
         // partial result.
         let config = ServiceConfig {
-            workers: 1,
             cache_capacity: 0,
             fault_read_prob: 1.0,
             fault_seed: 7,
@@ -1701,12 +1546,11 @@ mod tests {
         let spans: Vec<&str> = sink.events().iter().map(|e| e.span.as_str()).collect();
         for want in [
             "service/latency_us",
-            "service/queue_wait_us",
             "service/exec_us",
             "service/cache_hit_us",
             "service/summary",
+            "service/fault",
             "service/cache",
-            "service/admission",
             "service/pool",
             "service/wal",
             "service/apply",
@@ -1717,14 +1561,6 @@ mod tests {
         assert_eq!(m.completed, 2);
         assert_eq!(m.served_from_cache, 1);
         assert_eq!(m.latency_us.count(), 2);
-        assert!(m.batches >= 1, "wakeups must be accounted as batches");
-        // The admission event carries the steal counter.
-        let admission = sink
-            .events()
-            .iter()
-            .find(|e| e.span == "service/admission")
-            .expect("admission event");
-        assert!(admission.counters.iter().any(|(k, _)| *k == "stolen"));
         // The pool gauge event carries the new capacity counter.
         let pool_event = sink
             .events()
@@ -1862,12 +1698,12 @@ mod tests {
                 &grid_tuples(n, step, 50_000),
                 world(),
             );
-            let before = svc.shared.snapshot.load();
+            let before = svc.snapshot.load();
             let batch = WriteBatch::new()
                 .insert(Side::R, 90_000, Geometry::Point(Point::new(7.0, 7.0)))
                 .delete(Side::S, 50_003);
             svc.commit(&batch).expect("commit succeeds");
-            let after = svc.shared.snapshot.load();
+            let after = svc.snapshot.load();
             tree_chunks_copied(&after.r.tree, &before.r.tree)
                 + tree_chunks_copied(&after.s.tree, &before.s.tree)
                 + after.pool.disk().copied_chunks(before.pool.disk())
@@ -1943,7 +1779,7 @@ mod tests {
             r.push((900 + k, at.clone()));
             s.push((5_900 + k, at));
         }
-        let pinned = svc.shared.snapshot.load();
+        let pinned = svc.snapshot.load();
         let theta = ThetaOp::WithinDistance(6.0);
         let requests = [
             select_at(Side::R, 30.0, 30.0, theta),
@@ -1975,7 +1811,7 @@ mod tests {
             let receipt = svc.commit(&batch).expect("commit succeeds");
             assert!(receipt.outcomes.iter().all(MutationOutcome::applied));
         }
-        let head = svc.shared.snapshot.load();
+        let head = svc.snapshot.load();
         assert_eq!(head.version, pinned.version + 50);
         for (now, then) in [(&head.r, &pinned.r), (&head.s, &pinned.s)] {
             assert!(
@@ -1987,17 +1823,17 @@ mod tests {
 
         assert_eq!(answers(&pinned), before, "the pinned version moved");
         let rebuilt = SpatialService::start(config, &r, &s, world());
-        assert_eq!(before, answers(&rebuilt.shared.snapshot.load()));
+        assert_eq!(before, answers(&rebuilt.snapshot.load()));
         assert_ne!(before, answers(&head), "the head did move");
     }
 
     #[test]
     fn a_commit_copies_only_the_sides_its_batch_names() {
         let svc = small_service(ServiceConfig::default());
-        let v0 = svc.shared.snapshot.load();
+        let v0 = svc.snapshot.load();
         svc.commit(&WriteBatch::new().insert(Side::R, 9000, Geometry::Point(Point::new(1.0, 1.0))))
             .expect("commit succeeds");
-        let v1 = svc.shared.snapshot.load();
+        let v1 = svc.snapshot.load();
         assert!(!Arc::ptr_eq(&v0.r, &v1.r), "R was named: new side");
         assert!(Arc::ptr_eq(&v0.s, &v1.s), "S was not named: shared");
         let tuples = |side: &SideState| side.tree.tree.entry_nodes().len();
@@ -2014,7 +1850,7 @@ mod tests {
             Geometry::Point(Point::new(2.0, 2.0)),
         );
         svc.commit(&mixed).expect("commit succeeds");
-        let v2 = svc.shared.snapshot.load();
+        let v2 = svc.snapshot.load();
         assert!(!Arc::ptr_eq(&v1.r, &v2.r));
         assert!(!Arc::ptr_eq(&v1.s, &v2.s));
     }
@@ -2115,7 +1951,7 @@ mod tests {
         // The lock-free version is the published snapshot's, committed
         // or replayed.
         for service in [&svc, &recovered] {
-            assert_eq!(service.version(), service.shared.snapshot.load().version);
+            assert_eq!(service.version(), service.snapshot.load().version);
         }
         for req in [
             select_at(Side::R, 0.0, 0.0, ThetaOp::WithinDistance(35.0)),
@@ -2216,7 +2052,7 @@ mod tests {
         let exact = SpatialService::start(ServiceConfig::default(), &r, &s, world());
         let svc = SpatialService::start(config, &r, &s, world());
         {
-            let state = svc.shared.snapshot.load();
+            let state = svc.snapshot.load();
             assert!(state.r.rel.is_compressed() && state.s.rel.is_compressed());
             assert!(state.r.tree.is_compressed());
         }

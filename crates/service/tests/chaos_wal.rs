@@ -34,7 +34,6 @@ fn world() -> Rect {
 
 fn config() -> ServiceConfig {
     ServiceConfig {
-        workers: 1,
         cache_capacity: 16,
         queue_depth: 64,
         ..ServiceConfig::default()

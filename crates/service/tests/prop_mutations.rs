@@ -36,10 +36,9 @@ fn world() -> Rect {
     Rect::from_bounds(0.0, 0.0, 64.0, 64.0)
 }
 
-fn service(cache_capacity: usize, workers: usize) -> SpatialService {
+fn service(cache_capacity: usize) -> SpatialService {
     let config = ServiceConfig {
         cache_capacity,
-        workers,
         queue_depth: 128,
         ..ServiceConfig::default()
     };
@@ -175,12 +174,11 @@ proptest! {
     fn interleaved_writes_and_reads_linearize(
         script in prop::collection::vec(0u8..=255, 0..48),
     ) {
-        let live = service(32, 2);
+        let live = service(32);
         let mut r: Vec<(u64, Geometry)> = grid_tuples(4, 8.0, 0);
         let mut s: Vec<(u64, Geometry)> = grid_tuples(4, 8.0, 500);
         let oracle_config = ServiceConfig {
             cache_capacity: 0,
-            workers: 1,
             queue_depth: 128,
             ..ServiceConfig::default()
         };

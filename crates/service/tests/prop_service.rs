@@ -3,8 +3,8 @@
 //! (a) a cache-enabled service returns byte-identical match sets to a
 //!     cache-disabled one across all eight θ-operators, with updates
 //!     interleaved arbitrarily between queries;
-//! (b) responses are invariant under worker count and equal the
-//!     sequential reference execution.
+//! (b) responses are invariant under how many threads call at once and
+//!     equal the sequential reference execution.
 //!
 //! Random scripts are decoded from plain byte vectors so the vendored
 //! proptest shim needs nothing beyond `vec` + integer strategies.
@@ -79,10 +79,9 @@ fn decode(chunk: &[u8]) -> Op {
     }
 }
 
-fn service(cache_capacity: usize, workers: usize) -> SpatialService {
+fn service(cache_capacity: usize) -> SpatialService {
     let config = ServiceConfig {
         cache_capacity,
-        workers,
         queue_depth: 128,
         ..ServiceConfig::default()
     };
@@ -105,8 +104,8 @@ proptest! {
     fn cache_on_and_off_are_byte_identical(
         script in prop::collection::vec(0u8..=255, 0..36),
     ) {
-        let cached = service(64, 2);
-        let uncached = service(0, 2);
+        let cached = service(64);
+        let uncached = service(0);
         let mut next_id = 10_000u64;
         for chunk in script.chunks(3) {
             if chunk.len() < 3 {
@@ -141,11 +140,11 @@ proptest! {
         prop_assert_eq!(hits, 0, "a disabled cache must never hit");
     }
 
-    /// Property (b): worker count cannot change any answer. All
-    /// requests are submitted before any response is collected, so
-    /// multi-worker runs genuinely interleave.
+    /// Property (b): the number of concurrent callers cannot change any
+    /// answer. Every caller runs the whole script against one service,
+    /// so misses compute side by side and hits race the fills.
     #[test]
-    fn responses_are_invariant_under_worker_count(
+    fn responses_are_invariant_under_caller_count(
         script in prop::collection::vec(0u8..=255, 0..30),
     ) {
         let requests: Vec<Request> = script
@@ -157,23 +156,26 @@ proptest! {
             })
             .collect();
 
-        let reference_svc = service(0, 1);
+        let reference_svc = service(0);
         let reference: Vec<Reply> = requests
             .iter()
             .map(|req| reference_svc.execute_reference(req))
             .collect();
 
-        for workers in [1usize, 2, 4] {
-            let svc = service(32, workers);
-            let pending: Vec<_> = requests
-                .iter()
-                .map(|req| svc.submit(req.clone()).expect("queue_depth covers the batch"))
-                .collect();
-            for (i, answer) in pending.into_iter().enumerate() {
-                let resp = answer.wait().expect("no deadline, no shedding");
+        for callers in [1usize, 2, 4] {
+            let svc = service(32);
+            let replies: Vec<Vec<Reply>> = std::thread::scope(|scope| {
+                let call_all = || {
+                    let call = |req: &Request| svc.call(req.clone()).expect("no shedding");
+                    requests.iter().map(|req| call(req).reply).collect()
+                };
+                let handles: Vec<_> = (0..callers).map(|_| scope.spawn(call_all)).collect();
+                handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+            });
+            for (caller, got) in replies.iter().enumerate() {
                 prop_assert_eq!(
-                    &resp.reply, &reference[i],
-                    "request {} diverged at {} workers", i, workers
+                    got, &reference,
+                    "caller {} of {} diverged", caller, callers
                 );
             }
         }
@@ -209,7 +211,7 @@ fn stale_rid_probe_recovers_via_version_bump() {
     // cached query's region. The invalidation drops the stale reply, so
     // the follow-up recomputes on the evolved trees — fresh rids, no
     // stale probe — and reports the new version.
-    let svc = service(64, 1);
+    let svc = service(64);
     let req = Request::select(
         Side::R,
         Geometry::Point(Point::new(8.0, 8.0)),

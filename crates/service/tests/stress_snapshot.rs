@@ -1,4 +1,4 @@
-//! Snapshot-swap stress: worker threads JOIN continuously while a
+//! Snapshot-swap stress: reader threads JOIN continuously while a
 //! writer streams update batches through the service. Every successful
 //! response reports the dataset version it was computed against; the
 //! test replays each one on a sequentially rebuilt service holding
@@ -9,8 +9,8 @@
 //! entirely against one version and says which.
 //!
 //! Its sibling does the same with SELECTs from a small hot set, most of
-//! them answered by the cache probe in `submit` while commits purge,
-//! re-stamp and rehome the entries under it.
+//! them answered by the cache probe in `call` while commits purge and
+//! re-stamp the entries under it.
 //!
 //! A third streams fifty commits of upserts, deletes and inserts under a
 //! SELECT and all three join strategies: successive snapshots share their
@@ -52,7 +52,7 @@ fn write_batch(batch: &Inserts) -> WriteBatch {
     })
 }
 
-/// A cache-less single-worker service holding exactly `version`'s
+/// A cache-less service holding exactly `version`'s
 /// tuples, rebuilt sequentially from the update history.
 fn rebuilt(
     config: ServiceConfig,
@@ -70,7 +70,6 @@ fn rebuilt(
         }
     }
     let config = ServiceConfig {
-        workers: 1,
         cache_capacity: 0,
         ..config
     };
@@ -88,7 +87,6 @@ fn request_for(slot: usize) -> Request {
 #[test]
 fn concurrent_joins_match_sequential_replay_of_their_reported_version() {
     let config = ServiceConfig {
-        workers: 4,
         queue_depth: 256,
         cache_capacity: 64,
         ..ServiceConfig::default()
@@ -127,10 +125,8 @@ fn concurrent_joins_match_sequential_replay_of_their_reported_version() {
                             };
                             seen.push((resp.version, slot % 8, pairs.to_vec()));
                         }
-                        // Overload shedding is fine under stress; a
-                        // closed queue means shutdown raced us.
+                        // Overload shedding is fine under stress.
                         Err(Rejection::QueueFull) => continue,
-                        Err(Rejection::Closed) => break,
                         Err(other) => panic!("unexpected rejection {other:?}"),
                     }
                 }
@@ -194,7 +190,7 @@ fn concurrent_joins_match_sequential_replay_of_their_reported_version() {
 /// The hot set: SELECTs on R within 5 of a point. The commit stream
 /// alternates between the neighbourhoods of the first two, so their
 /// entries are purged by every other commit; the rest are far from
-/// every write, so each commit drains, re-stamps and rehomes them.
+/// every write, so each commit re-stamps them.
 const HOT: [(f64, f64); 6] = [
     (10.0, 12.0),
     (50.0, 50.0),
@@ -216,7 +212,6 @@ fn hot_select(slot: usize) -> Request {
 #[test]
 fn concurrent_selects_probing_at_submit_match_sequential_replay_while_commits_purge() {
     let config = ServiceConfig {
-        workers: 4,
         queue_depth: 256,
         cache_capacity: 64,
         ..ServiceConfig::default()
@@ -332,7 +327,6 @@ fn mixed_request(slot: usize) -> Request {
 #[test]
 fn readers_of_chunk_shared_snapshots_match_replay_across_fifty_commits() {
     let config = ServiceConfig {
-        workers: 3,
         queue_depth: 256,
         cache_capacity: 0,
         ..ServiceConfig::default()
@@ -434,15 +428,7 @@ fn readers_of_chunk_shared_snapshots_match_replay_across_fifty_commits() {
     );
     for &version in &observed {
         let (r, s) = &versions[version as usize];
-        let reference = SpatialService::start(
-            ServiceConfig {
-                workers: 1,
-                ..config
-            },
-            r,
-            s,
-            world(),
-        );
+        let reference = SpatialService::start(config, r, s, world());
         for (_, slot, got) in responses.iter().filter(|(v, ..)| *v == version) {
             assert_eq!(
                 got,

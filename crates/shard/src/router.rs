@@ -20,8 +20,7 @@ use sj_joins::advisor::AdaptiveAdvisor;
 use sj_joins::{Mutation, MutationOutcome, Side, Strategy, WriteBatch};
 use sj_obs::TraceSink;
 use sj_service::{
-    CommitReceipt, QueryKind, Rejection, Reply, Request, Response, ServiceConfig, ServiceMetrics,
-    SpatialService,
+    QueryKind, Rejection, Reply, Request, Response, ServiceConfig, ServiceMetrics, SpatialService,
 };
 use sj_storage::IoStats;
 
@@ -74,8 +73,8 @@ pub struct RouterResponse {
     /// Highest shard dataset version among the replies; the router's
     /// own commit count for a join answered at the router.
     pub version: u64,
-    /// Max per-shard queue wait (µs) — the admission critical path. For
-    /// a join answered at the router, the wait for the authority maps.
+    /// 0 for a scattered request: a shard runs it on arrival. For a join
+    /// answered at the router, the wait for the authority maps (µs).
     pub queue_us: u64,
     /// Max per-shard execution time (µs) — the compute critical path;
     /// the gather is bounded by the slowest shard, not the sum.
@@ -116,13 +115,12 @@ pub struct ShardRouter {
     config: ShardConfig,
     halo: f64,
     plan: ShardPlan,
-    /// One in-process service per plan leaf, in leaf order.
-    /// Submissions are asynchronous — `submit` returns the answer or a
-    /// handle to wait on, so a request fans out to every target shard
-    /// *before* the router blocks on any reply — and commits are
-    /// synchronous: the shard's WAL sync has happened by the time
-    /// `commit` returns, which is what makes the router's global
-    /// read-your-writes guarantee compose from per-shard guarantees.
+    /// One in-process service per plan leaf, in leaf order. A request
+    /// runs on the thread that calls it, so the router fans out to
+    /// several shards itself (`fan_out`): the first target on the
+    /// caller, each further one on a scoped thread. A shard's commit
+    /// returns after its WAL sync, which is what makes the router's
+    /// global read-your-writes guarantee compose from per-shard ones.
     services: Vec<SpatialService>,
     advisors: Mutex<Vec<AdaptiveAdvisor>>,
     /// The authority maps. Lock order is R then S; `commit` holds both
@@ -134,10 +132,11 @@ pub struct ShardRouter {
     queries: AtomicU64,
     router_joins: AtomicU64,
     duplicates_removed: AtomicU64,
-    /// Test hook: runs after each shard sub-batch has committed, with
-    /// the shard's index, while `commit` still holds the map guards.
+    /// Test hook: runs on the thread that did the work after each shard
+    /// call answered or sub-batch committed, with the shard's index (for
+    /// a commit, while `commit` still holds the map guards).
     #[cfg(test)]
-    after_shard_commit: Option<Box<dyn Fn(usize) + Send + Sync>>,
+    after_shard: Option<Box<dyn Fn(usize) + Send + Sync>>,
 }
 
 /// The union of every tuple MBR on both sides — the router's world.
@@ -193,6 +192,39 @@ fn merge_runs<T: Ord + Copy>(mut runs: Vec<&[T]>) -> (Arc<Vec<T>>, u64) {
     out.dedup();
     let duplicates = (total - out.len()) as u64;
     (Arc::new(out), duplicates)
+}
+
+/// Runs `work` on every item side by side: the first on the calling
+/// thread, each further one on a scoped thread — so one item spawns
+/// nothing. Returns the results in item order, or the first rejection in
+/// that order; a scoped thread that panicked answers
+/// [`Rejection::WorkerPanicked`].
+fn fan_out<I, R>(
+    items: I,
+    work: impl Fn(I::Item) -> Result<R, Rejection> + Sync,
+) -> Result<Vec<R>, Rejection>
+where
+    I: IntoIterator,
+    I::Item: Send,
+    R: Send,
+{
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Ok(Vec::new());
+    };
+    let Some(second) = items.next() else {
+        return work(first).map(|result| vec![result]);
+    };
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let work = &work;
+        let spawn = |item| scope.spawn(move || work(item));
+        let rest: Vec<_> = std::iter::once(second).chain(items).map(spawn).collect();
+        let joined = rest
+            .into_iter()
+            .map(|handle| handle.join().unwrap_or(Err(Rejection::WorkerPanicked)));
+        std::iter::once(work(first)).chain(joined).collect()
+    });
+    results.into_iter().collect()
 }
 
 /// One shard's reply *is* the answer (sorted and duplicate-free, as every
@@ -274,7 +306,7 @@ impl ShardRouter {
             router_joins: AtomicU64::new(0),
             duplicates_removed: AtomicU64::new(0),
             #[cfg(test)]
-            after_shard_commit: None,
+            after_shard: None,
         }
     }
 
@@ -337,37 +369,22 @@ impl ShardRouter {
             choices.extend(targets.iter().map(|&t| advisors[t].choose(theta)));
         }
 
-        // Scatter first, gather second: every shard computes in parallel
-        // with the others (one holding the reply in its cache answers
-        // inside `submit`). The last target takes the request itself.
-        let mut pending = Vec::with_capacity(targets.len());
-        let mut first_err = None;
-        for (i, mut sub) in std::iter::repeat_n(req, targets.len()).enumerate() {
+        // Every target shard computes side by side (one holding the reply
+        // in its cache answers at its probe). The last takes the request.
+        let subs = targets.iter().zip(std::iter::repeat_n(req, targets.len()));
+        let responses = fan_out(subs.enumerate(), |(i, (&t, mut sub))| {
             if auto_join {
                 sub.kind = QueryKind::Join {
                     strategy: choices[i],
                 };
             }
-            match self.services[targets[i]].submit(sub) {
-                Ok(answer) => pending.push(answer),
-                Err(rej) => {
-                    first_err.get_or_insert(rej);
-                    break;
-                }
+            let response = self.services[t].call(sub);
+            #[cfg(test)]
+            if let (Ok(_), Some(hook)) = (&response, &self.after_shard) {
+                hook(t);
             }
-        }
-        let mut responses: Vec<Response> = Vec::with_capacity(pending.len());
-        for answer in pending {
-            match answer.wait() {
-                Ok(resp) => responses.push(resp),
-                Err(rej) => {
-                    first_err.get_or_insert(rej);
-                }
-            }
-        }
-        if let Some(rej) = first_err {
-            return Err(rej);
-        }
+            response
+        })?;
 
         // Feed observed execution cost back into the per-shard advisors
         // (cache hits carry no compute signal and are skipped).
@@ -524,10 +541,11 @@ impl ShardRouter {
     /// at the vacated ones.
     ///
     /// The non-empty sub-batches commit side by side (shards share
-    /// nothing): the first on the calling thread, each further one on a
-    /// scoped thread. Both map guards are held for the whole call, so two
-    /// commits never interleave at a shard and a join answered from the
-    /// maps sees the batch entirely or not at all. Any failed shard commit
+    /// nothing, `fan_out`): the first on the calling thread, each
+    /// further one on a scoped thread. Both map guards are held for the
+    /// whole call, so two commits never interleave at a shard and a join
+    /// answered from the maps sees the batch entirely or not at all. Any
+    /// failed shard commit
     /// restores the maps and returns the first rejection in shard order,
     /// which makes the batch retryable; shards whose sub-batch did commit
     /// stay ahead until then (atomicity across shards is ROADMAP item 18b).
@@ -586,26 +604,16 @@ impl ShardRouter {
             undo.push((*side, id, old));
         }
 
-        let commit_shard = |t: usize| {
+        let named = (0..subs.len()).filter(|&t| !subs[t].is_empty());
+        let receipts = fan_out(named, |t| {
             let receipt = self.services[t].commit(&subs[t]);
             #[cfg(test)]
-            if let (Ok(_), Some(hook)) = (&receipt, &self.after_shard_commit) {
+            if let (Ok(_), Some(hook)) = (&receipt, &self.after_shard) {
                 hook(t);
             }
             receipt
-        };
-        let mut named = (0..subs.len()).filter(|&t| !subs[t].is_empty());
-        let first = named.next();
-        let receipts: Vec<Result<CommitReceipt, Rejection>> = std::thread::scope(|scope| {
-            let rest: Vec<_> = named
-                .map(|t| scope.spawn(move || commit_shard(t)))
-                .collect();
-            let joined = rest
-                .into_iter()
-                .map(|handle| handle.join().unwrap_or(Err(Rejection::WorkerPanicked)));
-            first.map(commit_shard).into_iter().chain(joined).collect()
         });
-        let receipts = match receipts.into_iter().collect::<Result<Vec<_>, _>>() {
+        let receipts = match receipts {
             Ok(receipts) => receipts,
             Err(rejection) => {
                 for (side, id, old) in undo.into_iter().rev() {
@@ -756,7 +764,6 @@ mod tests {
             shards,
             halo: 8.0,
             service: ServiceConfig {
-                workers: 2,
                 queue_depth: 128,
                 cache_capacity: 0,
                 ..ServiceConfig::default()
@@ -1146,7 +1153,7 @@ mod tests {
         // has committed: once to say so, once to be released.
         let mid_commit = Arc::new(Barrier::new(2));
         let parked = Arc::clone(&mid_commit);
-        router.after_shard_commit = Some(Box::new(move |t| {
+        router.after_shard = Some(Box::new(move |t| {
             if t == 0 {
                 parked.wait();
                 parked.wait();
@@ -1185,39 +1192,54 @@ mod tests {
         assert_ne!(seen, before);
     }
 
-    /// Sub-batches commit side by side, but a thread is spent only where
-    /// there is a second sub-batch to run beside the first.
+    /// Shards run side by side, but a thread is spent only where there
+    /// is a second target to run beside the first — for a commit's
+    /// sub-batches and a request's target shards alike.
     #[test]
-    fn a_single_shard_batch_commits_on_the_calling_thread() {
+    fn a_single_target_runs_on_the_calling_thread() {
         let (mut router, oracle) = router(2);
-        let committers = Arc::new(Mutex::new(Vec::new()));
-        let seen = Arc::clone(&committers);
-        router.after_shard_commit = Some(Box::new(move |t| {
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&ran);
+        router.after_shard = Some(Box::new(move |t| {
             lock(&seen).push((t, std::thread::current().id()));
         }));
         let me = std::thread::current().id();
+        let take = || {
+            let mut ran = std::mem::take(&mut *lock(&ran));
+            ran.sort_by_key(|&(t, _)| t);
+            ran
+        };
 
         let left_only =
             WriteBatch::new().insert(Side::S, 9_100, Geometry::Point(Point::new(2.0, 2.0)));
         assert_eq!(commit_both(&router, &oracle, &left_only).shard_commits, 1);
-        assert_eq!(*lock(&committers), [(0, me)]);
+        assert_eq!(take(), [(0, me)]);
+        let corner = Request::select(
+            Side::S,
+            Geometry::Point(Point::new(2.0, 2.0)),
+            ThetaOp::Overlaps,
+        );
+        assert_eq!(router.call(corner).unwrap().shards_queried, 1);
+        assert_eq!(take(), [(0, me)], "a one-shard select runs on the caller");
 
-        lock(&committers).clear();
         assert_eq!(
             commit_both(&router, &oracle, &two_tile_batch()).shard_commits,
             2
         );
-        let mut both = lock(&committers).clone();
-        both.sort_by_key(|&(t, _)| t);
-        assert_eq!(
-            both[0],
-            (0, me),
-            "the first named shard stays on the caller"
-        );
-        assert!(
-            both[1].0 == 1 && both[1].1 != me,
-            "the second runs beside it"
-        );
+        let committed = take();
+        let join = Request::join(Strategy::Tree, ThetaOp::Overlaps);
+        assert_eq!(router.call(join).unwrap().shards_queried, 2);
+        for (what, both) in [("commit", committed), ("join", take())] {
+            assert_eq!(
+                both[0],
+                (0, me),
+                "{what}: the first target stays on the caller"
+            );
+            assert!(
+                both[1].0 == 1 && both[1].1 != me,
+                "{what}: the second runs beside it"
+            );
+        }
     }
 
     /// `Auto` joins feed per-shard observations back into the advisors

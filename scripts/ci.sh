@@ -231,20 +231,23 @@ fi
 echo "    -> O(1) fork, lent record bytes, one hash per candidate, merged replies"
 
 echo "==> hit-path gate (a hit is answered where it arrives)"
-# The serving path probes the result cache at one site: in `submit`, on
-# the caller's thread, above the admission push. Neither `submit` nor
-# `version` takes the publisher mutex (`snapshot.load()`), and the router
-# takes its advisors' lock only inside an `if auto_join {` block, so a
-# routed hit locks nothing but its one cache shard.
+# The serving path probes the result cache at one site: in `call`, on
+# the caller's thread, above the in-flight slot and with no snapshot pin
+# (`snapshot.load()`) ahead of it. `version` takes no publisher lock
+# either, and the router takes its advisors' lock only inside an
+# `if auto_join {` block, so a routed hit locks nothing but its cache.
 detours=$(
     awk '/^#\[cfg\(test\)\]/ { exit }
-         /^    pub fn (submit|version)\(/ { fn = $3 }
+         /^    pub fn (call|version)\(/ { fn = $3 }
          /^    }$/ { fn = "" }
-         /cache\.get\(/ { probes++; if (fn !~ /^submit/ || pushed) print FILENAME ":" FNR ": " $0 }
-         fn ~ /^submit/ && /queue\.try_push/ { pushed = 1 }
-         fn != "" && /snapshot\.load\(\)/ { print FILENAME ":" FNR ": " $0 }
-         END { if (probes != 1) print FILENAME ": " probes + 0 " cache.get( sites, want 1" }' \
-        crates/service/src/service.rs
+         /cache\.get\(/ { probes++; if (fn !~ /^call/ || slotted || pinned) print FILENAME ":" FNR ": " $0 }
+         fn ~ /^call/ && /in_flight/ { slotted = 1 }
+         fn ~ /^call/ && /snapshot\.load\(\)/ { pinned = 1 }
+         fn ~ /^version/ && /snapshot\.load\(\)/ { print FILENAME ":" FNR ": " $0 }
+         END {
+             if (probes != 1) print FILENAME ": " probes + 0 " cache.get( sites, want 1"
+             if (!slotted) print FILENAME ": no in-flight slot in call"
+         }' crates/service/src/service.rs
     awk '/^#\[cfg\(test\)\]/ { exit }
          /^        if auto_join \{$/ { guarded = 1 }
          /^        }$/ { guarded = 0 }
@@ -256,7 +259,30 @@ if [ -n "$detours" ]; then
     echo "$detours"
     exit 1
 fi
-echo "    -> one probe site, in submit above the push; no publisher or advisor lock on a hit"
+echo "    -> one probe site, in call above the slot; no publisher or advisor lock on a hit"
+
+echo "==> no-pool gate (a request runs on the thread that asked for it)"
+# sj-service owns no thread: `call` runs a request on its caller's
+# thread, and the router fans out to several shards with scoped threads.
+# No admission queue, reply channel, batching, deadline, per-worker
+# snapshot reader or sharded cache may come back.
+pooled=$(
+    if [ -e crates/service/src/admission.rs ]; then
+        echo "crates/service/src/admission.rs exists"
+    fi
+    for f in crates/service/src/*.rs; do
+        awk '/^#\[cfg\(test\)\]/ { exit }
+             /thread::|mpsc|JoinHandle|Condvar/ { print FILENAME ":" FNR ": " $0 }' "$f"
+    done
+    grep -rnE 'ShardedQueue|AdmissionQueue|Pending|worker_loop|batch_size|deadline_us|DeadlineExceeded|SnapshotReader|CacheShards' \
+        crates src tests examples || true
+)
+if [ -n "$pooled" ]; then
+    echo "    the worker pool is back:"
+    echo "$pooled"
+    exit 1
+fi
+echo "    -> no thread, queue, channel or deadline in sj-service"
 
 echo "==> residency gate (one service per plan leaf, one authority copy at the router)"
 # Non-test sj-shard code starts services at exactly one call site (the

@@ -15,8 +15,8 @@
 //! * [`costmodel`] — the analytical cost model of §4 (Figures 7–13),
 //! * [`rel`] — a minimal extended-relational layer,
 //! * [`core`] — workload generators and the experiment runner,
-//! * [`service`] — the multi-threaded spatial query service (admission
-//!   queue, worker pool, versioned result cache, latency histograms).
+//! * [`service`] — the spatial query service (requests run on the
+//!   caller's thread; versioned result cache, latency histograms).
 //!
 //! See the `examples/` directory for end-to-end usage and `crates/bench`
 //! for the per-figure reproduction binaries.

@@ -123,7 +123,6 @@ fn shard_config(shards: usize, split_threshold: usize) -> ShardConfig {
         split_threshold,
         max_split_depth: 4,
         service: ServiceConfig {
-            workers: 2,
             queue_depth: 256,
             cache_capacity: 32,
             ..ServiceConfig::default()
@@ -180,7 +179,6 @@ proptest! {
             let world = world_of(&r, &s);
             let single = SpatialService::start(
                 ServiceConfig {
-                    workers: 2,
                     queue_depth: 256,
                     cache_capacity: 32,
                     ..ServiceConfig::default()
@@ -243,13 +241,12 @@ proptest! {
                         Request::select(side, Geometry::Point(Point::new(6.0, 6.0)), theta);
                     let first = assert_identical(&router, &single, &select, "sweep select");
                     // Repeated, every target shard answers from its cache
-                    // inside `submit`: nothing queues.
+                    // at its probe: nothing queues.
                     let again = router.call(select).expect("repeat accepted");
                     prop_assert!(again.cached && again.queue_us == 0, "{:?}", again);
                     prop_assert_eq!(again.reply, first.reply);
                 }
             }
-            single.close();
         }
     }
 }
