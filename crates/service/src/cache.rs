@@ -271,6 +271,7 @@ mod tests {
     use sj_joins::Strategy;
 
     use crate::request::{Request, Side};
+    use crate::service::{ServiceConfig, SpatialService};
 
     fn select_req(x: f64) -> Request {
         Request::select(
@@ -345,6 +346,30 @@ mod tests {
         c.insert(k.clone(), reply(&[1]), QueryRegion::All);
         assert!(c.is_empty());
         assert!(c.get(&k).is_none());
+    }
+
+    /// A service with `cache_capacity: 0` never consults its cache: a
+    /// repeated request is computed again and no lookup is counted.
+    #[test]
+    fn zero_capacity_shards_disable_caching() {
+        let tuples: Vec<(u64, Geometry)> = (0..4u32)
+            .map(|i| (u64::from(i), Geometry::Point(Point::new(f64::from(i), 0.0))))
+            .collect();
+        let config = ServiceConfig {
+            cache_capacity: 0,
+            ..ServiceConfig::default()
+        };
+        let svc = SpatialService::start(
+            config,
+            &tuples,
+            &tuples,
+            Rect::from_bounds(0.0, 0.0, 4.0, 4.0),
+        );
+        for _ in 0..2 {
+            let resp = svc.call(select_req(2.0)).expect("no shedding at idle");
+            assert!(!resp.cached, "a disabled cache serves no hit");
+        }
+        assert_eq!(svc.cache_stats(), (0, 0, 0));
     }
 
     #[test]

@@ -380,6 +380,23 @@ mod tests {
     }
 
     #[test]
+    fn worker_snapshots_merge_into_service_totals() {
+        let a = RequestMetrics::new();
+        let b = RequestMetrics::new();
+        a.record_completion(1, 10, false);
+        b.record_completion(2, 0, true);
+        b.record_shed();
+        let mut total = a.snapshot();
+        total.merge(&b.snapshot());
+        assert_eq!(total.completed, 2);
+        assert_eq!(total.served_from_cache, 1);
+        assert_eq!(total.shed_queue_full, 1);
+        assert_eq!(total.latency_us.count(), 2);
+        assert_eq!(total.exec_us.count(), 2);
+        assert_eq!(total.cache_hit_latency_us.max(), 2);
+    }
+
+    #[test]
     fn fault_counters_record_and_merge() {
         let w = RequestMetrics::new();
         w.record_recovery(2, 3, true);
