@@ -37,7 +37,6 @@
 //! assert!(theta.filter(&house.mbr(), &lake.mbr()));
 //! ```
 
-pub mod clip;
 pub mod codec;
 pub mod geometry;
 pub mod point;

@@ -24,7 +24,7 @@ use sj_storage::{BufferPool, StorageError};
 
 use crate::nested_loop::nested_loop_join;
 use crate::refine::{emit_decode_span, MarginRefiner};
-use crate::relation::StoredRelation;
+use crate::relation::{ScanEntry, StoredRelation};
 use crate::stats::{ExecStats, JoinRun};
 
 /// A uniform grid over the data's bounding box. Tile membership is
@@ -180,7 +180,7 @@ struct TileOut {
 ///
 /// The MBR scans and tile decomposition are the `partition` phase; the
 /// per-tile Θ-filter sweeps are the `filter` phase; exact θ-tests plus
-/// lazy geometry fetches are the `refine` phase. When the sink is live,
+/// lazy polygon and polyline fetches are the `refine` phase. When the sink is live,
 /// each tile additionally emits a `partition_join/tile:<t>` span, in
 /// tile order.
 ///
@@ -206,8 +206,9 @@ pub fn partition_join(
     };
 
     // Phase 1: one scan per relation to extract MBRs. These stay in
-    // executor memory for the filter step; geometries are re-fetched
-    // lazily during refinement (the filter/refine I/O split).
+    // executor memory for the filter step and refine every point and
+    // rectangle; a polygon or polyline is re-fetched lazily during
+    // refinement (the filter/refine I/O split).
     let r_mbrs = r.try_scan_mbrs(pool)?;
     let s_mbrs = s.try_scan_mbrs(pool)?;
     if r_mbrs.is_empty() || s_mbrs.is_empty() {
@@ -224,21 +225,21 @@ pub fn partition_join(
     let world = r_mbrs
         .iter()
         .chain(s_mbrs.iter())
-        .map(|(_, m)| *m)
+        .map(|e| e.mbr)
         .reduce(|a, b| a.union(&b))
         .expect("non-empty inputs"); // PANIC-OK: both sides checked above
     let axis = tiles_per_axis(r_mbrs.len() + s_mbrs.len());
     let grid = TileGrid::new(world, axis, axis);
 
     let mut r_tiles: Vec<Vec<u32>> = vec![Vec::new(); grid.len()];
-    for (i, (_, mbr)) in r_mbrs.iter().enumerate() {
-        for t in grid.tiles_overlapping(&mbr.expand(eps)) {
+    for (i, e) in r_mbrs.iter().enumerate() {
+        for t in grid.tiles_overlapping(&e.mbr.expand(eps)) {
             r_tiles[t].push(i as u32);
         }
     }
     let mut s_tiles: Vec<Vec<u32>> = vec![Vec::new(); grid.len()];
-    for (j, (_, mbr)) in s_mbrs.iter().enumerate() {
-        for t in grid.tiles_overlapping(mbr) {
+    for (j, e) in s_mbrs.iter().enumerate() {
+        for t in grid.tiles_overlapping(&e.mbr) {
             s_tiles[t].push(j as u32);
         }
     }
@@ -309,9 +310,11 @@ pub fn partition_join(
 /// of an all-pairs loop, so `filter_evals` counts sweep comparisons — a
 /// pure function of the tile contents (the kernel is auto-picked by tile
 /// size: batched SoA masks once both lists clear the chunk threshold).
-/// Geometries are fetched through `pool` only when a candidate survives
-/// the Θ-filter *and* the reference-point rule, and are cached per tile
-/// so each tuple is read at most once per tile it participates in.
+/// A point or rectangle is refined from its scan entry and never read
+/// again. A polygon or polyline is fetched through `pool` only when a
+/// candidate survives the Θ-filter *and* the reference-point rule, and
+/// is cached per tile, so it is read at most once per tile it
+/// participates in.
 #[allow(clippy::too_many_arguments)]
 fn process_tile(
     tile: usize,
@@ -320,8 +323,8 @@ fn process_tile(
     theta: ThetaOp,
     r: &StoredRelation,
     s: &StoredRelation,
-    r_mbrs: &[(u64, Rect)],
-    s_mbrs: &[(u64, Rect)],
+    r_mbrs: &[ScanEntry],
+    s_mbrs: &[ScanEntry],
     r_list: &[u32],
     s_list: &[u32],
     pool: &mut BufferPool,
@@ -334,25 +337,25 @@ fn process_tile(
     // exact same rectangles used for tile assignment in `partition_join`.
     let r_expanded: Vec<Rect> = r_list
         .iter()
-        .map(|&i| r_mbrs[i as usize].1.expand(eps))
+        .map(|&i| r_mbrs[i as usize].mbr.expand(eps))
         .collect();
     let mut sweep_r: Vec<SweepItem> = r_list
         .iter()
         .enumerate()
         .map(|(pos, &i)| {
-            SweepItem::with_sweep_rect(pos as u32, r_expanded[pos], r_mbrs[i as usize].1)
+            SweepItem::with_sweep_rect(pos as u32, r_expanded[pos], r_mbrs[i as usize].mbr)
         })
         .collect();
     let mut sweep_s: Vec<SweepItem> = s_list
         .iter()
         .enumerate()
-        .map(|(pos, &j)| SweepItem::new(pos as u32, s_mbrs[j as usize].1))
+        .map(|(pos, &j)| SweepItem::new(pos as u32, s_mbrs[j as usize].mbr))
         .collect();
 
-    // Per-tile refinement engine: exact decodes on uncompressed
-    // relations, the margin-governed path when both sides carry a
-    // quantized sidecar. Its decode caches live per tile.
-    let mut refiner = MarginRefiner::new(r, s);
+    // Per-tile refinement engine: exact θ on uncompressed relations,
+    // the margin-governed path when both sides carry a quantized
+    // sidecar. Its decode caches live per tile; boxes need none.
+    let mut refiner = MarginRefiner::new(r, s, r_mbrs, s_mbrs);
     // Capture the first fault raised inside the sweep callback; once
     // set, no further geometry fetches are attempted and the tile's
     // outcome is discarded below (fail-stop, never a partial tile).
@@ -363,8 +366,7 @@ fn process_tile(
         }
         let i = r_list[pi as usize];
         let j = s_list[pj as usize];
-        let (r_id, _) = r_mbrs[i as usize];
-        let (s_id, s_mbr) = s_mbrs[j as usize];
+        let (r_id, s_entry) = (r_mbrs[i as usize].id, s_mbrs[j as usize]);
         // Reference-point rule: of all tiles this candidate pair shares,
         // only the one containing the lower-left corner of the
         // expanded-MBR intersection refines it. The intersection is
@@ -372,14 +374,14 @@ fn process_tile(
         // ≤ eps bounds both axis gaps by eps); if floating-point rounding
         // ever disagrees, the pair cannot be a true match either, so
         // skipping it is sound.
-        let Some(inter) = r_expanded[pi as usize].intersection(&s_mbr) else {
+        let Some(inter) = r_expanded[pi as usize].intersection(&s_entry.mbr) else {
             return;
         };
         if grid.tile_of_point(inter.lo) != tile {
             return;
         }
         match refiner.refine(pool, &theta, i, j, &mut out.refine) {
-            Ok(true) => out.pairs.push((r_id, s_id)),
+            Ok(true) => out.pairs.push((r_id, s_entry.id)),
             Ok(false) => {}
             Err(e) => first_err = Some(e),
         }

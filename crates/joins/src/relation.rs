@@ -15,6 +15,36 @@ fn corrupt(file: &HeapFile, slot: usize) -> StorageError {
     }
 }
 
+/// What the MBR scan learned of a record's kind. A point is its MBR's
+/// `lo` corner and a rectangle is its MBR, so both are rebuilt from the
+/// scan bit-exactly; a polygon or polyline must be fetched to be refined.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ScanKind {
+    Point,
+    Rect,
+    Fetch,
+}
+
+/// One record as [`StoredRelation::try_scan_mbrs`] saw it. The fields
+/// stay in the crate: a `Point` entry's MBR must be degenerate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScanEntry {
+    pub(crate) id: u64,
+    pub(crate) mbr: Rect,
+    pub(crate) kind: ScanKind,
+}
+
+impl ScanEntry {
+    /// The record itself if it is a point or a rectangle.
+    pub(crate) fn as_box(&self) -> Option<Geometry> {
+        match self.kind {
+            ScanKind::Point => Some(Geometry::Point(self.mbr.lo)),
+            ScanKind::Rect => Some(Geometry::Rect(self.mbr)),
+            ScanKind::Fetch => None,
+        }
+    }
+}
+
 /// A relation with one spatial attribute, stored on disk as `v`-byte
 /// records (the model's tuple size). An in-memory directory maps tuple ids
 /// to file slots, and a binary search over the ascending `slots` turns a
@@ -217,17 +247,28 @@ impl StoredRelation {
         Ok(out)
     }
 
-    /// The MBR-extraction scan of the filter-and-refine executors: every
-    /// tuple's `(id, MBR)` in position order, or the first I/O fault.
-    /// Geometries are decoded and dropped — refinement re-fetches the
-    /// few it needs. A polygon's decode includes `Polygon::new`'s ring
-    /// check (one edge-pair kernel pass, n² orientations), which is most
-    /// of what this scan costs on polygon data (DESIGN.md §5l).
-    pub fn try_scan_mbrs(&self, pool: &mut BufferPool) -> Result<Vec<(u64, Rect)>, StorageError> {
+    /// The MBR-extraction scan of the filter-and-refine executors: one
+    /// [`ScanEntry`] per tuple in position order, or the first I/O fault.
+    /// A point or rectangle needs nothing more, so refinement never
+    /// reads it again; a polygon or polyline is dropped after its MBR
+    /// and re-fetched only if a candidate needs it. A polygon's decode
+    /// includes `Polygon::new`'s ring check (one edge-pair kernel pass,
+    /// n² orientations), which is most of what this scan costs on
+    /// polygon data (DESIGN.md §5l).
+    pub fn try_scan_mbrs(&self, pool: &mut BufferPool) -> Result<Vec<ScanEntry>, StorageError> {
         (0..self.len())
             .map(|i| {
                 let (id, g) = self.try_read_at(pool, i)?;
-                Ok((id, g.mbr()))
+                let kind = match g {
+                    Geometry::Point(_) => ScanKind::Point,
+                    Geometry::Rect(_) => ScanKind::Rect,
+                    Geometry::Polygon(_) | Geometry::Polyline(_) => ScanKind::Fetch,
+                };
+                Ok(ScanEntry {
+                    id,
+                    mbr: g.mbr(),
+                    kind,
+                })
             })
             .collect()
     }

@@ -3,9 +3,9 @@
 //!
 //! [`sweep_join`] is strategy I's drop-in replacement for the filter
 //! step: one MBR-extraction scan per relation, one `O(n log n + k)`
-//! forward scan instead of the `O(n·m)` all-pairs Θ-filter, lazy
-//! geometry fetches for refinement. It has the same signature and
-//! returns exactly the same match set as
+//! forward scan instead of the `O(n·m)` all-pairs Θ-filter, and a
+//! refinement that reads only the polygons and polylines it needs. It
+//! has the same signature and returns exactly the same match set as
 //! [`nested_loop_join`](crate::nested_loop::nested_loop_join) for every
 //! θ-operator (property-tested), so the cost-model and bench layers can
 //! compare strategy I against the sweep directly. Directional predicates
@@ -31,9 +31,9 @@ use crate::stats::{ExecStats, JoinRun};
 ///
 /// MBR-extraction scans are the `partition` phase, forward-scan
 /// comparisons the `filter` phase, exact θ-tests plus their lazy
-/// geometry fetches the `refine` phase. (Filter and refine interleave
-/// during the sweep; the sweep's wall clock is charged to `filter`, its
-/// counters split exactly.)
+/// polygon and polyline fetches the `refine` phase. (Filter and refine
+/// interleave during the sweep; the sweep's wall clock is charged to
+/// `filter`, its counters split exactly.)
 ///
 /// Fail-stop: the first storage fault aborts the run with a typed error.
 /// A fault during the interleaved refine phase stops further fetches and
@@ -56,7 +56,8 @@ pub fn sweep_join(
     let mut refine = ExecStats::default();
     partition.passes = 1;
 
-    // One scan per relation to extract MBRs; geometries are re-fetched
+    // One scan per relation to extract MBRs. A point or rectangle is
+    // refined from its scan entry; a polygon or polyline is re-fetched
     // lazily during refinement (the filter/refine I/O split).
     timer.enter(Phase::Partition);
     let window = pool.stats();
@@ -66,12 +67,12 @@ pub fn sweep_join(
     let mut sweep_r: Vec<SweepItem> = r_mbrs
         .iter()
         .enumerate()
-        .map(|(i, &(_, mbr))| SweepItem::expanded(i as u32, mbr, eps))
+        .map(|(i, e)| SweepItem::expanded(i as u32, e.mbr, eps))
         .collect();
     let mut sweep_s: Vec<SweepItem> = s_mbrs
         .iter()
         .enumerate()
-        .map(|(j, &(_, mbr))| SweepItem::new(j as u32, mbr))
+        .map(|(j, e)| SweepItem::new(j as u32, e.mbr))
         .collect();
     partition.add_io(pool.stats().since(&window));
 
@@ -80,7 +81,7 @@ pub fn sweep_join(
     // Shared refinement engine: the exact path on uncompressed
     // relations, the margin-governed path (quantized sidecar reads,
     // decode-on-demand) when both sides are compressed.
-    let mut refiner = MarginRefiner::new(r, s);
+    let mut refiner = MarginRefiner::new(r, s, &r_mbrs, &s_mbrs);
     // Capture the first fault raised inside the sweep callback; once set,
     // no further geometry fetches are attempted and the outcome is
     // discarded below.
@@ -90,7 +91,9 @@ pub fn sweep_join(
             return;
         }
         match refiner.refine(pool, &theta, i, j, &mut refine) {
-            Ok(true) => run.pairs.push((r_mbrs[i as usize].0, s_mbrs[j as usize].0)),
+            Ok(true) => run
+                .pairs
+                .push((r_mbrs[i as usize].id, s_mbrs[j as usize].id)),
             Ok(false) => {}
             Err(e) => first_err = Some(e),
         }

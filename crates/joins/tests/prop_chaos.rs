@@ -10,8 +10,12 @@
 //! - the same injector seed over the same operation sequence replays
 //!   the identical fault trace (the determinism property the service's
 //!   retry layer depends on).
+//!
+//! The shared world is points × points, which a sweep or partition run
+//! refines from its MBR scans without a read; a points × polygons world
+//! on a small pool keeps their refine-phase fetches under fire.
 
-use sj_geom::{Direction, Geometry, Point, Rect, ThetaOp};
+use sj_geom::{Direction, Geometry, Point, Polygon, Rect, ThetaOp};
 use sj_joins::executor::JoinOperands;
 use sj_joins::grid::{grid_join, GridConfig};
 use sj_joins::{JoinRequest, LocalJoinIndex, StoredRelation, Strategy, TraceSink, TreeRelation};
@@ -194,6 +198,58 @@ fn library_joins_are_fail_stop_under_injected_faults() {
     let (faulted, survived) = assert_fail_stop(&mut pool, &joins);
     assert!(faulted > 0, "injection rates must actually abort some runs");
     assert!(survived > 0, "low rates must let some runs complete");
+}
+
+/// Sweep and partition re-read polygon pages in refine once a 4-frame
+/// pool has evicted them after the MBR scans. A run that faults after
+/// the scans' physical reads faulted in refine; at least one must, and
+/// every run stays fail-stop.
+#[test]
+fn refine_phase_faults_are_fail_stop() {
+    let mut pool = BufferPool::new(Disk::new(DiskConfig::paper()), 4);
+    let points = grid_tuples(8, 8.0, 0);
+    let polygons: Vec<(u64, Geometry)> = (0..64u64)
+        .map(|i| {
+            let c = Point::new((i % 8) as f64 * 8.0 + 3.0, (i / 8) as f64 * 8.0 + 3.0);
+            (500 + i, Geometry::Polygon(Polygon::regular(c, 2.5, 8)))
+        })
+        .collect();
+    let r = StoredRelation::build(&mut pool, &points, 300, Layout::Clustered);
+    let s = StoredRelation::build(&mut pool, &polygons, 300, Layout::Clustered);
+    pool.clear();
+    let before = pool.stats().physical_reads;
+    r.try_scan_mbrs(&mut pool).unwrap();
+    s.try_scan_mbrs(&mut pool).unwrap();
+    let scan_reads = pool.stats().physical_reads - before;
+
+    let ops = JoinOperands::flat(&r, &s, Rect::from_bounds(0.0, 0.0, 64.0, 64.0));
+    let mut late = 0;
+    for strategy in [Strategy::Sweep, Strategy::Partition] {
+        for theta in THETAS.into_iter().filter(|t| t.filter_radius().is_some()) {
+            let run = |pool: &mut BufferPool| {
+                let mut exec = strategy.executor(&ops).expect("flat operands");
+                exec.try_execute(&JoinRequest::new(theta), pool)
+                    .map(|run| sorted(run.pairs))
+            };
+            let want = run(&mut pool).unwrap();
+            for seed in 0u64..8 {
+                pool.set_fault_injector(Some(FaultInjector::new(FaultConfig::uniform(seed, 0.05))));
+                pool.clear();
+                let before = pool.stats().physical_reads;
+                let got = run(&mut pool);
+                let faulted = !pool.fault_injector().unwrap().trace().is_empty();
+                if faulted && pool.stats().physical_reads - before >= scan_reads {
+                    late += 1;
+                }
+                match got {
+                    Ok(got) => assert_eq!(got, want, "{strategy:?} under {theta:?}"),
+                    Err(e) => assert_eq!(e.kind(), "injected_fault"),
+                }
+                pool.set_fault_injector(None);
+            }
+        }
+    }
+    assert!(late > 0, "no fault landed after the MBR scans");
 }
 
 #[test]

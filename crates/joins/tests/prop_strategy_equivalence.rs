@@ -1,14 +1,19 @@
 //! The strategy-equivalence matrix: every join of this crate must return
-//! exactly the nested-loop reference result on arbitrary workloads. The
-//! z-order joins' arm lives with them, in `sj-zorder`'s tests.
+//! exactly the nested-loop reference result on arbitrary workloads that
+//! mix points, rectangles, polygons and polylines on both sides, under
+//! all eight θ. The z-order joins' arm lives with them, in `sj-zorder`'s
+//! tests.
 
 use proptest::prelude::*;
 use sj_gentree::rtree::{RTree, RTreeConfig};
-use sj_geom::{Direction, Geometry, Point, Polygon, Rect, ThetaOp};
+use sj_geom::{Direction, Geometry, Point, Polygon, Polyline, Rect, ThetaOp};
 use sj_joins::grid::{grid_join, GridConfig};
 use sj_joins::nested_loop::nested_loop_join;
+use sj_joins::sweep::sweep_join;
 use sj_joins::tree_join::tree_join;
-use sj_joins::{JoinIndex, JoinOperands, JoinRequest, StoredRelation, TraceSink, TreeRelation};
+use sj_joins::{
+    partition_join, JoinIndex, JoinOperands, JoinRequest, StoredRelation, TraceSink, TreeRelation,
+};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
 const WORLD: f64 = 128.0;
@@ -22,6 +27,20 @@ fn arb_geom() -> impl Strategy<Value = Geometry> {
         (0.0..WORLD, 0.0..WORLD).prop_map(|(x, y)| Geometry::Point(Point::new(x, y))),
         (0.0..WORLD - 9.0, 0.0..WORLD - 9.0, 0.1..8.0f64, 0.1..8.0f64)
             .prop_map(|(x, y, w, h)| Geometry::Rect(Rect::from_bounds(x, y, x + w, y + h))),
+        (4.0..WORLD - 4.0, 4.0..WORLD - 4.0, 0.5..4.0f64, 3usize..9).prop_map(|(x, y, r, n)| {
+            Geometry::Polygon(Polygon::regular(Point::new(x, y), r, n))
+        }),
+        (
+            0.0..WORLD - 8.0,
+            0.0..WORLD - 8.0,
+            prop::collection::vec((0.0..8.0f64, 0.0..8.0f64), 2..5),
+        )
+            .prop_map(|(x, y, offsets)| {
+                let chain = offsets
+                    .into_iter()
+                    .map(|(dx, dy)| Point::new(x + dx, y + dy));
+                Geometry::Polyline(Polyline::new(chain.collect()).unwrap())
+            }),
     ]
 }
 
@@ -46,7 +65,7 @@ proptest! {
     fn all_strategies_agree(
         r_tuples in arb_tuples(0),
         s_tuples in arb_tuples(10_000),
-        theta_pick in 0usize..4,
+        theta_pick in 0usize..8,
         layout_seed in any::<u64>(),
     ) {
         let theta = [
@@ -54,6 +73,10 @@ proptest! {
             ThetaOp::WithinDistance(6.0),
             ThetaOp::Includes,
             ThetaOp::WithinCenterDistance(10.0),
+            ThetaOp::ContainedIn,
+            ThetaOp::Adjacent,
+            ThetaOp::ReachableWithin { minutes: 2.0, speed: 3.0 },
+            ThetaOp::DirectionOf(Direction::NorthEast),
         ][theta_pick];
 
         let mut p = pool();
@@ -66,6 +89,13 @@ proptest! {
         );
 
         let reference = sorted(nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap().pairs);
+
+        // Sweep and partition: a point or rectangle refined from its MBR
+        // scan entry, a polygon or polyline fetched.
+        let got = sorted(sweep_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap().pairs);
+        prop_assert_eq!(&got, &reference, "sweep join diverges for {:?}", theta);
+        let got = sorted(partition_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap().pairs);
+        prop_assert_eq!(&got, &reference, "partition join diverges for {:?}", theta);
 
         // Strategy II (both layouts) over bulk-loaded R-trees.
         for layout in [Layout::Clustered, Layout::Unclustered { seed: layout_seed }] {
@@ -109,14 +139,16 @@ proptest! {
             prop_assert_eq!(&got, &reference, "local join index (L={}) diverges for {:?}", level, theta);
         }
 
-        // Grid-file join (supports all four operators above).
-        let cfg = GridConfig {
-            world: Rect::from_bounds(0.0, 0.0, WORLD, WORLD),
-            nx: 8,
-            ny: 8,
-        };
-        let got = sorted(grid_join(&mut p, &r, &s, cfg, theta, &mut TraceSink::Null).unwrap().pairs);
-        prop_assert_eq!(&got, &reference, "grid join diverges for {:?}", theta);
+        // Grid-file join (every θ with a bounded filter region).
+        if theta.filter_radius().is_some() {
+            let cfg = GridConfig {
+                world: Rect::from_bounds(0.0, 0.0, WORLD, WORLD),
+                nx: 8,
+                ny: 8,
+            };
+            let got = sorted(grid_join(&mut p, &r, &s, cfg, theta, &mut TraceSink::Null).unwrap().pairs);
+            prop_assert_eq!(&got, &reference, "grid join diverges for {:?}", theta);
+        }
     }
 
     /// Join-index maintenance keeps the index equal to a fresh rebuild.

@@ -15,10 +15,10 @@ echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test (workspace)"
-cargo test -q --workspace
+cargo test -q --no-fail-fast --workspace
 
 echo "==> cargo test (benchmark crate)"
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --no-fail-fast --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> paper-reproduction binaries (smoke mode)"
 # Every figure/table/ablation bin must *run*, not just compile, so bench
@@ -228,8 +228,9 @@ echo "       directory, arena and page table are chunked copy-on-write"
 
 echo "==> read-path gate (a read copies nothing)"
 # A read pays for what it reads: forking a view clones no page table,
-# a record read lends the frame's bytes, the refiner's caches hash once
-# per candidate, and the router merges the shards' sorted replies
+# a record read lends the frame's bytes, the refiner never hashes or
+# fetches a point or rectangle (its MBR scan entry is the record) and
+# hashes a polygon or polyline once per candidate, and the router merges the shards' sorted replies
 # instead of re-sorting them.
 copies=$(
     for f in crates/storage/src/buffer.rs crates/joins/src/paged_tree.rs \
