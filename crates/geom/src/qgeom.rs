@@ -11,10 +11,12 @@
 //! quantized geometries: it answers [`MarginVerdict::Hit`] or
 //! [`MarginVerdict::Miss`] only when the conservative and aggressive
 //! bounds (exact-geometry predicate evaluated at quantized coordinates
-//! ± ε_q) agree, and [`MarginVerdict::MustDecode`] otherwise. Executors
-//! decode the exact record only on `MustDecode`, so a definite verdict is
-//! *provably* identical to evaluating [`ThetaOp::eval`] on the exact
-//! geometries — the soundness arguments are spelled out per rule below.
+//! ± ε_q) agree, and [`MarginVerdict::MustDecode`] otherwise, so a
+//! definite verdict is *provably* identical to evaluating
+//! [`ThetaOp::eval`] on the exact geometries — the soundness arguments
+//! are spelled out per rule below. No join executor consults it: every
+//! join refines exact geometries, and v2 frames are stored only as
+//! paged-tree node records.
 //!
 //! Soundness inventory (`A`, `B` are the exact geometries; `ma`, `mb`
 //! their exact MBRs, which v2 records store losslessly; `e = ε_a + ε_b`;

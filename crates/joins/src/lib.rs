@@ -92,7 +92,7 @@ pub use local_index::LocalJoinIndex;
 pub use mutation::{Mutation, MutationOutcome, Side, TouchedRegions, WriteBatch};
 pub use paged_tree::{ClusterOrder, CodecMode, PagedTree, TreeRelation};
 pub use partition::{partition_join, tiles_per_axis, TileGrid};
-pub use refine::MarginRefiner;
+pub use refine::Refiner;
 pub use relation::StoredRelation;
 pub use sj_obs::{Phase, PhaseTimer, TraceEvent, TraceSink};
 pub use stats::{ExecStats, JoinRun, PhaseStats, SelectRun};

@@ -23,7 +23,7 @@ use sj_obs::{Phase, PhaseTimer, TraceSink};
 use sj_storage::{BufferPool, StorageError};
 
 use crate::nested_loop::nested_loop_join;
-use crate::refine::{emit_decode_span, MarginRefiner};
+use crate::refine::Refiner;
 use crate::relation::{ScanEntry, StoredRelation};
 use crate::stats::{ExecStats, JoinRun};
 
@@ -159,8 +159,7 @@ pub fn tiles_per_axis(total_tuples: usize) -> usize {
 }
 
 /// Matches and counters produced by one tile: the sweep's comparison
-/// count and what [`MarginRefiner::refine`] charged (its margin counters
-/// are nonzero only when both relations are compressed). `dur_us` is the
+/// count and what [`Refiner::refine`] charged. `dur_us` is the
 /// tile's wall-clock span, measured only when a trace sink is attached —
 /// with [`TraceSink::Null`] no clock is ever read.
 #[derive(Default)]
@@ -287,7 +286,6 @@ pub fn partition_join(
                 &[
                     ("filter_evals", out.filter_evals),
                     ("theta_evals", out.refine.theta_evals),
-                    ("decoded_exact", out.refine.decoded_exact),
                     ("pairs", out.pairs.len() as u64),
                 ],
             );
@@ -297,7 +295,6 @@ pub fn partition_join(
         refine += out.refine;
     }
     refine.add_io(pool.stats().since(&window));
-    emit_decode_span(trace, &refine);
     timer.stop();
     run.phases.record(Phase::Filter, filter);
     run.phases.record(Phase::Refine, refine);
@@ -352,10 +349,9 @@ fn process_tile(
         .map(|(pos, &j)| SweepItem::new(pos as u32, s_mbrs[j as usize].mbr))
         .collect();
 
-    // Per-tile refinement engine: exact θ on uncompressed relations,
-    // the margin-governed path when both sides carry a quantized
-    // sidecar. Its decode caches live per tile; boxes need none.
-    let mut refiner = MarginRefiner::new(r, s, r_mbrs, s_mbrs);
+    // Per-tile refinement engine: its geometry caches live per tile;
+    // boxes need none.
+    let mut refiner = Refiner::new(r, s, r_mbrs, s_mbrs);
     // Capture the first fault raised inside the sweep callback; once
     // set, no further geometry fetches are attempted and the tile's
     // outcome is discarded below (fail-stop, never a partial tile).

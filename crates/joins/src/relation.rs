@@ -1,10 +1,8 @@
 //! Storage-backed spatial relations: `(id, Geometry)` tuples serialized
-//! into fixed-size records on a heap file, optionally paired with a
-//! compressed (codec v2) sidecar file whose quantized records the margin
-//! refinement path reads instead of the exact geometry.
+//! into fixed-size records on a heap file.
 
 use sj_geom::codec;
-use sj_geom::{Bounded, Geometry, QGeometry, Rect};
+use sj_geom::{Bounded, Geometry, Rect};
 use sj_storage::{BufferPool, HeapFile, IdMap, Layout, StorageError};
 
 /// Maps a codec failure on bytes that came back from a page onto the
@@ -61,11 +59,6 @@ impl ScanEntry {
 #[derive(Debug, Clone)]
 pub struct StoredRelation {
     file: HeapFile,
-    /// Compressed sidecar: codec-v2 records of the same tuples, one
-    /// sidecar slot per main-file slot (mirrored 1:1 through every
-    /// mutation). Margin refinement reads this file; the exact `file` is
-    /// touched only on `MustDecode`.
-    quant: Option<HeapFile>,
     ids: Vec<u64>,
     /// `slots[i]` = file logical index backing position `i` (ascending).
     slots: Vec<usize>,
@@ -96,87 +89,29 @@ impl StoredRelation {
         Self::from_parts(file, ids, (0..tuples.len()).collect())
     }
 
-    /// Builds the relation **with a compressed sidecar**: the exact
-    /// records go to the main file as in [`StoredRelation::build`], and a
-    /// second heap file stores every tuple's codec-v2 frame (quantized
-    /// vertices + exact MBR + ε_q) at `quant_record_size` bytes per
-    /// record. The sidecar mirrors the main file slot-for-slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics on duplicate ids, geometries that do not fit either
-    /// record size, or a storage fault during the load.
+    /// The same relation as [`StoredRelation::build`]; `quant_record_size`
+    /// is ignored. Relations keep no compressed copy, so every join
+    /// refines exact records. Kept only because the benchmark harness
+    /// calls it; ROADMAP item 25(d) deletes it.
     pub fn build_compressed(
         pool: &mut BufferPool,
         tuples: &[(u64, Geometry)],
         record_size: usize,
-        quant_record_size: usize,
+        _quant_record_size: usize,
         layout: Layout,
     ) -> Self {
-        let mut rel = Self::build(pool, tuples, record_size, layout);
-        let quant = HeapFile::bulk_load_with(pool, quant_record_size, tuples.len(), layout, |i| {
-            codec::encode_qrecord(tuples[i].0, &tuples[i].1, quant_record_size)
-        })
-        .unwrap_or_else(|e| panic!("relation build failed: {e}")); // PANIC-OK: see # Panics
-        rel.quant = Some(quant);
-        rel
+        Self::build(pool, tuples, record_size, layout)
     }
 
-    /// The smallest sidecar record size that fits every tuple in
-    /// `tuples` (callers typically pass this to
-    /// [`StoredRelation::build_compressed`]).
+    /// The largest codec-v2 frame among `tuples`. No relation stores v2
+    /// frames; kept only because the benchmark harness calls it, and
+    /// ROADMAP item 25(d) deletes it.
     pub fn quant_record_size_for(tuples: &[(u64, Geometry)]) -> usize {
         tuples
             .iter()
             .map(|(_, g)| codec::encoded_qlen(g))
             .max()
             .unwrap_or(codec::QHEADER_LEN)
-    }
-
-    /// True when the relation carries a compressed sidecar, i.e. the
-    /// margin refinement path is available.
-    #[inline]
-    pub fn is_compressed(&self) -> bool {
-        self.quant.is_some()
-    }
-
-    /// The sidecar heap file, if the relation is compressed (catalog
-    /// serialization reads it through here).
-    pub fn quant_file(&self) -> Option<&HeapFile> {
-        self.quant.as_ref()
-    }
-
-    /// Attaches a reloaded sidecar file (catalog deserialization). The
-    /// sidecar must mirror the main file's slot directory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sidecar directory is shorter than the main file's.
-    pub fn attach_quant(&mut self, quant: HeapFile) {
-        assert!(
-            quant.len() >= self.file.len(),
-            "sidecar directory shorter than the main file"
-        );
-        self.quant = Some(quant);
-    }
-
-    /// Reads the quantized record at logical position `i` through the
-    /// pool (charged against the *sidecar* pages). Corrupt bytes surface
-    /// as [`StorageError::PageCorrupt`] on the sidecar page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the relation has no sidecar — callers must check
-    /// [`StoredRelation::is_compressed`] first.
-    pub fn try_read_quant_at(
-        &self,
-        pool: &mut BufferPool,
-        i: usize,
-    ) -> Result<(u64, QGeometry), StorageError> {
-        let quant = self.quant.as_ref().expect("relation has no sidecar"); // PANIC-OK: caller checks is_compressed
-        let slot = self.slots[i];
-        let bytes = pool.try_read_record(quant, quant.rid(slot))?;
-        codec::try_decode_qrecord(bytes).map_err(|_| corrupt(quant, slot))
     }
 
     /// Number of tuples (the model's `N`).
@@ -297,7 +232,6 @@ impl StoredRelation {
         assert!(slot_of.len() == ids.len(), "duplicate tuple id");
         StoredRelation {
             file,
-            quant: None,
             ids,
             slots,
             slot_of,
@@ -323,23 +257,6 @@ impl StoredRelation {
         self.slot_of.insert(id, slot);
         self.ids.push(id);
         self.slots.push(slot);
-        // Mirror into the sidecar. The logical insert has already
-        // succeeded; if the sidecar append faults, drop the sidecar
-        // (degrade to the exact path) rather than fail the mutation or
-        // leave the two files out of step.
-        if let Some(quant) = self.quant.as_mut() {
-            if codec::encoded_qlen(g) > quant.record_size() {
-                // The v2 frame does not fit the sidecar's fixed record
-                // size: degrade to the exact path instead of panicking.
-                self.quant = None;
-                return Ok(());
-            }
-            let qrec = codec::encode_qrecord(id, g, quant.record_size());
-            match quant.try_append(pool, qrec) {
-                Ok(qslot) => debug_assert_eq!(qslot, slot, "sidecar slot drift"),
-                Err(_) => self.quant = None,
-            }
-        }
         Ok(())
     }
 
@@ -357,9 +274,6 @@ impl StoredRelation {
         self.slot_of.remove(id);
         self.ids.remove(pos);
         self.slots.remove(pos);
-        // The sidecar record at the dead slot is intentionally left in
-        // place: `slots` no longer references it, so it is unreachable —
-        // exactly like the abandoned main-file index entry above.
         Ok(pos)
     }
 
@@ -380,23 +294,6 @@ impl StoredRelation {
         let record = codec::encode_record(id, g, self.file.record_size());
         let rid = self.file.rid(self.slots[pos]);
         pool.try_update(rid.page, |p| p.update(rid.slot, record))?;
-        // Keep the sidecar in step; on a sidecar fault, degrade to the
-        // exact path rather than serve a stale quantized record.
-        if let Some(quant) = self.quant.as_ref() {
-            if codec::encoded_qlen(g) > quant.record_size() {
-                // Oversized v2 frame: degrade rather than panic.
-                self.quant = None;
-                return Ok(());
-            }
-            let qrec = codec::encode_qrecord(id, g, quant.record_size());
-            let qrid = quant.rid(self.slots[pos]);
-            if pool
-                .try_update(qrid.page, |p| p.update(qrid.slot, qrec))
-                .is_err()
-            {
-                self.quant = None;
-            }
-        }
         Ok(())
     }
 }
@@ -583,55 +480,6 @@ mod tests {
         let mut ts = tuples(3);
         ts.push((1, Geometry::Point(Point::new(0.0, 0.0))));
         let _ = StoredRelation::build(&mut p, &ts, 300, Layout::Clustered);
-    }
-
-    fn poly_tuples(n: usize) -> Vec<(u64, Geometry)> {
-        (0..n)
-            .map(|i| {
-                let c = Point::new(i as f64 * 4.0, (i % 3) as f64 * 4.0);
-                (
-                    i as u64,
-                    Geometry::Polygon(sj_geom::Polygon::regular(c, 1.5, 8)),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn compressed_build_reads_quant_and_exact() {
-        let mut p = pool();
-        let ts = poly_tuples(9);
-        let qsize = StoredRelation::quant_record_size_for(&ts);
-        assert!(qsize < 300, "v2 frames must be smaller");
-        let rel = StoredRelation::build_compressed(&mut p, &ts, 300, qsize, Layout::Clustered);
-        assert!(rel.is_compressed());
-        for i in 0..rel.len() {
-            let (qid, q) = rel.try_read_quant_at(&mut p, i).unwrap();
-            let (id, g) = rel.try_read_at(&mut p, i).unwrap();
-            assert_eq!(qid, id);
-            assert_eq!(q, sj_geom::QGeometry::quantize(&g));
-        }
-    }
-
-    #[test]
-    fn compressed_mutations_keep_sidecar_in_step() {
-        let mut p = pool();
-        let ts = poly_tuples(6);
-        let qsize = StoredRelation::quant_record_size_for(&ts);
-        let mut rel = StoredRelation::build_compressed(&mut p, &ts, 300, qsize, Layout::Clustered);
-        // Insert, delete, replace — the sidecar must track all three.
-        let g = Geometry::Polygon(sj_geom::Polygon::regular(Point::new(50.0, 0.0), 1.0, 6));
-        rel.try_insert(&mut p, 100, &g).unwrap();
-        rel.try_delete(&mut p, 2).unwrap();
-        let g2 = Geometry::Polygon(sj_geom::Polygon::regular(Point::new(9.0, 9.0), 1.25, 7));
-        rel.try_replace(&mut p, 4, &g2).unwrap();
-        assert!(rel.is_compressed());
-        for i in 0..rel.len() {
-            let (qid, q) = rel.try_read_quant_at(&mut p, i).unwrap();
-            let (id, exact) = rel.try_read_at(&mut p, i).unwrap();
-            assert_eq!(qid, id);
-            assert_eq!(q, sj_geom::QGeometry::quantize(&exact));
-        }
     }
 
     #[test]

@@ -20,15 +20,14 @@ pub struct ExecStats {
     pub filter_evals: u64,
     /// Memory passes over the inner input (block-nested-loop style).
     pub passes: u64,
-    /// Candidate pairs the margin test could not resolve: the exact
-    /// geometry was decoded and θ evaluated on it. The *decode fraction*
-    /// of a compressed run is `decoded_exact / theta_evals`.
+    /// Always 0: no executor runs a margin test, so none decodes on a
+    /// margin miss. Kept, like `margin_hits` and `margin_misses`, only
+    /// because the benchmark harness reads it; ROADMAP item 25(d)
+    /// deletes all three.
     pub decoded_exact: u64,
-    /// Candidate pairs the margin test answered definitely-true without
-    /// decoding exact geometry.
+    /// Always 0; see [`ExecStats::decoded_exact`].
     pub margin_hits: u64,
-    /// Candidate pairs the margin test answered definitely-false without
-    /// decoding exact geometry.
+    /// Always 0; see [`ExecStats::decoded_exact`].
     pub margin_misses: u64,
 }
 

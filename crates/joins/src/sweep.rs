@@ -18,7 +18,7 @@ use sj_obs::{Phase, PhaseTimer, TraceSink};
 use sj_storage::{BufferPool, StorageError};
 
 use crate::nested_loop::nested_loop_join;
-use crate::refine::{emit_decode_span, MarginRefiner};
+use crate::refine::Refiner;
 use crate::relation::StoredRelation;
 use crate::stats::{ExecStats, JoinRun};
 
@@ -78,10 +78,7 @@ pub fn sweep_join(
 
     timer.enter(Phase::Filter);
     let window = pool.stats();
-    // Shared refinement engine: the exact path on uncompressed
-    // relations, the margin-governed path (quantized sidecar reads,
-    // decode-on-demand) when both sides are compressed.
-    let mut refiner = MarginRefiner::new(r, s, &r_mbrs, &s_mbrs);
+    let mut refiner = Refiner::new(r, s, &r_mbrs, &s_mbrs);
     // Capture the first fault raised inside the sweep callback; once set,
     // no further geometry fetches are attempted and the outcome is
     // discarded below.
@@ -99,7 +96,6 @@ pub fn sweep_join(
         }
     });
     refine.add_io(pool.stats().since(&window));
-    emit_decode_span(trace, &refine);
     timer.stop();
     if let Some(e) = first_err {
         return Err(e);

@@ -10,12 +10,11 @@
 //! Catalog format (little-endian):
 //!
 //! ```text
-//! [ magic "SJCAT003" ][ mem_pages: u32 ][ table_count: u32 ]
+//! [ magic "SJCAT004" ][ mem_pages: u32 ][ table_count: u32 ]
 //! per table:  [ name ][ record_size u32 ][ live_rows u64 ][ schema ][ file ]
 //!             [ live u64 × (id u64, slot u64) ][ next_id u64 ][ mutation_seq u64 ]
 //!             [ spatial_count u32 ]
-//!             per spatial col: [ name ][ ids ][ slots ][ file ][ quant u8 ]
-//!                              [ file (quant sidecar, only when quant = 1) ]
+//!             per spatial col: [ name ][ ids ][ slots ][ file ]
 //! name:       [ len u16 ][ utf-8 ]
 //! schema:     [ cols u16 ] per col: [ name ][ type u8 ]
 //! file:       [ record_size u32 ][ per_page u32 ][ pages u32 × u32 ]
@@ -23,9 +22,9 @@
 //! ids:        [ count u64 × u64 ]
 //! ```
 //!
-//! `SJCAT003` added the optional quantized-sidecar file per spatial
-//! column (the compressed-geometry v2 pages); columns without a sidecar
-//! write a single `0` byte and round-trip exactly as before.
+//! `SJCAT004` dropped `SJCAT003`'s per-column quantized-sidecar flag and
+//! file: a spatial column is its exact heap file alone. An `SJCAT003`
+//! catalog opens as an `InvalidData` error naming its version.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -38,7 +37,7 @@ use crate::db::Database;
 use crate::schema::{Column, Schema};
 use crate::value::ValueType;
 
-const MAGIC: &[u8; 8] = b"SJCAT003";
+const MAGIC: &[u8; 8] = b"SJCAT004";
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
@@ -185,13 +184,6 @@ impl Database {
                     w_u64(&mut w, slot as u64)?;
                 }
                 w_file(&mut w, file)?;
-                match sc.column.quant_file() {
-                    Some(qf) => {
-                        w.write_all(&[1])?;
-                        w_file(&mut w, qf)?;
-                    }
-                    None => w.write_all(&[0])?,
-                }
             }
         }
         w.flush()
@@ -204,6 +196,9 @@ impl Database {
         let mut r = BufReader::new(File::open(with_ext(prefix, "cat"))?);
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
+        if &magic == b"SJCAT003" {
+            return Err(bad("SJCAT003 catalog: no longer supported"));
+        }
         if &magic != MAGIC {
             return Err(bad("not a spatial-joins catalog"));
         }
@@ -259,21 +254,7 @@ impl Database {
                 if slots.windows(2).any(|w| w[0] >= w[1]) {
                     return Err(bad("column slots not ascending"));
                 }
-                let mut flag = [0u8; 1];
-                r.read_exact(&mut flag)?;
-                let mut col = StoredRelation::from_parts(cfile, ids, slots);
-                match flag[0] {
-                    0 => {}
-                    1 => {
-                        let qfile = r_file(&mut r)?;
-                        if qfile.len() < col.len() {
-                            return Err(bad("quant sidecar shorter than its column"));
-                        }
-                        col.attach_quant(qfile);
-                    }
-                    _ => return Err(bad("unknown quant-sidecar flag")),
-                }
-                spatial.push((cname, col));
+                spatial.push((cname, StoredRelation::from_parts(cfile, ids, slots)));
             }
             db.install_table(
                 name,
@@ -417,54 +398,21 @@ mod tests {
         cleanup(&prefix);
     }
 
+    /// An `SJCAT003` catalog may carry sidecar files this version no
+    /// longer reads, so it is refused as a typed error, never a panic.
     #[test]
-    fn quant_sidecar_roundtrips_through_the_catalog() {
-        let prefix = temp_prefix("sidecar");
-        let theta = ThetaOp::WithinDistance(0.5);
-        let expected = {
-            let mut db = sample_db();
-            // Rebuild table a's spatial column with a compressed sidecar,
-            // preserving ids and slot order.
-            let Database { pool, tables, .. } = &mut db;
-            let t = tables.get_mut("a").expect("table a");
-            let sc = t.spatial.get_mut("loc").expect("loc column");
-            let tuples: Vec<(u64, sj_geom::Geometry)> =
-                sc.column.try_scan(pool).expect("scan column");
-            let qsize = StoredRelation::quant_record_size_for(&tuples);
-            let record_size = sc.column.to_parts().0.record_size();
-            sc.column = StoredRelation::build_compressed(
-                pool,
-                &tuples,
-                record_size,
-                qsize,
-                sj_storage::Layout::Clustered,
-            );
-            assert!(sc.column.is_compressed());
-            db.save(&prefix).expect("save");
-            let mut v =
-                db.spatial_join_ids("a", "loc", "b", "loc", theta, JoinStrategy::NestedLoop);
-            v.sort_unstable();
-            v
-        };
-        let mut db = Database::open(&prefix).expect("open");
-        assert!(
-            db.tables["a"].spatial["loc"].column.is_compressed(),
-            "the sidecar survives the catalog round-trip"
-        );
-        assert!(!db.tables["b"].spatial["loc"].column.is_compressed());
-        let mut got = db.spatial_join_ids("a", "loc", "b", "loc", theta, JoinStrategy::NestedLoop);
-        got.sort_unstable();
-        assert_eq!(got, expected);
-        // Mutations after reopening keep the sidecar in step.
-        db.insert(
-            "a",
-            vec![
-                Value::Int(777),
-                Value::Str("late".into()),
-                Value::Spatial(Geometry::Point(Point::new(3.0, 3.0))),
-            ],
-        );
-        assert!(db.tables["a"].spatial["loc"].column.is_compressed());
+    fn open_rejects_an_sjcat003_catalog() {
+        let prefix = temp_prefix("sjcat003");
+        sample_db().save(&prefix).unwrap();
+        let cat = with_ext(&prefix, "cat");
+        let mut bytes = std::fs::read(&cat).unwrap();
+        bytes[..8].copy_from_slice(b"SJCAT003");
+        std::fs::write(&cat, bytes).unwrap();
+        let err = Database::open(&prefix)
+            .map(|_| ())
+            .expect_err("SJCAT003 catalog");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("SJCAT003"), "got {err}");
         cleanup(&prefix);
     }
 

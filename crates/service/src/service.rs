@@ -128,16 +128,16 @@ pub struct ServiceConfig {
     pub fault_seed: u64,
     /// Compute attempts per request before degradation/failure (min 1).
     pub retry_attempts: u32,
-    /// Store geometry as compressed v2 pages: relations carry a
-    /// quantized sidecar (margin-governed refinement, decode-on-demand)
-    /// and the paged trees use quantized node records. Query results
-    /// stay byte-identical; the savings land in page I/O.
+    /// Store the paged trees' node records as compressed v2 frames
+    /// ([`CodecMode::Quantized`](sj_joins::CodecMode::Quantized)):
+    /// smaller records, fewer pages per cold SELECT. Relations are
+    /// stored exact either way, and every join refines exact records.
+    /// Query results stay byte-identical.
     pub compress_geometry: bool,
-    /// Mutation-guard bound for compressed frames: an insert/upsert
-    /// whose v2 frame exceeds this outcome as
-    /// [`MutationOutcome::TooLarge`], so every committed geometry fits
-    /// the sidecar and tree files (which are never sized below it).
-    /// Ignored unless `compress_geometry` is set.
+    /// Mutation-guard bound for v2 node frames: an insert/upsert whose
+    /// v2 frame exceeds this outcomes as [`MutationOutcome::TooLarge`],
+    /// so every committed geometry fits the tree files (which are never
+    /// sized below it). Ignored unless `compress_geometry` is set.
     pub quant_record_size: usize,
 }
 
@@ -173,7 +173,7 @@ impl Default for ServiceConfig {
 impl ServiceConfig {
     /// Mutation-size screen: the exact frame must fit the relation's
     /// record size, and — when compressed pages are on — the v2 frame
-    /// must fit the quant sidecar. An insert/upsert that fails it
+    /// must fit the tree's node records. An insert/upsert that fails it
     /// outcomes as [`MutationOutcome::TooLarge`]; a coordinator routing
     /// writes to several services calls this same screen.
     pub fn too_large(&self, value: &Geometry) -> bool {
@@ -602,22 +602,8 @@ fn build_state(
     version: u64,
 ) -> DataState {
     let mut pool = BufferPool::new(Disk::new(DiskConfig::paper()), config.pool_capacity);
-    let build_rel = |pool: &mut BufferPool, tuples: &[(u64, Geometry)]| {
-        if config.compress_geometry {
-            let qsize = StoredRelation::quant_record_size_for(tuples).max(config.quant_record_size);
-            StoredRelation::build_compressed(
-                pool,
-                tuples,
-                config.record_size,
-                qsize,
-                Layout::Clustered,
-            )
-        } else {
-            StoredRelation::build(pool, tuples, config.record_size, Layout::Clustered)
-        }
-    };
-    let r = build_rel(&mut pool, r_tuples);
-    let s = build_rel(&mut pool, s_tuples);
+    let r = StoredRelation::build(&mut pool, r_tuples, config.record_size, Layout::Clustered);
+    let s = StoredRelation::build(&mut pool, s_tuples, config.record_size, Layout::Clustered);
     let r = build_tree(&mut pool, r, config);
     let s = build_tree(&mut pool, s, config);
     DataState {
@@ -2053,7 +2039,6 @@ mod tests {
         let svc = SpatialService::start(config, &r, &s, world());
         {
             let state = svc.snapshot.load();
-            assert!(state.r.rel.is_compressed() && state.s.rel.is_compressed());
             assert!(state.r.tree.is_compressed());
         }
 

@@ -179,6 +179,26 @@ if [ -n "$unpriced" ]; then
 fi
 echo "    -> five strategies + Auto, no supports(), no UnsupportedTheta"
 
+echo "==> one-refine-path gate (every join refines exact geometries)"
+# Sweep and partition refine a candidate by evaluating θ on both exact
+# geometries: a box from its scan entry, a polygon or polyline fetched
+# once. Non-test sj-joins code may not consult quantized records or the
+# margin predicate. The paged tree still writes v2 node frames
+# (`encode_qrecord`), which this gate allows.
+quantized=$(
+    for f in crates/joins/src/*.rs; do
+        awk '/^#\[cfg\(test\)\]/ { exit }
+             /QGeometry|margin_eval|MarginVerdict|try_decode_qrecord|quant_at/ {
+                 print FILENAME ":" FNR ": " $0 }' "$f"
+    done
+)
+if [ -n "$quantized" ]; then
+    echo "    a second refine path is back:"
+    echo "$quantized"
+    exit 1
+fi
+echo "    -> one refine path: no quantized record or margin verdict in sj-joins"
+
 echo "==> sequential-executor gate (one I/O stream per join strategy)"
 # A join runs on the calling thread against the caller's pool; a second
 # core is spent one layer up, by the router's tile shards. Non-test
