@@ -185,7 +185,7 @@ pub fn join_flat(
 
             // JOIN4 [Spatial Selections]: cross-height matches.
             if let Some(ea) = tree_r.entry(a) {
-                let (ea_id, ea_geom) = (ea.id, ea.geometry.clone());
+                let ea_id = ea.id;
                 let ea_mbr = a_mbr;
                 select_subtree(
                     tree_s,
@@ -193,7 +193,7 @@ pub fn join_flat(
                     mf,
                     b,
                     depth,
-                    &ea_geom,
+                    &ea.geometry,
                     &ea_mbr,
                     theta,
                     true,
@@ -203,7 +203,7 @@ pub fn join_flat(
                 );
             }
             if let Some(eb) = tree_s.entry(b) {
-                let (eb_id, eb_geom) = (eb.id, eb.geometry.clone());
+                let eb_id = eb.id;
                 let eb_mbr = b_mbr;
                 select_subtree(
                     tree_r,
@@ -211,7 +211,7 @@ pub fn join_flat(
                     mf,
                     a,
                     depth,
-                    &eb_geom,
+                    &eb.geometry,
                     &eb_mbr,
                     theta,
                     false,
@@ -345,8 +345,8 @@ pub fn try_join_flat<E>(
     }
 }
 
-/// Reference nested-loop join over the trees' entries (used by tests and by
-/// the strategy-I executor).
+/// Reference nested-loop join over the trees' entries: the oracle the
+/// tree join is tested against. Only tests call it.
 pub fn join_exhaustive(tree_r: &GenTree, tree_s: &GenTree, theta: ThetaOp) -> JoinOutcome {
     let mut out = JoinOutcome::default();
     let r_entries = tree_r.entry_nodes();

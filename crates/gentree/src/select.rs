@@ -174,8 +174,9 @@ pub fn try_select_dfs_flat<E>(
 }
 
 /// Reference implementation: exhaustively θ-tests every entry in the tree
-/// (the nested-loop / strategy-I behaviour). Used by tests and as the
-/// strategy-I executor's inner loop.
+/// (the nested-loop / strategy-I behaviour). The oracle the tree
+/// algorithms are tested against, and the `cartography` example's
+/// baseline; no executor calls it.
 pub fn select_exhaustive(tree: &GenTree, o: &Geometry, theta: ThetaOp) -> SelectOutcome {
     let mut out = SelectOutcome::default();
     for id in tree.entry_nodes() {

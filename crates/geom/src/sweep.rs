@@ -65,13 +65,6 @@ impl SweepItem {
             mbr,
         }
     }
-
-    /// An item with an explicit sweep rectangle (for callers that already
-    /// hold the expanded MBR — e.g. tile partitioning, which reuses it
-    /// for the reference-point rule).
-    pub fn with_sweep_rect(key: u32, sweep: Rect, mbr: Rect) -> Self {
-        SweepItem { key, sweep, mbr }
-    }
 }
 
 /// Which filter kernel executes the inner forward scans of
@@ -107,8 +100,8 @@ pub const BATCH_MIN: usize = 2 * LANES;
 ///
 /// Both slices are sorted in place by `(sweep.lo.x, key)`; the tie-break
 /// on `key` makes the examination *and emission order deterministic* for
-/// a given input set, independent of the input order — the property
-/// parallel executors rely on for thread-invariant accounting.
+/// a given input set, independent of the input order, so a join's pair
+/// order and counters depend on the data alone.
 ///
 /// Picks the batched kernel for inputs large enough to amortize the
 /// chunk transposition (see [`BATCH_MIN`]); the result is identical

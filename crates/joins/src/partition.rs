@@ -1,12 +1,15 @@
-//! PBSM-style partition join: grid-partitioned filter-and-refine.
+//! The one filter-and-refine loop of the plane-sweep and partition joins.
 //!
-//! [`partition_join`] grid-partitions both relations' MBRs into tiles,
-//! runs Θ-filter + θ-refine per tile, and deduplicates pairs that share
-//! several tiles with the *reference-point rule*: a candidate pair is
-//! refined only in the tile containing the lower-left corner of the
-//! intersection of its (expanded) MBRs. The per-tile Θ-filter is a
-//! forward-scan plane sweep ([`sj_geom::sweep`]) rather than an all-pairs
-//! loop, so tile filter cost is `O(n log n + k)` in the tile size.
+//! [`partition_join`] is a PBSM-style partition join: it grid-partitions
+//! both relations' MBRs into tiles, runs Θ-filter + θ-refine per tile, and
+//! deduplicates pairs that share several tiles with the *reference-point
+//! rule*: a candidate pair is refined only in the tile containing the
+//! lower-left corner of the intersection of its (expanded) MBRs. The
+//! per-tile Θ-filter is a forward-scan plane sweep ([`sj_geom::sweep`])
+//! rather than an all-pairs loop, so tile filter cost is `O(n log n + k)`
+//! in the tile size. [`sweep_join`](crate::sweep::sweep_join) is the same
+//! loop over a single tile, which owns every pair: no grid and no
+//! reference-point rule.
 //!
 //! The tile decomposition — and with it `filter_evals` (sweep
 //! comparisons) and `theta_evals` — is a function of the data alone.
@@ -24,7 +27,7 @@ use sj_storage::{BufferPool, StorageError};
 
 use crate::nested_loop::nested_loop_join;
 use crate::refine::Refiner;
-use crate::relation::{ScanEntry, StoredRelation};
+use crate::relation::StoredRelation;
 use crate::stats::{ExecStats, JoinRun};
 
 /// A uniform grid over the data's bounding box. Tile membership is
@@ -137,6 +140,18 @@ impl TileGrid {
         let y1 = self.tile_y_of(r.hi.y);
         (y0..=y1).flat_map(move |y| (x0..=x1).map(move |x| y * self.tiles_x + x))
     }
+
+    /// For every tile, the positions of the rectangles overlapping it, in
+    /// position order.
+    fn tile_lists(&self, rects: impl Iterator<Item = Rect>) -> Vec<Vec<u32>> {
+        let mut tiles = vec![Vec::new(); self.len()];
+        for (i, rect) in rects.enumerate() {
+            for t in self.tiles_overlapping(&rect) {
+                tiles[t].push(i as u32);
+            }
+        }
+        tiles
+    }
 }
 
 /// Tiles per axis, scaled to the input size so that tiles hold on the
@@ -158,19 +173,8 @@ pub fn tiles_per_axis(total_tuples: usize) -> usize {
     ((total_tuples as f64 / 512.0).sqrt().ceil() as usize).clamp(2, 64)
 }
 
-/// Matches and counters produced by one tile: the sweep's comparison
-/// count and what [`Refiner::refine`] charged. `dur_us` is the
-/// tile's wall-clock span, measured only when a trace sink is attached —
-/// with [`TraceSink::Null`] no clock is ever read.
-#[derive(Default)]
-struct TileOut {
-    pairs: Vec<(u64, u64)>,
-    filter_evals: u64,
-    refine: ExecStats,
-    dur_us: u64,
-}
-
-/// PBSM-style partition join `R ⋈_θ S`.
+/// PBSM-style partition join `R ⋈_θ S`: the filter-and-refine loop
+/// over `tiles_per_axis(|R| + |S|)²` tiles.
 ///
 /// Returns exactly the match set of [`nested_loop_join`] (as a set; pair
 /// order follows tile order) for every `theta`. Directional predicates
@@ -179,9 +183,9 @@ struct TileOut {
 ///
 /// The MBR scans and tile decomposition are the `partition` phase; the
 /// per-tile Θ-filter sweeps are the `filter` phase; exact θ-tests plus
-/// lazy polygon and polyline fetches are the `refine` phase. When the sink is live,
-/// each tile additionally emits a `partition_join/tile:<t>` span, in
-/// tile order.
+/// lazy polygon and polyline fetches are the `refine` phase. When the
+/// sink is live, each tile additionally emits a `partition_join/tile:<t>`
+/// span, in tile order.
 ///
 /// Fail-stop: the first storage fault aborts the run with a typed error.
 pub fn partition_join(
@@ -191,205 +195,152 @@ pub fn partition_join(
     theta: ThetaOp,
     trace: &mut TraceSink,
 ) -> Result<JoinRun, StorageError> {
+    let axis = tiles_per_axis(r.len() + s.len());
+    filter_and_refine(pool, r, s, theta, axis, trace)
+}
+
+/// The one filter-and-refine loop: `tiles_per_axis²` tiles, each swept,
+/// refined and accounted in one pass, in tile order.
+///
+/// One tile is the plane sweep ([`sweep_join`](crate::sweep::sweep_join),
+/// spans `sweep/…`): it owns every position and every pair, so it builds
+/// no grid and applies no reference-point rule. More tiles are the
+/// partition join ([`partition_join`], spans `partition_join/…`).
+///
+/// The MBR scans and the tiling are the `partition` phase. The tile loop's
+/// wall clock is the `filter` phase, which gets the sweep comparisons;
+/// the θ-tests and the polygon and polyline fetches they trigger are
+/// counted to `refine` (filter and refine interleave inside each sweep).
+/// With a live sink every tile that holds both sides emits
+/// `<executor>/tile:<t>`; with [`TraceSink::Null`] no clock is read.
+///
+/// Fail-stop: the first storage fault stops further fetches and discards
+/// the whole outcome (never a partial match set).
+pub(crate) fn filter_and_refine(
+    pool: &mut BufferPool,
+    r: &StoredRelation,
+    s: &StoredRelation,
+    theta: ThetaOp,
+    tiles_per_axis: usize,
+    trace: &mut TraceSink,
+) -> Result<JoinRun, StorageError> {
     let Some(eps) = theta.filter_radius() else {
+        // Unbounded (directional) filter region: no sweep interval or
+        // tile covers it; serve the operator with strategy I.
         return nested_loop_join(pool, r, s, theta, trace);
     };
     let mut timer = PhaseTimer::for_sink(trace);
-    let timed = trace.is_enabled();
-    timer.enter(Phase::Partition);
-    let window = pool.stats();
     let mut run = JoinRun::default();
     let mut partition = ExecStats {
         passes: 1,
         ..Default::default()
     };
 
-    // Phase 1: one scan per relation to extract MBRs. These stay in
-    // executor memory for the filter step and refine every point and
-    // rectangle; a polygon or polyline is re-fetched lazily during
-    // refinement (the filter/refine I/O split).
+    // One scan per relation to extract MBRs. These stay in executor
+    // memory for the filter and refine every point and rectangle; a
+    // polygon or polyline is re-fetched lazily during refinement (the
+    // filter/refine I/O split).
+    timer.enter(Phase::Partition);
+    let window = pool.stats();
     let r_mbrs = r.try_scan_mbrs(pool)?;
     let s_mbrs = s.try_scan_mbrs(pool)?;
-    if r_mbrs.is_empty() || s_mbrs.is_empty() {
-        partition.add_io(pool.stats().since(&window));
-        timer.stop();
-        run.phases.record(Phase::Partition, partition);
-        run.seal("partition_join", &timer, trace);
-        return Ok(run);
-    }
 
-    // Phase 2: tile decomposition with multi-assignment. R-side MBRs are
-    // expanded by the filter radius so every Θ-qualifying pair shares at
-    // least one tile.
-    let world = r_mbrs
-        .iter()
-        .chain(s_mbrs.iter())
-        .map(|e| e.mbr)
-        .reduce(|a, b| a.union(&b))
-        .expect("non-empty inputs"); // PANIC-OK: both sides checked above
-    let axis = tiles_per_axis(r_mbrs.len() + s_mbrs.len());
-    let grid = TileGrid::new(world, axis, axis);
-
-    let mut r_tiles: Vec<Vec<u32>> = vec![Vec::new(); grid.len()];
-    for (i, e) in r_mbrs.iter().enumerate() {
-        for t in grid.tiles_overlapping(&e.mbr.expand(eps)) {
-            r_tiles[t].push(i as u32);
-        }
-    }
-    let mut s_tiles: Vec<Vec<u32>> = vec![Vec::new(); grid.len()];
-    for (j, e) in s_mbrs.iter().enumerate() {
-        for t in grid.tiles_overlapping(&e.mbr) {
-            s_tiles[t].push(j as u32);
-        }
-    }
-    let tasks: Vec<usize> = (0..grid.len())
-        .filter(|&t| !r_tiles[t].is_empty() && !s_tiles[t].is_empty())
-        .collect();
-
+    // Tile decomposition with multi-assignment: each tile lists the
+    // positions whose MBR overlaps it, R-side MBRs expanded by the filter
+    // radius so every Θ-qualifying pair shares at least one tile.
+    let (executor, grid, r_tiles, s_tiles) = if tiles_per_axis == 1 {
+        let all = |n: usize| vec![(0..n as u32).collect::<Vec<u32>>()];
+        ("sweep", None, all(r_mbrs.len()), all(s_mbrs.len()))
+    } else {
+        let world = r_mbrs
+            .iter()
+            .chain(&s_mbrs)
+            .map(|e| e.mbr)
+            .reduce(|a, b| a.union(&b))
+            // No MBR on either side: any grid tiles nothing.
+            .unwrap_or(Rect::from_point(Point::new(0.0, 0.0)));
+        let grid = TileGrid::new(world, tiles_per_axis, tiles_per_axis);
+        let r_tiles = grid.tile_lists(r_mbrs.iter().map(|e| e.mbr.expand(eps)));
+        let s_tiles = grid.tile_lists(s_mbrs.iter().map(|e| e.mbr));
+        ("partition_join", Some(grid), r_tiles, s_tiles)
+    };
     partition.add_io(pool.stats().since(&window));
     run.phases.record(Phase::Partition, partition);
 
-    // Phase 3: filter + refine per tile, in tile order. Tile-local
-    // Θ-filtering and θ-refinement are interleaved inside `process_tile`;
-    // the whole loop's wall-clock is attributed to the `filter` phase and
-    // the counters are booked per phase.
     timer.enter(Phase::Filter);
     let window = pool.stats();
-    let tile_outs: Vec<TileOut> = tasks
-        .iter()
-        .map(|&t| {
-            process_tile(
-                t,
-                &grid,
-                eps,
-                theta,
-                r,
-                s,
-                &r_mbrs,
-                &s_mbrs,
-                &r_tiles[t],
-                &s_tiles[t],
-                pool,
-                timed,
-            )
-        })
-        .collect::<Result<_, _>>()?;
-
-    timer.enter(Phase::Refine);
     let mut filter = ExecStats::default();
     let mut refine = ExecStats::default();
-    for (&t, out) in tasks.iter().zip(tile_outs) {
-        if trace.is_enabled() {
+    for (t, (r_list, s_list)) in r_tiles.iter().zip(&s_tiles).enumerate() {
+        if r_list.is_empty() || s_list.is_empty() {
+            continue;
+        }
+        let t0 = timer.is_enabled().then(Instant::now);
+        let (pairs_before, evals_before) = (run.pairs.len(), refine.theta_evals);
+        // The Θ-filter is a forward-scan plane sweep over the tile's
+        // lists, keyed by relation position; `filter_evals` counts its
+        // comparisons, a pure function of the tile contents.
+        let mut sweep_r: Vec<SweepItem> = r_list
+            .iter()
+            .map(|&i| SweepItem::expanded(i, r_mbrs[i as usize].mbr, eps))
+            .collect();
+        let mut sweep_s: Vec<SweepItem> = s_list
+            .iter()
+            .map(|&j| SweepItem::new(j, s_mbrs[j as usize].mbr))
+            .collect();
+        // Per-tile refinement engine: a polygon or polyline is read at
+        // most once per tile it is refined in; boxes are never read.
+        let mut refiner = Refiner::new(r, s, &r_mbrs, &s_mbrs);
+        // Capture the first fault raised inside the sweep callback; once
+        // set, no further geometry fetches are attempted and the outcome
+        // is discarded below.
+        let mut first_err: Option<StorageError> = None;
+        let comparisons = sweep_candidates(&mut sweep_r, &mut sweep_s, theta, &mut |i, j| {
+            if first_err.is_some() {
+                return;
+            }
+            let (r_entry, s_entry) = (&r_mbrs[i as usize], &s_mbrs[j as usize]);
+            // Reference-point rule: of all tiles this candidate pair
+            // shares, only the one containing the lower-left corner of
+            // the expanded-MBR intersection refines it. The intersection
+            // is non-empty whenever the filter passes (Euclidean
+            // min-distance ≤ eps bounds both axis gaps by eps); if
+            // floating-point rounding ever disagrees, the pair cannot be
+            // a true match either, so skipping it is sound.
+            if let Some(grid) = &grid {
+                let inter = r_entry.mbr.expand(eps).intersection(&s_entry.mbr);
+                if inter.map(|x| grid.tile_of_point(x.lo)) != Some(t) {
+                    return;
+                }
+            }
+            match refiner.refine(pool, &theta, i, j, &mut refine) {
+                Ok(true) => run.pairs.push((r_entry.id, s_entry.id)),
+                Ok(false) => {}
+                Err(e) => first_err = Some(e),
+            }
+        });
+        if let Some(e) = first_err {
+            return Err(e);
+        }
+        filter.filter_evals += comparisons;
+        if let Some(t0) = t0 {
             trace.emit(
-                &format!("partition_join/tile:{t}"),
-                out.dur_us,
+                &format!("{executor}/tile:{t}"),
+                t0.elapsed().as_micros() as u64,
                 &[
-                    ("filter_evals", out.filter_evals),
-                    ("theta_evals", out.refine.theta_evals),
-                    ("pairs", out.pairs.len() as u64),
+                    ("filter_evals", comparisons),
+                    ("theta_evals", refine.theta_evals - evals_before),
+                    ("pairs", (run.pairs.len() - pairs_before) as u64),
                 ],
             );
         }
-        run.pairs.extend(out.pairs);
-        filter.filter_evals += out.filter_evals;
-        refine += out.refine;
     }
     refine.add_io(pool.stats().since(&window));
     timer.stop();
     run.phases.record(Phase::Filter, filter);
     run.phases.record(Phase::Refine, refine);
-    run.seal("partition_join", &timer, trace);
+    run.seal(executor, &timer, trace);
     Ok(run)
-}
-
-/// Filter + refine for one tile. The Θ-filter runs as a forward-scan
-/// plane sweep ([`sweep_candidates`]) over the tile's MBR lists instead
-/// of an all-pairs loop, so `filter_evals` counts sweep comparisons — a
-/// pure function of the tile contents (the kernel is auto-picked by tile
-/// size: batched SoA masks once both lists clear the chunk threshold).
-/// A point or rectangle is refined from its scan entry and never read
-/// again. A polygon or polyline is fetched through `pool` only when a
-/// candidate survives the Θ-filter *and* the reference-point rule, and
-/// is cached per tile, so it is read at most once per tile it
-/// participates in.
-#[allow(clippy::too_many_arguments)]
-fn process_tile(
-    tile: usize,
-    grid: &TileGrid,
-    eps: f64,
-    theta: ThetaOp,
-    r: &StoredRelation,
-    s: &StoredRelation,
-    r_mbrs: &[ScanEntry],
-    s_mbrs: &[ScanEntry],
-    r_list: &[u32],
-    s_list: &[u32],
-    pool: &mut BufferPool,
-    timed: bool,
-) -> Result<TileOut, StorageError> {
-    let t0 = timed.then(Instant::now);
-    let mut out = TileOut::default();
-    // Expanded R-side MBRs, computed once per tile list: they drive both
-    // the sweep intervals and the reference-point rule, and must be the
-    // exact same rectangles used for tile assignment in `partition_join`.
-    let r_expanded: Vec<Rect> = r_list
-        .iter()
-        .map(|&i| r_mbrs[i as usize].mbr.expand(eps))
-        .collect();
-    let mut sweep_r: Vec<SweepItem> = r_list
-        .iter()
-        .enumerate()
-        .map(|(pos, &i)| {
-            SweepItem::with_sweep_rect(pos as u32, r_expanded[pos], r_mbrs[i as usize].mbr)
-        })
-        .collect();
-    let mut sweep_s: Vec<SweepItem> = s_list
-        .iter()
-        .enumerate()
-        .map(|(pos, &j)| SweepItem::new(pos as u32, s_mbrs[j as usize].mbr))
-        .collect();
-
-    // Per-tile refinement engine: its geometry caches live per tile;
-    // boxes need none.
-    let mut refiner = Refiner::new(r, s, r_mbrs, s_mbrs);
-    // Capture the first fault raised inside the sweep callback; once
-    // set, no further geometry fetches are attempted and the tile's
-    // outcome is discarded below (fail-stop, never a partial tile).
-    let mut first_err: Option<StorageError> = None;
-    let mut emit = |pi: u32, pj: u32| {
-        if first_err.is_some() {
-            return;
-        }
-        let i = r_list[pi as usize];
-        let j = s_list[pj as usize];
-        let (r_id, s_entry) = (r_mbrs[i as usize].id, s_mbrs[j as usize]);
-        // Reference-point rule: of all tiles this candidate pair shares,
-        // only the one containing the lower-left corner of the
-        // expanded-MBR intersection refines it. The intersection is
-        // non-empty whenever the filter passes (Euclidean min-distance
-        // ≤ eps bounds both axis gaps by eps); if floating-point rounding
-        // ever disagrees, the pair cannot be a true match either, so
-        // skipping it is sound.
-        let Some(inter) = r_expanded[pi as usize].intersection(&s_entry.mbr) else {
-            return;
-        };
-        if grid.tile_of_point(inter.lo) != tile {
-            return;
-        }
-        match refiner.refine(pool, &theta, i, j, &mut out.refine) {
-            Ok(true) => out.pairs.push((r_id, s_entry.id)),
-            Ok(false) => {}
-            Err(e) => first_err = Some(e),
-        }
-    };
-    out.filter_evals = sweep_candidates(&mut sweep_r, &mut sweep_s, theta, &mut emit);
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    if let Some(t0) = t0 {
-        out.dur_us = t0.elapsed().as_micros() as u64;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

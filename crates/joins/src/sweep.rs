@@ -11,29 +11,33 @@
 //! compare strategy I against the sweep directly. Directional predicates
 //! have unbounded Θ-filter regions ([`ThetaOp::filter_radius`] is
 //! `None`) and fall back to the nested loop.
+//!
+//! A partition join over a single tile *is* the plane sweep, so this
+//! module holds no loop of its own: it runs the partition module's
+//! filter-and-refine loop with one tile per axis.
 
-use sj_geom::sweep::{sweep_candidates, SweepItem};
 use sj_geom::ThetaOp;
-use sj_obs::{Phase, PhaseTimer, TraceSink};
+use sj_obs::TraceSink;
 use sj_storage::{BufferPool, StorageError};
 
-use crate::nested_loop::nested_loop_join;
-use crate::refine::Refiner;
+use crate::partition::filter_and_refine;
 use crate::relation::StoredRelation;
-use crate::stats::{ExecStats, JoinRun};
+use crate::stats::JoinRun;
 
-/// Plane-sweep spatial join `R ⋈_θ S`.
+/// Plane-sweep spatial join `R ⋈_θ S`: the filter-and-refine loop of
+/// [`partition_join`](crate::partition::partition_join) over one tile.
 ///
 /// `filter_evals` counts forward-scan comparisons (pairs whose
 /// x-intervals were examined), `theta_evals` exact refinements — the
 /// same units as the quadratic executors, so comparison counts are
 /// directly comparable.
 ///
-/// MBR-extraction scans are the `partition` phase, forward-scan
-/// comparisons the `filter` phase, exact θ-tests plus their lazy
-/// polygon and polyline fetches the `refine` phase. (Filter and refine
-/// interleave during the sweep; the sweep's wall clock is charged to
-/// `filter`, its counters split exactly.)
+/// The MBR scans are the `partition` phase. Building the sweep items and
+/// the sweep itself are the `filter` phase's wall clock and its
+/// comparisons; exact θ-tests plus their lazy polygon and polyline
+/// fetches are counted to the `refine` phase (filter and refine
+/// interleave during the sweep). When the sink is live, the one tile
+/// also emits a `sweep/tile:0` span.
 ///
 /// Fail-stop: the first storage fault aborts the run with a typed error.
 /// A fault during the interleaved refine phase stops further fetches and
@@ -45,78 +49,13 @@ pub fn sweep_join(
     theta: ThetaOp,
     trace: &mut TraceSink,
 ) -> Result<JoinRun, StorageError> {
-    let Some(eps) = theta.filter_radius() else {
-        // Unbounded (directional) filter region: no sweep interval
-        // covers it; serve the operator with strategy I.
-        return nested_loop_join(pool, r, s, theta, trace);
-    };
-    let mut timer = PhaseTimer::for_sink(trace);
-    let mut run = JoinRun::default();
-    let mut partition = ExecStats::default();
-    let mut refine = ExecStats::default();
-    partition.passes = 1;
-
-    // One scan per relation to extract MBRs. A point or rectangle is
-    // refined from its scan entry; a polygon or polyline is re-fetched
-    // lazily during refinement (the filter/refine I/O split).
-    timer.enter(Phase::Partition);
-    let window = pool.stats();
-    let r_mbrs = r.try_scan_mbrs(pool)?;
-    let s_mbrs = s.try_scan_mbrs(pool)?;
-
-    let mut sweep_r: Vec<SweepItem> = r_mbrs
-        .iter()
-        .enumerate()
-        .map(|(i, e)| SweepItem::expanded(i as u32, e.mbr, eps))
-        .collect();
-    let mut sweep_s: Vec<SweepItem> = s_mbrs
-        .iter()
-        .enumerate()
-        .map(|(j, e)| SweepItem::new(j as u32, e.mbr))
-        .collect();
-    partition.add_io(pool.stats().since(&window));
-
-    timer.enter(Phase::Filter);
-    let window = pool.stats();
-    let mut refiner = Refiner::new(r, s, &r_mbrs, &s_mbrs);
-    // Capture the first fault raised inside the sweep callback; once set,
-    // no further geometry fetches are attempted and the outcome is
-    // discarded below.
-    let mut first_err: Option<StorageError> = None;
-    let comparisons = sweep_candidates(&mut sweep_r, &mut sweep_s, theta, &mut |i, j| {
-        if first_err.is_some() {
-            return;
-        }
-        match refiner.refine(pool, &theta, i, j, &mut refine) {
-            Ok(true) => run
-                .pairs
-                .push((r_mbrs[i as usize].id, s_mbrs[j as usize].id)),
-            Ok(false) => {}
-            Err(e) => first_err = Some(e),
-        }
-    });
-    refine.add_io(pool.stats().since(&window));
-    timer.stop();
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-
-    run.phases.record(Phase::Partition, partition);
-    run.phases.record(
-        Phase::Filter,
-        ExecStats {
-            filter_evals: comparisons,
-            ..Default::default()
-        },
-    );
-    run.phases.record(Phase::Refine, refine);
-    run.seal("sweep", &timer, trace);
-    Ok(run)
+    filter_and_refine(pool, r, s, theta, 1, trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nested_loop::nested_loop_join;
     use sj_geom::{Direction, Geometry, Point, Rect};
     use sj_storage::{Disk, DiskConfig, Layout};
 

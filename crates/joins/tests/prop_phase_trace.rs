@@ -9,6 +9,9 @@
 //! 3. A run with [`TraceSink::Null`] and a run with [`TraceSink::Vec`]
 //!    produce identical [`JoinRun`]s — tracing observes, never perturbs —
 //!    and the Vec sink actually captures well-formed span events.
+//! 4. Under a bounded θ, the sweep's and the partition join's
+//!    `<executor>/tile:<t>` spans sum to the run's `filter_evals`,
+//!    `theta_evals` and pair count.
 //!
 //! The library joins no request can name — the grid-file join (every θ
 //! with a bounded filter region) and local join indices — are held to
@@ -180,6 +183,29 @@ proptest! {
                 *sink = req.take_trace();
                 run
             })?;
+
+            // Sweep and partition account for the whole run tile by tile:
+            // their `<executor>/tile:<t>` spans sum to the run's totals.
+            let tiled = matches!(strat, Strategy::Sweep | Strategy::Partition);
+            if tiled && theta.filter_radius().is_some() {
+                let mut exec = strat.executor(&ops).expect("both operand kinds present");
+                let req = JoinRequest::new(theta).with_trace(TraceSink::vec());
+                let run = exec.execute(&req, &mut p);
+                let sink = req.take_trace();
+                let mut tiles = [0u64; 3];
+                for ev in sink.events().iter().filter(|e| e.span.contains("/tile:")) {
+                    for (name, value) in &ev.counters {
+                        let slot = ["filter_evals", "theta_evals", "pairs"].iter().position(|n| n == name);
+                        tiles[slot.expect("tile spans carry three counters")] += value;
+                    }
+                }
+                prop_assert_eq!(
+                    tiles,
+                    [run.stats.filter_evals, run.stats.theta_evals, run.pairs.len() as u64],
+                    "{} tile spans do not sum to the run",
+                    label
+                );
+            }
         }
 
         if theta.filter_radius().is_some() {

@@ -1,6 +1,6 @@
 //! `sj-obs`: zero-dependency structured observability.
 //!
-//! Three small pieces, designed to be wired through hot join loops
+//! Four small pieces, designed to be wired through hot join loops
 //! without perturbing the counters the cost model depends on:
 //!
 //! - [`Phase`] / [`PhaseTimer`]: the four-phase taxonomy every join
@@ -12,10 +12,10 @@
 //! - [`CounterRegistry`]: monotonic named counters keyed by `&'static
 //!   str` (e.g. `bufferpool.hits`). Counters only ever go up; `add`
 //!   merges by name.
-//! - [`TraceSink`] / [`TraceEvent`] / [`Span`]: a JSONL trace emitter.
-//!   Each event is one line: `{"span":…,"dur_us":…,"counters":{…}}`.
-//!   `Null` drops everything, `Vec` buffers in memory (for tests),
-//!   `File` streams to disk via a `BufWriter`.
+//! - [`TraceSink`] / [`TraceEvent`]: an in-memory span recorder. Each
+//!   event is a span name, its duration and its counter deltas. `Null`
+//!   drops everything; `Vec` buffers events for the caller to read (the
+//!   benchmark's layer probes, the shard router's trace merge, tests).
 //! - [`Histogram`]: a log₂-bucketed latency histogram (64 buckets, one
 //!   per power of two) with `O(1)` recording, exact count/max tracking,
 //!   mergeable buckets, and conservative upper-bound quantiles — the
@@ -24,10 +24,6 @@
 //! The crate is deliberately free of dependencies (not even the
 //! vendored shims) so every other crate in the workspace can use it.
 
-use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -138,41 +134,6 @@ pub struct TraceEvent {
     pub counters: Vec<(&'static str, u64)>,
 }
 
-impl TraceEvent {
-    /// Render as a single JSONL line (no trailing newline):
-    /// `{"span":"nested_loop/refine","dur_us":42,"counters":{"theta_evals":100}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(48 + self.counters.len() * 24);
-        out.push_str("{\"span\":\"");
-        escape_into(&self.span, &mut out);
-        let _ = write!(out, "\",\"dur_us\":{},\"counters\":{{", self.dur_us);
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{value}");
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Where trace events go.
 ///
 /// `Null` is the default and costs nothing: emitters check
@@ -183,7 +144,6 @@ pub enum TraceSink {
     #[default]
     Null,
     Vec(Vec<TraceEvent>),
-    File(BufWriter<File>),
 }
 
 impl TraceSink {
@@ -194,11 +154,6 @@ impl TraceSink {
     /// In-memory sink; inspect with [`events`](TraceSink::events).
     pub fn vec() -> Self {
         TraceSink::Vec(Vec::new())
-    }
-
-    /// Streaming JSONL sink (one event per line).
-    pub fn file(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(TraceSink::File(BufWriter::new(File::create(path)?)))
     }
 
     /// Whether emitting to this sink can observe anything. Callers use
@@ -216,15 +171,6 @@ impl TraceSink {
                 dur_us,
                 counters: counters.to_vec(),
             }),
-            TraceSink::File(w) => {
-                let event = TraceEvent {
-                    span: span.to_string(),
-                    dur_us,
-                    counters: counters.to_vec(),
-                };
-                // Trace I/O errors must not abort a join; drop the line.
-                let _ = writeln!(w, "{}", event.to_json());
-            }
         }
     }
 
@@ -232,7 +178,7 @@ impl TraceSink {
     pub fn events(&self) -> &[TraceEvent] {
         match self {
             TraceSink::Vec(events) => events,
-            _ => &[],
+            TraceSink::Null => &[],
         }
     }
 
@@ -250,45 +196,6 @@ impl TraceSink {
         for ev in events {
             self.emit(&format!("{prefix}/{}", ev.span), ev.dur_us, &ev.counters);
         }
-    }
-
-    pub fn flush(&mut self) -> io::Result<()> {
-        match self {
-            TraceSink::File(w) => w.flush(),
-            _ => Ok(()),
-        }
-    }
-}
-
-impl Drop for TraceSink {
-    fn drop(&mut self) {
-        let _ = self.flush();
-    }
-}
-
-/// A named wall-clock span; finish it against a sink to emit one event.
-#[derive(Debug)]
-pub struct Span {
-    name: String,
-    start: Instant,
-}
-
-impl Span {
-    pub fn begin(name: impl Into<String>) -> Self {
-        Span {
-            name: name.into(),
-            start: Instant::now(),
-        }
-    }
-
-    pub fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-
-    /// Emit `{span, dur_us, counters}` into the sink and consume the span.
-    pub fn finish(self, sink: &mut TraceSink, counters: &[(&'static str, u64)]) {
-        let dur = self.elapsed_us();
-        sink.emit(&self.name, dur, counters);
     }
 }
 
@@ -590,32 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_event_renders_jsonl() {
-        let ev = TraceEvent {
-            span: "nested_loop/refine".to_string(),
-            dur_us: 42,
-            counters: vec![("theta_evals", 100), ("physical_reads", 7)],
-        };
-        assert_eq!(
-            ev.to_json(),
-            r#"{"span":"nested_loop/refine","dur_us":42,"counters":{"theta_evals":100,"physical_reads":7}}"#
-        );
-    }
-
-    #[test]
-    fn span_names_are_escaped() {
-        let ev = TraceEvent {
-            span: "weird\"span\\n".to_string(),
-            dur_us: 0,
-            counters: vec![],
-        };
-        assert_eq!(
-            ev.to_json(),
-            r#"{"span":"weird\"span\\n","dur_us":0,"counters":{}}"#
-        );
-    }
-
-    #[test]
     fn null_sink_is_disabled_and_drops_events() {
         let mut sink = TraceSink::null();
         assert!(!sink.is_enabled());
@@ -635,27 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn file_sink_writes_one_json_object_per_line() {
-        let path = std::env::temp_dir().join("sj_obs_test_trace.jsonl");
-        {
-            let mut sink = TraceSink::file(&path).unwrap();
-            sink.emit("a/partition", 5, &[("passes", 1)]);
-            sink.emit("a/refine", 9, &[("theta_evals", 12)]);
-            sink.flush().unwrap();
-        }
-        let body = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = body.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            assert!(line.starts_with("{\"span\":\""));
-            assert!(line.contains("\"dur_us\":"));
-            assert!(line.contains("\"counters\":{"));
-            assert!(line.ends_with("}}"));
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn phase_timer_accumulates_only_when_enabled() {
         let mut t = PhaseTimer::new(true);
         t.enter(Phase::Partition);
@@ -670,15 +530,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(1));
         off.stop();
         assert_eq!(off.elapsed_us(Phase::Partition), 0);
-    }
-
-    #[test]
-    fn span_emits_into_sink() {
-        let mut sink = TraceSink::vec();
-        let span = Span::begin("tile:3");
-        span.finish(&mut sink, &[("pairs", 4)]);
-        assert_eq!(sink.events().len(), 1);
-        assert_eq!(sink.events()[0].span, "tile:3");
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! 5. **Metrics** ([`metrics`]): every request records into the
 //!    service's lock-free [`RequestMetrics`] slab (atomic log₂-bucketed
 //!    histograms), read as [`ServiceMetrics`] and exported through the
-//!    standard `sj-obs` JSONL trace vocabulary.
+//!    standard `sj-obs` trace vocabulary.
 //!
 //! Writes go through the durable mutation API: a typed [`WriteBatch`]
 //! of [`Mutation`]s is appended to a checksummed write-ahead log and

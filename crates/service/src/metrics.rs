@@ -12,7 +12,7 @@
 //!   [`RequestMetrics::snapshot`] whenever asked.
 //! - [`ServiceMetrics`]: the *reporting* side — a plain mergeable
 //!   aggregate ([`ServiceMetrics::merge`] folds shard snapshots into
-//!   router totals), exported through the existing `sj-obs` JSONL trace
+//!   router totals), exported through the existing `sj-obs` trace
 //!   vocabulary via [`ServiceMetrics::emit`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,7 +75,7 @@ impl ServiceMetrics {
         self.retry_backoff_units += other.retry_backoff_units;
     }
 
-    /// Emits five JSONL events: one per histogram (count/p50/p95/p99/
+    /// Emits five trace events: one per histogram (count/p50/p95/p99/
     /// max/mean as counters), a `service/summary` with the outcome
     /// counters, and a `service/fault` with the fault-recovery counters,
     /// all through the standard trace vocabulary.

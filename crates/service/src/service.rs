@@ -574,7 +574,7 @@ impl SpatialService {
     }
 
     /// Emits latency histograms, outcome counters and cache statistics
-    /// as JSONL trace events, plus the snapshot pool's
+    /// as trace events, plus the snapshot pool's
     /// counter gauges — the full `sj-obs` vocabulary for one service
     /// run.
     pub fn emit_metrics(&self, sink: &mut TraceSink) {
@@ -604,8 +604,8 @@ fn build_state(
     let mut pool = BufferPool::new(Disk::new(DiskConfig::paper()), config.pool_capacity);
     let r = StoredRelation::build(&mut pool, r_tuples, config.record_size, Layout::Clustered);
     let s = StoredRelation::build(&mut pool, s_tuples, config.record_size, Layout::Clustered);
-    let r = build_tree(&mut pool, r, config);
-    let s = build_tree(&mut pool, s, config);
+    let r = build_tree(&mut pool, r, r_tuples, config);
+    let s = build_tree(&mut pool, s, s_tuples, config);
     DataState {
         pool,
         r,
@@ -614,18 +614,17 @@ fn build_state(
     }
 }
 
-/// Scans `rel` and bulk-loads a clustered generalization tree over it:
-/// one side of a snapshot, whose in-memory R-tree (kept live for
-/// incremental maintenance) and paged tree share one `GenTree`.
+/// Bulk-loads a clustered generalization tree over the `tuples` `rel`
+/// was just built from: one side of a snapshot, whose in-memory R-tree
+/// (kept live for incremental maintenance) and paged tree share one
+/// `GenTree`.
 fn build_tree(
     pool: &mut BufferPool,
     rel: StoredRelation,
+    tuples: &[(u64, Geometry)],
     config: &ServiceConfig,
 ) -> Arc<SideState> {
-    let tuples = rel
-        .try_scan(pool)
-        .unwrap_or_else(|e| panic!("startup scan failed: {e}")); // PANIC-OK: fresh pool, no injector armed yet
-    let index = RTree::bulk_load(RTreeConfig::with_fanout(config.fanout), tuples);
+    let index = RTree::bulk_load(RTreeConfig::with_fanout(config.fanout), tuples.to_vec());
     let tree = Arc::clone(index.shared_tree());
     let tree = Arc::new(if config.compress_geometry {
         TreeRelation::new_compressed(pool, tree, config.quant_record_size, Layout::Clustered)

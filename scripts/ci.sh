@@ -199,6 +199,26 @@ if [ -n "$quantized" ]; then
 fi
 echo "    -> one refine path: no quantized record or margin verdict in sj-joins"
 
+echo "==> one-filter-and-refine-loop gate (the sweep is the partition join over one tile)"
+# `partition.rs` holds the one loop that sweeps a tile's MBRs and refines
+# its candidates; `sweep_join` and `partition_join` each call it with a
+# tile count. Non-test sj-joins code may therefore call the sweep filter
+# and build a refiner exactly once each.
+for call in 'sweep_candidates(' 'Refiner::new('; do
+    sites=$(
+        for f in crates/joins/src/*.rs; do
+            awk -v call="$call" '/^#\[cfg\(test\)\]/ { exit }
+                 index($0, call) { print FILENAME ":" FNR ": " $0 }' "$f"
+        done
+    )
+    if [ "$(printf '%s' "$sites" | grep -c .)" -ne 1 ]; then
+        echo "    expected exactly one non-test \`$call\` call in crates/joins/src, found:"
+        echo "${sites:-    (none)}"
+        exit 1
+    fi
+done
+echo "    -> one filter-and-refine loop: one sweep_candidates( and one Refiner::new( in sj-joins"
+
 echo "==> sequential-executor gate (one I/O stream per join strategy)"
 # A join runs on the calling thread against the caller's pool; a second
 # core is spent one layer up, by the router's tile shards. Non-test
