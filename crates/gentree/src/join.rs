@@ -65,8 +65,10 @@ fn pair_filter(mf: Option<MaskFilter>, theta: ThetaOp, left: &Rect, right: &Rect
 ///
 /// Children are expanded with their filter verdicts precomputed (batched
 /// when `flat`/`mf` allow); each verdict is charged at the child's visit.
+/// `stack` is the caller's reused buffer, empty on entry and on return.
 #[allow(clippy::too_many_arguments)]
 fn select_subtree(
+    stack: &mut Vec<(NodeId, usize, bool, bool)>,
     tree: &GenTree,
     flat: Option<&FlatChildren>,
     mf: Option<MaskFilter>,
@@ -91,8 +93,7 @@ fn select_subtree(
     // Children are pushed in child order; the LIFO pop therefore visits
     // them in reverse child order — the same order as before verdicts
     // were precomputed.
-    let mut stack: Vec<(NodeId, usize, bool, bool)> =
-        vec![(start, start_depth, true, start_passes)];
+    stack.push((start, start_depth, true, start_passes));
     while let Some((node, depth, is_start, passes)) = stack.pop() {
         on_visit(node);
         stats.visit(depth);
@@ -155,14 +156,16 @@ pub fn join_flat(
 ) -> JoinOutcome {
     let mut out = JoinOutcome::default();
     let mf = theta.mask_filter();
+    // Buffers reused by every node pair, cleared for each use.
+    let mut scratch = Scratch::default();
 
     // JOIN1 [Initialization].
     let mut qual_pairs: Vec<(NodeId, NodeId)> = vec![(tree_r.root(), tree_s.root())];
+    let mut next: Vec<(NodeId, NodeId)> = Vec::new();
     let mut depth = 0usize;
 
     // JOIN2 [Tree Search].
     while !qual_pairs.is_empty() {
-        let mut next: Vec<(NodeId, NodeId)> = Vec::new();
         for &(a, b) in &qual_pairs {
             on_visit_r(a);
             on_visit_s(b);
@@ -188,6 +191,7 @@ pub fn join_flat(
                 let ea_id = ea.id;
                 let ea_mbr = a_mbr;
                 select_subtree(
+                    &mut scratch.stack,
                     tree_s,
                     flat_s,
                     mf,
@@ -206,6 +210,7 @@ pub fn join_flat(
                 let eb_id = eb.id;
                 let eb_mbr = b_mbr;
                 select_subtree(
+                    &mut scratch.stack,
                     tree_r,
                     flat_r,
                     mf,
@@ -225,7 +230,8 @@ pub fn join_flat(
             // children a'' of a with a'' Θ b, children b'' of b with a Θ b''.
             // One batched probe per side replaces the per-child scalar
             // filters; each verdict is still charged individually.
-            let mut qual_a: Vec<NodeId> = Vec::new();
+            let Scratch { qual_a, qual_b, .. } = &mut scratch;
+            qual_a.clear();
             expand_children(tree_r, flat_r, mf, theta, &b_mbr, false, a, &mut |a2, v| {
                 out.stats.filter_evals += 1;
                 out.stats.eval_at(depth, 1);
@@ -233,7 +239,7 @@ pub fn join_flat(
                     qual_a.push(a2);
                 }
             });
-            let mut qual_b: Vec<NodeId> = Vec::new();
+            qual_b.clear();
             expand_children(tree_s, flat_s, mf, theta, &a_mbr, true, b, &mut |b2, v| {
                 out.stats.filter_evals += 1;
                 out.stats.eval_at(depth, 1);
@@ -242,13 +248,33 @@ pub fn join_flat(
                 }
             });
             seed_child_pairs(
-                tree_r, tree_s, &qual_a, &qual_b, theta, depth, &mut out, &mut next,
+                tree_r,
+                tree_s,
+                &mut scratch,
+                theta,
+                depth,
+                &mut out,
+                &mut next,
             );
         }
-        qual_pairs = next;
+        std::mem::swap(&mut qual_pairs, &mut next);
+        next.clear();
         depth += 1;
     }
     out
+}
+
+/// [`join_flat`]'s per-node-pair buffers, allocated once per join.
+#[derive(Default)]
+struct Scratch {
+    /// [`select_subtree`]'s traversal stack.
+    stack: Vec<(NodeId, usize, bool, bool)>,
+    /// The individually-qualifying children of the current pair's sides.
+    qual_a: Vec<NodeId>,
+    qual_b: Vec<NodeId>,
+    /// [`seed_child_pairs`]'s sweep items over `qual_a` and `qual_b`.
+    left: Vec<SweepItem>,
+    right: Vec<SweepItem>,
 }
 
 /// Seeds the next level's QualPairs from the individually-qualifying
@@ -267,38 +293,40 @@ pub fn join_flat(
 /// set is unchanged. Directional predicates have unbounded filter
 /// regions and keep the verbatim cross product. Sweep comparisons are
 /// charged at the parent pair's `depth` in the per-level histogram.
-#[allow(clippy::too_many_arguments)]
 fn seed_child_pairs(
     tree_r: &GenTree,
     tree_s: &GenTree,
-    qual_a: &[NodeId],
-    qual_b: &[NodeId],
+    scratch: &mut Scratch,
     theta: ThetaOp,
     depth: usize,
     out: &mut JoinOutcome,
     next: &mut Vec<(NodeId, NodeId)>,
 ) {
+    let Scratch {
+        qual_a,
+        qual_b,
+        left,
+        right,
+        ..
+    } = scratch;
     match theta.filter_radius() {
         Some(eps) => {
-            let mut left: Vec<SweepItem> = qual_a
-                .iter()
-                .enumerate()
-                .map(|(i, &a2)| SweepItem::expanded(i as u32, tree_r.mbr(a2), eps))
-                .collect();
-            let mut right: Vec<SweepItem> = qual_b
-                .iter()
-                .enumerate()
-                .map(|(j, &b2)| SweepItem::new(j as u32, tree_s.mbr(b2)))
-                .collect();
-            let swept = sweep_candidates(&mut left, &mut right, theta, &mut |i, j| {
+            left.clear();
+            let item =
+                |(i, &a2): (usize, &NodeId)| SweepItem::expanded(i as u32, tree_r.mbr(a2), eps);
+            left.extend(qual_a.iter().enumerate().map(item));
+            right.clear();
+            let item = |(j, &b2): (usize, &NodeId)| SweepItem::new(j as u32, tree_s.mbr(b2));
+            right.extend(qual_b.iter().enumerate().map(item));
+            let swept = sweep_candidates(left, right, theta, &mut |i, j| {
                 next.push((qual_a[i as usize], qual_b[j as usize]));
             });
             out.stats.filter_evals += swept;
             out.stats.eval_at(depth, swept);
         }
         None => {
-            for &a2 in qual_a {
-                for &b2 in qual_b {
+            for &a2 in qual_a.iter() {
+                for &b2 in qual_b.iter() {
                     next.push((a2, b2));
                 }
             }

@@ -157,10 +157,20 @@ impl Rect {
 
     /// Rectangle grown by `d` on every side (the "d-buffer" of the paper's
     /// distance operators). Negative `d` shrinks; the result is clamped to
-    /// remain a valid (possibly degenerate) rectangle.
+    /// remain a valid (possibly degenerate) rectangle. `d = +∞` (the
+    /// filter radius of `WithinDistance(∞)`) gives infinite bounds, which
+    /// compare as they should; a NaN `d` panics.
     pub fn expand(&self, d: f64) -> Rect {
-        let lo = Point::new(self.lo.x - d, self.lo.y - d);
-        let hi = Point::new(self.hi.x + d, self.hi.y + d);
+        assert!(!d.is_nan(), "expansion radius must not be NaN");
+        // Literals, not `Point::new`, which rejects the infinite bounds.
+        let lo = Point {
+            x: self.lo.x - d,
+            y: self.lo.y - d,
+        };
+        let hi = Point {
+            x: self.hi.x + d,
+            y: self.hi.y + d,
+        };
         if lo.x > hi.x || lo.y > hi.y {
             let c = self.center();
             return Rect::from_point(c);
@@ -313,6 +323,11 @@ mod tests {
         assert_eq!(a.expand(1.0), r(1.0, 1.0, 5.0, 5.0));
         // Over-shrinking collapses to the center.
         assert_eq!(a.expand(-5.0), Rect::from_point(Point::new(3.0, 3.0)));
+        assert_eq!(a.expand(f64::NEG_INFINITY), a.expand(-5.0));
+        // An unbounded radius reaches everything.
+        let all = a.expand(f64::INFINITY);
+        assert_eq!((all.lo.x, all.hi.y), (f64::NEG_INFINITY, f64::INFINITY));
+        assert!(all.intersects(&r(1e300, -1e300, 1e300, -1e300)));
     }
 
     #[test]

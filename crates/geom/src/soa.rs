@@ -12,24 +12,39 @@
 //! [`RectChunks`] transposes the storage: the four rectangle coordinates
 //! live in four contiguous `f64` arrays, grouped in fixed-width chunks of
 //! [`LANES`] rectangles. The mask kernels ([`RectChunks::overlap_mask`],
-//! [`RectChunks::within_mask`]) evaluate one probe rectangle against a
-//! whole chunk with **straight-line min/max/compare arithmetic** — no
-//! early-exit branches, one result bit per lane — which LLVM
-//! auto-vectorizes into SIMD compares over the lane arrays. A batched
-//! caller tests [`LANES`] candidates per call and then iterates the
-//! surviving bits, so branches move from "per rectangle comparison" to
-//! "per surviving candidate".
+//! [`RectChunks::within_mask`], the sweep's fused
+//! [`RectChunks::reach_y_mask`]) evaluate one probe rectangle against a
+//! whole chunk with **straight-line compare/min/max arithmetic** — no
+//! early-exit branches, one result bit per lane. A batched caller tests
+//! [`LANES`] candidates per call and then iterates the surviving bits, so
+//! branches move from "per rectangle comparison" to "per surviving
+//! candidate".
+//!
+//! ## What the kernels compile to
+//!
+//! LLVM does not vectorize the per-lane loops on its own (each lane
+//! becomes a scalar `ucomisd` and `setcc`), so on x86_64 the kernels are
+//! written with `core::arch` SSE2 intrinsics: each instruction handles a
+//! lane pair, with `_mm_cmple_pd`/`_mm_and_pd` chains and one
+//! `_mm_movemask_pd` per pair. SSE2 is part of the x86_64 baseline, so
+//! there is no runtime detection and no second path to select: the lanes
+//! sit behind one `#[target_feature(enable = "sse2")]` function, called
+//! from the module's one `unsafe` block. Every other target compiles
+//! the one-lane-at-a-time loops, which the tests also use as the
+//! reference for the SSE2 lanes.
 //!
 //! ## Padding contract
 //!
 //! Chunk storage is always a whole number of chunks. Lanes that carry no
 //! rectangle (the ragged tail of a run, or the gap created by
 //! [`RectChunks::align`]) hold the *empty rectangle* `lo = +∞, hi = -∞`,
-//! chosen so that every mask kernel reports `0` for them with no special
-//! casing: `+∞ <= x` is false for every finite `x` (overlap and x-reach
-//! fail), and the padded lane's axis gaps evaluate to `+∞` (the distance
-//! test fails for every finite ε). Callers therefore never need a
-//! tail-length branch inside the kernel.
+//! chosen so that every mask kernel reports `0` for them against a
+//! finite probe with no special casing: `+∞ <= x` is false for every
+//! finite `x` (overlap and x-reach fail), and the padded lane's axis
+//! gaps evaluate to `+∞` (the distance test fails for every finite ε).
+//! A caller whose probe bounds or ε may be infinite (the plane sweep's
+//! ε-expanded rectangles under `WithinDistance(∞)`) masks the tail
+//! itself.
 //!
 //! ## Exactness contract
 //!
@@ -38,18 +53,21 @@
 //! `max(b.lo - a.hi, a.lo - b.hi, 0)` per axis and `sqrt(dx² + dy²) <= ε`
 //! in the same operation order as [`Rect::min_distance`] — so a mask bit
 //! is `1` **iff** the scalar predicate returns `true`, bit for bit, on
-//! every input including negative ε and degenerate rectangles. Both
-//! predicates are symmetric in their arguments, which is what lets one
-//! probe-vs-lanes kernel serve filters written in either orientation.
-//! This equivalence is property-tested (see the tests below and
-//! `crates/joins/tests/prop_sweep.rs`).
+//! every input including negative or infinite ε, signed zeros and
+//! degenerate rectangles. The SSE2 `max` differs from `f64::max` only on
+//! NaN, and none reaches a lane: `Point::new` rejects non-finite
+//! coordinates, so lanes hold finite MBRs or ±∞ padding and distance
+//! probes are finite MBRs. Both predicates are symmetric in their
+//! arguments, which is what lets one probe-vs-lanes kernel serve filters
+//! written in either orientation. This equivalence is property-tested
+//! (see the tests below and `crates/joins/tests/prop_sweep.rs`).
 
+use crate::point::Point;
 use crate::rect::Rect;
 use crate::theta::MaskFilter;
 
-/// Rectangles per chunk. Eight `f64` lanes fill two AVX2 vectors (four
-/// AVX-512 lanes each) per coordinate array and keep the result mask in
-/// the low byte of a `u16`.
+/// Rectangles per chunk: four SSE2 lane pairs per coordinate array, with
+/// the result mask in the low byte of a `u16`.
 pub const LANES: usize = 8;
 
 /// All-lanes mask: the low [`LANES`] bits set.
@@ -203,6 +221,19 @@ impl RectChunks {
         self.cursor / LANES
     }
 
+    /// The rectangle pushed at lane position `pos` (chunk `pos / LANES`,
+    /// lane `pos % LANES`); `pos` must not be a padding lane.
+    #[inline]
+    pub(crate) fn rect_at(&self, pos: usize) -> Rect {
+        let (lo_x, lo_y) = (self.lo_x[pos], self.lo_y[pos]);
+        let (hi_x, hi_y) = (self.hi_x[pos], self.hi_y[pos]);
+        debug_assert!(lo_x <= hi_x && lo_y <= hi_y, "padding lane {pos}");
+        Rect {
+            lo: Point { x: lo_x, y: lo_y },
+            hi: Point { x: hi_x, y: hi_y },
+        }
+    }
+
     /// The lane coordinates of `chunk` as four fixed-size arrays
     /// `(lo_x, lo_y, hi_x, hi_y)`.
     #[inline]
@@ -224,14 +255,16 @@ impl RectChunks {
     }
 
     // mask-kernel-begin -- straight-line lane arithmetic only: no
-    // early-exit branches and no allocation (CI greps this region).
+    // early-exit branches and no allocation (CI greps this region). The
+    // one `unsafe` block of the workspace's non-test code lives here.
 
     /// Lanes whose rectangle intersects `probe` (closed-interval
     /// semantics, exactly [`Rect::intersects`] per lane). Bit `l` of the
-    /// result is lane `l` of `chunk`; padding lanes are always `0`.
+    /// result is lane `l` of `chunk`; padding lanes are `0` against a
+    /// finite probe.
     #[inline]
     pub fn overlap_mask(&self, probe: &Rect, chunk: usize) -> u16 {
-        overlap_lanes(self.lanes(chunk), probe)
+        lane_masks(self.lanes(chunk), probe, LaneTest::Overlap).0
     }
 
     /// Lanes whose closest-point distance to `probe` is `<= eps` — the
@@ -240,37 +273,22 @@ impl RectChunks {
     /// order (`max(b.lo - a.hi, a.lo - b.hi, 0)` per axis, then
     /// `sqrt(dx² + dy²)`), so the bit equals the scalar
     /// `probe.min_distance(lane) <= eps` for every input, including
-    /// negative `eps`. Padding lanes are always `0`.
+    /// negative and infinite `eps`. Padding lanes are `0` for every
+    /// finite `eps`.
     #[inline]
     pub fn within_mask(&self, probe: &Rect, eps: f64, chunk: usize) -> u16 {
-        within_lanes(self.lanes(chunk), probe, eps)
+        lane_masks(self.lanes(chunk), probe, LaneTest::Within(eps)).0
     }
 
-    /// Lanes with `lo.x <= hi_x` — the forward-scan reach test. Within a
-    /// run sorted by `lo.x` the result is always a prefix of the chunk,
-    /// so a partial mask means every later lane (and chunk) fails too.
-    /// Padding lanes are always `0`.
+    /// The forward scan's two tests in one pass: `(reach, reach ∧ y)`,
+    /// where `reach` holds the lanes with `lo.x <= probe.hi.x` and `y`
+    /// the lanes whose y-interval overlaps `probe`'s. Within a run sorted
+    /// by `lo.x`, `reach` is always a prefix of the chunk, so a partial
+    /// mask means every later lane (and chunk) fails too. Padding lanes
+    /// are `0` unless `probe.hi.x` is `+∞`.
     #[inline]
-    pub fn x_reach_mask(&self, hi_x: f64, chunk: usize) -> u16 {
-        let (lx, _, _, _) = self.lanes(chunk);
-        let mut mask = 0u16;
-        for (lane, lo) in lx.iter().enumerate() {
-            mask |= ((*lo <= hi_x) as u16) << lane;
-        }
-        mask
-    }
-
-    /// Lanes whose y-interval overlaps `probe`'s (the sweep's inline
-    /// y-precheck). Padding lanes are always `0`.
-    #[inline]
-    pub fn y_overlap_mask(&self, probe: &Rect, chunk: usize) -> u16 {
-        let (_, ly, _, hy) = self.lanes(chunk);
-        let mut mask = 0u16;
-        for lane in 0..LANES {
-            let hit = (ly[lane] <= probe.hi.y) & (probe.lo.y <= hy[lane]);
-            mask |= (hit as u16) << lane;
-        }
-        mask
+    pub fn reach_y_mask(&self, probe: &Rect, chunk: usize) -> (u16, u16) {
+        lane_masks(self.lanes(chunk), probe, LaneTest::ReachY)
     }
 
     /// Dispatches to the mask kernel matching a precompiled
@@ -287,34 +305,110 @@ impl RectChunks {
 #[inline]
 fn filter_lanes(lanes: LaneRefs<'_>, probe: &Rect, filter: MaskFilter) -> u16 {
     match filter {
-        MaskFilter::Overlap => overlap_lanes(lanes, probe),
-        MaskFilter::Within(eps) => within_lanes(lanes, probe, eps),
+        MaskFilter::Overlap => lane_masks(lanes, probe, LaneTest::Overlap).0,
+        MaskFilter::Within(eps) => lane_masks(lanes, probe, LaneTest::Within(eps)).0,
     }
 }
 
-#[inline]
-fn overlap_lanes((lx, ly, hx, hy): LaneRefs<'_>, probe: &Rect) -> u16 {
-    let mut mask = 0u16;
-    for lane in 0..LANES {
-        let hit = (lx[lane] <= probe.hi.x)
-            & (probe.lo.x <= hx[lane])
-            & (ly[lane] <= probe.hi.y)
-            & (probe.lo.y <= hy[lane]);
-        mask |= (hit as u16) << lane;
-    }
-    mask
+/// What one pass over a chunk's lanes tests. Every test yields two masks;
+/// only [`LaneTest::ReachY`] makes them differ.
+#[derive(Clone, Copy)]
+enum LaneTest {
+    /// [`Rect::intersects`].
+    Overlap,
+    /// [`Rect::min_distance`]` <= ε`.
+    Within(f64),
+    /// `(lo.x <= probe.hi.x, that ∧ the y-intervals overlap)`.
+    ReachY,
 }
 
+/// The lane family on x86_64: two lanes per SSE2 instruction.
+#[cfg(target_arch = "x86_64")]
 #[inline]
-fn within_lanes((lx, ly, hx, hy): LaneRefs<'_>, probe: &Rect, eps: f64) -> u16 {
-    let mut mask = 0u16;
-    for lane in 0..LANES {
-        let dx = (lx[lane] - probe.hi.x).max(probe.lo.x - hx[lane]).max(0.0);
-        let dy = (ly[lane] - probe.hi.y).max(probe.lo.y - hy[lane]).max(0.0);
-        let hit = (dx * dx + dy * dy).sqrt() <= eps;
-        mask |= (hit as u16) << lane;
+fn lane_masks(lanes: LaneRefs<'_>, probe: &Rect, test: LaneTest) -> (u16, u16) {
+    // SAFETY: SSE2 is in the x86_64 baseline, so every x86_64 CPU has
+    // the one target feature `sse2_masks` enables.
+    unsafe { sse2_masks(lanes, probe, test) }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+use scalar_masks as lane_masks;
+
+/// Each lane pair is one `_mm_cmple_pd`/`_mm_and_pd` chain and one
+/// `_mm_movemask_pd`. `Within` keeps [`Rect::min_distance`]'s operation
+/// order: sub, max, max 0, mul, add, sqrt, `<=`. `_mm_max_pd` agrees with
+/// `f64::max` here because no operand is NaN: `Point::new` rejects
+/// non-finite coordinates, so every stored lane is a finite MBR or ±∞
+/// padding and every `Within` probe an unexpanded, finite MBR — a
+/// difference of a finite value and an infinity is never NaN. (A
+/// `±0.0` tie may pick either sign; the square erases it.)
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "sse2")]
+fn sse2_masks((lx, ly, hx, hy): LaneRefs<'_>, probe: &Rect, test: LaneTest) -> (u16, u16) {
+    use std::arch::x86_64::*;
+    // Lanes `2p` and `2p + 1` of one coordinate array.
+    let pair = |a: &[f64; LANES], p: usize| _mm_set_pd(a[2 * p + 1], a[2 * p]);
+    let (plx, ply) = (_mm_set1_pd(probe.lo.x), _mm_set1_pd(probe.lo.y));
+    let (phx, phy) = (_mm_set1_pd(probe.hi.x), _mm_set1_pd(probe.hi.y));
+    let le_and = |a, b, c, d| _mm_and_pd(_mm_cmple_pd(a, b), _mm_cmple_pd(c, d));
+    let y_overlap = |p| le_and(pair(ly, p), phy, ply, pair(hy, p));
+    let gap = |lo, hi, p_lo, p_hi| {
+        let far = _mm_max_pd(_mm_sub_pd(lo, p_hi), _mm_sub_pd(p_lo, hi));
+        _mm_max_pd(far, _mm_setzero_pd())
+    };
+    let mut masks = (0u16, 0u16);
+    for p in 0..LANES / 2 {
+        let (first, second) = match test {
+            LaneTest::Overlap => {
+                let hit = _mm_and_pd(le_and(pair(lx, p), phx, plx, pair(hx, p)), y_overlap(p));
+                (hit, hit)
+            }
+            LaneTest::Within(eps) => {
+                let dx = gap(pair(lx, p), pair(hx, p), plx, phx);
+                let dy = gap(pair(ly, p), pair(hy, p), ply, phy);
+                let d2 = _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
+                let hit = _mm_cmple_pd(_mm_sqrt_pd(d2), _mm_set1_pd(eps));
+                (hit, hit)
+            }
+            LaneTest::ReachY => {
+                let reach = _mm_cmple_pd(pair(lx, p), phx);
+                (reach, _mm_and_pd(reach, y_overlap(p)))
+            }
+        };
+        masks.0 |= (_mm_movemask_pd(first) as u16) << (2 * p);
+        masks.1 |= (_mm_movemask_pd(second) as u16) << (2 * p);
     }
-    mask
+    masks
+}
+
+/// The lane family one lane at a time: the only path off x86_64, and the
+/// reference the SSE2 lanes are tested against.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+fn scalar_masks((lx, ly, hx, hy): LaneRefs<'_>, probe: &Rect, test: LaneTest) -> (u16, u16) {
+    let mut masks = (0u16, 0u16);
+    for lane in 0..LANES {
+        let y = (ly[lane] <= probe.hi.y) & (probe.lo.y <= hy[lane]);
+        let (first, second) = match test {
+            LaneTest::Overlap => {
+                let hit = (lx[lane] <= probe.hi.x) & (probe.lo.x <= hx[lane]) & y;
+                (hit, hit)
+            }
+            LaneTest::Within(eps) => {
+                let dx = (lx[lane] - probe.hi.x).max(probe.lo.x - hx[lane]).max(0.0);
+                let dy = (ly[lane] - probe.hi.y).max(probe.lo.y - hy[lane]).max(0.0);
+                let hit = (dx * dx + dy * dy).sqrt() <= eps;
+                (hit, hit)
+            }
+            LaneTest::ReachY => {
+                let reach = lx[lane] <= probe.hi.x;
+                (reach, reach & y)
+            }
+        };
+        masks.0 |= (first as u16) << lane;
+        masks.1 |= (second as u16) << lane;
+    }
+    masks
 }
 
 // mask-kernel-end
@@ -330,7 +424,8 @@ mod tests {
     }
 
     /// Pseudo-random but deterministic rectangle soup (includes
-    /// degenerate point-rects via zero widths).
+    /// degenerate point-rects via zero widths, and `-0.0`/`+0.0` bounds
+    /// meeting at the axes).
     fn soup(n: usize, salt: u64) -> Vec<Rect> {
         (0..n)
             .map(|i| {
@@ -341,7 +436,11 @@ mod tests {
                 let y = (k / 997 % 997) as f64 / 997.0 * 100.0;
                 let w = (k % 31) as f64;
                 let h = (k % 13) as f64;
-                rect(x, y, x + w, y + h)
+                match k % 5 {
+                    0 => rect(-w, -0.0, -0.0, h),
+                    1 => rect(-0.0, -h, w, 0.0),
+                    _ => rect(x, y, x + w, y + h),
+                }
             })
             .collect()
     }
@@ -381,7 +480,7 @@ mod tests {
             let rects = soup(n, 99);
             let chunks = RectChunks::from_rects(&rects);
             for probe in soup(11, 5) {
-                for eps in [-1.0, 0.0, EPSILON, 2.5, 40.0] {
+                for eps in [-1.0, -0.0, 0.0, EPSILON, 2.5, 40.0, f64::INFINITY] {
                     let want: Vec<bool> =
                         rects.iter().map(|r| probe.min_distance(r) <= eps).collect();
                     let got = mask_bits(&chunks, &probe, MaskFilter::Within(eps));
@@ -398,7 +497,7 @@ mod tests {
         let rects = soup(25, 3);
         let chunks = RectChunks::from_rects(&rects);
         for probe in soup(9, 77) {
-            for eps in [0.0, 3.0, 17.5] {
+            for eps in [-0.0, 0.0, 3.0, 17.5, f64::INFINITY] {
                 for (i, r) in rects.iter().enumerate() {
                     let bit = chunks.within_mask(&probe, eps, i / LANES) >> (i % LANES) & 1 == 1;
                     assert_eq!(bit, r.min_distance(&probe) <= eps, "lane order swapped");
@@ -412,9 +511,10 @@ mod tests {
         let mut rects = soup(30, 42);
         rects.sort_by(|a, b| a.lo.x.partial_cmp(&b.lo.x).unwrap());
         let chunks = RectChunks::from_rects(&rects);
-        for hi_x in [-1.0, 10.0, 55.0, 120.0, 1e9] {
+        for hi_x in [-1.0, -0.0, 0.0, 10.0, 55.0, 120.0, 1e9] {
+            let probe = rect(-2.0, 0.0, hi_x, 1.0);
             for c in 0..chunks.num_chunks() {
-                let m = chunks.x_reach_mask(hi_x, c);
+                let m = chunks.reach_y_mask(&probe, c).0;
                 // A prefix mask has no set bit above a clear bit.
                 assert_eq!(m & (m + 1) & FULL_MASK, 0, "non-prefix mask {m:#x}");
                 for lane in 0..LANES {
@@ -426,14 +526,59 @@ mod tests {
         }
     }
 
+    /// The fused forward-scan mask: its second half is the reach mask
+    /// and the scalar y-interval test.
     #[test]
     fn y_overlap_mask_matches_scalar_intervals() {
         let rects = soup(21, 8);
         let chunks = RectChunks::from_rects(&rects);
         for probe in soup(9, 13) {
             for (i, r) in rects.iter().enumerate() {
-                let bit = chunks.y_overlap_mask(&probe, i / LANES) >> (i % LANES) & 1 == 1;
-                assert_eq!(bit, r.lo.y <= probe.hi.y && probe.lo.y <= r.hi.y);
+                let (reach, reach_y) = chunks.reach_y_mask(&probe, i / LANES);
+                let (reach, reach_y) = (reach >> (i % LANES) & 1, reach_y >> (i % LANES) & 1);
+                assert_eq!(reach == 1, r.lo.x <= probe.hi.x);
+                let y = r.lo.y <= probe.hi.y && probe.lo.y <= r.hi.y;
+                assert_eq!(reach_y == 1, reach == 1 && y);
+            }
+        }
+    }
+
+    /// The lane family (SSE2 on x86_64) equals the one-lane-at-a-time
+    /// loops on every lane, padding included, for every test — with
+    /// signed zeros, negative and infinite ε, and probes reaching `±∞`.
+    #[test]
+    fn lane_family_equals_scalar_lanes_padding_included() {
+        for n in [0, 1, 3, LANES - 1, LANES, 2 * LANES + 5] {
+            let chunks = RectChunks::from_rects(&soup(n, 17));
+            let mut probes = soup(13, 3);
+            probes.push(Rect {
+                lo: crate::Point {
+                    x: f64::NEG_INFINITY,
+                    y: f64::NEG_INFINITY,
+                },
+                hi: crate::Point {
+                    x: f64::INFINITY,
+                    y: f64::INFINITY,
+                },
+            });
+            for probe in probes {
+                let mut tests = vec![LaneTest::Overlap, LaneTest::ReachY];
+                if probe.lo.x.is_finite() {
+                    // `Within` probes are unexpanded, finite MBRs.
+                    for eps in [-1.0, -0.0, 0.0, 4.5, f64::INFINITY] {
+                        tests.push(LaneTest::Within(eps));
+                    }
+                }
+                for test in tests {
+                    for c in 0..chunks.num_chunks() {
+                        let lanes = chunks.lanes(c);
+                        assert_eq!(
+                            lane_masks(lanes, &probe, test),
+                            scalar_masks(lanes, &probe, test),
+                            "n={n} chunk={c} probe={probe:?}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -499,6 +644,7 @@ mod tests {
             ThetaOp::ContainedIn,
             ThetaOp::Adjacent,
             ThetaOp::WithinDistance(6.0),
+            ThetaOp::WithinDistance(f64::INFINITY),
             ThetaOp::WithinCenterDistance(-2.0),
             ThetaOp::ReachableWithin {
                 minutes: 3.0,

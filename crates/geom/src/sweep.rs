@@ -25,8 +25,17 @@
 //! filter regions that no bounded expansion covers; callers must keep a
 //! nested-loop fallback for them (`filter_radius` returns `None`).
 //!
-//! Coordinates are assumed finite (no NaN), which every generator and
-//! codec in this workspace guarantees.
+//! The radius ε may be `+∞` (`WithinDistance(∞)`): the left side's sweep
+//! rectangles then have `±∞` bounds and every pair is examined. MBR
+//! coordinates are finite (`Point::new` rejects anything else); a NaN
+//! sweep bound panics.
+//!
+//! The kernel sorts private state, never the caller's slices. The
+//! batched path sorts compact `(lo.x bits, key, index)` triples and
+//! gathers the items once, in that order, into SoA chunks; the scalar
+//! reference sorts a copy of the items under `partial_cmp`. Both orders
+//! are `(sweep.lo.x, key)`, and their buffers are thread-local scratch
+//! reused across calls, so a sweep allocates nothing once warm.
 
 use crate::rect::Rect;
 use crate::soa::{RectChunks, FULL_MASK, LANES};
@@ -96,10 +105,13 @@ pub const BATCH_MIN: usize = 2 * LANES;
 /// exact Θ-filter `theta.filter(&l.mbr, &r.mbr)` — the same candidate set
 /// a quadratic double loop over `left × right` would produce, provided
 /// the sweep rectangles cover the filter region (left side expanded by
-/// [`ThetaOp::filter_radius`], the contract of the ε-gap rule).
+/// [`ThetaOp::filter_radius`], the contract of the ε-gap rule). The
+/// radius may be `+∞` (`WithinDistance(∞)`): every pair is then
+/// examined.
 ///
-/// Both slices are sorted in place by `(sweep.lo.x, key)`; the tie-break
-/// on `key` makes the examination *and emission order deterministic* for
+/// The caller's slices are not reordered. Both sides are scanned in
+/// `(sweep.lo.x, key)` order, a private sorted copy; the tie-break on
+/// `key` makes the examination *and emission order deterministic* for
 /// a given input set, independent of the input order, so a join's pair
 /// order and counters depend on the data alone.
 ///
@@ -108,8 +120,8 @@ pub const BATCH_MIN: usize = 2 * LANES;
 /// either way. Returns the number of pairs examined by the scan
 /// (x-interval overlaps), the sweep's measure of Θ-filter work.
 pub fn sweep_candidates(
-    left: &mut [SweepItem],
-    right: &mut [SweepItem],
+    left: &[SweepItem],
+    right: &[SweepItem],
     theta: ThetaOp,
     emit: &mut impl FnMut(u32, u32),
 ) -> u64 {
@@ -127,8 +139,8 @@ pub fn sweep_candidates(
 /// which is what lets equivalence tests cover the batched path on
 /// arbitrary sizes including ragged tails.
 pub fn sweep_candidates_with(
-    left: &mut [SweepItem],
-    right: &mut [SweepItem],
+    left: &[SweepItem],
+    right: &[SweepItem],
     theta: ThetaOp,
     kernel: Kernel,
     emit: &mut impl FnMut(u32, u32),
@@ -136,19 +148,30 @@ pub fn sweep_candidates_with(
     if left.is_empty() || right.is_empty() {
         return 0;
     }
-    let by_lo_x =
-        |a: &SweepItem, b: &SweepItem| (a.sweep.lo.x, a.key).partial_cmp(&(b.sweep.lo.x, b.key));
-    left.sort_unstable_by(|a, b| by_lo_x(a, b).expect("finite coordinates"));
-    right.sort_unstable_by(|a, b| by_lo_x(a, b).expect("finite coordinates"));
-
+    // Take the scratch out for the duration of the sweep; a reentrant
+    // sweep from inside `emit` simply finds the slot empty and pays for
+    // its own transient pair.
+    let mut scratch = SCRATCH.with(|s| s.take()).unwrap_or_default();
+    let (ls, rs) = &mut *scratch;
     // The Θ-filter constant (ε, minutes·speed, …) is folded exactly once
     // per sweep — never per pair — on both kernel paths.
-    match (kernel, theta.mask_filter()) {
-        (Kernel::Batched, Some(mf)) => merge_batched(left, right, mf, emit),
-        (_, Some(mf)) => merge_scalar(left, right, &|a, b| mf.eval(a, b), emit),
-        // Directional operators keep the orientation-sensitive filter.
-        (_, None) => merge_scalar(left, right, &|a, b| theta.filter(a, b), emit),
-    }
+    let comparisons = match (kernel, theta.mask_filter()) {
+        (Kernel::Batched, Some(mf)) => {
+            ls.gather(left);
+            rs.gather(right);
+            merge_batched(ls, rs, mf, emit)
+        }
+        (_, filter) => {
+            let (l, r) = (ls.sorted_copy(left), rs.sorted_copy(right));
+            match filter {
+                Some(mf) => merge_scalar(l, r, &|a, b| mf.eval(a, b), emit),
+                // Directional operators keep the orientation-sensitive filter.
+                None => merge_scalar(l, r, &|a, b| theta.filter(a, b), emit),
+            }
+        }
+    };
+    SCRATCH.with(|s| s.set(Some(scratch)));
+    comparisons
 }
 
 /// The reference merge: scalar forward scans, one candidate at a time.
@@ -197,109 +220,148 @@ fn check(l: &SweepItem, r: &SweepItem, filter: &impl Fn(&Rect, &Rect) -> bool) -
     l.sweep.lo.y <= r.sweep.hi.y && r.sweep.lo.y <= l.sweep.hi.y && filter(&l.mbr, &r.mbr)
 }
 
-/// One sorted side transposed into SoA chunks: sweep rectangles drive
-/// the x-reach and y-overlap masks, original MBRs the Θ-filter mask,
-/// and `keys` maps surviving lanes back to caller handles.
+/// One side's sweep order and SoA chunks, reused across sweeps.
 #[derive(Default)]
 struct ChunkedSide {
+    /// The scalar kernel's sorted copy of the items.
+    items: Vec<SweepItem>,
+    /// The batched kernel's order: `(order_bits(sweep.lo.x), key, index
+    /// into the caller's slice)`, sorted.
+    order: Vec<(u64, u32, u32)>,
+    /// Sweep rectangles in `order`: the x-reach and y-overlap lanes.
     sweep: RectChunks,
+    /// Original MBRs in `order`: the Θ-filter lanes.
     mbr: RectChunks,
-    keys: Vec<u32>,
 }
 
 impl ChunkedSide {
-    /// Re-transposes `items` into this side, keeping prior allocations.
-    fn refill(&mut self, items: &[SweepItem]) {
+    /// The scalar kernel's ordering: a copy of `items` sorted by
+    /// `(sweep.lo.x, key)` under `partial_cmp`.
+    fn sorted_copy(&mut self, items: &[SweepItem]) -> &[SweepItem] {
+        self.items.clear();
+        self.items.extend_from_slice(items);
+        let by_lo_x = |a: &SweepItem, b: &SweepItem| {
+            let ord = (a.sweep.lo.x, a.key).partial_cmp(&(b.sweep.lo.x, b.key));
+            ord.expect("finite coordinates")
+        };
+        self.items.sort_unstable_by(by_lo_x);
+        &self.items
+    }
+
+    /// The batched kernel's ordering: sorts compact keys instead of
+    /// items, then transposes `items` into the chunks once, in that
+    /// order. `order_bits` compares as `f64` does, so this is the
+    /// scalar kernel's order.
+    fn gather(&mut self, items: &[SweepItem]) {
+        self.order.clear();
+        let key = |(i, it): (usize, &SweepItem)| (order_bits(it.sweep.lo.x), it.key, i as u32);
+        self.order.extend(items.iter().enumerate().map(key));
+        self.order.sort_unstable();
         self.sweep.clear();
         self.mbr.clear();
-        self.keys.clear();
-        for it in items {
+        for &(_, _, i) in &self.order {
+            let it = &items[i as usize];
             self.sweep.push(&it.sweep);
             self.mbr.push(&it.mbr);
-            self.keys.push(it.key);
         }
+    }
+
+    /// The gathered item at sorted position `pos` as a probe: its sweep
+    /// rectangle and MBR.
+    #[inline]
+    fn probe(&self, pos: usize) -> (Rect, Rect) {
+        (self.sweep.rect_at(pos), self.mbr.rect_at(pos))
+    }
+}
+
+/// Maps `x` to a `u64` whose unsigned order is `x`'s `f64` order. `-0.0`
+/// is folded to `+0.0` first (`partial_cmp` calls them equal, and the
+/// tie then falls to `key`). Panics on NaN, as `partial_cmp` does.
+#[inline]
+fn order_bits(x: f64) -> u64 {
+    assert!(!x.is_nan(), "finite coordinates");
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 
 std::thread_local! {
-    /// Per-thread chunk scratch, reused across sweeps. Tile-grained
-    /// callers (PBSM runs one sweep per tile) would otherwise pay a
-    /// fresh round of lane-array allocations per tile, which at a few
-    /// hundred tuples per tile is comparable to the mask savings.
-    static CHUNK_SCRATCH: std::cell::Cell<Option<Box<(ChunkedSide, ChunkedSide)>>> =
+    /// Per-thread sweep scratch, reused across sweeps. Tile-grained
+    /// callers (PBSM runs one sweep per tile) and the tree join (one
+    /// sweep per qualifying node pair) would otherwise pay a fresh round
+    /// of allocations per call, comparable to the sweep itself at a few
+    /// hundred items or fewer.
+    static SCRATCH: std::cell::Cell<Option<Box<(ChunkedSide, ChunkedSide)>>> =
         const { std::cell::Cell::new(None) };
 }
 
 /// The batched merge: same outer structure as [`merge_scalar`], but each
 /// inner forward scan walks whole chunks, testing [`LANES`] candidates
-/// per mask call.
+/// per mask call. Probes are read from the chunks too, in sorted order,
+/// so the merge never goes back to the caller's slices.
 fn merge_batched(
-    left: &[SweepItem],
-    right: &[SweepItem],
+    lc: &ChunkedSide,
+    rc: &ChunkedSide,
     mf: MaskFilter,
     emit: &mut impl FnMut(u32, u32),
 ) -> u64 {
-    // Take the scratch out for the duration of the merge; a reentrant
-    // sweep from inside `emit` simply finds the slot empty and pays for
-    // its own transient pair.
-    let mut scratch = CHUNK_SCRATCH.with(|s| s.take()).unwrap_or_default();
-    let (lc, rc) = &mut *scratch;
-    lc.refill(left);
-    rc.refill(right);
     let mut comparisons = 0u64;
     let (mut i, mut j) = (0usize, 0usize);
-    while i < left.len() && j < right.len() {
-        if left[i].sweep.lo.x <= right[j].sweep.lo.x {
-            let l = &left[i];
-            comparisons += scan_chunked(rc, j, l, mf, &mut |k| emit(l.key, k));
+    while i < lc.order.len() && j < rc.order.len() {
+        let ((l_lo, l_key, _), (r_lo, r_key, _)) = (lc.order[i], rc.order[j]);
+        if l_lo <= r_lo {
+            comparisons += scan_chunked(rc, j, lc.probe(i), mf, &mut |k| emit(l_key, k));
             i += 1;
         } else {
-            let r = &right[j];
-            comparisons += scan_chunked(lc, i, r, mf, &mut |k| emit(k, r.key));
+            comparisons += scan_chunked(lc, i, rc.probe(j), mf, &mut |k| emit(k, r_key));
             j += 1;
         }
     }
-    CHUNK_SCRATCH.with(|s| s.set(Some(scratch)));
     comparisons
 }
 
-/// One chunked forward scan: examines the candidates from index `start`
-/// whose `sweep.lo.x` reaches back into the probe's x-interval, exactly
-/// the pairs the scalar scan counts.
+/// One chunked forward scan: examines the candidates from position
+/// `start` whose `sweep.lo.x` reaches back into the probe's x-interval,
+/// exactly the pairs the scalar scan counts.
 ///
 /// Because the side is sorted by `lo.x`, the x-reach mask is always a
 /// prefix of the chunk; a partial mask therefore proves every later
-/// chunk fails too (padding lanes at the tail fail it by construction),
-/// so the scan never over- or under-counts relative to the scalar
-/// break. Survivors are emitted in ascending lane order — the scalar
-/// emission order.
+/// chunk fails too, so the scan never over- or under-counts relative to
+/// the scalar break, and the examined lanes are counted from that
+/// prefix. The last chunk's padding lanes are masked off explicitly: a
+/// probe whose `sweep.hi.x` is `+∞` reaches them. Survivors are emitted
+/// in ascending lane order — the scalar emission order.
 #[inline]
 fn scan_chunked(
     side: &ChunkedSide,
     start: usize,
-    probe: &SweepItem,
+    (probe_sweep, probe_mbr): (Rect, Rect),
     mf: MaskFilter,
     emit_key: &mut impl FnMut(u32),
 ) -> u64 {
     let mut comparisons = 0u64;
     let mut chunk = start / LANES;
+    let num_chunks = side.sweep.num_chunks();
+    let tail = FULL_MASK >> (num_chunks * LANES - side.order.len());
     // Lanes before `start` in the first chunk are already behind the
     // merge frontier and must not be re-examined.
     let mut live: u16 = FULL_MASK << (start % LANES) & FULL_MASK;
-    let num_chunks = side.sweep.num_chunks();
     while chunk < num_chunks {
-        let reach = side.sweep.x_reach_mask(probe.sweep.hi.x, chunk);
-        let scan = reach & live;
-        comparisons += u64::from(scan.count_ones());
-        if scan != 0 {
-            let pre = scan & side.sweep.y_overlap_mask(&probe.sweep, chunk);
-            if pre != 0 {
-                let mut hits = pre & side.mbr.filter_mask(&probe.mbr, mf, chunk);
-                while hits != 0 {
-                    let lane = hits.trailing_zeros() as usize;
-                    emit_key(side.keys[chunk * LANES + lane]);
-                    hits &= hits - 1;
-                }
+        if chunk + 1 == num_chunks {
+            live &= tail;
+        }
+        let (reach, reach_y) = side.sweep.reach_y_mask(&probe_sweep, chunk);
+        comparisons += u64::from(((reach & live) >> live.trailing_zeros()).trailing_ones());
+        let pre = reach_y & live;
+        if pre != 0 {
+            let mut hits = pre & side.mbr.filter_mask(&probe_mbr, mf, chunk);
+            while hits != 0 {
+                let lane = hits.trailing_zeros() as usize;
+                emit_key(side.order[chunk * LANES + lane].1);
+                hits &= hits - 1;
             }
         }
         if reach != FULL_MASK {
@@ -351,18 +413,18 @@ mod tests {
     }
 
     fn swept(l: &[Rect], r: &[Rect], theta: ThetaOp, eps: f64) -> (Vec<(u32, u32)>, u64) {
-        let mut left: Vec<SweepItem> = l
+        let left: Vec<SweepItem> = l
             .iter()
             .enumerate()
             .map(|(i, m)| SweepItem::expanded(i as u32, *m, eps))
             .collect();
-        let mut right: Vec<SweepItem> = r
+        let right: Vec<SweepItem> = r
             .iter()
             .enumerate()
             .map(|(j, m)| SweepItem::new(j as u32, *m))
             .collect();
         let mut pairs = Vec::new();
-        let cmp = sweep_candidates(&mut left, &mut right, theta, &mut |a, b| pairs.push((a, b)));
+        let cmp = sweep_candidates(&left, &right, theta, &mut |a, b| pairs.push((a, b)));
         pairs.sort_unstable();
         (pairs, cmp)
     }
@@ -377,6 +439,7 @@ mod tests {
             ThetaOp::ContainedIn,
             ThetaOp::Adjacent,
             ThetaOp::WithinDistance(8.0),
+            ThetaOp::WithinDistance(f64::INFINITY),
             ThetaOp::WithinCenterDistance(11.0),
             ThetaOp::ReachableWithin {
                 minutes: 3.0,
@@ -474,20 +537,19 @@ mod tests {
         eps: f64,
         kernel: Kernel,
     ) -> (Vec<(u32, u32)>, u64) {
-        let mut left: Vec<SweepItem> = l
+        let left: Vec<SweepItem> = l
             .iter()
             .enumerate()
             .map(|(i, m)| SweepItem::expanded(i as u32, *m, eps))
             .collect();
-        let mut right: Vec<SweepItem> = r
+        let right: Vec<SweepItem> = r
             .iter()
             .enumerate()
             .map(|(j, m)| SweepItem::new(j as u32, *m))
             .collect();
         let mut pairs = Vec::new();
-        let cmp = sweep_candidates_with(&mut left, &mut right, theta, kernel, &mut |a, b| {
-            pairs.push((a, b))
-        });
+        let cmp =
+            sweep_candidates_with(&left, &right, theta, kernel, &mut |a, b| pairs.push((a, b)));
         (pairs, cmp)
     }
 
@@ -503,6 +565,7 @@ mod tests {
             ThetaOp::ContainedIn,
             ThetaOp::Adjacent,
             ThetaOp::WithinDistance(8.0),
+            ThetaOp::WithinDistance(f64::INFINITY),
             ThetaOp::WithinCenterDistance(11.0),
             ThetaOp::ReachableWithin {
                 minutes: 3.0,
@@ -540,24 +603,25 @@ mod tests {
         let r = soup(50, 22);
         let theta = ThetaOp::WithinDistance(6.0);
         let eps = theta.filter_radius().unwrap();
-        let mut left: Vec<SweepItem> = l
+        let left: Vec<SweepItem> = l
             .iter()
             .enumerate()
             .map(|(i, m)| SweepItem::expanded(i as u32, *m, eps))
             .collect();
-        let mut right: Vec<SweepItem> = r
+        let right: Vec<SweepItem> = r
             .iter()
             .enumerate()
             .map(|(j, m)| SweepItem::new(j as u32, *m))
             .collect();
         let mut auto_pairs = Vec::new();
-        let auto_cmp = sweep_candidates(&mut left, &mut right, theta, &mut |a, b| {
-            auto_pairs.push((a, b))
-        });
+        let auto_cmp = sweep_candidates(&left, &right, theta, &mut |a, b| auto_pairs.push((a, b)));
         assert_eq!(
             (auto_pairs, auto_cmp),
             run_kernel(&l, &r, theta, eps, Kernel::Scalar)
         );
+        // Neither kernel reorders the caller's slices.
+        assert!(left.iter().map(|it| it.key).eq(0..50));
+        assert!(right.iter().map(|it| it.key).eq(0..50));
     }
 
     #[test]

@@ -280,11 +280,11 @@ pub(crate) fn filter_and_refine(
         // The Θ-filter is a forward-scan plane sweep over the tile's
         // lists, keyed by relation position; `filter_evals` counts its
         // comparisons, a pure function of the tile contents.
-        let mut sweep_r: Vec<SweepItem> = r_list
+        let sweep_r: Vec<SweepItem> = r_list
             .iter()
             .map(|&i| SweepItem::expanded(i, r_mbrs[i as usize].mbr, eps))
             .collect();
-        let mut sweep_s: Vec<SweepItem> = s_list
+        let sweep_s: Vec<SweepItem> = s_list
             .iter()
             .map(|&j| SweepItem::new(j, s_mbrs[j as usize].mbr))
             .collect();
@@ -295,7 +295,7 @@ pub(crate) fn filter_and_refine(
         // set, no further geometry fetches are attempted and the outcome
         // is discarded below.
         let mut first_err: Option<StorageError> = None;
-        let comparisons = sweep_candidates(&mut sweep_r, &mut sweep_s, theta, &mut |i, j| {
+        let comparisons = sweep_candidates(&sweep_r, &sweep_s, theta, &mut |i, j| {
             if first_err.is_some() {
                 return;
             }

@@ -20,13 +20,15 @@ use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 const WORLD: f64 = 128.0;
 
 /// Every bounded-filter operator (each row of Table 1 whose Θ-region is
-/// an ε-expanded rectangle intersection).
-const BOUNDED: [ThetaOp; 7] = [
+/// an ε-expanded rectangle intersection), plus an infinite radius: its
+/// sweep rectangles have `±∞` bounds.
+const BOUNDED: [ThetaOp; 8] = [
     ThetaOp::Overlaps,
     ThetaOp::Includes,
     ThetaOp::ContainedIn,
     ThetaOp::Adjacent,
     ThetaOp::WithinDistance(9.0),
+    ThetaOp::WithinDistance(f64::INFINITY),
     ThetaOp::WithinCenterDistance(14.0),
     ThetaOp::ReachableWithin {
         minutes: 4.0,
@@ -48,6 +50,37 @@ fn arb_rects() -> impl Strategy<Value = Vec<Rect>> {
     prop::collection::vec(arb_rect(), 0..60)
 }
 
+/// A coarse-lattice bound: a multiple of 4 in `[-8, 8]`, with zero drawn
+/// as `-0.0` or `+0.0`.
+fn arb_lattice_bound() -> impl Strategy<Value = f64> {
+    (-2i32..=2, any::<bool>()).prop_map(|(k, negative_zero)| {
+        if k == 0 && negative_zero {
+            -0.0
+        } else {
+            f64::from(k) * 4.0
+        }
+    })
+}
+
+/// Rectangles on the coarse lattice: equal `lo.x` values repeat within
+/// and across sides, and signed zeros meet on every bound.
+fn arb_lattice_rect() -> impl Strategy<Value = Rect> {
+    let b = arb_lattice_bound;
+    (b(), b(), b(), b()).prop_map(|(x0, x1, y0, y1)| {
+        let (lo_x, hi_x) = if x0 <= x1 { (x0, x1) } else { (x1, x0) };
+        let (lo_y, hi_y) = if y0 <= y1 { (y0, y1) } else { (y1, y0) };
+        Rect::from_bounds(lo_x, lo_y, hi_x, hi_y)
+    })
+}
+
+/// One side of a kernel test: the random soup or the tie-heavy lattice.
+fn arb_side() -> impl Strategy<Value = Vec<Rect>> {
+    prop_oneof![
+        arb_rects(),
+        prop::collection::vec(arb_lattice_rect(), 0..60)
+    ]
+}
+
 fn sorted(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     v.sort_unstable();
     v
@@ -58,8 +91,8 @@ proptest! {
 
     #[test]
     fn kernel_candidates_equal_quadratic_filter(
-        l in arb_rects(),
-        r in arb_rects(),
+        l in arb_side(),
+        r in arb_side(),
         theta_pick in 0usize..BOUNDED.len(),
     ) {
         let theta = BOUNDED[theta_pick];
@@ -75,19 +108,19 @@ proptest! {
         }
         want.sort_unstable();
 
-        let mut left: Vec<SweepItem> = l
+        let left: Vec<SweepItem> = l
             .iter()
             .enumerate()
             .map(|(i, m)| SweepItem::expanded(i as u32, *m, eps))
             .collect();
-        let mut right: Vec<SweepItem> = r
+        let right: Vec<SweepItem> = r
             .iter()
             .enumerate()
             .map(|(j, m)| SweepItem::new(j as u32, *m))
             .collect();
         let mut got: Vec<(u32, u32)> = Vec::new();
         let comparisons =
-            sweep_candidates(&mut left, &mut right, theta, &mut |a, b| got.push((a, b)));
+            sweep_candidates(&left, &right, theta, &mut |a, b| got.push((a, b)));
         let raw_len = got.len();
         got.sort_unstable();
         got.dedup();
@@ -153,13 +186,15 @@ proptest! {
 }
 
 /// Every θ-operator, including the directional one (which exercises the
-/// batched kernel's scalar fallback — [`ThetaOp::mask_filter`] is `None`).
-const ALL_OPS: [ThetaOp; 8] = [
+/// batched kernel's scalar fallback — [`ThetaOp::mask_filter`] is `None`)
+/// and an infinite radius.
+const ALL_OPS: [ThetaOp; 9] = [
     ThetaOp::Overlaps,
     ThetaOp::Includes,
     ThetaOp::ContainedIn,
     ThetaOp::Adjacent,
     ThetaOp::WithinDistance(9.0),
+    ThetaOp::WithinDistance(f64::INFINITY),
     ThetaOp::WithinCenterDistance(14.0),
     ThetaOp::ReachableWithin {
         minutes: 4.0,
@@ -173,20 +208,18 @@ const ALL_OPS: [ThetaOp; 8] = [
 /// count.
 fn run_kernel(l: &[Rect], r: &[Rect], theta: ThetaOp, kernel: Kernel) -> (Vec<(u32, u32)>, u64) {
     let eps = theta.filter_radius().unwrap_or(0.0);
-    let mut left: Vec<SweepItem> = l
+    let left: Vec<SweepItem> = l
         .iter()
         .enumerate()
         .map(|(i, m)| SweepItem::expanded(i as u32, *m, eps))
         .collect();
-    let mut right: Vec<SweepItem> = r
+    let right: Vec<SweepItem> = r
         .iter()
         .enumerate()
         .map(|(j, m)| SweepItem::new(j as u32, *m))
         .collect();
     let mut got: Vec<(u32, u32)> = Vec::new();
-    let cmp = sweep_candidates_with(&mut left, &mut right, theta, kernel, &mut |a, b| {
-        got.push((a, b))
-    });
+    let cmp = sweep_candidates_with(&left, &right, theta, kernel, &mut |a, b| got.push((a, b)));
     (got, cmp)
 }
 
@@ -199,8 +232,8 @@ proptest! {
     /// empty sides, and the directional fallback included.
     #[test]
     fn batched_kernel_emission_sequence_equals_scalar(
-        l in arb_rects(),
-        r in arb_rects(),
+        l in arb_side(),
+        r in arb_side(),
         theta_pick in 0usize..ALL_OPS.len(),
     ) {
         let theta = ALL_OPS[theta_pick];

@@ -106,13 +106,45 @@ pub struct SpatialColumn {
     pub(crate) index_fanout: usize,
 }
 
+/// A named join index and what it answers for: its sides
+/// (`r.col ⋈ s.col`), θ, and both tables' mutation sequences when it was
+/// built — the staleness tags, as for R-tree indices.
+pub(crate) struct NamedJoinIndex<I> {
+    pub(crate) index: I,
+    sides: String,
+    theta: ThetaOp,
+    built_at: (u64, u64),
+}
+
+impl<I> NamedJoinIndex<I> {
+    /// Panics unless the index answers `sides` under θ: it never answers
+    /// for other sides or another θ. False once either table moved.
+    fn is_current(&self, name: &str, (sides, seqs): (String, (u64, u64)), theta: ThetaOp) -> bool {
+        let built = (&self.sides, self.theta);
+        assert!(
+            built.0 == &sides,
+            "join index {name:?} was built for {}",
+            built.0
+        );
+        assert!(
+            built.1 == theta,
+            "join index {name:?} was built for θ = {:?}",
+            built.1
+        );
+        self.built_at == seqs
+    }
+}
+
+/// One side of a join: `(table, spatial column)`.
+pub(crate) type Side<'a> = (&'a str, &'a str);
+
 /// An in-process spatial database over the storage simulator.
 pub struct Database {
     pub(crate) pool: BufferPool,
     pub(crate) tables: HashMap<String, Table>,
-    pub(crate) join_indices: HashMap<String, (JoinIndex, String, String, String, String)>,
-    pub(crate) local_join_indices:
-        HashMap<String, (LocalJoinIndex, String, String, String, String)>,
+    pub(crate) join_indices: HashMap<String, NamedJoinIndex<JoinIndex>>,
+    /// Local join indices, with the tree level each is anchored at.
+    pub(crate) local_join_indices: HashMap<String, (NamedJoinIndex<LocalJoinIndex>, usize)>,
 }
 
 impl Database {
@@ -283,8 +315,8 @@ impl Database {
     }
 
     /// Inserts a row, returning its rowid. Spatial column files are
-    /// extended; R-tree indices become stale and are rebuilt lazily on the
-    /// next spatial query.
+    /// extended; R-tree and join indices become stale and are rebuilt
+    /// lazily on the next spatial query that uses them.
     pub fn insert(&mut self, table: &str, row: Tuple) -> u64 {
         let rowid = self.table(table).next_id;
         let outcomes = self.apply(
@@ -307,7 +339,8 @@ impl Database {
     /// insert ids, deletes of absent rowids, oversized tuples) report a
     /// typed outcome and leave the table untouched; applied operations
     /// keep every spatial column file in sync and advance the mutation
-    /// sequence so R-tree indices rebuild lazily on the next query.
+    /// sequence so R-tree and join indices rebuild lazily on the next
+    /// query that uses them.
     pub fn apply(&mut self, table: &str, ops: &[Mutation<Tuple>]) -> Vec<MutationOutcome> {
         let pool = &mut self.pool;
         let t = self
@@ -462,10 +495,19 @@ impl Database {
         sc.index = Some((tree_rel, t.mutation_seq));
     }
 
+    /// A join's sides and both tables' mutation sequences: what a join
+    /// index is tagged with.
+    fn join_tags(&self, (r_table, r_col): Side, (s_table, s_col): Side) -> (String, (u64, u64)) {
+        let seq = |t| self.table(t).mutation_seq;
+        let sides = format!("{r_table}.{r_col} ⋈ {s_table}.{s_col}");
+        (sides, (seq(r_table), seq(s_table)))
+    }
+
     /// Precomputes a named join index for
     /// `r_table.r_col θ s_table.s_col` (strategy III). The build cost — a
     /// full nested-loop pass — is charged to the I/O and returned
-    /// θ-evaluation counters.
+    /// θ-evaluation counters. The index answers only for these sides and
+    /// θ, and is rebuilt on first use after either table changes.
     pub fn create_join_index(
         &mut self,
         name: &str,
@@ -479,28 +521,39 @@ impl Database {
             !self.join_indices.contains_key(name),
             "join index {name:?} already exists"
         );
+        let (sides, built_at) = self.join_tags((r_table, r_col), (s_table, s_col));
         let pool = &mut self.pool;
         let r = &self.tables[r_table].spatial[r_col].column;
         let s = &self.tables[s_table].spatial[s_col].column;
-        let (idx, stats) = JoinIndex::try_build(pool, r, s, theta, 100)
+        let (index, stats) = JoinIndex::try_build(pool, r, s, theta, 100)
             .expect("storage fault during join index build");
-        self.join_indices.insert(
-            name.to_string(),
-            (
-                idx,
-                r_table.to_string(),
-                r_col.to_string(),
-                s_table.to_string(),
-                s_col.to_string(),
-            ),
-        );
+        let named = NamedJoinIndex {
+            index,
+            sides,
+            theta,
+            built_at,
+        };
+        self.join_indices.insert(name.to_string(), named);
         stats.theta_evals
+    }
+
+    /// Checks that the named join index answers `r ⋈_θ s`, and rebuilds
+    /// it if either table moved since it was built.
+    pub(crate) fn ensure_join_index(&mut self, name: &str, r: Side, s: Side, theta: ThetaOp) {
+        let named = self.join_indices.get(name);
+        let named = named.unwrap_or_else(|| panic!("no join index named {name:?}"));
+        if !named.is_current(name, self.join_tags(r, s), theta) {
+            self.join_indices.remove(name);
+            self.create_join_index(name, r.0, r.1, s.0, s.1, theta);
+        }
     }
 
     /// Precomputes a named **local** join index (the paper's §5 mixed
     /// strategy) anchored at tree level `level`, over the R-tree indices
     /// of both spatial columns (built on demand). Returns the number of
-    /// θ-evaluations spent — compare with the `N²` of a global index.
+    /// θ-evaluations spent — compare with the `N²` of a global index. Like
+    /// a global one, it answers only for its sides and θ and is rebuilt
+    /// on first use after either table changes.
     #[allow(clippy::too_many_arguments)] // mirrors the query surface: two (table, column) pairs + θ + level
     pub fn create_local_join_index(
         &mut self,
@@ -518,6 +571,7 @@ impl Database {
         );
         self.ensure_index(r_table, r_col);
         self.ensure_index(s_table, s_col);
+        let (sides, built_at) = self.join_tags((r_table, r_col), (s_table, s_col));
         let pool = &mut self.pool;
         let (r_tree, _) = self.tables[r_table].spatial[r_col]
             .index
@@ -527,19 +581,28 @@ impl Database {
             .index
             .as_ref()
             .expect("built above");
-        let (idx, stats) = LocalJoinIndex::try_build(pool, r_tree, s_tree, theta, level, 100)
+        let (index, stats) = LocalJoinIndex::try_build(pool, r_tree, s_tree, theta, level, 100)
             .expect("storage fault during local join index build");
-        self.local_join_indices.insert(
-            name.to_string(),
-            (
-                idx,
-                r_table.to_string(),
-                r_col.to_string(),
-                s_table.to_string(),
-                s_col.to_string(),
-            ),
-        );
+        let named = NamedJoinIndex {
+            index,
+            sides,
+            theta,
+            built_at,
+        };
+        self.local_join_indices
+            .insert(name.to_string(), (named, level));
         stats.theta_evals
+    }
+
+    /// [`Database::ensure_join_index`] for a named local join index.
+    pub(crate) fn ensure_local_join_index(&mut self, name: &str, r: Side, s: Side, theta: ThetaOp) {
+        let named = self.local_join_indices.get(name);
+        let (named, level) = named.unwrap_or_else(|| panic!("no local join index named {name:?}"));
+        if !named.is_current(name, self.join_tags(r, s), theta) {
+            let level = *level;
+            self.local_join_indices.remove(name);
+            self.create_local_join_index(name, r.0, r.1, s.0, s.1, theta, level);
+        }
     }
 
     /// The geometry of `table.column` for a given rowid (reads through the

@@ -106,7 +106,9 @@ impl Database {
 
         // 4. Execute.
         let strategy = if picked == Strategy::JoinIndex {
-            let name = format!("__auto:{r_table}.{r_col}:{s_table}.{s_col}");
+            // θ with its parameters is part of the name: an index built
+            // for one θ never answers another.
+            let name = format!("__auto:{r_table}.{r_col}:{s_table}.{s_col}:{theta:?}");
             if !self.join_indices.contains_key(&name) {
                 self.create_join_index(&name, r_table, r_col, s_table, s_col, theta);
             }
@@ -240,6 +242,57 @@ mod tests {
         let (plan2, pairs2) = db.spatial_join_auto("r", "loc", "s", "loc", theta, config);
         assert_eq!(plan.strategy, plan2.strategy);
         assert_eq!(pairs, pairs2);
+    }
+
+    /// Strategy III never answers from an index built for another θ or
+    /// an older table: the auto index is keyed by θ, and every join index
+    /// is rebuilt after either table changes.
+    #[test]
+    fn join_indices_never_answer_for_another_theta_or_an_older_table() {
+        // 400 lattice points against 401: one pair within 0.5, none within 0.1.
+        let mut db = grid_db(400, 107.3);
+        let near = |x: f64| {
+            vec![
+                Value::Int(-1),
+                Value::Spatial(Geometry::Point(Point::new(x, 0.0))),
+            ]
+        };
+        db.insert("s", near(0.2));
+        let config = PlannerConfig {
+            updates_per_query: 0.0,
+            samples: 4_000,
+            seed: 9,
+        };
+        let nested = |db: &mut Database, theta| {
+            let mut v =
+                db.spatial_join_ids("r", "loc", "s", "loc", theta, JoinStrategy::NestedLoop);
+            v.sort_unstable();
+            v
+        };
+        let auto = |db: &mut Database, theta| {
+            let (plan, mut pairs) = db.spatial_join_auto("r", "loc", "s", "loc", theta, config);
+            assert!(matches!(plan.strategy, JoinStrategy::JoinIndex { .. }));
+            pairs.sort_unstable();
+            pairs
+        };
+        let (wide, narrow) = (ThetaOp::WithinDistance(0.5), ThetaOp::WithinDistance(0.1));
+        db.create_join_index("named", "r", "loc", "s", "loc", wide);
+        assert_eq!(auto(&mut db, wide).len(), 1);
+        // Another θ: not answered from the 0.5 index.
+        assert_eq!(auto(&mut db, narrow), nested(&mut db, narrow));
+        assert!(nested(&mut db, narrow).is_empty());
+
+        // A second pair appears: both the auto and the named index see it.
+        db.insert("s", near(10.2));
+        let want = nested(&mut db, wide);
+        assert_eq!(want.len(), 2);
+        assert_eq!(auto(&mut db, wide), want);
+        let named = JoinStrategy::JoinIndex {
+            name: "named".into(),
+        };
+        let mut got = db.spatial_join_ids("r", "loc", "s", "loc", wide, named);
+        got.sort_unstable();
+        assert_eq!(got, want);
     }
 
     #[test]

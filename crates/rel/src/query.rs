@@ -156,29 +156,17 @@ impl Database {
                     .try_execute(&JoinRequest::new(theta), pool)
             }
             JoinStrategy::JoinIndex { name } => {
-                let (idx, ir, ic, is, isc) = self
-                    .join_indices
-                    .get(&name)
-                    .unwrap_or_else(|| panic!("no join index named {name:?}"));
-                assert!(
-                    ir == r_table && ic == r_col && is == s_table && isc == s_col,
-                    "join index {name:?} was built for {ir}.{ic} ⋈ {is}.{isc}"
-                );
+                self.ensure_join_index(&name, (r_table, r_col), (s_table, s_col), theta);
+                let idx = &self.join_indices[&name].index;
                 let pool = &mut self.pool;
                 let r = &self.tables[r_table].spatial[r_col].column;
                 let s = &self.tables[s_table].spatial[s_col].column;
                 idx.join(pool, r, s, &mut TraceSink::Null)
             }
             JoinStrategy::LocalJoinIndex { name } => {
-                let (idx, ir, ic, is, isc) = self
-                    .local_join_indices
-                    .get(&name)
-                    .unwrap_or_else(|| panic!("no local join index named {name:?}"));
-                assert!(
-                    ir == r_table && ic == r_col && is == s_table && isc == s_col,
-                    "local join index {name:?} was built for {ir}.{ic} ⋈ {is}.{isc}"
-                );
-                idx.join(&mut self.pool, &mut TraceSink::Null)
+                self.ensure_local_join_index(&name, (r_table, r_col), (s_table, s_col), theta);
+                let (idx, _) = &self.local_join_indices[&name];
+                idx.index.join(&mut self.pool, &mut TraceSink::Null)
             }
         };
         // The database's own pool carries no fault injector.
@@ -339,6 +327,21 @@ mod tests {
             JoinStrategy::JoinIndex {
                 name: "nope".into(),
             },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "was built for θ = WithinDistance(0.5)")]
+    fn join_index_for_another_theta_panics() {
+        let mut db = setup();
+        db.create_join_index("ab", "a", "loc", "b", "loc", ThetaOp::WithinDistance(0.5));
+        let _ = db.spatial_join_ids(
+            "a",
+            "loc",
+            "b",
+            "loc",
+            ThetaOp::WithinDistance(0.1),
+            JoinStrategy::JoinIndex { name: "ab".into() },
         );
     }
 }

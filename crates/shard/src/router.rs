@@ -421,7 +421,7 @@ impl ShardRouter {
             (0..side.len()).map(item).collect()
         };
         let eps = theta.filter_radius();
-        let (mut left, mut right) = (items(&r, eps.unwrap_or(0.0)), items(&s, 0.0));
+        let (left, right) = (items(&r, eps.unwrap_or(0.0)), items(&s, 0.0));
         let mut pairs = Vec::new();
         let mut refine = |i: u32, j: u32| {
             let ((r_id, r_geom), (s_id, s_geom)) = (r[i as usize], s[j as usize]);
@@ -430,7 +430,7 @@ impl ShardRouter {
             }
         };
         if eps.is_some() {
-            sweep_candidates(&mut left, &mut right, theta, &mut refine);
+            sweep_candidates(&left, &right, theta, &mut refine);
         } else {
             for l in &left {
                 for r in right.iter().filter(|r| theta.filter(&l.mbr, &r.mbr)) {

@@ -62,6 +62,38 @@ if [ "$markers" -ne 2 ]; then
 fi
 echo "    -> mask-kernel region is allocation-free"
 
+echo "==> unsafe gate (SSE2 lanes only, each unsafe justified)"
+# The mask kernels call their one SSE2 boundary (a #[target_feature]
+# function) from an unsafe block. Non-test code under crates/*/src and
+# src may use `unsafe` nowhere else: only inside soa.rs's mask-kernel
+# region, and only directly below a comment block holding a
+# `// SAFETY:` line. Comments are stripped before matching.
+unsafe_report=$(
+    find crates/*/src src -name '*.rs' | sort | while read -r f; do
+        awk -v soa="crates/geom/src/soa.rs" '
+            /^#\[cfg\(test\)\]/ { exit }
+            /mask-kernel-begin/ { region = 1 }
+            /mask-kernel-end/ { region = 0 }
+            {
+                code = $0
+                sub(/\/\/.*/, "", code)
+                if (code ~ /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/) {
+                    if (FILENAME == soa && region && safety) print "ok"
+                    else print "bad " FILENAME ":" FNR ": " $0
+                }
+                if ($0 ~ /^[ \t]*\/\/ SAFETY:/) safety = 1
+                else if ($0 !~ /^[ \t]*\/\//) safety = 0
+            }' "$f"
+    done
+)
+unsafe_bad=$(grep '^bad ' <<<"$unsafe_report" || true)
+if [ -n "$unsafe_bad" ]; then
+    echo "    unsafe outside the mask-kernel region or without a SAFETY comment:"
+    echo "${unsafe_bad//bad /}"
+    exit 1
+fi
+echo "    -> $(grep -c '^ok' <<<"$unsafe_report" || true) unsafe use(s), all justified in the mask-kernel region"
+
 echo "==> one edge-pair kernel gate (sj-geom walks two boundaries in one place)"
 # Ring validation and every polygon/polyline θ test their edge pairs
 # through `Chain` in segment.rs, which computes each orientation once and
