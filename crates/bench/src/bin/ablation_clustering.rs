@@ -50,7 +50,8 @@ fn main() {
     ];
     for (label, layout, cluster) in storages {
         let mut pool = BufferPool::new(Disk::new(DiskConfig::paper()), 4);
-        let paged = PagedTree::build(&mut pool, &tree, 300, layout, cluster, CodecMode::Exact);
+        let paged = PagedTree::try_build(&mut pool, &tree, 300, layout, cluster, CodecMode::Exact)
+            .expect("no injector is armed");
         let rel = TreeRelation {
             tree: tree.clone(),
             paged,

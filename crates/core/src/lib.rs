@@ -18,18 +18,19 @@
 //!
 //! ```
 //! use sj_core::workload::{self, WorkloadSpec};
-//! use sj_core::{Database, JoinStrategy, ThetaOp};
+//! use sj_core::{Database, Strategy, ThetaOp};
 //!
 //! let mut db = Database::in_memory();
-//! workload::load_house_lake(&mut db, 100, 5, 7);
+//! workload::load_house_lake(&mut db, 100, 5, 7)?;
 //! let pairs = db.spatial_join(
 //!     "house", "hlocation", "lake", "larea",
 //!     ThetaOp::WithinDistance(150.0),
-//!     JoinStrategy::GenTree,
-//! );
+//!     Strategy::Tree,
+//! )?;
 //! // Some houses are within 150 km of a lake in this synthetic map.
 //! assert!(!pairs.is_empty());
 //! let _ = WorkloadSpec::default();
+//! # Ok::<(), sj_core::DbError>(())
 //! ```
 
 pub mod experiment;
@@ -40,7 +41,7 @@ pub use sj_costmodel::{Distribution, ModelParams};
 pub use sj_gentree::{GenTree, NodeId};
 pub use sj_geom::{Bounded, Direction, Geometry, Point, Polygon, Polyline, Rect, ThetaOp};
 pub use sj_joins::advisor;
-pub use sj_joins::{ExecStats, JoinIndex, StoredRelation, TreeRelation};
-pub use sj_rel::{Column, Database, JoinStrategy, Schema, Tuple, Value, ValueType};
+pub use sj_joins::{ExecStats, JoinIndex, StoredRelation, Strategy, TreeRelation};
+pub use sj_rel::{Column, Database, DbError, Schema, TraversalOrder, Tuple, Value, ValueType};
 pub use sj_storage::{BufferPool, Disk, DiskConfig, HeapFile, IoStats, Layout};
 pub use sj_zorder::ZGrid;

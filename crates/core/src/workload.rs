@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sj_geom::{Geometry, Point, Polygon, Polyline, Rect};
-use sj_rel::{Column, Database, Schema, Value, ValueType};
+use sj_rel::{Column, Database, DbError, Schema, Value, ValueType};
 
 /// Shape of generated geometries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,7 +138,12 @@ fn random_point(rng: &mut StdRng, world: &Rect) -> Point {
 /// Loads the paper's `house(hid, hprice, hlocation)` and
 /// `lake(lid, name, larea)` relations into `db`, with `houses` point
 /// locations and `lakes` polygonal areas in a 1000×1000 km world.
-pub fn load_house_lake(db: &mut Database, houses: usize, lakes: usize, seed: u64) {
+pub fn load_house_lake(
+    db: &mut Database,
+    houses: usize,
+    lakes: usize,
+    seed: u64,
+) -> Result<(), DbError> {
     db.create_table(
         "house",
         Schema::new(vec![
@@ -147,7 +152,7 @@ pub fn load_house_lake(db: &mut Database, houses: usize, lakes: usize, seed: u64
             Column::new("hlocation", ValueType::Spatial),
         ]),
         300,
-    );
+    )?;
     db.create_table(
         "lake",
         Schema::new(vec![
@@ -156,7 +161,7 @@ pub fn load_house_lake(db: &mut Database, houses: usize, lakes: usize, seed: u64
             Column::new("larea", ValueType::Spatial),
         ]),
         300,
-    );
+    )?;
     let world = Rect::from_bounds(0.0, 0.0, 1000.0, 1000.0);
     let mut rng = StdRng::seed_from_u64(seed);
     let house_geoms = generate(
@@ -178,7 +183,7 @@ pub fn load_house_lake(db: &mut Database, houses: usize, lakes: usize, seed: u64
         db.insert(
             "house",
             vec![Value::Int(i as i64), Value::Float(price), Value::Spatial(g)],
-        );
+        )?;
     }
     let lake_geoms = generate(
         &WorkloadSpec {
@@ -199,8 +204,9 @@ pub fn load_house_lake(db: &mut Database, houses: usize, lakes: usize, seed: u64
                 Value::Str(format!("Lake {i}")),
                 Value::Spatial(g),
             ],
-        );
+        )?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -278,13 +284,13 @@ mod tests {
     #[test]
     fn house_lake_scenario_loads() {
         let mut db = Database::in_memory();
-        load_house_lake(&mut db, 50, 4, 9);
-        assert_eq!(db.row_count("house"), 50);
-        assert_eq!(db.row_count("lake"), 4);
+        load_house_lake(&mut db, 50, 4, 9).unwrap();
+        assert_eq!(db.row_count("house"), Ok(50));
+        assert_eq!(db.row_count("lake"), Ok(4));
         // Lakes are polygons, houses are points.
-        let lake_row = db.get("lake", 0);
+        let lake_row = db.get("lake", 0).unwrap().unwrap();
         assert!(matches!(lake_row[2], Value::Spatial(Geometry::Polygon(_))));
-        let house_row = db.get("house", 0);
+        let house_row = db.get("house", 0).unwrap().unwrap();
         assert!(matches!(house_row[2], Value::Spatial(Geometry::Point(_))));
     }
 }

@@ -10,11 +10,10 @@
 //! and recommends a strategy. A Monte-Carlo selectivity estimator supplies
 //! `p` when only the data is known.
 //!
-//! The workspace's one optimizer: the service's `Auto` ([`auto_chooser`]),
-//! the router's feedback loop ([`AdaptiveAdvisor`]) and `sj-rel`'s planner
-//! all choose the head of [`recommend`]'s scoreboard
-//! ([`choose_join_strategy`]) and sample through
-//! [`try_estimate_selectivity`].
+//! The workspace's one optimizer: the service's `Auto` ([`auto_chooser`])
+//! and `sj-rel`'s planner sample, score and pick through [`try_pick`];
+//! the router's feedback loop ([`AdaptiveAdvisor`]) starts from the same
+//! scoreboard head ([`choose_join_strategy`]).
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -174,15 +173,55 @@ pub fn choose_join_strategy(profile: &WorkloadProfile) -> Strategy {
     recommend(profile).0.strategy()
 }
 
+/// What [`try_pick`] chose for one join, and the numbers it chose by.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pick {
+    /// The scoreboard head's executor strategy.
+    pub strategy: Strategy,
+    /// The sampled selectivity the scoreboard was priced at.
+    pub selectivity: f64,
+    /// The head's model cost: query plus amortized update cost.
+    pub cost: f64,
+}
+
+/// The one sample-score-pick step behind `Auto`: estimates θ's
+/// selectivity over `(r, s)` by seeded sampling — charged through the
+/// pool like any other I/O — prices `base` at that estimate and picks
+/// the head of [`recommend`]'s scoreboard. An empty operand makes every
+/// join empty, so it picks strategy I without sampling or scoring (cost
+/// 0); empty operands are routine under sharding, where a shard may own
+/// no slice of one side. Deterministic for a fixed seed. A storage fault
+/// while sampling surfaces as a typed error, never as a bogus pick.
+pub fn try_pick(
+    pool: &mut BufferPool,
+    base: WorkloadProfile,
+    (r, s): (&StoredRelation, &StoredRelation),
+    theta: ThetaOp,
+    samples: usize,
+    seed: u64,
+) -> Result<Pick, StorageError> {
+    if r.is_empty() || s.is_empty() {
+        return Ok(Pick {
+            strategy: Strategy::NestedLoop,
+            selectivity: 0.0,
+            cost: 0.0,
+        });
+    }
+    let mut profile = base;
+    profile.operation = Operation::Join;
+    profile.selectivity = try_estimate_selectivity(pool, r, s, theta, samples, seed)?;
+    let (best, ranked) = recommend(&profile);
+    Ok(Pick {
+        strategy: best.strategy(),
+        selectivity: profile.selectivity,
+        cost: ranked[0].total(profile.updates_per_query),
+    })
+}
+
 /// Builds the closure for
 /// [`JoinOperands::with_chooser`](crate::JoinOperands::with_chooser):
-/// per request it estimates the operator's selectivity by seeded
-/// sampling over `(r, s)` — charged through the pool like any other I/O
-/// — then scores the §4 candidates via [`choose_join_strategy`].
-/// Deterministic for a fixed seed, so repeated identical requests
-/// resolve identically. Because sampling performs real page reads, the
-/// chooser is fallible: a storage fault during estimation surfaces as a
-/// typed error rather than a bogus recommendation.
+/// per request it names [`try_pick`]'s strategy for the operator over
+/// `(r, s)`, so repeated identical requests resolve identically.
 pub fn auto_chooser<'a>(
     base: WorkloadProfile,
     r: &'a StoredRelation,
@@ -190,19 +229,7 @@ pub fn auto_chooser<'a>(
     samples: usize,
     seed: u64,
 ) -> impl Fn(ThetaOp, &mut BufferPool) -> Result<Strategy, StorageError> + 'a {
-    move |theta, pool| {
-        if r.is_empty() || s.is_empty() {
-            // An empty operand makes every join empty — dispatch the
-            // universally-applicable strategy I without estimating or
-            // scoring. Empty operands are routine under sharding, where a
-            // shard may own no slice of one side.
-            return Ok(Strategy::NestedLoop);
-        }
-        let mut profile = base;
-        profile.operation = Operation::Join;
-        profile.selectivity = try_estimate_selectivity(pool, r, s, theta, samples, seed)?;
-        Ok(choose_join_strategy(&profile))
-    }
+    move |theta, pool| Ok(try_pick(pool, base, (r, s), theta, samples, seed)?.strategy)
 }
 
 /// Online feedback for `Strategy::Auto`: the §4 cost model predicts, the

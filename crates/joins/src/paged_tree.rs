@@ -64,19 +64,19 @@ impl PagedTree {
     /// [`CodecMode::Quantized`] pass a `record_size` sized for the v2
     /// frames (see [`PagedTree::quant_record_size`]).
     ///
+    /// The first storage fault aborts the load with a typed error.
+    ///
     /// # Panics
     ///
-    /// Panics on a node that does not fit `record_size` or a storage
-    /// fault during the load — builders run on a pool the caller has just
-    /// created, before any injector is armed.
-    pub fn build(
+    /// Panics on a node that does not fit `record_size`.
+    pub fn try_build(
         pool: &mut BufferPool,
         tree: &GenTree,
         record_size: usize,
         layout: Layout,
         cluster: ClusterOrder,
         mode: CodecMode,
-    ) -> Self {
+    ) -> Result<Self, StorageError> {
         let order = match cluster {
             ClusterOrder::BreadthFirst => tree.bfs_order(),
             ClusterOrder::DepthFirst => tree.dfs_order(),
@@ -84,14 +84,13 @@ impl PagedTree {
         let max_slot = order.iter().map(|n| n.index()).max().unwrap_or(0);
         let file = HeapFile::bulk_load_with(pool, record_size, order.len(), layout, |i| {
             encode_node(tree, order[i], record_size, mode)
-        })
-        .unwrap_or_else(|e| panic!("stored tree build failed: {e}")); // PANIC-OK: see # Panics
+        })?;
         let mut record = vec![file.rid(0); max_slot + 1];
         for (i, node) in order.iter().enumerate() {
             record[node.index()] = file.rid(i);
         }
         let record = record.into_iter().collect();
-        PagedTree { file, record, mode }
+        Ok(PagedTree { file, record, mode })
     }
 
     /// The smallest record size that fits every node of `tree` as a v2
@@ -161,17 +160,20 @@ pub struct TreeRelation {
 
 impl TreeRelation {
     /// Stores `tree` with the given record size and layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a storage fault during the load — this constructor and
+    /// [`TreeRelation::new_compressed`] run on a pool the caller has just
+    /// created, before any injector is armed. A build that must survive
+    /// faults assembles the relation from [`PagedTree::try_build`].
     pub fn new(
         pool: &mut BufferPool,
         tree: impl Into<Arc<GenTree>>,
         record_size: usize,
         layout: Layout,
     ) -> Self {
-        let tree = tree.into();
-        let (cluster, mode) = (ClusterOrder::BreadthFirst, CodecMode::Exact);
-        let paged = PagedTree::build(pool, &tree, record_size, layout, cluster, mode);
-        let flat = FlatChildren::build(&tree);
-        TreeRelation { tree, paged, flat }
+        Self::store(pool, tree.into(), record_size, layout, CodecMode::Exact)
     }
 
     /// Stores `tree` with v2 quantized node records sized to the tree's
@@ -179,7 +181,8 @@ impl TreeRelation {
     /// below `min_record_size` (pass 0 for pure auto-sizing; services
     /// that evolve the tree pass their mutation-guard bound so appended
     /// nodes always fit): same match sets from every tree executor,
-    /// fewer pages and physical reads per traversal.
+    /// fewer pages and physical reads per traversal. Panics as
+    /// [`TreeRelation::new`] does.
     pub fn new_compressed(
         pool: &mut BufferPool,
         tree: impl Into<Arc<GenTree>>,
@@ -188,8 +191,19 @@ impl TreeRelation {
     ) -> Self {
         let tree = tree.into();
         let record_size = PagedTree::quant_record_size(&tree).max(min_record_size);
-        let (cluster, mode) = (ClusterOrder::BreadthFirst, CodecMode::Quantized);
-        let paged = PagedTree::build(pool, &tree, record_size, layout, cluster, mode);
+        Self::store(pool, tree, record_size, layout, CodecMode::Quantized)
+    }
+
+    fn store(
+        pool: &mut BufferPool,
+        tree: Arc<GenTree>,
+        record_size: usize,
+        layout: Layout,
+        mode: CodecMode,
+    ) -> Self {
+        let cluster = ClusterOrder::BreadthFirst;
+        let paged = PagedTree::try_build(pool, &tree, record_size, layout, cluster, mode)
+            .unwrap_or_else(|e| panic!("stored tree build failed: {e}")); // PANIC-OK: see new
         let flat = FlatChildren::build(&tree);
         TreeRelation { tree, paged, flat }
     }
@@ -294,7 +308,7 @@ mod tests {
     /// Exact records in breadth-first order.
     fn build(p: &mut BufferPool, tree: &GenTree, layout: Layout) -> PagedTree {
         let (cluster, mode) = (ClusterOrder::BreadthFirst, CodecMode::Exact);
-        PagedTree::build(p, tree, 300, layout, cluster, mode)
+        PagedTree::try_build(p, tree, 300, layout, cluster, mode).unwrap()
     }
 
     /// The round trip of a stored node: a charged record read through
@@ -370,7 +384,8 @@ mod tests {
         // Tiny pool: only matching traversal order stays sequential.
         let mut p = BufferPool::new(Disk::new(DiskConfig::paper()), 2);
         let (cluster, mode) = (ClusterOrder::DepthFirst, CodecMode::Exact);
-        let pt = PagedTree::build(&mut p, &tree, 300, Layout::Clustered, cluster, mode);
+        let pt =
+            PagedTree::try_build(&mut p, &tree, 300, Layout::Clustered, cluster, mode).unwrap();
         p.clear();
         p.reset_stats();
         for node in tree.dfs_order() {

@@ -1,162 +1,245 @@
 //! The database: disk-backed tables with spatial secondary structures.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use sj_gentree::rtree::{RTree, RTreeConfig};
+use sj_gentree::FlatChildren;
 use sj_geom::{Geometry, ThetaOp};
-use sj_joins::{
-    JoinIndex, LocalJoinIndex, Mutation, MutationOutcome, StoredRelation, TreeRelation,
-};
-use sj_storage::{BufferPool, Disk, DiskConfig, HeapFile, IoStats, Layout};
+use sj_joins::{ClusterOrder, CodecMode, JoinIndex, PagedTree, TreeRelation};
+use sj_joins::{JoinRun, Mutation, MutationOutcome, StoredRelation, TraceSink};
+use sj_storage::StorageError;
+use sj_storage::{BufferPool, Disk, DiskConfig, FaultInjector, HeapFile, IoStats, Layout};
 
+use crate::error::{DbError, Result};
 use crate::schema::Schema;
-use crate::tuple::{decode_tuple, encode_tuple, Tuple};
+use crate::tuple::{decode_tuple, encode_tuple, encoded_tuple_len, Tuple};
+use crate::value::{Value, ValueType};
 
 /// A stored table: the row file plus, per spatial column, a column file
 /// (the `(rowid, geometry)` projection used by the join executors) and an
 /// optional R-tree generalization tree.
-pub struct Table {
+pub(crate) struct Table {
     pub(crate) schema: Schema,
-    record_size: usize,
-    file: HeapFile,
+    pub(crate) record_size: usize,
+    pub(crate) file: HeapFile,
     /// Live rowid → physical heap slot. Deletes drop the entry; upserts
     /// of an existing rowid redirect it to a freshly appended slot, so a
     /// rowid survives any number of rewrites.
-    live: BTreeMap<u64, usize>,
+    pub(crate) live: BTreeMap<u64, usize>,
     /// Next rowid handed out by [`Database::insert`]; never reused.
-    next_id: u64,
-    /// Bumped once per applied mutation — the staleness tag spatial
-    /// indices are checked against (a delete changes the live set
-    /// without changing the row count, so counting rows is not enough).
-    mutation_seq: u64,
-    pub(crate) spatial: HashMap<String, SpatialColumn>,
-}
-
-impl Table {
-    pub(crate) fn record_size(&self) -> usize {
-        self.record_size
-    }
-
-    pub(crate) fn row_count(&self) -> usize {
-        self.live.len()
-    }
-
-    pub(crate) fn file(&self) -> &HeapFile {
-        &self.file
-    }
-
-    pub(crate) fn live_entries(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
-        self.live.iter().map(|(&id, &slot)| (id, slot))
-    }
-
-    pub(crate) fn next_id(&self) -> u64 {
-        self.next_id
-    }
-
-    pub(crate) fn mutation_seq(&self) -> u64 {
-        self.mutation_seq
-    }
-
-    /// Shared insert/upsert path: screens oversized tuples, appends the
-    /// physical record, redirects the rowid to the fresh slot, and syncs
-    /// every spatial column file.
-    fn apply_write(
-        pool: &mut BufferPool,
-        t: &mut Table,
-        id: u64,
-        row: &Tuple,
-        replace: bool,
-    ) -> MutationOutcome {
-        t.schema.check_row(row);
-        if crate::tuple::encoded_tuple_len(row) > t.record_size {
-            return MutationOutcome::TooLarge;
-        }
-        let slot = t
-            .file
-            .try_append(pool, encode_tuple(row, t.record_size))
-            .expect("storage fault during row append");
-        t.live.insert(id, slot);
-        for (col, sc) in &mut t.spatial {
-            let idx = t.schema.expect_column(col);
-            let g = row[idx].as_spatial().expect("validated spatial column");
-            if replace {
-                sc.column
-                    .try_replace(pool, id, g)
-                    .expect("storage fault during upsert");
-            } else {
-                sc.column
-                    .try_insert(pool, id, g)
-                    .expect("storage fault during insert");
-            }
-        }
-        t.mutation_seq += 1;
-        MutationOutcome::Inserted
-    }
+    pub(crate) next_id: u64,
+    /// Bumped once per applied mutation: the staleness tag of R-trees and
+    /// join indices (a delete moves the live set, not always the count).
+    pub(crate) mutation_seq: u64,
+    /// One per spatial column, in schema order.
+    pub(crate) spatial: Vec<SpatialColumn>,
 }
 
 /// Secondary structures of one spatial column.
-pub struct SpatialColumn {
+pub(crate) struct SpatialColumn {
+    pub(crate) name: String,
     /// `(rowid, geometry)` projection, stored as its own file.
     pub(crate) column: StoredRelation,
-    /// R-tree index, tagged with the table's mutation sequence at build
-    /// time so stale indices are rebuilt transparently.
-    pub(crate) index: Option<(TreeRelation, u64)>,
+    /// R-tree index, tagged with the table's mutation sequence when built.
+    index: Option<(TreeRelation, u64)>,
     /// Layout and fan-out requested for the index.
-    pub(crate) index_layout: Layout,
+    index_layout: Layout,
     pub(crate) index_fanout: usize,
 }
 
-/// A named join index and what it answers for: its sides
-/// (`r.col ⋈ s.col`), θ, and both tables' mutation sequences when it was
-/// built — the staleness tags, as for R-tree indices.
-pub(crate) struct NamedJoinIndex<I> {
-    pub(crate) index: I,
-    sides: String,
-    theta: ThetaOp,
-    built_at: (u64, u64),
-}
+impl SpatialColumn {
+    pub(crate) fn new(name: String, column: StoredRelation) -> Self {
+        SpatialColumn {
+            name,
+            column,
+            index: None,
+            index_layout: Layout::Clustered,
+            index_fanout: 10,
+        }
+    }
 
-impl<I> NamedJoinIndex<I> {
-    /// Panics unless the index answers `sides` under θ: it never answers
-    /// for other sides or another θ. False once either table moved.
-    fn is_current(&self, name: &str, (sides, seqs): (String, (u64, u64)), theta: ThetaOp) -> bool {
-        let built = (&self.sides, self.theta);
-        assert!(
-            built.0 == &sides,
-            "join index {name:?} was built for {}",
-            built.0
-        );
-        assert!(
-            built.1 == theta,
-            "join index {name:?} was built for θ = {:?}",
-            built.1
-        );
-        self.built_at == seqs
+    /// The R-tree [`Database::ensure_index`] built.
+    pub(crate) fn tree(&self) -> &TreeRelation {
+        let built = self.index.as_ref().map(|(tree, _)| tree);
+        built.expect("ensure_index runs first") // PANIC-OK: every caller ensures the index
     }
 }
 
 /// One side of a join: `(table, spatial column)`.
 pub(crate) type Side<'a> = (&'a str, &'a str);
 
+/// The catalog, by table name (ordered, so a saved catalog is too).
+pub(crate) type Tables = BTreeMap<String, Table>;
+
+/// A table by name.
+pub(crate) fn table<'a>(tables: &'a Tables, name: &str) -> Result<&'a Table> {
+    let found = tables.get(name);
+    found.ok_or_else(|| DbError::UnknownTable(name.to_string()))
+}
+
+fn table_mut<'a>(tables: &'a mut Tables, name: &str) -> Result<&'a mut Table> {
+    let found = tables.get_mut(name);
+    found.ok_or_else(|| DbError::UnknownTable(name.to_string()))
+}
+
+/// Both sides' spatial columns.
+pub(crate) fn sides<'a>(tables: &'a Tables, r: Side, s: Side) -> Result<[&'a SpatialColumn; 2]> {
+    Ok([column(tables, r)?, column(tables, s)?])
+}
+
+/// A spatial column by `(table, column)`.
+pub(crate) fn column<'a>(tables: &'a Tables, (name, col): Side) -> Result<&'a SpatialColumn> {
+    let t = table(tables, name)?;
+    let found = t.spatial.iter().find(|sc| sc.name == col);
+    found.ok_or_else(|| t.no_spatial((name, col)))
+}
+
+impl Table {
+    fn spatial_mut(&mut self, side: Side) -> Result<&mut SpatialColumn> {
+        match self.spatial.iter().position(|sc| sc.name == side.1) {
+            Some(i) => Ok(&mut self.spatial[i]),
+            None => Err(self.no_spatial(side)),
+        }
+    }
+
+    /// Why `side` names no spatial column of this table.
+    fn no_spatial(&self, (name, col): Side) -> DbError {
+        match self.schema.index_of(col) {
+            Some(_) => DbError::SchemaMismatch(format!("{name}.{col} is not a spatial column")),
+            None => DbError::UnknownColumn(format!("{name}.{col}")),
+        }
+    }
+
+    fn read_row(&self, pool: &mut BufferPool, slot: usize) -> Result<Tuple> {
+        let bytes = pool.try_read_record(&self.file, self.file.rid(slot));
+        decode_tuple(bytes.map_err(DbError::during("row read"))?, &self.schema)
+    }
+
+    /// Builds `side`'s R-tree if it is missing or older than the table.
+    fn ensure_index(&mut self, pool: &mut BufferPool, side: Side) -> Result<()> {
+        let (seq, record_size) = (self.mutation_seq, self.record_size);
+        let sc = self.spatial_mut(side)?;
+        if matches!(sc.index, Some((_, built_at)) if built_at == seq) {
+            return Ok(());
+        }
+        let during = DbError::during("R-tree build");
+        let entries = sc.column.try_scan(pool).map_err(&during)?;
+        let rtree = RTree::bulk_load(RTreeConfig::with_fanout(sc.index_fanout), entries);
+        let tree = Arc::clone(rtree.shared_tree());
+        let (bfs, exact) = (ClusterOrder::BreadthFirst, CodecMode::Exact);
+        let paged = PagedTree::try_build(pool, &tree, record_size, sc.index_layout, bfs, exact);
+        let paged = paged.map_err(during)?;
+        let flat = FlatChildren::build(&tree);
+        sc.index = Some((TreeRelation { tree, paged, flat }, seq));
+        Ok(())
+    }
+
+    /// Applies a batch. An operation's writes all run before `live` and
+    /// `mutation_seq` move; `landed` reports whether any write landed.
+    fn apply(
+        &mut self,
+        pool: &mut BufferPool,
+        ops: &[Mutation<Tuple>],
+        landed: &mut bool,
+    ) -> Result<Vec<MutationOutcome>> {
+        for op in ops {
+            if let Mutation::Insert { value, .. } | Mutation::Upsert { value, .. } = op {
+                self.schema.check_row(value)?;
+            }
+        }
+        let mut outcomes = Vec::with_capacity(ops.len());
+        for op in ops {
+            let (id, live) = (op.id(), self.live.contains_key(&op.id()));
+            let outcome = match op {
+                Mutation::Insert { .. } if live => MutationOutcome::DuplicateId,
+                Mutation::Delete { .. } if !live => MutationOutcome::MissingId,
+                Mutation::Insert { value, .. } => self.write_row(pool, id, value, false, landed)?,
+                Mutation::Upsert { value, .. } => {
+                    match self.write_row(pool, id, value, live, landed)? {
+                        MutationOutcome::Inserted => MutationOutcome::Upserted { replaced: live },
+                        other => other,
+                    }
+                }
+                Mutation::Delete { .. } => {
+                    for sc in &mut self.spatial {
+                        write(landed, sc.column.try_delete(pool, id))?;
+                    }
+                    self.live.remove(&id);
+                    self.mutation_seq += 1;
+                    MutationOutcome::Deleted
+                }
+            };
+            if outcome.applied() {
+                self.next_id = self.next_id.max(id + 1);
+            }
+            outcomes.push(outcome);
+        }
+        Ok(outcomes)
+    }
+
+    /// Insert/upsert: appends the record and syncs every spatial column
+    /// file, then redirects the rowid to the fresh slot.
+    fn write_row(
+        &mut self,
+        pool: &mut BufferPool,
+        id: u64,
+        row: &Tuple,
+        replace: bool,
+        landed: &mut bool,
+    ) -> Result<MutationOutcome> {
+        if encoded_tuple_len(row) > self.record_size {
+            return Ok(MutationOutcome::TooLarge);
+        }
+        let record = encode_tuple(row, self.record_size);
+        let slot = write(landed, self.file.try_append(pool, record))?;
+        // `check_row` put a geometry in each spatial column, in schema order.
+        let geometries = row.iter().filter_map(Value::as_spatial);
+        for (sc, g) in self.spatial.iter_mut().zip(geometries) {
+            let written = match replace {
+                true => sc.column.try_replace(pool, id, g),
+                false => sc.column.try_insert(pool, id, g),
+            };
+            write(landed, written)?;
+        }
+        self.live.insert(id, slot);
+        self.mutation_seq += 1;
+        Ok(MutationOutcome::Inserted)
+    }
+}
+
+/// One write of `apply`: once one lands, a later fault disagrees with it.
+fn write<T>(landed: &mut bool, result: Result<T, StorageError>) -> Result<T> {
+    let out = result.map_err(DbError::during("apply"))?;
+    *landed = true;
+    Ok(out)
+}
+
+/// Strategy III's precomputed index for one θ-join, and what it answers
+/// for: its sides (`r.col ⋈ s.col`), θ, and both tables' mutation
+/// sequences when it was built — the staleness tags, as for R-trees.
+struct JoinIndexSlot {
+    sides: [String; 4],
+    theta: ThetaOp,
+    built_at: (u64, u64),
+    index: JoinIndex,
+}
+
 /// An in-process spatial database over the storage simulator.
 pub struct Database {
     pub(crate) pool: BufferPool,
-    pub(crate) tables: HashMap<String, Table>,
-    pub(crate) join_indices: HashMap<String, NamedJoinIndex<JoinIndex>>,
-    /// Local join indices, with the tree level each is anchored at.
-    pub(crate) local_join_indices: HashMap<String, (NamedJoinIndex<LocalJoinIndex>, usize)>,
+    pub(crate) tables: Tables,
+    /// One join index per (sides, θ).
+    join_indices: Vec<JoinIndexSlot>,
+    /// Set when an `apply` faulted after part of its batch landed.
+    poisoned: bool,
 }
 
 impl Database {
     /// Creates a database on a fresh simulated disk with `mem_pages`
     /// buffer-pool frames.
     pub fn new(config: DiskConfig, mem_pages: usize) -> Self {
-        Database {
-            pool: BufferPool::new(Disk::new(config), mem_pages),
-            tables: HashMap::new(),
-            join_indices: HashMap::new(),
-            local_join_indices: HashMap::new(),
-        }
+        Database::from_pool(BufferPool::new(Disk::new(config), mem_pages))
     }
 
     /// A database with the paper's disk geometry and a 256-page pool —
@@ -169,70 +252,20 @@ impl Database {
     pub(crate) fn from_pool(pool: BufferPool) -> Self {
         Database {
             pool,
-            tables: HashMap::new(),
-            join_indices: HashMap::new(),
-            local_join_indices: HashMap::new(),
+            tables: BTreeMap::new(),
+            join_indices: Vec::new(),
+            poisoned: false,
         }
     }
 
-    /// The simulated disk behind the pool (for persistence).
-    pub(crate) fn pool_disk(&self) -> &sj_storage::Disk {
-        self.pool.disk()
+    /// [`DbError::Poisoned`] once a half-applied batch poisoned the database.
+    pub(crate) fn usable(&self) -> Result<()> {
+        (!self.poisoned).then_some(()).ok_or(DbError::Poisoned)
     }
 
-    /// The pool's page capacity (persisted so reopening restores `M`).
-    pub(crate) fn pool_capacity(&self) -> usize {
-        self.pool.capacity()
-    }
-
-    /// Installs a fully reconstructed table (used by [`Database::open`]);
-    /// errors on duplicates or schema/catalog mismatches.
-    #[allow(clippy::too_many_arguments)] // mirrors the persisted catalog record
-    pub(crate) fn install_table(
-        &mut self,
-        name: String,
-        schema: Schema,
-        record_size: usize,
-        live: BTreeMap<u64, usize>,
-        next_id: u64,
-        mutation_seq: u64,
-        file: HeapFile,
-        spatial: Vec<(String, StoredRelation)>,
-    ) -> Result<(), String> {
-        if self.tables.contains_key(&name) {
-            return Err(format!("duplicate table {name:?} in catalog"));
-        }
-        let mut spatial_map = HashMap::new();
-        for (col, column) in spatial {
-            if schema.index_of(&col).is_none() {
-                return Err(format!("catalog column {col:?} missing from schema"));
-            }
-            if column.len() != live.len() {
-                return Err(format!("spatial column {col:?} length mismatch"));
-            }
-            spatial_map.insert(
-                col,
-                SpatialColumn {
-                    column,
-                    index: None,
-                    index_layout: Layout::Clustered,
-                    index_fanout: 10,
-                },
-            );
-        }
-        self.tables.insert(
-            name,
-            Table {
-                schema,
-                record_size,
-                file,
-                live,
-                next_id,
-                mutation_seq,
-                spatial: spatial_map,
-            },
-        );
-        Ok(())
+    fn table(&self, name: &str) -> Result<&Table> {
+        self.usable()?;
+        table(&self.tables, name)
     }
 
     /// Physical/logical I/O counters accumulated so far.
@@ -250,88 +283,76 @@ impl Database {
         self.pool.clear();
     }
 
-    /// Creates an empty table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the name is taken.
-    pub fn create_table(&mut self, name: &str, schema: Schema, record_size: usize) {
-        assert!(
-            !self.tables.contains_key(name),
-            "table {name:?} already exists"
-        );
-        let file = HeapFile::bulk_load(&mut self.pool, record_size, 0, Layout::Clustered)
-            .expect("storage fault during table creation");
-        let mut spatial = HashMap::new();
-        for c in schema.columns() {
-            if c.ty == crate::value::ValueType::Spatial {
-                let column =
-                    StoredRelation::build(&mut self.pool, &[], record_size, Layout::Clustered);
-                spatial.insert(
-                    c.name.clone(),
-                    SpatialColumn {
-                        column,
-                        index: None,
-                        index_layout: Layout::Clustered,
-                        index_fanout: 10,
-                    },
-                );
-            }
+    /// Test hook: arms (or disarms) a fault injector on the database's
+    /// disk. Every later physical read, write and allocation draws from
+    /// it.
+    #[doc(hidden)]
+    pub fn set_fault_injector(&mut self, injector: Option<FaultInjector>) {
+        self.pool.set_fault_injector(injector);
+    }
+
+    /// Creates an empty table; a [`DbError::SchemaMismatch`] if the name
+    /// is taken or a `record_size`-byte record does not fit a page.
+    pub fn create_table(&mut self, name: &str, schema: Schema, record_size: usize) -> Result<()> {
+        self.usable()?;
+        if self.tables.contains_key(name) {
+            let why = format!("table {name:?} already exists");
+            return Err(DbError::SchemaMismatch(why));
         }
-        self.tables.insert(
-            name.to_string(),
-            Table {
-                schema,
-                record_size,
-                file,
-                live: BTreeMap::new(),
-                next_id: 0,
-                mutation_seq: 0,
-                spatial,
-            },
-        );
-    }
-
-    fn table(&self, name: &str) -> &Table {
-        self.tables
-            .get(name)
-            .unwrap_or_else(|| panic!("no table named {name:?}"))
-    }
-
-    fn table_mut(&mut self, name: &str) -> &mut Table {
-        self.tables
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("no table named {name:?}"))
+        if record_size == 0 || record_size > self.pool.config().effective_capacity() {
+            let why = format!("a {record_size}-byte record does not fit a page");
+            return Err(DbError::SchemaMismatch(why));
+        }
+        let pool = &mut self.pool;
+        let mut empty_file = || {
+            let file = HeapFile::bulk_load(pool, record_size, 0, Layout::Clustered);
+            file.map_err(DbError::during("table creation"))
+        };
+        let file = empty_file()?;
+        let mut spatial = Vec::new();
+        let spatial_columns = schema
+            .columns()
+            .iter()
+            .filter(|c| c.ty == ValueType::Spatial);
+        for c in spatial_columns {
+            let column = StoredRelation::from_parts(empty_file()?, Vec::new(), Vec::new());
+            spatial.push(SpatialColumn::new(c.name.clone(), column));
+        }
+        let table = Table {
+            schema,
+            record_size,
+            file,
+            live: BTreeMap::new(),
+            next_id: 0,
+            mutation_seq: 0,
+            spatial,
+        };
+        self.tables.insert(name.to_string(), table);
+        Ok(())
     }
 
     /// The schema of a table.
-    pub fn schema(&self, table: &str) -> &Schema {
-        &self.table(table).schema
+    pub fn schema(&self, table: &str) -> Result<&Schema> {
+        Ok(&self.table(table)?.schema)
     }
 
     /// Number of rows in a table.
-    pub fn row_count(&self, table: &str) -> usize {
-        self.table(table).row_count()
+    pub fn row_count(&self, table: &str) -> Result<usize> {
+        Ok(self.table(table)?.live.len())
     }
 
     /// Inserts a row, returning its rowid. Spatial column files are
     /// extended; R-tree and join indices become stale and are rebuilt
     /// lazily on the next spatial query that uses them.
-    pub fn insert(&mut self, table: &str, row: Tuple) -> u64 {
-        let rowid = self.table(table).next_id;
-        let outcomes = self.apply(
-            table,
-            &[Mutation::Insert {
-                id: rowid,
-                value: row,
-            }],
-        );
-        assert_eq!(
-            outcomes,
-            vec![MutationOutcome::Inserted],
-            "insert of a fresh rowid cannot be rejected"
-        );
-        rowid
+    pub fn insert(&mut self, table: &str, row: Tuple) -> Result<u64> {
+        let id = self.table(table)?.next_id;
+        match self.apply(table, &[Mutation::Insert { id, value: row }])?[..] {
+            [MutationOutcome::Inserted] => Ok(id),
+            _ => {
+                let why = format!("the row does not fit {table:?}'s record size");
+                Err(DbError::SchemaMismatch(why))
+            }
+        }
     }
 
     /// Applies a batch of typed mutations to a table, returning one
@@ -339,285 +360,167 @@ impl Database {
     /// insert ids, deletes of absent rowids, oversized tuples) report a
     /// typed outcome and leave the table untouched; applied operations
     /// keep every spatial column file in sync and advance the mutation
-    /// sequence so R-tree and join indices rebuild lazily on the next
-    /// query that uses them.
-    pub fn apply(&mut self, table: &str, ops: &[Mutation<Tuple>]) -> Vec<MutationOutcome> {
-        let pool = &mut self.pool;
-        let t = self
-            .tables
-            .get_mut(table)
-            .unwrap_or_else(|| panic!("no table named {table:?}"));
-        let mut outcomes = Vec::with_capacity(ops.len());
-        for op in ops {
-            let outcome = match op {
-                Mutation::Insert { id, value } => {
-                    if t.live.contains_key(id) {
-                        MutationOutcome::DuplicateId
-                    } else {
-                        Table::apply_write(pool, t, *id, value, false)
-                    }
-                }
-                Mutation::Delete { id } => {
-                    if t.live.remove(id).is_none() {
-                        MutationOutcome::MissingId
-                    } else {
-                        for sc in t.spatial.values_mut() {
-                            sc.column
-                                .try_delete(pool, *id)
-                                .expect("storage fault during delete");
-                        }
-                        t.mutation_seq += 1;
-                        MutationOutcome::Deleted
-                    }
-                }
-                Mutation::Upsert { id, value } => {
-                    let replaced = t.live.contains_key(id);
-                    match Table::apply_write(pool, t, *id, value, replaced) {
-                        MutationOutcome::Inserted => MutationOutcome::Upserted { replaced },
-                        other => other,
-                    }
-                }
-            };
-            if outcome.applied() {
-                t.next_id = t.next_id.max(op.id() + 1);
-            }
-            outcomes.push(outcome);
-        }
-        outcomes
+    /// sequence so R-tree and join indices rebuild lazily on next use.
+    /// A row that does not fit the schema fails the batch before any
+    /// write. A storage fault fails it too, and poisons the database if
+    /// an earlier write of the batch had landed: every later call then
+    /// returns [`DbError::Poisoned`].
+    pub fn apply(&mut self, table: &str, ops: &[Mutation<Tuple>]) -> Result<Vec<MutationOutcome>> {
+        self.usable()?;
+        let t = table_mut(&mut self.tables, table)?;
+        let mut landed = false;
+        let result = t.apply(&mut self.pool, ops, &mut landed);
+        self.poisoned = result.is_err() && landed;
+        result
     }
 
-    /// Reads one live row by rowid.
-    pub fn get(&mut self, table: &str, rowid: u64) -> Tuple {
-        let t = self
-            .tables
-            .get(table)
-            .unwrap_or_else(|| panic!("no table named {table:?}"));
-        let &slot = t
-            .live
-            .get(&rowid)
-            .unwrap_or_else(|| panic!("rowid {rowid} out of range"));
-        let bytes = self
-            .pool
-            .try_read_record(&t.file, t.file.rid(slot))
-            .expect("storage fault during row read");
-        decode_tuple(bytes, &t.schema)
+    /// Reads one row by rowid: `None` if it is not live.
+    pub fn get(&mut self, table: &str, rowid: u64) -> Result<Option<Tuple>> {
+        self.usable()?;
+        let t = self::table(&self.tables, table)?;
+        let slot = t.live.get(&rowid);
+        slot.map(|&slot| t.read_row(&mut self.pool, slot))
+            .transpose()
+    }
+
+    /// A row the join or select executors returned: live by construction.
+    pub(crate) fn row(&mut self, table: &str, rowid: u64) -> Result<Tuple> {
+        let row = self.get(table, rowid)?;
+        row.ok_or_else(|| DbError::Corrupt(format!("rowid {rowid} of {table:?} is not live")))
     }
 
     /// Full scan of a table's live rows, in rowid order. Deleted rows
     /// and superseded upsert slots are invisible.
-    pub fn scan(&mut self, table: &str) -> Vec<(u64, Tuple)> {
-        let t = self
-            .tables
-            .get(table)
-            .unwrap_or_else(|| panic!("no table named {table:?}"));
-        t.live
-            .iter()
-            .map(|(&id, &slot)| {
-                let bytes = self
-                    .pool
-                    .try_read_record(&t.file, t.file.rid(slot))
-                    .expect("storage fault during table scan");
-                (id, decode_tuple(bytes, &t.schema))
-            })
+    pub fn scan(&mut self, table: &str) -> Result<Vec<(u64, Tuple)>> {
+        self.usable()?;
+        let t = self::table(&self.tables, table)?;
+        let rows = t.live.iter();
+        rows.map(|(&id, &slot)| Ok((id, t.read_row(&mut self.pool, slot)?)))
             .collect()
     }
 
     /// Scalar selection: all rows satisfying `pred`.
-    pub fn select(&mut self, table: &str, pred: impl Fn(&Tuple) -> bool) -> Vec<(u64, Tuple)> {
-        self.scan(table)
-            .into_iter()
-            .filter(|(_, row)| pred(row))
-            .collect()
+    pub fn select(
+        &mut self,
+        table: &str,
+        pred: impl Fn(&Tuple) -> bool,
+    ) -> Result<Vec<(u64, Tuple)>> {
+        let rows = self.scan(table)?.into_iter();
+        Ok(rows.filter(|(_, row)| pred(row)).collect())
     }
 
     /// Projection of rows onto the named columns (the relational π; the
     /// paper applies it after joins to strip redundant columns).
-    pub fn project(schema: &Schema, rows: &[Tuple], columns: &[&str]) -> (Schema, Vec<Tuple>) {
-        let idxs: Vec<usize> = columns.iter().map(|c| schema.expect_column(c)).collect();
-        let out_schema = schema.project(columns);
-        let out_rows = rows
+    pub fn project(schema: &Schema, rows: &[Tuple], cols: &[&str]) -> Result<(Schema, Vec<Tuple>)> {
+        let out_schema = schema.project(cols)?;
+        let idxs = cols
             .iter()
-            .map(|r| idxs.iter().map(|&i| r[i].clone()).collect())
-            .collect();
-        (out_schema, out_rows)
+            .map(|c| schema.column(c))
+            .collect::<Result<Vec<_>>>()?;
+        let short = || DbError::SchemaMismatch("a row is shorter than its schema".into());
+        let project = |r: &Tuple| {
+            idxs.iter()
+                .map(|&i| r.get(i).cloned())
+                .collect::<Option<_>>()
+        };
+        let out_rows = rows.iter().map(|r| project(r).ok_or_else(short));
+        Ok((out_schema, out_rows.collect::<Result<_>>()?))
     }
 
     /// Declares (and builds) an R-tree index on a spatial column with the
-    /// given generalization-tree fan-out and storage layout — the choice
-    /// between the paper's strategies IIa (`Unclustered`) and IIb
-    /// (`Clustered`).
+    /// given generalization-tree fan-out (at least 2) and storage layout
+    /// — the choice between the paper's strategies IIa (`Unclustered`)
+    /// and IIb (`Clustered`).
     pub fn create_spatial_index(
         &mut self,
         table: &str,
         column: &str,
         fanout: usize,
         layout: Layout,
-    ) {
-        {
-            let t = self.table_mut(table);
-            let sc = t
-                .spatial
-                .get_mut(column)
-                .unwrap_or_else(|| panic!("no spatial column {column:?} on {table:?}"));
-            sc.index_fanout = fanout;
-            sc.index_layout = layout;
-            sc.index = None;
+    ) -> Result<()> {
+        if fanout < 2 {
+            let why = format!("an R-tree needs a fan-out of at least 2, not {fanout}");
+            return Err(DbError::SchemaMismatch(why));
         }
-        self.ensure_index(table, column);
+        self.usable()?;
+        let sc = table_mut(&mut self.tables, table)?.spatial_mut((table, column))?;
+        (sc.index_fanout, sc.index_layout, sc.index) = (fanout, layout, None);
+        self.ensure_index((table, column))
     }
 
     /// Rebuilds the R-tree for `table.column` if missing or stale.
-    pub(crate) fn ensure_index(&mut self, table: &str, column: &str) {
-        let needs = {
-            let t = self.table(table);
-            let sc = t
-                .spatial
-                .get(column)
-                .unwrap_or_else(|| panic!("no spatial column {column:?} on {table:?}"));
-            match &sc.index {
-                Some((_, built_at)) => *built_at != t.mutation_seq,
-                None => true,
-            }
-        };
-        if !needs {
-            return;
-        }
-        let pool = &mut self.pool;
-        let t = self.tables.get_mut(table).expect("checked above");
-        let record_size = t.record_size;
-        let sc = t.spatial.get_mut(column).expect("checked above");
-        let entries = sc
-            .column
-            .try_scan(pool)
-            .expect("storage fault during index build");
-        let rt = RTree::bulk_load(RTreeConfig::with_fanout(sc.index_fanout), entries);
-        let tree_rel = TreeRelation::new(pool, rt.tree().clone(), record_size, sc.index_layout);
-        sc.index = Some((tree_rel, t.mutation_seq));
+    pub(crate) fn ensure_index(&mut self, side: Side) -> Result<()> {
+        self.usable()?;
+        table_mut(&mut self.tables, side.0)?.ensure_index(&mut self.pool, side)
     }
 
-    /// A join's sides and both tables' mutation sequences: what a join
-    /// index is tagged with.
-    fn join_tags(&self, (r_table, r_col): Side, (s_table, s_col): Side) -> (String, (u64, u64)) {
-        let seq = |t| self.table(t).mutation_seq;
-        let sides = format!("{r_table}.{r_col} ⋈ {s_table}.{s_col}");
-        (sides, (seq(r_table), seq(s_table)))
-    }
-
-    /// Precomputes a named join index for
-    /// `r_table.r_col θ s_table.s_col` (strategy III). The build cost — a
-    /// full nested-loop pass — is charged to the I/O and returned
-    /// θ-evaluation counters. The index answers only for these sides and
-    /// θ, and is rebuilt on first use after either table changes.
+    /// Precomputes strategy III's join index for
+    /// `r_table.r_col θ s_table.s_col`, charging the build — a full
+    /// nested-loop pass — to the I/O counters. The index answers only
+    /// for these sides and θ, and is rebuilt on first use after either
+    /// table changes. Without this call the first
+    /// [`Strategy::JoinIndex`](sj_joins::Strategy::JoinIndex) query
+    /// builds it.
     pub fn create_join_index(
         &mut self,
-        name: &str,
         r_table: &str,
         r_col: &str,
         s_table: &str,
         s_col: &str,
         theta: ThetaOp,
-    ) -> u64 {
-        assert!(
-            !self.join_indices.contains_key(name),
-            "join index {name:?} already exists"
-        );
-        let (sides, built_at) = self.join_tags((r_table, r_col), (s_table, s_col));
-        let pool = &mut self.pool;
-        let r = &self.tables[r_table].spatial[r_col].column;
-        let s = &self.tables[s_table].spatial[s_col].column;
-        let (index, stats) = JoinIndex::try_build(pool, r, s, theta, 100)
-            .expect("storage fault during join index build");
-        let named = NamedJoinIndex {
-            index,
-            sides,
+    ) -> Result<()> {
+        self.join_index((r_table, r_col), (s_table, s_col), theta)?;
+        Ok(())
+    }
+
+    /// The slot of the join index answering `r ⋈_θ s`, built if it is
+    /// missing or either table moved since it was built.
+    fn join_index(&mut self, r: Side, s: Side, theta: ThetaOp) -> Result<usize> {
+        self.usable()?;
+        let [rc, sc] = sides(&self.tables, r, s)?;
+        let seq = |name| table(&self.tables, name).map(|t| t.mutation_seq);
+        let built_at = (seq(r.0)?, seq(s.0)?);
+        let key = [r.0, r.1, s.0, s.1];
+        let slots = &mut self.join_indices;
+        let same = |j: &JoinIndexSlot| j.sides == key && j.theta == theta;
+        let at = slots.iter().position(same);
+        if let Some(i) = at.filter(|&i| slots[i].built_at == built_at) {
+            return Ok(i);
+        }
+        let build = JoinIndex::try_build(&mut self.pool, &rc.column, &sc.column, theta, 100);
+        let (index, _) = build.map_err(DbError::during("join-index build"))?;
+        let slot = JoinIndexSlot {
+            sides: key.map(String::from),
             theta,
             built_at,
-        };
-        self.join_indices.insert(name.to_string(), named);
-        stats.theta_evals
-    }
-
-    /// Checks that the named join index answers `r ⋈_θ s`, and rebuilds
-    /// it if either table moved since it was built.
-    pub(crate) fn ensure_join_index(&mut self, name: &str, r: Side, s: Side, theta: ThetaOp) {
-        let named = self.join_indices.get(name);
-        let named = named.unwrap_or_else(|| panic!("no join index named {name:?}"));
-        if !named.is_current(name, self.join_tags(r, s), theta) {
-            self.join_indices.remove(name);
-            self.create_join_index(name, r.0, r.1, s.0, s.1, theta);
-        }
-    }
-
-    /// Precomputes a named **local** join index (the paper's §5 mixed
-    /// strategy) anchored at tree level `level`, over the R-tree indices
-    /// of both spatial columns (built on demand). Returns the number of
-    /// θ-evaluations spent — compare with the `N²` of a global index. Like
-    /// a global one, it answers only for its sides and θ and is rebuilt
-    /// on first use after either table changes.
-    #[allow(clippy::too_many_arguments)] // mirrors the query surface: two (table, column) pairs + θ + level
-    pub fn create_local_join_index(
-        &mut self,
-        name: &str,
-        r_table: &str,
-        r_col: &str,
-        s_table: &str,
-        s_col: &str,
-        theta: ThetaOp,
-        level: usize,
-    ) -> u64 {
-        assert!(
-            !self.local_join_indices.contains_key(name),
-            "local join index {name:?} already exists"
-        );
-        self.ensure_index(r_table, r_col);
-        self.ensure_index(s_table, s_col);
-        let (sides, built_at) = self.join_tags((r_table, r_col), (s_table, s_col));
-        let pool = &mut self.pool;
-        let (r_tree, _) = self.tables[r_table].spatial[r_col]
-            .index
-            .as_ref()
-            .expect("built above");
-        let (s_tree, _) = self.tables[s_table].spatial[s_col]
-            .index
-            .as_ref()
-            .expect("built above");
-        let (index, stats) = LocalJoinIndex::try_build(pool, r_tree, s_tree, theta, level, 100)
-            .expect("storage fault during local join index build");
-        let named = NamedJoinIndex {
             index,
-            sides,
-            theta,
-            built_at,
         };
-        self.local_join_indices
-            .insert(name.to_string(), (named, level));
-        stats.theta_evals
-    }
-
-    /// [`Database::ensure_join_index`] for a named local join index.
-    pub(crate) fn ensure_local_join_index(&mut self, name: &str, r: Side, s: Side, theta: ThetaOp) {
-        let named = self.local_join_indices.get(name);
-        let (named, level) = named.unwrap_or_else(|| panic!("no local join index named {name:?}"));
-        if !named.is_current(name, self.join_tags(r, s), theta) {
-            let level = *level;
-            self.local_join_indices.remove(name);
-            self.create_local_join_index(name, r.0, r.1, s.0, s.1, theta, level);
+        match at {
+            Some(i) => slots[i] = slot,
+            None => slots.push(slot),
         }
+        Ok(at.unwrap_or(slots.len() - 1))
     }
 
-    /// The geometry of `table.column` for a given rowid (reads through the
-    /// column file).
-    pub fn geometry(&mut self, table: &str, column: &str, rowid: u64) -> Geometry {
-        let t = self
-            .tables
-            .get(table)
-            .unwrap_or_else(|| panic!("no table named {table:?}"));
-        let sc = t
-            .spatial
-            .get(column)
-            .unwrap_or_else(|| panic!("no spatial column {column:?} on {table:?}"));
+    /// Strategy III: answers `r ⋈_θ s` from its join index.
+    pub(crate) fn index_join(&mut self, r: Side, s: Side, theta: ThetaOp) -> Result<JoinRun> {
+        let i = self.join_index(r, s, theta)?;
+        let [rc, sc] = sides(&self.tables, r, s)?;
+        let index = &self.join_indices[i].index;
+        let run = index.join(&mut self.pool, &rc.column, &sc.column, &mut TraceSink::Null);
+        run.map_err(DbError::during("join"))
+    }
+
+    /// The geometry of `table.column` for a rowid, read through the
+    /// column file: `None` if the row is not live.
+    pub fn geometry(&mut self, table: &str, column: &str, rowid: u64) -> Result<Option<Geometry>> {
+        self.usable()?;
+        let sc = self::column(&self.tables, (table, column))?;
+        if !self::table(&self.tables, table)?.live.contains_key(&rowid) {
+            return Ok(None);
+        }
         let read = sc.column.try_read_by_id(&mut self.pool, rowid);
-        read.expect("storage fault during geometry read").1
+        Ok(Some(read.map_err(DbError::during("geometry read"))?.1))
     }
 }
 
@@ -625,8 +528,8 @@ impl Database {
 mod tests {
     use super::*;
     use crate::schema::Column;
-    use crate::value::{Value, ValueType};
     use sj_geom::Point;
+    use sj_joins::Strategy;
 
     fn db_with_points(n: usize) -> Database {
         let mut db = Database::in_memory();
@@ -637,7 +540,8 @@ mod tests {
                 Column::new("loc", ValueType::Spatial),
             ]),
             300,
-        );
+        )
+        .unwrap();
         for i in 0..n {
             db.insert(
                 "pts",
@@ -645,7 +549,8 @@ mod tests {
                     Value::Int(i as i64),
                     Value::Spatial(Geometry::Point(Point::new(i as f64, 0.0))),
                 ],
-            );
+            )
+            .unwrap();
         }
         db
     }
@@ -653,10 +558,11 @@ mod tests {
     #[test]
     fn insert_get_scan() {
         let mut db = db_with_points(10);
-        assert_eq!(db.row_count("pts"), 10);
-        let row = db.get("pts", 7);
+        assert_eq!(db.row_count("pts"), Ok(10));
+        let row = db.get("pts", 7).unwrap().unwrap();
         assert_eq!(row[0], Value::Int(7));
-        let all = db.scan("pts");
+        assert_eq!(db.get("pts", 70), Ok(None));
+        let all = db.scan("pts").unwrap();
         assert_eq!(all.len(), 10);
         assert_eq!(all[3].0, 3);
     }
@@ -665,10 +571,11 @@ mod tests {
     fn select_and_project() {
         let mut db = db_with_points(10);
         let rows = db.select("pts", |r| r[0].as_int().unwrap() % 2 == 0);
+        let rows = rows.unwrap();
         assert_eq!(rows.len(), 5);
         let tuples: Vec<Tuple> = rows.into_iter().map(|(_, t)| t).collect();
-        let schema = db.schema("pts").clone();
-        let (ps, prows) = Database::project(&schema, &tuples, &["id"]);
+        let schema = db.schema("pts").unwrap().clone();
+        let (ps, prows) = Database::project(&schema, &tuples, &["id"]).unwrap();
         assert_eq!(ps.arity(), 1);
         assert_eq!(prows[0], vec![Value::Int(0)]);
     }
@@ -676,7 +583,8 @@ mod tests {
     #[test]
     fn stale_index_is_rebuilt() {
         let mut db = db_with_points(20);
-        db.create_spatial_index("pts", "loc", 4, Layout::Clustered);
+        db.create_spatial_index("pts", "loc", 4, Layout::Clustered)
+            .unwrap();
         // Insert after building → stale.
         db.insert(
             "pts",
@@ -684,10 +592,11 @@ mod tests {
                 Value::Int(999),
                 Value::Spatial(Geometry::Point(Point::new(100.0, 100.0))),
             ],
-        );
-        db.ensure_index("pts", "loc");
+        )
+        .unwrap();
+        db.ensure_index(("pts", "loc")).unwrap();
         let t = &db.tables["pts"];
-        let (tree_rel, built_at) = t.spatial["loc"].index.as_ref().unwrap();
+        let (tree_rel, built_at) = t.spatial[0].index.as_ref().unwrap();
         assert_eq!(*built_at, 21);
         assert_eq!(tree_rel.tree.entry_nodes().len(), 21);
     }
@@ -701,25 +610,27 @@ mod tests {
                 Value::Spatial(Geometry::Point(Point::new(x, 0.0))),
             ]
         };
-        let outcomes = db.apply(
-            "pts",
-            &[
-                Mutation::Insert {
-                    id: 2,
-                    value: row(2, 9.0),
-                }, // duplicate rowid
-                Mutation::Delete { id: 99 }, // absent rowid
-                Mutation::Delete { id: 1 },  // applies
-                Mutation::Upsert {
-                    id: 3,
-                    value: row(33, 30.0),
-                }, // replaces
-                Mutation::Upsert {
-                    id: 7,
-                    value: row(7, 70.0),
-                }, // fresh insert
-            ],
-        );
+        let outcomes = db
+            .apply(
+                "pts",
+                &[
+                    Mutation::Insert {
+                        id: 2,
+                        value: row(2, 9.0),
+                    }, // duplicate rowid
+                    Mutation::Delete { id: 99 }, // absent rowid
+                    Mutation::Delete { id: 1 },  // applies
+                    Mutation::Upsert {
+                        id: 3,
+                        value: row(33, 30.0),
+                    }, // replaces
+                    Mutation::Upsert {
+                        id: 7,
+                        value: row(7, 70.0),
+                    }, // fresh insert
+                ],
+            )
+            .unwrap();
         assert_eq!(
             outcomes,
             vec![
@@ -730,32 +641,34 @@ mod tests {
                 MutationOutcome::Upserted { replaced: false },
             ]
         );
-        assert_eq!(db.row_count("pts"), 4); // 4 - 1 deleted + 1 upsert-insert
-        let rows = db.scan("pts");
+        assert_eq!(db.row_count("pts"), Ok(4)); // 4 - 1 deleted + 1 upsert-insert
+        let rows = db.scan("pts").unwrap();
         assert_eq!(
             rows.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
             vec![0, 2, 3, 7],
             "deleted rowid 1 is invisible; rewrites keep their rowid"
         );
-        assert_eq!(db.get("pts", 3)[0], Value::Int(33), "upsert replaced row 3");
+        let row3 = db.get("pts", 3).unwrap().unwrap();
+        assert_eq!(row3[0], Value::Int(33), "upsert replaced row 3");
         assert_eq!(
             db.geometry("pts", "loc", 3),
-            Geometry::Point(Point::new(30.0, 0.0)),
+            Ok(Some(Geometry::Point(Point::new(30.0, 0.0)))),
             "the spatial column tracks the rewrite"
         );
         // The next plain insert must not collide with rowid 7.
         let rid = db.insert("pts", row(8, 80.0));
-        assert_eq!(rid, 8);
+        assert_eq!(rid, Ok(8));
     }
 
     #[test]
     fn deletes_make_the_spatial_index_stale() {
         let mut db = db_with_points(12);
-        db.create_spatial_index("pts", "loc", 4, Layout::Clustered);
+        db.create_spatial_index("pts", "loc", 4, Layout::Clustered)
+            .unwrap();
         let outcomes = db.apply("pts", &[Mutation::Delete { id: 5 }]);
-        assert_eq!(outcomes, vec![MutationOutcome::Deleted]);
-        db.ensure_index("pts", "loc");
-        let (tree_rel, _) = db.tables["pts"].spatial["loc"].index.as_ref().unwrap();
+        assert_eq!(outcomes, Ok(vec![MutationOutcome::Deleted]));
+        db.ensure_index(("pts", "loc")).unwrap();
+        let tree_rel = db.tables["pts"].spatial[0].tree();
         assert_eq!(
             tree_rel.tree.entry_nodes().len(),
             11,
@@ -770,7 +683,8 @@ mod tests {
             "tiny",
             Schema::new(vec![Column::new("s", ValueType::Str)]),
             8,
-        );
+        )
+        .unwrap();
         let outcomes = db.apply(
             "tiny",
             &[Mutation::Insert {
@@ -778,15 +692,45 @@ mod tests {
                 value: vec![Value::Str("this string cannot fit".into())],
             }],
         );
-        assert_eq!(outcomes, vec![MutationOutcome::TooLarge]);
-        assert_eq!(db.row_count("tiny"), 0);
+        assert_eq!(outcomes, Ok(vec![MutationOutcome::TooLarge]));
+        assert_eq!(db.row_count("tiny"), Ok(0));
     }
 
     #[test]
-    #[should_panic(expected = "no table named")]
-    fn missing_table_panics() {
-        let mut db = Database::in_memory();
-        db.scan("nope");
+    fn missing_table_is_a_typed_error() {
+        let mut db = db_with_points(3);
+        let unknown = Err(DbError::UnknownTable("nope".into()));
+        assert_eq!(db.scan("nope"), unknown);
+        assert_eq!(
+            db.row_count("nope").map(|_| ()),
+            unknown.clone().map(|_| ())
+        );
+        let join = db.spatial_join_ids(
+            "pts",
+            "loc",
+            "nope",
+            "loc",
+            ThetaOp::Overlaps,
+            Strategy::Sweep,
+        );
+        assert_eq!(join, Err(DbError::UnknownTable("nope".into())));
+        let column = Err(DbError::UnknownColumn("pts.nope".into()));
+        assert_eq!(db.geometry("pts", "nope", 0), column);
+        let scalar = db.create_spatial_index("pts", "id", 4, Layout::Clustered);
+        assert!(
+            matches!(scalar, Err(DbError::SchemaMismatch(_))),
+            "{scalar:?}"
+        );
+        let wrong = db.insert("pts", vec![Value::Int(1)]);
+        assert!(
+            matches!(wrong, Err(DbError::SchemaMismatch(_))),
+            "{wrong:?}"
+        );
+        assert_eq!(
+            db.row_count("pts"),
+            Ok(3),
+            "a rejected call changes nothing"
+        );
     }
 
     #[test]
@@ -794,7 +738,7 @@ mod tests {
         let mut db = db_with_points(50);
         db.drop_caches();
         db.reset_io();
-        let _ = db.scan("pts");
+        db.scan("pts").unwrap();
         assert!(db.io_stats().physical_reads > 0);
     }
 
@@ -803,7 +747,117 @@ mod tests {
         let mut db = db_with_points(3);
         assert_eq!(
             db.geometry("pts", "loc", 2),
-            Geometry::Point(Point::new(2.0, 0.0))
+            Ok(Some(Geometry::Point(Point::new(2.0, 0.0))))
         );
+        assert_eq!(db.geometry("pts", "loc", 9), Ok(None));
+    }
+
+    fn two_columns_row(i: i64) -> Tuple {
+        let at = |y: f64| Value::Spatial(Geometry::Point(Point::new(i as f64, y)));
+        vec![Value::Int(i), at(0.0), at(1.0)]
+    }
+
+    /// Two spatial columns, so an insert or upsert writes three files and
+    /// a delete two.
+    fn two_columns_db() -> Database {
+        let mut db = Database::in_memory();
+        let schema = Schema::new(vec![
+            Column::new("id", ValueType::Int),
+            Column::new("a", ValueType::Spatial),
+            Column::new("b", ValueType::Spatial),
+        ]);
+        db.create_table("t", schema, 300).unwrap();
+        for i in 0..2 {
+            db.insert("t", two_columns_row(i)).unwrap();
+        }
+        db
+    }
+
+    /// Everything a later call can read back: the rows, both columns'
+    /// geometries, and each column's answer to a select of everything.
+    fn observe(db: &mut Database) -> Result<Vec<String>, DbError> {
+        let mut seen = vec![format!("{:?}", db.scan("t")?)];
+        let everything = Geometry::Point(Point::new(0.0, 0.0));
+        for col in ["a", "b"] {
+            for id in 0..12 {
+                seen.push(format!("{:?}", db.geometry("t", col, id)?));
+            }
+            let theta = ThetaOp::WithinDistance(100.0);
+            let order = sj_joins::tree_join::TraversalOrder::BreadthFirst;
+            let mut hits = db.spatial_select("t", col, &everything, theta, order)?;
+            hits.sort_unstable_by_key(|(id, _)| *id);
+            seen.push(format!("{hits:?}"));
+        }
+        Ok(seen)
+    }
+
+    /// A write fault at each write of an insert, an upsert and a delete:
+    /// a fault at the batch's first write leaves the table as it was,
+    /// and one after an earlier write landed poisons the database. No
+    /// later call returns rows that differ from the pre-batch model.
+    #[test]
+    fn a_write_fault_in_apply_never_exposes_a_half_applied_batch() {
+        use sj_storage::{FaultConfig, FaultInjector};
+        let ops = [
+            Mutation::Insert {
+                id: 9,
+                value: two_columns_row(9),
+            },
+            Mutation::Upsert {
+                id: 1,
+                value: two_columns_row(11),
+            },
+            Mutation::Delete { id: 0 },
+        ];
+        for op in ops {
+            let writes_rows = !matches!(op, Mutation::Delete { .. });
+            for k in 0..2 + usize::from(writes_rows) {
+                let mut db = two_columns_db();
+                let model = observe(&mut db).unwrap();
+                // The pages of the files the op writes, in write order.
+                let t = &db.tables["t"];
+                let mut files: Vec<&HeapFile> =
+                    t.spatial.iter().map(|sc| sc.column.to_parts().0).collect();
+                if writes_rows {
+                    files.insert(0, &t.file);
+                }
+                let pages = files[k..].iter().flat_map(|f| f.to_parts().0).collect();
+                db.set_fault_injector(Some(FaultInjector::new(FaultConfig {
+                    write_prob: 1.0,
+                    target_pages: Some(pages),
+                    budget: Some(1),
+                    ..FaultConfig::default()
+                })));
+                let err = db.apply("t", std::slice::from_ref(&op)).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        DbError::Storage {
+                            during: "apply",
+                            ..
+                        }
+                    ),
+                    "{err:?}"
+                );
+                db.set_fault_injector(None);
+                if k == 0 {
+                    assert_eq!(observe(&mut db), Ok(model), "{op:?}: nothing landed");
+                    let retried = db.apply("t", std::slice::from_ref(&op));
+                    assert!(
+                        retried.unwrap()[0].applied(),
+                        "the table still takes writes"
+                    );
+                } else {
+                    assert_eq!(
+                        observe(&mut db),
+                        Err(DbError::Poisoned),
+                        "{op:?} at write {k}"
+                    );
+                    let again = db.apply("t", std::slice::from_ref(&op));
+                    assert_eq!(again, Err(DbError::Poisoned));
+                    assert!(db.save(std::env::temp_dir().join("never")).is_err());
+                }
+            }
+        }
     }
 }

@@ -10,65 +10,39 @@
 //! * secondary structures per spatial column: a column file (for scans and
 //!   join-index builds) and an optional R-tree generalization tree,
 //! * the query operators the paper's examples need — scalar selection,
-//!   projection, **spatial selection** and **spatial join** with a
-//!   pluggable [`JoinStrategy`] that dispatches to the executors of
-//!   `sj-joins`.
+//!   projection, **spatial selection** in a [`TraversalOrder`] and
+//!   **spatial join** under any [`Strategy`] of `sj-joins`.
+//!
+//! Every call that touches pages or names a table or column answers
+//! exactly or returns a typed [`DbError`].
 //!
 //! ## The paper's running example
 //!
 //! ```
 //! use sj_geom::{Geometry, Point, Polygon, Rect, ThetaOp};
-//! use sj_rel::{Column, Database, JoinStrategy, Schema, Value, ValueType};
+//! use sj_rel::{Column, Database, Schema, Strategy, Value, ValueType};
 //!
+//! let (int, float, spatial) = (ValueType::Int, ValueType::Float, ValueType::Spatial);
 //! let mut db = Database::in_memory();
-//! db.create_table(
-//!     "house",
-//!     Schema::new(vec![
-//!         Column::new("hid", ValueType::Int),
-//!         Column::new("hprice", ValueType::Float),
-//!         Column::new("hlocation", ValueType::Spatial),
-//!     ]),
-//!     300,
-//! );
-//! db.insert(
-//!     "house",
-//!     vec![
-//!         Value::Int(1),
-//!         Value::Float(250_000.0),
-//!         Value::Spatial(Geometry::Point(Point::new(3.0, 4.0))),
-//!     ],
-//! );
-//! db.create_table(
-//!     "lake",
-//!     Schema::new(vec![
-//!         Column::new("lid", ValueType::Int),
-//!         Column::new("name", ValueType::Str),
-//!         Column::new("larea", ValueType::Spatial),
-//!     ]),
-//!     300,
-//! );
-//! db.insert(
-//!     "lake",
-//!     vec![
-//!         Value::Int(10),
-//!         Value::Str("Lake Tahoe".into()),
-//!         Value::Spatial(Geometry::Polygon(Polygon::from_rect(
-//!             &Rect::from_bounds(0.0, 0.0, 2.0, 2.0),
-//!         ).unwrap())),
-//!     ],
-//! );
+//! let cols = [("hid", int), ("hprice", float), ("hlocation", spatial)];
+//! db.create_table("house", Schema::new(cols.map(|(n, t)| Column::new(n, t)).into()), 300)?;
+//! let home = Value::Spatial(Geometry::Point(Point::new(3.0, 4.0)));
+//! db.insert("house", vec![Value::Int(1), Value::Float(250_000.0), home])?;
+//! let cols = [("lid", int), ("name", ValueType::Str), ("larea", spatial)];
+//! db.create_table("lake", Schema::new(cols.map(|(n, t)| Column::new(n, t)).into()), 300)?;
+//! let tahoe = Polygon::from_rect(&Rect::from_bounds(0.0, 0.0, 2.0, 2.0))?;
+//! let (name, area) = (Value::Str("Lake Tahoe".into()), Geometry::Polygon(tahoe));
+//! db.insert("lake", vec![Value::Int(10), name, Value::Spatial(area)])?;
 //!
 //! // "Find all houses within 10 kilometers from a lake."
-//! let pairs = db.spatial_join(
-//!     "house", "hlocation",
-//!     "lake", "larea",
-//!     ThetaOp::WithinDistance(10.0),
-//!     JoinStrategy::NestedLoop,
-//! );
+//! let theta = ThetaOp::WithinDistance(10.0);
+//! let pairs = db.spatial_join("house", "hlocation", "lake", "larea", theta, Strategy::NestedLoop)?;
 //! assert_eq!(pairs.len(), 1);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub mod db;
+pub mod error;
 pub mod persist;
 pub mod planner;
 pub mod query;
@@ -77,9 +51,10 @@ pub mod tuple;
 pub mod value;
 
 pub use db::Database;
+pub use error::DbError;
 pub use planner::{Plan, PlannerConfig};
-pub use query::JoinStrategy;
 pub use schema::{Column, Schema};
-pub use sj_joins::{Mutation, MutationOutcome, WriteBatch};
+pub use sj_joins::tree_join::TraversalOrder;
+pub use sj_joins::{Mutation, MutationOutcome, Strategy, WriteBatch};
 pub use tuple::Tuple;
 pub use value::{Value, ValueType};

@@ -33,7 +33,7 @@ use std::path::Path;
 use sj_joins::StoredRelation;
 use sj_storage::{BufferPool, Disk, HeapFile, PageId, RecordId};
 
-use crate::db::Database;
+use crate::db::{Database, SpatialColumn, Table};
 use crate::schema::{Column, Schema};
 use crate::value::ValueType;
 
@@ -69,7 +69,8 @@ fn r_u64(r: &mut impl Read) -> io::Result<u64> {
 }
 
 fn w_name(w: &mut impl Write, s: &str) -> io::Result<()> {
-    w_u16(w, u16::try_from(s.len()).expect("name fits u16"))?;
+    let len = u16::try_from(s.len()).map_err(|_| bad("name longer than u16::MAX"))?;
+    w_u16(w, len)?;
     w.write_all(s.as_bytes())
 }
 
@@ -99,18 +100,15 @@ fn w_file(w: &mut impl Write, file: &HeapFile) -> io::Result<()> {
 fn r_file(r: &mut impl Read) -> io::Result<HeapFile> {
     let record_size = r_u32(r)? as usize;
     let per_page = r_u32(r)? as usize;
-    let page_count = r_u32(r)? as usize;
-    let mut pages = Vec::with_capacity(page_count);
-    for _ in 0..page_count {
-        pages.push(PageId(r_u32(r)?));
-    }
-    let dir_len = r_u64(r)? as usize;
-    let mut dir = Vec::with_capacity(dir_len);
-    for _ in 0..dir_len {
-        let page = PageId(r_u32(r)?);
-        let slot = r_u16(r)?;
-        dir.push(RecordId { page, slot });
-    }
+    let pages = (0..r_u32(r)?).map(|_| Ok(PageId(r_u32(r)?)));
+    let pages: Vec<PageId> = pages.collect::<io::Result<_>>()?;
+    let dir = (0..r_u64(r)?).map(|_| {
+        Ok(RecordId {
+            page: PageId(r_u32(r)?),
+            slot: r_u16(r)?,
+        })
+    });
+    let dir: Vec<RecordId> = dir.collect::<io::Result<_>>()?;
     if pages.is_empty() || record_size == 0 || per_page == 0 {
         return Err(bad("corrupt file descriptor"));
     }
@@ -138,43 +136,38 @@ fn tag_type(tag: u8) -> io::Result<ValueType> {
 
 impl Database {
     /// Persists the database as `<prefix>.disk` + `<prefix>.cat`.
-    /// Derived structures (R-trees, join indices) are not saved.
+    /// Derived structures (R-trees, join indices) are not saved, and a
+    /// poisoned database refuses to save.
     pub fn save(&self, prefix: impl AsRef<Path>) -> io::Result<()> {
+        self.usable().map_err(io::Error::other)?;
         let prefix = prefix.as_ref();
-        self.pool_disk().save(with_ext(prefix, "disk"))?;
+        self.pool.disk().save(with_ext(prefix, "disk"))?;
         let mut w = BufWriter::new(File::create(with_ext(prefix, "cat"))?);
         w.write_all(MAGIC)?;
-        w_u32(&mut w, self.pool_capacity() as u32)?;
+        w_u32(&mut w, self.pool.capacity() as u32)?;
         w_u32(&mut w, self.tables.len() as u32)?;
-        let mut names: Vec<&String> = self.tables.keys().collect();
-        names.sort();
-        for name in names {
-            let t = &self.tables[name];
+        for (name, t) in &self.tables {
             w_name(&mut w, name)?;
-            w_u32(&mut w, t.record_size() as u32)?;
-            w_u64(&mut w, t.row_count() as u64)?;
-            let schema = &t.schema;
-            w_u16(&mut w, schema.arity() as u16)?;
-            for c in schema.columns() {
+            w_u32(&mut w, t.record_size as u32)?;
+            w_u64(&mut w, t.live.len() as u64)?;
+            w_u16(&mut w, t.schema.arity() as u16)?;
+            for c in t.schema.columns() {
                 w_name(&mut w, &c.name)?;
                 w.write_all(&[type_tag(c.ty)])?;
             }
-            w_file(&mut w, t.file())?;
+            w_file(&mut w, &t.file)?;
             // The live rowid → physical-slot map (deletes and upserts
             // leave dead slots behind in the heap file), plus the rowid
             // allocator and the index-staleness tag.
-            for (id, slot) in t.live_entries() {
+            for (&id, &slot) in &t.live {
                 w_u64(&mut w, id)?;
                 w_u64(&mut w, slot as u64)?;
             }
-            w_u64(&mut w, t.next_id())?;
-            w_u64(&mut w, t.mutation_seq())?;
-            let mut cols: Vec<&String> = t.spatial.keys().collect();
-            cols.sort();
-            w_u32(&mut w, cols.len() as u32)?;
-            for col in cols {
-                let sc = &t.spatial[col];
-                w_name(&mut w, col)?;
+            w_u64(&mut w, t.next_id)?;
+            w_u64(&mut w, t.mutation_seq)?;
+            w_u32(&mut w, t.spatial.len() as u32)?;
+            for sc in &t.spatial {
+                w_name(&mut w, &sc.name)?;
                 let (file, ids, slots) = sc.column.to_parts();
                 w_u64(&mut w, ids.len() as u64)?;
                 for &id in ids {
@@ -239,14 +232,10 @@ impl Database {
             for _ in 0..spatial_count {
                 let cname = r_name(&mut r)?;
                 let id_count = r_u64(&mut r)? as usize;
-                let mut ids = Vec::with_capacity(id_count);
-                for _ in 0..id_count {
-                    ids.push(r_u64(&mut r)?);
-                }
-                let mut slots = Vec::with_capacity(id_count);
-                for _ in 0..id_count {
-                    slots.push(r_u64(&mut r)? as usize);
-                }
+                let ids = (0..id_count).map(|_| r_u64(&mut r));
+                let ids: Vec<u64> = ids.collect::<io::Result<_>>()?;
+                let slots = (0..id_count).map(|_| Ok(r_u64(&mut r)? as usize));
+                let slots: Vec<usize> = slots.collect::<io::Result<_>>()?;
                 let cfile = r_file(&mut r)?;
                 if slots.iter().any(|&s| s >= cfile.len()) {
                     return Err(bad("column slot beyond the file directory"));
@@ -254,19 +243,34 @@ impl Database {
                 if slots.windows(2).any(|w| w[0] >= w[1]) {
                     return Err(bad("column slots not ascending"));
                 }
-                spatial.push((cname, StoredRelation::from_parts(cfile, ids, slots)));
+                if ids.len() != live.len() {
+                    return Err(bad("spatial column length mismatch"));
+                }
+                let column = StoredRelation::from_parts(cfile, ids, slots);
+                spatial.push(SpatialColumn::new(cname, column));
             }
-            db.install_table(
-                name,
+            // One column file per spatial column, kept in schema order.
+            spatial.sort_by_key(|sc| schema.index_of(&sc.name));
+            let want = schema
+                .columns()
+                .iter()
+                .filter(|c| c.ty == ValueType::Spatial);
+            if !want.map(|c| &c.name).eq(spatial.iter().map(|sc| &sc.name)) {
+                return Err(bad("catalog columns are not the schema's spatial columns"));
+            }
+            if db.tables.contains_key(&name) {
+                return Err(bad("duplicate table in catalog"));
+            }
+            let table = Table {
                 schema,
                 record_size,
+                file,
                 live,
                 next_id,
                 mutation_seq,
-                file,
                 spatial,
-            )
-            .map_err(|e| bad(&e))?;
+            };
+            db.tables.insert(name, table);
         }
         Ok(db)
     }
@@ -285,9 +289,9 @@ fn with_ext(prefix: &Path, ext: &str) -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::JoinStrategy;
     use crate::value::Value;
     use sj_geom::{Geometry, Point, ThetaOp};
+    use sj_joins::Strategy;
 
     fn temp_prefix(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -306,7 +310,8 @@ mod tests {
                     Column::new("loc", ValueType::Spatial),
                 ]),
                 300,
-            );
+            )
+            .unwrap();
             for i in 0..40 {
                 db.insert(
                     t,
@@ -318,7 +323,8 @@ mod tests {
                             (i / 8) as f64 * 5.0,
                         ))),
                     ],
-                );
+                )
+                .unwrap();
             }
         }
         db
@@ -347,17 +353,19 @@ mod tests {
                         value: row(55, 2.25),
                     },
                 ],
-            );
+            )
+            .unwrap();
             db.save(&prefix).expect("save");
-            db.scan("a")
+            db.scan("a").unwrap()
         };
         let mut db = Database::open(&prefix).expect("open");
-        assert_eq!(db.row_count("a"), 39, "the delete survives reopening");
-        assert_eq!(db.scan("a"), expected, "live rows round-trip exactly");
-        assert_eq!(db.get("a", 5)[0], Value::Int(55), "the upsert survives");
+        assert_eq!(db.row_count("a"), Ok(39), "the delete survives reopening");
+        assert_eq!(db.scan("a"), Ok(expected), "live rows round-trip exactly");
+        let row5 = db.get("a", 5).unwrap().unwrap();
+        assert_eq!(row5[0], Value::Int(55), "the upsert survives");
         // Rowid 3 stays dead and the allocator does not reuse it.
         let rid = db.insert("a", row(1000, 90.0));
-        assert_eq!(rid, 40);
+        assert_eq!(rid, Ok(40));
         cleanup(&prefix);
     }
 
@@ -368,23 +376,23 @@ mod tests {
         let expected = {
             let mut db = sample_db();
             db.save(&prefix).expect("save");
-            let mut v =
-                db.spatial_join_ids("a", "loc", "b", "loc", theta, JoinStrategy::NestedLoop);
+            let v = db.spatial_join_ids("a", "loc", "b", "loc", theta, Strategy::NestedLoop);
+            let mut v = v.unwrap();
             v.sort_unstable();
             v
         };
         let mut db = Database::open(&prefix).expect("open");
-        assert_eq!(db.row_count("a"), 40);
-        assert_eq!(db.row_count("b"), 40);
-        let row = db.get("a", 7);
+        assert_eq!(db.row_count("a"), Ok(40));
+        assert_eq!(db.row_count("b"), Ok(40));
+        let row = db.get("a", 7).unwrap().unwrap();
         assert_eq!(row[1], Value::Str("a-7".into()));
         // Queries work, including index-based ones (indices are rebuilt).
-        let mut nl = db.spatial_join_ids("a", "loc", "b", "loc", theta, JoinStrategy::NestedLoop);
-        nl.sort_unstable();
-        assert_eq!(nl, expected);
-        let mut tree = db.spatial_join_ids("a", "loc", "b", "loc", theta, JoinStrategy::GenTree);
-        tree.sort_unstable();
-        assert_eq!(tree, expected);
+        for strategy in [Strategy::NestedLoop, Strategy::Tree] {
+            let got = db.spatial_join_ids("a", "loc", "b", "loc", theta, strategy);
+            let mut got = got.unwrap();
+            got.sort_unstable();
+            assert_eq!(got, expected, "{strategy:?}");
+        }
         // Inserts still work after reopening.
         db.insert(
             "a",
@@ -393,8 +401,9 @@ mod tests {
                 Value::Str("late".into()),
                 Value::Spatial(Geometry::Point(Point::new(100.0, 100.0))),
             ],
-        );
-        assert_eq!(db.row_count("a"), 41);
+        )
+        .unwrap();
+        assert_eq!(db.row_count("a"), Ok(41));
         cleanup(&prefix);
     }
 

@@ -1,5 +1,6 @@
 //! Table schemas.
 
+use crate::error::{DbError, Result};
 use crate::value::{Value, ValueType};
 
 /// A named, typed column.
@@ -57,11 +58,10 @@ impl Schema {
         self.columns.iter().position(|c| c.name == name)
     }
 
-    /// The position of a column, panicking with a helpful message when it
-    /// does not exist (query-surface convenience).
-    pub fn expect_column(&self, name: &str) -> usize {
-        self.index_of(name)
-            .unwrap_or_else(|| panic!("no column named {name:?} in schema {:?}", self.names()))
+    /// The position of a column, or [`DbError::UnknownColumn`].
+    pub fn column(&self, name: &str) -> Result<usize> {
+        let found = self.index_of(name);
+        found.ok_or_else(|| DbError::UnknownColumn(name.into()))
     }
 
     /// All column names.
@@ -69,39 +69,37 @@ impl Schema {
         self.columns.iter().map(|c| c.name.as_str()).collect()
     }
 
-    /// Validates a row against the schema.
-    ///
-    /// # Panics
-    ///
-    /// Panics on arity or type mismatch.
-    pub fn check_row(&self, row: &[Value]) {
-        assert_eq!(
-            row.len(),
-            self.columns.len(),
-            "row arity {} does not match schema arity {}",
-            row.len(),
-            self.columns.len()
-        );
-        for (v, c) in row.iter().zip(&self.columns) {
-            assert_eq!(
-                v.value_type(),
-                c.ty,
-                "type mismatch in column {:?}: expected {:?}, got {:?}",
-                c.name,
-                c.ty,
-                v.value_type()
-            );
+    /// Validates a row against the schema: a
+    /// [`DbError::SchemaMismatch`] on an arity or type mismatch.
+    pub fn check_row(&self, row: &[Value]) -> Result<()> {
+        if row.len() != self.columns.len() {
+            let (got, want) = (row.len(), self.columns.len());
+            let why = format!("row arity {got} does not match schema arity {want}");
+            return Err(DbError::SchemaMismatch(why));
         }
+        for (v, c) in row.iter().zip(&self.columns) {
+            let (name, want, got) = (&c.name, c.ty, v.value_type());
+            if got != want {
+                let why =
+                    format!("type mismatch in column {name:?}: expected {want:?}, got {got:?}");
+                return Err(DbError::SchemaMismatch(why));
+            }
+        }
+        Ok(())
     }
 
-    /// Restriction of the schema to the named columns (projection).
-    pub fn project(&self, names: &[&str]) -> Schema {
-        Schema::new(
-            names
-                .iter()
-                .map(|n| self.columns[self.expect_column(n)].clone())
-                .collect(),
-        )
+    /// Restriction of the schema to the named columns (projection): a
+    /// [`DbError::UnknownColumn`] for a name it lacks, a
+    /// [`DbError::SchemaMismatch`] for no names or a repeated one.
+    pub fn project(&self, names: &[&str]) -> Result<Schema> {
+        if names.is_empty() || (1..names.len()).any(|i| names[..i].contains(&names[i])) {
+            let why = format!("a projection needs distinct columns, got {names:?}");
+            return Err(DbError::SchemaMismatch(why));
+        }
+        let columns = names
+            .iter()
+            .map(|n| Ok(self.columns[self.column(n)?].clone()));
+        Ok(Schema::new(columns.collect::<Result<_>>()?))
     }
 }
 
@@ -129,27 +127,29 @@ mod tests {
 
     #[test]
     fn check_row_accepts_valid() {
-        schema().check_row(&[
+        let row = [
             Value::Int(1),
             Value::Str("a".into()),
             Value::Spatial(Geometry::Point(Point::new(0.0, 0.0))),
-        ]);
+        ];
+        assert_eq!(schema().check_row(&row), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "type mismatch")]
     fn check_row_rejects_wrong_type() {
-        schema().check_row(&[
+        let row = [
             Value::Int(1),
             Value::Int(2),
             Value::Spatial(Geometry::Point(Point::new(0.0, 0.0))),
-        ]);
+        ];
+        let err = schema().check_row(&row).unwrap_err();
+        assert!(matches!(&err, DbError::SchemaMismatch(m) if m.contains("type mismatch")));
     }
 
     #[test]
-    #[should_panic(expected = "arity")]
     fn check_row_rejects_wrong_arity() {
-        schema().check_row(&[Value::Int(1)]);
+        let err = schema().check_row(&[Value::Int(1)]).unwrap_err();
+        assert!(matches!(&err, DbError::SchemaMismatch(m) if m.contains("arity")));
     }
 
     #[test]
@@ -163,8 +163,12 @@ mod tests {
 
     #[test]
     fn projection() {
-        let p = schema().project(&["loc", "id"]);
+        let p = schema().project(&["loc", "id"]).unwrap();
         assert_eq!(p.names(), vec!["loc", "id"]);
         assert_eq!(p.columns()[0].ty, ValueType::Spatial);
+        let missing = schema().project(&["loc", "nope"]);
+        assert_eq!(missing.unwrap_err(), DbError::UnknownColumn("nope".into()));
+        let twice = schema().project(&["id", "id"]);
+        assert!(matches!(twice, Err(DbError::SchemaMismatch(_))));
     }
 }

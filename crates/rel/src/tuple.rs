@@ -12,6 +12,7 @@
 
 use sj_geom::codec;
 
+use crate::error::{DbError, Result};
 use crate::schema::Schema;
 use crate::value::Value;
 
@@ -43,83 +44,93 @@ pub fn encoded_tuple_len(row: &Tuple) -> usize {
 ///
 /// Panics if the encoding exceeds `record_size` (choose a larger tuple
 /// size `v` for the table) or a string/geometry exceeds `u16::MAX` bytes.
+/// `Database::apply` screens both with [`encoded_tuple_len`] against a
+/// record that fits one page.
 pub fn encode_tuple(row: &Tuple, record_size: usize) -> Vec<u8> {
-    let mut body = Vec::with_capacity(record_size);
-    for v in row {
-        match v {
-            Value::Int(x) => {
-                body.push(TAG_INT);
-                body.extend_from_slice(&x.to_le_bytes());
-            }
-            Value::Float(x) => {
-                body.push(TAG_FLOAT);
-                body.extend_from_slice(&x.to_le_bytes());
-            }
-            Value::Str(s) => {
-                body.push(TAG_STR);
-                let len = u16::try_from(s.len()).expect("string longer than u16::MAX");
-                body.extend_from_slice(&len.to_le_bytes());
-                body.extend_from_slice(s.as_bytes());
-            }
-            Value::Spatial(g) => {
-                body.push(TAG_SPATIAL);
-                let enc = codec::encode_record(0, g, codec::encoded_len(g));
-                let len = u16::try_from(enc.len()).expect("geometry longer than u16::MAX");
-                body.extend_from_slice(&len.to_le_bytes());
-                body.extend_from_slice(&enc);
-            }
-        }
-    }
-    let total = 2 + body.len();
+    let total = encoded_tuple_len(row);
     assert!(
-        total <= record_size,
+        total <= record_size && total <= usize::from(u16::MAX),
         "tuple needs {total} bytes but the record size is {record_size}"
     );
     let mut out = Vec::with_capacity(record_size);
-    out.extend_from_slice(&(body.len() as u16).to_le_bytes());
-    out.extend_from_slice(&body);
+    out.extend_from_slice(&((total - 2) as u16).to_le_bytes());
+    for v in row {
+        match v {
+            Value::Int(x) => {
+                out.push(TAG_INT);
+                out.extend_from_slice(&x.to_le_bytes());
+            }
+            Value::Float(x) => {
+                out.push(TAG_FLOAT);
+                out.extend_from_slice(&x.to_le_bytes());
+            }
+            Value::Str(s) => {
+                out.push(TAG_STR);
+                out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+                out.extend_from_slice(s.as_bytes());
+            }
+            Value::Spatial(g) => {
+                out.push(TAG_SPATIAL);
+                let enc = codec::encode_record(0, g, codec::encoded_len(g));
+                out.extend_from_slice(&(enc.len() as u16).to_le_bytes());
+                out.extend_from_slice(&enc);
+            }
+        }
+    }
     out.resize(record_size, 0);
     out
 }
 
-/// Decodes a record produced by [`encode_tuple`], validating against the
-/// schema.
-///
-/// # Panics
-///
-/// Panics on malformed records (a storage-layer bug) or schema mismatch.
-pub fn decode_tuple(bytes: &[u8], schema: &Schema) -> Tuple {
-    let body_len = u16::from_le_bytes(bytes[0..2].try_into().expect("length prefix")) as usize;
-    let mut cur = &bytes[2..2 + body_len];
+/// Decodes a record produced by [`encode_tuple`] into a row of `schema`.
+/// Stored bytes come from outside the program, so a record that does not
+/// decode — a length prefix past the record, an unknown tag, a string
+/// that is not UTF-8, a truncated geometry frame, a value of the wrong
+/// type — is a [`DbError::Corrupt`], never a panic.
+pub fn decode_tuple(bytes: &[u8], schema: &Schema) -> Result<Tuple> {
+    let mut rec = bytes;
+    let body_len = u16::from_le_bytes(take_array(&mut rec)?);
+    let mut cur = take(&mut rec, usize::from(body_len))?;
     let mut out = Vec::with_capacity(schema.arity());
-    let mut take = |n: usize| -> &[u8] {
-        let (head, tail) = cur.split_at(n);
-        cur = tail;
-        head
-    };
-    for _ in 0..schema.arity() {
-        let tag = take(1)[0];
-        let v = match tag {
-            TAG_INT => Value::Int(i64::from_le_bytes(take(8).try_into().expect("int"))),
-            TAG_FLOAT => Value::Float(f64::from_le_bytes(take(8).try_into().expect("float"))),
+    for _ in schema.columns() {
+        let v = match take_array::<1>(&mut cur)?[0] {
+            TAG_INT => Value::Int(i64::from_le_bytes(take_array(&mut cur)?)),
+            TAG_FLOAT => Value::Float(f64::from_le_bytes(take_array(&mut cur)?)),
             TAG_STR => {
-                let len = u16::from_le_bytes(take(2).try_into().expect("len")) as usize;
-                Value::Str(String::from_utf8(take(len).to_vec()).expect("stored UTF-8"))
+                let len = u16::from_le_bytes(take_array(&mut cur)?);
+                let bytes = take(&mut cur, usize::from(len))?.to_vec();
+                let s = String::from_utf8(bytes);
+                Value::Str(s.map_err(|_| DbError::Corrupt("a string is not UTF-8".into()))?)
             }
             TAG_SPATIAL => {
-                let len = u16::from_le_bytes(take(2).try_into().expect("len")) as usize;
-                // PANIC-OK: tuple records are written by `encode_tuple`;
-                // a decode failure here is a storage-layer bug, per this
-                // function's documented contract.
-                let (_, g) = codec::try_decode_record(take(len)).expect("stored geometry frame");
-                Value::Spatial(g)
+                let len = u16::from_le_bytes(take_array(&mut cur)?);
+                let frame = codec::try_decode_record(take(&mut cur, usize::from(len))?);
+                Value::Spatial(frame.map_err(|e| DbError::Corrupt(e.to_string()))?.1)
             }
-            other => panic!("unknown value tag {other}"),
+            tag => return Err(DbError::Corrupt(format!("unknown value tag {tag}"))),
         };
         out.push(v);
     }
-    schema.check_row(&out);
-    out
+    schema
+        .check_row(&out)
+        .map_err(|e| DbError::Corrupt(e.to_string()))?;
+    Ok(out)
+}
+
+/// The next `n` bytes of `cur`, or [`DbError::Corrupt`] if fewer are left.
+fn take<'a>(cur: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
+    if cur.len() < n {
+        let why = format!("{n} bytes wanted, {} left", cur.len());
+        return Err(DbError::Corrupt(why));
+    }
+    let (head, tail) = cur.split_at(n);
+    *cur = tail;
+    Ok(head)
+}
+
+fn take_array<const N: usize>(cur: &mut &[u8]) -> Result<[u8; N]> {
+    let mut out = [0; N];
+    out.copy_from_slice(take(cur, N)?);
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -153,7 +164,7 @@ mod tests {
     fn roundtrip() {
         let rec = encode_tuple(&sample(), 300);
         assert_eq!(rec.len(), 300);
-        assert_eq!(decode_tuple(&rec, &schema()), sample());
+        assert_eq!(decode_tuple(&rec, &schema()), Ok(sample()));
     }
 
     #[test]
@@ -167,7 +178,7 @@ mod tests {
             Value::Spatial(Geometry::Point(Point::new(-1.0, 1.0))),
         ];
         let rec = encode_tuple(&row, 128);
-        assert_eq!(decode_tuple(&rec, &s), row);
+        assert_eq!(decode_tuple(&rec, &s), Ok(row));
     }
 
     #[test]
@@ -181,6 +192,38 @@ mod tests {
         let s = Schema::new(vec![Column::new("s", ValueType::Str)]);
         let row = vec![Value::Str("Grüße, 測試 🚀".into())];
         let rec = encode_tuple(&row, 64);
-        assert_eq!(decode_tuple(&rec, &s), row);
+        assert_eq!(decode_tuple(&rec, &s), Ok(row));
+    }
+
+    /// A damaged stored row is a typed error, whatever part is damaged.
+    #[test]
+    fn malformed_records_are_corrupt_not_panics() {
+        let rec = encode_tuple(&sample(), 300);
+        // Offsets in `sample()`'s record: a 2-byte prefix, Int and Float
+        // (9 bytes each), then the string's tag at 20, its length at 21
+        // and its bytes at 23, then the geometry's tag at 33 and its
+        // frame length at 34.
+        let damaged = |at: usize, bytes: &[u8]| {
+            let mut r = rec.clone();
+            r[at..at + bytes.len()].copy_from_slice(bytes);
+            decode_tuple(&r, &schema())
+        };
+        let cases = [
+            ("prefix past the record", damaged(0, &400u16.to_le_bytes())),
+            ("unknown tag", damaged(2, &[9])),
+            ("invalid UTF-8", damaged(23, &[0xFF])),
+            (
+                "truncated geometry frame",
+                damaged(34, &10u16.to_le_bytes()),
+            ),
+            ("wrong value type", damaged(2, &[TAG_FLOAT])),
+        ];
+        for (shape, got) in cases {
+            assert!(matches!(got, Err(DbError::Corrupt(_))), "{shape}: {got:?}");
+        }
+        assert!(
+            decode_tuple(&rec[..1], &schema()).is_err(),
+            "no room for a prefix"
+        );
     }
 }

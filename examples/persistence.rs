@@ -5,41 +5,34 @@
 //! Run with: `cargo run --release --example persistence`
 
 use spatial_joins::core::workload::load_house_lake;
-use spatial_joins::core::{Database, JoinStrategy, ThetaOp};
+use spatial_joins::core::{Database, Strategy, ThetaOp};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut prefix = std::env::temp_dir();
     prefix.push(format!("sj_example_db_{}", std::process::id()));
 
     // Session 1: create, populate, save.
     {
         let mut db = Database::in_memory();
-        load_house_lake(&mut db, 1_000, 25, 3);
-        db.save(&prefix).expect("save database");
+        load_house_lake(&mut db, 1_000, 25, 3)?;
+        db.save(&prefix)?;
         println!(
             "saved {} houses and {} lakes to {}.{{disk,cat}}",
-            db.row_count("house"),
-            db.row_count("lake"),
+            db.row_count("house")?,
+            db.row_count("lake")?,
             prefix.display()
         );
     }
 
     // Session 2: reopen and query.
-    let mut db = Database::open(&prefix).expect("open database");
+    let mut db = Database::open(&prefix)?;
     println!(
         "reopened: {} houses, {} lakes",
-        db.row_count("house"),
-        db.row_count("lake")
+        db.row_count("house")?,
+        db.row_count("lake")?
     );
     let theta = ThetaOp::WithinDistance(12.0);
-    let pairs = db.spatial_join(
-        "house",
-        "hlocation",
-        "lake",
-        "larea",
-        theta,
-        JoinStrategy::GenTree,
-    );
+    let pairs = db.spatial_join("house", "hlocation", "lake", "larea", theta, Strategy::Tree)?;
     println!(
         "{} house-lake pairs within 12 km (R-tree rebuilt on demand)",
         pairs.len()
@@ -55,10 +48,10 @@ fn main() {
             Value::Float(1.0),
             Value::Spatial(Geometry::Point(Point::new(500.0, 500.0))),
         ],
-    );
+    )?;
     println!(
         "inserted one more house; now {} rows",
-        db.row_count("house")
+        db.row_count("house")?
     );
 
     for ext in ["disk", "cat"] {
@@ -69,4 +62,5 @@ fn main() {
         ));
         std::fs::remove_file(p).ok();
     }
+    Ok(())
 }

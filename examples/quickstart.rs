@@ -5,38 +5,31 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use spatial_joins::core::workload;
-use spatial_joins::core::{Database, JoinStrategy, ThetaOp, Value};
+use spatial_joins::core::{Database, DbError, Strategy, ThetaOp, TraversalOrder, Value};
 
-fn main() {
+fn main() -> Result<(), DbError> {
     // A database on the simulated disk (2000-byte pages, 75% utilization,
     // LRU buffer pool) with the house(hid, hprice, hlocation) and
     // lake(lid, name, larea) relations of the paper's §2.2.
     let mut db = Database::in_memory();
-    workload::load_house_lake(&mut db, 2_000, 40, 7);
+    workload::load_house_lake(&mut db, 2_000, 40, 7)?;
     println!(
         "loaded {} houses and {} lakes",
-        db.row_count("house"),
-        db.row_count("lake")
+        db.row_count("house")?,
+        db.row_count("lake")?
     );
 
     // Build R-tree indices on both spatial columns (strategy II needs
     // them; building is a one-off cost, like any index creation).
     use spatial_joins::core::Layout;
-    db.create_spatial_index("house", "hlocation", 10, Layout::Clustered);
-    db.create_spatial_index("lake", "larea", 10, Layout::Clustered);
+    db.create_spatial_index("house", "hlocation", 10, Layout::Clustered)?;
+    db.create_spatial_index("lake", "larea", 10, Layout::Clustered)?;
 
     // The spatial join via the generalization-tree strategy (II).
     db.drop_caches();
     db.reset_io();
     let theta = ThetaOp::WithinDistance(10.0);
-    let pairs = db.spatial_join(
-        "house",
-        "hlocation",
-        "lake",
-        "larea",
-        theta,
-        JoinStrategy::GenTree,
-    );
+    let pairs = db.spatial_join("house", "hlocation", "lake", "larea", theta, Strategy::Tree)?;
     let io = db.io_stats();
     println!(
         "\n{} house-lake pairs within 10 km  ({} physical page reads)",
@@ -65,8 +58,8 @@ fn main() {
         "lake",
         "larea",
         theta,
-        JoinStrategy::NestedLoop,
-    );
+        Strategy::NestedLoop,
+    )?;
     let nl_io = db.io_stats();
     assert_eq!(sorted(&pairs), sorted(&nl_pairs));
     println!(
@@ -75,7 +68,7 @@ fn main() {
     );
     println!(
         "  strategy I:  {} θ-evaluations, {} page reads",
-        db.row_count("house") * db.row_count("lake"),
+        db.row_count("house")? * db.row_count("lake")?,
         nl_io.physical_reads
     );
     println!(
@@ -85,7 +78,7 @@ fn main() {
 
     // A degenerate spatial join — the paper's query (1) — is a spatial
     // *selection*: one object against a relation.
-    let tahoe = db.geometry("lake", "larea", 0);
+    let tahoe = db.geometry("lake", "larea", 0)?.expect("lake 0 is live");
     db.drop_caches();
     db.reset_io();
     let near = db.spatial_select(
@@ -93,8 +86,8 @@ fn main() {
         "hlocation",
         &tahoe,
         ThetaOp::WithinDistance(25.0),
-        spatial_joins::rel::query::SelectStrategy::Tree,
-    );
+        TraversalOrder::BreadthFirst,
+    )?;
     println!(
         "\nspatial selection: {} houses within 25 km of lake 0 ({} page reads)",
         near.len(),
@@ -103,6 +96,7 @@ fn main() {
     for (_, h) in near.iter().take(3) {
         println!("  house {} at {}", h[0], h[2]);
     }
+    Ok(())
 }
 
 fn sorted(pairs: &[(Vec<Value>, Vec<Value>)]) -> Vec<(i64, i64)> {

@@ -114,9 +114,10 @@ if [ -n "$nested" ]; then
 fi
 echo "    -> no nested edge-pair .any( outside the kernel"
 
-echo "==> fail-stop grep gate (no unchecked panics in storage/service/shard/joins)"
-# These crates promise typed StorageError propagation. Non-test code
-# there may not grow new unwrap()/expect(/panic! calls; deliberate
+echo "==> fail-stop grep gate (no unchecked panics in storage/service/shard/joins/rel)"
+# These crates promise typed errors: StorageError below the relational
+# layer, DbError in sj-rel. Non-test code there may not grow new
+# unwrap()/expect(/panic! calls (doc comments included); deliberate
 # survivors (JoinExecutor::execute, internal invariants, unsupported-
 # operator panics) carry a same-line "PANIC-OK" marker, and everything
 # from the top-level #[cfg(test)] (the tests module) to EOF is test
@@ -125,7 +126,7 @@ echo "==> fail-stop grep gate (no unchecked panics in storage/service/shard/join
 # u16 slot bound): every paged operation there is fallible.
 violations=$(
     for f in crates/storage/src/*.rs crates/service/src/*.rs \
-             crates/shard/src/*.rs crates/joins/src/*.rs; do
+             crates/shard/src/*.rs crates/joins/src/*.rs crates/rel/src/*.rs; do
         awk '/^#\[cfg\(test\)\]/ { exit }
              /PANIC-OK/ { next }
              /\.unwrap\(\)|\.expect\(|panic!/ { print FILENAME ":" FNR ": " $0 }' "$f"
@@ -137,7 +138,7 @@ if [ -n "$violations" ] || [ "$storage_ok" -ne 1 ]; then
     echo "$violations"
     exit 1
 fi
-echo "    -> storage + service + shard + joins non-test code is panic-clean"
+echo "    -> storage + service + shard + joins + rel non-test code is panic-clean"
 
 echo "==> entry-point gate (one public path per join strategy, one per paged operation)"
 # Each join/select algorithm in sj-joins and sj-gentree is one public
@@ -171,8 +172,9 @@ echo "    -> $count public join/select entry points, no twins"
 echo "==> one-optimizer gate (one chooser, one sampler, off the service's build graph)"
 # The §4 scoreboard is priced at one call site and selectivity is
 # sampled by one function, both in sj-joins' advisor.rs; sj-rel's
-# planner and the service call them. Nothing a request crosses compiles
-# sj-core, sj-rel or sj-zorder.
+# planner and the service's chooser reach them only through
+# `advisor::try_pick`, so non-test sj-rel code calls neither directly.
+# Nothing a request crosses compiles sj-core, sj-rel or sj-zorder.
 nontest_src=$(
     for f in crates/*/src/*.rs; do
         case "$f" in crates/costmodel/*) continue ;; esac
@@ -182,10 +184,13 @@ nontest_src=$(
 scoreboards=$(grep -c 'join::d_i(' <<<"$nontest_src" || true)
 samplers=$(grep -cE 'fn [a-z_]*estimate[a-z_]*' <<<"$nontest_src" || true)
 shims=$(grep -rn 'sj_core_model' crates src tests examples || true)
-if [ "$scoreboards" -ne 1 ] || [ "$samplers" -ne 1 ] || [ -n "$shims" ]; then
+planner_copies=$(grep -E '^crates/rel/src/[^:]*:[0-9]+: .*(recommend|try_estimate_selectivity)\(' \
+    <<<"$nontest_src" || true)
+if [ "$scoreboards" -ne 1 ] || [ "$samplers" -ne 1 ] || [ -n "$shims" ] || [ -n "$planner_copies" ]; then
     echo "    $scoreboards join::d_i( call sites (want 1), $samplers estimate fns (want 1)"
     grep -E 'join::d_i\(|fn [a-z_]*estimate[a-z_]*' <<<"$nontest_src" || true
     echo "$shims"
+    echo "$planner_copies"
     exit 1
 fi
 for pkg in sj-service sj-shard; do
@@ -197,6 +202,19 @@ for pkg in sj-service sj-shard; do
     fi
 done
 echo "    -> one scoreboard, one sampler; sj-service and sj-shard build no sj-core, sj-rel or sj-zorder"
+
+echo "==> one-dispatch gate (Database joins on sj_joins::Strategy, selects on TraversalOrder)"
+# sj-rel has no strategy enum of its own and no named join indices: a
+# join index is the one slot per (sides, θ) behind Strategy::JoinIndex,
+# and local join indices are sj-joins library calls only.
+second_dispatch=$(grep -rnE 'JoinStrategy|SelectStrategy|create_local_join_index|__auto:' \
+    crates src tests examples || true)
+if [ -n "$second_dispatch" ]; then
+    echo "    a second strategy dispatch or a named join index is back:"
+    echo "$second_dispatch"
+    exit 1
+fi
+echo "    -> no JoinStrategy, SelectStrategy, create_local_join_index or __auto: names"
 
 echo "==> five-strategies gate (a request names only what the optimizer can price)"
 # sj_joins::Strategy is the five strategies that run all eight θ plus

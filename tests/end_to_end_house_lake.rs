@@ -3,13 +3,12 @@
 //! simulator, R-tree indices, and every join strategy.
 
 use spatial_joins::core::workload::load_house_lake;
-use spatial_joins::core::{Database, Geometry, JoinStrategy, Layout, ThetaOp, Value};
-use spatial_joins::joins::Strategy;
-use spatial_joins::rel::query::SelectStrategy;
+use spatial_joins::core::{Database, DbError, Geometry, Layout, Strategy, ThetaOp, Value};
+use spatial_joins::core::{TraversalOrder, Tuple};
 
 fn build_db() -> Database {
     let mut db = Database::in_memory();
-    load_house_lake(&mut db, 600, 20, 31);
+    load_house_lake(&mut db, 600, 20, 31).unwrap();
     db
 }
 
@@ -22,66 +21,40 @@ fn ids(pairs: &[(Vec<Value>, Vec<Value>)]) -> Vec<(i64, i64)> {
     v
 }
 
+fn house_lake(
+    db: &mut Database,
+    theta: ThetaOp,
+    strategy: Strategy,
+) -> Result<Vec<(Tuple, Tuple)>, DbError> {
+    db.spatial_join("house", "hlocation", "lake", "larea", theta, strategy)
+}
+
 #[test]
-fn all_join_strategies_agree_on_house_lake() {
+fn all_join_strategies_agree_on_house_lake() -> Result<(), DbError> {
     let mut db = build_db();
     let theta = ThetaOp::WithinDistance(15.0);
-    let reference = ids(&db.spatial_join(
-        "house",
-        "hlocation",
-        "lake",
-        "larea",
-        theta,
-        JoinStrategy::NestedLoop,
-    ));
+    let reference = ids(&house_lake(&mut db, theta, Strategy::NestedLoop)?);
     assert!(!reference.is_empty(), "the workload should produce matches");
 
-    db.create_spatial_index("house", "hlocation", 8, Layout::Clustered);
-    db.create_spatial_index("lake", "larea", 4, Layout::Unclustered { seed: 2 });
-    let tree = ids(&db.spatial_join(
-        "house",
-        "hlocation",
-        "lake",
-        "larea",
-        theta,
-        JoinStrategy::GenTree,
-    ));
+    db.create_spatial_index("house", "hlocation", 8, Layout::Clustered)?;
+    db.create_spatial_index("lake", "larea", 4, Layout::Unclustered { seed: 2 })?;
+    let tree = ids(&house_lake(&mut db, theta, Strategy::Tree)?);
     assert_eq!(tree, reference);
 
-    db.create_join_index("hl", "house", "hlocation", "lake", "larea", theta);
-    let ji = ids(&db.spatial_join(
-        "house",
-        "hlocation",
-        "lake",
-        "larea",
-        theta,
-        JoinStrategy::JoinIndex { name: "hl".into() },
-    ));
+    db.create_join_index("house", "hlocation", "lake", "larea", theta)?;
+    let ji = ids(&house_lake(&mut db, theta, Strategy::JoinIndex)?);
     assert_eq!(ji, reference);
 
-    let partition = ids(&db.spatial_join(
-        "house",
-        "hlocation",
-        "lake",
-        "larea",
-        theta,
-        JoinStrategy::Exec(Strategy::Partition),
-    ));
+    let partition = ids(&house_lake(&mut db, theta, Strategy::Partition)?);
     assert_eq!(partition, reference);
+    Ok(())
 }
 
 #[test]
 fn join_results_actually_satisfy_theta() {
     let mut db = build_db();
     let theta = ThetaOp::WithinDistance(12.0);
-    let pairs = db.spatial_join(
-        "house",
-        "hlocation",
-        "lake",
-        "larea",
-        theta,
-        JoinStrategy::NestedLoop,
-    );
+    let pairs = house_lake(&mut db, theta, Strategy::NestedLoop).unwrap();
     for (house, lake) in pairs {
         let h = house[2].as_spatial().expect("spatial column");
         let l = lake[2].as_spatial().expect("spatial column");
@@ -99,24 +72,17 @@ fn selection_pipeline_with_scalar_predicates() {
     let mut db = build_db();
     // "Expensive houses" — scalar σ.
     let expensive = db.select("house", |row| row[1].as_float().unwrap() > 1_500_000.0);
+    let expensive = expensive.unwrap();
     assert!(!expensive.is_empty());
     // Spatial σ for each: lakes near the house.
     let (hid, house) = &expensive[0];
     let loc = house[2].as_spatial().unwrap().clone();
-    let lakes_near = db.spatial_select(
-        "lake",
-        "larea",
-        &loc,
-        ThetaOp::WithinDistance(300.0),
-        SelectStrategy::Tree,
-    );
-    let lakes_near_exh = db.spatial_select(
-        "lake",
-        "larea",
-        &loc,
-        ThetaOp::WithinDistance(300.0),
-        SelectStrategy::Exhaustive,
-    );
+    let theta = ThetaOp::WithinDistance(300.0);
+    let lakes_near = db.spatial_select("lake", "larea", &loc, theta, TraversalOrder::BreadthFirst);
+    let lakes_near = lakes_near.unwrap();
+    // The exhaustive oracle: θ as a scalar predicate over every row.
+    let lakes_near_exh = db.select("lake", |row| theta.eval(&loc, row[2].as_spatial().unwrap()));
+    let lakes_near_exh = lakes_near_exh.unwrap();
     let mut a: Vec<u64> = lakes_near.iter().map(|(id, _)| *id).collect();
     let mut b: Vec<u64> = lakes_near_exh.iter().map(|(id, _)| *id).collect();
     a.sort_unstable();
@@ -124,9 +90,9 @@ fn selection_pipeline_with_scalar_predicates() {
     assert_eq!(a, b, "house {hid}: tree and exhaustive selection differ");
 
     // π: project the lake rows onto (lid, name).
-    let schema = db.schema("lake").clone();
+    let schema = db.schema("lake").unwrap().clone();
     let rows: Vec<Vec<Value>> = lakes_near.into_iter().map(|(_, t)| t).collect();
-    let (ps, projected) = Database::project(&schema, &rows, &["lid", "name"]);
+    let (ps, projected) = Database::project(&schema, &rows, &["lid", "name"]).unwrap();
     assert_eq!(ps.names(), vec!["lid", "name"]);
     for row in &projected {
         assert_eq!(row.len(), 2);
@@ -138,17 +104,15 @@ fn selection_pipeline_with_scalar_predicates() {
 fn spatial_selection_follows_inserts() {
     // Indices are rebuilt transparently after new rows arrive.
     let mut db = build_db();
-    db.create_spatial_index("house", "hlocation", 8, Layout::Clustered);
+    db.create_spatial_index("house", "hlocation", 8, Layout::Clustered)
+        .unwrap();
     let probe = Geometry::Point(spatial_joins::geom::Point::new(500.0, 500.0));
-    let before = db
-        .spatial_select(
-            "house",
-            "hlocation",
-            &probe,
-            ThetaOp::WithinDistance(1.0),
-            SelectStrategy::Tree,
-        )
-        .len();
+    let (theta, order) = (ThetaOp::WithinDistance(1.0), TraversalOrder::BreadthFirst);
+    let near = |db: &mut Database| {
+        let hits = db.spatial_select("house", "hlocation", &probe, theta, order);
+        hits.unwrap().len()
+    };
+    let before = near(&mut db);
     db.insert(
         "house",
         vec![
@@ -156,16 +120,9 @@ fn spatial_selection_follows_inserts() {
             Value::Float(1.0),
             Value::Spatial(probe.clone()),
         ],
-    );
-    let after = db
-        .spatial_select(
-            "house",
-            "hlocation",
-            &probe,
-            ThetaOp::WithinDistance(1.0),
-            SelectStrategy::Tree,
-        )
-        .len();
+    )
+    .unwrap();
+    let after = near(&mut db);
     assert_eq!(after, before + 1);
 }
 
@@ -173,33 +130,20 @@ fn spatial_selection_follows_inserts() {
 fn join_index_pays_off_at_query_time_but_not_at_update_time() {
     let mut db = build_db();
     let theta = ThetaOp::WithinDistance(15.0);
-    db.create_join_index("hl", "house", "hlocation", "lake", "larea", theta);
+    db.create_join_index("house", "hlocation", "lake", "larea", theta)
+        .unwrap();
 
     // Query through the index: zero θ-evaluations (checked by strategy
     // internals), modest I/O.
-    db.drop_caches();
-    db.reset_io();
-    let _ = db.spatial_join_ids(
-        "house",
-        "hlocation",
-        "lake",
-        "larea",
-        theta,
-        JoinStrategy::JoinIndex { name: "hl".into() },
-    );
-    let index_reads = db.io_stats().physical_reads;
-
-    db.drop_caches();
-    db.reset_io();
-    let _ = db.spatial_join_ids(
-        "house",
-        "hlocation",
-        "lake",
-        "larea",
-        theta,
-        JoinStrategy::NestedLoop,
-    );
-    let nl_reads = db.io_stats().physical_reads;
+    let mut cold_reads = |strategy| {
+        db.drop_caches();
+        db.reset_io();
+        let join = db.spatial_join_ids("house", "hlocation", "lake", "larea", theta, strategy);
+        join.unwrap();
+        db.io_stats().physical_reads
+    };
+    let index_reads = cold_reads(Strategy::JoinIndex);
+    let nl_reads = cold_reads(Strategy::NestedLoop);
     assert!(
         index_reads <= nl_reads,
         "join-index query I/O ({index_reads}) should not exceed nested loop ({nl_reads})"

@@ -1,7 +1,7 @@
 //! Integration: persistence and automatic planning across the full stack.
 
 use spatial_joins::core::workload::load_house_lake;
-use spatial_joins::core::{Database, JoinStrategy, ThetaOp};
+use spatial_joins::core::{Database, Strategy, ThetaOp};
 use spatial_joins::rel::planner::PlannerConfig;
 
 fn temp_prefix(name: &str) -> std::path::PathBuf {
@@ -27,23 +27,25 @@ fn saved_database_answers_identically_after_reopen() {
     let theta = ThetaOp::WithinDistance(15.0);
     let expected = {
         let mut db = Database::in_memory();
-        load_house_lake(&mut db, 400, 12, 5);
-        let mut v = db.spatial_join_ids(
+        load_house_lake(&mut db, 400, 12, 5).unwrap();
+        let v = db.spatial_join_ids(
             "house",
             "hlocation",
             "lake",
             "larea",
             theta,
-            JoinStrategy::NestedLoop,
+            Strategy::NestedLoop,
         );
+        let mut v = v.unwrap();
         v.sort_unstable();
         db.save(&prefix).expect("save");
         v
     };
 
     let mut db = Database::open(&prefix).expect("open");
-    for strategy in [JoinStrategy::NestedLoop, JoinStrategy::GenTree] {
-        let mut got = db.spatial_join_ids("house", "hlocation", "lake", "larea", theta, strategy);
+    for strategy in [Strategy::NestedLoop, Strategy::Tree] {
+        let got = db.spatial_join_ids("house", "hlocation", "lake", "larea", theta, strategy);
+        let mut got = got.unwrap();
         got.sort_unstable();
         assert_eq!(got, expected);
     }
@@ -53,28 +55,31 @@ fn saved_database_answers_identically_after_reopen() {
 #[test]
 fn planner_runs_end_to_end_on_house_lake() {
     let mut db = Database::in_memory();
-    load_house_lake(&mut db, 500, 10, 8);
+    load_house_lake(&mut db, 500, 10, 8).unwrap();
     let theta = ThetaOp::WithinDistance(20.0);
     let reference = {
-        let mut v = db.spatial_join_ids(
+        let v = db.spatial_join_ids(
             "house",
             "hlocation",
             "lake",
             "larea",
             theta,
-            JoinStrategy::NestedLoop,
+            Strategy::NestedLoop,
         );
+        let mut v = v.unwrap();
         v.sort_unstable();
         v
     };
-    let (plan, mut pairs) = db.spatial_join_auto(
-        "house",
-        "hlocation",
-        "lake",
-        "larea",
-        theta,
-        PlannerConfig::default(),
-    );
+    let (plan, mut pairs) = db
+        .spatial_join_auto(
+            "house",
+            "hlocation",
+            "lake",
+            "larea",
+            theta,
+            PlannerConfig::default(),
+        )
+        .unwrap();
     pairs.sort_unstable();
     assert_eq!(pairs, reference);
     assert!(plan.estimated_cost.is_finite() && plan.estimated_cost > 0.0);
@@ -88,7 +93,7 @@ fn save_reopen_save_is_stable() {
     let p2 = temp_prefix("gen2");
     {
         let mut db = Database::in_memory();
-        load_house_lake(&mut db, 200, 6, 2);
+        load_house_lake(&mut db, 200, 6, 2).unwrap();
         db.save(&p1).expect("first save");
     }
     let rows = {
@@ -102,13 +107,14 @@ fn save_reopen_save_is_stable() {
                     spatial_joins::geom::Point::new(1.0, 2.0),
                 )),
             ],
-        );
+        )
+        .unwrap();
         db.save(&p2).expect("second save");
-        db.row_count("house")
+        db.row_count("house").unwrap()
     };
     let mut db = Database::open(&p2).expect("second open");
-    assert_eq!(db.row_count("house"), rows);
-    let last = db.get("house", rows as u64 - 1);
+    assert_eq!(db.row_count("house"), Ok(rows));
+    let last = db.get("house", rows as u64 - 1).unwrap().unwrap();
     assert_eq!(last[0], spatial_joins::rel::Value::Int(777));
     cleanup(&p1);
     cleanup(&p2);
