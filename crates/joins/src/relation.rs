@@ -208,26 +208,15 @@ impl StoredRelation {
             .collect()
     }
 
-    /// Decomposes into raw parts for catalog serialization. The slot
-    /// list matters once deletes have run: surviving tuples keep their
-    /// original file slots, so positions are no longer the identity.
-    pub fn to_parts(&self) -> (&HeapFile, &[u64], &[usize]) {
-        (&self.file, &self.ids, &self.slots)
+    /// The tuple ids, in position order.
+    pub fn ids(&self) -> &[u64] {
+        &self.ids
     }
 
-    /// Reassembles a relation from a reloaded heap file, its id list,
-    /// and the file slot each position occupies (ascending, as
-    /// [`StoredRelation::to_parts`] hands them out).
+    /// Assembles a relation from a heap file, its id list, and the file
+    /// slot each position occupies (one per id, ascending, inside the
+    /// file: what [`build`](Self::build) and an empty file pass).
     pub fn from_parts(file: HeapFile, ids: Vec<u64>, slots: Vec<usize>) -> Self {
-        assert!(ids.len() == slots.len(), "id list must match the slot list");
-        assert!(
-            slots.iter().all(|&s| s < file.len()),
-            "slot beyond the file directory"
-        );
-        assert!(
-            slots.windows(2).all(|w| w[0] < w[1]),
-            "slot list must be ascending"
-        );
         let slot_of: IdMap<usize> = ids.iter().copied().zip(slots.iter().copied()).collect();
         assert!(slot_of.len() == ids.len(), "duplicate tuple id");
         StoredRelation {
@@ -457,8 +446,8 @@ mod tests {
         }
         assert!(rel.slots.iter().enumerate().any(|(pos, &slot)| pos != slot));
 
-        let (file, ids, slots) = rel.to_parts();
-        let reloaded = StoredRelation::from_parts(file.clone(), ids.to_vec(), slots.to_vec());
+        let (file, ids, slots) = (rel.file.clone(), rel.ids.clone(), rel.slots.clone());
+        let reloaded = StoredRelation::from_parts(file, ids, slots);
         assert_eq!(reloaded.try_scan(&mut p).unwrap(), model);
         for (id, g) in &model {
             assert_eq!(&reloaded.try_read_by_id(&mut p, *id).unwrap().1, g);

@@ -44,7 +44,7 @@ pub(crate) struct SpatialColumn {
     /// R-tree index, tagged with the table's mutation sequence when built.
     index: Option<(TreeRelation, u64)>,
     /// Layout and fan-out requested for the index.
-    index_layout: Layout,
+    pub(crate) index_layout: Layout,
     pub(crate) index_fanout: usize,
 }
 
@@ -78,7 +78,7 @@ pub(crate) fn table<'a>(tables: &'a Tables, name: &str) -> Result<&'a Table> {
     found.ok_or_else(|| DbError::UnknownTable(name.to_string()))
 }
 
-fn table_mut<'a>(tables: &'a mut Tables, name: &str) -> Result<&'a mut Table> {
+pub(crate) fn table_mut<'a>(tables: &'a mut Tables, name: &str) -> Result<&'a mut Table> {
     let found = tables.get_mut(name);
     found.ok_or_else(|| DbError::UnknownTable(name.to_string()))
 }
@@ -111,7 +111,7 @@ impl Table {
         }
     }
 
-    fn read_row(&self, pool: &mut BufferPool, slot: usize) -> Result<Tuple> {
+    pub(crate) fn read_row(&self, pool: &mut BufferPool, slot: usize) -> Result<Tuple> {
         let bytes = pool.try_read_record(&self.file, self.file.rid(slot));
         decode_tuple(bytes.map_err(DbError::during("row read"))?, &self.schema)
     }
@@ -239,23 +239,18 @@ impl Database {
     /// Creates a database on a fresh simulated disk with `mem_pages`
     /// buffer-pool frames.
     pub fn new(config: DiskConfig, mem_pages: usize) -> Self {
-        Database::from_pool(BufferPool::new(Disk::new(config), mem_pages))
+        Database {
+            pool: BufferPool::new(Disk::new(config), mem_pages),
+            tables: BTreeMap::new(),
+            join_indices: Vec::new(),
+            poisoned: false,
+        }
     }
 
     /// A database with the paper's disk geometry and a 256-page pool —
     /// convenient for examples and tests.
     pub fn in_memory() -> Self {
         Database::new(DiskConfig::paper(), 256)
-    }
-
-    /// Wraps an existing pool (used by [`Database::open`]).
-    pub(crate) fn from_pool(pool: BufferPool) -> Self {
-        Database {
-            pool,
-            tables: BTreeMap::new(),
-            join_indices: Vec::new(),
-            poisoned: false,
-        }
     }
 
     /// [`DbError::Poisoned`] once a half-applied batch poisoned the database.
@@ -299,7 +294,9 @@ impl Database {
             let why = format!("table {name:?} already exists");
             return Err(DbError::SchemaMismatch(why));
         }
-        if record_size == 0 || record_size > self.pool.config().effective_capacity() {
+        // A tuple's u16 length prefix bounds what a record can hold.
+        let page = self.pool.config().effective_capacity();
+        if record_size == 0 || record_size > page.min(usize::from(u16::MAX)) {
             let why = format!("a {record_size}-byte record does not fit a page");
             return Err(DbError::SchemaMismatch(why));
         }
@@ -530,6 +527,7 @@ mod tests {
     use crate::schema::Column;
     use sj_geom::Point;
     use sj_joins::Strategy;
+    use sj_storage::PageId;
 
     fn db_with_points(n: usize) -> Database {
         let mut db = Database::in_memory();
@@ -791,6 +789,30 @@ mod tests {
         Ok(seen)
     }
 
+    /// Pages may be larger than a tuple's u16 length prefix can
+    /// describe, but records may not: a table whose rows could overflow
+    /// the prefix (and trip `encode_tuple`'s assert) is refused.
+    #[test]
+    fn a_record_past_the_length_prefix_is_refused() {
+        let config = DiskConfig {
+            page_size: 1 << 17,
+            utilization: 1.0,
+        };
+        let mut db = Database::new(config, 4);
+        let schema = || Schema::new(vec![Column::new("s", ValueType::Str)]);
+        let refused = db.create_table("t", schema(), 1 << 16);
+        assert!(matches!(refused, Err(DbError::SchemaMismatch(_))));
+        db.create_table("t", schema(), usize::from(u16::MAX))
+            .unwrap();
+        let row = |n| vec![Value::Str("x".repeat(n))];
+        let op = Mutation::Insert {
+            id: 0,
+            value: row(65_531),
+        };
+        assert_eq!(db.apply("t", &[op]), Ok(vec![MutationOutcome::TooLarge]));
+        assert_eq!(db.insert("t", row(65_530)), Ok(0));
+    }
+
     /// A write fault at each write of an insert, an upsert and a delete:
     /// a fault at the batch's first write leaves the table as it was,
     /// and one after an earlier write landed poisons the database. No
@@ -815,13 +837,16 @@ mod tests {
                 let mut db = two_columns_db();
                 let model = observe(&mut db).unwrap();
                 // The pages of the files the op writes, in write order.
+                // Each file holds one page: `create_table` allocated the
+                // row file's, then each column file's, in schema order.
                 let t = &db.tables["t"];
-                let mut files: Vec<&HeapFile> =
-                    t.spatial.iter().map(|sc| sc.column.to_parts().0).collect();
+                let row_page = t.file.rid(0).page;
+                assert!(t.spatial.iter().all(|sc| sc.column.page_count() == 1));
+                let mut files: Vec<_> = (1..=2).map(|c| PageId(row_page.0 + c)).collect();
                 if writes_rows {
-                    files.insert(0, &t.file);
+                    files.insert(0, row_page);
                 }
-                let pages = files[k..].iter().flat_map(|f| f.to_parts().0).collect();
+                let pages = files[k..].iter().copied().collect();
                 db.set_fault_injector(Some(FaultInjector::new(FaultConfig {
                     write_prob: 1.0,
                     target_pages: Some(pages),

@@ -39,9 +39,9 @@
 //! fsynced *before* the next snapshot is published (commit point), the
 //! snapshot itself is built by incremental R-tree insert/delete on a
 //! copy-on-write pool fork (O(batch) pages, receipted in
-//! [`CommitReceipt::io`]), and recovery replays the durable log prefix
-//! ([`SpatialService::recover`](service::SpatialService::recover)) —
-//! or fail-stops with a typed error on any corruption. See DESIGN.md
+//! [`CommitReceipt::io`]); recovery rebuilds the last checkpoint image
+//! and replays the log after it ([`service::SpatialService::recover`])
+//! — or fail-stops with a typed error on any corruption. See DESIGN.md
 //! §5i.
 //!
 //! Determinism: results are sorted, the advisor's selectivity sampling

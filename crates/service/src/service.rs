@@ -237,6 +237,9 @@ pub struct SpatialService {
     /// The write-ahead log. Its mutex serializes writers only — never
     /// touched by the request path — and commit order IS log order.
     wal: Mutex<WriteAheadLog>,
+    /// The last checkpoint image ([`SpatialService::checkpoint`]); the
+    /// WAL holds only what came after it. Locked after `wal`.
+    image: Mutex<Option<Vec<u8>>>,
     /// The result cache, never locked when `cache_capacity` is 0.
     cache: Mutex<ResultCache>,
     /// Misses computing right now, at most `queue_depth`.
@@ -274,10 +277,22 @@ impl SpatialService {
         _world: Rect,
     ) -> Self {
         let state = build_state(&config, r_tuples, s_tuples, 0);
+        SpatialService::with_state(config, state, WriteAheadLog::new(), None)
+    }
+
+    /// Serves `state`, logs to `wal`; `image` is the last checkpoint.
+    fn with_state(
+        config: ServiceConfig,
+        state: DataState,
+        wal: WriteAheadLog,
+        image: Option<Vec<u8>>,
+    ) -> Self {
+        let version = state.version;
         SpatialService {
             config,
-            snapshot: SnapshotCell::new(Arc::new(state)),
-            wal: Mutex::new(WriteAheadLog::new()),
+            snapshot: SnapshotCell::new(Arc::new(state), version),
+            wal: Mutex::new(wal),
+            image: Mutex::new(image),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
             in_flight: AtomicUsize::new(0),
             metrics: RequestMetrics::new(),
@@ -459,43 +474,62 @@ impl SpatialService {
         })
     }
 
-    /// Rebuilds a service from a seed dataset plus a WAL image: strict
-    /// recovery parses the image (corruption is a typed
-    /// [`StorageError::WalCorrupt`], never a wrong answer), drops any
-    /// unsynced tail, and replays every durable batch in commit order —
-    /// without re-logging — so the recovered service observes exactly
-    /// the synced history's state and versions.
-    pub fn recover(
-        config: ServiceConfig,
-        r_tuples: &[(u64, Geometry)],
-        s_tuples: &[(u64, Geometry)],
-        image: &[u8],
-    ) -> Result<SpatialService, StorageError> {
-        let (wal, payloads) = WriteAheadLog::recover(image)?;
-        let batches = payloads
-            .iter()
-            .map(|p| WriteBatch::decode(p))
-            .collect::<Result<Vec<_>, _>>()?;
-        let ignored_world = Rect::from_bounds(0.0, 0.0, 0.0, 0.0);
-        let svc = SpatialService::start(config, r_tuples, s_tuples, ignored_world);
-        *svc.wal.lock().unwrap_or_else(PoisonError::into_inner) = wal;
-        for batch in &batches {
-            svc.replay(batch)?;
+    /// Stores an image of the current snapshot — a synced
+    /// [`WriteAheadLog`] of a header (`IMAGE_TAG`, the version, the last
+    /// WAL LSN it covers) and R's and S's tuples in position order as
+    /// [`WriteBatch`] inserts — then truncates the WAL to what follows
+    /// it, all under the WAL lock. Returns the version the image holds.
+    pub fn checkpoint(&self) -> Result<u64, StorageError> {
+        let mut wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
+        let state = self.snapshot.load();
+        let mut shard = state.pool.fork_view(self.config.shard_capacity);
+        let mut image = WriteAheadLog::new();
+        let (version, covered) = (state.version.to_le_bytes(), wal.synced_lsn().to_le_bytes());
+        image.append(&[IMAGE_TAG, &version, &covered].concat());
+        for (side, tuples) in [(Side::R, &state.r), (Side::S, &state.s)] {
+            let tuples = tuples.rel.try_scan(&mut shard)?.into_iter();
+            let ops = tuples.map(|(id, value)| (side, Mutation::Insert { id, value }));
+            image.append(&WriteBatch { ops: ops.collect() }.encode());
         }
-        Ok(svc)
+        image.sync()?;
+        *self.image.lock().unwrap_or_else(PoisonError::into_inner) = Some(image.durable_image());
+        wal.truncate();
+        self.record_wal_gauges(&wal);
+        Ok(state.version)
     }
 
-    /// Applies an already-durable batch (recovery replay): same apply
-    /// and publish as [`commit`](Self::commit), no logging, no sync.
-    fn replay(&self, batch: &WriteBatch) -> Result<(), StorageError> {
-        let _wal = self.wal.lock().unwrap_or_else(PoisonError::into_inner);
-        let current = self.snapshot.load();
-        let applied = apply_incremental(&self.config, &current, batch)?;
-        let version = applied.state.version;
-        drop(current);
-        self.snapshot.publish(Arc::new(applied.state));
-        self.purge_cache(version, &applied.touched);
-        Ok(())
+    /// The last [`checkpoint`](Self::checkpoint)'s image, which
+    /// [`recover`](Self::recover) reads beside [`wal_image`](Self::wal_image).
+    pub fn checkpoint_image(&self) -> Option<Vec<u8>> {
+        let image = self.image.lock().unwrap_or_else(PoisonError::into_inner);
+        image.clone()
+    }
+
+    /// Builds the image's tuples as [`start`](Self::start) builds, then
+    /// applies the WAL's durable batches after the image's LSN. A damaged
+    /// image or log is [`StorageError::WalCorrupt`]; a log that starts
+    /// after the image's LSN or ends before it is [`StorageError::LogGap`].
+    pub fn recover(
+        config: ServiceConfig,
+        image: &[u8],
+        wal: &[u8],
+    ) -> Result<SpatialService, StorageError> {
+        let (version, image_lsn, [r, s]) = decode_image(&config, image)?;
+        let (log, records) = WriteAheadLog::recover(wal)?;
+        let (log_base, log_end) = (log.base_lsn(), log.synced_lsn());
+        if log_base > image_lsn || log_end < image_lsn {
+            return Err(StorageError::LogGap {
+                image_lsn,
+                log_base,
+                log_end,
+            });
+        }
+        let mut state = build_state(&config, &r, &s, version);
+        for (_, payload) in records.iter().filter(|(lsn, _)| *lsn > image_lsn) {
+            state = apply_incremental(&config, &state, &WriteBatch::decode(payload)?)?.state;
+        }
+        let image = Some(image.to_vec());
+        Ok(SpatialService::with_state(config, state, log, image))
     }
 
     /// Drops the cache entries a commit publishing `version` could have
@@ -505,9 +539,10 @@ impl SpatialService {
             .map_or((0, 0), |mut cache| cache.purge_region(version, touched))
     }
 
-    /// The durable WAL image — magic header plus every synced frame,
-    /// excluding any unsynced tail. This is the byte string crash
-    /// recovery consumes ([`SpatialService::recover`]).
+    /// The durable WAL image — magic header plus every synced frame
+    /// since the last checkpoint, excluding any unsynced tail. With
+    /// [`checkpoint_image`](Self::checkpoint_image), the byte strings
+    /// crash recovery consumes ([`SpatialService::recover`]).
     pub fn wal_image(&self) -> Vec<u8> {
         self.wal
             .lock()
@@ -542,10 +577,10 @@ impl SpatialService {
         );
     }
 
-    /// Current dataset version (starts at 0, bumped per update batch),
-    /// read without a lock: `commit` and `replay`, the only publishers,
-    /// each publish their predecessor's version plus one, so the cell's
-    /// epoch *is* the published snapshot's version.
+    /// Current dataset version (starts at the seed's 0 or the image's,
+    /// bumped per update batch), read without a lock: `commit`, the only
+    /// publisher, publishes its predecessor's version plus one, so the
+    /// cell's epoch *is* the published snapshot's version.
     pub fn version(&self) -> u64 {
         self.snapshot.epoch()
     }
@@ -612,6 +647,45 @@ fn build_state(
         s,
         version,
     }
+}
+
+/// First bytes of a checkpoint image's header record.
+const IMAGE_TAG: &[u8] = b"SJIMAGE1";
+
+type Tuples = Vec<(u64, Geometry)>;
+
+/// An image's version, last covered WAL LSN, and R's and S's tuples.
+/// Another log, a tuple on the wrong side, a repeated id or a geometry
+/// the configured record size cannot hold is a typed
+/// [`StorageError::WalCorrupt`] that [`build_state`] never sees.
+fn decode_image(
+    config: &ServiceConfig,
+    image: &[u8],
+) -> Result<(u64, u64, [Tuples; 2]), StorageError> {
+    let corrupt = |reason| StorageError::WalCorrupt { offset: 0, reason };
+    let (_, records) = WriteAheadLog::recover(image)?;
+    let [(_, header), (_, r), (_, s)] = &records[..] else {
+        return Err(corrupt("an image is a header and two relations"));
+    };
+    let header = header.strip_prefix(IMAGE_TAG).filter(|h| h.len() == 16);
+    let header = header.ok_or_else(|| corrupt("not a checkpoint image"))?;
+    let (version, covered) = header.split_at(8);
+    let word = |b: &[u8]| b.try_into().map_or(0, u64::from_le_bytes);
+    let mut seen = std::collections::HashSet::new();
+    let mut side = |want: Side, payload: &[u8]| {
+        let ops = WriteBatch::decode(payload)?.ops.into_iter();
+        ops.map(|op| match op {
+            (side, Mutation::Insert { id, value })
+                if side == want && !config.too_large(&value) && seen.insert((side, id)) =>
+            {
+                Ok((id, value))
+            }
+            _ => Err(corrupt("an image tuple its relation cannot hold")),
+        })
+        .collect::<Result<Vec<_>, _>>()
+    };
+    let sides = [side(Side::R, r)?, side(Side::S, s)?];
+    Ok((word(version), word(covered), sides))
 }
 
 /// Bulk-loads a clustered generalization tree over the `tuples` `rel`
@@ -1875,6 +1949,8 @@ mod tests {
     fn wal_sync_fault_aborts_the_commit_and_state_is_unchanged() {
         use std::collections::HashSet;
         let svc = small_service(ServiceConfig::default());
+        assert_eq!(svc.checkpoint(), Ok(0));
+        let image = svc.checkpoint_image().expect("checkpoint stored");
         let probe = select_at(Side::R, 0.0, 0.0, ThetaOp::WithinDistance(5.0));
         let before = svc.call(probe.clone()).expect("ok").reply;
 
@@ -1895,13 +1971,8 @@ mod tests {
         assert_eq!(svc.version(), 0);
         assert_eq!(svc.call(probe.clone()).expect("ok").reply, before);
         assert_eq!(svc.write_metrics().aborted_commits(), 1);
-        let recovered = SpatialService::recover(
-            *svc.config(),
-            &grid_tuples(5, 10.0, 0),
-            &grid_tuples(5, 10.0, 500),
-            &svc.wal_image(),
-        )
-        .expect("image with no synced records recovers");
+        let recovered = SpatialService::recover(*svc.config(), &image, &svc.wal_image())
+            .expect("a log with no synced records recovers");
         assert_eq!(recovered.version(), 0);
 
         // The retried commit (sync attempt 2 is not targeted) succeeds.
@@ -1916,6 +1987,8 @@ mod tests {
     #[test]
     fn recovery_replays_the_durable_history_exactly() {
         let svc = small_service(ServiceConfig::default());
+        svc.checkpoint().expect("version-0 checkpoint");
+        let checkpoint = svc.checkpoint_image().expect("checkpoint stored");
         svc.commit(
             &WriteBatch::new()
                 .insert(Side::R, 9000, Geometry::Point(Point::new(2.0, 2.0)))
@@ -1925,13 +1998,8 @@ mod tests {
         svc.commit(&WriteBatch::new().upsert(Side::R, 0, Geometry::Point(Point::new(31.0, 31.0))))
             .expect("second commit");
 
-        let recovered = SpatialService::recover(
-            *svc.config(),
-            &grid_tuples(5, 10.0, 0),
-            &grid_tuples(5, 10.0, 500),
-            &svc.wal_image(),
-        )
-        .expect("recovery succeeds");
+        let recovered = SpatialService::recover(*svc.config(), &checkpoint, &svc.wal_image())
+            .expect("recovery succeeds");
         assert_eq!(recovered.version(), 2);
         // The lock-free version is the published snapshot's, committed
         // or replayed.
@@ -1955,12 +2023,7 @@ mod tests {
         let last = image.len() - 1;
         image[last] ^= 0xFF;
         assert!(matches!(
-            SpatialService::recover(
-                *svc.config(),
-                &grid_tuples(5, 10.0, 0),
-                &grid_tuples(5, 10.0, 500),
-                &image,
-            ),
+            SpatialService::recover(*svc.config(), &checkpoint, &image),
             Err(StorageError::WalCorrupt { .. })
         ));
     }
@@ -1982,6 +2045,9 @@ mod tests {
         unknown_tag[record + 8] = 0x7f;
         let mut non_finite = good.clone();
         non_finite[record + 11..record + 19].copy_from_slice(&f64::NAN.to_le_bytes());
+        let seed = small_service(ServiceConfig::default());
+        seed.checkpoint().expect("version-0 checkpoint");
+        let image = seed.checkpoint_image().expect("checkpoint stored");
 
         for (what, payload) in [
             ("record shorter than the codec header", short),
@@ -1998,12 +2064,8 @@ mod tests {
             let mut wal = WriteAheadLog::new();
             wal.append(&payload);
             wal.sync().expect("no injector armed");
-            let recovered = SpatialService::recover(
-                ServiceConfig::default(),
-                &grid_tuples(5, 10.0, 0),
-                &grid_tuples(5, 10.0, 500),
-                &wal.durable_image(),
-            );
+            let recovered =
+                SpatialService::recover(ServiceConfig::default(), &image, &wal.durable_image());
             assert!(
                 matches!(recovered, Err(StorageError::WalCorrupt { .. })),
                 "{what}: recover must not start a service"

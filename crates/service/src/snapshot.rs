@@ -49,16 +49,16 @@ pub struct SnapshotCell<T> {
 }
 
 impl<T> SnapshotCell<T> {
-    /// A cell holding `initial` at epoch 0.
-    pub fn new(initial: Arc<T>) -> Self {
+    /// A cell holding `initial` at `epoch`.
+    pub fn new(initial: Arc<T>, epoch: u64) -> Self {
         SnapshotCell {
             slot: Mutex::new(initial),
-            epoch: AtomicU64::new(0),
+            epoch: AtomicU64::new(epoch),
             lock_count: AtomicU64::new(0),
         }
     }
 
-    /// The current epoch (0 until the first publish).
+    /// The current epoch (bumped by each publish).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
@@ -97,7 +97,7 @@ mod tests {
 
     #[test]
     fn epoch_reads_lock_nothing_and_each_load_locks_once() {
-        let cell = SnapshotCell::new(Arc::new(1u64));
+        let cell = SnapshotCell::new(Arc::new(1u64), 0);
         for _ in 0..1000 {
             assert_eq!(cell.epoch(), 0);
         }
@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn publish_bumps_epoch_and_load_sees_latest() {
-        let cell = SnapshotCell::new(Arc::new("a"));
+        let cell = SnapshotCell::new(Arc::new("a"), 0);
         assert_eq!(cell.epoch(), 0);
         assert_eq!(cell.publish(Arc::new("b")), 1);
         assert_eq!(cell.epoch(), 1);
@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn old_snapshots_stay_alive_for_holders_and_die_after() {
-        let cell = SnapshotCell::new(Arc::new(vec![1, 2, 3]));
+        let cell = SnapshotCell::new(Arc::new(vec![1, 2, 3]), 0);
         let held = cell.load();
         cell.publish(Arc::new(vec![4]));
         // The in-flight holder still computes against the old version.
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_see_monotone_epochs() {
-        let cell = Arc::new(SnapshotCell::new(Arc::new(0u64)));
+        let cell = Arc::new(SnapshotCell::new(Arc::new(0u64), 0));
         let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..3)
             .map(|_| {

@@ -2,6 +2,12 @@
 //! demand the recovered service is *exactly* the durable prefix of the
 //! history — or a typed error. Never a wrong answer.
 //!
+//! Recovery reads a checkpoint image plus the WAL written after it; a
+//! version-0 checkpoint taken right after `start` stands in for the
+//! seed data. The checkpoint tests pair every image with every log a
+//! crash can leave behind: before or after the truncation that follows
+//! a checkpoint, and damaged ones.
+//!
 //! The fault injector targets sync attempt `k` (the WAL consults
 //! `FaultOp::Write` on `PageId(k)` for its `k`-th fsync, 0-based), so
 //! one run per `k` simulates a crash at each commit point in turn: the
@@ -73,6 +79,25 @@ fn sync_killer(attempt: u32) -> FaultInjector {
     })
 }
 
+/// Takes a checkpoint and returns the image it stored.
+fn checkpoint(svc: &SpatialService) -> Vec<u8> {
+    svc.checkpoint().expect("no injector on the snapshot");
+    svc.checkpoint_image()
+        .expect("a checkpoint stores an image")
+}
+
+/// `recovered` answers every probe as `reference` does, at its version.
+fn assert_same(recovered: &SpatialService, reference: &SpatialService, what: &str) {
+    assert_eq!(recovered.version(), reference.version(), "{what}: version");
+    for req in probes() {
+        assert_eq!(
+            recovered.execute_reference(&req),
+            reference.execute_reference(&req),
+            "{what}: diverged on {req:?}"
+        );
+    }
+}
+
 fn probes() -> Vec<Request> {
     vec![
         Request::select(
@@ -98,6 +123,7 @@ fn crash_at_every_fsync_boundary_recovers_the_durable_prefix() {
 
     for fail_at in 0..batches.len() {
         let svc = SpatialService::start(config(), &r0, &s0, world());
+        let image = checkpoint(&svc);
         svc.set_wal_fault_injector(Some(sync_killer(fail_at as u32)));
 
         // Sequential reference over the batches that actually land.
@@ -129,7 +155,7 @@ fn crash_at_every_fsync_boundary_recovers_the_durable_prefix() {
 
         // Recover from the durable image: the recovered service must be
         // indistinguishable from the sequential reference.
-        let recovered = SpatialService::recover(config(), &r0, &s0, &svc.wal_image())
+        let recovered = SpatialService::recover(config(), &image, &svc.wal_image())
             .expect("the durable image is well-formed");
         assert_eq!(recovered.version(), committed, "crash run {fail_at}");
         for req in probes() {
@@ -142,11 +168,11 @@ fn crash_at_every_fsync_boundary_recovers_the_durable_prefix() {
 
         // Fail-stop on corruption: flipping any sampled byte of the
         // image must yield a typed WalCorrupt, never a wrong answer.
-        let image = svc.wal_image();
-        for pos in (0..image.len()).step_by(image.len() / 16 + 1) {
-            let mut bad = image.clone();
+        let log = svc.wal_image();
+        for pos in (0..log.len()).step_by(log.len() / 16 + 1) {
+            let mut bad = log.clone();
             bad[pos] ^= 0x40;
-            match SpatialService::recover(config(), &r0, &s0, &bad) {
+            match SpatialService::recover(config(), &image, &bad) {
                 Err(StorageError::WalCorrupt { .. }) => {}
                 Err(other) => panic!("crash run {fail_at}: wrong error kind {other:?}"),
                 Ok(recovered) => {
@@ -171,6 +197,7 @@ fn retry_after_a_failed_sync_commits_cleanly() {
     let r0 = grid_tuples(4, 8.0, 0);
     let s0 = grid_tuples(4, 8.0, 500);
     let svc = SpatialService::start(config(), &r0, &s0, world());
+    let image = checkpoint(&svc);
     svc.set_wal_fault_injector(Some(sync_killer(0)));
 
     let batch = WriteBatch::new().insert(Side::R, 9_001, Geometry::Point(Point::new(9.0, 9.0)));
@@ -182,7 +209,7 @@ fn retry_after_a_failed_sync_commits_cleanly() {
     // batch and lands at version 1 — and recovery sees it exactly once.
     let receipt = svc.commit(&batch).expect("sync attempt 1 is unarmed");
     assert_eq!(receipt.version, 1);
-    let recovered = SpatialService::recover(config(), &r0, &s0, &svc.wal_image())
+    let recovered = SpatialService::recover(config(), &image, &svc.wal_image())
         .expect("durable image recovers");
     assert_eq!(recovered.version(), 1);
     let probe = Request::select(
@@ -195,4 +222,135 @@ fn retry_after_a_failed_sync_commits_cleanly() {
         svc.execute_reference(&probe),
         "the retried write is durable exactly once"
     );
+}
+
+/// The images and logs a checkpoint in the middle of the history can
+/// leave behind, with the sequential reference at each point.
+struct Checkpointed {
+    /// Version-0 image, and the log before the second checkpoint.
+    old_image: Vec<u8>,
+    full_wal: Vec<u8>,
+    /// The image after two batches, and the log it truncated once two
+    /// more batches landed.
+    new_image: Vec<u8>,
+    truncated_wal: Vec<u8>,
+    /// References at version 2 (the new image) and version 4 (the end).
+    at_image: SpatialService,
+    at_end: SpatialService,
+}
+
+fn checkpointed() -> Checkpointed {
+    let r0 = grid_tuples(5, 8.0, 0);
+    let s0 = grid_tuples(5, 8.0, 500);
+    let batches = history();
+    let svc = SpatialService::start(config(), &r0, &s0, world());
+    let at_image = SpatialService::start(config(), &r0, &s0, world());
+    let at_end = SpatialService::start(config(), &r0, &s0, world());
+    let commit = |batch| {
+        svc.commit(batch).expect("no injector armed");
+        at_end.commit(batch).expect("no injector armed");
+    };
+    let old_image = checkpoint(&svc);
+    for batch in &batches[..2] {
+        commit(batch);
+        at_image.commit(batch).expect("no injector armed");
+    }
+    let full_wal = svc.wal_image();
+    let new_image = checkpoint(&svc);
+    assert_eq!(
+        new_image,
+        checkpoint(&svc),
+        "a second checkpoint changes nothing"
+    );
+    for batch in &batches[2..4] {
+        commit(batch);
+    }
+    Checkpointed {
+        old_image,
+        full_wal,
+        new_image,
+        truncated_wal: svc.wal_image(),
+        at_image,
+        at_end,
+    }
+}
+
+#[test]
+fn recovery_after_a_checkpoint_replays_only_the_log_after_it() {
+    let c = checkpointed();
+    let recovered = SpatialService::recover(config(), &c.new_image, &c.truncated_wal)
+        .expect("image and the log after it");
+    assert_same(&recovered, &c.at_end, "new image, truncated log");
+    // The recovered service goes on committing, checkpointing and
+    // recovering like the original.
+    let batch = history().remove(4);
+    recovered.commit(&batch).unwrap();
+    c.at_end.commit(&batch).unwrap();
+    let again = SpatialService::recover(config(), &c.new_image, &recovered.wal_image()).unwrap();
+    assert_same(&again, &c.at_end, "after one more commit");
+    let image = checkpoint(&recovered);
+    let from_latest = SpatialService::recover(config(), &image, &recovered.wal_image()).unwrap();
+    assert_same(&from_latest, &c.at_end, "latest image, empty log");
+}
+
+/// A crash between storing the new image and truncating the log leaves
+/// the new image beside the whole log; the old image beside the whole
+/// log is what a crash while writing the new image leaves.
+#[test]
+fn every_image_recovers_beside_the_log_it_was_taken_from() {
+    let c = checkpointed();
+    let killed = SpatialService::recover(config(), &c.new_image, &c.full_wal).unwrap();
+    assert_same(&killed, &c.at_image, "new image, log before truncation");
+    let old = SpatialService::recover(config(), &c.old_image, &c.full_wal).unwrap();
+    assert_same(&old, &c.at_image, "old image, full log");
+}
+
+#[test]
+fn an_image_the_log_does_not_continue_is_a_typed_gap() {
+    let c = checkpointed();
+    let gap = SpatialService::recover(config(), &c.old_image, &c.truncated_wal);
+    assert!(
+        matches!(gap, Err(StorageError::LogGap { image_lsn: 0, .. })),
+        "old image, truncated log: {:?}",
+        gap.err()
+    );
+    // A log older than the image cannot be the one that continues it.
+    let empty = SpatialService::start(config(), &[], &[], world()).wal_image();
+    let behind = SpatialService::recover(config(), &c.new_image, &empty);
+    assert!(matches!(
+        behind,
+        Err(StorageError::LogGap { log_end: 0, .. })
+    ));
+}
+
+#[test]
+fn every_bit_flip_in_an_image_is_a_typed_error() {
+    let r0 = grid_tuples(3, 8.0, 0);
+    let s0 = grid_tuples(3, 8.0, 500);
+    let svc = SpatialService::start(config(), &r0, &s0, world());
+    svc.commit(&history()[0]).unwrap();
+    let image = checkpoint(&svc);
+    let wal = svc.wal_image();
+    for bit in 0..image.len() * 8 {
+        let mut bad = image.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        match SpatialService::recover(config(), &bad, &wal) {
+            Err(StorageError::WalCorrupt { .. }) => {}
+            Err(other) => panic!("bit {bit}: wrong error kind {other:?}"),
+            Ok(_) => panic!("bit {bit}: a damaged image recovered"),
+        }
+    }
+}
+
+#[test]
+fn a_log_passed_as_the_image_is_a_typed_error() {
+    let c = checkpointed();
+    for (what, log) in [("full", &c.full_wal), ("truncated", &c.truncated_wal)] {
+        let got = SpatialService::recover(config(), log, log);
+        assert!(
+            matches!(got, Err(StorageError::WalCorrupt { .. })),
+            "{what} log as the image: {:?}",
+            got.err()
+        );
+    }
 }

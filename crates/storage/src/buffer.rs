@@ -210,8 +210,8 @@ impl BufferPool {
         BufferPool::new(self.disk.read_view(), capacity)
     }
 
-    /// The underlying disk (read-only; e.g. for [`Disk::save`] — the
-    /// simulator is write-through, so the disk is always current).
+    /// The underlying disk (read-only; the simulator is write-through,
+    /// so the disk is always current).
     pub fn disk(&self) -> &Disk {
         &self.disk
     }

@@ -190,11 +190,6 @@ impl Disk {
         }
     }
 
-    /// Inspects a page without charging I/O (test/debug use).
-    pub fn peek(&self, id: PageId) -> &Page {
-        &self.pages[id.index()]
-    }
-
     /// Chunks of the page table this disk no longer shares with `since`.
     #[doc(hidden)]
     pub fn copied_chunks(&self, since: &Disk) -> usize {
@@ -220,6 +215,11 @@ impl Disk {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A page, read without charging I/O.
+    fn peek(disk: &Disk, id: PageId) -> &Page {
+        &disk.pages[id.index()]
+    }
 
     /// Read-modify-write of one page, charging one read and one write.
     fn push(d: &mut Disk, id: PageId, record: Vec<u8>) {
@@ -272,8 +272,8 @@ mod tests {
 
         // Writes to the view are invisible to the original (copy-on-write).
         push(&mut view, id, vec![9; 6]);
-        assert_eq!(view.peek(id).used(), 10);
-        assert_eq!(d.peek(id).used(), 4);
+        assert_eq!(peek(&view, id).used(), 10);
+        assert_eq!(peek(&d, id).used(), 4);
         // ...and the original's counters never moved.
         assert_eq!(d.stats().physical_reads, 1);
         assert_eq!(d.stats().physical_writes, 1);
@@ -300,7 +300,10 @@ mod tests {
         push(&mut view, ids[0], vec![2; 6]);
         assert!(!Arc::ptr_eq(&d.pages, &view.pages));
         assert!(Arc::ptr_eq(&d.pages, &nested.pages));
-        assert_eq!((d.peek(ids[0]).used(), view.peek(ids[0]).used()), (4, 10));
+        assert_eq!(
+            (peek(&d, ids[0]).used(), peek(&view, ids[0]).used()),
+            (4, 10)
+        );
         // Untouched pages are still the same images, not copies.
         assert!(Arc::ptr_eq(&d.pages[1], &view.pages[1]));
         assert_eq!(
@@ -314,8 +317,8 @@ mod tests {
         push(&mut d, ids[1], vec![3; 8]);
         assert!(!Arc::ptr_eq(&d.pages, &nested.pages));
         assert_eq!((d.page_count(), nested.page_count()), (4, 3));
-        assert_eq!(nested.peek(ids[1]).used(), 0);
-        assert_eq!(nested.peek(ids[0]).used(), 4);
+        assert_eq!(peek(&nested, ids[1]).used(), 0);
+        assert_eq!(peek(&nested, ids[0]).used(), 4);
         assert_eq!(
             nested.try_read_shared(extra).err(),
             Some(crate::StorageError::PageCorrupt { page: extra })
@@ -397,10 +400,10 @@ mod tests {
             ..FaultConfig::default()
         };
         d.set_fault_injector(Some(FaultInjector::new(cfg)));
-        let mut q = d.peek(id).clone();
+        let mut q = peek(&d, id).clone();
         q.push(vec![2; 5]);
         assert!(d.try_write_shared(id, Arc::new(q)).is_err());
-        assert_eq!(d.peek(id).used(), 3, "failed write left the old image");
+        assert_eq!(peek(&d, id).used(), 3, "failed write left the old image");
     }
 
     #[test]
@@ -410,7 +413,7 @@ mod tests {
         push(&mut d, id, vec![1, 2, 3]);
         assert_eq!(d.stats().physical_reads, 1);
         assert_eq!(d.stats().physical_writes, 1);
-        assert_eq!(d.peek(id).used(), 3);
+        assert_eq!(peek(&d, id).used(), 3);
         d.reset_stats();
         assert_eq!(d.stats(), IoStats::default());
     }

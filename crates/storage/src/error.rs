@@ -48,6 +48,16 @@ pub enum StorageError {
         /// What the validator rejected.
         reason: &'static str,
     },
+    /// A log that does not continue a checkpoint image: it starts after
+    /// the image's LSN (records are missing) or ends before it (older).
+    LogGap {
+        /// The last LSN the image covers.
+        image_lsn: u64,
+        /// The LSN the log's durable history starts after.
+        log_base: u64,
+        /// The LSN of the log's last sync marker.
+        log_end: u64,
+    },
     /// Any other I/O-shaped failure, with a human-readable reason.
     Io(String),
 }
@@ -61,6 +71,7 @@ impl StorageError {
             StorageError::DanglingRecord { .. } => "dangling_record",
             StorageError::InjectedFault { .. } => "injected_fault",
             StorageError::WalCorrupt { .. } => "wal_corrupt",
+            StorageError::LogGap { .. } => "log_gap",
             StorageError::Io(_) => "io",
         }
     }
@@ -82,6 +93,7 @@ impl std::fmt::Display for StorageError {
             StorageError::WalCorrupt { offset, reason } => {
                 write!(f, "write-ahead log corrupt at byte {offset}: {reason}")
             }
+            StorageError::LogGap { .. } => write!(f, "log does not continue the image: {self:?}"),
             StorageError::Io(msg) => write!(f, "storage i/o error: {msg}"),
         }
     }
@@ -121,6 +133,14 @@ mod tests {
                     reason: "checksum mismatch",
                 },
                 "wal_corrupt",
+            ),
+            (
+                StorageError::LogGap {
+                    image_lsn: 4,
+                    log_base: 6,
+                    log_end: 8,
+                },
+                "log_gap",
             ),
             (StorageError::Io("boom".into()), "io"),
         ];

@@ -199,46 +199,6 @@ impl HeapFile {
         self.pages.iter().any(|&p| p == page)
     }
 
-    /// Decomposes the file into raw parts for external serialization:
-    /// `(pages, directory, record_size, records_per_page)`.
-    pub fn to_parts(&self) -> (Vec<PageId>, Vec<RecordId>, usize, usize) {
-        (
-            self.pages.iter().copied().collect(),
-            self.directory.iter().copied().collect(),
-            self.record_size,
-            self.records_per_page,
-        )
-    }
-
-    /// Reassembles a file from parts produced by [`HeapFile::to_parts`]
-    /// against the same (e.g. reloaded) disk.
-    ///
-    /// # Panics
-    ///
-    /// Panics on structurally impossible parts (empty page list or a
-    /// directory entry pointing at a foreign page).
-    pub fn from_parts(
-        pages: Vec<PageId>,
-        directory: Vec<RecordId>,
-        record_size: usize,
-        records_per_page: usize,
-    ) -> Self {
-        assert!(!pages.is_empty(), "heap files own at least one page");
-        assert!(record_size > 0 && records_per_page > 0);
-        for rid in &directory {
-            assert!(
-                pages.contains(&rid.page),
-                "directory entry outside the file"
-            );
-        }
-        HeapFile {
-            pages: pages.into_iter().collect(),
-            directory: directory.into_iter().collect(),
-            record_size,
-            records_per_page,
-        }
-    }
-
     /// Chunks of both arrays this file no longer shares with `since`.
     #[doc(hidden)]
     pub fn copied_chunks(&self, since: &HeapFile) -> usize {

@@ -63,7 +63,6 @@ pub mod fault;
 pub mod hash;
 pub mod heap;
 pub mod page;
-pub mod persist;
 pub mod stats;
 pub mod wal;
 

@@ -113,15 +113,6 @@ impl Page {
             r.clear();
         }
     }
-
-    /// Iterates over (slot, record) pairs of live records.
-    pub fn records(&self) -> impl Iterator<Item = (u16, &[u8])> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.is_empty())
-            .map(|(i, r)| (i as u16, r.as_slice()))
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +156,6 @@ mod tests {
         assert_eq!(p.get(s1), Some(&[2u8; 10][..]));
         assert_eq!(p.used(), 10);
         assert_eq!(p.slot_count(), 2);
-        assert_eq!(p.records().count(), 1);
     }
 
     #[test]

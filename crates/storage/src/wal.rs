@@ -21,12 +21,18 @@
 //! replaying a possibly-wrong history. Records after the final marker
 //! are uncommitted by definition and are dropped silently.
 //!
+//! [`truncate`] drops a history an image covers but its last sync marker,
+//! the log's [`base_lsn`]. The frames are the one durable format: an
+//! image (a checkpoint, a saved database) is a log of records, one sync.
+//!
 //! Sync faults are injected through the same [`FaultInjector`] the
 //! buffer pool uses: sync attempt `k` consults `FaultOp::Write` on
 //! `PageId(k)`, so a chaos harness can kill the log at *every* fsync
 //! boundary deterministically.
 //!
 //! [`sync`]: WriteAheadLog::sync
+//! [`truncate`]: WriteAheadLog::truncate
+//! [`base_lsn`]: WriteAheadLog::base_lsn
 //! [`durable_image`]: WriteAheadLog::durable_image
 //! [`recover`]: WriteAheadLog::recover
 
@@ -69,6 +75,9 @@ fn push_frame(buf: &mut Vec<u8>, kind: u8, lsn: u64, payload: &[u8]) {
     buf.extend_from_slice(payload);
 }
 
+/// A committed record: its LSN and its payload.
+pub type Record = (u64, Vec<u8>);
+
 /// A write-ahead log: append redo records, sync to commit, replay after
 /// a crash. See the module docs for the durability model.
 #[derive(Debug, Clone, Default)]
@@ -81,6 +90,8 @@ pub struct WriteAheadLog {
     next_lsn: u64,
     /// `next_lsn` as of the last successful sync (rollback target).
     synced_next_lsn: u64,
+    /// The LSN the durable history starts after (0 if never truncated).
+    base_lsn: u64,
     /// Total sync *attempts* (successful or not) — the deterministic
     /// coordinate the fault injector keys on.
     sync_attempts: u64,
@@ -162,6 +173,28 @@ impl WriteAheadLog {
         image
     }
 
+    /// LSN of the last successful sync marker (0 before the first).
+    pub fn synced_lsn(&self) -> u64 {
+        self.synced_next_lsn - 1
+    }
+
+    /// The LSN the durable history starts after: every committed record
+    /// with a larger LSN is in [`durable_image`](Self::durable_image).
+    pub fn base_lsn(&self) -> u64 {
+        self.base_lsn
+    }
+
+    /// Drops the durable history, once an image covers it, but its last
+    /// sync marker: that stays as the [`base_lsn`](Self::base_lsn) a
+    /// recovered log reports, and LSNs go on from there.
+    pub fn truncate(&mut self) {
+        self.durable.clear();
+        self.base_lsn = self.synced_lsn();
+        if self.base_lsn > 0 {
+            push_frame(&mut self.durable, KIND_SYNC, self.base_lsn, &[]);
+        }
+    }
+
     /// Bytes of durable log (excluding the magic header).
     pub fn durable_bytes(&self) -> usize {
         self.durable.len()
@@ -183,10 +216,11 @@ impl WriteAheadLog {
     }
 
     /// Rebuilds a log from a crash image and returns it together with
-    /// every *committed* redo record payload, in LSN order. Records
-    /// after the final sync marker never committed and are dropped.
-    /// Any structural damage is a typed [`StorageError::WalCorrupt`].
-    pub fn recover(image: &[u8]) -> Result<(WriteAheadLog, Vec<Vec<u8>>), StorageError> {
+    /// every *committed* redo record as `(lsn, payload)`, in LSN order.
+    /// Records after the final sync marker never committed and are
+    /// dropped. Any structural damage is a typed
+    /// [`StorageError::WalCorrupt`].
+    pub fn recover(image: &[u8]) -> Result<(WriteAheadLog, Vec<Record>), StorageError> {
         let body = match image.strip_prefix(WAL_MAGIC.as_slice()) {
             Some(body) => body,
             None => {
@@ -196,12 +230,13 @@ impl WriteAheadLog {
                 })
             }
         };
-        let mut committed: Vec<Vec<u8>> = Vec::new();
-        let mut pending: Vec<Vec<u8>> = Vec::new();
+        let mut committed: Vec<Record> = Vec::new();
+        let mut pending: Vec<Record> = Vec::new();
         let mut records: u64 = 0;
         let mut durable_end = 0usize;
         let mut max_lsn = 0u64;
         let mut synced_lsn = 0u64;
+        let mut base_lsn = 0u64;
         let mut pos = 0usize;
         while pos < body.len() {
             let offset = WAL_MAGIC.len() + pos;
@@ -239,9 +274,13 @@ impl WriteAheadLog {
                     reason: "non-monotonic lsn",
                 });
             }
+            if pos == 0 {
+                // A truncated log starts at the sync marker it kept.
+                base_lsn = lsn - u64::from(kind == KIND_RECORD);
+            }
             max_lsn = lsn;
             match kind {
-                KIND_RECORD => pending.push(payload.to_vec()),
+                KIND_RECORD => pending.push((lsn, payload.to_vec())),
                 KIND_SYNC => {
                     if len != 0 {
                         return Err(StorageError::WalCorrupt {
@@ -269,6 +308,7 @@ impl WriteAheadLog {
             tail: Vec::new(),
             next_lsn,
             synced_next_lsn: next_lsn,
+            base_lsn,
             sync_attempts: 0,
             syncs: 0,
             sync_failures: 0,
@@ -284,6 +324,12 @@ mod tests {
     use super::*;
     use crate::fault::FaultConfig;
 
+    /// The committed payloads of `image`, without their LSNs.
+    fn payloads(image: &[u8]) -> Vec<Vec<u8>> {
+        let (_, records) = WriteAheadLog::recover(image).unwrap();
+        records.into_iter().map(|(_, payload)| payload).collect()
+    }
+
     #[test]
     fn append_sync_recover_round_trips() {
         let mut wal = WriteAheadLog::new();
@@ -295,10 +341,14 @@ mod tests {
         assert_eq!(wal.records(), 3);
         assert_eq!(wal.syncs(), 2);
 
-        let (recovered, payloads) = WriteAheadLog::recover(&wal.durable_image()).unwrap();
+        let (recovered, records) = WriteAheadLog::recover(&wal.durable_image()).unwrap();
         assert_eq!(
-            payloads,
-            vec![b"alpha".to_vec(), b"beta".to_vec(), b"gamma".to_vec()]
+            records,
+            vec![
+                (1, b"alpha".to_vec()),
+                (2, b"beta".to_vec()),
+                (4, b"gamma".to_vec())
+            ]
         );
         assert_eq!(recovered.records(), 3);
         assert_eq!(recovered.durable_bytes(), wal.durable_bytes());
@@ -306,8 +356,7 @@ mod tests {
         let mut recovered = recovered;
         recovered.append(b"delta");
         recovered.sync().unwrap();
-        let (_, again) = WriteAheadLog::recover(&recovered.durable_image()).unwrap();
-        assert_eq!(again.len(), 4);
+        assert_eq!(payloads(&recovered.durable_image()).len(), 4);
     }
 
     #[test]
@@ -316,8 +365,7 @@ mod tests {
         wal.append(b"committed");
         wal.sync().unwrap();
         wal.append(b"lost");
-        let (_, payloads) = WriteAheadLog::recover(&wal.durable_image()).unwrap();
-        assert_eq!(payloads, vec![b"committed".to_vec()]);
+        assert_eq!(payloads(&wal.durable_image()), vec![b"committed".to_vec()]);
     }
 
     #[test]
@@ -331,8 +379,10 @@ mod tests {
         assert_eq!(aborted, retried);
         assert!(first < retried);
         wal.sync().unwrap();
-        let (_, payloads) = WriteAheadLog::recover(&wal.durable_image()).unwrap();
-        assert_eq!(payloads, vec![b"a".to_vec(), b"b2".to_vec()]);
+        assert_eq!(
+            payloads(&wal.durable_image()),
+            vec![b"a".to_vec(), b"b2".to_vec()]
+        );
     }
 
     #[test]
@@ -355,8 +405,10 @@ mod tests {
         // the durable history stays exactly the committed prefix.
         wal.append(b"next");
         wal.sync().unwrap();
-        let (_, payloads) = WriteAheadLog::recover(&wal.durable_image()).unwrap();
-        assert_eq!(payloads, vec![b"safe".to_vec(), b"next".to_vec()]);
+        assert_eq!(
+            payloads(&wal.durable_image()),
+            vec![b"safe".to_vec(), b"next".to_vec()]
+        );
     }
 
     #[test]
@@ -400,9 +452,28 @@ mod tests {
     #[test]
     fn empty_image_recovers_to_an_empty_log() {
         let wal = WriteAheadLog::new();
-        let (recovered, payloads) = WriteAheadLog::recover(&wal.durable_image()).unwrap();
-        assert!(payloads.is_empty());
+        let (recovered, records) = WriteAheadLog::recover(&wal.durable_image()).unwrap();
+        assert!(records.is_empty());
+        assert_eq!((recovered.base_lsn(), recovered.synced_lsn()), (0, 0));
         assert_eq!(recovered.records(), 0);
         assert_eq!(recovered.durable_bytes(), 0);
+    }
+
+    #[test]
+    fn truncate_keeps_the_base_and_lsns_go_on() {
+        let mut wal = WriteAheadLog::new();
+        wal.append(b"covered");
+        assert_eq!(wal.sync(), Ok(2));
+        wal.truncate();
+        assert_eq!((wal.base_lsn(), wal.synced_lsn()), (2, 2));
+        let (recovered, records) = WriteAheadLog::recover(&wal.durable_image()).unwrap();
+        assert!(records.is_empty());
+        assert_eq!((recovered.base_lsn(), recovered.synced_lsn()), (2, 2));
+
+        wal.append(b"after");
+        wal.sync().unwrap();
+        let (recovered, records) = WriteAheadLog::recover(&wal.durable_image()).unwrap();
+        assert_eq!(records, vec![(3, b"after".to_vec())]);
+        assert_eq!((recovered.base_lsn(), recovered.synced_lsn()), (2, 4));
     }
 }

@@ -109,12 +109,9 @@ proptest! {
         type Model = Vec<Vec<Vec<u8>>>;
         let capacity = DiskConfig::paper().effective_capacity();
         let agrees = |pool: &mut BufferPool, model: &Model, page: usize| {
-            let got: Vec<Vec<u8>> = pool
-                .try_fetch(PageId(page as u32))
-                .unwrap()
-                .records()
-                .map(|(_, r)| r.to_vec())
-                .collect();
+            let got = pool.try_fetch(PageId(page as u32)).unwrap();
+            let slots = 0..got.slot_count() as u16;
+            let got: Vec<Vec<u8>> = slots.filter_map(|s| got.get(s)).map(<[u8]>::to_vec).collect();
             got == model[page]
         };
         let mut pools: Vec<(BufferPool, Model)> = vec![(pool(3), Vec::new())];

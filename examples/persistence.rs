@@ -8,24 +8,24 @@ use spatial_joins::core::workload::load_house_lake;
 use spatial_joins::core::{Database, Strategy, ThetaOp};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut prefix = std::env::temp_dir();
-    prefix.push(format!("sj_example_db_{}", std::process::id()));
+    let mut path = std::env::temp_dir();
+    path.push(format!("sj_example_db_{}.sjdb", std::process::id()));
 
     // Session 1: create, populate, save.
     {
         let mut db = Database::in_memory();
         load_house_lake(&mut db, 1_000, 25, 3)?;
-        db.save(&prefix)?;
+        db.save(&path)?;
         println!(
-            "saved {} houses and {} lakes to {}.{{disk,cat}}",
+            "saved {} houses and {} lakes to {}",
             db.row_count("house")?,
             db.row_count("lake")?,
-            prefix.display()
+            path.display()
         );
     }
 
     // Session 2: reopen and query.
-    let mut db = Database::open(&prefix)?;
+    let mut db = Database::open(&path)?;
     println!(
         "reopened: {} houses, {} lakes",
         db.row_count("house")?,
@@ -54,13 +54,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         db.row_count("house")?
     );
 
-    for ext in ["disk", "cat"] {
-        let mut p = prefix.clone();
-        p.set_file_name(format!(
-            "{}.{ext}",
-            prefix.file_name().unwrap().to_string_lossy()
-        ));
-        std::fs::remove_file(p).ok();
-    }
+    std::fs::remove_file(&path)?;
     Ok(())
 }

@@ -409,4 +409,28 @@ if [ "$starts" -ne 1 ] || [ "$stray" -ne 0 ]; then
 fi
 echo "    -> one SpatialService::start call site, no fallback"
 
+echo "==> one-durable-format gate (every image is a checksummed log)"
+# The write-ahead log's frames are the one durable format: a service
+# checkpoint image and a saved database are each a synced log of
+# records, framed and checksummed by wal.rs. Non-test code under
+# crates/*/src and src may hold the FNV-1a offset basis (the frame
+# checksum) only there, name no page-image or page-catalog magic
+# (SJDISK*/SJCAT*), and `Disk` may not learn to save or load itself.
+formats=$(
+    for f in $(find crates/*/src src -name '*.rs' | sort); do
+        awk '/^#\[cfg\(test\)\]/ { exit }
+             /0xcbf29ce484222325/ { print "basis " FILENAME ":" FNR }
+             /SJDISK|SJCAT/ { print "magic " FILENAME ":" FNR ": " $0 }
+             /^impl Disk \{/ { disk = 1 }
+             disk && /^}/ { disk = 0 }
+             disk && /fn (save|load)\(/ { print "disk " FILENAME ":" FNR ": " $0 }' "$f"
+    done
+)
+if [ "$formats" != "basis crates/storage/src/wal.rs:$(grep -n 0xcbf29ce484222325 crates/storage/src/wal.rs | cut -d: -f1)" ]; then
+    echo "    a second checksum, an old image format or a disk image writer is back:"
+    echo "$formats"
+    exit 1
+fi
+echo "    -> one frame checksum (wal.rs), no page image or page catalog"
+
 echo "CI OK"

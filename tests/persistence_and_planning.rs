@@ -4,52 +4,48 @@ use spatial_joins::core::workload::load_house_lake;
 use spatial_joins::core::{Database, Strategy, ThetaOp};
 use spatial_joins::rel::planner::PlannerConfig;
 
-fn temp_prefix(name: &str) -> std::path::PathBuf {
+fn temp_path(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
-    p.push(format!("sj_it_{}_{name}", std::process::id()));
+    p.push(format!("sj_it_{}_{name}.sjdb", std::process::id()));
     p
 }
 
-fn cleanup(prefix: &std::path::Path) {
-    for ext in ["disk", "cat"] {
-        let mut p = prefix.to_path_buf();
-        p.set_file_name(format!(
-            "{}.{ext}",
-            prefix.file_name().unwrap().to_string_lossy()
-        ));
-        std::fs::remove_file(p).ok();
-    }
+fn cleanup(path: &std::path::Path) {
+    std::fs::remove_file(path).ok();
 }
 
 #[test]
 fn saved_database_answers_identically_after_reopen() {
-    let prefix = temp_prefix("house_lake");
+    let path = temp_path("house_lake");
     let theta = ThetaOp::WithinDistance(15.0);
-    let expected = {
-        let mut db = Database::in_memory();
-        load_house_lake(&mut db, 400, 12, 5).unwrap();
-        let v = db.spatial_join_ids(
-            "house",
-            "hlocation",
-            "lake",
-            "larea",
-            theta,
-            Strategy::NestedLoop,
-        );
-        let mut v = v.unwrap();
-        v.sort_unstable();
-        db.save(&prefix).expect("save");
-        v
+    let strategies = [
+        Strategy::NestedLoop,
+        Strategy::Sweep,
+        Strategy::Tree,
+        Strategy::JoinIndex,
+        Strategy::Partition,
+        Strategy::Auto,
+    ];
+    let join = |db: &mut Database, strategy| {
+        db.spatial_join_ids("house", "hlocation", "lake", "larea", theta, strategy)
+            .unwrap()
     };
+    let mut saved = Database::in_memory();
+    load_house_lake(&mut saved, 400, 12, 5).unwrap();
+    saved.save(&path).expect("save");
+    let mut expected = join(&mut saved, Strategy::NestedLoop);
+    expected.sort_unstable();
 
-    let mut db = Database::open(&prefix).expect("open");
-    for strategy in [Strategy::NestedLoop, Strategy::Tree] {
-        let got = db.spatial_join_ids("house", "hlocation", "lake", "larea", theta, strategy);
-        let mut got = got.unwrap();
+    let mut db = Database::open(&path).expect("open");
+    for strategy in strategies {
+        // The same pairs in the same order as the saved database.
+        let got = join(&mut db, strategy);
+        assert_eq!(got, join(&mut saved, strategy), "{strategy:?}");
+        let mut got = got;
         got.sort_unstable();
-        assert_eq!(got, expected);
+        assert_eq!(got, expected, "{strategy:?}");
     }
-    cleanup(&prefix);
+    cleanup(&path);
 }
 
 #[test]
@@ -89,8 +85,8 @@ fn planner_runs_end_to_end_on_house_lake() {
 fn save_reopen_save_is_stable() {
     // Two generations of save/open: the second image must serve the same
     // data (exercises tombstones, directory stability, catalog rewrite).
-    let p1 = temp_prefix("gen1");
-    let p2 = temp_prefix("gen2");
+    let p1 = temp_path("gen1");
+    let p2 = temp_path("gen2");
     {
         let mut db = Database::in_memory();
         load_house_lake(&mut db, 200, 6, 2).unwrap();
@@ -116,6 +112,11 @@ fn save_reopen_save_is_stable() {
     assert_eq!(db.row_count("house"), Ok(rows));
     let last = db.get("house", rows as u64 - 1).unwrap().unwrap();
     assert_eq!(last[0], spatial_joins::rel::Value::Int(777));
+    // Saving what was opened writes the same file again.
+    let p3 = temp_path("gen3");
+    db.save(&p3).expect("third save");
+    assert_eq!(std::fs::read(&p3).unwrap(), std::fs::read(&p2).unwrap());
     cleanup(&p1);
     cleanup(&p2);
+    cleanup(&p3);
 }
