@@ -13,7 +13,7 @@
 //! product `qual_a × qual_b` is seeded through a forward-scan plane
 //! sweep over the child MBRs ([`sj_geom::sweep`]) instead of a double
 //! loop, which prunes filter-failing pairs before they are ever visited
-//! (see [`seed_child_pairs`]). It returns the match set of
+//! (see `seed_child_pairs`). It returns the match set of
 //! [`join_exhaustive`] — a property-tested invariant.
 //!
 //! ## Batched child filtering

@@ -1,6 +1,6 @@
 //! Line segments and the segment-level primitives (intersection tests,
 //! point–segment and segment–segment distances) that the polygon and
-//! polyline predicates are built on, and [`Chain`], the one edge-pair
+//! polyline predicates are built on, and `Chain`, the one edge-pair
 //! kernel that runs the intersection tests over whole boundaries.
 
 use crate::point::Point;

@@ -12,15 +12,17 @@
 //! strategy needs are absent (the tree join needs [`TreeRelation`]s,
 //! the flat strategies need [`StoredRelation`]s).
 //!
-//! The join index builds lazily on first [`JoinExecutor::execute`] and
-//! is cached keyed by θ, so repeated runs measure pure query cost. Build
-//! cost is *never* folded into the returned [`JoinRun`]; it is the
-//! paper's precomputation, not the query.
+//! An executor holds only operand references: it keeps no index and no
+//! state between requests. The join-index executor builds its index for
+//! each request through the partition join ([`JoinIndex::try_build`]) and
+//! answers from it; the build's cost is *never* folded into the returned
+//! [`JoinRun`], it is the paper's precomputation, not the query. A join
+//! index that outlives one request is its caller's to keep.
 //!
 //! The free functions (`nested_loop_join`, `sweep_join`, …) and index
 //! methods are the implementations the executors call: each strategy has
 //! exactly one — fallible and traced — and every executor here is a thin
-//! stateful shim handing it the request's θ and trace sink.
+//! shim handing it the request's θ and trace sink.
 //! [`JoinExecutor::execute`] is the single infallible convenience.
 
 use std::cell::RefCell;
@@ -38,7 +40,7 @@ use crate::stats::JoinRun;
 use crate::sweep::sweep_join;
 use crate::tree_join::tree_join;
 
-/// Default B⁺-tree order for the lazily built join index (the model's `z`).
+/// B⁺-tree order of the join index built per request (the model's `z`).
 const DEFAULT_Z: usize = 16;
 
 /// Everything that parameterizes one join run, independent of the
@@ -80,8 +82,7 @@ impl JoinRequest {
     }
 }
 
-/// A join strategy with whatever state it needs (lazily built indices,
-/// operand references) to execute [`JoinRequest`]s.
+/// A join strategy over operand references, executing [`JoinRequest`]s.
 pub trait JoinExecutor {
     /// Which strategy this executor implements.
     fn strategy(&self) -> Strategy;
@@ -199,7 +200,7 @@ impl Strategy {
             }
             Strategy::JoinIndex => {
                 let (r, s) = ops.flat?;
-                Some(Box::new(JoinIndexExec { r, s, cache: None }))
+                Some(Box::new(JoinIndexExec { r, s }))
             }
             Strategy::Partition => {
                 let (r, s) = ops.flat?;
@@ -213,7 +214,6 @@ impl Strategy {
                 Some(Box::new(AutoExec {
                     ops: *ops,
                     chooser,
-                    cache: Vec::new(),
                     resolved: None,
                 }))
             }
@@ -335,8 +335,6 @@ impl JoinExecutor for TreeExec<'_> {
 struct JoinIndexExec<'a> {
     r: &'a StoredRelation,
     s: &'a StoredRelation,
-    /// The index materializes one θ-join, so the cache is keyed by θ.
-    cache: Option<(ThetaOp, JoinIndex)>,
 }
 
 impl JoinExecutor for JoinIndexExec<'_> {
@@ -349,15 +347,7 @@ impl JoinExecutor for JoinIndexExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        let rebuild = !matches!(&self.cache, Some((t, _)) if *t == req.theta);
-        if rebuild {
-            // Only a *successful* build is cached: a build aborted by a
-            // fault leaves the previous cache (if any) intact.
-            let (idx, _build_cost) =
-                JoinIndex::try_build(pool, self.r, self.s, req.theta, DEFAULT_Z)?;
-            self.cache = Some((req.theta, idx));
-        }
-        let (_, idx) = self.cache.as_ref().expect("cache was just populated"); // PANIC-OK: invariant
+        let (idx, _build_cost) = JoinIndex::try_build(pool, self.r, self.s, req.theta, DEFAULT_Z)?;
         idx.join(pool, self.r, self.s, &mut req.trace.borrow_mut())
     }
 }
@@ -383,30 +373,38 @@ impl JoinExecutor for PartitionExec<'_> {
 
 /// [`Strategy::Auto`]: asks the operands' chooser for a concrete
 /// strategy per request, guards the answer with operand availability,
-/// and delegates. Concrete executors are cached per strategy so their
-/// lazily built indices survive across requests that resolve the same
-/// way.
+/// and delegates to that strategy's executor, built for the request.
+/// It keeps only the last resolution, for
+/// [`JoinExecutor::resolved_strategy`].
 struct AutoExec<'a> {
     ops: JoinOperands<'a>,
     chooser: StrategyChooser<'a>,
-    cache: Vec<(Strategy, Box<dyn JoinExecutor + 'a>)>,
     resolved: Option<Strategy>,
 }
 
 impl<'a> AutoExec<'a> {
-    fn resolve(&self, theta: ThetaOp, pool: &mut BufferPool) -> Result<Strategy, StorageError> {
+    /// The chooser's pick and its executor.
+    fn resolve(
+        &self,
+        theta: ThetaOp,
+        pool: &mut BufferPool,
+    ) -> Result<(Strategy, Box<dyn JoinExecutor + 'a>), StorageError> {
         let pick = (self.chooser)(theta, pool)?;
-        if pick != Strategy::Auto && pick.executor(&self.ops).is_some() {
-            return Ok(pick);
+        if pick != Strategy::Auto {
+            if let Some(exec) = pick.executor(&self.ops) {
+                return Ok((pick, exec));
+            }
         }
         // The chooser named Auto itself, or a strategy whose operands are
         // absent: fall back to strategy I over flat operands, else to the
         // tree join — executor construction checked one kind is present.
-        Ok(if self.ops.flat.is_some() {
+        let fallback = if self.ops.flat.is_some() {
             Strategy::NestedLoop
         } else {
             Strategy::Tree
-        })
+        };
+        let exec = fallback.executor(&self.ops);
+        Ok((fallback, exec.expect("one operand kind is present"))) // PANIC-OK: invariant
     }
 }
 
@@ -424,22 +422,11 @@ impl JoinExecutor for AutoExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        let chosen = self.resolve(req.theta, pool)?;
+        let (chosen, mut exec) = self.resolve(req.theta, pool)?;
         self.resolved = Some(chosen);
         req.trace
             .borrow_mut()
             .emit(&format!("auto/choose:{}", chosen.name()), 0, &[]);
-        if !self.cache.iter().any(|(s, _)| *s == chosen) {
-            let exec = chosen
-                .executor(&self.ops)
-                .expect("resolve() verified operand availability"); // PANIC-OK: invariant
-            self.cache.push((chosen, exec));
-        }
-        let (_, exec) = self
-            .cache
-            .iter_mut()
-            .find(|(s, _)| *s == chosen)
-            .expect("cache entry was just ensured"); // PANIC-OK: invariant
         exec.try_execute(req, pool)
     }
 }
@@ -597,7 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn index_cache_is_keyed_by_theta() {
+    fn join_index_answers_each_request_for_its_theta() {
         let mut p = pool();
         let r = grid_rel(&mut p, 5, 10.0, 0);
         let s = grid_rel(&mut p, 5, 10.0, 500);
@@ -612,7 +599,7 @@ mod tests {
         let mut y = a2.pairs.clone();
         x.sort_unstable();
         y.sort_unstable();
-        assert_eq!(x, y, "rebuild for the same θ must reproduce the join");
+        assert_eq!(x, y, "a rebuild for the same θ must reproduce the join");
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Strategy III: join indices (Valduriez 1987) on a B⁺-tree.
 //!
 //! A join index is "a two-column relation that stores the tuple IDs of
-//! matching tuples" (§2.1). Building it precomputes the full θ-join;
-//! afterwards a join is a scan of the index plus tuple fetches, and a
-//! selection is a prefix range-scan. The price is maintenance: every
-//! insertion into either relation must be θ-checked against the entire
-//! other relation (`U_III`, §4.2).
+//! matching tuples" (§2.1). Building it precomputes the full θ-join with
+//! [`partition_join`], the crate's one filter-and-refine loop, and stores
+//! the pairs it emits; afterwards a join is a scan of the index plus
+//! tuple fetches, and a selection is a prefix range-scan. The price is
+//! maintenance: every insertion into either relation must be θ-checked
+//! against the entire other relation (`U_III`, §4.2).
 //!
 //! Index pages are modelled by the B⁺-tree's nodes (order `z`, the model's
 //! entries-per-page); every node visit is charged as one page read.
@@ -15,6 +16,7 @@ use sj_geom::{Geometry, ThetaOp};
 use sj_obs::{Phase, PhaseTimer, TraceSink};
 use sj_storage::{BufferPool, StorageError};
 
+use crate::partition::partition_join;
 use crate::relation::StoredRelation;
 use crate::stats::{ExecStats, JoinRun};
 
@@ -27,11 +29,12 @@ pub struct JoinIndex {
 }
 
 impl JoinIndex {
-    /// Precomputes the join index by θ-testing all pairs. Returns the
-    /// index and the (substantial) build cost: a nested-loop pass priced
-    /// in θ-evaluations, data-page reads, and index-page writes. The
-    /// first storage fault during the build scans aborts with a typed
-    /// error (no partially built index).
+    /// Precomputes the join index: [`partition_join`] computes `R ⋈_θ S`
+    /// (a directional θ reaches the nested loop through it), and its pairs
+    /// go into the B⁺-tree in key order. Returns the index and the build
+    /// cost: that run's stats plus one index-page write per node built.
+    /// The first storage fault aborts with a typed error (no partially
+    /// built index).
     pub fn try_build(
         pool: &mut BufferPool,
         r: &StoredRelation,
@@ -39,21 +42,16 @@ impl JoinIndex {
         theta: ThetaOp,
         z: usize,
     ) -> Result<(Self, ExecStats), StorageError> {
-        let before = pool.stats();
-        let mut stats = ExecStats::default();
+        let JoinRun {
+            mut pairs,
+            mut stats,
+            ..
+        } = partition_join(pool, r, s, theta, &mut TraceSink::Null)?;
+        pairs.sort_unstable();
         let mut forward = BPlusTree::new(z);
-        let r_rows = r.try_scan(pool)?;
-        let s_rows = s.try_scan(pool)?;
-        for (r_id, r_geom) in &r_rows {
-            for (s_id, s_geom) in &s_rows {
-                stats.theta_evals += 1;
-                if theta.eval(r_geom, s_geom) {
-                    forward.insert((*r_id, *s_id), ());
-                }
-            }
+        for pair in pairs {
+            forward.insert(pair, ());
         }
-        stats.add_io(pool.stats().since(&before));
-        // Index construction I/O: one write per node built.
         stats.physical_writes += forward.node_count() as u64;
         forward.reset_accesses();
         Ok((JoinIndex { forward, theta }, stats))
@@ -187,6 +185,17 @@ mod tests {
         StoredRelation::build(pool, &tuples, 300, Layout::Clustered)
     }
 
+    /// The θ-evaluations of a partition join over the same operands.
+    fn partition_theta_evals(
+        p: &mut BufferPool,
+        r: &StoredRelation,
+        s: &StoredRelation,
+        theta: ThetaOp,
+    ) -> u64 {
+        let run = partition_join(p, r, s, theta, &mut TraceSink::Null).unwrap();
+        run.stats.theta_evals
+    }
+
     /// The `S` ids the index pairs with `r_id`, read through the join.
     fn partners_of(
         idx: &JoinIndex,
@@ -207,13 +216,15 @@ mod tests {
         let s = grid_rel(&mut p, 6, 10.0, 500);
         let theta = ThetaOp::WithinDistance(10.5);
         let (idx, build_stats) = JoinIndex::try_build(&mut p, &r, &s, theta, 16).unwrap();
-        assert_eq!(build_stats.theta_evals, 36 * 36);
+        let evals = partition_theta_evals(&mut p, &r, &s, theta);
+        assert_eq!(build_stats.theta_evals, evals);
+        assert!(evals < 36 * 36, "the build filters before it θ-tests");
 
-        let mut got = idx
+        // The index answers in key order.
+        let got = idx
             .join(&mut p, &r, &s, &mut TraceSink::Null)
             .unwrap()
             .pairs;
-        got.sort_unstable();
         let mut want = nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
             .unwrap()
             .pairs;
@@ -269,18 +280,20 @@ mod tests {
 
     #[test]
     fn build_bears_all_theta_cost() {
-        // The §4 trade-off in miniature: precomputation is a full nested
-        // loop; the query does zero comparison work and touches at most
+        // The §4 trade-off in miniature: precomputation is a partition
+        // join; the query does zero comparison work and touches at most
         // the index plus the data pages of the matching tuples.
         let mut p = pool();
         let r = grid_rel(&mut p, 6, 10.0, 0);
         let s = grid_rel(&mut p, 6, 10.0, 500);
-        let (idx, build) =
-            JoinIndex::try_build(&mut p, &r, &s, ThetaOp::WithinDistance(0.5), 16).unwrap();
+        let theta = ThetaOp::WithinDistance(0.5);
+        let (idx, build) = JoinIndex::try_build(&mut p, &r, &s, theta, 16).unwrap();
+        let evals = partition_theta_evals(&mut p, &r, &s, theta);
         p.clear();
         p.reset_stats();
         let query = idx.join(&mut p, &r, &s, &mut TraceSink::Null).unwrap();
-        assert_eq!(build.theta_evals, 36 * 36);
+        assert_eq!(build.theta_evals, evals);
+        assert!(build.theta_evals > 0);
         assert_eq!(query.stats.theta_evals, 0);
         let data_pages = (r.page_count() + s.page_count()) as u64;
         let index_pages = idx.len().div_ceil(16) as u64 + idx.height() as u64;

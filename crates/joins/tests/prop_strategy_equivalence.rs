@@ -94,7 +94,8 @@ proptest! {
         // scan entry, a polygon or polyline fetched.
         let got = sorted(sweep_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap().pairs);
         prop_assert_eq!(&got, &reference, "sweep join diverges for {:?}", theta);
-        let got = sorted(partition_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap().pairs);
+        let partition = partition_join(&mut p, &r, &s, theta, &mut TraceSink::Null).unwrap();
+        let got = sorted(partition.pairs);
         prop_assert_eq!(&got, &reference, "partition join diverges for {:?}", theta);
 
         // Strategy II (both layouts) over bulk-loaded R-trees.
@@ -115,9 +116,16 @@ proptest! {
             prop_assert_eq!(&got, &reference, "tree join ({:?}) diverges for {:?}", layout, theta);
         }
 
-        // Strategy III.
-        let (idx, _) = JoinIndex::try_build(&mut p, &r, &s, theta, 8).unwrap();
-        let got = sorted(idx.join(&mut p, &r, &s, &mut TraceSink::Null).unwrap().pairs);
+        // Strategy III: built by the partition join, so its build does
+        // exactly that join's θ-work; it answers in key order.
+        let (idx, build) = JoinIndex::try_build(&mut p, &r, &s, theta, 8).unwrap();
+        prop_assert_eq!(
+            build.theta_evals,
+            partition.stats.theta_evals,
+            "join-index build θ-work for {:?}",
+            theta
+        );
+        let got = idx.join(&mut p, &r, &s, &mut TraceSink::Null).unwrap().pairs;
         prop_assert_eq!(&got, &reference, "join index diverges for {:?}", theta);
 
         // Local join indices at two anchor levels.

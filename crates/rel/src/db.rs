@@ -452,10 +452,10 @@ impl Database {
     }
 
     /// Precomputes strategy III's join index for
-    /// `r_table.r_col θ s_table.s_col`, charging the build — a full
-    /// nested-loop pass — to the I/O counters. The index answers only
-    /// for these sides and θ, and is rebuilt on first use after either
-    /// table changes. Without this call the first
+    /// `r_table.r_col θ s_table.s_col`, charging the build — one
+    /// partition join over the two columns — to the I/O counters. The
+    /// index answers only for these sides and θ, and is rebuilt on first
+    /// use after either table changes. Without this call the first
     /// [`Strategy::JoinIndex`](sj_joins::Strategy::JoinIndex) query
     /// builds it.
     pub fn create_join_index(

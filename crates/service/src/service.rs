@@ -26,9 +26,10 @@
 //! typed error and nothing partial is ever visible. In-flight requests
 //! keep computing against the snapshot they pinned; its `version` tags
 //! their responses and cache entries, and invalidation is fine-grained:
-//! only cache entries whose [`QueryRegion`] intersects the batch's
-//! touched MBRs are dropped ([`ResultCache::purge_region`]); the rest
-//! are re-stamped to the new version and keep serving hits.
+//! only cache entries whose [`QueryRegion`](crate::QueryRegion)
+//! intersects the batch's touched MBRs are dropped
+//! ([`ResultCache::purge_region`]); the rest are re-stamped to the new
+//! version and keep serving hits.
 //!
 //! The result cache is probed first, at the published version (one
 //! atomic load): a hit is answered there — one cache lock, no slot, no

@@ -2,13 +2,12 @@
 //!
 //! See the crate docs for the coverage/exactness argument. The router
 //! owns the [`ShardPlan`], one authority copy of both relations' id →
-//! geometry maps, one
-//! [`AdaptiveAdvisor`](sj_joins::advisor::AdaptiveAdvisor) per shard,
-//! and the in-process shard services themselves — exactly one per plan
-//! leaf. The authority maps are the only whole-data structure: mutation
-//! routing needs them to know where a tuple lives, and the joins no
-//! tile grid can localise (unbounded Θ-filter region, or a radius
-//! beyond the halo) are answered from them at the router.
+//! geometry maps, one [`AdaptiveAdvisor`] per shard, and the in-process
+//! shard services themselves — exactly one per plan leaf. The authority
+//! maps are the only whole-data structure: mutation routing needs them to
+//! know where a tuple lives, and the joins no tile grid can localise
+//! (unbounded Θ-filter region, or a radius beyond the halo) are answered
+//! from them at the router.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -329,7 +328,7 @@ impl ShardRouter {
     /// Scatter a request to its target shards, gather, and merge.
     /// Blocking; the gather is bounded by the slowest targeted shard.
     /// A join whose Θ-filter region no tile grid can bound is answered
-    /// here instead ([`Self::join_at_router`]).
+    /// here instead (`join_at_router`).
     pub fn call(&self, req: Request) -> RouterResult {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let theta = req.theta;

@@ -132,8 +132,8 @@ fn main() {
     assert_eq!(sorted(&run.pairs), reference);
     row("III join index (query)", run.pairs.len(), &run.stats);
     println!(
-        "    └ index build cost: {} θ evals, {} reads, {} writes",
-        build.theta_evals, build.physical_reads, build.physical_writes
+        "    └ index build cost: {} θ evals, {} Θ evals, {} reads, {} writes",
+        build.theta_evals, build.filter_evals, build.physical_reads, build.physical_writes
     );
 
     // Z-order sort-merge (θ = overlaps is exactly its supported case).

@@ -14,6 +14,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (workspace, no deps, -D warnings)"
+# Every intra-doc link must resolve, and public docs may not link to
+# private items.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --keep-going -q
+
 echo "==> cargo test (workspace)"
 cargo test -q --no-fail-fast --workspace
 
@@ -267,7 +272,24 @@ for call in 'sweep_candidates(' 'Refiner::new('; do
         exit 1
     fi
 done
-echo "    -> one filter-and-refine loop: one sweep_candidates( and one Refiner::new( in sj-joins"
+# Strategy III's build is that loop too: non-test `join_index.rs` calls
+# `partition_join(` once and scans a whole relation (`try_scan(`) only in
+# `maintain_insert_r`, U_III's θ-check of a new tuple against all of S.
+ji=crates/joins/src/join_index.rs
+ji_builds=$(awk '/^#\[cfg\(test\)\]/ { exit } /partition_join\(/' "$ji" | grep -c . || true)
+ji_scans=$(
+    awk '/^#\[cfg\(test\)\]/ { exit }
+         /fn [a-z_]+[(<]/ { fn = $0; sub(/.*fn /, "", fn); sub(/[(<].*/, "", fn) }
+         /try_scan\(/ && fn != "maintain_insert_r" { print FILENAME ":" FNR ": " $0 }' "$ji"
+)
+if [ "$ji_builds" -ne 1 ] || [ -n "$ji_scans" ]; then
+    echo "    join_index.rs must build through one partition_join( call (found $ji_builds)"
+    echo "    and call try_scan( only in maintain_insert_r${ji_scans:+, found:}"
+    echo "${ji_scans}"
+    exit 1
+fi
+echo "    -> one filter-and-refine loop: one sweep_candidates( and one Refiner::new( in sj-joins,"
+echo "       and the join index is built by one partition_join( call"
 
 echo "==> sequential-executor gate (one I/O stream per join strategy)"
 # A join runs on the calling thread against the caller's pool; a second
