@@ -69,6 +69,17 @@ impl Polygon {
         Ok(poly)
     }
 
+    /// A ring the codec read back from a checksum-verified frame of this
+    /// process's own pages: the encoder wrote it from a polygon [`new`]
+    /// had validated, so it is already simple and counter-clockwise;
+    /// `mbr` is the ring's, folded as the codec read it. Bytes from
+    /// outside the process go through [`new`].
+    ///
+    /// [`new`]: Polygon::new
+    pub(crate) fn from_stored_ring(vertices: Vec<Point>, mbr: Rect) -> Self {
+        Polygon { vertices, mbr }
+    }
+
     /// The four corners of `rect` as a polygon.
     pub fn from_rect(rect: &Rect) -> Result<Self, PolygonError> {
         Polygon::new(rect.corners().to_vec())

@@ -18,7 +18,7 @@
 //! function of the pre-state and the batch, replaying the log
 //! reproduces them exactly.
 
-use sj_geom::codec::{encode_record, encoded_len, try_decode_record, CodecError};
+use sj_geom::codec::{encode_record, encoded_len, try_decode_untrusted, CodecError};
 use sj_geom::{Bounded, Geometry, Rect};
 use sj_storage::StorageError;
 
@@ -236,12 +236,14 @@ fn read_geometry(bytes: &[u8], pos: usize) -> Result<(u64, Geometry, usize), Sto
             reason: "truncated geometry record",
         })?;
     // A checksum-valid frame can still hold a geometry the codec rejects
-    // (the checksum covers the bytes, not their meaning).
-    let (id, value) = try_decode_record(record).map_err(|e| StorageError::WalCorrupt {
+    // (the checksums cover the bytes, not their meaning): log bytes come
+    // from outside the process, so a polygon's ring is checked again.
+    let (id, value) = try_decode_untrusted(record).map_err(|e| StorageError::WalCorrupt {
         offset: pos + 4,
         reason: match e {
             CodecError::Truncated { .. } => "geometry record shorter than its frame",
             CodecError::UnknownTag(_) => "unknown geometry tag",
+            CodecError::ChecksumMismatch => "geometry record checksum mismatch",
             CodecError::InvalidGeometry(why) => why,
         },
     })?;
@@ -388,6 +390,30 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A log is read from outside the process: a geometry frame forged
+    /// around a self-intersecting ring is refused even when its record
+    /// checksum matches.
+    #[test]
+    fn a_sealed_self_intersecting_ring_is_wal_corrupt() {
+        let square = sj_geom::Polygon::from_rect(&Rect::from_bounds(0.0, 0.0, 4.0, 4.0)).unwrap();
+        let mut payload = WriteBatch::new()
+            .insert(Side::R, 1, Geometry::Polygon(square))
+            .encode();
+        let frame = &mut payload[4 + 2 + 4..];
+        let bowtie = [0.0, 0.0, 4.0, 0.0, 0.0, 4.0, 3.0, 5.0];
+        for (i, c) in bowtie.into_iter().enumerate() {
+            let at = sj_geom::codec::HEADER_LEN + 8 * i;
+            frame[at..at + 8].copy_from_slice(&f64::to_le_bytes(c));
+        }
+        let reason = |payload: &[u8]| match WriteBatch::decode(payload) {
+            Err(StorageError::WalCorrupt { reason, .. }) => reason,
+            other => panic!("expected WalCorrupt, got {other:?}"),
+        };
+        assert_eq!(reason(&payload), "geometry record checksum mismatch");
+        sj_geom::codec::seal_record(&mut payload[4 + 2 + 4..]);
+        assert_eq!(reason(&payload), "bad polygon ring");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! — so it is never hashed or fetched; a polygon or polyline is decoded
 //! on first use (cached per side at one integer hash per candidate,
 //! charged I/O): holding every polygon would break the `M`-page bound
-//! that §4 prices.
+//! that §4 prices. That decode verifies the record checksum and skips
+//! the polygon ring check, so a fetch costs its I/O, a checksum and a
+//! vertex copy, not n² orientations.
 //!
 //! Counter contract: every candidate pair charges `theta_evals += 1`
 //! (the refinement decision), for every record kind.

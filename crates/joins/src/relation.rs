@@ -2,7 +2,7 @@
 //! into fixed-size records on a heap file.
 
 use sj_geom::codec;
-use sj_geom::{Bounded, Geometry, Rect};
+use sj_geom::{Geometry, QKind, Rect};
 use sj_storage::{BufferPool, HeapFile, IdMap, Layout, StorageError};
 
 /// Maps a codec failure on bytes that came back from a page onto the
@@ -13,32 +13,24 @@ fn corrupt(file: &HeapFile, slot: usize) -> StorageError {
     }
 }
 
-/// What the MBR scan learned of a record's kind. A point is its MBR's
-/// `lo` corner and a rectangle is its MBR, so both are rebuilt from the
-/// scan bit-exactly; a polygon or polyline must be fetched to be refined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ScanKind {
-    Point,
-    Rect,
-    Fetch,
-}
-
 /// One record as [`StoredRelation::try_scan_mbrs`] saw it. The fields
 /// stay in the crate: a `Point` entry's MBR must be degenerate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanEntry {
     pub(crate) id: u64,
     pub(crate) mbr: Rect,
-    pub(crate) kind: ScanKind,
+    pub(crate) kind: QKind,
 }
 
 impl ScanEntry {
-    /// The record itself if it is a point or a rectangle.
+    /// The record itself if it is a point or a rectangle: a point is its
+    /// MBR's `lo` corner and a rectangle is its MBR, so both are rebuilt
+    /// bit-exactly; a polygon or polyline must be fetched to be refined.
     pub(crate) fn as_box(&self) -> Option<Geometry> {
         match self.kind {
-            ScanKind::Point => Some(Geometry::Point(self.mbr.lo)),
-            ScanKind::Rect => Some(Geometry::Rect(self.mbr)),
-            ScanKind::Fetch => None,
+            QKind::Point => Some(Geometry::Point(self.mbr.lo)),
+            QKind::Rect => Some(Geometry::Rect(self.mbr)),
+            QKind::Polygon | QKind::Polyline => None,
         }
     }
 }
@@ -136,6 +128,8 @@ impl StoredRelation {
 
     /// Reads the tuple at logical position `i` through the pool (charged),
     /// decoding from the frame's own bytes, or the fault that prevented it.
+    /// A frame that fails its checksum is `PageCorrupt`; one that passes
+    /// was written by this relation, so a polygon skips the ring check.
     pub fn try_read_at(
         &self,
         pool: &mut BufferPool,
@@ -184,26 +178,21 @@ impl StoredRelation {
 
     /// The MBR-extraction scan of the filter-and-refine executors: one
     /// [`ScanEntry`] per tuple in position order, or the first I/O fault.
-    /// A point or rectangle needs nothing more, so refinement never
-    /// reads it again; a polygon or polyline is dropped after its MBR
-    /// and re-fetched only if a candidate needs it. A polygon's decode
-    /// includes `Polygon::new`'s ring check (one edge-pair kernel pass,
-    /// n² orientations), which is most of what this scan costs on
-    /// polygon data (DESIGN.md §5l).
+    /// Each entry comes straight from the record's raw tag and
+    /// coordinates ([`codec::try_decode_mbr`]: checksum, count and
+    /// finiteness checked, no vertex list, no `Polygon`), so the scan
+    /// costs a checksum and a min/max pass per record (DESIGN.md §5l). A
+    /// point or rectangle needs nothing more, so refinement never reads
+    /// it again; a polygon or polyline is re-fetched only if a candidate
+    /// needs it.
     pub fn try_scan_mbrs(&self, pool: &mut BufferPool) -> Result<Vec<ScanEntry>, StorageError> {
-        (0..self.len())
-            .map(|i| {
-                let (id, g) = self.try_read_at(pool, i)?;
-                let kind = match g {
-                    Geometry::Point(_) => ScanKind::Point,
-                    Geometry::Rect(_) => ScanKind::Rect,
-                    Geometry::Polygon(_) | Geometry::Polyline(_) => ScanKind::Fetch,
-                };
-                Ok(ScanEntry {
-                    id,
-                    mbr: g.mbr(),
-                    kind,
-                })
+        self.slots
+            .iter()
+            .map(|&slot| {
+                let bytes = pool.try_read_record(&self.file, self.file.rid(slot))?;
+                let (id, kind, mbr) =
+                    codec::try_decode_mbr(bytes).map_err(|_| corrupt(&self.file, slot))?;
+                Ok(ScanEntry { id, mbr, kind })
             })
             .collect()
     }

@@ -19,7 +19,9 @@ use sj_geom::{Direction, Geometry, Point, Polygon, Rect, ThetaOp};
 use sj_joins::executor::JoinOperands;
 use sj_joins::grid::{grid_join, GridConfig};
 use sj_joins::{JoinRequest, LocalJoinIndex, StoredRelation, Strategy, TraceSink, TreeRelation};
-use sj_storage::{BufferPool, Disk, DiskConfig, FaultConfig, FaultInjector, Layout, StorageError};
+use sj_storage::{
+    BufferPool, Disk, DiskConfig, FaultConfig, FaultInjector, Layout, PageId, StorageError,
+};
 
 const THETAS: [ThetaOp; 8] = [
     ThetaOp::WithinCenterDistance(10.5),
@@ -250,6 +252,93 @@ fn refine_phase_faults_are_fail_stop() {
         }
     }
     assert!(late > 0, "no fault landed after the MBR scans");
+}
+
+/// Media damage: each bit of one stored polygon record and one stored
+/// point record is flipped in turn, in place through the pool. Under
+/// every flip, every strategy and `Auto` under all eight θ returns
+/// `PageCorrupt` or the nested-loop answer on the undamaged data: the
+/// record checksum turns damage into a typed error, never a different
+/// geometry. A flip in a record's padding changes nothing.
+#[test]
+fn flipped_bits_are_page_corrupt_or_the_exact_answer() {
+    let mut pool = pool();
+    let polygons: Vec<(u64, Geometry)> = (0..4u64)
+        .map(|i| {
+            let c = Point::new((i % 2) as f64 * 10.0 + 5.0, (i / 2) as f64 * 10.0 + 5.0);
+            (i, Geometry::Polygon(Polygon::regular(c, 6.0, 4)))
+        })
+        .collect();
+    let points = grid_tuples(3, 10.0, 500);
+    // A tight slot for the 4-gons: the point records carry padding.
+    let record_size = sj_geom::codec::encoded_len(&polygons[0].1);
+    let r = StoredRelation::build(&mut pool, &polygons, record_size, Layout::Clustered);
+    let s = StoredRelation::build(&mut pool, &points, record_size, Layout::Clustered);
+    let heap_pages = (r.page_count() + s.page_count()) as u32;
+    let fan = sj_gentree::rtree::RTreeConfig::with_fanout(3);
+    let r_tree = sj_gentree::rtree::RTree::bulk_load(fan, polygons)
+        .tree()
+        .clone();
+    let s_tree = sj_gentree::rtree::RTree::bulk_load(fan, points)
+        .tree()
+        .clone();
+    let w = World {
+        r_tree: TreeRelation::new(&mut pool, r_tree, record_size, Layout::Clustered),
+        s_tree: TreeRelation::new(&mut pool, s_tree, record_size, Layout::Clustered),
+        r,
+        s,
+        world: Rect::from_bounds(0.0, 0.0, 64.0, 64.0),
+    };
+    let run = |pool: &mut BufferPool, strategy: Strategy, theta: ThetaOp| {
+        let ops = operands(&w);
+        let mut exec = strategy.executor(&ops).expect("operands cover everything");
+        exec.try_execute(&JoinRequest::new(theta), pool)
+            .map(|run| sorted(run.pairs))
+    };
+    let want: Vec<_> = THETAS
+        .map(|theta| run(&mut pool, Strategy::NestedLoop, theta).unwrap())
+        .to_vec();
+    assert!(want.iter().any(|pairs| !pairs.is_empty()));
+
+    let (mut corrupt, mut exact) = (0, 0);
+    for id in [1u64, 504] {
+        // The relations' heap pages come first on the fresh disk.
+        let (page, slot) = (0..heap_pages)
+            .map(PageId)
+            .find_map(|page| {
+                let pg = pool.try_fetch(page).unwrap();
+                let slots = 0..pg.slot_count() as u16;
+                let mut hit =
+                    slots.filter(|&s| pg.get(s).is_some_and(|b| b[..8] == id.to_le_bytes()));
+                hit.next().map(|slot| (page, slot))
+            })
+            .expect("the record is on a heap page");
+        let flip = |pool: &mut BufferPool, bit: usize| {
+            pool.try_update(page, |pg| {
+                let mut bytes = pg.get(slot).expect("live record").to_vec();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                pg.update(slot, bytes);
+            })
+            .unwrap();
+        };
+        for bit in 0..record_size * 8 {
+            flip(&mut pool, bit);
+            for (theta, want) in THETAS.into_iter().zip(&want) {
+                for strategy in Strategy::ALL.into_iter().chain([Strategy::Auto]) {
+                    match run(&mut pool, strategy, theta) {
+                        Ok(got) => {
+                            assert_eq!(&got, want, "{strategy:?} under {theta:?}, bit {bit}");
+                            exact += 1;
+                        }
+                        Err(StorageError::PageCorrupt { page: p }) if p == page => corrupt += 1,
+                        Err(e) => panic!("{strategy:?} under {theta:?}, bit {bit}: {e:?}"),
+                    }
+                }
+            }
+            flip(&mut pool, bit);
+        }
+    }
+    assert!(corrupt > 0 && exact > 0, "{corrupt} corrupt, {exact} exact");
 }
 
 #[test]

@@ -550,6 +550,46 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A saved file is read from outside the process: a polygon whose
+    /// frame was forged around a self-intersecting ring, record checksum
+    /// and log frame both valid, does not open.
+    #[test]
+    fn open_rejects_a_sealed_self_intersecting_ring() {
+        use sj_geom::{codec, Polygon, Rect};
+        let square = Polygon::from_rect(&Rect::from_bounds(0.0, 0.0, 4.0, 4.0)).unwrap();
+        let square = Geometry::Polygon(square);
+        let mut db = Database::in_memory();
+        let schema = Schema::new(vec![Column::new("area", ValueType::Spatial)]);
+        db.create_table("t", schema, 300).unwrap();
+        db.insert("t", vec![Value::Spatial(square.clone())])
+            .unwrap();
+        let (_, records) = WriteAheadLog::recover(&db.image().unwrap()).unwrap();
+        let frame = codec::encode_record(0, &square, codec::encoded_len(&square));
+        let reframe = |forge: bool| {
+            let mut log = WriteAheadLog::new();
+            for (_, mut record) in records.clone() {
+                let at = record.windows(frame.len()).position(|w| w == &frame[..]);
+                if let (true, Some(at)) = (forge, at) {
+                    let coords = at + codec::HEADER_LEN;
+                    let bowtie = [0.0, 0.0, 4.0, 0.0, 0.0, 4.0, 3.0, 5.0].map(f64::to_le_bytes);
+                    record[coords..coords + 64].copy_from_slice(&bowtie.concat());
+                    codec::seal_record(&mut record[at..at + frame.len()]);
+                }
+                log.append(&record);
+            }
+            log.sync().unwrap();
+            let path = temp_path(&format!("forged_ring_{forge}"));
+            std::fs::write(&path, log.durable_image()).unwrap();
+            let opened = Database::open(&path).map(|_| ());
+            std::fs::remove_file(&path).ok();
+            opened
+        };
+        assert!(reframe(false).is_ok());
+        let err = reframe(true).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bad polygon ring"), "{err}");
+    }
+
     #[test]
     fn missing_files_error_cleanly() {
         let path = temp_path("missing");

@@ -103,7 +103,7 @@ pub fn decode_tuple(bytes: &[u8], schema: &Schema) -> Result<Tuple> {
             }
             TAG_SPATIAL => {
                 let len = u16::from_le_bytes(take_array(&mut cur)?);
-                let frame = codec::try_decode_record(take(&mut cur, usize::from(len))?);
+                let frame = codec::try_decode_untrusted(take(&mut cur, usize::from(len))?);
                 Value::Spatial(frame.map_err(|e| DbError::Corrupt(e.to_string()))?.1)
             }
             tag => return Err(DbError::Corrupt(format!("unknown value tag {tag}"))),

@@ -20,10 +20,6 @@ use sj_geom::{codec, Bounded, Rect, ThetaOp};
 use crate::request::{QueryKind, Reply, Request, Side};
 use sj_joins::TouchedRegions;
 
-/// Record size used only to serialize probe geometries into key bytes;
-/// any size that fits the largest probe works, equality is what matters.
-const KEY_RECORD_SIZE: usize = 300;
-
 /// θ-operator as hashable bits: discriminant plus parameter payloads
 /// (`f64::to_bits`, so `ThetaOp`'s non-`Eq` floats become exact keys).
 fn theta_bits(theta: ThetaOp) -> [u64; 3] {
@@ -96,7 +92,7 @@ impl CacheKey {
         let query = match &req.kind {
             QueryKind::Select { side, probe } => Fingerprint::Select {
                 side: side.name(),
-                probe: codec::encode_record(0, probe, KEY_RECORD_SIZE),
+                probe: codec::encode_record(0, probe, codec::encoded_len(probe)),
             },
             QueryKind::Join { strategy } => Fingerprint::Join {
                 strategy: strategy.name(),
@@ -267,7 +263,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use sj_geom::{Geometry, Point, Rect};
+    use sj_geom::{Geometry, Point, Polygon, Rect};
     use sj_joins::Strategy;
 
     use crate::request::{Request, Side};
@@ -319,6 +315,19 @@ mod tests {
             CacheKey::for_request(0, &pt),
             CacheKey::for_request(0, &rect)
         );
+    }
+
+    /// A probe is keyed at its own frame length, so no probe is too
+    /// large to key: a 40-gon needs 659 bytes.
+    #[test]
+    fn large_probes_key_distinctly() {
+        let probe = |r: f64| {
+            let ring = Polygon::regular(Point::new(0.0, 0.0), r, 40);
+            Request::select(Side::R, Geometry::Polygon(ring), ThetaOp::Overlaps)
+        };
+        let key = |r: f64| CacheKey::for_request(0, &probe(r));
+        assert_eq!(key(1.0), key(1.0));
+        assert_ne!(key(1.0), key(2.0));
     }
 
     #[test]

@@ -106,7 +106,9 @@ pub struct ServiceConfig {
     pub pool_capacity: usize,
     /// Frames of the shard each compute attempt forks.
     pub shard_capacity: usize,
-    /// On-disk record size for relations and trees.
+    /// On-disk record size for relations and trees. A v1 record is 19
+    /// header bytes (id, tag, count, checksum) plus 16 per vertex, so the
+    /// default 300-byte slot holds polygons of at most 17 vertices.
     pub record_size: usize,
     /// Generalization-tree (R-tree) fan-out.
     pub fanout: usize,
@@ -176,7 +178,9 @@ impl ServiceConfig {
     /// record size, and — when compressed pages are on — the v2 frame
     /// must fit the tree's node records. An insert/upsert that fails it
     /// outcomes as [`MutationOutcome::TooLarge`]; a coordinator routing
-    /// writes to several services calls this same screen.
+    /// writes to several services calls this same screen. At the default
+    /// 300-byte `record_size` a polygon of 17 vertices fits (291 bytes)
+    /// and one of 18 does not (307 bytes: the record checksum takes 8).
     pub fn too_large(&self, value: &Geometry) -> bool {
         codec::encoded_len(value) > self.record_size
             || (self.compress_geometry && codec::encoded_qlen(value) > self.quant_record_size)
@@ -1092,6 +1096,14 @@ mod tests {
     use sj_geom::{Point, ThetaOp};
     use sj_joins::Strategy;
     use std::sync::atomic::Ordering;
+
+    #[test]
+    fn too_large_admits_17_vertices_at_the_default_slot() {
+        let cfg = ServiceConfig::default();
+        let gon = |n| Geometry::Polygon(sj_geom::Polygon::regular(Point::new(0.0, 0.0), 1.0, n));
+        assert!(!cfg.too_large(&gon(17)));
+        assert!(cfg.too_large(&gon(18)));
+    }
 
     fn grid_tuples(n: usize, step: f64, id0: u64) -> Vec<(u64, Geometry)> {
         (0..n * n)

@@ -438,21 +438,48 @@ echo "==> one-durable-format gate (every image is a checksummed log)"
 # crates/*/src and src may hold the FNV-1a offset basis (the frame
 # checksum) only there, name no page-image or page-catalog magic
 # (SJDISK*/SJCAT*), and `Disk` may not learn to save or load itself.
+# There are exactly two checksum sites: the WAL frame's FNV-1a in
+# wal.rs and the v1 record checksum in codec.rs. A third (a function or
+# type named for a checksum or a well-known hash, or the FNV constants)
+# fails the gate.
 formats=$(
     for f in $(find crates/*/src src -name '*.rs' | sort); do
         awk '/^#\[cfg\(test\)\]/ { exit }
              /0xcbf29ce484222325/ { print "basis " FILENAME ":" FNR }
+             tolower($0) ~ /(fn|struct|enum) [a-z0-9_]*(checksum|crc|fnv|adler|xxh|murmur)/ ||
+             /0xcbf29ce484222325|0x100000001b3/ { print "checksum " FILENAME }
              /SJDISK|SJCAT/ { print "magic " FILENAME ":" FNR ": " $0 }
              /^impl Disk \{/ { disk = 1 }
              disk && /^}/ { disk = 0 }
              disk && /fn (save|load)\(/ { print "disk " FILENAME ":" FNR ": " $0 }' "$f"
     done
 )
-if [ "$formats" != "basis crates/storage/src/wal.rs:$(grep -n 0xcbf29ce484222325 crates/storage/src/wal.rs | cut -d: -f1)" ]; then
-    echo "    a second checksum, an old image format or a disk image writer is back:"
+basis="basis crates/storage/src/wal.rs:$(grep -n 0xcbf29ce484222325 crates/storage/src/wal.rs | cut -d: -f1)"
+sites="checksum crates/geom/src/codec.rs
+checksum crates/storage/src/wal.rs"
+if [ "$(echo "$formats" | grep -v '^checksum ')" != "$basis" ] ||
+    [ "$(echo "$formats" | grep '^checksum ' | sort -u)" != "$sites" ]; then
+    echo "    a third checksum, an old image format or a disk image writer is back:"
     echo "$formats"
     exit 1
 fi
-echo "    -> one frame checksum (wal.rs), no page image or page catalog"
+echo "    -> two checksums (wal.rs frames, codec.rs records), no page image or page catalog"
+
+echo "==> MBR-scan gate (the filter's scan decodes no geometry)"
+# `StoredRelation::try_scan_mbrs` reads each record's MBR from its raw
+# coordinates (codec::try_decode_mbr). A full decoder in its body would
+# bring back a vertex list and a Polygon per record.
+decoders=$(
+    awk '/^    pub fn try_scan_mbrs/ { scan = 1 }
+         scan && /try_read_at\(|try_decode_record\(|try_decode_untrusted\(|try_scan\(/ {
+             print FILENAME ":" FNR ": " $0 }
+         scan && /^    }$/ { exit }' crates/joins/src/relation.rs
+)
+if ! grep -q '^    pub fn try_scan_mbrs' crates/joins/src/relation.rs || [ -n "$decoders" ]; then
+    echo "    try_scan_mbrs is gone or calls a full decoder:"
+    echo "$decoders"
+    exit 1
+fi
+echo "    -> try_scan_mbrs decodes MBRs only"
 
 echo "CI OK"
