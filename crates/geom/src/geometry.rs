@@ -5,7 +5,7 @@ use crate::point::Point;
 use crate::polygon::Polygon;
 use crate::polyline::Polyline;
 use crate::rect::Rect;
-use crate::segment::Segment;
+use crate::segment::Chain;
 use crate::EPSILON;
 
 /// Anything with a minimum bounding rectangle. Generalization-tree nodes
@@ -109,13 +109,12 @@ impl Geometry {
             (Point(a), Point(b)) => a.distance(b) <= EPSILON,
             (Point(a), Rect(b)) | (Rect(b), Point(a)) => b.contains_point(a),
             (Point(a), Polygon(b)) | (Polygon(b), Point(a)) => b.contains_point(a),
-            (Point(a), Polyline(b)) | (Polyline(b), Point(a)) => {
-                b.segments().any(|s| s.contains_point(a))
-            }
+            (Point(a), Polyline(b)) | (Polyline(b), Point(a)) => b.distance_to_point(a) <= EPSILON,
             (Rect(a), Rect(b)) => a.intersects(b),
             (Rect(a), Polygon(b)) | (Polygon(b), Rect(a)) => b.intersects_rect(a),
             (Rect(a), Polyline(b)) | (Polyline(b), Rect(a)) => {
-                b.segments().any(|s| segment_intersects_rect(&s, a))
+                b.vertices().iter().any(|v| a.contains_point(v))
+                    || b.chain().touches(Chain::new(&a.corners(), true, *a))
             }
             (Polygon(a), Polygon(b)) => a.intersects_polygon(b),
             (Polygon(a), Polyline(b)) | (Polyline(b), Polygon(a)) => {
@@ -143,15 +142,15 @@ impl Geometry {
             (Polygon(a), Polyline(b)) => {
                 b.vertices().iter().all(|v| a.contains_point(v)) && !a.ring().crosses(b.chain())
             }
-            (Polyline(a), Point(b)) => a.segments().any(|s| s.contains_point(b)),
+            (Polyline(a), Point(b)) => a.distance_to_point(b) <= EPSILON,
             // A 1-D chain includes another chain only in the degenerate case
             // where every vertex of the other chain lies on it and no segment
             // leaves it; we approximate with the vertex condition plus
-            // midpoint samples per segment.
+            // midpoint samples per segment, each within EPSILON of `a`.
             (Polyline(a), Polyline(b)) => b.segments().all(|s| {
-                a.segments().any(|t| t.contains_point(&s.a))
-                    && a.segments().any(|t| t.contains_point(&s.b))
-                    && a.segments().any(|t| t.contains_point(&s.midpoint()))
+                [s.a, s.b, s.midpoint()]
+                    .iter()
+                    .all(|p| a.distance_to_point(p) <= EPSILON)
             }),
             // Extended 2-D regions can never fit in a 1-D chain.
             (Polyline(_), Rect(_)) | (Polyline(_), Polygon(_)) => false,
@@ -175,25 +174,17 @@ impl Geometry {
             (Point(a), Polyline(b)) | (Polyline(b), Point(a)) => b.distance_to_point(a),
             (Rect(a), Rect(b)) => a.min_distance(b),
             (Rect(a), Polygon(b)) | (Polygon(b), Rect(a)) => b.distance_to_rect(a),
-            (Rect(a), Polyline(b)) | (Polyline(b), Rect(a)) => b
-                .segments()
-                .map(|s| segment_distance_to_rect(&s, a))
-                .fold(f64::INFINITY, f64::min),
             (Polygon(a), Polygon(b)) => a.distance_to_polygon(b),
-            (Polygon(a), Polyline(b)) | (Polyline(b), Polygon(a)) => {
-                if self.overlaps(other) {
-                    0.0
-                } else {
-                    let mut best = f64::INFINITY;
-                    for s in b.segments() {
-                        for e in a.edges() {
-                            best = best.min(s.distance_to_segment(&e));
-                        }
-                    }
-                    best
-                }
-            }
             (Polyline(a), Polyline(b)) => a.distance_to_polyline(b),
+            // Once the exact overlap test says the shapes are apart, the
+            // distance is a vertex-to-edge minimum.
+            _ if self.overlaps(other) => 0.0,
+            (Rect(a), Polyline(b)) | (Polyline(b), Rect(a)) => {
+                b.chain().distance_apart(Chain::new(&a.corners(), true, *a))
+            }
+            (Polygon(a), Polyline(b)) | (Polyline(b), Polygon(a)) => {
+                b.chain().distance_apart(a.ring())
+            }
         }
     }
 
@@ -203,25 +194,6 @@ impl Geometry {
     pub fn center_distance(&self, other: &Geometry) -> f64 {
         self.centerpoint().distance(&other.centerpoint())
     }
-}
-
-/// True if `s` shares at least one point with the closed rectangle `r`.
-pub(crate) fn segment_intersects_rect(s: &Segment, r: &Rect) -> bool {
-    if r.contains_point(&s.a) || r.contains_point(&s.b) {
-        return true;
-    }
-    r.edges().iter().any(|e| e.intersects(s))
-}
-
-/// Minimum distance between `s` and the closed rectangle `r`.
-pub(crate) fn segment_distance_to_rect(s: &Segment, r: &Rect) -> f64 {
-    if segment_intersects_rect(s, r) {
-        return 0.0;
-    }
-    r.edges()
-        .iter()
-        .map(|e| e.distance_to_segment(s))
-        .fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]

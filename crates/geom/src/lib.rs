@@ -52,7 +52,7 @@ pub mod theta;
 pub use codec::CodecError;
 pub use geometry::{Bounded, Geometry};
 pub use point::Point;
-pub use polygon::{Polygon, PolygonError};
+pub use polygon::{Location, Polygon, PolygonError};
 pub use polyline::{Polyline, PolylineError};
 pub use qgeom::{margin_eval, MarginVerdict, QGeometry, QKind};
 pub use rect::Rect;
@@ -61,9 +61,9 @@ pub use soa::{RectChunks, RectLanes, FULL_MASK, LANES};
 pub use sweep::{sweep_candidates, sweep_candidates_with, Kernel, SweepItem, BATCH_MIN};
 pub use theta::{Direction, MaskFilter, ThetaOp};
 
-/// Absolute tolerance of the equality-like predicates: on-boundary tests
-/// and `Adjacent` (a distance ≤ 1e-9), and the segment orientation codes,
-/// where "collinear" means |cross product| ≤ 1e-9, a distance of
-/// 1e-9 / |edge| from the edge's line. Meant for world coordinates around
-/// `1e-6 ..= 1e8`.
+/// Absolute tolerance of the predicates that θ defines by a distance:
+/// `Adjacent` (a distance ≤ 1e-9, and its Θ-filter), a point on a point
+/// or on a polyline (within 1e-9 of it), and `Polygon::new`'s zero-area
+/// check. Intersection and point-in-polygon tests are exact and do not
+/// use it. Meant for world coordinates around `1e-6 ..= 1e8`.
 pub const EPSILON: f64 = 1e-9;

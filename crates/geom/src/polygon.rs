@@ -5,7 +5,7 @@ use std::fmt;
 
 use crate::point::Point;
 use crate::rect::Rect;
-use crate::segment::{Chain, Segment};
+use crate::segment::{orientation, Chain, Segment};
 use crate::EPSILON;
 
 /// Construction errors for [`Polygon`].
@@ -32,6 +32,15 @@ impl fmt::Display for PolygonError {
 }
 
 impl std::error::Error for PolygonError {}
+
+/// Where a point lies relative to a polygon's closed region
+/// ([`Polygon::locate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Location {
+    Inside,
+    Boundary,
+    Outside,
+}
 
 /// A simple polygon, stored as a ring of vertices without the closing
 /// duplicate. The ring is normalized to counter-clockwise orientation at
@@ -161,31 +170,47 @@ impl Polygon {
 
     /// The boundary ring, for the edge-pair kernel.
     pub(crate) fn ring(&self) -> Chain<'_> {
-        Chain::new(&self.vertices, true)
+        Chain::new(&self.vertices, true, self.mbr)
     }
 
-    /// True if `p` lies inside the polygon or on its boundary
-    /// (even-odd ray casting, then an explicit boundary test).
-    pub fn contains_point(&self, p: &Point) -> bool {
+    /// Where `p` lies, exactly, in one pass over the edges: a ray cast
+    /// towards +x with the half-open rule on y, where the exact
+    /// orientation of `p` against each edge straddling `p.y` decides the
+    /// crossing, and a zero one puts `p` on that edge. An edge that ends
+    /// at height `p.y` without straddling it holds `p` only if `p` is on
+    /// it; that catches horizontal edges and the tops of peaks.
+    pub fn locate(&self, p: &Point) -> Location {
         if !self.mbr.contains_point(p) {
-            return false;
+            return Location::Outside;
         }
-        // Ray cast towards +x; count proper crossings. Vertex-on-ray cases
-        // are handled with the usual half-open rule on y.
         let mut inside = false;
-        let n = self.vertices.len();
-        for i in 0..n {
-            let a = self.vertices[i];
-            let b = self.vertices[(i + 1) % n];
-            let crosses_y = (a.y > p.y) != (b.y > p.y);
-            if crosses_y {
-                let x_at_y = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x);
-                if x_at_y > p.x {
+        let mut a = self.vertices[self.vertices.len() - 1];
+        for &b in &self.vertices {
+            if (a.y > p.y) != (b.y > p.y) {
+                let o = orientation(&a, &b, p);
+                if o == 0 {
+                    return Location::Boundary;
+                }
+                // `p` left of an upward edge, or right of a downward one:
+                // the edge crosses the ray.
+                if (o > 0) == (b.y > a.y) {
                     inside = !inside;
                 }
+            } else if (a.y == p.y || b.y == p.y) && Segment::new(a, b).contains_point(p) {
+                return Location::Boundary;
             }
+            a = b;
         }
-        inside || self.edges().any(|e| e.contains_point(p))
+        if inside {
+            Location::Inside
+        } else {
+            Location::Outside
+        }
+    }
+
+    /// True if `p` lies inside the polygon or on its boundary.
+    pub fn contains_point(&self, p: &Point) -> bool {
+        self.locate(p) != Location::Outside
     }
 
     /// True if the closed regions of the polygons share at least one point:
@@ -203,7 +228,9 @@ impl Polygon {
         self.mbr.intersects(rect)
             && (rect.contains_point(&self.vertices[0])
                 || self.contains_point(&rect.lo)
-                || self.ring().touches(Chain::new(&rect.corners(), true)))
+                || self
+                    .ring()
+                    .touches(Chain::new(&rect.corners(), true, *rect)))
     }
 
     /// True if `other` lies entirely within `self` (boundary contact
@@ -220,7 +247,7 @@ impl Polygon {
         let corners = rect.corners();
         self.mbr.contains_rect(rect)
             && corners.iter().all(|c| self.contains_point(c))
-            && !self.ring().crosses(Chain::new(&corners, true))
+            && !self.ring().crosses(Chain::new(&corners, true, *rect))
     }
 
     /// Distance from the closest boundary/interior point of `self` to `p`
@@ -240,13 +267,7 @@ impl Polygon {
         if self.intersects_polygon(other) {
             return 0.0;
         }
-        let mut best = f64::INFINITY;
-        for e in self.edges() {
-            for f in other.edges() {
-                best = best.min(e.distance_to_segment(&f));
-            }
-        }
-        best
+        self.ring().distance_apart(other.ring())
     }
 
     /// Minimum distance between `self` and `rect` (zero when intersecting).
@@ -254,13 +275,8 @@ impl Polygon {
         if self.intersects_rect(rect) {
             return 0.0;
         }
-        let mut best = f64::INFINITY;
-        for e in self.edges() {
-            for f in rect.edges() {
-                best = best.min(e.distance_to_segment(&f));
-            }
-        }
-        best
+        self.ring()
+            .distance_apart(Chain::new(&rect.corners(), true, *rect))
     }
 }
 
@@ -444,7 +460,9 @@ mod tests {
         );
     }
 
-    /// `contains_point` as it was: the boundary test, then the ray cast.
+    /// `contains_point` in two passes: the exact boundary test over every
+    /// edge, then the even-odd ray cast, each crossing decided by the
+    /// exact orientation of `p` against the edge.
     fn contains_point_oracle(poly: &Polygon, p: &Point) -> bool {
         if !poly.mbr.contains_point(p) {
             return false;
@@ -457,7 +475,7 @@ mod tests {
         let mut inside = false;
         for i in 0..n {
             let (a, b) = (v[i], v[(i + 1) % n]);
-            if (a.y > p.y) != (b.y > p.y) && a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x) > p.x {
+            if (a.y > p.y) != (b.y > p.y) && (orientation(&a, &b, p) > 0) == (b.y > a.y) {
                 inside = !inside;
             }
         }
@@ -482,7 +500,7 @@ mod tests {
             (state >> 33) as u32
         };
         // Unvalidated lattice rings, jittered every other round, at unit
-        // scale and at 1e-5 (where cross products sit at EPSILON).
+        // scale and at 1e-5 (where cross products sit below 1e-9).
         let mut ring = |round: u32| {
             let scale = if round % 4 < 2 { 1.0 } else { 1e-5 };
             let vertices: Vec<Point> = (0..3 + next() % 7)
@@ -500,7 +518,7 @@ mod tests {
             Polygon { vertices, mbr }
         };
         let mut verdicts = [[0usize; 2]; 2];
-        for round in 0..4_000 {
+        for round in 0..6_000 {
             let (a, b) = (ring(round), ring(round));
             let want = intersects_polygon_oracle(&a, &b);
             assert_eq!(a.intersects_polygon(&b), want, "{a:?} {b:?}");
@@ -519,6 +537,87 @@ mod tests {
         assert!(
             verdicts.iter().flatten().all(|&c| c > 300),
             "every verdict exercised: {verdicts:?}"
+        );
+    }
+
+    #[test]
+    fn locate_agrees_with_the_grid_oracle() {
+        // Simple rings on the lattice {1, …, 7}², located at their
+        // vertices, at their edge midpoints, and one ulp to either side of
+        // a midpoint along each axis, plus random half-lattice points. The
+        // oracle scales every coordinate by 2⁵³ to an integer and locates
+        // by an exact on-edge test, else by the winding number.
+        let to_grid = |p: &Point| {
+            let k = (p.x * 2f64.powi(53), p.y * 2f64.powi(53));
+            assert!(
+                k.0.fract() == 0.0 && k.1.fract() == 0.0,
+                "{p:?} is off the grid"
+            );
+            (k.0 as i64, k.1 as i64)
+        };
+        let oracle = |poly: &Polygon, p: &Point| {
+            let p = to_grid(p);
+            let mut winding = 0;
+            for e in poly.edges() {
+                let (a, b) = (to_grid(&e.a), to_grid(&e.b));
+                let o = crate::segment::tests::grid_sign(a, b, p);
+                let spans = |i: usize| {
+                    let (lo, hi) = if i == 0 { (a.0, b.0) } else { (a.1, b.1) };
+                    let v = if i == 0 { p.0 } else { p.1 };
+                    lo.min(hi) <= v && v <= lo.max(hi)
+                };
+                if o == 0 && spans(0) && spans(1) {
+                    return Location::Boundary;
+                }
+                if a.1 <= p.1 && p.1 < b.1 && o > 0 {
+                    winding += 1;
+                } else if b.1 <= p.1 && p.1 < a.1 && o < 0 {
+                    winding -= 1;
+                }
+            }
+            if winding != 0 {
+                Location::Inside
+            } else {
+                Location::Outside
+            }
+        };
+        let mut rng = crate::segment::tests::Lcg(0x10CA7E);
+        let (mut verdicts, mut rings) = ([0usize; 3], 0);
+        while rings < 1_500 {
+            let n = 3 + rng.next() as usize % 7;
+            let ring = (0..n).map(|_| {
+                let mut k = || f64::from(1 + rng.next() % 7);
+                Point::new(k(), k())
+            });
+            let Ok(poly) = Polygon::new(ring.collect()) else {
+                continue;
+            };
+            rings += 1;
+            let mut probes: Vec<Point> = poly.vertices.clone();
+            for e in poly.edges() {
+                let m = e.midpoint();
+                probes.extend([
+                    m,
+                    Point::new(m.x.next_up(), m.y),
+                    Point::new(m.x.next_down(), m.y),
+                    Point::new(m.x, m.y.next_up()),
+                    Point::new(m.x, m.y.next_down()),
+                ]);
+            }
+            for _ in 0..8 {
+                let mut h = || f64::from(2 + rng.next() % 13) / 2.0;
+                probes.push(Point::new(h(), h()));
+            }
+            for p in &probes {
+                let want = oracle(&poly, p);
+                assert_eq!(poly.locate(p), want, "{poly:?} {p:?}");
+                assert_eq!(poly.contains_point(p), want != Location::Outside);
+                verdicts[want as usize] += 1;
+            }
+        }
+        assert!(
+            verdicts.iter().all(|&c| c > 3_000),
+            "every location exercised: {verdicts:?}"
         );
     }
 

@@ -95,7 +95,7 @@ impl Polyline {
 
     /// The vertex chain, for the edge-pair kernel.
     pub(crate) fn chain(&self) -> Chain<'_> {
-        Chain::new(&self.vertices, false)
+        Chain::new(&self.vertices, false, self.mbr)
     }
 
     /// Constituent segments, in order.
@@ -112,16 +112,10 @@ impl Polyline {
 
     /// Minimum distance between two chains (zero if they cross or touch).
     pub fn distance_to_polyline(&self, other: &Polyline) -> f64 {
-        let mut best = f64::INFINITY;
-        for s in self.segments() {
-            for t in other.segments() {
-                best = best.min(s.distance_to_segment(&t));
-                if best == 0.0 {
-                    return 0.0;
-                }
-            }
+        if self.intersects_polyline(other) {
+            return 0.0;
         }
-        best
+        self.chain().distance_apart(other.chain())
     }
 
     /// True if the chains share at least one point.

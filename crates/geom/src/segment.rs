@@ -2,9 +2,12 @@
 //! point–segment and segment–segment distances) that the polygon and
 //! polyline predicates are built on, and `Chain`, the one edge-pair
 //! kernel that runs the intersection tests over whole boundaries.
+//!
+//! Every intersection test here is exact: it reads only the exact sign of
+//! `orientation` and coordinate comparisons, never a tolerance.
 
 use crate::point::Point;
-use crate::EPSILON;
+use crate::rect::Rect;
 
 /// A directed line segment between two points.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -13,58 +16,130 @@ pub struct Segment {
     pub b: Point,
 }
 
-/// Orientation of an ordered point triple: `1` counter-clockwise, `-1`
-/// clockwise, `0` collinear, which means a cross product within
-/// ±[`EPSILON`] (a distance of `EPSILON / |q − p|` from the line `pq`).
+/// The relative rounding error ε of one float operation, 2⁻⁵³.
+const ROUNDING: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// Shewchuk's `ccwerrboundA`, (3 + 16ε)ε: when the float determinant is
+/// at least this multiple of `|left| + |right|`, its sign is exact.
+const CCW_ERRBOUND_A: f64 = (3.0 + 16.0 * ROUNDING) * ROUNDING;
+
+/// Orientation of an ordered point triple: the exact sign of
+/// `(q − p) × (r − p)`, `1` counter-clockwise, `-1` clockwise, `0`
+/// collinear. Exact for finite coordinates whose products neither
+/// overflow nor underflow (Shewchuk 1997): the float filter decides
+/// almost every triple, [`orientation_exact`] the rest.
 #[inline]
-fn orientation(p: &Point, q: &Point, r: &Point) -> i8 {
-    let v = (*q - *p).cross(&(*r - *p));
-    i8::from(v > EPSILON) - i8::from(v < -EPSILON)
+pub(crate) fn orientation(p: &Point, q: &Point, r: &Point) -> i8 {
+    orientation_filter(p, q, r).unwrap_or_else(|| orientation_exact(p, q, r))
 }
 
-/// The four orientation codes of a pair: `t`'s endpoints against `s`,
-/// then `s`'s endpoints against `t`.
+/// The float determinant's sign where its error bound proves it exact,
+/// else `None`. Products of opposite signs (or a zero) cannot cancel, so
+/// their difference has the exact sign without a bound.
 #[inline]
-fn codes(s: &Segment, t: &Segment) -> [i8; 4] {
-    [
-        orientation(&s.a, &s.b, &t.a),
-        orientation(&s.a, &s.b, &t.b),
-        orientation(&t.a, &t.b, &s.a),
-        orientation(&t.a, &t.b, &s.b),
-    ]
+pub(crate) fn orientation_filter(p: &Point, q: &Point, r: &Point) -> Option<i8> {
+    let left = (q.x - p.x) * (r.y - p.y);
+    let right = (q.y - p.y) * (r.x - p.x);
+    let det = left - right;
+    let sum = if left > 0.0 && right > 0.0 {
+        left + right
+    } else if left < 0.0 && right < 0.0 {
+        -left - right
+    } else {
+        return Some(sign(det));
+    };
+    (det.abs() >= CCW_ERRBOUND_A * sum).then(|| sign(det))
 }
 
-/// [`Segment::intersects`] on a pair's codes: one segment's endpoints
-/// strictly on both sides of the other (`o1 * o2 < 0` or `o3 * o4 < 0`)
-/// and the other's not on one side of it, or an endpoint collinear with the
-/// other segment that lies on it. Left open: each segment has one endpoint
-/// collinear with the other's line, off the other segment. Those codes
-/// fit a crossing near both endpoints as well as nearly collinear segments
-/// that end apart, so the exact signs decide. Symmetric in `s` and `t`.
-#[inline]
-fn touch(s: &Segment, t: &Segment, [o1, o2, o3, o4]: [i8; 4]) -> bool {
-    (o1 * o2 < 0 && o3 != o4)
-        || (o3 * o4 < 0 && o1 != o2)
-        || (o1 == 0 && s.contains_point(&t.a))
-        || (o2 == 0 && s.contains_point(&t.b))
-        || (o3 == 0 && t.contains_point(&s.a))
-        || (o4 == 0 && t.contains_point(&s.b))
-        || (o1 != o2 && o3 != o4 && straddles(s, t) && straddles(t, s))
+/// The exact sign of `p × q + q × r + r × p`, which is `(q − p) × (r − p)`
+/// expanded: six products, each split exactly into a float and its
+/// rounding error (`two_product`), summed without loss into a
+/// nonoverlapping expansion whose largest component carries the sign.
+#[cold]
+#[inline(never)]
+fn orientation_exact(p: &Point, q: &Point, r: &Point) -> i8 {
+    let products = [
+        (p.x, q.y),
+        (-p.y, q.x),
+        (q.x, r.y),
+        (-q.y, r.x),
+        (r.x, p.y),
+        (-r.y, p.x),
+    ];
+    let mut expansion = [0.0; 12];
+    let mut len = 0;
+    for (a, b) in products {
+        let (hi, lo) = two_product(a, b);
+        len = grow_expansion(&mut expansion, len, lo);
+        len = grow_expansion(&mut expansion, len, hi);
+    }
+    expansion[..len].last().map_or(0, |&top| sign(top))
 }
 
-/// True if `t`'s endpoints lie on strictly opposite sides of `s`'s line,
-/// by the sign of the cross product rather than its ±[`EPSILON`] code.
-fn straddles(s: &Segment, t: &Segment) -> bool {
-    let side = |p: &Point| (s.b - s.a).cross(&(*p - s.a));
-    let (a, b) = (side(&t.a), side(&t.b));
-    (a < 0.0 && b > 0.0) || (a > 0.0 && b < 0.0)
+/// Adds `b` to the expansion `e[..len]` in place and returns its new
+/// length: Shewchuk's GROW-EXPANSION with zero elimination, so the
+/// components stay nonoverlapping, nonzero and in increasing magnitude.
+fn grow_expansion(e: &mut [f64; 12], len: usize, b: f64) -> usize {
+    let (mut q, mut kept) = (b, 0);
+    for i in 0..len {
+        let (sum, err) = two_sum(q, e[i]);
+        q = sum;
+        if err != 0.0 {
+            e[kept] = err;
+            kept += 1;
+        }
+    }
+    if q != 0.0 {
+        e[kept] = q;
+        kept += 1;
+    }
+    kept
 }
 
-/// [`Segment::crosses_properly`] on a pair's codes: each segment's
-/// endpoints strictly on both sides of the other.
+/// `a + b` as a float and its exact rounding error (Knuth).
 #[inline]
-fn cross([o1, o2, o3, o4]: [i8; 4]) -> bool {
-    o1 * o2 < 0 && o3 * o4 < 0
+fn two_sum(a: f64, b: f64) -> (f64, f64) {
+    let x = a + b;
+    let bv = x - a;
+    let av = x - bv;
+    (x, (a - av) + (b - bv))
+}
+
+/// `a · b` as a float and its exact rounding error.
+#[inline]
+fn two_product(a: f64, b: f64) -> (f64, f64) {
+    let x = a * b;
+    (x, a.mul_add(b, -x))
+}
+
+#[inline]
+fn sign(v: f64) -> i8 {
+    i8::from(v > 0.0) - i8::from(v < 0.0)
+}
+
+/// [`Segment::intersects`]: a strict straddle both ways, or an endpoint
+/// collinear with the other segment and inside its box. `t` strictly on
+/// one side of `s` shares nothing with it, so its two codes are enough.
+#[inline]
+fn touch(s: &Segment, t: &Segment) -> bool {
+    let (o1, o2) = (orientation(&s.a, &s.b, &t.a), orientation(&s.a, &s.b, &t.b));
+    if o1 == o2 && o1 != 0 {
+        return false;
+    }
+    let (o3, o4) = (orientation(&t.a, &t.b, &s.a), orientation(&t.a, &t.b, &s.b));
+    (o1 * o2 < 0 && o3 * o4 < 0)
+        || (o1 == 0 && s.bbox().contains_point(&t.a))
+        || (o2 == 0 && s.bbox().contains_point(&t.b))
+        || (o3 == 0 && t.bbox().contains_point(&s.a))
+        || (o4 == 0 && t.bbox().contains_point(&s.b))
+}
+
+/// [`Segment::crosses_properly`]: each segment's endpoints strictly on
+/// both sides of the other.
+#[inline]
+fn cross(s: &Segment, t: &Segment) -> bool {
+    orientation(&s.a, &s.b, &t.a) * orientation(&s.a, &s.b, &t.b) < 0
+        && orientation(&t.a, &t.b, &s.a) * orientation(&t.a, &t.b, &s.b) < 0
 }
 
 impl Segment {
@@ -87,9 +162,16 @@ impl Segment {
         self.a.lerp(&self.b, 0.5)
     }
 
-    /// True if `p` lies on this segment (within [`EPSILON`]).
+    /// The segment's bounding box.
+    #[inline]
+    pub(crate) fn bbox(&self) -> Rect {
+        Rect::new(self.a, self.b)
+    }
+
+    /// True if `p` lies on this segment, exactly: collinear with it and
+    /// inside its box.
     pub fn contains_point(&self, p: &Point) -> bool {
-        self.distance_to_point(p) <= EPSILON
+        orientation(&self.a, &self.b, p) == 0 && self.bbox().contains_point(p)
     }
 
     /// Distance from `p` to the closest point on this segment.
@@ -101,7 +183,7 @@ impl Segment {
     pub fn closest_point_to(&self, p: &Point) -> Point {
         let d = self.b - self.a;
         let len_sq = d.dot(&d);
-        if len_sq <= EPSILON * EPSILON {
+        if len_sq == 0.0 {
             return self.a; // degenerate segment
         }
         let t = ((*p - self.a).dot(&d) / len_sq).clamp(0.0, 1.0);
@@ -111,13 +193,13 @@ impl Segment {
     /// True if the two segments share at least one point (proper crossing,
     /// touching endpoints, or collinear overlap).
     pub fn intersects(&self, other: &Segment) -> bool {
-        touch(self, other, codes(self, other))
+        touch(self, other)
     }
 
     /// True if the segments cross *properly*: they intersect at a single
     /// interior point of both (no endpoint touching, no collinear overlap).
     pub fn crosses_properly(&self, other: &Segment) -> bool {
-        cross(codes(self, other))
+        cross(self, other)
     }
 
     /// Minimum distance between the two segments (0 when they intersect).
@@ -132,31 +214,33 @@ impl Segment {
     }
 }
 
-/// Chains of up to this many edges keep the kernel's column on the stack.
+/// Chains of up to this many edges keep the kernel's column list on the
+/// stack.
 const STACK_EDGES: usize = 64;
 
 /// A boundary as the edge-pair kernel walks it: edge `i` runs from vertex
 /// `i` to vertex `i + 1`, and a closed chain (a polygon's or a rectangle's
-/// ring) has a last edge back to vertex 0.
+/// ring) has a last edge back to vertex 0. `mbr` bounds the vertices.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Chain<'a> {
     verts: &'a [Point],
     closed: bool,
+    mbr: Rect,
 }
 
 impl<'a> Chain<'a> {
-    pub(crate) fn new(verts: &'a [Point], closed: bool) -> Self {
-        Chain { verts, closed }
+    pub(crate) fn new(verts: &'a [Point], closed: bool, mbr: Rect) -> Self {
+        Chain { verts, closed, mbr }
     }
 
     /// True if an edge of `self` intersects an edge of `other`.
     pub(crate) fn touches(self, other: Chain) -> bool {
-        self.any_pair(other, false, |_, _, s, t, o| touch(s, t, o))
+        self.any_pair(other, false, |_, _, s, t| touch(s, t))
     }
 
     /// True if an edge of `self` crosses an edge of `other` properly.
     pub(crate) fn crosses(self, other: Chain) -> bool {
-        self.any_pair(other, false, |_, _, _, _, o| cross(o))
+        self.any_pair(other, false, |_, _, s, t| cross(s, t))
     }
 
     /// True if the ring is not simple. Each edge pair is tested once:
@@ -164,54 +248,88 @@ impl<'a> Chain<'a> {
     /// any other two edges must not even touch.
     pub(crate) fn self_intersects(self) -> bool {
         let n = self.verts.len();
-        self.any_pair(self, true, |i, j, s, t, o| {
+        self.any_pair(self, true, |i, j, s, t| {
             let adjacent = j == i + 1 || (i == 0 && j == n - 1);
-            (adjacent && cross(o)) || (!adjacent && touch(s, t, o))
+            if adjacent {
+                cross(s, t)
+            } else {
+                touch(s, t)
+            }
         })
     }
 
-    #[inline]
-    fn vertex(&self, k: usize) -> Point {
-        self.verts[if k == self.verts.len() { 0 } else { k }]
+    /// The distance between two chains that share no point: the least
+    /// distance from a vertex of either to an edge of the other, since a
+    /// closest pair of disjoint segments always includes an endpoint.
+    pub(crate) fn distance_apart(self, other: Chain) -> f64 {
+        let one_way = |p: Chain, q: Chain| {
+            let mut best = f64::INFINITY;
+            for i in 0..p.edges() {
+                let e = p.edge(i);
+                for v in q.verts {
+                    best = best.min(e.distance_to_point(v));
+                }
+            }
+            best
+        };
+        one_way(self, other).min(one_way(other, self))
     }
 
-    /// The kernel (DESIGN.md §5l): true if `hit(i, j, s, t, codes)` holds
-    /// for some edge pair, `j > i` only if `upper`. Each code is computed
-    /// once, as [`codes`] would, and read by both pairs that share it: pair
-    /// `j`'s `o2` is pair `j + 1`'s `o1`, row `i`'s `o4` is row `i + 1`'s
-    /// `o3`. `hit` never sees a pair with `t` strictly on one side of `s`
-    /// and no collinear code: both formulas are false there.
+    #[inline]
+    fn edges(&self) -> usize {
+        self.verts.len() - usize::from(!self.closed)
+    }
+
+    #[inline]
+    fn edge(&self, i: usize) -> Segment {
+        let j = if i + 1 == self.verts.len() { 0 } else { i + 1 };
+        Segment::new(self.verts[i], self.verts[j])
+    }
+
+    /// The kernel (DESIGN.md §5l): true if `hit(i, j, s, t)` holds for
+    /// some edge pair, `j > i` only if `upper`. `hit` must imply that `s`
+    /// and `t` share a point. Such a point lies in both chains' MBRs and
+    /// in both edges' boxes, so only edges whose box meets the window
+    /// `self.mbr ∩ other.mbr` are walked, and a pair reaches `hit` only
+    /// if `t`'s box meets `s`'s box clipped to the window.
     fn any_pair<F>(self, other: Chain, upper: bool, hit: F) -> bool
     where
-        F: Fn(usize, usize, &Segment, &Segment, [i8; 4]) -> bool,
+        F: Fn(usize, usize, &Segment, &Segment) -> bool,
     {
-        let edges = |c: &Chain| c.verts.len() - usize::from(!c.closed);
-        let (n, m) = (edges(&self), edges(&other));
-        let (mut stack, mut heap) = ([0i8; STACK_EDGES], Vec::new());
-        let col: &mut [i8] = if m <= STACK_EDGES {
-            &mut stack[..m]
-        } else {
-            heap.resize(m, 0);
-            &mut heap
+        let Some(window) = self.mbr.intersection(&other.mbr) else {
+            return false;
         };
-        let p0 = self.vertex(0);
-        for (j, c) in col.iter_mut().enumerate() {
-            *c = orientation(&other.vertex(j), &other.vertex(j + 1), &p0);
+        let meets = |j: &usize| other.edge(*j).bbox().intersects(&window);
+        let (mut stack, heap): (_, Vec<u32>);
+        let cols: &[u32] = if other.edges() <= STACK_EDGES {
+            let mut kept = 0;
+            stack = [0u32; STACK_EDGES];
+            for j in (0..other.edges()).filter(meets) {
+                stack[kept] = j as u32;
+                kept += 1;
+            }
+            &stack[..kept]
+        } else {
+            heap = (0..other.edges()).filter(meets).map(|j| j as u32).collect();
+            &heap
+        };
+        if cols.is_empty() {
+            return false;
         }
-        for i in 0..n {
-            let s = Segment::new(self.vertex(i), self.vertex(i + 1));
-            let first = if upper { i + 1 } else { 0 };
-            let mut qa = other.vertex(first);
-            let mut o1 = orientation(&s.a, &s.b, &qa);
-            for (j, c) in (first..).zip(&mut col[first..]) {
-                let t = Segment::new(qa, other.vertex(j + 1));
-                let (o2, o3) = (orientation(&s.a, &s.b, &t.b), *c);
-                let o4 = orientation(&t.a, &t.b, &s.b);
-                let quiet = o1 == o2 && o1 != 0 && o3 != 0 && o4 != 0;
-                if !quiet && hit(i, j, &s, &t, [o1, o2, o3, o4]) {
+        for i in 0..self.edges() {
+            let s = self.edge(i);
+            let Some(clip) = s.bbox().intersection(&window) else {
+                continue;
+            };
+            for &j in cols {
+                let j = j as usize;
+                if upper && j <= i {
+                    continue;
+                }
+                let t = other.edge(j);
+                if t.bbox().intersects(&clip) && hit(i, j, &s, &t) {
                     return true;
                 }
-                (qa, o1, *c) = (t.b, o2, o4);
             }
         }
         false
@@ -359,7 +477,7 @@ pub(crate) mod tests {
 
     /// A lattice chain (touching vertices and collinear runs are common) or
     /// a star-shaped ring around (3, 3), snapped to the lattice or not;
-    /// then scaled so that cross products sit at EPSILON (1e-5), or moved
+    /// then scaled so that cross products sit near 1e-9 (1e-5), or moved
     /// to 1e7, and given in either orientation. The ring check's property
     /// test (`polygon::tests`) draws its rings here too.
     pub(crate) fn chain(rng: &mut Lcg, n: usize) -> Vec<Point> {
@@ -389,26 +507,50 @@ pub(crate) mod tests {
         v
     }
 
+    /// `verts` as a chain, bounded by its vertices.
+    fn chain_of(verts: &[Point], closed: bool) -> Chain<'_> {
+        Chain::new(
+            verts,
+            closed,
+            Rect::bounding(verts.iter().copied()).unwrap(),
+        )
+    }
+
     #[test]
     fn kernel_agrees_with_the_nested_loops_it_replaced() {
-        // Single pairs whose one collinear code is the only witness of a
-        // touch: an endpoint within EPSILON of the other segment while the
-        // other codes see no contact; and a crossing that only the exact
-        // signs see. In both roles and both directions, so each zero code
-        // takes each of the four positions.
+        // Single pairs the old ±1e-9 orientation codes got wrong: the
+        // first two lie 5e-10 above the x-axis, where `s` lies, so they are
+        // exactly disjoint (every orientation sign here is a product with a
+        // zero factor, exact in floats), though the tolerance called an
+        // endpoint collinear with `s` and on it; the third crosses at
+        // (5e-7, 0), though the tolerance called two endpoints collinear.
+        // In both roles and both directions, so each code takes each of
+        // the four positions.
         let pts = |v: &[(f64, f64)]| v.iter().map(|&(x, y)| Point::new(x, y)).collect::<Vec<_>>();
-        for (a, b) in [
-            ([(0.0, 0.0), (1.0, 0.0)], [(0.5, 5e-10), (10.5, 6e-10)]),
-            ([(0.0, 0.0), (3.0, 0.0)], [(3.0, 5e-10), (3.5, 1.0)]),
-            ([(0.0, 0.0), (1e-3, 0.0)], [(5e-7, 5e-7), (5e-7, -1e-3)]),
+        for (a, b, want) in [
+            (
+                [(0.0, 0.0), (1.0, 0.0)],
+                [(0.5, 5e-10), (10.5, 6e-10)],
+                false,
+            ),
+            ([(0.0, 0.0), (3.0, 0.0)], [(3.0, 5e-10), (3.5, 1.0)], false),
+            (
+                [(0.0, 0.0), (1e-3, 0.0)],
+                [(5e-7, 5e-7), (5e-7, -1e-3)],
+                true,
+            ),
         ] {
             let (a, b) = (pts(&a), pts(&b));
             let (ra, rb) = ([a[1], a[0]], [b[1], b[0]]);
             for (p, q) in [(&a[..], &b[..]), (&ra, &b), (&a, &rb), (&ra, &rb)] {
                 for (p, q) in [(p, q), (q, p)] {
-                    let (p, q) = (Chain::new(p, false), Chain::new(q, false));
-                    assert!(any_pair_oracle(p, q, Segment::intersects), "{p:?} {q:?}");
-                    assert!(p.touches(q), "{p:?} {q:?}");
+                    let (p, q) = (chain_of(p, false), chain_of(q, false));
+                    assert_eq!(
+                        any_pair_oracle(p, q, Segment::intersects),
+                        want,
+                        "{p:?} {q:?}"
+                    );
+                    assert_eq!(p.touches(q), want, "{p:?} {q:?}");
                 }
             }
         }
@@ -429,8 +571,7 @@ pub(crate) mod tests {
             let pv = chain(&mut rng, n);
             // Every third round, `q` runs through about two thirds of `p`'s
             // vertices, each nudged by at most 8e-10 per axis: its endpoints
-            // lie within EPSILON of `p`'s, while edges of unequal length see
-            // them on or off their lines.
+            // lie within 1e-9 of `p`'s, on or off their lines and boxes.
             let qv: Vec<Point> = if round % 3 == 1 {
                 let mut nudge = || f64::from(rng.next() % 17) * 1e-10 - 8e-10;
                 let kept = pv.iter().enumerate().filter(|(k, _)| k % 3 != 2);
@@ -440,7 +581,7 @@ pub(crate) mod tests {
                 chain(&mut rng, m)
             };
             let closed = [rng.next().is_multiple_of(2), rng.next().is_multiple_of(2)];
-            let (p, q) = (Chain::new(&pv, closed[0]), Chain::new(&qv, closed[1]));
+            let (p, q) = (chain_of(&pv, closed[0]), chain_of(&qv, closed[1]));
             let touch = any_pair_oracle(p, q, Segment::intersects);
             let cross = any_pair_oracle(p, q, Segment::crosses_properly);
             let ctx = format!("{pv:?} {qv:?} {closed:?}");
@@ -454,5 +595,97 @@ pub(crate) mod tests {
             verdicts.iter().flatten().all(|&c| c > 100),
             "every verdict exercised: {verdicts:?}"
         );
+    }
+
+    /// The orientation of integer points, exactly: `i128` holds the cross
+    /// product of any coordinates below 2⁶².
+    pub(crate) fn grid_sign(p: (i64, i64), q: (i64, i64), r: (i64, i64)) -> i8 {
+        let d = |a: i64, b: i64| i128::from(b) - i128::from(a);
+        let cross = d(p.0, q.0) * d(p.1, r.1) - d(p.1, q.1) * d(p.0, r.0);
+        cross.signum() as i8
+    }
+
+    /// Grid point `k · 2⁻ᵐ`, exact for |k| < 2⁵³ and a normal result.
+    fn on_grid((x, y): (i64, i64), m: i32) -> Point {
+        assert!(
+            x.abs() < 1 << 53 && y.abs() < 1 << 53,
+            "({x}, {y}) is not exact"
+        );
+        let unit = 2f64.powi(-m);
+        Point::new(x as f64 * unit, y as f64 * unit)
+    }
+
+    #[test]
+    fn orientation_is_exact_on_dyadic_grids() {
+        // Small integer triples on grids from 2⁰ down to 2⁻⁶⁰, every other
+        // one on a 7 × 7 lattice, where collinear triples are common; the
+        // sign must not depend on the grid.
+        let mut rng = Lcg(0x0D1AD);
+        let mut signs = [0usize; 3];
+        for round in 0..20_000 {
+            let m = round % 61;
+            let span = if round % 2 == 0 { 7 } else { 41 };
+            let mut k = || i64::from(rng.next() % span) - i64::from(span / 2);
+            let (p, q, r) = ((k(), k()), (k(), k()), (k(), k()));
+            let want = grid_sign(p, q, r);
+            let (fp, fq, fr) = (on_grid(p, m), on_grid(q, m), on_grid(r, m));
+            assert_eq!(
+                orientation(&fp, &fq, &fr),
+                want,
+                "{p:?} {q:?} {r:?} at 2^-{m}"
+            );
+            signs[(want + 1) as usize] += 1;
+        }
+        assert!(
+            signs.iter().all(|&c| c > 1_000),
+            "every sign exercised: {signs:?}"
+        );
+    }
+
+    #[test]
+    fn near_degenerate_triples_take_the_exact_fallback() {
+        // Collinear triples in the float binade at 1e-5 (ulp 2⁻⁶⁹) and the
+        // one near 1e7 (ulp 2⁻²⁹), spanning up to 2⁵⁰ ulps along a nearly
+        // diagonal direction, with the third point moved by at most one ulp
+        // per axis. The filter cannot certify a zero, nor a sign whose
+        // determinant is below its error bound (a move along the line), so
+        // both must reach the fallback and come back exact.
+        let mut rng = Lcg(0xFA11);
+        for (m, base) in [(69, 1e-5), (29, 1e7)] {
+            let binade = 1i64 << 52;
+            let (mut fallback, mut signed_fallback) = (0, 0);
+            for _ in 0..20_000 {
+                let mut pick = |n: u32| i64::from(rng.next() % n);
+                let a = 1 + pick(1 << 20);
+                let d = match pick(4) {
+                    0 => (a, a + pick(5) - 2),
+                    1 => (-a, -a - pick(5) + 2),
+                    2 => (a, -a - pick(5) + 2),
+                    _ => (-a, a + pick(5) - 2),
+                };
+                let mut scale = || (1 + pick(1 << 30)) * if pick(2) == 0 { 1 } else { -1 };
+                let (s1, s2) = (scale(), scale());
+                let (e0, e1) = (pick(3) - 1, pick(3) - 1);
+                let mid = binade + binade / 2;
+                let p = (mid + (pick(1 << 30) << 18), mid - (pick(1 << 30) << 18));
+                let q = (p.0 + s1 * d.0, p.1 + s1 * d.1);
+                let r = (p.0 + s2 * d.0 + e0, p.1 + s2 * d.1 + e1);
+                let want = grid_sign(p, q, r);
+                let (fp, fq, fr) = (on_grid(p, m), on_grid(q, m), on_grid(r, m));
+                assert_eq!(
+                    orientation(&fp, &fq, &fr),
+                    want,
+                    "{p:?} {q:?} {r:?} at 2^-{m}"
+                );
+                if orientation_filter(&fp, &fq, &fr).is_none() {
+                    fallback += 1;
+                    signed_fallback += usize::from(want != 0);
+                }
+            }
+            assert!(
+                fallback > 2_000 && signed_fallback > 1_000,
+                "fallback taken at {base}: {fallback} times, {signed_fallback} with a sign"
+            );
+        }
     }
 }

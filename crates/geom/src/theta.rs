@@ -15,6 +15,7 @@
 
 use crate::geometry::Geometry;
 use crate::point::Point;
+use crate::polygon::Location;
 use crate::rect::Rect;
 use crate::segment::Chain;
 use crate::EPSILON;
@@ -318,7 +319,7 @@ fn interiors_overlap(a: &Geometry, b: &Geometry) -> bool {
             // region or the boundaries properly cross.
             y.vertices().iter().any(|v| strictly_inside_rect(x, v))
                 || x.corners().iter().any(|c| strictly_inside_polygon(y, c))
-                || y.ring().crosses(Chain::new(&x.corners(), true))
+                || y.ring().crosses(Chain::new(&x.corners(), true, *x))
         }
         (Polygon(x), Polygon(y)) => {
             y.vertices().iter().any(|v| strictly_inside_polygon(x, v))
@@ -331,14 +332,11 @@ fn interiors_overlap(a: &Geometry, b: &Geometry) -> bool {
 }
 
 fn strictly_inside_rect(r: &Rect, p: &Point) -> bool {
-    r.lo.x + EPSILON < p.x
-        && p.x < r.hi.x - EPSILON
-        && r.lo.y + EPSILON < p.y
-        && p.y < r.hi.y - EPSILON
+    r.lo.x < p.x && p.x < r.hi.x && r.lo.y < p.y && p.y < r.hi.y
 }
 
 fn strictly_inside_polygon(poly: &crate::polygon::Polygon, p: &Point) -> bool {
-    poly.contains_point(p) && !poly.edges().any(|e| e.contains_point(p))
+    poly.locate(p) == Location::Inside
 }
 
 #[cfg(test)]

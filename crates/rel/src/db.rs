@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_gentree::FlatChildren;
-use sj_geom::{Geometry, ThetaOp};
+use sj_geom::{codec, Geometry, ThetaOp};
 use sj_joins::{ClusterOrder, CodecMode, JoinIndex, PagedTree, TreeRelation};
 use sj_joins::{JoinRun, Mutation, MutationOutcome, StoredRelation, TraceSink};
 use sj_storage::StorageError;
@@ -111,9 +111,13 @@ impl Table {
         }
     }
 
+    /// Reads a row back from the table's own pages: its geometry frames
+    /// were written from validated values and carry a checksum, so they
+    /// skip the ring check (`Database::open` runs it on bytes from outside).
     pub(crate) fn read_row(&self, pool: &mut BufferPool, slot: usize) -> Result<Tuple> {
         let bytes = pool.try_read_record(&self.file, self.file.rid(slot));
-        decode_tuple(bytes.map_err(DbError::during("row read"))?, &self.schema)
+        let bytes = bytes.map_err(DbError::during("row read"))?;
+        decode_tuple(bytes, &self.schema, codec::try_decode_record)
     }
 
     /// Builds `side`'s R-tree if it is missing or older than the table.
@@ -748,6 +752,32 @@ mod tests {
             Ok(Some(Geometry::Point(Point::new(2.0, 0.0))))
         );
         assert_eq!(db.geometry("pts", "loc", 9), Ok(None));
+    }
+
+    /// Rows read from the table's own pages skip the ring check, not the
+    /// checksum: a bit flipped in a stored polygon's coordinates makes
+    /// every read of that row `DbError::Corrupt`, never a different shape.
+    #[test]
+    fn a_bit_flipped_row_is_corrupt() {
+        use sj_geom::{Polygon, Rect};
+        let mut db = Database::in_memory();
+        let schema = Schema::new(vec![Column::new("area", ValueType::Spatial)]);
+        db.create_table("t", schema, 300).unwrap();
+        let square = Polygon::from_rect(&Rect::from_bounds(0.0, 0.0, 4.0, 4.0)).unwrap();
+        db.insert("t", vec![Value::Spatial(Geometry::Polygon(square))])
+            .unwrap();
+        assert!(db.get("t", 0).unwrap().is_some());
+        let t = &db.tables["t"];
+        let rid = t.file.rid(t.live[&0]);
+        let mut record = db.pool.try_read_record(&t.file, rid).unwrap().to_vec();
+        // Past the tuple's length prefix, value tag and frame length, and
+        // the frame's 19-byte header: a low mantissa bit of a coordinate.
+        record[5 + codec::HEADER_LEN] ^= 1;
+        db.pool
+            .try_update(rid.page, |page| page.update(rid.slot, record))
+            .unwrap();
+        assert!(matches!(db.get("t", 0), Err(DbError::Corrupt(_))));
+        assert!(matches!(db.scan("t"), Err(DbError::Corrupt(_))));
     }
 
     fn two_columns_row(i: i64) -> Tuple {

@@ -18,6 +18,7 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 
+use sj_geom::codec;
 use sj_joins::{Mutation, MutationOutcome};
 use sj_storage::Layout::{Clustered, Unclustered};
 use sj_storage::{DiskConfig, WriteAheadLog};
@@ -60,7 +61,11 @@ fn record(values: &Tuple) -> Result<Vec<u8>> {
 fn fields(bytes: &[u8], types: &[ValueType]) -> Result<Tuple> {
     let columns = types.iter().enumerate();
     let columns = columns.map(|(i, &ty)| Column::new(i.to_string(), ty));
-    decode_tuple(bytes, &Schema::new(columns.collect()))
+    decode_tuple(
+        bytes,
+        &Schema::new(columns.collect()),
+        codec::try_decode_untrusted,
+    )
 }
 
 impl Database {
@@ -191,7 +196,10 @@ impl Database {
                 let Some((id, tuple)) = row.split_first_chunk::<8>() else {
                     return Err(corrupt("a row record shorter than its rowid"));
                 };
-                let (id, value) = (u64::from_le_bytes(*id), decode_tuple(tuple, &schema)?);
+                let (id, value) = (
+                    u64::from_le_bytes(*id),
+                    decode_tuple(tuple, &schema, codec::try_decode_untrusted)?,
+                );
                 Ok(Mutation::Insert { id, value })
             });
             let ops = ops.collect::<Result<Vec<_>>>()?;

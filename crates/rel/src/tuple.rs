@@ -10,7 +10,7 @@
 //! tuple size `v`); a leading `u16` stores the encoded length so padding
 //! is unambiguous.
 
-use sj_geom::codec;
+use sj_geom::{codec, CodecError, Geometry};
 
 use crate::error::{DbError, Result};
 use crate::schema::Schema;
@@ -81,12 +81,19 @@ pub fn encode_tuple(row: &Tuple, record_size: usize) -> Vec<u8> {
     out
 }
 
-/// Decodes a record produced by [`encode_tuple`] into a row of `schema`.
-/// Stored bytes come from outside the program, so a record that does not
-/// decode — a length prefix past the record, an unknown tag, a string
-/// that is not UTF-8, a truncated geometry frame, a value of the wrong
-/// type — is a [`DbError::Corrupt`], never a panic.
-pub fn decode_tuple(bytes: &[u8], schema: &Schema) -> Result<Tuple> {
+/// A `codec` frame decoder: the page-read or the untrusted one.
+type FrameDecoder = fn(&[u8]) -> std::result::Result<(u64, Geometry), CodecError>;
+
+/// Decodes a record produced by [`encode_tuple`] into a row of `schema`,
+/// reading each spatial value's checksummed frame with `frame`:
+/// [`codec::try_decode_record`] for a row on this process's own pages,
+/// whose encoder wrote a validated geometry, or
+/// [`codec::try_decode_untrusted`] for bytes from outside, which must also
+/// pass the polygon ring check. A record that does not decode — a length
+/// prefix past the record, an unknown tag, a string that is not UTF-8, a
+/// geometry frame that is truncated or fails its checksum, a value of the
+/// wrong type — is a [`DbError::Corrupt`], never a panic.
+pub fn decode_tuple(bytes: &[u8], schema: &Schema, frame: FrameDecoder) -> Result<Tuple> {
     let mut rec = bytes;
     let body_len = u16::from_le_bytes(take_array(&mut rec)?);
     let mut cur = take(&mut rec, usize::from(body_len))?;
@@ -103,8 +110,8 @@ pub fn decode_tuple(bytes: &[u8], schema: &Schema) -> Result<Tuple> {
             }
             TAG_SPATIAL => {
                 let len = u16::from_le_bytes(take_array(&mut cur)?);
-                let frame = codec::try_decode_untrusted(take(&mut cur, usize::from(len))?);
-                Value::Spatial(frame.map_err(|e| DbError::Corrupt(e.to_string()))?.1)
+                let decoded = frame(take(&mut cur, usize::from(len))?);
+                Value::Spatial(decoded.map_err(|e| DbError::Corrupt(e.to_string()))?.1)
             }
             tag => return Err(DbError::Corrupt(format!("unknown value tag {tag}"))),
         };
@@ -164,7 +171,10 @@ mod tests {
     fn roundtrip() {
         let rec = encode_tuple(&sample(), 300);
         assert_eq!(rec.len(), 300);
-        assert_eq!(decode_tuple(&rec, &schema()), Ok(sample()));
+        assert_eq!(
+            decode_tuple(&rec, &schema(), codec::try_decode_untrusted),
+            Ok(sample())
+        );
     }
 
     #[test]
@@ -178,7 +188,7 @@ mod tests {
             Value::Spatial(Geometry::Point(Point::new(-1.0, 1.0))),
         ];
         let rec = encode_tuple(&row, 128);
-        assert_eq!(decode_tuple(&rec, &s), Ok(row));
+        assert_eq!(decode_tuple(&rec, &s, codec::try_decode_untrusted), Ok(row));
     }
 
     #[test]
@@ -192,7 +202,7 @@ mod tests {
         let s = Schema::new(vec![Column::new("s", ValueType::Str)]);
         let row = vec![Value::Str("Grüße, 測試 🚀".into())];
         let rec = encode_tuple(&row, 64);
-        assert_eq!(decode_tuple(&rec, &s), Ok(row));
+        assert_eq!(decode_tuple(&rec, &s, codec::try_decode_untrusted), Ok(row));
     }
 
     /// A damaged stored row is a typed error, whatever part is damaged.
@@ -206,7 +216,7 @@ mod tests {
         let damaged = |at: usize, bytes: &[u8]| {
             let mut r = rec.clone();
             r[at..at + bytes.len()].copy_from_slice(bytes);
-            decode_tuple(&r, &schema())
+            decode_tuple(&r, &schema(), codec::try_decode_untrusted)
         };
         let cases = [
             ("prefix past the record", damaged(0, &400u16.to_le_bytes())),
@@ -222,7 +232,7 @@ mod tests {
             assert!(matches!(got, Err(DbError::Corrupt(_))), "{shape}: {got:?}");
         }
         assert!(
-            decode_tuple(&rec[..1], &schema()).is_err(),
+            decode_tuple(&rec[..1], &schema(), codec::try_decode_untrusted).is_err(),
             "no room for a prefix"
         );
     }

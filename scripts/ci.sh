@@ -101,9 +101,10 @@ echo "    -> $(grep -c '^ok' <<<"$unsafe_report" || true) unsafe use(s), all jus
 
 echo "==> one edge-pair kernel gate (sj-geom walks two boundaries in one place)"
 # Ring validation and every polygon/polyline θ test their edge pairs
-# through `Chain` in segment.rs, which computes each orientation once and
-# shares it between the two pairs that read it. A nested `.any(` over
-# `.edges()`/`.segments()` would compute each one twice. qgeom.rs and the
+# through `Chain` in segment.rs, which walks only the edges whose box meets
+# the window where both chains' MBRs overlap, and computes orientations
+# only for pairs whose edge boxes meet. A nested `.any(` over
+# `.edges()`/`.segments()` would test every pair. qgeom.rs and the
 # distance loops (plain `for` loops) are outside this gate.
 nested=$(
     for f in crates/geom/src/*.rs; do
@@ -118,6 +119,20 @@ if [ -n "$nested" ]; then
     exit 1
 fi
 echo "    -> no nested edge-pair .any( outside the kernel"
+
+echo "==> exact orientation gate (segment.rs decides signs without a tolerance)"
+# `orientation` returns the exact sign of the cross product (a float
+# filter, then an exact expansion), so the intersection tests in
+# segment.rs need no tolerance; the ±EPSILON codes and the `straddles`
+# patch that compensated for them must not come back.
+tolerant=$(awk '/^#\[cfg\(test\)\]/ { exit }
+                /EPSILON|straddles/ { print FILENAME ":" FNR ": " $0 }' crates/geom/src/segment.rs)
+if [ -n "$tolerant" ]; then
+    echo "    a tolerance is back in segment.rs:"
+    echo "$tolerant"
+    exit 1
+fi
+echo "    -> segment.rs names neither EPSILON nor straddles"
 
 echo "==> fail-stop grep gate (no unchecked panics in storage/service/shard/joins/rel)"
 # These crates promise typed errors: StorageError below the relational
