@@ -62,8 +62,8 @@ pub use sweep::{sweep_candidates, sweep_candidates_with, Kernel, SweepItem, BATC
 pub use theta::{Direction, MaskFilter, ThetaOp};
 
 /// Absolute tolerance of the predicates that θ defines by a distance:
-/// `Adjacent` (a distance ≤ 1e-9, and its Θ-filter), a point on a point
-/// or on a polyline (within 1e-9 of it), and `Polygon::new`'s zero-area
-/// check. Intersection and point-in-polygon tests are exact and do not
-/// use it. Meant for world coordinates around `1e-6 ..= 1e8`.
+/// `Adjacent` (a distance ≤ 1e-9, and its Θ-filter) and a point on a
+/// point or on a polyline (within 1e-9 of it). Intersection,
+/// point-in-polygon and `Polygon::new`'s zero-area tests are exact and do
+/// not use it. Meant for world coordinates around `1e-6 ..= 1e8`.
 pub const EPSILON: f64 = 1e-9;

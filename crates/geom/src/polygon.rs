@@ -6,7 +6,6 @@ use std::fmt;
 use crate::point::Point;
 use crate::rect::Rect;
 use crate::segment::{orientation, Chain, Segment};
-use crate::EPSILON;
 
 /// Construction errors for [`Polygon`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,13 +55,15 @@ impl Polygon {
     ///
     /// The ring may be given in either orientation; it is stored
     /// counter-clockwise. Fails if the ring has fewer than three vertices,
-    /// spans zero area, or self-intersects.
+    /// spans zero area, or self-intersects. Zero area is scale-free: every
+    /// vertex on one line (by the exact orientation sign), or a signed
+    /// area of exactly 0 (a symmetric bow-tie), however small the ring.
     pub fn new(mut vertices: Vec<Point>) -> Result<Self, PolygonError> {
         if vertices.len() < 3 {
             return Err(PolygonError::TooFewVertices(vertices.len()));
         }
         let signed = signed_area(&vertices);
-        if signed.abs() <= EPSILON {
+        if signed == 0.0 || collinear(&vertices) {
             return Err(PolygonError::ZeroArea);
         }
         if signed < 0.0 {
@@ -280,6 +281,15 @@ impl Polygon {
     }
 }
 
+/// True if every vertex lies on one line (or all coincide).
+fn collinear(vertices: &[Point]) -> bool {
+    let p = vertices[0];
+    match vertices.iter().find(|q| **q != p) {
+        Some(q) => vertices.iter().all(|r| orientation(&p, q, r) == 0),
+        None => true,
+    }
+}
+
 /// Signed area of the ring (positive for counter-clockwise orientation).
 fn signed_area(vertices: &[Point]) -> f64 {
     let n = vertices.len();
@@ -359,6 +369,31 @@ mod tests {
             ]),
             Err(PolygonError::SelfIntersecting)
         );
+    }
+
+    /// Zero area is decided by shape, not by an absolute area: squares
+    /// far below 1e-9 in area build, a collinear ring of any size does
+    /// not.
+    #[test]
+    fn tiny_squares_build_and_collinear_rings_do_not() {
+        for side in [1e-5, 3e-5] {
+            let area = square(0.5, 0.5, side).area();
+            assert!((area - side * side).abs() < 1e-6 * side * side, "{area}");
+        }
+        // Exactly on one line (steps of 2⁻²² add to 0.3 and 0.7 without
+        // rounding), yet the float signed area is not 0: only the exact
+        // orientation sign sees the line.
+        let h = 2f64.powi(-22);
+        let line: Vec<Point> = [
+            (0.3, 0.7),
+            (0.3 + h, 0.7 + 2.0 * h),
+            (0.3 + 3.0 * h, 0.7 + 6.0 * h),
+        ]
+        .iter()
+        .map(|&(x, y)| Point::new(x, y))
+        .collect();
+        assert_ne!(signed_area(&line), 0.0);
+        assert_eq!(Polygon::new(line), Err(PolygonError::ZeroArea));
     }
 
     #[test]

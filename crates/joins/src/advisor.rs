@@ -11,13 +11,11 @@
 //! `p` when only the data is known.
 //!
 //! The workspace's one optimizer: the service's `Auto` ([`auto_chooser`])
-//! and `sj-rel`'s planner sample, score and pick through [`try_pick`];
-//! the router's feedback loop ([`AdaptiveAdvisor`]) starts from the same
-//! scoreboard head ([`choose_join_strategy`]).
+//! and `sj-rel`'s planner sample, score and pick through [`try_pick`].
+//! The shard router forwards `Auto` unchanged, so each shard's service
+//! picks through [`try_pick`] on its own slice of the data.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::mem::{discriminant, Discriminant};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -165,14 +163,6 @@ pub fn recommend(profile: &WorkloadProfile) -> (Candidate, [Scored; 4]) {
     (ranked[0].candidate, ranked)
 }
 
-/// Picks the executor [`Strategy`] for a join under `profile`: the
-/// strategy of [`recommend`]'s head. Every strategy runs all eight
-/// θ-operators, so the operator does not enter the choice except through
-/// the selectivity the profile carries.
-pub fn choose_join_strategy(profile: &WorkloadProfile) -> Strategy {
-    recommend(profile).0.strategy()
-}
-
 /// What [`try_pick`] chose for one join, and the numbers it chose by.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pick {
@@ -230,106 +220,6 @@ pub fn auto_chooser<'a>(
     seed: u64,
 ) -> impl Fn(ThetaOp, &mut BufferPool) -> Result<Strategy, StorageError> + 'a {
     move |theta, pool| Ok(try_pick(pool, base, (r, s), theta, samples, seed)?.strategy)
-}
-
-/// Online feedback for `Strategy::Auto`: the §4 cost model predicts, the
-/// observed phase totals correct.
-///
-/// The static scoreboard assumes the model's data distribution; a skewed
-/// shard can make its prediction arbitrarily wrong. `AdaptiveAdvisor`
-/// keeps a per-(θ-family, strategy) running mean of observed execution
-/// cost (microseconds of sj-obs phase wall-clock, or any monotone cost
-/// proxy) and chooses with a deterministic explore-then-exploit policy:
-///
-/// 1. the static model's pick runs first (no observations yet);
-/// 2. while any candidate is unobserved, the first unobserved
-///    one (in [`CANDIDATES`](Self::CANDIDATES) order) runs next;
-/// 3. once every candidate has been observed, the one with the lowest
-///    mean observed cost wins (ties break in candidate order).
-///
-/// Repeated requests against a shard where the model mispredicts thus
-/// migrate off the mispredicted strategy after at most
-/// `CANDIDATES.len()` requests, without any wall-clock dependence in the
-/// decision itself — the policy is a pure function of the observation
-/// history, so replays are deterministic.
-#[derive(Debug, Clone)]
-pub struct AdaptiveAdvisor {
-    profile: WorkloadProfile,
-    /// Running (mean cost, observation count) per θ-family × strategy. A
-    /// family is the operator with its parameters ignored: two
-    /// `WithinDistance` bounds exercise the same executor paths, so
-    /// their costs pool.
-    observed: HashMap<(Discriminant<ThetaOp>, Strategy), (f64, u64)>,
-}
-
-impl AdaptiveAdvisor {
-    /// The strategies the feedback loop arbitrates between: the three §4
-    /// executor strategies the static model can name, plus the
-    /// partition executor, which the §4 formulas do not score but which
-    /// shard-local skew often favors.
-    pub const CANDIDATES: [Strategy; 4] = [
-        Strategy::Tree,
-        Strategy::JoinIndex,
-        Strategy::Partition,
-        Strategy::NestedLoop,
-    ];
-
-    /// A fresh advisor with no observations; `profile` seeds the static
-    /// model used for the very first pick of each θ-family.
-    pub fn new(profile: WorkloadProfile) -> Self {
-        AdaptiveAdvisor {
-            profile,
-            observed: HashMap::new(),
-        }
-    }
-
-    /// Record an observed execution cost for `strategy` on `theta`'s
-    /// family. `cost_us` is typically the sj-obs phase total (or
-    /// `Response::exec_us`) of a completed run.
-    pub fn observe(&mut self, theta: ThetaOp, strategy: Strategy, cost_us: u64) {
-        let entry = self
-            .observed
-            .entry((discriminant(&theta), strategy))
-            .or_insert((0.0, 0));
-        entry.1 += 1;
-        entry.0 += (cost_us as f64 - entry.0) / entry.1 as f64;
-    }
-
-    /// Total observations recorded for `theta`'s family.
-    pub fn observations(&self, theta: ThetaOp) -> u64 {
-        Self::CANDIDATES
-            .iter()
-            .filter_map(|s| self.observed.get(&(discriminant(&theta), *s)))
-            .map(|(_, n)| n)
-            .sum()
-    }
-
-    /// The concrete strategy `Auto` should dispatch for `theta` given
-    /// the history so far (see the type docs for the policy).
-    pub fn choose(&self, theta: ThetaOp) -> Strategy {
-        let key = discriminant(&theta);
-        let static_pick = choose_join_strategy(&self.profile);
-        // Phase 1: trust the model until it has been measured once.
-        if !self.observed.contains_key(&(key, static_pick)) {
-            return static_pick;
-        }
-        // Phase 2: measure the remaining candidates.
-        if let Some(unexplored) = Self::CANDIDATES
-            .iter()
-            .find(|s| !self.observed.contains_key(&(key, **s)))
-        {
-            return *unexplored;
-        }
-        // Phase 3: exploit the lowest observed mean.
-        Self::CANDIDATES
-            .into_iter()
-            .min_by(|a, b| {
-                let ca = self.observed[&(key, *a)].0;
-                let cb = self.observed[&(key, *b)].0;
-                by_cost(ca, cb)
-            })
-            .unwrap_or(Strategy::NestedLoop)
-    }
 }
 
 /// Monte-Carlo selectivity estimation: θ-tests `samples` random tuple
@@ -480,20 +370,17 @@ mod tests {
             let (best, ranked) = recommend(&p);
             assert_eq!(best, ranked[0].candidate);
             assert!(ranked.iter().all(|s| s.total(0.5).is_nan()));
-            assert_eq!(choose_join_strategy(&p), best.strategy());
-            let theta = ThetaOp::DirectionOf(sj_geom::Direction::NorthWest);
-            let pick = AdaptiveAdvisor::new(p).choose(theta);
-            assert!(AdaptiveAdvisor::CANDIDATES.contains(&pick));
+            assert_eq!(recommend(&p).0.strategy(), best.strategy());
         }
     }
 
     #[test]
-    fn choose_join_strategy_tracks_the_recommendation() {
+    fn join_pick_tracks_the_recommendation() {
         // Static low-selectivity joins → join index; add updates → tree.
         let static_low = profile(Operation::Join, Distribution::Uniform, 1e-11, 0.0);
-        assert_eq!(choose_join_strategy(&static_low), Strategy::JoinIndex);
+        assert_eq!(recommend(&static_low).0.strategy(), Strategy::JoinIndex);
         let updating = profile(Operation::Join, Distribution::Uniform, 1e-11, 1.0);
-        assert_eq!(choose_join_strategy(&updating), Strategy::Tree);
+        assert_eq!(recommend(&updating).0.strategy(), Strategy::Tree);
     }
 
     /// Whatever the profile, the pick is a concrete strategy, and it runs
@@ -520,7 +407,9 @@ mod tests {
         for d in Distribution::ALL {
             for sel in [1e-11, 1e-6, 1e-2] {
                 for upd in [0.0, 1.0] {
-                    let s = choose_join_strategy(&profile(Operation::Join, d, sel, upd));
+                    let s = recommend(&profile(Operation::Join, d, sel, upd))
+                        .0
+                        .strategy();
                     assert_ne!(s, Strategy::Auto);
                     if !picks.contains(&s) {
                         picks.push(s);
@@ -615,82 +504,6 @@ mod tests {
             let got = chooser(ThetaOp::Overlaps, &mut pool).unwrap();
             assert_eq!(got, Strategy::NestedLoop);
         }
-    }
-
-    #[test]
-    fn adaptive_advisor_starts_from_the_static_model() {
-        // Static low-selectivity joins pick the join index; with no
-        // observations the adaptive advisor must agree.
-        let adv = AdaptiveAdvisor::new(profile(Operation::Join, Distribution::Uniform, 1e-11, 0.0));
-        assert_eq!(adv.choose(ThetaOp::Overlaps), Strategy::JoinIndex);
-        assert_eq!(adv.observations(ThetaOp::Overlaps), 0);
-    }
-
-    #[test]
-    fn adaptive_advisor_migrates_off_a_mispredicted_strategy() {
-        // The model insists on the join index; observations say the tree
-        // is 10× cheaper. After the exploration round the advisor must
-        // settle on the tree and stay there.
-        let p = profile(Operation::Join, Distribution::Uniform, 1e-11, 0.0);
-        let mut adv = AdaptiveAdvisor::new(p);
-        let theta = ThetaOp::Overlaps;
-        assert_eq!(adv.choose(theta), Strategy::JoinIndex);
-        // Feed deterministic synthetic costs: run whatever it picks,
-        // observe JoinIndex as expensive and everything else per table.
-        let cost = |s: Strategy| match s {
-            Strategy::JoinIndex => 10_000,
-            Strategy::Tree => 1_000,
-            Strategy::Partition => 4_000,
-            Strategy::NestedLoop => 8_000,
-            _ => unreachable!("not a candidate"),
-        };
-        for _ in 0..AdaptiveAdvisor::CANDIDATES.len() {
-            let pick = adv.choose(theta);
-            adv.observe(theta, pick, cost(pick));
-        }
-        // Exploration visited every candidate exactly once…
-        assert_eq!(
-            adv.observations(theta),
-            AdaptiveAdvisor::CANDIDATES.len() as u64
-        );
-        // …and exploitation now prefers the empirically cheapest.
-        assert_eq!(adv.choose(theta), Strategy::Tree);
-        // More consistent observations do not destabilize the choice.
-        adv.observe(theta, Strategy::Tree, 1_100);
-        adv.observe(theta, Strategy::JoinIndex, 9_000);
-        assert_eq!(adv.choose(theta), Strategy::Tree);
-    }
-
-    #[test]
-    fn adaptive_advisor_keys_by_theta_family() {
-        let p = profile(Operation::Join, Distribution::Uniform, 1e-6, 0.0);
-        let mut adv = AdaptiveAdvisor::new(p);
-        // Observations under within-distance(5) pool with
-        // within-distance(50)…
-        adv.observe(ThetaOp::WithinDistance(5.0), Strategy::Tree, 100);
-        assert_eq!(adv.observations(ThetaOp::WithinDistance(50.0)), 1);
-        // …but not with a different operator family.
-        assert_eq!(adv.observations(ThetaOp::Overlaps), 0);
-    }
-
-    #[test]
-    fn adaptive_advisor_respects_operator_support() {
-        // Every candidate runs every operator, so a directional θ — whose
-        // filter region no partitioning bounds — explores all of them
-        // like any other family, and only ever names a candidate.
-        let p = profile(Operation::Join, Distribution::Uniform, 1e-2, 0.0);
-        let mut adv = AdaptiveAdvisor::new(p);
-        let theta = ThetaOp::DirectionOf(sj_geom::Direction::NorthWest);
-        let mut seen = Vec::new();
-        for _ in 0..8 {
-            let pick = adv.choose(theta);
-            assert!(AdaptiveAdvisor::CANDIDATES.contains(&pick), "{pick:?}");
-            if !seen.contains(&pick) {
-                seen.push(pick);
-            }
-            adv.observe(theta, pick, 500);
-        }
-        assert_eq!(seen.len(), AdaptiveAdvisor::CANDIDATES.len());
     }
 
     #[test]

@@ -41,14 +41,16 @@
 //! heuristic, so an all-in-one-corner dataset still spreads across
 //! shards.
 //!
-//! ## Adaptive `Auto`
+//! ## `Auto`
 //!
-//! `Strategy::Auto` joins are rewritten per shard: each shard has an
-//! [`AdaptiveAdvisor`](sj_joins::advisor::AdaptiveAdvisor) that starts
-//! from the §4 static cost model and feeds each shard's observed
-//! execution time (the sj-obs phase total surfaced as
-//! `Response::exec_us`) back into the choice, so repeated requests
-//! against a skewed tile migrate off a mispredicted strategy online.
+//! The router chooses no strategy. A scattered `Strategy::Auto` join
+//! reaches every target shard unchanged, and each shard's service
+//! resolves it through the one optimizer, sj-joins' `try_pick`: it
+//! samples θ's selectivity over its own slice, prices the §4 scoreboard
+//! at that estimate and runs the head. So a skewed tile gets the pick its
+//! own data calls for, and repeated requests resolve identically. The
+//! merged reply reports the shards' unanimous pick, or `Auto` when they
+//! differ.
 //!
 //! ## Observability
 //!

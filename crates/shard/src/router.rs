@@ -2,12 +2,13 @@
 //!
 //! See the crate docs for the coverage/exactness argument. The router
 //! owns the [`ShardPlan`], one authority copy of both relations' id →
-//! geometry maps, one [`AdaptiveAdvisor`] per shard, and the in-process
-//! shard services themselves — exactly one per plan leaf. The authority
-//! maps are the only whole-data structure: mutation routing needs them to
-//! know where a tuple lives, and the joins no tile grid can localise
-//! (unbounded Θ-filter region, or a radius beyond the halo) are answered
-//! from them at the router.
+//! geometry maps, and the in-process shard services themselves — exactly
+//! one per plan leaf. The authority maps are the only whole-data
+//! structure: mutation routing needs them to know where a tuple lives,
+//! and the joins no tile grid can localise (unbounded Θ-filter region, or
+//! a radius beyond the halo) are answered from them at the router. The
+//! router chooses no strategy: an `Auto` join reaches each shard
+//! unchanged, and that shard's service resolves it on its own slice.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,7 +16,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use sj_geom::{sweep_candidates, Bounded, Geometry, Rect, SweepItem, ThetaOp};
-use sj_joins::advisor::AdaptiveAdvisor;
 use sj_joins::{Mutation, MutationOutcome, Side, Strategy, WriteBatch};
 use sj_obs::TraceSink;
 use sj_service::{
@@ -61,8 +61,9 @@ impl Default for ShardConfig {
 pub struct RouterResponse {
     /// The merged reply — byte-identical to the single-node reply for
     /// the same request (for `Auto` joins, the pair set is identical;
-    /// `resolved` reflects the per-shard adaptive choices, or is the
-    /// requested strategy when the router answered the join itself).
+    /// `resolved` is the strategy every shard's own `Auto` resolved to,
+    /// `Auto` when the shards picked differently, or the requested
+    /// strategy when the router answered the join itself).
     pub reply: Reply,
     /// Shards this request was scattered to (0 for a join answered at
     /// the router).
@@ -121,7 +122,6 @@ pub struct ShardRouter {
     /// returns after its WAL sync, which is what makes the router's
     /// global read-your-writes guarantee compose from per-shard ones.
     services: Vec<SpatialService>,
-    advisors: Mutex<Vec<AdaptiveAdvisor>>,
     /// The authority maps. Lock order is R then S; `commit` holds both
     /// until its last shard sub-batch has committed, so a join answered
     /// from them sees a batch entirely or not at all.
@@ -149,7 +149,7 @@ fn world_of(r_tuples: &[(u64, Geometry)], s_tuples: &[(u64, Geometry)]) -> Rect 
 /// Takes a router lock, recovering from poisoning the way `sj-service`
 /// does: a request that panicked while holding the lock must not turn
 /// every later `call`/`commit` into a panic. Each update under these
-/// locks is a single map/advisor operation, so the data a panicking
+/// locks is a single map operation, so the data a panicking
 /// holder leaves behind is valid (a `commit` that panics part-way
 /// leaves the maps ahead of the shards it had not reached).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -288,16 +288,11 @@ impl ShardRouter {
                 *leaf,
             ));
         }
-        let advisors = services
-            .iter()
-            .map(|_| AdaptiveAdvisor::new(config.service.profile))
-            .collect();
         ShardRouter {
             config,
             halo,
             plan,
             services,
-            advisors: Mutex::new(advisors),
             r_geoms: Mutex::new(r_tuples.iter().map(|(id, g)| (*id, g.clone())).collect()),
             s_geoms: Mutex::new(s_tuples.iter().map(|(id, g)| (*id, g.clone())).collect()),
             commits: AtomicU64::new(0),
@@ -357,26 +352,12 @@ impl ShardRouter {
             // slice (the coverage argument in the crate docs).
             _ => (0..self.plan.len()).collect(),
         };
-        let auto_join = join == Some(Strategy::Auto);
-
-        // Rewrite Auto joins to each shard's adaptive choice, so the
-        // feedback loop can attribute the observed cost to a concrete
-        // strategy. Nothing else takes the advisors' lock.
-        let mut choices = Vec::new();
-        if auto_join {
-            let advisors = lock(&self.advisors);
-            choices.extend(targets.iter().map(|&t| advisors[t].choose(theta)));
-        }
 
         // Every target shard computes side by side (one holding the reply
-        // in its cache answers at its probe). The last takes the request.
+        // in its cache answers at its probe), an `Auto` join resolved by
+        // the shard's own service. The last takes the request.
         let subs = targets.iter().zip(std::iter::repeat_n(req, targets.len()));
-        let responses = fan_out(subs.enumerate(), |(i, (&t, mut sub))| {
-            if auto_join {
-                sub.kind = QueryKind::Join {
-                    strategy: choices[i],
-                };
-            }
+        let responses = fan_out(subs, |(&t, sub)| {
             let response = self.services[t].call(sub);
             #[cfg(test)]
             if let (Ok(_), Some(hook)) = (&response, &self.after_shard) {
@@ -384,18 +365,6 @@ impl ShardRouter {
             }
             response
         })?;
-
-        // Feed observed execution cost back into the per-shard advisors
-        // (cache hits carry no compute signal and are skipped).
-        if auto_join {
-            let mut advisors = lock(&self.advisors);
-            for ((&t, &strategy), resp) in targets.iter().zip(&choices).zip(&responses) {
-                if !resp.cached {
-                    advisors[t].observe(theta, strategy, resp.exec_us.max(1));
-                }
-            }
-        }
-
         Ok(self.merge(join, &responses))
     }
 
@@ -495,7 +464,7 @@ impl ShardRouter {
                 let (pairs, duplicates) = gather(&runs);
                 // Concrete strategies resolve to themselves on every
                 // shard; Auto reports the shards' unanimous choice, or
-                // stays Auto when the adaptive picks diverged.
+                // stays Auto when their picks differ.
                 let resolved = if strategy != Strategy::Auto {
                     strategy
                 } else if !resolutions.is_empty()
@@ -851,11 +820,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Adaptive-advisor observation count for one shard and θ-family.
-    fn advisor_observations(router: &ShardRouter, shard: usize, theta: ThetaOp) -> u64 {
-        lock(&router.advisors)[shard].observations(theta)
     }
 
     fn summary_counter(router: &ShardRouter, key: &str) -> u64 {
@@ -1241,24 +1205,32 @@ mod tests {
         }
     }
 
-    /// `Auto` joins feed per-shard observations back into the advisors
-    /// while every reply stays correct (pair-set comparison: the oracle
-    /// resolves `Auto` with the static model, shards adaptively).
+    /// A routed `Auto` join is resolved by each shard's own service:
+    /// repeated calls report the same `resolved` — the shards' unanimous
+    /// pick, or `Auto` where they differ — and the oracle's pairs.
     #[test]
-    fn adaptive_auto_accumulates_observations_and_stays_exact() {
+    fn routed_auto_resolves_as_each_shard_does() {
         let (router, oracle) = router(2);
-        let theta = ThetaOp::WithinDistance(5.0);
-        let req = Request::join(Strategy::Auto, theta);
+        let req = Request::join(Strategy::Auto, ThetaOp::WithinDistance(5.0));
+        let resolved_by = |reply: &Reply| match reply {
+            Reply::Join { resolved, .. } => *resolved,
+            _ => panic!("expected a join reply"),
+        };
+        let parts: Vec<Strategy> = (0..router.plan().len())
+            .map(|t| resolved_by(&router.services[t].call(req.clone()).unwrap().reply))
+            .collect();
+        assert!(parts.iter().all(|&part| part != Strategy::Auto));
+        let want_resolved = if parts.iter().all(|&part| part == parts[0]) {
+            parts[0]
+        } else {
+            Strategy::Auto
+        };
         let want = pairs_of(&oracle.execute_reference(&req));
-        for _ in 0..6 {
+        for call in 0..6 {
             let got = router.call(req.clone()).expect("join accepted");
-            assert_eq!(pairs_of(&got.reply), want);
-        }
-        for shard in 0..router.plan().len() {
-            assert!(
-                advisor_observations(&router, shard, theta) >= 4,
-                "shard {shard} advisor must be learning"
-            );
+            assert_eq!(got.shards_queried, parts.len());
+            assert_eq!(resolved_by(&got.reply), want_resolved, "call {call}");
+            assert_eq!(pairs_of(&got.reply), want, "call {call}");
         }
     }
 
@@ -1297,10 +1269,6 @@ mod tests {
             assert!(panicked, "the holder thread must panic");
         };
         poison(&|| {
-            let _guard = router.advisors.lock().unwrap();
-            panic!("poison the advisor lock");
-        });
-        poison(&|| {
             let _guard = router.r_geoms.lock().unwrap();
             panic!("poison the R authority lock");
         });
@@ -1308,18 +1276,7 @@ mod tests {
             let _guard = router.s_geoms.lock().unwrap();
             panic!("poison the S authority lock");
         });
-        assert!(router.advisors.is_poisoned());
         assert!(router.r_geoms.is_poisoned() && router.s_geoms.is_poisoned());
-
-        // An Auto join reads and then updates the advisors.
-        let theta = ThetaOp::WithinDistance(5.0);
-        let auto = Request::join(Strategy::Auto, theta);
-        let got = router.call(auto.clone()).expect("call survives poisoning");
-        assert_eq!(
-            pairs_of(&got.reply),
-            pairs_of(&oracle.execute_reference(&auto))
-        );
-        assert!(advisor_observations(&router, 0, theta) >= 1);
 
         // A commit walks both authority maps, and reads observe it —
         // through the shards and through the maps themselves.

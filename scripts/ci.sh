@@ -120,19 +120,25 @@ if [ -n "$nested" ]; then
 fi
 echo "    -> no nested edge-pair .any( outside the kernel"
 
-echo "==> exact orientation gate (segment.rs decides signs without a tolerance)"
+echo "==> exact orientation gate (segment.rs and polygon.rs decide signs without a tolerance)"
 # `orientation` returns the exact sign of the cross product (a float
 # filter, then an exact expansion), so the intersection tests in
 # segment.rs need no tolerance; the ±EPSILON codes and the `straddles`
-# patch that compensated for them must not come back.
-tolerant=$(awk '/^#\[cfg\(test\)\]/ { exit }
-                /EPSILON|straddles/ { print FILENAME ":" FNR ": " $0 }' crates/geom/src/segment.rs)
+# patch that compensated for them must not come back. `Polygon::new`
+# calls a ring zero-area by the same exact sign, never by an absolute
+# area threshold.
+tolerant=$(
+    for f in crates/geom/src/segment.rs crates/geom/src/polygon.rs; do
+        awk '/^#\[cfg\(test\)\]/ { exit }
+             /EPSILON|straddles/ { print FILENAME ":" FNR ": " $0 }' "$f"
+    done
+)
 if [ -n "$tolerant" ]; then
-    echo "    a tolerance is back in segment.rs:"
+    echo "    a tolerance is back in segment.rs or polygon.rs:"
     echo "$tolerant"
     exit 1
 fi
-echo "    -> segment.rs names neither EPSILON nor straddles"
+echo "    -> segment.rs and polygon.rs name neither EPSILON nor straddles"
 
 echo "==> fail-stop grep gate (no unchecked panics in storage/service/shard/joins/rel)"
 # These crates promise typed errors: StorageError below the relational
@@ -165,7 +171,7 @@ echo "==> entry-point gate (one public path per join strategy, one per paged ope
 # function: fallible, traced, under the short name. The count may not
 # creep back up, and no forwarding-twin suffix may reappear (the
 # optimizer, advisor.rs, chooses among strategies and is not one: its
-# `choose_join_strategy`/`try_estimate_selectivity` are not counted).
+# `try_estimate_selectivity` is not counted).
 # Below the strategies, no `pub fn try_<x>` in storage/joins/core/geom
 # may have a panicking `pub fn <x>` sibling in the same file.
 entry_points=$(grep -rhE --exclude=advisor.rs '^\s*pub fn [a-z_]*(join|select)[a-z_]*' \
@@ -194,6 +200,9 @@ echo "==> one-optimizer gate (one chooser, one sampler, off the service's build 
 # sampled by one function, both in sj-joins' advisor.rs; sj-rel's
 # planner and the service's chooser reach them only through
 # `advisor::try_pick`, so non-test sj-rel code calls neither directly.
+# The router forwards `Auto` to each shard's service: no second chooser
+# (`AdaptiveAdvisor`, `choose_join_strategy`) may come back anywhere, and
+# non-test sj-shard code names no `advisor::`.
 # Nothing a request crosses compiles sj-core, sj-rel or sj-zorder.
 nontest_src=$(
     for f in crates/*/src/*.rs; do
@@ -206,11 +215,17 @@ samplers=$(grep -cE 'fn [a-z_]*estimate[a-z_]*' <<<"$nontest_src" || true)
 shims=$(grep -rn 'sj_core_model' crates src tests examples || true)
 planner_copies=$(grep -E '^crates/rel/src/[^:]*:[0-9]+: .*(recommend|try_estimate_selectivity)\(' \
     <<<"$nontest_src" || true)
-if [ "$scoreboards" -ne 1 ] || [ "$samplers" -ne 1 ] || [ -n "$shims" ] || [ -n "$planner_copies" ]; then
+second_chooser=$(
+    grep -rnE 'AdaptiveAdvisor|choose_join_strategy' crates src tests examples || true
+    grep -E '^crates/shard/src/[^:]*:[0-9]+: .*advisor::' <<<"$nontest_src" || true
+)
+if [ "$scoreboards" -ne 1 ] || [ "$samplers" -ne 1 ] || [ -n "$shims" ] || [ -n "$planner_copies" ] ||
+    [ -n "$second_chooser" ]; then
     echo "    $scoreboards join::d_i( call sites (want 1), $samplers estimate fns (want 1)"
     grep -E 'join::d_i\(|fn [a-z_]*estimate[a-z_]*' <<<"$nontest_src" || true
     echo "$shims"
     echo "$planner_copies"
+    echo "$second_chooser"
     exit 1
 fi
 for pkg in sj-service sj-shard; do
@@ -221,7 +236,7 @@ for pkg in sj-service sj-shard; do
         exit 1
     fi
 done
-echo "    -> one scoreboard, one sampler; sj-service and sj-shard build no sj-core, sj-rel or sj-zorder"
+echo "    -> one scoreboard, one sampler, no second chooser; sj-service and sj-shard build no sj-core, sj-rel or sj-zorder"
 
 echo "==> one-dispatch gate (Database joins on sj_joins::Strategy, selects on TraversalOrder)"
 # sj-rel has no strategy enum of its own and no named join indices: a
@@ -382,8 +397,9 @@ echo "==> hit-path gate (a hit is answered where it arrives)"
 # The serving path probes the result cache at one site: in `call`, on
 # the caller's thread, above the in-flight slot and with no snapshot pin
 # (`snapshot.load()`) ahead of it. `version` takes no publisher lock
-# either, and the router takes its advisors' lock only inside an
-# `if auto_join {` block, so a routed hit locks nothing but its cache.
+# either. The router keeps no advisors, and `ShardRouter::call` takes no
+# lock outside `join_at_router`, so a routed hit locks nothing but its
+# cache.
 detours=$(
     awk '/^#\[cfg\(test\)\]/ { exit }
          /^    pub fn (call|version)\(/ { fn = $3 }
@@ -397,9 +413,9 @@ detours=$(
              if (!slotted) print FILENAME ": no in-flight slot in call"
          }' crates/service/src/service.rs
     awk '/^#\[cfg\(test\)\]/ { exit }
-         /^        if auto_join \{$/ { guarded = 1 }
-         /^        }$/ { guarded = 0 }
-         /lock\(&self\.advisors\)/ && !guarded { print FILENAME ":" FNR ": " $0 }' \
+         /^    pub fn call\(/ { in_call = 1 }
+         /^    }$/ { in_call = 0 }
+         /advisors/ || (in_call && /lock\(/) { print FILENAME ":" FNR ": " $0 }' \
         crates/shard/src/router.rs
 )
 if [ -n "$detours" ]; then
@@ -407,7 +423,7 @@ if [ -n "$detours" ]; then
     echo "$detours"
     exit 1
 fi
-echo "    -> one probe site, in call above the slot; no publisher or advisor lock on a hit"
+echo "    -> one probe site, in call above the slot; no publisher or router lock on a hit"
 
 echo "==> no-pool gate (a request runs on the thread that asked for it)"
 # sj-service owns no thread: `call` runs a request on its caller's
