@@ -90,8 +90,8 @@ fn main() {
             run.pairs.len()
         );
     }
-    println!("\n(L = 0 is a single global join index: N² build, |S| maintenance.");
-    println!(" Deeper anchors cut both, at the price of more index fragments —");
-    println!(" the mixed-strategy trade-off the paper anticipated. Note the Θ-filter");
-    println!(" work on anchor pairs growing as k^(2L): the optimum is interior.)");
+    println!("\n(L = 0 is a single global join index: one sweep build, |S| maintenance.");
+    println!(" Build θ is one test per Θ-candidate at every L. Deeper anchors cut");
+    println!(" maintenance, at the price of more index fragments and Θ-filter work");
+    println!(" on anchor pairs growing as k^(2L): the optimum is interior.)");
 }

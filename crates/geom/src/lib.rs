@@ -58,7 +58,9 @@ pub use qgeom::{margin_eval, MarginVerdict, QGeometry, QKind};
 pub use rect::Rect;
 pub use segment::Segment;
 pub use soa::{RectChunks, RectLanes, FULL_MASK, LANES};
-pub use sweep::{sweep_candidates, sweep_candidates_with, Kernel, SweepItem, BATCH_MIN};
+pub use sweep::{
+    sweep_candidates, sweep_candidates_with, theta_candidates, Kernel, SweepItem, BATCH_MIN,
+};
 pub use theta::{Direction, MaskFilter, ThetaOp};
 
 /// Absolute tolerance of the predicates that θ defines by a distance:

@@ -22,8 +22,9 @@
 //! The emitted candidate set is therefore **identical** to the quadratic
 //! filter's (a property-tested invariant), only cheaper to compute.
 //! Directional predicates ([`ThetaOp::DirectionOf`]) have half-plane
-//! filter regions that no bounded expansion covers; callers must keep a
-//! nested-loop fallback for them (`filter_radius` returns `None`).
+//! filter regions that no bounded expansion covers (`filter_radius`
+//! returns `None`): [`theta_candidates`], the Θ-filter over two
+//! in-memory MBR lists, tests all pairs for them, and sweeps otherwise.
 //!
 //! The radius ε may be `+∞` (`WithinDistance(∞)`): the left side's sweep
 //! rectangles then have `±∞` bounds and every pair is examined. MBR
@@ -131,6 +132,37 @@ pub fn sweep_candidates(
         Kernel::Batched
     };
     sweep_candidates_with(left, right, theta, kernel, emit)
+}
+
+/// θ's Θ-candidates between two in-memory MBR lists, for every θ: calls
+/// `emit(i, j)` exactly once for each pair with
+/// `theta.filter(&left[i], &right[j])`. A bounded filter region
+/// ([`ThetaOp::filter_radius`]) runs [`sweep_candidates`] over
+/// ε-expanded left items; a directional θ, whose region no expansion
+/// covers, tests all pairs. Callers θ-test the candidates themselves.
+/// Returns the pairs examined: the sweep's comparisons, or
+/// `|left|·|right|`.
+pub fn theta_candidates(
+    left: &[Rect],
+    right: &[Rect],
+    theta: ThetaOp,
+    emit: &mut impl FnMut(u32, u32),
+) -> u64 {
+    let Some(eps) = theta.filter_radius() else {
+        for (i, l) in left.iter().enumerate() {
+            for (j, r) in right.iter().enumerate() {
+                if theta.filter(l, r) {
+                    emit(i as u32, j as u32);
+                }
+            }
+        }
+        return (left.len() * right.len()) as u64;
+    };
+    let items = |rects: &[Rect], eps: f64| -> Vec<SweepItem> {
+        let item = |(k, mbr): (usize, &Rect)| SweepItem::expanded(k as u32, *mbr, eps);
+        rects.iter().enumerate().map(item).collect()
+    };
+    sweep_candidates(&items(left, eps), &items(right, 0.0), theta, emit)
 }
 
 /// [`sweep_candidates`] with an explicit kernel choice (no size

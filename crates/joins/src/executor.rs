@@ -12,18 +12,20 @@
 //! strategy needs are absent (the tree join needs [`TreeRelation`]s,
 //! the flat strategies need [`StoredRelation`]s).
 //!
-//! An executor holds only operand references: it keeps no index and no
-//! state between requests. The join-index executor builds its index for
-//! each request through the partition join ([`JoinIndex::try_build`]) and
+//! One private executor type implements the trait for every strategy.
+//! Its [`JoinExecutor::try_execute`] resolves [`Strategy::Auto`] through
+//! the operands' chooser, then `match`es the concrete strategy onto that
+//! strategy's one function — `nested_loop_join`, `sweep_join`,
+//! `tree_join`, `partition_join`, or [`JoinIndex::try_build`] and
+//! [`JoinIndex::join`] — handing it the request's θ and trace sink.
+//! [`JoinExecutor::execute`] is the single infallible convenience.
+//!
+//! The executor holds operand references and the last `Auto`
+//! resolution, nothing else: no index and no state between requests. A
+//! join-index request builds its index through the partition join and
 //! answers from it; the build's cost is *never* folded into the returned
 //! [`JoinRun`], it is the paper's precomputation, not the query. A join
 //! index that outlives one request is its caller's to keep.
-//!
-//! The free functions (`nested_loop_join`, `sweep_join`, …) and index
-//! methods are the implementations the executors call: each strategy has
-//! exactly one — fallible and traced — and every executor here is a thin
-//! shim handing it the request's θ and trace sink.
-//! [`JoinExecutor::execute`] is the single infallible convenience.
 
 use std::cell::RefCell;
 
@@ -83,17 +85,16 @@ impl JoinRequest {
 }
 
 /// A join strategy over operand references, executing [`JoinRequest`]s.
+/// [`Strategy::executor`] builds its one implementation.
 pub trait JoinExecutor {
-    /// Which strategy this executor implements.
+    /// Which strategy this executor was built for.
     fn strategy(&self) -> Strategy;
 
     /// The concrete strategy the *last* [`JoinExecutor::execute`] call
-    /// dispatched to. Identical to [`JoinExecutor::strategy`] for every
-    /// concrete executor; [`Strategy::Auto`] overrides it to report the
-    /// per-request advisor choice.
-    fn resolved_strategy(&self) -> Strategy {
-        self.strategy()
-    }
+    /// dispatched to. A concrete strategy always reads itself;
+    /// [`Strategy::Auto`] reads `Auto` until its first run and the
+    /// chooser's last resolution after it.
+    fn resolved_strategy(&self) -> Strategy;
 
     /// Runs the join, charging all I/O through `pool` and writing spans
     /// into `req.trace` when it is live. The first storage fault aborts
@@ -174,49 +175,30 @@ impl Strategy {
         }
     }
 
-    /// Parses [`Strategy::name`] back into a strategy.
-    pub fn from_name(name: &str) -> Option<Strategy> {
-        if name == Strategy::Auto.name() {
-            return Some(Strategy::Auto);
-        }
-        Strategy::ALL.into_iter().find(|s| s.name() == name)
+    /// Builds the executor for this strategy over `ops`, or `None` when
+    /// the operands it needs are absent: [`Strategy::Tree`] needs tree
+    /// relations, the other concrete strategies flat ones, and
+    /// [`Strategy::Auto`] a chooser and either kind.
+    pub fn executor<'a>(self, ops: &JoinOperands<'a>) -> Option<Box<dyn JoinExecutor + 'a>> {
+        let present = match self {
+            Strategy::Auto => ops.chooser.is_some() && (ops.flat.is_some() || ops.trees.is_some()),
+            concrete => concrete.runs_over(ops),
+        };
+        let exec = Executor {
+            strategy: self,
+            ops: *ops,
+            resolved: None,
+        };
+        present.then(|| Box::new(exec) as Box<dyn JoinExecutor + 'a>)
     }
 
-    /// Builds an executor for this strategy over `ops`, or `None` when
-    /// the operands the strategy requires are absent.
-    pub fn executor<'a>(self, ops: &JoinOperands<'a>) -> Option<Box<dyn JoinExecutor + 'a>> {
+    /// Whether `ops` hold the relations this concrete strategy reads;
+    /// `false` for [`Strategy::Auto`], which runs none itself.
+    fn runs_over(self, ops: &JoinOperands<'_>) -> bool {
         match self {
-            Strategy::NestedLoop => {
-                let (r, s) = ops.flat?;
-                Some(Box::new(NestedLoopExec { r, s }))
-            }
-            Strategy::Sweep => {
-                let (r, s) = ops.flat?;
-                Some(Box::new(SweepExec { r, s }))
-            }
-            Strategy::Tree => {
-                let (r, s) = ops.trees?;
-                Some(Box::new(TreeExec { r, s }))
-            }
-            Strategy::JoinIndex => {
-                let (r, s) = ops.flat?;
-                Some(Box::new(JoinIndexExec { r, s }))
-            }
-            Strategy::Partition => {
-                let (r, s) = ops.flat?;
-                Some(Box::new(PartitionExec { r, s }))
-            }
-            Strategy::Auto => {
-                let chooser = ops.chooser?;
-                if ops.flat.is_none() && ops.trees.is_none() {
-                    return None;
-                }
-                Some(Box::new(AutoExec {
-                    ops: *ops,
-                    chooser,
-                    resolved: None,
-                }))
-            }
+            Strategy::Auto => false,
+            Strategy::Tree => ops.trees.is_some(),
+            _ => ops.flat.is_some(),
         }
     }
 }
@@ -275,146 +257,21 @@ impl<'a> JoinOperands<'a> {
     }
 }
 
-struct NestedLoopExec<'a> {
-    r: &'a StoredRelation,
-    s: &'a StoredRelation,
-}
-
-impl JoinExecutor for NestedLoopExec<'_> {
-    fn strategy(&self) -> Strategy {
-        Strategy::NestedLoop
-    }
-
-    fn try_execute(
-        &mut self,
-        req: &JoinRequest,
-        pool: &mut BufferPool,
-    ) -> Result<JoinRun, StorageError> {
-        nested_loop_join(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
-    }
-}
-
-struct SweepExec<'a> {
-    r: &'a StoredRelation,
-    s: &'a StoredRelation,
-}
-
-impl JoinExecutor for SweepExec<'_> {
-    fn strategy(&self) -> Strategy {
-        Strategy::Sweep
-    }
-
-    fn try_execute(
-        &mut self,
-        req: &JoinRequest,
-        pool: &mut BufferPool,
-    ) -> Result<JoinRun, StorageError> {
-        sweep_join(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
-    }
-}
-
-struct TreeExec<'a> {
-    r: &'a TreeRelation,
-    s: &'a TreeRelation,
-}
-
-impl JoinExecutor for TreeExec<'_> {
-    fn strategy(&self) -> Strategy {
-        Strategy::Tree
-    }
-
-    fn try_execute(
-        &mut self,
-        req: &JoinRequest,
-        pool: &mut BufferPool,
-    ) -> Result<JoinRun, StorageError> {
-        tree_join(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
-    }
-}
-
-struct JoinIndexExec<'a> {
-    r: &'a StoredRelation,
-    s: &'a StoredRelation,
-}
-
-impl JoinExecutor for JoinIndexExec<'_> {
-    fn strategy(&self) -> Strategy {
-        Strategy::JoinIndex
-    }
-
-    fn try_execute(
-        &mut self,
-        req: &JoinRequest,
-        pool: &mut BufferPool,
-    ) -> Result<JoinRun, StorageError> {
-        let (idx, _build_cost) = JoinIndex::try_build(pool, self.r, self.s, req.theta, DEFAULT_Z)?;
-        idx.join(pool, self.r, self.s, &mut req.trace.borrow_mut())
-    }
-}
-
-struct PartitionExec<'a> {
-    r: &'a StoredRelation,
-    s: &'a StoredRelation,
-}
-
-impl JoinExecutor for PartitionExec<'_> {
-    fn strategy(&self) -> Strategy {
-        Strategy::Partition
-    }
-
-    fn try_execute(
-        &mut self,
-        req: &JoinRequest,
-        pool: &mut BufferPool,
-    ) -> Result<JoinRun, StorageError> {
-        partition_join(pool, self.r, self.s, req.theta, &mut req.trace.borrow_mut())
-    }
-}
-
-/// [`Strategy::Auto`]: asks the operands' chooser for a concrete
-/// strategy per request, guards the answer with operand availability,
-/// and delegates to that strategy's executor, built for the request.
-/// It keeps only the last resolution, for
-/// [`JoinExecutor::resolved_strategy`].
-struct AutoExec<'a> {
+/// The one [`JoinExecutor`]: the strategy asked for, its operands, and
+/// the strategy the last [`Strategy::Auto`] run resolved to.
+struct Executor<'a> {
+    strategy: Strategy,
     ops: JoinOperands<'a>,
-    chooser: StrategyChooser<'a>,
     resolved: Option<Strategy>,
 }
 
-impl<'a> AutoExec<'a> {
-    /// The chooser's pick and its executor.
-    fn resolve(
-        &self,
-        theta: ThetaOp,
-        pool: &mut BufferPool,
-    ) -> Result<(Strategy, Box<dyn JoinExecutor + 'a>), StorageError> {
-        let pick = (self.chooser)(theta, pool)?;
-        if pick != Strategy::Auto {
-            if let Some(exec) = pick.executor(&self.ops) {
-                return Ok((pick, exec));
-            }
-        }
-        // The chooser named Auto itself, or a strategy whose operands are
-        // absent: fall back to strategy I over flat operands, else to the
-        // tree join — executor construction checked one kind is present.
-        let fallback = if self.ops.flat.is_some() {
-            Strategy::NestedLoop
-        } else {
-            Strategy::Tree
-        };
-        let exec = fallback.executor(&self.ops);
-        Ok((fallback, exec.expect("one operand kind is present"))) // PANIC-OK: invariant
-    }
-}
-
-impl JoinExecutor for AutoExec<'_> {
+impl JoinExecutor for Executor<'_> {
     fn strategy(&self) -> Strategy {
-        Strategy::Auto
+        self.strategy
     }
 
     fn resolved_strategy(&self) -> Strategy {
-        self.resolved.unwrap_or(Strategy::Auto)
+        self.resolved.unwrap_or(self.strategy)
     }
 
     fn try_execute(
@@ -422,44 +279,65 @@ impl JoinExecutor for AutoExec<'_> {
         req: &JoinRequest,
         pool: &mut BufferPool,
     ) -> Result<JoinRun, StorageError> {
-        let (chosen, mut exec) = self.resolve(req.theta, pool)?;
-        self.resolved = Some(chosen);
-        req.trace
-            .borrow_mut()
-            .emit(&format!("auto/choose:{}", chosen.name()), 0, &[]);
-        exec.try_execute(req, pool)
+        let theta = req.theta;
+        let mut strategy = self.strategy;
+        if let (Strategy::Auto, Some(chooser)) = (strategy, self.ops.chooser) {
+            // The chooser's pick when its operands are present; if it
+            // names `Auto` itself or a strategy whose operands are absent,
+            // strategy I over flat operands, else the tree join.
+            let pick = chooser(theta, pool)?;
+            strategy = if pick.runs_over(&self.ops) {
+                pick
+            } else if self.ops.flat.is_some() {
+                Strategy::NestedLoop
+            } else {
+                Strategy::Tree
+            };
+            self.resolved = Some(strategy);
+            let span = format!("auto/choose:{}", strategy.name());
+            req.trace.borrow_mut().emit(&span, 0, &[]);
+        }
+        let trace = &mut *req.trace.borrow_mut();
+        match (strategy, self.ops.flat, self.ops.trees) {
+            (Strategy::NestedLoop, Some((r, s)), _) => nested_loop_join(pool, r, s, theta, trace),
+            (Strategy::Sweep, Some((r, s)), _) => sweep_join(pool, r, s, theta, trace),
+            (Strategy::Tree, _, Some((r, s))) => tree_join(pool, r, s, theta, trace),
+            (Strategy::JoinIndex, Some((r, s)), _) => {
+                let (idx, _build_cost) = JoinIndex::try_build(pool, r, s, theta, DEFAULT_Z)?;
+                idx.join(pool, r, s, trace)
+            }
+            (Strategy::Partition, Some((r, s)), _) => partition_join(pool, r, s, theta, trace),
+            // `executor` checked the operands, and `Auto` resolved above.
+            _ => unreachable!("operands checked at construction"), // PANIC-OK: invariant
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sj_gentree::rtree::{RTree, RTreeConfig};
     use sj_geom::{Geometry, Point};
     use sj_storage::{Disk, DiskConfig, Layout};
+    use std::cell::Cell;
 
     fn pool() -> BufferPool {
         BufferPool::new(Disk::new(DiskConfig::paper()), 64)
     }
 
-    fn grid_rel(pool: &mut BufferPool, n: usize, step: f64, id0: u64) -> StoredRelation {
-        let tuples: Vec<(u64, Geometry)> = (0..n * n)
+    fn grid_tuples(n: usize, step: f64, id0: u64) -> Vec<(u64, Geometry)> {
+        (0..n * n)
             .map(|i| {
                 (
                     id0 + i as u64,
                     Geometry::Point(Point::new((i % n) as f64 * step, (i / n) as f64 * step)),
                 )
             })
-            .collect();
-        StoredRelation::build(pool, &tuples, 300, Layout::Clustered)
+            .collect()
     }
 
-    #[test]
-    fn names_round_trip() {
-        for s in Strategy::ALL {
-            assert_eq!(Strategy::from_name(s.name()), Some(s));
-        }
-        assert_eq!(Strategy::from_name("auto"), Some(Strategy::Auto));
-        assert_eq!(Strategy::from_name("bogus"), None);
+    fn grid_rel(pool: &mut BufferPool, n: usize, step: f64, id0: u64) -> StoredRelation {
+        StoredRelation::build(pool, &grid_tuples(n, step, id0), 300, Layout::Clustered)
     }
 
     #[test]
@@ -503,6 +381,61 @@ mod tests {
             sink.events().iter().any(|e| e.span == "auto/choose:sweep"),
             "auto must trace its choice"
         );
+    }
+
+    #[test]
+    fn one_auto_executor_follows_a_changing_pick() {
+        let mut p = pool();
+        let r = grid_rel(&mut p, 5, 10.0, 0);
+        let s = grid_rel(&mut p, 5, 10.0, 500);
+        let tree = |p: &mut BufferPool, id0| {
+            let rt = RTree::bulk_load(RTreeConfig::with_fanout(4), grid_tuples(5, 10.0, id0));
+            TreeRelation::new(p, rt.tree().clone(), 300, Layout::Clustered)
+        };
+        let (tr, ts) = (tree(&mut p, 0), tree(&mut p, 500));
+        let world = Rect::from_bounds(0.0, 0.0, 64.0, 64.0);
+        // The chooser names a different strategy on each call.
+        let picks = [
+            Strategy::Sweep,
+            Strategy::Tree,
+            Strategy::JoinIndex,
+            Strategy::Partition,
+            Strategy::NestedLoop,
+            Strategy::Tree,
+        ];
+        let calls = Cell::new(0);
+        let chooser = |_: ThetaOp, _: &mut BufferPool| -> Result<Strategy, StorageError> {
+            calls.set(calls.get() + 1);
+            Ok(picks[calls.get() - 1])
+        };
+        let ops = JoinOperands::flat(&r, &s, world)
+            .with_trees(&tr, &ts)
+            .with_chooser(&chooser);
+        let theta = ThetaOp::WithinDistance(10.5);
+        let mut want = nested_loop_join(&mut p, &r, &s, theta, &mut TraceSink::Null)
+            .unwrap()
+            .pairs;
+        want.sort_unstable();
+
+        let mut exec = Strategy::Auto.executor(&ops).expect("chooser attached");
+        assert_eq!(exec.resolved_strategy(), Strategy::Auto);
+        for pick in picks {
+            let req = JoinRequest::new(theta).with_trace(TraceSink::vec());
+            let mut got = exec.execute(&req, &mut p).pairs;
+            got.sort_unstable();
+            assert_eq!(got, want, "auto resolved to {}", pick.name());
+            assert_eq!(exec.strategy(), Strategy::Auto);
+            assert_eq!(exec.resolved_strategy(), pick);
+            let sink = req.take_trace();
+            let chosen: Vec<&str> = sink
+                .events()
+                .iter()
+                .filter(|e| e.span.starts_with("auto/choose:"))
+                .map(|e| e.span.as_str())
+                .collect();
+            assert_eq!(chosen, [format!("auto/choose:{}", pick.name())]);
+        }
+        assert_eq!(calls.get(), picks.len());
     }
 
     #[test]

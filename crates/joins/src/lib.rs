@@ -27,9 +27,12 @@
 //! [`Strategy`], and run [`JoinExecutor::execute`] over
 //! [`JoinOperands`]. This is what the experiment harness, the serving
 //! layer and the benchmark dispatch through. Each runs all eight
-//! θ-operators. The grid-file join and local join indices are library
-//! functions only: no cost model prices them, so a request cannot name
-//! them.
+//! θ-operators. One private type implements [`JoinExecutor`]: it
+//! resolves [`Strategy::Auto`] through the operands' chooser, then
+//! `match`es the concrete strategy onto that strategy's one function
+//! (below), so `Auto` builds no second executor. The grid-file join and
+//! local join indices are library functions only: no cost model prices
+//! them, so a request cannot name them.
 //!
 //! ## The optimizer
 //!

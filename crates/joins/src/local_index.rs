@@ -28,7 +28,7 @@ use std::collections::HashMap;
 
 use sj_btree::BPlusTree;
 use sj_gentree::{GenTree, NodeId};
-use sj_geom::{Bounded, Geometry, ThetaOp};
+use sj_geom::{theta_candidates, Bounded, Geometry, Rect, ThetaOp};
 use sj_obs::{Phase, PhaseTimer, TraceSink};
 use sj_storage::{BufferPool, StorageError};
 
@@ -60,6 +60,11 @@ fn anchors_at(tree: &GenTree, level: usize) -> Vec<NodeId> {
     levels[idx].clone()
 }
 
+/// The MBRs of `entries`, in order.
+fn mbrs(entries: &[(u64, Geometry)]) -> Vec<Rect> {
+    entries.iter().map(|(_, g)| g.mbr()).collect()
+}
+
 /// All application entries in the subtree rooted at `n`.
 fn subtree_entries(tree: &GenTree, n: NodeId) -> Vec<(u64, Geometry)> {
     let mut out = Vec::new();
@@ -74,10 +79,12 @@ fn subtree_entries(tree: &GenTree, n: NodeId) -> Vec<(u64, Geometry)> {
 }
 
 impl LocalJoinIndex {
-    /// Builds the local indices: Θ-filters all anchor pairs, then runs a
-    /// nested loop *within* each qualifying pair only. The returned stats
-    /// carry the Θ- and θ-evaluation counts (contrast with a global
-    /// index's `N²`). Entry records are read through the pool (charged);
+    /// Builds the local indices: Θ-filters all anchor pairs, then, within
+    /// each qualifying pair only, θ-tests the Θ-candidates of the two
+    /// subtrees' entries ([`theta_candidates`]). The returned stats carry
+    /// the Θ-evaluations (anchor pairs plus the candidate sweeps'
+    /// comparisons) and the θ-evaluations, one per candidate. Entry
+    /// records are read through the pool (charged);
     /// the first faulted node touch during the build sweeps aborts with a
     /// typed error (no partially built index).
     pub fn try_build(
@@ -124,15 +131,16 @@ impl LocalJoinIndex {
                 if !theta.filter(&a_mbr, &s.tree.mbr(b)) {
                     continue;
                 }
+                let (ra, sb) = (&r_entries[&a], &s_entries[&b]);
                 let mut local = BPlusTree::new(z);
-                for (r_id, r_geom) in &r_entries[&a] {
-                    for (s_id, s_geom) in &s_entries[&b] {
-                        stats.theta_evals += 1;
-                        if theta.eval(r_geom, s_geom) {
-                            local.insert((*r_id, *s_id), ());
-                        }
+                let swept = theta_candidates(&mbrs(ra), &mbrs(sb), theta, &mut |i, j| {
+                    let ((r_id, r_geom), (s_id, s_geom)) = (&ra[i as usize], &sb[j as usize]);
+                    stats.theta_evals += 1;
+                    if theta.eval(r_geom, s_geom) {
+                        local.insert((*r_id, *s_id), ());
                     }
-                }
+                });
+                stats.filter_evals += swept;
                 stats.physical_writes += local.node_count() as u64;
                 local.reset_accesses();
                 partitions.insert((a, b), local);
@@ -324,21 +332,32 @@ mod tests {
     }
 
     #[test]
-    fn deeper_anchors_cut_build_theta_work() {
+    fn build_theta_tests_only_the_theta_candidates() {
         let mut p = pool();
-        let r = tree_rel(&mut p, grid_tuples(10, 10.0, 0.0, 0));
-        let s = tree_rel(&mut p, grid_tuples(10, 10.0, 0.5, 1000));
-        let theta = ThetaOp::WithinDistance(1.0);
-        let (_, stats0) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, 0, 16).unwrap();
-        let (_, stats2) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, 2, 16).unwrap();
-        // Level 0 is the full N² nested loop; deeper anchors prune.
-        assert_eq!(stats0.theta_evals, 100 * 100);
-        assert!(
-            stats2.theta_evals < stats0.theta_evals / 2,
-            "anchored build should θ-test far fewer pairs: {} vs {}",
-            stats2.theta_evals,
-            stats0.theta_evals
+        let (r_tuples, s_tuples) = (
+            grid_tuples(10, 10.0, 0.0, 0),
+            grid_tuples(10, 10.0, 0.5, 1000),
         );
+        let r = tree_rel(&mut p, r_tuples.clone());
+        let s = tree_rel(&mut p, s_tuples.clone());
+        let theta = ThetaOp::WithinDistance(1.0);
+        let passes = |a: &Geometry, b: &Geometry| theta.filter(&a.mbr(), &b.mbr());
+        let candidates = r_tuples
+            .iter()
+            .flat_map(|(_, a)| s_tuples.iter().filter(move |(_, b)| passes(a, b)))
+            .count() as u64;
+        assert_eq!(candidates, 100, "each R point has one S point within 1");
+        // Not the N² nested loop: at every anchor level, one θ-test per
+        // Θ-candidate, found by far fewer than N² Θ-comparisons.
+        for level in [0, 2] {
+            let (_, stats) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, level, 16).unwrap();
+            assert_eq!(stats.theta_evals, candidates, "level {level}");
+            assert!(
+                stats.filter_evals < 100 * 100 / 2,
+                "level {level}: {} Θ-comparisons",
+                stats.filter_evals
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! 1. the forward-scan kernel emits **exactly** the candidate set a
 //!    quadratic Θ-filter loop produces, for every bounded-filter
-//!    θ-operator, on arbitrary rectangle workloads;
+//!    θ-operator, on arbitrary rectangle workloads, and so does
+//!    `theta_candidates` for every θ-operator, directional included;
 //! 2. the sequential [`sweep_join`] executor returns exactly the
 //!    nested-loop reference match set for **every** θ-operator
 //!    (directional operators exercise the fallback path);
@@ -10,7 +11,9 @@
 //!    (`comparisons ≤ |R|·|S|`).
 
 use proptest::prelude::*;
-use sj_geom::sweep::{sweep_candidates, sweep_candidates_with, Kernel, SweepItem};
+use sj_geom::sweep::{
+    sweep_candidates, sweep_candidates_with, theta_candidates, Kernel, SweepItem,
+};
 use sj_geom::{Direction, Geometry, Rect, ThetaOp};
 use sj_joins::nested_loop::nested_loop_join;
 use sj_joins::sweep::sweep_join;
@@ -18,23 +21,6 @@ use sj_joins::{StoredRelation, TraceSink};
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
 const WORLD: f64 = 128.0;
-
-/// Every bounded-filter operator (each row of Table 1 whose Θ-region is
-/// an ε-expanded rectangle intersection), plus an infinite radius: its
-/// sweep rectangles have `±∞` bounds.
-const BOUNDED: [ThetaOp; 8] = [
-    ThetaOp::Overlaps,
-    ThetaOp::Includes,
-    ThetaOp::ContainedIn,
-    ThetaOp::Adjacent,
-    ThetaOp::WithinDistance(9.0),
-    ThetaOp::WithinDistance(f64::INFINITY),
-    ThetaOp::WithinCenterDistance(14.0),
-    ThetaOp::ReachableWithin {
-        minutes: 4.0,
-        speed: 2.0,
-    },
-];
 
 fn pool() -> BufferPool {
     BufferPool::new(Disk::new(DiskConfig::paper()), 64)
@@ -86,17 +72,49 @@ fn sorted(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     v
 }
 
+/// Checks one kernel's emission against the quadratic filter's sorted
+/// candidates `want`: no duplicates, the same set, and at most
+/// `|L|·|R|` pairs examined.
+fn check_candidates(
+    mut got: Vec<(u32, u32)>,
+    examined: u64,
+    want: &[(u32, u32)],
+    all_pairs: usize,
+    theta: ThetaOp,
+) -> Result<(), TestCaseError> {
+    let raw_len = got.len();
+    got.sort_unstable();
+    got.dedup();
+    prop_assert_eq!(
+        raw_len,
+        got.len(),
+        "kernel emitted duplicates for {:?}",
+        theta
+    );
+    prop_assert_eq!(&got[..], want, "candidate sets diverge for {:?}", theta);
+    prop_assert!(
+        examined <= all_pairs as u64,
+        "kernel examined more pairs than quadratic: {} > {}",
+        examined,
+        all_pairs
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// `theta_candidates` (every θ) and, for a bounded filter region,
+    /// `sweep_candidates` over ε-expanded left items emit exactly the
+    /// quadratic Θ-filter's candidates.
     #[test]
     fn kernel_candidates_equal_quadratic_filter(
         l in arb_side(),
         r in arb_side(),
-        theta_pick in 0usize..BOUNDED.len(),
+        theta_pick in 0usize..ALL_OPS.len(),
     ) {
-        let theta = BOUNDED[theta_pick];
-        let eps = theta.filter_radius().expect("bounded operator");
+        let theta = ALL_OPS[theta_pick];
+        let all_pairs = l.len() * r.len();
 
         let mut want: Vec<(u32, u32)> = Vec::new();
         for (i, a) in l.iter().enumerate() {
@@ -108,6 +126,13 @@ proptest! {
         }
         want.sort_unstable();
 
+        let mut got: Vec<(u32, u32)> = Vec::new();
+        let examined = theta_candidates(&l, &r, theta, &mut |a, b| got.push((a, b)));
+        check_candidates(got, examined, &want, all_pairs, theta)?;
+
+        let Some(eps) = theta.filter_radius() else {
+            return Ok(());
+        };
         let left: Vec<SweepItem> = l
             .iter()
             .enumerate()
@@ -121,17 +146,7 @@ proptest! {
         let mut got: Vec<(u32, u32)> = Vec::new();
         let comparisons =
             sweep_candidates(&left, &right, theta, &mut |a, b| got.push((a, b)));
-        let raw_len = got.len();
-        got.sort_unstable();
-        got.dedup();
-        prop_assert_eq!(raw_len, got.len(), "kernel emitted duplicates for {:?}", theta);
-        prop_assert_eq!(&got, &want, "candidate sets diverge for {:?}", theta);
-        prop_assert!(
-            comparisons <= (l.len() * r.len()) as u64,
-            "sweep examined more pairs than quadratic: {} > {}",
-            comparisons,
-            l.len() * r.len()
-        );
+        check_candidates(got, comparisons, &want, all_pairs, theta)?;
     }
 }
 
@@ -186,8 +201,9 @@ proptest! {
 }
 
 /// Every θ-operator, including the directional one (which exercises the
-/// batched kernel's scalar fallback — [`ThetaOp::mask_filter`] is `None`)
-/// and an infinite radius.
+/// batched kernel's scalar fallback — [`ThetaOp::mask_filter`] is `None`
+/// — and `theta_candidates`' all-pairs branch) and an infinite radius:
+/// its sweep rectangles have `±∞` bounds.
 const ALL_OPS: [ThetaOp; 9] = [
     ThetaOp::Overlaps,
     ThetaOp::Includes,

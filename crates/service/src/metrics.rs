@@ -41,7 +41,7 @@ pub struct ServiceMetrics {
     pub injected_faults: u64,
     /// Requests that completed only after at least one retry.
     pub retried: u64,
-    /// Requests answered by the degraded nested-loop fallback.
+    /// Requests answered by the degraded in-memory fallback.
     pub degraded: u64,
     /// Requests that exhausted every attempt and were rejected with
     /// `Rejection::Failed`.

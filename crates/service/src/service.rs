@@ -48,10 +48,11 @@
 //! dataset version, request fingerprint, and attempt number), so
 //! transient faults really are transient and identical runs replay
 //! identical fault traces. A join that exhausts its budget degrades to
-//! a *resilient* nested-loop pass: both relations are scanned with
-//! per-record-read retries (a faulted read leaves the page non-resident,
-//! so each retry re-draws from the injector stream), which survives
-//! fault rates that would abort any fail-stop whole-attempt strategy.
+//! a *resilient* pass: both relations are scanned with per-record-read
+//! retries (a faulted read leaves the page non-resident, so each retry
+//! re-draws from the injector stream) and joined in memory, which
+//! survives fault rates that would abort any fail-stop whole-attempt
+//! strategy.
 //! A panicking computation is contained with `catch_unwind` and answers
 //! [`Rejection::WorkerPanicked`]; every lock in the crate recovers from
 //! poisoning, so one crashed request never takes the service down.
@@ -65,7 +66,7 @@ use std::time::Instant;
 
 use sj_costmodel::{Distribution, ModelParams};
 use sj_gentree::rtree::{RTree, RTreeConfig};
-use sj_geom::{codec, Bounded, Geometry, Rect, ThetaOp};
+use sj_geom::{codec, theta_candidates, Bounded, Geometry, Rect, ThetaOp};
 use sj_joins::advisor::{auto_chooser, Operation, WorkloadProfile};
 use sj_joins::tree_join::{tree_select, TraversalOrder};
 use sj_joins::{JoinOperands, JoinRequest, StoredRelation, Strategy, TreeRelation};
@@ -82,7 +83,7 @@ use crate::request::{
 use crate::snapshot::SnapshotCell;
 use sj_joins::{Mutation, MutationOutcome, TouchedRegions, WriteBatch};
 
-/// Per-record-read retries inside the degraded nested-loop pass. Each
+/// Per-record-read retries inside the degraded join pass. Each
 /// retry of a faulted read re-draws from the deterministic injector
 /// stream (the failed fetch left the page non-resident), so at read
 /// fault probability p a record survives with probability `1 - p⁴` —
@@ -121,10 +122,9 @@ pub struct ServiceConfig {
     /// `selectivity` are overridden per request).
     pub profile: WorkloadProfile,
     /// Probability that a physical page read on a compute shard faults;
-    /// 0.0 (the default) disarms injection entirely.
+    /// 0.0 (the default) disarms injection entirely. A compute shard
+    /// never writes a page, so there is no write-fault knob.
     pub fault_read_prob: f64,
-    /// Probability that a physical page write on a compute shard faults.
-    pub fault_write_prob: f64,
     /// Base seed of the fault-injection streams. Each attempt derives
     /// its own stream from this seed, the dataset version, the request
     /// fingerprint, and the attempt number — deterministic end to end.
@@ -164,7 +164,6 @@ impl Default for ServiceConfig {
                 operation: Operation::Join,
             },
             fault_read_prob: 0.0,
-            fault_write_prob: 0.0,
             fault_seed: 0,
             retry_attempts: 3,
             compress_geometry: false,
@@ -858,7 +857,7 @@ struct Computed {
     faulted_attempts: u32,
     /// Model-time backoff units spent between attempts.
     backoff_units: u64,
-    /// True when the resilient nested-loop fallback produced the reply.
+    /// True when the resilient in-memory fallback produced the reply.
     degraded: bool,
 }
 
@@ -873,7 +872,7 @@ struct Exhausted {
 /// `retry_attempts` tries of the requested computation (each on a fresh
 /// shard with its own deterministic injector stream, exponential
 /// model-time backoff between them), then — for joins — one resilient
-/// degraded nested-loop pass, then typed failure. Backoff is accounted
+/// degraded in-memory pass, then typed failure. Backoff is accounted
 /// in model units, not slept: the simulated disk has no wall-clock to
 /// wait out.
 fn compute_with_retry(
@@ -955,13 +954,12 @@ fn attempt_faults(
     fingerprint: u64,
     attempt: u32,
 ) -> Option<FaultConfig> {
-    if config.fault_read_prob <= 0.0 && config.fault_write_prob <= 0.0 {
+    if config.fault_read_prob <= 0.0 {
         return None;
     }
     Some(FaultConfig {
         seed: mix_seed(config.fault_seed, version, fingerprint, attempt),
         read_prob: config.fault_read_prob,
-        write_prob: config.fault_write_prob,
         ..FaultConfig::default()
     })
 }
@@ -1038,10 +1036,12 @@ fn try_compute(
 }
 
 /// The degraded join pass: scan both relations with per-record-read
-/// retries, then nested-loop in memory. Same exact match set as every
-/// strategy executor (results sorted), but it survives fault rates
-/// where fail-stop whole-attempt execution cannot — a read only fails
-/// the pass after [`DEGRADED_READ_RETRIES`] consecutive faulted draws.
+/// retries, then join in memory: θ-test the Θ-candidates of the two MBR
+/// lists ([`theta_candidates`]). Same exact match set as every strategy
+/// executor (results sorted, labelled strategy I), but it survives fault
+/// rates where fail-stop whole-attempt execution cannot — a read only
+/// fails the pass after [`DEGRADED_READ_RETRIES`] consecutive faulted
+/// draws.
 fn try_degraded_join(
     state: &DataState,
     config: &ServiceConfig,
@@ -1054,14 +1054,14 @@ fn try_degraded_join(
     }
     let r = resilient_scan(&state.r.rel, &mut shard)?;
     let s = resilient_scan(&state.s.rel, &mut shard)?;
+    let mbrs = |side: &[(u64, Geometry)]| -> Vec<Rect> { side.iter().map(|t| t.1.mbr()).collect() };
     let mut pairs = Vec::new();
-    for (r_id, r_geom) in &r {
-        for (s_id, s_geom) in &s {
-            if theta.eval(r_geom, s_geom) {
-                pairs.push((*r_id, *s_id));
-            }
+    theta_candidates(&mbrs(&r), &mbrs(&s), theta, &mut |i, j| {
+        let ((r_id, r_geom), (s_id, s_geom)) = (&r[i as usize], &s[j as usize]);
+        if theta.eval(r_geom, s_geom) {
+            pairs.push((*r_id, *s_id));
         }
-    }
+    });
     pairs.sort_unstable();
     Ok(Reply::Join {
         pairs: Arc::new(pairs),
@@ -1550,9 +1550,11 @@ mod tests {
         };
         let svc = small_service(config);
         let mut degraded = 0u64;
-        for i in 0..10 {
-            let d = 5.0 + f64::from(i) * 0.7;
-            let req = Request::join(Strategy::Tree, ThetaOp::WithinDistance(d));
+        // Directional θ has no bounded Θ-filter radius: the degraded
+        // pass then θ-tests all pairs under the Θ-filter.
+        let radii = (0..10).map(|i| ThetaOp::WithinDistance(5.0 + f64::from(i) * 0.7));
+        for theta in radii.chain([ThetaOp::DirectionOf(sj_geom::Direction::NorthWest)]) {
+            let req = Request::join(Strategy::Tree, theta);
             match svc.call(req.clone()) {
                 Ok(resp) => {
                     if resp.degraded {

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use sj_geom::{sweep_candidates, Bounded, Geometry, Rect, SweepItem, ThetaOp};
+use sj_geom::{theta_candidates, Bounded, Geometry, Rect, ThetaOp};
 use sj_joins::{Mutation, MutationOutcome, Side, Strategy, WriteBatch};
 use sj_obs::TraceSink;
 use sj_service::{
@@ -82,7 +82,7 @@ pub struct RouterResponse {
     /// Cross-shard duplicate results removed by the merge (the price of
     /// halo multi-assignment; always 0 for single-shard requests).
     pub duplicates: u64,
-    /// True when any shard served via its degraded nested-loop path.
+    /// True when any shard served via its degraded in-memory path.
     pub degraded: bool,
 }
 
@@ -369,11 +369,10 @@ impl ShardRouter {
     }
 
     /// Answers a join from the authority maps by the paper's
-    /// filter-then-refine over one flat copy: the plane sweep over
-    /// ε-expanded MBRs when the Θ-filter radius is bounded (so the join
-    /// stays O(n log n + k)), all pairs under the Θ-filter when it is
-    /// not (strategy I, output-optimal there since the result is
-    /// Θ(|R|·|S|)), then the exact θ on the survivors. Every strategy
+    /// filter-then-refine over one flat copy: [`theta_candidates`] (the
+    /// plane sweep when the Θ-filter radius is bounded, so the join stays
+    /// O(n log n + k); all pairs under the Θ-filter when it is not), then
+    /// the exact θ on the survivors. Every strategy
     /// yields this pair set on a single node, so `resolved` is the one
     /// requested.
     fn join_at_router(&self, strategy: Strategy, theta: ThetaOp) -> RouterResponse {
@@ -383,29 +382,16 @@ impl ShardRouter {
         let queue_us = asked.elapsed().as_micros() as u64;
         let r: Vec<(&u64, &Geometry)> = r_geoms.iter().collect();
         let s: Vec<(&u64, &Geometry)> = s_geoms.iter().collect();
-        // One sweep item per tuple: its MBR and, as key, its index.
-        let items = |side: &[(&u64, &Geometry)], eps: f64| -> Vec<SweepItem> {
-            let item = |k: usize| SweepItem::expanded(k as u32, side[k].1.mbr(), eps);
-            (0..side.len()).map(item).collect()
+        let mbrs = |side: &[(&u64, &Geometry)]| -> Vec<Rect> {
+            side.iter().map(|(_, g)| g.mbr()).collect()
         };
-        let eps = theta.filter_radius();
-        let (left, right) = (items(&r, eps.unwrap_or(0.0)), items(&s, 0.0));
         let mut pairs = Vec::new();
-        let mut refine = |i: u32, j: u32| {
+        theta_candidates(&mbrs(&r), &mbrs(&s), theta, &mut |i, j| {
             let ((r_id, r_geom), (s_id, s_geom)) = (r[i as usize], s[j as usize]);
             if theta.eval(r_geom, s_geom) {
                 pairs.push((*r_id, *s_id));
             }
-        };
-        if eps.is_some() {
-            sweep_candidates(&left, &right, theta, &mut refine);
-        } else {
-            for l in &left {
-                for r in right.iter().filter(|r| theta.filter(&l.mbr, &r.mbr)) {
-                    refine(l.key, r.key);
-                }
-            }
-        }
+        });
         pairs.sort_unstable();
         RouterResponse {
             reply: Reply::Join {

@@ -321,6 +321,30 @@ fi
 echo "    -> one filter-and-refine loop: one sweep_candidates( and one Refiner::new( in sj-joins,"
 echo "       and the join index is built by one partition_join( call"
 
+echo "==> one-executor gate (Strategy dispatches in one match)"
+# `Strategy::executor` builds one private executor type: its
+# `try_execute` resolves `Auto` through the chooser, then matches the
+# concrete strategy onto that strategy's one function. Non-test sj-joins
+# code may hold exactly one `impl JoinExecutor for`, and non-test
+# executor.rs builds no second executor (no `.executor(` call).
+impls=$(
+    for f in crates/joins/src/*.rs; do
+        awk '/^#\[cfg\(test\)\]/ { exit }
+             /impl JoinExecutor for/ { print FILENAME ":" FNR ": " $0 }' "$f"
+    done
+)
+rebuilds=$(awk '/^#\[cfg\(test\)\]/ { exit }
+                /\.executor\(/ { print FILENAME ":" FNR ": " $0 }' crates/joins/src/executor.rs)
+n_impls=$(printf '%s' "$impls" | grep -c . || true)
+n_rebuilds=$(printf '%s' "$rebuilds" | grep -c . || true)
+if [ "$n_impls" -ne 1 ] || [ "$n_rebuilds" -ne 0 ]; then
+    echo "    $n_impls \`impl JoinExecutor for\` (want 1), $n_rebuilds \`.executor(\` calls in executor.rs (want 0):"
+    echo "$impls"
+    echo "$rebuilds"
+    exit 1
+fi
+echo "    -> one JoinExecutor implementation; executor.rs builds no second executor"
+
 echo "==> sequential-executor gate (one I/O stream per join strategy)"
 # A join runs on the calling thread against the caller's pool; a second
 # core is spent one layer up, by the router's tile shards. Non-test

@@ -6,9 +6,9 @@
 //! read-your-writes).
 //!
 //! Concrete strategies compare the full `Reply` (pairs *and* resolved
-//! strategy); `Auto` compares the pair set only, since shards resolve
-//! it adaptively and may legitimately diverge from the single node's
-//! static pick.
+//! strategy); `Auto` compares the pair set only, since each shard's
+//! service resolves it through `try_pick` on its own slice and may
+//! legitimately pick differently from the single node.
 
 use proptest::prelude::*;
 use sj_geom::{Bounded, Direction, Geometry, Point, Rect, ThetaOp};
