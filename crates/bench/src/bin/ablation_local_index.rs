@@ -91,7 +91,7 @@ fn main() {
         );
     }
     println!("\n(L = 0 is a single global join index: one sweep build, |S| maintenance.");
-    println!(" Build θ is one test per Θ-candidate at every L. Deeper anchors cut");
-    println!(" maintenance, at the price of more index fragments and Θ-filter work");
-    println!(" on anchor pairs growing as k^(2L): the optimum is interior.)");
+    println!(" Build θ is one test per Θ-candidate at every L; build Θ counts both");
+    println!(" sweeps' comparisons, over anchor pairs and then entries. Deeper anchors");
+    println!(" cut maintenance at the price of more index fragments: the optimum is interior.)");
 }

@@ -1,6 +1,6 @@
 //! A compact binary codec for `(tuple id, Geometry)` records, used by the
-//! storage-backed relations: spatial tuples are serialized into the
-//! fixed-size disk records the cost model prices at `v` bytes each.
+//! storage-backed relations: spatial tuples are serialized into disk
+//! records that the cost model prices at `v` bytes each (the slot width).
 //!
 //! v1 layout (little-endian):
 //!
@@ -11,9 +11,10 @@
 //! `count` is the vertex count (1 for points, 2 for rectangles). The
 //! checksum covers the id, tag, count and coordinates, and every v1
 //! decoder verifies it: a flipped bit anywhere in those bytes is a
-//! [`CodecError`], never a different valid geometry. Records may be
-//! zero-padded to any fixed record size ≥ the encoded length; decoding
-//! ignores trailing padding.
+//! [`CodecError`], never a different valid geometry. An encoder writes
+//! the frame at its encoded length, in a buffer of that size: the record
+//! size it takes is the slot width the frame must fit, not a length to
+//! pad to. Decoding ignores bytes past the frame.
 //!
 //! Trust: a frame whose checksum verifies holds what [`encode_record`]
 //! wrote, and the encoder only ever sees geometries their constructors
@@ -96,7 +97,7 @@ const ID_TAG_COUNT: usize = 8 + 1 + 2;
 /// checksum.
 pub const HEADER_LEN: usize = ID_TAG_COUNT + 8;
 
-/// Number of bytes needed to encode `g` (before padding).
+/// Number of bytes [`encode_record`] writes for `g`.
 pub fn encoded_len(g: &Geometry) -> usize {
     let count = match g {
         Geometry::Point(_) => 1,
@@ -107,7 +108,8 @@ pub fn encoded_len(g: &Geometry) -> usize {
     HEADER_LEN + 16 * count
 }
 
-/// Encodes a record, zero-padded to exactly `record_size` bytes.
+/// Encodes a record as its v1 frame, [`encoded_len`]`(g)` bytes long.
+/// `record_size` is the slot width the frame must fit.
 ///
 /// # Panics
 ///
@@ -131,7 +133,7 @@ pub fn encode_record(id: u64, g: &Geometry, record_size: usize) -> Vec<u8> {
         Geometry::Polyline(l) => (TAG_POLYLINE, l.vertices()),
     };
     let count = u16::try_from(points.len()).expect("vertex count exceeds u16");
-    let mut buf = Vec::with_capacity(record_size);
+    let mut buf = Vec::with_capacity(need);
     buf.extend_from_slice(&id.to_le_bytes());
     buf.push(tag);
     buf.extend_from_slice(&count.to_le_bytes());
@@ -141,7 +143,6 @@ pub fn encode_record(id: u64, g: &Geometry, record_size: usize) -> Vec<u8> {
         buf.extend_from_slice(&p.y.to_le_bytes());
     }
     seal_record(&mut buf);
-    buf.resize(record_size, 0);
     buf
 }
 
@@ -267,8 +268,8 @@ fn try_walk(
     Ok((id, kind, mbr))
 }
 
-/// Decodes a v1 record produced by [`encode_record`] (padding is
-/// ignored), reporting malformed bytes as a typed [`CodecError`] instead
+/// Decodes a v1 record produced by [`encode_record`] (bytes past the
+/// frame are ignored), reporting malformed bytes as a typed [`CodecError`] instead
 /// of panicking. This is the page-read path: bytes that round-tripped
 /// through this process's disk pages can be damaged, and the damage must
 /// surface as `StorageError::PageCorrupt`, not a crash. A polygon is
@@ -325,7 +326,7 @@ fn try_header(bytes: &[u8]) -> Result<(u64, u8, usize), CodecError> {
 /// anchor (4 × f64) and ε_q (f64).
 pub const QHEADER_LEN: usize = ID_TAG_COUNT + 40;
 
-/// Number of bytes a v2 ("q") frame needs for `g` (before padding).
+/// Number of bytes [`encode_qrecord`] writes for `g`.
 /// Points and rectangles keep their lossless v1 frames.
 pub fn encoded_qlen(g: &Geometry) -> usize {
     match g {
@@ -335,10 +336,11 @@ pub fn encoded_qlen(g: &Geometry) -> usize {
     }
 }
 
-/// Encodes a v2 record, zero-padded to exactly `record_size` bytes:
-/// vertices quantized against the MBR anchor, with the exact MBR and the
-/// measured error bound ε_q stored inline. Points and rectangles are
-/// written as their (lossless) v1 frames.
+/// Encodes a v2 record, [`encoded_qlen`]`(g)` bytes long: vertices
+/// quantized against the MBR anchor, with the exact MBR and the measured
+/// error bound ε_q stored inline. Points and rectangles are written as
+/// their (lossless) v1 frames. `record_size` is the slot width the frame
+/// must fit.
 ///
 /// # Panics
 ///
@@ -356,7 +358,7 @@ pub fn encode_qrecord(id: u64, g: &Geometry, record_size: usize) -> Vec<u8> {
         "geometry needs {need} bytes but the record size is {record_size}"
     );
     let (cells, eps) = quantize_cells(&mbr, verts);
-    let mut buf = Vec::with_capacity(record_size);
+    let mut buf = Vec::with_capacity(need);
     buf.extend_from_slice(&id.to_le_bytes());
     buf.push(tag);
     let count = u16::try_from(cells.len()).expect("vertex count exceeds u16");
@@ -368,7 +370,6 @@ pub fn encode_qrecord(id: u64, g: &Geometry, record_size: usize) -> Vec<u8> {
         buf.extend_from_slice(&cx.to_le_bytes());
         buf.extend_from_slice(&cy.to_le_bytes());
     }
-    buf.resize(record_size, 0);
     buf
 }
 
@@ -427,7 +428,7 @@ mod tests {
 
     fn roundtrip(id: u64, g: Geometry) {
         let rec = encode_record(id, &g, 300);
-        assert_eq!(rec.len(), 300);
+        assert_eq!(rec.len(), encoded_len(&g));
         let (id2, g2) = try_decode_record(&rec).unwrap();
         assert_eq!(id, id2);
         assert_eq!(g, g2);
@@ -475,12 +476,17 @@ mod tests {
         let _ = encode_record(1, &Geometry::Polygon(poly), 64);
     }
 
+    /// The slot width does not change the frame, and bytes after a frame
+    /// do not change what it decodes to.
     #[test]
     fn padding_is_ignored() {
         let g = Geometry::Point(Point::new(9.0, 9.0));
         let small = encode_record(5, &g, encoded_len(&g));
         let large = encode_record(5, &g, 1000);
-        assert_eq!(try_decode_record(&small), try_decode_record(&large));
+        assert_eq!(small, large);
+        let mut trailed = large.clone();
+        trailed.resize(1000, 0xAB);
+        assert_eq!(try_decode_record(&small), try_decode_record(&trailed));
     }
 
     #[test]
@@ -594,7 +600,7 @@ mod tests {
     }
 
     /// One frame of each v1 kind: a point, a rectangle, a 24-gon and a
-    /// polyline, padded to the benchmark's 480-byte slot.
+    /// polyline, encoded for the benchmark's 480-byte slot.
     fn frames() -> Vec<(Geometry, Vec<u8>)> {
         let line = vec![
             Point::new(0.0, 0.0),
@@ -630,10 +636,14 @@ mod tests {
         }
     }
 
+    /// Bytes after the frame (up to the 480-byte slot here) are not
+    /// read: no bit flipped there changes the decode.
     #[test]
     fn a_flipped_bit_in_the_padding_is_ignored() {
-        for (g, rec) in frames() {
+        for (g, mut rec) in frames() {
+            assert_eq!(rec.len(), encoded_len(&g));
             let want = (try_decode_record(&rec), try_decode_mbr(&rec));
+            rec.resize(480, 0);
             for bit in encoded_len(&g) * 8..rec.len() * 8 {
                 let mut padded = rec.clone();
                 padded[bit / 8] ^= 1 << (bit % 8);

@@ -79,14 +79,14 @@ fn subtree_entries(tree: &GenTree, n: NodeId) -> Vec<(u64, Geometry)> {
 }
 
 impl LocalJoinIndex {
-    /// Builds the local indices: Θ-filters all anchor pairs, then, within
-    /// each qualifying pair only, θ-tests the Θ-candidates of the two
-    /// subtrees' entries ([`theta_candidates`]). The returned stats carry
-    /// the Θ-evaluations (anchor pairs plus the candidate sweeps'
-    /// comparisons) and the θ-evaluations, one per candidate. Entry
-    /// records are read through the pool (charged);
-    /// the first faulted node touch during the build sweeps aborts with a
-    /// typed error (no partially built index).
+    /// Builds the local indices: enumerates the Θ-qualifying anchor pairs
+    /// with [`theta_candidates`] over the anchor MBRs, then, within each
+    /// such pair only, θ-tests the Θ-candidates of the two subtrees'
+    /// entries the same way. The returned stats carry the Θ-evaluations
+    /// (both levels' candidate-sweep comparisons) and the θ-evaluations,
+    /// one per candidate. Entry records are read through the pool
+    /// (charged); the first faulted node touch during the build sweeps
+    /// aborts with a typed error (no partially built index).
     pub fn try_build(
         pool: &mut BufferPool,
         r: &TreeRelation,
@@ -124,28 +124,27 @@ impl LocalJoinIndex {
         }
 
         let mut partitions = HashMap::new();
-        for &a in &r_anchors {
-            let a_mbr = r.tree.mbr(a);
-            for &b in &s_anchors {
-                stats.filter_evals += 1;
-                if !theta.filter(&a_mbr, &s.tree.mbr(b)) {
-                    continue;
+        let anchor_mbrs = |t: &TreeRelation, anchors: &[NodeId]| -> Vec<Rect> {
+            anchors.iter().map(|&n| t.tree.mbr(n)).collect()
+        };
+        let (r_mbrs, s_mbrs) = (anchor_mbrs(r, &r_anchors), anchor_mbrs(s, &s_anchors));
+        let anchor_swept = theta_candidates(&r_mbrs, &s_mbrs, theta, &mut |a, b| {
+            let (a, b) = (r_anchors[a as usize], s_anchors[b as usize]);
+            let (ra, sb) = (&r_entries[&a], &s_entries[&b]);
+            let mut local = BPlusTree::new(z);
+            let swept = theta_candidates(&mbrs(ra), &mbrs(sb), theta, &mut |i, j| {
+                let ((r_id, r_geom), (s_id, s_geom)) = (&ra[i as usize], &sb[j as usize]);
+                stats.theta_evals += 1;
+                if theta.eval(r_geom, s_geom) {
+                    local.insert((*r_id, *s_id), ());
                 }
-                let (ra, sb) = (&r_entries[&a], &s_entries[&b]);
-                let mut local = BPlusTree::new(z);
-                let swept = theta_candidates(&mbrs(ra), &mbrs(sb), theta, &mut |i, j| {
-                    let ((r_id, r_geom), (s_id, s_geom)) = (&ra[i as usize], &sb[j as usize]);
-                    stats.theta_evals += 1;
-                    if theta.eval(r_geom, s_geom) {
-                        local.insert((*r_id, *s_id), ());
-                    }
-                });
-                stats.filter_evals += swept;
-                stats.physical_writes += local.node_count() as u64;
-                local.reset_accesses();
-                partitions.insert((a, b), local);
-            }
-        }
+            });
+            stats.filter_evals += swept;
+            stats.physical_writes += local.node_count() as u64;
+            local.reset_accesses();
+            partitions.insert((a, b), local);
+        });
+        stats.filter_evals += anchor_swept;
         stats.add_io(pool.stats().since(&before));
         Ok((
             LocalJoinIndex {
@@ -348,8 +347,9 @@ mod tests {
             .count() as u64;
         assert_eq!(candidates, 100, "each R point has one S point within 1");
         // Not the N² nested loop: at every anchor level, one θ-test per
-        // Θ-candidate, found by far fewer than N² Θ-comparisons.
-        for level in [0, 2] {
+        // Θ-candidate, found by far fewer than N² Θ-comparisons — also at
+        // the leaf level, whose anchors are the N entries themselves.
+        for level in [0, 2, usize::MAX] {
             let (_, stats) = LocalJoinIndex::try_build(&mut p, &r, &s, theta, level, 16).unwrap();
             assert_eq!(stats.theta_evals, candidates, "level {level}");
             assert!(

@@ -3,7 +3,7 @@
 //! §4.1: "the tree nodes contain the complete tuples that correspond to
 //! the spatial object represented in that node" — i.e. the tree *is* the
 //! relation's storage, and visiting a node costs the I/O of its tuple
-//! record. [`PagedTree`] assigns every tree node a fixed-size record on a
+//! record. [`PagedTree`] assigns every tree node a record slot on a
 //! heap file, in breadth-first order under [`Layout::Clustered`]
 //! (strategy IIb) or scattered under [`Layout::Unclustered`]
 //! (strategy IIa), and charges a record read per visit.
@@ -226,7 +226,7 @@ impl TreeRelation {
     /// * live in both with identical logical content (same entry, or
     ///   same directory MBR) → written, not changed: zero I/O,
     /// * live in both but changed → rewritten in place (one charged
-    ///   write; records are fixed-size, so in-place is always legal),
+    ///   write; a frame fits its slot width, so in-place is always legal),
     /// * new in `next` → appended to the file.
     ///
     /// I/O and CPU are O(`dirty`): directories and flat snapshot are
@@ -244,9 +244,9 @@ impl TreeRelation {
         let mut file = self.paged.file.clone();
         let mut record = self.paged.record.clone();
         let mode = self.paged.mode;
-        // Records are fixed-size per file: rewritten and appended frames
-        // must match the file's own record size (for a compressed tree
-        // that size was derived from the tree at build).
+        // Rewritten and appended frames must fit the file's own slot
+        // width (for a compressed tree that width was derived from the
+        // tree at build).
         let record_size = self.paged.file.record_size();
         // Evolution preserves the relation's codec mode record for record.
         let encode = |node: NodeId| encode_node(&next, node, record_size, mode);
@@ -577,6 +577,18 @@ mod tests {
                 assert_eq!(
                     writes as usize, changed,
                     "{mode:?} round {round}: charged writes"
+                );
+                // Records are stored at their frame length: the pages
+                // hold exactly the live nodes' frames.
+                let frame_len = |n| match (next.entry(n), mode) {
+                    (Some(e), CodecMode::Exact) => codec::encoded_len(&e.geometry),
+                    (Some(e), CodecMode::Quantized) => codec::encoded_qlen(&e.geometry),
+                    (None, _) => codec::encoded_len(&Geometry::Rect(next.mbr(n))),
+                };
+                assert_eq!(
+                    crate::relation::stored_bytes(&mut p, &evolved.paged.file),
+                    next.iter_live().map(frame_len).sum::<usize>(),
+                    "{mode:?} round {round}: resident bytes"
                 );
                 assert!(
                     changed > 0 && dirty.len() < slots.len() / 2,

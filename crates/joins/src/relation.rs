@@ -1,5 +1,5 @@
 //! Storage-backed spatial relations: `(id, Geometry)` tuples serialized
-//! into fixed-size records on a heap file.
+//! into records on a heap file of fixed slot width.
 
 use sj_geom::codec;
 use sj_geom::{Geometry, QKind, Rect};
@@ -35,11 +35,12 @@ impl ScanEntry {
     }
 }
 
-/// A relation with one spatial attribute, stored on disk as `v`-byte
-/// records (the model's tuple size). An in-memory directory maps tuple ids
-/// to file slots, and a binary search over the ascending `slots` turns a
-/// slot into its logical position, so no mutation rewrites the directory;
-/// all *data* access goes through the buffer pool and is charged I/O.
+/// A relation with one spatial attribute, stored on disk in `v`-byte
+/// slots (the model's tuple size), each record at its frame length. An
+/// in-memory directory maps tuple ids to file slots, and a binary search
+/// over the ascending `slots` turns a slot into its logical position, so
+/// no mutation rewrites the directory; all *data* access goes through the
+/// buffer pool and is charged I/O.
 ///
 /// Positions are dense and **order-preserving** under mutation: a delete
 /// closes the position gap without reordering survivors (so a scan of
@@ -276,10 +277,21 @@ impl StoredRelation {
     }
 }
 
+/// Σ [`Page::used`](sj_storage::Page::used) over the pages of `file`:
+/// the bytes its records occupy.
+#[cfg(test)]
+pub(crate) fn stored_bytes(pool: &mut BufferPool, file: &HeapFile) -> usize {
+    let mut pages: Vec<_> = (0..file.len()).map(|i| file.rid(i).page).collect();
+    pages.sort_unstable();
+    pages.dedup();
+    let used = |page| pool.try_fetch(page).unwrap().used();
+    pages.into_iter().map(used).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sj_geom::{Point, Rect};
+    use sj_geom::{Point, Polygon, Rect};
     use sj_storage::{Disk, DiskConfig};
 
     fn pool() -> BufferPool {
@@ -441,6 +453,36 @@ mod tests {
         for (id, g) in &model {
             assert_eq!(&reloaded.try_read_by_id(&mut p, *id).unwrap().1, g);
         }
+    }
+
+    /// Records are stored at their frame length through every mutation:
+    /// the file's pages hold exactly Σ `encoded_len` of the live tuples,
+    /// also after a record mid-page grows or shrinks in place.
+    #[test]
+    fn pages_hold_exactly_the_live_frames() {
+        let mut p = pool();
+        let mut model = tuples(12);
+        let mut rel = StoredRelation::build(&mut p, &model, 300, Layout::Clustered);
+        let check = |p: &mut BufferPool, rel: &StoredRelation, model: &[(u64, Geometry)]| {
+            let want: usize = model.iter().map(|(_, g)| codec::encoded_len(g)).sum();
+            assert_eq!(stored_bytes(p, &rel.file), want);
+            assert_eq!(rel.try_scan(p).unwrap(), model);
+        };
+        check(&mut p, &rel, &model);
+        let gon = |n| Geometry::Polygon(Polygon::regular(Point::new(5.0, 5.0), 2.0, n));
+        rel.try_insert(&mut p, 100, &gon(6)).unwrap();
+        model.push((100, gon(6)));
+        check(&mut p, &rel, &model);
+        // Tuple 2 sits mid-page (slot 2 of m = 5): a larger polygon, then
+        // a smaller one.
+        for n in [12, 3] {
+            rel.try_replace(&mut p, 2, &gon(n)).unwrap();
+            model[2].1 = gon(n);
+            check(&mut p, &rel, &model);
+        }
+        rel.try_delete(&mut p, 1).unwrap();
+        model.remove(1);
+        check(&mut p, &rel, &model);
     }
 
     #[test]

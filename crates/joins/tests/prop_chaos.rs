@@ -259,7 +259,8 @@ fn refine_phase_faults_are_fail_stop() {
 /// every flip, every strategy and `Auto` under all eight θ returns
 /// `PageCorrupt` or the nested-loop answer on the undamaged data: the
 /// record checksum turns damage into a typed error, never a different
-/// geometry. A flip in a record's padding changes nothing.
+/// geometry. Every bit of each stored frame is flipped: a record is
+/// stored at its frame length, so there is no padding to leave out.
 #[test]
 fn flipped_bits_are_page_corrupt_or_the_exact_answer() {
     let mut pool = pool();
@@ -270,8 +271,14 @@ fn flipped_bits_are_page_corrupt_or_the_exact_answer() {
         })
         .collect();
     let points = grid_tuples(3, 10.0, 500);
-    // A tight slot for the 4-gons: the point records carry padding.
+    // A tight slot for the 4-gons; the point frames are shorter.
     let record_size = sj_geom::codec::encoded_len(&polygons[0].1);
+    // One polygon and one point are damaged; their frame lengths.
+    let damaged = [1u64, 504].map(|id| {
+        let (_, g) = polygons.iter().chain(&points).find(|t| t.0 == id).unwrap();
+        (id, sj_geom::codec::encoded_len(g))
+    });
+    assert!(damaged[1].1 < record_size);
     let r = StoredRelation::build(&mut pool, &polygons, record_size, Layout::Clustered);
     let s = StoredRelation::build(&mut pool, &points, record_size, Layout::Clustered);
     let heap_pages = (r.page_count() + s.page_count()) as u32;
@@ -301,16 +308,18 @@ fn flipped_bits_are_page_corrupt_or_the_exact_answer() {
     assert!(want.iter().any(|pairs| !pairs.is_empty()));
 
     let (mut corrupt, mut exact) = (0, 0);
-    for id in [1u64, 504] {
+    for (id, want_len) in damaged {
         // The relations' heap pages come first on the fresh disk.
-        let (page, slot) = (0..heap_pages)
+        let (page, slot, frame_len) = (0..heap_pages)
             .map(PageId)
             .find_map(|page| {
                 let pg = pool.try_fetch(page).unwrap();
                 let slots = 0..pg.slot_count() as u16;
-                let mut hit =
-                    slots.filter(|&s| pg.get(s).is_some_and(|b| b[..8] == id.to_le_bytes()));
-                hit.next().map(|slot| (page, slot))
+                let mut hit = slots.filter_map(|s| {
+                    let frame = pg.get(s).filter(|b| b[..8] == id.to_le_bytes())?;
+                    Some((page, s, frame.len()))
+                });
+                hit.next()
             })
             .expect("the record is on a heap page");
         let flip = |pool: &mut BufferPool, bit: usize| {
@@ -321,7 +330,8 @@ fn flipped_bits_are_page_corrupt_or_the_exact_answer() {
             })
             .unwrap();
         };
-        for bit in 0..record_size * 8 {
+        assert_eq!(frame_len, want_len, "record {id} at its frame length");
+        for bit in 0..frame_len * 8 {
             flip(&mut pool, bit);
             for (theta, want) in THETAS.into_iter().zip(&want) {
                 for strategy in Strategy::ALL.into_iter().chain([Strategy::Auto]) {

@@ -6,7 +6,7 @@
 //!
 //! * typed schemas with scalar **and spatial** columns ([`Schema`],
 //!   [`Value`]),
-//! * disk-backed tables with fixed-size tuple records ([`Database`]),
+//! * disk-backed tables of tuple records in fixed-width slots ([`Database`]),
 //! * secondary structures per spatial column: a column file (for scans and
 //!   join-index builds) and an optional R-tree generalization tree,
 //! * the query operators the paper's examples need — scalar selection,

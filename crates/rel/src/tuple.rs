@@ -1,4 +1,4 @@
-//! Tuples and their binary encoding into fixed-size records.
+//! Tuples and their binary encoding into records.
 //!
 //! Layout: per value a 1-byte tag, then
 //! * `Int` — 8 bytes little-endian,
@@ -6,9 +6,10 @@
 //! * `Str` — u16 length + UTF-8 bytes,
 //! * `Spatial` — u16 length + the `sj_geom::codec` encoding.
 //!
-//! Records are zero-padded to the table's fixed record size (the model's
-//! tuple size `v`); a leading `u16` stores the encoded length so padding
-//! is unambiguous.
+//! A record is written at its encoded length, which must fit the table's
+//! record size (the model's tuple size `v`, the heap file's slot width);
+//! a leading `u16` stores the body length, so bytes after the record are
+//! never read.
 
 use sj_geom::{codec, CodecError, Geometry};
 
@@ -38,7 +39,8 @@ pub fn encoded_tuple_len(row: &Tuple) -> usize {
         .sum::<usize>()
 }
 
-/// Encodes a tuple into exactly `record_size` bytes.
+/// Encodes a tuple into [`encoded_tuple_len`]`(row)` bytes, which must
+/// fit the table's `record_size`.
 ///
 /// # Panics
 ///
@@ -52,7 +54,7 @@ pub fn encode_tuple(row: &Tuple, record_size: usize) -> Vec<u8> {
         total <= record_size && total <= usize::from(u16::MAX),
         "tuple needs {total} bytes but the record size is {record_size}"
     );
-    let mut out = Vec::with_capacity(record_size);
+    let mut out = Vec::with_capacity(total);
     out.extend_from_slice(&((total - 2) as u16).to_le_bytes());
     for v in row {
         match v {
@@ -77,7 +79,6 @@ pub fn encode_tuple(row: &Tuple, record_size: usize) -> Vec<u8> {
             }
         }
     }
-    out.resize(record_size, 0);
     out
 }
 
@@ -170,7 +171,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let rec = encode_tuple(&sample(), 300);
-        assert_eq!(rec.len(), 300);
+        assert_eq!(rec.len(), encoded_tuple_len(&sample()));
         assert_eq!(
             decode_tuple(&rec, &schema(), codec::try_decode_untrusted),
             Ok(sample())

@@ -107,9 +107,11 @@ pub struct ServiceConfig {
     pub pool_capacity: usize,
     /// Frames of the shard each compute attempt forks.
     pub shard_capacity: usize,
-    /// On-disk record size for relations and trees. A v1 record is 19
-    /// header bytes (id, tag, count, checksum) plus 16 per vertex, so the
-    /// default 300-byte slot holds polygons of at most 17 vertices.
+    /// Slot width `v` of the relations' and trees' heap files: a page
+    /// holds `m = ⌊l·s/v⌋` records, each stored at its own frame length.
+    /// A v1 frame is 19 header bytes (id, tag, count, checksum) plus 16
+    /// per vertex, so the default 300-byte slot holds polygons of at most
+    /// 17 vertices.
     pub record_size: usize,
     /// Generalization-tree (R-tree) fan-out.
     pub fanout: usize,

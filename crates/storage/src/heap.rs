@@ -1,5 +1,10 @@
-//! Heap files: fixed-record-size files with *clustered* or *unclustered*
-//! record placement.
+//! Heap files: files of fixed slot width `v` holding frame-length records,
+//! with *clustered* or *unclustered* record placement.
+//!
+//! The slot width prices the file as the paper does (§4.1): a page holds
+//! `m = ⌊l·s/v⌋` records, so page ids and I/O counts follow `v` alone. A
+//! record is stored at its own length, any length up to `v`; the page
+//! keeps only its bytes, never padding out to `v`.
 //!
 //! The placement distinction is the heart of the paper's strategy IIa vs.
 //! IIb comparison (§4.1): with `Layout::Clustered`, logically consecutive
@@ -38,7 +43,8 @@ pub enum Layout {
     },
 }
 
-/// A file of fixed-size records with a logical-to-physical directory.
+/// A file of records in fixed-width slots (at most `m` records of at most
+/// `v` bytes a page) with a logical-to-physical directory.
 /// Both arrays only grow at the end, so a clone shares everything and an
 /// append copies the last chunk: large chunks, short spines.
 #[derive(Debug, Clone)]
@@ -51,10 +57,15 @@ pub struct HeapFile {
 }
 
 impl HeapFile {
-    /// Bulk-loads `count` records of `record_size` bytes produced by
-    /// `make_record(i)` (logical order), placing them per `layout`. The
-    /// first allocation or write fault aborts the load (pages allocated so
-    /// far are harmlessly orphaned).
+    /// Bulk-loads `count` records of at most `record_size` bytes (the
+    /// slot width `v`) produced by `make_record(i)` (logical order),
+    /// placing them `m` to a page per `layout`. The first allocation or
+    /// write fault aborts the load (pages allocated so far are harmlessly
+    /// orphaned).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `make_record` returns a record longer than `record_size`.
     pub fn bulk_load_with(
         pool: &mut BufferPool,
         record_size: usize,
@@ -94,10 +105,9 @@ impl HeapFile {
             pool.try_update(page, |p| {
                 for &logical in residents {
                     let record = make_record(logical);
-                    assert_eq!(
-                        record.len(),
-                        record_size,
-                        "make_record must produce records of exactly {record_size} bytes"
+                    assert!(
+                        record.len() <= record_size,
+                        "make_record must produce records of at most {record_size} bytes"
                     );
                     let slot = p.push(record);
                     directory[logical] = RecordId { page, slot };
@@ -126,19 +136,19 @@ impl HeapFile {
 
     /// Appends one record at the end of the file, allocating a page if
     /// needed. Returns the logical index of the new record, or a typed
-    /// error: [`StorageError::Io`] for a size mismatch or a structurally
-    /// empty file, [`StorageError::DiskFull`] when no page can be
-    /// allocated, or any propagated I/O fault. On error the file is
-    /// unchanged (a page allocated before a failed push is harmlessly
-    /// orphaned).
+    /// error: [`StorageError::Io`] for a record wider than the slot width
+    /// or a structurally empty file, [`StorageError::DiskFull`] when no
+    /// page can be allocated, or any propagated I/O fault. On error the
+    /// file is unchanged (a page allocated before a failed push is
+    /// harmlessly orphaned).
     pub fn try_append(
         &mut self,
         pool: &mut BufferPool,
         record: Vec<u8>,
     ) -> Result<usize, StorageError> {
-        if record.len() != self.record_size {
+        if record.len() > self.record_size {
             return Err(StorageError::Io(format!(
-                "record of {} bytes appended to a file of {}-byte records",
+                "record of {} bytes appended to a file of {}-byte slots",
                 record.len(),
                 self.record_size
             )));
@@ -183,7 +193,7 @@ impl HeapFile {
         self.records_per_page
     }
 
-    /// Record size in bytes (the model's `v`).
+    /// Slot width in bytes (the model's `v`): the most a record may hold.
     #[inline]
     pub fn record_size(&self) -> usize {
         self.record_size
@@ -335,15 +345,22 @@ mod tests {
         assert!(f.is_empty(), "failed append must not grow the directory");
     }
 
+    /// A record wider than the slot width is a typed error; a shorter
+    /// one is stored at its own length and read back as written.
     #[test]
     fn append_size_mismatch_is_a_typed_error() {
         let mut p = pool();
         let mut f = HeapFile::bulk_load(&mut p, 300, 2, Layout::Clustered).unwrap();
         assert!(matches!(
-            f.try_append(&mut p, vec![0; 10]),
+            f.try_append(&mut p, vec![0; 301]),
             Err(StorageError::Io(_))
         ));
         assert_eq!(f.len(), 2);
+        let used = p.try_fetch(f.rid(0).page).unwrap().used();
+        let idx = f.try_append(&mut p, vec![7; 10]).unwrap();
+        assert_eq!(f.len(), 3);
+        assert_eq!(p.try_read_record(&f, f.rid(idx)).unwrap(), &[7u8; 10][..]);
+        assert_eq!(p.try_fetch(f.rid(idx).page).unwrap().used(), used + 10);
     }
 
     #[test]

@@ -520,6 +520,25 @@ if [ "$(echo "$formats" | grep -v '^checksum ')" != "$basis" ] ||
 fi
 echo "    -> two checksums (wal.rs frames, codec.rs records), no page image or page catalog"
 
+echo "==> frame-length gate (records at their frame length, one buffer per page)"
+# The v1/v2 and row encoders write a record at its encoded length: the
+# record size they take is the slot width it must fit, never a length to
+# pad to. A page keeps its live records in one byte buffer with an
+# (offset, len) entry per slot, not one allocation per record.
+padded=$(
+    for f in crates/geom/src/codec.rs crates/rel/src/tuple.rs; do
+        awk '/^#\[cfg\(test\)\]/ { exit } /resize\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+    done
+    awk '/^#\[cfg\(test\)\]/ { exit } /Vec<Vec<u8>>/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/storage/src/page.rs
+)
+if [ -n "$padded" ]; then
+    echo "    padding or a per-record allocation is back:"
+    echo "$padded"
+    exit 1
+fi
+echo "    -> encoders write frames at their length, a page is one byte buffer"
+
 echo "==> MBR-scan gate (the filter's scan decodes no geometry)"
 # `StoredRelation::try_scan_mbrs` reads each record's MBR from its raw
 # coordinates (codec::try_decode_mbr). A full decoder in its body would
