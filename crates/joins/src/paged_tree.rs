@@ -109,13 +109,15 @@ impl PagedTree {
     }
 
     /// Charges the I/O of visiting `node` (a logical read, a physical one
-    /// on a miss, `DanglingRecord` for a cleared slot) without copying or
-    /// decoding the record — the hot path for the tree executors, whose
-    /// θ runs on the in-memory [`GenTree`]; the stored record is only the
-    /// paper's per-node I/O charge.
+    /// on a miss) through [`BufferPool::try_touch`], reading no byte of
+    /// the record — the hot path for the tree executors, whose θ runs on
+    /// the in-memory [`GenTree`]; the stored record is only the paper's
+    /// per-node I/O charge. A dead record is a debug assertion.
     pub fn try_touch_io(&self, pool: &mut BufferPool, node: NodeId) -> Result<(), StorageError> {
-        pool.try_read_record(&self.file, self.record[node.index()])
-            .map(|_| ())
+        let rid = self.record[node.index()];
+        pool.try_touch(rid.page)?;
+        debug_assert!(pool.holds_record(rid), "node mapped to a dead record");
+        Ok(())
     }
 
     /// Pages occupied by the stored tree.

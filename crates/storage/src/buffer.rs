@@ -6,9 +6,12 @@
 //! comparable with the I/O terms of the cost formulas. Recency is tracked
 //! with an intrusive doubly-linked list, giving O(1) hits, misses, and
 //! evictions.
+//!
+//! A frame holds a page id, not a page: the simulator is write-through,
+//! so a resident page's bytes are the disk view's, and a fetch lends them
+//! from there.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::disk::{Disk, DiskConfig};
 use crate::error::StorageError;
@@ -22,7 +25,6 @@ const NIL: usize = usize::MAX;
 
 struct Frame {
     id: PageId,
-    page: Arc<Page>,
     prev: usize,
     next: usize,
 }
@@ -154,51 +156,48 @@ impl BufferPool {
     /// allocation fault.
     pub fn try_allocate(&mut self) -> Result<PageId, StorageError> {
         let id = self.disk.try_allocate()?;
-        let page = Arc::new(Page::new(self.disk.config().effective_capacity()));
-        self.install(id, page);
+        self.install(id);
         Ok(id)
     }
 
-    /// Makes `id` resident, reading it from disk on a miss, and returns
-    /// its frame index.
-    fn ensure_resident(&mut self, id: PageId) -> Result<usize, StorageError> {
-        if let Some(&idx) = self.map.get(&id) {
-            self.touch(idx);
-            return Ok(idx);
-        }
-        let page = self.disk.try_read_shared(id)?;
-        Ok(self.install(id, page))
-    }
-
-    /// Fetches a page, charging a physical read only on a miss. The miss
-    /// path clones an `Arc` handle, not page bytes; only the miss path
-    /// can fault.
-    pub fn try_fetch(&mut self, id: PageId) -> Result<&Page, StorageError> {
+    /// Charges a visit to page `id` exactly as [`BufferPool::try_fetch`]
+    /// does — a logical read, an LRU move, and on a miss a physical read
+    /// (which alone can fault) and any eviction — and reads no byte.
+    pub fn try_touch(&mut self, id: PageId) -> Result<(), StorageError> {
         self.disk.add_logical_read();
-        let idx = self.ensure_resident(id)?;
-        Ok(&self.frames[idx].page)
+        match self.map.get(&id) {
+            Some(&idx) if idx == self.head => {}
+            Some(&idx) => {
+                self.unlink(idx);
+                self.link_front(idx);
+            }
+            None => {
+                self.disk.try_read(id)?;
+                self.install(id);
+            }
+        }
+        Ok(())
     }
 
-    /// Mutates a page through the pool with write-through semantics. A
-    /// failed write-back restores the frame's pre-mutation image, so the
-    /// pool never diverges from the disk — fail-stop leaves no torn state.
+    /// Fetches a page, charging as [`BufferPool::try_touch`] does, and
+    /// lends its bytes from the disk view (write-through: a resident
+    /// page's bytes are the disk's).
+    pub fn try_fetch(&mut self, id: PageId) -> Result<&Page, StorageError> {
+        self.try_touch(id)?;
+        self.disk.page(id)
+    }
+
+    /// Fetches a page (charged), mutates a copy and writes it through. A
+    /// failed write leaves the disk's page, and so every later fetch, as
+    /// it was — fail-stop leaves no torn state.
     pub fn try_update(
         &mut self,
         id: PageId,
         f: impl FnOnce(&mut Page),
     ) -> Result<(), StorageError> {
-        self.disk.add_logical_read();
-        let idx = self.ensure_resident(id)?;
-        let before = Arc::clone(&self.frames[idx].page);
-        f(Arc::make_mut(&mut self.frames[idx].page));
-        if let Err(e) = self
-            .disk
-            .try_write_shared(id, Arc::clone(&self.frames[idx].page))
-        {
-            self.frames[idx].page = before;
-            return Err(e);
-        }
-        Ok(())
+        let mut page = self.try_fetch(id)?.clone();
+        f(&mut page);
+        self.disk.try_write(id, page)
     }
 
     /// A private pool shard (one per service request, one per commit):
@@ -217,7 +216,7 @@ impl BufferPool {
     }
 
     /// Reads one record through the pool, lending its bytes from the
-    /// resident frame. Fails with [`StorageError::DanglingRecord`] when
+    /// disk view's page. Fails with [`StorageError::DanglingRecord`] when
     /// the record id points at a missing or emptied slot (e.g. a stale
     /// rid probed after an update), or propagates the fetch's fault.
     pub fn try_read_record(
@@ -230,6 +229,15 @@ impl BufferPool {
         self.try_fetch(page)?
             .get(slot)
             .ok_or(StorageError::DanglingRecord { page, slot })
+    }
+
+    /// True if `rid` names a live record, charging nothing: for assertions
+    /// that a record map agrees with its file.
+    #[doc(hidden)]
+    pub fn holds_record(&self, rid: RecordId) -> bool {
+        self.disk
+            .page(rid.page)
+            .is_ok_and(|p| p.get(rid.slot).is_some())
     }
 
     /// Unlinks frame `idx` from the recency list.
@@ -260,19 +268,9 @@ impl BufferPool {
         }
     }
 
-    /// Marks frame `idx` most recently used.
-    fn touch(&mut self, idx: usize) {
-        if self.head == idx {
-            return;
-        }
-        self.unlink(idx);
-        self.link_front(idx);
-    }
-
-    fn install(&mut self, id: PageId, page: Arc<Page>) -> usize {
+    fn install(&mut self, id: PageId) {
         let frame = Frame {
             id,
-            page,
             prev: NIL,
             next: NIL,
         };
@@ -291,7 +289,6 @@ impl BufferPool {
         };
         self.map.insert(id, idx);
         self.link_front(idx);
-        idx
     }
 }
 
@@ -538,8 +535,46 @@ mod tests {
         ));
     }
 
+    /// Charging a visit is charging a fetch: two forks with the same
+    /// fault stream replay one id sequence (repeats, and more distinct
+    /// pages than frames), one touching and one fetching, and agree on
+    /// every counter, every frame and every outcome.
     #[test]
-    fn failed_update_restores_the_frame() {
+    fn touch_charges_exactly_as_fetch() {
+        use crate::fault::{FaultConfig, FaultInjector};
+        let mut p = pool(8);
+        let ids: Vec<_> = (0..12).map(|_| p.try_allocate().unwrap()).collect();
+        let fork = || {
+            let mut f = p.fork_view(4);
+            let faults = FaultConfig::uniform(3, 0.2);
+            f.set_fault_injector(Some(FaultInjector::new(faults)));
+            f
+        };
+        let (mut touched, mut fetched) = (fork(), fork());
+        let order = [
+            0, 1, 2, 0, 3, 4, 5, 0, 6, 1, 7, 8, 9, 10, 11, 2, 2, 5, 11, 0,
+        ];
+        let mut faults = 0;
+        for &i in order.iter().cycle().take(3 * order.len()) {
+            let a = touched.try_touch(ids[i]);
+            let b = fetched.try_fetch(ids[i]).map(|_| ());
+            assert_eq!(a, b, "page {i}");
+            faults += usize::from(a.is_err());
+            assert_eq!(touched.stats(), fetched.stats());
+            assert_eq!(touched.evictions(), fetched.evictions());
+            assert_eq!(touched.resident(), fetched.resident());
+            for &id in &ids {
+                assert_eq!(touched.contains(id), fetched.contains(id));
+            }
+        }
+        assert!(
+            faults > 0 && touched.evictions() > 0,
+            "both paths exercised"
+        );
+    }
+
+    #[test]
+    fn failed_update_leaves_fetch_and_disk_unchanged() {
         use crate::fault::{FaultConfig, FaultInjector};
         let mut p = pool(4);
         let id = p.try_allocate().unwrap();
@@ -557,17 +592,21 @@ mod tests {
                 page.push(vec![2; 6]);
             })
             .is_err());
-        // Neither the resident frame nor the disk saw the mutation.
+        // The page stays resident; neither a fetch nor the disk sees the
+        // mutation.
         p.set_fault_injector(None);
+        assert!(p.contains(id));
+        assert_eq!(p.try_fetch(id).unwrap().get(0), Some(&[1u8; 4][..]));
         assert_eq!(p.try_fetch(id).unwrap().used(), 4);
+        assert_eq!(p.disk().page(id).unwrap().used(), 4);
         p.clear();
         assert_eq!(p.try_fetch(id).unwrap().used(), 4);
     }
 
     #[test]
-    fn update_through_shared_frame_does_not_corrupt_snapshot() {
+    fn fork_write_leaves_the_parent_page_unchanged() {
         // A fork taken while the parent has the page resident must not
-        // observe subsequent parent mutations (Arc copy-on-write).
+        // observe later parent writes, nor the parent the fork's.
         let mut p = pool(4);
         let id = p.try_allocate().unwrap();
         p.try_update(id, |page| {
@@ -581,5 +620,13 @@ mod tests {
         .unwrap();
         assert_eq!(p.try_fetch(id).unwrap().used(), 8);
         assert_eq!(shard.try_fetch(id).unwrap().used(), 3);
+        shard
+            .try_update(id, |page| {
+                page.push(vec![3; 2]);
+            })
+            .unwrap();
+        assert_eq!(shard.try_fetch(id).unwrap().used(), 5);
+        assert_eq!(p.try_fetch(id).unwrap().used(), 8);
+        assert_eq!(p.disk().page(id).unwrap().used(), 8);
     }
 }

@@ -61,9 +61,9 @@ type PageTable = CowVec<Arc<Page>, 64>;
 
 /// The simulated disk.
 ///
-/// Pages are stored behind [`Arc`] so that a read costs an O(1) handle
-/// clone rather than a byte copy, and the page table is shared too, so
-/// [`Disk::read_view`] hands out a copy-on-write snapshot in O(1).
+/// Pages are stored behind [`Arc`] in a shared page table, so
+/// [`Disk::read_view`] hands out a copy-on-write snapshot in O(1). A read
+/// charges its I/O and moves no page: a fetch lends the table's bytes.
 #[derive(Debug)]
 pub struct Disk {
     config: DiskConfig,
@@ -137,36 +137,38 @@ impl Disk {
         Ok(id)
     }
 
-    /// Reads a page as a shared handle — an O(1) pointer clone, no byte
-    /// copy — charging one physical read on success. Fails with
+    /// Page `id`'s current image, charging nothing — the bytes behind a
+    /// buffer frame. Fails with [`StorageError::PageCorrupt`] for an
+    /// unknown page id.
+    pub(crate) fn page(&self, id: PageId) -> Result<&Page, StorageError> {
+        let page = self.pages.get(id.index());
+        page.map(|p| &**p)
+            .ok_or(StorageError::PageCorrupt { page: id })
+    }
+
+    /// Charges one physical read of page `id`; the bytes stay in the page
+    /// table, where [`Disk::page`] lends them. Fails with
     /// [`StorageError::PageCorrupt`] for an unknown page id, or with an
     /// injected read fault (which charges no I/O: the page never arrived).
-    pub fn try_read_shared(&mut self, id: PageId) -> Result<Arc<Page>, StorageError> {
-        let page = self
-            .pages
-            .get(id.index())
-            .ok_or(StorageError::PageCorrupt { page: id })?;
-        let page = Arc::clone(page);
+    pub(crate) fn try_read(&mut self, id: PageId) -> Result<(), StorageError> {
+        self.page(id)?;
         if let Some(inj) = &mut self.injector {
             inj.check(FaultOp::Read, id)?;
         }
         self.stats.physical_reads += 1;
-        Ok(page)
+        Ok(())
     }
 
-    /// Writes an already-shared page image back, charging one physical
-    /// write on success. Fails with [`StorageError::PageCorrupt`] for an
-    /// unknown page id, or with an injected write fault (the disk image
-    /// is then unchanged — failed writes never tear).
-    pub fn try_write_shared(&mut self, id: PageId, page: Arc<Page>) -> Result<(), StorageError> {
-        if id.index() >= self.pages.len() {
-            return Err(StorageError::PageCorrupt { page: id });
-        }
+    /// Writes a page image, charging one physical write on success. Fails
+    /// as [`Disk::try_read`] does; a failed write leaves the old image
+    /// (writes never tear).
+    pub(crate) fn try_write(&mut self, id: PageId, page: Page) -> Result<(), StorageError> {
+        self.page(id)?;
         if let Some(inj) = &mut self.injector {
             inj.check(FaultOp::Write, id)?;
         }
         self.stats.physical_writes += 1;
-        *Arc::make_mut(&mut self.pages).get_mut(id.index()) = page;
+        *Arc::make_mut(&mut self.pages).get_mut(id.index()) = Arc::new(page);
         Ok(())
     }
 
@@ -218,14 +220,15 @@ mod tests {
 
     /// A page, read without charging I/O.
     fn peek(disk: &Disk, id: PageId) -> &Page {
-        &disk.pages[id.index()]
+        disk.page(id).unwrap()
     }
 
     /// Read-modify-write of one page, charging one read and one write.
     fn push(d: &mut Disk, id: PageId, record: Vec<u8>) {
-        let mut page = (*d.try_read_shared(id).unwrap()).clone();
+        d.try_read(id).unwrap();
+        let mut page = peek(d, id).clone();
         page.push(record);
-        d.try_write_shared(id, Arc::new(page)).unwrap();
+        d.try_write(id, page).unwrap();
     }
 
     #[test]
@@ -267,7 +270,8 @@ mod tests {
 
         let mut view = d.read_view();
         assert_eq!(view.stats(), IoStats::default());
-        assert_eq!(view.try_read_shared(id).unwrap().used(), 4);
+        view.try_read(id).unwrap();
+        assert_eq!(peek(&view, id).used(), 4);
         assert_eq!(view.stats().physical_reads, 1);
 
         // Writes to the view are invisible to the original (copy-on-write).
@@ -292,8 +296,8 @@ mod tests {
         let mut nested = view.read_view();
         assert!(Arc::ptr_eq(&d.pages, &view.pages) && Arc::ptr_eq(&d.pages, &nested.pages));
         // Reads on any side leave the table shared.
-        view.try_read_shared(ids[0]).unwrap();
-        d.try_read_shared(ids[1]).unwrap();
+        view.try_read(ids[0]).unwrap();
+        d.try_read(ids[1]).unwrap();
         assert!(Arc::ptr_eq(&d.pages, &view.pages));
 
         // The view writes: it alone leaves the shared table.
@@ -320,7 +324,7 @@ mod tests {
         assert_eq!(peek(&nested, ids[1]).used(), 0);
         assert_eq!(peek(&nested, ids[0]).used(), 4);
         assert_eq!(
-            nested.try_read_shared(extra).err(),
+            nested.try_read(extra).err(),
             Some(crate::StorageError::PageCorrupt { page: extra })
         );
         // A disk nobody shares with writes in place.
@@ -334,8 +338,10 @@ mod tests {
         let mut d = Disk::new(DiskConfig::paper());
         let id = d.try_allocate().unwrap();
         push(&mut d, id, vec![1; 3]);
-        let shared = d.try_read_shared(id).unwrap();
-        assert_eq!(shared.used(), 3);
+        let before: *const Page = peek(&d, id);
+        d.try_read(id).unwrap();
+        assert!(std::ptr::eq(before, peek(&d, id)), "a read moves no image");
+        assert_eq!(peek(&d, id).used(), 3);
         assert_eq!(d.stats().physical_reads, 2);
     }
 
@@ -356,11 +362,11 @@ mod tests {
         let mut d = Disk::new(DiskConfig::paper());
         let missing = PageId(9);
         assert_eq!(
-            d.try_read_shared(missing).err(),
+            d.try_read(missing).err(),
             Some(crate::StorageError::PageCorrupt { page: missing })
         );
         assert_eq!(
-            d.try_write_shared(missing, Arc::new(Page::new(10))),
+            d.try_write(missing, Page::new(10)),
             Err(crate::StorageError::PageCorrupt { page: missing })
         );
         assert_eq!(d.stats(), IoStats::default(), "failed I/O charges nothing");
@@ -377,7 +383,7 @@ mod tests {
         };
         d.set_fault_injector(Some(FaultInjector::new(cfg)));
         assert_eq!(
-            d.try_read_shared(id).err(),
+            d.try_read(id).err(),
             Some(crate::StorageError::InjectedFault {
                 op: FaultOp::Read,
                 page: id
@@ -386,7 +392,7 @@ mod tests {
         assert_eq!(d.stats().physical_reads, 0);
         assert_eq!(d.fault_injector().unwrap().injected(), 1);
         d.set_fault_injector(None);
-        assert!(d.try_read_shared(id).is_ok());
+        assert!(d.try_read(id).is_ok());
     }
 
     #[test]
@@ -402,7 +408,7 @@ mod tests {
         d.set_fault_injector(Some(FaultInjector::new(cfg)));
         let mut q = peek(&d, id).clone();
         q.push(vec![2; 5]);
-        assert!(d.try_write_shared(id, Arc::new(q)).is_err());
+        assert!(d.try_write(id, q).is_err());
         assert_eq!(peek(&d, id).used(), 3, "failed write left the old image");
     }
 

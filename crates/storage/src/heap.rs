@@ -99,8 +99,7 @@ impl HeapFile {
             count
         ];
         // Fill each page's slots in physical order, then write it through
-        // once: a written frame shares its image with the disk, so every
-        // further write would copy the page first.
+        // once: every write through the pool copies the page.
         for (&page, residents) in pages.iter().zip(logical_at.chunks(m)) {
             pool.try_update(page, |p| {
                 for &logical in residents {

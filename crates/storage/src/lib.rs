@@ -29,9 +29,9 @@
 //! [`Disk::read_view`] and [`BufferPool::fork_view`] hand out a private
 //! pool shard over a copy-on-write snapshot of the disk (the page table
 //! is shared until a side writes — and then chunk by chunk — so a fork is
-//! O(1); pages live behind
-//! `Arc` and `try_read_record` lends the frame's bytes, so no read copies
-//! any). Shards start with zeroed [`IoStats`], combined via `merge`/`+=`.
+//! O(1); a buffer frame holds a page id and `try_read_record` lends the
+//! disk view's bytes, so no read copies any). Shards start with zeroed
+//! [`IoStats`], combined via `merge`/`+=`.
 //!
 //! ## Example
 //!

@@ -397,7 +397,8 @@ echo "==> read-path gate (a read copies nothing)"
 # a record read lends the frame's bytes, the refiner never hashes or
 # fetches a point or rectangle (its MBR scan entry is the record) and
 # hashes a polygon or polyline once per candidate, and the router merges the shards' sorted replies
-# instead of re-sorting them.
+# instead of re-sorting them. A buffer frame holds a page id, not a page
+# image, and a tree-node visit charges its I/O without reading the page.
 copies=$(
     for f in crates/storage/src/buffer.rs crates/joins/src/paged_tree.rs \
              crates/joins/src/relation.rs; do
@@ -409,13 +410,19 @@ copies=$(
         crates/joins/src/refine.rs
     awk '/^    fn merge\(/ { scan = 1 } scan && /sort_unstable/ { print FILENAME ":" FNR ": " $0 }
          scan && /^    }$/ { exit }' crates/shard/src/router.rs
+    awk '/^#\[cfg\(test\)\]/ { exit } /^(pub(\(crate\))? )?struct Frame/ { scan = 1 }
+         scan && /Arc<Page>/ { print FILENAME ":" FNR ": " $0 } scan && /^}$/ { scan = 0 }' \
+        crates/storage/src/buffer.rs
+    awk '/pub fn try_touch_io\(/ { scan = 1 }
+         scan && /try_read_record|try_fetch/ { print FILENAME ":" FNR ": " $0 }
+         scan && /^    }$/ { exit }' crates/joins/src/paged_tree.rs
 )
 if [ -n "$copies" ]; then
-    echo "    a copy, a second hash or a re-sort is back on the read path:"
+    echo "    a copy, a second hash, a re-sort, a frame image or a node read is back on the read path:"
     echo "$copies"
     exit 1
 fi
-echo "    -> O(1) fork, lent record bytes, one hash per candidate, merged replies"
+echo "    -> O(1) fork, lent record bytes, id-only frames, charged node visits, one hash per candidate, merged replies"
 
 echo "==> hit-path gate (a hit is answered where it arrives)"
 # The serving path probes the result cache at one site: in `call`, on
