@@ -59,7 +59,8 @@ pub use rect::Rect;
 pub use segment::Segment;
 pub use soa::{RectChunks, RectLanes, FULL_MASK, LANES};
 pub use sweep::{
-    sweep_candidates, sweep_candidates_with, theta_candidates, Kernel, SweepItem, BATCH_MIN,
+    sweep_candidates, sweep_candidates_with, theta_candidates, theta_join, Kernel, SweepItem,
+    BATCH_MIN,
 };
 pub use theta::{Direction, MaskFilter, ThetaOp};
 

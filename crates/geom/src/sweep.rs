@@ -38,6 +38,9 @@
 //! are `(sweep.lo.x, key)`, and their buffers are thread-local scratch
 //! reused across calls, so a sweep allocates nothing once warm.
 
+use std::borrow::Borrow;
+
+use crate::geometry::{Bounded, Geometry};
 use crate::rect::Rect;
 use crate::soa::{RectChunks, FULL_MASK, LANES};
 use crate::theta::{MaskFilter, ThetaOp};
@@ -163,6 +166,26 @@ pub fn theta_candidates(
         rects.iter().enumerate().map(item).collect()
     };
     sweep_candidates(&items(left, eps), &items(right, 0.0), theta, emit)
+}
+
+/// The exact θ-join of two in-memory tuple lists: θ on each of
+/// [`theta_candidates`]' candidates, as sorted `(r id, s id)` pairs — the
+/// pair set every join strategy yields over the same tuples.
+pub fn theta_join<G: Borrow<Geometry>>(
+    r: &[(u64, G)],
+    s: &[(u64, G)],
+    theta: ThetaOp,
+) -> Vec<(u64, u64)> {
+    let mbrs = |side: &[(u64, G)]| side.iter().map(|t| t.1.borrow().mbr()).collect::<Vec<_>>();
+    let mut pairs = Vec::new();
+    theta_candidates(&mbrs(r), &mbrs(s), theta, &mut |i, j| {
+        let ((r_id, r_geom), (s_id, s_geom)) = (&r[i as usize], &s[j as usize]);
+        if theta.eval(r_geom.borrow(), s_geom.borrow()) {
+            pairs.push((*r_id, *s_id));
+        }
+    });
+    pairs.sort_unstable();
+    pairs
 }
 
 /// [`sweep_candidates`] with an explicit kernel choice (no size
@@ -679,5 +702,37 @@ mod tests {
             ThetaOp::DirectionOf(Direction::NorthWest).filter_radius(),
             None
         );
+    }
+
+    /// The in-memory θ-join is the exact nested-loop pair set, sorted,
+    /// for bounded and directional θ alike, with ids that are not
+    /// positions.
+    #[test]
+    fn theta_join_is_the_sorted_nested_loop_pair_set() {
+        let tuples = |n, salt, id0: u64| -> Vec<(u64, Geometry)> {
+            let ids = (0..n as u64).rev().map(|i| id0 + 3 * i);
+            ids.zip(soup(n, salt))
+                .map(|(id, r)| (id, Geometry::Rect(r)))
+                .collect()
+        };
+        let (r, s) = (tuples(60, 1, 500), tuples(50, 2, 9_000));
+        for theta in [
+            ThetaOp::WithinDistance(4.0),
+            ThetaOp::Overlaps,
+            ThetaOp::WithinCenterDistance(6.0),
+            ThetaOp::DirectionOf(Direction::NorthWest),
+        ] {
+            let mut want = Vec::new();
+            for (r_id, rg) in &r {
+                for (s_id, sg) in &s {
+                    if theta.eval(rg, sg) {
+                        want.push((*r_id, *s_id));
+                    }
+                }
+            }
+            want.sort_unstable();
+            assert!(!want.is_empty(), "{theta:?}");
+            assert_eq!(theta_join(&r, &s, theta), want, "{theta:?}");
+        }
     }
 }

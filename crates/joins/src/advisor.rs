@@ -7,20 +7,22 @@
 //! Given a workload profile — operation type, match distribution,
 //! selectivity `p`, and the expected number of updates per query — the
 //! advisor totals `query cost + updates·update cost` from the §4 formulas
-//! and recommends a strategy. A Monte-Carlo selectivity estimator supplies
-//! `p` when only the data is known.
+//! and recommends a strategy.
 //!
 //! The workspace's one optimizer: the service's `Auto` ([`auto_chooser`])
-//! and `sj-rel`'s planner sample, score and pick through [`try_pick`].
-//! The shard router forwards `Auto` unchanged, so each shard's service
-//! picks through [`try_pick`] on its own slice of the data.
+//! and `sj-rel`'s planner price and pick through [`try_pick`], the one
+//! place that turns operands into §4 inputs, at the selectivity
+//! [`try_estimate_selectivity`] measures. The shard router forwards `Auto`
+//! unchanged, so each shard's service picks through [`try_pick`] on its
+//! own slice of the data.
 
 use std::cmp::Ordering;
+use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sj_costmodel::{join, select, update, Distribution, ModelParams};
-use sj_geom::ThetaOp;
+use sj_geom::{theta_candidates, Bounded, ThetaOp};
 use sj_storage::{BufferPool, StorageError};
 
 use crate::executor::Strategy;
@@ -168,20 +170,27 @@ pub fn recommend(profile: &WorkloadProfile) -> (Candidate, [Scored; 4]) {
 pub struct Pick {
     /// The scoreboard head's executor strategy.
     pub strategy: Strategy,
-    /// The sampled selectivity the scoreboard was priced at.
+    /// The estimated selectivity the scoreboard was priced at.
     pub selectivity: f64,
     /// The head's model cost: query plus amortized update cost.
     pub cost: f64,
+    /// The §4 parameters the scoreboard was priced under.
+    pub params: ModelParams,
 }
 
-/// The one sample-score-pick step behind `Auto`: estimates θ's
-/// selectivity over `(r, s)` by seeded sampling — charged through the
-/// pool like any other I/O — prices `base` at that estimate and picks
-/// the head of [`recommend`]'s scoreboard. An empty operand makes every
-/// join empty, so it picks strategy I without sampling or scoring (cost
-/// 0); empty operands are routine under sharding, where a shard may own
-/// no slice of one side. Deterministic for a fixed seed. A storage fault
-/// while sampling surfaces as a typed error, never as a bogus pick.
+/// The one derive-estimate-score-pick step behind `Auto`. It derives
+/// the §4 inputs for `(r, s)`: the model prices two relations of N
+/// tuples, so N is the geometric mean of |R| and |S|, n = h = ⌈log_k N⌉
+/// at the fan-out `base.params.k` of the caller's trees, T is the
+/// model's N, v the wider slot width and M the frames of `pool`; the
+/// other parameters are the caller's system constants. It prices them at
+/// [`try_estimate_selectivity`]'s estimate (charged through the pool like
+/// any other I/O) and picks the head of [`recommend`]'s scoreboard. An
+/// empty operand makes every join empty, so it picks strategy I without
+/// sampling or scoring (cost 0); empty operands are routine under
+/// sharding, where a shard may own no slice of one side. Deterministic
+/// for a fixed seed. A storage fault while sampling surfaces as a typed
+/// error, never as a bogus pick.
 pub fn try_pick(
     pool: &mut BufferPool,
     base: WorkloadProfile,
@@ -190,21 +199,36 @@ pub fn try_pick(
     samples: usize,
     seed: u64,
 ) -> Result<Pick, StorageError> {
+    let tuples = (r.len() as f64 * s.len() as f64).sqrt().max(2.0);
+    let n = (tuples.ln() / (base.params.k as f64).ln()).ceil().max(1.0) as usize;
+    let mut params = ModelParams {
+        n,
+        h: n,
+        v: r.record_size().max(s.record_size()) as f64,
+        m_mem: pool.capacity() as f64,
+        ..base.params
+    };
+    params.t = params.n_tuples();
     if r.is_empty() || s.is_empty() {
         return Ok(Pick {
             strategy: Strategy::NestedLoop,
             selectivity: 0.0,
             cost: 0.0,
+            params,
         });
     }
-    let mut profile = base;
-    profile.operation = Operation::Join;
-    profile.selectivity = try_estimate_selectivity(pool, r, s, theta, samples, seed)?;
+    let profile = WorkloadProfile {
+        params,
+        selectivity: try_estimate_selectivity(pool, r, s, theta, samples, seed)?,
+        operation: Operation::Join,
+        ..base
+    };
     let (best, ranked) = recommend(&profile);
     Ok(Pick {
         strategy: best.strategy(),
         selectivity: profile.selectivity,
         cost: ranked[0].total(profile.updates_per_query),
+        params,
     })
 }
 
@@ -222,12 +246,13 @@ pub fn auto_chooser<'a>(
     move |theta, pool| Ok(try_pick(pool, base, (r, s), theta, samples, seed)?.strategy)
 }
 
-/// Monte-Carlo selectivity estimation: θ-tests `samples` random tuple
-/// pairs (at least one) and returns the matching fraction — the `p` to
-/// feed the model when only the data is known; `0.0` when either operand
-/// is empty, since nothing can match. The first faulted sample read
-/// aborts the estimate with a typed error (no estimate from a partial
-/// sample).
+/// Selectivity estimation over whole rows of the join: reads `samples`
+/// distinct R tuples (at least one; all of R, so exactly, once `samples ≥
+/// |R|`), θ-tests their Θ-candidates among S's MBR scan
+/// ([`theta_candidates`]) and returns p̂ = matches / (samples · |S|). A
+/// sparse join that random pairs would read as 0 is still seen.
+/// Deterministic per seed; `0.0` when either operand is empty. The first
+/// faulted read aborts the estimate with a typed error.
 pub fn try_estimate_selectivity(
     pool: &mut BufferPool,
     r: &StoredRelation,
@@ -239,19 +264,35 @@ pub fn try_estimate_selectivity(
     if r.is_empty() || s.is_empty() {
         return Ok(0.0);
     }
-    let samples = samples.max(1);
+    // Floyd's algorithm: a uniform `take`-subset of R's positions, read
+    // in ascending (page) order.
+    let take = samples.clamp(1, r.len());
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut hits = 0usize;
-    for _ in 0..samples {
-        let i = rng.random_range(0..r.len());
-        let j = rng.random_range(0..s.len());
-        let (_, rg) = r.try_read_at(pool, i)?;
-        let (_, sg) = s.try_read_at(pool, j)?;
-        if theta.eval(&rg, &sg) {
-            hits += 1;
+    let mut rows = BTreeSet::new();
+    for j in r.len() - take..r.len() {
+        let i = rng.random_range(0..=j);
+        if !rows.insert(i) {
+            rows.insert(j);
         }
     }
-    Ok(hits as f64 / samples as f64)
+    let sampled = rows
+        .into_iter()
+        .map(|i| r.try_read_at(pool, i))
+        .collect::<Result<Vec<_>, _>>()?;
+    let s_scan = s.try_scan_mbrs(pool)?;
+    let left: Vec<_> = sampled.iter().map(|(_, g)| g.mbr()).collect();
+    let right: Vec<_> = s_scan.iter().map(|e| e.mbr).collect();
+    let mut candidates = Vec::new();
+    theta_candidates(&left, &right, theta, &mut |i, j| candidates.push((i, j)));
+    let mut matches = 0usize;
+    for (i, j) in candidates {
+        let sg = match s_scan[j as usize].as_box() {
+            Some(g) => g,
+            None => s.try_read_at(pool, j as usize)?.1,
+        };
+        matches += usize::from(theta.eval(&sampled[i as usize].1, &sg));
+    }
+    Ok(matches as f64 / (take as f64 * s.len() as f64))
 }
 
 #[cfg(test)]
@@ -506,11 +547,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn selectivity_estimator_converges() {
+    /// A 50×50 lattice against itself shifted half a step under
+    /// within-0.6: each R tuple matches the S tuples half a step to either
+    /// side. With the pool the grids were built on.
+    fn shifted_grids() -> (BufferPool, StoredRelation, StoredRelation, ThetaOp) {
         let mut pool = BufferPool::new(Disk::new(DiskConfig::paper()), 128);
-        // 50x50 grid vs itself shifted by half a step under within-0.6:
-        // each R tuple matches the S tuples half a step to either side.
         let mk = |offset: f64, id0: u64| -> Vec<(u64, Geometry)> {
             (0..2500)
                 .map(|i| {
@@ -523,9 +564,14 @@ mod tests {
         };
         let r = StoredRelation::build(&mut pool, &mk(0.0, 0), 300, Layout::Clustered);
         let s = StoredRelation::build(&mut pool, &mk(0.5, 10_000), 300, Layout::Clustered);
-        let theta = ThetaOp::WithinDistance(0.6);
-        let est = try_estimate_selectivity(&mut pool, &r, &s, theta, 20_000, 7).unwrap();
-        // Ground truth by exhaustive counting.
+        (pool, r, s, ThetaOp::WithinDistance(0.6))
+    }
+
+    /// The estimate converges to the exact p: it is exact once it reads
+    /// all of R.
+    #[test]
+    fn selectivity_estimator_converges() {
+        let (mut pool, r, s, theta) = shifted_grids();
         let matches = crate::nested_loop::nested_loop_join(
             &mut pool,
             &r,
@@ -535,11 +581,58 @@ mod tests {
         )
         .unwrap()
         .pairs
-        .len() as f64;
-        let truth = matches / (2500.0 * 2500.0);
-        assert!(
-            (est - truth).abs() < 0.5 * truth,
-            "estimate {est} too far from {truth}"
-        );
+        .len();
+        let exact = matches as f64 / (2500.0 * 2500.0);
+        for samples in [2500, 20_000] {
+            let est = try_estimate_selectivity(&mut pool, &r, &s, theta, samples, 7).unwrap();
+            assert_eq!(est, exact, "{samples} samples");
+        }
+    }
+
+    #[test]
+    fn estimate_is_deterministic_per_seed_and_sees_a_sparse_join() {
+        let (mut pool, r, s, theta) = shifted_grids();
+        // p ≈ 7.9e-4: 64 random pairs would read 0 with probability 0.95.
+        let est = |pool: &mut BufferPool, seed| {
+            let mut cold = pool.fork_view(8);
+            try_estimate_selectivity(&mut cold, &r, &s, theta, 64, seed).unwrap()
+        };
+        for seed in [1, 2, 3] {
+            let first = est(&mut pool, seed);
+            assert!(first > 0.0, "seed {seed}");
+            assert_eq!(est(&mut pool, seed), first, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn estimate_is_zero_for_an_empty_operand() {
+        let (mut pool, r, _, theta) = shifted_grids();
+        let empty = StoredRelation::build(&mut pool, &[], 300, Layout::Clustered);
+        for (a, b) in [(&empty, &r), (&r, &empty), (&empty, &empty)] {
+            assert_eq!(
+                try_estimate_selectivity(&mut pool, a, b, theta, 64, 1),
+                Ok(0.0)
+            );
+        }
+    }
+
+    #[test]
+    fn a_faulting_pool_gives_a_typed_error_not_an_estimate() {
+        use sj_storage::{FaultConfig, FaultInjector};
+
+        let (pool, r, s, theta) = shifted_grids();
+        for samples in [1, 64, 5_000] {
+            let mut faulty = pool.fork_view(8);
+            faulty.set_fault_injector(Some(FaultInjector::new(FaultConfig {
+                seed: 3,
+                read_prob: 1.0,
+                ..FaultConfig::default()
+            })));
+            let got = try_estimate_selectivity(&mut faulty, &r, &s, theta, samples, 1);
+            assert!(
+                matches!(got, Err(StorageError::InjectedFault { .. })),
+                "{samples} samples: {got:?}"
+            );
+        }
     }
 }

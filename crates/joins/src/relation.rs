@@ -127,6 +127,11 @@ impl StoredRelation {
         self.file.records_per_page()
     }
 
+    /// Slot width in bytes (the model's `v`).
+    pub(crate) fn record_size(&self) -> usize {
+        self.file.record_size()
+    }
+
     /// Reads the tuple at logical position `i` through the pool (charged),
     /// decoding from the frame's own bytes, or the fault that prevented it.
     /// A frame that fails its checksum is `PageCorrupt`; one that passes

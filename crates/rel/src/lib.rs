@@ -52,7 +52,7 @@ pub mod value;
 
 pub use db::Database;
 pub use error::DbError;
-pub use planner::{Plan, PlannerConfig};
+pub use planner::PlannerConfig;
 pub use schema::{Column, Schema};
 pub use sj_joins::tree_join::TraversalOrder;
 pub use sj_joins::{Mutation, MutationOutcome, Strategy, WriteBatch};

@@ -1,13 +1,14 @@
-//! Automatic strategy selection: this module scales the §4 cost model to
-//! the stored data and runs the strategy [`sj_joins::advisor::try_pick`]
-//! samples, scores and picks — the step the service's `Auto` takes too.
+//! Automatic strategy selection: this module hands the columns' index
+//! fan-out and the database's pool to [`sj_joins::advisor::try_pick`],
+//! which derives the §4 inputs from the stored data, estimates, scores
+//! and picks — the step the service's `Auto` takes too — and runs the
+//! strategy it picked.
 
 use sj_costmodel::{Distribution, ModelParams};
 use sj_geom::ThetaOp;
-use sj_joins::advisor::{try_pick, Operation, WorkloadProfile};
-use sj_joins::Strategy;
+use sj_joins::advisor::{try_pick, Operation, Pick, WorkloadProfile};
 
-use crate::db::{sides, table, Database};
+use crate::db::{sides, Database};
 use crate::error::{DbError, Result};
 
 /// Planner inputs beyond the query itself.
@@ -16,7 +17,8 @@ pub struct PlannerConfig {
     /// Expected insertions per query — §5's update ratio. High values
     /// steer the planner away from join indices.
     pub updates_per_query: f64,
-    /// Monte-Carlo sample size for selectivity estimation.
+    /// Distinct R rows per selectivity estimate; the estimate is exact
+    /// once this reaches the row count.
     pub samples: usize,
     /// Sampling seed (deterministic plans for deterministic tests).
     pub seed: u64,
@@ -32,23 +34,12 @@ impl Default for PlannerConfig {
     }
 }
 
-/// What the planner decided and why.
-#[derive(Debug, Clone)]
-pub struct Plan {
-    /// The chosen execution strategy.
-    pub strategy: Strategy,
-    /// The sampled selectivity estimate fed to the cost model.
-    pub estimated_selectivity: f64,
-    /// The model-unit total cost of the winner (query + amortized update).
-    pub estimated_cost: f64,
-    /// The model parameters the plan was scored under.
-    pub params: ModelParams,
-}
-
 impl Database {
-    /// Plans and executes a spatial join: scales the §4 model to the
-    /// relation sizes and index fan-out, lets [`try_pick`] choose among
-    /// strategies I/IIa/IIb/III, and runs the winner.
+    /// Plans and executes a spatial join: [`try_pick`] prices strategies
+    /// I/IIa/IIb/III for the two columns at their index fan-out and picks
+    /// one, and the winner runs. Returns the pick (strategy, estimated
+    /// selectivity, model cost and the §4 parameters priced) and the
+    /// pairs.
     pub fn spatial_join_auto(
         &mut self,
         r_table: &str,
@@ -57,40 +48,22 @@ impl Database {
         s_col: &str,
         theta: ThetaOp,
         config: PlannerConfig,
-    ) -> Result<(Plan, Vec<(u64, u64)>)> {
+    ) -> Result<(Pick, Vec<(u64, u64)>)> {
         self.usable()?;
         let [r, s] = sides(&self.tables, (r_table, r_col), (s_table, s_col))?;
-        // Scale the model to the data: N from the actual relations, the
-        // generalization-tree shape from the columns' index fan-out (the
-        // model has one `k`; the deeper of the two trees sets the height
-        // the synchronized traversal descends).
-        let rows = |name| table(&self.tables, name).map(|t| t.live.len());
-        let k = r.index_fanout.min(s.index_fanout);
-        let n_tuples = rows(r_table)?.max(rows(s_table)?).max(2) as f64;
-        let n_height = (n_tuples.ln() / (k as f64).ln()).ceil().max(1.0) as usize;
-        let params = ModelParams {
-            n: n_height,
-            h: n_height,
-            k,
-            t: n_tuples,
-            ..ModelParams::paper()
-        };
-        let base = WorkloadProfile {
-            params,
+        // The model has one `k`; the narrower of the two trees is the
+        // deeper one the synchronized traversal descends.
+        let mut base = WorkloadProfile {
+            params: ModelParams::paper(),
             distribution: Distribution::Uniform,
             selectivity: 0.0, // `try_pick` prices its own estimate
             updates_per_query: config.updates_per_query,
             operation: Operation::Join,
         };
+        base.params.k = r.index_fanout.min(s.index_fanout);
         let (cols, samples, seed) = ((&r.column, &s.column), config.samples, config.seed);
-        let pick = try_pick(&mut self.pool, base, cols, theta, samples, seed);
-        let pick = pick.map_err(DbError::during("sampling"))?;
-        let plan = Plan {
-            strategy: pick.strategy,
-            estimated_selectivity: pick.selectivity,
-            estimated_cost: pick.cost,
-            params,
-        };
+        let plan = try_pick(&mut self.pool, base, cols, theta, samples, seed);
+        let plan = plan.map_err(DbError::during("sampling"))?;
         let pairs = self.spatial_join_ids(r_table, r_col, s_table, s_col, theta, plan.strategy)?;
         Ok((plan, pairs))
     }
@@ -102,6 +75,7 @@ mod tests {
     use crate::schema::{Column, Schema};
     use crate::value::{Value, ValueType};
     use sj_geom::{Geometry, Point};
+    use sj_joins::Strategy;
 
     fn grid_db(n: usize, shift: f64) -> Database {
         let mut db = Database::in_memory();
@@ -129,7 +103,7 @@ mod tests {
         v
     }
 
-    fn auto(db: &mut Database, theta: ThetaOp, config: PlannerConfig) -> (Plan, Vec<(u64, u64)>) {
+    fn auto(db: &mut Database, theta: ThetaOp, config: PlannerConfig) -> (Pick, Vec<(u64, u64)>) {
         let (plan, mut pairs) = db
             .spatial_join_auto("r", "loc", "s", "loc", theta, config)
             .unwrap();
@@ -149,7 +123,7 @@ mod tests {
             Strategy::NestedLoop,
             "planner should use an index"
         );
-        assert!(plan.estimated_cost.is_finite());
+        assert!(plan.cost.is_finite());
         // `Strategy::Auto` runs the same planner at its default config.
         assert_eq!(join(&mut db, theta, Strategy::Auto), reference);
     }
@@ -159,13 +133,20 @@ mod tests {
         let mut db = grid_db(400, 0.4);
         let theta = ThetaOp::WithinDistance(0.5);
         let plan = |db: &mut Database| auto(db, theta, PlannerConfig::default()).0;
-        // No index declared: the default fan-out, ⌈log₁₀ 400⌉ = 3 levels.
+        // No index declared: the default fan-out, ⌈log₁₀ 400⌉ = 3 levels,
+        // priced at the tables' 300-byte slots and the database's
+        // 256-frame pool.
         let default = ModelParams {
             k: 10,
             n: 3,
             h: 3,
-            t: 400.0,
+            v: 300.0,
+            m_mem: 256.0,
             ..ModelParams::paper()
+        };
+        let default = ModelParams {
+            t: default.n_tuples(),
+            ..default
         };
         assert_eq!(plan(&mut db).params, default);
         // A fan-out-4 index on one column: ⌈log₄ 400⌉ = 5 levels.
@@ -177,11 +158,15 @@ mod tests {
             h: 5,
             ..default
         };
+        let narrow = ModelParams {
+            t: narrow.n_tuples(),
+            ..narrow
+        };
         assert_eq!(plan(&mut db).params, narrow);
     }
 
-    /// An extremely selective join (one matching pair in 160,000) and no
-    /// updates.
+    /// An extremely selective join and no updates. 4 000 samples read all
+    /// of R, so the estimate is the exact p.
     const SPARSE: PlannerConfig = PlannerConfig {
         updates_per_query: 0.0,
         samples: 4_000,
@@ -199,7 +184,9 @@ mod tests {
     fn static_sparse_workload_gets_a_join_index() {
         // Strategy III should win, and its index must be reused on the
         // second call.
-        let mut db = grid_db(400, 107.3); // far shift: almost nothing matches
+        // Far shift: one matching pair in 900 × 901 (p = 1.2e-6), sparse
+        // enough for the model to price III below IIa at N = 900.
+        let mut db = grid_db(900, 107.3);
         db.insert("s", near(0.2)).unwrap();
         let theta = ThetaOp::WithinDistance(0.5);
         let (plan, pairs) = auto(&mut db, theta, SPARSE);
@@ -214,8 +201,9 @@ mod tests {
     /// rebuilt after either table changes.
     #[test]
     fn join_indices_never_answer_for_another_theta_or_an_older_table() {
-        // 400 lattice points against 401: one pair within 0.5, none within 0.1.
-        let mut db = grid_db(400, 107.3);
+        // 900 lattice points against 901: one pair within 0.5, none
+        // within 0.1.
+        let mut db = grid_db(900, 107.3);
         db.insert("s", near(0.2)).unwrap();
         let auto = |db: &mut Database, theta| {
             let (plan, pairs) = auto(db, theta, SPARSE);
@@ -267,6 +255,6 @@ mod tests {
         let (plan, pairs) = auto(&mut db, theta, PlannerConfig::default());
         assert_eq!(pairs.len(), 100 * 100);
         assert_eq!(plan.strategy, Strategy::Tree);
-        assert!(plan.estimated_selectivity > 0.9);
+        assert!(plan.selectivity > 0.9);
     }
 }

@@ -66,7 +66,7 @@ use std::time::Instant;
 
 use sj_costmodel::{Distribution, ModelParams};
 use sj_gentree::rtree::{RTree, RTreeConfig};
-use sj_geom::{codec, theta_candidates, Bounded, Geometry, Rect, ThetaOp};
+use sj_geom::{codec, theta_join, Bounded, Geometry, Rect, ThetaOp};
 use sj_joins::advisor::{auto_chooser, Operation, WorkloadProfile};
 use sj_joins::tree_join::{tree_select, TraversalOrder};
 use sj_joins::{JoinOperands, JoinRequest, StoredRelation, Strategy, TreeRelation};
@@ -113,15 +113,23 @@ pub struct ServiceConfig {
     /// per vertex, so the default 300-byte slot holds polygons of at most
     /// 17 vertices.
     pub record_size: usize,
-    /// Generalization-tree (R-tree) fan-out.
+    /// Generalization-tree (R-tree) fan-out; also the §4 model's `k`
+    /// when `Auto` prices a join.
     pub fanout: usize,
-    /// Sample pairs per advisor selectivity estimate for `Auto`.
+    /// Distinct R tuples per `Auto` selectivity estimate (min 1): each
+    /// one's matches in all of S are counted, so p̂ is exact once this
+    /// reaches |R|.
     pub selectivity_samples: usize,
     /// Seed for the advisor's estimator — fixed, so identical requests
     /// against the same version resolve to the same strategy.
     pub seed: u64,
-    /// Base workload profile the advisor scores (`operation` and
-    /// `selectivity` are overridden per request).
+    /// Base workload profile `Auto` prices: its distribution, its update
+    /// ratio, and through `params` only the system constants s, l, z, d,
+    /// C_IO, C_Θ and C_U. `params.k` is replaced by `fanout`; N, n, h,
+    /// v and M are derived per request from the operands and the compute
+    /// pool; `selectivity` and `operation` are overwritten per request.
+    /// Deleting the ignored fields waits for ROADMAP item 25, because the
+    /// benchmark passes this profile to `auto_chooser`.
     pub profile: WorkloadProfile,
     /// Probability that a physical page read on a compute shard faults;
     /// 0.0 (the default) disarms injection entirely. A compute shard
@@ -156,7 +164,7 @@ impl Default for ServiceConfig {
             shard_capacity: 32,
             record_size: 300,
             fanout: 8,
-            selectivity_samples: 64,
+            selectivity_samples: 128,
             seed: 0xC0FFEE,
             profile: WorkloadProfile {
                 params: ModelParams::paper(),
@@ -1008,8 +1016,12 @@ fn try_compute(
             })
         }
         QueryKind::Join { strategy } => {
+            // The model's k is the fan-out of the trees this service
+            // built; `try_pick` derives the rest from the operands.
+            let mut profile = config.profile;
+            profile.params.k = config.fanout;
             let chooser = auto_chooser(
-                config.profile,
+                profile,
                 &state.r.rel,
                 &state.s.rel,
                 config.selectivity_samples,
@@ -1038,12 +1050,11 @@ fn try_compute(
 }
 
 /// The degraded join pass: scan both relations with per-record-read
-/// retries, then join in memory: θ-test the Θ-candidates of the two MBR
-/// lists ([`theta_candidates`]). Same exact match set as every strategy
-/// executor (results sorted, labelled strategy I), but it survives fault
-/// rates where fail-stop whole-attempt execution cannot — a read only
-/// fails the pass after [`DEGRADED_READ_RETRIES`] consecutive faulted
-/// draws.
+/// retries, then join in memory ([`theta_join`]). Same exact match set
+/// as every strategy executor (results sorted, labelled strategy I), but
+/// it survives fault rates where fail-stop whole-attempt execution
+/// cannot — a read only fails the pass after [`DEGRADED_READ_RETRIES`]
+/// consecutive faulted draws.
 fn try_degraded_join(
     state: &DataState,
     config: &ServiceConfig,
@@ -1056,17 +1067,8 @@ fn try_degraded_join(
     }
     let r = resilient_scan(&state.r.rel, &mut shard)?;
     let s = resilient_scan(&state.s.rel, &mut shard)?;
-    let mbrs = |side: &[(u64, Geometry)]| -> Vec<Rect> { side.iter().map(|t| t.1.mbr()).collect() };
-    let mut pairs = Vec::new();
-    theta_candidates(&mbrs(&r), &mbrs(&s), theta, &mut |i, j| {
-        let ((r_id, r_geom), (s_id, s_geom)) = (&r[i as usize], &s[j as usize]);
-        if theta.eval(r_geom, s_geom) {
-            pairs.push((*r_id, *s_id));
-        }
-    });
-    pairs.sort_unstable();
     Ok(Reply::Join {
-        pairs: Arc::new(pairs),
+        pairs: Arc::new(theta_join(&r, &s, theta)),
         resolved: Strategy::NestedLoop,
     })
 }
@@ -1246,13 +1248,14 @@ mod tests {
         assert_ne!(*resolved, Strategy::Auto, "auto must resolve");
     }
 
-    /// The profile is caller-supplied: `k = 1` makes the model's `N` 0/0,
-    /// so every §4 cost is NaN. Ranking must survive that — the pick is
-    /// still concrete and the join still exact — for all eight operators.
+    /// The profile's system constants are caller-supplied: a page size
+    /// `s` below the tuple size leaves no tuple a page, so every §4 cost
+    /// is NaN. Ranking must survive that — the pick is still concrete and
+    /// the join still exact — for all eight operators.
     #[test]
     fn a_profile_the_model_cannot_price_still_resolves_auto() {
         let mut config = ServiceConfig::default();
-        config.profile.params.k = 1;
+        config.profile.params.s = 100.0;
         let svc = small_service(config);
         for theta in [
             ThetaOp::WithinCenterDistance(12.0),
@@ -1375,7 +1378,11 @@ mod tests {
             let parked: Vec<_> = (0..2)
                 .map(|i| scope.spawn(move || svc.call(distinct_miss(i))))
                 .collect();
-            while svc.in_flight.load(Ordering::Relaxed) < 2 {
+            // Parked threads that finished instead (panicked) end the
+            // wait; joining them below surfaces it.
+            while svc.in_flight.load(Ordering::Relaxed) < 2
+                && !parked.iter().all(|h| h.is_finished())
+            {
                 std::thread::yield_now();
             }
             let shed = svc.call(distinct_miss(2));

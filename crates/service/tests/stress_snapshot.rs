@@ -263,9 +263,12 @@ fn concurrent_selects_probing_at_submit_match_sequential_replay_while_commits_pu
 
     // Each commit waits for the readers to answer a few hundred more
     // requests, so every version serves traffic before the next purge.
+    // Readers that all stopped (panicked) end the wait; joining them
+    // below surfaces the panic.
     let await_traffic = || {
         let target = answered.load(Ordering::Relaxed) + 300;
-        while answered.load(Ordering::Relaxed) < target {
+        while answered.load(Ordering::Relaxed) < target && !readers.iter().all(|r| r.is_finished())
+        {
             std::thread::yield_now();
         }
     };
@@ -402,10 +405,13 @@ fn readers_of_chunk_shared_snapshots_match_replay_across_fifty_commits() {
             })
         })
         .collect();
-    // Every version serves a few requests before the next commit lands.
+    // Every version serves a few requests before the next commit lands;
+    // readers that all stopped (panicked) end the wait, and joining them
+    // below surfaces the panic.
     let await_traffic = || {
         let target = answered.load(Ordering::Relaxed) + 6;
-        while answered.load(Ordering::Relaxed) < target {
+        while answered.load(Ordering::Relaxed) < target && !readers.iter().all(|r| r.is_finished())
+        {
             std::thread::yield_now();
         }
     };

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use sj_geom::{theta_candidates, Bounded, Geometry, Rect, ThetaOp};
+use sj_geom::{theta_join, Bounded, Geometry, Rect, ThetaOp};
 use sj_joins::{Mutation, MutationOutcome, Side, Strategy, WriteBatch};
 use sj_obs::TraceSink;
 use sj_service::{
@@ -369,8 +369,8 @@ impl ShardRouter {
     }
 
     /// Answers a join from the authority maps by the paper's
-    /// filter-then-refine over one flat copy: [`theta_candidates`] (the
-    /// plane sweep when the Θ-filter radius is bounded, so the join stays
+    /// filter-then-refine over one flat copy: [`theta_join`] (the plane
+    /// sweep when the Θ-filter radius is bounded, so the join stays
     /// O(n log n + k); all pairs under the Θ-filter when it is not), then
     /// the exact θ on the survivors. Every strategy
     /// yields this pair set on a single node, so `resolved` is the one
@@ -380,19 +380,9 @@ impl ShardRouter {
         let asked = Instant::now();
         let (r_geoms, s_geoms) = (lock(&self.r_geoms), lock(&self.s_geoms));
         let queue_us = asked.elapsed().as_micros() as u64;
-        let r: Vec<(&u64, &Geometry)> = r_geoms.iter().collect();
-        let s: Vec<(&u64, &Geometry)> = s_geoms.iter().collect();
-        let mbrs = |side: &[(&u64, &Geometry)]| -> Vec<Rect> {
-            side.iter().map(|(_, g)| g.mbr()).collect()
-        };
-        let mut pairs = Vec::new();
-        theta_candidates(&mbrs(&r), &mbrs(&s), theta, &mut |i, j| {
-            let ((r_id, r_geom), (s_id, s_geom)) = (r[i as usize], s[j as usize]);
-            if theta.eval(r_geom, s_geom) {
-                pairs.push((*r_id, *s_id));
-            }
-        });
-        pairs.sort_unstable();
+        let r: Vec<(u64, &Geometry)> = r_geoms.iter().map(|(id, g)| (*id, g)).collect();
+        let s: Vec<(u64, &Geometry)> = s_geoms.iter().map(|(id, g)| (*id, g)).collect();
+        let pairs = theta_join(&r, &s, theta);
         RouterResponse {
             reply: Reply::Join {
                 pairs: Arc::new(pairs),

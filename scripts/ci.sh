@@ -219,13 +219,20 @@ second_chooser=$(
     grep -rnE 'AdaptiveAdvisor|choose_join_strategy' crates src tests examples || true
     grep -E '^crates/shard/src/[^:]*:[0-9]+: .*advisor::' <<<"$nontest_src" || true
 )
+# The §4 inputs are derived from the operands in one function, in
+# advisor.rs: no other non-test code builds a `ModelParams {` literal or
+# calls `n_tuples(` (crates/bench is the paper's figure harness, which
+# prints and sets Table 3's parameters itself).
+derivations=$(grep -E 'ModelParams \{|n_tuples\(' <<<"$nontest_src" |
+    grep -vE '^crates/(joins/src/advisor\.rs|bench/)' || true)
 if [ "$scoreboards" -ne 1 ] || [ "$samplers" -ne 1 ] || [ -n "$shims" ] || [ -n "$planner_copies" ] ||
-    [ -n "$second_chooser" ]; then
+    [ -n "$second_chooser" ] || [ -n "$derivations" ]; then
     echo "    $scoreboards join::d_i( call sites (want 1), $samplers estimate fns (want 1)"
     grep -E 'join::d_i\(|fn [a-z_]*estimate[a-z_]*' <<<"$nontest_src" || true
     echo "$shims"
     echo "$planner_copies"
     echo "$second_chooser"
+    [ -z "$derivations" ] || echo "    a second ModelParams derivation:"$'\n'"$derivations"
     exit 1
 fi
 for pkg in sj-service sj-shard; do
@@ -236,7 +243,7 @@ for pkg in sj-service sj-shard; do
         exit 1
     fi
 done
-echo "    -> one scoreboard, one sampler, no second chooser; sj-service and sj-shard build no sj-core, sj-rel or sj-zorder"
+echo "    -> one scoreboard, one sampler, one parameter derivation, no second chooser; sj-service and sj-shard build no sj-core, sj-rel or sj-zorder"
 
 echo "==> one-dispatch gate (Database joins on sj_joins::Strategy, selects on TraversalOrder)"
 # sj-rel has no strategy enum of its own and no named join indices: a

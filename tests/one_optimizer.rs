@@ -1,11 +1,12 @@
 //! One optimizer, as behaviour. The relational planner
 //! ([`Database::spatial_join_auto`]) and the service's chooser
-//! ([`auto_chooser`]) both pick through [`try_pick`], so for one profile
-//! and one pair of relations they agree by construction. What remains to
-//! check is the data they sample: rows inserted one at a time into a
-//! `Database` must sit at the positions a bulk-built `StoredRelation`
-//! gives them, so that one seed draws the same pairs on both sides and
-//! the estimates match bit for bit.
+//! ([`auto_chooser`]) both derive their §4 inputs and pick through
+//! [`try_pick`], so for one fan-out, one pool size and one pair of
+//! relations they agree by construction. What remains to check is the
+//! data they sample: rows inserted one at a time into a `Database` must
+//! sit at the positions a bulk-built `StoredRelation` gives them, so that
+//! one seed draws the same R tuples on both sides and the estimates match
+//! bit for bit.
 
 use spatial_joins::costmodel::Distribution;
 use spatial_joins::geom::{Geometry, Point, ThetaOp};
@@ -29,8 +30,8 @@ fn lattice(n: usize, shift: f64) -> Vec<(u64, Geometry)> {
 
 #[test]
 fn planner_and_chooser_name_the_same_strategy() {
-    let mut sparse_s = lattice(400, 107.3);
-    sparse_s.push((400, Geometry::Point(Point::new(0.2, 0.0))));
+    let mut sparse_s = lattice(900, 107.3);
+    sparse_s.push((900, Geometry::Point(Point::new(0.2, 0.0))));
     let config = |updates_per_query, samples| PlannerConfig {
         updates_per_query,
         samples,
@@ -38,8 +39,9 @@ fn planner_and_chooser_name_the_same_strategy() {
     };
     let default = PlannerConfig::default();
     let cases = [
-        // Sparse and static: one matching pair in 160 000, no updates.
-        (lattice(400, 0.0), sparse_s, 0.5, config(0.0, 4_000)),
+        // Sparse and static: one matching pair in 900 × 901, no updates;
+        // 4 000 samples read all of R, so p̂ is exact.
+        (lattice(900, 0.0), sparse_s, 0.5, config(0.0, 4_000)),
         // Dense: everything matches everything.
         (lattice(100, 0.0), lattice(100, 0.1), 1_000.0, default),
         // Update-heavy: ten inserts per query price the join index out.
@@ -65,6 +67,7 @@ fn planner_and_chooser_name_the_same_strategy() {
             .spatial_join_auto("r", "loc", "s", "loc", theta, config)
             .unwrap();
 
+        // The database's pool size: `try_pick` prices M from the pool.
         let mut pool = BufferPool::new(Disk::new(DiskConfig::paper()), 256);
         let r = StoredRelation::build(&mut pool, &r, 300, Layout::Clustered);
         let s = StoredRelation::build(&mut pool, &s, 300, Layout::Clustered);
@@ -77,7 +80,7 @@ fn planner_and_chooser_name_the_same_strategy() {
         };
         let (samples, seed) = (config.samples, config.seed);
         let pick = try_pick(&mut pool, base, (&r, &s), theta, samples, seed).unwrap();
-        assert_eq!(plan.estimated_selectivity, pick.selectivity, "{theta:?}");
+        assert_eq!(plan, pick, "{theta:?}");
         let chosen = auto_chooser(base, &r, &s, samples, seed)(theta, &mut pool).unwrap();
         assert_eq!((plan.strategy, chosen), (pick.strategy, pick.strategy));
         picked.push(plan.strategy);

@@ -78,7 +78,7 @@ fn planner_runs_end_to_end_on_house_lake() {
         .unwrap();
     pairs.sort_unstable();
     assert_eq!(pairs, reference);
-    assert!(plan.estimated_cost.is_finite() && plan.estimated_cost > 0.0);
+    assert!(plan.cost.is_finite() && plan.cost > 0.0);
 }
 
 #[test]

@@ -9,11 +9,15 @@
 //! strategy); `Auto` compares the pair set only, since each shard's
 //! service resolves it through `try_pick` on its own slice and may
 //! legitimately pick differently from the single node.
+//!
+//! The same comparison runs with page-read faults armed on every shard:
+//! then a reply is either byte-identical to the fault-free single node or
+//! a typed `Rejection::Failed`, never a wrong answer.
 
 use proptest::prelude::*;
 use sj_geom::{Bounded, Direction, Geometry, Point, Rect, ThetaOp};
 use sj_joins::Strategy;
-use sj_service::{Reply, Request, ServiceConfig, Side, SpatialService, WriteBatch};
+use sj_service::{Rejection, Reply, Request, ServiceConfig, Side, SpatialService, WriteBatch};
 use sj_shard::{RouterResponse, ShardConfig, ShardRouter};
 
 const ALL_THETAS: [ThetaOp; 8] = [
@@ -140,6 +144,18 @@ fn assert_identical(
     let got = router
         .call(req.clone())
         .unwrap_or_else(|rej| panic!("{ctx}: router rejected {req:?}: {rej:?}"));
+    assert_matches_reference(&got, single, req, ctx);
+    got
+}
+
+/// `got` carries the single-node oracle's reply for `req`: the full
+/// reply for a select or a concrete join, the pair set for `Auto`.
+fn assert_matches_reference(
+    got: &RouterResponse,
+    single: &SpatialService,
+    req: &Request,
+    ctx: &str,
+) {
     let want = single.execute_reference(req);
     let auto = matches!(
         req.kind,
@@ -156,7 +172,6 @@ fn assert_identical(
     } else {
         assert_eq!(got.reply, want, "{ctx}: reply diverged for {req:?}");
     }
-    got
 }
 
 proptest! {
@@ -248,5 +263,71 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Page-read faults on every shard's compute pool (commits write on
+    /// the master pool and never fault). Every routed reply — `Auto`,
+    /// whose estimate reads R and scans S on the faulting pool, included —
+    /// is the single node's, or the typed rejection of a request whose
+    /// every attempt faulted.
+    #[test]
+    fn faulted_shards_answer_exactly_or_reject_typed(
+        script in prop::collection::vec(0u8..=255, 0..27),
+        skew_byte in 0u8..=1,
+        fault_byte in 0u8..=2,
+    ) {
+        let skewed = skew_byte == 1;
+        let read_prob = [0.05, 0.2, 0.5][fault_byte as usize];
+        let (mut answered, mut faults) = (0usize, 0u64);
+        for &shards in &SHARD_COUNTS {
+            let r = dataset(skewed, 6, 0);
+            let s = dataset(skewed, 6, 500);
+            let single = SpatialService::start(
+                ServiceConfig {
+                    queue_depth: 256,
+                    cache_capacity: 32,
+                    ..ServiceConfig::default()
+                },
+                &r,
+                &s,
+                world_of(&r, &s),
+            );
+            let mut config = shard_config(shards, 24);
+            config.service.fault_read_prob = read_prob;
+            config.service.fault_seed = u64::from(fault_byte) + 17 * shards as u64;
+            let router = ShardRouter::start(config, &r, &s);
+            let mut check = |req: Request, ctx: &str| match router.call(req.clone()) {
+                Ok(got) => {
+                    assert_matches_reference(&got, &single, &req, ctx);
+                    answered += 1;
+                }
+                Err(Rejection::Failed(_)) => {}
+                Err(other) => panic!("{ctx}: untyped outcome {other:?} for {req:?}"),
+            };
+            let mut next_id = 50_000u64;
+            for chunk in script.chunks_exact(3) {
+                match decode(chunk, &mut next_id) {
+                    Op::Mutate(batch) => {
+                        let got = router.commit(&batch).expect("router commit");
+                        let want = single.commit(&batch).expect("single commit");
+                        assert_eq!(got.outcomes, want.outcomes, "{batch:?}");
+                    }
+                    Op::Query(req) => check(req, "scripted"),
+                }
+            }
+            for theta in ALL_THETAS {
+                for strategy in JOIN_STRATEGIES {
+                    check(Request::join(strategy, theta), "sweep join");
+                }
+                for side in [Side::R, Side::S] {
+                    let at = Geometry::Point(Point::new(6.0, 6.0));
+                    check(Request::select(side, at, theta), "sweep select");
+                }
+            }
+            faults += router.metrics().injected_faults;
+        }
+        // Faults landed and requests were still answered, so neither side
+        // of the contract is vacuous.
+        prop_assert!(answered > 0 && faults > 0, "{answered} answered, {faults} faults");
     }
 }
