@@ -12,7 +12,7 @@ use sj_gentree::balanced::build_balanced;
 use sj_geom::{Geometry, Point, Rect, ThetaOp};
 use sj_joins::paged_tree::{ClusterOrder, CodecMode};
 use sj_joins::tree_join::{tree_select, TraversalOrder};
-use sj_joins::{PagedTree, TreeRelation};
+use sj_joins::TreeRelation;
 use sj_storage::{BufferPool, Disk, DiskConfig, Layout};
 
 fn main() {
@@ -50,13 +50,15 @@ fn main() {
     ];
     for (label, layout, cluster) in storages {
         let mut pool = BufferPool::new(Disk::new(DiskConfig::paper()), 4);
-        let paged = PagedTree::try_build(&mut pool, &tree, 300, layout, cluster, CodecMode::Exact)
-            .expect("no injector is armed");
-        let rel = TreeRelation {
-            tree: tree.clone(),
-            paged,
-            flat: sj_gentree::FlatChildren::build(&tree),
-        };
+        let rel = TreeRelation::try_store(
+            &mut pool,
+            tree.clone(),
+            300,
+            layout,
+            cluster,
+            CodecMode::Exact,
+        )
+        .expect("no injector is armed");
         let mut reads = Vec::new();
         for order in [TraversalOrder::BreadthFirst, TraversalOrder::DepthFirst] {
             pool.clear();

@@ -23,7 +23,7 @@ fn print_subtree(tree: &GenTree, node: NodeId, depth: usize) {
         mbr.hi.y,
         indent = depth * 2
     );
-    for &c in tree.children(node) {
+    for c in tree.children(node) {
         print_subtree(tree, c, depth + 1);
     }
 }

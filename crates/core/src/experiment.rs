@@ -258,9 +258,7 @@ pub fn validate_join(k: usize, n: usize, radius: f64, seed: u64) -> ValidationRe
             .collect();
         gt_join::join_flat(
             &tree_r,
-            None,
             &tree_s,
-            None,
             theta,
             |nd| {
                 seen_r[depth_r[&nd]].insert(nd);

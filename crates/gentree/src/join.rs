@@ -19,22 +19,18 @@
 //! ## Batched child filtering
 //!
 //! The traversal needs the Θ-filter verdict of each child of a node
-//! against a fixed probe MBR. It accepts optional
-//! [`FlatChildren`] snapshots and routes those verdict computations
-//! through the branch-free SoA mask kernels ([`sj_geom::soa`]) via
-//! [`expand_children`] — one mask call per chunk instead of a scalar
-//! filter per child. Verdicts are precomputed at parent-expansion time
-//! but *charged* (`filter_evals`, per-level histogram) when the child is
-//! visited, so every counter, visit order, and match order is
-//! byte-identical to the scalar formulation. Directional operators have
-//! no compiled mask form and fall back to the oriented scalar filter.
+//! against a fixed probe MBR. It reads them from the arena's lane groups
+//! ([`GenTree`]): one branch-free SoA mask call ([`sj_geom::soa`]) per
+//! group of children, θ's oriented scalar filter over the same lanes for
+//! the directional operators, which have no compiled mask form. Verdicts
+//! are precomputed at parent-expansion time but *charged*
+//! (`filter_evals`, per-level histogram) when the child is visited.
 
 use sj_geom::sweep::{sweep_candidates, SweepItem};
-use sj_geom::{Geometry, MaskFilter, Rect, ThetaOp};
+use sj_geom::{Geometry, ThetaOp};
 
-use crate::flat::{expand_children, FlatChildren};
 use crate::stats::TraversalStats;
-use crate::tree::{GenTree, NodeId};
+use crate::tree::{ChildProbe, GenTree, NodeId};
 
 /// Result of a JOIN run: matching `(r_id, s_id)` tuple pairs plus work
 /// counters for both trees combined.
@@ -46,88 +42,61 @@ pub struct JoinOutcome {
     pub stats: TraversalStats,
 }
 
-/// Evaluates the Θ-filter of `(left, right)` through the compiled
-/// [`MaskFilter`] when one exists (hoisting the per-pair derivation of
-/// e.g. `ReachableWithin`'s radius out of the loop), falling back to the
-/// raw operator otherwise. Bit-identical to `theta.filter(left, right)`.
-#[inline]
-fn pair_filter(mf: Option<MaskFilter>, theta: ThetaOp, left: &Rect, right: &Rect) -> bool {
-    match mf {
-        Some(m) => m.eval(left, right),
-        None => theta.filter(left, right),
-    }
+/// One JOIN4 selection: the fixed object `o` against a subtree of
+/// `tree`, `o` on the θ side `probe.probe_is_left` names.
+struct SubtreeSelect<'a> {
+    tree: &'a GenTree,
+    o: &'a Geometry,
+    probe: ChildProbe,
 }
 
-/// SELECT over the subtree rooted at `start`, matching the fixed object `o`
-/// (which plays the θ-operand side indicated by `o_is_left`). The subtree
-/// root itself is visited and filtered but never reported — the caller
-/// (JOIN3) handles the `(a, b)` pair itself.
-///
-/// Children are expanded with their filter verdicts precomputed (batched
-/// when `flat`/`mf` allow); each verdict is charged at the child's visit.
-/// `stack` is the caller's reused buffer, empty on entry and on return.
-#[allow(clippy::too_many_arguments)]
-fn select_subtree(
-    stack: &mut Vec<(NodeId, usize, bool, bool)>,
-    tree: &GenTree,
-    flat: Option<&FlatChildren>,
-    mf: Option<MaskFilter>,
-    start: NodeId,
-    start_depth: usize,
-    o: &Geometry,
-    o_mbr: &Rect,
-    theta: ThetaOp,
-    o_is_left: bool,
-    stats: &mut TraversalStats,
-    on_visit: &mut dyn FnMut(NodeId),
-    mut report: impl FnMut(u64),
-) {
-    let start_passes = {
-        let node_mbr = tree.mbr(start);
-        if o_is_left {
-            pair_filter(mf, theta, o_mbr, &node_mbr)
-        } else {
-            pair_filter(mf, theta, &node_mbr, o_mbr)
-        }
-    };
-    // Children are pushed in child order; the LIFO pop therefore visits
-    // them in reverse child order — the same order as before verdicts
-    // were precomputed.
-    stack.push((start, start_depth, true, start_passes));
-    while let Some((node, depth, is_start, passes)) = stack.pop() {
-        on_visit(node);
-        stats.visit(depth);
-        stats.filter_evals += 1;
-        stats.eval_at(depth, 1);
-        if !passes {
-            continue;
-        }
-        if !is_start {
-            if let Some(entry) = tree.entry(node) {
-                stats.theta_evals += 1;
-                stats.eval_at(depth, 1);
-                let matched = if o_is_left {
-                    theta.eval(o, &entry.geometry)
-                } else {
-                    theta.eval(&entry.geometry, o)
-                };
-                if matched {
-                    report(entry.id);
+impl SubtreeSelect<'_> {
+    /// SELECT over the subtree rooted at `start`. The subtree root itself
+    /// is visited and filtered but never reported — the caller (JOIN3)
+    /// handles the `(a, b)` pair itself.
+    ///
+    /// Children are expanded with their filter verdicts precomputed; each
+    /// verdict is charged at the child's visit. `stack` is the caller's
+    /// reused buffer, empty on entry and on return.
+    fn run(
+        &self,
+        stack: &mut Vec<(NodeId, usize, bool, bool)>,
+        start: NodeId,
+        start_depth: usize,
+        stats: &mut TraversalStats,
+        on_visit: &mut dyn FnMut(NodeId),
+        mut report: impl FnMut(u64),
+    ) {
+        let (tree, probe) = (self.tree, &self.probe);
+        // Children are pushed in child order; the LIFO pop therefore
+        // visits them in reverse child order.
+        stack.push((start, start_depth, true, probe.test(&tree.mbr(start))));
+        while let Some((node, depth, is_start, passes)) = stack.pop() {
+            on_visit(node);
+            stats.visit(depth);
+            stats.filter_evals += 1;
+            stats.eval_at(depth, 1);
+            if !passes {
+                continue;
+            }
+            if !is_start {
+                if let Some(entry) = tree.entry(node) {
+                    stats.theta_evals += 1;
+                    stats.eval_at(depth, 1);
+                    let matched = if probe.probe_is_left {
+                        probe.theta.eval(self.o, &entry.geometry)
+                    } else {
+                        probe.theta.eval(&entry.geometry, self.o)
+                    };
+                    if matched {
+                        report(entry.id);
+                    }
                 }
             }
-        }
-        expand_children(
-            tree,
-            flat,
-            mf,
-            theta,
-            o_mbr,
-            o_is_left,
-            node,
-            &mut |c, v| {
+            tree.expand_children(node, probe, &mut |c, v| {
                 stack.push((c, depth + 1, false, v));
-            },
-        );
+            });
+        }
     }
 }
 
@@ -139,23 +108,22 @@ fn select_subtree(
 /// I/O model uses memory-resident passes; executors charge I/O per visit
 /// through their buffer pool, which absorbs re-visits that hit the cache).
 ///
-/// Child MBRs are probed through optional [`FlatChildren`] snapshots of
-/// either tree. Pairs, visit sequences, and [`TraversalStats`] are
-/// byte-identical for any combination of `None`/`Some` — the snapshots
-/// only change *how* child filter verdicts are computed, never which
-/// ones or when they are charged; `None` is the scalar reference the
-/// property suites compare against.
+/// Child MBRs are probed through either tree's lane groups.
 pub fn join_flat(
     tree_r: &GenTree,
-    flat_r: Option<&FlatChildren>,
     tree_s: &GenTree,
-    flat_s: Option<&FlatChildren>,
     theta: ThetaOp,
     mut on_visit_r: impl FnMut(NodeId),
     mut on_visit_s: impl FnMut(NodeId),
 ) -> JoinOutcome {
     let mut out = JoinOutcome::default();
-    let mf = theta.mask_filter();
+    let mask = theta.mask_filter();
+    let probe = |mbr, probe_is_left| ChildProbe {
+        mbr,
+        theta,
+        mask,
+        probe_is_left,
+    };
     // Buffers reused by every node pair, cleared for each use.
     let mut scratch = Scratch::default();
 
@@ -172,8 +140,9 @@ pub fn join_flat(
             out.stats.visit(depth);
             out.stats.filter_evals += 1;
             out.stats.eval_at(depth, 1);
-            let (a_mbr, b_mbr) = (tree_r.mbr(a), tree_s.mbr(b));
-            if !pair_filter(mf, theta, &a_mbr, &b_mbr) {
+            // The pair's own filter, and the probes its children meet.
+            let (a_probe, b_probe) = (probe(tree_r.mbr(a), true), probe(tree_s.mbr(b), false));
+            if !a_probe.test(&b_probe.mbr) {
                 continue;
             }
 
@@ -188,41 +157,35 @@ pub fn join_flat(
 
             // JOIN4 [Spatial Selections]: cross-height matches.
             if let Some(ea) = tree_r.entry(a) {
-                let ea_id = ea.id;
-                let ea_mbr = a_mbr;
-                select_subtree(
+                let select = SubtreeSelect {
+                    tree: tree_s,
+                    o: &ea.geometry,
+                    probe: a_probe,
+                };
+                let (stats, pairs) = (&mut out.stats, &mut out.pairs);
+                select.run(
                     &mut scratch.stack,
-                    tree_s,
-                    flat_s,
-                    mf,
                     b,
                     depth,
-                    &ea.geometry,
-                    &ea_mbr,
-                    theta,
-                    true,
-                    &mut out.stats,
+                    stats,
                     &mut on_visit_s,
-                    |s_id| out.pairs.push((ea_id, s_id)),
+                    |s_id| pairs.push((ea.id, s_id)),
                 );
             }
             if let Some(eb) = tree_s.entry(b) {
-                let eb_id = eb.id;
-                let eb_mbr = b_mbr;
-                select_subtree(
+                let select = SubtreeSelect {
+                    tree: tree_r,
+                    o: &eb.geometry,
+                    probe: b_probe,
+                };
+                let (stats, pairs) = (&mut out.stats, &mut out.pairs);
+                select.run(
                     &mut scratch.stack,
-                    tree_r,
-                    flat_r,
-                    mf,
                     a,
                     depth,
-                    &eb.geometry,
-                    &eb_mbr,
-                    theta,
-                    false,
-                    &mut out.stats,
+                    stats,
                     &mut on_visit_r,
-                    |r_id| out.pairs.push((r_id, eb_id)),
+                    |r_id| pairs.push((r_id, eb.id)),
                 );
             }
 
@@ -232,7 +195,7 @@ pub fn join_flat(
             // filters; each verdict is still charged individually.
             let Scratch { qual_a, qual_b, .. } = &mut scratch;
             qual_a.clear();
-            expand_children(tree_r, flat_r, mf, theta, &b_mbr, false, a, &mut |a2, v| {
+            tree_r.expand_children(a, &b_probe, &mut |a2, v| {
                 out.stats.filter_evals += 1;
                 out.stats.eval_at(depth, 1);
                 if v {
@@ -240,7 +203,7 @@ pub fn join_flat(
                 }
             });
             qual_b.clear();
-            expand_children(tree_s, flat_s, mf, theta, &a_mbr, true, b, &mut |b2, v| {
+            tree_s.expand_children(b, &a_probe, &mut |b2, v| {
                 out.stats.filter_evals += 1;
                 out.stats.eval_at(depth, 1);
                 if v {
@@ -267,7 +230,7 @@ pub fn join_flat(
 /// [`join_flat`]'s per-node-pair buffers, allocated once per join.
 #[derive(Default)]
 struct Scratch {
-    /// [`select_subtree`]'s traversal stack.
+    /// [`SubtreeSelect::run`]'s traversal stack.
     stack: Vec<(NodeId, usize, bool, bool)>,
     /// The individually-qualifying children of the current pair's sides.
     qual_a: Vec<NodeId>,
@@ -340,9 +303,7 @@ fn seed_child_pairs(
 /// a partial pair set.
 pub fn try_join_flat<E>(
     tree_r: &GenTree,
-    flat_r: Option<&FlatChildren>,
     tree_s: &GenTree,
-    flat_s: Option<&FlatChildren>,
     theta: ThetaOp,
     mut on_visit_r: impl FnMut(NodeId) -> Result<(), E>,
     mut on_visit_s: impl FnMut(NodeId) -> Result<(), E>,
@@ -350,9 +311,7 @@ pub fn try_join_flat<E>(
     let first_err = std::cell::RefCell::new(None::<E>);
     let out = join_flat(
         tree_r,
-        flat_r,
         tree_s,
-        flat_s,
         theta,
         |node| {
             let mut slot = first_err.borrow_mut();
@@ -395,7 +354,6 @@ pub fn join_exhaustive(tree_r: &GenTree, tree_s: &GenTree, theta: ThetaOp) -> Jo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rtree::{RTree, RTreeConfig};
     use crate::tree::Entry;
     use sj_geom::{Point, Rect};
 
@@ -444,7 +402,7 @@ mod tests {
             ThetaOp::Overlaps,
         ] {
             let reference = sorted(join_exhaustive(&tr, &ts, theta).pairs);
-            let level_sync = sorted(join_flat(&tr, None, &ts, None, theta, |_| {}, |_| {}).pairs);
+            let level_sync = sorted(join_flat(&tr, &ts, theta, |_| {}, |_| {}).pairs);
             assert_eq!(
                 level_sync, reference,
                 "level-sync vs reference for {theta:?}"
@@ -460,15 +418,7 @@ mod tests {
             .collect();
         let tr = point_tree(&pts, world, 3);
         let ts = point_tree(&pts, world, 3);
-        let out = join_flat(
-            &tr,
-            None,
-            &ts,
-            None,
-            ThetaOp::WithinDistance(100.0),
-            |_| {},
-            |_| {},
-        );
+        let out = join_flat(&tr, &ts, ThetaOp::WithinDistance(100.0), |_| {}, |_| {});
         let mut pairs = out.pairs.clone();
         let before = pairs.len();
         pairs.sort_unstable();
@@ -505,7 +455,7 @@ mod tests {
             2,
         );
 
-        let got = sorted(join_flat(&tr, None, &ts, None, ThetaOp::Overlaps, |_| {}, |_| {}).pairs);
+        let got = sorted(join_flat(&tr, &ts, ThetaOp::Overlaps, |_| {}, |_| {}).pairs);
         // state (id 1) overlaps probe 10; city (id 2) coincides with probe 10.
         assert_eq!(got, vec![(1, 10), (2, 10)]);
     }
@@ -536,7 +486,7 @@ mod tests {
         let reference = sorted(join_exhaustive(&tr, &ts, theta).pairs);
         assert_eq!(reference.len(), 4);
         assert_eq!(
-            sorted(join_flat(&tr, None, &ts, None, theta, |_| {}, |_| {}).pairs),
+            sorted(join_flat(&tr, &ts, theta, |_| {}, |_| {}).pairs),
             reference
         );
     }
@@ -555,9 +505,9 @@ mod tests {
             }),
         );
         let ts = point_tree(&[(9, 3.0, 3.0)], world, 1);
-        let inc = join_flat(&tr, None, &ts, None, ThetaOp::Includes, |_| {}, |_| {}).pairs;
+        let inc = join_flat(&tr, &ts, ThetaOp::Includes, |_| {}, |_| {}).pairs;
         assert_eq!(inc, vec![(1, 9)]);
-        let cont = join_flat(&tr, None, &ts, None, ThetaOp::ContainedIn, |_| {}, |_| {}).pairs;
+        let cont = join_flat(&tr, &ts, ThetaOp::ContainedIn, |_| {}, |_| {}).pairs;
         assert!(cont.is_empty());
     }
 
@@ -577,7 +527,7 @@ mod tests {
             ThetaOp::DirectionOf(sj_geom::Direction::NorthWest),
             ThetaOp::Overlaps,
         ] {
-            let out = join_flat(&tr, None, &ts, None, theta, |_| {}, |_| {});
+            let out = join_flat(&tr, &ts, theta, |_| {}, |_| {});
             assert_eq!(
                 out.stats.evals_per_level.iter().sum::<u64>(),
                 out.stats.comparisons(),
@@ -604,7 +554,7 @@ mod tests {
         let tr = point_tree(&r_pts, world, 8);
         let ts = point_tree(&s_pts, world, 8);
         let theta = ThetaOp::WithinDistance(2.0);
-        let tree_join = join_flat(&tr, None, &ts, None, theta, |_| {}, |_| {});
+        let tree_join = join_flat(&tr, &ts, theta, |_| {}, |_| {});
         let reference = join_exhaustive(&tr, &ts, theta);
         assert_eq!(sorted(tree_join.pairs), sorted(reference.pairs));
         assert!(
@@ -613,59 +563,5 @@ mod tests {
             tree_join.stats.theta_evals,
             reference.stats.theta_evals
         );
-    }
-
-    fn soup_entries(n: usize, salt: u64) -> Vec<(u64, Geometry)> {
-        (0..n)
-            .map(|i| {
-                let k = (i as u64)
-                    .wrapping_mul(0x9E3779B97F4A7C15)
-                    .wrapping_add(salt);
-                let x = (k % 997) as f64 / 997.0 * 100.0;
-                let y = (k / 997 % 997) as f64 / 997.0 * 100.0;
-                (i as u64, Geometry::Point(Point::new(x, y)))
-            })
-            .collect()
-    }
-
-    /// Flat-probed joins must be byte-identical to the scalar joins on
-    /// real R-trees: same pair order, same visit sequences, same stats —
-    /// for every operator family (batched-capable and directional).
-    #[test]
-    fn flat_probed_join_is_byte_identical_to_scalar() {
-        let rt_r = RTree::bulk_load(RTreeConfig::with_fanout(7), soup_entries(180, 5));
-        let rt_s = RTree::bulk_load(RTreeConfig::with_fanout(5), soup_entries(140, 11));
-        let (tr, ts) = (rt_r.tree(), rt_s.tree());
-        let (fr, fs) = (FlatChildren::build(tr), FlatChildren::build(ts));
-        for theta in [
-            ThetaOp::Overlaps,
-            ThetaOp::WithinDistance(6.0),
-            ThetaOp::Adjacent,
-            ThetaOp::DirectionOf(sj_geom::Direction::East),
-        ] {
-            let mut sv = (Vec::new(), Vec::new());
-            let scalar = join_flat(
-                tr,
-                None,
-                ts,
-                None,
-                theta,
-                |n| sv.0.push(n),
-                |n| sv.1.push(n),
-            );
-            let mut fv = (Vec::new(), Vec::new());
-            let flat = join_flat(
-                tr,
-                Some(&fr),
-                ts,
-                Some(&fs),
-                theta,
-                |n| fv.0.push(n),
-                |n| fv.1.push(n),
-            );
-            assert_eq!(flat.pairs, scalar.pairs, "level-sync pairs {theta:?}");
-            assert_eq!(flat.stats, scalar.stats, "level-sync stats {theta:?}");
-            assert_eq!(fv, sv, "level-sync visit sequences {theta:?}");
-        }
     }
 }

@@ -15,8 +15,10 @@
 //! * **synthetic balanced k-ary trees** used by the cost model's
 //!   assumptions S1–S2 ([`balanced`]).
 //!
-//! On top of the shared arena representation ([`tree::GenTree`]) this crate
-//! implements the paper's two algorithms with exact work accounting:
+//! On top of the shared arena representation ([`tree::GenTree`]), which
+//! stores each node's children once, as SoA lane groups of child MBRs and
+//! ids probed one mask call per group, this crate implements the paper's
+//! two algorithms with exact work accounting:
 //!
 //! * [`select::select_flat`] — Algorithm SELECT (§3.2): breadth-first θ-selection
 //!   driven by the Θ-filter (plus a depth-first variant),
@@ -43,15 +45,13 @@
 
 pub mod balanced;
 pub mod carto;
-pub mod flat;
 pub mod join;
 pub mod rtree;
 pub mod select;
 pub mod stats;
 pub mod tree;
 
-pub use flat::{expand_children, FlatChildren};
 pub use join::{join_flat, JoinOutcome};
-pub use select::{select_dfs_flat, select_flat, SelectOutcome};
+pub use select::{select_dfs_flat, select_flat, FlatChildren, SelectOutcome};
 pub use stats::TraversalStats;
 pub use tree::{Entry, GenTree, NodeId};

@@ -268,13 +268,10 @@ impl RTree {
     fn choose_leaf(&self, mbr: &Rect) -> NodeId {
         let mut node = self.tree.root();
         for _ in 0..self.leaf_level {
-            let best = self
+            let (best, _) = self
                 .tree
-                .children(node)
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    let (ra, rb) = (self.tree.mbr(a), self.tree.mbr(b));
+                .child_lanes(node)
+                .min_by(|(_, ra), (_, rb)| {
                     let (ea, eb) = (ra.enlargement(mbr), rb.enlargement(mbr));
                     ea.partial_cmp(&eb)
                         .expect("finite areas")
@@ -304,19 +301,17 @@ impl RTree {
     }
 
     fn recompute_mbr(&mut self, node: NodeId) {
-        let children = self.tree.children(node);
-        if children.is_empty() {
+        if self.tree.is_leaf(node) {
             return;
         }
-        let mbr = mbr_of(children.iter().map(|&c| self.tree.mbr(c)));
+        let mbr = mbr_of(self.tree.child_lanes(node).map(|(_, r)| r));
         self.tree_mut().set_mbr(node, mbr);
     }
 
     /// SplitNode: partition an overflowing node's children into two groups
     /// and install the second group in a new sibling.
     fn split_node(&mut self, node: NodeId) {
-        let children: Vec<NodeId> = self.tree.children(node).to_vec();
-        let mbrs: Vec<Rect> = children.iter().map(|&c| self.tree.mbr(c)).collect();
+        let (children, mbrs): (Vec<NodeId>, Vec<Rect>) = self.tree.child_lanes(node).unzip();
         let (ga, gb) = match self.config.split {
             SplitStrategy::Linear => linear_split(&mbrs, self.config.min_entries),
             SplitStrategy::Quadratic => quadratic_split(&mbrs, self.config.min_entries),
@@ -336,8 +331,8 @@ impl RTree {
         let tree = self.tree_mut();
         let sibling = tree.add_child(parent, node_mbr, None);
         for &idx in &gb {
-            tree.detach(children[idx]);
-            tree.attach(sibling, children[idx]);
+            let mbr = tree.detach(children[idx]);
+            tree.attach(sibling, children[idx], mbr);
         }
         debug_assert_eq!(self.tree.children(node).len(), ga.len());
         self.recompute_mbr(node);
@@ -376,7 +371,7 @@ impl RTree {
 
     /// Detached-subtree teardown: releases all nodes, harvesting entries.
     fn collect_entries(&mut self, node: NodeId, out: &mut Vec<Entry>) {
-        let children: Vec<NodeId> = self.tree.children(node).to_vec();
+        let children: Vec<NodeId> = self.tree.children(node).collect();
         for c in children {
             self.tree_mut().detach(c);
             self.collect_entries(c, out);
@@ -424,9 +419,7 @@ impl RTree {
                         "node {n:?} underfull: {fanout}"
                     );
                 }
-                for &c in self.tree.children(n) {
-                    stack.push((c, depth + 1));
-                }
+                stack.extend(self.tree.children(n).map(|c| (c, depth + 1)));
             }
         }
     }

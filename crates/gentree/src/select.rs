@@ -10,9 +10,15 @@
 
 use sj_geom::{Bounded, Geometry, ThetaOp};
 
-use crate::flat::{expand_children, FlatChildren};
 use crate::stats::TraversalStats;
-use crate::tree::{GenTree, NodeId};
+use crate::tree::{ChildProbe, GenTree, NodeId};
+
+/// A field-less marker, kept only because the benchmark harness passes
+/// `Some(&tree.flat)` to [`select_flat`] and [`try_select_flat`], which
+/// ignore it: a tree's children are stored once, as the arena's lane
+/// groups (ROADMAP item 25 deletes the marker).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlatChildren;
 
 /// Result of a SELECT run: matching tuple ids plus work counters.
 #[derive(Debug, Clone, Default)]
@@ -29,28 +35,24 @@ pub struct SelectOutcome {
 /// `on_visit` is invoked once per visited node *in visit order*; executors
 /// use it to charge page I/O against the storage layer.
 ///
-/// With a [`FlatChildren`] view (and an operator that has a compiled
-/// mask filter), each node expansion Θ-filters the whole fanout through
-/// the batched SoA mask kernel; with `None` it runs the per-child scalar
-/// tests — the reference the property suites compare against. Visit
-/// order, match set, and every work counter are identical either way —
-/// the Θ-verdict of a node is merely *computed* at parent-expansion time
-/// and still *charged* when the node is visited.
+/// Each node expansion Θ-filters the whole fanout through the arena's
+/// lane groups, one mask call per group; the Θ-verdict of a node is
+/// *computed* at parent-expansion time and still *charged* when the node
+/// is visited. The `_flat` argument is ignored ([`FlatChildren`]).
 pub fn select_flat(
     tree: &GenTree,
-    flat: Option<&FlatChildren>,
+    _flat: Option<&FlatChildren>,
     o: &Geometry,
     theta: ThetaOp,
     mut on_visit: impl FnMut(NodeId),
 ) -> SelectOutcome {
     let mut out = SelectOutcome::default();
-    let o_mbr = o.mbr();
-    let mask = theta.mask_filter();
+    let probe = ChildProbe::new(o.mbr(), theta, true);
 
     // SELECT1 [Initialization]: QualNodes[0] = [root]. The root has no
     // parent to batch under; its verdict is the one scalar filter call.
     let root = tree.root();
-    let mut qual_nodes: Vec<(NodeId, bool)> = vec![(root, theta.filter(&o_mbr, &tree.mbr(root)))];
+    let mut qual_nodes: Vec<(NodeId, bool)> = vec![(root, probe.test(&tree.mbr(root)))];
     let mut depth = 0usize;
 
     // SELECT2 [Tree Search], one iteration per height level.
@@ -64,9 +66,7 @@ pub fn select_flat(
             if qualifies {
                 // Descend: children become qualifying nodes at depth+1,
                 // their Θ-verdicts computed one chunk-mask at a time.
-                expand_children(tree, flat, mask, theta, &o_mbr, true, a, &mut |c, v| {
-                    next_level.push((c, v))
-                });
+                tree.expand_children(a, &probe, &mut |c, v| next_level.push((c, v)));
                 // Check o θ a exactly, if a is an application object.
                 if let Some(entry) = tree.entry(a) {
                     out.stats.theta_evals += 1;
@@ -85,21 +85,17 @@ pub fn select_flat(
 /// Depth-first variant of SELECT (mentioned in §3.2: "a depth-first search
 /// algorithm would also have been possible"; which is faster depends on the
 /// physical clustering of the tree). Returns the same match set as
-/// [`select_flat`], in depth-first order, with the same `flat`
-/// semantics.
+/// [`select_flat`], in depth-first order.
 pub fn select_dfs_flat(
     tree: &GenTree,
-    flat: Option<&FlatChildren>,
     o: &Geometry,
     theta: ThetaOp,
     mut on_visit: impl FnMut(NodeId),
 ) -> SelectOutcome {
     let mut out = SelectOutcome::default();
-    let o_mbr = o.mbr();
-    let mask = theta.mask_filter();
+    let probe = ChildProbe::new(o.mbr(), theta, true);
     let root = tree.root();
-    let mut stack: Vec<(NodeId, usize, bool)> =
-        vec![(root, 0, theta.filter(&o_mbr, &tree.mbr(root)))];
+    let mut stack: Vec<(NodeId, usize, bool)> = vec![(root, 0, probe.test(&tree.mbr(root)))];
     let mut scratch: Vec<(NodeId, bool)> = Vec::new();
     while let Some((a, depth, qualifies)) = stack.pop() {
         on_visit(a);
@@ -115,9 +111,7 @@ pub fn select_dfs_flat(
             // Batch the children's Θ-verdicts, then push in reverse so
             // they are visited left-to-right.
             scratch.clear();
-            expand_children(tree, flat, mask, theta, &o_mbr, true, a, &mut |c, v| {
-                scratch.push((c, v))
-            });
+            tree.expand_children(a, &probe, &mut |c, v| scratch.push((c, v)));
             for &(c, v) in scratch.iter().rev() {
                 stack.push((c, depth + 1, v));
             }
@@ -150,27 +144,25 @@ fn capture_first<E>(
 
 /// [`select_flat`] with a fallible visitor: the first visitor error
 /// aborts the outcome (the traversal's I/O charging stops immediately).
+/// The `_flat` argument is ignored ([`FlatChildren`]).
 pub fn try_select_flat<E>(
     tree: &GenTree,
-    flat: Option<&FlatChildren>,
+    _flat: Option<&FlatChildren>,
     o: &Geometry,
     theta: ThetaOp,
     on_visit: impl FnMut(NodeId) -> Result<(), E>,
 ) -> Result<SelectOutcome, E> {
-    capture_first(on_visit, |visit| select_flat(tree, flat, o, theta, visit))
+    capture_first(on_visit, |visit| select_flat(tree, None, o, theta, visit))
 }
 
 /// [`select_dfs_flat`] with a fallible visitor; see [`try_select_flat`].
 pub fn try_select_dfs_flat<E>(
     tree: &GenTree,
-    flat: Option<&FlatChildren>,
     o: &Geometry,
     theta: ThetaOp,
     on_visit: impl FnMut(NodeId) -> Result<(), E>,
 ) -> Result<SelectOutcome, E> {
-    capture_first(on_visit, |visit| {
-        select_dfs_flat(tree, flat, o, theta, visit)
-    })
+    capture_first(on_visit, |visit| select_dfs_flat(tree, o, theta, visit))
 }
 
 /// Reference implementation: exhaustively θ-tests every entry in the tree
@@ -242,7 +234,7 @@ mod tests {
                 ThetaOp::DirectionOf(sj_geom::Direction::NorthWest),
             ] {
                 let mut bfs = select_flat(&t, None, &o, theta, |_| {}).matches;
-                let mut dfs = select_dfs_flat(&t, None, &o, theta, |_| {}).matches;
+                let mut dfs = select_dfs_flat(&t, &o, theta, |_| {}).matches;
                 let mut exh = select_exhaustive(&t, &o, theta).matches;
                 bfs.sort_unstable();
                 dfs.sort_unstable();
@@ -306,54 +298,6 @@ mod tests {
         });
         assert_eq!(visited.len() as u64, out.stats.nodes_visited);
         assert_eq!(visited[0], t.root());
-    }
-
-    #[test]
-    fn flat_probed_select_is_byte_identical_to_scalar() {
-        use crate::flat::FlatChildren;
-        use crate::rtree::{RTree, RTreeConfig};
-
-        let entries: Vec<(u64, Geometry)> = (0..250)
-            .map(|i| {
-                let k = (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
-                let x = (k % 997) as f64 / 997.0 * 100.0;
-                let y = (k / 997 % 997) as f64 / 997.0 * 100.0;
-                (i as u64, Geometry::Point(Point::new(x, y)))
-            })
-            .collect();
-        let rt = RTree::bulk_load(RTreeConfig::with_fanout(7), entries);
-        let trees = [lattice_tree(), rt.tree().clone()];
-        for t in &trees {
-            let flat = FlatChildren::build(t);
-            for theta in [
-                ThetaOp::Overlaps,
-                ThetaOp::WithinDistance(8.0),
-                ThetaOp::Adjacent,
-                ThetaOp::DirectionOf(sj_geom::Direction::East),
-            ] {
-                for (ox, oy) in [(0.0, 0.0), (50.0, 50.0), (200.0, 200.0)] {
-                    let o = Geometry::Point(Point::new(ox, oy));
-                    // Match sequence, stats, and visit sequence must all
-                    // be identical — not just the match *set*.
-                    let mut visits_scalar = Vec::new();
-                    let mut visits_flat = Vec::new();
-                    let want = select_flat(t, None, &o, theta, |id| visits_scalar.push(id));
-                    let got = select_flat(t, Some(&flat), &o, theta, |id| visits_flat.push(id));
-                    assert_eq!(got.matches, want.matches, "{theta:?}");
-                    assert_eq!(got.stats, want.stats, "{theta:?}");
-                    assert_eq!(visits_flat, visits_scalar, "{theta:?}");
-
-                    let mut dfs_visits_scalar = Vec::new();
-                    let mut dfs_visits_flat = Vec::new();
-                    let want = select_dfs_flat(t, None, &o, theta, |id| dfs_visits_scalar.push(id));
-                    let got =
-                        select_dfs_flat(t, Some(&flat), &o, theta, |id| dfs_visits_flat.push(id));
-                    assert_eq!(got.matches, want.matches, "dfs {theta:?}");
-                    assert_eq!(got.stats, want.stats, "dfs {theta:?}");
-                    assert_eq!(dfs_visits_flat, dfs_visits_scalar, "dfs {theta:?}");
-                }
-            }
-        }
     }
 
     #[test]

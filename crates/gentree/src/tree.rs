@@ -1,6 +1,15 @@
 //! The arena representation shared by all generalization trees.
+//!
+//! A node's children live in its *child run*: consecutive lane groups of
+//! the arena's one child store, each holding [`LANES`] child MBRs in SoA
+//! form ([`RectLanes`]) with the child ids beside them, lane for lane. A
+//! node's MBR is stored once, in its parent's lane (the root's in the
+//! tree), so expanding a node Θ-filters its whole fanout with one mask
+//! call per lane group (`GenTree::expand_children`) and touches only the
+//! children it visits.
 
-use sj_geom::{Bounded, Geometry, Rect};
+use sj_geom::soa::{RectLanes, LANES};
+use sj_geom::{Bounded, Geometry, MaskFilter, Rect, ThetaOp};
 use sj_storage::CowVec;
 
 /// Index of a node within a [`GenTree`] arena.
@@ -14,6 +23,9 @@ impl NodeId {
     }
 }
 
+/// The id a padding lane holds.
+const NO_NODE: NodeId = NodeId(u32::MAX);
+
 /// An application object attached to a tree node: the tuple it stands for
 /// plus its exact geometry. Directory nodes of abstract indices (R-tree
 /// interior nodes) carry no entry.
@@ -26,26 +38,114 @@ pub struct Entry {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct Node {
+struct Node {
+    entry: Option<Entry>,
+    parent: Option<NodeId>,
+    /// The child-store lane holding the node's MBR, in its parent's run
+    /// (unused at the root and while detached).
+    lane: u32,
+    run: ChildRun,
+    /// Tombstone marker for recycled arena slots (a dead slot's `parent`
+    /// is the next free slot).
+    live: bool,
+}
+
+/// Where a node's children live in the child store.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChildRun {
+    /// First lane group of the run.
+    first: u32,
+    /// Number of children (the first `ceil(count / LANES)` groups).
+    count: u32,
+    /// Lane groups reserved at `first`: what the run can grow to in place.
+    groups: u32,
+}
+
+impl ChildRun {
+    /// The lanes of the run's children, in child order.
+    #[inline]
+    fn lanes(self) -> std::ops::Range<u32> {
+        let first = self.first * LANES as u32;
+        first..first + self.count
+    }
+}
+
+/// The lane group and the lane within it of child-store lane `lane`.
+#[inline]
+fn group_of(lane: u32) -> (usize, usize) {
+    (lane as usize / LANES, lane as usize % LANES)
+}
+
+/// [`LANES`] children of one parent — what one mask call and its visits
+/// read. Padding lanes hold [`RectLanes::EMPTY`]'s lanes and `NO_NODE`.
+#[derive(Debug, Clone)]
+struct LaneGroup {
+    mbrs: RectLanes,
+    ids: [NodeId; LANES],
+}
+
+const EMPTY_GROUP: LaneGroup = LaneGroup {
+    mbrs: RectLanes::EMPTY,
+    ids: [NO_NODE; LANES],
+};
+
+/// A Θ-filter against one fixed probe MBR: what a traversal tests every
+/// child of an expanded node with. `probe_is_left` fixes the argument
+/// order of θ's filter; the compiled [`MaskFilter`] (every θ but the
+/// directional ones) is symmetric, so orientation only matters without it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChildProbe {
     pub(crate) mbr: Rect,
-    pub(crate) entry: Option<Entry>,
-    pub(crate) parent: Option<NodeId>,
-    pub(crate) children: Vec<NodeId>,
-    /// Tombstone marker for recycled arena slots.
-    pub(crate) live: bool,
+    pub(crate) theta: ThetaOp,
+    pub(crate) mask: Option<MaskFilter>,
+    pub(crate) probe_is_left: bool,
+}
+
+impl ChildProbe {
+    pub(crate) fn new(mbr: Rect, theta: ThetaOp, probe_is_left: bool) -> Self {
+        let mask = theta.mask_filter();
+        ChildProbe {
+            mbr,
+            theta,
+            mask,
+            probe_is_left,
+        }
+    }
+
+    /// The verdict on one MBR, bit-identical to `theta.filter` in the
+    /// probe's orientation.
+    #[inline]
+    pub(crate) fn test(&self, other: &Rect) -> bool {
+        let (left, right) = match self.probe_is_left {
+            true => (&self.mbr, other),
+            false => (other, &self.mbr),
+        };
+        match self.mask {
+            Some(m) => m.eval(left, right),
+            None => self.theta.filter(left, right),
+        }
+    }
 }
 
 /// A generalization tree: every node has a bounding rectangle; each
 /// non-root node's rectangle is contained in its parent's rectangle
 /// (the PART-OF invariant, checked by [`GenTree::check_invariants`]).
 ///
-/// The arena is a [`CowVec`]: a clone shares every chunk of nodes and a
-/// mutation copies the chunks it writes.
+/// The arena and the child store are [`CowVec`]s: a clone shares every
+/// chunk and a mutation copies the chunks it writes.
 #[derive(Debug, Clone)]
 pub struct GenTree {
     nodes: CowVec<Node, ARENA_CHUNK>,
-    free: Vec<NodeId>,
+    /// One run of lane groups per parent, in child order. A run outgrowing
+    /// its reservation moves to the end; a dead slot keeps its reservation
+    /// for the slot's next tenant.
+    groups: CowVec<LaneGroup, 16>,
+    /// The last slot released: dead slots form a stack linked through
+    /// their `parent`, reused last-released first.
+    free: Option<NodeId>,
+    free_len: usize,
     root: NodeId,
+    root_mbr: Rect,
     /// One bit per arena slot written (`node_mut`, `alloc`) since the last
     /// [`GenTree::take_dirty`]: sorted, duplicate-free, bounded undrained.
     dirty: Vec<u64>,
@@ -59,16 +159,19 @@ impl GenTree {
     /// application entry.
     pub fn new(mbr: Rect, entry: Option<Entry>) -> Self {
         let root = Node {
-            mbr,
             entry,
             parent: None,
-            children: Vec::new(),
+            lane: 0,
+            run: ChildRun::default(),
             live: true,
         };
         GenTree {
             nodes: std::iter::once(root).collect(),
-            free: Vec::new(),
+            groups: CowVec::new(),
+            free: None,
+            free_len: 0,
             root: NodeId(0),
+            root_mbr: mbr,
             dirty: Vec::new(),
         }
     }
@@ -81,13 +184,19 @@ impl GenTree {
 
     /// Number of live nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.nodes.len() - self.free_len
     }
 
-    /// Bounding rectangle of a node.
+    /// Bounding rectangle of a node: its lane in its parent's run.
     #[inline]
     pub fn mbr(&self, id: NodeId) -> Rect {
-        self.node(id).mbr
+        let n = self.node(id);
+        if n.parent.is_none() {
+            debug_assert_eq!(id, self.root, "a detached node has no MBR");
+            return self.root_mbr;
+        }
+        let (g, lane) = group_of(n.lane);
+        self.groups[g].mbrs.get(lane)
     }
 
     /// The node's application entry, if it corresponds to a user object.
@@ -96,10 +205,26 @@ impl GenTree {
         self.node(id).entry.as_ref()
     }
 
-    /// Children of a node.
+    /// Children of a node, in child order.
     #[inline]
-    pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.node(id).children
+    pub fn children(
+        &self,
+        id: NodeId,
+    ) -> impl DoubleEndedIterator<Item = NodeId> + ExactSizeIterator + '_ {
+        self.child_lanes(id).map(|(c, _)| c)
+    }
+
+    /// Children of a node with their MBRs, read from its lanes.
+    #[inline]
+    pub(crate) fn child_lanes(
+        &self,
+        id: NodeId,
+    ) -> impl DoubleEndedIterator<Item = (NodeId, Rect)> + ExactSizeIterator + '_ {
+        self.node(id).run.lanes().map(move |lane| {
+            let (g, lane) = group_of(lane);
+            let group = &self.groups[g];
+            (group.ids[lane], group.mbrs.get(lane))
+        })
     }
 
     /// Parent of a node (`None` for the root).
@@ -111,7 +236,7 @@ impl GenTree {
     /// True if the node has no children.
     #[inline]
     pub fn is_leaf(&self, id: NodeId) -> bool {
-        self.node(id).children.is_empty()
+        self.node(id).run.count == 0
     }
 
     /// Depth of `id` below the root (root = 0) — the paper's node *height*
@@ -129,15 +254,7 @@ impl GenTree {
     /// Tree height: the maximum node depth (a lone root has height 0) —
     /// the paper's `n`.
     pub fn height(&self) -> usize {
-        let mut max = 0;
-        let mut stack = vec![(self.root, 0usize)];
-        while let Some((id, d)) = stack.pop() {
-            max = max.max(d);
-            for &c in &self.node(id).children {
-                stack.push((c, d + 1));
-            }
-        }
-        max
+        self.levels().len() - 1
     }
 
     /// All live node ids in breadth-first order (the clustering order of
@@ -147,7 +264,7 @@ impl GenTree {
         let mut queue = std::collections::VecDeque::from([self.root]);
         while let Some(id) = queue.pop_front() {
             out.push(id);
-            queue.extend(self.node(id).children.iter().copied());
+            queue.extend(self.children(id));
         }
         out
     }
@@ -161,9 +278,7 @@ impl GenTree {
         while let Some(id) = stack.pop() {
             out.push(id);
             // Push in reverse so children emerge left-to-right.
-            for &c in self.node(id).children.iter().rev() {
-                stack.push(c);
-            }
+            stack.extend(self.children(id).rev());
         }
         out
     }
@@ -176,7 +291,7 @@ impl GenTree {
         while !frontier.is_empty() {
             let mut next = Vec::new();
             for &id in &frontier {
-                next.extend(self.node(id).children.iter().copied());
+                next.extend(self.children(id));
             }
             levels.push(std::mem::replace(&mut frontier, next));
         }
@@ -212,7 +327,7 @@ impl GenTree {
 
     #[doc(hidden)]
     pub fn copied_chunks(&self, since: &GenTree) -> usize {
-        self.nodes.copied_chunks(&since.nodes)
+        self.nodes.copied_chunks(&since.nodes) + self.groups.copied_chunks(&since.groups)
     }
 
     /// Iterates over all live nodes in arena order (no particular tree
@@ -225,6 +340,35 @@ impl GenTree {
             .map(|(i, _)| NodeId(i as u32))
     }
 
+    /// Θ-filters every child of `node` against `probe` with one mask call
+    /// per lane group — θ's oriented scalar filter over the same lanes
+    /// when it has no compiled mask — and calls `visit(child, passes)` for
+    /// each child in child order. The one child probe SELECT and JOIN
+    /// share.
+    #[inline]
+    pub(crate) fn expand_children(
+        &self,
+        node: NodeId,
+        probe: &ChildProbe,
+        visit: &mut impl FnMut(NodeId, bool),
+    ) {
+        let run = self.node(node).run;
+        let (first, count) = (run.first as usize, run.count as usize);
+        for g in 0..count.div_ceil(LANES) {
+            let group = &self.groups[first + g];
+            let lanes = (count - g * LANES).min(LANES);
+            let mask = match probe.mask {
+                Some(m) => group.mbrs.filter_mask(&probe.mbr, m),
+                None => (0..lanes).fold(0, |mask, lane| {
+                    mask | u16::from(probe.test(&group.mbrs.get(lane))) << lane
+                }),
+            };
+            for lane in 0..lanes {
+                visit(group.ids[lane], mask >> lane & 1 == 1);
+            }
+        }
+    }
+
     // ----- mutation (used by builders and the R-tree) ------------------
 
     /// Adds a child under `parent`.
@@ -234,67 +378,84 @@ impl GenTree {
     /// Panics if `parent` is not live.
     pub fn add_child(&mut self, parent: NodeId, mbr: Rect, entry: Option<Entry>) -> NodeId {
         assert!(self.node(parent).live, "parent is not live");
-        let id = self.alloc(Node {
-            mbr,
-            entry,
-            parent: Some(parent),
-            children: Vec::new(),
-            live: true,
-        });
-        self.node_mut(parent).children.push(id);
+        let id = self.alloc(entry, Some(parent));
+        self.push_lane(parent, id, &mbr);
         id
     }
 
     /// Updates a node's bounding rectangle.
     pub(crate) fn set_mbr(&mut self, id: NodeId, mbr: Rect) {
-        self.node_mut(id).mbr = mbr;
-    }
-
-    /// Detaches `child` from its parent (the node and its subtree stay
-    /// allocated; the caller re-attaches or releases them).
-    pub(crate) fn detach(&mut self, child: NodeId) {
-        if let Some(p) = self.node(child).parent {
-            let children = &mut self.node_mut(p).children;
-            let pos = children
-                .iter()
-                .position(|&c| c == child)
-                .expect("child listed under its parent");
-            children.swap_remove(pos);
+        self.mark_dirty(id);
+        if self.mbr(id) == mbr {
+            return;
         }
-        self.node_mut(child).parent = None;
+        let n = self.node(id);
+        match n.parent {
+            Some(_) => {
+                let (g, lane) = group_of(n.lane);
+                self.groups.get_mut(g).mbrs.set(lane, &mbr);
+            }
+            None => self.root_mbr = mbr,
+        }
     }
 
-    /// Attaches a detached node under `parent`.
-    pub(crate) fn attach(&mut self, parent: NodeId, child: NodeId) {
+    /// Detaches `child` from its parent by swap-remove (the node and its
+    /// subtree stay allocated; the caller re-attaches or releases them)
+    /// and returns the MBR its parent's lane held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `child` has no parent.
+    pub(crate) fn detach(&mut self, child: NodeId) -> Rect {
+        let n = self.node(child);
+        let (p, hole) = (n.parent.expect("detach needs a parent"), n.lane);
+        let mbr = self.mbr(child);
+        let mut run = self.node(p).run;
+        run.count -= 1;
+        let last = run.lanes().end;
+        let (g, lane) = group_of(last);
+        let (moved, moved_mbr) = (self.groups[g].ids[lane], self.groups[g].mbrs.get(lane));
+        let group = self.groups.get_mut(g);
+        group.mbrs.clear(lane);
+        group.ids[lane] = NO_NODE;
+        if hole != last {
+            self.write_lane(hole, moved, &moved_mbr);
+        }
+        self.node_mut(p).run = run;
+        self.node_mut(child).parent = None;
+        mbr
+    }
+
+    /// Attaches a detached node under `parent` with bounding rectangle `mbr`.
+    pub(crate) fn attach(&mut self, parent: NodeId, child: NodeId, mbr: Rect) {
         debug_assert!(
             self.node(child).parent.is_none(),
             "attach requires a detached node"
         );
         self.node_mut(child).parent = Some(parent);
-        self.node_mut(parent).children.push(child);
+        self.push_lane(parent, child, &mbr);
     }
 
-    /// Releases a detached, childless node back to the arena.
+    /// Releases a detached, childless node back to the arena; the slot
+    /// keeps its lane groups for its next tenant.
     pub(crate) fn release(&mut self, id: NodeId) {
         debug_assert!(self.node(id).parent.is_none());
-        debug_assert!(self.node(id).children.is_empty());
-        self.node_mut(id).live = false;
-        self.free.push(id);
+        debug_assert!(self.is_leaf(id));
+        let next = self.free.replace(id);
+        let n = self.node_mut(id);
+        n.live = false;
+        n.parent = next;
+        self.free_len += 1;
     }
 
     /// Installs a brand-new root above the current one (R-tree root split).
     pub(crate) fn grow_root(&mut self, mbr: Rect) -> NodeId {
-        let old_root = self.root;
-        let new_root = self.alloc(Node {
-            mbr,
-            entry: None,
-            parent: None,
-            children: Vec::new(),
-            live: true,
-        });
+        let (old_root, old_mbr) = (self.root, self.root_mbr);
+        let new_root = self.alloc(None, None);
         self.root = new_root;
+        self.root_mbr = mbr;
         self.node_mut(old_root).parent = Some(new_root);
-        self.node_mut(new_root).children.push(old_root);
+        self.push_lane(new_root, old_root, &old_mbr);
         new_root
     }
 
@@ -302,20 +463,35 @@ impl GenTree {
     pub(crate) fn shrink_root(&mut self) {
         let old_root = self.root;
         assert_eq!(
-            self.node(old_root).children.len(),
+            self.children(old_root).len(),
             1,
             "shrink needs a single child"
         );
-        let child = self.node(old_root).children[0];
-        self.node_mut(old_root).children.clear();
-        self.node_mut(child).parent = None;
+        let child = self.children(old_root).next().expect("one child");
+        self.root_mbr = self.detach(child);
         self.root = child;
         self.release(old_root);
     }
 
-    pub(crate) fn alloc(&mut self, node: Node) -> NodeId {
-        let id = if let Some(id) = self.free.pop() {
-            *self.nodes.get_mut(id.index()) = node;
+    /// A fresh node in a free slot (keeping the slot's lane groups) or a
+    /// new one. Its `lane` is set by the `push_lane` that follows.
+    fn alloc(&mut self, entry: Option<Entry>, parent: Option<NodeId>) -> NodeId {
+        let mut node = Node {
+            entry,
+            parent,
+            lane: 0,
+            run: ChildRun::default(),
+            live: true,
+        };
+        let id = if let Some(id) = self.free {
+            let slot = self.nodes.get_mut(id.index());
+            self.free = slot.parent;
+            self.free_len -= 1;
+            node.run = ChildRun {
+                count: 0,
+                ..slot.run
+            };
+            *slot = node;
             id
         } else {
             self.nodes.push(node);
@@ -323,6 +499,38 @@ impl GenTree {
         };
         self.mark_dirty(id);
         id
+    }
+
+    /// Appends `child` with `mbr` to `parent`'s run, moving the run (and
+    /// its children's lanes) to the end of the store when it outgrows its
+    /// reservation.
+    fn push_lane(&mut self, parent: NodeId, child: NodeId, mbr: &Rect) {
+        let mut run = self.node(parent).run;
+        let needed = (run.count as usize + 1).div_ceil(LANES) as u32;
+        if needed > run.groups {
+            let moved: Vec<(NodeId, Rect)> = self.child_lanes(parent).collect();
+            run.first = self.groups.len() as u32;
+            run.groups = needed;
+            for _ in 0..needed {
+                self.groups.push(EMPTY_GROUP);
+            }
+            for (lane, (c, c_mbr)) in run.lanes().zip(moved) {
+                self.write_lane(lane, c, &c_mbr);
+            }
+        }
+        run.count += 1;
+        self.write_lane(run.lanes().end - 1, child, mbr);
+        self.node_mut(parent).run = run;
+    }
+
+    /// Stores `child` and its MBR in `lane` and points the child at it —
+    /// not a dirty write of the child: its content does not change.
+    fn write_lane(&mut self, lane: u32, child: NodeId, mbr: &Rect) {
+        let (g, l) = group_of(lane);
+        let group = self.groups.get_mut(g);
+        group.mbrs.set(l, mbr);
+        group.ids[l] = child;
+        self.nodes.get_mut(child.index()).lane = lane;
     }
 
     fn mark_dirty(&mut self, id: NodeId) {
@@ -334,14 +542,14 @@ impl GenTree {
     }
 
     #[inline]
-    pub(crate) fn node(&self, id: NodeId) -> &Node {
+    fn node(&self, id: NodeId) -> &Node {
         let n = &self.nodes[id.index()];
         debug_assert!(n.live, "accessing a dead node");
         n
     }
 
     #[inline]
-    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
+    fn node_mut(&mut self, id: NodeId) -> &mut Node {
         self.mark_dirty(id);
         let n = self.nodes.get_mut(id.index());
         debug_assert!(n.live, "accessing a dead node");
@@ -349,28 +557,37 @@ impl GenTree {
     }
 
     /// Verifies the PART-OF invariant (every child MBR inside its parent
-    /// MBR, within epsilon), parent/child link consistency, and that entry
-    /// geometries lie within their node MBRs. Panics on violation.
+    /// MBR, within epsilon), that entry geometries lie within their node
+    /// MBRs, and the child store: each lane of a run holds a child whose
+    /// parent link and lane point back, and every other lane reserved for
+    /// the run is padding. Panics on violation.
     pub fn check_invariants(&self) {
         let mut seen = 0usize;
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
             seen += 1;
-            let n = self.node(id);
+            let (n, mbr) = (self.node(id), self.mbr(id));
             if let Some(e) = &n.entry {
                 assert!(
-                    n.mbr.expand(1e-9).contains_rect(&e.geometry.mbr()),
+                    mbr.expand(1e-9).contains_rect(&e.geometry.mbr()),
                     "entry geometry escapes its node MBR at {id:?}"
                 );
             }
-            for &c in &n.children {
+            let reserved = n.run.lanes().start..(n.run.first + n.run.groups) * LANES as u32;
+            for at in reserved {
+                let (g, lane) = group_of(at);
+                let (c, c_mbr) = (self.groups[g].ids[lane], self.groups[g].mbrs.get(lane));
+                if at >= n.run.lanes().end {
+                    assert_eq!(c, NO_NODE, "a padding lane of {id:?} names a node");
+                    assert_eq!(c_mbr, RectLanes::EMPTY.get(lane), "padding lane of {id:?}");
+                    continue;
+                }
                 let cn = self.node(c);
                 assert_eq!(cn.parent, Some(id), "broken parent link at {c:?}");
+                assert_eq!(cn.lane, at, "{c:?} is not where its lane is");
                 assert!(
-                    n.mbr.expand(1e-9).contains_rect(&cn.mbr),
-                    "PART-OF violation: child {c:?} MBR {:?} escapes parent {id:?} MBR {:?}",
-                    cn.mbr,
-                    n.mbr
+                    mbr.expand(1e-9).contains_rect(&c_mbr),
+                    "PART-OF violation: child {c:?} MBR {c_mbr:?} escapes parent {id:?} MBR {mbr:?}",
                 );
                 stack.push(c);
             }
@@ -406,7 +623,7 @@ mod tests {
         assert_eq!(t.depth_of(c), 2);
         assert_eq!(t.parent(c), Some(b));
         assert!(t.is_leaf(a) && t.is_leaf(c) && !t.is_leaf(b));
-        assert_eq!(t.children(t.root()), &[a, b]);
+        assert_eq!(t.children(t.root()).collect::<Vec<_>>(), [a, b]);
         assert_eq!(t.entry(a).unwrap().id, 1);
         assert!(t.entry(b).is_none());
         t.check_invariants();
@@ -450,9 +667,10 @@ mod tests {
         let mut t = GenTree::new(rect(0.0, 0.0, 10.0, 10.0), None);
         let a = t.add_child(t.root(), rect(0.0, 0.0, 5.0, 5.0), None);
         let b = t.add_child(t.root(), rect(5.0, 5.0, 10.0, 10.0), None);
-        t.detach(a);
-        assert_eq!(t.children(t.root()), &[b]);
-        t.attach(b, a);
+        let a_mbr = t.detach(a);
+        assert_eq!(a_mbr, rect(0.0, 0.0, 5.0, 5.0));
+        assert_eq!(t.children(t.root()).collect::<Vec<_>>(), [b]);
+        t.attach(b, a, a_mbr);
         // a's MBR must be adjusted by the caller for the invariant; do so.
         t.set_mbr(b, rect(0.0, 0.0, 10.0, 10.0));
         assert_eq!(t.parent(a), Some(b));
@@ -495,5 +713,87 @@ mod tests {
         // The freed slot is recycled.
         assert_eq!(a.index(), b.index());
         t.check_invariants();
+    }
+    /// The oracle the traversals stand on: on R-trees after seeded random
+    /// insert/remove chains, each live node's lane probe gives, child by
+    /// child and in child order, what `ThetaOp::filter` gives on the
+    /// child's MBR — for the compiled mask filters and for both
+    /// orientations of the directional ones — and an entry's lane holds
+    /// its geometry's MBR.
+    #[test]
+    fn lane_probe_equals_theta_filter_in_child_order() {
+        use crate::rtree::{RTree, RTreeConfig};
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use sj_geom::Direction;
+
+        let thetas = [
+            ThetaOp::Overlaps,
+            ThetaOp::Includes,
+            ThetaOp::WithinDistance(7.0),
+            ThetaOp::WithinDistance(-1.0),
+            ThetaOp::Adjacent,
+            ThetaOp::DirectionOf(Direction::NorthWest),
+            ThetaOp::DirectionOf(Direction::South),
+        ];
+        let probes = [
+            rect(10.0, 10.0, 40.0, 40.0),
+            rect(0.0, 0.0, 100.0, 100.0),
+            rect(95.0, 95.0, 99.0, 99.0),
+        ];
+        // Fan-outs 4, 8 and 12: runs of one lane group and of two.
+        for (seed, fanout) in [(1u64, 4), (2, 8), (3, 12)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rt = RTree::new(RTreeConfig::with_fanout(fanout));
+            let (mut live, mut next_id) = (Vec::new(), 0u64);
+            for _ in 0..600 {
+                if live.len() > 40 && rng.random_range(0..3) == 0 {
+                    assert!(rt.remove(live.swap_remove(rng.random_range(0..live.len()))));
+                } else {
+                    let (x, y) = (rng.random_range(0.0..98.0), rng.random_range(0.0..98.0));
+                    let g = match rng.random_range(0..2) {
+                        0 => Geometry::Point(Point::new(x, y)),
+                        _ => Geometry::Rect(rect(x, y, x + 2.0, y + 1.5)),
+                    };
+                    rt.insert(next_id, g);
+                    live.push(next_id);
+                    next_id += 1;
+                }
+            }
+            rt.check_invariants();
+            let tree = rt.tree();
+            for node in tree.iter_live() {
+                if let Some(e) = tree.entry(node) {
+                    assert_eq!(tree.mbr(node), e.geometry.mbr(), "lane of {node:?}");
+                }
+            }
+            for (theta, probe) in thetas.iter().flat_map(|&t| probes.map(|p| (t, p))) {
+                for probe_is_left in [true, false] {
+                    let mask = theta.mask_filter();
+                    let cp = ChildProbe {
+                        mbr: probe,
+                        theta,
+                        mask,
+                        probe_is_left,
+                    };
+                    for node in tree.iter_live() {
+                        let want: Vec<(NodeId, bool)> = tree
+                            .children(node)
+                            .map(|c| {
+                                let m = tree.mbr(c);
+                                let v = match probe_is_left {
+                                    true => theta.filter(&probe, &m),
+                                    false => theta.filter(&m, &probe),
+                                };
+                                (c, v)
+                            })
+                            .collect();
+                        let mut got = Vec::new();
+                        tree.expand_children(node, &cp, &mut |c, v| got.push((c, v)));
+                        assert_eq!(got, want, "{theta:?} left={probe_is_left} at {node:?}");
+                    }
+                }
+            }
+        }
     }
 }

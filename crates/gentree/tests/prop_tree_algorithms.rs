@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use sj_gentree::join::{join_exhaustive, join_flat};
 use sj_gentree::rtree::{RTree, RTreeConfig, SplitStrategy};
 use sj_gentree::select::{select_dfs_flat, select_exhaustive, select_flat};
-use sj_gentree::FlatChildren;
 use sj_geom::{Direction, Geometry, Point, Rect, ThetaOp};
 
 fn arb_geom() -> impl Strategy<Value = Geometry> {
@@ -72,7 +71,7 @@ proptest! {
         }
         rt.check_invariants();
         let bfs = sorted_ids(select_flat(rt.tree(), None, &probe, theta, |_| {}).matches);
-        let dfs = sorted_ids(select_dfs_flat(rt.tree(), None, &probe, theta, |_| {}).matches);
+        let dfs = sorted_ids(select_dfs_flat(rt.tree(), &probe, theta, |_| {}).matches);
         let reference = sorted_ids(select_exhaustive(rt.tree(), &probe, theta).matches);
         prop_assert_eq!(&bfs, &reference, "BFS SELECT diverges for {:?}", theta);
         prop_assert_eq!(&dfs, &reference, "DFS SELECT diverges for {:?}", theta);
@@ -95,7 +94,7 @@ proptest! {
             ts.insert(1000 + i as u64, g);
         }
         let reference = sorted_pairs(join_exhaustive(tr.tree(), ts.tree(), theta).pairs);
-        let sync = sorted_pairs(join_flat(tr.tree(), None, ts.tree(), None, theta, |_| {}, |_| {}).pairs);
+        let sync = sorted_pairs(join_flat(tr.tree(), ts.tree(), theta, |_| {}, |_| {}).pairs);
         prop_assert_eq!(&sync, &reference, "level-sync JOIN diverges for {:?}", theta);
     }
 
@@ -144,57 +143,6 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// The flattened-children probe path ([`FlatChildren`] + SoA mask
-    /// kernels) is **byte-identical** to the scalar descent on arbitrary
-    /// incrementally-built trees (irregular fanouts, ragged chunk runs):
-    /// same matches, same counters, same node-visit sequences — for both
-    /// SELECT orders and Algorithm JOIN, across every operator kind
-    /// (the directional ones exercise the oriented scalar fallback).
-    #[test]
-    fn flat_probed_traversals_equal_scalar(
-        config_r in arb_config(),
-        config_s in arb_config(),
-        geoms_r in prop::collection::vec(arb_geom(), 1..60),
-        geoms_s in prop::collection::vec(arb_geom(), 1..60),
-        probe in arb_geom(),
-        theta in arb_theta(),
-    ) {
-        let mut tr = RTree::new(config_r);
-        for (i, g) in geoms_r.into_iter().enumerate() {
-            tr.insert(i as u64, g);
-        }
-        let mut ts = RTree::new(config_s);
-        for (i, g) in geoms_s.into_iter().enumerate() {
-            ts.insert(1000 + i as u64, g);
-        }
-        let fr = FlatChildren::build(tr.tree());
-        let fs = FlatChildren::build(ts.tree());
-
-        let (mut va, mut vb) = (Vec::new(), Vec::new());
-        let a = select_flat(tr.tree(), None, &probe, theta, |n| va.push(n));
-        let b = select_flat(tr.tree(), Some(&fr), &probe, theta, |n| vb.push(n));
-        prop_assert_eq!(&b.matches, &a.matches, "BFS SELECT matches {:?}", theta);
-        prop_assert_eq!(&b.stats, &a.stats, "BFS SELECT stats {:?}", theta);
-        prop_assert_eq!(&vb, &va, "BFS SELECT visit order {:?}", theta);
-
-        let (mut va, mut vb) = (Vec::new(), Vec::new());
-        let a = select_dfs_flat(tr.tree(), None, &probe, theta, |n| va.push(n));
-        let b = select_dfs_flat(tr.tree(), Some(&fr), &probe, theta, |n| vb.push(n));
-        prop_assert_eq!(&b.matches, &a.matches, "DFS SELECT matches {:?}", theta);
-        prop_assert_eq!(&b.stats, &a.stats, "DFS SELECT stats {:?}", theta);
-        prop_assert_eq!(&vb, &va, "DFS SELECT visit order {:?}", theta);
-
-        let (mut ra, mut sa, mut rb, mut sb) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        let a = join_flat(tr.tree(), None, ts.tree(), None, theta, |n| ra.push(n), |n| sa.push(n));
-        let b = join_flat(
-            tr.tree(), Some(&fr), ts.tree(), Some(&fs), theta,
-            |n| rb.push(n), |n| sb.push(n),
-        );
-        prop_assert_eq!(&b.pairs, &a.pairs, "level-sync JOIN pairs {:?}", theta);
-        prop_assert_eq!(&b.stats, &a.stats, "level-sync JOIN stats {:?}", theta);
-        prop_assert_eq!((&rb, &sb), (&ra, &sa), "level-sync JOIN visits {:?}", theta);
-    }
-
     /// JOIN never emits duplicates, for any operator and any data.
     #[test]
     fn join_emits_no_duplicates(
@@ -210,7 +158,7 @@ proptest! {
         for (i, g) in geoms_s.into_iter().enumerate() {
             ts.insert(i as u64, g);
         }
-        let pairs = join_flat(tr.tree(), None, ts.tree(), None, theta, |_| {}, |_| {}).pairs;
+        let pairs = join_flat(tr.tree(), ts.tree(), theta, |_| {}, |_| {}).pairs;
         let mut dedup = pairs.clone();
         dedup.sort_unstable();
         dedup.dedup();

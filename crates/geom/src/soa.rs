@@ -111,6 +111,26 @@ impl RectLanes {
         self.hi_y[lane] = r.hi.y;
     }
 
+    /// The rectangle in `lane` (a padding lane reads `lo = +∞, hi = −∞`).
+    #[inline]
+    pub fn get(&self, lane: usize) -> Rect {
+        // Literals, not `Point::new`: padding coordinates are infinite.
+        let lo = Point {
+            x: self.lo_x[lane],
+            y: self.lo_y[lane],
+        };
+        let hi = Point {
+            x: self.hi_x[lane],
+            y: self.hi_y[lane],
+        };
+        Rect { lo, hi }
+    }
+
+    /// Makes `lane` padding again.
+    pub fn clear(&mut self, lane: usize) {
+        self.set(lane, &RectLanes::EMPTY.get(lane));
+    }
+
     /// [`RectChunks::filter_mask`] over this chunk.
     #[inline]
     pub fn filter_mask(&self, probe: &Rect, filter: MaskFilter) -> u16 {

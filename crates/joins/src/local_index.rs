@@ -73,7 +73,7 @@ fn subtree_entries(tree: &GenTree, n: NodeId) -> Vec<(u64, Geometry)> {
         if let Some(e) = tree.entry(cur) {
             out.push((e.id, e.geometry.clone()));
         }
-        stack.extend_from_slice(tree.children(cur));
+        stack.extend(tree.children(cur));
     }
     out
 }
@@ -109,7 +109,7 @@ impl LocalJoinIndex {
             let mut stack = vec![a];
             while let Some(cur) = stack.pop() {
                 r.paged.try_touch_io(pool, cur)?;
-                stack.extend_from_slice(r.tree.children(cur));
+                stack.extend(r.tree.children(cur));
             }
             r_entries.insert(a, subtree_entries(&r.tree, a));
         }
@@ -118,7 +118,7 @@ impl LocalJoinIndex {
             let mut stack = vec![b];
             while let Some(cur) = stack.pop() {
                 s.paged.try_touch_io(pool, cur)?;
-                stack.extend_from_slice(s.tree.children(cur));
+                stack.extend(s.tree.children(cur));
             }
             s_entries.insert(b, subtree_entries(&s.tree, b));
         }

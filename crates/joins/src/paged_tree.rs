@@ -6,7 +6,10 @@
 //! record. [`PagedTree`] assigns every tree node a record slot on a
 //! heap file, in breadth-first order under [`Layout::Clustered`]
 //! (strategy IIb) or scattered under [`Layout::Unclustered`]
-//! (strategy IIa), and charges a record read per visit.
+//! (strategy IIa), and charges a record read per visit. A
+//! [`TreeRelation`] pairs that mapping with the in-memory tree, whose
+//! arena holds every node's children and MBRs once; traversals probe
+//! them there, so the stored relation keeps no second copy.
 
 use std::sync::Arc;
 
@@ -153,10 +156,9 @@ pub struct TreeRelation {
     pub tree: Arc<GenTree>,
     /// Its storage mapping.
     pub paged: PagedTree,
-    /// Flattened child-MBR snapshot for batched mask probes. Built
-    /// together with the tree — a `TreeRelation` value is immutable, so
-    /// the snapshot never goes stale; incremental maintenance produces a
-    /// *new* `TreeRelation` via [`TreeRelation::try_evolve`].
+    /// Ignored: the tree stores its children once, in its own lane
+    /// groups. It stays only because the benchmark harness passes
+    /// `Some(&tree.flat)` to `select_flat`; ROADMAP item 25 deletes it.
     pub flat: FlatChildren,
 }
 
@@ -168,14 +170,16 @@ impl TreeRelation {
     /// Panics on a storage fault during the load — this constructor and
     /// [`TreeRelation::new_compressed`] run on a pool the caller has just
     /// created, before any injector is armed. A build that must survive
-    /// faults assembles the relation from [`PagedTree::try_build`].
+    /// faults calls [`TreeRelation::try_store`].
     pub fn new(
         pool: &mut BufferPool,
         tree: impl Into<Arc<GenTree>>,
         record_size: usize,
         layout: Layout,
     ) -> Self {
-        Self::store(pool, tree.into(), record_size, layout, CodecMode::Exact)
+        let (bfs, exact) = (ClusterOrder::BreadthFirst, CodecMode::Exact);
+        Self::try_store(pool, tree, record_size, layout, bfs, exact)
+            .unwrap_or_else(|e| panic!("stored tree build failed: {e}")) // PANIC-OK: see new
     }
 
     /// Stores `tree` with v2 quantized node records sized to the tree's
@@ -193,21 +197,29 @@ impl TreeRelation {
     ) -> Self {
         let tree = tree.into();
         let record_size = PagedTree::quant_record_size(&tree).max(min_record_size);
-        Self::store(pool, tree, record_size, layout, CodecMode::Quantized)
+        let (bfs, quantized) = (ClusterOrder::BreadthFirst, CodecMode::Quantized);
+        Self::try_store(pool, tree, record_size, layout, bfs, quantized)
+            .unwrap_or_else(|e| panic!("stored tree build failed: {e}")) // PANIC-OK: see new
     }
 
-    fn store(
+    /// Stores `tree` on a heap file in `cluster` order, placed per
+    /// `layout` and encoded per `mode` ([`PagedTree::try_build`]); the
+    /// first storage fault aborts the load with a typed error.
+    pub fn try_store(
         pool: &mut BufferPool,
-        tree: Arc<GenTree>,
+        tree: impl Into<Arc<GenTree>>,
         record_size: usize,
         layout: Layout,
+        cluster: ClusterOrder,
         mode: CodecMode,
-    ) -> Self {
-        let cluster = ClusterOrder::BreadthFirst;
-        let paged = PagedTree::try_build(pool, &tree, record_size, layout, cluster, mode)
-            .unwrap_or_else(|e| panic!("stored tree build failed: {e}")); // PANIC-OK: see new
-        let flat = FlatChildren::build(&tree);
-        TreeRelation { tree, paged, flat }
+    ) -> Result<Self, StorageError> {
+        let tree = tree.into();
+        let paged = PagedTree::try_build(pool, &tree, record_size, layout, cluster, mode)?;
+        Ok(TreeRelation {
+            tree,
+            paged,
+            flat: FlatChildren,
+        })
     }
 
     /// True when node records are stored as v2 quantized frames.
@@ -231,9 +243,9 @@ impl TreeRelation {
     ///   write; a frame fits its slot width, so in-place is always legal),
     /// * new in `next` → appended to the file.
     ///
-    /// I/O and CPU are O(`dirty`): directories and flat snapshot are
-    /// cloned chunk-shared and patched at the dirty slots; `next` is shared
-    /// with the caller, not copied. Slots are visited in ascending order,
+    /// I/O and CPU are O(`dirty`): the directories are cloned chunk-shared
+    /// and patched at the dirty slots; `next`, which holds the children
+    /// and their MBRs, is shared with the caller, not copied. Slots are visited in ascending order,
     /// so the page touch sequence is a function of the two trees alone.
     /// On error the underlying pool may have absorbed partial writes —
     /// callers commit against a forked view and discard it on failure.
@@ -285,12 +297,10 @@ impl TreeRelation {
             }
         }
 
-        let mut flat = self.flat.clone();
-        flat.patch(&next, dirty);
         Ok(TreeRelation {
-            flat,
-            paged: PagedTree { file, record, mode },
             tree: next,
+            paged: PagedTree { file, record, mode },
+            flat: FlatChildren,
         })
     }
 }
@@ -516,14 +526,14 @@ mod tests {
     }
 
     /// Chains of random batches, each evolved from the R-tree's dirty
-    /// slots alone, on exact and quantized trees: storage, flat snapshot
-    /// and charged writes must be what a look at every slot would give.
+    /// slots alone, on exact and quantized trees: storage and charged
+    /// writes must be what a look at every slot would give.
     #[test]
     fn evolve_from_dirty_slots_matches_a_whole_tree_diff() {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         use sj_gentree::rtree::{RTree, RTreeConfig};
-        use sj_geom::{MaskFilter, Polygon};
+        use sj_geom::Polygon;
 
         for mode in [CodecMode::Exact, CodecMode::Quantized] {
             let mut rng = StdRng::seed_from_u64(0xE701);
@@ -597,21 +607,12 @@ mod tests {
                     "a batch, not the tree"
                 );
 
-                let fresh = FlatChildren::build(&next);
-                let probe = Rect::from_bounds(10.0, 10.0, 45.0, 40.0);
+                next.check_invariants();
                 for node in next.iter_live() {
                     assert_eq!(
                         touch(&evolved.paged, &mut p, node),
                         stored_content(&next, node, mode)
                     );
-                    let verdicts = |flat: &FlatChildren| {
-                        let mut out = Vec::new();
-                        flat.probe_children(node, &probe, MaskFilter::Overlap, |c, v| {
-                            out.push((c, v))
-                        });
-                        out
-                    };
-                    assert_eq!(verdicts(&evolved.flat), verdicts(&fresh));
                 }
                 rel = evolved;
             }

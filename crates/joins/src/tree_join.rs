@@ -32,17 +32,10 @@ pub fn tree_select(
     order: TraversalOrder,
 ) -> Result<SelectRun, StorageError> {
     let before = pool.stats();
-    // Descend through the relation's flattened child-MBR snapshot: one
-    // SoA mask call per chunk of siblings instead of per-child scalar
-    // filters (identical matches and counters either way).
     let touch = |node| r.paged.try_touch_io(pool, node);
     let outcome = match order {
-        TraversalOrder::BreadthFirst => {
-            select::try_select_flat(&r.tree, Some(&r.flat), o, theta, touch)?
-        }
-        TraversalOrder::DepthFirst => {
-            select::try_select_dfs_flat(&r.tree, Some(&r.flat), o, theta, touch)?
-        }
+        TraversalOrder::BreadthFirst => select::try_select_flat(&r.tree, None, o, theta, touch)?,
+        TraversalOrder::DepthFirst => select::try_select_dfs_flat(&r.tree, o, theta, touch)?,
     };
     let mut run = SelectRun {
         matches: outcome.matches,
@@ -84,9 +77,7 @@ pub fn tree_join(
     let pool_cell = std::cell::RefCell::new(&mut *pool);
     let outcome = join::try_join_flat(
         &r.tree,
-        Some(&r.flat),
         &s.tree,
-        Some(&s.flat),
         theta,
         |node| r.paged.try_touch_io(&mut pool_cell.borrow_mut(), node),
         |node| s.paged.try_touch_io(&mut pool_cell.borrow_mut(), node),

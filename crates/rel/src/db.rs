@@ -4,9 +4,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sj_gentree::rtree::{RTree, RTreeConfig};
-use sj_gentree::FlatChildren;
 use sj_geom::{codec, Geometry, ThetaOp};
-use sj_joins::{ClusterOrder, CodecMode, JoinIndex, PagedTree, TreeRelation};
+use sj_joins::{ClusterOrder, CodecMode, JoinIndex, TreeRelation};
 use sj_joins::{JoinRun, Mutation, MutationOutcome, StoredRelation, TraceSink};
 use sj_storage::StorageError;
 use sj_storage::{BufferPool, Disk, DiskConfig, FaultInjector, HeapFile, IoStats, Layout};
@@ -132,10 +131,8 @@ impl Table {
         let rtree = RTree::bulk_load(RTreeConfig::with_fanout(sc.index_fanout), entries);
         let tree = Arc::clone(rtree.shared_tree());
         let (bfs, exact) = (ClusterOrder::BreadthFirst, CodecMode::Exact);
-        let paged = PagedTree::try_build(pool, &tree, record_size, sc.index_layout, bfs, exact);
-        let paged = paged.map_err(during)?;
-        let flat = FlatChildren::build(&tree);
-        sc.index = Some((TreeRelation { tree, paged, flat }, seq));
+        let index = TreeRelation::try_store(pool, tree, record_size, sc.index_layout, bfs, exact);
+        sc.index = Some((index.map_err(during)?, seq));
         Ok(())
     }
 

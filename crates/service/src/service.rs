@@ -744,8 +744,9 @@ struct Applied {
 /// previous snapshot's `Arc`. Physical I/O and slots examined are
 /// O(batch · tree height), independent of relation size — the receipt's
 /// `io` and [`WriteMetrics::apply_nodes_touched`] prove it per commit —
-/// and so is what is copied: arena, flat view, directories, id maps and
-/// page table are chunk-shared with `current` (`sj_storage::CowVec`);
+/// and so is what is copied: arena (children and MBRs included),
+/// directories, id maps and page table are chunk-shared with `current`
+/// (`sj_storage::CowVec`);
 /// only `StoredRelation::{ids, slots}` are copied whole.
 fn apply_incremental(
     config: &ServiceConfig,
@@ -1124,12 +1125,11 @@ mod tests {
         Rect::from_bounds(0.0, 0.0, 64.0, 64.0)
     }
 
-    /// Chunks of `now`'s arena, flat view, record directory and heap-file
-    /// directories that are not `Arc::ptr_eq` with `then`'s.
+    /// Chunks of `now`'s arena (nodes and child lane groups), record
+    /// directory and heap-file directories that are not `Arc::ptr_eq`
+    /// with `then`'s.
     fn tree_chunks_copied(now: &TreeRelation, then: &TreeRelation) -> usize {
-        now.tree.copied_chunks(&then.tree)
-            + now.flat.copied_chunks(&then.flat)
-            + now.paged.copied_chunks(&then.paged)
+        now.tree.copied_chunks(&then.tree) + now.paged.copied_chunks(&then.paged)
     }
 
     /// A SELECT with a point probe at `(x, y)`.
@@ -1769,7 +1769,7 @@ mod tests {
     }
 
     /// The sharing sibling: what a commit copies of a touched side's
-    /// arena, flat view, record directory and page table — chunks no
+    /// arena, record directory and page table — chunks no
     /// longer `Arc::ptr_eq` with the previous snapshot's — follows the
     /// batch too, not the data.
     #[test]

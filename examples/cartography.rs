@@ -90,7 +90,7 @@ fn main() {
             world_side: 900.0,
         },
     );
-    let joined = join_flat(&map, None, &other, None, ThetaOp::Overlaps, |_| {}, |_| {});
+    let joined = join_flat(&map, &other, ThetaOp::Overlaps, |_| {}, |_| {});
     println!(
         "\njoin of the two hierarchies: {} overlapping object pairs",
         joined.pairs.len()

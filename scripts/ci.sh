@@ -376,7 +376,7 @@ echo "==> batch-bounded commit gate (commit work follows the batch)"
 # bfs_order stays), and a relation delete rewrites no directory. Its
 # copies follow the batch too: the arena and the page table are chunked
 # copy-on-write (no whole-`Vec` form, no hand-written arena `Clone`), and
-# the evolve patches the flat view instead of rebuilding it.
+# the evolve walks no tree order.
 walks=$(
     awk '/^#\[cfg\(test\)\]/ { exit } /iter_live/ { print FILENAME ":" FNR ": " $0 }' \
         crates/joins/src/paged_tree.rs
@@ -386,7 +386,7 @@ walks=$(
          /impl Clone for GenTree|Vec<Node>/ { print FILENAME ":" FNR ": " $0 }' \
         crates/gentree/src/tree.rs
     awk '/^    pub fn try_evolve/ { scan = 1 }
-         scan && /FlatChildren::build|iter_live/ { print FILENAME ":" FNR ": " $0 }
+         scan && /bfs_order|dfs_order|iter_live/ { print FILENAME ":" FNR ": " $0 }
          scan && /^    }$/ { exit }' crates/joins/src/paged_tree.rs
     awk '/^#\[cfg\(test\)\]/ { exit } /Vec<Arc<Page>>/ { print FILENAME ":" FNR ": " $0 }' \
         crates/storage/src/disk.rs
@@ -396,8 +396,35 @@ if [ -n "$walks" ]; then
     echo "$walks"
     exit 1
 fi
-echo "    -> try_evolve walks no tree and rebuilds no view, try_delete rewrites no"
-echo "       directory, arena and page table are chunked copy-on-write"
+echo "    -> try_evolve walks no tree, try_delete rewrites no directory, arena and"
+echo "       page table are chunked copy-on-write"
+
+echo "==> one-child-store gate (a tree's children are stored once, in its arena)"
+# `GenTree` keeps each node's children as SoA lane groups of its own
+# child store, each child's MBR in its parent's lane: no second,
+# flattened copy of the child MBRs (flat.rs) and no per-node child list.
+stores=$(
+    if [ -e crates/gentree/src/flat.rs ]; then echo "crates/gentree/src/flat.rs exists"; fi
+    awk '/^#\[cfg\(test\)\]/ { exit }
+         /^ +(pub(\(crate\))? )?[a-z_]+: *Vec<NodeId>/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/gentree/src/tree.rs
+)
+lane_structs=$(
+    for f in crates/gentree/src/*.rs; do
+        awk '/^#\[cfg\(test\)\]/ { exit }
+             /^(pub(\(crate\))? )?struct / { name = $0; scan = 1 }
+             scan && /: *RectLanes/ { print FILENAME ":" FNR ": " name }
+             scan && /^}/ { scan = 0 }' "$f"
+    done
+)
+lane_count=$(printf '%s' "$lane_structs" | grep -c . || true)
+if [ -n "$stores" ] || [ "$lane_count" -ne 1 ]; then
+    echo "    a second child store is back ($lane_count structs store RectLanes, want 1):"
+    echo "$stores"
+    echo "$lane_structs"
+    exit 1
+fi
+echo "    -> one child store: the arena's lane groups ($lane_structs)"
 
 echo "==> read-path gate (a read copies nothing)"
 # A read pays for what it reads: forking a view clones no page table,
