@@ -69,7 +69,8 @@
 //! through the pool; there is no panicking twin. The bulk builders
 //! (`StoredRelation::build*`, `TreeRelation::new*`) run on a pool the
 //! caller has just created, before any injector can be armed, and
-//! document their panic.
+//! document their panic. A side that takes writes is one
+//! [`IndexedRelation`], in the service and in `sj-rel` alike.
 //!
 //! [`Layout`]: sj_storage::Layout
 //! [`BufferPool`]: sj_storage::BufferPool
@@ -77,6 +78,7 @@
 pub mod advisor;
 pub mod executor;
 pub mod grid;
+pub mod indexed;
 pub mod join_index;
 pub mod local_index;
 pub mod mutation;
@@ -90,6 +92,7 @@ pub mod sweep;
 pub mod tree_join;
 
 pub use executor::{JoinExecutor, JoinOperands, JoinRequest, Strategy};
+pub use indexed::IndexedRelation;
 pub use join_index::JoinIndex;
 pub use local_index::LocalJoinIndex;
 pub use mutation::{Mutation, MutationOutcome, Side, TouchedRegions, WriteBatch};

@@ -19,7 +19,7 @@
 //! reproduces them exactly.
 
 use sj_geom::codec::{encode_record, encoded_len, try_decode_untrusted, CodecError};
-use sj_geom::{Bounded, Geometry, Rect};
+use sj_geom::{Geometry, Rect};
 use sj_storage::StorageError;
 
 /// Which operand relation a mutation or SELECT targets.
@@ -75,6 +75,28 @@ impl<G> Mutation<G> {
             Mutation::Insert { id, .. } | Mutation::Delete { id } | Mutation::Upsert { id, .. } => {
                 *id
             }
+        }
+    }
+
+    /// The value an insert or upsert stores; `None` for a delete.
+    pub fn value(&self) -> Option<&G> {
+        match self {
+            Mutation::Insert { value, .. } | Mutation::Upsert { value, .. } => Some(value),
+            Mutation::Delete { .. } => None,
+        }
+    }
+
+    /// The one outcome rule, for an id `present` or not and a value
+    /// `too_large` or not: a live id's insert is a duplicate before any
+    /// size test, an upsert is size-tested first.
+    pub fn outcome(&self, present: bool, too_large: bool) -> MutationOutcome {
+        match self {
+            Mutation::Insert { .. } if present => MutationOutcome::DuplicateId,
+            Mutation::Delete { .. } if !present => MutationOutcome::MissingId,
+            Mutation::Delete { .. } => MutationOutcome::Deleted,
+            _ if too_large => MutationOutcome::TooLarge,
+            Mutation::Insert { .. } => MutationOutcome::Inserted,
+            Mutation::Upsert { .. } => MutationOutcome::Upserted { replaced: present },
         }
     }
 }
@@ -295,23 +317,6 @@ pub struct TouchedRegions {
 }
 
 impl TouchedRegions {
-    /// Grows the side's region to cover `rect`.
-    pub fn touch(&mut self, side: Side, rect: &Rect) {
-        let slot = match side {
-            Side::R => &mut self.r,
-            Side::S => &mut self.s,
-        };
-        *slot = Some(match slot {
-            Some(r) => r.union(rect),
-            None => *rect,
-        });
-    }
-
-    /// Grows the side's region to cover a geometry's MBR.
-    pub fn touch_geometry(&mut self, side: Side, g: &Geometry) {
-        self.touch(side, &g.mbr());
-    }
-
     /// The side's touched region, if any tuple there was touched.
     pub fn of(&self, side: Side) -> Option<&Rect> {
         match side {
@@ -416,15 +421,32 @@ mod tests {
         assert_eq!(reason(&payload), "bad polygon ring");
     }
 
+    /// The whole truth table: 3 ops × present/absent × fits/too large.
     #[test]
-    fn touched_regions_union_per_side() {
-        let mut t = TouchedRegions::default();
-        assert!(t.of(Side::R).is_none());
-        t.touch_geometry(Side::R, &point(1.0, 1.0));
-        t.touch_geometry(Side::R, &point(5.0, -2.0));
-        let r = *t.of(Side::R).unwrap();
-        assert_eq!(r, Rect::from_bounds(1.0, -2.0, 5.0, 1.0));
-        assert!(t.of(Side::S).is_none());
+    fn outcome_decides_presence_then_size() {
+        use MutationOutcome::*;
+        let ops = [
+            Mutation::Insert { id: 1, value: () },
+            Mutation::Delete { id: 1 },
+            Mutation::Upsert { id: 1, value: () },
+        ];
+        // Per op: (absent, fits), (absent, too large), (present, fits),
+        // (present, too large).
+        let want = [
+            [Inserted, TooLarge, DuplicateId, DuplicateId],
+            [MissingId, MissingId, Deleted, Deleted],
+            [
+                Upserted { replaced: false },
+                TooLarge,
+                Upserted { replaced: true },
+                TooLarge,
+            ],
+        ];
+        for (op, want) in ops.iter().zip(want) {
+            let cases = [(false, false), (false, true), (true, false), (true, true)];
+            let got = cases.map(|(present, too_large)| op.outcome(present, too_large));
+            assert_eq!(got, want, "{op:?}");
+        }
     }
 
     #[test]

@@ -74,12 +74,22 @@ impl StoredRelation {
         record_size: usize,
         layout: Layout,
     ) -> Self {
+        Self::try_load(pool, tuples, record_size, layout)
+            .unwrap_or_else(|e| panic!("relation build failed: {e}")) // PANIC-OK: see # Panics
+    }
+
+    /// [`StoredRelation::build`], returning the first storage fault.
+    pub(crate) fn try_load(
+        pool: &mut BufferPool,
+        tuples: &[(u64, Geometry)],
+        record_size: usize,
+        layout: Layout,
+    ) -> Result<Self, StorageError> {
         let file = HeapFile::bulk_load_with(pool, record_size, tuples.len(), layout, |i| {
             codec::encode_record(tuples[i].0, &tuples[i].1, record_size)
-        })
-        .unwrap_or_else(|e| panic!("relation build failed: {e}")); // PANIC-OK: see # Panics
+        })?;
         let ids = tuples.iter().map(|(id, _)| *id).collect();
-        Self::from_parts(file, ids, (0..tuples.len()).collect())
+        Ok(Self::from_parts(file, ids, (0..tuples.len()).collect()))
     }
 
     /// The same relation as [`StoredRelation::build`]; `quant_record_size`
@@ -208,10 +218,8 @@ impl StoredRelation {
         &self.ids
     }
 
-    /// Assembles a relation from a heap file, its id list, and the file
-    /// slot each position occupies (one per id, ascending, inside the
-    /// file: what [`build`](Self::build) and an empty file pass).
-    pub fn from_parts(file: HeapFile, ids: Vec<u64>, slots: Vec<usize>) -> Self {
+    /// A relation over `file`: its ids and the file slot of each position.
+    fn from_parts(file: HeapFile, ids: Vec<u64>, slots: Vec<usize>) -> Self {
         let slot_of: IdMap<usize> = ids.iter().copied().zip(slots.iter().copied()).collect();
         assert!(slot_of.len() == ids.len(), "duplicate tuple id");
         StoredRelation {

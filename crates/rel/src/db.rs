@@ -1,12 +1,9 @@
 //! The database: disk-backed tables with spatial secondary structures.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use sj_gentree::rtree::{RTree, RTreeConfig};
 use sj_geom::{codec, Geometry, ThetaOp};
-use sj_joins::{ClusterOrder, CodecMode, JoinIndex, TreeRelation};
-use sj_joins::{JoinRun, Mutation, MutationOutcome, StoredRelation, TraceSink};
+use sj_joins::{IndexedRelation, JoinIndex, JoinRun, Mutation, MutationOutcome, TraceSink};
 use sj_storage::StorageError;
 use sj_storage::{BufferPool, Disk, DiskConfig, FaultInjector, HeapFile, IoStats, Layout};
 
@@ -15,9 +12,9 @@ use crate::schema::Schema;
 use crate::tuple::{decode_tuple, encode_tuple, encoded_tuple_len, Tuple};
 use crate::value::{Value, ValueType};
 
-/// A stored table: the row file plus, per spatial column, a column file
-/// (the `(rowid, geometry)` projection used by the join executors) and an
-/// optional R-tree generalization tree.
+/// A stored table: the row file plus, per spatial column, one maintained
+/// side: the `(rowid, geometry)` projection the join executors scan, its
+/// R-tree and the paged generalization tree over it.
 pub(crate) struct Table {
     pub(crate) schema: Schema,
     pub(crate) record_size: usize,
@@ -28,42 +25,42 @@ pub(crate) struct Table {
     pub(crate) live: BTreeMap<u64, usize>,
     /// Next rowid handed out by [`Database::insert`]; never reused.
     pub(crate) next_id: u64,
-    /// Bumped once per applied mutation: the staleness tag of R-trees and
-    /// join indices (a delete moves the live set, not always the count).
+    /// Bumped once per applied mutation: the staleness tag of join
+    /// indices (a delete moves the live set, not always the count).
     pub(crate) mutation_seq: u64,
     /// One per spatial column, in schema order.
     pub(crate) spatial: Vec<SpatialColumn>,
 }
 
-/// Secondary structures of one spatial column.
+/// One spatial column: its side, laid out at `fanout` and `layout`.
 pub(crate) struct SpatialColumn {
     pub(crate) name: String,
-    /// `(rowid, geometry)` projection, stored as its own file.
-    pub(crate) column: StoredRelation,
-    /// R-tree index, tagged with the table's mutation sequence when built.
-    index: Option<(TreeRelation, u64)>,
-    /// Layout and fan-out requested for the index.
-    pub(crate) index_layout: Layout,
-    pub(crate) index_fanout: usize,
+    pub(crate) side: IndexedRelation,
+    pub(crate) fanout: usize,
+    pub(crate) layout: Layout,
 }
 
 impl SpatialColumn {
-    pub(crate) fn new(name: String, column: StoredRelation) -> Self {
-        SpatialColumn {
+    /// The column `name` over `tuples`: where `sj-rel` builds a side.
+    fn try_new(
+        pool: &mut BufferPool,
+        name: String,
+        tuples: &[(u64, Geometry)],
+        record_size: usize,
+        (fanout, layout): (usize, Layout),
+    ) -> Result<Self, StorageError> {
+        let side = IndexedRelation::try_build(pool, tuples, record_size, fanout, layout, None)?;
+        Ok(SpatialColumn {
             name,
-            column,
-            index: None,
-            index_layout: Layout::Clustered,
-            index_fanout: 10,
-        }
-    }
-
-    /// The R-tree [`Database::ensure_index`] built.
-    pub(crate) fn tree(&self) -> &TreeRelation {
-        let built = self.index.as_ref().map(|(tree, _)| tree);
-        built.expect("ensure_index runs first") // PANIC-OK: every caller ensures the index
+            side,
+            fanout,
+            layout,
+        })
     }
 }
+
+/// A spatial column's fan-out and layout until it is re-laid.
+const DEFAULT_SIDE: (usize, Layout) = (10, Layout::Clustered);
 
 /// One side of a join: `(table, spatial column)`.
 pub(crate) type Side<'a> = (&'a str, &'a str);
@@ -119,93 +116,68 @@ impl Table {
         decode_tuple(bytes, &self.schema, codec::try_decode_record)
     }
 
-    /// Builds `side`'s R-tree if it is missing or older than the table.
-    fn ensure_index(&mut self, pool: &mut BufferPool, side: Side) -> Result<()> {
-        let (seq, record_size) = (self.mutation_seq, self.record_size);
-        let sc = self.spatial_mut(side)?;
-        if matches!(sc.index, Some((_, built_at)) if built_at == seq) {
-            return Ok(());
-        }
-        let during = DbError::during("R-tree build");
-        let entries = sc.column.try_scan(pool).map_err(&during)?;
-        let rtree = RTree::bulk_load(RTreeConfig::with_fanout(sc.index_fanout), entries);
-        let tree = Arc::clone(rtree.shared_tree());
-        let (bfs, exact) = (ClusterOrder::BreadthFirst, CodecMode::Exact);
-        let index = TreeRelation::try_store(pool, tree, record_size, sc.index_layout, bfs, exact);
-        sc.index = Some((index.map_err(during)?, seq));
-        Ok(())
-    }
-
-    /// Applies a batch. An operation's writes all run before `live` and
-    /// `mutation_seq` move; `landed` reports whether any write landed.
+    /// Applies a batch — outcomes by [`Mutation::outcome`] over row
+    /// presence and tuple size — then publishes every spatial column's
+    /// side. `landed` reports whether any write landed.
     fn apply(
         &mut self,
         pool: &mut BufferPool,
         ops: &[Mutation<Tuple>],
         landed: &mut bool,
     ) -> Result<Vec<MutationOutcome>> {
-        for op in ops {
-            if let Mutation::Insert { value, .. } | Mutation::Upsert { value, .. } = op {
-                self.schema.check_row(value)?;
-            }
+        for row in ops.iter().filter_map(Mutation::value) {
+            self.schema.check_row(row)?;
         }
         let mut outcomes = Vec::with_capacity(ops.len());
         for op in ops {
-            let (id, live) = (op.id(), self.live.contains_key(&op.id()));
-            let outcome = match op {
-                Mutation::Insert { .. } if live => MutationOutcome::DuplicateId,
-                Mutation::Delete { .. } if !live => MutationOutcome::MissingId,
-                Mutation::Insert { value, .. } => self.write_row(pool, id, value, false, landed)?,
-                Mutation::Upsert { value, .. } => {
-                    match self.write_row(pool, id, value, live, landed)? {
-                        MutationOutcome::Inserted => MutationOutcome::Upserted { replaced: live },
-                        other => other,
-                    }
-                }
-                Mutation::Delete { .. } => {
-                    for sc in &mut self.spatial {
-                        write(landed, sc.column.try_delete(pool, id))?;
-                    }
-                    self.live.remove(&id);
-                    self.mutation_seq += 1;
-                    MutationOutcome::Deleted
-                }
-            };
+            let too_large = op
+                .value()
+                .is_some_and(|row| encoded_tuple_len(row) > self.record_size);
+            let outcome = op.outcome(self.live.contains_key(&op.id()), too_large);
             if outcome.applied() {
-                self.next_id = self.next_id.max(id + 1);
+                self.write_op(pool, op, landed)?;
             }
             outcomes.push(outcome);
+        }
+        let update = DbError::during("R-tree update");
+        for sc in &mut self.spatial {
+            sc.side.try_publish(pool).map_err(&update)?;
         }
         Ok(outcomes)
     }
 
-    /// Insert/upsert: appends the record and syncs every spatial column
-    /// file, then redirects the rowid to the fresh slot.
-    fn write_row(
+    /// An applied op: the row record (insert, upsert), then each spatial
+    /// column's side; `live`, `next_id` and `mutation_seq` move last.
+    fn write_op(
         &mut self,
         pool: &mut BufferPool,
-        id: u64,
-        row: &Tuple,
-        replace: bool,
+        op: &Mutation<Tuple>,
         landed: &mut bool,
-    ) -> Result<MutationOutcome> {
-        if encoded_tuple_len(row) > self.record_size {
-            return Ok(MutationOutcome::TooLarge);
-        }
-        let record = encode_tuple(row, self.record_size);
-        let slot = write(landed, self.file.try_append(pool, record))?;
+    ) -> Result<()> {
+        let id = op.id();
+        let record = op.value().map(|row| encode_tuple(row, self.record_size));
+        let slot = record.map(|record| write(landed, self.file.try_append(pool, record)));
+        let slot = slot.transpose()?;
         // `check_row` put a geometry in each spatial column, in schema order.
-        let geometries = row.iter().filter_map(Value::as_spatial);
-        for (sc, g) in self.spatial.iter_mut().zip(geometries) {
-            let written = match replace {
-                true => sc.column.try_replace(pool, id, g),
-                false => sc.column.try_insert(pool, id, g),
+        let row = op.value().into_iter().flatten();
+        let mut geometries = row.filter_map(Value::as_spatial);
+        for sc in &mut self.spatial {
+            let op = match geometries.next() {
+                Some(g) => Mutation::Upsert {
+                    id,
+                    value: g.clone(),
+                },
+                None => Mutation::Delete { id },
             };
-            write(landed, written)?;
+            write(landed, sc.side.try_apply(pool, &op, false))?;
         }
-        self.live.insert(id, slot);
+        match slot {
+            Some(slot) => self.live.insert(id, slot),
+            None => self.live.remove(&id),
+        };
+        self.next_id = self.next_id.max(id + 1);
         self.mutation_seq += 1;
-        Ok(MutationOutcome::Inserted)
+        Ok(())
     }
 }
 
@@ -218,7 +190,7 @@ fn write<T>(landed: &mut bool, result: Result<T, StorageError>) -> Result<T> {
 
 /// Strategy III's precomputed index for one θ-join, and what it answers
 /// for: its sides (`r.col ⋈ s.col`), θ, and both tables' mutation
-/// sequences when it was built — the staleness tags, as for R-trees.
+/// sequences when it was built — its staleness tags.
 struct JoinIndexSlot {
     sides: [String; 4],
     theta: ThetaOp,
@@ -302,20 +274,14 @@ impl Database {
             return Err(DbError::SchemaMismatch(why));
         }
         let pool = &mut self.pool;
-        let mut empty_file = || {
-            let file = HeapFile::bulk_load(pool, record_size, 0, Layout::Clustered);
-            file.map_err(DbError::during("table creation"))
-        };
-        let file = empty_file()?;
-        let mut spatial = Vec::new();
-        let spatial_columns = schema
-            .columns()
-            .iter()
-            .filter(|c| c.ty == ValueType::Spatial);
-        for c in spatial_columns {
-            let column = StoredRelation::from_parts(empty_file()?, Vec::new(), Vec::new());
-            spatial.push(SpatialColumn::new(c.name.clone(), column));
-        }
+        let during = DbError::during("table creation");
+        let file = HeapFile::bulk_load(pool, record_size, 0, Layout::Clustered).map_err(&during)?;
+        let columns = schema.columns().iter();
+        let spatial = columns
+            .filter(|c| c.ty == ValueType::Spatial)
+            .map(|c| SpatialColumn::try_new(pool, c.name.clone(), &[], record_size, DEFAULT_SIDE))
+            .collect::<Result<_, _>>()
+            .map_err(during)?;
         let table = Table {
             schema,
             record_size,
@@ -339,9 +305,10 @@ impl Database {
         Ok(self.table(table)?.live.len())
     }
 
-    /// Inserts a row, returning its rowid. Spatial column files are
-    /// extended; R-tree and join indices become stale and are rebuilt
-    /// lazily on the next spatial query that uses them.
+    /// Inserts a row, returning its rowid: a one-operation
+    /// [`apply`](Self::apply) batch, so every spatial column's R-tree
+    /// takes the row at once, and join indices are rebuilt on the next
+    /// join that uses them.
     pub fn insert(&mut self, table: &str, row: Tuple) -> Result<u64> {
         let id = self.table(table)?.next_id;
         match self.apply(table, &[Mutation::Insert { id, value: row }])?[..] {
@@ -357,9 +324,9 @@ impl Database {
     /// outcome per operation in order. Rejected operations (duplicate
     /// insert ids, deletes of absent rowids, oversized tuples) report a
     /// typed outcome and leave the table untouched; applied operations
-    /// keep every spatial column file in sync and advance the mutation
-    /// sequence so R-tree and join indices rebuild lazily on next use.
-    /// A row that does not fit the schema fails the batch before any
+    /// write every spatial column's side (its paged tree once per batch)
+    /// and advance the mutation sequence so join indices rebuild on next
+    /// use. A row that does not fit the schema fails the batch before any
     /// write. A storage fault fails it too, and poisons the database if
     /// an earlier write of the batch had landed: every later call then
     /// returns [`DbError::Poisoned`].
@@ -425,10 +392,11 @@ impl Database {
         Ok((out_schema, out_rows.collect::<Result<_>>()?))
     }
 
-    /// Declares (and builds) an R-tree index on a spatial column with the
-    /// given generalization-tree fan-out (at least 2) and storage layout
-    /// — the choice between the paper's strategies IIa (`Unclustered`)
-    /// and IIb (`Clustered`).
+    /// Re-lays a spatial column's side (fan-out 10, clustered, from
+    /// [`create_table`](Self::create_table) on) from a scan, with the
+    /// given R-tree fan-out (at least 2) and paged-tree layout — the
+    /// choice between the paper's strategies IIa (`Unclustered`) and IIb
+    /// (`Clustered`).
     pub fn create_spatial_index(
         &mut self,
         table: &str,
@@ -441,15 +409,15 @@ impl Database {
             return Err(DbError::SchemaMismatch(why));
         }
         self.usable()?;
-        let sc = table_mut(&mut self.tables, table)?.spatial_mut((table, column))?;
-        (sc.index_fanout, sc.index_layout, sc.index) = (fanout, layout, None);
-        self.ensure_index((table, column))
-    }
-
-    /// Rebuilds the R-tree for `table.column` if missing or stale.
-    pub(crate) fn ensure_index(&mut self, side: Side) -> Result<()> {
-        self.usable()?;
-        table_mut(&mut self.tables, side.0)?.ensure_index(&mut self.pool, side)
+        let t = table_mut(&mut self.tables, table)?;
+        let record_size = t.record_size;
+        let sc = t.spatial_mut((table, column))?;
+        let during = DbError::during("R-tree build");
+        let tuples = sc.side.rel().try_scan(&mut self.pool).map_err(&during)?;
+        let (pool, name) = (&mut self.pool, sc.name.clone());
+        let laid = SpatialColumn::try_new(pool, name, &tuples, record_size, (fanout, layout));
+        *sc = laid.map_err(during)?;
+        Ok(())
     }
 
     /// Precomputes strategy III's join index for
@@ -485,7 +453,8 @@ impl Database {
         if let Some(i) = at.filter(|&i| slots[i].built_at == built_at) {
             return Ok(i);
         }
-        let build = JoinIndex::try_build(&mut self.pool, &rc.column, &sc.column, theta, 100);
+        let (r, s) = (rc.side.rel(), sc.side.rel());
+        let build = JoinIndex::try_build(&mut self.pool, r, s, theta, 100);
         let (index, _) = build.map_err(DbError::during("join-index build"))?;
         let slot = JoinIndexSlot {
             sides: key.map(String::from),
@@ -505,7 +474,8 @@ impl Database {
         let i = self.join_index(r, s, theta)?;
         let [rc, sc] = sides(&self.tables, r, s)?;
         let index = &self.join_indices[i].index;
-        let run = index.join(&mut self.pool, &rc.column, &sc.column, &mut TraceSink::Null);
+        let (r, s) = (rc.side.rel(), sc.side.rel());
+        let run = index.join(&mut self.pool, r, s, &mut TraceSink::Null);
         run.map_err(DbError::during("join"))
     }
 
@@ -517,7 +487,7 @@ impl Database {
         if !self::table(&self.tables, table)?.live.contains_key(&rowid) {
             return Ok(None);
         }
-        let read = sc.column.try_read_by_id(&mut self.pool, rowid);
+        let read = sc.side.rel().try_read_by_id(&mut self.pool, rowid);
         Ok(Some(read.map_err(DbError::during("geometry read"))?.1))
     }
 }
@@ -527,6 +497,7 @@ mod tests {
     use super::*;
     use crate::schema::Column;
     use sj_geom::Point;
+    use sj_joins::tree_join::TraversalOrder;
     use sj_joins::Strategy;
     use sj_storage::PageId;
 
@@ -579,12 +550,21 @@ mod tests {
         assert_eq!(prows[0], vec![Value::Int(0)]);
     }
 
+    /// The live rows the column's paged tree stores.
+    fn tree_entries(db: &Database) -> usize {
+        db.tables["pts"].spatial[0]
+            .side
+            .tree()
+            .tree
+            .entry_nodes()
+            .len()
+    }
+
     #[test]
-    fn stale_index_is_rebuilt() {
+    fn an_insert_reaches_the_index_at_its_fan_out() {
         let mut db = db_with_points(20);
         db.create_spatial_index("pts", "loc", 4, Layout::Clustered)
             .unwrap();
-        // Insert after building → stale.
         db.insert(
             "pts",
             vec![
@@ -593,11 +573,41 @@ mod tests {
             ],
         )
         .unwrap();
-        db.ensure_index(("pts", "loc")).unwrap();
-        let t = &db.tables["pts"];
-        let (tree_rel, built_at) = t.spatial[0].index.as_ref().unwrap();
-        assert_eq!(*built_at, 21);
-        assert_eq!(tree_rel.tree.entry_nodes().len(), 21);
+        assert_eq!(tree_entries(&db), 21, "the insert's batch published it");
+        assert_eq!(db.tables["pts"].spatial[0].fanout, 4);
+        let far = Geometry::Point(Point::new(100.0, 100.0));
+        let order = TraversalOrder::BreadthFirst;
+        let hits = db.spatial_select("pts", "loc", &far, ThetaOp::WithinDistance(1.0), order);
+        assert_eq!(hits.unwrap().len(), 1);
+    }
+
+    /// The paged tree is maintained per batch, not rebuilt: one insert
+    /// and one SELECT against 4× the rows may cost at most 2× the
+    /// physical reads plus writes, as the service demands of a commit
+    /// (`incremental_apply_costs_pages_proportional_to_the_batch`).
+    #[test]
+    fn an_insert_and_a_select_cost_pages_proportional_to_the_batch() {
+        let pages = |n: usize| {
+            let mut db = db_with_points(n);
+            db.create_spatial_index("pts", "loc", 10, Layout::Clustered)
+                .unwrap();
+            db.drop_caches();
+            db.reset_io();
+            let at = Geometry::Point(Point::new(n as f64 / 2.0 + 0.5, 0.0));
+            let row = vec![Value::Int(-1), Value::Spatial(at.clone())];
+            db.insert("pts", row).unwrap();
+            let (theta, order) = (ThetaOp::WithinDistance(1.0), TraversalOrder::BreadthFirst);
+            let hits = db.spatial_select("pts", "loc", &at, theta, order).unwrap();
+            assert_eq!(hits.len(), 3, "the new row and its two neighbours");
+            let io = db.io_stats();
+            io.physical_reads + io.physical_writes
+        };
+        let (small, large) = (pages(200), pages(800));
+        assert!(
+            large <= 2 * small,
+            "insert + select must follow the batch, not the data: \
+             {small} pages at 200 rows, {large} at 800"
+        );
     }
 
     #[test]
@@ -660,18 +670,16 @@ mod tests {
     }
 
     #[test]
-    fn deletes_make_the_spatial_index_stale() {
+    fn a_delete_only_batch_reaches_the_index() {
         let mut db = db_with_points(12);
         db.create_spatial_index("pts", "loc", 4, Layout::Clustered)
             .unwrap();
         let outcomes = db.apply("pts", &[Mutation::Delete { id: 5 }]);
         assert_eq!(outcomes, Ok(vec![MutationOutcome::Deleted]));
-        db.ensure_index(("pts", "loc")).unwrap();
-        let tree_rel = db.tables["pts"].spatial[0].tree();
         assert_eq!(
-            tree_rel.tree.entry_nodes().len(),
+            tree_entries(&db),
             11,
-            "a delete-only batch must still trigger the rebuild"
+            "a delete-only batch is published too"
         );
     }
 
@@ -808,7 +816,7 @@ mod tests {
                 seen.push(format!("{:?}", db.geometry("t", col, id)?));
             }
             let theta = ThetaOp::WithinDistance(100.0);
-            let order = sj_joins::tree_join::TraversalOrder::BreadthFirst;
+            let order = TraversalOrder::BreadthFirst;
             let mut hits = db.spatial_select("t", col, &everything, theta, order)?;
             hits.sort_unstable_by_key(|(id, _)| *id);
             seen.push(format!("{hits:?}"));
@@ -863,13 +871,18 @@ mod tests {
             for k in 0..2 + usize::from(writes_rows) {
                 let mut db = two_columns_db();
                 let model = observe(&mut db).unwrap();
-                // The pages of the files the op writes, in write order.
-                // Each file holds one page: `create_table` allocated the
-                // row file's, then each column file's, in schema order.
+                // The pages of the relation files the op writes, in write
+                // order. Each file holds one page: `create_table`
+                // allocated the row file's, then each spatial column's
+                // relation and paged tree, in schema order.
                 let t = &db.tables["t"];
                 let row_page = t.file.rid(0).page;
-                assert!(t.spatial.iter().all(|sc| sc.column.page_count() == 1));
-                let mut files: Vec<_> = (1..=2).map(|c| PageId(row_page.0 + c)).collect();
+                assert!(t.spatial.iter().all(|sc| sc.side.rel().page_count() == 1));
+                assert!(t
+                    .spatial
+                    .iter()
+                    .all(|sc| sc.side.tree().paged.page_count() == 1));
+                let mut files: Vec<_> = [1, 3].map(|c| PageId(row_page.0 + c)).into();
                 if writes_rows {
                     files.insert(0, row_page);
                 }

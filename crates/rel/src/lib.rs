@@ -7,8 +7,8 @@
 //! * typed schemas with scalar **and spatial** columns ([`Schema`],
 //!   [`Value`]),
 //! * disk-backed tables of tuple records in fixed-width slots ([`Database`]),
-//! * secondary structures per spatial column: a column file (for scans and
-//!   join-index builds) and an optional R-tree generalization tree,
+//! * per spatial column one maintained side (a column file and an R-tree
+//!   generalization tree, [`sj_joins::IndexedRelation`]),
 //! * the query operators the paper's examples need — scalar selection,
 //!   projection, **spatial selection** in a [`TraversalOrder`] and
 //!   **spatial join** under any [`Strategy`] of `sj-joins`.

@@ -1,9 +1,10 @@
 //! Database persistence: one file, a synced [`WriteAheadLog`] — the
 //! workspace's one durable format — of the live tuples and what cannot
 //! be derived from them. Pages, directories, R-trees and join indices are
-//! derived: `open` re-applies every row through [`Database::apply`]'s
-//! write path and restores the two counters. Each record is a tuple in
-//! the row codec ([`encode_tuple`]):
+//! derived: `open` lays each spatial column out at its saved fan-out and
+//! layout, re-applies every row through [`Database::apply`]'s write path
+//! and restores the two counters. Each record is a tuple in the row codec
+//! ([`encode_tuple`]):
 //!
 //! ```text
 //! header:  ("SJDBASE1", utilization, page_size, pool frames, tables)
@@ -105,8 +106,7 @@ impl Database {
             for c in t.schema.columns() {
                 let ty = TYPES.iter().position(|&ty| ty == c.ty).unwrap_or(0) as u64;
                 let sc = t.spatial.iter().find(|sc| sc.name == c.name);
-                let (k, layout) =
-                    sc.map_or((0, Clustered), |sc| (sc.index_fanout, sc.index_layout));
+                let (k, layout) = sc.map_or((0, Clustered), |sc| (sc.fanout, sc.layout));
                 let (unclustered, seed) = match layout {
                     Clustered => (0, 0),
                     Unclustered { seed } => (1, seed),
@@ -116,7 +116,7 @@ impl Database {
                 log.append(&record(&[name, index].concat())?);
             }
             let order: Vec<u64> = match t.spatial.first() {
-                Some(sc) => sc.column.ids().to_vec(),
+                Some(sc) => sc.side.rel().ids().to_vec(),
                 None => t.live.keys().copied().collect(),
             };
             for id in order {
@@ -172,14 +172,15 @@ impl Database {
                 let [ty, fanout, unclustered, seed] = [1, 2, 3, 4].map(|i| num(&column, i));
                 let ty = TYPES.get(usize::try_from(ty).unwrap_or(usize::MAX));
                 let ty = *ty.ok_or_else(|| corrupt(format!("a column type in {name:?}")))?;
+                let column = text(&column, 0);
                 if ty == Spatial {
                     let layouts = [Clustered, Unclustered { seed }];
                     let layout = layouts.get(unclustered.min(2) as usize).copied();
                     let fanout = usize::try_from(fanout).ok().filter(|&k| k >= 2);
                     let index = fanout.zip(layout);
-                    indices.push(index.ok_or_else(|| corrupt(format!("an index in {name:?}")))?);
+                    let index = index.ok_or_else(|| corrupt(format!("an index in {name:?}")))?;
+                    indices.push((column.clone(), index));
                 }
-                let column = text(&column, 0);
                 if columns.iter().any(|c| c.name == column) {
                     return Err(corrupt(format!("column {column:?} repeats in {name:?}")));
                 }
@@ -191,6 +192,9 @@ impl Database {
             let schema = Schema::new(columns);
             let record_size = usize::try_from(record_size).unwrap_or(usize::MAX);
             db.create_table(&name, schema.clone(), record_size)?;
+            for (column, (fanout, layout)) in indices {
+                db.create_spatial_index(&name, &column, fanout, layout)?;
+            }
             let ops = (0..rows).map(|_| {
                 let row = next()?;
                 let Some((id, tuple)) = row.split_first_chunk::<8>() else {
@@ -212,9 +216,6 @@ impl Database {
                 return Err(corrupt(format!("{name:?}'s counters are behind its rows")));
             }
             (t.next_id, t.mutation_seq) = (next_id, mutation_seq);
-            for (sc, (fanout, layout)) in t.spatial.iter_mut().zip(indices) {
-                (sc.index_fanout, sc.index_layout) = (fanout, layout);
-            }
         }
         if records.next().is_some() {
             return Err(corrupt("records after the last table"));
@@ -363,7 +364,7 @@ mod tests {
         assert_eq!(db.row_count("b"), Ok(40));
         let row7 = db.get("a", 7).unwrap().unwrap();
         assert_eq!(row7[1], Value::Str("a-7".into()));
-        // Queries work, including index-based ones (indices are rebuilt).
+        // Queries work, including index-based ones (indices are derived).
         for strategy in [Strategy::NestedLoop, Strategy::Tree] {
             let got = db.spatial_join_ids("a", "loc", "b", "loc", theta, strategy);
             let mut got = got.unwrap();

@@ -60,9 +60,9 @@ impl Database {
             updates_per_query: config.updates_per_query,
             operation: Operation::Join,
         };
-        base.params.k = r.index_fanout.min(s.index_fanout);
-        let (cols, samples, seed) = ((&r.column, &s.column), config.samples, config.seed);
-        let plan = try_pick(&mut self.pool, base, cols, theta, samples, seed);
+        base.params.k = r.fanout.min(s.fanout);
+        let (cols, samples) = ((r.side.rel(), s.side.rel()), config.samples);
+        let plan = try_pick(&mut self.pool, base, cols, theta, samples, config.seed);
         let plan = plan.map_err(DbError::during("sampling"))?;
         let pairs = self.spatial_join_ids(r_table, r_col, s_table, s_col, theta, plan.strategy)?;
         Ok((plan, pairs))

@@ -1,10 +1,9 @@
 //! Spatial query operators: selection by tree traversal, and joins
-//! dispatched on [`sj_joins::Strategy`].
+//! through `sj-joins`' one executor ([`Strategy::executor`]).
 
 use sj_geom::{Geometry, ThetaOp};
-use sj_joins::nested_loop::nested_loop_join;
-use sj_joins::tree_join::{tree_join, tree_select, TraversalOrder};
-use sj_joins::{partition_join, sweep_join, Strategy, TraceSink};
+use sj_joins::tree_join::{tree_select, TraversalOrder};
+use sj_joins::{JoinOperands, JoinRequest, Strategy};
 
 use crate::db::{column, sides, Database};
 use crate::error::{DbError, Result};
@@ -13,8 +12,9 @@ use crate::tuple::Tuple;
 
 impl Database {
     /// Spatial selection: all rows of `table` whose `column` satisfies
-    /// `o θ column`, by Algorithm SELECT over the column's R-tree (built
-    /// or refreshed on demand) in the given traversal order.
+    /// `o θ column`, in rowid order, by Algorithm SELECT over the
+    /// column's R-tree (maintained by every write) in the given traversal
+    /// order.
     pub fn spatial_select(
         &mut self,
         table: &str,
@@ -23,10 +23,11 @@ impl Database {
         theta: ThetaOp,
         order: TraversalOrder,
     ) -> Result<Vec<(u64, Tuple)>> {
-        self.ensure_index((table, column))?;
-        let tree = self::column(&self.tables, (table, column))?.tree();
+        self.usable()?;
+        let tree = self::column(&self.tables, (table, column))?.side.tree();
         let run = tree_select(&mut self.pool, tree, o, theta, order);
-        let matches = run.map_err(DbError::during("select"))?.matches;
+        let mut matches = run.map_err(DbError::during("select"))?.matches;
+        matches.sort_unstable();
         let rows = matches.into_iter();
         rows.map(|id| Ok((id, self.row(table, id)?))).collect()
     }
@@ -49,10 +50,10 @@ impl Database {
             .collect()
     }
 
-    /// [`Database::spatial_join`]'s rowid pairs, unmaterialized. `Tree`
-    /// walks the columns' R-trees, refreshed on demand (IIa or IIb per
-    /// [`Database::create_spatial_index`]'s layout); `JoinIndex` answers
-    /// from the one index kept per (sides, θ); `Auto` runs
+    /// [`Database::spatial_join`]'s rowid pairs, unmaterialized and
+    /// sorted. `Tree` walks the columns' maintained R-trees (IIa or IIb
+    /// per [`Database::create_spatial_index`]'s layout); `JoinIndex`
+    /// answers from the one index kept per (sides, θ); `Auto` runs
     /// [`Database::spatial_join_auto`] with [`PlannerConfig::default`].
     pub fn spatial_join_ids(
         &mut self,
@@ -64,35 +65,31 @@ impl Database {
         strategy: Strategy,
     ) -> Result<Vec<(u64, u64)>> {
         let (r, s) = ((r_table, r_col), (s_table, s_col));
-        let join = match strategy {
+        let mut pairs = match strategy {
             Strategy::Auto => {
                 let auto = PlannerConfig::default();
                 let (_, pairs) =
                     self.spatial_join_auto(r_table, r_col, s_table, s_col, theta, auto)?;
                 return Ok(pairs);
             }
-            Strategy::JoinIndex => return Ok(self.index_join(r, s, theta)?.pairs),
-            Strategy::Tree => {
-                self.ensure_index(r)?;
-                self.ensure_index(s)?;
-                let ([rc, sc], sink) = (sides(&self.tables, r, s)?, &mut TraceSink::Null);
-                let run = tree_join(&mut self.pool, rc.tree(), sc.tree(), theta, sink);
-                return Ok(run.map_err(DbError::during("join"))?.pairs);
+            Strategy::JoinIndex => self.index_join(r, s, theta)?.pairs,
+            concrete => {
+                self.usable()?;
+                let [rc, sc] = sides(&self.tables, r, s)?;
+                let ops = JoinOperands {
+                    flat: Some((rc.side.rel(), sc.side.rel())),
+                    trees: Some((rc.side.tree(), sc.side.tree())),
+                    chooser: None,
+                };
+                let Some(mut exec) = concrete.executor(&ops) else {
+                    unreachable!("both operand kinds are present") // PANIC-OK: logic error
+                };
+                let run = exec.try_execute(&JoinRequest::new(theta), &mut self.pool);
+                run.map_err(DbError::during("join"))?.pairs
             }
-            Strategy::NestedLoop => nested_loop_join,
-            Strategy::Sweep => sweep_join,
-            Strategy::Partition => partition_join,
         };
-        self.usable()?;
-        let [rc, sc] = sides(&self.tables, r, s)?;
-        let run = join(
-            &mut self.pool,
-            &rc.column,
-            &sc.column,
-            theta,
-            &mut TraceSink::Null,
-        );
-        Ok(run.map_err(DbError::during("join"))?.pairs)
+        pairs.sort_unstable();
+        Ok(pairs)
     }
 }
 

@@ -258,7 +258,7 @@ fn every_call_under_faults_answers_exactly_or_fails_typed() {
         exact_selects += report.exact_selects;
         exact_applies += report.exact_applies;
     }
-    for step in ["sampling", "R-tree build", "join-index build", "apply"] {
+    for step in ["sampling", "R-tree update", "join-index build", "apply"] {
         assert!(
             landed.contains(step),
             "no fault landed in {step}: {landed:?}"

@@ -401,6 +401,15 @@ mod tests {
         assert_eq!(CacheKey::region_for_request(&join), QueryRegion::All);
     }
 
+    /// A batch that touched the point `(x, 0)` on `side` only.
+    fn on(side: Side, x: f64) -> TouchedRegions {
+        let at = Some(Rect::from_bounds(x, 0.0, x, 0.0));
+        match side {
+            Side::R => TouchedRegions { r: at, s: None },
+            Side::S => TouchedRegions { r: None, s: at },
+        }
+    }
+
     #[test]
     fn region_purge_drops_intersecting_and_restamps_disjoint() {
         let mut cache = ResultCache::new(64);
@@ -416,8 +425,7 @@ mod tests {
 
         // Write at (2, 0) on side R: intersects `near`'s region
         // (x ∈ [0, 2]), misses `far`'s (x ∈ [99, 101]), kills the join.
-        let mut touched = TouchedRegions::default();
-        touched.touch(Side::R, &Rect::from_bounds(2.0, 0.0, 2.0, 0.0));
+        let touched = on(Side::R, 2.0);
         let (purged, retained) = cache.purge_region(1, &touched);
         assert_eq!((purged, retained), (2, 1));
         assert_eq!(cache.len(), retained);
@@ -435,16 +443,12 @@ mod tests {
     fn region_purge_drops_entries_a_late_worker_inserted_at_an_older_version() {
         let mut cache = ResultCache::new(8);
         let req = select_req(1.0);
-        let mut at_probe = TouchedRegions::default();
-        at_probe.touch(Side::R, &Rect::from_bounds(1.0, 0.0, 1.0, 0.0));
-        assert_eq!(cache.purge_region(1, &at_probe), (0, 0));
+        assert_eq!(cache.purge_region(1, &on(Side::R, 1.0)), (0, 0));
         // A caller that pinned version 0 before that commit finishes now:
         // its entry was never tested against the commit's regions.
         let k = CacheKey::for_request(0, &req);
         cache.insert(k, reply(&[1]), CacheKey::region_for_request(&req));
-        let mut far = TouchedRegions::default();
-        far.touch(Side::R, &Rect::from_bounds(90.0, 0.0, 90.0, 0.0));
-        assert_eq!(cache.purge_region(2, &far), (1, 0));
+        assert_eq!(cache.purge_region(2, &on(Side::R, 90.0)), (1, 0));
         assert!(cache.get(&CacheKey::for_request(2, &req)).is_none());
     }
 
@@ -456,14 +460,10 @@ mod tests {
         cache.insert(k, reply(&[1]), CacheKey::region_for_request(&req));
 
         // An S-side write exactly on the probe cannot affect an R SELECT.
-        let mut touched = TouchedRegions::default();
-        touched.touch(Side::S, &Rect::from_bounds(1.0, 0.0, 1.0, 0.0));
-        assert_eq!(cache.purge_region(1, &touched), (0, 1));
+        assert_eq!(cache.purge_region(1, &on(Side::S, 1.0)), (0, 1));
 
         // An R-side write there kills it.
-        let mut touched = TouchedRegions::default();
-        touched.touch(Side::R, &Rect::from_bounds(1.0, 0.0, 1.0, 0.0));
-        assert_eq!(cache.purge_region(2, &touched), (1, 0));
+        assert_eq!(cache.purge_region(2, &on(Side::R, 1.0)), (1, 0));
         assert!(cache.is_empty());
     }
 }

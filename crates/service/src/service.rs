@@ -16,11 +16,11 @@
 //! [`SpatialService::commit`] entirely off the hot path. The apply
 //! forks the current pool (the disk is page-granular copy-on-write, so
 //! the fork shares every untouched page), applies each mutation to a
-//! copy of the side (R or S) it names — touching only the pages the
-//! batch dirties; a side no op names is shared with the previous
-//! snapshot — and evolves each touched side's paged generalization tree
-//! from the arena slots its in-memory R-tree wrote
-//! ([`TreeRelation::try_evolve`]). The batch's redo record is appended
+//! copy of the side (R or S) it names, an [`IndexedRelation`] —
+//! touching only the pages the batch dirties; a side no op names is
+//! shared with the previous snapshot — and publishes each touched side,
+//! whose paged tree evolves from the arena slots its R-tree wrote. The
+//! batch's redo record is appended
 //! to the [`WriteAheadLog`] *before* apply and synced *before* publish:
 //! the sync is the commit point, a sync fault aborts the commit with a
 //! typed error and nothing partial is ever visible. In-flight requests
@@ -65,11 +65,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use sj_costmodel::{Distribution, ModelParams};
-use sj_gentree::rtree::{RTree, RTreeConfig};
-use sj_geom::{codec, theta_join, Bounded, Geometry, Rect, ThetaOp};
+use sj_geom::{codec, theta_join, Geometry, Rect, ThetaOp};
 use sj_joins::advisor::{auto_chooser, Operation, WorkloadProfile};
 use sj_joins::tree_join::{tree_select, TraversalOrder};
-use sj_joins::{JoinOperands, JoinRequest, StoredRelation, Strategy, TreeRelation};
+use sj_joins::{IndexedRelation, JoinOperands, JoinRequest, StoredRelation, Strategy};
 use sj_obs::TraceSink;
 use sj_storage::{
     BufferPool, Disk, DiskConfig, FaultConfig, FaultInjector, Layout, StorageError, WriteAheadLog,
@@ -196,30 +195,15 @@ impl ServiceConfig {
     }
 }
 
-/// One side (R or S) of a snapshot. A commit copies a side only when
-/// the batch names it; an unnamed side's `Arc` is shared with the
-/// previous snapshot.
-#[derive(Clone)]
-struct SideState {
-    rel: StoredRelation,
-    /// Behind its own `Arc` because a commit never mutates it in place:
-    /// [`TreeRelation::try_evolve`] builds the successor from the
-    /// previous snapshot's tree, so copying a side need not copy it.
-    tree: Arc<TreeRelation>,
-    /// In-memory R-tree mirroring the paged tree — the live-id
-    /// authority for mutation outcomes and the structure incremental
-    /// commits evolve the paged tree from; its `GenTree` is the one
-    /// `tree` holds.
-    index: RTree,
-}
-
 /// One immutable, version-tagged dataset snapshot. A cache miss pins
 /// the current one; commits build the next one incrementally and
-/// publish it atomically.
+/// publish it atomically. A commit copies a side only when the batch
+/// names it; an unnamed side's `Arc` is shared with the previous
+/// snapshot.
 struct DataState {
     pool: BufferPool,
-    r: Arc<SideState>,
-    s: Arc<SideState>,
+    r: Arc<IndexedRelation>,
+    s: Arc<IndexedRelation>,
     version: u64,
 }
 
@@ -290,7 +274,8 @@ impl SpatialService {
         s_tuples: &[(u64, Geometry)],
         _world: Rect,
     ) -> Self {
-        let state = build_state(&config, r_tuples, s_tuples, 0);
+        let state = build_state(&config, r_tuples, s_tuples, 0)
+            .unwrap_or_else(|e| panic!("dataset build failed: {e}")); // PANIC-OK: a fresh pool
         SpatialService::with_state(config, state, WriteAheadLog::new(), None)
     }
 
@@ -501,7 +486,7 @@ impl SpatialService {
         let (version, covered) = (state.version.to_le_bytes(), wal.synced_lsn().to_le_bytes());
         image.append(&[IMAGE_TAG, &version, &covered].concat());
         for (side, tuples) in [(Side::R, &state.r), (Side::S, &state.s)] {
-            let tuples = tuples.rel.try_scan(&mut shard)?.into_iter();
+            let tuples = tuples.rel().try_scan(&mut shard)?.into_iter();
             let ops = tuples.map(|(id, value)| (side, Mutation::Insert { id, value }));
             image.append(&WriteBatch { ops: ops.collect() }.encode());
         }
@@ -538,7 +523,7 @@ impl SpatialService {
                 log_end,
             });
         }
-        let mut state = build_state(&config, &r, &s, version);
+        let mut state = build_state(&config, &r, &s, version)?;
         for (_, payload) in records.iter().filter(|(lsn, _)| *lsn > image_lsn) {
             state = apply_incremental(&config, &state, &WriteBatch::decode(payload)?)?.state;
         }
@@ -641,7 +626,7 @@ impl SpatialService {
     }
 }
 
-/// Builds a complete snapshot — pool, relations, trees — on a fresh
+/// Builds a complete snapshot — pool and both sides — on a fresh
 /// paper-geometry disk. Deterministic given the tuple sets, so replay
 /// validation can reconstruct any version from its update history.
 fn build_state(
@@ -649,18 +634,19 @@ fn build_state(
     r_tuples: &[(u64, Geometry)],
     s_tuples: &[(u64, Geometry)],
     version: u64,
-) -> DataState {
+) -> Result<DataState, StorageError> {
     let mut pool = BufferPool::new(Disk::new(DiskConfig::paper()), config.pool_capacity);
-    let r = StoredRelation::build(&mut pool, r_tuples, config.record_size, Layout::Clustered);
-    let s = StoredRelation::build(&mut pool, s_tuples, config.record_size, Layout::Clustered);
-    let r = build_tree(&mut pool, r, r_tuples, config);
-    let s = build_tree(&mut pool, s, s_tuples, config);
-    DataState {
+    let quantized = config.compress_geometry.then_some(config.quant_record_size);
+    let [r, s] = [r_tuples, s_tuples].map(|tuples| {
+        let (v, k) = (config.record_size, config.fanout);
+        IndexedRelation::try_build(&mut pool, tuples, v, k, Layout::Clustered, quantized)
+    });
+    Ok(DataState {
         pool,
-        r,
-        s,
+        r: Arc::new(r?),
+        s: Arc::new(s?),
         version,
-    }
+    })
 }
 
 /// First bytes of a checkpoint image's header record.
@@ -702,26 +688,6 @@ fn decode_image(
     Ok((word(version), word(covered), sides))
 }
 
-/// Bulk-loads a clustered generalization tree over the `tuples` `rel`
-/// was just built from: one side of a snapshot, whose in-memory R-tree
-/// (kept live for incremental maintenance) and paged tree share one
-/// `GenTree`.
-fn build_tree(
-    pool: &mut BufferPool,
-    rel: StoredRelation,
-    tuples: &[(u64, Geometry)],
-    config: &ServiceConfig,
-) -> Arc<SideState> {
-    let index = RTree::bulk_load(RTreeConfig::with_fanout(config.fanout), tuples.to_vec());
-    let tree = Arc::clone(index.shared_tree());
-    let tree = Arc::new(if config.compress_geometry {
-        TreeRelation::new_compressed(pool, tree, config.quant_record_size, Layout::Clustered)
-    } else {
-        TreeRelation::new(pool, tree, config.record_size, Layout::Clustered)
-    });
-    Arc::new(SideState { rel, tree, index })
-}
-
 /// A batch applied to (a fork of) the current snapshot, awaiting the
 /// commit point.
 struct Applied {
@@ -736,18 +702,16 @@ struct Applied {
 /// Builds the next snapshot from `current` plus `batch`: fork the
 /// current pool (page-granular copy-on-write, so untouched pages are
 /// shared, not copied), apply each mutation in batch order to a copy of
-/// the side it names — relation handle and in-memory R-tree, copied by
-/// the first op that names the side, the R-tree's `GenTree` by its first
-/// applied mutation — then evolve each touched side's paged tree from the
-/// slots its R-tree wrote ([`TreeRelation::try_evolve`]), which shares
-/// that `GenTree` with the new paged tree. A side no op names is the
-/// previous snapshot's `Arc`. Physical I/O and slots examined are
+/// the side it names (`IndexedRelation::try_apply`) — copied by the first
+/// op that names it, its R-tree's `GenTree` by its first applied
+/// mutation — then publish each touched side once. A side no op names is
+/// the previous snapshot's `Arc`. Physical I/O and slots examined are
 /// O(batch · tree height), independent of relation size — the receipt's
 /// `io` and [`WriteMetrics::apply_nodes_touched`] prove it per commit —
 /// and so is what is copied: arena (children and MBRs included),
 /// directories, id maps and page table are chunk-shared with `current`
-/// (`sj_storage::CowVec`);
-/// only `StoredRelation::{ids, slots}` are copied whole.
+/// (`sj_storage::CowVec`); only `StoredRelation::{ids, slots}` are
+/// copied whole.
 fn apply_incremental(
     config: &ServiceConfig,
     current: &DataState,
@@ -756,31 +720,24 @@ fn apply_incremental(
     let mut pool = current.pool.fork_view(config.pool_capacity);
     let mut r = Arc::clone(&current.r);
     let mut s = Arc::clone(&current.s);
-    let mut touched = TouchedRegions::default();
     let mut outcomes = Vec::with_capacity(batch.len());
     for (side, op) in &batch.ops {
         let state = Arc::make_mut(match side {
             Side::R => &mut r,
             Side::S => &mut s,
         });
-        outcomes.push(apply_one(
-            &mut pool,
-            config,
-            state,
-            *side,
-            op,
-            &mut touched,
-        )?);
+        let too_large = op.value().is_some_and(|value| config.too_large(value));
+        outcomes.push(state.try_apply(&mut pool, op, too_large)?);
     }
     let evolve_started = Instant::now();
+    let touched = TouchedRegions {
+        r: r.touched(),
+        s: s.touched(),
+    };
     let mut nodes_touched = 0;
-    for (state, region) in [(&mut r, touched.r), (&mut s, touched.s)] {
-        if region.is_some() {
-            let state = Arc::make_mut(state);
-            let dirty = state.index.take_dirty();
-            nodes_touched += dirty.len() as u64;
-            let next = Arc::clone(state.index.shared_tree());
-            state.tree = Arc::new(state.tree.try_evolve(&mut pool, next, &dirty)?);
+    for state in [&mut r, &mut s] {
+        if state.touched().is_some() {
+            nodes_touched += Arc::make_mut(state).try_publish(&mut pool)? as u64;
         }
     }
     let evolve_us = evolve_started.elapsed().as_micros() as u64;
@@ -796,67 +753,6 @@ fn apply_incremental(
         nodes_touched,
         evolve_us,
     })
-}
-
-/// One mutation against one side's stored relation and in-memory
-/// R-tree. Outcomes are a pure function of the pre-state and the op —
-/// presence checks go through the R-tree (the live-id authority) — so
-/// WAL replay reproduces them exactly. Deletes are order-preserving
-/// (`StoredRelation::try_delete` shifts positions, never swaps), which
-/// keeps the tuple sequence identical to a sequential rebuild — the
-/// invariant the linearizability property suite leans on.
-fn apply_one(
-    pool: &mut BufferPool,
-    config: &ServiceConfig,
-    state: &mut SideState,
-    side: Side,
-    op: &Mutation,
-    touched: &mut TouchedRegions,
-) -> Result<MutationOutcome, StorageError> {
-    let SideState { rel, index, .. } = state;
-    match op {
-        Mutation::Insert { id, value } => {
-            if index.get(*id).is_some() {
-                return Ok(MutationOutcome::DuplicateId);
-            }
-            if config.too_large(value) {
-                return Ok(MutationOutcome::TooLarge);
-            }
-            rel.try_insert(pool, *id, value)?;
-            index.insert(*id, value.clone());
-            touched.touch_geometry(side, value);
-            Ok(MutationOutcome::Inserted)
-        }
-        Mutation::Delete { id } => {
-            let Some(old) = index.get(*id).map(Bounded::mbr) else {
-                return Ok(MutationOutcome::MissingId);
-            };
-            rel.try_delete(pool, *id)?;
-            index.remove(*id);
-            touched.touch(side, &old);
-            Ok(MutationOutcome::Deleted)
-        }
-        Mutation::Upsert { id, value } => {
-            if config.too_large(value) {
-                return Ok(MutationOutcome::TooLarge);
-            }
-            let replaced = match index.get(*id).map(Bounded::mbr) {
-                Some(old) => {
-                    rel.try_replace(pool, *id, value)?;
-                    index.remove(*id);
-                    touched.touch(side, &old);
-                    true
-                }
-                None => {
-                    rel.try_insert(pool, *id, value)?;
-                    false
-                }
-            };
-            index.insert(*id, value.clone());
-            touched.touch_geometry(side, value);
-            Ok(MutationOutcome::Upserted { replaced })
-        }
-    }
 }
 
 /// A computation that eventually succeeded, with its recovery footprint.
@@ -1006,8 +902,8 @@ fn try_compute(
     match &req.kind {
         QueryKind::Select { side, probe } => {
             let tree = match side {
-                Side::R => &state.r.tree,
-                Side::S => &state.s.tree,
+                Side::R => state.r.tree(),
+                Side::S => state.s.tree(),
             };
             let order = TraversalOrder::BreadthFirst;
             let mut matches = tree_select(&mut shard, tree, probe, req.theta, order)?.matches;
@@ -1023,14 +919,14 @@ fn try_compute(
             profile.params.k = config.fanout;
             let chooser = auto_chooser(
                 profile,
-                &state.r.rel,
-                &state.s.rel,
+                state.r.rel(),
+                state.s.rel(),
                 config.selectivity_samples,
                 config.seed,
             );
             let ops = JoinOperands {
-                flat: Some((&state.r.rel, &state.s.rel)),
-                trees: Some((&state.r.tree, &state.s.tree)),
+                flat: Some((state.r.rel(), state.s.rel())),
+                trees: Some((state.r.tree(), state.s.tree())),
                 chooser: Some(&chooser),
             };
             let mut exec = match strategy.executor(&ops) {
@@ -1066,8 +962,8 @@ fn try_degraded_join(
     if let Some(fault_config) = faults {
         shard.set_fault_injector(Some(FaultInjector::new(fault_config)));
     }
-    let r = resilient_scan(&state.r.rel, &mut shard)?;
-    let s = resilient_scan(&state.s.rel, &mut shard)?;
+    let r = resilient_scan(state.r.rel(), &mut shard)?;
+    let s = resilient_scan(state.s.rel(), &mut shard)?;
     Ok(Reply::Join {
         pairs: Arc::new(theta_join(&r, &s, theta)),
         resolved: Strategy::NestedLoop,
@@ -1128,7 +1024,8 @@ mod tests {
     /// Chunks of `now`'s arena (nodes and child lane groups), record
     /// directory and heap-file directories that are not `Arc::ptr_eq`
     /// with `then`'s.
-    fn tree_chunks_copied(now: &TreeRelation, then: &TreeRelation) -> usize {
+    fn tree_chunks_copied(now: &IndexedRelation, then: &IndexedRelation) -> usize {
+        let (now, then) = (now.tree(), then.tree());
         now.tree.copied_chunks(&then.tree) + now.paged.copied_chunks(&then.paged)
     }
 
@@ -1160,7 +1057,7 @@ mod tests {
         // Reference: exhaustive θ-test over the same tree.
         let state = svc.snapshot.load();
         let mut want =
-            sj_gentree::select::select_exhaustive(&state.r.tree.tree, &probe, theta).matches;
+            sj_gentree::select::select_exhaustive(&state.r.tree().tree, &probe, theta).matches;
         want.sort_unstable();
         assert_eq!(**matches, want);
         assert!(!matches.is_empty(), "probe must hit something");
@@ -1787,8 +1684,8 @@ mod tests {
                 .delete(Side::S, 50_003);
             svc.commit(&batch).expect("commit succeeds");
             let after = svc.snapshot.load();
-            tree_chunks_copied(&after.r.tree, &before.r.tree)
-                + tree_chunks_copied(&after.s.tree, &before.s.tree)
+            tree_chunks_copied(&after.r, &before.r)
+                + tree_chunks_copied(&after.s, &before.s)
                 + after.pool.disk().copied_chunks(before.pool.disk())
         };
         let (small, medium, large) = (copied(15, 4.0), copied(30, 2.0), copied(120, 0.5));
@@ -1897,10 +1794,7 @@ mod tests {
         let head = svc.snapshot.load();
         assert_eq!(head.version, pinned.version + 50);
         for (now, then) in [(&head.r, &pinned.r), (&head.s, &pinned.s)] {
-            assert!(
-                tree_chunks_copied(&now.tree, &then.tree) > 0,
-                "the commits wrote"
-            );
+            assert!(tree_chunks_copied(now, then) > 0, "the commits wrote");
         }
         assert!(head.pool.disk().copied_chunks(pinned.pool.disk()) > 0);
 
@@ -1919,13 +1813,9 @@ mod tests {
         let v1 = svc.snapshot.load();
         assert!(!Arc::ptr_eq(&v0.r, &v1.r), "R was named: new side");
         assert!(Arc::ptr_eq(&v0.s, &v1.s), "S was not named: shared");
-        let tuples = |side: &SideState| side.tree.tree.entry_nodes().len();
+        let tuples = |side: &IndexedRelation| side.tree().tree.entry_nodes().len();
         assert_eq!(tuples(&v1.r), tuples(&v0.r) + 1);
-        // One `GenTree` per side per snapshot, at start and after a commit.
-        for side in [&v0.r, &v0.s, &v1.r, &v1.s] {
-            assert!(Arc::ptr_eq(side.index.shared_tree(), &side.tree.tree));
-        }
-        assert!(!Arc::ptr_eq(&v0.r.tree.tree, &v1.r.tree.tree));
+        assert!(!Arc::ptr_eq(&v0.r.tree().tree, &v1.r.tree().tree));
 
         let mixed = WriteBatch::new().delete(Side::R, 9000).insert(
             Side::S,
@@ -2124,7 +2014,7 @@ mod tests {
         let svc = SpatialService::start(config, &r, &s, world());
         {
             let state = svc.snapshot.load();
-            assert!(state.r.tree.is_compressed());
+            assert!(state.r.tree().is_compressed());
         }
 
         for theta in [

@@ -506,22 +506,9 @@ impl ShardRouter {
                 Side::R => &mut *r_geoms,
                 Side::S => &mut *s_geoms,
             };
-            let id = op.id();
-            let new = match op {
-                Mutation::Insert { value, .. } | Mutation::Upsert { value, .. } => Some(value),
-                Mutation::Delete { .. } => None,
-            };
-            let present = geoms.contains_key(&id);
-            let outcome = match op {
-                Mutation::Insert { .. } if present => MutationOutcome::DuplicateId,
-                Mutation::Delete { .. } if !present => MutationOutcome::MissingId,
-                _ if new.is_some_and(|v| self.config.service.too_large(v)) => {
-                    MutationOutcome::TooLarge
-                }
-                Mutation::Insert { .. } => MutationOutcome::Inserted,
-                Mutation::Delete { .. } => MutationOutcome::Deleted,
-                Mutation::Upsert { .. } => MutationOutcome::Upserted { replaced: present },
-            };
+            let (id, new) = (op.id(), op.value());
+            let too_large = new.is_some_and(|v| self.config.service.too_large(v));
+            let outcome = op.outcome(geoms.contains_key(&id), too_large);
             outcomes.push(outcome);
             if !outcome.applied() {
                 continue;

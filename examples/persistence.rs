@@ -1,6 +1,7 @@
 //! Persistence: build a spatial database, save it to disk, reopen it in a
 //! "new process" (new Database value), and query it — indices are derived
-//! data and rebuild transparently.
+//! data: opening re-applies the saved rows, which maintains each spatial
+//! column's R-tree at its saved fan-out and layout.
 //!
 //! Run with: `cargo run --release --example persistence`
 
@@ -34,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let theta = ThetaOp::WithinDistance(12.0);
     let pairs = db.spatial_join("house", "hlocation", "lake", "larea", theta, Strategy::Tree)?;
     println!(
-        "{} house-lake pairs within 12 km (R-tree rebuilt on demand)",
+        "{} house-lake pairs within 12 km (R-trees maintained since open)",
         pairs.len()
     );
 

@@ -19,8 +19,10 @@ fn main() -> Result<(), DbError> {
         db.row_count("lake")?
     );
 
-    // Build R-tree indices on both spatial columns (strategy II needs
-    // them; building is a one-off cost, like any index creation).
+    // Every spatial column keeps an R-tree from creation on, maintained
+    // by each write (strategy II traverses it). Re-lay both in one bulk
+    // load at fan-out 10, clustered — a one-off cost, like any index
+    // creation.
     use spatial_joins::core::Layout;
     db.create_spatial_index("house", "hlocation", 10, Layout::Clustered)?;
     db.create_spatial_index("lake", "larea", 10, Layout::Clustered)?;

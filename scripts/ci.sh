@@ -597,4 +597,42 @@ if ! grep -q '^    pub fn try_scan_mbrs' crates/joins/src/relation.rs || [ -n "$
 fi
 echo "    -> try_scan_mbrs decodes MBRs only"
 
+echo "==> one-maintained-side gate (a spatial side is written through sj-joins' IndexedRelation)"
+# The service's snapshots and sj-rel's spatial columns hold each side as
+# an `IndexedRelation`, which builds the relation, its R-tree and its
+# paged tree (`try_build`), writes the first two per mutation
+# (`try_apply`) and evolves the paged tree once per batch
+# (`try_publish`). Non-test sj-service and sj-rel code may not bulk-load
+# an R-tree, drain its dirty slots, evolve a paged tree or write a
+# relation itself, and each of the two builds and publishes sides at one
+# place. A write's outcome comes from `Mutation::outcome`, so no front
+# end (service, router, sj-rel) names a rejection itself. sj-rel's joins
+# run through `Strategy::executor`, and no lazy index rebuild
+# (`ensure_index`) may come back anywhere. Comment lines are skipped.
+side_src=$(
+    for f in crates/service/src/*.rs crates/rel/src/*.rs crates/shard/src/*.rs; do
+        awk '/^#\[cfg\(test\)\]/ { exit } !/^ *\/\// { print FILENAME ":" FNR ": " $0 }' "$f"
+    done
+)
+bypass=$(
+    grep -E '^crates/(service|rel)/' <<<"$side_src" |
+        grep -E 'RTree::bulk_load|take_dirty\(|try_evolve\(|\.try_(insert|delete|replace)\(' || true
+    grep -E 'MutationOutcome::(DuplicateId|MissingId|TooLarge)' <<<"$side_src" || true
+    grep -rn 'ensure_index' crates src tests examples || true
+    grep -HnE 'sweep_join|partition_join|nested_loop_join|tree_join\(' crates/rel/src/query.rs || true
+    for crate in service rel; do
+        for call in 'IndexedRelation::try_build(' '.try_publish('; do
+            n=$(grep -E "^crates/$crate/" <<<"$side_src" | grep -cF "$call" || true)
+            [ "$n" -eq 1 ] || echo "crates/$crate: $n non-test \`$call\` call sites, want 1"
+        done
+    done
+)
+if [ -n "$bypass" ]; then
+    echo "    a second write path for a spatial side is back:"
+    echo "$bypass"
+    exit 1
+fi
+echo "    -> sj-service and sj-rel build and publish sides once each, through IndexedRelation;"
+echo "       outcomes from Mutation::outcome; sj-rel joins through the one executor"
+
 echo "CI OK"
